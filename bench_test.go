@@ -1,8 +1,7 @@
-// Package repro's root benchmarks regenerate every table and figure of the
-// paper's evaluation:
+// Package repro's root benchmarks regenerate the paper's Figure 7 and its
+// supporting measurements (the Figure 6 pipeline is measured end to end by
+// the cold_sweep workload under bench/):
 //
-//   - BenchmarkFigure6* re-run the COMMUTER pipeline (ANALYZER → TESTGEN →
-//     MTRACE check) per kernel and report conflict-free fractions,
 //   - BenchmarkFigure7a/b/c replay traced workloads through the MESI
 //     coherence simulator at 80 cores and report per-core throughput,
 //   - BenchmarkSequentialFstat* measure §7.2's single-core cost of
@@ -13,7 +12,7 @@
 //     (hash-directory bucket counts, coherence transfer costs).
 //
 // Reported custom metrics make the regenerated "rows" visible in benchmark
-// output: tests, conflictfree_pct, percore_ops_per_Mcycle, speedup ratios.
+// output: conflictfree_pct, percore_ops_per_Mcycle, speedup ratios.
 package repro_test
 
 import (
@@ -22,78 +21,13 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/analyzer"
 	"repro/internal/coherence"
 	"repro/internal/eval"
 	"repro/internal/kernel"
 	"repro/internal/kernel/svsix"
-	"repro/internal/model"
 	"repro/internal/mtrace"
 	"repro/internal/scale"
-	"repro/internal/testgen"
 )
-
-// fsOps is the fast (file-system metadata) operation subset used by the
-// in-benchmark matrix; the full 18-op matrix lives in cmd/commuter.
-func fsOps() []*model.OpDef {
-	names := []string{"open", "link", "unlink", "rename", "stat", "fstat", "lseek", "close", "pipe"}
-	out := make([]*model.OpDef, len(names))
-	for i, n := range names {
-		out[i] = model.OpByName(n)
-	}
-	return out
-}
-
-var testsCache map[[2]string]eval.PairTests
-
-func generatedTests(b *testing.B) map[[2]string]eval.PairTests {
-	b.Helper()
-	if testsCache == nil {
-		testsCache = eval.GenerateAllTests(model.Spec, fsOps(),
-			analyzer.Options{}, testgen.Options{MaxTestsPerPath: 4}, nil)
-	}
-	return testsCache
-}
-
-func benchMatrix(b *testing.B, kernelName string) {
-	tests := generatedTests(b)
-	var m eval.Matrix
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		m, err = eval.CheckMatrix(model.Spec, kernelName, tests)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	total, conf := m.Totals()
-	b.ReportMetric(float64(total), "tests")
-	b.ReportMetric(100*float64(total-conf)/float64(total), "conflictfree_pct")
-}
-
-// BenchmarkFigure6Linux regenerates the left half of Figure 6 (file-system
-// subset): the fraction of commutative tests Linux executes conflict-free.
-func BenchmarkFigure6Linux(b *testing.B) { benchMatrix(b, "linux") }
-
-// BenchmarkFigure6Sv6 regenerates the right half of Figure 6 (file-system
-// subset): sv6's conflict-free fraction.
-func BenchmarkFigure6Sv6(b *testing.B) { benchMatrix(b, "sv6") }
-
-// BenchmarkTestGeneration regenerates §6.1's headline: the number of test
-// cases COMMUTER generates (file-system subset) and how long that takes —
-// the paper reports 13,664 tests over all 18 calls in 8 minutes.
-func BenchmarkTestGeneration(b *testing.B) {
-	var total int
-	for i := 0; i < b.N; i++ {
-		tests := eval.GenerateAllTests(model.Spec, fsOps(),
-			analyzer.Options{}, testgen.Options{MaxTestsPerPath: 4}, nil)
-		total = 0
-		for _, ts := range tests {
-			total += len(ts.Tests)
-		}
-	}
-	b.ReportMetric(float64(total), "tests")
-}
 
 func benchCurvePoint(b *testing.B, f func() float64) {
 	var v float64

@@ -7,63 +7,38 @@ import (
 	"testing"
 
 	"repro/commuter"
-	"repro/internal/analyzer"
 	"repro/internal/eval"
-	"repro/internal/model"
-	"repro/internal/testgen"
 )
 
-// TestMatrixFSGolden pins the rendering of `commuter matrix -ops fs`
-// byte-for-byte against a golden file captured before the spec-layer
-// refactor: the pluggable spec machinery must be a pure re-plumbing of
-// the POSIX pipeline — same tests, same cells, same formatting. Refresh
-// testdata/matrix_fs.golden only for a deliberate semantic change.
-func TestMatrixFSGolden(t *testing.T) {
+// checkMatrixGolden pins one `commuter matrix` rendering byte-for-byte
+// against testdata/matrix_<name>.golden through both client bindings: the
+// local in-process pipeline and a `commuter serve` loopback (the -server
+// flag's path). The two renderings must also match each other exactly —
+// the serve binding is pure transport, never a reinterpretation.
+func checkMatrixGolden(t *testing.T, name string, opts ...commuter.Option) {
+	t.Helper()
 	if testing.Short() {
-		t.Skip("full fs matrix in -short mode")
+		t.Skip("full matrices in -short mode")
 	}
-	want, err := os.ReadFile("testdata/matrix_fs.golden")
+	want, err := os.ReadFile("testdata/matrix_" + name + ".golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	universe := opSet(model.Spec, "fs")
-	tests := eval.GenerateAllTests(model.Spec, universe,
-		analyzer.Options{}, testgen.Options{MaxTestsPerPath: 4}, nil)
-	got := ""
-	for _, kn := range []string{"linux", "sv6"} {
-		m, err := eval.CheckMatrix(model.Spec, kn, tests)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got += eval.FormatMatrix(m) + "\n"
-	}
-	if got != string(want) {
-		t.Errorf("matrix -ops fs rendering changed from golden\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestMatrixVMKVGolden pins `commuter matrix -spec vm` and `-spec kv`
-// byte-for-byte against golden files, through both client bindings: the
-// local in-process pipeline and a `commuter serve` loopback (the -server
-// flag's path). The two renderings must also match each other exactly —
-// the serve binding is pure transport, never a reinterpretation. Refresh
-// testdata/matrix_{vm,kv}.golden only for a deliberate semantic change to
-// the vm or kv spec, its concretizer, or its reference kernel.
-func TestMatrixVMKVGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full vm/kv matrices in -short mode")
-	}
-	ctx := context.Background()
 	h, err := commuter.NewServerHandler(commuter.Local())
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(h)
 	defer srv.Close()
+	remote, err := commuter.Dial(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
 
-	render := func(t *testing.T, cli commuter.Client, specName string) string {
-		t.Helper()
-		res, err := cli.Sweep(ctx, commuter.WithSpec(specName), commuter.WithTestsPerPath(4))
+	opts = append(opts, commuter.WithTestsPerPath(4))
+	render := func(cli commuter.Client) string {
+		res, err := cli.Sweep(context.Background(), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,27 +48,31 @@ func TestMatrixVMKVGolden(t *testing.T) {
 		}
 		return got
 	}
+	local := render(commuter.Local())
+	if local != string(want) {
+		t.Errorf("matrix %s rendering changed from golden\ngot:\n%s\nwant:\n%s", name, local, want)
+	}
+	if served := render(remote); served != local {
+		t.Errorf("matrix %s -server diverged from local\nserved:\n%s\nlocal:\n%s", name, served, local)
+	}
+}
 
+// TestMatrixFSGolden pins `commuter matrix -ops fs` against a golden file
+// captured before the spec-layer refactor: the pluggable spec machinery,
+// and every engine rewrite since, must be a pure re-plumbing of the POSIX
+// pipeline — same tests, same cells, same formatting. Refresh
+// testdata/matrix_fs.golden only for a deliberate semantic change.
+func TestMatrixFSGolden(t *testing.T) {
+	checkMatrixGolden(t, "fs", commuter.WithOpSet("fs"))
+}
+
+// TestMatrixVMKVGolden pins `commuter matrix -spec vm` and `-spec kv`.
+// Refresh testdata/matrix_{vm,kv}.golden only for a deliberate semantic
+// change to the vm or kv spec, its concretizer, or its reference kernel.
+func TestMatrixVMKVGolden(t *testing.T) {
 	for _, specName := range []string{"vm", "kv"} {
 		t.Run(specName, func(t *testing.T) {
-			want, err := os.ReadFile("testdata/matrix_" + specName + ".golden")
-			if err != nil {
-				t.Fatal(err)
-			}
-			local := render(t, commuter.Local(), specName)
-			if local != string(want) {
-				t.Errorf("matrix -spec %s rendering changed from golden\ngot:\n%s\nwant:\n%s",
-					specName, local, want)
-			}
-			remote, err := commuter.Dial(srv.URL)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer remote.Close()
-			if served := render(t, remote, specName); served != local {
-				t.Errorf("matrix -spec %s -server diverged from local\nserved:\n%s\nlocal:\n%s",
-					specName, served, local)
-			}
+			checkMatrixGolden(t, specName, commuter.WithSpec(specName))
 		})
 	}
 }

@@ -71,10 +71,7 @@ func cmdServe(args []string) {
 	// there the sweep workers and solver Stop hooks.
 	reqCtx, cancelReqs := context.WithCancel(context.Background())
 	defer cancelReqs()
-	srv := &http.Server{
-		Handler:     handler,
-		BaseContext: func(net.Listener) context.Context { return reqCtx },
-	}
+	srv := newHTTPServer(handler, reqCtx, readHeaderTimeout)
 
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
@@ -112,6 +109,23 @@ func cmdServe(args []string) {
 	// Serve returns the moment the listener closes; the drain above is
 	// still running. Wait it out so in-flight work isn't killed mid-write.
 	<-shutdownDone
+}
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers. Bodies and responses stay unbounded on purpose: check
+// requests carry whole test sets and sweeps stream for minutes.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer builds the server cmdServe runs: every request context
+// derives from base, and a connection that trickles (or never finishes)
+// its headers is closed after headerTimeout instead of holding a
+// goroutine and a descriptor forever.
+func newHTTPServer(handler http.Handler, base context.Context, headerTimeout time.Duration) *http.Server {
+	return &http.Server{
+		Handler:           handler,
+		BaseContext:       func(net.Listener) context.Context { return base },
+		ReadHeaderTimeout: headerTimeout,
+	}
 }
 
 func cacheOrNone(dir string) string {

@@ -5,45 +5,24 @@
 //	scalebench open    # Figure 7(b): openbench, any-FD vs lowest-FD
 //	scalebench mail    # Figure 7(c): mail server, commutative vs regular
 //	scalebench all     # the three Figure 7 benchmarks
-//	scalebench perf    # machine-readable pipeline perf record
-//	scalebench fleet   # N-member fleet sweep speedup vs one member
+//	scalebench load    # load harness for `commuter serve` (see load.go)
 //
 // Values are operations per million simulated cycles per core; the paper's
 // absolute axes differ (real hardware), but the shapes — who scales, who
 // collapses, and where — are the reproduction target.
 //
-// perf measures the pipeline itself rather than the simulated kernels: the
-// Figure 6 fs-subset sweep wall-clock and the sym-engine (ANALYZE/TESTGEN)
-// micro-benchmarks. The sweep runs through the commuter.Client façade —
-// in-process by default, or against a `commuter serve` instance with
-// -server, in which case the measurement covers the service (wire format,
-// HTTP, streaming) end to end. With -json FILE it writes the measurements
-// as a BENCH_*.json record (CI uploads one per run as an artifact), so
-// the repository's performance trajectory is tracked instead of
-// anecdotal.
+// The pipeline's own performance (sweep wall clock, allocations, per-layer
+// costs) is measured by the benchmark under bench/, not here.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"log/slog"
-	"net/http/httptest"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
-	"repro/commuter"
-	"repro/internal/analyzer"
 	"repro/internal/eval"
-	"repro/internal/model"
-	"repro/internal/spec"
-	"repro/internal/testgen"
 )
 
 func main() {
@@ -53,11 +32,6 @@ func main() {
 		return
 	}
 	coresFlag := flag.String("cores", "", "comma-separated core counts (default 1,10,...,80)")
-	jsonPath := flag.String("json", "", "perf: also write the record to this BENCH_*.json file")
-	server := flag.String("server", "", "perf: run the sweep on this `commuter serve` URL instead of in-process")
-	baseline := flag.String("baseline", "", "perf: compare ms records against this BENCH_*.json and fail on >2x regressions")
-	members := flag.Int("n", 2, "fleet: number of fleet members sharing one sweep")
-	perMember := flag.Int("j", 0, "fleet: worker pool size per member (default NumCPU/n, so the fleet and single-member runs use the same total parallelism budget per member)")
 	flag.Parse()
 	cores := eval.DefaultCores
 	if *coresFlag != "" {
@@ -93,16 +67,6 @@ func main() {
 				eval.Mailbench(true, cores),
 				eval.Mailbench(false, cores),
 			}))
-		case "perf":
-			if err := runPerf(*jsonPath, *server, *baseline); err != nil {
-				fmt.Fprintln(os.Stderr, "scalebench:", err)
-				os.Exit(1)
-			}
-		case "fleet":
-			if err := runFleetBench(*members, *perMember, *jsonPath, *baseline); err != nil {
-				fmt.Fprintln(os.Stderr, "scalebench:", err)
-				os.Exit(1)
-			}
 		default:
 			fmt.Fprintf(os.Stderr, "scalebench: unknown benchmark %q\n", name)
 			os.Exit(2)
@@ -115,334 +79,4 @@ func main() {
 		return
 	}
 	run(which)
-}
-
-// benchRecord is one measurement of the perf record.
-type benchRecord struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-	Unit  string  `json:"unit"`
-}
-
-// benchReport is the BENCH_*.json schema: enough environment to compare
-// runs, plus flat records a dashboard (or jq) can consume directly.
-type benchReport struct {
-	Schema    int           `json:"schema"`
-	Generated string        `json:"generated"`
-	GoVersion string        `json:"go_version"`
-	GOOS      string        `json:"goos"`
-	GOARCH    string        `json:"goarch"`
-	NumCPU    int           `json:"num_cpu"`
-	Records   []benchRecord `json:"records"`
-}
-
-// runPerf measures the pipeline: one cold Figure 6 fs-subset sweep (both
-// kernels, all CPUs, no cache) for the end-to-end wall-clock — through
-// the Client façade, so the same measurement covers the in-process engine
-// or a remote serve instance — plus the sym-engine micro-benchmarks the
-// README's Performance section tracks.
-func runPerf(jsonPath, server, baseline string) error {
-	var records []benchRecord
-	add := func(name string, value float64, unit string) {
-		records = append(records, benchRecord{Name: name, Value: value, Unit: unit})
-		fmt.Printf("%-32s %12.2f %s\n", name, value, unit)
-	}
-
-	cli := commuter.Local()
-	if server != "" {
-		var err error
-		if cli, err = commuter.Dial(server); err != nil {
-			return err
-		}
-	}
-	defer cli.Close()
-	start := time.Now()
-	res, err := cli.Sweep(context.Background(), commuter.WithOpSet("fs"))
-	if err != nil {
-		return err
-	}
-	add("fig6_fs_sweep_wall_ms", float64(time.Since(start))/1e6, "ms")
-	add("fig6_fs_sweep_tests", float64(res.TotalTests()), "tests")
-	add("fig6_fs_sweep_workers", float64(res.Workers), "workers")
-
-	// Phase breakdown: where the sweep's CPU time went, summed across
-	// pairs. The sum exceeds the wall clock above because pairs overlap
-	// across workers; what the records track is the per-phase cost, so a
-	// regression points at the layer that regressed (solver_ms is the
-	// satisfiability-search share inside analyze+testgen).
-	var phases commuter.PhaseTimes
-	var satCalls int64
-	var checkGroups, maxShards int
-	for _, p := range res.Pairs {
-		phases.AnalyzeMS += p.Phases.AnalyzeMS
-		phases.TestgenMS += p.Phases.TestgenMS
-		phases.CheckMS += p.Phases.CheckMS
-		phases.SolverMS += p.Phases.SolverMS
-		satCalls += p.Solver.SatCalls
-		checkGroups += p.CheckGroups
-		if p.CheckShards > maxShards {
-			maxShards = p.CheckShards
-		}
-	}
-	add("fig6_fs_sweep_analyze_ms", phases.AnalyzeMS, "ms")
-	add("fig6_fs_sweep_testgen_ms", phases.TestgenMS, "ms")
-	add("fig6_fs_sweep_check_ms", phases.CheckMS, "ms")
-	add("fig6_fs_sweep_solver_ms", phases.SolverMS, "ms")
-	add("fig6_fs_sweep_sat_calls", float64(satCalls), "calls")
-	// Replay shape (non-ms, so the regression gate skips them): total setup
-	// groups across the CHECK stages and the widest intra-pair shard fan-out.
-	add("fig6_fs_sweep_check_groups", float64(checkGroups), "groups")
-	add("fig6_fs_sweep_check_shards", float64(maxShards), "shards")
-
-	// Sym-engine micro-benchmarks: the hot ANALYZE and ANALYZE+TESTGEN
-	// paths on representative pairs, best of three.
-	rename := timeBest(3, func() {
-		r, _ := spec.OpByName(model.Spec, "rename")
-		analyzer.AnalyzePair(model.Spec, r, r, analyzer.Options{})
-	})
-	add("sym_analyze_rename_rename_ms", rename, "ms")
-	open2 := timeBest(3, func() {
-		o, _ := spec.OpByName(model.Spec, "open")
-		pr := analyzer.AnalyzePair(model.Spec, o, o, analyzer.Options{})
-		testgen.Generate(model.Spec, pr, testgen.Options{})
-	})
-	add("sym_analyze_testgen_open_open_ms", open2, "ms")
-
-	// The vm-spec sweep: the §5.2 virtual-memory universe (mmap, munmap,
-	// mprotect, memread, memwrite) on the memvm reference kernel, end to
-	// end through the same Client façade. Far smaller than the fs sweep,
-	// but it is the only record exercising a non-POSIX spec's full
-	// pipeline, so a regression here that the fs records miss points at
-	// the spec-dispatch plumbing rather than the shared engine.
-	vmStart := time.Now()
-	vmRes, err := cli.Sweep(context.Background(), commuter.WithSpec("vm"))
-	if err != nil {
-		return err
-	}
-	add("fig8_vm_sweep_wall_ms", float64(time.Since(vmStart))/1e6, "ms")
-	add("fig8_vm_sweep_tests", float64(vmRes.TotalTests()), "tests")
-
-	// The same sweep sharded across a two-member fleet behind an
-	// in-process HTTP coordinator: tracks the fleet path's end-to-end
-	// cost (lease round trips included) next to the single-member
-	// wall-clock above. On a multi-core machine with idle capacity this
-	// is the near-linear speedup record; on a saturated one it bounds
-	// the coordination overhead instead.
-	fleetMS, fleetRes, err := fleetSweepWall(2, 0)
-	if err != nil {
-		return err
-	}
-	add("fig6_fs_fleet2_sweep_wall_ms", fleetMS, "ms")
-	if err := sameMatrices(res, fleetRes); err != nil {
-		return fmt.Errorf("fleet sweep diverges from single-member sweep: %w", err)
-	}
-
-	return finishReport(jsonPath, baseline, records)
-}
-
-// finishReport gates the records against a committed baseline (when one
-// is named) and writes the BENCH_*.json record (when a path is named).
-func finishReport(jsonPath, baseline string, records []benchRecord) error {
-	if baseline != "" {
-		if err := compareBaseline(baseline, records); err != nil {
-			return err
-		}
-	}
-	if jsonPath == "" {
-		return nil
-	}
-	report := benchReport{
-		Schema:    1,
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Records:   records,
-	}
-	data, err := json.MarshalIndent(report, "", "\t")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", jsonPath)
-	return nil
-}
-
-// fleetSweepWall runs one cold fs-subset sweep sharded across n fleet
-// members behind an in-process HTTP coordinator and returns the wall
-// time in ms (submission of the first member to completion of the last)
-// plus one member's merged result. workers sizes each member's pool; 0
-// leaves the engine default (one per CPU).
-func fleetSweepWall(n, workers int) (float64, *commuter.SweepResult, error) {
-	// The coordinator's per-request log lines would swamp the bench
-	// output; discard them.
-	quiet := commuter.ServeWithLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
-	h, err := commuter.NewServerHandler(commuter.Local(), quiet)
-	if err != nil {
-		return 0, nil, err
-	}
-	coord := httptest.NewServer(h)
-	defer coord.Close()
-	opts := []commuter.Option{commuter.WithOpSet("fs"), commuter.WithFleet(coord.URL)}
-	if workers > 0 {
-		opts = append(opts, commuter.WithWorkers(workers))
-	}
-	results := make([]*commuter.SweepResult, n)
-	errs := make([]error, n)
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := range results {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = commuter.Local().Sweep(context.Background(), opts...)
-		}(i)
-	}
-	wg.Wait()
-	wall := float64(time.Since(start)) / 1e6
-	for i, err := range errs {
-		if err != nil {
-			return 0, nil, fmt.Errorf("fleet member %d: %w", i, err)
-		}
-	}
-	for i := 1; i < n; i++ {
-		if err := sameMatrices(results[0], results[i]); err != nil {
-			return 0, nil, fmt.Errorf("fleet members 0 and %d disagree: %w", i, err)
-		}
-	}
-	return wall, results[0], nil
-}
-
-// sameMatrices asserts two sweeps render byte-identical Figure 6
-// matrices — the correctness guard behind every fleet measurement.
-func sameMatrices(a, b *commuter.SweepResult) error {
-	ma, mb := eval.MatricesFromSweep(a), eval.MatricesFromSweep(b)
-	if len(ma) != len(mb) {
-		return fmt.Errorf("%d vs %d kernel matrices", len(ma), len(mb))
-	}
-	for i := range ma {
-		if fa, fb := eval.FormatMatrix(ma[i]), eval.FormatMatrix(mb[i]); fa != fb {
-			return fmt.Errorf("matrix %d differs:\n%s\nvs:\n%s", i, fa, fb)
-		}
-	}
-	return nil
-}
-
-// runFleetBench measures the fleet speedup directly: one cold fs-subset
-// sweep on a single member, then the same sweep sharded across n
-// members, each with the same per-member worker-pool size, so on a
-// machine with n*j idle CPUs the fleet run approaches n-times the
-// single-member throughput. A warmup sweep first takes the process-global
-// interner warming out of the comparison.
-func runFleetBench(n, workers int, jsonPath, baseline string) error {
-	if n < 2 {
-		return fmt.Errorf("fleet: need at least 2 members, have %d", n)
-	}
-	if workers <= 0 {
-		workers = max(1, runtime.NumCPU()/n)
-	}
-	var records []benchRecord
-	add := func(name string, value float64, unit string) {
-		records = append(records, benchRecord{Name: name, Value: value, Unit: unit})
-		fmt.Printf("%-32s %12.2f %s\n", name, value, unit)
-	}
-	fmt.Printf("fleet: %d members x %d workers on %d CPUs\n", n, workers, runtime.NumCPU())
-
-	ctx := context.Background()
-	if _, err := commuter.Local().Sweep(ctx, commuter.WithOpSet("fs"), commuter.WithWorkers(workers)); err != nil {
-		return err
-	}
-	start := time.Now()
-	single, err := commuter.Local().Sweep(ctx, commuter.WithOpSet("fs"), commuter.WithWorkers(workers))
-	if err != nil {
-		return err
-	}
-	singleMS := float64(time.Since(start)) / 1e6
-	add("fleet_fs_single_wall_ms", singleMS, "ms")
-
-	fleetMS, fleetRes, err := fleetSweepWall(n, workers)
-	if err != nil {
-		return err
-	}
-	add(fmt.Sprintf("fleet_fs_fleet%d_wall_ms", n), fleetMS, "ms")
-	add(fmt.Sprintf("fleet_fs_fleet%d_speedup", n), singleMS/fleetMS, "x")
-	add("fleet_fs_workers_per_member", float64(workers), "workers")
-	if err := sameMatrices(single, fleetRes); err != nil {
-		return fmt.Errorf("fleet sweep diverges from single-member sweep: %w", err)
-	}
-	return finishReport(jsonPath, baseline, records)
-}
-
-// Baseline gate tuning: a wall-time record regresses when it exceeds
-// regressionFactor times its committed baseline. Sub-regressionFloorMS
-// baselines are lifted to the floor first — at that scale scheduler noise
-// dwarfs the pipeline and a strict ratio would flag nothing real.
-const (
-	regressionFactor  = 2.0
-	regressionFloorMS = 5.0
-)
-
-// compareBaseline gates the wall-time records against a committed
-// BENCH_*.json. Only "ms" records present in both runs are compared:
-// counts are pinned by tests, and disjoint record sets (a renamed
-// measurement) should fail review, not the gate.
-func compareBaseline(path string, records []benchRecord) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
-	}
-	var base benchReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
-	}
-	want := map[string]float64{}
-	for _, r := range base.Records {
-		if r.Unit == "ms" {
-			want[r.Name] = r.Value
-		}
-	}
-	var regressed []string
-	compared := 0
-	for _, r := range records {
-		b, ok := want[r.Name]
-		if r.Unit != "ms" || !ok {
-			continue
-		}
-		compared++
-		allowed := max(b, regressionFloorMS) * regressionFactor
-		status := "ok"
-		if r.Value > allowed {
-			status = "REGRESSED"
-			regressed = append(regressed, r.Name)
-		}
-		fmt.Printf("baseline %-32s %10.2f -> %10.2f ms (limit %10.2f) %s\n",
-			r.Name, b, r.Value, allowed, status)
-	}
-	if compared == 0 {
-		return fmt.Errorf("baseline %s shares no ms records with this run", path)
-	}
-	if len(regressed) > 0 {
-		return fmt.Errorf("performance regression (>%.0fx baseline): %s",
-			regressionFactor, strings.Join(regressed, ", "))
-	}
-	return nil
-}
-
-// timeBest runs fn n times and returns the fastest wall-clock in ms (the
-// usual minimum-of-N noise reduction).
-func timeBest(n int, fn func()) float64 {
-	best := 0.0
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		fn()
-		d := float64(time.Since(t0)) / 1e6
-		if i == 0 || d < best {
-			best = d
-		}
-	}
-	return best
 }

@@ -1,64 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
-
-func writeBaseline(t *testing.T, records ...benchRecord) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "BENCH_baseline.json")
-	data, err := json.Marshal(benchReport{Schema: 1, Records: records})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestCompareBaseline pins the regression gate: 2x on ms records with a
-// floor that keeps scheduler noise on tiny baselines from tripping it.
-func TestCompareBaseline(t *testing.T) {
-	base := writeBaseline(t,
-		benchRecord{Name: "sweep_wall_ms", Value: 100, Unit: "ms"},
-		benchRecord{Name: "micro_ms", Value: 1, Unit: "ms"},
-		benchRecord{Name: "tests", Value: 42, Unit: "tests"},
-	)
-
-	ok := []benchRecord{
-		{Name: "sweep_wall_ms", Value: 199, Unit: "ms"}, // within 2x
-		{Name: "micro_ms", Value: 9, Unit: "ms"},        // 9x, but under the 5ms-floor limit
-		{Name: "tests", Value: 9999, Unit: "tests"},     // counts are not gated
-		{Name: "new_ms", Value: 1e9, Unit: "ms"},        // not in baseline: ignored
-	}
-	if err := compareBaseline(base, ok); err != nil {
-		t.Errorf("in-bound run failed the gate: %v", err)
-	}
-
-	bad := []benchRecord{{Name: "sweep_wall_ms", Value: 201, Unit: "ms"}}
-	err := compareBaseline(base, bad)
-	if err == nil {
-		t.Fatal("2x+ regression passed the gate")
-	}
-	if !strings.Contains(err.Error(), "sweep_wall_ms") {
-		t.Errorf("regression error does not name the record: %v", err)
-	}
-
-	// The floor is a lift, not a bypass: 10ms+ on a 1ms baseline fails.
-	if err := compareBaseline(base, []benchRecord{{Name: "micro_ms", Value: 11, Unit: "ms"}}); err == nil {
-		t.Error("regression above the floored limit passed the gate")
-	}
-
-	// Disjoint record sets are a configuration error, not a pass.
-	if err := compareBaseline(base, []benchRecord{{Name: "tests", Value: 1, Unit: "tests"}}); err == nil {
-		t.Error("run sharing no ms records passed the gate")
-	}
-}
+import "testing"
 
 // TestPercentile pins the nearest-rank read the load harness reports.
 func TestPercentile(t *testing.T) {

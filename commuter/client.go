@@ -10,7 +10,7 @@ import (
 	"repro/internal/sweep"
 )
 
-// Client is the v2 façade over the COMMUTER pipeline: ANALYZE, TESTGEN,
+// Client is the façade over the COMMUTER pipeline: ANALYZE, TESTGEN,
 // CHECK and the parallel sweep behind one interface that is explicitly a
 // contract, not a binding. Every method takes a context.Context —
 // cancellation reaches all the way into the solver's backtracking search —
@@ -62,7 +62,7 @@ type Client interface {
 	Close() error
 }
 
-// Re-exported result types of the v2 API. They are the wire types: plain
+// Re-exported result types of the Client API. They are the wire types: plain
 // data, identical through either binding.
 type (
 	// SpecInfo describes one registered interface specification.

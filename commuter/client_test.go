@@ -8,10 +8,14 @@ import (
 	"testing"
 
 	"repro/commuter"
+	"repro/internal/analyzer"
+	"repro/internal/model"
+	"repro/internal/spec"
 )
 
-// TestLocalAnalyze pins the local binding against the v1 shim: same
-// counts, same clauses, and the same one-line summary.
+// TestLocalAnalyze pins the local binding's plain-data Analysis against
+// the analyzer's symbolic result: same counts, same clauses, and the same
+// one-line summary.
 func TestLocalAnalyze(t *testing.T) {
 	cli := commuter.Local()
 	defer cli.Close()
@@ -19,7 +23,9 @@ func TestLocalAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := commuter.Analyze("stat", "unlink", commuter.Options{})
+	stat, _ := spec.OpByName(model.Spec, "stat")
+	unlink, _ := spec.OpByName(model.Spec, "unlink")
+	want := analyzer.AnalyzePair(model.Spec, stat, unlink, analyzer.Options{})
 	if a.Paths != len(want.Paths) {
 		t.Errorf("paths: %d, want %d", a.Paths, len(want.Paths))
 	}
@@ -27,7 +33,7 @@ func TestLocalAnalyze(t *testing.T) {
 		t.Errorf("commutative: %d, want %d", a.Commutative, len(want.CommutativePaths()))
 	}
 	if a.Summary() != want.Summary() {
-		t.Errorf("summary mismatch:\n v2: %s\n v1: %s", a.Summary(), want.Summary())
+		t.Errorf("summary mismatch:\n client:   %s\n analyzer: %s", a.Summary(), want.Summary())
 	}
 	if len(a.PathDetails) != a.Paths {
 		t.Errorf("%d path details for %d paths", len(a.PathDetails), a.Paths)
@@ -37,9 +43,8 @@ func TestLocalAnalyze(t *testing.T) {
 	}
 }
 
-// TestLocalUnknownNames pins the v2 error contract: unknown specs, ops
-// and kernels return errors naming the known alternatives — the panics
-// stay confined to the deprecated shims.
+// TestLocalUnknownNames pins the error contract: unknown specs, ops and
+// kernels return errors naming the known alternatives.
 func TestLocalUnknownNames(t *testing.T) {
 	cli := commuter.Local()
 	ctx := context.Background()
@@ -84,16 +89,18 @@ func TestLocalUnknownNames(t *testing.T) {
 	}
 }
 
-// TestSweepKernelsError pins the repaired v1 helper: unknown kernel names
-// return an error listing the known implementations instead of panicking
-// (or being ignored).
+// TestSweepKernelsError pins kernel selection: with no WithKernels a sweep
+// checks every implementation of the spec, and an unknown name is an error
+// listing the known ones (not a panic, and not ignored).
 func TestSweepKernelsError(t *testing.T) {
-	ks, err := commuter.SweepKernels()
-	if err != nil || len(ks) != 2 {
-		t.Fatalf("SweepKernels() = %d specs, %v; want both kernels", len(ks), err)
+	cli := commuter.Local()
+	ctx := context.Background()
+	res, err := cli.Sweep(ctx, commuter.WithOps("stat"))
+	if err != nil || len(res.Pairs) != 1 || len(res.Pairs[0].Cells) != 2 {
+		t.Fatalf("default-kernel sweep = %+v, %v; want one pair with both kernels' cells", res, err)
 	}
-	if _, err := commuter.SweepKernels("sv7"); err == nil || !strings.Contains(err.Error(), "known:") {
-		t.Errorf("SweepKernels(sv7) = %v, want error listing known implementations", err)
+	if _, err := cli.Sweep(ctx, commuter.WithOps("stat"), commuter.WithKernels("sv7")); err == nil || !strings.Contains(err.Error(), "known:") {
+		t.Errorf("sweep on sv7 = %v, want error listing known implementations", err)
 	}
 }
 
@@ -147,7 +154,7 @@ func TestLocalSpecs(t *testing.T) {
 	}
 }
 
-// TestLocalPipelineEndToEnd drives the whole v2 pipeline in-process:
+// TestLocalPipelineEndToEnd drives the whole pipeline in-process:
 // analyze, generate, check, and a streamed sweep whose final result
 // agrees with its own per-pair updates.
 func TestLocalPipelineEndToEnd(t *testing.T) {

@@ -22,11 +22,6 @@
 //		...
 //	}
 //
-// The top-level functions (Analyze, GenerateTests, Ops, Sweep, ...) are
-// the v1 API: in-process only, no contexts, panicking on unknown names.
-// They are retained as thin shims for compatibility and deprecated in
-// favor of the Client methods.
-//
 // Package commuter also exposes the evaluation drivers that regenerate the
 // paper's Figure 6 matrices and Figure 7 throughput curves.
 package commuter
@@ -34,55 +29,27 @@ package commuter
 import (
 	"io"
 
-	"repro/internal/analyzer"
 	"repro/internal/eval"
 	"repro/internal/kernel"
-	"repro/internal/kernel/monokernel"
-	"repro/internal/kernel/svsix"
+	_ "repro/internal/kvspec" // registers the "kv" spec
 	"repro/internal/model"
-	_ "repro/internal/kvspec"    // registers the "kv" spec
 	_ "repro/internal/queuespec" // registers the "queue" spec
-	_ "repro/internal/vmspec"    // registers the "vm" spec
 	"repro/internal/spec"
 	"repro/internal/sweep"
-	"repro/internal/testgen"
+	_ "repro/internal/vmspec" // registers the "vm" spec
 )
 
 // Re-exported core types. See the internal packages for full documentation.
 type (
-	// PairResult holds the per-path commutativity analysis of one pair.
-	PairResult = analyzer.PairResult
-	// PairPath is one joint symbolic path with its commute condition.
-	PairPath = analyzer.PairPath
-	// Options tunes ANALYZER.
-	Options = analyzer.Options
-	// GenOptions tunes TESTGEN.
-	GenOptions = testgen.Options
 	// TestCase is one concrete commutative test.
 	TestCase = kernel.TestCase
-	// Setup is a test case's concrete initial state.
-	Setup = kernel.Setup
-	// Call is one concrete system call.
-	Call = kernel.Call
-	// Result is a system call result.
-	Result = kernel.Result
-	// CheckResult is the MTRACE verdict for one test on one kernel.
-	CheckResult = kernel.CheckResult
-	// Kernel is the system-call surface both implementations provide.
-	Kernel = kernel.Kernel
-	// ModelConfig selects specification variants (e.g. the lowest-FD rule).
-	ModelConfig = model.Config
 	// Curve is a Figure 7 throughput series.
 	Curve = eval.Curve
 	// Matrix is a Figure 6 conflict matrix.
 	Matrix = eval.Matrix
-	// OpDef is one modeled operation of a spec.
-	OpDef = model.OpDef
 	// Spec is one pluggable interface specification (see internal/spec).
 	Spec = spec.Spec
 
-	// SweepConfig describes one parallel pipeline sweep.
-	SweepConfig = sweep.Config
 	// SweepResult is a completed sweep.
 	SweepResult = sweep.Result
 	// SweepPair is the sweep outcome for one operation pair.
@@ -98,12 +65,8 @@ type (
 	// cells in a CHECK tier); open one with OpenSweepBackend or compose
 	// the sweep package's constructors directly.
 	SweepBackend = sweep.Backend
-	// SweepCache is the on-disk SweepBackend implementation.
-	SweepCache = sweep.Cache
 	// SweepCacheStats counts per-tier cache hits and misses.
 	SweepCacheStats = sweep.CacheStats
-	// KernelSpec names a kernel implementation for a sweep.
-	KernelSpec = sweep.KernelSpec
 )
 
 // Specs returns the names of the registered interface specifications
@@ -117,43 +80,6 @@ func LookupSpec(name string) (Spec, error) { return spec.Lookup(name) }
 // OpNames returns the 18 modeled POSIX operations in Figure 6 order.
 func OpNames() []string { return spec.OpNames(model.Spec) }
 
-// Ops resolves operation names against the default posix spec, for
-// building a SweepConfig universe. With no arguments it returns all 18
-// modeled operations in Figure 6 order; an unknown name panics (with the
-// known ops listed) like Analyze.
-//
-// Deprecated: use Client.Sweep with WithOps, which resolves names inside
-// any spec and returns an error instead of panicking.
-func Ops(names ...string) []*OpDef {
-	if len(names) == 0 {
-		return model.Ops()
-	}
-	out := make([]*OpDef, len(names))
-	for i, n := range names {
-		op, err := spec.OpByName(model.Spec, n)
-		if err != nil {
-			panic("commuter: " + err.Error())
-		}
-		out[i] = op
-	}
-	return out
-}
-
-// Sweep fans the ANALYZE → TESTGEN → CHECK pipeline across cfg.Workers
-// goroutines, one unordered operation pair at a time, optionally serving
-// repeat pairs from cfg.Cache. See package sweep for the engine.
-//
-// Deprecated: use Client.Sweep (or Client.SweepStream), which is
-// cancellable, works against a remote server, and selects its universe
-// with options instead of a config struct.
-func Sweep(cfg SweepConfig) (*SweepResult, error) { return sweep.Run(cfg) }
-
-// OpenSweepCache opens (creating if needed) an on-disk sweep result cache.
-//
-// Deprecated: pass WithCache(dir) to Client.Sweep; the engine opens the
-// cache itself.
-func OpenSweepCache(dir string) (*SweepCache, error) { return sweep.OpenCache(dir) }
-
 // OpenSweepBackend opens a sweep cache backend from its string spec: a
 // directory path (or "dir:PATH"), "mem[:N]" for a bounded in-memory LRU,
 // an http(s) URL naming a peer `commuter serve` instance's shared cache,
@@ -161,19 +87,6 @@ func OpenSweepCache(dir string) (*SweepCache, error) { return sweep.OpenCache(di
 // Pass the result to Client.Sweep via WithCacheBackend, or to
 // NewServerHandler via ServeWithBackend.
 func OpenSweepBackend(spec string) (SweepBackend, error) { return sweep.OpenBackend(spec) }
-
-// SweepKernels builds posix kernel specs by name ("linux", "sv6"); with
-// no arguments it returns both. An unknown name returns an error listing
-// the known implementations — historically it panicked, which made a
-// typoed kernel selection in an embedding program fatal instead of
-// recoverable.
-func SweepKernels(names ...string) ([]KernelSpec, error) {
-	posix, err := spec.Lookup("posix")
-	if err != nil {
-		return nil, err
-	}
-	return eval.ImplSpecs(posix, names...)
-}
 
 // WriteSweepTrace renders a finished sweep as a Chrome trace-event file
 // (loadable in chrome://tracing or ui.perfetto.dev): one span per pair at
@@ -184,80 +97,6 @@ func WriteSweepTrace(w io.Writer, res *SweepResult) error { return sweep.WriteTr
 // MatricesFromSweep converts a sweep result into Figure 6 matrices, one per
 // swept kernel.
 func MatricesFromSweep(res *SweepResult) []Matrix { return eval.MatricesFromSweep(res) }
-
-// Analyze computes the commutativity conditions of a POSIX operation
-// pair; unknown names panic with the known ops listed. Use AnalyzeIn to
-// analyze a pair of another registered spec.
-//
-// Deprecated: use Client.Analyze, which takes a context, selects the spec
-// with WithSpec, and returns an error instead of panicking.
-func Analyze(opA, opB string, opt Options) PairResult {
-	pr, err := AnalyzeIn("posix", opA, opB, opt)
-	if err != nil {
-		panic("commuter: " + err.Error())
-	}
-	return pr
-}
-
-// AnalyzeIn computes the commutativity conditions of an operation pair of
-// the named spec ("posix" reproduces Analyze; "queue" analyzes the mail
-// pipeline's communication interface). Unknown specs or ops return
-// errors listing the registered alternatives.
-//
-// Deprecated: use Client.Analyze with WithSpec(specName); it adds
-// cancellation and works over a remote binding. AnalyzeIn remains for
-// callers that need the symbolic PairResult rather than the plain-data
-// Analysis.
-func AnalyzeIn(specName, opA, opB string, opt Options) (PairResult, error) {
-	sp, err := spec.Lookup(specName)
-	if err != nil {
-		return PairResult{}, err
-	}
-	a, err := spec.OpByName(sp, opA)
-	if err != nil {
-		return PairResult{}, err
-	}
-	b, err := spec.OpByName(sp, opB)
-	if err != nil {
-		return PairResult{}, err
-	}
-	return analyzer.AnalyzePair(sp, a, b, opt), nil
-}
-
-// GenerateTests converts an analysis into concrete test cases. The
-// analysis carries its spec's identity, so the right concretizer is used
-// whichever spec produced it.
-//
-// Deprecated: use Client.GenerateTests, which runs ANALYZE + TESTGEN from
-// the pair names, takes a context, and returns an error (with the
-// truncation count in TestSet.Unknown) instead of panicking.
-func GenerateTests(pr PairResult, opt GenOptions) []TestCase {
-	specName := pr.Spec
-	if specName == "" {
-		specName = "posix"
-	}
-	sp, err := spec.Lookup(specName)
-	if err != nil {
-		panic("commuter: " + err.Error())
-	}
-	return testgen.Generate(sp, pr, opt)
-}
-
-// NewLinux returns a fresh Linux-3.8-like baseline kernel.
-func NewLinux() Kernel { return monokernel.New() }
-
-// NewSv6 returns a fresh sv6-like kernel (ScaleFS + RadixVM designs).
-func NewSv6() Kernel { return svsix.New() }
-
-// Check runs one test case against fresh kernels from the constructor and
-// reports conflict-freedom plus a commutativity sanity check.
-//
-// Deprecated: use Client.Check, which selects the implementation by name
-// (so it works over a remote binding), batches tests, and is cancellable.
-// Check remains for callers supplying their own Kernel constructors.
-func Check(fresh func() Kernel, tc TestCase) (CheckResult, error) {
-	return kernel.Check(fresh, tc)
-}
 
 // Statbench, Openbench and Mailbench regenerate the Figure 7 curves on the
 // coherence simulator. See package eval for the modes.

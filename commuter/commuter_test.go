@@ -16,49 +16,6 @@ func TestOpNames(t *testing.T) {
 	}
 }
 
-func TestPipelineEndToEnd(t *testing.T) {
-	pair := commuter.Analyze("stat", "unlink", commuter.Options{})
-	if pair.OpA != "stat" || pair.OpB != "unlink" {
-		t.Fatalf("pair ops: %s %s", pair.OpA, pair.OpB)
-	}
-	if len(pair.CommutativePaths()) == 0 {
-		t.Fatal("stat x unlink should have commutative paths (different names)")
-	}
-	tests := commuter.GenerateTests(pair, commuter.GenOptions{MaxTestsPerPath: 2})
-	if len(tests) == 0 {
-		t.Fatal("no tests generated")
-	}
-	for _, tc := range tests {
-		for _, fresh := range []func() commuter.Kernel{commuter.NewLinux, commuter.NewSv6} {
-			res, err := commuter.Check(fresh, tc)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.ID, err)
-			}
-			if len(res.Res) != 2 {
-				t.Fatalf("%s: missing results", tc.ID)
-			}
-		}
-	}
-}
-
-func TestAnalyzeUnknownOpPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for unknown op")
-		}
-	}()
-	commuter.Analyze("nope", "stat", commuter.Options{})
-}
-
-func TestKernelConstructors(t *testing.T) {
-	if commuter.NewLinux().Name() != "linux" {
-		t.Error("NewLinux name")
-	}
-	if commuter.NewSv6().Name() != "sv6" {
-		t.Error("NewSv6 name")
-	}
-}
-
 func TestCurveHelpers(t *testing.T) {
 	c := commuter.Statbench(commuter.StatFstatx, []int{1, 2})
 	if len(c.PerSec) != 2 || c.PerSec[0] <= 0 {

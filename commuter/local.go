@@ -13,11 +13,10 @@ import (
 	"repro/internal/testgen"
 )
 
-// Local returns the in-process binding of the Client interface: the same
-// engine the deprecated top-level functions wrap, behind the v2 contract
-// (contexts, errors, streaming). It is stateless and safe for concurrent
-// use; per-call caches are opened on demand (use Sweep's WithCache, or
-// host one shared cache behind NewServerHandler).
+// Local returns the in-process binding of the Client interface. It is
+// stateless and safe for concurrent use; per-call caches are opened on
+// demand (use Sweep's WithCache, or host one shared cache behind
+// NewServerHandler).
 func Local() Client { return localClient{} }
 
 type localClient struct{}
@@ -160,42 +159,20 @@ func (localClient) Check(ctx context.Context, kernelName string, tests []TestCas
 	if err != nil {
 		return CheckSummary{}, badRequest(err)
 	}
-	out := CheckSummary{Kernel: impls[0].Name}
+	out := CheckSummary{Kernel: impls[0].Name, Verdicts: make([]TestVerdict, len(tests))}
 	// Replay tests grouped by shared initial state on one long-lived kernel
 	// (apply each setup once, journal-rollback between tests) instead of
 	// constructing two fresh kernels per test. Grouping reorders execution,
 	// so verdicts are stored by original index to keep the response aligned
 	// with the request.
-	type group struct {
-		setup   kernel.Setup
-		tests   []TestCase
-		indices []int
-	}
-	var groups []group
-	byID := map[string]int{}
-	for i, tc := range tests {
-		id := tc.SetupID
-		if id == "" {
-			id = tc.Setup.Fingerprint()
-		}
-		gi, ok := byID[id]
-		if !ok {
-			gi = len(groups)
-			byID[id] = gi
-			groups = append(groups, group{setup: tc.Setup})
-		}
-		groups[gi].tests = append(groups[gi].tests, tc)
-		groups[gi].indices = append(groups[gi].indices, i)
-	}
-	out.Verdicts = make([]TestVerdict, len(tests))
 	rep := kernel.NewReplayer(impls[0].New)
-	for _, g := range groups {
+	for _, g := range kernel.GroupBySetup(tests) {
 		if err := ctx.Err(); err != nil {
 			return CheckSummary{}, err
 		}
 		i := 0
-		err := rep.CheckGroup(g.setup, g.tests, func(res kernel.CheckResult) bool {
-			v := TestVerdict{TestID: g.tests[i].ID, ConflictFree: res.ConflictFree, Commuted: res.Commuted}
+		err := rep.CheckGroup(g.Setup, g.Tests, func(res kernel.CheckResult) bool {
+			v := TestVerdict{TestID: g.Tests[i].ID, ConflictFree: res.ConflictFree, Commuted: res.Commuted}
 			for _, c := range res.Conflicts {
 				v.Conflicts = append(v.Conflicts, c.CellName)
 			}
@@ -203,7 +180,7 @@ func (localClient) Check(ctx context.Context, kernelName string, tests []TestCas
 			if !res.ConflictFree {
 				out.Conflicts++
 			}
-			out.Verdicts[g.indices[i]] = v
+			out.Verdicts[g.Indices[i]] = v
 			i++
 			return ctx.Err() == nil
 		})

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/commuter"
 )
@@ -130,8 +131,15 @@ func TestMetricsMoveWithTraffic(t *testing.T) {
 	if v := after["commuter_sweeps_inflight"]; v != 0 {
 		t.Errorf("commuter_sweeps_inflight = %g after sweeps completed", v)
 	}
-	// The HTTP layer counted the sweep requests on their route label.
-	if d := delta(before, after, `commuter_http_requests_total{route="POST /v1/sweep",code="200"}`); d != 2 {
+	// The HTTP layer counted the sweep requests on their route label. It
+	// counts a request once its handler has returned, which the client —
+	// holding the terminal frame already — does not wait for.
+	const route = `commuter_http_requests_total{route="POST /v1/sweep",code="200"}`
+	for deadline := time.Now().Add(5 * time.Second); delta(before, after, route) < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		_, after = scrape(t, srv.URL)
+	}
+	if d := delta(before, after, route); d != 2 {
 		t.Errorf("sweep route counted %g requests, want 2", d)
 	}
 }

@@ -270,3 +270,35 @@ func TestDialValidation(t *testing.T) {
 		t.Errorf("Dial(valid) = %v", err)
 	}
 }
+
+// TestServerClampsWorkers pins the server-side bound on a wire Workers
+// value: a request may shrink its sweep's pool but never grow it past the
+// server's (ServeWithWorkers, else one per CPU) — 1<<20 workers would
+// otherwise be 1<<20 goroutines in fleet mode.
+func TestServerClampsWorkers(t *testing.T) {
+	ctx := context.Background()
+	sweepWorkers := func(cli commuter.Client, opts ...commuter.Option) int {
+		t.Helper()
+		res, err := cli.Sweep(ctx, append(opts, commuter.WithOps("stat"))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Workers
+	}
+
+	cli, _ := newLoopback(t, commuter.ServeWithWorkers(2))
+	for _, tc := range []struct{ ask, want int }{{1 << 20, 2}, {3, 2}, {0, 2}, {2, 2}, {1, 1}} {
+		if got := sweepWorkers(cli, commuter.WithWorkers(tc.ask)); got != tc.want {
+			t.Errorf("pool of 2: request for %d workers ran on %d, want %d", tc.ask, got, tc.want)
+		}
+	}
+
+	// Without ServeWithWorkers the pool is the server's CPU count.
+	cli, _ = newLoopback(t)
+	if got := sweepWorkers(cli, commuter.WithWorkers(1<<20)); got != runtime.NumCPU() {
+		t.Errorf("default pool: request for 1<<20 workers ran on %d, want %d", got, runtime.NumCPU())
+	}
+	if got := sweepWorkers(cli, commuter.WithWorkers(1)); got != 1 {
+		t.Errorf("default pool: request for 1 worker ran on %d", got)
+	}
+}

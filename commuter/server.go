@@ -11,6 +11,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -51,8 +52,10 @@ func ServeWithBackend(b sweep.Backend) ServerOption {
 	return func(o *serverOptions) { o.backend = b }
 }
 
-// ServeWithWorkers sets the worker-pool size used for sweep requests that
-// do not specify one (the default is one worker per server CPU).
+// ServeWithWorkers sets the server's worker-pool size (the default is one
+// worker per server CPU): sweep requests that do not specify a worker
+// count run on the whole pool, and a request asking for more is clamped to
+// it — a client cannot size the server's goroutine and permit pools.
 func ServeWithWorkers(n int) ServerOption {
 	return func(o *serverOptions) { o.workers = n }
 }
@@ -522,8 +525,12 @@ func (s *server) sweep(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		opts = append(opts, WithCacheBackend(s.cache))
 	}
-	if req.Options.Workers == 0 && s.workers > 0 {
-		opts = append(opts, WithWorkers(s.workers))
+	pool := s.workers
+	if pool <= 0 {
+		pool = runtime.NumCPU()
+	}
+	if w := req.Options.Workers; w <= 0 || w > pool {
+		opts = append(opts, WithWorkers(pool))
 	}
 	if s.fleetURL != "" {
 		opts = append(opts, WithFleet(s.fleetURL))

@@ -5,7 +5,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"repro/commuter"
 	"repro/scalerule"
@@ -46,22 +48,30 @@ func main() {
 	fmt.Printf("conflicts inside the commutative region: %v (empty = scales)\n\n", conflicts)
 
 	fmt.Println("== COMMUTER on a POSIX pair: open x open ==")
-	pair := commuter.Analyze("open", "open", commuter.Options{})
+	ctx := context.Background()
+	cli := commuter.Local()
+	defer cli.Close()
+	pair, err := cli.Analyze(ctx, "open", "open")
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println(pair.Summary())
 
-	tests := commuter.GenerateTests(pair, commuter.GenOptions{MaxTestsPerPath: 2})
-	fmt.Printf("generated %d concrete commutative test cases\n", len(tests))
+	ts, err := cli.GenerateTests(ctx, "open", "open", commuter.WithTestsPerPath(2))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("generated %d concrete commutative test cases\n", len(ts.Tests))
 
-	linuxBad, sv6Bad := 0, 0
-	for _, tc := range tests {
-		if r, err := commuter.Check(commuter.NewLinux, tc); err == nil && !r.ConflictFree {
-			linuxBad++
-		}
-		if r, err := commuter.Check(commuter.NewSv6, tc); err == nil && !r.ConflictFree {
-			sv6Bad++
-		}
+	linux, err := cli.Check(ctx, "linux", ts.Tests)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sv6, err := cli.Check(ctx, "sv6", ts.Tests)
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("not conflict-free: linux %d/%d, sv6 %d/%d\n",
-		linuxBad, len(tests), sv6Bad, len(tests))
+		linux.Conflicts, linux.Total, sv6.Conflicts, sv6.Total)
 	fmt.Println("(the rule: every one of these commutative tests *could* be conflict-free)")
 }

@@ -6,51 +6,56 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"strings"
 
 	"repro/commuter"
 )
 
 func main() {
+	ctx := context.Background()
+	cli := commuter.Local()
+	defer cli.Close()
+
 	fmt.Println("== rename(a,b) x rename(c,d) (§5.1, Figure 4 model) ==")
-	pair := commuter.Analyze("rename", "rename", commuter.Options{})
+	pair, err := cli.Analyze(ctx, "rename", "rename")
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println(pair.Summary())
 	fmt.Println()
 
 	// The paper lists six classes of commutative situations; spot-check
 	// the headline one with concrete tests.
-	tests := commuter.GenerateTests(pair, commuter.GenOptions{MaxTestsPerPath: 3})
-	fmt.Printf("TESTGEN produced %d test cases; a sample with kernel verdicts:\n\n", len(tests))
+	ts, err := cli.GenerateTests(ctx, "rename", "rename", commuter.WithTestsPerPath(3))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("TESTGEN produced %d test cases; a sample with kernel verdicts:\n\n", len(ts.Tests))
 
-	shown := 0
-	for _, tc := range tests {
-		if shown >= 6 {
-			break
+	sample := ts.Tests[:min(6, len(ts.Tests))]
+	kernels := []string{"linux", "sv6"}
+	verdicts := map[string][]commuter.TestVerdict{}
+	for _, k := range kernels {
+		sum, err := cli.Check(ctx, k, sample)
+		if err != nil {
+			log.Fatal(err)
 		}
-		shown++
+		verdicts[k] = sum.Verdicts
+	}
+	for i, tc := range sample {
 		fmt.Printf("%s\n", tc.ID)
 		for _, f := range tc.Setup.Files {
 			fmt.Printf("   setup: %s -> inode %d\n", f.Name, f.Inum)
 		}
 		fmt.Printf("   op0: %v\n   op1: %v\n", tc.Calls[0], tc.Calls[1])
-		for _, newK := range []struct {
-			name  string
-			fresh func() commuter.Kernel
-		}{{"linux", commuter.NewLinux}, {"sv6", commuter.NewSv6}} {
-			res, err := commuter.Check(newK.fresh, tc)
-			if err != nil {
-				fmt.Printf("   %-5s: error: %v\n", newK.name, err)
-				continue
-			}
-			if res.ConflictFree {
-				fmt.Printf("   %-5s: conflict-free\n", newK.name)
+		for _, k := range kernels {
+			if v := verdicts[k][i]; v.ConflictFree {
+				fmt.Printf("   %-5s: conflict-free\n", k)
 			} else {
-				var cells []string
-				for _, c := range res.Conflicts {
-					cells = append(cells, c.CellName)
-				}
-				fmt.Printf("   %-5s: conflicts on %s\n", newK.name, strings.Join(cells, ", "))
+				fmt.Printf("   %-5s: conflicts on %s\n", k, strings.Join(v.Conflicts, ", "))
 			}
 		}
 		fmt.Println()

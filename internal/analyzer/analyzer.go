@@ -245,22 +245,6 @@ func (c *checker) divergeSat(eq *sym.Expr) (sat, unknown bool) {
 	return false, unknown
 }
 
-// AnalyzeAll analyzes every unordered pair drawn from ops (including
-// self-pairs), invoking report after each pair if non-nil.
-func AnalyzeAll(sp spec.Spec, ops []*spec.Op, opt Options, report func(PairResult)) []PairResult {
-	var out []PairResult
-	for i, a := range ops {
-		for _, b := range ops[:i+1] {
-			r := AnalyzePair(sp, b, a, opt)
-			out = append(out, r)
-			if report != nil {
-				report(r)
-			}
-		}
-	}
-	return out
-}
-
 // Unknown counts the paths whose classification hit the solver budget.
 // A budget-truncated exploration that left no surviving paths counts as
 // one unknown, so the pair can never silently read as "no feasible

@@ -8,10 +8,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
-	"repro/internal/analyzer"
 	"repro/internal/coherence"
 	"repro/internal/kernel"
 	"repro/internal/kernel/svsix"
@@ -20,7 +17,6 @@ import (
 	"repro/internal/mtrace"
 	"repro/internal/spec"
 	"repro/internal/sweep"
-	"repro/internal/testgen"
 )
 
 // CaptureOps records the cache-line access sequences of a series of
@@ -308,111 +304,6 @@ func ImplSpecs(sp spec.Spec, names ...string) ([]sweep.KernelSpec, error) {
 		out = append(out, sweep.KernelSpec{Name: im.Name, New: im.New})
 	}
 	return out, nil
-}
-
-// PairTests is the ANALYZE → TESTGEN outcome for one pair: the generated
-// tests plus the count of analyzer paths whose classification hit the
-// solver budget (see analyzer.PairPath.Unknown).
-type PairTests struct {
-	Tests   []kernel.TestCase
-	Unknown int
-}
-
-// GenerateAllTests runs ANALYZER + TESTGEN over every pair of the given
-// operations and returns the concrete test cases grouped by pair. The pairs
-// are fanned across the sweep engine's worker pool (per-pair work is
-// deterministic and independent, so the result matches a sequential run);
-// progress callbacks are serialized but arrive in completion order. A
-// caller-provided Solver in either option struct forces sequential
-// execution, since solvers are not safe to share.
-func GenerateAllTests(sp spec.Spec, ops []*spec.Op, aOpt analyzer.Options, gOpt testgen.Options, progress func(pair string, n int)) map[[2]string]PairTests {
-	jobs := sweep.Pairs(ops)
-	workers := 0
-	if aOpt.Solver != nil || gOpt.Solver != nil {
-		workers = 1
-	}
-	names := make([][2]string, len(jobs))
-	tests := make([]PairTests, len(jobs))
-	var mu sync.Mutex
-	sweep.Parallel(len(jobs), workers, func(i int) {
-		pr := analyzer.AnalyzePair(sp, jobs[i][0], jobs[i][1], aOpt)
-		ts, truncated := testgen.GenerateChecked(sp, pr, gOpt)
-		names[i] = [2]string{pr.OpA, pr.OpB}
-		tests[i] = PairTests{Tests: ts, Unknown: pr.Unknown() + truncated}
-		if progress != nil {
-			mu.Lock()
-			progress(pr.OpA+"/"+pr.OpB, len(ts))
-			mu.Unlock()
-		}
-	})
-	out := map[[2]string]PairTests{}
-	for i := range jobs {
-		out[names[i]] = tests[i]
-	}
-	return out
-}
-
-// CheckMatrix runs generated tests against a kernel and builds its matrix,
-// checking pairs in parallel on the sweep engine's worker pool. Each check
-// builds fresh kernel instances with their own traced memory, so pairs
-// never share state.
-func CheckMatrix(sp spec.Spec, kernelName string, tests map[[2]string]PairTests) (Matrix, error) {
-	// Resolve the implementation within the spec's own bindings, so a
-	// spec/kernel mismatch fails here with the known implementations
-	// listed instead of at Exec time deep inside a worker.
-	impls, err := ImplSpecs(sp, kernelName)
-	if err != nil {
-		return Matrix{Kernel: kernelName, Spec: sp.Name()}, err
-	}
-	fresh := impls[0].New
-	var pairs [][2]string
-	for p := range tests {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	cells := make([]MatrixCell, len(pairs))
-	errs := make([]error, len(pairs))
-	var failed atomic.Bool // fail fast: skip remaining pairs after the first error
-	sweep.Parallel(len(pairs), 0, func(i int) {
-		if failed.Load() {
-			return
-		}
-		p := pairs[i]
-		total, conflicts, err := sweep.CheckTests(fresh, tests[p].Tests)
-		if err != nil {
-			errs[i] = err
-			failed.Store(true)
-			return
-		}
-		cells[i] = MatrixCell{OpA: p[0], OpB: p[1], Total: total, Conflicts: conflicts, Unknown: tests[p].Unknown}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return Matrix{Kernel: kernelName, Spec: sp.Name()}, err
-		}
-	}
-	return Matrix{Kernel: kernelName, Spec: sp.Name(), Cells: cells}, nil
-}
-
-// SweepKernels returns posix implementation bindings as sweep specs (all
-// of them when no names are given). It is the posix shorthand over
-// ImplSpecs, keeping that function the single kernel-name resolver; an
-// unknown name panics, preserving this helper's historical contract.
-func SweepKernels(kernelNames ...string) []sweep.KernelSpec {
-	posix, err := spec.Lookup("posix")
-	if err != nil {
-		panic("eval: " + err.Error())
-	}
-	specs, err := ImplSpecs(posix, kernelNames...)
-	if err != nil {
-		panic("eval: " + err.Error())
-	}
-	return specs
 }
 
 // MatricesFromSweep converts a sweep result into one Figure 6 matrix per

@@ -1,25 +1,34 @@
 package eval
 
 import (
-	"reflect"
+	"context"
+	"sync"
 	"testing"
 
-	"repro/internal/analyzer"
 	"repro/internal/model"
+	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/testgen"
 )
 
-// fsSubset is the fast file-system operation universe used for in-test
-// matrix checks; the full 18-op matrix runs via cmd/commuter.
-func fsSubset() []*model.OpDef {
-	names := []string{"open", "link", "unlink", "rename", "stat", "fstat", "lseek", "close", "pipe"}
-	out := make([]*model.OpDef, len(names))
-	for i, n := range names {
-		out[i] = model.OpByName(n)
+// fsSweep sweeps the fast file-system operation universe on both POSIX
+// kernels, once for all the tests below; the full 18-op matrix runs via
+// cmd/commuter.
+var fsSweep = sync.OnceValues(func() (*sweep.Result, error) {
+	ops, err := spec.OpSet(model.Spec, "fs")
+	if err != nil {
+		return nil, err
 	}
-	return out
-}
+	kernels, err := ImplSpecs(model.Spec)
+	if err != nil {
+		return nil, err
+	}
+	return sweep.RunContext(context.Background(), sweep.Config{
+		Ops:     ops,
+		Kernels: kernels,
+		Testgen: testgen.Options{MaxTestsPerPath: 4},
+	})
+})
 
 // TestGenerationCounts pins §6.1's headline: COMMUTER generates thousands
 // of tests across the pairs, every pair analysis terminates, and every
@@ -28,48 +37,19 @@ func TestGenerationCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix generation in -short mode")
 	}
-	tests := GenerateAllTests(model.Spec, fsSubset(), analyzer.Options{}, testgen.Options{MaxTestsPerPath: 4}, nil)
-	total := 0
-	for _, ts := range tests {
-		total += len(ts.Tests)
-	}
-	if total < 1000 {
-		t.Errorf("expected thousands of generated tests over the fs subset, got %d", total)
-	}
-	for pair, ts := range tests {
-		if len(ts.Tests) == 0 && pair != [2]string{"pipe", "pipe"} {
-			// Every fs pair has commutative situations (even pipe x pipe:
-			// two pipes never share state).
-			t.Errorf("pair %v generated no tests", pair)
-		}
-	}
-}
-
-// TestSweepMatchesMatrix pins that the sweep engine path and the
-// generate-then-check path agree cell for cell, so `commuter sweep` and
-// `commuter matrix` regenerate the same Figure 6.
-func TestSweepMatchesMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep pipeline in -short mode")
-	}
-	ops := []*model.OpDef{model.OpByName("stat"), model.OpByName("lseek"), model.OpByName("close")}
-	tests := GenerateAllTests(model.Spec, ops, analyzer.Options{}, testgen.Options{}, nil)
-	var want []Matrix
-	for _, kn := range []string{"linux", "sv6"} {
-		m, err := CheckMatrix(model.Spec, kn, tests)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, m)
-	}
-
-	res, err := sweep.Run(sweep.Config{Ops: ops, Kernels: SweepKernels(), Workers: 2})
+	res, err := fsSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := MatricesFromSweep(res)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("sweep matrices diverge\ngot  %+v\nwant %+v", got, want)
+	if total := res.TotalTests(); total < 1000 {
+		t.Errorf("expected thousands of generated tests over the fs subset, got %d", total)
+	}
+	for _, p := range res.Pairs {
+		if p.Tests == 0 && p.Pair() != "pipe/pipe" {
+			// Every fs pair has commutative situations (even pipe x pipe:
+			// two pipes never share state).
+			t.Errorf("pair %s generated no tests", p.Pair())
+		}
 	}
 }
 
@@ -81,16 +61,15 @@ func TestFigure6Headline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix check in -short mode")
 	}
-	tests := GenerateAllTests(model.Spec, fsSubset(), analyzer.Options{}, testgen.Options{MaxTestsPerPath: 4}, nil)
-
-	linux, err := CheckMatrix(model.Spec, "linux", tests)
+	res, err := fsSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv6, err := CheckMatrix(model.Spec, "sv6", tests)
-	if err != nil {
-		t.Fatal(err)
+	byKernel := map[string]Matrix{}
+	for _, m := range MatricesFromSweep(res) {
+		byKernel[m.Kernel] = m
 	}
+	linux, sv6 := byKernel["linux"], byKernel["sv6"]
 	lt, lc := linux.Totals()
 	st, sc := sv6.Totals()
 	linuxPct := 100 * float64(lt-lc) / float64(lt)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/kernel/kerneltest"
 	"repro/internal/kernel/monokernel"
 	"repro/internal/kernel/svsix"
 )
@@ -23,67 +24,8 @@ type randomCall struct {
 }
 
 func genCall(r *rand.Rand) randomCall {
-	proc := r.Intn(2)
-	name := func() int64 { return int64(r.Intn(4)) }
-	fd := func() int64 { return int64(r.Intn(4)) }
-	page := func() int64 { return int64(r.Intn(3)) }
-	val := func() int64 { return int64(r.Intn(5) + 10) }
-	flag := func() int64 { return int64(r.Intn(2)) }
-	switch r.Intn(18) {
-	case 0:
-		return randomCall{call: kernel.Call{Op: "open", Proc: proc, Args: map[string]int64{
-			"fname": name(), "creat": flag(), "excl": flag(), "trunc": flag()}}}
-	case 1:
-		return randomCall{call: kernel.Call{Op: "link", Proc: proc, Args: map[string]int64{
-			"old": name(), "new": name()}}}
-	case 2:
-		return randomCall{call: kernel.Call{Op: "unlink", Proc: proc, Args: map[string]int64{
-			"fname": name()}}}
-	case 3:
-		return randomCall{call: kernel.Call{Op: "rename", Proc: proc, Args: map[string]int64{
-			"src": name(), "dst": name()}}}
-	case 4:
-		return randomCall{maskIno: true, call: kernel.Call{Op: "stat", Proc: proc, Args: map[string]int64{
-			"fname": name()}}}
-	case 5:
-		return randomCall{maskIno: true, call: kernel.Call{Op: "fstat", Proc: proc, Args: map[string]int64{
-			"fd": fd()}}}
-	case 6:
-		return randomCall{call: kernel.Call{Op: "lseek", Proc: proc, Args: map[string]int64{
-			"fd": fd(), "delta": int64(r.Intn(5) - 1), "wset": flag(), "wend": flag()}}}
-	case 7:
-		return randomCall{call: kernel.Call{Op: "close", Proc: proc, Args: map[string]int64{
-			"fd": fd()}}}
-	case 8:
-		return randomCall{call: kernel.Call{Op: "pipe", Proc: proc, Args: map[string]int64{}}}
-	case 9:
-		return randomCall{call: kernel.Call{Op: "read", Proc: proc, Args: map[string]int64{
-			"fd": fd()}}}
-	case 10:
-		return randomCall{call: kernel.Call{Op: "write", Proc: proc, Args: map[string]int64{
-			"fd": fd(), "val": val()}}}
-	case 11:
-		return randomCall{call: kernel.Call{Op: "pread", Proc: proc, Args: map[string]int64{
-			"fd": fd(), "off": page()}}}
-	case 12:
-		return randomCall{call: kernel.Call{Op: "pwrite", Proc: proc, Args: map[string]int64{
-			"fd": fd(), "off": page(), "val": val()}}}
-	case 13:
-		return randomCall{call: kernel.Call{Op: "mmap", Proc: proc, Args: map[string]int64{
-			"page": page(), "fixed": 1, "anon": flag(), "wr": flag(), "fd": fd(), "foff": page()}}}
-	case 14:
-		return randomCall{call: kernel.Call{Op: "munmap", Proc: proc, Args: map[string]int64{
-			"page": page()}}}
-	case 15:
-		return randomCall{call: kernel.Call{Op: "mprotect", Proc: proc, Args: map[string]int64{
-			"page": page(), "wr": flag()}}}
-	case 16:
-		return randomCall{call: kernel.Call{Op: "memread", Proc: proc, Args: map[string]int64{
-			"page": page()}}}
-	default:
-		return randomCall{call: kernel.Call{Op: "memwrite", Proc: proc, Args: map[string]int64{
-			"page": page(), "val": val()}}}
-	}
+	c, maskIno := kerneltest.PosixCall(r)
+	return randomCall{call: c, maskIno: maskIno}
 }
 
 func genSetup(r *rand.Rand) kernel.Setup {

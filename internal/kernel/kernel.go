@@ -1,7 +1,7 @@
 // Package kernel defines the system-call surface shared by the two kernel
 // implementations under test (the Linux-like monokernel and the sv6-like
 // svsix), the concrete test-case format TESTGEN emits, and the MTRACE-style
-// runner that checks an implementation's conflict-freedom on a test case.
+// Replayer that checks an implementation's conflict-freedom on test cases.
 package kernel
 
 import (
@@ -255,51 +255,10 @@ type CheckResult struct {
 	// Res holds the results of the two calls (first order).
 	Res [2]Result
 	// Commuted reports whether running the calls in the opposite order
-	// (on a fresh kernel) produced the same pair of results — a sanity
-	// check that the generated test really is commutative on this
+	// (from the same initial state) produced the same pair of results — a
+	// sanity check that the generated test really is commutative on this
 	// implementation.
 	Commuted bool
 	// ResSwapped holds the opposite-order results.
 	ResSwapped [2]Result
 }
-
-// Check runs tc on kernels produced by fresh (one per order), recording
-// accesses for the two calls and analyzing conflicts, like MTRACE's
-// qemu hypercall + log analysis.
-func Check(fresh func() Kernel, tc TestCase) (CheckResult, error) {
-	k := fresh()
-	if err := k.Apply(tc.Setup); err != nil {
-		return CheckResult{}, fmt.Errorf("%s: setup %s: %w", k.Name(), tc.ID, err)
-	}
-	mem := k.Memory()
-	mem.Start()
-	r0 := k.Exec(0, tc.Calls[0])
-	r1 := k.Exec(1, tc.Calls[1])
-	mem.Stop()
-	conflicts := mem.Conflicts()
-
-	// Opposite order on a fresh kernel for the commutativity check.
-	k2 := fresh()
-	if err := k2.Apply(tc.Setup); err != nil {
-		return CheckResult{}, fmt.Errorf("%s: setup2 %s: %w", k2.Name(), tc.ID, err)
-	}
-	s1 := k2.Exec(1, tc.Calls[1])
-	s0 := k2.Exec(0, tc.Calls[0])
-
-	return CheckResult{
-		Test:         tc,
-		ConflictFree: len(conflicts) == 0,
-		Conflicts:    conflicts,
-		Res:          [2]Result{r0, r1},
-		Commuted:     resultsCommute(r0, s0) && resultsCommute(r1, s1),
-		ResSwapped:   [2]Result{s0, s1},
-	}, nil
-}
-
-// resultsCommute compares one call's results across the two execution
-// orders. The specification permits nondeterministic outputs to differ, but
-// both implementations here make order-independent choices (per-core
-// allocation in sv6; the monokernel's order-dependent lowest-FD rule is
-// precisely one of the non-commutative behaviors the evaluation surfaces),
-// so plain equality is the right check.
-func resultsCommute(a, b Result) bool { return a == b }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/kernel/kerneltest"
 	"repro/internal/kernel/monokernel"
 	"repro/internal/kernel/svsix"
 )
@@ -301,7 +302,7 @@ func checkConflicts(t *testing.T, setup kernel.Setup, c0, c1 kernel.Call) map[st
 	t.Helper()
 	out := map[string]bool{}
 	for name, fresh := range kernels() {
-		res, err := kernel.Check(fresh, kernel.TestCase{ID: "t", Setup: setup, Calls: [2]kernel.Call{c0, c1}})
+		res, err := kerneltest.Check(fresh, kernel.TestCase{ID: "t", Setup: setup, Calls: [2]kernel.Call{c0, c1}})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -452,7 +453,7 @@ func TestIdempotentLseekDifficultCase(t *testing.T) {
 	}
 	c := call("lseek", 0, map[string]int64{"fd": 0, "delta": 2, "wset": 1})
 	for name, fresh := range kernels() {
-		res, err := kernel.Check(fresh, kernel.TestCase{ID: "lseek2", Setup: setup, Calls: [2]kernel.Call{c, c}})
+		res, err := kerneltest.Check(fresh, kernel.TestCase{ID: "lseek2", Setup: setup, Calls: [2]kernel.Call{c, c}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,7 +494,7 @@ func TestCheckReportsCommuted(t *testing.T) {
 			call("open", 1, map[string]int64{"fname": 2, "creat": 1, "anyfd": 1}),
 		},
 	}
-	res, err := kernel.Check(func() kernel.Kernel { return svsix.New() }, tc)
+	res, err := kerneltest.Check(func() kernel.Kernel { return svsix.New() }, tc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/kernel/kerneltest"
 )
 
 func call(op string, args map[string]int64) kernel.Call {
@@ -88,7 +89,7 @@ func TestSendRecvNonEmptyConflictFree(t *testing.T) {
 			call("recv", nil),
 		},
 	}
-	res, err := kernel.Check(func() kernel.Kernel { return New() }, tc)
+	res, err := kerneltest.Check(func() kernel.Kernel { return New() }, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestSendRecvNonEmptyConflictFree(t *testing.T) {
 		ID:    "send_recv_empty",
 		Calls: tc.Calls,
 	}
-	res, err = kernel.Check(func() kernel.Kernel { return New() }, empty)
+	res, err = kerneltest.Check(func() kernel.Kernel { return New() }, empty)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,12 @@ import "fmt"
 
 // Replayer checks batches of tests that share a Setup against one
 // long-lived kernel instance, instead of building two fresh kernels per
-// test the way Check does. Construction cost (the sv6 kernel allocates
-// tens of thousands of cells) is paid once; each test then runs against
-// mtrace snapshot/reset, which only undoes the handful of cells the test
-// actually wrote. Both execution orders replay on the same instance, so
-// the commutativity comparison is also setup-shared.
+// test the way the reference oracle (kerneltest.Check) does. Construction
+// cost (the sv6 kernel allocates tens of thousands of cells) is paid once;
+// each test then runs against mtrace snapshot/reset, which only undoes the
+// handful of cells the test actually wrote. Both execution orders replay
+// on the same instance, so the commutativity comparison is also
+// setup-shared.
 //
 // A Replayer is not safe for concurrent use; the sweep creates one per
 // shard.
@@ -23,8 +24,39 @@ func NewReplayer(fresh func() Kernel) *Replayer {
 	return &Replayer{k: k}
 }
 
-// Kernel exposes the underlying instance (for diagnostics).
-func (r *Replayer) Kernel() Kernel { return r.k }
+// SetupGroup is a run of test cases sharing one initial state, as
+// CheckGroup wants them.
+type SetupGroup struct {
+	Setup Setup
+	Tests []TestCase
+	// Indices holds each test's position in the ungrouped input, for
+	// callers that report verdicts in request order.
+	Indices []int
+}
+
+// GroupBySetup buckets tests by setup fingerprint, preserving first-
+// appearance order. Tests generated by testgen carry a precomputed
+// SetupID; tests from other sources (hand-built, decoded from the wire or
+// a cache) are fingerprinted here.
+func GroupBySetup(tests []TestCase) []SetupGroup {
+	var groups []SetupGroup
+	index := map[string]int{}
+	for i, tc := range tests {
+		id := tc.SetupID
+		if id == "" {
+			id = tc.Setup.Fingerprint()
+		}
+		gi, ok := index[id]
+		if !ok {
+			gi = len(groups)
+			index[id] = gi
+			groups = append(groups, SetupGroup{Setup: tc.Setup})
+		}
+		groups[gi].Tests = append(groups[gi].Tests, tc)
+		groups[gi].Indices = append(groups[gi].Indices, i)
+	}
+	return groups
+}
 
 // CheckGroup applies setup once, then replays each test against it, both
 // orders, resetting between replays. Every test in tests must share the
@@ -93,3 +125,11 @@ func (r *Replayer) CheckGroup(setup Setup, tests []TestCase, fn func(CheckResult
 	mem.Reset()
 	return nil
 }
+
+// resultsCommute compares one call's results across the two execution
+// orders. The specification permits nondeterministic outputs to differ, but
+// both implementations here make order-independent choices (per-core
+// allocation in sv6; the monokernel's order-dependent lowest-FD rule is
+// precisely one of the non-commutative behaviors the evaluation surfaces),
+// so plain equality is the right check.
+func resultsCommute(a, b Result) bool { return a == b }

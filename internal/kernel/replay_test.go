@@ -1,174 +1,25 @@
 package kernel_test
 
 import (
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/kernel/kerneltest"
 	"repro/internal/kernel/memq"
-	"repro/internal/kernel/monokernel"
-	"repro/internal/kernel/svsix"
 )
 
-// genReplaySetup builds a random but valid setup exercising every setup
-// dimension: files (with shared inodes for hard links), inode contents,
-// file and pipe descriptors, anonymous and file-backed VMAs, and queue
-// backlogs (consumed only by memq). It is broader than the cross-kernel
-// differential's genSetup, which stays within the dimensions both POSIX
-// kernels render identically.
-func genReplaySetup(r *rand.Rand) kernel.Setup {
-	var s kernel.Setup
-	inums := []int64{}
-	for i := 0; i < r.Intn(4); i++ {
-		inum := int64(1 + r.Intn(3))
-		s.Files = append(s.Files, kernel.SetupFile{Name: kernel.Fname(int64(i)), Inum: inum})
-		inums = append(inums, inum)
-	}
-	seen := map[int64]bool{}
-	for _, inum := range inums {
-		if seen[inum] {
-			continue
-		}
-		seen[inum] = true
-		in := kernel.SetupInode{Inum: inum, ExtraLinks: r.Intn(2), Len: int64(r.Intn(4))}
-		if r.Intn(2) == 0 {
-			in.Pages = map[int64]int64{}
-			for pg := int64(0); pg < in.Len; pg++ {
-				if r.Intn(2) == 0 {
-					in.Pages[pg] = int64(10 + r.Intn(20))
-				}
-			}
-		}
-		s.Inodes = append(s.Inodes, in)
-	}
-	for i := 0; i < r.Intn(3); i++ {
-		var items []int64
-		for j := 0; j < r.Intn(3); j++ {
-			items = append(items, int64(30+r.Intn(10)))
-		}
-		s.Pipes = append(s.Pipes, kernel.SetupPipe{ID: int64(i), Items: items})
-	}
-	for proc := 0; proc < 2; proc++ {
-		for fd := int64(0); fd < int64(r.Intn(3)); fd++ {
-			sd := kernel.SetupFD{Proc: proc, FD: fd}
-			if len(s.Pipes) > 0 && r.Intn(3) == 0 {
-				sd.Pipe = true
-				sd.PipeID = s.Pipes[r.Intn(len(s.Pipes))].ID
-				sd.WriteEnd = r.Intn(2) == 0
-			} else if len(inums) > 0 {
-				sd.Inum = inums[r.Intn(len(inums))]
-				sd.Off = int64(r.Intn(3))
-			} else {
-				sd.Inum = 1
-			}
-			s.FDs = append(s.FDs, sd)
-		}
-	}
-	for proc := 0; proc < 2; proc++ {
-		for page := int64(0); page < int64(r.Intn(3)); page++ {
-			sv := kernel.SetupVMA{Proc: proc, Page: page, Writable: r.Intn(2) == 0}
-			if len(inums) == 0 || r.Intn(2) == 0 {
-				sv.Anon = true
-				sv.Val = int64(50 + r.Intn(10))
-			} else {
-				sv.Inum = inums[r.Intn(len(inums))]
-				sv.Foff = int64(r.Intn(3))
-			}
-			s.VMAs = append(s.VMAs, sv)
-		}
-	}
-	for i := 0; i < r.Intn(3); i++ {
-		var items []int64
-		for j := 0; j < r.Intn(3); j++ {
-			items = append(items, int64(70+r.Intn(10)))
-		}
-		s.Queues = append(s.Queues, kernel.SetupQueue{Core: int64(r.Intn(3)) - 1, Items: items})
-	}
-	return s
-}
-
-func genQueueCall(r *rand.Rand) kernel.Call {
-	proc := r.Intn(2)
-	switch r.Intn(5) {
-	case 0:
-		return kernel.Call{Op: "send", Proc: proc, Args: map[string]int64{"val": int64(r.Intn(9))}}
-	case 1:
-		return kernel.Call{Op: "recv", Proc: proc, Args: map[string]int64{}}
-	case 2:
-		return kernel.Call{Op: "send_any", Proc: proc, Args: map[string]int64{"val": int64(r.Intn(9))}}
-	case 3:
-		return kernel.Call{Op: "recv_any", Proc: proc, Args: map[string]int64{}}
-	}
-	return kernel.Call{Op: "status", Proc: proc, Args: map[string]int64{}}
-}
-
-// genPosixCall reuses the cross-kernel differential generator but also
-// flips the knobs that generator must avoid (anyfd descriptor allocation,
-// non-fixed mmap): here the comparison is one kernel against itself, so
-// implementation-specific nondeterminism is in scope.
-func genPosixCall(r *rand.Rand) kernel.Call {
-	c := genCall(r).call
-	switch c.Op {
-	case "open", "pipe":
-		c.Args["anyfd"] = int64(r.Intn(2))
-	case "mmap":
-		c.Args["fixed"] = int64(r.Intn(2))
-	}
-	return c
-}
-
-// TestReplayerMatchesFreshKernels is the setup snapshot/reset oracle: a
-// single long-lived Replayer runs many randomized setup groups, and every
-// CheckResult must exactly match kernel.Check, which builds two fresh
-// kernels per test. Any state the journal or a reset hook fails to restore
-// — a cell value, a stale or lost map entry, a counter — surfaces as a
-// result, commuted, or conflict-report mismatch in a later test or group.
+// TestReplayerMatchesFreshKernels holds the Replayer on the POSIX kernels
+// and memq to the fresh-kernel oracle (kerneltest.ReplayMatchesFresh).
 func TestReplayerMatchesFreshKernels(t *testing.T) {
-	impls := map[string]func() kernel.Kernel{
-		"linux": func() kernel.Kernel { return monokernel.New() },
-		"sv6":   func() kernel.Kernel { return svsix.New() },
-		"memq":  func() kernel.Kernel { return memq.New() },
-	}
+	impls := kernels()
+	impls["memq"] = func() kernel.Kernel { return memq.New() }
 	for name, fresh := range impls {
 		t.Run(name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(1))
-			gen := genPosixCall
+			gen := kerneltest.Gens["posix"]
 			if name == "memq" {
-				gen = func(r *rand.Rand) kernel.Call { return genQueueCall(r) }
+				gen = kerneltest.Gens["queue"]
 			}
-			rep := kernel.NewReplayer(fresh)
-			for group := 0; group < 40; group++ {
-				setup := genReplaySetup(r)
-				var tests []kernel.TestCase
-				for i := 0; i < 1+r.Intn(6); i++ {
-					tests = append(tests, kernel.TestCase{
-						ID:    "t",
-						Setup: setup,
-						Calls: [2]kernel.Call{gen(r), gen(r)},
-					})
-				}
-				i := 0
-				err := rep.CheckGroup(setup, tests, func(got kernel.CheckResult) bool {
-					want, err := kernel.Check(fresh, tests[i])
-					if err != nil {
-						t.Fatalf("group %d test %d: fresh check: %v", group, i, err)
-					}
-					if got.ConflictFree != want.ConflictFree ||
-						got.Res != want.Res ||
-						got.Commuted != want.Commuted ||
-						got.ResSwapped != want.ResSwapped ||
-						!reflect.DeepEqual(got.Conflicts, want.Conflicts) {
-						t.Fatalf("group %d test %d (%v || %v): replayed %+v != fresh %+v",
-							group, i, tests[i].Calls[0], tests[i].Calls[1], got, want)
-					}
-					i++
-					return true
-				})
-				if err != nil {
-					t.Fatalf("group %d: %v", group, err)
-				}
-			}
+			kerneltest.ReplayMatchesFresh(t, fresh, gen)
 		})
 	}
 }

@@ -1,249 +1,39 @@
 package kernel_test
 
-// Differential quick-checks for the two non-POSIX reference kernels
-// (memvm for the "vm" spec, memkv for the "kv" spec), mirroring the
-// POSIX differential and replay suites:
-//
-//   - the setup snapshot/reset oracle: a long-lived Replayer over
-//     randomized setups and call pairs must produce exactly the
-//     CheckResult that two fresh kernels produce, or a journal/reset-hook
-//     gap in the new kernels leaks state between tests;
-//   - the conflict oracle: the online epoch/bitset detector's verdict on
-//     the new kernels' cell traffic must agree with the legacy post-hoc
-//     scan of the access log.
-
 import (
-	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/kernel/kerneltest"
 	"repro/internal/kernel/memkv"
 	"repro/internal/kernel/memvm"
-	"repro/internal/mtrace"
 )
 
-func genVMSetup(r *rand.Rand) kernel.Setup {
-	var s kernel.Setup
-	seen := map[[2]int64]bool{}
-	for i := 0; i < r.Intn(6); i++ {
-		proc, page := r.Intn(2), int64(r.Intn(3))
-		at := [2]int64{int64(proc), page}
-		if seen[at] {
-			continue
-		}
-		seen[at] = true
-		s.VMAs = append(s.VMAs, kernel.SetupVMA{
-			Proc: proc, Page: page, Anon: true,
-			Val: int64(r.Intn(8)), Writable: r.Intn(2) == 0,
-		})
-	}
-	return s
-}
-
-func genVMCall(r *rand.Rand) kernel.Call {
-	proc := r.Intn(2)
-	page := int64(r.Intn(3))
-	switch r.Intn(5) {
-	case 0:
-		return kernel.Call{Op: "mmap", Proc: proc, Args: map[string]int64{
-			"page": page, "fixed": int64(r.Intn(2)), "wr": int64(r.Intn(2))}}
-	case 1:
-		return kernel.Call{Op: "munmap", Proc: proc, Args: map[string]int64{"page": page}}
-	case 2:
-		return kernel.Call{Op: "mprotect", Proc: proc, Args: map[string]int64{
-			"page": page, "wr": int64(r.Intn(2))}}
-	case 3:
-		return kernel.Call{Op: "memread", Proc: proc, Args: map[string]int64{"page": page}}
-	}
-	return kernel.Call{Op: "memwrite", Proc: proc, Args: map[string]int64{
-		"page": page, "val": int64(r.Intn(8))}}
-}
-
-func genKVSetup(r *rand.Rand) kernel.Setup {
-	var s kernel.Setup
-	seen := map[int64]bool{}
-	for i := 0; i < r.Intn(4); i++ {
-		key := int64(r.Intn(3))
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		s.KVs = append(s.KVs, kernel.SetupKV{Key: key, Val: int64(r.Intn(4))})
-	}
-	return s
-}
-
-func genKVCall(r *rand.Rand) kernel.Call {
-	proc := r.Intn(2)
-	key := int64(r.Intn(3))
-	switch r.Intn(4) {
-	case 0:
-		return kernel.Call{Op: "get", Proc: proc, Args: map[string]int64{"key": key}}
-	case 1:
-		return kernel.Call{Op: "put", Proc: proc, Args: map[string]int64{
-			"key": key, "val": int64(r.Intn(4))}}
-	case 2:
-		return kernel.Call{Op: "delete", Proc: proc, Args: map[string]int64{"key": key}}
-	}
-	lo := int64(r.Intn(3))
-	return kernel.Call{Op: "scan", Proc: proc, Args: map[string]int64{
-		"lo": lo, "hi": lo + int64(r.Intn(3))}}
-}
-
-// specKernels is the generator bundle per new kernel.
-var specKernels = map[string]struct {
-	fresh    func() kernel.Kernel
-	genSetup func(*rand.Rand) kernel.Setup
-	genCall  func(*rand.Rand) kernel.Call
+// vmkvKernels are the two non-POSIX reference kernels (memvm for the "vm"
+// spec, memkv for the "kv" spec) with their kerneltest generators.
+var vmkvKernels = map[string]struct {
+	fresh func() kernel.Kernel
+	gen   kerneltest.Gen
 }{
-	"memvm": {func() kernel.Kernel { return memvm.New() }, genVMSetup, genVMCall},
-	"memkv": {func() kernel.Kernel { return memkv.New() }, genKVSetup, genKVCall},
+	"memvm": {func() kernel.Kernel { return memvm.New() }, kerneltest.Gens["vm"]},
+	"memkv": {func() kernel.Kernel { return memkv.New() }, kerneltest.Gens["kv"]},
 }
 
 // TestVMKVReplayerMatchesFresh is the setup snapshot/reset oracle for the
-// new kernels: one long-lived Replayer across many randomized setup
-// groups must reproduce kernel.Check (two fresh kernels per test)
-// exactly. Any state the journal or the lazy-creation OnReset hooks fail
-// to restore — a stale page map entry in memvm, a leaked binding in
-// memkv — surfaces as a result, commuted, or conflict-report mismatch.
+// two kernels: a stale page map entry in memvm or a leaked binding in
+// memkv that the lazy-creation OnReset hooks fail to undo surfaces as a
+// mismatch against two fresh kernels per test.
 func TestVMKVReplayerMatchesFresh(t *testing.T) {
-	for name, sk := range specKernels {
-		t.Run(name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(1))
-			rep := kernel.NewReplayer(sk.fresh)
-			for group := 0; group < 60; group++ {
-				setup := sk.genSetup(r)
-				var tests []kernel.TestCase
-				for i := 0; i < 1+r.Intn(6); i++ {
-					tests = append(tests, kernel.TestCase{
-						ID:    "t",
-						Setup: setup,
-						Calls: [2]kernel.Call{sk.genCall(r), sk.genCall(r)},
-					})
-				}
-				i := 0
-				err := rep.CheckGroup(setup, tests, func(got kernel.CheckResult) bool {
-					want, err := kernel.Check(sk.fresh, tests[i])
-					if err != nil {
-						t.Fatalf("group %d test %d: fresh check: %v", group, i, err)
-					}
-					if got.ConflictFree != want.ConflictFree ||
-						got.Res != want.Res ||
-						got.Commuted != want.Commuted ||
-						got.ResSwapped != want.ResSwapped ||
-						!reflect.DeepEqual(got.Conflicts, want.Conflicts) {
-						t.Fatalf("group %d test %d (%v || %v): replayed %+v != fresh %+v",
-							group, i, tests[i].Calls[0], tests[i].Calls[1], got, want)
-					}
-					i++
-					return true
-				})
-				if err != nil {
-					t.Fatalf("group %d: %v", group, err)
-				}
-			}
-		})
+	for name, sk := range vmkvKernels {
+		t.Run(name, func(t *testing.T) { kerneltest.ReplayMatchesFresh(t, sk.fresh, sk.gen) })
 	}
 }
 
-// vmkvOracleConflicts is the legacy conflict algorithm (post-hoc scan of
-// the access log, one writer-or-shared-reader analysis per cell),
-// reimplemented over the exported mtrace surface as an independent check
-// of the online detector on the new kernels' access patterns.
-func vmkvOracleConflicts(accesses []mtrace.Access) []mtrace.Conflict {
-	type cellState struct {
-		cell    *mtrace.Cell
-		writers map[int]bool
-		readers map[int]bool
-	}
-	states := map[*mtrace.Cell]*cellState{}
-	var order []*cellState
-	for _, a := range accesses {
-		st := states[a.Cell]
-		if st == nil {
-			st = &cellState{cell: a.Cell, writers: map[int]bool{}, readers: map[int]bool{}}
-			states[a.Cell] = st
-			order = append(order, st)
-		}
-		if a.Write {
-			st.writers[a.Core] = true
-		} else {
-			st.readers[a.Core] = true
-		}
-	}
-	cores := func(set map[int]bool) []int {
-		var out []int
-		for c := range set {
-			out = append(out, c)
-		}
-		sort.Ints(out)
-		return out
-	}
-	var out []mtrace.Conflict
-	for _, st := range order {
-		conflict := len(st.writers) > 1
-		if !conflict && len(st.writers) == 1 {
-			var w int
-			for core := range st.writers {
-				w = core
-			}
-			for core := range st.readers {
-				if core != w {
-					conflict = true
-					break
-				}
-			}
-		}
-		if conflict {
-			out = append(out, mtrace.Conflict{
-				CellName: st.cell.Name(),
-				Writers:  cores(st.writers),
-				Readers:  cores(st.readers),
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].CellName < out[j].CellName })
-	return out
-}
-
-// TestVMKVOnlineMatchesLegacyOracle runs randomized multi-core call
-// sequences directly on the new kernels with the access log enabled and
-// checks the online verdict — and the materialized conflict report —
-// against the legacy oracle, across several traced regions per kernel
-// instance (the epoch bump must isolate regions).
+// TestVMKVOnlineMatchesLegacyOracle checks the online epoch/bitset
+// detector's verdict on the two kernels' cell traffic against the post-hoc
+// scan of the access log.
 func TestVMKVOnlineMatchesLegacyOracle(t *testing.T) {
-	for name, sk := range specKernels {
-		t.Run(name, func(t *testing.T) {
-			for seed := int64(0); seed < 60; seed++ {
-				r := rand.New(rand.NewSource(seed))
-				k := sk.fresh()
-				m := k.Memory()
-				m.LogAccesses(true)
-				if err := k.Apply(sk.genSetup(r)); err != nil {
-					t.Fatalf("seed %d: apply: %v", seed, err)
-				}
-				for region := 0; region < 3; region++ {
-					m.Start()
-					for i := 0; i < r.Intn(12); i++ {
-						k.Exec(r.Intn(4), sk.genCall(r))
-					}
-					m.Stop()
-					want := vmkvOracleConflicts(m.Accesses())
-					if m.ConflictFree() != (len(want) == 0) {
-						t.Fatalf("seed %d region %d: ConflictFree=%v, oracle conflicts=%d",
-							seed, region, m.ConflictFree(), len(want))
-					}
-					got := m.Conflicts()
-					if len(got) != 0 || len(want) != 0 {
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("seed %d region %d:\n online: %v\n oracle: %v",
-								seed, region, got, want)
-						}
-					}
-				}
-			}
-		})
+	for name, sk := range vmkvKernels {
+		t.Run(name, func(t *testing.T) { kerneltest.OnlineMatchesOracle(t, sk.fresh, sk.gen) })
 	}
 }

@@ -1,10 +1,12 @@
 package kvspec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/analyzer"
 	"repro/internal/kernel"
+	"repro/internal/kernel/kerneltest"
 	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/testgen"
@@ -126,7 +128,7 @@ func TestKVSweep(t *testing.T) {
 	if len(impls) != 1 || impls[0].Name != "memkv" {
 		t.Fatalf("kv impls = %+v, want memkv", impls)
 	}
-	res, err := sweep.Run(sweep.Config{
+	res, err := sweep.RunContext(context.Background(), sweep.Config{
 		Spec:    Spec,
 		Ops:     Ops(),
 		Kernels: []sweep.KernelSpec{{Name: impls[0].Name, New: impls[0].New}},
@@ -187,7 +189,7 @@ func TestDisjointKeyTestsConflictFree(t *testing.T) {
 
 func checkFree(t *testing.T, tc kernel.TestCase) {
 	t.Helper()
-	res, err := kernel.Check(Spec.Impls()[0].New, tc)
+	res, err := kerneltest.Check(Spec.Impls()[0].New, tc)
 	if err != nil {
 		t.Fatalf("%s: %v", tc.ID, err)
 	}

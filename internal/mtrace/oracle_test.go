@@ -1,147 +1,46 @@
-package mtrace
+package mtrace_test
 
-// Differential oracle for the online epoch/bitset conflict detector: a
-// direct reimplementation of the legacy algorithm — scan the full access
-// log, build per-cell writer/reader core maps, report cells with more
-// than one writer or with a reader besides the single writer — is run on
-// randomized multi-core access sequences and must agree with the online
-// verdict and the lazily materialized []Conflict report.
+// Differential oracle for the online epoch/bitset conflict detector: the
+// legacy post-hoc scan of the access log (kerneltest.OracleConflicts) is
+// run on randomized multi-core access sequences and must agree with the
+// online verdict and the lazily materialized []Conflict report.
 
 import (
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/kernel/kerneltest"
+	"repro/internal/mtrace"
 )
-
-// legacyConflicts is the pre-epoch implementation, kept verbatim as the
-// oracle: map-based post-hoc analysis over the access log.
-func legacyConflicts(accesses []Access) []Conflict {
-	type cellState struct {
-		cell    *Cell
-		writers map[int]bool
-		readers map[int]bool
-	}
-	states := map[*Cell]*cellState{}
-	var order []*cellState
-	for _, a := range accesses {
-		st := states[a.Cell]
-		if st == nil {
-			st = &cellState{cell: a.Cell, writers: map[int]bool{}, readers: map[int]bool{}}
-			states[a.Cell] = st
-			order = append(order, st)
-		}
-		if a.Write {
-			st.writers[a.Core] = true
-		} else {
-			st.readers[a.Core] = true
-		}
-	}
-	var out []Conflict
-	for _, st := range order {
-		conflict := len(st.writers) > 1
-		if !conflict && len(st.writers) == 1 {
-			var w int
-			for core := range st.writers {
-				w = core
-			}
-			for core := range st.readers {
-				if core != w {
-					conflict = true
-					break
-				}
-			}
-		}
-		if conflict {
-			out = append(out, Conflict{
-				CellName: st.cell.Name(),
-				Writers:  sortedCores(st.writers),
-				Readers:  sortedCores(st.readers),
-			})
-		}
-	}
-	sortConflicts(out)
-	return out
-}
-
-func sortedCores(set map[int]bool) []int {
-	var out []int
-	for c := range set {
-		out = append(out, c)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func sortConflicts(cs []Conflict) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j].CellName < cs[j-1].CellName; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
-}
-
-// scriptStep drives one traced access in the differential runs.
-type scriptStep struct {
-	cell  int
-	core  int
-	write bool
-}
-
-// runScript replays the steps on a fresh memory with the access log on and
-// returns the online results plus the captured log for the oracle.
-func runScript(t *testing.T, ncells int, steps []scriptStep) (bool, []Conflict, []Access) {
-	t.Helper()
-	m := NewMemory()
-	m.LogAccesses(true)
-	cells := make([]*Cell, ncells)
-	for i := range cells {
-		cells[i] = m.NewCellf(0, "cell%d", i)
-	}
-	m.Start()
-	for _, s := range steps {
-		if s.write {
-			cells[s.cell].Store(s.core, 1)
-		} else {
-			cells[s.cell].Load(s.core)
-		}
-	}
-	m.Stop()
-	return m.ConflictFree(), m.Conflicts(), m.Accesses()
-}
 
 func TestOnlineMatchesLegacyOracle(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		ncells := 1 + rng.Intn(8)
+		m := mtrace.NewMemory()
+		m.LogAccesses(true)
+		cells := make([]*mtrace.Cell, 1+rng.Intn(8))
+		for i := range cells {
+			cells[i] = m.NewCellf(0, "cell%d", i)
+		}
 		// Core numbers deliberately straddle the 64-bit word boundary of
 		// the coreset so both mask words are exercised.
 		corePool := []int{0, 1, 2, 63, 64, 65, 95, 127}
-		nsteps := rng.Intn(40)
-		steps := make([]scriptStep, nsteps)
-		for i := range steps {
-			steps[i] = scriptStep{
-				cell:  rng.Intn(ncells),
-				core:  corePool[rng.Intn(len(corePool))],
-				write: rng.Intn(2) == 0,
+		m.Start()
+		for n := rng.Intn(40); n > 0; n-- {
+			cell := cells[rng.Intn(len(cells))]
+			core := corePool[rng.Intn(len(corePool))]
+			if rng.Intn(2) == 0 {
+				cell.Store(core, 1)
+			} else {
+				cell.Load(core)
 			}
 		}
-		free, got, log := runScript(t, ncells, steps)
-		want := legacyConflicts(log)
-		if free != (len(want) == 0) {
-			t.Logf("seed %d: ConflictFree=%v but oracle found %d conflicts", seed, free, len(want))
-			return false
-		}
-		if len(got) == 0 && len(want) == 0 {
-			return true
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Logf("seed %d:\n online: %v\n oracle: %v", seed, got, want)
+		m.Stop()
+		if diff := kerneltest.CheckOnline(m); diff != "" {
+			t.Logf("seed %d: %s", seed, diff)
 			return false
 		}
 		return true
@@ -156,9 +55,9 @@ func TestOnlineMatchesLegacyOracle(t *testing.T) {
 // state from one region must never leak a conflict into the next).
 func TestOnlineMatchesLegacyAcrossEpochs(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	m := NewMemory()
+	m := mtrace.NewMemory()
 	m.LogAccesses(true)
-	cells := make([]*Cell, 6)
+	cells := make([]*mtrace.Cell, 6)
 	for i := range cells {
 		cells[i] = m.NewCellf(0, "cell%d", i)
 	}
@@ -178,19 +77,8 @@ func TestOnlineMatchesLegacyAcrossEpochs(t *testing.T) {
 			}
 		}
 		m.Stop()
-		want := legacyConflicts(m.Accesses())
-		if m.ConflictFree() != (len(want) == 0) {
-			t.Fatalf("round %d: ConflictFree=%v, oracle conflicts=%d",
-				round, m.ConflictFree(), len(want))
-		}
-		got := m.Conflicts()
-		if len(got) != len(want) {
-			t.Fatalf("round %d: online %v != oracle %v", round, got, want)
-		}
-		for i := range got {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("round %d: online %v != oracle %v", round, got, want)
-			}
+		if diff := kerneltest.CheckOnline(m); diff != "" {
+			t.Fatalf("round %d: %s", round, diff)
 		}
 	}
 }
@@ -199,7 +87,7 @@ func TestOnlineMatchesLegacyAcrossEpochs(t *testing.T) {
 // slice returned by Accesses must survive a subsequent Start truncating
 // and overwriting the internal buffer.
 func TestAccessesReturnsCopy(t *testing.T) {
-	m := NewMemory()
+	m := mtrace.NewMemory()
 	m.LogAccesses(true)
 	a := m.NewCell("a", 0)
 	b := m.NewCell("b", 0)
@@ -236,7 +124,7 @@ func TestAccessesReturnsCopy(t *testing.T) {
 // CHECK hot path must not pay for it) and that conflicts are still
 // detected without it.
 func TestAccessLogOptIn(t *testing.T) {
-	m := NewMemory()
+	m := mtrace.NewMemory()
 	c := m.NewCell("c", 0)
 	m.Start()
 	c.Store(0, 1)
@@ -248,7 +136,7 @@ func TestAccessLogOptIn(t *testing.T) {
 	if m.ConflictFree() {
 		t.Fatal("conflict missed with access log disabled")
 	}
-	want := []Conflict{{CellName: "c", Writers: []int{0}, Readers: []int{1}}}
+	want := []mtrace.Conflict{{CellName: "c", Writers: []int{0}, Readers: []int{1}}}
 	if got := m.Conflicts(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Conflicts() = %v, want %v", got, want)
 	}

@@ -1,10 +1,11 @@
 package queuespec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/analyzer"
-	"repro/internal/kernel"
+	"repro/internal/kernel/kerneltest"
 	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/testgen"
@@ -117,7 +118,7 @@ func TestMemqConflictFree(t *testing.T) {
 	}
 	impl = kernels[0].Name
 
-	res, err := sweep.Run(sweep.Config{
+	res, err := sweep.RunContext(context.Background(), sweep.Config{
 		Spec:    Spec,
 		Ops:     Ops(),
 		Kernels: []sweep.KernelSpec{{Name: impl, New: kernels[0].New}},
@@ -176,7 +177,7 @@ func TestGenerateQueueTests(t *testing.T) {
 		t.Error("no generated test seeds a non-empty ordered queue")
 	}
 	for _, tc := range tests {
-		res, err := kernel.Check(Spec.Impls()[0].New, tc)
+		res, err := kerneltest.Check(Spec.Impls()[0].New, tc)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.ID, err)
 		}

@@ -23,7 +23,7 @@ import (
 //     so callers can count the degradation, but a failed store costs
 //     incrementality, never correctness.
 //   - A hit's value is shared, not copied, on the tests slice — callers
-//     treat cached test sets as immutable (kernel.Check only reads them).
+//     treat cached test sets as immutable (the CHECK replay only reads them).
 //   - Implementations are safe for concurrent use.
 type Backend interface {
 	// GetTests returns the TESTGEN tier entry for key, if present.

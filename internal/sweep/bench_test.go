@@ -11,7 +11,7 @@ func benchSweep(b *testing.B, workers int) {
 	ops, kernels := testOps(b), testKernels()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(Config{Ops: ops, Kernels: kernels, Workers: workers}); err != nil {
+		if _, err := runSweep(Config{Ops: ops, Kernels: kernels, Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -33,12 +33,12 @@ func BenchmarkSweepWarmCache(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := Config{Ops: ops, Kernels: kernels, Cache: cache}
-	if _, err := Run(cfg); err != nil {
+	if _, err := runSweep(cfg); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(cfg)
+		res, err := runSweep(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -59,13 +59,13 @@ func BenchmarkSweepWarmSubset(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := Run(Config{Ops: ops, Kernels: kernels, Cache: cache}); err != nil {
+	if _, err := runSweep(Config{Ops: ops, Kernels: kernels, Cache: cache}); err != nil {
 		b.Fatal(err)
 	}
 	sub := Config{Ops: ops, Kernels: kernels[1:], Cache: cache}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Run(sub)
+		res, err := runSweep(sub)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -237,7 +237,7 @@ func TestTruncatedResultsNotCached(t *testing.T) {
 		Ops: ops, Kernels: kernels, Cache: cache,
 		Analyzer: analyzer.Options{Solver: &sym.Solver{MaxSteps: 1}},
 	}
-	res, err := Run(tiny)
+	res, err := runSweep(tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestTruncatedResultsNotCached(t *testing.T) {
 	// A full-budget sweep against the same cache must recompute the
 	// truncated pairs (misses, not stale hits) and then report complete
 	// results with no Unknown pairs.
-	full, err := Run(Config{Ops: ops, Kernels: kernels, Cache: cache})
+	full, err := runSweep(Config{Ops: ops, Kernels: kernels, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestSweepSurvivesUnwritableCache(t *testing.T) {
 	}
 
 	ops, kernels := testOps(t), testKernels()
-	res, err := Run(Config{Ops: ops, Kernels: kernels, Workers: 2, Cache: cache})
+	res, err := runSweep(Config{Ops: ops, Kernels: kernels, Workers: 2, Cache: cache})
 	if err != nil {
 		t.Fatalf("sweep failed on unwritable cache: %v", err)
 	}
@@ -326,7 +326,7 @@ func TestSweepRecoversFromCorruptedCache(t *testing.T) {
 	}
 	ops, kernels := testOps(t), testKernels()
 	cfg := Config{Ops: ops, Kernels: kernels, Workers: 4, Cache: cache}
-	first, err := Run(cfg)
+	first, err := runSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestSweepRecoversFromCorruptedCache(t *testing.T) {
 		}
 	}
 
-	second, err := Run(cfg)
+	second, err := runSweep(cfg)
 	if err != nil {
 		t.Fatalf("sweep failed on corrupted cache: %v", err)
 	}
@@ -359,7 +359,7 @@ func TestSweepRecoversFromCorruptedCache(t *testing.T) {
 	}
 
 	// Third run sees the repaired entries.
-	third, err := Run(cfg)
+	third, err := runSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

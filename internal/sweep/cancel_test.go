@@ -122,7 +122,7 @@ func TestSweepCancelMidFlight(t *testing.T) {
 
 	// Every stored entry must be a genuine hit on a fresh warm run: the
 	// survivors are complete, not merely parsable.
-	warm, err := Run(Config{Ops: ops, Kernels: testKernels(), Workers: 2, Cache: cache})
+	warm, err := runSweep(Config{Ops: ops, Kernels: testKernels(), Workers: 2, Cache: cache})
 	if err != nil {
 		t.Fatalf("warm sweep after cancellation: %v", err)
 	}

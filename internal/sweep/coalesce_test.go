@@ -93,7 +93,7 @@ func TestConcurrentIdenticalSweepsExecuteOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = Run(cfg)
+			results[i], errs[i] = runSweep(cfg)
 		}()
 	}
 	wg.Wait()
@@ -190,7 +190,7 @@ func TestCoalescedWaitersShareLeader(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = Run(cfg)
+			results[i], errs[i] = runSweep(cfg)
 		}()
 	}
 	wg.Wait()
@@ -273,7 +273,7 @@ func TestCanceledLeaderHandsOffToWaiter(t *testing.T) {
 	waiterRes := make(chan *Result, 1)
 	waiterErr := make(chan error, 1)
 	go func() {
-		res, err := Run(cfg)
+		res, err := runSweep(cfg)
 		waiterRes <- res
 		waiterErr <- err
 	}()

@@ -56,7 +56,7 @@ func TestSweepFailFastCleanShutdown(t *testing.T) {
 		events []Event
 	)
 	before := runtime.NumGoroutine()
-	res, err := Run(Config{
+	res, err := runSweep(Config{
 		Ops: ops, Kernels: kernels, Workers: 4,
 		Progress: func(ev Event) {
 			mu.Lock()

@@ -2,11 +2,8 @@ package sweep
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,17 +73,12 @@ func RunFleet(ctx context.Context, cfg Config, fc FleetClient) (*Result, error) 
 	if cfg.Analyzer.Solver != nil || cfg.Testgen.Solver != nil {
 		return nil, fmt.Errorf("sweep: fleet mode cannot share caller-provided solvers across servers")
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
+	r, err := newRun(cfg)
+	if err != nil {
+		return nil, err
 	}
-	sp := cfg.Spec
-	if sp == nil {
-		var err error
-		if sp, err = spec.Lookup("posix"); err != nil {
-			return nil, fmt.Errorf("sweep: no spec configured and %w", err)
-		}
-	}
+	defer r.close()
+	sp, workers := r.sp, r.workers
 	fspec := FleetSpec(sp, cfg)
 	wid := fleetWorkerName(cfg)
 
@@ -96,17 +88,6 @@ func RunFleet(ctx context.Context, cfg Config, fc FleetClient) (*Result, error) 
 	for _, j := range Pairs(cfg.Ops) {
 		byName[j[0].Name+"/"+j[1].Name] = j
 	}
-
-	start := time.Now()
-	budget := newWorkerBudget(workers)
-	var counters runCounters
-	var enc *json.Encoder
-	if cfg.Artifact != nil {
-		enc = json.NewEncoder(cfg.Artifact)
-	}
-
-	metricSweepsInflight.Inc()
-	defer metricSweepsInflight.Dec()
 
 	// Executors run under ectx so one pair's failure (or the caller's
 	// cancellation) stops the rest promptly; held leases survive the
@@ -148,9 +129,7 @@ func RunFleet(ctx context.Context, cfg Config, fc FleetClient) (*Result, error) 
 					fail(fmt.Errorf("sweep fleet: coordinator leased unknown pair %q", l.Pair))
 					continue
 				}
-				budget.acquire()
-				pr, err := runPair(ectx, sp, ops[0], ops[1], cfg, start, &counters, budget)
-				budget.release(1)
+				pr, err := r.runPair(ectx, ops[0], ops[1])
 				if err != nil {
 					if ectx.Err() == nil {
 						fail(err)
@@ -178,26 +157,14 @@ func RunFleet(ctx context.Context, cfg Config, fc FleetClient) (*Result, error) 
 				if resp.Done {
 					fleetDone = true
 				}
-				if enc != nil {
-					if werr := enc.Encode(pr); werr != nil && runErr == nil {
-						runErr = fmt.Errorf("sweep: artifact write: %w", werr)
-					}
+				if werr := r.artifact(&pr); werr != nil && runErr == nil {
+					runErr = werr
 				}
 				// Done is the fleet-wide completion count; peers complete
 				// pairs concurrently, so only emit forward progress.
-				if cfg.Progress != nil && resp.Completed > emitDone {
+				if resp.Completed > emitDone {
 					emitDone = resp.Completed
-					cfg.Progress(Event{
-						Pair:      pr.Pair(),
-						Done:      resp.Completed,
-						Total:     resp.Total,
-						Tests:     pr.Tests,
-						Cached:    pr.Cached,
-						Coalesced: pr.Coalesced,
-						PairMS:    pr.ElapsedMS,
-						Elapsed:   time.Since(start),
-						Result:    &pr,
-					})
+					r.progress(&pr, resp.Completed, resp.Total)
 				}
 				failNow := runErr
 				mu.Unlock()
@@ -282,7 +249,7 @@ func RunFleet(ctx context.Context, cfg Config, fc FleetClient) (*Result, error) 
 	for id := range held {
 		release = append(release, id)
 	}
-	err := runErr
+	err = runErr
 	mu.Unlock()
 	if len(release) > 0 {
 		rctx, rcancel := context.WithTimeout(context.WithoutCancel(ctx), 3*time.Second)
@@ -321,18 +288,7 @@ func RunFleet(ctx context.Context, cfg Config, fc FleetClient) (*Result, error) 
 			merged = append(merged, pr)
 		}
 	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].OpA != merged[j].OpA {
-			return merged[i].OpA < merged[j].OpA
-		}
-		return merged[i].OpB < merged[j].OpB
-	})
-	res := &Result{Spec: sp.Name(), Pairs: merged, Workers: workers, Elapsed: time.Since(start)}
-	if cfg.Cache != nil {
-		res.Cache = counters.stats()
-		res.CacheWriteErrors = int(counters.writeErrs.Load())
-	}
-	return res, nil
+	return r.result(merged), nil
 }
 
 // sleepCtx sleeps d or until ctx ends; false means the context ended.

@@ -33,7 +33,7 @@ func TestPhaseBreakdown(t *testing.T) {
 	}
 	cfg.Cache = cache
 
-	cold, err := Run(cfg)
+	cold, err := runSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestPhaseBreakdown(t *testing.T) {
 		t.Errorf("computed pair reports %d intern hits", p.Solver.InternHits)
 	}
 
-	warm, err := Run(cfg)
+	warm, err := runSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestWriteTrace(t *testing.T) {
 		t.Skip("sweep pipeline in -short mode")
 	}
 	cfg := tinyConfig(t)
-	res, err := Run(cfg)
+	res, err := runSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,19 +115,24 @@ func TestShardedCheckCancelDoesNotCacheTruncatedCell(t *testing.T) {
 	}
 	tests := shardTestCases(16, 4)
 	ks := testKernels()[0]
-	cfg := Config{Cache: cache}
+	r := &run{cfg: Config{Cache: cache}}
 	out := PairResult{OpA: "stat", OpB: "stat"}
-	var counters runCounters
+	check := func(ctx context.Context) (stageOutcome[KernelCell], error) {
+		return checkStage.run(ctx, r, "ck-cancel-key", &out, func() (KernelCell, int, error) {
+			cell, err := runCheck(ctx, r, ks, tests, &out)
+			return cell, 0, err
+		})
+	}
 
 	ctx := &trippingContext{Context: context.Background(), trip: 10}
-	if _, err := runCheck(ctx, ks, tests, 0, cfg, "ck-cancel-key", &out, &counters, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled runCheck returned %v, want context.Canceled", err)
+	if _, err := check(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled CHECK stage returned %v, want context.Canceled", err)
 	}
 	if _, ok := cache.GetCell("ck-cancel-key"); ok {
 		t.Fatalf("cancelled CHECK stored a truncated cell")
 	}
 
-	outcome, err := runCheck(context.Background(), ks, tests, 0, cfg, "ck-cancel-key", &out, &counters, nil)
+	outcome, err := check(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

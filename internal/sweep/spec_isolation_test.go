@@ -36,7 +36,7 @@ func TestCacheIsolatesSpecs(t *testing.T) {
 
 	run := func(what string, cfg Config, wantHits, wantMisses bool) CacheStats {
 		t.Helper()
-		res, err := Run(cfg)
+		res, err := runSweep(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}

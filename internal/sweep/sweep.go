@@ -1,8 +1,8 @@
 // Package sweep is the parallel orchestration engine for the COMMUTER
 // pipeline. It fans the per-pair ANALYZE → TESTGEN → CHECK work across a
 // configurable worker pool: the mtrace tracer is single-threaded, so
-// isolation is per pair (every kernel.Check builds fresh kernel instances
-// with their own mtrace.Memory) and parallelism is across the 171 unordered
+// isolation is per replay shard (each owns a kernel.Replayer whose kernel
+// has its own mtrace.Memory) and parallelism is across the 171 unordered
 // pairs of the modeled operations.
 //
 // The engine optionally consults a content-addressed cache Backend (on
@@ -19,7 +19,6 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -223,74 +222,137 @@ func (r *Result) TotalTests() int {
 	return n
 }
 
-// Run executes the sweep described by cfg and returns the per-pair results.
-// Pair computation is deterministic, so the result is independent of worker
-// count and scheduling; only timing fields vary.
-func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg)
+// run is the state one sweep shares across its pairs, whichever driver
+// feeds it: RunContext walks the whole pair list, RunFleet pulls leases.
+type run struct {
+	cfg     Config
+	sp      spec.Spec
+	workers int
+	// coalesce puts every stage under process-wide single-flight. A
+	// caller-provided solver carries budget state that must not leak
+	// between requests, so it opts the sweep out (and, solvers not being
+	// safe to share, down to one worker); the common nil case gets a fresh
+	// solver per pair inside generateTests.
+	coalesce bool
+	start    time.Time
+	// budget holds one permit per worker: each pair holds its own permit
+	// while it runs, and a pair's CHECK stage borrows whatever permits are
+	// idle to shard its replay batches — so a hot pair (open/open) spreads
+	// across workers the cold tail has stopped using, without ever
+	// exceeding the pool.
+	budget   *workerBudget
+	counters runCounters
+	enc      *json.Encoder // nil without cfg.Artifact
 }
 
-// RunContext is Run under a context. Cancellation stops the sweep
-// promptly: no new pairs start, in-flight pairs abandon their symbolic
-// work between (and, via the solver Stop hook, inside) satisfiability
-// searches, every worker exits before RunContext returns, and the call
-// reports ctx.Err(). Cache writes are never interrupted mid-entry — each
-// goes through a temp file and an atomic rename, and a pair that did not
-// complete stores nothing — so a cancelled sweep leaves only complete
-// cache entries behind.
-func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
+// newRun resolves cfg's defaults and marks the sweep in flight; the caller
+// defers close.
+func newRun(cfg Config) (*run, error) {
+	r := &run{cfg: cfg, sp: cfg.Spec, workers: cfg.Workers, start: time.Now()}
+	if r.workers <= 0 {
+		r.workers = runtime.NumCPU()
 	}
-	// Solvers carry no cross-call guarantees, so a shared caller-provided
-	// solver forces sequential execution; the common nil case gets a
-	// fresh solver per pair inside analyzer/testgen.
-	if cfg.Analyzer.Solver != nil || cfg.Testgen.Solver != nil {
-		workers = 1
+	r.coalesce = cfg.Analyzer.Solver == nil && cfg.Testgen.Solver == nil
+	if !r.coalesce {
+		r.workers = 1
 	}
-	sp := cfg.Spec
-	if sp == nil {
+	if r.sp == nil {
 		var err error
-		if sp, err = spec.Lookup("posix"); err != nil {
+		if r.sp, err = spec.Lookup("posix"); err != nil {
 			return nil, fmt.Errorf("sweep: no spec configured and %w", err)
 		}
 	}
+	r.budget = newWorkerBudget(r.workers)
+	if cfg.Artifact != nil {
+		r.enc = json.NewEncoder(cfg.Artifact)
+	}
+	metricSweepsInflight.Inc()
+	return r, nil
+}
+
+func (r *run) close() { metricSweepsInflight.Dec() }
+
+// artifact mirrors one finished pair to the JSONL stream, if any. Like
+// progress it is not synchronized: the driver serializes its emissions.
+func (r *run) artifact(pr *PairResult) error {
+	if r.enc == nil {
+		return nil
+	}
+	if err := r.enc.Encode(pr); err != nil {
+		return fmt.Errorf("sweep: artifact write: %w", err)
+	}
+	return nil
+}
+
+// progress reports one finished pair to cfg.Progress. pr must be the
+// caller's own copy, never an element of a slice that is later sorted:
+// consumers may hold the pointer beyond the callback (the streaming façade
+// hands it to another goroutine).
+func (r *run) progress(pr *PairResult, done, total int) {
+	if r.cfg.Progress == nil {
+		return
+	}
+	r.cfg.Progress(Event{
+		Pair:      pr.Pair(),
+		Done:      done,
+		Total:     total,
+		Tests:     pr.Tests,
+		Cached:    pr.Cached,
+		Coalesced: pr.Coalesced,
+		PairMS:    pr.ElapsedMS,
+		Elapsed:   time.Since(r.start),
+		Result:    pr,
+	})
+}
+
+// result assembles the completed sweep from its pairs, sorting them in
+// place by (OpA, OpB).
+func (r *run) result(pairs []PairResult) *Result {
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].OpA != pairs[j].OpA {
+			return pairs[i].OpA < pairs[j].OpA
+		}
+		return pairs[i].OpB < pairs[j].OpB
+	})
+	res := &Result{Spec: r.sp.Name(), Pairs: pairs, Workers: r.workers, Elapsed: time.Since(r.start)}
+	if r.cfg.Cache != nil {
+		res.Cache = r.counters.stats()
+		res.CacheWriteErrors = int(r.counters.writeErrs.Load())
+	}
+	return res
+}
+
+// RunContext executes the sweep described by cfg and returns the per-pair
+// results. Pair computation is deterministic, so the result is independent
+// of worker count and scheduling; only timing fields vary.
+//
+// Cancellation stops the sweep promptly: no new pairs start, in-flight
+// pairs abandon their symbolic work between (and, via the solver Stop
+// hook, inside) satisfiability searches, every worker exits before
+// RunContext returns, and the call reports ctx.Err(). Cache writes are
+// never interrupted mid-entry — each goes through a temp file and an
+// atomic rename, and a pair that did not complete stores nothing — so a
+// cancelled sweep leaves only complete cache entries behind.
+func RunContext(ctx context.Context, cfg Config) (*Result, error) {
+	r, err := newRun(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer r.close()
 
 	jobs := Pairs(cfg.Ops)
-
-	start := time.Now()
 	results := make([]PairResult, len(jobs))
 	errs := make([]error, len(jobs))
 	var (
 		emitMu sync.Mutex // serializes done/Progress/Artifact
 		done   int
-		enc    *json.Encoder
+		failed atomic.Bool // fail fast: stop starting pairs after the first error
 	)
-	if cfg.Artifact != nil {
-		enc = json.NewEncoder(cfg.Artifact)
-	}
-
-	metricSweepsInflight.Inc()
-	defer metricSweepsInflight.Dec()
-
-	var (
-		failed   atomic.Bool // fail fast: stop starting pairs after the first error
-		counters runCounters
-	)
-	// One permit per worker: each pair holds its own permit while it runs,
-	// and a pair's CHECK stage borrows whatever permits are idle to shard
-	// its replay batches — so a hot pair (open/open) spreads across workers
-	// the cold tail has stopped using, without ever exceeding the pool.
-	budget := newWorkerBudget(workers)
-	ParallelCtx(ctx, len(jobs), workers, func(i int) {
+	parallelCtx(ctx, len(jobs), r.workers, func(i int) {
 		if failed.Load() || ctx.Err() != nil {
 			return
 		}
-		budget.acquire()
-		defer budget.release(1)
-		j := jobs[i]
-		pr, err := runPair(ctx, sp, j[0], j[1], cfg, start, &counters, budget)
+		pr, err := r.runPair(ctx, jobs[i][0], jobs[i][1])
 		results[i], errs[i] = pr, err
 		if err != nil {
 			failed.Store(true)
@@ -300,29 +362,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		emitMu.Lock()
 		defer emitMu.Unlock()
 		done++
-		if enc != nil {
-			if werr := enc.Encode(pr); werr != nil {
-				errs[i] = fmt.Errorf("sweep: artifact write: %w", werr)
-				failed.Store(true)
-			}
+		if werr := r.artifact(&pr); werr != nil {
+			errs[i] = werr
+			failed.Store(true)
 		}
-		if cfg.Progress != nil {
-			// The event points at the worker's own copy, not results[i]:
-			// consumers may hold the pointer beyond the callback (the
-			// streaming façade hands it to another goroutine), and the
-			// final sort reorders the results slice in place.
-			cfg.Progress(Event{
-				Pair:      pr.Pair(),
-				Done:      done,
-				Total:     len(jobs),
-				Tests:     pr.Tests,
-				Cached:    pr.Cached,
-				Coalesced: pr.Coalesced,
-				PairMS:    pr.ElapsedMS,
-				Elapsed:   time.Since(start),
-				Result:    &pr,
-			})
-		}
+		r.progress(&pr, done, len(jobs))
 	})
 
 	// Cancellation trumps per-pair errors: an in-flight pair observes the
@@ -336,20 +380,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-
-	res := &Result{Spec: sp.Name(), Pairs: results, Workers: workers, Elapsed: time.Since(start)}
-	sort.Slice(res.Pairs, func(i, j int) bool {
-		if res.Pairs[i].OpA != res.Pairs[j].OpA {
-			return res.Pairs[i].OpA < res.Pairs[j].OpA
-		}
-		return res.Pairs[i].OpB < res.Pairs[j].OpB
-	})
-	if cfg.Cache != nil {
-		res.Cache = counters.stats()
-		res.CacheWriteErrors = int(counters.writeErrs.Load())
-	}
-	return res, nil
+	return r.result(results), nil
 }
+
+// tierCounters is one cache tier's hit/miss outcome for one run.
+type tierCounters struct{ hits, misses atomic.Int64 }
 
 // runCounters accumulates this run's cache outcomes. They are counted
 // per run rather than taken as a before/after delta of the cache handle's
@@ -357,28 +392,16 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 // serve endpoint shares its cache across requests) and a delta would
 // attribute the neighbors' traffic to this run.
 type runCounters struct {
-	tgHits, tgMisses atomic.Int64
-	ckHits, ckMisses atomic.Int64
-	writeErrs        atomic.Int64
+	testgen, check tierCounters
+	writeErrs      atomic.Int64
 }
 
 func (c *runCounters) stats() CacheStats {
 	return CacheStats{
-		TestgenHits:   int(c.tgHits.Load()),
-		TestgenMisses: int(c.tgMisses.Load()),
-		CheckHits:     int(c.ckHits.Load()),
-		CheckMisses:   int(c.ckMisses.Load()),
-	}
-}
-
-// count bumps the run-local and the process-wide hit/miss counters.
-func count(hit bool, hits, misses *atomic.Int64, mHits, mMisses *obs.Counter) {
-	if hit {
-		hits.Add(1)
-		mHits.Inc()
-	} else {
-		misses.Add(1)
-		mMisses.Inc()
+		TestgenHits:   int(c.testgen.hits.Load()),
+		TestgenMisses: int(c.testgen.misses.Load()),
+		CheckHits:     int(c.check.hits.Load()),
+		CheckMisses:   int(c.check.misses.Load()),
 	}
 }
 
@@ -388,8 +411,8 @@ func count(hit bool, hits, misses *atomic.Int64, mHits, mMisses *obs.Counter) {
 // clients requesting the same cold pair trigger one ANALYZE+TESTGEN and
 // one CHECK per kernel, not 1,000.
 var (
-	testgenFlights flight.Group[testgenOutcome]
-	checkFlights   flight.Group[checkOutcome]
+	testgenFlights flight.Group[stageOutcome[[]kernel.TestCase]]
+	checkFlights   flight.Group[stageOutcome[KernelCell]]
 )
 
 // flightID scopes coalescing to one backend's key space: sweeps sharing a
@@ -402,95 +425,165 @@ func flightID(b Backend, key string) string {
 	return b.String() + "|" + key
 }
 
-// testgenOutcome is the ANALYZE+TESTGEN stage's shareable result.
-type testgenOutcome struct {
-	tests     []kernel.TestCase
+// stageOutcome is a stage's shareable result: what a flight's leader
+// publishes to its waiters.
+type stageOutcome[T any] struct {
+	val T
+	// unknown counts budget-truncated paths behind val (see
+	// PairResult.Unknown); nonzero means val is a lower bound.
 	unknown   int
 	fromCache bool
 }
 
-// checkOutcome is one kernel's CHECK stage shareable result.
-type checkOutcome struct {
-	cell      KernelCell
-	fromCache bool
+// stage is one cache tier's protocol around a computation: probe the
+// tier, compute on a miss, store the result best-effort — all of it under
+// single-flight when the run coalesces, so of N concurrent identical cold
+// requests exactly one executes (and populates the cache) while the rest
+// share its result. The two tiers differ only in the fields below and in
+// the compute closure runPair hands to run.
+type stage[T any] struct {
+	tier    string
+	flights *flight.Group[stageOutcome[T]]
+	get     func(Backend, string) (T, bool)
+	put     func(Backend, string, T) error
+	counts  func(*runCounters) *tierCounters
+	// mHits and mMisses are the tier's process-wide counters.
+	mHits, mMisses *obs.Counter
+}
+
+var (
+	testgenStage = stage[[]kernel.TestCase]{
+		tier:    TierTestgen,
+		flights: &testgenFlights,
+		get:     Backend.GetTests,
+		put:     Backend.PutTests,
+		counts:  func(c *runCounters) *tierCounters { return &c.testgen },
+		mHits:   metricTestgenHits,
+		mMisses: metricTestgenMisses,
+	}
+	checkStage = stage[KernelCell]{
+		tier:    TierCheck,
+		flights: &checkFlights,
+		get: func(b Backend, key string) (KernelCell, bool) {
+			if cl, ok := b.GetCell(key); ok {
+				return *cl, true
+			}
+			return KernelCell{}, false
+		},
+		put:     Backend.PutCell,
+		counts:  func(c *runCounters) *tierCounters { return &c.check },
+		mHits:   metricCheckHits,
+		mMisses: metricCheckMisses,
+	}
+)
+
+// run returns the stage's outcome for key, computing only on a cache miss.
+// compute reports its value plus the unknown count behind it. Under
+// coalescing out is marked when the outcome was shared from a concurrent
+// identical execution; compute and the cache accounting always belong to
+// the sweep that executes, so phase times, solver work and hit/miss
+// counts land on the one that actually did the work. A sequential sweep
+// is always its own leader, so its statistics match a non-coalescing one.
+func (s *stage[T]) run(ctx context.Context, r *run, key string, out *PairResult, compute func() (T, int, error)) (stageOutcome[T], error) {
+	if !r.coalesce {
+		return s.exec(r, key, compute)
+	}
+	o, st, err := s.flights.Do(ctx, flightID(r.cfg.Cache, key), func() (stageOutcome[T], error) {
+		return s.exec(r, key, compute)
+	})
+	if st.Shared {
+		out.Coalesced = true
+		metricCoalescedShared.With(s.tier).Inc()
+	}
+	if st.HandedOff {
+		metricCoalesceHandoffs.With(s.tier).Inc()
+	}
+	return o, err
+}
+
+// exec is the body of one stage execution: probe, compute, store.
+func (s *stage[T]) exec(r *run, key string, compute func() (T, int, error)) (stageOutcome[T], error) {
+	cache := r.cfg.Cache
+	if cache != nil {
+		// A hit is complete by construction (truncated results are never
+		// stored below), so unknown stays 0.
+		val, hit := s.get(cache, key)
+		c := s.counts(&r.counters)
+		if hit {
+			c.hits.Add(1)
+			s.mHits.Inc()
+		} else {
+			c.misses.Add(1)
+			s.mMisses.Inc()
+		}
+		observeBackendGet(cache, s.tier, hit)
+		if hit {
+			return stageOutcome[T]{val: val, fromCache: true}, nil
+		}
+	}
+	val, unknown, err := compute()
+	if err != nil {
+		return stageOutcome[T]{}, err
+	}
+	// Budget-truncated results are never stored: the cache keys
+	// deliberately exclude the solver (so tuning it doesn't orphan
+	// entries), which is only sound if every stored result is
+	// budget-independent — i.e. complete. A truncated pair recomputes on
+	// every sweep until some run affords it; and since CheckKey chains the
+	// testgen key, a stored lower-bound cell would shadow the complete one
+	// a full-budget rerun generates.
+	if cache != nil && unknown == 0 {
+		// Writes are best-effort, mirroring the read side's degradation
+		// contract: a failed store costs incrementality, never the sweep.
+		if err := s.put(cache, key, val); err != nil {
+			r.counters.writeErrs.Add(1)
+			reportPutError(cache, err)
+		}
+	}
+	return stageOutcome[T]{val: val, unknown: unknown}, nil
 }
 
 // runPair assembles one pair's result from whichever cache tiers hit,
 // computing only the stages that miss: a TESTGEN miss runs the symbolic
 // analysis and test generation, and each kernel's CHECK miss runs that
-// kernel against the (cached or fresh) tests. Cache writes are
-// best-effort, mirroring the read side's degradation contract: a failed
-// store costs incrementality, never the sweep.
-//
-// When no caller-provided solver is in play, each stage runs under
-// single-flight: the cache probe, the computation and the store happen
-// inside the flight, so of N concurrent identical cold requests exactly
-// one executes (and populates the cache) while the rest share its result,
-// marked Coalesced. A sequential sweep is always its own leader, so its
-// statistics and output are identical to the pre-coalescing engine.
+// kernel against the (cached or fresh) tests. It holds one worker permit
+// for the duration.
 //
 // Along the way it records the pair's observability record: per-phase
 // wall times, solver counters (snapshot deltas, so a caller-shared
 // solver attributes only this pair's work) and intern-table traffic,
 // both on the PairResult and in the process-wide obs registry.
-func runPair(ctx context.Context, sp spec.Spec, a, b *spec.Op, cfg Config, sweepStart time.Time, counters *runCounters, budget *workerBudget) (PairResult, error) {
+func (r *run) runPair(ctx context.Context, a, b *spec.Op) (PairResult, error) {
+	r.budget.acquire()
+	defer r.budget.release(1)
 	start := time.Now()
-	out := PairResult{OpA: a.Name, OpB: b.Name, StartMS: msBetween(sweepStart, start)}
+	out := PairResult{OpA: a.Name, OpB: b.Name, StartMS: msBetween(r.start, start)}
 	internHits0, _ := sym.InternStats()
 
-	// Caller-provided solvers carry budget state that must not leak
-	// between requests, so they opt the sweep out of cross-request
-	// sharing (such sweeps already run sequentially; see RunContext).
-	coalesce := cfg.Analyzer.Solver == nil && cfg.Testgen.Solver == nil
-	var tgKey string
-	if cfg.Cache != nil || coalesce {
-		tgKey = TestgenKey(sp.Name(), a.Name, b.Name, cfg.Analyzer, cfg.Testgen)
-	}
-
-	var (
-		tg  testgenOutcome
-		err error
-	)
-	if coalesce {
-		var st flight.Stat
-		tg, st, err = testgenFlights.Do(ctx, flightID(cfg.Cache, tgKey), func() (testgenOutcome, error) {
-			return generateTests(ctx, sp, a, b, cfg, tgKey, &out, counters)
-		})
-		noteFlight(&out, st, TierTestgen)
-	} else {
-		tg, err = generateTests(ctx, sp, a, b, cfg, tgKey, &out, counters)
-	}
+	tgKey := TestgenKey(r.sp.Name(), a.Name, b.Name, r.cfg.Analyzer, r.cfg.Testgen)
+	tg, err := testgenStage.run(ctx, r, tgKey, &out, func() ([]kernel.TestCase, int, error) {
+		return generateTests(ctx, r, a, b, &out)
+	})
 	if err != nil {
-		return out, wrapPairErr(&out, err)
+		return out, fmt.Errorf("sweep %s: %w", out.Pair(), err)
 	}
-	out.Tests = len(tg.tests)
+	out.Tests = len(tg.val)
 	out.Unknown = tg.unknown
 
-	cached := tg.fromCache
-	for _, ks := range cfg.Kernels {
-		var ckKey string
-		if cfg.Cache != nil || coalesce {
-			ckKey = CheckKey(tgKey, ks.Name)
-		}
-		var ck checkOutcome
-		if coalesce {
-			var st flight.Stat
-			ck, st, err = checkFlights.Do(ctx, flightID(cfg.Cache, ckKey), func() (checkOutcome, error) {
-				return runCheck(ctx, ks, tg.tests, tg.unknown, cfg, ckKey, &out, counters, budget)
-			})
-			noteFlight(&out, st, TierCheck)
-		} else {
-			ck, err = runCheck(ctx, ks, tg.tests, tg.unknown, cfg, ckKey, &out, counters, budget)
-		}
+	out.Cached = tg.fromCache
+	for _, ks := range r.cfg.Kernels {
+		ck, err := checkStage.run(ctx, r, CheckKey(tgKey, ks.Name), &out, func() (KernelCell, int, error) {
+			cell, err := runCheck(ctx, r, ks, tg.val, &out)
+			return cell, tg.unknown, err
+		})
 		if err != nil {
-			return out, wrapPairErr(&out, err)
+			return out, fmt.Errorf("sweep %s on %s: %w", out.Pair(), ks.Name, err)
 		}
 		if !ck.fromCache {
-			cached = false
+			out.Cached = false
 		}
-		out.Cells = append(out.Cells, ck.cell)
+		out.Cells = append(out.Cells, ck.val)
 	}
-	out.Cached = cached
 	out.ElapsedMS = msSince(start)
 	internHits1, _ := sym.InternStats()
 	out.Solver.InternHits = int64(internHits1 - internHits0)
@@ -498,60 +591,26 @@ func runPair(ctx context.Context, sp spec.Spec, a, b *spec.Op, cfg Config, sweep
 	return out, nil
 }
 
-// noteFlight folds one flight outcome into the pair record and the
-// coalescing metrics.
-func noteFlight(out *PairResult, st flight.Stat, tier string) {
-	if st.Shared {
-		out.Coalesced = true
-		metricCoalescedShared.With(tier).Inc()
-	}
-	if st.HandedOff {
-		metricCoalesceHandoffs.With(tier).Inc()
-	}
-}
-
-// wrapPairErr tags an error with the pair, unless a stage already did.
-func wrapPairErr(out *PairResult, err error) error {
-	if strings.HasPrefix(err.Error(), "sweep ") {
-		return err
-	}
-	return fmt.Errorf("sweep %s: %w", out.Pair(), err)
-}
-
-// generateTests is the ANALYZE+TESTGEN stage: cache probe, computation on
-// a miss, best-effort store. It runs either directly (sequential and
-// caller-solver sweeps) or as a flight's leader; out and counters always
-// belong to the caller that executes, so phase times, solver work and
-// cache accounting land on the sweep that actually did the work.
-func generateTests(ctx context.Context, sp spec.Spec, a, b *spec.Op, cfg Config, tgKey string, out *PairResult, counters *runCounters) (testgenOutcome, error) {
-	if cfg.Cache != nil {
-		// A hit is complete by construction (truncated results are never
-		// stored below), so unknown stays 0.
-		tests, ok := cfg.Cache.GetTests(tgKey)
-		count(ok, &counters.tgHits, &counters.tgMisses, metricTestgenHits, metricTestgenMisses)
-		observeBackendGet(cfg.Cache, TierTestgen, ok)
-		if ok {
-			return testgenOutcome{tests: tests, fromCache: true}, nil
-		}
-	}
-	aOpt := cfg.Analyzer
+// generateTests computes the ANALYZE+TESTGEN stage for one pair, recording
+// its phase times and solver work on out.
+func generateTests(ctx context.Context, r *run, a, b *spec.Op, out *PairResult) ([]kernel.TestCase, int, error) {
+	aOpt := r.cfg.Analyzer
 	if aOpt.Solver == nil {
 		// The analyzer would build this per-pair solver itself; build
 		// it here instead so its search counters can be read after
 		// the phase. The cache key deliberately excludes solvers, and
 		// a fresh solver per pair preserves the engine's parallelism
-		// (only a shared caller-provided solver forces workers=1
-		// above).
+		// (only a shared caller-provided solver forces workers=1).
 		aOpt.Solver = &sym.Solver{Stop: func() bool { return ctx.Err() != nil }}
 	}
 	aStats0 := aOpt.Solver.Stats()
 	phaseStart := time.Now()
-	pr, err := analyzer.AnalyzePairCtx(ctx, sp, a, b, aOpt)
+	pr, err := analyzer.AnalyzePairCtx(ctx, r.sp, a, b, aOpt)
 	out.Phases.AnalyzeMS = msSince(phaseStart)
 	if err != nil {
-		return testgenOutcome{}, fmt.Errorf("sweep %s: %w", out.Pair(), err)
+		return nil, 0, err
 	}
-	gOpt := cfg.Testgen
+	gOpt := r.cfg.Testgen
 	if gOpt.Solver == nil {
 		// TESTGEN runs its own searches; give it a per-pair solver
 		// wired to the context so cancellation lands there too.
@@ -559,70 +618,29 @@ func generateTests(ctx context.Context, sp spec.Spec, a, b *spec.Op, cfg Config,
 	}
 	gStats0 := gOpt.Solver.Stats()
 	phaseStart = time.Now()
-	tests, truncated := testgen.GenerateChecked(sp, pr, gOpt)
+	tests, truncated := testgen.GenerateChecked(r.sp, pr, gOpt)
 	out.Phases.TestgenMS = msSince(phaseStart)
 	if err := ctx.Err(); err != nil {
 		// A cancelled generation pass is truncated, not short: drop it
 		// before its lower-bound test set can reach the cache or a cell.
-		return testgenOutcome{}, fmt.Errorf("sweep %s: %w", out.Pair(), err)
+		return nil, 0, err
 	}
 	recordSolverDelta(out, aOpt.Solver.Stats(), aStats0)
 	recordSolverDelta(out, gOpt.Solver.Stats(), gStats0)
-	unknown := pr.Unknown() + truncated
-	if cfg.Cache != nil && unknown == 0 {
-		// Budget-truncated results are never stored: the cache key
-		// deliberately excludes the solver (so tuning it doesn't
-		// orphan entries), which is only sound if every stored
-		// result is budget-independent — i.e. complete. A truncated
-		// pair recomputes on every sweep until some run affords it.
-		if err := cfg.Cache.PutTests(tgKey, tests); err != nil {
-			counters.writeErrs.Add(1)
-			reportPutError(cfg.Cache, err)
-		}
-	}
-	return testgenOutcome{tests: tests, unknown: unknown}, nil
+	return tests, pr.Unknown() + truncated, nil
 }
 
-// runCheck is one kernel's CHECK stage: cache probe, mtrace replay on a
-// miss, best-effort store. Like generateTests it runs directly or as a
-// flight's leader, with out/counters belonging to the executing caller.
-func runCheck(ctx context.Context, ks KernelSpec, tests []kernel.TestCase, unknown int, cfg Config, ckKey string, out *PairResult, counters *runCounters, budget *workerBudget) (checkOutcome, error) {
-	if cfg.Cache != nil {
-		var (
-			cell KernelCell
-			hit  bool
-		)
-		if cl, ok := cfg.Cache.GetCell(ckKey); ok {
-			cell, hit = *cl, true
-		}
-		count(hit, &counters.ckHits, &counters.ckMisses, metricCheckHits, metricCheckMisses)
-		observeBackendGet(cfg.Cache, TierCheck, hit)
-		if hit {
-			return checkOutcome{cell: cell, fromCache: true}, nil
-		}
-	}
+// runCheck computes one kernel's CHECK stage: the mtrace replay of tests
+// on ks, recording phase time and replay shape on out.
+func runCheck(ctx context.Context, r *run, ks KernelSpec, tests []kernel.TestCase, out *PairResult) (KernelCell, error) {
 	phaseStart := time.Now()
-	total, conflicts, groups, shards, err := checkTestsSharded(ctx, ks.New, tests, budget)
+	total, conflicts, groups, shards, err := checkTestsSharded(ctx, ks.New, tests, r.budget)
 	out.Phases.CheckMS += msSince(phaseStart)
 	out.CheckGroups = groups
 	if shards > out.CheckShards {
 		out.CheckShards = shards
 	}
-	if err != nil {
-		return checkOutcome{}, fmt.Errorf("sweep %s on %s: %w", out.Pair(), ks.Name, err)
-	}
-	cell := KernelCell{Kernel: ks.Name, Total: total, Conflicts: conflicts}
-	// A cell computed from a truncated test set must not be stored
-	// either: CheckKey chains the (budget-independent) testgen key, so a
-	// stale lower-bound cell would shadow the complete one a full-budget
-	// rerun generates.
-	if cfg.Cache != nil && unknown == 0 {
-		if err := cfg.Cache.PutCell(ckKey, cell); err != nil {
-			counters.writeErrs.Add(1)
-			reportPutError(cfg.Cache, err)
-		}
-	}
-	return checkOutcome{cell: cell}, nil
+	return KernelCell{Kernel: ks.Name, Total: total, Conflicts: conflicts}, err
 }
 
 // recordSolverDelta folds one solver's work since the snapshot into the
@@ -647,20 +665,13 @@ func Pairs(ops []*spec.Op) [][2]*spec.Op {
 	return out
 }
 
-// CheckTests runs every test against fresh kernels from the constructor and
-// returns the Figure 6 cell counts (tests run, tests not conflict-free).
-// Both the sweep engine and the evaluation layer's matrix path count cells
-// through this one loop.
-func CheckTests(fresh func() kernel.Kernel, tests []kernel.TestCase) (total, conflicts int, err error) {
-	return CheckTestsCtx(context.Background(), fresh, tests)
-}
-
-// CheckTestsCtx is CheckTests under a context, polling for cancellation
-// between tests (individual checks are short; the poll granularity is the
-// single test case). Tests are grouped by setup fingerprint and replayed on
-// a long-lived kernel per group (kernel.Replayer), so the per-test cost is
-// the two calls plus a journal rollback rather than two fresh kernel
-// constructions.
+// CheckTestsCtx runs every test on kernels from the constructor and returns
+// the Figure 6 cell counts (tests run, tests not conflict-free), polling
+// for cancellation between tests (individual checks are short; the poll
+// granularity is the single test case). Tests are grouped by setup
+// fingerprint and replayed on a long-lived kernel per group
+// (kernel.Replayer), so the per-test cost is the two calls plus a journal
+// rollback rather than two fresh kernel constructions.
 func CheckTestsCtx(ctx context.Context, fresh func() kernel.Kernel, tests []kernel.TestCase) (total, conflicts int, err error) {
 	total, conflicts, _, _, err = checkTestsSharded(ctx, fresh, tests, nil)
 	return total, conflicts, err
@@ -738,35 +749,6 @@ func (b *workerBudget) borrow(want int) int {
 func (b *workerBudget) enterCheck() { b.checkers.Add(1) }
 func (b *workerBudget) exitCheck()  { b.checkers.Add(-1) }
 
-// testGroup is a run of test cases sharing one initial state.
-type testGroup struct {
-	setup kernel.Setup
-	tests []kernel.TestCase
-}
-
-// groupBySetup buckets tests by setup fingerprint, preserving first-
-// appearance order. Tests generated by testgen carry a precomputed
-// SetupID; tests from other sources (hand-built, older caches) are
-// fingerprinted here.
-func groupBySetup(tests []kernel.TestCase) []testGroup {
-	var groups []testGroup
-	index := map[string]int{}
-	for _, tc := range tests {
-		id := tc.SetupID
-		if id == "" {
-			id = tc.Setup.Fingerprint()
-		}
-		gi, ok := index[id]
-		if !ok {
-			gi = len(groups)
-			index[id] = gi
-			groups = append(groups, testGroup{setup: tc.Setup})
-		}
-		groups[gi].tests = append(groups[gi].tests, tc)
-	}
-	return groups
-}
-
 // checkTestsSharded is the CHECK stage engine: it groups tests by setup,
 // borrows idle worker permits from the budget (nil budget means run
 // sequentially), and replays the groups round-robin across shards, each
@@ -775,7 +757,7 @@ func groupBySetup(tests []kernel.TestCase) []testGroup {
 // partition order wins, keeping the reported error deterministic for a
 // given shard count.
 func checkTestsSharded(ctx context.Context, fresh func() kernel.Kernel, tests []kernel.TestCase, budget *workerBudget) (total, conflicts, ngroups, shards int, err error) {
-	groups := groupBySetup(tests)
+	groups := kernel.GroupBySetup(tests)
 	ngroups = len(groups)
 	extra := 0
 	if budget != nil && ngroups > 1 {
@@ -789,24 +771,19 @@ func checkTestsSharded(ctx context.Context, fresh func() kernel.Kernel, tests []
 	}
 	shards = 1 + extra
 
-	// Round-robin partition: group i goes to shard i%shards. Groups carry
-	// uneven test counts, so striping spreads large adjacent groups better
-	// than contiguous slabs.
-	parts := make([][]testGroup, shards)
-	for i, g := range groups {
-		parts[i%shards] = append(parts[i%shards], g)
-	}
-
-	runShard := func(part []testGroup) (tot, conf int, err error) {
+	// Round-robin partition: shard s takes groups s, s+shards, .... Groups
+	// carry uneven test counts, so striping spreads large adjacent groups
+	// better than contiguous slabs.
+	runShard := func(s int) (tot, conf int, err error) {
 		var rep *kernel.Replayer
-		for _, g := range part {
+		for i := s; i < ngroups; i += shards {
 			if err := ctx.Err(); err != nil {
 				return tot, conf, err
 			}
 			if rep == nil {
 				rep = kernel.NewReplayer(fresh)
 			}
-			err = rep.CheckGroup(g.setup, g.tests, func(res kernel.CheckResult) bool {
+			err = rep.CheckGroup(groups[i].Setup, groups[i].Tests, func(res kernel.CheckResult) bool {
 				tot++
 				if !res.ConflictFree {
 					conf++
@@ -828,11 +805,11 @@ func checkTestsSharded(ctx context.Context, fresh func() kernel.Kernel, tests []
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			totals[s], confs[s], errs[s] = runShard(parts[s])
+			totals[s], confs[s], errs[s] = runShard(s)
 		}(s)
 	}
 	// Shard 0 runs inline under the caller's own (base) permit.
-	totals[0], confs[0], errs[0] = runShard(parts[0])
+	totals[0], confs[0], errs[0] = runShard(0)
 	wg.Wait()
 
 	for s := 0; s < shards; s++ {
@@ -853,22 +830,12 @@ func msBetween(a, b time.Time) float64 {
 	return float64(b.Sub(a)) / float64(time.Millisecond)
 }
 
-// Parallel runs fn(i) for every i in [0, n) on up to workers goroutines
-// (<= 0 means runtime.NumCPU()). It is the scheduling primitive the
-// evaluation layer reuses to parallelize pre-existing loops.
-func Parallel(n, workers int, fn func(i int)) {
-	ParallelCtx(context.Background(), n, workers, fn)
-}
-
-// ParallelCtx is Parallel under a context: once ctx is cancelled no new
-// index is dispatched, and the call still waits for in-flight fn calls to
-// return — the pool never leaks goroutines, cancelled or not. fn is
-// responsible for observing ctx itself if it wants to cut its own work
-// short.
-func ParallelCtx(ctx context.Context, n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
+// parallelCtx runs fn(i) for every i in [0, n) on up to workers
+// goroutines. Once ctx is cancelled no new index is dispatched, and the
+// call still waits for in-flight fn calls to return — the pool never leaks
+// goroutines, cancelled or not. fn is responsible for observing ctx itself
+// if it wants to cut its own work short.
+func parallelCtx(ctx context.Context, n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n
 	}

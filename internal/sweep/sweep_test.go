@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sort"
 	"sync"
@@ -9,11 +10,15 @@ import (
 
 	"repro/internal/analyzer"
 	"repro/internal/kernel"
+	"repro/internal/kernel/kerneltest"
 	"repro/internal/kernel/monokernel"
 	"repro/internal/kernel/svsix"
 	"repro/internal/model"
 	"repro/internal/testgen"
 )
+
+// runSweep is RunContext with no deadline, the form most engine tests want.
+func runSweep(cfg Config) (*Result, error) { return RunContext(context.Background(), cfg) }
 
 // testOps is a small, fast operation universe (6 pairs) for engine tests.
 func testOps(t testing.TB) []*model.OpDef {
@@ -49,7 +54,7 @@ func sequentialReference(t testing.TB, ops []*model.OpDef, kernels []KernelSpec)
 			for _, ks := range kernels {
 				cell := KernelCell{Kernel: ks.Name}
 				for _, tc := range tests {
-					cr, err := kernel.Check(ks.New, tc)
+					cr, err := kerneltest.Check(ks.New, tc)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -104,7 +109,7 @@ func TestSweepMatchesSequential(t *testing.T) {
 	want := sequentialReference(t, ops, kernels)
 
 	for _, workers := range []int{1, 4} {
-		res, err := Run(Config{Ops: ops, Kernels: kernels, Workers: workers})
+		res, err := runSweep(Config{Ops: ops, Kernels: kernels, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -130,7 +135,7 @@ func TestSweepWarmCache(t *testing.T) {
 	}
 	cfg := Config{Ops: ops, Kernels: kernels, Workers: 4, Cache: cache}
 
-	cold, err := Run(cfg)
+	cold, err := runSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +153,7 @@ func TestSweepWarmCache(t *testing.T) {
 		}
 	}
 
-	warm, err := Run(cfg)
+	warm, err := runSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,14 +185,14 @@ func TestSweepKernelSubsetWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(Config{Ops: ops, Kernels: kernels, Workers: 4, Cache: cache})
+	full, err := runSweep(Config{Ops: ops, Kernels: kernels, Workers: 4, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantPairs := len(ops) * (len(ops) + 1) / 2
 
 	for _, ks := range kernels {
-		sub, err := Run(Config{Ops: ops, Kernels: []KernelSpec{ks}, Workers: 4, Cache: cache})
+		sub, err := runSweep(Config{Ops: ops, Kernels: []KernelSpec{ks}, Workers: 4, Cache: cache})
 		if err != nil {
 			t.Fatalf("%s subset: %v", ks.Name, err)
 		}
@@ -233,12 +238,12 @@ func TestSweepNewKernelReusesTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(Config{Ops: ops, Kernels: linuxOnly, Workers: 4, Cache: cache}); err != nil {
+	if _, err := runSweep(Config{Ops: ops, Kernels: linuxOnly, Workers: 4, Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
 	wantPairs := len(ops) * (len(ops) + 1) / 2
 
-	added, err := Run(Config{Ops: ops, Kernels: sv6Only, Workers: 4, Cache: cache})
+	added, err := runSweep(Config{Ops: ops, Kernels: sv6Only, Workers: 4, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +257,7 @@ func TestSweepNewKernelReusesTests(t *testing.T) {
 		}
 	}
 
-	reference, err := Run(Config{Ops: ops, Kernels: sv6Only, Workers: 4})
+	reference, err := runSweep(Config{Ops: ops, Kernels: sv6Only, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +279,7 @@ func TestSweepProgressAndArtifact(t *testing.T) {
 		events []Event
 	)
 	var artifact bytes.Buffer
-	res, err := Run(Config{
+	res, err := runSweep(Config{
 		Ops: ops, Kernels: kernels, Workers: 4,
 		Progress: func(ev Event) {
 			mu.Lock()
@@ -320,7 +325,7 @@ func TestParallel(t *testing.T) {
 	} {
 		counts := make([]int, tc.n)
 		var mu sync.Mutex
-		Parallel(tc.n, tc.workers, func(i int) {
+		parallelCtx(context.Background(), tc.n, tc.workers, func(i int) {
 			mu.Lock()
 			counts[i]++
 			mu.Unlock()

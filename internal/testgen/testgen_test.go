@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analyzer"
 	"repro/internal/kernel"
+	"repro/internal/kernel/kerneltest"
 	"repro/internal/kernel/monokernel"
 	"repro/internal/kernel/svsix"
 	"repro/internal/model"
@@ -108,7 +109,7 @@ func TestGeneratedTestsCommuteOnSv6(t *testing.T) {
 	pairs := [][2]string{{"stat", "stat"}, {"link", "link"}, {"unlink", "unlink"}, {"close", "close"}}
 	for _, pair := range pairs {
 		for _, tc := range gen(t, pair[0], pair[1], Options{}) {
-			res, err := kernel.Check(func() kernel.Kernel { return svsix.New() }, tc)
+			res, err := kerneltest.Check(func() kernel.Kernel { return svsix.New() }, tc)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.ID, err)
 			}
@@ -129,11 +130,11 @@ func TestKernelsOnGeneratedCreateTests(t *testing.T) {
 	}
 	linuxConf, sv6Conf := 0, 0
 	for _, tc := range tests {
-		rl, err := kernel.Check(func() kernel.Kernel { return monokernel.New() }, tc)
+		rl, err := kerneltest.Check(func() kernel.Kernel { return monokernel.New() }, tc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := kernel.Check(func() kernel.Kernel { return svsix.New() }, tc)
+		rs, err := kerneltest.Check(func() kernel.Kernel { return svsix.New() }, tc)
 		if err != nil {
 			t.Fatal(err)
 		}

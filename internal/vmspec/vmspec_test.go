@@ -1,10 +1,11 @@
 package vmspec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/analyzer"
-	"repro/internal/kernel"
+	"repro/internal/kernel/kerneltest"
 	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/testgen"
@@ -107,7 +108,7 @@ func TestVMSweep(t *testing.T) {
 	if len(impls) != 1 || impls[0].Name != "memvm" {
 		t.Fatalf("vm impls = %+v, want memvm", impls)
 	}
-	res, err := sweep.Run(sweep.Config{
+	res, err := sweep.RunContext(context.Background(), sweep.Config{
 		Spec:    Spec,
 		Ops:     Ops(),
 		Kernels: []sweep.KernelSpec{{Name: impls[0].Name, New: impls[0].New}},
@@ -158,7 +159,7 @@ func TestDisjointRegionTestsConflictFree(t *testing.T) {
 			continue
 		}
 		disjoint++
-		res, err := kernel.Check(Spec.Impls()[0].New, tc)
+		res, err := kerneltest.Check(Spec.Impls()[0].New, tc)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.ID, err)
 		}
