@@ -535,17 +535,13 @@ func cmdSweep(args []string) {
 
 	fmt.Printf("swept %d pairs (%d tests) on %d workers in %v",
 		len(res.Pairs), res.TotalTests(), res.Workers, res.Elapsed.Round(time.Millisecond))
-	// Replay shape: how many setup groups the CHECK stages batched into,
-	// and the widest intra-pair shard fan-out the worker budget allowed.
-	groups, maxShards := 0, 0
+	// Replay shape: how many setup groups the CHECK stages batched into.
+	groups := 0
 	for _, p := range res.Pairs {
 		groups += p.CheckGroups
-		if p.CheckShards > maxShards {
-			maxShards = p.CheckShards
-		}
 	}
 	if groups > 0 {
-		fmt.Printf("; check: %d setup groups, <=%d shards/pair", groups, maxShards)
+		fmt.Printf("; check: %d setup groups", groups)
 	}
 	// Print per-tier statistics whenever a cache was in play: requested
 	// locally, or reported back non-zero by a caching server.

@@ -45,12 +45,9 @@ func stripTimings(res *commuter.SweepResult) *commuter.SweepResult {
 		out.Pairs[i].StartMS = 0
 		out.Pairs[i].Phases = commuter.PhaseTimes{}
 		out.Pairs[i].Solver = commuter.SolverCounters{}
-		// Execution-shape details: CheckGroups is populated only when the
-		// CHECK stage actually replays (cache hits skip it), and the shard
-		// count depends on how many worker permits happened to be idle when
-		// the pair's CHECK stage ran.
+		// CheckGroups is populated only when the CHECK stage actually
+		// replays (cache hits skip it).
 		out.Pairs[i].CheckGroups = 0
-		out.Pairs[i].CheckShards = 0
 	}
 	return &out
 }

@@ -55,7 +55,7 @@ func ServeWithBackend(b sweep.Backend) ServerOption {
 // ServeWithWorkers sets the server's worker-pool size (the default is one
 // worker per server CPU): sweep requests that do not specify a worker
 // count run on the whole pool, and a request asking for more is clamped to
-// it — a client cannot size the server's goroutine and permit pools.
+// it — a client cannot size the server's goroutine pool.
 func ServeWithWorkers(n int) ServerOption {
 	return func(o *serverOptions) { o.workers = n }
 }

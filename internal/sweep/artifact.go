@@ -1,6 +1,7 @@
-// JSONL artifact support: a sweep can mirror every per-pair result to a
-// stream, one JSON object per line, so large sweeps leave a machine-readable
-// record that downstream tooling can consume without rerunning anything.
+// JSONL artifact support: `commuter sweep -out` mirrors every per-pair
+// result to a file, one JSON object per line, so large sweeps leave a
+// machine-readable record that downstream tooling can consume without
+// rerunning anything.
 package sweep
 
 import (
@@ -10,13 +11,12 @@ import (
 	"io"
 )
 
-// ReadArtifact parses a JSONL stream previously produced by a sweep's
-// Artifact writer. Values are streamed through a json.Decoder, so a single
-// huge line — a test-heavy pair's result can exceed 1 MiB — parses fine;
-// the previous line-scanner implementation capped lines and failed such
-// artifacts with an opaque "token too long". Blank lines are ignored (the
-// decoder skips whitespace); a malformed value is an error carrying its
-// entry number and byte offset.
+// ReadArtifact parses a JSONL stream of PairResults, one per line. Values
+// are streamed through a json.Decoder, so a single huge line — a test-heavy
+// pair's result can exceed 1 MiB — parses fine; the previous line-scanner
+// implementation capped lines and failed such artifacts with an opaque
+// "token too long". Blank lines are ignored (the decoder skips whitespace);
+// a malformed value is an error carrying its entry number and byte offset.
 func ReadArtifact(r io.Reader) ([]PairResult, error) {
 	dec := json.NewDecoder(r)
 	var out []PairResult

@@ -9,7 +9,8 @@ import (
 )
 
 // Backend is the sweep cache's storage interface: the two content-addressed
-// tiers (Get/Put per tier), cumulative statistics, and a readiness probe.
+// tiers (Get/Put per tier) and a readiness probe. Hits and misses are
+// counted by the engine per sweep (Result.Cache), not by the backend.
 // The engine, the Client façade and `commuter serve` all speak to the
 // cache through it, so where entries live — a local directory (*Cache), a
 // bounded in-memory LRU (*MemBackend), a peer server's /v1/cache routes
@@ -34,8 +35,6 @@ type Backend interface {
 	GetCell(key string) (*KernelCell, bool)
 	// PutCell stores one kernel's cell under key.
 	PutCell(key string, cell KernelCell) error
-	// Stats returns cumulative hit/miss counts since the backend opened.
-	Stats() CacheStats
 	// Ready probes whether the backend can currently store entries; the
 	// serve health endpoint surfaces its error.
 	Ready() error

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/kernel"
@@ -35,9 +34,6 @@ const maxEntryBytes = 64 << 20
 type HTTPBackend struct {
 	base   string // scheme://host[:port], no trailing slash
 	client *http.Client
-
-	mu    sync.Mutex
-	stats CacheStats
 }
 
 // NewHTTPBackend returns a backend speaking to the peer at baseURL.
@@ -98,19 +94,11 @@ func (h *HTTPBackend) put(tier, key string, data []byte) error {
 
 // GetTests returns the TESTGEN tier entry for key from the peer.
 func (h *HTTPBackend) GetTests(key string) ([]kernel.TestCase, bool) {
-	var tests []kernel.TestCase
-	ok := false
-	if data, fetched := h.get(TierTestgen, key); fetched {
-		tests, ok = DecodeTestsEntry(key, data)
+	data, fetched := h.get(TierTestgen, key)
+	if !fetched {
+		return nil, false
 	}
-	h.mu.Lock()
-	if ok {
-		h.stats.TestgenHits++
-	} else {
-		h.stats.TestgenMisses++
-	}
-	h.mu.Unlock()
-	return tests, ok
+	return DecodeTestsEntry(key, data)
 }
 
 // PutTests stores a pair's generated tests on the peer.
@@ -124,18 +112,11 @@ func (h *HTTPBackend) PutTests(key string, tests []kernel.TestCase) error {
 
 // GetCell returns the CHECK tier entry for key from the peer.
 func (h *HTTPBackend) GetCell(key string) (*KernelCell, bool) {
-	var cell *KernelCell
-	if data, fetched := h.get(TierCheck, key); fetched {
-		cell, _ = DecodeCellEntry(key, data)
+	data, fetched := h.get(TierCheck, key)
+	if !fetched {
+		return nil, false
 	}
-	h.mu.Lock()
-	if cell != nil {
-		h.stats.CheckHits++
-	} else {
-		h.stats.CheckMisses++
-	}
-	h.mu.Unlock()
-	return cell, cell != nil
+	return DecodeCellEntry(key, data)
 }
 
 // PutCell stores one kernel's cell on the peer.
@@ -145,15 +126,6 @@ func (h *HTTPBackend) PutCell(key string, cell KernelCell) error {
 		return err
 	}
 	return h.put(TierCheck, key, data)
-}
-
-// Stats returns cumulative hit/miss counts as seen from this side of the
-// wire (a transport failure counts as a miss here even though the peer
-// never saw the request).
-func (h *HTTPBackend) Stats() CacheStats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stats
 }
 
 // Ready probes the peer's own health endpoint: this backend can store

@@ -25,7 +25,6 @@ type MemBackend struct {
 	max   int
 	order *list.List // front = most recently used
 	items map[string]*list.Element
-	stats CacheStats
 }
 
 // memItem is one LRU entry; exactly one of tests/cell is set, matching
@@ -78,12 +77,9 @@ func (m *MemBackend) put(it *memItem) {
 func (m *MemBackend) GetTests(key string) ([]kernel.TestCase, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	it, ok := m.get(testsKey(key))
-	if ok {
-		m.stats.TestgenHits++
+	if it, ok := m.get(testsKey(key)); ok {
 		return it.tests, true
 	}
-	m.stats.TestgenMisses++
 	return nil, false
 }
 
@@ -100,13 +96,10 @@ func (m *MemBackend) PutTests(key string, tests []kernel.TestCase) error {
 func (m *MemBackend) GetCell(key string) (*KernelCell, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	it, ok := m.get(cellKey(key))
-	if ok {
-		m.stats.CheckHits++
+	if it, ok := m.get(cellKey(key)); ok {
 		cell := *it.cell
 		return &cell, true
 	}
-	m.stats.CheckMisses++
 	return nil, false
 }
 
@@ -116,13 +109,6 @@ func (m *MemBackend) PutCell(key string, cell KernelCell) error {
 	defer m.mu.Unlock()
 	m.put(&memItem{key: cellKey(key), cell: &cell})
 	return nil
-}
-
-// Stats returns cumulative hit/miss counts.
-func (m *MemBackend) Stats() CacheStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
 }
 
 // Len reports the number of live entries (both tiers).

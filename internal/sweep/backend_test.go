@@ -107,10 +107,6 @@ func TestMemBackendLRU(t *testing.T) {
 	if err := m2.Ready(); err != nil {
 		t.Errorf("Ready() = %v", err)
 	}
-	wantStats := CacheStats{TestgenMisses: 1, CheckHits: 2}
-	if s := m2.Stats(); s != wantStats {
-		t.Errorf("Stats() = %+v, want %+v", s, wantStats)
-	}
 }
 
 func TestTieredBackfillAndWriteThrough(t *testing.T) {
@@ -149,14 +145,8 @@ func TestTieredBackfillAndWriteThrough(t *testing.T) {
 		t.Error("slow-tier hit was not backfilled into the fast tier")
 	}
 
-	// The stack counts one outcome per call, not per tier probed: one hit
-	// (key2, answered by the slow tier) and one miss so far.
 	if _, ok := tb.GetTests(strings.Repeat("c", 64)); ok {
 		t.Fatal("phantom hit")
-	}
-	s := tb.Stats()
-	if s.TestgenHits != 1 || s.TestgenMisses != 1 {
-		t.Errorf("stack stats = %+v, want 1 testgen hit and 1 miss", s)
 	}
 }
 
@@ -247,10 +237,6 @@ func TestHTTPBackendRoundTrip(t *testing.T) {
 		t.Error("mis-keyed entry served as a hit")
 	}
 
-	wantStats := CacheStats{TestgenHits: 1, TestgenMisses: 2, CheckHits: 1}
-	if s := hb.Stats(); s != wantStats {
-		t.Errorf("Stats() = %+v, want %+v", s, wantStats)
-	}
 }
 
 func TestHTTPBackendDeadPeerDegrades(t *testing.T) {
@@ -279,10 +265,9 @@ func TestHTTPBackendDeadPeerDegrades(t *testing.T) {
 	}
 }
 
-// TestOpenCacheReclaimsStaleTemps pins the startup cleanup's accounting:
-// an orphaned temp file old enough to be stale is removed and counted,
-// while a fresh one (plausibly a live sweep's in-progress store) is left
-// alone.
+// TestOpenCacheReclaimsStaleTemps pins the startup cleanup: an orphaned
+// temp file old enough to be stale is removed, while a fresh one
+// (plausibly a live sweep's in-progress store) is left alone.
 func TestOpenCacheReclaimsStaleTemps(t *testing.T) {
 	dir := t.TempDir()
 	stale := filepath.Join(dir, strings.Repeat("a", 64)+".tmp123")
@@ -297,12 +282,8 @@ func TestOpenCacheReclaimsStaleTemps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := OpenCache(dir)
-	if err != nil {
+	if _, err := OpenCache(dir); err != nil {
 		t.Fatal(err)
-	}
-	if s := c.Stats(); s.TempReclaimed != 1 || s.TempFailed != 0 {
-		t.Errorf("cleanup stats = %+v, want 1 reclaimed / 0 failed", s)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Error("stale temp file survived the cleanup")

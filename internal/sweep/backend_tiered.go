@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"errors"
-	"sync"
 
 	"repro/internal/kernel"
 )
@@ -16,9 +15,6 @@ import (
 // into Tiered(mem, Tiered(http, dir)).
 type TieredBackend struct {
 	fast, slow Backend
-
-	mu    sync.Mutex
-	stats CacheStats
 }
 
 // Tiered combines two backends, fast first.
@@ -27,8 +23,7 @@ func Tiered(fast, slow Backend) *TieredBackend {
 }
 
 // GetTests tries the fast tier, then the slow tier (backfilling the fast
-// tier on a hit so the next read stays local). One hit or miss is counted
-// per call, whichever tier answered.
+// tier on a hit so the next read stays local).
 func (t *TieredBackend) GetTests(key string) ([]kernel.TestCase, bool) {
 	tests, ok := t.fast.GetTests(key)
 	if !ok {
@@ -38,13 +33,6 @@ func (t *TieredBackend) GetTests(key string) ([]kernel.TestCase, bool) {
 			t.fast.PutTests(key, tests)
 		}
 	}
-	t.mu.Lock()
-	if ok {
-		t.stats.TestgenHits++
-	} else {
-		t.stats.TestgenMisses++
-	}
-	t.mu.Unlock()
 	return tests, ok
 }
 
@@ -62,28 +50,12 @@ func (t *TieredBackend) GetCell(key string) (*KernelCell, bool) {
 			t.fast.PutCell(key, *cell)
 		}
 	}
-	t.mu.Lock()
-	if ok {
-		t.stats.CheckHits++
-	} else {
-		t.stats.CheckMisses++
-	}
-	t.mu.Unlock()
 	return cell, ok
 }
 
 // PutCell writes through to both tiers.
 func (t *TieredBackend) PutCell(key string, cell KernelCell) error {
 	return errors.Join(t.fast.PutCell(key, cell), t.slow.PutCell(key, cell))
-}
-
-// Stats returns the stack's combined outcome counts (one per Get call,
-// not per tier probed); the per-tier breakdown lives on the tiers' own
-// Stats.
-func (t *TieredBackend) Stats() CacheStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats
 }
 
 // Ready requires both tiers: a stack that can only half-store entries

@@ -21,10 +21,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/analyzer"
@@ -81,15 +81,10 @@ func CheckKey(testgenKey, kernelName string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// CacheStats counts hit/miss outcomes per tier, plus the disk backend's
-// startup-cleanup accounting.
+// CacheStats counts one sweep's hit/miss outcomes per tier (Result.Cache).
 type CacheStats struct {
 	TestgenHits, TestgenMisses int
 	CheckHits, CheckMisses     int
-	// TempReclaimed and TempFailed count stale temp files (orphaned by a
-	// sweep killed mid-store) that OpenCache's best-effort cleanup removed
-	// or failed to remove. Always zero for non-disk backends.
-	TempReclaimed, TempFailed int
 }
 
 // Hits sums hits across both tiers.
@@ -98,30 +93,11 @@ func (s CacheStats) Hits() int { return s.TestgenHits + s.CheckHits }
 // Misses sums misses across both tiers.
 func (s CacheStats) Misses() int { return s.TestgenMisses + s.CheckMisses }
 
-// Sub returns the per-field difference s − t, for windowed accounting
-// over one handle. Note the sweep engine does not use it for per-run
-// statistics: a shared handle (the serve endpoint's) serves concurrent
-// runs, whose windows would include each other's traffic; the engine
-// counts its own outcomes instead.
-func (s CacheStats) Sub(t CacheStats) CacheStats {
-	return CacheStats{
-		TestgenHits:   s.TestgenHits - t.TestgenHits,
-		TestgenMisses: s.TestgenMisses - t.TestgenMisses,
-		CheckHits:     s.CheckHits - t.CheckHits,
-		CheckMisses:   s.CheckMisses - t.CheckMisses,
-		TempReclaimed: s.TempReclaimed - t.TempReclaimed,
-		TempFailed:    s.TempFailed - t.TempFailed,
-	}
-}
-
 // Cache is a directory of two-tier entry files. It is safe for concurrent
 // use by the sweep workers; distinct keys never contend on the filesystem
 // because each lives in its own file, written atomically.
 type Cache struct {
 	dir string
-
-	mu    sync.Mutex
-	stats CacheStats
 }
 
 // testgenEntry is the TESTGEN tier's on-disk format: the serialized test
@@ -152,21 +128,17 @@ const staleTempAge = time.Hour
 // orphaned by a sweep killed mid-store are swept out (once they're old
 // enough to clearly not belong to a live sweep) so they can't accumulate
 // across interrupted runs. The cleanup is best-effort — it can never fail
-// the open — and its outcome is reported through Stats (TempReclaimed /
-// TempFailed) instead of being silently dropped.
+// the open — and a temp file it could not remove is logged once instead of
+// being silently dropped.
 func OpenCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: open cache: %w", err)
 	}
-	c := &Cache{dir: dir}
-	stale, err := filepath.Glob(filepath.Join(dir, "*.tmp*"))
-	if err != nil {
-		// Glob fails only on a malformed pattern, which a fixed suffix
-		// can't produce — but if it ever does, surface it as a failed
-		// cleanup rather than pretending the directory was scanned.
-		c.stats.TempFailed++
-		return c, nil
-	}
+	// Glob fails only on a malformed pattern (a dir holding glob
+	// metacharacters); that skips the cleanup and is reported like a file
+	// that would not go.
+	stale, firstErr := filepath.Glob(filepath.Join(dir, "*.tmp*"))
+	failed := 0
 	for _, p := range stale {
 		fi, err := os.Stat(p)
 		if err != nil {
@@ -176,12 +148,16 @@ func OpenCache(dir string) (*Cache, error) {
 			continue // plausibly a live sweep's in-progress store
 		}
 		if err := os.Remove(p); err != nil {
-			c.stats.TempFailed++
-		} else {
-			c.stats.TempReclaimed++
+			if failed++; firstErr == nil {
+				firstErr = err
+			}
 		}
 	}
-	return c, nil
+	if firstErr != nil {
+		slog.Warn("sweep: stale cache temp files could not be removed",
+			"dir", dir, "files", failed, "err", firstErr)
+	}
+	return &Cache{dir: dir}, nil
 }
 
 // Dir returns the cache's root directory.
@@ -204,19 +180,11 @@ func (c *Cache) cellPath(key string) string {
 // defect — missing file, unparsable JSON, version or key mismatch — is a
 // miss: the sweep recomputes and overwrites, never fails.
 func (c *Cache) GetTests(key string) ([]kernel.TestCase, bool) {
-	var tests []kernel.TestCase
-	ok := false
-	if data, err := os.ReadFile(c.testsPath(key)); err == nil {
-		tests, ok = DecodeTestsEntry(key, data)
+	data, err := os.ReadFile(c.testsPath(key))
+	if err != nil {
+		return nil, false
 	}
-	c.mu.Lock()
-	if ok {
-		c.stats.TestgenHits++
-	} else {
-		c.stats.TestgenMisses++
-	}
-	c.mu.Unlock()
-	return tests, ok
+	return DecodeTestsEntry(key, data)
 }
 
 // PutTests stores a pair's generated tests under key. The write goes
@@ -233,18 +201,11 @@ func (c *Cache) PutTests(key string, tests []kernel.TestCase) error {
 // GetCell returns the CHECK tier entry for key, with the same
 // miss-on-any-defect contract as GetTests.
 func (c *Cache) GetCell(key string) (*KernelCell, bool) {
-	var cell *KernelCell
-	if data, err := os.ReadFile(c.cellPath(key)); err == nil {
-		cell, _ = DecodeCellEntry(key, data)
+	data, err := os.ReadFile(c.cellPath(key))
+	if err != nil {
+		return nil, false
 	}
-	c.mu.Lock()
-	if cell != nil {
-		c.stats.CheckHits++
-	} else {
-		c.stats.CheckMisses++
-	}
-	c.mu.Unlock()
-	return cell, cell != nil
+	return DecodeCellEntry(key, data)
 }
 
 // PutCell stores one kernel's cell under key, atomically like PutTests.
@@ -313,14 +274,6 @@ func (c *Cache) writeEntry(path, key string, data []byte) error {
 		return err
 	}
 	return nil
-}
-
-// Stats returns cumulative per-tier hit and miss counts since the cache
-// was opened.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
 }
 
 // Ready probes whether the cache directory is still writable — the

@@ -123,12 +123,10 @@ func TestCacheTierRoundTripAndAccounting(t *testing.T) {
 		t.Errorf("cell did not round-trip: got %+v, want %+v", *gotCell, cell)
 	}
 
-	want := CacheStats{TestgenHits: 1, TestgenMisses: 1, CheckHits: 1, CheckMisses: 1}
-	if s := c.Stats(); s != want {
-		t.Errorf("stats %+v, want %+v", s, want)
-	}
-	if s := c.Stats(); s.Hits() != 2 || s.Misses() != 2 {
-		t.Errorf("tier sums hits=%d misses=%d, want 2/2", s.Hits(), s.Misses())
+	// The ledger is the engine's, one CacheStats per sweep; its tier sums:
+	s := CacheStats{TestgenHits: 1, TestgenMisses: 2, CheckHits: 3, CheckMisses: 4}
+	if s.Hits() != 4 || s.Misses() != 6 {
+		t.Errorf("tier sums hits=%d misses=%d, want 4/6", s.Hits(), s.Misses())
 	}
 }
 

@@ -301,3 +301,66 @@ func TestCanceledLeaderHandsOffToWaiter(t *testing.T) {
 		t.Errorf("testgen stored %d times, want 1 (the waiter's re-execution)", n)
 	}
 }
+
+// TestDistinctBackendsDoNotShareFlights pins flightID's scoping: backends
+// whose String() renders alike ("mem:4096") are still distinct stores, so
+// two concurrent cold sweeps over two of them must each execute and
+// populate their own — a waiter handed the other sweep's result would leave
+// its backend cold. Sweep A is held inside its CHECK stage until sweep B
+// (started once A is there) has finished, so B overlaps A's open flight.
+func TestDistinctBackendsDoNotShareFlights(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pipeline in -short mode")
+	}
+	op := model.OpByName("stat")
+	if op == nil {
+		t.Fatal("unknown op stat")
+	}
+	ks := testKernels()[0]
+	for name, open := range map[string]func() Backend{
+		"mem":    func() Backend { return NewMemBackend(0) },
+		"tiered": func() Backend { return Tiered(NewMemBackend(0), NewMemBackend(0)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfgA := Config{Ops: []*model.OpDef{op}, Kernels: []KernelSpec{ks}, Workers: 1, Cache: open()}
+			cfgB := cfgA
+			cfgB.Cache = open()
+
+			aIn, bDone := make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			held := cfgA
+			held.Kernels = []KernelSpec{{Name: ks.Name, New: func() kernel.Kernel {
+				once.Do(func() { close(aIn) })
+				select {
+				case <-bDone:
+				case <-time.After(5 * time.Second): // B is stuck waiting on this flight
+				}
+				return ks.New()
+			}}}
+			aErr := make(chan error, 1)
+			go func() {
+				_, err := runSweep(held)
+				aErr <- err
+			}()
+			<-aIn
+			_, err := runSweep(cfgB)
+			close(bDone)
+			if err != nil {
+				t.Fatalf("sweep B: %v", err)
+			}
+			if err := <-aErr; err != nil {
+				t.Fatalf("sweep A: %v", err)
+			}
+
+			for which, cfg := range map[string]Config{"A": cfgA, "B": cfgB} {
+				res, err := runSweep(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Cache.Misses() != 0 || res.Cache.Hits() != 2 {
+					t.Errorf("rerun on backend %s: %+v, want 2 hits and no miss (its own sweep left it cold)", which, res.Cache)
+				}
+			}
+		})
+	}
+}

@@ -55,7 +55,7 @@ const fleetPoll = 100 * time.Millisecond
 // RunFleet executes one sweep as a fleet member: instead of running the
 // full pair list the way RunContext does, it pulls pair leases from the
 // coordinator behind fc, executes them through the ordinary runPair path
-// (same cache, coalescing and budget machinery), posts each finished
+// (same cache and coalescing machinery), posts each finished
 // PairResult back, and repeats until the coordinator reports the sweep
 // complete fleet-wide — then assembles the merged Result from the
 // coordinator's table (local pairs keep their locally-observed timings).
@@ -157,20 +157,13 @@ func RunFleet(ctx context.Context, cfg Config, fc FleetClient) (*Result, error) 
 				if resp.Done {
 					fleetDone = true
 				}
-				if werr := r.artifact(&pr); werr != nil && runErr == nil {
-					runErr = werr
-				}
 				// Done is the fleet-wide completion count; peers complete
 				// pairs concurrently, so only emit forward progress.
 				if resp.Completed > emitDone {
 					emitDone = resp.Completed
 					r.progress(&pr, resp.Completed, resp.Total)
 				}
-				failNow := runErr
 				mu.Unlock()
-				if failNow != nil {
-					cancel()
-				}
 			}
 		}()
 	}

@@ -52,9 +52,6 @@ var (
 		"commuter_coalesce_handoffs_total",
 		"Canceled coalescing leaders that handed execution to a surviving waiter.",
 		"tier")
-	metricCheckShardBorrows = obs.Default.Counter(
-		"commuter_check_shard_borrows_total",
-		"Extra worker permits borrowed by CHECK stages to replay setup groups in parallel.")
 	metricFleetLeasesIssued = obs.Default.Counter(
 		"commuter_fleet_leases_issued_total",
 		"Pair leases issued by this coordinator (including re-issues).")
@@ -159,7 +156,6 @@ func observePair(pr *PairResult) {
 		"unknown", pr.Unknown,
 		"elapsed_ms", pr.ElapsedMS,
 		"check_groups", pr.CheckGroups,
-		"check_shards", pr.CheckShards,
 		"analyze_ms", pr.Phases.AnalyzeMS,
 		"testgen_ms", pr.Phases.TestgenMS,
 		"check_ms", pr.Phases.CheckMS,

@@ -1,22 +1,20 @@
 // Package sweep is the parallel orchestration engine for the COMMUTER
 // pipeline. It fans the per-pair ANALYZE → TESTGEN → CHECK work across a
 // configurable worker pool: the mtrace tracer is single-threaded, so
-// isolation is per replay shard (each owns a kernel.Replayer whose kernel
-// has its own mtrace.Memory) and parallelism is across the 171 unordered
-// pairs of the modeled operations.
+// isolation is per pair (each pair's CHECK owns a kernel.Replayer whose
+// kernel has its own mtrace.Memory) and parallelism is across the 171
+// unordered pairs of the modeled operations — the pair pool is the engine's
+// only scheduler.
 //
 // The engine optionally consults a content-addressed cache Backend (on
 // disk, in memory, a peer server over HTTP, or a tiered stack of those) so
 // repeat sweeps are incremental, coalesces identical concurrent cold
-// stages into one execution, streams per-pair progress Events, and can
-// mirror every PairResult to a JSONL artifact stream.
+// stages into one execution, and streams per-pair progress Events.
 package sweep
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
 	"sync"
@@ -95,8 +93,6 @@ type Config struct {
 	Cache Backend
 	// Progress, when non-nil, receives one Event per finished pair.
 	Progress func(Event)
-	// Artifact, when non-nil, receives one JSON line per finished pair.
-	Artifact io.Writer
 	// FleetWorker names this process to the fleet coordinator (RunFleet
 	// only); empty derives a host-pid-unique name.
 	FleetWorker string
@@ -136,11 +132,6 @@ type PairResult struct {
 	// pair, like the phase times). Grouping is deterministic: it depends
 	// only on the generated tests.
 	CheckGroups int `json:"check_groups,omitempty"`
-	// CheckShards is the largest number of replay shards any kernel's
-	// CHECK ran on, 1 meaning fully sequential. Unlike CheckGroups it is a
-	// scheduling artifact — it depends on how many workers were idle — so
-	// result comparisons should ignore it like the timing fields.
-	CheckShards int `json:"check_shards,omitempty"`
 	// ElapsedMS is the wall time this pair took in this sweep.
 	ElapsedMS float64 `json:"elapsed_ms"`
 	// StartMS is when this pair started, in milliseconds from the start
@@ -235,14 +226,7 @@ type run struct {
 	// solver per pair inside generateTests.
 	coalesce bool
 	start    time.Time
-	// budget holds one permit per worker: each pair holds its own permit
-	// while it runs, and a pair's CHECK stage borrows whatever permits are
-	// idle to shard its replay batches — so a hot pair (open/open) spreads
-	// across workers the cold tail has stopped using, without ever
-	// exceeding the pool.
-	budget   *workerBudget
 	counters runCounters
-	enc      *json.Encoder // nil without cfg.Artifact
 }
 
 // newRun resolves cfg's defaults and marks the sweep in flight; the caller
@@ -262,29 +246,14 @@ func newRun(cfg Config) (*run, error) {
 			return nil, fmt.Errorf("sweep: no spec configured and %w", err)
 		}
 	}
-	r.budget = newWorkerBudget(r.workers)
-	if cfg.Artifact != nil {
-		r.enc = json.NewEncoder(cfg.Artifact)
-	}
 	metricSweepsInflight.Inc()
 	return r, nil
 }
 
 func (r *run) close() { metricSweepsInflight.Dec() }
 
-// artifact mirrors one finished pair to the JSONL stream, if any. Like
-// progress it is not synchronized: the driver serializes its emissions.
-func (r *run) artifact(pr *PairResult) error {
-	if r.enc == nil {
-		return nil
-	}
-	if err := r.enc.Encode(pr); err != nil {
-		return fmt.Errorf("sweep: artifact write: %w", err)
-	}
-	return nil
-}
-
-// progress reports one finished pair to cfg.Progress. pr must be the
+// progress reports one finished pair to cfg.Progress; it is not
+// synchronized, the driver serializes its calls. pr must be the
 // caller's own copy, never an element of a slice that is later sorted:
 // consumers may hold the pointer beyond the callback (the streaming façade
 // hands it to another goroutine).
@@ -344,7 +313,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	results := make([]PairResult, len(jobs))
 	errs := make([]error, len(jobs))
 	var (
-		emitMu sync.Mutex // serializes done/Progress/Artifact
+		emitMu sync.Mutex // serializes done/Progress
 		done   int
 		failed atomic.Bool // fail fast: stop starting pairs after the first error
 	)
@@ -362,10 +331,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		emitMu.Lock()
 		defer emitMu.Unlock()
 		done++
-		if werr := r.artifact(&pr); werr != nil {
-			errs[i] = werr
-			failed.Store(true)
-		}
 		r.progress(&pr, done, len(jobs))
 	})
 
@@ -387,10 +352,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 type tierCounters struct{ hits, misses atomic.Int64 }
 
 // runCounters accumulates this run's cache outcomes. They are counted
-// per run rather than taken as a before/after delta of the cache handle's
-// cumulative Stats, because one handle may serve concurrent sweeps (the
-// serve endpoint shares its cache across requests) and a delta would
-// attribute the neighbors' traffic to this run.
+// per run, not per cache handle, because one handle may serve concurrent
+// sweeps (the serve endpoint shares its cache across requests) and a
+// handle-wide count would attribute the neighbors' traffic to this run.
 type runCounters struct {
 	testgen, check tierCounters
 	writeErrs      atomic.Int64
@@ -419,10 +383,25 @@ var (
 // backend (or both running cacheless) coalesce, sweeps over different
 // backends never observe each other's results.
 func flightID(b Backend, key string) string {
-	if b == nil {
-		return "nocache|" + key
+	return flightScope(b) + "|" + key
+}
+
+// flightScope names the storage behind b. A directory path or a peer URL
+// already does, so two handles on one of those share flights; any other
+// backend is scoped to its handle, because a String() like "mem:4096"
+// renders alike for distinct stores, and a waiter sharing the leader's
+// result would leave its own store cold.
+func flightScope(b Backend) string {
+	switch b := b.(type) {
+	case nil:
+		return "nocache"
+	case *Cache, *HTTPBackend:
+		return b.String()
+	case *TieredBackend:
+		return "tiered(" + flightScope(b.fast) + "," + flightScope(b.slow) + ")"
+	default:
+		return fmt.Sprintf("%s@%p", b, b)
 	}
-	return b.String() + "|" + key
 }
 
 // stageOutcome is a stage's shareable result: what a flight's leader
@@ -546,16 +525,14 @@ func (s *stage[T]) exec(r *run, key string, compute func() (T, int, error)) (sta
 // runPair assembles one pair's result from whichever cache tiers hit,
 // computing only the stages that miss: a TESTGEN miss runs the symbolic
 // analysis and test generation, and each kernel's CHECK miss runs that
-// kernel against the (cached or fresh) tests. It holds one worker permit
-// for the duration.
+// kernel against the (cached or fresh) tests. It runs entirely on its
+// caller's goroutine: the drivers' worker pools are what bound concurrency.
 //
 // Along the way it records the pair's observability record: per-phase
 // wall times, solver counters (snapshot deltas, so a caller-shared
 // solver attributes only this pair's work) and intern-table traffic,
 // both on the PairResult and in the process-wide obs registry.
 func (r *run) runPair(ctx context.Context, a, b *spec.Op) (PairResult, error) {
-	r.budget.acquire()
-	defer r.budget.release(1)
 	start := time.Now()
 	out := PairResult{OpA: a.Name, OpB: b.Name, StartMS: msBetween(r.start, start)}
 	internHits0, _ := sym.InternStats()
@@ -573,7 +550,7 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op) (PairResult, error) {
 	out.Cached = tg.fromCache
 	for _, ks := range r.cfg.Kernels {
 		ck, err := checkStage.run(ctx, r, CheckKey(tgKey, ks.Name), &out, func() (KernelCell, int, error) {
-			cell, err := runCheck(ctx, r, ks, tg.val, &out)
+			cell, err := runCheck(ctx, ks, tg.val, &out)
 			return cell, tg.unknown, err
 		})
 		if err != nil {
@@ -632,14 +609,12 @@ func generateTests(ctx context.Context, r *run, a, b *spec.Op, out *PairResult) 
 
 // runCheck computes one kernel's CHECK stage: the mtrace replay of tests
 // on ks, recording phase time and replay shape on out.
-func runCheck(ctx context.Context, r *run, ks KernelSpec, tests []kernel.TestCase, out *PairResult) (KernelCell, error) {
+func runCheck(ctx context.Context, ks KernelSpec, tests []kernel.TestCase, out *PairResult) (KernelCell, error) {
 	phaseStart := time.Now()
-	total, conflicts, groups, shards, err := checkTestsSharded(ctx, ks.New, tests, r.budget)
+	groups := kernel.GroupBySetup(tests)
+	total, conflicts, err := checkGroups(ctx, ks.New, groups)
 	out.Phases.CheckMS += msSince(phaseStart)
-	out.CheckGroups = groups
-	if shards > out.CheckShards {
-		out.CheckShards = shards
-	}
+	out.CheckGroups = len(groups)
 	return KernelCell{Kernel: ks.Name, Total: total, Conflicts: conflicts}, err
 }
 
@@ -666,160 +641,40 @@ func Pairs(ops []*spec.Op) [][2]*spec.Op {
 }
 
 // CheckTestsCtx runs every test on kernels from the constructor and returns
-// the Figure 6 cell counts (tests run, tests not conflict-free), polling
-// for cancellation between tests (individual checks are short; the poll
-// granularity is the single test case). Tests are grouped by setup
-// fingerprint and replayed on a long-lived kernel per group
+// the Figure 6 cell counts (tests run, tests not conflict-free). Tests are
+// grouped by setup fingerprint and replayed on one long-lived kernel
 // (kernel.Replayer), so the per-test cost is the two calls plus a journal
 // rollback rather than two fresh kernel constructions.
 func CheckTestsCtx(ctx context.Context, fresh func() kernel.Kernel, tests []kernel.TestCase) (total, conflicts int, err error) {
-	total, conflicts, _, _, err = checkTestsSharded(ctx, fresh, tests, nil)
-	return total, conflicts, err
+	return checkGroups(ctx, fresh, kernel.GroupBySetup(tests))
 }
 
-// workerBudget is the pool-wide permit set shared between the pair-level
-// scheduler and the CHECK stage's intra-pair sharding. Capacity equals the
-// sweep's worker count: every running pair holds one base permit, and a
-// pair's CHECK stage may borrow permits that are idle (pairs not yet
-// started, or finished) to replay its setup groups on parallel shards.
-// Borrowers only tryAcquire — never block — while holding permits, so the
-// scheme cannot deadlock: the base permits alone guarantee progress.
-//
-// Borrowing is globally scheduled rather than per-pair greedy: checkers
-// counts the CHECK stages currently competing for idle permits, and each
-// borrower is capped at its fair share of the idle pool. Under the old
-// first-come-takes-all policy one hot pair could drain every idle permit
-// while an equally hot neighbor replayed single-threaded.
-type workerBudget struct {
-	sem      chan struct{}
-	checkers atomic.Int32
-}
-
-func newWorkerBudget(n int) *workerBudget {
-	if n < 1 {
-		n = 1
-	}
-	return &workerBudget{sem: make(chan struct{}, n)}
-}
-
-// acquire blocks for one permit (the pair-level base permit).
-func (b *workerBudget) acquire() { b.sem <- struct{}{} }
-
-// tryAcquire grabs up to max extra permits without blocking and returns
-// how many it got.
-func (b *workerBudget) tryAcquire(max int) int {
-	got := 0
-	for got < max {
-		select {
-		case b.sem <- struct{}{}:
-			got++
-		default:
-			return got
+// checkGroups is the CHECK replay loop: every setup group in order on one
+// Replayer, polling for cancellation before each group and after each test
+// (individual checks are short; the poll granularity is the single test
+// case). On cancellation it returns the context error with the counts so
+// far, which callers must not treat as a cell.
+func checkGroups(ctx context.Context, fresh func() kernel.Kernel, groups []kernel.SetupGroup) (total, conflicts int, err error) {
+	var rep *kernel.Replayer
+	for _, g := range groups {
+		if err := ctx.Err(); err != nil {
+			return total, conflicts, err
 		}
-	}
-	return got
-}
-
-// release returns n permits.
-func (b *workerBudget) release(n int) {
-	for i := 0; i < n; i++ {
-		<-b.sem
-	}
-}
-
-// borrow grabs up to want extra permits for a CHECK stage, capped at the
-// caller's fair share — ceil(idle / active checkers) — of the currently
-// idle pool. The reads are racy in the benign way schedulers tolerate: a
-// stale share only shifts how many shards a stage gets, never the summed
-// counts (shard aggregation is partition-independent) and never past the
-// pool's capacity (tryAcquire is the sole admission gate). Callers must
-// bracket the stage with enterCheck/exitCheck.
-func (b *workerBudget) borrow(want int) int {
-	n := int(b.checkers.Load())
-	if n < 1 {
-		n = 1
-	}
-	share := (cap(b.sem) - len(b.sem) + n - 1) / n
-	if want > share {
-		want = share
-	}
-	return b.tryAcquire(want)
-}
-
-func (b *workerBudget) enterCheck() { b.checkers.Add(1) }
-func (b *workerBudget) exitCheck()  { b.checkers.Add(-1) }
-
-// checkTestsSharded is the CHECK stage engine: it groups tests by setup,
-// borrows idle worker permits from the budget (nil budget means run
-// sequentially), and replays the groups round-robin across shards, each
-// with its own long-lived Replayer. Counts are summed, so the aggregate is
-// independent of the shard partition; on error the first failing shard in
-// partition order wins, keeping the reported error deterministic for a
-// given shard count.
-func checkTestsSharded(ctx context.Context, fresh func() kernel.Kernel, tests []kernel.TestCase, budget *workerBudget) (total, conflicts, ngroups, shards int, err error) {
-	groups := kernel.GroupBySetup(tests)
-	ngroups = len(groups)
-	extra := 0
-	if budget != nil && ngroups > 1 {
-		budget.enterCheck()
-		defer budget.exitCheck()
-		extra = budget.borrow(ngroups - 1)
-		defer budget.release(extra)
-		if extra > 0 {
-			metricCheckShardBorrows.Add(uint64(extra))
+		if rep == nil {
+			rep = kernel.NewReplayer(fresh)
 		}
-	}
-	shards = 1 + extra
-
-	// Round-robin partition: shard s takes groups s, s+shards, .... Groups
-	// carry uneven test counts, so striping spreads large adjacent groups
-	// better than contiguous slabs.
-	runShard := func(s int) (tot, conf int, err error) {
-		var rep *kernel.Replayer
-		for i := s; i < ngroups; i += shards {
-			if err := ctx.Err(); err != nil {
-				return tot, conf, err
+		err := rep.CheckGroup(g.Setup, g.Tests, func(res kernel.CheckResult) bool {
+			total++
+			if !res.ConflictFree {
+				conflicts++
 			}
-			if rep == nil {
-				rep = kernel.NewReplayer(fresh)
-			}
-			err = rep.CheckGroup(groups[i].Setup, groups[i].Tests, func(res kernel.CheckResult) bool {
-				tot++
-				if !res.ConflictFree {
-					conf++
-				}
-				return ctx.Err() == nil
-			})
-			if err != nil {
-				return tot, conf, err
-			}
-		}
-		return tot, conf, ctx.Err()
-	}
-
-	totals := make([]int, shards)
-	confs := make([]int, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for s := 1; s < shards; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			totals[s], confs[s], errs[s] = runShard(s)
-		}(s)
-	}
-	// Shard 0 runs inline under the caller's own (base) permit.
-	totals[0], confs[0], errs[0] = runShard(0)
-	wg.Wait()
-
-	for s := 0; s < shards; s++ {
-		total += totals[s]
-		conflicts += confs[s]
-		if err == nil && errs[s] != nil {
-			err = errs[s]
+			return ctx.Err() == nil
+		})
+		if err != nil {
+			return total, conflicts, err
 		}
 	}
-	return total, conflicts, ngroups, shards, err
+	return total, conflicts, ctx.Err()
 }
 
 func msSince(t time.Time) float64 {

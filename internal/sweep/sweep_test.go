@@ -3,9 +3,13 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/analyzer"
@@ -88,11 +92,9 @@ func stripTiming(pairs []PairResult) []PairResult {
 		p.StartMS = 0
 		p.Phases = PhaseTimes{}
 		p.Solver = SolverCounters{}
-		// Execution-shape details: CheckGroups is only populated when the
-		// CHECK stage actually replays (cache hits skip it), and CheckShards
-		// depends on how many worker permits were idle at that instant.
+		// CheckGroups is only populated when the CHECK stage actually
+		// replays (cache hits skip it).
 		p.CheckGroups = 0
-		p.CheckShards = 0
 		out[i] = p
 	}
 	return out
@@ -268,7 +270,8 @@ func TestSweepNewKernelReusesTests(t *testing.T) {
 
 // TestSweepProgressAndArtifact pins the streaming surfaces: one serialized
 // progress event per pair with a monotone Done counter, and a JSONL
-// artifact that round-trips to the same results.
+// artifact — each event's Result encoded one per line, the way `commuter
+// sweep -out` writes it — that round-trips to the same results.
 func TestSweepProgressAndArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep pipeline in -short mode")
@@ -278,7 +281,6 @@ func TestSweepProgressAndArtifact(t *testing.T) {
 		mu     sync.Mutex
 		events []Event
 	)
-	var artifact bytes.Buffer
 	res, err := runSweep(Config{
 		Ops: ops, Kernels: kernels, Workers: 4,
 		Progress: func(ev Event) {
@@ -286,7 +288,6 @@ func TestSweepProgressAndArtifact(t *testing.T) {
 			events = append(events, ev)
 			mu.Unlock()
 		},
-		Artifact: &artifact,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -302,6 +303,13 @@ func TestSweepProgressAndArtifact(t *testing.T) {
 		}
 	}
 
+	var artifact bytes.Buffer
+	enc := json.NewEncoder(&artifact)
+	for _, ev := range events {
+		if err := enc.Encode(ev.Result); err != nil {
+			t.Fatal(err)
+		}
+	}
 	fromArtifact, err := ReadArtifact(&artifact)
 	if err != nil {
 		t.Fatal(err)
@@ -334,6 +342,82 @@ func TestParallel(t *testing.T) {
 			if c != 1 {
 				t.Errorf("n=%d workers=%d: index %d ran %d times", tc.n, tc.workers, i, c)
 			}
+		}
+	}
+}
+
+// busyGauge tracks how many kernels are inside Apply or Exec at one
+// instant, and the most it ever saw.
+type busyGauge struct{ cur, max atomic.Int64 }
+
+func (g *busyGauge) enter() {
+	n := g.cur.Add(1)
+	for m := g.max.Load(); n > m && !g.max.CompareAndSwap(m, n); m = g.max.Load() {
+	}
+	runtime.Gosched() // widen the window another worker could overlap
+}
+
+func (g *busyGauge) exit() { g.cur.Add(-1) }
+
+type gaugedKernel struct {
+	kernel.Kernel
+	g *busyGauge
+}
+
+func (k gaugedKernel) Apply(s kernel.Setup) error {
+	k.g.enter()
+	defer k.g.exit()
+	return k.Kernel.Apply(s)
+}
+
+func (k gaugedKernel) Exec(core int, c kernel.Call) kernel.Result {
+	k.g.enter()
+	defer k.g.exit()
+	return k.Kernel.Exec(core, c)
+}
+
+// TestWorkersBoundExecutingKernels pins the one scheduler's guarantee: the
+// drivers' pools are the only source of concurrency, so no more than
+// Workers kernels are ever executing at once — under RunContext and under
+// RunFleet's lease executors. The TESTGEN tier is warmed first so every
+// pair goes straight to CHECK, where the kernels run.
+func TestWorkersBoundExecutingKernels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep pipeline in -short mode")
+	}
+	ops := testOps(t)
+	cache := NewMemBackend(0)
+	mustRun(t, Config{Ops: ops, Kernels: testKernels(), Cache: cache})
+
+	drivers := map[string]func(Config) (*Result, error){
+		"RunContext": runSweep,
+		"RunFleet": func(cfg Config) (*Result, error) {
+			return RunFleet(context.Background(), cfg, LocalFleet(NewFleetHub(0, nil)))
+		},
+	}
+	for name, drive := range drivers {
+		for _, workers := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/j%d", name, workers), func(t *testing.T) {
+				var g busyGauge
+				// A kernel name of its own keeps the CHECK tier cold.
+				ks := KernelSpec{
+					Name: fmt.Sprintf("gauged-%s-%d", name, workers),
+					New:  func() kernel.Kernel { return gaugedKernel{monokernel.New(), &g} },
+				}
+				res, err := drive(Config{Ops: ops, Kernels: []KernelSpec{ks}, Workers: workers, Cache: cache})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Cache.CheckMisses != len(res.Pairs) {
+					t.Fatalf("%d CHECK stages ran, want all %d", res.Cache.CheckMisses, len(res.Pairs))
+				}
+				if peak := g.max.Load(); peak < 1 || peak > int64(workers) {
+					t.Errorf("%d kernels executed at once with Workers=%d", peak, workers)
+				}
+				if now := g.cur.Load(); now != 0 {
+					t.Errorf("%d kernels still executing after the sweep returned", now)
+				}
+			})
 		}
 	}
 }
