@@ -5,7 +5,6 @@
 //	scalebench open    # Figure 7(b): openbench, any-FD vs lowest-FD
 //	scalebench mail    # Figure 7(c): mail server, commutative vs regular
 //	scalebench all     # the three Figure 7 benchmarks
-//	scalebench load    # load harness for `commuter serve` (see load.go)
 //
 // Values are operations per million simulated cycles per core; the paper's
 // absolute axes differ (real hardware), but the shapes — who scales, who
@@ -26,11 +25,6 @@ import (
 )
 
 func main() {
-	// load carries its own flag set; dispatch it before the shared flags.
-	if len(os.Args) > 1 && os.Args[1] == "load" {
-		cmdLoad(os.Args[2:])
-		return
-	}
 	coresFlag := flag.String("cores", "", "comma-separated core counts (default 1,10,...,80)")
 	flag.Parse()
 	cores := eval.DefaultCores

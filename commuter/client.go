@@ -139,8 +139,8 @@ func WithWorkers(n int) Option { return func(o *callOptions) { o.workers = n } }
 func WithCache(spec string) Option { return func(o *callOptions) { o.cacheDir = spec } }
 
 // WithCacheBackend injects an already-open cache backend, sharing one
-// handle (and its statistics) across calls; the serve endpoint uses it to
-// put the process-wide cache behind every request.
+// handle across calls; the serve endpoint uses it to put the process-wide
+// cache behind every request.
 func WithCacheBackend(b sweep.Backend) Option { return func(o *callOptions) { o.cache = b } }
 
 // WithFleet makes Sweep a fleet member coordinated by the `commuter

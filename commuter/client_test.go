@@ -25,7 +25,10 @@ func TestLocalAnalyze(t *testing.T) {
 	}
 	stat, _ := spec.OpByName(model.Spec, "stat")
 	unlink, _ := spec.OpByName(model.Spec, "unlink")
-	want := analyzer.AnalyzePair(model.Spec, stat, unlink, analyzer.Options{})
+	want, err := analyzer.AnalyzePairCtx(context.Background(), model.Spec, stat, unlink, analyzer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.Paths != len(want.Paths) {
 		t.Errorf("paths: %d, want %d", a.Paths, len(want.Paths))
 	}

@@ -47,8 +47,6 @@ type (
 	Curve = eval.Curve
 	// Matrix is a Figure 6 conflict matrix.
 	Matrix = eval.Matrix
-	// Spec is one pluggable interface specification (see internal/spec).
-	Spec = spec.Spec
 
 	// SweepResult is a completed sweep.
 	SweepResult = sweep.Result
@@ -72,10 +70,6 @@ type (
 // Specs returns the names of the registered interface specifications
 // ("posix", "queue", plus any the embedding program registered).
 func Specs() []string { return spec.Names() }
-
-// LookupSpec resolves a registered spec by name; unknown names error with
-// the registered specs listed.
-func LookupSpec(name string) (Spec, error) { return spec.Lookup(name) }
 
 // OpNames returns the 18 modeled POSIX operations in Figure 6 order.
 func OpNames() []string { return spec.OpNames(model.Spec) }

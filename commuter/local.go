@@ -31,7 +31,7 @@ func (localClient) Specs(ctx context.Context) ([]SpecInfo, error) {
 	for _, name := range spec.Names() {
 		sp, err := spec.Lookup(name)
 		if err != nil {
-			continue // racing an unregister; skip
+			return nil, err // Names lists only registered specs
 		}
 		info := SpecInfo{
 			Name:       name,
@@ -160,42 +160,28 @@ func (localClient) Check(ctx context.Context, kernelName string, tests []TestCas
 		return CheckSummary{}, badRequest(err)
 	}
 	out := CheckSummary{Kernel: impls[0].Name, Verdicts: make([]TestVerdict, len(tests))}
-	// Replay tests grouped by shared initial state on one long-lived kernel
-	// (apply each setup once, journal-rollback between tests) instead of
-	// constructing two fresh kernels per test. Grouping reorders execution,
-	// so verdicts are stored by original index to keep the response aligned
-	// with the request.
-	rep := kernel.NewReplayer(impls[0].New)
-	for _, g := range kernel.GroupBySetup(tests) {
-		if err := ctx.Err(); err != nil {
-			return CheckSummary{}, err
+	// The replay loop groups tests by initial state, which reorders
+	// execution; verdicts are stored by original index to keep the response
+	// aligned with the request.
+	_, err = kernel.NewReplayer(impls[0].New).CheckTests(ctx, tests, func(i int, res kernel.CheckResult) {
+		v := TestVerdict{TestID: res.Test.ID, ConflictFree: res.ConflictFree, Commuted: res.Commuted}
+		for _, c := range res.Conflicts {
+			v.Conflicts = append(v.Conflicts, c.CellName)
 		}
-		i := 0
-		err := rep.CheckGroup(g.Setup, g.Tests, func(res kernel.CheckResult) bool {
-			v := TestVerdict{TestID: g.Tests[i].ID, ConflictFree: res.ConflictFree, Commuted: res.Commuted}
-			for _, c := range res.Conflicts {
-				v.Conflicts = append(v.Conflicts, c.CellName)
-			}
-			out.Total++
-			if !res.ConflictFree {
-				out.Conflicts++
-			}
-			out.Verdicts[g.Indices[i]] = v
-			i++
-			return ctx.Err() == nil
-		})
-		if err != nil {
-			return CheckSummary{}, err
+		out.Total++
+		if !res.ConflictFree {
+			out.Conflicts++
 		}
-	}
-	if err := ctx.Err(); err != nil {
+		out.Verdicts[i] = v
+	})
+	if err != nil {
 		return CheckSummary{}, err
 	}
 	return out, nil
 }
 
-// sweepConfig resolves the options into an engine configuration. The
-// returned cleanup is non-nil when the call opened its own cache.
+// sweepConfig resolves the options into an engine configuration, opening
+// the cache backend the options name.
 func (o *callOptions) sweepConfig() (sweep.Config, error) {
 	sp, err := spec.Lookup(o.specName())
 	if err != nil {

@@ -46,8 +46,8 @@ func ServeWithCache(spec string) ServerOption {
 
 // ServeWithBackend hosts an already-open cache backend behind every sweep
 // the handler serves; it takes precedence over ServeWithCache. Use it to
-// share one handle (and its statistics) with the rest of the process, or
-// to inject a backend composition OpenBackend syntax cannot express.
+// share one handle with the rest of the process, or to inject a backend
+// composition OpenBackend syntax cannot express.
 func ServeWithBackend(b sweep.Backend) ServerOption {
 	return func(o *serverOptions) { o.backend = b }
 }

@@ -94,20 +94,13 @@ type pathData struct {
 	retsA, retsB   [2][]*sym.Expr
 }
 
-// AnalyzePair symbolically executes both permutations of (opA, opB) —
+// AnalyzePairCtx symbolically executes both permutations of (opA, opB) —
 // operations of the spec sp — from a shared symbolic initial state and
-// classifies every joint path.
-func AnalyzePair(sp spec.Spec, opA, opB *spec.Op, opt Options) PairResult {
-	// context.Background() is never cancelled, so the error leg is dead.
-	pr, _ := AnalyzePairCtx(context.Background(), sp, opA, opB, opt)
-	return pr
-}
-
-// AnalyzePairCtx is AnalyzePair under a context. Cancellation is observed
-// between path replays, between per-path classifications, and — via the
-// solver's Stop hook — inside individual satisfiability searches, so an
-// abandoned analysis stops promptly even mid-pair. On cancellation it
-// returns ctx.Err() and a zero PairResult; nothing partial escapes.
+// classifies every joint path. Cancellation is observed between path
+// replays, between per-path classifications, and — via the solver's Stop
+// hook — inside individual satisfiability searches, so an abandoned
+// analysis stops promptly even mid-pair. On cancellation it returns
+// ctx.Err() and a zero PairResult; nothing partial escapes.
 func AnalyzePairCtx(ctx context.Context, sp spec.Spec, opA, opB *spec.Op, opt Options) (PairResult, error) {
 	solver := opt.Solver
 	if solver == nil {
@@ -149,9 +142,8 @@ func AnalyzePairCtx(ctx context.Context, sp spec.Spec, opA, opB *spec.Op, opt Op
 		}
 		d := p.Result.(pathData)
 		cc := sym.And(p.PC, d.eq)
-		chk := newChecker(solver, p.Witness, p.PC)
-		commutes, cu := chk.sat(d.eq)
-		diverges, du := chk.divergeSat(d.eq)
+		commutes, cu := p.Sat(d.eq)
+		diverges, du := divergeSat(&p, d.eq)
 		pp := PairPath{
 			PC:          p.PC,
 			Eq:          d.eq,
@@ -176,67 +168,13 @@ func AnalyzePairCtx(ctx context.Context, sp spec.Spec, opA, opB *spec.Op, opt Op
 	return res, nil
 }
 
-// checker classifies one path's satisfiability questions against a fixed
-// path condition. The witness verdict on the path condition is computed
-// once per path — every per-conjunct question then only evaluates its own
-// conjunct under the witness before falling back to a cone-of-influence
-// solver search.
-type checker struct {
-	solver  *sym.Solver
-	w       sym.Model
-	pc      *sym.Expr
-	pcConjs []*sym.Expr
-	pcSet   map[*sym.Expr]struct{} // pointer-identity set of pc conjuncts
-	pcTrue  bool                   // w decides pc true
-}
-
-func newChecker(solver *sym.Solver, w sym.Model, pc *sym.Expr) *checker {
-	c := &checker{solver: solver, w: w, pc: pc, pcConjs: sym.Conjuncts(pc)}
-	c.pcSet = make(map[*sym.Expr]struct{}, len(c.pcConjs))
-	for _, cj := range c.pcConjs {
-		c.pcSet[cj] = struct{}{}
-	}
-	if w != nil {
-		if v, ok := w.TryEval(pc); ok && v.Bool {
-			c.pcTrue = true
-		}
-	}
-	return c
-}
-
-// sat checks satisfiability of pc ∧ extra (pc known satisfiable). unknown
-// reports that an unsatisfiable answer came from a budget-truncated
-// search and is therefore not a proof. Hash-consing gives two syntactic
-// short-circuits before any search: extra already among pc's conjuncts
-// (satisfiable by the pc invariant) and extra the negation of one
-// (unsatisfiable outright).
-func (c *checker) sat(extra *sym.Expr) (sat, unknown bool) {
-	if _, ok := c.pcSet[extra]; ok {
-		return true, false
-	}
-	// sym.Not canonicalizes (double negation folds), so this single
-	// lookup finds the pc conjunct refuting extra at either polarity.
-	if _, ok := c.pcSet[sym.Not(extra)]; ok {
-		return false, false
-	}
-	if c.pcTrue {
-		if v, ok := c.w.TryEval(extra); ok && v.Bool {
-			return true, false
-		}
-	}
-	if _, ok := c.solver.SatAssumingConjs(c.pcConjs, extra); ok {
-		return true, false
-	}
-	return false, c.solver.Budget()
-}
-
-// divergeSat checks whether pc ∧ ¬eq is satisfiable. eq is a conjunction,
-// and ¬(c1 ∧ … ∧ cn) is satisfiable with pc iff some pc ∧ ¬ci is, so the
-// check decomposes into small per-conjunct problems whose cones of
-// influence stay narrow.
-func (c *checker) divergeSat(eq *sym.Expr) (sat, unknown bool) {
+// divergeSat checks whether the path's PC ∧ ¬eq is satisfiable. eq is a
+// conjunction, and ¬(c1 ∧ … ∧ cn) is satisfiable with PC iff some
+// PC ∧ ¬ci is, so the check decomposes into small per-conjunct problems
+// whose cones of influence stay narrow. unknown is as for symx.Path.Sat.
+func divergeSat(p *symx.Path, eq *sym.Expr) (sat, unknown bool) {
 	for _, conj := range sym.Conjuncts(eq) {
-		s, u := c.sat(sym.Not(conj))
+		s, u := p.Sat(sym.Not(conj))
 		if s {
 			return true, false
 		}

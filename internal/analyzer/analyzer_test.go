@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/model"
@@ -14,7 +15,11 @@ func analyze(t *testing.T, a, b string, opt Options) PairResult {
 	if opA == nil || opB == nil {
 		t.Fatalf("unknown ops %q %q", a, b)
 	}
-	return AnalyzePair(model.Spec, opA, opB, opt)
+	r, err := AnalyzePairCtx(context.Background(), model.Spec, opA, opB, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // assertCommuteUnder checks that some commutative path's condition admits

@@ -41,12 +41,15 @@ func TestAnalyzePairCtxCancel(t *testing.T) {
 	}
 }
 
-// TestAnalyzePairCtxBackground pins that the ctx variant under a live
-// context matches the plain AnalyzePair result.
+// TestAnalyzePairCtxBackground pins that a live cancellable context — whose
+// Stop hook the solver polls — yields the result a context that can never
+// be cancelled does.
 func TestAnalyzePairCtxBackground(t *testing.T) {
 	a, b := opOf(t, "stat"), opOf(t, "unlink")
-	want := AnalyzePair(model.Spec, a, b, Options{})
-	got, err := AnalyzePairCtx(context.Background(), model.Spec, a, b, Options{})
+	want := analyze(t, "stat", "unlink", Options{})
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := AnalyzePairCtx(live, model.Spec, a, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

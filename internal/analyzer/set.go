@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/spec"
@@ -117,7 +118,7 @@ func subsets(n int) [][]int {
 	return out
 }
 
-// AnalyzeSet generalizes AnalyzePair to op sets of any size (the paper
+// AnalyzeSet generalizes AnalyzePairCtx to op sets of any size (the paper
 // typically uses pairs; triples exercise SIM's monotonicity requirement).
 // Every permutation of the full set runs from the shared symbolic initial
 // state; additionally, every permutation of every proper subset runs so
@@ -153,7 +154,9 @@ func AnalyzeSet(sp spec.Spec, ops []*spec.Op, opt Options) SetResult {
 		subPermGroups = append(subPermGroups, group)
 	}
 
-	paths, budgeted := symx.RunChecked(func(c *symx.Context) any {
+	// The signature supplies no context; exploration under one that is
+	// never cancelled cannot fail.
+	paths, budgeted, _ := symx.RunCtx(context.TODO(), func(c *symx.Context) any {
 		args := make([][]*sym.Expr, len(ops))
 		for i, op := range ops {
 			args[i] = spec.MakeArgs(c, op, fmt.Sprint(i))
@@ -200,9 +203,8 @@ func AnalyzeSet(sp spec.Spec, ops []*spec.Op, opt Options) SetResult {
 	for _, p := range paths {
 		d := p.Result.(setData)
 		cc := sym.And(p.PC, d.eq)
-		chk := newChecker(solver, p.Witness, p.PC)
-		commutes, cu := chk.sat(d.eq)
-		diverges, du := chk.divergeSat(d.eq)
+		commutes, cu := p.Sat(d.eq)
+		diverges, du := divergeSat(&p, d.eq)
 		res.Paths = append(res.Paths, SetPath{
 			PC:          p.PC,
 			Eq:          d.eq,

@@ -120,7 +120,7 @@ func TestSetSummary(t *testing.T) {
 	if r.Summary() == "" || len(r.Ops) != 2 {
 		t.Errorf("summary %q ops %v", r.Summary(), r.Ops)
 	}
-	// Pair analysis via AnalyzeSet must agree with AnalyzePair on
+	// Pair analysis via AnalyzeSet must agree with AnalyzePairCtx on
 	// commutativity structure (same model, same condition).
 	pr := analyze(t, "close", "close", Options{})
 	setCommutes, pairCommutes := 0, 0
@@ -135,7 +135,7 @@ func TestSetSummary(t *testing.T) {
 		}
 	}
 	if (setCommutes == 0) != (pairCommutes == 0) {
-		t.Errorf("AnalyzeSet (%d commutative) disagrees with AnalyzePair (%d)",
+		t.Errorf("AnalyzeSet (%d commutative) disagrees with AnalyzePairCtx (%d)",
 			setCommutes, pairCommutes)
 	}
 }

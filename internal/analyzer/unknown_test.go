@@ -1,42 +1,61 @@
 package analyzer
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/sym"
+	"repro/internal/symx"
 )
+
+// pathOf returns the single path of a model that only assumes pc, explored
+// with s.
+func pathOf(t *testing.T, s *sym.Solver, pc *sym.Expr) symx.Path {
+	t.Helper()
+	paths, _, err := symx.RunCtx(context.Background(), func(c *symx.Context) any {
+		c.Assume(pc)
+		return nil
+	}, symx.Options{Solver: s})
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("exploring %v: %d paths, err %v", pc, len(paths), err)
+	}
+	return paths[0]
+}
 
 // TestCheckerBudgetUnknown pins the solver-budget soundness fix at the
 // classification seam: an unsatisfiable answer from a budget-truncated
-// search must come back unknown=true, while real verdicts (sat, or unsat
-// with budget to spare) stay unknown=false.
+// search must come back unknown=true — also when it is repeated from the
+// path's infeasibility cache — while real verdicts (sat, or unsat with
+// budget to spare) stay unknown=false.
 func TestCheckerBudgetUnknown(t *testing.T) {
 	x, y := sym.Var("ckx", sym.IntSort), sym.Var("cky", sym.IntSort)
 	unsat := sym.And(sym.Lt(x, y), sym.Lt(y, x))
 
 	// Plenty of budget: a real refutation, not unknown.
-	chk := newChecker(&sym.Solver{}, nil, sym.True)
-	sat, unknown := chk.sat(unsat)
+	p := pathOf(t, &sym.Solver{}, sym.True)
+	sat, unknown := p.Sat(unsat)
 	if sat || unknown {
 		t.Errorf("full budget: sat=%v unknown=%v, want false/false", sat, unknown)
 	}
 
 	// One step: the search is truncated before it can prove anything, so
-	// the unsat answer must be flagged unknown.
-	chk = newChecker(&sym.Solver{MaxSteps: 1}, nil, sym.True)
-	sat, unknown = chk.sat(unsat)
-	if sat {
-		t.Fatal("one-step budget found a model of an unsatisfiable formula")
-	}
-	if !unknown {
-		t.Error("budget-truncated unsat answer not reported as unknown")
+	// the unsat answer must be flagged unknown, the second time as well.
+	p = pathOf(t, &sym.Solver{MaxSteps: 1}, sym.True)
+	for _, ask := range []string{"searched", "cached"} {
+		sat, unknown = p.Sat(unsat)
+		if sat {
+			t.Fatalf("%s: one-step budget found a model of an unsatisfiable formula", ask)
+		}
+		if !unknown {
+			t.Errorf("%s: budget-truncated unsat answer not reported as unknown", ask)
+		}
 	}
 
 	// Satisfiable queries that fit the budget are definitive.
-	chk = newChecker(&sym.Solver{}, nil, sym.True)
-	sat, unknown = chk.sat(sym.Lt(x, y))
+	p = pathOf(t, &sym.Solver{}, sym.True)
+	sat, unknown = p.Sat(sym.Lt(x, y))
 	if !sat || unknown {
 		t.Errorf("satisfiable query: sat=%v unknown=%v, want true/false", sat, unknown)
 	}
@@ -49,13 +68,15 @@ func TestCheckerSyntacticShortCircuits(t *testing.T) {
 	x, y := sym.Var("scx", sym.IntSort), sym.Var("scy", sym.IntSort)
 	conj := sym.Lt(x, y)
 	pc := sym.And(conj, sym.Ge(x, sym.Int(0)))
-	// MaxSteps 1 would flag any real search as unknown, so unknown=false
+	s := &sym.Solver{}
+	p := pathOf(t, s, pc)
+	// One step would flag any real search as unknown, so unknown=false
 	// proves the answers came from the syntactic short-circuits.
-	chk := newChecker(&sym.Solver{MaxSteps: 1}, nil, pc)
-	if sat, unknown := chk.sat(conj); !sat || unknown {
+	s.MaxSteps = 1
+	if sat, unknown := p.Sat(conj); !sat || unknown {
 		t.Errorf("pc conjunct: sat=%v unknown=%v, want true/false", sat, unknown)
 	}
-	if sat, unknown := chk.sat(sym.Not(conj)); sat || unknown {
+	if sat, unknown := p.Sat(sym.Not(conj)); sat || unknown {
 		t.Errorf("negated pc conjunct: sat=%v unknown=%v, want false/false", sat, unknown)
 	}
 }
@@ -67,7 +88,10 @@ func TestCheckerSyntacticShortCircuits(t *testing.T) {
 // under-approximation the budget plumbing exists to prevent.
 func TestFullyTruncatedPairIsUnknown(t *testing.T) {
 	op := model.OpByName("stat")
-	r := AnalyzePair(model.Spec, op, op, Options{Solver: &sym.Solver{MaxSteps: 1}})
+	r, err := AnalyzePairCtx(context.Background(), model.Spec, op, op, Options{Solver: &sym.Solver{MaxSteps: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Paths) != 0 {
 		t.Skipf("one-step budget still explored %d paths; test needs a harsher setup", len(r.Paths))
 	}

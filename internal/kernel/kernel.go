@@ -1,7 +1,8 @@
-// Package kernel defines the system-call surface shared by the two kernel
-// implementations under test (the Linux-like monokernel and the sv6-like
-// svsix), the concrete test-case format TESTGEN emits, and the MTRACE-style
-// Replayer that checks an implementation's conflict-freedom on test cases.
+// Package kernel defines the call surface shared by the implementations
+// under test (the Linux-like monokernel and the sv6-like svsix for the POSIX
+// spec, memvm, memkv and memq for the vm, kv and queue specs), the concrete
+// test-case format TESTGEN emits, and the MTRACE-style Replayer that checks
+// an implementation's conflict-freedom on test cases.
 package kernel
 
 import (
@@ -222,27 +223,23 @@ type TestCase struct {
 	SetupID string `json:"-"`
 }
 
-// Kernel is the interface both implementations provide. Exec runs a call on
-// a simulated core; all state accesses must go through the kernel's traced
-// memory.
+// Kernel is the interface every implementation under test provides. Exec
+// runs a call on a simulated core; all state accesses must go through the
+// kernel's traced memory.
 type Kernel interface {
-	// Name identifies the implementation ("linux" or "sv6").
+	// Name identifies the implementation, as its spec registers it
+	// ("linux", "sv6", "memvm", ...).
 	Name() string
-	// Memory returns the kernel's traced memory.
+	// Memory returns the kernel's traced memory. The Replayer rolls the
+	// kernel back through this memory's snapshot journal, so an
+	// implementation whose state is not held entirely in traced cells
+	// registers mtrace.Memory.OnReset hooks at its structural mutation
+	// sites (map inserts, plain struct fields).
 	Memory() *mtrace.Memory
 	// Apply initializes kernel state from a setup (untraced).
 	Apply(s Setup) error
 	// Exec performs one system call on the given simulated core.
 	Exec(core int, c Call) Result
-	// Snapshot opens a snapshot region on the kernel's memory; subsequent
-	// Apply/Exec mutations are journaled so Reset can undo them.
-	// Implementations whose state is not held entirely in traced cells
-	// register mtrace.Memory.OnReset hooks at their structural mutation
-	// sites (map inserts, plain struct fields).
-	Snapshot()
-	// Reset restores the kernel to the state at the innermost Snapshot,
-	// leaving that snapshot in place for the next replay.
-	Reset()
 }
 
 // CheckResult reports one test case's conflict-freedom on a kernel.

@@ -48,18 +48,12 @@ func New() *Kern {
 // Name identifies the implementation.
 func (k *Kern) Name() string { return "memkv" }
 
-// Memory returns the traced memory.
+// Memory returns the traced memory. Cell values are journaled by the
+// memory itself; binding creation registers an OnReset hook at the
+// mutation site, so a reset leaves the key map structurally identical to
+// the snapshot point — a replayed run re-creates bindings exactly like a
+// fresh kernel would.
 func (k *Kern) Memory() *mtrace.Memory { return k.mem }
-
-// Snapshot opens a snapshot region for batched replay. Cell values are
-// journaled by the memory itself; binding creation registers an OnReset
-// hook at the mutation site, so a Reset leaves the key map structurally
-// identical to the snapshot point — a replayed run re-creates bindings
-// exactly like a fresh kernel would.
-func (k *Kern) Snapshot() { k.mem.Snapshot() }
-
-// Reset rolls the kernel back to the innermost Snapshot.
-func (k *Kern) Reset() { k.mem.Reset() }
 
 // binding returns (creating on first use) one key's cells. Creation
 // allocates cells but records no accesses; the OnReset hook undoes the

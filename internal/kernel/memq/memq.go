@@ -110,17 +110,11 @@ func New() *Kern {
 // Name identifies the implementation.
 func (k *Kern) Name() string { return "memq" }
 
-// Memory returns the traced memory.
+// Memory returns the traced memory. All of memq's state lives in traced
+// cells (lazily created fifos persist across a reset with their cells
+// value-restored, which is indistinguishable from fresh creation), so the
+// journal alone suffices for batched replay — no OnReset hooks.
 func (k *Kern) Memory() *mtrace.Memory { return k.mem }
-
-// Snapshot opens a snapshot region for batched replay. All of memq's
-// state lives in traced cells (lazily created fifos persist across Reset
-// with their cells value-restored, which is indistinguishable from fresh
-// creation), so the journal alone suffices — no OnReset hooks.
-func (k *Kern) Snapshot() { k.mem.Snapshot() }
-
-// Reset rolls the kernel back to the innermost Snapshot.
-func (k *Kern) Reset() { k.mem.Reset() }
 
 // coreQ returns (creating on first use) the per-core unordered queue.
 // Creation allocates cells but records no accesses, so lazily building a

@@ -116,21 +116,15 @@ func New() *Kern {
 // Name implements kernel.Kernel.
 func (k *Kern) Name() string { return "linux" }
 
-// Memory implements kernel.Kernel.
-func (k *Kern) Memory() *mtrace.Memory { return k.mem }
-
-// Snapshot implements kernel.Kernel. Cell values are journaled by the
+// Memory implements kernel.Kernel. Cell values are journaled by the
 // memory itself; the mutation sites below register OnReset hooks for the
 // structural state the journal cannot see (map entries, the plain fields
-// of vma and fdslot, the pipe id counter), so Reset restores a state
+// of vma and fdslot, the pipe id counter), so a reset restores a state
 // observationally identical to a fresh kernel with the same setup —
 // including which map entries exist, because a stale entry would change
 // the traced access pattern of lookups that are gated on entry presence
 // (fget, the mmap address scan).
-func (k *Kern) Snapshot() { k.mem.Snapshot() }
-
-// Reset implements kernel.Kernel.
-func (k *Kern) Reset() { k.mem.Reset() }
+func (k *Kern) Memory() *mtrace.Memory { return k.mem }
 
 func (k *Kern) dentry(name int64) *dentry {
 	d, ok := k.dentries[name]

@@ -1,6 +1,9 @@
 package kernel
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // Replayer checks batches of tests that share a Setup against one
 // long-lived kernel instance, instead of building two fresh kernels per
@@ -11,8 +14,8 @@ import "fmt"
 // on the same instance, so the commutativity comparison is also
 // setup-shared.
 //
-// A Replayer is not safe for concurrent use; the sweep creates one per
-// shard.
+// A Replayer is not safe for concurrent use; each CHECK stage (one pair on
+// one kernel) and each Client.Check call builds its own.
 type Replayer struct {
 	k Kernel
 }
@@ -20,26 +23,25 @@ type Replayer struct {
 // NewReplayer builds the kernel once and opens its baseline snapshot.
 func NewReplayer(fresh func() Kernel) *Replayer {
 	k := fresh()
-	k.Snapshot()
+	k.Memory().Snapshot()
 	return &Replayer{k: k}
 }
 
-// SetupGroup is a run of test cases sharing one initial state, as
+// setupGroup is a run of test cases sharing one initial state, as
 // CheckGroup wants them.
-type SetupGroup struct {
-	Setup Setup
-	Tests []TestCase
-	// Indices holds each test's position in the ungrouped input, for
-	// callers that report verdicts in request order.
-	Indices []int
+type setupGroup struct {
+	setup Setup
+	tests []TestCase
+	// indices holds each test's position in the ungrouped input.
+	indices []int
 }
 
-// GroupBySetup buckets tests by setup fingerprint, preserving first-
+// groupBySetup buckets tests by setup fingerprint, preserving first-
 // appearance order. Tests generated by testgen carry a precomputed
 // SetupID; tests from other sources (hand-built, decoded from the wire or
 // a cache) are fingerprinted here.
-func GroupBySetup(tests []TestCase) []SetupGroup {
-	var groups []SetupGroup
+func groupBySetup(tests []TestCase) []setupGroup {
+	var groups []setupGroup
 	index := map[string]int{}
 	for i, tc := range tests {
 		id := tc.SetupID
@@ -50,12 +52,38 @@ func GroupBySetup(tests []TestCase) []SetupGroup {
 		if !ok {
 			gi = len(groups)
 			index[id] = gi
-			groups = append(groups, SetupGroup{Setup: tc.Setup})
+			groups = append(groups, setupGroup{setup: tc.Setup})
 		}
-		groups[gi].Tests = append(groups[gi].Tests, tc)
-		groups[gi].Indices = append(groups[gi].Indices, i)
+		groups[gi].tests = append(groups[gi].tests, tc)
+		groups[gi].indices = append(groups[gi].indices, i)
 	}
 	return groups
+}
+
+// CheckTests is the CHECK replay loop: it groups tests by setup and replays
+// every group in order, handing fn each result with the test's index in
+// tests, and reports how many setup groups there were. Cancellation is
+// polled before each group and after each test (individual checks are
+// short, so the poll granularity is the single test case); a cancelled
+// loop returns the context's error, and whatever fn saw up to then is a
+// truncation the caller must not present as a verdict.
+func (r *Replayer) CheckTests(ctx context.Context, tests []TestCase, fn func(i int, res CheckResult)) (groups int, err error) {
+	grouped := groupBySetup(tests)
+	for _, g := range grouped {
+		if err := ctx.Err(); err != nil {
+			return len(grouped), err
+		}
+		next := 0
+		err := r.CheckGroup(g.setup, g.tests, func(res CheckResult) bool {
+			fn(g.indices[next], res)
+			next++
+			return ctx.Err() == nil
+		})
+		if err != nil {
+			return len(grouped), err
+		}
+	}
+	return len(grouped), ctx.Err()
 }
 
 // CheckGroup applies setup once, then replays each test against it, both

@@ -191,18 +191,12 @@ func NewOpts(opts Opts) *Kern {
 // Name implements kernel.Kernel.
 func (k *Kern) Name() string { return "sv6" }
 
-// Memory implements kernel.Kernel.
-func (k *Kern) Memory() *mtrace.Memory { return k.mem }
-
-// Snapshot implements kernel.Kernel. Cell values are journaled by the
+// Memory implements kernel.Kernel. Cell values are journaled by the
 // memory; the mutation sites below register OnReset hooks for state the
 // journal cannot see — map entries, the vmaCell fields, the pipe id
-// counter — so Reset leaves the kernel observationally identical to a
+// counter — so a reset leaves the kernel observationally identical to a
 // fresh instance with the same setup.
-func (k *Kern) Snapshot() { k.mem.Snapshot() }
-
-// Reset implements kernel.Kernel.
-func (k *Kern) Reset() { k.mem.Reset() }
+func (k *Kern) Memory() *mtrace.Memory { return k.mem }
 
 func (k *Kern) inode(inum int64) *inode {
 	ino, ok := k.inodes[inum]

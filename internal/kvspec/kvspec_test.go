@@ -22,7 +22,18 @@ func analyze(t *testing.T, a, b string) analyzer.PairResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return analyzer.AnalyzePair(Spec, opA, opB, analyzer.Options{})
+	r, err := analyzer.AnalyzePairCtx(context.Background(), Spec, opA, opB, analyzer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// generate is the pair's test set; these pairs fit the default budget, so
+// the truncation count is not of interest.
+func generate(r analyzer.PairResult) []kernel.TestCase {
+	tests, _ := testgen.GenerateChecked(Spec, r, testgen.Options{})
+	return tests
 }
 
 func counts(r analyzer.PairResult) (commute, diverge int) {
@@ -164,7 +175,7 @@ func TestKVSweep(t *testing.T) {
 // outside the scanned window, must be conflict-free on memkv.
 func TestDisjointKeyTestsConflictFree(t *testing.T) {
 	r := analyze(t, "put", "put")
-	for _, tc := range testgen.Generate(Spec, r, testgen.Options{}) {
+	for _, tc := range generate(r) {
 		if tc.Calls[0].Arg("key") == tc.Calls[1].Arg("key") {
 			continue
 		}
@@ -173,7 +184,7 @@ func TestDisjointKeyTestsConflictFree(t *testing.T) {
 
 	r = analyze(t, "put", "scan")
 	found := false
-	for _, tc := range testgen.Generate(Spec, r, testgen.Options{}) {
+	for _, tc := range generate(r) {
 		put, scan := tc.Calls[0], tc.Calls[1]
 		key := put.Arg("key")
 		if scan.Arg("lo") <= key && key <= scan.Arg("hi") {
@@ -210,7 +221,7 @@ func checkFree(t *testing.T, tc kernel.TestCase) {
 // key.
 func TestGenerateKVTests(t *testing.T) {
 	r := analyze(t, "get", "put")
-	tests := testgen.Generate(Spec, r, testgen.Options{})
+	tests := generate(r)
 	if len(tests) == 0 {
 		t.Fatal("no tests for get x put")
 	}

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/spec"
@@ -34,11 +35,17 @@ func TestOpsInventory(t *testing.T) {
 	}
 }
 
+// explore runs fn to completion under a context that is never cancelled.
+func explore(fn func(*symx.Context) any, opt symx.Options) []symx.Path {
+	paths, _, _ := symx.RunCtx(context.Background(), fn, opt)
+	return paths
+}
+
 // runOp executes one op standalone and returns its paths with results.
 func runOp(t *testing.T, name string, cfg Config) []symx.Path {
 	t.Helper()
 	op := OpByName(name)
-	return symx.Run(func(c *symx.Context) any {
+	return explore(func(c *symx.Context) any {
 		args := MakeArgs(c, op, "0")
 		s := NewState(c)
 		x := &spec.Exec{C: c, S: s, Cfg: cfg}
@@ -124,7 +131,7 @@ func TestFDAllocationModes(t *testing.T) {
 
 func TestMakeArgsBounds(t *testing.T) {
 	var s sym.Solver
-	paths := symx.Run(func(c *symx.Context) any {
+	paths := explore(func(c *symx.Context) any {
 		args := MakeArgs(c, OpByName("pread"), "0")
 		return args
 	}, symx.Options{})
@@ -154,7 +161,7 @@ func TestRetEq(t *testing.T) {
 // range, never overlapping allocated (negative) numbers.
 func TestStateInvariants(t *testing.T) {
 	var s sym.Solver
-	paths := symx.Run(func(c *symx.Context) any {
+	paths := explore(func(c *symx.Context) any {
 		st := NewState(c)
 		name := c.Var("n", FilenameSort, symx.KindArg)
 		if st.Fname.Contains(c, symx.K(name)) {
@@ -184,7 +191,7 @@ func TestStateInvariants(t *testing.T) {
 // Allocated identifiers are negative and pairwise distinct.
 func TestAllocDistinctness(t *testing.T) {
 	var s sym.Solver
-	paths := symx.Run(func(c *symx.Context) any {
+	paths := explore(func(c *symx.Context) any {
 		st := NewState(c)
 		a := st.AllocInum(c, "0")
 		b := st.AllocInum(c, "1")
@@ -205,7 +212,7 @@ func TestAllocDistinctness(t *testing.T) {
 // differ at a written key.
 func TestEquivalentDetectsWrites(t *testing.T) {
 	var s sym.Solver
-	paths := symx.Run(func(c *symx.Context) any {
+	paths := explore(func(c *symx.Context) any {
 		s1 := NewState(c)
 		s2 := NewState(c)
 		name := c.Var("n", FilenameSort, symx.KindArg)
@@ -219,13 +226,13 @@ func TestEquivalentDetectsWrites(t *testing.T) {
 		}
 	}
 
-	paths = symx.Run(func(c *symx.Context) any {
+	paths = explore(func(c *symx.Context) any {
 		s1 := NewState(c)
 		s2 := NewState(c)
 		return Equivalent(c, s1, s2)
 	}, symx.Options{})
 	for _, p := range paths {
-		if !s.Valid(sym.Implies(p.PC, p.Result.(*sym.Expr))) {
+		if s.Sat(sym.Not(sym.Implies(p.PC, p.Result.(*sym.Expr)))) {
 			t.Error("untouched states must be equivalent")
 		}
 	}

@@ -253,17 +253,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 // registration order), creating the series on first use.
 func (v *CounterVec) With(values ...string) *Counter { return v.f.get(values).c }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec returns the labeled gauge family with the given name.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, typeGauge, labels, nil, nil)}
-}
-
-// With returns the gauge for the label values.
-func (v *GaugeVec) With(values ...string) *Gauge { return v.f.get(values).g }
-
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/analyzer"
+	"repro/internal/kernel"
 	"repro/internal/kernel/kerneltest"
 	"repro/internal/spec"
 	"repro/internal/sweep"
@@ -21,7 +22,18 @@ func analyze(t *testing.T, a, b string) analyzer.PairResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return analyzer.AnalyzePair(Spec, opA, opB, analyzer.Options{})
+	r, err := analyzer.AnalyzePairCtx(context.Background(), Spec, opA, opB, analyzer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// generate is the pair's test set; these pairs fit the default budget, so
+// the truncation count is not of interest.
+func generate(r analyzer.PairResult) []kernel.TestCase {
+	tests, _ := testgen.GenerateChecked(Spec, r, testgen.Options{})
+	return tests
 }
 
 func counts(r analyzer.PairResult) (commute, diverge int) {
@@ -158,7 +170,7 @@ func TestMemqConflictFree(t *testing.T) {
 // non-empty queue must seed the ordered backlog the witness probed.
 func TestGenerateQueueTests(t *testing.T) {
 	r := analyze(t, "send", "recv")
-	tests := testgen.Generate(Spec, r, testgen.Options{})
+	tests := generate(r)
 	if len(tests) == 0 {
 		t.Fatal("no tests for send x recv")
 	}

@@ -281,9 +281,8 @@ func (t *FleetTable) dropLease(p *fleetPair) {
 	}
 	p.cur = nil
 	delete(t.leases, l.id)
-	w := t.worker(l.worker)
-	w.Leased--
-	metricFleetPairsLeased.With(l.worker).Set(int64(w.Leased))
+	t.worker(l.worker).Leased--
+	metricFleetPairsLeased.Dec()
 }
 
 func (t *FleetTable) grant(p *fleetPair, workerName string) FleetLease {
@@ -300,7 +299,7 @@ func (t *FleetTable) grant(p *fleetPair, workerName string) FleetLease {
 	t.leases[l.id] = l
 	w := t.worker(workerName)
 	w.Leased++
-	metricFleetPairsLeased.With(workerName).Set(int64(w.Leased))
+	metricFleetPairsLeased.Inc()
 	metricFleetLeasesIssued.Inc()
 	if stolen {
 		w.Stolen++
@@ -388,7 +387,7 @@ func (t *FleetTable) Complete(workerName string, results []FleetPairDone) FleetR
 		p.result = item.Pair
 		t.done++
 		t.worker(workerName).Completed++
-		metricFleetPairsDone.With(workerName).Inc()
+		metricFleetPairsDone.Inc()
 		resp.Accepted++
 	}
 	var pending, leased int

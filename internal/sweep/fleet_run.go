@@ -54,13 +54,12 @@ const fleetPoll = 100 * time.Millisecond
 
 // RunFleet executes one sweep as a fleet member: instead of running the
 // full pair list the way RunContext does, it pulls pair leases from the
-// coordinator behind fc, executes them through the ordinary runPair path
-// (same cache and coalescing machinery), posts each finished
-// PairResult back, and repeats until the coordinator reports the sweep
-// complete fleet-wide — then assembles the merged Result from the
-// coordinator's table (local pairs keep their locally-observed timings).
-// The returned matrix is byte-identical to a single-server RunContext of
-// the same Config: cells are deterministic and the merge re-sorts pairs
+// coordinator behind fc, feeds them to the same executor (same runPair,
+// cache and coalescing machinery), posts each finished PairResult back,
+// and repeats until the coordinator reports the sweep complete fleet-wide
+// — then returns the coordinator's table as the merged Result. The
+// returned matrix is byte-identical to a single-server RunContext of the
+// same Config: cells are deterministic and the merge re-sorts pairs
 // exactly like RunContext does.
 //
 // Work stealing is coordinator-side (expired leases re-issued to whoever
@@ -78,8 +77,7 @@ func RunFleet(ctx context.Context, cfg Config, fc FleetClient) (*Result, error) 
 		return nil, err
 	}
 	defer r.close()
-	sp, workers := r.sp, r.workers
-	fspec := FleetSpec(sp, cfg)
+	fspec := FleetSpec(r.sp, cfg)
 	wid := fleetWorkerName(cfg)
 
 	// The lease names the pair; resolve it back to ops through the same
@@ -89,162 +87,113 @@ func RunFleet(ctx context.Context, cfg Config, fc FleetClient) (*Result, error) 
 		byName[j[0].Name+"/"+j[1].Name] = j
 	}
 
-	// Executors run under ectx so one pair's failure (or the caller's
-	// cancellation) stops the rest promptly; held leases survive the
-	// teardown and are released below.
-	ectx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	var (
 		mu        sync.Mutex
 		held      = map[string]string{} // lease id -> pair name
-		executed  = map[string]PairResult{}
-		runErr    error
 		fleetDone bool
 		emitDone  int // monotone fleet-wide progress already emitted
 	)
-	fail := func(err error) {
-		mu.Lock()
-		if runErr == nil {
-			runErr = err
+	// The claim loop below holds at most 2×workers leases, so a queue of
+	// that size never blocks it: leases keep being renewed while the
+	// workers grind through long pairs.
+	ex := r.startExecutor(ctx, 2*r.workers, func(ectx context.Context, j pairJob, pr PairResult) error {
+		metricFleetPairsExecuted.Inc()
+		resp, err := fc.Report(ectx, FleetResultRequest{
+			Version: FleetAPIVersion,
+			Worker:  wid,
+			Sweep:   fspec,
+			Results: []FleetPairDone{{
+				Lease:      j.id,
+				Pair:       pr,
+				TestgenKey: TestgenKey(r.sp.Name(), j.a.Name, j.b.Name, cfg.Analyzer, cfg.Testgen),
+			}},
+		})
+		if err != nil {
+			return fmt.Errorf("sweep fleet: report %s: %w", pr.Pair(), err)
 		}
-		mu.Unlock()
-		cancel()
-	}
-
-	// Buffered beyond the claim-ahead window (2×workers), so feeding
-	// granted leases never blocks the claim loop.
-	leaseCh := make(chan FleetLease, 4*workers+16)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for l := range leaseCh {
-				if ectx.Err() != nil {
-					continue // drain; the lease stays held and is released in teardown
-				}
-				ops, ok := byName[l.Pair]
-				if !ok {
-					fail(fmt.Errorf("sweep fleet: coordinator leased unknown pair %q", l.Pair))
-					continue
-				}
-				pr, err := r.runPair(ectx, ops[0], ops[1])
-				if err != nil {
-					if ectx.Err() == nil {
-						fail(err)
-					}
-					continue
-				}
-				metricFleetPairsExecuted.Inc()
-				tgKey := TestgenKey(sp.Name(), ops[0].Name, ops[1].Name, cfg.Analyzer, cfg.Testgen)
-				resp, rerr := fc.Report(ectx, FleetResultRequest{
-					Version: FleetAPIVersion,
-					Worker:  wid,
-					Sweep:   fspec,
-					Results: []FleetPairDone{{Lease: l.ID, Pair: pr, TestgenKey: tgKey}},
-				})
-				if rerr != nil {
-					if ectx.Err() == nil {
-						fail(fmt.Errorf("sweep fleet: report %s: %w", l.Pair, rerr))
-					}
-					continue
-				}
-
-				mu.Lock()
-				executed[l.Pair] = pr
-				delete(held, l.ID)
-				if resp.Done {
-					fleetDone = true
-				}
-				// Done is the fleet-wide completion count; peers complete
-				// pairs concurrently, so only emit forward progress.
-				if resp.Completed > emitDone {
-					emitDone = resp.Completed
-					r.progress(&pr, resp.Completed, resp.Total)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
+		mu.Lock()
+		defer mu.Unlock()
+		delete(held, j.id)
+		if resp.Done {
+			fleetDone = true
+		}
+		// Completed is the fleet-wide completion count; peers complete
+		// pairs concurrently, so only emit forward progress.
+		if resp.Completed > emitDone {
+			emitDone = resp.Completed
+			r.progress(&pr, resp.Completed, resp.Total)
+		}
+		return nil
+	})
 
 	// The claim loop: keep up to 2×workers leases in flight, renew what
 	// is held on every round, and poll when nothing was granted (peers
-	// hold the remainder, or our own executors are still grinding).
+	// hold the remainder, or our own workers are still grinding). It runs
+	// under the executor's context, so a failed pair ends it promptly;
+	// held leases survive the teardown and are released below.
 	claimFails := 0
-	for {
+claim:
+	for ex.ctx.Err() == nil {
 		mu.Lock()
-		done, err := fleetDone, runErr
+		done := fleetDone
 		renew := make([]string, 0, len(held))
 		for id := range held {
 			renew = append(renew, id)
 		}
 		mu.Unlock()
-		if done || err != nil || ctx.Err() != nil {
+		if done {
 			break
 		}
-		want := 2*workers - len(renew)
-		if want < 0 {
-			want = 0
-		}
-		resp, cerr := fc.Claim(ctx, FleetClaimRequest{
+		resp, cerr := fc.Claim(ex.ctx, FleetClaimRequest{
 			Version: FleetAPIVersion,
 			Worker:  wid,
-			Max:     want,
+			Max:     max(2*r.workers-len(renew), 0),
 			Sweep:   fspec,
 			Renew:   renew,
 		})
 		if cerr != nil {
-			if ctx.Err() != nil {
-				break
-			}
 			// Transient coordinator trouble must not kill the sweep — but
 			// a coordinator that stays dead must not hang it either.
 			if claimFails++; claimFails >= 8 {
-				fail(fmt.Errorf("sweep fleet: claim: %w", cerr))
-				break
+				ex.cancel(fmt.Errorf("sweep fleet: claim: %w", cerr))
 			}
-			if !sleepCtx(ctx, time.Duration(claimFails)*fleetPoll) {
-				break
-			}
+			sleepCtx(ex.ctx, time.Duration(claimFails)*fleetPoll)
 			continue
 		}
 		claimFails = 0
-		mu.Lock()
 		if resp.Done {
-			fleetDone = true
+			break
 		}
+		mu.Lock()
 		for _, l := range resp.Leases {
 			held[l.ID] = l.Pair
 		}
 		mu.Unlock()
-		if resp.Done {
-			break
-		}
 		for _, l := range resp.Leases {
-			leaseCh <- l
-		}
-		if len(resp.Leases) == 0 {
-			if !sleepCtx(ctx, fleetPoll) {
-				break
+			ops, ok := byName[l.Pair]
+			if !ok {
+				ex.cancel(fmt.Errorf("sweep fleet: coordinator leased unknown pair %q", l.Pair))
+				break claim
+			}
+			if !ex.submit(pairJob{a: ops[0], b: ops[1], id: l.ID}) {
+				break claim
 			}
 		}
+		if len(resp.Leases) == 0 {
+			sleepCtx(ex.ctx, fleetPoll)
+		}
 	}
-	close(leaseCh)
-	wg.Wait()
+	err = ex.wait()
 
 	// Requeue-on-cancel: leases still held (never executed, or executed
 	// but unreported) go back to the pending queue now, on a context that
 	// survives the caller's cancellation, so a peer picks them up without
 	// waiting out the TTL. Best-effort — expiry remains the backstop.
-	mu.Lock()
-	release := make([]string, 0, len(held))
-	for id := range held {
-		release = append(release, id)
-	}
-	err = runErr
-	mu.Unlock()
-	if len(release) > 0 {
+	if len(held) > 0 {
+		release := make([]string, 0, len(held))
+		for id := range held {
+			release = append(release, id)
+		}
 		rctx, rcancel := context.WithTimeout(context.WithoutCancel(ctx), 3*time.Second)
 		fc.Claim(rctx, FleetClaimRequest{
 			Version: FleetAPIVersion,
@@ -255,17 +204,10 @@ func RunFleet(ctx context.Context, cfg Config, fc FleetClient) (*Result, error) 
 		})
 		rcancel()
 	}
-
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
-	}
 	if err != nil {
 		return nil, err
 	}
 
-	// Assemble the merged matrix from the coordinator's table, preferring
-	// the local copy of pairs this worker executed (it carries this run's
-	// phase timings; the cells are identical by determinism).
 	st, serr := fc.Status(ctx, fspec, true)
 	if serr != nil {
 		return nil, fmt.Errorf("sweep fleet: status: %w", serr)
@@ -273,25 +215,15 @@ func RunFleet(ctx context.Context, cfg Config, fc FleetClient) (*Result, error) 
 	if !st.Done || len(st.Results) != st.Total {
 		return nil, fmt.Errorf("sweep fleet: coordinator reports %d/%d pairs complete after done signal", st.Completed, st.Total)
 	}
-	merged := make([]PairResult, 0, len(st.Results))
-	for _, pr := range st.Results {
-		if local, ok := executed[pr.Pair()]; ok {
-			merged = append(merged, local)
-		} else {
-			merged = append(merged, pr)
-		}
-	}
-	return r.result(merged), nil
+	return r.result(st.Results), nil
 }
 
-// sleepCtx sleeps d or until ctx ends; false means the context ended.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
+// sleepCtx sleeps d or until ctx ends.
+func sleepCtx(ctx context.Context, d time.Duration) {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
-		return true
 	case <-ctx.Done():
-		return false
 	}
 }

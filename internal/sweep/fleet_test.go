@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"strings"
@@ -9,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/kvspec"
+	"repro/internal/obs"
 	"repro/internal/spec"
 )
 
@@ -433,5 +436,52 @@ func TestFleetHubReportUnknownSession(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "unknown sweep") {
 		t.Fatalf("report into unknown session: %v, want unknown-sweep error", err)
+	}
+}
+
+// fleetSeries counts the commuter_fleet_* series the process-wide
+// registry currently exposes.
+func fleetSeries(t *testing.T) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.Default.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "commuter_fleet_") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFleetMetricSeriesBounded pins that a coordinator's metrics do not
+// grow with the sweeps it serves: every RunFleet call mints a fresh worker
+// name, so a series per worker would never stop accumulating.
+func TestFleetMetricSeriesBounded(t *testing.T) {
+	hub := NewFleetHub(0, nil)
+	sweep := func(sel string) {
+		t.Helper()
+		ops, err := spec.OpSet(kvspec.Spec, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Spec: kvspec.Spec, Ops: ops, Kernels: []KernelSpec{implSpec(kvspec.Spec, t)}, Workers: 2}
+		res, err := RunFleet(context.Background(), cfg, LocalFleet(hub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Pairs) != len(ops)*(len(ops)+1)/2 {
+			t.Fatalf("sweep of %s returned %d pairs", sel, len(res.Pairs))
+		}
+	}
+	sweep("get,put")
+	one := fleetSeries(t)
+	// A different op list is a different session, so the second sweep
+	// leases and completes pairs under its own worker name.
+	sweep("get,delete")
+	if two := fleetSeries(t); two != one || one == 0 {
+		t.Errorf("commuter_fleet_* series: %d after one fleet sweep, %d after two", one, two)
 	}
 }

@@ -67,14 +67,16 @@ var (
 	metricFleetPairsExecuted = obs.Default.Counter(
 		"commuter_fleet_pairs_executed_total",
 		"Pairs this server executed under a fleet lease.")
-	metricFleetPairsLeased = obs.Default.GaugeVec(
+	// The two coordinator-view series carry no worker label: worker names
+	// are minted per RunFleet call, so a label would grow a series per
+	// sweep per member, never removed. GET /v1/fleet/status has the
+	// per-worker breakdown.
+	metricFleetPairsLeased = obs.Default.Gauge(
 		"commuter_fleet_pairs_leased",
-		"Pair leases currently held, by worker (coordinator view).",
-		"worker")
-	metricFleetPairsDone = obs.Default.CounterVec(
+		"Pair leases currently held across all workers (coordinator view).")
+	metricFleetPairsDone = obs.Default.Counter(
 		"commuter_fleet_pairs_completed_total",
-		"Pairs completed, by worker (coordinator view).",
-		"worker")
+		"Pairs completed across all workers (coordinator view).")
 	metricSatCalls = obs.Default.Counter(
 		"commuter_solver_sat_calls_total",
 		"Backtracking satisfiability searches started by sweep pairs.")

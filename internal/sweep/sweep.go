@@ -291,6 +291,81 @@ func (r *run) result(pairs []PairResult) *Result {
 	return res
 }
 
+// pairJob is one pair for the executor. id is the driver's own name for the
+// job, handed back to its callback untouched (RunFleet: the lease ID).
+type pairJob struct {
+	a, b *spec.Op
+	id   string
+}
+
+// executor is the engine's one worker pool: r.workers goroutines drain a
+// channel of pair jobs through runPair and hand each finished pair to the
+// driver's callback, on the worker's goroutine. The first error — a pair's
+// or the callback's — cancels ctx, which stops the pairs in flight and
+// turns the jobs still queued into no-ops.
+type executor struct {
+	parent context.Context
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	jobs   chan pairJob
+	wg     sync.WaitGroup
+}
+
+// startExecutor starts the pool. queue is how many submitted jobs may wait
+// for a worker before submit blocks. The driver submits its jobs and then
+// calls wait, exactly once, even when it gives up early.
+func (r *run) startExecutor(ctx context.Context, queue int, done func(context.Context, pairJob, PairResult) error) *executor {
+	e := &executor{parent: ctx, jobs: make(chan pairJob, queue)}
+	e.ctx, e.cancel = context.WithCancelCause(ctx)
+	for w := 0; w < r.workers; w++ {
+		e.wg.Add(1)
+		go func() {
+			defer e.wg.Done()
+			for j := range e.jobs {
+				if e.ctx.Err() != nil {
+					continue
+				}
+				pr, err := r.runPair(e.ctx, j.a, j.b)
+				if err == nil {
+					err = done(e.ctx, j, pr)
+				}
+				if err != nil {
+					e.cancel(err)
+				}
+			}
+		}()
+	}
+	return e
+}
+
+// submit queues one job; false means the executor has stopped (failure or
+// cancellation) and the job will not run.
+func (e *executor) submit(j pairJob) bool {
+	select {
+	case e.jobs <- j:
+		return true
+	case <-e.ctx.Done():
+		return false
+	}
+}
+
+// wait closes the queue, waits for every worker to exit and returns the
+// sweep's error. Cancellation trumps per-pair errors: an in-flight pair
+// observes the cancelled context as its own failure, and the caller should
+// see the context's error, not an artifact of where cancellation landed.
+func (e *executor) wait() error {
+	close(e.jobs)
+	e.wg.Wait()
+	defer e.cancel(nil)
+	if err := e.parent.Err(); err != nil {
+		return err
+	}
+	if e.ctx.Err() != nil {
+		return context.Cause(e.ctx)
+	}
+	return nil
+}
+
 // RunContext executes the sweep described by cfg and returns the per-pair
 // results. Pair computation is deterministic, so the result is independent
 // of worker count and scheduling; only timing fields vary.
@@ -310,40 +385,24 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	defer r.close()
 
 	jobs := Pairs(cfg.Ops)
-	results := make([]PairResult, len(jobs))
-	errs := make([]error, len(jobs))
 	var (
-		emitMu sync.Mutex // serializes done/Progress
-		done   int
-		failed atomic.Bool // fail fast: stop starting pairs after the first error
+		mu      sync.Mutex // serializes results and Progress
+		results = make([]PairResult, 0, len(jobs))
 	)
-	parallelCtx(ctx, len(jobs), r.workers, func(i int) {
-		if failed.Load() || ctx.Err() != nil {
-			return
-		}
-		pr, err := r.runPair(ctx, jobs[i][0], jobs[i][1])
-		results[i], errs[i] = pr, err
-		if err != nil {
-			failed.Store(true)
-			return
-		}
-
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		done++
-		r.progress(&pr, done, len(jobs))
+	ex := r.startExecutor(ctx, 0, func(_ context.Context, _ pairJob, pr PairResult) error {
+		mu.Lock()
+		defer mu.Unlock()
+		results = append(results, pr)
+		r.progress(&pr, len(results), len(jobs))
+		return nil
 	})
-
-	// Cancellation trumps per-pair errors: an in-flight pair observes the
-	// cancelled context as its own failure, and the caller should see the
-	// context's error, not an artifact of where cancellation landed.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for _, j := range jobs {
+		if !ex.submit(pairJob{a: j[0], b: j[1]}) {
+			break
 		}
+	}
+	if err := ex.wait(); err != nil {
+		return nil, err
 	}
 	return r.result(results), nil
 }
@@ -608,14 +667,25 @@ func generateTests(ctx context.Context, r *run, a, b *spec.Op, out *PairResult) 
 }
 
 // runCheck computes one kernel's CHECK stage: the mtrace replay of tests
-// on ks, recording phase time and replay shape on out.
+// on one long-lived ks kernel (kernel.Replayer), recording phase time and
+// replay shape on out. A pair without tests constructs no kernel. On
+// cancellation the counts so far come back with the context's error, and
+// callers must not treat them as a cell.
 func runCheck(ctx context.Context, ks KernelSpec, tests []kernel.TestCase, out *PairResult) (KernelCell, error) {
+	cell := KernelCell{Kernel: ks.Name}
+	if len(tests) == 0 {
+		return cell, ctx.Err()
+	}
 	phaseStart := time.Now()
-	groups := kernel.GroupBySetup(tests)
-	total, conflicts, err := checkGroups(ctx, ks.New, groups)
+	groups, err := kernel.NewReplayer(ks.New).CheckTests(ctx, tests, func(_ int, res kernel.CheckResult) {
+		cell.Total++
+		if !res.ConflictFree {
+			cell.Conflicts++
+		}
+	})
 	out.Phases.CheckMS += msSince(phaseStart)
-	out.CheckGroups = len(groups)
-	return KernelCell{Kernel: ks.Name, Total: total, Conflicts: conflicts}, err
+	out.CheckGroups = groups
+	return cell, err
 }
 
 // recordSolverDelta folds one solver's work since the snapshot into the
@@ -640,41 +710,13 @@ func Pairs(ops []*spec.Op) [][2]*spec.Op {
 	return out
 }
 
-// CheckTestsCtx runs every test on kernels from the constructor and returns
-// the Figure 6 cell counts (tests run, tests not conflict-free). Tests are
-// grouped by setup fingerprint and replayed on one long-lived kernel
-// (kernel.Replayer), so the per-test cost is the two calls plus a journal
-// rollback rather than two fresh kernel constructions.
+// CheckTestsCtx runs every test on a kernel from the constructor and returns
+// the Figure 6 cell counts (tests run, tests not conflict-free) — one CHECK
+// stage outside a sweep.
 func CheckTestsCtx(ctx context.Context, fresh func() kernel.Kernel, tests []kernel.TestCase) (total, conflicts int, err error) {
-	return checkGroups(ctx, fresh, kernel.GroupBySetup(tests))
-}
-
-// checkGroups is the CHECK replay loop: every setup group in order on one
-// Replayer, polling for cancellation before each group and after each test
-// (individual checks are short; the poll granularity is the single test
-// case). On cancellation it returns the context error with the counts so
-// far, which callers must not treat as a cell.
-func checkGroups(ctx context.Context, fresh func() kernel.Kernel, groups []kernel.SetupGroup) (total, conflicts int, err error) {
-	var rep *kernel.Replayer
-	for _, g := range groups {
-		if err := ctx.Err(); err != nil {
-			return total, conflicts, err
-		}
-		if rep == nil {
-			rep = kernel.NewReplayer(fresh)
-		}
-		err := rep.CheckGroup(g.Setup, g.Tests, func(res kernel.CheckResult) bool {
-			total++
-			if !res.ConflictFree {
-				conflicts++
-			}
-			return ctx.Err() == nil
-		})
-		if err != nil {
-			return total, conflicts, err
-		}
-	}
-	return total, conflicts, ctx.Err()
+	var shape PairResult // the stage's timing record, which this caller drops
+	cell, err := runCheck(ctx, KernelSpec{New: fresh}, tests, &shape)
+	return cell.Total, cell.Conflicts, err
 }
 
 func msSince(t time.Time) float64 {
@@ -683,45 +725,4 @@ func msSince(t time.Time) float64 {
 
 func msBetween(a, b time.Time) float64 {
 	return float64(b.Sub(a)) / float64(time.Millisecond)
-}
-
-// parallelCtx runs fn(i) for every i in [0, n) on up to workers
-// goroutines. Once ctx is cancelled no new index is dispatched, and the
-// call still waits for in-flight fn calls to return — the pool never leaks
-// goroutines, cancelled or not. fn is responsible for observing ctx itself
-// if it wants to cut its own work short.
-func parallelCtx(ctx context.Context, n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			fn(i)
-		}
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,7 +19,10 @@ import (
 	"repro/internal/kernel/kerneltest"
 	"repro/internal/kernel/monokernel"
 	"repro/internal/kernel/svsix"
+	"repro/internal/kvspec"
 	"repro/internal/model"
+	"repro/internal/queuespec"
+	"repro/internal/spec"
 	"repro/internal/testgen"
 )
 
@@ -52,8 +57,11 @@ func sequentialReference(t testing.TB, ops []*model.OpDef, kernels []KernelSpec)
 	var out []PairResult
 	for i, a := range ops {
 		for _, b := range ops[:i+1] {
-			pr := analyzer.AnalyzePair(model.Spec, b, a, analyzer.Options{})
-			tests := testgen.Generate(model.Spec, pr, testgen.Options{})
+			pr, err := analyzer.AnalyzePairCtx(context.Background(), model.Spec, b, a, analyzer.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tests, _ := testgen.GenerateChecked(model.Spec, pr, testgen.Options{})
 			res := PairResult{OpA: pr.OpA, OpB: pr.OpB, Tests: len(tests)}
 			for _, ks := range kernels {
 				cell := KernelCell{Kernel: ks.Name}
@@ -325,22 +333,66 @@ func TestSweepProgressAndArtifact(t *testing.T) {
 	}
 }
 
-// TestParallel pins the scheduling primitive: every index runs exactly
-// once for degenerate and normal worker counts.
+// TestParallel pins the scheduling primitive, the executor both drivers
+// feed: every submitted job reaches the callback exactly once, for
+// degenerate and normal worker counts, with and without a queue; and a
+// callback's error stops the pool and is what wait reports.
 func TestParallel(t *testing.T) {
-	for _, tc := range []struct{ n, workers int }{
-		{0, 4}, {1, 4}, {7, 1}, {7, 3}, {3, 100}, {16, 0},
+	get, err := spec.OpByName(kvspec.Spec, "get")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errStop := errors.New("callback failed")
+	for _, tc := range []struct{ n, workers, queue, failAt int }{
+		{0, 4, 0, -1}, {1, 4, 0, -1}, {7, 1, 0, -1}, {7, 3, 0, -1}, {3, 100, 0, -1}, {16, 0, 0, -1},
+		{7, 3, 6, -1}, {16, 1, 0, 3}, {16, 1, 4, 3}, {16, 3, 0, 3},
 	} {
+		r, err := newRun(Config{Spec: kvspec.Spec, Workers: tc.workers})
+		if err != nil {
+			t.Fatal(err)
+		}
 		counts := make([]int, tc.n)
 		var mu sync.Mutex
-		parallelCtx(context.Background(), tc.n, tc.workers, func(i int) {
+		ex := r.startExecutor(context.Background(), tc.queue, func(_ context.Context, j pairJob, pr PairResult) error {
+			i, err := strconv.Atoi(j.id)
+			if err != nil || pr.Pair() != "get/get" {
+				t.Errorf("callback got job %q with pair %s", j.id, pr.Pair())
+			}
 			mu.Lock()
 			counts[i]++
 			mu.Unlock()
+			if i == tc.failAt {
+				return errStop
+			}
+			return nil
 		})
+		submitted := 0
+		for ; submitted < tc.n; submitted++ {
+			if !ex.submit(pairJob{a: get, b: get, id: strconv.Itoa(submitted)}) {
+				break
+			}
+		}
+		err = ex.wait()
+		r.close()
+		if tc.failAt < 0 {
+			if err != nil || submitted != tc.n {
+				t.Errorf("n=%d workers=%d queue=%d: %d jobs submitted, err %v", tc.n, tc.workers, tc.queue, submitted, err)
+			}
+			for i, c := range counts {
+				if c != 1 {
+					t.Errorf("n=%d workers=%d queue=%d: job %d ran %d times", tc.n, tc.workers, tc.queue, i, c)
+				}
+			}
+			continue
+		}
+		if !errors.Is(err, errStop) {
+			t.Errorf("queue=%d: wait = %v, want the callback's error", tc.queue, err)
+		}
 		for i, c := range counts {
-			if c != 1 {
-				t.Errorf("n=%d workers=%d: index %d ran %d times", tc.n, tc.workers, i, c)
+			// One worker takes jobs in order, so nothing after the failing
+			// job may run; several may have been past it already.
+			if c > 1 || (tc.workers == 1 && (c == 1) != (i <= tc.failAt)) {
+				t.Errorf("workers=%d queue=%d: job %d ran %d times around failing job %d", tc.workers, tc.queue, i, c, tc.failAt)
 			}
 		}
 	}
@@ -419,5 +471,31 @@ func TestWorkersBoundExecutingKernels(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPairWithoutTestsBuildsNoKernel pins the CHECK stage's guard: ordered
+// sends never commute, so send/send generates no tests, and a stage with
+// nothing to replay must not pay for a kernel.
+func TestPairWithoutTestsBuildsNoKernel(t *testing.T) {
+	ops, err := spec.OpSet(queuespec.Spec, "send")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var built atomic.Int64
+	ks := KernelSpec{Name: "counting", New: func() kernel.Kernel {
+		built.Add(1)
+		return implSpec(queuespec.Spec, t).New()
+	}}
+	res := mustRun(t, Config{Spec: queuespec.Spec, Ops: ops, Kernels: []KernelSpec{ks}})
+	want := []KernelCell{{Kernel: "counting"}}
+	if len(res.Pairs) != 1 || res.Pairs[0].Tests != 0 || !reflect.DeepEqual(res.Pairs[0].Cells, want) {
+		t.Fatalf("send/send: %+v, want one pair with no tests and an empty cell", res.Pairs)
+	}
+	if total, conflicts, err := CheckTestsCtx(context.Background(), ks.New, nil); total != 0 || conflicts != 0 || err != nil {
+		t.Errorf("CheckTestsCtx of no tests = %d, %d, %v", total, conflicts, err)
+	}
+	if n := built.Load(); n != 0 {
+		t.Errorf("%d kernels built for stages with nothing to replay", n)
 	}
 }

@@ -539,10 +539,6 @@ func (s *Solver) Sat(e *Expr) bool {
 	return ok
 }
 
-// Valid reports whether e holds in every model over the candidate domains
-// (i.e. its negation is unsatisfiable).
-func (s *Solver) Valid(e *Expr) bool { return !s.Sat(Not(e)) }
-
 // Enumerate invokes cb for each model of e until cb returns false or the
 // space is exhausted. The Model passed to cb is reused; clone it to keep it.
 func (s *Solver) Enumerate(e *Expr, cb func(Model) bool) {

@@ -55,10 +55,10 @@ func TestSolveUnsatArithmetic(t *testing.T) {
 func TestValid(t *testing.T) {
 	p := Var("p", BoolSort)
 	var s Solver
-	if !s.Valid(Or(p, Not(p))) {
-		t.Error("p || !p should be valid")
+	if s.Sat(Not(Or(p, Not(p)))) {
+		t.Error("p || !p should be valid: its negation is unsatisfiable")
 	}
-	if s.Valid(p) {
+	if !s.Sat(Not(p)) {
 		t.Error("p alone should not be valid")
 	}
 }

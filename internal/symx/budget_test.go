@@ -12,7 +12,7 @@ import (
 // instead of trusting an unproven "infeasible".
 func TestPathBudgetedFlag(t *testing.T) {
 	run := func(maxSteps int) []Path {
-		return Run(func(c *Context) any {
+		return explore(func(c *Context) any {
 			x := c.Var("bgx", sym.IntSort, KindArg)
 			c.Assume(sym.Eq(x, sym.Int(0))) // cheap: decided within any budget here
 			y := c.Var("bgy", sym.IntSort, KindArg)
@@ -48,7 +48,7 @@ func TestPathBudgetedFlag(t *testing.T) {
 // possibly-wrongly-pruned path leaves no trace and the pair reads as
 // definitively classified.
 func TestBudgetedSurvivesAbortedReplay(t *testing.T) {
-	paths := Run(func(c *Context) any {
+	paths := explore(func(c *Context) any {
 		p := c.Var("abp", sym.BoolSort, KindArg)
 		if c.Branch(p) {
 			y := c.Var("aby", sym.IntSort, KindArg)

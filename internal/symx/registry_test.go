@@ -17,7 +17,7 @@ func TestInitialProbeSharingAcrossKeys(t *testing.T) {
 		return NewStruct("v", c.Var(tag+".v", sym.IntSort, KindState))
 	}
 	var s sym.Solver
-	paths := Run(func(c *Context) any {
+	paths := explore(func(c *Context) any {
 		x := c.Var("x", nameSort, KindArg)
 		y := c.Var("y", nameSort, KindArg)
 		c.Assume(sym.Eq(x, y))
@@ -38,7 +38,7 @@ func TestInitialProbeSharingAcrossKeys(t *testing.T) {
 	}, Options{})
 	for _, p := range paths {
 		eq := p.Result.(*sym.Expr)
-		if !s.Valid(sym.Implies(p.PC, eq)) {
+		if !valid(&s, sym.Implies(p.PC, eq)) {
 			t.Errorf("aliased initial values differ under %v", p.PC)
 		}
 	}
@@ -50,7 +50,7 @@ func TestGetFuncSharingAcrossKeys(t *testing.T) {
 		return NewStruct("n", c.Var(tag+".n", sym.IntSort, KindState))
 	}
 	var s sym.Solver
-	paths := Run(func(c *Context) any {
+	paths := explore(func(c *Context) any {
 		x := c.Var("x", sym.IntSort, KindArg)
 		y := c.Var("y", sym.IntSort, KindArg)
 		c.Assume(sym.Eq(x, y))
@@ -61,7 +61,7 @@ func TestGetFuncSharingAcrossKeys(t *testing.T) {
 		return sym.Eq(v1, v2)
 	}, Options{})
 	for _, p := range paths {
-		if !s.Valid(sym.Implies(p.PC, p.Result.(*sym.Expr))) {
+		if !valid(&s, sym.Implies(p.PC, p.Result.(*sym.Expr))) {
 			t.Errorf("aliased GetFunc values differ under %v", p.PC)
 		}
 	}
@@ -74,7 +74,7 @@ func TestInitialProbesDistinctKeysIndependent(t *testing.T) {
 		return NewStruct("v", c.Var(tag+".v", sym.IntSort, KindState))
 	}
 	var s sym.Solver
-	paths := Run(func(c *Context) any {
+	paths := explore(func(c *Context) any {
 		x := c.Var("x", nameSort, KindArg)
 		y := c.Var("y", nameSort, KindArg)
 		c.Assume(sym.Ne(x, y))
@@ -107,7 +107,7 @@ func TestEquivalenceUsesRegistryDefaults(t *testing.T) {
 		return NewStruct("v", c.Var(tag+".v", sym.IntSort, KindState))
 	}
 	var s sym.Solver
-	paths := Run(func(c *Context) any {
+	paths := explore(func(c *Context) any {
 		x := c.Var("x", nameSort, KindArg)
 		y := c.Var("y", nameSort, KindArg)
 		c.Assume(sym.Eq(x, y))
@@ -128,7 +128,7 @@ func TestEquivalenceUsesRegistryDefaults(t *testing.T) {
 	}, Options{})
 	for _, p := range paths {
 		eq := p.Result.(*sym.Expr)
-		if !s.Valid(sym.Implies(p.PC, eq)) {
+		if !valid(&s, sym.Implies(p.PC, eq)) {
 			t.Errorf("no-op rewrite should leave states equivalent under %v", p.PC)
 		}
 	}

@@ -13,7 +13,6 @@ package symx
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/sym"
 )
@@ -71,12 +70,14 @@ type Context struct {
 	// reset the mark, since overlaid values can flip earlier verdicts.
 	witOK int
 
-	// infeas caches conditions proven unsatisfiable with the path
+	// infeas caches conditions found unsatisfiable with the path
 	// condition. The path condition only grows, so infeasibility is
 	// monotone: once pc ∧ cond is unsatisfiable it stays unsatisfiable,
 	// and dictionary lookups that re-branch on the same (hash-consed,
-	// pointer-identical) key equalities skip the repeated refutation.
-	infeas map[*sym.Expr]struct{}
+	// pointer-identical) key equalities skip the repeated refutation. The
+	// value records that the refuting search ran out of budget, so a
+	// cached "no" stays as unproven as the search that produced it.
+	infeas map[*sym.Expr]bool
 
 	// budgeted records that some feasibility check exhausted the
 	// solver's step budget, so an "infeasible" answer along this path
@@ -95,7 +96,7 @@ func newContext(trace []bool, solver *sym.Solver) *Context {
 	return &Context{
 		solver:     solver,
 		pcSet:      map[*sym.Expr]struct{}{},
-		infeas:     map[*sym.Expr]struct{}{},
+		infeas:     map[*sym.Expr]bool{},
 		trace:      trace,
 		varKinds:   map[string]VarKind{},
 		varSorts:   map[string]sym.Sort{},
@@ -285,7 +286,7 @@ func (c *Context) feasible(cond *sym.Expr) (sym.Model, bool) {
 		return nil, true
 	}
 	if c.pcRefutes(cond) {
-		c.infeas[cond] = struct{}{}
+		c.infeas[cond] = false
 		return nil, false
 	}
 	if c.witnessDecides(cond) {
@@ -293,10 +294,9 @@ func (c *Context) feasible(cond *sym.Expr) (sym.Model, bool) {
 	}
 	m, ok := c.solver.SatAssumingConjs(c.pcConjs, cond)
 	if !ok {
-		c.infeas[cond] = struct{}{}
-		if c.solver.Budget() {
-			c.budgeted = true
-		}
+		truncated := c.solver.Budget()
+		c.infeas[cond] = truncated
+		c.budgeted = c.budgeted || truncated
 	}
 	return m, ok
 }
@@ -366,10 +366,6 @@ type Path struct {
 	Result any
 	// VarKinds classifies every symbolic variable the path mentions.
 	VarKinds map[string]VarKind
-	// Witness is a model satisfying PC (possibly partial with respect to
-	// variables created after the last solver call). Downstream checks
-	// can try it before paying for a solver search.
-	Witness sym.Model
 	// Budgeted reports that a feasibility check during the exploration
 	// exhausted the solver's step budget. The flag is aggregated across
 	// the whole run — including replays that aborted *because* of a
@@ -379,6 +375,20 @@ type Path struct {
 	// Downstream classification should treat the pair's negative answers
 	// as unknown rather than definitive.
 	Budgeted bool
+
+	// ctx is the finished exploration context, kept so Sat can pose
+	// further questions against the path condition.
+	ctx *Context
+}
+
+// Sat reports whether PC ∧ extra is satisfiable, through the same ladder
+// exploration used for its branches: extra already among the path
+// condition's conjuncts, its negation among them, the cached witness, and
+// only then a cone-of-influence search. unknown reports that a false
+// answer came from a budget-truncated search and is therefore not a proof.
+func (p *Path) Sat(extra *sym.Expr) (sat, unknown bool) {
+	_, sat = p.ctx.feasible(extra)
+	return sat, !sat && p.ctx.infeas[extra]
 }
 
 // Options tunes path exploration.
@@ -389,29 +399,20 @@ type Options struct {
 	Solver *sym.Solver
 }
 
-// Run symbolically executes fn, exploring every feasible path, and returns
-// one Path per feasible complete execution.
-func Run(fn func(*Context) any, opt Options) []Path {
-	paths, _ := RunChecked(fn, opt)
-	return paths
-}
-
-// RunChecked is Run plus the aggregated budget flag, which it also stamps
-// on every returned path. The separate return matters when exploration is
-// truncated so hard that *no* path survives: an empty path list with
-// budgeted=true means "unknown", not "no feasible executions".
-func RunChecked(fn func(*Context) any, opt Options) ([]Path, bool) {
-	paths, budgeted, _ := RunCtx(context.Background(), fn, opt)
-	return paths, budgeted
-}
-
-// RunCtx is RunChecked under a context: cancellation is observed between
-// path replays, and — when RunCtx owns the solver — inside a replay's
-// feasibility searches through the solver's Stop hook, so even a single
-// long search cannot outlive the caller's deadline by much. On
-// cancellation it returns ctx.Err() and whatever paths had completed;
-// partial results from a cancelled exploration must not be interpreted
-// (the caller is abandoning the work, not truncating it).
+// RunCtx symbolically executes fn, exploring every feasible path, and
+// returns one Path per feasible complete execution plus the aggregated
+// budget flag, which it also stamps on every returned path. The separate
+// return matters when exploration is truncated so hard that *no* path
+// survives: an empty path list with budgeted=true means "unknown", not "no
+// feasible executions".
+//
+// Cancellation is observed between path replays, and — when RunCtx owns
+// the solver — inside a replay's feasibility searches through the solver's
+// Stop hook, so even a single long search cannot outlive the caller's
+// deadline by much. On cancellation it returns ctx.Err() and whatever
+// paths had completed; partial results from a cancelled exploration must
+// not be interpreted (the caller is abandoning the work, not truncating
+// it).
 func RunCtx(ctx context.Context, fn func(*Context) any, opt Options) ([]Path, bool, error) {
 	maxPaths := opt.MaxPaths
 	if maxPaths == 0 {
@@ -447,8 +448,7 @@ func RunCtx(ctx context.Context, fn func(*Context) any, opt Options) ([]Path, bo
 			continue
 		}
 		paths = append(paths, Path{
-			PC: ctx.PC(), Result: res, VarKinds: ctx.VarKinds(),
-			Witness: ctx.witness,
+			PC: ctx.PC(), Result: res, VarKinds: ctx.VarKinds(), ctx: ctx,
 		})
 	}
 	for i := range paths {
@@ -469,17 +469,4 @@ func runOne(ctx *Context, fn func(*Context) any) (res any, aborted bool) {
 		}
 	}()
 	return fn(ctx), false
-}
-
-// SortedVarNames returns the names of all variables of the given kind,
-// sorted, from a VarKinds map.
-func SortedVarNames(kinds map[string]VarKind, kind VarKind) []string {
-	var names []string
-	for n, k := range kinds {
-		if k == kind {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

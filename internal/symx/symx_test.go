@@ -7,7 +7,7 @@ import (
 )
 
 func TestRunExploresBothBranches(t *testing.T) {
-	paths := Run(func(c *Context) any {
+	paths := explore(func(c *Context) any {
 		x := c.Var("x", sym.IntSort, KindArg)
 		if c.Branch(sym.Lt(x, sym.Int(0))) {
 			return "neg"
@@ -27,7 +27,7 @@ func TestRunExploresBothBranches(t *testing.T) {
 }
 
 func TestRunPathConditionsDisjoint(t *testing.T) {
-	paths := Run(func(c *Context) any {
+	paths := explore(func(c *Context) any {
 		x := c.Var("x", sym.IntSort, KindArg)
 		a := c.Branch(sym.Lt(x, sym.Int(0)))
 		b := c.Branch(sym.Lt(x, sym.Int(10)))
@@ -48,7 +48,7 @@ func TestRunPathConditionsDisjoint(t *testing.T) {
 }
 
 func TestAssumeAbandonsInfeasible(t *testing.T) {
-	paths := Run(func(c *Context) any {
+	paths := explore(func(c *Context) any {
 		x := c.Var("x", sym.IntSort, KindArg)
 		c.Assume(sym.Lt(x, sym.Int(0)))
 		if c.Branch(sym.Gt(x, sym.Int(5))) {
@@ -62,7 +62,7 @@ func TestAssumeAbandonsInfeasible(t *testing.T) {
 }
 
 func TestNestedBranchesEnumerate(t *testing.T) {
-	paths := Run(func(c *Context) any {
+	paths := explore(func(c *Context) any {
 		p := c.Var("p", sym.BoolSort, KindArg)
 		q := c.Var("q", sym.BoolSort, KindArg)
 		n := 0
@@ -89,7 +89,7 @@ func TestNestedBranchesEnumerate(t *testing.T) {
 }
 
 func TestMaxPathsCap(t *testing.T) {
-	paths := Run(func(c *Context) any {
+	paths := explore(func(c *Context) any {
 		for i := 0; i < 10; i++ {
 			c.Branch(c.Var(string(rune('a'+i)), sym.BoolSort, KindArg))
 		}
@@ -101,7 +101,7 @@ func TestMaxPathsCap(t *testing.T) {
 }
 
 func TestVarMemoization(t *testing.T) {
-	Run(func(c *Context) any {
+	explore(func(c *Context) any {
 		v1 := c.Var("x", sym.IntSort, KindArg)
 		v2 := c.Var("x", sym.IntSort, KindArg)
 		if v1 != v2 {
@@ -117,7 +117,7 @@ func TestVarSortConflictPanics(t *testing.T) {
 			t.Error("expected panic on sort conflict")
 		}
 	}()
-	Run(func(c *Context) any {
+	explore(func(c *Context) any {
 		c.Var("x", sym.IntSort, KindArg)
 		c.Var("x", sym.BoolSort, KindArg)
 		return nil
@@ -125,7 +125,7 @@ func TestVarSortConflictPanics(t *testing.T) {
 }
 
 func TestVarKindsReported(t *testing.T) {
-	paths := Run(func(c *Context) any {
+	paths := explore(func(c *Context) any {
 		c.Var("arg", sym.IntSort, KindArg)
 		c.Var("state", sym.IntSort, KindState)
 		c.Var("nd", sym.IntSort, KindNondet)
@@ -135,13 +135,10 @@ func TestVarKindsReported(t *testing.T) {
 	if k["arg"] != KindArg || k["state"] != KindState || k["nd"] != KindNondet {
 		t.Errorf("kinds = %v", k)
 	}
-	if names := SortedVarNames(k, KindArg); len(names) != 1 || names[0] != "arg" {
-		t.Errorf("SortedVarNames = %v", names)
-	}
 }
 
 func TestBranchOnConstantsDoesNotFork(t *testing.T) {
-	paths := Run(func(c *Context) any {
+	paths := explore(func(c *Context) any {
 		if !c.Branch(sym.True) {
 			t.Error("Branch(true) returned false")
 		}
@@ -158,7 +155,7 @@ func TestBranchOnConstantsDoesNotFork(t *testing.T) {
 func TestReplayDeterminismSharedNames(t *testing.T) {
 	// Two identically-named dictionaries must materialize identical
 	// initial-content variables, making untouched state trivially equal.
-	paths := Run(func(c *Context) any {
+	paths := explore(func(c *Context) any {
 		mk := func(c *Context, tag string) Value {
 			return NewStruct("v", c.Var(tag+".v", sym.IntSort, KindState))
 		}
@@ -173,7 +170,7 @@ func TestReplayDeterminismSharedNames(t *testing.T) {
 	var s sym.Solver
 	for _, p := range paths {
 		eq := p.Result.(*sym.Expr)
-		if !s.Valid(sym.Implies(p.PC, eq)) {
+		if !valid(&s, sym.Implies(p.PC, eq)) {
 			t.Errorf("untouched identical dicts not equivalent under %v: %v", p.PC, eq)
 		}
 	}

@@ -235,15 +235,6 @@ func (d *Dict) Get(c *Context, k Key) Value {
 	return e.Val
 }
 
-// GetOr returns the value at k, or def when absent.
-func (d *Dict) GetOr(c *Context, k Key, def Value) Value {
-	e := d.lookup(c, k)
-	if !e.Present {
-		return def
-	}
-	return e.Val
-}
-
 // lookupWrite is like lookup but does not probe unconstrained initial
 // membership: a write overwrites whatever was there, so the prior state is
 // irrelevant and forking on it would only multiply paths.

@@ -3,7 +3,6 @@ package testgen
 import (
 	"testing"
 
-	"repro/internal/analyzer"
 	"repro/internal/model"
 	"repro/internal/sym"
 )
@@ -29,8 +28,7 @@ func TestClassFormulaDegenerate(t *testing.T) {
 // instead of silently under-generating; with the default budget the same
 // pair reports zero truncation.
 func TestGenerateCheckedReportsTruncation(t *testing.T) {
-	op := model.OpByName("stat")
-	pr := analyzer.AnalyzePair(model.Spec, op, op, analyzer.Options{})
+	pr := analyze(t, "stat", "stat")
 	nCommut := len(pr.CommutativePaths())
 	if nCommut == 0 {
 		t.Fatal("stat x stat should have commutative paths")

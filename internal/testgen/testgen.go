@@ -40,18 +40,12 @@ type Options struct {
 // the concretizer.
 func (o Options) Config() spec.Config { return spec.Config{LowestFD: o.LowestFD} }
 
-// Generate produces concrete test cases for every commutative path of a
-// pair analysis performed against the spec sp.
-func Generate(sp spec.Spec, pr analyzer.PairResult, opt Options) []kernel.TestCase {
-	tests, _ := GenerateChecked(sp, pr, opt)
-	return tests
-}
-
-// GenerateChecked is Generate plus the truncation count: the number of
-// commutative paths whose class enumeration ran out of solver budget, so
-// isomorphism classes (and hence tests) may have been dropped. Callers
-// that report coverage treat such pairs as under-approximated, like the
-// analyzer's Unknown paths.
+// GenerateChecked produces concrete test cases for every commutative path
+// of a pair analysis performed against the spec sp, plus the truncation
+// count: the number of commutative paths whose class enumeration ran out
+// of solver budget, so isomorphism classes (and hence tests) may have been
+// dropped. Callers that report coverage treat such pairs as
+// under-approximated, like the analyzer's Unknown paths.
 func GenerateChecked(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kernel.TestCase, int) {
 	maxPer := opt.MaxTestsPerPath
 	if maxPer == 0 {

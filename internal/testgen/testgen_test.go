@@ -1,6 +1,7 @@
 package testgen
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/analyzer"
@@ -12,10 +13,19 @@ import (
 	"repro/internal/sym"
 )
 
+func analyze(t *testing.T, a, b string) analyzer.PairResult {
+	t.Helper()
+	pr, err := analyzer.AnalyzePairCtx(context.Background(), model.Spec, model.OpByName(a), model.OpByName(b), analyzer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pr
+}
+
 func gen(t *testing.T, a, b string, opt Options) []kernel.TestCase {
 	t.Helper()
-	pr := analyzer.AnalyzePair(model.Spec, model.OpByName(a), model.OpByName(b), analyzer.Options{})
-	return Generate(model.Spec, pr, opt)
+	tests, _ := GenerateChecked(model.Spec, analyze(t, a, b), opt)
+	return tests
 }
 
 func TestGenerateProducesTests(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/analyzer"
+	"repro/internal/kernel"
 	"repro/internal/kernel/kerneltest"
 	"repro/internal/spec"
 	"repro/internal/sweep"
@@ -21,7 +22,18 @@ func analyze(t *testing.T, a, b string) analyzer.PairResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return analyzer.AnalyzePair(Spec, opA, opB, analyzer.Options{})
+	r, err := analyzer.AnalyzePairCtx(context.Background(), Spec, opA, opB, analyzer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// generate is the pair's test set; these pairs fit the default budget, so
+// the truncation count is not of interest.
+func generate(r analyzer.PairResult) []kernel.TestCase {
+	tests, _ := testgen.GenerateChecked(Spec, r, testgen.Options{})
+	return tests
 }
 
 func counts(r analyzer.PairResult) (commute, diverge int) {
@@ -148,7 +160,7 @@ func TestVMSweep(t *testing.T) {
 // conflict-free on memvm (per-page cells, no shared structure).
 func TestDisjointRegionTestsConflictFree(t *testing.T) {
 	r := analyze(t, "memread", "memwrite")
-	tests := testgen.Generate(Spec, r, testgen.Options{})
+	tests := generate(r)
 	if len(tests) == 0 {
 		t.Fatal("no tests for memread x memwrite")
 	}
@@ -185,7 +197,7 @@ func TestDisjointRegionTestsConflictFree(t *testing.T) {
 // seeded content.
 func TestGenerateVMTests(t *testing.T) {
 	r := analyze(t, "memread", "memwrite")
-	tests := testgen.Generate(Spec, r, testgen.Options{})
+	tests := generate(r)
 	seeded := false
 	for _, tc := range tests {
 		for _, v := range tc.Setup.VMAs {
