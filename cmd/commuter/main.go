@@ -7,11 +7,11 @@
 //
 //	commuter analyze -pair rename,rename     # print commutativity conditions
 //	commuter testgen -pair rename,rename     # print generated test cases
-//	commuter matrix  -ops fs                 # Figure 6 for both kernels
-//	commuter matrix  -ops all -kernel sv6    # one kernel, all 18 ops
+//	commuter sweep   -ops fs                 # Figure 6 for both kernels
+//	commuter sweep   -ops all -kernel sv6    # one kernel, all 18 ops
 //	commuter sweep   -ops all -j 8           # parallel, cacheable matrix run
 //	commuter sweep   -ops all -cache .sweep  # repeat sweeps are incremental
-//	commuter matrix  -spec queue             # second interface: mail queues
+//	commuter sweep   -spec queue             # second interface: mail queues
 //	commuter analyze -spec queue -pair send,send
 //	commuter serve   -addr :8372 -cache .sweep   # host sweeps over HTTP
 //	commuter sweep   -ops fs -server http://host:8372  # ...and consume them
@@ -21,7 +21,8 @@
 // runs on the named `commuter serve` instance over the versioned JSON
 // protocol — same flags, same output, different machine. The serve
 // subcommand hosts the pipeline (and the shared two-tier result cache)
-// for any number of such clients.
+// for any number of such clients. `commuter matrix` is an alias of
+// `commuter sweep`.
 //
 // Every pipeline command takes -spec, selecting the modeled interface
 // specification from the registry (default "posix", the 18 POSIX calls;
@@ -54,7 +55,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -66,14 +66,6 @@ import (
 	"time"
 
 	"repro/commuter"
-	"repro/internal/api"
-	"repro/internal/eval"
-	_ "repro/internal/kvspec" // registers the "kv" spec
-	_ "repro/internal/model"  // registers the "posix" spec
-	"repro/internal/obs"
-	_ "repro/internal/queuespec" // registers the "queue" spec
-	"repro/internal/spec"
-	_ "repro/internal/vmspec" // registers the "vm" spec
 )
 
 func main() {
@@ -86,9 +78,7 @@ func main() {
 		cmdAnalyze(args)
 	case "testgen":
 		cmdTestgen(args)
-	case "matrix":
-		cmdMatrix(args)
-	case "sweep":
+	case "matrix", "sweep":
 		cmdSweep(args)
 	case "serve":
 		cmdServe(args)
@@ -107,8 +97,7 @@ func fatal(err error) {
 	// Usage-class failures (unknown specs/ops/kernels, malformed
 	// requests) keep their historical exit status 2; pipeline failures
 	// exit 1.
-	var ae *api.Error
-	if errors.As(err, &ae) && ae.Code == api.CodeBadRequest {
+	if commuter.IsBadRequest(err) {
 		os.Exit(2)
 	}
 	os.Exit(1)
@@ -117,7 +106,7 @@ func fatal(err error) {
 // specFlag registers the -spec flag on a subcommand's flag set.
 func specFlag(fs *flag.FlagSet) *string {
 	return fs.String("spec", "posix",
-		"interface specification to analyze (known: "+strings.Join(spec.Names(), ", ")+")")
+		"interface specification to analyze (known: "+strings.Join(commuter.Specs(), ", ")+")")
 }
 
 // logFlag registers the -log flag on a subcommand's flag set. The default
@@ -130,14 +119,19 @@ func logFlag(fs *flag.FlagSet) *string {
 // setupLogging installs the process-wide structured logger at the given
 // level (text lines on stderr) and returns it.
 func setupLogging(level string) *slog.Logger {
-	lv, err := obs.ParseLevel(level)
-	if err != nil {
+	var lv slog.Level
+	if err := lv.UnmarshalText([]byte(level)); err != nil {
 		fmt.Fprintln(os.Stderr, "commuter:", err)
 		os.Exit(2)
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lv}))
 	slog.SetDefault(logger)
 	return logger
+}
+
+// lowestFDFlag registers the -lowestfd flag on a subcommand's flag set.
+func lowestFDFlag(fs *flag.FlagSet) *bool {
+	return fs.Bool("lowestfd", false, "model POSIX's lowest-FD rule instead of O_ANYFD nondeterminism")
 }
 
 // serverFlag registers the -server flag on a subcommand's flag set.
@@ -177,20 +171,6 @@ func splitPair(s string) (string, string) {
 	return strings.TrimSpace(parts[0]), strings.TrimSpace(parts[1])
 }
 
-// opSet resolves the -ops selector against a local spec: "all", a
-// spec-defined named subset, or a comma list — deduplicated preserving
-// first-appearance order. Retained for in-process tooling (tests, the
-// golden pin); the CLI proper passes selectors through the client, which
-// applies the same resolution wherever it executes.
-func opSet(sp spec.Spec, s string) []*spec.Op {
-	out, err := spec.OpSet(sp, s)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "commuter:", err)
-		os.Exit(2)
-	}
-	return out
-}
-
 // kernelNames parses the -kernel flag: "both"/"all" means every
 // implementation of the spec (the client's default).
 func kernelNames(s string) []string {
@@ -209,7 +189,7 @@ func cmdAnalyze(args []string) {
 	pair := fs.String("pair", "rename,rename", "operation pair to analyze")
 	specName := specFlag(fs)
 	server := serverFlag(fs)
-	lowest := fs.Bool("lowestfd", false, "model POSIX's lowest-FD rule instead of O_ANYFD nondeterminism")
+	lowest := lowestFDFlag(fs)
 	verbose := fs.Bool("v", false, "print each path's commutativity condition")
 	logLevel := logFlag(fs)
 	fs.Parse(args)
@@ -255,7 +235,7 @@ func cmdTestgen(args []string) {
 	specName := specFlag(fs)
 	server := serverFlag(fs)
 	perPath := fs.Int("per-path", 4, "max isomorphism classes per path")
-	lowest := fs.Bool("lowestfd", false, "model POSIX's lowest-FD rule instead of O_ANYFD nondeterminism")
+	lowest := lowestFDFlag(fs)
 	check := fs.Bool("check", false, "also run the tests on the spec's implementations")
 	logLevel := logFlag(fs)
 	fs.Parse(args)
@@ -367,7 +347,7 @@ func printTest(tc commuter.TestCase) {
 	fmt.Printf("  op0: %v\n  op1: %v\n", tc.Calls[0], tc.Calls[1])
 }
 
-// sweepOptions assembles the client options shared by matrix and sweep.
+// sweepOptions assembles the sweep's client options.
 func sweepOptions(specName, ops, kern string, perPath int, lowest bool, workers int) []commuter.Option {
 	opts := []commuter.Option{
 		commuter.WithSpec(specName),
@@ -472,30 +452,6 @@ func writeTraceFile(path string, res *commuter.SweepResult) {
 	fmt.Fprintf(os.Stderr, "commuter: wrote trace to %s (load in chrome://tracing or ui.perfetto.dev)\n", path)
 }
 
-func cmdMatrix(args []string) {
-	fs := flag.NewFlagSet("matrix", flag.ExitOnError)
-	ops := fs.String("ops", "", `operation universe: "all", a spec-named subset ("fs"), or a comma list`)
-	specName := specFlag(fs)
-	server := serverFlag(fs)
-	kern := fs.String("kernel", "both", `implementation names, or "both"/"all" for every one`)
-	perPath := fs.Int("per-path", 4, "max isomorphism classes per path")
-	lowest := fs.Bool("lowestfd", false, "model POSIX's lowest-FD rule instead of O_ANYFD nondeterminism")
-	logLevel := logFlag(fs)
-	fs.Parse(args)
-	setupLogging(*logLevel)
-
-	ctx, stop := runContext()
-	defer stop()
-	cli := newClient(*server)
-	defer cli.Close()
-	res := runSweep(ctx, cli, "", sweepOptions(*specName, *ops, *kern, *perPath, *lowest, 0))
-	fmt.Printf("generated %d tests for %d pairs in %v\n\n",
-		res.TotalTests(), len(res.Pairs), res.Elapsed.Round(time.Second))
-	for _, m := range eval.MatricesFromSweep(res) {
-		fmt.Println(eval.FormatMatrix(m))
-	}
-}
-
 func cmdSweep(args []string) {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	ops := fs.String("ops", "", `operation universe: "all", a spec-named subset ("fs"), or a comma list`)
@@ -506,7 +462,7 @@ func cmdSweep(args []string) {
 	out := fs.String("out", "", "write per-pair results as JSONL to this file")
 	kern := fs.String("kernel", "both", `implementation names, or "both"/"all" for every one`)
 	perPath := fs.Int("per-path", 4, "max isomorphism classes per path")
-	lowest := fs.Bool("lowestfd", false, "model POSIX's lowest-FD rule instead of O_ANYFD nondeterminism")
+	lowest := lowestFDFlag(fs)
 	tracePath := fs.String("trace", "", "write a Chrome trace-event timeline of the sweep to this file")
 	fleet := fs.String("fleet", "", "fleet coordinator: `coordinator=URL` (or a bare URL) of a commuter serve instance; this sweep then executes only the pairs it leases, sharing the work with every other member (server-side fleets are set by `serve -fleet`)")
 	logLevel := logFlag(fs)
@@ -554,7 +510,7 @@ func cmdSweep(args []string) {
 	if res.CacheWriteErrors > 0 {
 		fmt.Fprintf(os.Stderr, "commuter: warning: %d cache entries could not be stored\n", res.CacheWriteErrors)
 	}
-	for _, m := range eval.MatricesFromSweep(res) {
-		fmt.Println(eval.FormatMatrix(m))
+	for _, m := range commuter.MatricesFromSweep(res) {
+		fmt.Println(commuter.FormatMatrix(m))
 	}
 }

@@ -4,11 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/spec"
 )
 
+// opNames resolves an -ops selector the way the client the CLI hands it
+// to does.
 func opNames(t *testing.T, sel string) []string {
 	t.Helper()
-	ops := opSet(model.Spec, sel)
+	ops, err := spec.OpSet(model.Spec, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
 	names := make([]string, len(ops))
 	for i, op := range ops {
 		names[i] = op.Name
@@ -46,10 +52,10 @@ func TestOpSetDedupes(t *testing.T) {
 // TestOpSetNamedUniverses pins the named universes' sizes so the dedupe
 // path can't accidentally shadow them.
 func TestOpSetNamedUniverses(t *testing.T) {
-	if got := opSet(model.Spec, "fs"); len(got) != 9 {
+	if got := opNames(t, "fs"); len(got) != 9 {
 		t.Errorf(`opSet("fs") has %d ops, want 9`, len(got))
 	}
-	if got := opSet(model.Spec, "all"); len(got) != 18 {
+	if got := opNames(t, "all"); len(got) != 18 {
 		t.Errorf(`opSet("all") has %d ops, want 18`, len(got))
 	}
 }

@@ -21,13 +21,13 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/eval"
+	"repro/commuter"
 )
 
 func main() {
 	coresFlag := flag.String("cores", "", "comma-separated core counts (default 1,10,...,80)")
 	flag.Parse()
-	cores := eval.DefaultCores
+	cores := commuter.DefaultCores
 	if *coresFlag != "" {
 		cores = nil
 		for _, s := range strings.Split(*coresFlag, ",") {
@@ -46,20 +46,20 @@ func main() {
 	run := func(name string) {
 		switch name {
 		case "stat":
-			fmt.Println(eval.FormatCurves("Figure 7(a): statbench (fstats/Mcycle/core)", []eval.Curve{
-				eval.Statbench(eval.StatFstatx, cores),
-				eval.Statbench(eval.StatShared, cores),
-				eval.Statbench(eval.StatRefcache, cores),
+			fmt.Println(commuter.FormatCurves("Figure 7(a): statbench (fstats/Mcycle/core)", []commuter.Curve{
+				commuter.Statbench(commuter.StatFstatx, cores),
+				commuter.Statbench(commuter.StatShared, cores),
+				commuter.Statbench(commuter.StatRefcache, cores),
 			}))
 		case "open":
-			fmt.Println(eval.FormatCurves("Figure 7(b): openbench (opens/Mcycle/core)", []eval.Curve{
-				eval.Openbench(true, cores),
-				eval.Openbench(false, cores),
+			fmt.Println(commuter.FormatCurves("Figure 7(b): openbench (opens/Mcycle/core)", []commuter.Curve{
+				commuter.Openbench(true, cores),
+				commuter.Openbench(false, cores),
 			}))
 		case "mail":
-			fmt.Println(eval.FormatCurves("Figure 7(c): mail server (messages/Mcycle/core)", []eval.Curve{
-				eval.Mailbench(true, cores),
-				eval.Mailbench(false, cores),
+			fmt.Println(commuter.FormatCurves("Figure 7(c): mail server (messages/Mcycle/core)", []commuter.Curve{
+				commuter.Mailbench(true, cores),
+				commuter.Mailbench(false, cores),
 			}))
 		default:
 			fmt.Fprintf(os.Stderr, "scalebench: unknown benchmark %q\n", name)

@@ -98,37 +98,33 @@ type SweepUpdate struct {
 // method reads the fields relevant to it and ignores the rest.
 type Option func(*callOptions)
 
+// callOptions is the wire options (what a Dial client sends verbatim) plus
+// the settings that belong to the executing side alone.
 type callOptions struct {
-	spec     string
-	lowestFD bool
-	maxPaths int
-	perPath  int
-	workers  int
+	api.Options
 	cacheDir string
 	cache    sweep.Backend
-	ops      string
-	kernels  []string
 	fleet    string
 }
 
 // WithSpec selects the interface specification to analyze ("posix" when
 // not given; "queue" is the mail pipeline's communication interface).
-func WithSpec(name string) Option { return func(o *callOptions) { o.spec = name } }
+func WithSpec(name string) Option { return func(o *callOptions) { o.Spec = name } }
 
 // WithLowestFD models POSIX's lowest-FD allocation rule instead of the
 // O_ANYFD specification nondeterminism (§4 of the paper).
-func WithLowestFD(on bool) Option { return func(o *callOptions) { o.lowestFD = on } }
+func WithLowestFD(on bool) Option { return func(o *callOptions) { o.LowestFD = on } }
 
 // WithMaxPaths caps joint path exploration per pair (default 4096).
-func WithMaxPaths(n int) Option { return func(o *callOptions) { o.maxPaths = n } }
+func WithMaxPaths(n int) Option { return func(o *callOptions) { o.MaxPaths = n } }
 
 // WithTestsPerPath caps the isomorphism classes enumerated per
 // commutative path (default 4).
-func WithTestsPerPath(n int) Option { return func(o *callOptions) { o.perPath = n } }
+func WithTestsPerPath(n int) Option { return func(o *callOptions) { o.MaxTestsPerPath = n } }
 
 // WithWorkers sizes the sweep worker pool (default: one per CPU of the
 // executing side).
-func WithWorkers(n int) Option { return func(o *callOptions) { o.workers = n } }
+func WithWorkers(n int) Option { return func(o *callOptions) { o.Workers = n } }
 
 // WithCache enables the two-tier sweep cache described by spec: a bare
 // path or "dir:PATH" for the on-disk backend, "mem[:N]" for a bounded
@@ -156,19 +152,19 @@ func WithFleet(coordinatorURL string) Option {
 
 // WithOps selects an explicit operation universe for Sweep by name.
 func WithOps(names ...string) Option {
-	return func(o *callOptions) { o.ops = strings.Join(names, ",") }
+	return func(o *callOptions) { o.Ops = strings.Join(names, ",") }
 }
 
 // WithOpSet selects the operation universe with the CLI's selector
 // syntax: "all", a spec-named subset ("fs"), or a comma list. The default
 // is the spec's own default set.
-func WithOpSet(sel string) Option { return func(o *callOptions) { o.ops = sel } }
+func WithOpSet(sel string) Option { return func(o *callOptions) { o.Ops = sel } }
 
 // WithKernels names the implementations Sweep checks (default: all of
 // the spec's implementations). Unknown names error with the known
 // implementations listed.
 func WithKernels(names ...string) Option {
-	return func(o *callOptions) { o.kernels = append([]string(nil), names...) }
+	return func(o *callOptions) { o.Kernels = append([]string(nil), names...) }
 }
 
 func buildOptions(opts []Option) callOptions {
@@ -181,51 +177,21 @@ func buildOptions(opts []Option) callOptions {
 
 // specName resolves the spec selector's default.
 func (o *callOptions) specName() string {
-	if o.spec == "" {
+	if o.Spec == "" {
 		return "posix"
 	}
-	return o.spec
+	return o.Spec
 }
 
-// wire renders the options in their wire form.
-func (o *callOptions) wire() api.Options {
-	return api.Options{
-		Spec:            o.spec,
-		LowestFD:        o.lowestFD,
-		MaxPaths:        o.maxPaths,
-		MaxTestsPerPath: o.perPath,
-		Workers:         o.workers,
-		Ops:             o.ops,
-		Kernels:         o.kernels,
-	}
-}
+// withWire sets every wire option at once — the serve endpoint's half of
+// the round trip.
+func withWire(w api.Options) Option { return func(o *callOptions) { o.Options = w } }
 
-// optionsFromWire reconstructs functional options from their wire form —
-// the serve endpoint's half of the round trip.
-func optionsFromWire(w api.Options) []Option {
-	var opts []Option
-	if w.Spec != "" {
-		opts = append(opts, WithSpec(w.Spec))
-	}
-	if w.LowestFD {
-		opts = append(opts, WithLowestFD(true))
-	}
-	if w.MaxPaths != 0 {
-		opts = append(opts, WithMaxPaths(w.MaxPaths))
-	}
-	if w.MaxTestsPerPath != 0 {
-		opts = append(opts, WithTestsPerPath(w.MaxTestsPerPath))
-	}
-	if w.Workers != 0 {
-		opts = append(opts, WithWorkers(w.Workers))
-	}
-	if w.Ops != "" {
-		opts = append(opts, WithOpSet(w.Ops))
-	}
-	if len(w.Kernels) != 0 {
-		opts = append(opts, WithKernels(w.Kernels...))
-	}
-	return opts
+// IsBadRequest reports whether err is a caller mistake — an unknown spec,
+// op or kernel name, a malformed request — rather than a pipeline failure.
+func IsBadRequest(err error) bool {
+	var ae *api.Error
+	return errors.As(err, &ae) && ae.Code == api.CodeBadRequest
 }
 
 // badRequest tags a name-resolution error as a caller mistake, so the

@@ -3,6 +3,7 @@ package commuter_test
 import (
 	"context"
 	"errors"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -205,6 +206,35 @@ func TestLocalPipelineEndToEnd(t *testing.T) {
 	}
 	if want := 6; pairs != want || progress != want || len(final.Pairs) != want {
 		t.Errorf("pairs=%d progress=%d result pairs=%d, want %d each", pairs, progress, len(final.Pairs), want)
+	}
+}
+
+// TestCappedSweepIsALowerBound pins what a path cap that bites looks like
+// from the outside: every pair it truncated is marked unknown, the matrix
+// says its counts are lower bounds, and neither cache tier keeps any of it
+// — never a complete-looking matrix served again from the cache.
+func TestCappedSweepIsALowerBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pipeline in -short mode")
+	}
+	dir := t.TempDir()
+	res, err := commuter.Local().Sweep(context.Background(),
+		commuter.WithOps("stat", "lseek", "close"), commuter.WithKernels("sv6"),
+		commuter.WithMaxPaths(1), commuter.WithCache(dir), commuter.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range res.Pairs {
+		if p.Unknown == 0 {
+			t.Errorf("pair %s explored one of several paths and reads as complete", p.Pair())
+		}
+	}
+	ms := commuter.MatricesFromSweep(res)
+	if len(ms) != 1 || !strings.Contains(commuter.FormatMatrix(ms[0]), "6 pair(s) hit the solver budget: their counts are lower bounds") {
+		t.Errorf("matrix does not flag the truncation:\n%v", ms)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("capped sweep left %d cache entries (err %v), want none", len(entries), err)
 	}
 }
 

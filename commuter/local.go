@@ -9,7 +9,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/spec"
 	"repro/internal/sweep"
-	"repro/internal/sym"
 	"repro/internal/testgen"
 )
 
@@ -67,21 +66,13 @@ func resolvePair(o *callOptions, opA, opB string) (spec.Spec, *spec.Op, *spec.Op
 
 func (o *callOptions) analyzerOptions() analyzer.Options {
 	return analyzer.Options{
-		Config:   spec.Config{LowestFD: o.lowestFD},
-		MaxPaths: o.maxPaths,
+		Config:   spec.Config{LowestFD: o.LowestFD},
+		MaxPaths: o.MaxPaths,
 	}
 }
 
-func (o *callOptions) testgenOptions(ctx context.Context) testgen.Options {
-	return testgen.Options{
-		MaxTestsPerPath: o.perPath,
-		LowestFD:        o.lowestFD,
-		// A fresh per-call solver wired to the context makes cancellation
-		// land inside TESTGEN's enumeration searches too. The sweep cache
-		// key deliberately excludes solvers, so this does not fragment
-		// cache entries.
-		Solver: &sym.Solver{Stop: func() bool { return ctx.Err() != nil }},
-	}
+func (o *callOptions) testgenOptions() testgen.Options {
+	return testgen.Options{MaxTestsPerPath: o.MaxTestsPerPath}
 }
 
 func (localClient) Analyze(ctx context.Context, opA, opB string, opts ...Option) (Analysis, error) {
@@ -131,22 +122,13 @@ func (localClient) GenerateTests(ctx context.Context, opA, opB string, opts ...O
 	if err != nil {
 		return TestSet{}, err
 	}
-	pr, err := analyzer.AnalyzePairCtx(ctx, sp, a, b, o.analyzerOptions())
+	// The engine's own ANALYZE → TESTGEN sequence, outside a sweep: no
+	// cache, no single-flight, and the timing record is dropped.
+	tests, unknown, err := sweep.PairTests(ctx, sp, a, b, o.analyzerOptions(), o.testgenOptions(), new(sweep.PairResult))
 	if err != nil {
 		return TestSet{}, err
 	}
-	tests, truncated := testgen.GenerateChecked(sp, pr, o.testgenOptions(ctx))
-	if err := ctx.Err(); err != nil {
-		// A cancelled generation pass is truncated, not small; discard it.
-		return TestSet{}, err
-	}
-	return TestSet{
-		Spec:    sp.Name(),
-		OpA:     a.Name,
-		OpB:     b.Name,
-		Tests:   tests,
-		Unknown: pr.Unknown() + truncated,
-	}, nil
+	return TestSet{Spec: sp.Name(), OpA: a.Name, OpB: b.Name, Tests: tests, Unknown: unknown}, nil
 }
 
 func (localClient) Check(ctx context.Context, kernelName string, tests []TestCase, opts ...Option) (CheckSummary, error) {
@@ -187,7 +169,7 @@ func (o *callOptions) sweepConfig() (sweep.Config, error) {
 	if err != nil {
 		return sweep.Config{}, badRequest(err)
 	}
-	sel := o.ops
+	sel := o.Ops
 	if sel == "" {
 		sel = sp.DefaultSet()
 	}
@@ -195,7 +177,7 @@ func (o *callOptions) sweepConfig() (sweep.Config, error) {
 	if err != nil {
 		return sweep.Config{}, badRequest(err)
 	}
-	kernels, err := eval.ImplSpecs(sp, o.kernels...)
+	kernels, err := eval.ImplSpecs(sp, o.Kernels...)
 	if err != nil {
 		return sweep.Config{}, badRequest(err)
 	}
@@ -204,8 +186,8 @@ func (o *callOptions) sweepConfig() (sweep.Config, error) {
 		Ops:      ops,
 		Kernels:  kernels,
 		Analyzer: o.analyzerOptions(),
-		Testgen:  testgen.Options{MaxTestsPerPath: o.perPath, LowestFD: o.lowestFD},
-		Workers:  o.workers,
+		Testgen:  o.testgenOptions(),
+		Workers:  o.Workers,
 		Cache:    o.cache,
 	}
 	if cfg.Cache == nil && o.cacheDir != "" {

@@ -153,7 +153,7 @@ func (c *remoteClient) Analyze(ctx context.Context, opA, opB string, opts ...Opt
 		return Analysis{}, err
 	}
 	var out Analysis
-	req := api.AnalyzeRequest{Version: api.Version, OpA: opA, OpB: opB, Options: o.wire()}
+	req := api.AnalyzeRequest{Version: api.Version, OpA: opA, OpB: opB, Options: o.Options}
 	if err := c.do(ctx, api.PathAnalyze, &req, &out); err != nil {
 		return Analysis{}, err
 	}
@@ -166,7 +166,7 @@ func (c *remoteClient) GenerateTests(ctx context.Context, opA, opB string, opts 
 		return TestSet{}, err
 	}
 	var out TestSet
-	req := api.TestgenRequest{Version: api.Version, OpA: opA, OpB: opB, Options: o.wire()}
+	req := api.TestgenRequest{Version: api.Version, OpA: opA, OpB: opB, Options: o.Options}
 	if err := c.do(ctx, api.PathTestgen, &req, &out); err != nil {
 		return TestSet{}, err
 	}
@@ -185,7 +185,7 @@ func (c *remoteClient) Check(ctx context.Context, kernelName string, tests []Tes
 		return CheckSummary{}, err
 	}
 	var out CheckSummary
-	req := api.CheckRequest{Version: api.Version, Kernel: kernelName, Tests: tests, Options: o.wire()}
+	req := api.CheckRequest{Version: api.Version, Kernel: kernelName, Tests: tests, Options: o.Options}
 	if err := c.do(ctx, api.PathCheck, &req, &out); err != nil {
 		return CheckSummary{}, err
 	}
@@ -203,7 +203,7 @@ func (c *remoteClient) SweepStream(ctx context.Context, opts ...Option) iter.Seq
 			yield(SweepUpdate{}, err)
 			return
 		}
-		body, err := json.Marshal(api.SweepRequest{Version: api.Version, Options: o.wire()})
+		body, err := json.Marshal(api.SweepRequest{Version: api.Version, Options: o.Options})
 		if err != nil {
 			yield(SweepUpdate{}, fmt.Errorf("commuter: encode sweep request: %w", err))
 			return

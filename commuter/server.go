@@ -490,7 +490,7 @@ func (s *server) analyze(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, &req, func() int { return req.Version }) {
 		return
 	}
-	out, err := s.backend.Analyze(r.Context(), req.OpA, req.OpB, optionsFromWire(req.Options)...)
+	out, err := s.backend.Analyze(r.Context(), req.OpA, req.OpB, withWire(req.Options))
 	writeResult(w, r, out, err)
 }
 
@@ -499,7 +499,7 @@ func (s *server) testgen(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, &req, func() int { return req.Version }) {
 		return
 	}
-	out, err := s.backend.GenerateTests(r.Context(), req.OpA, req.OpB, optionsFromWire(req.Options)...)
+	out, err := s.backend.GenerateTests(r.Context(), req.OpA, req.OpB, withWire(req.Options))
 	writeResult(w, r, out, err)
 }
 
@@ -508,7 +508,7 @@ func (s *server) check(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, &req, func() int { return req.Version }) {
 		return
 	}
-	out, err := s.backend.Check(r.Context(), req.Kernel, req.Tests, optionsFromWire(req.Options)...)
+	out, err := s.backend.Check(r.Context(), req.Kernel, req.Tests, withWire(req.Options))
 	writeResult(w, r, out, err)
 }
 
@@ -521,7 +521,7 @@ func (s *server) sweep(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, &req, func() int { return req.Version }) {
 		return
 	}
-	opts := optionsFromWire(req.Options)
+	opts := []Option{withWire(req.Options)}
 	if s.cache != nil {
 		opts = append(opts, WithCacheBackend(s.cache))
 	}

@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"repro/commuter"
-	"repro/internal/eval"
 )
 
 func main() {
@@ -82,9 +81,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, m := range eval.MatricesFromSweep(remote) {
-		lm := eval.MatricesFromSweep(local)[i]
-		same := eval.FormatMatrix(m) == eval.FormatMatrix(lm)
-		fmt.Printf("%s(remote matrix byte-identical to local: %v)\n\n", eval.FormatMatrix(m), same)
+	for i, m := range commuter.MatricesFromSweep(remote) {
+		lm := commuter.MatricesFromSweep(local)[i]
+		same := commuter.FormatMatrix(m) == commuter.FormatMatrix(lm)
+		fmt.Printf("%s(remote matrix byte-identical to local: %v)\n\n", commuter.FormatMatrix(m), same)
 	}
 }

@@ -5,17 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/spec"
 	"repro/internal/sym"
 	"repro/internal/symx"
 )
 
 func analyze(t *testing.T, a, b string, opt Options) PairResult {
 	t.Helper()
-	opA, opB := model.OpByName(a), model.OpByName(b)
-	if opA == nil || opB == nil {
-		t.Fatalf("unknown ops %q %q", a, b)
-	}
-	r, err := AnalyzePairCtx(context.Background(), model.Spec, opA, opB, opt)
+	r, err := AnalyzePairCtx(context.Background(), model.Spec, opOf(t, a), opOf(t, b), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +155,7 @@ func TestStatStatAlwaysCommutes(t *testing.T) {
 // The lowest-FD rule (§4): two opens in one process stop commuting when FD
 // allocation is deterministic, and commute again in different processes.
 func TestLowestFDDestroysCommutativity(t *testing.T) {
-	r := analyze(t, "open", "open", Options{Config: model.Config{LowestFD: true}})
+	r := analyze(t, "open", "open", Options{Config: spec.Config{LowestFD: true}})
 	sameProc := sym.Eq(sym.Var("open.0.proc", sym.BoolSort), sym.Var("open.1.proc", sym.BoolSort))
 	diffNames := sym.Ne(fvar("open.0.fname"), fvar("open.1.fname"))
 	bothExist := sym.And(

@@ -3,8 +3,6 @@ package analyzer
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/model"
 )
 
 func TestDescribeRename(t *testing.T) {
@@ -58,5 +56,4 @@ func TestDescribeDedupes(t *testing.T) {
 		}
 		seen[d] = true
 	}
-	_ = model.Ops() // keep the import honest if assertions change
 }

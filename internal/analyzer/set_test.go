@@ -1,27 +1,33 @@
 package analyzer
 
 import (
+	"context"
+	"errors"
 	"testing"
 
+	"repro/internal/kvspec"
 	"repro/internal/model"
+	"repro/internal/queuespec"
+	"repro/internal/spec"
 	"repro/internal/sym"
+	"repro/internal/vmspec"
 )
 
 func analyzeSet(t *testing.T, names []string, opt Options) SetResult {
 	t.Helper()
-	var ops []*model.OpDef
+	var ops []*spec.Op
 	for _, n := range names {
-		op := model.OpByName(n)
-		if op == nil {
-			t.Fatalf("unknown op %s", n)
-		}
-		ops = append(ops, op)
+		ops = append(ops, opOf(t, n))
 	}
-	return AnalyzeSet(model.Spec, ops, opt)
+	r, err := AnalyzeSetCtx(context.Background(), model.Spec, ops, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestPermutationsAndSubsets(t *testing.T) {
-	if got := len(permutations(3)); got != 6 {
+	if got := len(permutations([]int{0, 1, 2})); got != 6 {
 		t.Errorf("3! = %d", got)
 	}
 	// Proper subsets of size >= 2 of a 3-set: the three pairs.
@@ -120,22 +126,95 @@ func TestSetSummary(t *testing.T) {
 	if r.Summary() == "" || len(r.Ops) != 2 {
 		t.Errorf("summary %q ops %v", r.Summary(), r.Ops)
 	}
-	// Pair analysis via AnalyzeSet must agree with AnalyzePairCtx on
-	// commutativity structure (same model, same condition).
-	pr := analyze(t, "close", "close", Options{})
-	setCommutes, pairCommutes := 0, 0
-	for _, p := range r.Paths {
-		if p.Commutes {
-			setCommutes++
+}
+
+// TestSetAgreesWithPair pins that a pair is a set of two: over every pair
+// of every registered spec, AnalyzeSetCtx and AnalyzePairCtx report the
+// same paths in the same order with the same verdicts. Conditions are
+// hash-consed, so pointer equality is structural equality.
+func TestSetAgreesWithPair(t *testing.T) {
+	universes := []struct {
+		sp  spec.Spec
+		sel string
+	}{{kvspec.Spec, "all"}, {queuespec.Spec, "all"}, {vmspec.Spec, "all"}, {model.Spec, "fs"}}
+	for _, u := range universes {
+		if u.sel == "fs" && testing.Short() {
+			continue
+		}
+		ops, err := spec.OpSet(u.sp, u.sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range ops {
+			for _, b := range ops[:i+1] {
+				name := u.sp.Name() + " " + b.Name + "/" + a.Name
+				set, err := AnalyzeSetCtx(context.Background(), u.sp, []*spec.Op{b, a}, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pair, err := AnalyzePairCtx(context.Background(), u.sp, b, a, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(set.Paths) != len(pair.Paths) || set.Budgeted != pair.Budgeted {
+					t.Errorf("%s: set has %d paths (budgeted %v), pair %d (%v)",
+						name, len(set.Paths), set.Budgeted, len(pair.Paths), pair.Budgeted)
+					continue
+				}
+				for pi, sp := range set.Paths {
+					pp := pair.Paths[pi]
+					if sp.CommuteCond != pp.CommuteCond {
+						t.Errorf("%s path %d: conditions differ:\n set  %v\n pair %v", name, pi, sp.CommuteCond, pp.CommuteCond)
+					}
+					if sp.Commutes != pp.Commutes || sp.CanDiverge != pp.CanDiverge || sp.Unknown != pp.Unknown {
+						t.Errorf("%s path %d: verdicts differ: set %v/%v/%v, pair %v/%v/%v", name, pi,
+							sp.Commutes, sp.CanDiverge, sp.Unknown, pp.Commutes, pp.CanDiverge, pp.Unknown)
+					}
+				}
+			}
 		}
 	}
-	for _, p := range pr.Paths {
-		if p.Commutes {
-			pairCommutes++
+}
+
+// TestAnalyzeSetCtxCancel pins the cancellation contract of cancel_test.go
+// for sets, at every point the analysis polls its context: before
+// exploration, between replays, between classifications and after the last
+// one. Each must return the context's error and a zero result.
+func TestAnalyzeSetCtxCancel(t *testing.T) {
+	ops := []*spec.Op{opOf(t, "close"), opOf(t, "close"), opOf(t, "stat")}
+	// A caller-owned solver keeps the Stop hook (and its polls) out of the
+	// count, so every poll is one of the analysis's own stopping points.
+	count := &trippingContext{Context: context.Background(), trip: 1 << 30}
+	want, err := AnalyzeSetCtx(count, model.Spec, ops, Options{Solver: &sym.Solver{}})
+	if err != nil || len(want.Paths) < 2 {
+		t.Fatalf("uncancelled analysis: %d paths, err %v", len(want.Paths), err)
+	}
+	// One poll per replay, one per classified path, one final.
+	if count.polls <= len(want.Paths)+1 {
+		t.Fatalf("analysis polled its context %d times for %d paths", count.polls, len(want.Paths))
+	}
+	for trip := 0; trip < count.polls; trip++ {
+		ctx := &trippingContext{Context: context.Background(), trip: trip}
+		got, err := AnalyzeSetCtx(ctx, model.Spec, ops, Options{Solver: &sym.Solver{}})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at poll %d of %d: got %v, want context.Canceled", trip, count.polls, err)
+		}
+		if got.Spec != "" || got.Ops != nil || got.Paths != nil || got.Budgeted {
+			t.Errorf("cancelled at poll %d: non-zero result %+v", trip, got)
 		}
 	}
-	if (setCommutes == 0) != (pairCommutes == 0) {
-		t.Errorf("AnalyzeSet (%d commutative) disagrees with AnalyzePairCtx (%d)",
-			setCommutes, pairCommutes)
+}
+
+// trippingContext reports cancellation once its Err method has been
+// consulted trip times: deterministic mid-analysis cancellation.
+type trippingContext struct {
+	context.Context
+	polls, trip int
+}
+
+func (c *trippingContext) Err() error {
+	if c.polls++; c.polls > c.trip {
+		return context.Canceled
 	}
+	return nil
 }

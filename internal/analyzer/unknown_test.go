@@ -87,7 +87,7 @@ func TestCheckerSyntacticShortCircuits(t *testing.T) {
 // would read as "no feasible executions", the exact silent
 // under-approximation the budget plumbing exists to prevent.
 func TestFullyTruncatedPairIsUnknown(t *testing.T) {
-	op := model.OpByName("stat")
+	op := opOf(t, "stat")
 	r, err := AnalyzePairCtx(context.Background(), model.Spec, op, op, Options{Solver: &sym.Solver{MaxSteps: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -109,15 +109,36 @@ func TestFullyTruncatedPairIsUnknown(t *testing.T) {
 // TestSummaryReportsUnknown pins the analyze-output surface: a pair with
 // budget-truncated paths says so instead of reading as "never commutes".
 func TestSummaryReportsUnknown(t *testing.T) {
-	r := PairResult{OpA: "a", OpB: "b", Paths: []PairPath{{Unknown: true}, {Commutes: true}}}
+	unknown, commutes := PairPath{SetPath: SetPath{Unknown: true}}, PairPath{SetPath: SetPath{Commutes: true}}
+	r := PairResult{result: result[PairPath]{Ops: []string{"a", "b"}, Paths: []PairPath{unknown, commutes}}}
 	if r.Unknown() != 1 {
 		t.Fatalf("Unknown() = %d, want 1", r.Unknown())
 	}
 	if s := r.Summary(); !strings.Contains(s, "1 unknown (solver budget exhausted)") {
 		t.Errorf("summary does not surface the budget flag: %q", s)
 	}
-	clean := PairResult{OpA: "a", OpB: "b", Paths: []PairPath{{Commutes: true}}}
+	clean := PairResult{result: result[PairPath]{Ops: []string{"a", "b"}, Paths: []PairPath{commutes}}}
 	if s := clean.Summary(); strings.Contains(s, "unknown") {
 		t.Errorf("clean summary mentions unknown: %q", s)
+	}
+}
+
+// TestPathCapIsUnknown pins that an exploration cut off by MaxPaths with
+// branches left is reported as the under-approximation it is, never as a
+// complete analysis of a pair that happens to have few paths.
+func TestPathCapIsUnknown(t *testing.T) {
+	full := analyze(t, "stat", "unlink", Options{})
+	if len(full.Paths) < 2 || full.Unknown() != 0 {
+		t.Fatalf("stat/unlink uncapped: %d paths, %d unknown; want a clean multi-path pair", len(full.Paths), full.Unknown())
+	}
+	capped := analyze(t, "stat", "unlink", Options{MaxPaths: 1})
+	if len(capped.Paths) != 1 {
+		t.Fatalf("MaxPaths 1 explored %d paths", len(capped.Paths))
+	}
+	if !capped.Budgeted || capped.Unknown() == 0 || !capped.Paths[0].Unknown {
+		t.Errorf("capped analysis reads as complete: budgeted %v, unknown %d", capped.Budgeted, capped.Unknown())
+	}
+	if s := capped.Summary(); !strings.Contains(s, "unknown") {
+		t.Errorf("summary hides the truncation: %q", s)
 	}
 }

@@ -82,10 +82,9 @@ func keyArg(name string) spec.ArgSpec {
 	return spec.ArgSpec{Name: name, Sort: sym.IntSort, Min: 0, Max: NKeys - 1, Bounded: true}
 }
 
-// Ops returns the four modeled operations in canonical (matrix) order.
-func Ops() []*spec.Op {
-	return []*spec.Op{opGet(), opPut(), opDelete(), opScan()}
-}
+// ops is the op table: the four modeled operations in canonical (matrix)
+// order, built once per process.
+var ops = []*spec.Op{opGet(), opPut(), opDelete(), opScan()}
 
 func opGet() *spec.Op {
 	return &spec.Op{
@@ -178,7 +177,7 @@ func init() { spec.Register(Spec) }
 
 func (kvSpec) Name() string { return "kv" }
 
-func (kvSpec) Ops() []*spec.Op { return Ops() }
+func (kvSpec) Ops() []*spec.Op { return ops }
 
 func (kvSpec) Sets() map[string][]string {
 	return map[string][]string{

@@ -141,7 +141,7 @@ func TestKVSweep(t *testing.T) {
 	}
 	res, err := sweep.RunContext(context.Background(), sweep.Config{
 		Spec:    Spec,
-		Ops:     Ops(),
+		Ops:     Spec.Ops(),
 		Kernels: []sweep.KernelSpec{{Name: impls[0].Name, New: impls[0].New}},
 	})
 	if err != nil {

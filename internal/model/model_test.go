@@ -10,7 +10,7 @@ import (
 )
 
 func TestOpsInventory(t *testing.T) {
-	ops := Ops()
+	ops := Spec.Ops()
 	if len(ops) != 18 {
 		t.Fatalf("want the paper's 18 calls, got %d", len(ops))
 	}
@@ -30,8 +30,11 @@ func TestOpsInventory(t *testing.T) {
 			t.Errorf("%s has no Exec", op.Name)
 		}
 	}
-	if OpByName("rename") == nil || OpByName("nope") != nil {
-		t.Error("OpByName misbehaves")
+	if _, err := spec.OpByName(Spec, "rename"); err != nil {
+		t.Error(err)
+	}
+	if _, err := spec.OpByName(Spec, "nope"); err == nil {
+		t.Error("OpByName resolved an unknown op")
 	}
 }
 
@@ -42,11 +45,14 @@ func explore(fn func(*symx.Context) any, opt symx.Options) []symx.Path {
 }
 
 // runOp executes one op standalone and returns its paths with results.
-func runOp(t *testing.T, name string, cfg Config) []symx.Path {
+func runOp(t *testing.T, name string, cfg spec.Config) []symx.Path {
 	t.Helper()
-	op := OpByName(name)
+	op, err := spec.OpByName(Spec, name)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return explore(func(c *symx.Context) any {
-		args := MakeArgs(c, op, "0")
+		args := spec.MakeArgs(c, op, "0")
 		s := NewState(c)
 		x := &spec.Exec{C: c, S: s, Cfg: cfg}
 		return op.Exec(x, "0", args)
@@ -55,10 +61,10 @@ func runOp(t *testing.T, name string, cfg Config) []symx.Path {
 
 // Every op must return fixed-width vectors on every path.
 func TestUniformReturnWidth(t *testing.T) {
-	for _, op := range Ops() {
-		for _, p := range runOp(t, op.Name, Config{}) {
+	for _, op := range Spec.Ops() {
+		for _, p := range runOp(t, op.Name, spec.Config{}) {
 			ret := p.Result.([]*sym.Expr)
-			if len(ret) != RetWidth {
+			if len(ret) != spec.RetWidth {
 				t.Errorf("%s: return width %d on some path", op.Name, len(ret))
 			}
 		}
@@ -86,7 +92,7 @@ func TestErrorPathsExist(t *testing.T) {
 	for name, errno := range wantErr {
 		found := false
 		hasSuccess := false
-		for _, p := range runOp(t, name, Config{}) {
+		for _, p := range runOp(t, name, spec.Config{}) {
 			ret := p.Result.([]*sym.Expr)
 			cond := sym.And(p.PC, sym.Eq(ret[0], sym.Int(-errno)))
 			if s.Sat(cond) {
@@ -109,13 +115,13 @@ func TestErrorPathsExist(t *testing.T) {
 // nondeterministic default produces an allocation variable.
 func TestFDAllocationModes(t *testing.T) {
 	sawConst, sawVar := false, false
-	for _, p := range runOp(t, "open", Config{LowestFD: true}) {
+	for _, p := range runOp(t, "open", spec.Config{LowestFD: true}) {
 		ret := p.Result.([]*sym.Expr)
 		if ret[0].IsConst() && ret[0].Int >= 0 {
 			sawConst = true
 		}
 	}
-	for _, p := range runOp(t, "open", Config{}) {
+	for _, p := range runOp(t, "open", spec.Config{}) {
 		ret := p.Result.([]*sym.Expr)
 		if ret[0].Op == sym.OpVar && p.VarKinds[ret[0].Name] == symx.KindNondet {
 			sawVar = true
@@ -131,9 +137,12 @@ func TestFDAllocationModes(t *testing.T) {
 
 func TestMakeArgsBounds(t *testing.T) {
 	var s sym.Solver
+	pread, err := spec.OpByName(Spec, "pread")
+	if err != nil {
+		t.Fatal(err)
+	}
 	paths := explore(func(c *symx.Context) any {
-		args := MakeArgs(c, OpByName("pread"), "0")
-		return args
+		return spec.MakeArgs(c, pread, "0")
 	}, symx.Options{})
 	p := paths[0]
 	off := sym.Var("pread.0.off", sym.IntSort)
@@ -148,11 +157,11 @@ func TestMakeArgsBounds(t *testing.T) {
 func TestRetEq(t *testing.T) {
 	a := []*sym.Expr{sym.Int(0), sym.Int(1), sym.Int(2), sym.Int(3), DataZero}
 	b := []*sym.Expr{sym.Int(0), sym.Int(1), sym.Int(2), sym.Int(3), DataZero}
-	if !RetEq(a, b).IsTrue() {
+	if !spec.RetEq(a, b).IsTrue() {
 		t.Error("identical returns must be equal")
 	}
 	b[1] = sym.Int(9)
-	if !RetEq(a, b).IsFalse() {
+	if !spec.RetEq(a, b).IsFalse() {
 		t.Error("different returns must be unequal")
 	}
 }
@@ -218,7 +227,7 @@ func TestEquivalentDetectsWrites(t *testing.T) {
 		name := c.Var("n", FilenameSort, symx.KindArg)
 		s1.Fname.Set(c, symx.K(name), symx.NewStruct("inum", sym.Int(1)))
 		s2.Fname.Set(c, symx.K(name), symx.NewStruct("inum", sym.Int(2)))
-		return Equivalent(c, s1, s2)
+		return spec.Equivalent(c, s1, s2)
 	}, symx.Options{})
 	for _, p := range paths {
 		if s.Sat(sym.And(p.PC, p.Result.(*sym.Expr))) {
@@ -229,7 +238,7 @@ func TestEquivalentDetectsWrites(t *testing.T) {
 	paths = explore(func(c *symx.Context) any {
 		s1 := NewState(c)
 		s2 := NewState(c)
-		return Equivalent(c, s1, s2)
+		return spec.Equivalent(c, s1, s2)
 	}, symx.Options{})
 	for _, p := range paths {
 		if s.Sat(sym.Not(sym.Implies(p.PC, p.Result.(*sym.Expr)))) {

@@ -6,58 +6,6 @@ import (
 	"repro/internal/symx"
 )
 
-// Config selects specification variants for the model; it is the spec
-// layer's shared configuration. The default (zero) Config embraces
-// specification nondeterminism per §4 of the paper: FD allocation may
-// return any unused descriptor. Setting LowestFD restores POSIX's "lowest
-// available FD" rule so ANALYZER can demonstrate the commutativity it
-// destroys.
-type Config = spec.Config
-
-// RetWidth is the uniform return-vector width of every operation.
-const RetWidth = spec.RetWidth
-
-// ArgSpec describes one symbolic operation argument.
-type ArgSpec = spec.ArgSpec
-
-// OpDef is the spec layer's operation type; the POSIX calls are written
-// against the richer M context below and adapted by def.
-type OpDef = spec.Op
-
-// opDef is the POSIX-local definition of one modeled system call.
-type opDef struct {
-	// Name matches the Figure 6 row/column labels.
-	Name string
-	// Args are the symbolic arguments.
-	Args []ArgSpec
-	// Exec runs the call against m's state, returning a RetWidth vector.
-	Exec func(m *M, slot string, args []*sym.Expr) []*sym.Expr
-}
-
-// def adapts a POSIX-local definition to the spec layer's Exec signature.
-func def(d *opDef) *spec.Op {
-	return &spec.Op{
-		Name: d.Name,
-		Args: d.Args,
-		Exec: func(x *spec.Exec, slot string, args []*sym.Expr) []*sym.Expr {
-			return d.Exec(&M{C: x.C, S: x.S.(*State), Cfg: x.Cfg}, slot, args)
-		},
-	}
-}
-
-// M bundles the execution context for one permutation run.
-type M struct {
-	C   *symx.Context
-	S   *State
-	Cfg Config
-}
-
-// MakeArgs materializes the symbolic arguments of op for an operation slot,
-// applying declared bounds.
-func MakeArgs(c *symx.Context, op *OpDef, slot string) []*sym.Expr {
-	return spec.MakeArgs(c, op, slot)
-}
-
 func errRet(errno int64) []*sym.Expr {
 	return []*sym.Expr{sym.Int(-errno), sym.Int(0), sym.Int(0), sym.Int(0), DataZero}
 }
@@ -74,25 +22,23 @@ func dataRet(code int64, d *sym.Expr) []*sym.Expr {
 	return []*sym.Expr{sym.Int(code), sym.Int(0), sym.Int(0), sym.Int(0), d}
 }
 
-// RetEq builds the formula stating two return vectors are equal.
-func RetEq(a, b []*sym.Expr) *sym.Expr { return spec.RetEq(a, b) }
-
 // allocFD picks a descriptor for a new open file. In LowestFD mode it scans
 // for the lowest free slot (nil when the table is full); otherwise it is an
 // unused descriptor chosen nondeterministically.
-func (m *M) allocFD(slot string, proc *sym.Expr) *sym.Expr {
-	if m.Cfg.LowestFD {
+func allocFD(x *spec.Exec, slot string, proc *sym.Expr) *sym.Expr {
+	s := st(x)
+	if x.Cfg.LowestFD {
 		for i := int64(0); i < MaxFD; i++ {
-			if !m.S.FD.Contains(m.C, symx.K(proc, sym.Int(i))) {
+			if !s.FD.Contains(x.C, symx.K(proc, sym.Int(i))) {
 				return sym.Int(i)
 			}
 		}
 		return nil
 	}
-	v := m.C.Var("alloc.fd."+slot, sym.IntSort, symx.KindNondet)
-	m.C.Assume(sym.And(sym.Ge(v, sym.Int(0)), sym.Le(v, sym.Int(MaxFD-1))))
-	if m.S.FD.Contains(m.C, symx.K(proc, v)) {
-		m.C.Abort() // the kernel picks an unused descriptor
+	v := x.C.Var("alloc.fd."+slot, sym.IntSort, symx.KindNondet)
+	x.C.Assume(sym.And(sym.Ge(v, sym.Int(0)), sym.Le(v, sym.Int(MaxFD-1))))
+	if s.FD.Contains(x.C, symx.K(proc, v)) {
+		x.C.Abort() // the kernel picks an unused descriptor
 	}
 	return v
 }
@@ -107,512 +53,514 @@ func pipeFD(pipe *sym.Expr, wend bool) *symx.Struct {
 		"pipe", pipe, "wend", sym.Bool(wend))
 }
 
-// Ops returns the 18 modeled POSIX operations, in Figure 6 order.
-func Ops() []*OpDef {
-	defs := []*opDef{
-		opOpen(), opLink(), opUnlink(), opRename(), opStat(), opFstat(),
-		opLseek(), opClose(), opPipe(), opRead(), opWrite(), opPread(),
-		opPwrite(), opMmap(), opMunmap(), opMprotect(), opMemread(), opMemwrite(),
-	}
-	out := make([]*OpDef, len(defs))
-	for i, d := range defs {
-		out[i] = def(d)
-	}
-	return out
+// ops is the op table: the 18 modeled POSIX operations in Figure 6 order,
+// built once per process.
+var ops = []*spec.Op{
+	opOpen(), opLink(), opUnlink(), opRename(), opStat(), opFstat(),
+	opLseek(), opClose(), opPipe(), opRead(), opWrite(), opPread(),
+	opPwrite(), opMmap(), opMunmap(), opMprotect(), opMemread(), opMemwrite(),
 }
 
-// OpByName returns the operation definition with the given name, or nil
-// when unknown. Callers wanting a diagnostic error should resolve through
-// the spec registry (spec.OpByName) instead.
-func OpByName(name string) *OpDef {
-	for _, op := range Ops() {
-		if op.Name == name {
-			return op
-		}
-	}
-	return nil
+func st(x *spec.Exec) *State { return x.S.(*State) }
+
+func procArg() spec.ArgSpec { return spec.ArgSpec{Name: "proc", Sort: sym.BoolSort} }
+func fdArg() spec.ArgSpec {
+	return spec.ArgSpec{Name: "fd", Sort: sym.IntSort, Min: 0, Max: MaxFD - 1, Bounded: true}
+}
+func pageArg(name string) spec.ArgSpec {
+	return spec.ArgSpec{Name: name, Sort: sym.IntSort, Min: 0, Max: MaxPage - 1, Bounded: true}
+}
+func offArg(name string) spec.ArgSpec {
+	return spec.ArgSpec{Name: name, Sort: sym.IntSort, Min: 0, Max: MaxLen, Bounded: true}
 }
 
-func procArg() ArgSpec { return ArgSpec{Name: "proc", Sort: sym.BoolSort} }
-func fdArg() ArgSpec {
-	return ArgSpec{Name: "fd", Sort: sym.IntSort, Min: 0, Max: MaxFD - 1, Bounded: true}
-}
-func pageArg(name string) ArgSpec {
-	return ArgSpec{Name: name, Sort: sym.IntSort, Min: 0, Max: MaxPage - 1, Bounded: true}
-}
-func offArg(name string) ArgSpec {
-	return ArgSpec{Name: name, Sort: sym.IntSort, Min: 0, Max: MaxLen, Bounded: true}
-}
-
-func opOpen() *opDef {
-	return &opDef{
+func opOpen() *spec.Op {
+	return &spec.Op{
 		Name: "open",
-		Args: []ArgSpec{
+		Args: []spec.ArgSpec{
 			procArg(),
 			{Name: "fname", Sort: FilenameSort},
 			{Name: "creat", Sort: sym.BoolSort},
 			{Name: "excl", Sort: sym.BoolSort},
 			{Name: "trunc", Sort: sym.BoolSort},
 		},
-		Exec: func(m *M, slot string, a []*sym.Expr) []*sym.Expr {
+		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
+			s := st(x)
 			proc, fname, creat, excl, trunc := a[0], a[1], a[2], a[3], a[4]
 			var inum *sym.Expr
-			if m.S.Fname.Contains(m.C, symx.K(fname)) {
-				if m.C.Branch(sym.And(creat, excl)) {
+			if s.Fname.Contains(x.C, symx.K(fname)) {
+				if x.C.Branch(sym.And(creat, excl)) {
 					return errRet(EEXIST)
 				}
-				inum = m.S.Fname.Get(m.C, symx.K(fname)).(*symx.Struct).Get("inum")
-				if m.C.Branch(trunc) {
-					ino := m.S.Inode.GetFunc(m.C, symx.K(inum)).(*symx.Struct)
-					m.S.Inode.Set(m.C, symx.K(inum), ino.With("len", sym.Int(0)))
+				inum = s.Fname.Get(x.C, symx.K(fname)).(*symx.Struct).Get("inum")
+				if x.C.Branch(trunc) {
+					ino := s.Inode.GetFunc(x.C, symx.K(inum)).(*symx.Struct)
+					s.Inode.Set(x.C, symx.K(inum), ino.With("len", sym.Int(0)))
 				}
 			} else {
-				if !m.C.Branch(creat) {
+				if !x.C.Branch(creat) {
 					return errRet(ENOENT)
 				}
-				inum = m.S.AllocInum(m.C, slot)
-				m.S.Inode.Set(m.C, symx.K(inum),
+				inum = s.AllocInum(x.C, slot)
+				s.Inode.Set(x.C, symx.K(inum),
 					symx.NewStruct("nlink", sym.Int(1), "len", sym.Int(0)))
-				m.S.Fname.Set(m.C, symx.K(fname), symx.NewStruct("inum", inum))
+				s.Fname.Set(x.C, symx.K(fname), symx.NewStruct("inum", inum))
 			}
-			fd := m.allocFD(slot, proc)
+			fd := allocFD(x, slot, proc)
 			if fd == nil {
 				return errRet(EMFILE)
 			}
-			m.S.FD.Set(m.C, symx.K(proc, fd), fileFD(inum, sym.Int(0)))
+			s.FD.Set(x.C, symx.K(proc, fd), fileFD(inum, sym.Int(0)))
 			return okRet(fd)
 		},
 	}
 }
 
-func opLink() *opDef {
-	return &opDef{
+func opLink() *spec.Op {
+	return &spec.Op{
 		Name: "link",
-		Args: []ArgSpec{
+		Args: []spec.ArgSpec{
 			{Name: "old", Sort: FilenameSort},
 			{Name: "new", Sort: FilenameSort},
 		},
-		Exec: func(m *M, slot string, a []*sym.Expr) []*sym.Expr {
+		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
+			s := st(x)
 			old, nw := a[0], a[1]
-			if !m.S.Fname.Contains(m.C, symx.K(old)) {
+			if !s.Fname.Contains(x.C, symx.K(old)) {
 				return errRet(ENOENT)
 			}
-			if m.S.Fname.Contains(m.C, symx.K(nw)) {
+			if s.Fname.Contains(x.C, symx.K(nw)) {
 				return errRet(EEXIST)
 			}
-			inum := m.S.Fname.Get(m.C, symx.K(old)).(*symx.Struct).Get("inum")
-			ino := m.S.Inode.GetFunc(m.C, symx.K(inum)).(*symx.Struct)
-			m.S.Inode.Set(m.C, symx.K(inum),
+			inum := s.Fname.Get(x.C, symx.K(old)).(*symx.Struct).Get("inum")
+			ino := s.Inode.GetFunc(x.C, symx.K(inum)).(*symx.Struct)
+			s.Inode.Set(x.C, symx.K(inum),
 				ino.With("nlink", sym.Add(ino.Get("nlink"), sym.Int(1))))
-			m.S.Fname.Set(m.C, symx.K(nw), symx.NewStruct("inum", inum))
+			s.Fname.Set(x.C, symx.K(nw), symx.NewStruct("inum", inum))
 			return okRet(sym.Int(0))
 		},
 	}
 }
 
-func opUnlink() *opDef {
-	return &opDef{
+func opUnlink() *spec.Op {
+	return &spec.Op{
 		Name: "unlink",
-		Args: []ArgSpec{{Name: "fname", Sort: FilenameSort}},
-		Exec: func(m *M, slot string, a []*sym.Expr) []*sym.Expr {
+		Args: []spec.ArgSpec{{Name: "fname", Sort: FilenameSort}},
+		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
+			s := st(x)
 			fname := a[0]
-			if !m.S.Fname.Contains(m.C, symx.K(fname)) {
+			if !s.Fname.Contains(x.C, symx.K(fname)) {
 				return errRet(ENOENT)
 			}
-			inum := m.S.Fname.Get(m.C, symx.K(fname)).(*symx.Struct).Get("inum")
-			ino := m.S.Inode.GetFunc(m.C, symx.K(inum)).(*symx.Struct)
-			m.S.Inode.Set(m.C, symx.K(inum),
+			inum := s.Fname.Get(x.C, symx.K(fname)).(*symx.Struct).Get("inum")
+			ino := s.Inode.GetFunc(x.C, symx.K(inum)).(*symx.Struct)
+			s.Inode.Set(x.C, symx.K(inum),
 				ino.With("nlink", sym.Sub(ino.Get("nlink"), sym.Int(1))))
-			m.S.Fname.Del(m.C, symx.K(fname))
+			s.Fname.Del(x.C, symx.K(fname))
 			return okRet(sym.Int(0))
 		},
 	}
 }
 
 // opRename mirrors Figure 4 of the paper.
-func opRename() *opDef {
-	return &opDef{
+func opRename() *spec.Op {
+	return &spec.Op{
 		Name: "rename",
-		Args: []ArgSpec{
+		Args: []spec.ArgSpec{
 			{Name: "src", Sort: FilenameSort},
 			{Name: "dst", Sort: FilenameSort},
 		},
-		Exec: func(m *M, slot string, a []*sym.Expr) []*sym.Expr {
+		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
+			s := st(x)
 			src, dst := a[0], a[1]
-			if !m.S.Fname.Contains(m.C, symx.K(src)) {
+			if !s.Fname.Contains(x.C, symx.K(src)) {
 				return errRet(ENOENT)
 			}
-			if m.C.Branch(sym.Eq(src, dst)) {
+			if x.C.Branch(sym.Eq(src, dst)) {
 				return okRet(sym.Int(0))
 			}
-			si := m.S.Fname.Get(m.C, symx.K(src)).(*symx.Struct).Get("inum")
-			if m.S.Fname.Contains(m.C, symx.K(dst)) {
-				di := m.S.Fname.Get(m.C, symx.K(dst)).(*symx.Struct).Get("inum")
-				ino := m.S.Inode.GetFunc(m.C, symx.K(di)).(*symx.Struct)
-				m.S.Inode.Set(m.C, symx.K(di),
+			si := s.Fname.Get(x.C, symx.K(src)).(*symx.Struct).Get("inum")
+			if s.Fname.Contains(x.C, symx.K(dst)) {
+				di := s.Fname.Get(x.C, symx.K(dst)).(*symx.Struct).Get("inum")
+				ino := s.Inode.GetFunc(x.C, symx.K(di)).(*symx.Struct)
+				s.Inode.Set(x.C, symx.K(di),
 					ino.With("nlink", sym.Sub(ino.Get("nlink"), sym.Int(1))))
 			}
-			m.S.Fname.Set(m.C, symx.K(dst), symx.NewStruct("inum", si))
-			m.S.Fname.Del(m.C, symx.K(src))
+			s.Fname.Set(x.C, symx.K(dst), symx.NewStruct("inum", si))
+			s.Fname.Del(x.C, symx.K(src))
 			return okRet(sym.Int(0))
 		},
 	}
 }
 
-func opStat() *opDef {
-	return &opDef{
+func opStat() *spec.Op {
+	return &spec.Op{
 		Name: "stat",
-		Args: []ArgSpec{{Name: "fname", Sort: FilenameSort}},
-		Exec: func(m *M, slot string, a []*sym.Expr) []*sym.Expr {
+		Args: []spec.ArgSpec{{Name: "fname", Sort: FilenameSort}},
+		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
+			s := st(x)
 			fname := a[0]
-			if !m.S.Fname.Contains(m.C, symx.K(fname)) {
+			if !s.Fname.Contains(x.C, symx.K(fname)) {
 				return errRet(ENOENT)
 			}
-			inum := m.S.Fname.Get(m.C, symx.K(fname)).(*symx.Struct).Get("inum")
-			ino := m.S.Inode.GetFunc(m.C, symx.K(inum)).(*symx.Struct)
+			inum := s.Fname.Get(x.C, symx.K(fname)).(*symx.Struct).Get("inum")
+			ino := s.Inode.GetFunc(x.C, symx.K(inum)).(*symx.Struct)
 			return okRet(sym.Int(0), inum, ino.Get("nlink"), ino.Get("len"))
 		},
 	}
 }
 
-func opFstat() *opDef {
-	return &opDef{
+func opFstat() *spec.Op {
+	return &spec.Op{
 		Name: "fstat",
-		Args: []ArgSpec{procArg(), fdArg()},
-		Exec: func(m *M, slot string, a []*sym.Expr) []*sym.Expr {
+		Args: []spec.ArgSpec{procArg(), fdArg()},
+		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
+			s := st(x)
 			proc, fd := a[0], a[1]
-			if !m.S.FD.Contains(m.C, symx.K(proc, fd)) {
+			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
 				return errRet(EBADF)
 			}
-			f := m.S.FD.Get(m.C, symx.K(proc, fd)).(*symx.Struct)
-			if m.C.Branch(f.Get("ispipe")) {
-				p := m.S.Pipe.GetFunc(m.C, symx.K(f.Get("pipe"))).(*symx.Struct)
+			f := s.FD.Get(x.C, symx.K(proc, fd)).(*symx.Struct)
+			if x.C.Branch(f.Get("ispipe")) {
+				p := s.Pipe.GetFunc(x.C, symx.K(f.Get("pipe"))).(*symx.Struct)
 				// Pipes report a pseudo-inode in a disjoint (negative)
 				// number space, link count 1, and queued length.
 				return okRet(sym.Int(0), sym.Sub(sym.Int(0), f.Get("pipe")),
 					sym.Int(1), sym.Sub(p.Get("tail"), p.Get("head")))
 			}
 			inum := f.Get("inum")
-			ino := m.S.Inode.GetFunc(m.C, symx.K(inum)).(*symx.Struct)
+			ino := s.Inode.GetFunc(x.C, symx.K(inum)).(*symx.Struct)
 			return okRet(sym.Int(0), inum, ino.Get("nlink"), ino.Get("len"))
 		},
 	}
 }
 
-func opLseek() *opDef {
-	return &opDef{
+func opLseek() *spec.Op {
+	return &spec.Op{
 		Name: "lseek",
-		Args: []ArgSpec{
+		Args: []spec.ArgSpec{
 			procArg(), fdArg(),
 			{Name: "delta", Sort: sym.IntSort, Min: -MaxLen, Max: MaxLen, Bounded: true},
 			{Name: "wset", Sort: sym.BoolSort},
 			{Name: "wend", Sort: sym.BoolSort},
 		},
-		Exec: func(m *M, slot string, a []*sym.Expr) []*sym.Expr {
+		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
+			s := st(x)
 			proc, fd, delta, wset, wend := a[0], a[1], a[2], a[3], a[4]
-			if !m.S.FD.Contains(m.C, symx.K(proc, fd)) {
+			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
 				return errRet(EBADF)
 			}
-			f := m.S.FD.Get(m.C, symx.K(proc, fd)).(*symx.Struct)
-			if m.C.Branch(f.Get("ispipe")) {
+			f := s.FD.Get(x.C, symx.K(proc, fd)).(*symx.Struct)
+			if x.C.Branch(f.Get("ispipe")) {
 				return errRet(ESPIPE)
 			}
 			var n *sym.Expr
 			switch {
-			case m.C.Branch(wset):
+			case x.C.Branch(wset):
 				n = delta
-			case m.C.Branch(wend):
-				ino := m.S.Inode.GetFunc(m.C, symx.K(f.Get("inum"))).(*symx.Struct)
+			case x.C.Branch(wend):
+				ino := s.Inode.GetFunc(x.C, symx.K(f.Get("inum"))).(*symx.Struct)
 				n = sym.Add(ino.Get("len"), delta)
 			default:
 				n = sym.Add(f.Get("off"), delta)
 			}
-			if m.C.Branch(sym.Lt(n, sym.Int(0))) {
+			if x.C.Branch(sym.Lt(n, sym.Int(0))) {
 				return errRet(EINVAL)
 			}
-			m.S.FD.Set(m.C, symx.K(proc, fd), f.With("off", n))
+			s.FD.Set(x.C, symx.K(proc, fd), f.With("off", n))
 			return okRet(sym.Int(0), n)
 		},
 	}
 }
 
-func opClose() *opDef {
-	return &opDef{
+func opClose() *spec.Op {
+	return &spec.Op{
 		Name: "close",
-		Args: []ArgSpec{procArg(), fdArg()},
-		Exec: func(m *M, slot string, a []*sym.Expr) []*sym.Expr {
+		Args: []spec.ArgSpec{procArg(), fdArg()},
+		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
+			s := st(x)
 			proc, fd := a[0], a[1]
-			if !m.S.FD.Contains(m.C, symx.K(proc, fd)) {
+			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
 				return errRet(EBADF)
 			}
-			m.S.FD.Del(m.C, symx.K(proc, fd))
+			s.FD.Del(x.C, symx.K(proc, fd))
 			return okRet(sym.Int(0))
 		},
 	}
 }
 
-func opPipe() *opDef {
-	return &opDef{
+func opPipe() *spec.Op {
+	return &spec.Op{
 		Name: "pipe",
-		Args: []ArgSpec{procArg()},
-		Exec: func(m *M, slot string, a []*sym.Expr) []*sym.Expr {
+		Args: []spec.ArgSpec{procArg()},
+		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
+			s := st(x)
 			proc := a[0]
-			pid := m.S.AllocPipe(m.C, slot)
-			m.S.Pipe.Set(m.C, symx.K(pid),
+			pid := s.AllocPipe(x.C, slot)
+			s.Pipe.Set(x.C, symx.K(pid),
 				symx.NewStruct("head", sym.Int(0), "tail", sym.Int(0)))
-			rfd := m.allocFD(slot+".r", proc)
+			rfd := allocFD(x, slot+".r", proc)
 			if rfd == nil {
 				return errRet(EMFILE)
 			}
-			m.S.FD.Set(m.C, symx.K(proc, rfd), pipeFD(pid, false))
-			wfd := m.allocFD(slot+".w", proc)
+			s.FD.Set(x.C, symx.K(proc, rfd), pipeFD(pid, false))
+			wfd := allocFD(x, slot+".w", proc)
 			if wfd == nil {
-				m.S.FD.Del(m.C, symx.K(proc, rfd))
+				s.FD.Del(x.C, symx.K(proc, rfd))
 				return errRet(EMFILE)
 			}
-			m.S.FD.Set(m.C, symx.K(proc, wfd), pipeFD(pid, true))
+			s.FD.Set(x.C, symx.K(proc, wfd), pipeFD(pid, true))
 			return okRet(sym.Int(0), rfd, wfd)
 		},
 	}
 }
 
-func opRead() *opDef {
-	return &opDef{
+func opRead() *spec.Op {
+	return &spec.Op{
 		Name: "read",
-		Args: []ArgSpec{procArg(), fdArg()},
-		Exec: func(m *M, slot string, a []*sym.Expr) []*sym.Expr {
+		Args: []spec.ArgSpec{procArg(), fdArg()},
+		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
+			s := st(x)
 			proc, fd := a[0], a[1]
-			if !m.S.FD.Contains(m.C, symx.K(proc, fd)) {
+			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
 				return errRet(EBADF)
 			}
-			f := m.S.FD.Get(m.C, symx.K(proc, fd)).(*symx.Struct)
-			if m.C.Branch(f.Get("ispipe")) {
-				if m.C.Branch(f.Get("wend")) {
+			f := s.FD.Get(x.C, symx.K(proc, fd)).(*symx.Struct)
+			if x.C.Branch(f.Get("ispipe")) {
+				if x.C.Branch(f.Get("wend")) {
 					return errRet(EBADF)
 				}
 				pid := f.Get("pipe")
-				p := m.S.Pipe.GetFunc(m.C, symx.K(pid)).(*symx.Struct)
-				if m.C.Branch(sym.Eq(p.Get("head"), p.Get("tail"))) {
+				p := s.Pipe.GetFunc(x.C, symx.K(pid)).(*symx.Struct)
+				if x.C.Branch(sym.Eq(p.Get("head"), p.Get("tail"))) {
 					return errRet(EAGAIN) // modeled as non-blocking
 				}
-				v := m.S.PipeD.GetFunc(m.C, symx.K(pid, p.Get("head"))).(*symx.Struct)
-				m.S.Pipe.Set(m.C, symx.K(pid),
+				v := s.PipeD.GetFunc(x.C, symx.K(pid, p.Get("head"))).(*symx.Struct)
+				s.Pipe.Set(x.C, symx.K(pid),
 					p.With("head", sym.Add(p.Get("head"), sym.Int(1))))
 				return dataRet(1, v.Get("val"))
 			}
-			ino := m.S.Inode.GetFunc(m.C, symx.K(f.Get("inum"))).(*symx.Struct)
-			if m.C.Branch(sym.Ge(f.Get("off"), ino.Get("len"))) {
+			ino := s.Inode.GetFunc(x.C, symx.K(f.Get("inum"))).(*symx.Struct)
+			if x.C.Branch(sym.Ge(f.Get("off"), ino.Get("len"))) {
 				return okRet(sym.Int(0)) // EOF
 			}
-			v := m.S.Data.GetFunc(m.C, symx.K(f.Get("inum"), f.Get("off"))).(*symx.Struct)
-			m.S.FD.Set(m.C, symx.K(proc, fd),
+			v := s.Data.GetFunc(x.C, symx.K(f.Get("inum"), f.Get("off"))).(*symx.Struct)
+			s.FD.Set(x.C, symx.K(proc, fd),
 				f.With("off", sym.Add(f.Get("off"), sym.Int(1))))
 			return dataRet(1, v.Get("val"))
 		},
 	}
 }
 
-func opWrite() *opDef {
-	return &opDef{
+func opWrite() *spec.Op {
+	return &spec.Op{
 		Name: "write",
-		Args: []ArgSpec{procArg(), fdArg(), {Name: "val", Sort: DataSort}},
-		Exec: func(m *M, slot string, a []*sym.Expr) []*sym.Expr {
+		Args: []spec.ArgSpec{procArg(), fdArg(), {Name: "val", Sort: DataSort}},
+		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
+			s := st(x)
 			proc, fd, val := a[0], a[1], a[2]
-			if !m.S.FD.Contains(m.C, symx.K(proc, fd)) {
+			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
 				return errRet(EBADF)
 			}
-			f := m.S.FD.Get(m.C, symx.K(proc, fd)).(*symx.Struct)
-			if m.C.Branch(f.Get("ispipe")) {
-				if !m.C.Branch(f.Get("wend")) {
+			f := s.FD.Get(x.C, symx.K(proc, fd)).(*symx.Struct)
+			if x.C.Branch(f.Get("ispipe")) {
+				if !x.C.Branch(f.Get("wend")) {
 					return errRet(EBADF)
 				}
 				pid := f.Get("pipe")
-				p := m.S.Pipe.GetFunc(m.C, symx.K(pid)).(*symx.Struct)
-				m.S.PipeD.Set(m.C, symx.K(pid, p.Get("tail")),
+				p := s.Pipe.GetFunc(x.C, symx.K(pid)).(*symx.Struct)
+				s.PipeD.Set(x.C, symx.K(pid, p.Get("tail")),
 					symx.NewStruct("val", val))
-				m.S.Pipe.Set(m.C, symx.K(pid),
+				s.Pipe.Set(x.C, symx.K(pid),
 					p.With("tail", sym.Add(p.Get("tail"), sym.Int(1))))
 				return okRet(sym.Int(1))
 			}
 			off := f.Get("off")
 			inum := f.Get("inum")
-			m.S.Data.Set(m.C, symx.K(inum, off), symx.NewStruct("val", val))
-			ino := m.S.Inode.GetFunc(m.C, symx.K(inum)).(*symx.Struct)
+			s.Data.Set(x.C, symx.K(inum, off), symx.NewStruct("val", val))
+			ino := s.Inode.GetFunc(x.C, symx.K(inum)).(*symx.Struct)
 			end := sym.Add(off, sym.Int(1))
-			if m.C.Branch(sym.Gt(end, ino.Get("len"))) {
-				m.S.Inode.Set(m.C, symx.K(inum), ino.With("len", end))
+			if x.C.Branch(sym.Gt(end, ino.Get("len"))) {
+				s.Inode.Set(x.C, symx.K(inum), ino.With("len", end))
 			}
-			m.S.FD.Set(m.C, symx.K(proc, fd), f.With("off", end))
+			s.FD.Set(x.C, symx.K(proc, fd), f.With("off", end))
 			return okRet(sym.Int(1))
 		},
 	}
 }
 
-func opPread() *opDef {
-	return &opDef{
+func opPread() *spec.Op {
+	return &spec.Op{
 		Name: "pread",
-		Args: []ArgSpec{procArg(), fdArg(), offArg("off")},
-		Exec: func(m *M, slot string, a []*sym.Expr) []*sym.Expr {
+		Args: []spec.ArgSpec{procArg(), fdArg(), offArg("off")},
+		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
+			s := st(x)
 			proc, fd, off := a[0], a[1], a[2]
-			if !m.S.FD.Contains(m.C, symx.K(proc, fd)) {
+			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
 				return errRet(EBADF)
 			}
-			f := m.S.FD.Get(m.C, symx.K(proc, fd)).(*symx.Struct)
-			if m.C.Branch(f.Get("ispipe")) {
+			f := s.FD.Get(x.C, symx.K(proc, fd)).(*symx.Struct)
+			if x.C.Branch(f.Get("ispipe")) {
 				return errRet(ESPIPE)
 			}
-			ino := m.S.Inode.GetFunc(m.C, symx.K(f.Get("inum"))).(*symx.Struct)
-			if m.C.Branch(sym.Ge(off, ino.Get("len"))) {
+			ino := s.Inode.GetFunc(x.C, symx.K(f.Get("inum"))).(*symx.Struct)
+			if x.C.Branch(sym.Ge(off, ino.Get("len"))) {
 				return okRet(sym.Int(0)) // EOF
 			}
-			v := m.S.Data.GetFunc(m.C, symx.K(f.Get("inum"), off)).(*symx.Struct)
+			v := s.Data.GetFunc(x.C, symx.K(f.Get("inum"), off)).(*symx.Struct)
 			return dataRet(1, v.Get("val"))
 		},
 	}
 }
 
-func opPwrite() *opDef {
-	return &opDef{
+func opPwrite() *spec.Op {
+	return &spec.Op{
 		Name: "pwrite",
-		Args: []ArgSpec{procArg(), fdArg(), offArg("off"), {Name: "val", Sort: DataSort}},
-		Exec: func(m *M, slot string, a []*sym.Expr) []*sym.Expr {
+		Args: []spec.ArgSpec{procArg(), fdArg(), offArg("off"), {Name: "val", Sort: DataSort}},
+		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
+			s := st(x)
 			proc, fd, off, val := a[0], a[1], a[2], a[3]
-			if !m.S.FD.Contains(m.C, symx.K(proc, fd)) {
+			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
 				return errRet(EBADF)
 			}
-			f := m.S.FD.Get(m.C, symx.K(proc, fd)).(*symx.Struct)
-			if m.C.Branch(f.Get("ispipe")) {
+			f := s.FD.Get(x.C, symx.K(proc, fd)).(*symx.Struct)
+			if x.C.Branch(f.Get("ispipe")) {
 				return errRet(ESPIPE)
 			}
 			inum := f.Get("inum")
-			m.S.Data.Set(m.C, symx.K(inum, off), symx.NewStruct("val", val))
-			ino := m.S.Inode.GetFunc(m.C, symx.K(inum)).(*symx.Struct)
+			s.Data.Set(x.C, symx.K(inum, off), symx.NewStruct("val", val))
+			ino := s.Inode.GetFunc(x.C, symx.K(inum)).(*symx.Struct)
 			end := sym.Add(off, sym.Int(1))
-			if m.C.Branch(sym.Gt(end, ino.Get("len"))) {
-				m.S.Inode.Set(m.C, symx.K(inum), ino.With("len", end))
+			if x.C.Branch(sym.Gt(end, ino.Get("len"))) {
+				s.Inode.Set(x.C, symx.K(inum), ino.With("len", end))
 			}
 			return okRet(sym.Int(1))
 		},
 	}
 }
 
-func opMmap() *opDef {
-	return &opDef{
+func opMmap() *spec.Op {
+	return &spec.Op{
 		Name: "mmap",
-		Args: []ArgSpec{
+		Args: []spec.ArgSpec{
 			procArg(), pageArg("page"),
 			{Name: "anon", Sort: sym.BoolSort},
 			{Name: "fixed", Sort: sym.BoolSort},
 			{Name: "wr", Sort: sym.BoolSort},
 			fdArg(), offArg("foff"),
 		},
-		Exec: func(m *M, slot string, a []*sym.Expr) []*sym.Expr {
+		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
+			s := st(x)
 			proc, page, anon, fixed, wr, fd, foff := a[0], a[1], a[2], a[3], a[4], a[5], a[6]
 			var addr *sym.Expr
-			if m.C.Branch(fixed) {
+			if x.C.Branch(fixed) {
 				addr = page // MAP_FIXED replaces any existing mapping
 			} else {
-				addr = m.C.Var("alloc.addr."+slot, sym.IntSort, symx.KindNondet)
-				m.C.Assume(sym.And(sym.Ge(addr, sym.Int(0)), sym.Le(addr, sym.Int(MaxPage-1))))
-				if m.S.VMA.Contains(m.C, symx.K(proc, addr)) {
-					m.C.Abort() // the kernel picks an unused address
+				addr = x.C.Var("alloc.addr."+slot, sym.IntSort, symx.KindNondet)
+				x.C.Assume(sym.And(sym.Ge(addr, sym.Int(0)), sym.Le(addr, sym.Int(MaxPage-1))))
+				if s.VMA.Contains(x.C, symx.K(proc, addr)) {
+					x.C.Abort() // the kernel picks an unused address
 				}
 			}
-			if m.C.Branch(anon) {
-				m.S.VMA.Set(m.C, symx.K(proc, addr), symx.NewStruct(
+			if x.C.Branch(anon) {
+				s.VMA.Set(x.C, symx.K(proc, addr), symx.NewStruct(
 					"anon", sym.True, "inum", sym.Int(1), "foff", sym.Int(0), "wr", wr))
-				m.S.Anon.Set(m.C, symx.K(proc, addr), symx.NewStruct("val", DataZero))
+				s.Anon.Set(x.C, symx.K(proc, addr), symx.NewStruct("val", DataZero))
 				return okRet(sym.Int(0), addr)
 			}
-			if !m.S.FD.Contains(m.C, symx.K(proc, fd)) {
+			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
 				return errRet(EBADF)
 			}
-			f := m.S.FD.Get(m.C, symx.K(proc, fd)).(*symx.Struct)
-			if m.C.Branch(f.Get("ispipe")) {
+			f := s.FD.Get(x.C, symx.K(proc, fd)).(*symx.Struct)
+			if x.C.Branch(f.Get("ispipe")) {
 				return errRet(ENODEV)
 			}
-			m.S.VMA.Set(m.C, symx.K(proc, addr), symx.NewStruct(
+			s.VMA.Set(x.C, symx.K(proc, addr), symx.NewStruct(
 				"anon", sym.False, "inum", f.Get("inum"), "foff", foff, "wr", wr))
 			return okRet(sym.Int(0), addr)
 		},
 	}
 }
 
-func opMunmap() *opDef {
-	return &opDef{
+func opMunmap() *spec.Op {
+	return &spec.Op{
 		Name: "munmap",
-		Args: []ArgSpec{procArg(), pageArg("page")},
-		Exec: func(m *M, slot string, a []*sym.Expr) []*sym.Expr {
+		Args: []spec.ArgSpec{procArg(), pageArg("page")},
+		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
+			s := st(x)
 			proc, page := a[0], a[1]
-			m.S.VMA.Del(m.C, symx.K(proc, page))
-			m.S.Anon.Del(m.C, symx.K(proc, page))
+			s.VMA.Del(x.C, symx.K(proc, page))
+			s.Anon.Del(x.C, symx.K(proc, page))
 			return okRet(sym.Int(0))
 		},
 	}
 }
 
-func opMprotect() *opDef {
-	return &opDef{
+func opMprotect() *spec.Op {
+	return &spec.Op{
 		Name: "mprotect",
-		Args: []ArgSpec{procArg(), pageArg("page"), {Name: "wr", Sort: sym.BoolSort}},
-		Exec: func(m *M, slot string, a []*sym.Expr) []*sym.Expr {
+		Args: []spec.ArgSpec{procArg(), pageArg("page"), {Name: "wr", Sort: sym.BoolSort}},
+		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
+			s := st(x)
 			proc, page, wr := a[0], a[1], a[2]
-			if !m.S.VMA.Contains(m.C, symx.K(proc, page)) {
+			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
 				return errRet(ENOMEM)
 			}
-			v := m.S.VMA.Get(m.C, symx.K(proc, page)).(*symx.Struct)
-			m.S.VMA.Set(m.C, symx.K(proc, page), v.With("wr", wr))
+			v := s.VMA.Get(x.C, symx.K(proc, page)).(*symx.Struct)
+			s.VMA.Set(x.C, symx.K(proc, page), v.With("wr", wr))
 			return okRet(sym.Int(0))
 		},
 	}
 }
 
-func opMemread() *opDef {
-	return &opDef{
+func opMemread() *spec.Op {
+	return &spec.Op{
 		Name: "memread",
-		Args: []ArgSpec{procArg(), pageArg("page")},
-		Exec: func(m *M, slot string, a []*sym.Expr) []*sym.Expr {
+		Args: []spec.ArgSpec{procArg(), pageArg("page")},
+		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
+			s := st(x)
 			proc, page := a[0], a[1]
-			if !m.S.VMA.Contains(m.C, symx.K(proc, page)) {
+			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
 				return errRet(ESIGSEGV)
 			}
-			v := m.S.VMA.Get(m.C, symx.K(proc, page)).(*symx.Struct)
-			if m.C.Branch(v.Get("anon")) {
-				av := m.S.Anon.GetFunc(m.C, symx.K(proc, page)).(*symx.Struct)
+			v := s.VMA.Get(x.C, symx.K(proc, page)).(*symx.Struct)
+			if x.C.Branch(v.Get("anon")) {
+				av := s.Anon.GetFunc(x.C, symx.K(proc, page)).(*symx.Struct)
 				return dataRet(0, av.Get("val"))
 			}
-			ino := m.S.Inode.GetFunc(m.C, symx.K(v.Get("inum"))).(*symx.Struct)
-			if m.C.Branch(sym.Ge(v.Get("foff"), ino.Get("len"))) {
+			ino := s.Inode.GetFunc(x.C, symx.K(v.Get("inum"))).(*symx.Struct)
+			if x.C.Branch(sym.Ge(v.Get("foff"), ino.Get("len"))) {
 				return errRet(ESIGBUS)
 			}
-			dv := m.S.Data.GetFunc(m.C, symx.K(v.Get("inum"), v.Get("foff"))).(*symx.Struct)
+			dv := s.Data.GetFunc(x.C, symx.K(v.Get("inum"), v.Get("foff"))).(*symx.Struct)
 			return dataRet(0, dv.Get("val"))
 		},
 	}
 }
 
-func opMemwrite() *opDef {
-	return &opDef{
+func opMemwrite() *spec.Op {
+	return &spec.Op{
 		Name: "memwrite",
-		Args: []ArgSpec{procArg(), pageArg("page"), {Name: "val", Sort: DataSort}},
-		Exec: func(m *M, slot string, a []*sym.Expr) []*sym.Expr {
+		Args: []spec.ArgSpec{procArg(), pageArg("page"), {Name: "val", Sort: DataSort}},
+		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
+			s := st(x)
 			proc, page, val := a[0], a[1], a[2]
-			if !m.S.VMA.Contains(m.C, symx.K(proc, page)) {
+			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
 				return errRet(ESIGSEGV)
 			}
-			v := m.S.VMA.Get(m.C, symx.K(proc, page)).(*symx.Struct)
-			if !m.C.Branch(v.Get("wr")) {
+			v := s.VMA.Get(x.C, symx.K(proc, page)).(*symx.Struct)
+			if !x.C.Branch(v.Get("wr")) {
 				return errRet(ESIGSEGV)
 			}
-			if m.C.Branch(v.Get("anon")) {
-				m.S.Anon.Set(m.C, symx.K(proc, page), symx.NewStruct("val", val))
+			if x.C.Branch(v.Get("anon")) {
+				s.Anon.Set(x.C, symx.K(proc, page), symx.NewStruct("val", val))
 				return okRet(sym.Int(0))
 			}
-			ino := m.S.Inode.GetFunc(m.C, symx.K(v.Get("inum"))).(*symx.Struct)
-			if m.C.Branch(sym.Ge(v.Get("foff"), ino.Get("len"))) {
+			ino := s.Inode.GetFunc(x.C, symx.K(v.Get("inum"))).(*symx.Struct)
+			if x.C.Branch(sym.Ge(v.Get("foff"), ino.Get("len"))) {
 				return errRet(ESIGBUS)
 			}
-			m.S.Data.Set(m.C, symx.K(v.Get("inum"), v.Get("foff")), symx.NewStruct("val", val))
+			s.Data.Set(x.C, symx.K(v.Get("inum"), v.Get("foff")), symx.NewStruct("val", val))
 			return okRet(sym.Int(0))
 		},
 	}

@@ -27,7 +27,7 @@ func init() { spec.Register(Spec) }
 
 func (posixSpec) Name() string { return "posix" }
 
-func (posixSpec) Ops() []*spec.Op { return Ops() }
+func (posixSpec) Ops() []*spec.Op { return ops }
 
 func (posixSpec) Sets() map[string][]string {
 	return map[string][]string{"fs": FSOpNames}

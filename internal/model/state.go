@@ -11,7 +11,6 @@
 package model
 
 import (
-	"repro/internal/spec"
 	"repro/internal/sym"
 	"repro/internal/symx"
 )
@@ -161,13 +160,6 @@ func NewState(c *symx.Context) *State {
 // of the tables they reference.
 func (s *State) Dicts() []*symx.Dict {
 	return []*symx.Dict{s.Fname, s.FD, s.VMA, s.Pipe, s.PipeD, s.Anon, s.Inode, s.Data}
-}
-
-// Equivalent builds the formula stating that two final states are
-// indistinguishable through the interface: every dictionary holds equal
-// content at every key either execution touched.
-func Equivalent(c *symx.Context, a, b *State) *sym.Expr {
-	return spec.Equivalent(c, a, b)
 }
 
 // AllocInum returns a fresh, nondeterministically chosen inode number for

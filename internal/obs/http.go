@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"log/slog"
 	"net/http"
 )
 
@@ -15,14 +14,4 @@ func Handler(r *Registry) http.Handler {
 		w.Header().Set("Content-Type", contentType)
 		r.WritePrometheus(w)
 	})
-}
-
-// ParseLevel parses a -log flag value into a slog level. Accepted values
-// are debug, info, warn and error (case-insensitive).
-func ParseLevel(s string) (slog.Level, error) {
-	var lv slog.Level
-	if err := lv.UnmarshalText([]byte(s)); err != nil {
-		return 0, err
-	}
-	return lv, nil
 }

@@ -115,10 +115,9 @@ func pickQueue(c *symx.Context, slot string) *sym.Expr {
 	return q
 }
 
-// Ops returns the five modeled operations in canonical (matrix) order.
-func Ops() []*spec.Op {
-	return []*spec.Op{opSend(), opRecv(), opSendAny(), opRecvAny(), opStatus()}
-}
+// ops is the op table: the five modeled operations in canonical (matrix)
+// order, built once per process.
+var ops = []*spec.Op{opSend(), opRecv(), opSendAny(), opRecvAny(), opStatus()}
 
 func st(x *spec.Exec) *State { return x.S.(*State) }
 
@@ -215,7 +214,7 @@ func init() { spec.Register(Spec) }
 
 func (queueSpec) Name() string { return "queue" }
 
-func (queueSpec) Ops() []*spec.Op { return Ops() }
+func (queueSpec) Ops() []*spec.Op { return ops }
 
 func (queueSpec) Sets() map[string][]string {
 	return map[string][]string{

@@ -132,7 +132,7 @@ func TestMemqConflictFree(t *testing.T) {
 
 	res, err := sweep.RunContext(context.Background(), sweep.Config{
 		Spec:    Spec,
-		Ops:     Ops(),
+		Ops:     Spec.Ops(),
 		Kernels: []sweep.KernelSpec{{Name: impl, New: kernels[0].New}},
 	})
 	if err != nil {

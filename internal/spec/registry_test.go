@@ -137,3 +137,27 @@ func TestOpSetSelectors(t *testing.T) {
 		t.Error("unknown comma-list op did not error")
 	}
 }
+
+// TestOpTablesBuiltOnce pins that a spec's op table is package-level: every
+// Ops call — and every lookup through it — hands out the same *Op values,
+// so resolving an op by name allocates nothing and ops compare by pointer.
+func TestOpTablesBuiltOnce(t *testing.T) {
+	for _, name := range spec.Names() {
+		sp, err := spec.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, again := sp.Ops(), sp.Ops()
+		if len(first) == 0 || len(first) != len(again) {
+			t.Fatalf("%s: Ops returned %d then %d ops", name, len(first), len(again))
+		}
+		for i, op := range first {
+			if op != again[i] {
+				t.Errorf("%s: op %s rebuilt between Ops calls", name, op.Name)
+			}
+			if byName, err := spec.OpByName(sp, op.Name); err != nil || byName != op {
+				t.Errorf("%s: OpByName(%s) = %p, %v; want the table's %p", name, op.Name, byName, err, op)
+			}
+		}
+	}
+}

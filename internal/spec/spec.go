@@ -109,7 +109,9 @@ type Spec interface {
 	// Name is the registry key ("posix", "queue") and the identity folded
 	// into sweep cache keys.
 	Name() string
-	// Ops returns the operation universe in canonical (matrix) order.
+	// Ops returns the operation universe in canonical (matrix) order:
+	// the spec's package-level table, the same *Op values on every call.
+	// Callers must not modify it.
 	Ops() []*Op
 	// Sets names the op subsets the CLI accepts (e.g. posix's "fs"). The
 	// "all" universe is implicit and need not be listed.

@@ -51,7 +51,9 @@ const CacheVersion = 4
 // don't depend on them, and incomplete (budget-truncated) results are
 // never stored (see runPair). Zero-value options are normalized to the
 // defaults the pipeline applies (MaxPaths 4096, MaxTestsPerPath 4), so
-// semantically identical configurations share cache entries.
+// semantically identical configurations share cache entries. The lowest-FD
+// setting is rendered twice, under the names of the two knobs it used to
+// be, so the addresses of existing entries do not move.
 func TestgenKey(specName, opA, opB string, aOpt analyzer.Options, gOpt testgen.Options) string {
 	maxPaths := aOpt.MaxPaths
 	if maxPaths == 0 {
@@ -66,7 +68,7 @@ func TestgenKey(specName, opA, opB string, aOpt analyzer.Options, gOpt testgen.O
 	fmt.Fprintf(&b, "|model.lowestfd=%v", aOpt.Config.LowestFD)
 	fmt.Fprintf(&b, "|analyzer.maxpaths=%d", maxPaths)
 	fmt.Fprintf(&b, "|testgen.maxtestsperpath=%d", perPath)
-	fmt.Fprintf(&b, "|testgen.lowestfd=%v", gOpt.LowestFD)
+	fmt.Fprintf(&b, "|testgen.lowestfd=%v", aOpt.Config.LowestFD)
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:])
 }

@@ -1,7 +1,10 @@
 package sweep
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,8 +13,7 @@ import (
 
 	"repro/internal/analyzer"
 	"repro/internal/kernel"
-	"repro/internal/model"
-	"repro/internal/sym"
+	"repro/internal/spec"
 	"repro/internal/testgen"
 )
 
@@ -31,15 +33,27 @@ func TestTestgenKeyStability(t *testing.T) {
 	variants := map[string]string{
 		"pair":         TestgenKey("posix", "open", "link", analyzer.Options{}, testgen.Options{MaxTestsPerPath: 4}),
 		"pair order":   TestgenKey("posix", "rename", "open", analyzer.Options{}, testgen.Options{MaxTestsPerPath: 4}),
-		"model config": TestgenKey("posix", "open", "rename", analyzer.Options{Config: model.Config{LowestFD: true}}, testgen.Options{MaxTestsPerPath: 4}),
+		"model config": TestgenKey("posix", "open", "rename", analyzer.Options{Config: spec.Config{LowestFD: true}}, testgen.Options{MaxTestsPerPath: 4}),
 		"max paths":    TestgenKey("posix", "open", "rename", analyzer.Options{MaxPaths: 128}, testgen.Options{MaxTestsPerPath: 4}),
 		"per path":     TestgenKey("posix", "open", "rename", analyzer.Options{}, testgen.Options{MaxTestsPerPath: 8}),
-		"gen lowestfd": TestgenKey("posix", "open", "rename", analyzer.Options{}, testgen.Options{MaxTestsPerPath: 4, LowestFD: true}),
 		"spec":         TestgenKey("queue", "open", "rename", analyzer.Options{}, testgen.Options{MaxTestsPerPath: 4}),
 	}
 	for what, v := range variants {
 		if v == k {
 			t.Errorf("changing %s did not change the key", what)
+		}
+	}
+
+	// The one lowest-FD setting is rendered under both names it had while
+	// the analyzer and testgen each carried a copy, so the addresses of
+	// entries written before the merge do not move.
+	for _, lowest := range []bool{false, true} {
+		legacy := sha256.Sum256([]byte(fmt.Sprintf(
+			"v%d|tier=testgen|spec=posix|pair=open,rename|model.lowestfd=%v|analyzer.maxpaths=4096|testgen.maxtestsperpath=4|testgen.lowestfd=%v",
+			CacheVersion, lowest, lowest)))
+		got := TestgenKey("posix", "open", "rename", analyzer.Options{Config: spec.Config{LowestFD: lowest}}, testgen.Options{})
+		if got != hex.EncodeToString(legacy[:]) {
+			t.Errorf("lowestfd=%v: key moved from its pre-merge address", lowest)
 		}
 	}
 
@@ -216,11 +230,12 @@ func TestCacheCorruptionRecovery(t *testing.T) {
 	}
 }
 
-// TestTruncatedResultsNotCached pins the budget/cache interaction: the
-// cache key excludes the solver, which is only sound if budget-truncated
-// (Unknown > 0) results are never stored — otherwise a tiny-budget sweep
-// would poison both tiers and a full-budget rerun would serve the
-// truncated tests and stale lower-bound cells forever.
+// TestTruncatedResultsNotCached pins the truncation/cache interaction: a
+// result whose exploration was cut short (Unknown > 0) is a lower bound,
+// and storing it would serve that lower bound as the pair's answer to
+// every later sweep of the same configuration — and, since CheckKey chains
+// the testgen key, its cells too. A path cap of 1 truncates every
+// multi-path pair.
 func TestTruncatedResultsNotCached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep pipeline in -short mode")
@@ -231,46 +246,50 @@ func TestTruncatedResultsNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops, kernels := testOps(t), testKernels()
-	tiny := Config{
+	capped := Config{
 		Ops: ops, Kernels: kernels, Cache: cache,
-		Analyzer: analyzer.Options{Solver: &sym.Solver{MaxSteps: 1}},
+		Analyzer: analyzer.Options{MaxPaths: 1},
 	}
-	res, err := runSweep(tiny)
+	wantPairs := len(ops) * (len(ops) + 1) / 2
+	// Nothing is stored, so the second sweep is as cold as the first.
+	for _, round := range []string{"first", "second"} {
+		res, err := runSweep(capped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range res.Pairs {
+			if p.Unknown == 0 {
+				t.Errorf("%s capped sweep: pair %s reads as complete", round, p.Pair())
+			}
+		}
+		if want := (CacheStats{TestgenMisses: wantPairs, CheckMisses: wantPairs * len(kernels)}); res.Cache != want {
+			t.Errorf("%s capped sweep: cache traffic %+v, want %+v", round, res.Cache, want)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 0 {
+			t.Errorf("%s capped sweep stored %d cache files; truncated pairs must not be stored", round, len(entries))
+		}
+	}
+
+	// An uncapped sweep reports complete results and stores every tier.
+	full, err := runSweep(Config{Ops: ops, Kernels: kernels, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPairs := len(ops) * (len(ops) + 1) / 2
-	truncated := 0
-	for _, p := range res.Pairs {
+	for _, p := range full.Pairs {
 		if p.Unknown > 0 {
-			truncated++
+			t.Errorf("uncapped pair %s reports Unknown=%d", p.Pair(), p.Unknown)
 		}
-	}
-	if truncated == 0 {
-		t.Skip("one-step budget truncated nothing; test needs a harsher setup")
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (wantPairs - truncated) * (1 + len(kernels)); len(entries) != want {
-		t.Errorf("cache holds %d files after truncated sweep, want %d (truncated pairs must not be stored)", len(entries), want)
-	}
-
-	// A full-budget sweep against the same cache must recompute the
-	// truncated pairs (misses, not stale hits) and then report complete
-	// results with no Unknown pairs.
-	full, err := runSweep(Config{Ops: ops, Kernels: kernels, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Cache.TestgenMisses != truncated {
-		t.Errorf("full-budget rerun: %d testgen misses, want %d (the truncated pairs)", full.Cache.TestgenMisses, truncated)
-	}
-	for _, p := range full.Pairs {
-		if p.Unknown > 0 {
-			t.Errorf("full-budget pair %s still reports Unknown=%d (stale cache entry served?)", p.Pair(), p.Unknown)
-		}
+	if want := wantPairs * (1 + len(kernels)); len(entries) != want {
+		t.Errorf("cache holds %d files after the uncapped sweep, want %d", len(entries), want)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"repro/internal/kernel"
-	"repro/internal/model"
+	"repro/internal/spec"
 )
 
 // countingBackend wraps a Backend, counting Put calls per key and letting
@@ -164,15 +164,12 @@ func TestCoalescedWaitersShareLeader(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline in -short mode")
 	}
-	op := model.OpByName("stat")
-	if op == nil {
-		t.Fatal("unknown op stat")
-	}
+	op := testOp(t, "stat")
 	kernels := testKernels()[:1]
 
 	const sweeps = 3
 	backend := newCountingBackend(NewMemBackend(0))
-	cfg := Config{Ops: []*model.OpDef{op}, Kernels: kernels, Workers: 1, Cache: backend}
+	cfg := Config{Ops: []*spec.Op{op}, Kernels: kernels, Workers: 1, Cache: backend}
 	tgKey := TestgenKey("posix", "stat", "stat", cfg.Analyzer, cfg.Testgen)
 	fid := flightID(backend, tgKey)
 
@@ -238,14 +235,11 @@ func TestCanceledLeaderHandsOffToWaiter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline in -short mode")
 	}
-	op := model.OpByName("stat")
-	if op == nil {
-		t.Fatal("unknown op stat")
-	}
+	op := testOp(t, "stat")
 	kernels := testKernels()[:1]
 
 	backend := newCountingBackend(NewMemBackend(0))
-	cfg := Config{Ops: []*model.OpDef{op}, Kernels: kernels, Workers: 1, Cache: backend}
+	cfg := Config{Ops: []*spec.Op{op}, Kernels: kernels, Workers: 1, Cache: backend}
 	tgKey := TestgenKey("posix", "stat", "stat", cfg.Analyzer, cfg.Testgen)
 	fid := flightID(backend, tgKey)
 
@@ -312,17 +306,14 @@ func TestDistinctBackendsDoNotShareFlights(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline in -short mode")
 	}
-	op := model.OpByName("stat")
-	if op == nil {
-		t.Fatal("unknown op stat")
-	}
+	op := testOp(t, "stat")
 	ks := testKernels()[0]
 	for name, open := range map[string]func() Backend{
 		"mem":    func() Backend { return NewMemBackend(0) },
 		"tiered": func() Backend { return Tiered(NewMemBackend(0), NewMemBackend(0)) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			cfgA := Config{Ops: []*model.OpDef{op}, Kernels: []KernelSpec{ks}, Workers: 1, Cache: open()}
+			cfgA := Config{Ops: []*spec.Op{op}, Kernels: []KernelSpec{ks}, Workers: 1, Cache: open()}
 			cfgB := cfgA
 			cfgB.Cache = open()
 

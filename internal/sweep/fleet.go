@@ -68,7 +68,9 @@ type FleetSweepSpec struct {
 	Ops     []string `json:"ops"`
 	Kernels []string `json:"kernels"`
 	// The test-shaping options, mirroring exactly what TestgenKey folds
-	// into the cache's content address.
+	// into the cache's content address. TestgenLowestFD always equals
+	// LowestFD (FleetSpec sets both from the one setting): it stays on the
+	// wire and in Key for peers and sessions that knew two knobs.
 	LowestFD        bool `json:"lowest_fd,omitempty"`
 	TestgenLowestFD bool `json:"testgen_lowest_fd,omitempty"`
 	MaxPaths        int  `json:"max_paths,omitempty"`

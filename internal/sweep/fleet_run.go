@@ -19,7 +19,7 @@ func FleetSpec(sp spec.Spec, cfg Config) FleetSweepSpec {
 	fs := FleetSweepSpec{
 		Spec:            sp.Name(),
 		LowestFD:        cfg.Analyzer.Config.LowestFD,
-		TestgenLowestFD: cfg.Testgen.LowestFD,
+		TestgenLowestFD: cfg.Analyzer.Config.LowestFD,
 		MaxPaths:        cfg.Analyzer.MaxPaths,
 		MaxTestsPerPath: cfg.Testgen.MaxTestsPerPath,
 	}
@@ -69,9 +69,6 @@ const fleetPoll = 100 * time.Millisecond
 // back to the pending queue on a short background context — a killed
 // worker's share is re-issued immediately instead of after TTL expiry.
 func RunFleet(ctx context.Context, cfg Config, fc FleetClient) (*Result, error) {
-	if cfg.Analyzer.Solver != nil || cfg.Testgen.Solver != nil {
-		return nil, fmt.Errorf("sweep: fleet mode cannot share caller-provided solvers across servers")
-	}
 	r, err := newRun(cfg)
 	if err != nil {
 		return nil, err

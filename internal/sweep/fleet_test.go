@@ -10,9 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analyzer"
 	"repro/internal/kvspec"
 	"repro/internal/obs"
 	"repro/internal/spec"
+	"repro/internal/sym"
+	"repro/internal/testgen"
 )
 
 // fakeClock is an injectable clock for lease-expiry tests: time moves
@@ -61,8 +64,7 @@ func TestFleetSweepSpecKey(t *testing.T) {
 		func(s *FleetSweepSpec) { s.Spec = "queue" },
 		func(s *FleetSweepSpec) { s.Ops = []string{"close", "stat"} },
 		func(s *FleetSweepSpec) { s.Kernels = []string{"sv6"} },
-		func(s *FleetSweepSpec) { s.LowestFD = true },
-		func(s *FleetSweepSpec) { s.TestgenLowestFD = true },
+		func(s *FleetSweepSpec) { s.LowestFD, s.TestgenLowestFD = true, true },
 		func(s *FleetSweepSpec) { s.MaxPaths = 7 },
 		func(s *FleetSweepSpec) { s.MaxTestsPerPath = 1 },
 	} {
@@ -71,6 +73,12 @@ func TestFleetSweepSpecKey(t *testing.T) {
 		if v.Key() == base.Key() {
 			t.Errorf("%+v should not share a session key with %+v", v, base)
 		}
+	}
+	// The one lowest-FD setting fills both of the wire fields it used to
+	// be, so members on either side of the merge join the same session.
+	fs := FleetSpec(mustSpec(t), Config{Analyzer: analyzer.Options{Config: spec.Config{LowestFD: true}}})
+	if !fs.LowestFD || !fs.TestgenLowestFD {
+		t.Errorf("FleetSpec under the lowest-FD rule: %+v, want both legacy fields set", fs)
 	}
 }
 
@@ -210,11 +218,17 @@ func TestFleetTableCompleteIdempotent(t *testing.T) {
 
 // countingFleet wraps a FleetClient and records, per pair, how many
 // result posts it carried — the exactly-once ledger the fleet tests
-// assert against.
+// assert against — and how many claims it carried.
 type countingFleet struct {
 	FleetClient
 	mu       sync.Mutex
 	reported map[string]int
+	claims   atomic.Int64
+}
+
+func (c *countingFleet) Claim(ctx context.Context, req FleetClaimRequest) (FleetClaimResponse, error) {
+	c.claims.Add(1)
+	return c.FleetClient.Claim(ctx, req)
 }
 
 func newCountingFleet(fc FleetClient) *countingFleet {
@@ -228,6 +242,30 @@ func (c *countingFleet) Report(ctx context.Context, req FleetResultRequest) (Fle
 	}
 	c.mu.Unlock()
 	return c.FleetClient.Report(ctx, req)
+}
+
+// TestSweepRejectsCallerSolver pins that the engine owns its solvers: a
+// Config carrying one is refused by both drivers before any pair runs (a
+// shared solver would carry budget state across pairs, and cannot cross
+// servers at all), with nothing claimed from the coordinator.
+func TestSweepRejectsCallerSolver(t *testing.T) {
+	ops, kernels := testOps(t), testKernels()
+	for name, cfg := range map[string]Config{
+		"analyzer": {Ops: ops, Kernels: kernels, Analyzer: analyzer.Options{Solver: &sym.Solver{}}},
+		"testgen":  {Ops: ops, Kernels: kernels, Testgen: testgen.Options{Solver: &sym.Solver{}}},
+	} {
+		cfg.Progress = func(Event) { t.Errorf("%s solver: a pair ran", name) }
+		if res, err := RunContext(context.Background(), cfg); err == nil || res != nil {
+			t.Errorf("%s solver: RunContext returned %v, %v; want an error", name, res, err)
+		}
+		fc := newCountingFleet(LocalFleet(NewFleetHub(0, nil)))
+		if res, err := RunFleet(context.Background(), cfg, fc); err == nil || res != nil {
+			t.Errorf("%s solver: RunFleet returned %v, %v; want an error", name, res, err)
+		}
+		if n := fc.claims.Load(); n != 0 {
+			t.Errorf("%s solver: RunFleet claimed %d times before refusing", name, n)
+		}
+	}
 }
 
 // TestRunFleetMatchesRunContext is the tentpole contract: two workers

@@ -5,18 +5,15 @@ import (
 	"encoding/json"
 	"testing"
 
-	"repro/internal/model"
+	"repro/internal/spec"
 )
 
 // tinyConfig is the smallest real pipeline run: one pair (stat/stat), one
 // kernel. Phase-accounting tests need real work, not mocks, but not much
 // of it.
 func tinyConfig(t testing.TB) Config {
-	op := model.OpByName("stat")
-	if op == nil {
-		t.Fatal("unknown op stat")
-	}
-	return Config{Ops: []*model.OpDef{op}, Kernels: testKernels()[:1], Workers: 1}
+	op := testOp(t, "stat")
+	return Config{Ops: []*spec.Op{op}, Kernels: testKernels()[:1], Workers: 1}
 }
 
 // TestPhaseBreakdown pins the per-pair observability record: a computed

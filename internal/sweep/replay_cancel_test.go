@@ -29,11 +29,11 @@ func (c *trippingContext) Err() error {
 	return c.Context.Err()
 }
 
-// shardTestCases hand-builds a CHECK batch with many distinct setups, so
+// manySetupTests hand-builds a CHECK batch with many distinct setups, so
 // the replay loop has real group boundaries to cross. The (g%4, g%3, g%5)
 // shape triple repeats only every lcm = 60 groups, so up to 60 groups
 // every fingerprint is distinct.
-func shardTestCases(groups, perGroup int) []kernel.TestCase {
+func manySetupTests(groups, perGroup int) []kernel.TestCase {
 	var tests []kernel.TestCase
 	for g := 0; g < groups; g++ {
 		inum := int64(1 + g%3)
@@ -55,12 +55,12 @@ func shardTestCases(groups, perGroup int) []kernel.TestCase {
 	return tests
 }
 
-// TestShardedCheckCancelStopsPromptly pins the CHECK replay loop's
+// TestReplayCancelStopsPromptly pins the CHECK replay loop's
 // cancellation contract: once the context reports cancellation mid-batch
 // the loop stops within one test, returns the context error with partial
 // counts, and leaves no goroutine behind.
-func TestShardedCheckCancelStopsPromptly(t *testing.T) {
-	tests := shardTestCases(32, 4)
+func TestReplayCancelStopsPromptly(t *testing.T) {
+	tests := manySetupTests(32, 4)
 	ks := testKernels()[0]
 
 	before := runtime.NumGoroutine()
@@ -85,16 +85,16 @@ func TestShardedCheckCancelStopsPromptly(t *testing.T) {
 	}
 }
 
-// TestShardedCheckCancelDoesNotCacheTruncatedCell pins the cache side of
+// TestReplayCancelDoesNotCacheTruncatedCell pins the cache side of
 // the contract: a CHECK stage cut short by cancellation must not store its
 // partial counts, and a later uncancelled run computes and stores the
 // complete cell under the same key.
-func TestShardedCheckCancelDoesNotCacheTruncatedCell(t *testing.T) {
+func TestReplayCancelDoesNotCacheTruncatedCell(t *testing.T) {
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tests := shardTestCases(16, 4)
+	tests := manySetupTests(16, 4)
 	ks := testKernels()[0]
 	r := &run{cfg: Config{Cache: cache}}
 	out := PairResult{OpA: "stat", OpB: "stat"}

@@ -79,10 +79,11 @@ type Config struct {
 	Ops []*spec.Op
 	// Kernels are the implementations to check each generated test on.
 	Kernels []KernelSpec
-	// Analyzer tunes ANALYZER. A caller-provided Solver disables
-	// parallelism (solvers are not safe to share); leave it nil.
+	// Analyzer tunes ANALYZER. Its Solver must be nil: the engine builds
+	// a fresh one per pair, wired to the sweep's context, and a solver
+	// shared across pairs would carry budget state between them.
 	Analyzer analyzer.Options
-	// Testgen tunes TESTGEN; same Solver caveat as Analyzer.
+	// Testgen tunes TESTGEN; its Solver must be nil like Analyzer's.
 	Testgen testgen.Options
 	// Workers sizes the pool; <= 0 means runtime.NumCPU().
 	Workers int
@@ -216,15 +217,9 @@ func (r *Result) TotalTests() int {
 // run is the state one sweep shares across its pairs, whichever driver
 // feeds it: RunContext walks the whole pair list, RunFleet pulls leases.
 type run struct {
-	cfg     Config
-	sp      spec.Spec
-	workers int
-	// coalesce puts every stage under process-wide single-flight. A
-	// caller-provided solver carries budget state that must not leak
-	// between requests, so it opts the sweep out (and, solvers not being
-	// safe to share, down to one worker); the common nil case gets a fresh
-	// solver per pair inside generateTests.
-	coalesce bool
+	cfg      Config
+	sp       spec.Spec
+	workers  int
 	start    time.Time
 	counters runCounters
 }
@@ -232,13 +227,12 @@ type run struct {
 // newRun resolves cfg's defaults and marks the sweep in flight; the caller
 // defers close.
 func newRun(cfg Config) (*run, error) {
+	if cfg.Analyzer.Solver != nil || cfg.Testgen.Solver != nil {
+		return nil, fmt.Errorf("sweep: a sweep cannot share caller-provided solvers across pairs and servers")
+	}
 	r := &run{cfg: cfg, sp: cfg.Spec, workers: cfg.Workers, start: time.Now()}
 	if r.workers <= 0 {
 		r.workers = runtime.NumCPU()
-	}
-	r.coalesce = cfg.Analyzer.Solver == nil && cfg.Testgen.Solver == nil
-	if !r.coalesce {
-		r.workers = 1
 	}
 	if r.sp == nil {
 		var err error
@@ -475,9 +469,9 @@ type stageOutcome[T any] struct {
 
 // stage is one cache tier's protocol around a computation: probe the
 // tier, compute on a miss, store the result best-effort — all of it under
-// single-flight when the run coalesces, so of N concurrent identical cold
-// requests exactly one executes (and populates the cache) while the rest
-// share its result. The two tiers differ only in the fields below and in
+// process-wide single-flight, so of N concurrent identical cold requests
+// exactly one executes (and populates the cache) while the rest share its
+// result. The two tiers differ only in the fields below and in
 // the compute closure runPair hands to run.
 type stage[T any] struct {
 	tier    string
@@ -516,16 +510,13 @@ var (
 )
 
 // run returns the stage's outcome for key, computing only on a cache miss.
-// compute reports its value plus the unknown count behind it. Under
-// coalescing out is marked when the outcome was shared from a concurrent
-// identical execution; compute and the cache accounting always belong to
-// the sweep that executes, so phase times, solver work and hit/miss
-// counts land on the one that actually did the work. A sequential sweep
-// is always its own leader, so its statistics match a non-coalescing one.
+// compute reports its value plus the unknown count behind it. out is
+// marked when the outcome was shared from a concurrent identical
+// execution; compute and the cache accounting always belong to the sweep
+// that executes, so phase times, solver work and hit/miss counts land on
+// the one that actually did the work. A sweep running alone is always its
+// own leader.
 func (s *stage[T]) run(ctx context.Context, r *run, key string, out *PairResult, compute func() (T, int, error)) (stageOutcome[T], error) {
-	if !r.coalesce {
-		return s.exec(r, key, compute)
-	}
 	o, st, err := s.flights.Do(ctx, flightID(r.cfg.Cache, key), func() (stageOutcome[T], error) {
 		return s.exec(r, key, compute)
 	})
@@ -588,9 +579,8 @@ func (s *stage[T]) exec(r *run, key string, compute func() (T, int, error)) (sta
 // caller's goroutine: the drivers' worker pools are what bound concurrency.
 //
 // Along the way it records the pair's observability record: per-phase
-// wall times, solver counters (snapshot deltas, so a caller-shared
-// solver attributes only this pair's work) and intern-table traffic,
-// both on the PairResult and in the process-wide obs registry.
+// wall times, solver counters and intern-table traffic, both on the
+// PairResult and in the process-wide obs registry.
 func (r *run) runPair(ctx context.Context, a, b *spec.Op) (PairResult, error) {
 	start := time.Now()
 	out := PairResult{OpA: a.Name, OpB: b.Name, StartMS: msBetween(r.start, start)}
@@ -598,7 +588,7 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op) (PairResult, error) {
 
 	tgKey := TestgenKey(r.sp.Name(), a.Name, b.Name, r.cfg.Analyzer, r.cfg.Testgen)
 	tg, err := testgenStage.run(ctx, r, tgKey, &out, func() ([]kernel.TestCase, int, error) {
-		return generateTests(ctx, r, a, b, &out)
+		return PairTests(ctx, r.sp, a, b, r.cfg.Analyzer, r.cfg.Testgen, &out)
 	})
 	if err != nil {
 		return out, fmt.Errorf("sweep %s: %w", out.Pair(), err)
@@ -627,42 +617,35 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op) (PairResult, error) {
 	return out, nil
 }
 
-// generateTests computes the ANALYZE+TESTGEN stage for one pair, recording
-// its phase times and solver work on out.
-func generateTests(ctx context.Context, r *run, a, b *spec.Op, out *PairResult) ([]kernel.TestCase, int, error) {
-	aOpt := r.cfg.Analyzer
-	if aOpt.Solver == nil {
-		// The analyzer would build this per-pair solver itself; build
-		// it here instead so its search counters can be read after
-		// the phase. The cache key deliberately excludes solvers, and
-		// a fresh solver per pair preserves the engine's parallelism
-		// (only a shared caller-provided solver forces workers=1).
-		aOpt.Solver = &sym.Solver{Stop: func() bool { return ctx.Err() != nil }}
-	}
-	aStats0 := aOpt.Solver.Stats()
+// PairTests is the pipeline's one ANALYZE → TESTGEN sequence: it analyses
+// the pair (a, b) of sp and generates its concrete tests, returning them
+// with the number of budget-truncated paths behind them (nonzero means
+// the test set is a lower bound). Each phase runs on a fresh solver wired
+// to ctx, replacing any in the options, so cancellation lands inside the
+// searches and nothing carries over from another pair. Phase times and
+// solver work are recorded on out.
+func PairTests(ctx context.Context, sp spec.Spec, a, b *spec.Op, aOpt analyzer.Options, gOpt testgen.Options, out *PairResult) ([]kernel.TestCase, int, error) {
+	stop := func() bool { return ctx.Err() != nil }
+	aOpt.Solver, gOpt.Solver = &sym.Solver{Stop: stop}, &sym.Solver{Stop: stop}
 	phaseStart := time.Now()
-	pr, err := analyzer.AnalyzePairCtx(ctx, r.sp, a, b, aOpt)
+	pr, err := analyzer.AnalyzePairCtx(ctx, sp, a, b, aOpt)
 	out.Phases.AnalyzeMS = msSince(phaseStart)
 	if err != nil {
 		return nil, 0, err
 	}
-	gOpt := r.cfg.Testgen
-	if gOpt.Solver == nil {
-		// TESTGEN runs its own searches; give it a per-pair solver
-		// wired to the context so cancellation lands there too.
-		gOpt.Solver = &sym.Solver{Stop: func() bool { return ctx.Err() != nil }}
-	}
-	gStats0 := gOpt.Solver.Stats()
 	phaseStart = time.Now()
-	tests, truncated := testgen.GenerateChecked(r.sp, pr, gOpt)
+	tests, truncated := testgen.GenerateChecked(sp, pr, gOpt)
 	out.Phases.TestgenMS = msSince(phaseStart)
 	if err := ctx.Err(); err != nil {
 		// A cancelled generation pass is truncated, not short: drop it
 		// before its lower-bound test set can reach the cache or a cell.
 		return nil, 0, err
 	}
-	recordSolverDelta(out, aOpt.Solver.Stats(), aStats0)
-	recordSolverDelta(out, gOpt.Solver.Stats(), gStats0)
+	for _, st := range []sym.SolverStats{aOpt.Solver.Stats(), gOpt.Solver.Stats()} {
+		out.Solver.SatCalls += st.SatCalls
+		out.Solver.BudgetHits += st.BudgetHits
+		out.Phases.SolverMS += float64(st.SearchTime) / float64(time.Millisecond)
+	}
 	return tests, pr.Unknown() + truncated, nil
 }
 
@@ -686,14 +669,6 @@ func runCheck(ctx context.Context, ks KernelSpec, tests []kernel.TestCase, out *
 	out.Phases.CheckMS += msSince(phaseStart)
 	out.CheckGroups = groups
 	return cell, err
-}
-
-// recordSolverDelta folds one solver's work since the snapshot into the
-// pair's counters and phase times.
-func recordSolverDelta(out *PairResult, now, before sym.SolverStats) {
-	out.Solver.SatCalls += now.SatCalls - before.SatCalls
-	out.Solver.BudgetHits += now.BudgetHits - before.BudgetHits
-	out.Phases.SolverMS += float64(now.SearchTime-before.SearchTime) / float64(time.Millisecond)
 }
 
 // Pairs enumerates the unordered pairs of ops in the orientation the whole

@@ -30,16 +30,18 @@ import (
 func runSweep(cfg Config) (*Result, error) { return RunContext(context.Background(), cfg) }
 
 // testOps is a small, fast operation universe (6 pairs) for engine tests.
-func testOps(t testing.TB) []*model.OpDef {
-	names := []string{"stat", "lseek", "close"}
-	out := make([]*model.OpDef, len(names))
-	for i, n := range names {
-		out[i] = model.OpByName(n)
-		if out[i] == nil {
-			t.Fatalf("unknown op %q", n)
-		}
+func testOps(t testing.TB) []*spec.Op {
+	return []*spec.Op{testOp(t, "stat"), testOp(t, "lseek"), testOp(t, "close")}
+}
+
+// testOp resolves one posix op by name.
+func testOp(t testing.TB, name string) *spec.Op {
+	t.Helper()
+	op, err := spec.OpByName(model.Spec, name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return op
 }
 
 func testKernels() []KernelSpec {
@@ -52,7 +54,7 @@ func testKernels() []KernelSpec {
 // sequentialReference computes the expected sweep result with a plain
 // sequential loop over the same pipeline, mirroring the pre-engine
 // evaluation path (earlier-op-first pair orientation).
-func sequentialReference(t testing.TB, ops []*model.OpDef, kernels []KernelSpec) []PairResult {
+func sequentialReference(t testing.TB, ops []*spec.Op, kernels []KernelSpec) []PairResult {
 	t.Helper()
 	var out []PairResult
 	for i, a := range ops {

@@ -367,7 +367,8 @@ type Path struct {
 	// VarKinds classifies every symbolic variable the path mentions.
 	VarKinds map[string]VarKind
 	// Budgeted reports that a feasibility check during the exploration
-	// exhausted the solver's step budget. The flag is aggregated across
+	// exhausted the solver's step budget, or that the exploration stopped
+	// at its path cap with branches left. The flag is aggregated across
 	// the whole run — including replays that aborted *because* of a
 	// truncated check, whose own paths never surface — so any path of an
 	// affected exploration carries it: some branch somewhere reported
@@ -401,7 +402,9 @@ type Options struct {
 
 // RunCtx symbolically executes fn, exploring every feasible path, and
 // returns one Path per feasible complete execution plus the aggregated
-// budget flag, which it also stamps on every returned path. The separate
+// budget flag — a feasibility check ran out of solver budget, or MaxPaths
+// was reached with branches left — which it also stamps on every returned
+// path. The separate
 // return matters when exploration is truncated so hard that *no* path
 // survives: an empty path list with budgeted=true means "unknown", not "no
 // feasible executions".
@@ -451,6 +454,9 @@ func RunCtx(ctx context.Context, fn func(*Context) any, opt Options) ([]Path, bo
 			PC: ctx.PC(), Result: res, VarKinds: ctx.VarKinds(), ctx: ctx,
 		})
 	}
+	// Stopping at the cap with prefixes still queued leaves branches
+	// unexplored: as much an under-approximation as a truncated search.
+	budgeted = budgeted || len(queue) > 0
 	for i := range paths {
 		paths[i].Budgeted = budgeted
 	}

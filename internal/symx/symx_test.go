@@ -1,6 +1,7 @@
 package symx
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/sym"
@@ -88,15 +89,28 @@ func TestNestedBranchesEnumerate(t *testing.T) {
 	}
 }
 
+// A cap that cuts exploration short must say so: the paths it returns are
+// an under-approximation, not the model's behaviours. A cap the
+// exploration never reaches (or reaches exactly) truncates nothing.
 func TestMaxPathsCap(t *testing.T) {
-	paths := explore(func(c *Context) any {
-		for i := 0; i < 10; i++ {
-			c.Branch(c.Var(string(rune('a'+i)), sym.BoolSort, KindArg))
+	model := func(n int) func(c *Context) any {
+		return func(c *Context) any {
+			for i := 0; i < n; i++ {
+				c.Branch(c.Var(string(rune('a'+i)), sym.BoolSort, KindArg))
+			}
+			return nil
 		}
-		return nil
-	}, Options{MaxPaths: 7})
-	if len(paths) != 7 {
-		t.Fatalf("MaxPaths not honored: got %d", len(paths))
+	}
+	paths, budgeted, err := RunCtx(context.Background(), model(10), Options{MaxPaths: 7})
+	if err != nil || len(paths) != 7 {
+		t.Fatalf("MaxPaths not honored: got %d paths, err %v", len(paths), err)
+	}
+	if !budgeted || !paths[0].Budgeted {
+		t.Errorf("capped exploration with work left reports budgeted=%v, path flag %v", budgeted, paths[0].Budgeted)
+	}
+	paths, budgeted, err = RunCtx(context.Background(), model(3), Options{MaxPaths: 8})
+	if err != nil || len(paths) != 8 || budgeted {
+		t.Errorf("exploration that fits its cap exactly: %d paths, budgeted %v, err %v", len(paths), budgeted, err)
 	}
 }
 

@@ -28,17 +28,7 @@ type Options struct {
 	MaxTestsPerPath int
 	// Solver overrides the default solver.
 	Solver *sym.Solver
-	// LowestFD indicates the model ran under the POSIX lowest-FD rule;
-	// otherwise the posix spec's concretizer marks generated open/pipe
-	// calls with the O_ANYFD flag, matching the specification
-	// nondeterminism the tests assume. (Forwarded to the spec's
-	// Concretizer as spec.Config; other specs ignore it.)
-	LowestFD bool
 }
-
-// Config renders the options as the spec-layer configuration forwarded to
-// the concretizer.
-func (o Options) Config() spec.Config { return spec.Config{LowestFD: o.LowestFD} }
 
 // GenerateChecked produces concrete test cases for every commutative path
 // of a pair analysis performed against the spec sp, plus the truncation
@@ -98,7 +88,7 @@ func GenerateChecked(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kerne
 				}
 			}
 			id := fmt.Sprintf("%s_%s_path%d_test%d", pr.OpA, pr.OpB, pi, ti)
-			tc, err := materialize(ops, conc, id, path, m, opt)
+			tc, err := materialize(ops, conc, pr.Config, id, path, m)
 			// Distinct isomorphism classes can materialize identically
 			// when the distinguishing variables don't reach the concrete
 			// state (e.g. content values on error paths); emit one copy.
@@ -185,10 +175,13 @@ func classFormula(m sym.Model, vars []*sym.Expr) *sym.Expr {
 
 // materialize renders one satisfying assignment as a concrete test case:
 // concrete arguments for the two calls (an argument named "proc" selects
-// the calling process by convention) plus the initial state mined by the
+// the calling process by convention), fixed up by the spec's Concretizer
+// under cfg — the configuration the pair was analysed under, so e.g. the
+// posix spec marks open/pipe calls O_ANYFD exactly when the model allocated
+// descriptors nondeterministically — plus the initial state mined by the
 // spec's Concretizer from the union of initial-state probes of both
 // permutations' symbolic states.
-func materialize(ops [2]*spec.Op, conc spec.Concretizer, id string, path analyzer.PairPath, m sym.Model, opt Options) (kernel.TestCase, error) {
+func materialize(ops [2]*spec.Op, conc spec.Concretizer, cfg spec.Config, id string, path analyzer.PairPath, m sym.Model) (kernel.TestCase, error) {
 	tc := kernel.TestCase{ID: id}
 	for slot, op := range ops {
 		call := kernel.Call{Op: op.Name, Args: map[string]int64{}}
@@ -210,7 +203,7 @@ func materialize(ops [2]*spec.Op, conc spec.Concretizer, id string, path analyze
 				call.Args[as.Name] = spec.EvalInt(m, v, max64(as.Min, 0))
 			}
 		}
-		conc.FixupCall(opt.Config(), &call)
+		conc.FixupCall(cfg, &call)
 		tc.Calls[slot] = call
 	}
 	setup, err := conc.Setup(path.StateA, path.StateB, m)

@@ -10,12 +10,23 @@ import (
 	"repro/internal/kernel/monokernel"
 	"repro/internal/kernel/svsix"
 	"repro/internal/model"
+	"repro/internal/spec"
 	"repro/internal/sym"
 )
 
 func analyze(t *testing.T, a, b string) analyzer.PairResult {
 	t.Helper()
-	pr, err := analyzer.AnalyzePairCtx(context.Background(), model.Spec, model.OpByName(a), model.OpByName(b), analyzer.Options{})
+	return analyzeUnder(t, a, b, spec.Config{})
+}
+
+func analyzeUnder(t *testing.T, a, b string, cfg spec.Config) analyzer.PairResult {
+	t.Helper()
+	opA, errA := spec.OpByName(model.Spec, a)
+	opB, errB := spec.OpByName(model.Spec, b)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	pr, err := analyzer.AnalyzePairCtx(context.Background(), model.Spec, opA, opB, analyzer.Options{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +224,12 @@ func TestAnyFDFlagPropagation(t *testing.T) {
 			}
 		}
 	}
-	for _, tc := range gen(t, "close", "close", Options{LowestFD: true}) {
+	// The flag follows the configuration the pair was analysed under.
+	lowest, _ := GenerateChecked(model.Spec, analyzeUnder(t, "open", "close", spec.Config{LowestFD: true}), Options{})
+	if len(lowest) == 0 {
+		t.Fatal("no tests generated for open x close under the lowest-FD rule")
+	}
+	for _, tc := range lowest {
 		for _, c := range tc.Calls {
 			if c.Args["anyfd"] == 1 {
 				t.Errorf("%s: anyfd set under LowestFD model", tc.ID)

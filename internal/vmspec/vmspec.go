@@ -99,10 +99,9 @@ func pageArg() spec.ArgSpec {
 	return spec.ArgSpec{Name: "page", Sort: sym.IntSort, Min: 0, Max: MaxPage - 1, Bounded: true}
 }
 
-// Ops returns the five modeled operations in canonical (matrix) order.
-func Ops() []*spec.Op {
-	return []*spec.Op{opMmap(), opMunmap(), opMprotect(), opMemread(), opMemwrite()}
-}
+// ops is the op table: the five modeled operations in canonical (matrix)
+// order, built once per process.
+var ops = []*spec.Op{opMmap(), opMunmap(), opMprotect(), opMemread(), opMemwrite()}
 
 func opMmap() *spec.Op {
 	return &spec.Op{
@@ -214,7 +213,7 @@ func init() { spec.Register(Spec) }
 
 func (vmSpec) Name() string { return "vm" }
 
-func (vmSpec) Ops() []*spec.Op { return Ops() }
+func (vmSpec) Ops() []*spec.Op { return ops }
 
 func (vmSpec) Sets() map[string][]string {
 	return map[string][]string{
