@@ -85,19 +85,25 @@ func (localClient) Analyze(ctx context.Context, opA, opB string, opts ...Option)
 	if err != nil {
 		return Analysis{}, err
 	}
-	return analysisFrom(pr), nil
+	an := analysisFrom(ctx, pr)
+	if err := ctx.Err(); err != nil {
+		// The description's searches were cut short: its clauses are not
+		// the pair's.
+		return Analysis{}, err
+	}
+	return an, nil
 }
 
 // analysisFrom flattens a symbolic pair analysis into its plain-data wire
 // form: counts, §5.1-style clauses, and rendered per-path conditions.
-func analysisFrom(r analyzer.PairResult) Analysis {
+func analysisFrom(ctx context.Context, r analyzer.PairResult) Analysis {
 	a := Analysis{
 		Spec:    r.Spec,
 		OpA:     r.OpA,
 		OpB:     r.OpB,
 		Paths:   len(r.Paths),
 		Unknown: r.Unknown(),
-		Clauses: analyzer.Describe(r),
+		Clauses: analyzer.Describe(ctx, r),
 	}
 	for _, p := range r.Paths {
 		if p.Commutes {

@@ -1,6 +1,7 @@
 package analyzer
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -14,12 +15,17 @@ import (
 // commutative path it determines, per predicate of interest (equalities
 // between same-sort arguments, argument flags, and name-existence facts),
 // whether the commutativity condition implies it, implies its negation, or
-// leaves it free, then merges identical descriptions.
-func Describe(pr PairResult) []string {
-	solver := &sym.Solver{}
+// leaves it free, then merges identical descriptions. The searches stop
+// when ctx ends; the clauses returned then are incomplete, and the caller
+// must check ctx.Err() before using them.
+func Describe(ctx context.Context, pr PairResult) []string {
+	solver := &sym.Solver{Stop: func() bool { return ctx.Err() != nil }}
 	seen := map[string]bool{}
 	var out []string
 	for _, p := range pr.Paths {
+		if ctx.Err() != nil {
+			return nil
+		}
 		if !p.Commutes {
 			continue
 		}
@@ -56,12 +62,17 @@ func describePath(solver *sym.Solver, p PairPath) string {
 	sort.Strings(names)
 
 	var clauses []string
+	// A search the budget (or cancellation) cut short refutes nothing: only
+	// a complete search that found no model is a proof.
+	refuted := func(e *sym.Expr) bool {
+		return !solver.SatAssuming(p.CommuteCond, e) && !solver.Budget()
+	}
 	implied := func(pred *sym.Expr) int {
-		// 1: implied, -1: negation implied, 0: free.
-		if _, ok := solver.SatAssuming(p.CommuteCond, sym.Not(pred)); !ok {
+		// 1: implied, -1: negation implied, 0: free (or unknown).
+		switch {
+		case refuted(sym.Not(pred)):
 			return 1
-		}
-		if _, ok := solver.SatAssuming(p.CommuteCond, pred); !ok {
+		case refuted(pred):
 			return -1
 		}
 		return 0

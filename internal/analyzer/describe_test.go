@@ -1,13 +1,17 @@
 package analyzer
 
 import (
+	"context"
+	"os"
 	"strings"
 	"testing"
+
+	"repro/internal/sym"
 )
 
 func TestDescribeRename(t *testing.T) {
 	r := analyze(t, "rename", "rename", Options{})
-	descs := Describe(r)
+	descs := Describe(context.Background(), r)
 	if len(descs) == 0 {
 		t.Fatal("no descriptions for rename x rename")
 	}
@@ -23,12 +27,46 @@ func TestDescribeRename(t *testing.T) {
 	if !strings.Contains(joined, "=") {
 		t.Errorf("descriptions missing an equality clause:\n%s", joined)
 	}
-	t.Logf("rename x rename commutative situations:\n  %s", strings.Join(descs, "\n  "))
+	// The clause list itself, as every earlier commit printed it.
+	want, err := os.ReadFile("testdata/describe_rename.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if joined+"\n" != string(want) {
+		t.Errorf("rename x rename clauses changed:\n got:\n%s\nwant:\n%s", joined, want)
+	}
+}
+
+// TestDescribeTruncatedProvesNothing pins that an answer the solver budget
+// cut short is read as "free", never as an implication: with one search
+// step no refutation completes, so no path may state an equality, a
+// distinctness or an existence fact.
+func TestDescribeTruncatedProvesNothing(t *testing.T) {
+	r := analyze(t, "rename", "rename", Options{})
+	for i, p := range r.CommutativePaths() {
+		desc := describePath(&sym.Solver{MaxSteps: 1}, p)
+		for _, clause := range []string{"=", "≠", "exists", "absent"} {
+			if strings.Contains(desc, clause) {
+				t.Errorf("path %d: truncated searches stated %q as a fact: %s", i, clause, desc)
+			}
+		}
+	}
+}
+
+// TestDescribeCancelled pins that a description under an ended context
+// returns promptly and states nothing.
+func TestDescribeCancelled(t *testing.T) {
+	r := analyze(t, "rename", "rename", Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if descs := Describe(ctx, r); len(descs) != 0 {
+		t.Errorf("cancelled description returned clauses: %v", descs)
+	}
 }
 
 func TestDescribeReadOnlyPair(t *testing.T) {
 	r := analyze(t, "stat", "stat", Options{})
-	descs := Describe(r)
+	descs := Describe(context.Background(), r)
 	if len(descs) == 0 {
 		t.Fatal("no descriptions for stat x stat")
 	}
@@ -48,7 +86,7 @@ func TestShortNames(t *testing.T) {
 
 func TestDescribeDedupes(t *testing.T) {
 	r := analyze(t, "close", "close", Options{})
-	descs := Describe(r)
+	descs := Describe(context.Background(), r)
 	seen := map[string]bool{}
 	for _, d := range descs {
 		if seen[d] {

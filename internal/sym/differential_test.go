@@ -157,7 +157,7 @@ func TestSatAssumingAgainstDirect(t *testing.T) {
 		}
 		extra := g.boolTerm(2)
 		want := s.Sat(And(base, extra))
-		_, got := s.SatAssuming(base, extra)
+		got := s.SatAssuming(base, extra)
 		if got != want {
 			t.Fatalf("trial %d: SatAssuming=%v direct=%v\nbase: %v\nextra: %v",
 				trial, got, want, base, extra)

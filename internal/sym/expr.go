@@ -7,7 +7,7 @@
 //
 // Expressions are hash-consed (see intern.go): the constructors intern
 // every node, so structurally equal expressions are pointer-equal and the
-// engine's walks, dedups and memo tables all key on node identity.
+// engine's walks, dedups and lookup tables all key on node identity.
 package sym
 
 import (
@@ -100,11 +100,13 @@ type Expr struct {
 	Args  []*Expr
 
 	// Interning metadata, set before publication and immutable after
-	// (see intern.go). id is the nonzero interning identity; size is a
-	// capped unfolded-node-count estimate used as a memoization
-	// threshold; vars lists free variables in first-occurrence order.
+	// (see intern.go). id is the interning identity a parent's hash is
+	// built from. vars lists the free variables in first-occurrence order;
+	// because conjunctions preserve construction order, that is the
+	// chronological order in which path conditions constrained them, so
+	// the solver assigns in this order and prunes failed prefixes early.
+	// The list is shared between nodes and must not be mutated.
 	id   uint64
-	size int
 	vars []*Expr
 	// str caches the rendered canonical form; it is written at most a
 	// handful of times with identical content, so racing stores are
@@ -177,33 +179,6 @@ func sameConst(a, b *Expr) bool {
 		return a.Bool == b.Bool
 	}
 	return a.Int == b.Int
-}
-
-// structEq reports syntactic equality of two expressions. For interned
-// nodes (everything the constructors return) this is a pointer compare;
-// the deep walk only runs when a hand-built literal is involved.
-func structEq(a, b *Expr) bool {
-	if a == b {
-		return true
-	}
-	if a.id != 0 && b.id != 0 {
-		return false // interned and distinct: structurally different
-	}
-	if a.Op != b.Op || a.Sort != b.Sort || len(a.Args) != len(b.Args) {
-		return false
-	}
-	switch a.Op {
-	case OpConst:
-		return sameConst(a, b)
-	case OpVar:
-		return a.Name == b.Name
-	}
-	for i := range a.Args {
-		if !structEq(a.Args[i], b.Args[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Not returns the negation of a, simplified.
@@ -283,15 +258,15 @@ func Or(args ...*Expr) *Expr {
 }
 
 // dedup removes duplicate conjuncts/disjuncts, keeping first occurrences.
-// Interned nodes compare by pointer; a hash set takes over past the sizes
-// where a linear scan is cheaper.
+// Nodes are interned, so duplicates are pointer-equal; a hash set takes
+// over past the sizes where a linear scan is cheaper.
 func dedup(args []*Expr) []*Expr {
+	out := make([]*Expr, 0, len(args))
 	if len(args) <= 16 {
-		var out []*Expr
 	outer:
 		for _, a := range args {
 			for _, b := range out {
-				if structEq(a, b) {
+				if a == b {
 					continue outer
 				}
 			}
@@ -299,25 +274,10 @@ func dedup(args []*Expr) []*Expr {
 		}
 		return out
 	}
-	out := make([]*Expr, 0, len(args))
 	seen := make(map[*Expr]struct{}, len(args))
 	for _, a := range args {
-		if a.id != 0 {
-			if _, ok := seen[a]; ok {
-				continue
-			}
+		if _, ok := seen[a]; !ok {
 			seen[a] = struct{}{}
-			out = append(out, a)
-			continue
-		}
-		dup := false
-		for _, b := range out {
-			if structEq(a, b) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
 			out = append(out, a)
 		}
 	}
@@ -335,7 +295,7 @@ func Eq(a, b *Expr) *Expr {
 	if a.IsConst() && b.IsConst() {
 		return Bool(sameConst(a, b))
 	}
-	if structEq(a, b) {
+	if a == b {
 		return True
 	}
 	if a.Sort.Kind == KindBool {
@@ -366,7 +326,7 @@ func Lt(a, b *Expr) *Expr {
 	if a.IsConst() && b.IsConst() {
 		return Bool(a.Int < b.Int)
 	}
-	if structEq(a, b) {
+	if a == b {
 		return False
 	}
 	return intern(OpLt, BoolSort, 0, false, "", []*Expr{a, b})
@@ -378,7 +338,7 @@ func Le(a, b *Expr) *Expr {
 	if a.IsConst() && b.IsConst() {
 		return Bool(a.Int <= b.Int)
 	}
-	if structEq(a, b) {
+	if a == b {
 		return True
 	}
 	return intern(OpLe, BoolSort, 0, false, "", []*Expr{a, b})
@@ -420,7 +380,7 @@ func Sub(a, b *Expr) *Expr {
 	if b.IsConst() && b.Int == 0 {
 		return a
 	}
-	if structEq(a, b) {
+	if a == b {
 		return Int(0)
 	}
 	return intern(OpSub, IntSort, 0, false, "", []*Expr{a, b})
@@ -459,7 +419,7 @@ func Ite(cond, a, b *Expr) *Expr {
 		return a
 	case cond.IsFalse():
 		return b
-	case structEq(a, b):
+	case a == b:
 		return a
 	}
 	if a.Sort.Kind == KindBool {
@@ -472,37 +432,29 @@ func Ite(cond, a, b *Expr) *Expr {
 
 // Vars returns the free variables of e, sorted by name.
 func Vars(e *Expr) []*Expr {
-	vs := varsOf(e)
-	out := append([]*Expr(nil), vs...)
+	out := append([]*Expr(nil), e.vars...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
 // String renders the expression in a Lisp-like prefix form. The rendering
-// of interned nodes is cached, so ordering keys and content-derived tags
+// is cached on the node, so ordering keys and content-derived tags
 // amortize across repeated calls.
 func (e *Expr) String() string {
-	if e.id != 0 {
-		if s := e.str.Load(); s != nil {
-			return *s
-		}
-		var b strings.Builder
-		e.render(&b)
-		s := b.String()
-		e.str.Store(&s)
-		return s
+	if s := e.str.Load(); s != nil {
+		return *s
 	}
 	var b strings.Builder
 	e.render(&b)
-	return b.String()
+	s := b.String()
+	e.str.Store(&s)
+	return s
 }
 
 func (e *Expr) render(b *strings.Builder) {
-	if e.id != 0 {
-		if s := e.str.Load(); s != nil {
-			b.WriteString(*s)
-			return
-		}
+	if s := e.str.Load(); s != nil {
+		b.WriteString(*s)
+		return
 	}
 	switch e.Op {
 	case OpConst:

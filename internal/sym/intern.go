@@ -12,15 +12,13 @@ import (
 // that share common subterms. Interning is what makes the rest of the
 // engine cheap:
 //
-//   - syntactic equality (structEq, And/Or dedup, Eq canonicalization) is
-//     a pointer comparison instead of a tree walk,
-//   - derived per-node data — the free-variable list, an unfolded size
-//     estimate, the rendered canonical form — is computed once per node
-//     and cached on it, turning repeated O(tree) walks (variable ordering,
-//     cone-of-influence computation, canonical ordering keys) into O(1)
-//     lookups,
-//   - evaluation and substitution memoize on node identity, so shared
-//     subterms are visited once per call instead of once per occurrence.
+//   - syntactic equality (And/Or dedup, Eq canonicalization, the symbolic
+//     executor's path-condition lookups) is a pointer comparison instead
+//     of a tree walk,
+//   - derived per-node data — the free-variable list and the rendered
+//     canonical form — is computed once per node and cached on it, turning
+//     repeated O(tree) walks (variable ordering, cone-of-influence
+//     computation, canonical ordering keys) into O(1) lookups.
 //
 // The interner is process-wide and shared by every symx.Context rather
 // than per-context: path conditions for the 171 operation pairs of a cold
@@ -80,11 +78,6 @@ var internHitCount, internMissCount atomic.Uint64
 func InternStats() (hits, misses uint64) {
 	return internHitCount.Load(), internMissCount.Load()
 }
-
-// maxSize caps the unfolded-size estimate so heavily shared DAGs (whose
-// tree unfolding grows exponentially) cannot overflow it. The cap is far
-// above every memoization threshold, so capping loses nothing.
-const maxSize = 1 << 30
 
 const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
 
@@ -159,14 +152,6 @@ func intern(op Op, sort Sort, i64 int64, b bool, name string, args []*Expr) *Exp
 		e.VarID = internVar(name)
 	}
 	e.id = it.nextID.Add(1)
-	e.size = 1
-	for _, a := range args {
-		e.size += a.size
-		if e.size > maxSize {
-			e.size = maxSize
-			break
-		}
-	}
 	e.vars = mergeVars(e, args)
 	if compact {
 		bucket = compactBucket(bucket)
@@ -257,31 +242,5 @@ func mergeVars(e *Expr, args []*Expr) []*Expr {
 			out = append(out, v)
 		}
 	}
-	return out
-}
-
-// varsOf returns e's free variables in first-occurrence order, without
-// copying. Callers must not mutate the result. Non-interned nodes (hand
-// built test literals) fall back to a walk.
-func varsOf(e *Expr) []*Expr {
-	if e.id != 0 {
-		return e.vars
-	}
-	var out []*Expr
-	seen := map[string]bool{}
-	var walk func(x *Expr)
-	walk = func(x *Expr) {
-		if x.Op == OpVar {
-			if !seen[x.Name] {
-				seen[x.Name] = true
-				out = append(out, x)
-			}
-			return
-		}
-		for _, a := range x.Args {
-			walk(a)
-		}
-	}
-	walk(e)
 	return out
 }

@@ -50,14 +50,14 @@ func TestInterningDistinctSorts(t *testing.T) {
 func TestCachedVarsOrder(t *testing.T) {
 	a, b, c := Var("ova", IntSort), Var("ovb", IntSort), Var("ovc", IntSort)
 	e := And(Lt(b, c), Eq(a, b), Lt(a, Int(2)))
-	got := varsInOrder(e)
+	got := e.vars
 	want := []*Expr{b, c, a}
 	if len(got) != len(want) {
-		t.Fatalf("varsInOrder returned %d vars, want %d", len(got), len(want))
+		t.Fatalf("cached vars hold %d vars, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("varsInOrder[%d] = %s, want %s", i, got[i].Name, want[i].Name)
+			t.Errorf("vars[%d] = %s, want %s", i, got[i].Name, want[i].Name)
 		}
 	}
 	// Vars sorts the same set by name.

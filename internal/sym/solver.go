@@ -40,7 +40,7 @@ func (m Model) Eval(e *Expr) Value {
 func (m Model) EvalBool(e *Expr) bool { return m.Eval(e).Bool }
 
 // TryEval evaluates e as far as m determines it; ok reports whether the
-// value is decided. Useful as a cheap satisfiability witness check.
+// value is decided.
 func (m Model) TryEval(e *Expr) (Value, bool) { return partialEval(e, m) }
 
 // EvalInt evaluates an integer or uninterpreted expression under m.
@@ -55,50 +55,12 @@ func (m Model) Clone() Model {
 	return out
 }
 
-// Memoization thresholds for partialEval and Substitute. Hash-consed
-// expressions are DAGs: a shared subterm appears once but is reachable
-// along many paths, and a naive recursive walk revisits it once per path.
-// A per-call memo keyed on node identity makes the walk linear in DAG
-// size. Small expressions skip the memo (map traffic would cost more than
-// the recomputation), and leaf-adjacent nodes are never stored.
-const (
-	evalMemoMinSize  = 64 // whole-expression size that turns the memo on
-	evalMemoNodeSize = 16 // smallest node worth a memo entry
-)
-
-type evalResult struct {
-	v  Value
-	ok bool
-}
-
 // partialEval evaluates e as far as the (possibly partial) assignment
 // allows. The second result reports whether the value is determined. Boolean
 // connectives short-circuit so that, e.g., a conjunction with one known-false
 // conjunct is known false even when other conjuncts mention unassigned
-// variables — this drives search-space pruning.
+// variables.
 func partialEval(e *Expr, m Model) (Value, bool) {
-	var memo map[*Expr]evalResult
-	if e.size >= evalMemoMinSize {
-		memo = make(map[*Expr]evalResult)
-	}
-	return peval(e, m, memo)
-}
-
-func peval(e *Expr, m Model, memo map[*Expr]evalResult) (Value, bool) {
-	useMemo := memo != nil && e.size >= evalMemoNodeSize
-	if useMemo {
-		if r, ok := memo[e]; ok {
-			return r.v, r.ok
-		}
-	}
-	v, ok := pevalNode(e, m, memo)
-	if useMemo {
-		memo[e] = evalResult{v, ok}
-	}
-	return v, ok
-}
-
-func pevalNode(e *Expr, m Model, memo map[*Expr]evalResult) (Value, bool) {
 	switch e.Op {
 	case OpConst:
 		return Value{Sort: e.Sort, Int: e.Int, Bool: e.Bool}, true
@@ -106,7 +68,7 @@ func pevalNode(e *Expr, m Model, memo map[*Expr]evalResult) (Value, bool) {
 		v, ok := m[e.Name]
 		return v, ok
 	case OpNot:
-		v, ok := peval(e.Args[0], m, memo)
+		v, ok := partialEval(e.Args[0], m)
 		if !ok {
 			return Value{}, false
 		}
@@ -114,7 +76,7 @@ func pevalNode(e *Expr, m Model, memo map[*Expr]evalResult) (Value, bool) {
 	case OpAnd:
 		all := true
 		for _, a := range e.Args {
-			v, ok := peval(a, m, memo)
+			v, ok := partialEval(a, m)
 			if !ok {
 				all = false
 				continue
@@ -127,7 +89,7 @@ func pevalNode(e *Expr, m Model, memo map[*Expr]evalResult) (Value, bool) {
 	case OpOr:
 		all := true
 		for _, a := range e.Args {
-			v, ok := peval(a, m, memo)
+			v, ok := partialEval(a, m)
 			if !ok {
 				all = false
 				continue
@@ -138,8 +100,8 @@ func pevalNode(e *Expr, m Model, memo map[*Expr]evalResult) (Value, bool) {
 		}
 		return Value{Sort: BoolSort, Bool: false}, all
 	case OpEq:
-		a, aok := peval(e.Args[0], m, memo)
-		b, bok := peval(e.Args[1], m, memo)
+		a, aok := partialEval(e.Args[0], m)
+		b, bok := partialEval(e.Args[1], m)
 		if !aok || !bok {
 			return Value{}, false
 		}
@@ -151,8 +113,8 @@ func pevalNode(e *Expr, m Model, memo map[*Expr]evalResult) (Value, bool) {
 		}
 		return Value{Sort: BoolSort, Bool: eq}, true
 	case OpLt, OpLe:
-		a, aok := peval(e.Args[0], m, memo)
-		b, bok := peval(e.Args[1], m, memo)
+		a, aok := partialEval(e.Args[0], m)
+		b, bok := partialEval(e.Args[1], m)
 		if !aok || !bok {
 			return Value{}, false
 		}
@@ -161,8 +123,8 @@ func pevalNode(e *Expr, m Model, memo map[*Expr]evalResult) (Value, bool) {
 		}
 		return Value{Sort: BoolSort, Bool: a.Int <= b.Int}, true
 	case OpAdd, OpSub, OpMul:
-		a, aok := peval(e.Args[0], m, memo)
-		b, bok := peval(e.Args[1], m, memo)
+		a, aok := partialEval(e.Args[0], m)
+		b, bok := partialEval(e.Args[1], m)
 		if !aok || !bok {
 			return Value{}, false
 		}
@@ -177,20 +139,20 @@ func pevalNode(e *Expr, m Model, memo map[*Expr]evalResult) (Value, bool) {
 		}
 		return Value{Sort: IntSort, Int: r}, true
 	case OpIte:
-		c, cok := peval(e.Args[0], m, memo)
+		c, cok := partialEval(e.Args[0], m)
 		if !cok {
 			// Both branches agreeing would still determine the value.
-			a, aok := peval(e.Args[1], m, memo)
-			b, bok := peval(e.Args[2], m, memo)
+			a, aok := partialEval(e.Args[1], m)
+			b, bok := partialEval(e.Args[2], m)
 			if aok && bok && a.Sort == b.Sort && a.Int == b.Int && a.Bool == b.Bool {
 				return a, true
 			}
 			return Value{}, false
 		}
 		if c.Bool {
-			return peval(e.Args[1], m, memo)
+			return partialEval(e.Args[1], m)
 		}
-		return peval(e.Args[2], m, memo)
+		return partialEval(e.Args[2], m)
 	}
 	panic("sym: unknown op")
 }
@@ -206,9 +168,7 @@ type asn struct {
 // assignment, specialized by result kind so the hot search loop moves
 // (bool, bool) and (int64, bool) pairs instead of fat Value structs. They
 // must stay in sync with partialEval; they exist because assignment
-// lookups dominate the solver's profile, so they stay lean recursions
-// with no memo — solver conjuncts are small after conjunction splitting,
-// and wrapper or map traffic here costs more than subterm re-walks save.
+// lookups dominate the solver's profile.
 func evalBoolIdx(e *Expr, a *asn) (res, known bool) {
 	switch e.Op {
 	case OpConst:
@@ -320,17 +280,15 @@ func evalIntIdx(e *Expr, a *asn) (res int64, known bool) {
 	panic("sym: non-integer op in evalIntIdx")
 }
 
-// Solver finds finite models of boolean expressions. The zero value is
-// ready to use; IntRadius widens the integer candidate domain.
+// Solver decides satisfiability of boolean expressions over finite
+// candidate domains and enumerates their models. The zero value is ready
+// to use.
 //
 // A Solver is single-flight: it reuses internal search state across
 // calls, so it must not be invoked re-entrantly (e.g. starting another
 // Solve from inside an Enumerate callback) or concurrently. Use separate
 // Solver values for nested or parallel searches.
 type Solver struct {
-	// IntRadius is the half-width of the neighborhood around each integer
-	// constant included in the candidate domain (default 2).
-	IntRadius int64
 	// MaxSteps bounds the backtracking search (default 5,000,000 node
 	// visits). When the budget is exhausted, Solve/Sat report
 	// unsatisfiable and Budget reports true: the result is "unknown", and
@@ -400,13 +358,13 @@ type domain struct {
 // Booleans get {false, true}. Each uninterpreted sort gets element ids
 // 0..n-1 where n = (#variables of that sort) + (#distinct constants of that
 // sort): by the small-model property of equality logic this is sufficient.
-// Integers get the union of neighborhoods around every integer constant in
-// the formula plus a small default range.
+// Integers get every integer constant of the formula, plus 0 and 1, each
+// with its two neighbours.
 func (s *Solver) domains(conjs []*Expr) []domain {
 	var vars []*Expr
 	seenVar := map[string]bool{}
 	for _, c := range conjs {
-		for _, v := range varsInOrder(c) {
+		for _, v := range c.vars {
 			if !seenVar[v.Name] {
 				seenVar[v.Name] = true
 				vars = append(vars, v)
@@ -421,12 +379,10 @@ func (s *Solver) domains(conjs []*Expr) []domain {
 	visited := map[*Expr]bool{}
 	var walk func(x *Expr)
 	walk = func(x *Expr) {
-		if x.id != 0 {
-			if visited[x] {
-				return
-			}
-			visited[x] = true
+		if visited[x] {
+			return
 		}
+		visited[x] = true
 		if x.Op == OpConst {
 			switch x.Sort.Kind {
 			case KindInt:
@@ -451,13 +407,9 @@ func (s *Solver) domains(conjs []*Expr) []domain {
 		}
 	}
 
-	radius := s.IntRadius
-	if radius == 0 {
-		radius = 1
-	}
 	intDomain := map[int64]bool{}
 	for c := range intConsts {
-		for d := -radius; d <= radius; d++ {
+		for d := int64(-1); d <= 1; d++ {
 			intDomain[c+d] = true
 		}
 	}
@@ -521,12 +473,8 @@ var boolVals = []Value{{Sort: BoolSort, Bool: false}, {Sort: BoolSort, Bool: tru
 // Solve returns a model of e, or ok=false if e is unsatisfiable over the
 // finite candidate domains (or the step budget was exceeded; see Budget).
 func (s *Solver) Solve(e *Expr) (Model, bool) {
-	return s.solveConjs(Conjuncts(e))
-}
-
-func (s *Solver) solveConjs(conjs []*Expr) (Model, bool) {
 	var found Model
-	s.enumerateConjs(conjs, func(m Model) bool {
+	s.Enumerate(e, func(m Model) bool {
 		found = m.Clone() // the emitted map is reused by the enumerator
 		return false      // stop at first model
 	})
@@ -542,22 +490,32 @@ func (s *Solver) Sat(e *Expr) bool {
 // Enumerate invokes cb for each model of e until cb returns false or the
 // space is exhausted. The Model passed to cb is reused; clone it to keep it.
 func (s *Solver) Enumerate(e *Expr, cb func(Model) bool) {
-	if e.IsFalse() {
-		s.steps, s.exceeded = 0, false
-		return
-	}
-	s.enumerateConjs(Conjuncts(e), cb)
+	// One map, cleared and refilled per model: dense enumerations with
+	// filtering callbacks would otherwise allocate a map per model.
+	var reused Model
+	s.search(Conjuncts(e), func(doms []domain, a *asn) bool {
+		if reused == nil {
+			reused = make(Model, len(doms))
+		}
+		clear(reused)
+		for _, d := range doms {
+			reused[d.v.Name] = a.vals[d.v.VarID]
+		}
+		return cb(reused)
+	})
 }
 
-// enumerateConjs is Enumerate over an implicit conjunction, without
-// requiring the caller to materialize an And node (cone-of-influence
-// queries assemble conjunct lists on the fly, and interning a transient
-// conjunction per query would churn the intern table for no benefit).
+// search is the one backtracking search behind every entry point. It
+// walks the total assignments satisfying the implicit conjunction conjs —
+// callers pass conjunct lists so that cone-of-influence queries need not
+// intern a transient And node — and reports whether it reached one. At
+// each it calls leaf, when non-nil, and goes on while leaf returns true;
+// a nil leaf stops at the first, so a yes/no question builds no Model.
 //
 // The search evaluates each conjunct exactly once per candidate — at the
 // depth where its last free variable gets assigned — so pruning costs are
 // proportional to the conjunct, not the whole formula.
-func (s *Solver) enumerateConjs(conjs []*Expr, cb func(Model) bool) {
+func (s *Solver) search(conjs []*Expr, leaf func([]domain, *asn) bool) (found bool) {
 	s.steps = 0
 	s.exceeded = false
 	s.stats.SatCalls++
@@ -570,7 +528,7 @@ func (s *Solver) enumerateConjs(conjs []*Expr, cb func(Model) bool) {
 	}()
 	for _, c := range conjs {
 		if c.IsFalse() {
-			return
+			return false
 		}
 	}
 	doms := s.domains(conjs)
@@ -587,15 +545,15 @@ func (s *Solver) enumerateConjs(conjs []*Expr, cb func(Model) bool) {
 			continue
 		}
 		last := -1
-		for _, v := range varsInOrder(conj) {
+		for _, v := range conj.vars {
 			if idx := varIdx[v.Name]; idx > last {
 				last = idx
 			}
 		}
 		if last < 0 {
 			// Ground conjunct: constructors fold these, but guard anyway.
-			if v, ok := partialEval(conj, Model{}); ok && !v.Bool {
-				return
+			if v, ok := partialEval(conj, nil); ok && !v.Bool {
+				return false
 			}
 			continue
 		}
@@ -617,21 +575,11 @@ func (s *Solver) enumerateConjs(conjs []*Expr, cb func(Model) bool) {
 		s.asnSet = make([]bool, maxID+1)
 	}
 	a := &asn{vals: s.asnVals, set: s.asnSet}
-	// The emitted Model is one reusable map, cleared and refilled per
-	// model (the documented Enumerate contract): dense enumerations with
-	// filtering callbacks would otherwise allocate a map per model.
-	reused := make(Model, len(doms))
-	emit := func() bool {
-		clear(reused)
-		for _, d := range doms {
-			reused[d.v.Name] = a.vals[d.v.VarID]
-		}
-		return cb(reused)
-	}
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == len(doms) {
-			return emit()
+			found = true
+			return leaf != nil && leaf(doms, a)
 		}
 		d := doms[i]
 		id := d.v.VarID
@@ -664,6 +612,7 @@ func (s *Solver) enumerateConjs(conjs []*Expr, cb func(Model) bool) {
 		return true
 	}
 	rec(0)
+	return found
 }
 
 // Conjuncts splits a top-level conjunction (a non-And expression is its own
@@ -683,9 +632,9 @@ func Conjuncts(e *Expr) []*Expr {
 // influence: the conjuncts of base transitively sharing variables with
 // extra. Conjuncts outside the cone share no variables with it, so a model
 // of the cone extends to a full model by reusing any model of base —
-// soundness and completeness both follow from that disjointness. The
-// returned model binds only cone variables.
-func (s *Solver) SatAssuming(base, extra *Expr) (Model, bool) {
+// soundness and completeness both follow from that disjointness. A false
+// answer is a proof only when Budget reports false afterwards.
+func (s *Solver) SatAssuming(base, extra *Expr) bool {
 	return s.SatAssumingConjs(Conjuncts(base), extra)
 }
 
@@ -693,37 +642,25 @@ func (s *Solver) SatAssuming(base, extra *Expr) (Model, bool) {
 // conjunct list. Callers that maintain path conditions as incremental
 // conjunct lists (the symbolic executor) query directly, avoiding the
 // construction of a conjunction node per feasibility check.
-func (s *Solver) SatAssumingConjs(conjs []*Expr, extra *Expr) (Model, bool) {
-	if extra.IsTrue() {
+func (s *Solver) SatAssumingConjs(conjs []*Expr, extra *Expr) bool {
+	if extra.IsTrue() || extra.IsFalse() {
 		s.exceeded = false // no search ran, so no truncation
-		return Model{}, true
+		return extra.IsTrue()
 	}
-	if extra.IsFalse() {
-		s.exceeded = false
-		return nil, false
-	}
-	type entry struct {
-		e    *Expr
-		vars []*Expr
-		used bool
-	}
-	entries := make([]entry, len(conjs))
-	for i, c := range conjs {
-		entries[i] = entry{e: c, vars: varsInOrder(c)}
-	}
+	used := make([]bool, len(conjs))
 	inCone := map[string]bool{}
-	for _, v := range varsInOrder(extra) {
+	for _, v := range extra.vars {
 		inCone[v.Name] = true
 	}
 	nCone := 1
 	for changed := true; changed; {
 		changed = false
-		for i := range entries {
-			if entries[i].used {
+		for i, c := range conjs {
+			if used[i] {
 				continue
 			}
 			touches := false
-			for _, v := range entries[i].vars {
+			for _, v := range c.vars {
 				if inCone[v.Name] {
 					touches = true
 					break
@@ -732,10 +669,10 @@ func (s *Solver) SatAssumingConjs(conjs []*Expr, extra *Expr) (Model, bool) {
 			if !touches {
 				continue
 			}
-			entries[i].used = true
+			used[i] = true
 			changed = true
 			nCone++
-			for _, v := range entries[i].vars {
+			for _, v := range c.vars {
 				inCone[v.Name] = true
 			}
 		}
@@ -748,111 +685,13 @@ func (s *Solver) SatAssumingConjs(conjs []*Expr, extra *Expr) (Model, bool) {
 	// of after enumerating every base-satisfying prefix — and
 	// unsatisfiable queries are exactly the expensive ones, since a
 	// satisfiable query stops at its first model either way. The answer
-	// is order-independent (the search is complete over the same
-	// domains); only which model is found first changes, and SatAssuming
-	// models feed heuristic witness caches, never outputs.
+	// is order-independent: the search is complete over the same domains.
 	ordered := make([]*Expr, 0, nCone)
 	ordered = append(ordered, Conjuncts(extra)...)
-	for i := range entries {
-		if entries[i].used {
-			ordered = append(ordered, entries[i].e)
+	for i, c := range conjs {
+		if used[i] {
+			ordered = append(ordered, c)
 		}
 	}
-	return s.solveConjs(ordered)
-}
-
-// varsInOrder returns free variables in first-occurrence order. Because
-// conjunctions preserve construction order, this matches the chronological
-// order in which path conditions constrained the variables, so assigning in
-// this order lets partial evaluation prune failed prefixes early.
-//
-// For interned expressions this is the node's cached variable list,
-// computed once at construction; the result must not be mutated.
-func varsInOrder(e *Expr) []*Expr { return varsOf(e) }
-
-// Substitute replaces variables in e according to bind, returning the
-// simplified result. Variables absent from bind are left in place.
-func Substitute(e *Expr, bind map[string]*Expr) *Expr {
-	var memo map[*Expr]*Expr
-	if e.size >= evalMemoMinSize {
-		memo = make(map[*Expr]*Expr)
-	}
-	return subst(e, bind, memo)
-}
-
-func subst(e *Expr, bind map[string]*Expr, memo map[*Expr]*Expr) *Expr {
-	// Subtrees mentioning no bound variable are unchanged; the cached
-	// variable list makes this prune O(vars) instead of O(tree).
-	if e.id != 0 {
-		hit := false
-		for _, v := range e.vars {
-			if _, ok := bind[v.Name]; ok {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			return e
-		}
-	}
-	useMemo := memo != nil && e.size >= evalMemoNodeSize
-	if useMemo {
-		if r, ok := memo[e]; ok {
-			return r
-		}
-	}
-	r := substNode(e, bind, memo)
-	if useMemo {
-		memo[e] = r
-	}
-	return r
-}
-
-func substNode(e *Expr, bind map[string]*Expr, memo map[*Expr]*Expr) *Expr {
-	switch e.Op {
-	case OpConst:
-		return e
-	case OpVar:
-		if r, ok := bind[e.Name]; ok {
-			if r.Sort != e.Sort {
-				panic("sym: Substitute sort mismatch for " + e.Name)
-			}
-			return r
-		}
-		return e
-	}
-	args := make([]*Expr, len(e.Args))
-	changed := false
-	for i, a := range e.Args {
-		args[i] = subst(a, bind, memo)
-		if args[i] != a {
-			changed = true
-		}
-	}
-	if !changed {
-		return e
-	}
-	switch e.Op {
-	case OpNot:
-		return Not(args[0])
-	case OpAnd:
-		return And(args...)
-	case OpOr:
-		return Or(args...)
-	case OpEq:
-		return Eq(args[0], args[1])
-	case OpLt:
-		return Lt(args[0], args[1])
-	case OpLe:
-		return Le(args[0], args[1])
-	case OpAdd:
-		return Add(args[0], args[1])
-	case OpSub:
-		return Sub(args[0], args[1])
-	case OpMul:
-		return Mul(args[0], args[1])
-	case OpIte:
-		return Ite(args[0], args[1], args[2])
-	}
-	panic("sym: unknown op in Substitute")
+	return s.search(ordered, nil)
 }

@@ -56,19 +56,7 @@ type Context struct {
 
 	pending  [][]bool // alternative decision prefixes discovered this run
 	varKinds map[string]VarKind
-	varSorts map[string]sym.Sort
 	vars     map[string]*sym.Expr // memoized named variables
-
-	// witness is a model known to satisfy pc; it lets Branch and Assume
-	// skip solver calls when the witness already decides a condition.
-	witness sym.Model
-	// witOK counts the leading pcConjs the current witness is known to
-	// satisfy. Because pcConjs is append-only and conjunct verdicts are
-	// fixed under a fixed witness, each witness check only evaluates the
-	// conjuncts beyond this high-water mark (plus the new condition)
-	// instead of re-walking the whole path condition; witness merges
-	// reset the mark, since overlaid values can flip earlier verdicts.
-	witOK int
 
 	// infeas caches conditions found unsatisfiable with the path
 	// condition. The path condition only grows, so infeasibility is
@@ -99,7 +87,6 @@ func newContext(trace []bool, solver *sym.Solver) *Context {
 		infeas:     map[*sym.Expr]bool{},
 		trace:      trace,
 		varKinds:   map[string]VarKind{},
-		varSorts:   map[string]sym.Sort{},
 		vars:       map[string]*sym.Expr{},
 		initProbes: map[string][]*initProbe{},
 	}
@@ -114,26 +101,15 @@ func (c *Context) PC() *sym.Expr { return sym.And(c.pcConjs...) }
 // replays of different paths and permutations.
 func (c *Context) Var(name string, s sym.Sort, kind VarKind) *sym.Expr {
 	if v, ok := c.vars[name]; ok {
-		if c.varSorts[name] != s {
-			panic(fmt.Sprintf("symx: variable %q redeclared at sort %v (was %v)", name, s, c.varSorts[name]))
+		if v.Sort != s {
+			panic(fmt.Sprintf("symx: variable %q redeclared at sort %v (was %v)", name, s, v.Sort))
 		}
 		return v
 	}
 	v := sym.Var(name, s)
 	c.vars[name] = v
 	c.varKinds[name] = kind
-	c.varSorts[name] = s
 	return v
-}
-
-// VarKinds returns a copy of the kind classification of every variable the
-// path created.
-func (c *Context) VarKinds() map[string]VarKind {
-	out := make(map[string]VarKind, len(c.varKinds))
-	for k, v := range c.varKinds {
-		out[k] = v
-	}
-	return out
 }
 
 // Abort abandons the current path unconditionally. Models use it to prune
@@ -155,30 +131,6 @@ func (c *Context) addPC(cond *sym.Expr) {
 		c.pcSet[cj] = struct{}{}
 		c.pcConjs = append(c.pcConjs, cj)
 	}
-}
-
-// witnessDecides reports whether the cached witness decides pc ∧ cond
-// true. The witness is heuristic (merges can go stale against replayed
-// constraints), so it must decide the whole path condition, not just
-// cond, before it is trusted; the witOK high-water mark makes the pc part
-// incremental — only conjuncts not yet verified under the current witness
-// are evaluated.
-func (c *Context) witnessDecides(cond *sym.Expr) bool {
-	if c.witness == nil {
-		return false
-	}
-	for c.witOK < len(c.pcConjs) {
-		v, ok := c.witness.TryEval(c.pcConjs[c.witOK])
-		if !ok || !v.Bool {
-			return false
-		}
-		c.witOK++
-	}
-	if cond.IsTrue() {
-		return true
-	}
-	v, ok := c.witness.TryEval(cond)
-	return ok && v.Bool
 }
 
 // pcImplies reports that cond (or each of its conjuncts) is already a
@@ -224,81 +176,41 @@ func (c *Context) Assume(cond *sym.Expr) {
 	if cond.IsTrue() {
 		return
 	}
-	if cond.IsFalse() || c.pcRefutes(cond) {
+	if !c.feasible(cond) {
 		panic(abort{reason: "assumption unsatisfiable"})
 	}
-	if c.pcImplies(cond) {
-		return // already a conjunct: nothing to add or check
-	}
-	if c.witnessDecides(cond) {
-		c.addPC(cond)
-		return
-	}
-	m, ok := c.solver.SatAssumingConjs(c.pcConjs, cond)
-	if !ok {
-		if c.solver.Budget() {
-			c.budgeted = true
-		}
-		panic(abort{reason: "assumption unsatisfiable"})
-	}
-	c.mergeWitness(m)
 	c.addPC(cond)
 }
 
-// mergeWitness overlays a cone model onto the cached witness. The cone's
-// variables are disjoint from the conjuncts the cone excluded, so the
-// overlay still satisfies the whole path condition.
-func (c *Context) mergeWitness(m sym.Model) {
-	if len(m) == 0 {
-		// No-op overlay: verified conjuncts stay verified, and a still-
-		// missing witness stays nil (an empty model can't decide any
-		// later condition, it would only blunt the witness fast paths).
-		return
-	}
-	if c.witness == nil {
-		c.witness = m.Clone()
-		c.witOK = 0
-		return
-	}
-	merged := c.witness.Clone()
-	for k, v := range m {
-		merged[k] = v
-	}
-	c.witness = merged
-	// Overlaid values can flip conjuncts the old witness satisfied, so
-	// the verified prefix must be rechecked from the start.
-	c.witOK = 0
-}
-
 // feasible reports whether pc ∧ cond is satisfiable (pc is known
-// satisfiable — the invariant every admitted constraint preserves). The
-// cached witness is consulted first; when it doesn't decide the
-// conjunction, a cone-of-influence search runs and its model is returned
-// for merging.
-func (c *Context) feasible(cond *sym.Expr) (sym.Model, bool) {
+// satisfiable — the invariant every admitted constraint preserves). It is
+// the one ladder every feasibility question of an exploration climbs —
+// Assume, both sides of Branch, and Path.Sat afterwards: a refutation
+// remembered in infeas, cond already among pc's conjuncts, its negation
+// among them, and only then one cone-of-influence search. A "no" is
+// recorded in infeas together with whether the search that gave it was
+// truncated.
+func (c *Context) feasible(cond *sym.Expr) bool {
 	if cond.IsFalse() {
-		return nil, false
+		return false
 	}
 	if _, bad := c.infeas[cond]; bad {
-		return nil, false // monotone: infeasible once, infeasible forever
+		return false // monotone: infeasible once, infeasible forever
 	}
 	if c.pcImplies(cond) {
-		return nil, true
+		return true
 	}
 	if c.pcRefutes(cond) {
 		c.infeas[cond] = false
-		return nil, false
+		return false
 	}
-	if c.witnessDecides(cond) {
-		return nil, true
+	if c.solver.SatAssumingConjs(c.pcConjs, cond) {
+		return true
 	}
-	m, ok := c.solver.SatAssumingConjs(c.pcConjs, cond)
-	if !ok {
-		truncated := c.solver.Budget()
-		c.infeas[cond] = truncated
-		c.budgeted = c.budgeted || truncated
-	}
-	return m, ok
+	truncated := c.solver.Budget()
+	c.infeas[cond] = truncated
+	c.budgeted = c.budgeted || truncated
+	return false
 }
 
 // Branch explores both sides of cond. It returns the concrete decision for
@@ -322,33 +234,25 @@ func (c *Context) Branch(cond *sym.Expr) bool {
 		}
 		return d
 	}
-	tModel, tSat := c.feasible(cond)
-	fModel, fSat := c.feasible(sym.Not(cond))
-	switch {
-	case tSat && fSat:
+	tSat, fSat := c.feasible(cond), c.feasible(sym.Not(cond))
+	if !tSat && !fSat {
+		panic(abort{reason: "both branch directions infeasible"})
+	}
+	if tSat && fSat {
 		// The trace holds only decided prefixes; c.pos == len(c.trace)
 		// here, so the alternative is "everything so far, then false".
 		alt := make([]bool, c.pos+1)
 		copy(alt, c.traceSoFar())
 		alt[c.pos] = false
 		c.pending = append(c.pending, alt)
-		c.takeDecision(true)
-		c.addPC(cond)
-		c.mergeWitness(tModel)
-		return true
-	case tSat:
-		c.takeDecision(true)
-		c.addPC(cond)
-		c.mergeWitness(tModel)
-		return true
-	case fSat:
-		c.takeDecision(false)
-		c.addPC(sym.Not(cond))
-		c.mergeWitness(fModel)
-		return false
-	default:
-		panic(abort{reason: "both branch directions infeasible"})
 	}
+	c.takeDecision(tSat)
+	if tSat {
+		c.addPC(cond)
+	} else {
+		c.addPC(sym.Not(cond))
+	}
+	return tSat
 }
 
 func (c *Context) traceSoFar() []bool { return c.trace[:c.pos] }
@@ -364,7 +268,8 @@ type Path struct {
 	PC *sym.Expr
 	// Result is whatever the model function returned.
 	Result any
-	// VarKinds classifies every symbolic variable the path mentions.
+	// VarKinds classifies every symbolic variable the path created. It is
+	// the finished context's own map: read-only.
 	VarKinds map[string]VarKind
 	// Budgeted reports that a feasibility check during the exploration
 	// exhausted the solver's step budget, or that the exploration stopped
@@ -383,12 +288,11 @@ type Path struct {
 }
 
 // Sat reports whether PC ∧ extra is satisfiable, through the same ladder
-// exploration used for its branches: extra already among the path
-// condition's conjuncts, its negation among them, the cached witness, and
-// only then a cone-of-influence search. unknown reports that a false
-// answer came from a budget-truncated search and is therefore not a proof.
+// exploration used for its branches (Context.feasible). unknown reports
+// that a false answer came from a budget-truncated search and is therefore
+// not a proof.
 func (p *Path) Sat(extra *sym.Expr) (sat, unknown bool) {
-	_, sat = p.ctx.feasible(extra)
+	sat = p.ctx.feasible(extra)
 	return sat, !sat && p.ctx.infeas[extra]
 }
 
@@ -439,19 +343,19 @@ func RunCtx(ctx context.Context, fn func(*Context) any, opt Options) ([]Path, bo
 		}
 		prefix := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		ctx := newContext(prefix, solver)
-		res, aborted := runOne(ctx, fn)
-		queue = append(queue, ctx.pending...)
+		c := newContext(prefix, solver)
+		res, aborted := runOne(c, fn)
+		queue = append(queue, c.pending...)
 		// Aggregate across replays, aborted ones included: a replay that
 		// aborted because a truncated check said "infeasible" may have
 		// been a real path, and only the surviving paths can carry that
 		// news to the caller.
-		budgeted = budgeted || ctx.budgeted
+		budgeted = budgeted || c.budgeted
 		if aborted {
 			continue
 		}
 		paths = append(paths, Path{
-			PC: ctx.PC(), Result: res, VarKinds: ctx.VarKinds(), ctx: ctx,
+			PC: c.PC(), Result: res, VarKinds: c.varKinds, ctx: c,
 		})
 	}
 	// Stopping at the cap with prefixes still queued leaves branches
@@ -463,8 +367,8 @@ func RunCtx(ctx context.Context, fn func(*Context) any, opt Options) ([]Path, bo
 	return paths, budgeted, nil
 }
 
-// runOne executes fn once under ctx, converting abort panics into a flag.
-func runOne(ctx *Context, fn func(*Context) any) (res any, aborted bool) {
+// runOne executes fn once under c, converting abort panics into a flag.
+func runOne(c *Context, fn func(*Context) any) (res any, aborted bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(abort); ok {
@@ -474,5 +378,5 @@ func runOne(ctx *Context, fn func(*Context) any) (res any, aborted bool) {
 			panic(r)
 		}
 	}()
-	return fn(ctx), false
+	return fn(c), false
 }

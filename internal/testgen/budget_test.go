@@ -9,17 +9,24 @@ import (
 
 // TestClassFormulaDegenerate pins the single-pass enumeration's stopping
 // precondition: with no class-distinguishing variables (no booleans,
-// fewer than two same-sort non-booleans), classFormula is True — every
-// model is one class, and Generate must stop after the first instead of
-// walking the whole model space.
+// fewer than two same-sort non-booleans), distinguishes is false — as the
+// class formula it replaced was True — so every model is one class, and
+// Generate must stop after the first instead of walking the whole model
+// space.
 func TestClassFormulaDegenerate(t *testing.T) {
 	x := sym.Var("cfd.x", sym.IntSort)
-	m := sym.Model{"cfd.x": {Sort: sym.IntSort, Int: 1}}
-	if cf := classFormula(m, []*sym.Expr{x}); !cf.IsTrue() {
-		t.Fatalf("one lone integer variable should give the degenerate class formula, got %v", cf)
+	k := sym.Var("cfd.k", model.FilenameSort)
+	m := sym.Model{"cfd.x": {Sort: sym.IntSort, Int: 1}, "cfd.k": {Sort: model.FilenameSort, Int: 0}}
+	for _, vars := range [][]*sym.Expr{nil, {x}, {x, k}} {
+		if distinguishes(vars) {
+			t.Errorf("%v: no two models can differ in class, yet distinguishes is true", vars)
+		}
+		if cf := classFormula(m, vars); !cf.IsTrue() {
+			t.Errorf("%v: want the degenerate class formula, got %v", vars, cf)
+		}
 	}
-	if cf := classFormula(m, nil); !cf.IsTrue() {
-		t.Fatalf("empty variable set should give the degenerate class formula, got %v", cf)
+	if y := sym.Var("cfd.y", sym.IntSort); !distinguishes([]*sym.Expr{x, k, y}) {
+		t.Error("two integers can be equal or distinct: distinguishes must be true")
 	}
 }
 

@@ -1,0 +1,89 @@
+package testgen
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"testing/quick"
+
+	"repro/internal/sym"
+)
+
+// classFormula is the oracle for classSignature, and what TESTGEN used
+// before it: the isomorphism class of model m over vars as a formula.
+// Boolean variables keep their values, and every same-sort pair of
+// non-boolean variables keeps its equal/distinct relation, so a model is in
+// m's class exactly when it satisfies the formula.
+func classFormula(m sym.Model, vars []*sym.Expr) *sym.Expr {
+	var conj []*sym.Expr
+	for i, x := range vars {
+		xv, ok := m[x.Name]
+		if !ok {
+			continue
+		}
+		if x.Sort.Kind == sym.KindBool {
+			if xv.Bool {
+				conj = append(conj, x)
+			} else {
+				conj = append(conj, sym.Not(x))
+			}
+			continue
+		}
+		for _, y := range vars[i+1:] {
+			if y.Sort != x.Sort {
+				continue
+			}
+			yv, ok := m[y.Name]
+			if !ok {
+				continue
+			}
+			if xv.Int == yv.Int {
+				conj = append(conj, sym.Eq(x, y))
+			} else {
+				conj = append(conj, sym.Ne(x, y))
+			}
+		}
+	}
+	return sym.And(conj...)
+}
+
+// TestQuickClassSignatureMatchesFormula pins the signature to the formula
+// it replaced: over random mixed-sort variable lists and random total
+// models, two models share a signature exactly when the second satisfies
+// the first's class formula, and distinguishes is false exactly when that
+// formula is True (every model is one class).
+func TestQuickClassSignatureMatchesFormula(t *testing.T) {
+	sorts := []sym.Sort{sym.BoolSort, sym.IntSort, sym.Uninterpreted("ClsA"), sym.Uninterpreted("ClsB")}
+	randomModel := func(r *rand.Rand, vars []*sym.Expr) sym.Model {
+		m := sym.Model{}
+		for _, v := range vars {
+			// Three values per sort: collisions are common, and so are
+			// all-distinct triples.
+			m[v.Name] = sym.Value{Sort: v.Sort, Int: int64(r.Intn(3)), Bool: r.Intn(2) == 0}
+		}
+		return m
+	}
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		vars := make([]*sym.Expr, r.Intn(7))
+		for i := range vars {
+			vars[i] = sym.Var(fmt.Sprintf("cls.v%d", i), sorts[r.Intn(len(sorts))])
+		}
+		m1, m2 := randomModel(r, vars), randomModel(r, vars)
+		cf := classFormula(m1, vars)
+		if distinguishes(vars) == cf.IsTrue() {
+			t.Logf("distinguishes=%v but class formula is %v (vars %v)", distinguishes(vars), cf, vars)
+			return false
+		}
+		same := classSignature(m1, vars) == classSignature(m2, vars)
+		if covered := m2.EvalBool(cf); same != covered {
+			t.Logf("vars %v\nm1 %v -> %q\nm2 %v -> %q\nformula %v holds in m2: %v",
+				vars, m1, classSignature(m1, vars), m2, classSignature(m2, vars), cf, covered)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}

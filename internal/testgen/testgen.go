@@ -13,6 +13,7 @@ package testgen
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/analyzer"
 	"repro/internal/kernel"
@@ -66,9 +67,10 @@ func GenerateChecked(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kerne
 			continue
 		}
 		vars := classVars(path.CommuteCond, path.VarKinds)
+		manyClasses := distinguishes(vars)
 		// One enumeration pass collects a representative per isomorphism
-		// class: each model is kept if no previously kept model's class
-		// formula covers it. This keeps the same representatives, in the
+		// class: each model is kept if no previously kept model has its
+		// class signature. This keeps the same representatives, in the
 		// same order, as restarting Solve on cond ∧ ¬class(m₁) ∧ … (the
 		// class negations only prune — they add no variables or
 		// constants, so the candidate domains and assignment order are
@@ -80,46 +82,39 @@ func GenerateChecked(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kerne
 		// exhaust the (single, shared) step budget is reported through
 		// the truncation count instead of failing silently.
 		ti := 0
-		var classes []*sym.Expr
+		classes := map[string]bool{}
 		solver.Enumerate(path.CommuteCond, func(m sym.Model) bool {
-			for _, cf := range classes {
-				if v, ok := m.TryEval(cf); ok && v.Bool {
-					return true // same class as a kept model; keep searching
-				}
+			sig := classSignature(m, vars)
+			if classes[sig] {
+				return true // same class as a kept model; keep searching
 			}
+			classes[sig] = true
 			id := fmt.Sprintf("%s_%s_path%d_test%d", pr.OpA, pr.OpB, pi, ti)
 			tc, err := materialize(ops, conc, pr.Config, id, path, m)
 			// Distinct isomorphism classes can materialize identically
 			// when the distinguishing variables don't reach the concrete
 			// state (e.g. content values on error paths); emit one copy.
-			if err == nil && !seen[contentKey(tc)] {
-				seen[contentKey(tc)] = true
-				tests = append(tests, tc)
+			// SetupID is an exact rendering of the setup, so the key is
+			// the test's whole content but its ID.
+			if err == nil {
+				key := tc.Calls[0].String() + "|" + tc.Calls[1].String() + "|" + tc.SetupID
+				if !seen[key] {
+					seen[key] = true
+					tests = append(tests, tc)
+				}
 			}
-			cf := classFormula(m, vars)
 			ti++
-			if cf.IsTrue() {
-				// Degenerate class formula (no class-distinguishing
-				// variables): every model is in this class, so there is
-				// nothing further to enumerate — matching the restart
-				// formulation, where conjoining ¬true made the next
-				// query unsatisfiable immediately.
-				return false
-			}
-			classes = append(classes, cf)
-			return ti < maxPer
+			// With nothing to tell two models apart every model is in
+			// this class, so there is nothing further to enumerate —
+			// matching the restart formulation, where conjoining ¬true
+			// made the next query unsatisfiable immediately.
+			return manyClasses && ti < maxPer
 		})
 		if solver.Budget() {
 			truncated++
 		}
 	}
 	return tests, truncated
-}
-
-// contentKey renders a test case's distinguishing content (everything but
-// the ID) for deduplication.
-func contentKey(tc kernel.TestCase) string {
-	return fmt.Sprintf("%v|%v|%+v", tc.Calls[0], tc.Calls[1], tc.Setup)
 }
 
 // classVars selects the variables whose equality pattern defines a test's
@@ -135,42 +130,52 @@ func classVars(cond *sym.Expr, kinds map[string]symx.VarKind) []*sym.Expr {
 	return out
 }
 
-// classFormula captures the isomorphism class of model m over vars: boolean
-// variables keep their values, and every same-sort pair of non-boolean
-// variables keeps its equal/distinct relation. Negating this formula forces
-// the next enumerated assignment into a different class — the paper's
-// "negates any equivalent assignment" step.
-func classFormula(m sym.Model, vars []*sym.Expr) *sym.Expr {
-	var conj []*sym.Expr
+// classSignature renders the isomorphism class of model m over vars, which
+// m must bind: boolean variables by their values, and every other variable
+// by the position of the first variable of its sort holding the same value
+// — which fixes the equal/distinct relation of every same-sort pair and
+// nothing else. Two models are in one class exactly when their signatures
+// are equal; skipping models of a kept signature is the paper's "negates
+// any equivalent assignment" step.
+func classSignature(m sym.Model, vars []*sym.Expr) string {
+	vals := make([]sym.Value, len(vars))
+	sig := make([]byte, 0, 3*len(vars))
 	for i, x := range vars {
-		xv, ok := m[x.Name]
-		if !ok {
-			continue
-		}
+		vals[i] = m[x.Name]
 		if x.Sort.Kind == sym.KindBool {
-			if xv.Bool {
-				conj = append(conj, x)
+			if vals[i].Bool {
+				sig = append(sig, 't')
 			} else {
-				conj = append(conj, sym.Not(x))
+				sig = append(sig, 'f')
 			}
 			continue
 		}
-		for _, y := range vars[i+1:] {
-			if y.Sort != x.Sort {
-				continue
+		first := i
+		for j, y := range vars[:i] {
+			if y.Sort == x.Sort && vals[j].Int == vals[i].Int {
+				first = j
+				break
 			}
-			yv, ok := m[y.Name]
-			if !ok {
-				continue
-			}
-			if xv.Int == yv.Int {
-				conj = append(conj, sym.Eq(x, y))
-			} else {
-				conj = append(conj, sym.Ne(x, y))
+		}
+		sig = strconv.AppendInt(append(sig, ','), int64(first), 10)
+	}
+	return string(sig)
+}
+
+// distinguishes reports whether two models over vars can differ in class:
+// there is a boolean, or two non-booleans share a sort.
+func distinguishes(vars []*sym.Expr) bool {
+	for i, x := range vars {
+		if x.Sort.Kind == sym.KindBool {
+			return true
+		}
+		for _, y := range vars[:i] {
+			if y.Sort == x.Sort {
+				return true
 			}
 		}
 	}
-	return sym.And(conj...)
+	return false
 }
 
 // materialize renders one satisfying assignment as a concrete test case:

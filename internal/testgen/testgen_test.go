@@ -185,18 +185,30 @@ func TestNondetVarsExcludedFromSetup(t *testing.T) {
 	}
 }
 
+// TestClassFormula: a model's signature is its own, a model with a
+// different equality pattern gets another, and both agree with the class
+// formula the signature replaced.
 func TestClassFormula(t *testing.T) {
 	fn := model.FilenameSort
 	x, y := sym.Var("x", fn), sym.Var("y", fn)
 	b := sym.Var("b", sym.BoolSort)
+	vars := []*sym.Expr{x, y, b}
 	m := sym.Model{
 		"x": {Sort: fn, Int: 1},
 		"y": {Sort: fn, Int: 1},
 		"b": {Sort: sym.BoolSort, Bool: true},
 	}
-	f := classFormula(m, []*sym.Expr{x, y, b})
+	f := classFormula(m, vars)
 	if !m.EvalBool(f) {
 		t.Error("class formula must hold in its defining model")
+	}
+	renamed := sym.Model{
+		"x": {Sort: fn, Int: 2},
+		"y": {Sort: fn, Int: 2},
+		"b": {Sort: sym.BoolSort, Bool: true},
+	}
+	if !renamed.EvalBool(f) || classSignature(renamed, vars) != classSignature(m, vars) {
+		t.Error("renaming values must stay in the class")
 	}
 	m2 := sym.Model{
 		"x": {Sort: fn, Int: 1},
@@ -205,6 +217,9 @@ func TestClassFormula(t *testing.T) {
 	}
 	if m2.EvalBool(f) {
 		t.Error("different equality pattern must violate the class formula")
+	}
+	if classSignature(m2, vars) == classSignature(m, vars) {
+		t.Error("different equality pattern must give a different class signature")
 	}
 }
 
