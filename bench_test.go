@@ -144,8 +144,10 @@ func BenchmarkRealAnyFD(b *testing.B) {
 	})
 }
 
-// Ablation: the hash directory's bucket count trades collision conflicts
-// against memory; DESIGN.md calls this choice out. Reported metric is the
+// Ablation: the hash directory's bucket count decides how often distinct
+// names collide into one bucket and conflict. It does not cost memory:
+// buckets are built when first selected, so a directory's footprint
+// follows the names it has seen, not the count. Reported metric is the
 // conflict-free percentage of concurrent distinct-name creates.
 func BenchmarkAblationDirBuckets(b *testing.B) {
 	for _, buckets := range []int{1, 16, 64, 1024} {

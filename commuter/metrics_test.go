@@ -70,6 +70,7 @@ func TestMetricsExpositionNames(t *testing.T) {
 		"# TYPE commuter_solver_budget_exhaustions_total counter",
 		"# TYPE commuter_sym_intern_hits_total counter",
 		"# TYPE commuter_sym_intern_misses_total counter",
+		"# TYPE commuter_sym_intern_entries gauge",
 	} {
 		if !strings.Contains(body, want+"\n") {
 			t.Errorf("exposition is missing %q", want)

@@ -126,16 +126,43 @@ func CheckOnline(m *mtrace.Memory) string {
 	return ""
 }
 
+// logged wraps fresh so that every kernel it builds logs its accesses, and
+// hands each kernel's memory to seen.
+func logged(fresh func() kernel.Kernel, seen func(*mtrace.Memory)) func() kernel.Kernel {
+	return func() kernel.Kernel {
+		k := fresh()
+		k.Memory().LogAccesses(true)
+		seen(k.Memory())
+		return k
+	}
+}
+
+// accessLog renders m's last traced region access by access. Cells are
+// named, not compared by identity: the two kernels being compared allocate
+// theirs independently, and on demand.
+func accessLog(m *mtrace.Memory) []string {
+	var out []string
+	for _, a := range m.Accesses() {
+		out = append(out, fmt.Sprintf("%s core=%d write=%v", a.Cell.Name(), a.Core, a.Write))
+	}
+	return out
+}
+
 // ReplayMatchesFresh is the setup snapshot/reset oracle: a single
 // long-lived Replayer runs many randomized setup groups, and every
 // CheckResult must exactly match Check, which builds two fresh kernels per
-// test. Any state the journal or a reset hook fails to restore — a cell
+// test — and so must the ordered access log of the traced replay, cell by
+// cell. Any state the journal or a reset hook fails to restore — a cell
 // value, a stale or lost map entry, a counter — surfaces as a result,
-// commuted, or conflict-report mismatch in a later test or group.
+// commuted, or conflict-report mismatch in a later test or group; the log
+// additionally catches what conflict reports are blind to: an extra or
+// missing read, a different order, a structure built on demand by a traced
+// access where the fresh kernel builds it untraced.
 func ReplayMatchesFresh(t *testing.T, fresh func() kernel.Kernel, gen Gen) {
 	t.Helper()
 	r := rand.New(rand.NewSource(1))
-	rep := kernel.NewReplayer(fresh)
+	var repMem *mtrace.Memory
+	rep := kernel.NewReplayer(logged(fresh, func(m *mtrace.Memory) { repMem = m }))
 	for group := 0; group < 60; group++ {
 		setup := gen.Setup(r)
 		var tests []kernel.TestCase
@@ -148,7 +175,14 @@ func ReplayMatchesFresh(t *testing.T, fresh func() kernel.Kernel, gen Gen) {
 		}
 		i := 0
 		err := rep.CheckGroup(setup, tests, func(got kernel.CheckResult) bool {
-			want, err := Check(fresh, tests[i])
+			// Check traces on the first kernel it builds; the second only
+			// re-executes in the opposite order.
+			var freshMem *mtrace.Memory
+			want, err := Check(logged(fresh, func(m *mtrace.Memory) {
+				if freshMem == nil {
+					freshMem = m
+				}
+			}), tests[i])
 			if err != nil {
 				t.Fatalf("group %d test %d: fresh check: %v", group, i, err)
 			}
@@ -159,6 +193,10 @@ func ReplayMatchesFresh(t *testing.T, fresh func() kernel.Kernel, gen Gen) {
 				!reflect.DeepEqual(got.Conflicts, want.Conflicts) {
 				t.Fatalf("group %d test %d (%v || %v): replayed %+v != fresh %+v",
 					group, i, tests[i].Calls[0], tests[i].Calls[1], got, want)
+			}
+			if gotLog, wantLog := accessLog(repMem), accessLog(freshMem); !reflect.DeepEqual(gotLog, wantLog) {
+				t.Fatalf("group %d test %d (%v || %v): replayed access log\n %v\n!= fresh\n %v",
+					group, i, tests[i].Calls[0], tests[i].Calls[1], gotLog, wantLog)
 			}
 			i++
 			return true

@@ -7,12 +7,16 @@ import (
 
 // Replayer checks batches of tests that share a Setup against one
 // long-lived kernel instance, instead of building two fresh kernels per
-// test the way the reference oracle (kerneltest.Check) does. Construction
-// cost (the sv6 kernel allocates tens of thousands of cells) is paid once;
-// each test then runs against mtrace snapshot/reset, which only undoes the
-// handful of cells the test actually wrote. Both execution orders replay
-// on the same instance, so the commutativity comparison is also
-// setup-shared.
+// test the way the reference oracle (kerneltest.Check) does. The kernel is
+// built once and each setup applied once per group; every test then runs
+// against mtrace snapshot/reset, which only undoes the handful of cells
+// the test actually wrote. Both execution orders replay on the same
+// instance, so the commutativity comparison is also setup-shared.
+//
+// The engine builds one Replayer per pair per kernel, so construction is
+// paid a few hundred times a sweep: kernels keep it to what no test can
+// avoid and build the rest when a test first touches it (sv6's directory
+// buckets and per-core counters; see BenchmarkNewKernel).
 //
 // A Replayer is not safe for concurrent use; each CHECK stage (one pair on
 // one kernel) and each Client.Check call builds its own.

@@ -3,14 +3,18 @@
 // describes for ScaleFS and RadixVM:
 //
 //   - the directory is a hash table with independent per-bucket locks, and
-//     name lookups are lock-free with no reference-count writes,
+//     name lookups are lock-free with no reference-count writes; its 8192
+//     buckets fix which names collide, and each is built by the first
+//     operation that selects it (scale.HashDir),
 //   - link counts are Refcache counters (per-core deltas),
 //   - descriptor lookup touches only the slot's own cache line,
 //   - descriptor allocation uses per-core partitions of the FD space
 //     (O_ANYFD) — the lowest-FD rule is also available for the openbench
 //     comparison, implemented with a shared scan like any faithful
 //     implementation must,
-//   - inode numbers come from per-core allocators and are never reused,
+//   - inode numbers come from per-core allocators and are never reused
+//     (like the descriptor and address partitions, a core's counter is
+//     born on that core's first allocation: scale.IDAlloc),
 //   - lseek precedes pessimism with optimism: an offset update equal to
 //     the current value writes nothing,
 //   - rename avoids writing the destination when it already points at the
@@ -124,13 +128,13 @@ type vmaCell struct {
 type proc struct {
 	slots map[int64]*file
 	// nextFD are the per-core O_ANYFD partitions: fd = base + core.
-	nextFD [scale.NCores]*mtrace.Cell
+	nextFD *scale.IDAlloc
 	// lowHint is the shared cell a faithful lowest-FD allocator must
 	// maintain; only the lowest-FD mode touches it.
 	lowHint *mtrace.Cell
 	// nextAddr are per-core partitions of the free address space for
 	// non-fixed mmap (RadixVM picks addresses without a shared cursor).
-	nextAddr [scale.NCores]*mtrace.Cell
+	nextAddr *scale.IDAlloc
 	vmas     map[int64]*vmaCell
 	anon     map[int64]*mtrace.Cell
 }
@@ -173,17 +177,14 @@ func NewOpts(opts Opts) *Kern {
 		nextPipe: 2000,
 	}
 	for i := range k.procs {
-		p := &proc{
-			slots:   map[int64]*file{},
-			lowHint: mem.NewCellf(0, "proc%d.fd.lowhint", i),
-			vmas:    map[int64]*vmaCell{},
-			anon:    map[int64]*mtrace.Cell{},
+		k.procs[i] = &proc{
+			slots:    map[int64]*file{},
+			nextFD:   scale.NewIDAlloc(mem, fmt.Sprintf("proc%d.fd", i), 0),
+			lowHint:  mem.NewCellf(0, "proc%d.fd.lowhint", i),
+			nextAddr: scale.NewIDAlloc(mem, fmt.Sprintf("proc%d.vm", i), 0),
+			vmas:     map[int64]*vmaCell{},
+			anon:     map[int64]*mtrace.Cell{},
 		}
-		for c := range p.nextFD {
-			p.nextFD[c] = mem.NewCellf(0, "proc%d.fd.next[%d]", i, c)
-			p.nextAddr[c] = mem.NewCellf(0, "proc%d.vm.next[%d]", i, c)
-		}
-		k.procs[i] = p
 	}
 	return k
 }
@@ -293,9 +294,7 @@ func (k *Kern) allocFD(core int, pr int, f *file, anyfd bool) int64 {
 		p.slots[fd] = f
 	}
 	if anyfd {
-		n := p.nextFD[core].Load(core)
-		p.nextFD[core].Store(core, n+1)
-		fd := 1000 + n*scale.NCores + int64(core)
+		fd := 1000 + p.nextFD.Alloc(core)
 		f.slot = k.mem.NewCellf(0, "proc%d.fd[%d]", pr, fd)
 		f.slot.Store(core, 1)
 		install(fd)

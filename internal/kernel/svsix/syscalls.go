@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/mtrace"
-	"repro/internal/scale"
 )
 
 // maxScan bounds page-presence scans when reconciling file lengths; test
@@ -389,9 +388,7 @@ func (k *Kern) mmap(core int, c kernel.Call) kernel.Result {
 	if !c.ArgBool("fixed") {
 		// RadixVM address allocation: per-core partitions, no shared
 		// cursor and no whole-address-space lock.
-		n := p.nextAddr[core].Load(core)
-		p.nextAddr[core].Store(core, n+1)
-		addr = 1000 + n*scale.NCores + int64(core)
+		addr = 1000 + p.nextAddr.Alloc(core)
 	}
 	v := k.vma(pr, addr)
 	var nv vmaCell

@@ -104,22 +104,29 @@ func (r *Refcache) Poke(v int64) {
 // scheme for inode numbers. Allocations on different cores are
 // conflict-free and never collide, and identifiers are never reused.
 type IDAlloc struct {
+	mem  *mtrace.Memory
+	name string
+	base int64
+	// next[core] is created the first time core allocates: only its own
+	// core ever touches it, so an unborn counter is indistinguishable from
+	// one still holding base.
 	next [NCores]*mtrace.Cell
 }
 
 // NewIDAlloc allocates an id allocator whose ids start at base.
 func NewIDAlloc(mem *mtrace.Memory, name string, base int64) *IDAlloc {
-	a := &IDAlloc{}
-	for i := range a.next {
-		a.next[i] = mem.NewCellf(base, "%s.next[%d]", name, i)
-	}
-	return a
+	return &IDAlloc{mem: mem, name: name, base: base}
 }
 
 // Alloc returns a fresh identifier using only core-local state.
 func (a *IDAlloc) Alloc(core int) int64 {
-	n := a.next[core].Load(core)
-	a.next[core].Store(core, n+1)
+	c := a.next[core]
+	if c == nil {
+		c = a.mem.NewCellf(a.base, "%s.next[%d]", a.name, core)
+		a.next[core] = c
+	}
+	n := c.Load(core)
+	c.Store(core, n+1)
 	return n*NCores + int64(core)
 }
 
@@ -179,10 +186,17 @@ func (s *Seqlock) WriteEnd(core int) { s.version.Add(core, 1) }
 // HashDir is a directory represented as a fixed-size hash table with an
 // independent lock and entry list per bucket (§1's file-creation example):
 // operations on names that hash to different buckets are conflict-free.
+//
+// The table's size fixes which names collide; its buckets are built on
+// demand. A bucket nobody has selected holds no entry, a free lock and a
+// zero list version, so it need not exist: the first operation whose name
+// hashes to it creates its cells, untraced, and memory is proportional to
+// the buckets touched, not to the bucket count.
 type HashDir struct {
-	mem     *mtrace.Memory
-	name    string
-	buckets []*dirBucket
+	mem      *mtrace.Memory
+	name     string
+	nbuckets uint64
+	buckets  map[uint64]*dirBucket
 }
 
 type dirBucket struct {
@@ -195,19 +209,16 @@ type dirBucket struct {
 	entries map[int64]*mtrace.Cell
 }
 
-// NewHashDir allocates a directory with the given bucket count.
+// NewHashDir allocates a directory with the given bucket count. It
+// allocates no bucket: see HashDir.
 func NewHashDir(mem *mtrace.Memory, name string, nbuckets int) *HashDir {
-	d := &HashDir{mem: mem, name: name}
-	for i := 0; i < nbuckets; i++ {
-		d.buckets = append(d.buckets, &dirBucket{
-			lock:    NewSpinLock(mem, fmt.Sprintf("%s.bucket[%d].lock", name, i)),
-			list:    mem.NewCellf(0, "%s.bucket[%d].list", name, i),
-			entries: map[int64]*mtrace.Cell{},
-		})
-	}
-	return d
+	return &HashDir{mem: mem, name: name, nbuckets: uint64(nbuckets), buckets: map[uint64]*dirBucket{}}
 }
 
+// bucket selects name's bucket, creating it on first selection. A bucket
+// born inside a snapshot region survives Reset: the journal returns its
+// cells to zero and the entry hooks empty it, which is the state it would
+// have been built in.
 func (d *HashDir) bucket(name int64) *dirBucket {
 	// SplitMix64-style finalizer: high bits feed back into the low bits
 	// that select the bucket, so structured name spaces spread evenly.
@@ -215,7 +226,17 @@ func (d *HashDir) bucket(name int64) *dirBucket {
 	h ^= h >> 30
 	h *= 0xBF58476D1CE4E5B9
 	h ^= h >> 27
-	return d.buckets[h%uint64(len(d.buckets))]
+	i := h % d.nbuckets
+	b := d.buckets[i]
+	if b == nil {
+		b = &dirBucket{
+			lock:    NewSpinLock(d.mem, fmt.Sprintf("%s.bucket[%d].lock", d.name, i)),
+			list:    d.mem.NewCellf(0, "%s.bucket[%d].list", d.name, i),
+			entries: map[int64]*mtrace.Cell{},
+		}
+		d.buckets[i] = b
+	}
+	return b
 }
 
 // Lookup returns the inode bound to name, or (0, false). It reads the

@@ -1,6 +1,8 @@
 package scale
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -272,6 +274,104 @@ func TestQuickHashDirMatchesMap(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// touchAll selects every bucket of d once, so that d is the directory the
+// eager constructor used to build: the reference the on-demand buckets are
+// held to below.
+func (d *HashDir) touchAll() {
+	for name := int64(0); uint64(len(d.buckets)) < d.nbuckets; name++ {
+		d.bucket(name)
+	}
+}
+
+// dirOp is one randomly drawn directory operation.
+type dirOp struct{ Kind, Core, Name, Inum uint8 }
+
+// tracedRun is everything an observer of one traced region can see.
+type tracedRun struct {
+	results   []int64
+	conflicts []mtrace.Conflict
+	log       []string
+}
+
+func runDirOps(mem *mtrace.Memory, d *HashDir, ops []dirOp) tracedRun {
+	var out tracedRun
+	b2i := func(b bool) int64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	mem.Start()
+	for _, o := range ops {
+		core, name, inum := int(o.Core%2), int64(o.Name%12), int64(o.Inum%5)+1
+		switch o.Kind % 5 {
+		case 0:
+			ino, ok := d.Lookup(core, name)
+			out.results = append(out.results, ino, b2i(ok))
+		case 1:
+			out.results = append(out.results, b2i(d.Exists(core, name)))
+		case 2:
+			out.results = append(out.results, b2i(d.Insert(core, name, inum)))
+		case 3:
+			ino, ok := d.Remove(core, name)
+			out.results = append(out.results, ino, b2i(ok))
+		case 4:
+			out.results = append(out.results, d.Replace(core, name, inum))
+		}
+	}
+	mem.Stop()
+	out.conflicts = mem.Conflicts()
+	for _, a := range mem.Accesses() {
+		out.log = append(out.log, fmt.Sprintf("%s core=%d write=%v", a.Cell.Name(), a.Core, a.Write))
+	}
+	return out
+}
+
+// Property: a bucket is created by the first operation that selects it,
+// and nobody can tell. A lazy directory and one whose every bucket existed
+// beforehand give equal results, equal conflict reports and equal ordered
+// access logs for random two-core sequences — run the way the CHECK
+// replayer runs a kernel: setup poked inside a baseline snapshot region (so
+// buckets are first touched inside a region), each sequence traced, reset
+// and replayed, then everything rolled back and the sequence run once more
+// against the pristine directory.
+func TestQuickLazyHashDirMatchesPretouched(t *testing.T) {
+	f := func(setup, ops []dirOp) bool {
+		var runs [2][3]tracedRun
+		for i, pretouch := range []bool{false, true} {
+			mem := mtrace.NewMemory()
+			mem.LogAccesses(true)
+			// 8 buckets for 12 names: some share a bucket.
+			d := NewHashDir(mem, "dir", 8)
+			if pretouch {
+				d.touchAll()
+			}
+			mem.Snapshot()
+			for _, o := range setup {
+				d.PokeInsert(int64(o.Name%12), int64(o.Inum%5)+1)
+			}
+			mem.Snapshot()
+			runs[i][0] = runDirOps(mem, d, ops)
+			mem.Reset()
+			runs[i][1] = runDirOps(mem, d, ops)
+			mem.Reset()
+			mem.Pop()
+			mem.Reset()
+			runs[i][2] = runDirOps(mem, d, ops)
+		}
+		lazy, eager := runs[0], runs[1]
+		if !reflect.DeepEqual(lazy, eager) {
+			t.Logf("lazy  %+v\neager %+v", lazy, eager)
+			return false
+		}
+		// And a reset really is a reset: the replay repeats the first run.
+		return reflect.DeepEqual(lazy[0], lazy[1])
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

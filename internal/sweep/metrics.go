@@ -85,8 +85,8 @@ var (
 		"Solver searches that exhausted the step budget (unknown verdicts).")
 )
 
-// The intern table is process-wide and already keeps its own totals;
-// expose them as scrape-time counters instead of mirroring every bump.
+// The intern table is process-wide and already keeps its own totals and
+// size; expose them at scrape time instead of mirroring every bump.
 func init() {
 	obs.Default.CounterFunc(
 		"commuter_sym_intern_hits_total",
@@ -96,6 +96,10 @@ func init() {
 		"commuter_sym_intern_misses_total",
 		"Hash-consing intern-table misses (newly interned nodes).",
 		func() float64 { _, m := sym.InternStats(); return float64(m) })
+	obs.Default.GaugeFunc(
+		"commuter_sym_intern_entries",
+		"Hash-consing intern-table entries, live or collected and not yet swept.",
+		func() float64 { return float64(sym.InternSize()) })
 }
 
 // putErrWarned dedups the write-degradation warning per backend handle,

@@ -75,6 +75,7 @@ func BenchmarkSatAssumingFeasible(b *testing.B) {
 	fn := Uninterpreted("BenchName")
 	extra := Eq(Var("bk0", fn), Var("bk5", fn))
 	var s Solver
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !s.SatAssuming(pc, extra) {
@@ -91,6 +92,7 @@ func BenchmarkSatAssumingUnsat(b *testing.B) {
 	x := Var("bx1", IntSort)
 	extra := And(Lt(x, Int(0)), Gt(x, Int(0)))
 	var s Solver
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if s.SatAssuming(pc, extra) {

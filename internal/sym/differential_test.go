@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -161,6 +162,62 @@ func TestSatAssumingAgainstDirect(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d: SatAssuming=%v direct=%v\nbase: %v\nextra: %v",
 				trial, got, want, base, extra)
+		}
+	}
+}
+
+// TestSharedSolverMatchesFreshPerQuery pins that the scratch a Solver
+// reuses from search to search carries nothing from one to the next: one
+// Solver answering an interleaved list of satisfiable, unsatisfiable,
+// budget-truncated and Stop-interrupted queries — over changing sets of
+// variables, sorts and constants, through every entry point — agrees query
+// by query with a fresh Solver per query, on the answer, on Budget() and,
+// for Enumerate, on the sequence of models.
+func TestSharedSolverMatchesFreshPerQuery(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	g := newGen(r)
+	hard := pigeonhole(8)
+	sortU, sortW := Uninterpreted("U"), Uninterpreted("W")
+	u, w1, w2 := g.names[0], Var("w1x", sortW), Var("w2x", sortW)
+	withConsts := []*Expr{
+		And(Ne(u, Const(sortU, 0)), Ne(u, Const(sortU, 1)), Ne(w1, w2)),
+		And(Eq(w1, Const(sortW, 5)), Ne(w2, Const(sortW, 5)), Lt(g.ints[0], Int(40))),
+		And(Eq(w1, w2), Ne(w1, Const(sortW, 0)), Eq(w2, Const(sortW, 0))),
+	}
+	var shared Solver
+	for trial := 0; trial < 400; trial++ {
+		e, maxSteps, stop := g.boolTerm(3), 0, (func() bool)(nil)
+		switch trial % 8 {
+		case 2:
+			e, maxSteps = hard, 700 // truncated by the budget
+		case 4:
+			e, stop = hard, func() bool { return true } // interrupted
+		case 6:
+			e = withConsts[r.Intn(len(withConsts))]
+		}
+		extra := g.boolTerm(2)
+		run := func(s *Solver) (string, bool) {
+			s.MaxSteps, s.Stop = maxSteps, stop
+			switch trial % 3 {
+			case 0:
+				m, ok := s.Solve(e)
+				return fmt.Sprint(ok, m), s.Budget()
+			case 1:
+				return fmt.Sprint(s.SatAssuming(e, extra)), s.Budget()
+			default:
+				var models []string
+				s.Enumerate(e, func(m Model) bool {
+					models = append(models, fmt.Sprint(m))
+					return len(models) < 4
+				})
+				return fmt.Sprint(models), s.Budget()
+			}
+		}
+		got, gotBudget := run(&shared)
+		want, wantBudget := run(&Solver{})
+		if got != want || gotBudget != wantBudget {
+			t.Fatalf("trial %d on %v:\n shared solver: %s (budget %v)\n fresh solver:  %s (budget %v)",
+				trial, e, got, gotBudget, want, wantBudget)
 		}
 	}
 }

@@ -33,11 +33,19 @@ import (
 // formulas (every cone-of-influence query, every path condition of every
 // explored path), and a strong table would pin all of them for the
 // process lifetime, growing the live heap — and with it every GC mark
-// phase — without bound. Weak entries let dead expressions be collected;
-// each shard compacts its dead entries away once they outnumber the
-// insertions since the last sweep. Two structurally equal *live* nodes
-// still cannot coexist: a node is only rebuilt after every strong
-// reference to its predecessor is gone.
+// phase — without bound. Weak entries let dead expressions be collected.
+// The entries themselves (a weak handle, a bucket slice, a map slot) are
+// rarely found again once their node is gone — a node's hash mixes its
+// children's interning ids, which are never reused, so a formula rebuilt
+// from rebuilt parts lands on new keys — and so each shard sweeps them
+// out itself: when the insertions since its last sweep reach the number
+// of entries that sweep left (internSweepFloor at least), it drops every
+// cleared entry and moves the rest to a new map. That bounds a shard by
+// twice what its last sweep found alive, at an amortized cost of two
+// entry visits per insertion; InternSize reports the total, and a process
+// that runs the same sweeps over and over sees it flat. Two structurally
+// equal *live* nodes still cannot coexist: a node is only rebuilt after
+// every strong reference to its predecessor is gone.
 
 // internShardCount is a power of two sizing the lock shards.
 const internShardCount = 64
@@ -45,11 +53,17 @@ const internShardCount = 64
 type internShard struct {
 	mu sync.Mutex
 	m  map[uint64][]weak.Pointer[Expr]
-	// inserts counts insertions since the last full compaction; the
-	// insertion-driven sweep in intern() amortizes dead-entry cleanup so
-	// the table stays proportional to the live expression population.
-	inserts int
+	// n counts the entries in m, cleared ones included.
+	n int
+	// inserts counts insertions since the last sweep; the next one runs
+	// when they reach sweepAt, the number of entries the last one left (or
+	// the floor).
+	inserts, sweepAt int
 }
+
+// internSweepFloor keeps a nearly empty shard from sweeping on every
+// handful of insertions.
+const internSweepFloor = 64
 
 // interner is the process-wide hash-consing table.
 type interner struct {
@@ -61,6 +75,7 @@ func newInterner() *interner {
 	it := &interner{}
 	for i := range it.shards {
 		it.shards[i].m = make(map[uint64][]weak.Pointer[Expr])
+		it.shards[i].sweepAt = internSweepFloor
 	}
 	return it
 }
@@ -77,6 +92,21 @@ var internHitCount, internMissCount atomic.Uint64
 // InternStats returns the process-wide intern-table hit and miss totals.
 func InternStats() (hits, misses uint64) {
 	return internHitCount.Load(), internMissCount.Load()
+}
+
+// InternSize returns the number of entries the intern table holds, whether
+// their expressions are alive or collected and not yet swept: the table's
+// footprint, which has to follow the live expression population down as
+// well as up.
+func InternSize() int {
+	n := 0
+	for i := range defaultInterner.shards {
+		sh := &defaultInterner.shards[i]
+		sh.mu.Lock()
+		n += sh.n
+		sh.mu.Unlock()
+	}
+	return n
 }
 
 const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
@@ -140,7 +170,7 @@ func intern(op Op, sort Sort, i64 int64, b bool, name string, args []*Expr) *Exp
 		}
 		if matches(e, op, sort, i64, b, name, args) {
 			if compact {
-				sh.m[h] = compactBucket(bucket)
+				sh.m[h] = sh.compactBucket(bucket)
 			}
 			sh.mu.Unlock()
 			internHitCount.Add(1)
@@ -154,44 +184,46 @@ func intern(op Op, sort Sort, i64 int64, b bool, name string, args []*Expr) *Exp
 	e.id = it.nextID.Add(1)
 	e.vars = mergeVars(e, args)
 	if compact {
-		bucket = compactBucket(bucket)
+		bucket = sh.compactBucket(bucket)
 	}
 	// All fields are set before the node becomes reachable; the shard
 	// mutex publishes it to other goroutines.
 	sh.m[h] = append(bucket, weak.Make(e))
+	sh.n++
 	sh.inserts++
-	if sh.inserts >= 4096 && sh.inserts >= 2*len(sh.m) {
-		sh.compact()
+	if sh.inserts >= sh.sweepAt {
+		sh.sweep()
 	}
 	sh.mu.Unlock()
 	internMissCount.Add(1)
 	return e
 }
 
-// compactBucket drops cleared entries from one bucket.
-func compactBucket(bucket []weak.Pointer[Expr]) []weak.Pointer[Expr] {
+// compactBucket drops cleared entries from one bucket, and from the
+// shard's count.
+func (sh *internShard) compactBucket(bucket []weak.Pointer[Expr]) []weak.Pointer[Expr] {
 	out := bucket[:0]
 	for _, wp := range bucket {
 		if wp.Value() != nil {
 			out = append(out, wp)
 		}
 	}
+	sh.n -= len(bucket) - len(out)
 	return out
 }
 
-// compact sweeps the whole shard, dropping entries whose expressions have
-// been collected. Called with the shard lock held, amortized against the
-// insertions since the previous sweep.
-func (sh *internShard) compact() {
+// sweep drops every entry whose expression has been collected, moving the
+// survivors to a new map: a Go map keeps its storage when entries are
+// deleted, and a shard that served one large formula would carry that
+// storage for the life of the process. Called with the shard lock held.
+func (sh *internShard) sweep() {
+	m := make(map[uint64][]weak.Pointer[Expr])
 	for h, bucket := range sh.m {
-		nb := compactBucket(bucket)
-		if len(nb) == 0 {
-			delete(sh.m, h)
-		} else {
-			sh.m[h] = nb
+		if live := sh.compactBucket(bucket); len(live) > 0 {
+			m[h] = live
 		}
 	}
-	sh.inserts = 0
+	sh.m, sh.inserts, sh.sweepAt = m, 0, max(sh.n, internSweepFloor)
 }
 
 // mergeVars computes the free variables of a node in first-occurrence

@@ -2,7 +2,7 @@ package sym
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -284,10 +284,15 @@ func evalIntIdx(e *Expr, a *asn) (res int64, known bool) {
 // candidate domains and enumerates their models. The zero value is ready
 // to use.
 //
-// A Solver is single-flight: it reuses internal search state across
-// calls, so it must not be invoked re-entrantly (e.g. starting another
-// Solve from inside an Enumerate callback) or concurrently. Use separate
-// Solver values for nested or parallel searches.
+// A Solver owns the scratch its searches work in — the assignment arrays,
+// the variable positions, the candidate domains, the constant walk's
+// visited set, the per-depth conjunct lists — and clears and reuses it
+// from one search to the next instead of reallocating it, so the ~140
+// searches a pair's solver serves cost one set of buffers. It follows that
+// a Solver is not safe for concurrent use, and not for re-entrant use
+// either (starting another search from inside an Enumerate callback): a
+// second search would overwrite the first one's domains, and panics
+// instead. Use separate Solver values for nested or parallel searches.
 type Solver struct {
 	// MaxSteps bounds the backtracking search (default 5,000,000 node
 	// visits). When the budget is exhausted, Solve/Sat report
@@ -303,15 +308,27 @@ type Solver struct {
 	// between-searches checkpoint.
 	Stop func() bool
 
-	steps    int
-	exceeded bool
-	stats    SolverStats
+	steps     int
+	exceeded  bool
+	searching bool
+	stats     SolverStats
 
-	// Reusable assignment arrays, sized by the largest interned variable
-	// id seen. Backtracking always unsets what it set, so the arrays are
-	// clean between searches and only ever need growing.
+	// Scratch indexed by interned variable id (see growVars for its size).
+	// Backtracking always unsets what it set, so the assignment arrays are
+	// clean between searches; varPos (1 + the variable's position in doms,
+	// 0 for a variable not in the search) is zeroed from the previous
+	// search's doms when the next one starts.
 	asnVals []Value
 	asnSet  []bool
+	varPos  []int
+
+	// Scratch of the search in progress (see domains and search).
+	doms        []domain
+	completedAt [][]*Expr
+	visited     map[*Expr]struct{}
+	ints        []int64
+	intVals     []Value
+	sorts       []sortDomain
 }
 
 // SolverStats counts one Solver's search work since construction. A
@@ -352,117 +369,142 @@ type domain struct {
 	vals []Value
 }
 
+// sortDomain is what one search knows about one uninterpreted sort. A
+// Solver meets a handful of sorts in its life, so records are kept for
+// good and only emptied between searches.
+type sortDomain struct {
+	sort  Sort
+	nvars int     // variables of the sort in the search
+	ids   []int64 // element ids: the formula's constants, then the domain
+	vals  []Value // candidate domain, built for the sort's first variable
+}
+
+// sortDom returns the record of sort so, adding it on first sight. The
+// pointer is good until the next call.
+func (s *Solver) sortDom(so Sort) *sortDomain {
+	for i := range s.sorts {
+		if s.sorts[i].sort == so {
+			return &s.sorts[i]
+		}
+	}
+	s.sorts = append(s.sorts, sortDomain{sort: so})
+	return &s.sorts[len(s.sorts)-1]
+}
+
+// growVars sizes the variable-indexed scratch for every variable id handed
+// out so far, so a Solver grows once unless new names are interned under
+// it. Only varPos carries state while a search is being set up.
+func (s *Solver) growVars() {
+	varMu.Lock()
+	n := len(varIDs)
+	varMu.Unlock()
+	s.varPos = append(s.varPos, make([]int, n-len(s.varPos))...)
+	s.asnVals = make([]Value, n)
+	s.asnSet = make([]bool, n)
+}
+
+// collectConsts records the integer and uninterpreted constants under x.
+// The walk memoizes on node identity: shared subterms of the hash-consed
+// DAG contribute their constants once.
+func (s *Solver) collectConsts(x *Expr) {
+	if _, ok := s.visited[x]; ok {
+		return
+	}
+	s.visited[x] = struct{}{}
+	if x.Op == OpConst {
+		switch x.Sort.Kind {
+		case KindInt:
+			s.ints = append(s.ints, x.Int-1, x.Int, x.Int+1)
+		case KindUnint:
+			sd := s.sortDom(x.Sort)
+			sd.ids = append(sd.ids, x.Int)
+		}
+	}
+	for _, a := range x.Args {
+		s.collectConsts(a)
+	}
+}
+
 // domains computes a finite candidate domain for every free variable of
-// the conjunct list.
+// the conjunct list, in first-occurrence order, into the Solver's scratch:
+// the result and every vals slice in it are valid until the next search.
 //
-// Booleans get {false, true}. Each uninterpreted sort gets element ids
-// 0..n-1 where n = (#variables of that sort) + (#distinct constants of that
-// sort): by the small-model property of equality logic this is sufficient.
+// Booleans get {false, true}. Each uninterpreted sort gets n element ids
+// besides its constants in the formula, the smallest ones that are not
+// among those, where n is the number of variables of that sort: by the
+// small-model property of equality logic this is sufficient.
 // Integers get every integer constant of the formula, plus 0 and 1, each
 // with its two neighbours.
 func (s *Solver) domains(conjs []*Expr) []domain {
-	var vars []*Expr
-	seenVar := map[string]bool{}
+	for _, d := range s.doms {
+		s.varPos[d.v.VarID] = 0
+	}
+	for i := range s.sorts {
+		sd := &s.sorts[i]
+		sd.nvars, sd.ids, sd.vals = 0, sd.ids[:0], sd.vals[:0]
+	}
+	doms := s.doms[:0]
 	for _, c := range conjs {
 		for _, v := range c.vars {
-			if !seenVar[v.Name] {
-				seenVar[v.Name] = true
-				vars = append(vars, v)
+			if v.VarID >= len(s.varPos) {
+				s.growVars()
+			}
+			if s.varPos[v.VarID] != 0 {
+				continue
+			}
+			doms = append(doms, domain{v: v})
+			s.varPos[v.VarID] = len(doms)
+			if v.Sort.Kind == KindUnint {
+				s.sortDom(v.Sort).nvars++
 			}
 		}
 	}
-	sortVarCount := map[Sort]int{}
-	sortConsts := map[Sort]map[int64]bool{}
-	intConsts := map[int64]bool{0: true, 1: true}
-	// The constant walk memoizes on node identity: shared subterms of the
-	// hash-consed DAG contribute their constants once.
-	visited := map[*Expr]bool{}
-	var walk func(x *Expr)
-	walk = func(x *Expr) {
-		if visited[x] {
-			return
-		}
-		visited[x] = true
-		if x.Op == OpConst {
-			switch x.Sort.Kind {
-			case KindInt:
-				intConsts[x.Int] = true
-			case KindUnint:
-				if sortConsts[x.Sort] == nil {
-					sortConsts[x.Sort] = map[int64]bool{}
-				}
-				sortConsts[x.Sort][x.Int] = true
-			}
-		}
-		for _, a := range x.Args {
-			walk(a)
-		}
-	}
-	for _, c := range conjs {
-		walk(c)
-	}
-	for _, v := range vars {
-		if v.Sort.Kind == KindUnint {
-			sortVarCount[v.Sort]++
-		}
-	}
+	s.doms = doms
 
-	intDomain := map[int64]bool{}
-	for c := range intConsts {
-		for d := int64(-1); d <= 1; d++ {
-			intDomain[c+d] = true
-		}
+	if s.visited == nil {
+		s.visited = map[*Expr]struct{}{}
 	}
-	intVals := make([]int64, 0, len(intDomain))
-	for v := range intDomain {
-		intVals = append(intVals, v)
+	clear(s.visited)
+	s.ints = append(s.ints[:0], -1, 0, 1, 2)
+	for _, c := range conjs {
+		s.collectConsts(c)
 	}
-	sort.Slice(intVals, func(i, j int) bool { return intVals[i] < intVals[j] })
+	slices.Sort(s.ints)
+	s.ints = slices.Compact(s.ints)
+	s.intVals = s.intVals[:0]
 
 	// Candidate value slices are shared between same-sort variables (and
 	// never mutated by the search), so each is built once per call.
-	var sharedIntVals []Value
-	sortVals := map[Sort][]Value{}
-	doms := make([]domain, 0, len(vars))
-	for _, v := range vars {
-		var vals []Value
-		switch v.Sort.Kind {
+	for i := range doms {
+		d := &doms[i]
+		switch d.v.Sort.Kind {
 		case KindBool:
-			vals = boolVals
+			d.vals = boolVals
 		case KindInt:
-			if sharedIntVals == nil {
-				sharedIntVals = make([]Value, 0, len(intVals))
-				for _, iv := range intVals {
-					sharedIntVals = append(sharedIntVals, Value{Sort: IntSort, Int: iv})
+			if len(s.intVals) == 0 {
+				for _, iv := range s.ints {
+					s.intVals = append(s.intVals, Value{Sort: IntSort, Int: iv})
 				}
 			}
-			vals = sharedIntVals
+			d.vals = s.intVals
 		case KindUnint:
-			if vals = sortVals[v.Sort]; vals == nil {
-				n := sortVarCount[v.Sort]
-				ids := map[int64]bool{}
-				for id := range sortConsts[v.Sort] {
-					ids[id] = true
-				}
-				next := int64(0)
-				for len(ids) < n+len(sortConsts[v.Sort]) || len(ids) == 0 {
-					if !ids[next] {
-						ids[next] = true
+			sd := s.sortDom(d.v.Sort)
+			if len(sd.vals) == 0 {
+				slices.Sort(sd.ids)
+				sd.ids = slices.Compact(sd.ids)
+				consts := sd.ids
+				for next := int64(0); len(sd.ids) < len(consts)+sd.nvars; next++ {
+					if _, isConst := slices.BinarySearch(consts, next); !isConst {
+						sd.ids = append(sd.ids, next)
 					}
-					next++
 				}
-				ordered := make([]int64, 0, len(ids))
-				for id := range ids {
-					ordered = append(ordered, id)
+				slices.Sort(sd.ids)
+				for _, id := range sd.ids {
+					sd.vals = append(sd.vals, Value{Sort: sd.sort, Int: id})
 				}
-				sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
-				for _, id := range ordered {
-					vals = append(vals, Value{Sort: v.Sort, Int: id})
-				}
-				sortVals[v.Sort] = vals
 			}
+			d.vals = sd.vals
 		}
-		doms = append(doms, domain{v: v, vals: vals})
 	}
 	return doms
 }
@@ -516,11 +558,16 @@ func (s *Solver) Enumerate(e *Expr, cb func(Model) bool) {
 // depth where its last free variable gets assigned — so pruning costs are
 // proportional to the conjunct, not the whole formula.
 func (s *Solver) search(conjs []*Expr, leaf func([]domain, *asn) bool) (found bool) {
+	if s.searching {
+		panic("sym: Solver used re-entrantly (a search is in progress on it)")
+	}
+	s.searching = true
 	s.steps = 0
 	s.exceeded = false
 	s.stats.SatCalls++
 	searchStart := time.Now()
 	defer func() {
+		s.searching = false
 		s.stats.SearchTime += time.Since(searchStart)
 		if s.exceeded {
 			s.stats.BudgetHits++
@@ -532,21 +579,23 @@ func (s *Solver) search(conjs []*Expr, leaf func([]domain, *asn) bool) (found bo
 		}
 	}
 	doms := s.domains(conjs)
-	varIdx := make(map[string]int, len(doms))
-	for i, d := range doms {
-		varIdx[d.v.Name] = i
-	}
 
 	// completedAt[i] lists conjuncts whose variables are all assigned
 	// once doms[i] has a value.
-	completedAt := make([][]*Expr, len(doms))
+	for len(s.completedAt) < len(doms) {
+		s.completedAt = append(s.completedAt, nil)
+	}
+	completedAt := s.completedAt[:len(doms)]
+	for i := range completedAt {
+		completedAt[i] = completedAt[i][:0]
+	}
 	for _, conj := range conjs {
 		if conj.IsTrue() {
 			continue
 		}
 		last := -1
 		for _, v := range conj.vars {
-			if idx := varIdx[v.Name]; idx > last {
+			if idx := s.varPos[v.VarID] - 1; idx > last {
 				last = idx
 			}
 		}
@@ -563,16 +612,6 @@ func (s *Solver) search(conjs []*Expr, leaf func([]domain, *asn) bool) (found bo
 	maxSteps := s.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = 5_000_000
-	}
-	maxID := 0
-	for _, d := range doms {
-		if d.v.VarID > maxID {
-			maxID = d.v.VarID
-		}
-	}
-	if len(s.asnVals) <= maxID {
-		s.asnVals = make([]Value, maxID+1)
-		s.asnSet = make([]bool, maxID+1)
 	}
 	a := &asn{vals: s.asnVals, set: s.asnSet}
 	var rec func(i int) bool
