@@ -18,6 +18,14 @@ import (
 // The intern table used never to sweep its collected entries, and every
 // cold sweep left ~64k objects behind.
 //
+// Both numbers are read after sym.SweepInternTable. A shard sweeps when it
+// has taken as many insertions as its last sweep left entries, so what the
+// table holds when a round ends — all of it collected by then — is a point
+// on 64 sawtooths that moves between rounds by more than the band (2.0k-3.0k
+// entries); swept, it is the live expressions alone. That the shards sweep
+// themselves is held apart: a round leaves under half of what it inserted
+// (a quarter here), where a table that never sweeps keeps all of it.
+//
 // COMMUTER_LEAK_FULL=1 runs ten rounds of the benchmark's cold_sweep
 // universe instead (every spec in full, ~1.5 s a round), for the drill in
 // .claude/skills/verify; run with -v to see the series.
@@ -40,6 +48,7 @@ func TestRepeatedSweepsKeepHeapFlat(t *testing.T) {
 	const slack = 1.15
 	var objects2, intern2 float64
 	for round := 1; round <= rounds; round++ {
+		_, inserted := sym.InternStats()
 		for _, opts := range universe {
 			if _, err := commuter.Local().Sweep(context.Background(), opts...); err != nil {
 				t.Fatal(err)
@@ -49,6 +58,12 @@ func TestRepeatedSweepsKeepHeapFlat(t *testing.T) {
 		// what they guarded, the second frees it.
 		runtime.GC()
 		runtime.GC()
+		_, total := sym.InternStats()
+		if left := uint64(sym.InternSize()); 2*left > total-inserted {
+			t.Errorf("round %d: the intern table still holds %d of the %d entries the round inserted: its shards do not sweep themselves", round, left, total-inserted)
+		}
+		sym.SweepInternTable()
+		runtime.GC() // the swept entries' handles and buckets
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		objects, intern := float64(ms.HeapObjects), float64(sym.InternSize())
@@ -60,7 +75,7 @@ func TestRepeatedSweepsKeepHeapFlat(t *testing.T) {
 		case round > 2 && objects > slack*objects2:
 			t.Errorf("round %d: %.0f live heap objects, round 2 had %.0f: the process keeps part of every sweep", round, objects, objects2)
 		case round > 2 && intern > slack*intern2:
-			t.Errorf("round %d: %.0f intern-table entries, round 2 had %.0f: collected entries are not swept", round, intern, intern2)
+			t.Errorf("round %d: %.0f intern-table entries, round 2 had %.0f: the process keeps expressions of every sweep", round, intern, intern2)
 		}
 	}
 }

@@ -67,6 +67,7 @@ func TestMetricsExpositionNames(t *testing.T) {
 		"# TYPE commuter_cache_check_misses_total counter",
 		"# TYPE commuter_cache_write_errors_total counter",
 		"# TYPE commuter_solver_sat_calls_total counter",
+		"# TYPE commuter_solver_memo_hits_total counter",
 		"# TYPE commuter_solver_budget_exhaustions_total counter",
 		"# TYPE commuter_sym_intern_hits_total counter",
 		"# TYPE commuter_sym_intern_misses_total counter",
@@ -122,11 +123,13 @@ func TestMetricsMoveWithTraffic(t *testing.T) {
 		}
 	}
 	// The cold sweep did symbolic work; the warm one did none.
-	if d := delta(before, mid, "commuter_solver_sat_calls_total"); d <= 0 {
-		t.Errorf("cold sweep moved sat_calls by %g, want > 0", d)
-	}
-	if d := delta(mid, after, "commuter_solver_sat_calls_total"); d != 0 {
-		t.Errorf("warm sweep moved sat_calls by %g, want 0", d)
+	for _, series := range []string{"commuter_solver_sat_calls_total", "commuter_solver_memo_hits_total"} {
+		if d := delta(before, mid, series); d <= 0 {
+			t.Errorf("cold sweep moved %s by %g, want > 0", series, d)
+		}
+		if d := delta(mid, after, series); d != 0 {
+			t.Errorf("warm sweep moved %s by %g, want 0", series, d)
+		}
 	}
 	// Both sweeps finished: nothing in flight at scrape time.
 	if v := after["commuter_sweeps_inflight"]; v != 0 {

@@ -80,6 +80,9 @@ var (
 	metricSatCalls = obs.Default.Counter(
 		"commuter_solver_sat_calls_total",
 		"Backtracking satisfiability searches started by sweep pairs.")
+	metricMemoHits = obs.Default.Counter(
+		"commuter_solver_memo_hits_total",
+		"Satisfiability searches not run because the pair's solver remembered the answer.")
 	metricBudgetHits = obs.Default.Counter(
 		"commuter_solver_budget_exhaustions_total",
 		"Solver searches that exhausted the step budget (unknown verdicts).")
@@ -151,6 +154,9 @@ func observePair(pr *PairResult) {
 	if pr.Solver.SatCalls > 0 {
 		metricSatCalls.Add(uint64(pr.Solver.SatCalls))
 	}
+	if pr.Solver.MemoHits > 0 {
+		metricMemoHits.Add(uint64(pr.Solver.MemoHits))
+	}
 	if pr.Solver.BudgetHits > 0 {
 		metricBudgetHits.Add(uint64(pr.Solver.BudgetHits))
 	}
@@ -166,5 +172,6 @@ func observePair(pr *PairResult) {
 		"testgen_ms", pr.Phases.TestgenMS,
 		"check_ms", pr.Phases.CheckMS,
 		"solver_ms", pr.Phases.SolverMS,
-		"sat_calls", pr.Solver.SatCalls)
+		"sat_calls", pr.Solver.SatCalls,
+		"memo_hits", pr.Solver.MemoHits)
 }

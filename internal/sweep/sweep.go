@@ -172,6 +172,9 @@ type PhaseTimes struct {
 type SolverCounters struct {
 	// SatCalls counts backtracking searches run for this pair.
 	SatCalls int64 `json:"sat_calls,omitempty"`
+	// MemoHits counts searches not run because the pair's solver
+	// remembered the answer.
+	MemoHits int64 `json:"memo_hits,omitempty"`
 	// BudgetHits counts searches that exhausted the step budget (each
 	// one is an "unknown", not a proof; see PairResult.Unknown).
 	BudgetHits int64 `json:"budget_exhaustions,omitempty"`
@@ -643,6 +646,7 @@ func PairTests(ctx context.Context, sp spec.Spec, a, b *spec.Op, aOpt analyzer.O
 	}
 	for _, st := range []sym.SolverStats{aOpt.Solver.Stats(), gOpt.Solver.Stats()} {
 		out.Solver.SatCalls += st.SatCalls
+		out.Solver.MemoHits += st.MemoHits
 		out.Solver.BudgetHits += st.BudgetHits
 		out.Phases.SolverMS += float64(st.SearchTime) / float64(time.Millisecond)
 	}

@@ -8,8 +8,8 @@ import (
 // The benchmarks below cover the layers the hash-consed engine
 // accelerates: constructing path-condition-shaped formulas (interning),
 // evaluating shared DAGs under a model (partialEval), and the
-// solver's cone-of-influence queries (cached variable lists plus
-// extra-first ordering). Run them with
+// solver's cone-of-influence queries, searched and remembered. Run them
+// with
 //
 //	go test -bench . -benchtime 1x ./internal/sym
 //
@@ -69,7 +69,9 @@ func BenchmarkTryEvalSharedDAG(b *testing.B) {
 
 // BenchmarkSatAssumingFeasible measures the solver path symbolic
 // execution hits on every branch the path condition does not decide
-// syntactically: a cone-of-influence query that finds a model.
+// syntactically: a cone-of-influence query that finds a model. The Solver
+// is reused, as a pair's is, but forgets its answers between iterations so
+// that every one searches.
 func BenchmarkSatAssumingFeasible(b *testing.B) {
 	pc := pcLike(24)
 	fn := Uninterpreted("BenchName")
@@ -78,25 +80,48 @@ func BenchmarkSatAssumingFeasible(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		clear(s.memo)
 		if !s.SatAssuming(pc, extra) {
 			b.Fatal("expected satisfiable")
 		}
 	}
 }
 
-// BenchmarkSatAssumingUnsat measures the expensive direction — an
-// unsatisfiability proof — where the extra-first conjunct ordering keeps
-// the contradiction near the top of the search tree.
-func BenchmarkSatAssumingUnsat(b *testing.B) {
-	pc := pcLike(24)
+// unsatQuery is a path condition and a question that contradicts it.
+func unsatQuery() (pc, extra *Expr) {
 	x := Var("bx1", IntSort)
-	extra := And(Lt(x, Int(0)), Gt(x, Int(0)))
+	return pcLike(24), And(Lt(x, Int(0)), Gt(x, Int(0)))
+}
+
+// BenchmarkSatAssumingUnsat measures the expensive direction — an
+// unsatisfiability proof — searched anew every iteration.
+func BenchmarkSatAssumingUnsat(b *testing.B) {
+	pc, extra := unsatQuery()
 	var s Solver
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(s.memo)
+		if s.SatAssuming(pc, extra) {
+			b.Fatal("expected unsatisfiable")
+		}
+	}
+}
+
+// BenchmarkSatAssumingRepeated measures the same question asked again of
+// a Solver that remembers the answer: the cone and its key, no search.
+func BenchmarkSatAssumingRepeated(b *testing.B) {
+	pc, extra := unsatQuery()
+	var s Solver
+	s.SatAssuming(pc, extra)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if s.SatAssuming(pc, extra) {
 			b.Fatal("expected unsatisfiable")
 		}
+	}
+	if st := s.Stats(); st.SatCalls != 1 {
+		b.Fatalf("%d searches, want the first one only", st.SatCalls)
 	}
 }

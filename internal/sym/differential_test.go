@@ -166,13 +166,14 @@ func TestSatAssumingAgainstDirect(t *testing.T) {
 	}
 }
 
-// TestSharedSolverMatchesFreshPerQuery pins that the scratch a Solver
-// reuses from search to search carries nothing from one to the next: one
-// Solver answering an interleaved list of satisfiable, unsatisfiable,
-// budget-truncated and Stop-interrupted queries — over changing sets of
-// variables, sorts and constants, through every entry point — agrees query
-// by query with a fresh Solver per query, on the answer, on Budget() and,
-// for Enumerate, on the sequence of models.
+// TestSharedSolverMatchesFreshPerQuery pins that neither the scratch a
+// Solver reuses from search to search nor the answers it remembers change
+// what a query sees: one Solver answering an interleaved list of
+// satisfiable, unsatisfiable, budget-truncated and Stop-interrupted
+// queries — over changing sets of variables, sorts and constants, through
+// every entry point, every fifth one a repeat of an earlier query —
+// agrees query by query with a fresh Solver per query, on the answer, on
+// Budget() and, for Enumerate, on the sequence of models.
 func TestSharedSolverMatchesFreshPerQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	g := newGen(r)
@@ -184,29 +185,39 @@ func TestSharedSolverMatchesFreshPerQuery(t *testing.T) {
 		And(Eq(w1, Const(sortW, 5)), Ne(w2, Const(sortW, 5)), Lt(g.ints[0], Int(40))),
 		And(Eq(w1, w2), Ne(w1, Const(sortW, 0)), Eq(w2, Const(sortW, 0))),
 	}
+	type query struct {
+		e, extra *Expr
+		maxSteps int
+		stop     func() bool
+		entry    int
+	}
+	var asked []query
 	var shared Solver
 	for trial := 0; trial < 400; trial++ {
-		e, maxSteps, stop := g.boolTerm(3), 0, (func() bool)(nil)
+		q := query{e: g.boolTerm(3), extra: g.boolTerm(2), entry: trial % 3}
 		switch trial % 8 {
 		case 2:
-			e, maxSteps = hard, 700 // truncated by the budget
+			q.e, q.maxSteps = hard, 700 // truncated by the budget
 		case 4:
-			e, stop = hard, func() bool { return true } // interrupted
+			q.e, q.stop = hard, func() bool { return true } // interrupted
 		case 6:
-			e = withConsts[r.Intn(len(withConsts))]
+			q.e = withConsts[r.Intn(len(withConsts))]
 		}
-		extra := g.boolTerm(2)
+		if trial%5 == 3 {
+			q = asked[r.Intn(len(asked))]
+		}
+		asked = append(asked, q)
 		run := func(s *Solver) (string, bool) {
-			s.MaxSteps, s.Stop = maxSteps, stop
-			switch trial % 3 {
+			s.MaxSteps, s.Stop = q.maxSteps, q.stop
+			switch q.entry {
 			case 0:
-				m, ok := s.Solve(e)
+				m, ok := s.Solve(q.e)
 				return fmt.Sprint(ok, m), s.Budget()
 			case 1:
-				return fmt.Sprint(s.SatAssuming(e, extra)), s.Budget()
+				return fmt.Sprint(s.SatAssuming(q.e, q.extra)), s.Budget()
 			default:
 				var models []string
-				s.Enumerate(e, func(m Model) bool {
+				s.Enumerate(q.e, func(m Model) bool {
 					models = append(models, fmt.Sprint(m))
 					return len(models) < 4
 				})
@@ -217,7 +228,10 @@ func TestSharedSolverMatchesFreshPerQuery(t *testing.T) {
 		want, wantBudget := run(&Solver{})
 		if got != want || gotBudget != wantBudget {
 			t.Fatalf("trial %d on %v:\n shared solver: %s (budget %v)\n fresh solver:  %s (budget %v)",
-				trial, e, got, gotBudget, want, wantBudget)
+				trial, q.e, got, gotBudget, want, wantBudget)
 		}
+	}
+	if shared.Stats().MemoHits == 0 {
+		t.Error("no query was answered from memory: the repeats are not exercising it")
 	}
 }

@@ -109,6 +109,20 @@ func InternSize() int {
 	return n
 }
 
+// SweepInternTable sweeps every shard now instead of at its next trigger,
+// so that after a collection InternSize reads the live expressions alone
+// rather than a point on each shard's sawtooth. Nothing in the pipeline
+// needs that — a shard's own sweeps bound it; it is the seam through which
+// the retention test in package commuter reads a repeatable number.
+func SweepInternTable() {
+	for i := range defaultInterner.shards {
+		sh := &defaultInterner.shards[i]
+		sh.mu.Lock()
+		sh.sweep()
+		sh.mu.Unlock()
+	}
+}
+
 const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
 
 func hashMix(h, v uint64) uint64 { return (h ^ v) * fnvPrime }

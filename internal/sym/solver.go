@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"time"
@@ -293,6 +294,11 @@ func evalIntIdx(e *Expr, a *asn) (res int64, known bool) {
 // either (starting another search from inside an Enumerate callback): a
 // second search would overwrite the first one's domains, and panics
 // instead. Use separate Solver values for nested or parallel searches.
+//
+// A Solver also remembers every answer a SatAssumingConjs search ran to
+// the end for (see there), for as long as the Solver lives: the pipeline
+// makes one per pair, so the Solver's lifetime is the memory's, and
+// dropping the Solver is how to drop it.
 type Solver struct {
 	// MaxSteps bounds the backtracking search (default 5,000,000 node
 	// visits). When the budget is exhausted, Solve/Sat report
@@ -313,6 +319,10 @@ type Solver struct {
 	searching bool
 	stats     SolverStats
 
+	// memo holds the answers of SatAssumingConjs's completed searches,
+	// keyed by the ids of the conjuncts searched, in search order.
+	memo map[string]bool
+
 	// Scratch indexed by interned variable id (see growVars for its size).
 	// Backtracking always unsets what it set, so the assignment arrays are
 	// clean between searches; varPos (1 + the variable's position in doms,
@@ -321,10 +331,17 @@ type Solver struct {
 	asnVals []Value
 	asnSet  []bool
 	varPos  []int
+	inCone  []bool // all false between cone computations
 
-	// Scratch of the search in progress (see domains and search).
+	// Scratch of the query in progress (see SatAssumingConjs, domains and
+	// search).
+	coneVars    []int
+	used        []bool
+	ordered     []*Expr
+	key         []byte
 	doms        []domain
 	completedAt [][]*Expr
+	conf        []uint64
 	visited     map[*Expr]struct{}
 	ints        []int64
 	intVals     []Value
@@ -341,6 +358,9 @@ type SolverStats struct {
 	// exactly one search; syntactic short-circuits that avoid the search
 	// entirely are not counted).
 	SatCalls int64
+	// MemoHits counts the searches SatAssumingConjs did not run because
+	// the Solver remembered the answer.
+	MemoHits int64
 	// BudgetHits counts searches that exhausted MaxSteps (or were aborted
 	// by the Stop hook): answers that are "unknown", not proofs.
 	BudgetHits int64
@@ -393,12 +413,13 @@ func (s *Solver) sortDom(so Sort) *sortDomain {
 
 // growVars sizes the variable-indexed scratch for every variable id handed
 // out so far, so a Solver grows once unless new names are interned under
-// it. Only varPos carries state while a search is being set up.
+// it. Only varPos and inCone carry state while a query is being set up.
 func (s *Solver) growVars() {
 	varMu.Lock()
 	n := len(varIDs)
 	varMu.Unlock()
 	s.varPos = append(s.varPos, make([]int, n-len(s.varPos))...)
+	s.inCone = append(s.inCone, make([]bool, n-len(s.inCone))...)
 	s.asnVals = make([]Value, n)
 	s.asnSet = make([]bool, n)
 }
@@ -557,6 +578,17 @@ func (s *Solver) Enumerate(e *Expr, cb func(Model) bool) {
 // The search evaluates each conjunct exactly once per candidate — at the
 // depth where its last free variable gets assigned — so pruning costs are
 // proportional to the conjunct, not the whole formula.
+//
+// Backtracking is conflict-directed. A level that runs out of values
+// hands its parent the set of earlier levels its failures depended on: the
+// variables of each conjunct that pruned a value, and what the subtrees
+// below reported. A parent that is not in its child's set could change
+// nothing by trying its other values, so it skips them and passes the set
+// up — without this, a late contradiction with an early variable is
+// rediscovered under every combination of the unrelated variables between
+// them. A leaf that asks to go on reports that it depends on every level,
+// so only subtrees holding no model are ever skipped: models come in the
+// order chronological backtracking visits them, and all of them come.
 func (s *Solver) search(conjs []*Expr, leaf func([]domain, *asn) bool) (found bool) {
 	if s.searching {
 		panic("sym: Solver used re-entrantly (a search is in progress on it)")
@@ -609,19 +641,33 @@ func (s *Solver) search(conjs []*Expr, leaf func([]domain, *asn) bool) (found bo
 		completedAt[last] = append(completedAt[last], conj)
 	}
 
+	// conf holds one conflict set per level, a bitset over levels w words
+	// wide, and one more for the leaf: every level.
+	n := len(doms)
+	w := n/64 + 1
+	s.conf = append(s.conf[:0], make([]uint64, (n+1)*w)...)
+	conf := s.conf
+	for i := 0; i < n; i++ {
+		conf[n*w+i/64] |= 1 << (i % 64)
+	}
+
 	maxSteps := s.MaxSteps
 	if maxSteps == 0 {
 		maxSteps = 5_000_000
 	}
 	a := &asn{vals: s.asnVals, set: s.asnSet}
+	// rec reports whether the search goes on; when it does, level i's
+	// conflict set is what the subtree's failure depended on.
 	var rec func(i int) bool
 	rec = func(i int) bool {
-		if i == len(doms) {
+		if i == n {
 			found = true
 			return leaf != nil && leaf(doms, a)
 		}
 		d := doms[i]
 		id := d.v.VarID
+		mine, below := conf[i*w:(i+1)*w], conf[(i+1)*w:(i+2)*w]
+		clear(mine)
 	next:
 		for _, val := range d.vals {
 			s.steps++
@@ -639,6 +685,10 @@ func (s *Solver) search(conjs []*Expr, leaf func([]domain, *asn) bool) (found bo
 					panic("sym: completed conjunct left undetermined: " + conj.String())
 				}
 				if !v {
+					for _, x := range conj.vars {
+						p := s.varPos[x.VarID] - 1
+						mine[p/64] |= 1 << (p % 64)
+					}
 					continue next // prune this value
 				}
 			}
@@ -646,7 +696,15 @@ func (s *Solver) search(conjs []*Expr, leaf func([]domain, *asn) bool) (found bo
 				a.set[id] = false
 				return false
 			}
+			if below[i/64]&(1<<(i%64)) == 0 {
+				copy(mine, below) // no other value of this level can help
+				break
+			}
+			for k, b := range below {
+				mine[k] |= b
+			}
 		}
+		mine[i/64] &^= 1 << (i % 64)
 		a.set[id] = false
 		return true
 	}
@@ -681,56 +739,85 @@ func (s *Solver) SatAssuming(base, extra *Expr) bool {
 // conjunct list. Callers that maintain path conditions as incremental
 // conjunct lists (the symbolic executor) query directly, avoiding the
 // construction of a conjunction node per feasibility check.
+//
+// The Solver remembers each answer under the exact input of the search
+// that gave it — the interning ids of extra's conjuncts and of the cone's,
+// in search order; ids, unlike the addresses of weakly interned nodes, are
+// never reused — and answers a repeated question without searching:
+// the paths of one exploration share most of their path conditions, so
+// three in four of a pair's questions are repeats. Only a search that ran
+// to the end is remembered: one the budget or the Stop hook cut short says
+// nothing about the question, and asking again — with a larger MaxSteps,
+// or once Stop lets go — searches again.
 func (s *Solver) SatAssumingConjs(conjs []*Expr, extra *Expr) bool {
 	if extra.IsTrue() || extra.IsFalse() {
 		s.exceeded = false // no search ran, so no truncation
 		return extra.IsTrue()
 	}
-	used := make([]bool, len(conjs))
-	inCone := map[string]bool{}
-	for _, v := range extra.vars {
-		inCone[v.Name] = true
+	// The cone, marked on scratch indexed by variable id: a conjunct joins
+	// when it shares a variable with extra or with a conjunct that joined.
+	mark := func(vars []*Expr) {
+		for _, v := range vars {
+			if v.VarID >= len(s.inCone) {
+				s.growVars()
+			}
+			if !s.inCone[v.VarID] {
+				s.inCone[v.VarID] = true
+				s.coneVars = append(s.coneVars, v.VarID)
+			}
+		}
 	}
-	nCone := 1
+	s.used = append(s.used[:0], make([]bool, len(conjs))...)
+	s.coneVars = s.coneVars[:0]
+	mark(extra.vars)
 	for changed := true; changed; {
 		changed = false
 		for i, c := range conjs {
-			if used[i] {
+			if s.used[i] {
 				continue
 			}
-			touches := false
 			for _, v := range c.vars {
-				if inCone[v.Name] {
-					touches = true
+				if v.VarID < len(s.inCone) && s.inCone[v.VarID] {
+					s.used[i], changed = true, true
+					mark(c.vars)
 					break
 				}
 			}
-			if !touches {
-				continue
-			}
-			used[i] = true
-			changed = true
-			nCone++
-			for _, v := range c.vars {
-				inCone[v.Name] = true
-			}
 		}
+	}
+	for _, id := range s.coneVars {
+		s.inCone[id] = false
 	}
 	// extra goes first (its own top-level conjuncts spliced so each
 	// prunes independently), then the cone's base conjuncts in
 	// chronological order. Leading with extra assigns its variables at
 	// the top of the search tree, so when base ∧ extra is unsatisfiable
-	// the contradiction surfaces after a handful of assignments instead
-	// of after enumerating every base-satisfying prefix — and
-	// unsatisfiable queries are exactly the expensive ones, since a
-	// satisfiable query stops at its first model either way. The answer
-	// is order-independent: the search is complete over the same domains.
-	ordered := make([]*Expr, 0, nCone)
-	ordered = append(ordered, Conjuncts(extra)...)
+	// the contradiction surfaces after a handful of assignments; what a
+	// static order cannot bring to the top, the search's backjumping
+	// handles. The answer is order-independent: the search is complete
+	// over the same domains.
+	ordered := append(s.ordered[:0], Conjuncts(extra)...)
 	for i, c := range conjs {
-		if used[i] {
+		if s.used[i] {
 			ordered = append(ordered, c)
 		}
 	}
-	return s.search(ordered, nil)
+	s.ordered = ordered
+	s.key = s.key[:0]
+	for _, c := range ordered {
+		s.key = binary.LittleEndian.AppendUint64(s.key, c.id)
+	}
+	if sat, ok := s.memo[string(s.key)]; ok {
+		s.stats.MemoHits++
+		s.exceeded = false // the remembered search ran to the end
+		return sat
+	}
+	sat := s.search(ordered, nil)
+	if !s.exceeded {
+		if s.memo == nil {
+			s.memo = map[string]bool{}
+		}
+		s.memo[string(s.key)] = sat
+	}
+	return sat
 }

@@ -266,57 +266,6 @@ func (d *Dict) Del(c *Context, k Key) {
 // Entries exposes the per-path entry overlay (for TESTGEN and equivalence).
 func (d *Dict) Entries() []*DictEntry { return d.entries }
 
-// presentAt builds, without branching, the membership formula of key k:
-// an ITE chain over the overlay entries with the initial-content membership
-// variable as the default.
-func (d *Dict) presentAt(c *Context, k Key) *sym.Expr {
-	// The default for keys outside this dictionary's overlay is the
-	// initial content: a registered probe's membership variable if the
-	// location was probed anywhere, else a fresh tag-derived variable.
-	tag := fmt.Sprintf("%s[%s]", d.Name, k.tag())
-	res := c.Var(tag+".present", sym.BoolSort, KindState)
-	for _, ip := range c.initProbes[d.Name] {
-		if ip.presentVar != nil {
-			res = sym.Ite(ip.key.eq(k), ip.presentVar, res)
-		} else {
-			res = sym.Ite(ip.key.eq(k), sym.True, res)
-		}
-	}
-	// Later entries were written later; an overlay entry whose key equals
-	// k overrides the default. Entries are pairwise distinct under the
-	// path condition, so at most one guard is true and order among
-	// entries is immaterial; entry-vs-default priority is what matters.
-	for _, e := range d.entries {
-		res = sym.Ite(e.Key.eq(k), sym.Bool(e.Present), res)
-	}
-	return res
-}
-
-// fieldAt builds the formula for field f of the value at key k, defaulting
-// to the initial-content value for keys outside the overlay. For absent
-// entries the default variable is used; callers must guard by presence.
-func (d *Dict) fieldAt(c *Context, k Key, f string) *sym.Expr {
-	tag := fmt.Sprintf("%s[%s]", d.Name, k.tag())
-	def := d.MakeVal(c, tag)
-	res := fieldOf(def, f)
-	for _, ip := range c.initProbes[d.Name] {
-		if ip.val == nil {
-			continue
-		}
-		res = sym.Ite(ip.key.eq(k), fieldOf(ip.val, f), res)
-	}
-	for _, e := range d.entries {
-		var v *sym.Expr
-		if e.Present {
-			v = fieldOf(e.Val, f)
-		} else {
-			v = res // masked by the presence guard
-		}
-		res = sym.Ite(e.Key.eq(k), v, res)
-	}
-	return res
-}
-
 func fieldOf(v Value, f string) *sym.Expr {
 	switch x := v.(type) {
 	case ExprValue:
@@ -346,20 +295,62 @@ func valueFields(v Value) []string {
 // equal content at every key either path touched. Untouched keys share the
 // same initial-content variables by construction (content-derived naming),
 // so they are equal by definition and need no clauses.
+//
+// What the two sides and all fields of one key share is built once per
+// key: the initial-content name, the MakeVal default (one name, so the
+// same memoised variables whichever dictionary asks), and the guards
+// comparing the key with every registered probe and every overlay entry.
 func DictsEquivalent(c *Context, a, b *Dict) *sym.Expr {
 	if a.Name != b.Name {
 		panic("symx: comparing dictionaries with different identities")
 	}
 	keys := unionKeys(a, b)
+	fields := fieldSet(a, b)
+	probes := c.initProbes[a.Name]
 	conj := make([]*sym.Expr, 0, len(keys))
+	var probeEq, aEq, bEq []*sym.Expr
 	for _, k := range keys {
-		pa := a.presentAt(c, k)
-		pb := b.presentAt(c, k)
+		name := fmt.Sprintf("%s[%s]", a.Name, k.tag)
+		probeEq = probeEq[:0]
+		for _, ip := range probes {
+			probeEq = append(probeEq, ip.key.eq(k.key))
+		}
+		aEq, bEq = a.entryGuards(aEq[:0], k.key), b.entryGuards(bEq[:0], k.key)
+
+		// Membership. The default for keys outside a dictionary's overlay
+		// is the initial content: a registered probe's membership variable
+		// if the location was probed anywhere, else a name-derived one.
+		init := c.Var(name+".present", sym.BoolSort, KindState)
+		for i, ip := range probes {
+			if ip.presentVar != nil {
+				init = sym.Ite(probeEq[i], ip.presentVar, init)
+			} else {
+				init = sym.Ite(probeEq[i], sym.True, init)
+			}
+		}
+		pa, pb := a.overlay(aEq, init, entryPresent), b.overlay(bEq, init, entryPresent)
 		clause := sym.Eq(pa, pb)
-		fields := fieldSetAt(a, b, k)
+
+		// Fields, each guarded by presence and defaulting to the initial
+		// content's.
+		var def Value
+		if len(fields) > 0 {
+			def = a.MakeVal(c, name)
+		}
 		for _, f := range fields {
-			fa := a.fieldAt(c, k, f)
-			fb := b.fieldAt(c, k, f)
+			init := fieldOf(def, f)
+			for i, ip := range probes {
+				if ip.val != nil {
+					init = sym.Ite(probeEq[i], fieldOf(ip.val, f), init)
+				}
+			}
+			entryField := func(e *DictEntry) *sym.Expr {
+				if !e.Present {
+					return nil // masked by the presence guard
+				}
+				return fieldOf(e.Val, f)
+			}
+			fa, fb := a.overlay(aEq, init, entryField), b.overlay(bEq, init, entryField)
 			clause = sym.And(clause, sym.Implies(pa, sym.Eq(fa, fb)))
 		}
 		conj = append(conj, clause)
@@ -367,25 +358,62 @@ func DictsEquivalent(c *Context, a, b *Dict) *sym.Expr {
 	return sym.And(conj...)
 }
 
+// entryGuards appends, for each overlay entry in order, the formula that
+// the entry's key equals k.
+func (d *Dict) entryGuards(dst []*sym.Expr, k Key) []*sym.Expr {
+	for _, e := range d.entries {
+		dst = append(dst, e.Key.eq(k))
+	}
+	return dst
+}
+
+func entryPresent(e *DictEntry) *sym.Expr { return sym.Bool(e.Present) }
+
+// overlay builds, without branching, what the dictionary holds at the key
+// whose entry guards are eq (see entryGuards): an ITE chain over the
+// overlay entries with init, the initial content, as the default. val
+// gives what an entry holds — its membership, or a field of its value —
+// or nil for an entry that leaves the chain as it is.
+//
+// Later entries were written later; an overlay entry whose key equals the
+// key overrides the default. Entries are pairwise distinct under the path
+// condition, so at most one guard is true and order among entries is
+// immaterial; entry-vs-default priority is what matters.
+func (d *Dict) overlay(eq []*sym.Expr, init *sym.Expr, val func(*DictEntry) *sym.Expr) *sym.Expr {
+	res := init
+	for i, e := range d.entries {
+		if v := val(e); v != nil {
+			res = sym.Ite(eq[i], v, res)
+		}
+	}
+	return res
+}
+
+// taggedKey is a key with its rendered tag.
+type taggedKey struct {
+	key Key
+	tag string
+}
+
 // unionKeys returns the syntactically-deduplicated union of overlay keys.
-func unionKeys(a, b *Dict) []Key {
-	var keys []Key
+func unionKeys(a, b *Dict) []taggedKey {
+	var keys []taggedKey
 	seen := map[string]bool{}
 	for _, d := range []*Dict{a, b} {
 		for _, e := range d.entries {
 			t := e.Key.tag()
 			if !seen[t] {
 				seen[t] = true
-				keys = append(keys, e.Key)
+				keys = append(keys, taggedKey{e.Key, t})
 			}
 		}
 	}
 	return keys
 }
 
-// fieldSetAt finds the field names of values stored near key k, falling
-// back to the MakeVal shape. All values in one dictionary share a shape.
-func fieldSetAt(a, b *Dict, k Key) []string {
+// fieldSet finds the field names of the values the dictionaries store.
+// All values in one dictionary share a shape.
+func fieldSet(a, b *Dict) []string {
 	for _, d := range []*Dict{a, b} {
 		for _, e := range d.entries {
 			if e.Present && e.Val != nil {
