@@ -15,8 +15,8 @@ import (
 )
 
 // TestLocalAnalyze pins the local binding's plain-data Analysis against
-// the analyzer's symbolic result: same counts, same clauses, and the same
-// one-line summary.
+// the analyzer's symbolic result: same counts — the order-dependent one
+// against CanDiverge over the analyzer's paths — and clauses.
 func TestLocalAnalyze(t *testing.T) {
 	cli := commuter.Local()
 	defer cli.Close()
@@ -36,8 +36,18 @@ func TestLocalAnalyze(t *testing.T) {
 	if a.Commutative != len(want.CommutativePaths()) {
 		t.Errorf("commutative: %d, want %d", a.Commutative, len(want.CommutativePaths()))
 	}
-	if a.Summary() != want.Summary() {
-		t.Errorf("summary mismatch:\n client:   %s\n analyzer: %s", a.Summary(), want.Summary())
+	diverging := 0
+	diverges, _ := analyzer.CanDiverge(context.Background(), want)
+	for _, d := range diverges {
+		if d {
+			diverging++
+		}
+	}
+	if a.OrderDependent != diverging || a.Unknown != want.Unknown() {
+		t.Errorf("order-dependent %d, unknown %d; want %d, %d", a.OrderDependent, a.Unknown, diverging, want.Unknown())
+	}
+	if line := "stat x unlink: 7 paths, 5 commutative, 2 order-dependent"; a.Summary() != line {
+		t.Errorf("summary %q, want %q", a.Summary(), line)
 	}
 	if len(a.PathDetails) != a.Paths {
 		t.Errorf("%d path details for %d paths", len(a.PathDetails), a.Paths)
@@ -283,5 +293,41 @@ func TestLocalSweepCancel(t *testing.T) {
 	}
 	if !errors.Is(sawErr, context.Canceled) {
 		t.Errorf("cancelled stream ended with %v, want context.Canceled", sawErr)
+	}
+}
+
+// pollCountingContext reports cancellation once its Err method has been
+// consulted trip times: deterministic cancellation at any point of a call.
+type pollCountingContext struct {
+	context.Context
+	polls, trip int
+}
+
+func (c *pollCountingContext) Err() error {
+	if c.polls++; c.polls > c.trip {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestLocalAnalyzeCancel pins that an Analyze whose context ends at any of
+// the points it is consulted — inside the analysis, the description or the
+// order-dependence searches after it — returns the context's error and no
+// Analysis: searches cut short there would otherwise read as verdicts.
+func TestLocalAnalyzeCancel(t *testing.T) {
+	cli := commuter.Local()
+	count := &pollCountingContext{Context: context.Background(), trip: 1 << 30}
+	if _, err := cli.Analyze(count, "stat", "unlink"); err != nil {
+		t.Fatal(err)
+	}
+	for trip := 0; trip < count.polls; trip++ {
+		ctx := &pollCountingContext{Context: context.Background(), trip: trip}
+		a, err := cli.Analyze(ctx, "stat", "unlink")
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at poll %d of %d: got %v, want context.Canceled", trip, count.polls, err)
+		}
+		if !reflect.DeepEqual(a, commuter.Analysis{}) {
+			t.Errorf("cancelled at poll %d: non-zero analysis %+v", trip, a)
+		}
 	}
 }

@@ -1,8 +1,12 @@
 package commuter_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -107,6 +111,40 @@ func TestFleetStatusRoute(t *testing.T) {
 	_, err = fc.Status(context.Background(), sweep.FleetSweepSpec{Spec: "posix", Ops: []string{"lseek"}}, false)
 	if err == nil || !strings.Contains(err.Error(), "unknown sweep") {
 		t.Errorf("unknown-session status: %v, want unknown-sweep error", err)
+	}
+}
+
+// TestFleetClaimRouteRefusesUncheckedSweep pins, through the HTTP stack,
+// that a claim naming a spec the server does not have, or names that are
+// not distinct operations of it, is a 400 carrying the known names — the
+// coordinator builds no pair table from an unchecked request body.
+func TestFleetClaimRouteRefusesUncheckedSweep(t *testing.T) {
+	_, coord := newLoopback(t)
+	names := make([]string, 40)
+	for i := range names {
+		names[i] = "op" + strings.Repeat("x", i)
+	}
+	for _, tc := range []struct {
+		sw   sweep.FleetSweepSpec
+		want string
+	}{
+		{sweep.FleetSweepSpec{Spec: "nope", Ops: names}, "known specs: kv, posix, queue, vm"},
+		{sweep.FleetSweepSpec{Spec: "queue", Ops: []string{"send", "stat"}}, "known ops: send, recv"},
+		{sweep.FleetSweepSpec{Spec: "queue", Ops: []string{"send", "send"}}, "twice"},
+	} {
+		body, err := json.Marshal(sweep.FleetClaimRequest{Version: sweep.FleetAPIVersion, Worker: "w", Max: 1, Sweep: tc.sw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(coord.URL+api.PathFleetClaim, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), tc.want) {
+			t.Errorf("claim for %s %v: %s %s, want 400 containing %q", tc.sw.Spec, tc.sw.Ops, resp.Status, msg, tc.want)
+		}
 	}
 }
 

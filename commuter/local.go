@@ -95,7 +95,10 @@ func (localClient) Analyze(ctx context.Context, opA, opB string, opts ...Option)
 }
 
 // analysisFrom flattens a symbolic pair analysis into its plain-data wire
-// form: counts, §5.1-style clauses, and rendered per-path conditions.
+// form: counts, §5.1-style clauses, and rendered per-path conditions. The
+// order-dependence verdict is this report's alone, so it is decided here;
+// a truncated divergence search makes its path unknown like a truncated
+// commute search does.
 func analysisFrom(ctx context.Context, r analyzer.PairResult) Analysis {
 	a := Analysis{
 		Spec:    r.Spec,
@@ -105,18 +108,22 @@ func analysisFrom(ctx context.Context, r analyzer.PairResult) Analysis {
 		Unknown: r.Unknown(),
 		Clauses: analyzer.Describe(ctx, r),
 	}
-	for _, p := range r.Paths {
+	diverges, unknown := analyzer.CanDiverge(ctx, r)
+	for i, p := range r.Paths {
 		if p.Commutes {
 			a.Commutative++
 		}
-		if p.CanDiverge {
+		if diverges[i] {
 			a.OrderDependent++
+		}
+		if unknown[i] && !p.Unknown {
+			a.Unknown++
 		}
 		a.PathDetails = append(a.PathDetails, AnalysisPath{
 			Condition:  p.CommuteCond.String(),
 			Commutes:   p.Commutes,
-			CanDiverge: p.CanDiverge,
-			Unknown:    p.Unknown,
+			CanDiverge: diverges[i],
+			Unknown:    p.Unknown || unknown[i],
 		})
 	}
 	return a

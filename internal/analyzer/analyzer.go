@@ -13,6 +13,13 @@
 // what makes the condition monotonic. There is one analysis (analyzeOps):
 // AnalyzeSetCtx exposes it for any set and AnalyzePairCtx is its projection
 // onto two operations, the case the rest of the pipeline runs on.
+//
+// A path carries what TESTGEN reads — the path condition, the SIM
+// condition, whether their conjunction is satisfiable, and whether that
+// answer is a proof — and nothing else is decided per path. The converse
+// question (can the set be order-distinguished on this path?) has one
+// reader, `commuter analyze`, and is asked there, after the fact, through
+// CanDiverge.
 package analyzer
 
 import (
@@ -40,14 +47,10 @@ type SetPath struct {
 	// Commutes reports whether CommuteCond is satisfiable: some initial
 	// state and arguments on this path make the set commute.
 	Commutes bool
-	// CanDiverge reports whether PC ∧ ¬Eq is satisfiable: some initial
-	// state and arguments on this path order-distinguish the set.
-	CanDiverge bool
-	// Unknown reports that classifying this path exhausted the solver's
-	// step budget (or path exploration itself was truncated): a false
-	// Commutes or CanDiverge is then an under-approximation — "not
-	// proven", not "proven not" — and downstream reporting must not
-	// present the set as definitively non-commutative.
+	// Unknown reports that path exploration was truncated or the commute
+	// search exhausted the solver's step budget: a false Commutes is then
+	// an under-approximation — "not proven", not "proven not" — and the
+	// tests generated from the set are a lower bound.
 	Unknown bool
 	// VarKinds classifies the path's symbolic variables.
 	VarKinds map[string]symx.VarKind
@@ -66,9 +69,6 @@ type PairPath struct {
 	// permutations (op0;op1 and op1;op0); the spec's Concretizer mines
 	// their initial-probe entries to materialize concrete initial states.
 	StateA, StateB spec.State
-	// RetsA and RetsB hold the return vectors: RetsA from the op0;op1
-	// order, RetsB from op1;op0; index 0 is op0's return, 1 is op1's.
-	RetsA, RetsB [2][]*sym.Expr
 }
 
 // result is what the analysis of a set of any size reports.
@@ -133,18 +133,8 @@ func (r *result[P]) Unknown() int {
 // classifications are called out so an under-approximated set is never
 // read as "never commutes".
 func (r *result[P]) Summary() string {
-	nc, nd := 0, 0
-	for _, p := range r.Paths {
-		v := p.verdict()
-		if v.Commutes {
-			nc++
-		}
-		if v.CanDiverge {
-			nd++
-		}
-	}
-	s := fmt.Sprintf("%s: %d paths, %d commutative, %d order-dependent",
-		strings.Join(r.Ops, " x "), len(r.Paths), nc, nd)
+	s := fmt.Sprintf("%s: %d paths, %d commutative",
+		strings.Join(r.Ops, " x "), len(r.Paths), len(r.CommutativePaths()))
 	if nu := r.Unknown(); nu > 0 {
 		s += fmt.Sprintf(", %d unknown (solver budget exhausted)", nu)
 	}
@@ -295,15 +285,13 @@ func analyzeOps[P classified](ctx context.Context, sp spec.Spec, ops []*spec.Op,
 		}
 		p := &paths[i]
 		d := p.Result.(pathData)
-		commutes, cu := p.Sat(d.eq)
-		diverges, du := divergeSat(p, d.eq)
+		commutes, unknown := p.Sat(d.eq)
 		res.Paths = append(res.Paths, project(SetPath{
 			PC:          p.PC,
 			Eq:          d.eq,
 			CommuteCond: sym.And(p.PC, d.eq),
 			Commutes:    commutes,
-			CanDiverge:  diverges,
-			Unknown:     p.Budgeted || cu || du,
+			Unknown:     p.Budgeted || unknown,
 			VarKinds:    p.VarKinds,
 		}, d.full))
 	}
@@ -333,27 +321,10 @@ func AnalyzePairCtx(ctx context.Context, sp spec.Spec, opA, opB *spec.Op, opt Op
 		return PairPath{
 			SetPath: p,
 			StateA:  a.state, StateB: b.state,
-			RetsA: [2][]*sym.Expr{a.rets[0], a.rets[1]},
-			RetsB: [2][]*sym.Expr{b.rets[0], b.rets[1]},
 		}
 	})
 	if err != nil {
 		return PairResult{}, err
 	}
 	return PairResult{result: res, OpA: opA.Name, OpB: opB.Name, Config: opt.Config}, nil
-}
-
-// divergeSat checks whether the path's PC ∧ ¬eq is satisfiable. eq is a
-// conjunction, and ¬(c1 ∧ … ∧ cn) is satisfiable with PC iff some
-// PC ∧ ¬ci is, so the check decomposes into small per-conjunct problems
-// whose cones of influence stay narrow. unknown is as for symx.Path.Sat.
-func divergeSat(p *symx.Path, eq *sym.Expr) (sat, unknown bool) {
-	for _, conj := range sym.Conjuncts(eq) {
-		s, u := p.Sat(sym.Not(conj))
-		if s {
-			return true, false
-		}
-		unknown = unknown || u
-	}
-	return false, unknown
 }

@@ -145,9 +145,10 @@ func TestCreateDifferentNamesCommutes(t *testing.T) {
 // the same changing state, but stat×stat always commutes (read-only).
 func TestStatStatAlwaysCommutes(t *testing.T) {
 	r := analyze(t, "stat", "stat", Options{})
-	for _, p := range r.Paths {
-		if p.CanDiverge {
-			t.Errorf("stat x stat path can diverge under %v", p.PC)
+	diverges, unknown := CanDiverge(context.Background(), r)
+	for i, p := range r.Paths {
+		if diverges[i] || unknown[i] {
+			t.Errorf("stat x stat path can diverge (%v, unknown %v) under %v", diverges[i], unknown[i], p.PC)
 		}
 	}
 }
@@ -237,8 +238,9 @@ func TestPathClassificationSanity(t *testing.T) {
 		t.Fatal("no paths")
 	}
 	var s sym.Solver
+	diverges, _ := CanDiverge(context.Background(), r)
 	for i, p := range r.Paths {
-		if !p.Commutes && !p.CanDiverge {
+		if !p.Commutes && !diverges[i] {
 			t.Errorf("path %d neither commutes nor diverges", i)
 		}
 		if p.Commutes && !s.Sat(p.CommuteCond) {

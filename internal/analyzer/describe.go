@@ -40,6 +40,34 @@ func Describe(ctx context.Context, pr PairResult) []string {
 	return out
 }
 
+// CanDiverge answers the question ANALYZE leaves to its one reader: per
+// path of the pair, is PC ∧ ¬Eq satisfiable — do some initial state and
+// arguments on it order-distinguish the pair? unknown[i] reports a "no"
+// that is not a proof: a search ran out of budget, or ctx ended under it
+// (the caller checks ctx.Err(), as after Describe).
+func CanDiverge(ctx context.Context, pr PairResult) (diverges, unknown []bool) {
+	solver := &sym.Solver{Stop: func() bool { return ctx.Err() != nil }}
+	diverges, unknown = make([]bool, len(pr.Paths)), make([]bool, len(pr.Paths))
+	for i, p := range pr.Paths {
+		diverges[i], unknown[i] = canDiverge(solver, p.SetPath)
+	}
+	return diverges, unknown
+}
+
+// canDiverge decides one path. Eq is a conjunction, and ¬(c1 ∧ … ∧ cn) is
+// satisfiable with PC iff some PC ∧ ¬ci is, so the question decomposes
+// into per-conjunct searches whose cones of influence stay narrow.
+func canDiverge(solver *sym.Solver, p SetPath) (diverges, unknown bool) {
+	pc := sym.Conjuncts(p.PC)
+	for _, c := range sym.Conjuncts(p.Eq) {
+		if solver.SatAssumingConjs(pc, sym.Not(c)) {
+			return true, false
+		}
+		unknown = unknown || solver.Budget()
+	}
+	return false, unknown
+}
+
 func describePath(solver *sym.Solver, p PairPath) string {
 	argVars := map[string]*sym.Expr{}
 	for name, kind := range p.VarKinds {

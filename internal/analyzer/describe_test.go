@@ -95,3 +95,28 @@ func TestDescribeDedupes(t *testing.T) {
 		seen[d] = true
 	}
 }
+
+// TestCanDivergeTruncatedProvesNothing pins that a divergence search the
+// budget cut short reads as unknown, never as a proof that the path is
+// order-independent: on every path of rename x rename a full budget
+// proves so, one search step must answer "no, unknown".
+func TestCanDivergeTruncatedProvesNothing(t *testing.T) {
+	r := analyze(t, "rename", "rename", Options{})
+	full, unknown := CanDiverge(context.Background(), r)
+	proven := 0
+	for i, p := range r.Paths {
+		if unknown[i] {
+			t.Fatalf("path %d: the default budget left the question open", i)
+		}
+		if full[i] || p.Eq.IsTrue() {
+			continue // a model may turn up in one step; no conjunct, no search
+		}
+		proven++
+		if d, u := canDiverge(&sym.Solver{MaxSteps: 1}, p.SetPath); d || !u {
+			t.Errorf("path %d: one-step searches answered diverges=%v unknown=%v, want false/true", i, d, u)
+		}
+	}
+	if proven == 0 {
+		t.Fatal("rename x rename has no path proven order-independent; the test needs one")
+	}
+}

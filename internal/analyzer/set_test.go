@@ -47,8 +47,8 @@ func TestTripleStatCommutes(t *testing.T) {
 		t.Fatal("no paths")
 	}
 	for i, p := range r.Paths {
-		if p.CanDiverge {
-			t.Errorf("path %d of stat^3 can diverge under %v", i, p.PC)
+		if d, u := canDiverge(&sym.Solver{}, p); d || u {
+			t.Errorf("path %d of stat^3 can diverge (%v, unknown %v) under %v", i, d, u, p.PC)
 		}
 	}
 }
@@ -166,9 +166,10 @@ func TestSetAgreesWithPair(t *testing.T) {
 					if sp.CommuteCond != pp.CommuteCond {
 						t.Errorf("%s path %d: conditions differ:\n set  %v\n pair %v", name, pi, sp.CommuteCond, pp.CommuteCond)
 					}
-					if sp.Commutes != pp.Commutes || sp.CanDiverge != pp.CanDiverge || sp.Unknown != pp.Unknown {
-						t.Errorf("%s path %d: verdicts differ: set %v/%v/%v, pair %v/%v/%v", name, pi,
-							sp.Commutes, sp.CanDiverge, sp.Unknown, pp.Commutes, pp.CanDiverge, pp.Unknown)
+					// The divergence answer is a function of PC and Eq.
+					if sp.Commutes != pp.Commutes || sp.PC != pp.PC || sp.Eq != pp.Eq || sp.Unknown != pp.Unknown {
+						t.Errorf("%s path %d: verdicts differ: set %v/%v, pair %v/%v\n set  PC %v Eq %v\n pair PC %v Eq %v", name, pi,
+							sp.Commutes, sp.Unknown, pp.Commutes, pp.Unknown, sp.PC, sp.Eq, pp.PC, pp.Eq)
 					}
 				}
 			}

@@ -162,8 +162,7 @@ type Analysis struct {
 	PathDetails []PathSummary `json:"path_details,omitempty"`
 }
 
-// Summary renders the one-line description the CLI prints, matching
-// analyzer.PairResult.Summary byte for byte.
+// Summary renders the one-line description the CLI prints.
 func (a Analysis) Summary() string {
 	s := fmt.Sprintf("%s x %s: %d paths, %d commutative, %d order-dependent",
 		a.OpA, a.OpB, a.Paths, a.Commutative, a.OrderDependent)

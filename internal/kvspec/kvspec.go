@@ -59,7 +59,7 @@ func (s *State) Dicts() []*symx.Dict { return []*symx.Dict{s.KV} }
 // bounded value.
 func NewState(c *symx.Context) *State {
 	return &State{
-		KV: symx.NewDict("kv", func(c *symx.Context, tag string) symx.Value {
+		KV: symx.NewDict("kv", func(c *symx.Context, tag string) *symx.Struct {
 			present := c.Var(tag+".present", sym.BoolSort, symx.KindState)
 			val := c.Var(tag+".val", sym.IntSort, symx.KindState)
 			c.Assume(sym.And(sym.Ge(val, sym.Int(0)), sym.Le(val, sym.Int(MaxVal))))
@@ -92,7 +92,7 @@ func opGet() *spec.Op {
 		Args: []spec.ArgSpec{keyArg("key")},
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s, key := st(x), a[0]
-			v := s.KV.GetFunc(x.C, symx.K(key)).(*symx.Struct)
+			v := s.KV.GetFunc(x.C, symx.K(key))
 			if !x.C.Branch(v.Get("present")) {
 				return errRet(kernel.ENOENT)
 			}
@@ -123,7 +123,7 @@ func opDelete() *spec.Op {
 		Args: []spec.ArgSpec{keyArg("key")},
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s, key := st(x), a[0]
-			v := s.KV.GetFunc(x.C, symx.K(key)).(*symx.Struct)
+			v := s.KV.GetFunc(x.C, symx.K(key))
 			if !x.C.Branch(v.Get("present")) {
 				return errRet(kernel.ENOENT) // like unlink of a missing name
 			}
@@ -154,7 +154,7 @@ func opScan() *spec.Op {
 			count, fp := sym.Int(0), sym.Int(0)
 			weight := int64(1)
 			for k := int64(0); k < NKeys; k++ {
-				v := s.KV.GetFunc(x.C, symx.K(sym.Int(k))).(*symx.Struct)
+				v := s.KV.GetFunc(x.C, symx.K(sym.Int(k)))
 				in := sym.And(
 					sym.Le(lo, sym.Int(k)), sym.Le(sym.Int(k), hi), v.Get("present"))
 				count = sym.Add(count, sym.Ite(in, sym.Int(1), sym.Int(0)))

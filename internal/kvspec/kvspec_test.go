@@ -37,11 +37,12 @@ func generate(r analyzer.PairResult) []kernel.TestCase {
 }
 
 func counts(r analyzer.PairResult) (commute, diverge int) {
-	for _, p := range r.Paths {
+	diverges, _ := analyzer.CanDiverge(context.Background(), r)
+	for i, p := range r.Paths {
 		if p.Commutes {
 			commute++
 		}
-		if p.CanDiverge {
+		if diverges[i] {
 			diverge++
 		}
 	}

@@ -174,7 +174,7 @@ func TestStateInvariants(t *testing.T) {
 		st := NewState(c)
 		name := c.Var("n", FilenameSort, symx.KindArg)
 		if st.Fname.Contains(c, symx.K(name)) {
-			return st.Fname.Get(c, symx.K(name)).(*symx.Struct).Get("inum")
+			return st.Fname.Get(c, symx.K(name)).Get("inum")
 		}
 		return nil
 	}, symx.Options{})

@@ -92,9 +92,9 @@ func opOpen() *spec.Op {
 				if x.C.Branch(sym.And(creat, excl)) {
 					return errRet(EEXIST)
 				}
-				inum = s.Fname.Get(x.C, symx.K(fname)).(*symx.Struct).Get("inum")
+				inum = s.Fname.Get(x.C, symx.K(fname)).Get("inum")
 				if x.C.Branch(trunc) {
-					ino := s.Inode.GetFunc(x.C, symx.K(inum)).(*symx.Struct)
+					ino := s.Inode.GetFunc(x.C, symx.K(inum))
 					s.Inode.Set(x.C, symx.K(inum), ino.With("len", sym.Int(0)))
 				}
 			} else {
@@ -132,8 +132,8 @@ func opLink() *spec.Op {
 			if s.Fname.Contains(x.C, symx.K(nw)) {
 				return errRet(EEXIST)
 			}
-			inum := s.Fname.Get(x.C, symx.K(old)).(*symx.Struct).Get("inum")
-			ino := s.Inode.GetFunc(x.C, symx.K(inum)).(*symx.Struct)
+			inum := s.Fname.Get(x.C, symx.K(old)).Get("inum")
+			ino := s.Inode.GetFunc(x.C, symx.K(inum))
 			s.Inode.Set(x.C, symx.K(inum),
 				ino.With("nlink", sym.Add(ino.Get("nlink"), sym.Int(1))))
 			s.Fname.Set(x.C, symx.K(nw), symx.NewStruct("inum", inum))
@@ -152,8 +152,8 @@ func opUnlink() *spec.Op {
 			if !s.Fname.Contains(x.C, symx.K(fname)) {
 				return errRet(ENOENT)
 			}
-			inum := s.Fname.Get(x.C, symx.K(fname)).(*symx.Struct).Get("inum")
-			ino := s.Inode.GetFunc(x.C, symx.K(inum)).(*symx.Struct)
+			inum := s.Fname.Get(x.C, symx.K(fname)).Get("inum")
+			ino := s.Inode.GetFunc(x.C, symx.K(inum))
 			s.Inode.Set(x.C, symx.K(inum),
 				ino.With("nlink", sym.Sub(ino.Get("nlink"), sym.Int(1))))
 			s.Fname.Del(x.C, symx.K(fname))
@@ -179,10 +179,10 @@ func opRename() *spec.Op {
 			if x.C.Branch(sym.Eq(src, dst)) {
 				return okRet(sym.Int(0))
 			}
-			si := s.Fname.Get(x.C, symx.K(src)).(*symx.Struct).Get("inum")
+			si := s.Fname.Get(x.C, symx.K(src)).Get("inum")
 			if s.Fname.Contains(x.C, symx.K(dst)) {
-				di := s.Fname.Get(x.C, symx.K(dst)).(*symx.Struct).Get("inum")
-				ino := s.Inode.GetFunc(x.C, symx.K(di)).(*symx.Struct)
+				di := s.Fname.Get(x.C, symx.K(dst)).Get("inum")
+				ino := s.Inode.GetFunc(x.C, symx.K(di))
 				s.Inode.Set(x.C, symx.K(di),
 					ino.With("nlink", sym.Sub(ino.Get("nlink"), sym.Int(1))))
 			}
@@ -203,8 +203,8 @@ func opStat() *spec.Op {
 			if !s.Fname.Contains(x.C, symx.K(fname)) {
 				return errRet(ENOENT)
 			}
-			inum := s.Fname.Get(x.C, symx.K(fname)).(*symx.Struct).Get("inum")
-			ino := s.Inode.GetFunc(x.C, symx.K(inum)).(*symx.Struct)
+			inum := s.Fname.Get(x.C, symx.K(fname)).Get("inum")
+			ino := s.Inode.GetFunc(x.C, symx.K(inum))
 			return okRet(sym.Int(0), inum, ino.Get("nlink"), ino.Get("len"))
 		},
 	}
@@ -220,16 +220,16 @@ func opFstat() *spec.Op {
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
 				return errRet(EBADF)
 			}
-			f := s.FD.Get(x.C, symx.K(proc, fd)).(*symx.Struct)
+			f := s.FD.Get(x.C, symx.K(proc, fd))
 			if x.C.Branch(f.Get("ispipe")) {
-				p := s.Pipe.GetFunc(x.C, symx.K(f.Get("pipe"))).(*symx.Struct)
+				p := s.Pipe.GetFunc(x.C, symx.K(f.Get("pipe")))
 				// Pipes report a pseudo-inode in a disjoint (negative)
 				// number space, link count 1, and queued length.
 				return okRet(sym.Int(0), sym.Sub(sym.Int(0), f.Get("pipe")),
 					sym.Int(1), sym.Sub(p.Get("tail"), p.Get("head")))
 			}
 			inum := f.Get("inum")
-			ino := s.Inode.GetFunc(x.C, symx.K(inum)).(*symx.Struct)
+			ino := s.Inode.GetFunc(x.C, symx.K(inum))
 			return okRet(sym.Int(0), inum, ino.Get("nlink"), ino.Get("len"))
 		},
 	}
@@ -250,7 +250,7 @@ func opLseek() *spec.Op {
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
 				return errRet(EBADF)
 			}
-			f := s.FD.Get(x.C, symx.K(proc, fd)).(*symx.Struct)
+			f := s.FD.Get(x.C, symx.K(proc, fd))
 			if x.C.Branch(f.Get("ispipe")) {
 				return errRet(ESPIPE)
 			}
@@ -259,7 +259,7 @@ func opLseek() *spec.Op {
 			case x.C.Branch(wset):
 				n = delta
 			case x.C.Branch(wend):
-				ino := s.Inode.GetFunc(x.C, symx.K(f.Get("inum"))).(*symx.Struct)
+				ino := s.Inode.GetFunc(x.C, symx.K(f.Get("inum")))
 				n = sym.Add(ino.Get("len"), delta)
 			default:
 				n = sym.Add(f.Get("off"), delta)
@@ -325,26 +325,26 @@ func opRead() *spec.Op {
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
 				return errRet(EBADF)
 			}
-			f := s.FD.Get(x.C, symx.K(proc, fd)).(*symx.Struct)
+			f := s.FD.Get(x.C, symx.K(proc, fd))
 			if x.C.Branch(f.Get("ispipe")) {
 				if x.C.Branch(f.Get("wend")) {
 					return errRet(EBADF)
 				}
 				pid := f.Get("pipe")
-				p := s.Pipe.GetFunc(x.C, symx.K(pid)).(*symx.Struct)
+				p := s.Pipe.GetFunc(x.C, symx.K(pid))
 				if x.C.Branch(sym.Eq(p.Get("head"), p.Get("tail"))) {
 					return errRet(EAGAIN) // modeled as non-blocking
 				}
-				v := s.PipeD.GetFunc(x.C, symx.K(pid, p.Get("head"))).(*symx.Struct)
+				v := s.PipeD.GetFunc(x.C, symx.K(pid, p.Get("head")))
 				s.Pipe.Set(x.C, symx.K(pid),
 					p.With("head", sym.Add(p.Get("head"), sym.Int(1))))
 				return dataRet(1, v.Get("val"))
 			}
-			ino := s.Inode.GetFunc(x.C, symx.K(f.Get("inum"))).(*symx.Struct)
+			ino := s.Inode.GetFunc(x.C, symx.K(f.Get("inum")))
 			if x.C.Branch(sym.Ge(f.Get("off"), ino.Get("len"))) {
 				return okRet(sym.Int(0)) // EOF
 			}
-			v := s.Data.GetFunc(x.C, symx.K(f.Get("inum"), f.Get("off"))).(*symx.Struct)
+			v := s.Data.GetFunc(x.C, symx.K(f.Get("inum"), f.Get("off")))
 			s.FD.Set(x.C, symx.K(proc, fd),
 				f.With("off", sym.Add(f.Get("off"), sym.Int(1))))
 			return dataRet(1, v.Get("val"))
@@ -362,13 +362,13 @@ func opWrite() *spec.Op {
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
 				return errRet(EBADF)
 			}
-			f := s.FD.Get(x.C, symx.K(proc, fd)).(*symx.Struct)
+			f := s.FD.Get(x.C, symx.K(proc, fd))
 			if x.C.Branch(f.Get("ispipe")) {
 				if !x.C.Branch(f.Get("wend")) {
 					return errRet(EBADF)
 				}
 				pid := f.Get("pipe")
-				p := s.Pipe.GetFunc(x.C, symx.K(pid)).(*symx.Struct)
+				p := s.Pipe.GetFunc(x.C, symx.K(pid))
 				s.PipeD.Set(x.C, symx.K(pid, p.Get("tail")),
 					symx.NewStruct("val", val))
 				s.Pipe.Set(x.C, symx.K(pid),
@@ -378,7 +378,7 @@ func opWrite() *spec.Op {
 			off := f.Get("off")
 			inum := f.Get("inum")
 			s.Data.Set(x.C, symx.K(inum, off), symx.NewStruct("val", val))
-			ino := s.Inode.GetFunc(x.C, symx.K(inum)).(*symx.Struct)
+			ino := s.Inode.GetFunc(x.C, symx.K(inum))
 			end := sym.Add(off, sym.Int(1))
 			if x.C.Branch(sym.Gt(end, ino.Get("len"))) {
 				s.Inode.Set(x.C, symx.K(inum), ino.With("len", end))
@@ -399,15 +399,15 @@ func opPread() *spec.Op {
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
 				return errRet(EBADF)
 			}
-			f := s.FD.Get(x.C, symx.K(proc, fd)).(*symx.Struct)
+			f := s.FD.Get(x.C, symx.K(proc, fd))
 			if x.C.Branch(f.Get("ispipe")) {
 				return errRet(ESPIPE)
 			}
-			ino := s.Inode.GetFunc(x.C, symx.K(f.Get("inum"))).(*symx.Struct)
+			ino := s.Inode.GetFunc(x.C, symx.K(f.Get("inum")))
 			if x.C.Branch(sym.Ge(off, ino.Get("len"))) {
 				return okRet(sym.Int(0)) // EOF
 			}
-			v := s.Data.GetFunc(x.C, symx.K(f.Get("inum"), off)).(*symx.Struct)
+			v := s.Data.GetFunc(x.C, symx.K(f.Get("inum"), off))
 			return dataRet(1, v.Get("val"))
 		},
 	}
@@ -423,13 +423,13 @@ func opPwrite() *spec.Op {
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
 				return errRet(EBADF)
 			}
-			f := s.FD.Get(x.C, symx.K(proc, fd)).(*symx.Struct)
+			f := s.FD.Get(x.C, symx.K(proc, fd))
 			if x.C.Branch(f.Get("ispipe")) {
 				return errRet(ESPIPE)
 			}
 			inum := f.Get("inum")
 			s.Data.Set(x.C, symx.K(inum, off), symx.NewStruct("val", val))
-			ino := s.Inode.GetFunc(x.C, symx.K(inum)).(*symx.Struct)
+			ino := s.Inode.GetFunc(x.C, symx.K(inum))
 			end := sym.Add(off, sym.Int(1))
 			if x.C.Branch(sym.Gt(end, ino.Get("len"))) {
 				s.Inode.Set(x.C, symx.K(inum), ino.With("len", end))
@@ -471,7 +471,7 @@ func opMmap() *spec.Op {
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
 				return errRet(EBADF)
 			}
-			f := s.FD.Get(x.C, symx.K(proc, fd)).(*symx.Struct)
+			f := s.FD.Get(x.C, symx.K(proc, fd))
 			if x.C.Branch(f.Get("ispipe")) {
 				return errRet(ENODEV)
 			}
@@ -506,7 +506,7 @@ func opMprotect() *spec.Op {
 			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
 				return errRet(ENOMEM)
 			}
-			v := s.VMA.Get(x.C, symx.K(proc, page)).(*symx.Struct)
+			v := s.VMA.Get(x.C, symx.K(proc, page))
 			s.VMA.Set(x.C, symx.K(proc, page), v.With("wr", wr))
 			return okRet(sym.Int(0))
 		},
@@ -523,16 +523,16 @@ func opMemread() *spec.Op {
 			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
 				return errRet(ESIGSEGV)
 			}
-			v := s.VMA.Get(x.C, symx.K(proc, page)).(*symx.Struct)
+			v := s.VMA.Get(x.C, symx.K(proc, page))
 			if x.C.Branch(v.Get("anon")) {
-				av := s.Anon.GetFunc(x.C, symx.K(proc, page)).(*symx.Struct)
+				av := s.Anon.GetFunc(x.C, symx.K(proc, page))
 				return dataRet(0, av.Get("val"))
 			}
-			ino := s.Inode.GetFunc(x.C, symx.K(v.Get("inum"))).(*symx.Struct)
+			ino := s.Inode.GetFunc(x.C, symx.K(v.Get("inum")))
 			if x.C.Branch(sym.Ge(v.Get("foff"), ino.Get("len"))) {
 				return errRet(ESIGBUS)
 			}
-			dv := s.Data.GetFunc(x.C, symx.K(v.Get("inum"), v.Get("foff"))).(*symx.Struct)
+			dv := s.Data.GetFunc(x.C, symx.K(v.Get("inum"), v.Get("foff")))
 			return dataRet(0, dv.Get("val"))
 		},
 	}
@@ -548,7 +548,7 @@ func opMemwrite() *spec.Op {
 			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
 				return errRet(ESIGSEGV)
 			}
-			v := s.VMA.Get(x.C, symx.K(proc, page)).(*symx.Struct)
+			v := s.VMA.Get(x.C, symx.K(proc, page))
 			if !x.C.Branch(v.Get("wr")) {
 				return errRet(ESIGSEGV)
 			}
@@ -556,7 +556,7 @@ func opMemwrite() *spec.Op {
 				s.Anon.Set(x.C, symx.K(proc, page), symx.NewStruct("val", val))
 				return okRet(sym.Int(0))
 			}
-			ino := s.Inode.GetFunc(x.C, symx.K(v.Get("inum"))).(*symx.Struct)
+			ino := s.Inode.GetFunc(x.C, symx.K(v.Get("inum")))
 			if x.C.Branch(sym.Ge(v.Get("foff"), ino.Get("len"))) {
 				return errRet(ESIGBUS)
 			}

@@ -99,12 +99,12 @@ type State struct {
 // counts of referenced inodes are at least one, cursors are ordered.
 func NewState(c *symx.Context) *State {
 	s := &State{}
-	s.Fname = symx.NewDict("fname", func(c *symx.Context, tag string) symx.Value {
+	s.Fname = symx.NewDict("fname", func(c *symx.Context, tag string) *symx.Struct {
 		inum := c.Var(tag+".inum", sym.IntSort, symx.KindState)
 		c.Assume(sym.And(sym.Ge(inum, sym.Int(1)), sym.Le(inum, sym.Int(MaxInum))))
 		return symx.NewStruct("inum", inum)
 	})
-	s.Inode = symx.NewDict("inode", func(c *symx.Context, tag string) symx.Value {
+	s.Inode = symx.NewDict("inode", func(c *symx.Context, tag string) *symx.Struct {
 		nlink := c.Var(tag+".nlink", sym.IntSort, symx.KindState)
 		ln := c.Var(tag+".len", sym.IntSort, symx.KindState)
 		c.Assume(sym.And(
@@ -112,10 +112,10 @@ func NewState(c *symx.Context) *State {
 			sym.Ge(ln, sym.Int(0)), sym.Le(ln, sym.Int(MaxLen))))
 		return symx.NewStruct("nlink", nlink, "len", ln)
 	})
-	s.Data = symx.NewDict("data", func(c *symx.Context, tag string) symx.Value {
+	s.Data = symx.NewDict("data", func(c *symx.Context, tag string) *symx.Struct {
 		return symx.NewStruct("val", c.Var(tag+".val", DataSort, symx.KindState))
 	})
-	s.FD = symx.NewDict("fd", func(c *symx.Context, tag string) symx.Value {
+	s.FD = symx.NewDict("fd", func(c *symx.Context, tag string) *symx.Struct {
 		ispipe := c.Var(tag+".ispipe", sym.BoolSort, symx.KindState)
 		inum := c.Var(tag+".inum", sym.IntSort, symx.KindState)
 		off := c.Var(tag+".off", sym.IntSort, symx.KindState)
@@ -127,17 +127,17 @@ func NewState(c *symx.Context) *State {
 			sym.Ge(pipe, sym.Int(1)), sym.Le(pipe, sym.Int(MaxPipe))))
 		return symx.NewStruct("ispipe", ispipe, "inum", inum, "off", off, "pipe", pipe, "wend", wend)
 	})
-	s.Pipe = symx.NewDict("pipe", func(c *symx.Context, tag string) symx.Value {
+	s.Pipe = symx.NewDict("pipe", func(c *symx.Context, tag string) *symx.Struct {
 		head := c.Var(tag+".head", sym.IntSort, symx.KindState)
 		tail := c.Var(tag+".tail", sym.IntSort, symx.KindState)
 		c.Assume(sym.And(
 			sym.Ge(head, sym.Int(0)), sym.Le(head, tail), sym.Le(tail, sym.Int(MaxLen))))
 		return symx.NewStruct("head", head, "tail", tail)
 	})
-	s.PipeD = symx.NewDict("piped", func(c *symx.Context, tag string) symx.Value {
+	s.PipeD = symx.NewDict("piped", func(c *symx.Context, tag string) *symx.Struct {
 		return symx.NewStruct("val", c.Var(tag+".val", DataSort, symx.KindState))
 	})
-	s.VMA = symx.NewDict("vma", func(c *symx.Context, tag string) symx.Value {
+	s.VMA = symx.NewDict("vma", func(c *symx.Context, tag string) *symx.Struct {
 		anon := c.Var(tag+".anon", sym.BoolSort, symx.KindState)
 		inum := c.Var(tag+".inum", sym.IntSort, symx.KindState)
 		foff := c.Var(tag+".foff", sym.IntSort, symx.KindState)
@@ -147,7 +147,7 @@ func NewState(c *symx.Context) *State {
 			sym.Ge(foff, sym.Int(0)), sym.Le(foff, sym.Int(MaxLen))))
 		return symx.NewStruct("anon", anon, "inum", inum, "foff", foff, "wr", wr)
 	})
-	s.Anon = symx.NewDict("anon", func(c *symx.Context, tag string) symx.Value {
+	s.Anon = symx.NewDict("anon", func(c *symx.Context, tag string) *symx.Struct {
 		return symx.NewStruct("val", c.Var(tag+".val", DataSort, symx.KindState))
 	})
 	return s

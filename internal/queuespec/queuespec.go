@@ -70,7 +70,7 @@ func (s *State) Dicts() []*symx.Dict {
 	return []*symx.Dict{s.Ord, s.AnyQ, s.OrdD, s.AnyD}
 }
 
-func cursorsVal(c *symx.Context, tag string) symx.Value {
+func cursorsVal(c *symx.Context, tag string) *symx.Struct {
 	head := c.Var(tag+".head", sym.IntSort, symx.KindState)
 	tail := c.Var(tag+".tail", sym.IntSort, symx.KindState)
 	c.Assume(sym.And(
@@ -78,7 +78,7 @@ func cursorsVal(c *symx.Context, tag string) symx.Value {
 	return symx.NewStruct("head", head, "tail", tail)
 }
 
-func msgVal(c *symx.Context, tag string) symx.Value {
+func msgVal(c *symx.Context, tag string) *symx.Struct {
 	return symx.NewStruct("val", c.Var(tag+".val", MsgSort, symx.KindState))
 }
 
@@ -127,7 +127,7 @@ func opSend() *spec.Op {
 		Args: []spec.ArgSpec{{Name: "val", Sort: MsgSort}},
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s, val := st(x), a[0]
-			q := s.Ord.GetFunc(x.C, ordKey()).(*symx.Struct)
+			q := s.Ord.GetFunc(x.C, ordKey())
 			t := q.Get("tail")
 			s.OrdD.Set(x.C, symx.K(t), symx.NewStruct("val", val))
 			s.Ord.Set(x.C, ordKey(), q.With("tail", sym.Add(t, sym.Int(1))))
@@ -144,12 +144,12 @@ func opRecv() *spec.Op {
 		Args: nil,
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s := st(x)
-			q := s.Ord.GetFunc(x.C, ordKey()).(*symx.Struct)
+			q := s.Ord.GetFunc(x.C, ordKey())
 			h := q.Get("head")
 			if x.C.Branch(sym.Eq(h, q.Get("tail"))) {
 				return errRet(kernel.EAGAIN) // modeled as non-blocking
 			}
-			v := s.OrdD.GetFunc(x.C, symx.K(h)).(*symx.Struct)
+			v := s.OrdD.GetFunc(x.C, symx.K(h))
 			s.Ord.Set(x.C, ordKey(), q.With("head", sym.Add(h, sym.Int(1))))
 			return okRet(sym.Int(0), h, v.Get("val"))
 		},
@@ -163,7 +163,7 @@ func opSendAny() *spec.Op {
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s, val := st(x), a[0]
 			qi := pickQueue(x.C, slot)
-			q := s.AnyQ.GetFunc(x.C, symx.K(qi)).(*symx.Struct)
+			q := s.AnyQ.GetFunc(x.C, symx.K(qi))
 			t := q.Get("tail")
 			s.AnyD.Set(x.C, symx.K(qi, t), symx.NewStruct("val", val))
 			s.AnyQ.Set(x.C, symx.K(qi), q.With("tail", sym.Add(t, sym.Int(1))))
@@ -180,12 +180,12 @@ func opRecvAny() *spec.Op {
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s := st(x)
 			qi := pickQueue(x.C, slot)
-			q := s.AnyQ.GetFunc(x.C, symx.K(qi)).(*symx.Struct)
+			q := s.AnyQ.GetFunc(x.C, symx.K(qi))
 			h := q.Get("head")
 			if x.C.Branch(sym.Eq(h, q.Get("tail"))) {
 				return errRet(kernel.EAGAIN) // the polled queue is empty
 			}
-			v := s.AnyD.GetFunc(x.C, symx.K(qi, h)).(*symx.Struct)
+			v := s.AnyD.GetFunc(x.C, symx.K(qi, h))
 			s.AnyQ.Set(x.C, symx.K(qi), q.With("head", sym.Add(h, sym.Int(1))))
 			return okRet(sym.Int(0), sym.Int(0), v.Get("val"))
 		},
@@ -198,7 +198,7 @@ func opStatus() *spec.Op {
 		Args: nil,
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s := st(x)
-			q := s.Ord.GetFunc(x.C, ordKey()).(*symx.Struct)
+			q := s.Ord.GetFunc(x.C, ordKey())
 			return okRet(sym.Sub(q.Get("tail"), q.Get("head")), sym.Int(0), MsgZero)
 		},
 	}

@@ -50,8 +50,7 @@ func CollectProbes(m sym.Model, dicts ...*symx.Dict) []Probe {
 				present = EvalBool(m, e.InitPresentVar, false)
 			}
 			if present && e.InitVal != nil {
-				st := e.InitVal.(*symx.Struct)
-				for name, fe := range st.Fields {
+				for name, fe := range e.InitVal.Fields {
 					if fe.Sort.Kind == sym.KindBool {
 						p.Bools[name] = EvalBool(m, fe, false)
 					} else {

@@ -37,6 +37,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/spec"
 )
 
 // FleetAPIVersion stamps fleet requests; it tracks api.Version (asserted
@@ -100,8 +102,9 @@ func (s FleetSweepSpec) Key() string {
 }
 
 // PairNames enumerates the work list in the exact orientation Pairs()
-// uses (earlier op first), so the coordinator — which never loads the
-// spec — and every worker agree on pair naming and ordering.
+// uses (earlier op first), so the coordinator — which reads the spec only
+// to validate a new session — and every worker agree on pair naming and
+// ordering.
 func (s FleetSweepSpec) PairNames() []string {
 	var out []string
 	for i, a := range s.Ops {
@@ -110,6 +113,28 @@ func (s FleetSweepSpec) PairNames() []string {
 		}
 	}
 	return out
+}
+
+// validate checks a sweep identity that arrived in a request before a
+// table is built from it: the spec must be registered and the ops distinct
+// operations of it, which bounds the table by the spec's own pair count
+// whatever the request names.
+func (s FleetSweepSpec) validate() error {
+	sp, err := spec.Lookup(s.Spec)
+	if err != nil {
+		return fmt.Errorf("fleet: %w", err)
+	}
+	seen := map[string]bool{}
+	for _, name := range s.Ops {
+		if _, err := spec.OpByName(sp, name); err != nil {
+			return fmt.Errorf("fleet: %w", err)
+		}
+		if seen[name] {
+			return fmt.Errorf("fleet: sweep names %s op %q twice", s.Spec, name)
+		}
+		seen[name] = true
+	}
+	return nil
 }
 
 // FleetLease is one granted pair lease.
@@ -505,6 +530,9 @@ func (h *FleetHub) session(sw FleetSweepSpec, create bool) (*FleetTable, error) 
 	if s == nil {
 		if !create {
 			return nil, fmt.Errorf("fleet: unknown sweep %.8s (no claim seen; the coordinator may have restarted)", key)
+		}
+		if err := sw.validate(); err != nil {
+			return nil, err
 		}
 		s = &fleetSession{table: NewFleetTable(key, sw.PairNames(), h.ttl, h.now)}
 		h.sessions[key] = s

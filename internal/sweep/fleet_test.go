@@ -523,3 +523,42 @@ func TestFleetMetricSeriesBounded(t *testing.T) {
 		t.Errorf("commuter_fleet_* series: %d after one fleet sweep, %d after two", one, two)
 	}
 }
+
+// hostileSweeps are claims a coordinator must refuse before it builds a
+// table from them: a table has a row per pair of the names a request
+// lists, so only names checked against a registered spec bound it. want is
+// the guidance the refusal carries.
+var hostileSweeps = []struct {
+	name string
+	sw   FleetSweepSpec
+	want string
+}{
+	{"unregistered spec", FleetSweepSpec{Spec: "nope", Ops: manyNames(40)}, "known specs: "},
+	{"no spec", FleetSweepSpec{Ops: []string{"stat"}}, "known specs: "},
+	{"unknown op", FleetSweepSpec{Spec: "posix", Ops: []string{"stat", "statt"}}, "known ops: "},
+	{"repeated op", FleetSweepSpec{Spec: "posix", Ops: []string{"stat", "close", "stat"}}, `"stat" twice`},
+}
+
+func manyNames(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = "op" + strings.Repeat("x", i)
+	}
+	return out
+}
+
+// TestFleetHubRefusesUncheckedSweep pins that a claim cannot make the
+// coordinator allocate a session for a sweep no registered spec has: the
+// claim fails with guidance, and nothing is left behind for it.
+func TestFleetHubRefusesUncheckedSweep(t *testing.T) {
+	hub := NewFleetHub(0, nil)
+	for _, tc := range hostileSweeps {
+		_, err := hub.Claim(FleetClaimRequest{Version: FleetAPIVersion, Worker: "w", Max: 1, Sweep: tc.sw})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: claim answered %v, want a refusal containing %q", tc.name, err, tc.want)
+		}
+		if _, err := hub.Status(tc.sw, false); err == nil || !strings.Contains(err.Error(), "unknown sweep") {
+			t.Errorf("%s: status after the refused claim: %v, want unknown sweep", tc.name, err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package symx
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -11,7 +12,7 @@ import (
 
 // The construction DictsEquivalent used before it built each key's shared
 // parts once — the name, the default value and every key-equality guard
-// rebuilt per field and per side — kept verbatim as the reference.
+// rebuilt per field and per side — kept as the reference.
 
 func (d *Dict) refPresentAt(c *Context, k Key) *sym.Expr {
 	tag := fmt.Sprintf("%s[%s]", d.Name, k.tag())
@@ -32,17 +33,17 @@ func (d *Dict) refPresentAt(c *Context, k Key) *sym.Expr {
 func (d *Dict) refFieldAt(c *Context, k Key, f string) *sym.Expr {
 	tag := fmt.Sprintf("%s[%s]", d.Name, k.tag())
 	def := d.MakeVal(c, tag)
-	res := fieldOf(def, f)
+	res := def.Get(f)
 	for _, ip := range c.initProbes[d.Name] {
 		if ip.val == nil {
 			continue
 		}
-		res = sym.Ite(ip.key.eq(k), fieldOf(ip.val, f), res)
+		res = sym.Ite(ip.key.eq(k), ip.val.Get(f), res)
 	}
 	for _, e := range d.entries {
 		var v *sym.Expr
 		if e.Present {
-			v = fieldOf(e.Val, f)
+			v = e.Val.Get(f)
 		} else {
 			v = res // masked by the presence guard
 		}
@@ -91,7 +92,9 @@ func refFieldSetAt(a, b *Dict, k Key) []string {
 	for _, d := range []*Dict{a, b} {
 		for _, e := range d.entries {
 			if e.Present && e.Val != nil {
-				return valueFields(e.Val)
+				out := append([]string(nil), e.Val.FieldOrder...)
+				sort.Strings(out)
+				return out
 			}
 		}
 	}
@@ -99,8 +102,8 @@ func refFieldSetAt(a, b *Dict, k Key) []string {
 }
 
 // TestQuickDictsEquivalentMatchesPerField: over random histories of
-// Set/Del/Get/Contains on a struct-valued and an expression-valued
-// dictionary and of GetFunc/Set on a total-function one — two instances of
+// Set/Del/Get/Contains on a two-field and a single-field dictionary and
+// of GetFunc/Set on a total-function one — two instances of
 // each, as the two permutations of a pair hold them, probing a handful of
 // keys that the explored paths make equal or distinct in every combination,
 // so one location is reached under different tuples — DictsEquivalent
@@ -109,24 +112,24 @@ func TestQuickDictsEquivalentMatchesPerField(t *testing.T) {
 	type kind struct {
 		name  string
 		total bool
-		mk    func(c *Context, tag string) Value
-		val   func(r *rand.Rand, pool []*sym.Expr) Value
+		mk    func(c *Context, tag string) *Struct
+		val   func(r *rand.Rand, pool []*sym.Expr) *Struct
 	}
 	pick := func(r *rand.Rand, pool []*sym.Expr) *sym.Expr { return pool[r.Intn(len(pool))] }
 	kinds := []kind{
-		{name: "qs", mk: func(c *Context, tag string) Value {
+		{name: "qs", mk: func(c *Context, tag string) *Struct {
 			x := c.Var(tag+".x", sym.IntSort, KindState)
 			c.Assume(sym.Ge(x, sym.Int(0)))
 			return NewStruct("x", x, "w", c.Var(tag+".w", sym.BoolSort, KindState))
-		}, val: func(r *rand.Rand, pool []*sym.Expr) Value {
+		}, val: func(r *rand.Rand, pool []*sym.Expr) *Struct {
 			return NewStruct("x", pick(r, pool), "w", sym.Bool(r.Intn(2) == 0))
 		}},
-		{name: "qe", mk: func(c *Context, tag string) Value {
-			return ExprValue{c.Var(tag+".val", sym.IntSort, KindState)}
-		}, val: func(r *rand.Rand, pool []*sym.Expr) Value { return ExprValue{pick(r, pool)} }},
-		{name: "qt", total: true, mk: func(c *Context, tag string) Value {
+		{name: "qe", mk: func(c *Context, tag string) *Struct {
+			return NewStruct("val", c.Var(tag+".val", sym.IntSort, KindState))
+		}, val: func(r *rand.Rand, pool []*sym.Expr) *Struct { return NewStruct("val", pick(r, pool)) }},
+		{name: "qt", total: true, mk: func(c *Context, tag string) *Struct {
 			return NewStruct("n", c.Var(tag+".n", sym.IntSort, KindState))
-		}, val: func(r *rand.Rand, pool []*sym.Expr) Value { return NewStruct("n", pick(r, pool)) }},
+		}, val: func(r *rand.Rand, pool []*sym.Expr) *Struct { return NewStruct("n", pick(r, pool)) }},
 	}
 	compared := 0
 	check := func(seed int64) bool {

@@ -13,7 +13,7 @@ import (
 // key y minted distinct variables, so x == y paths spuriously "diverged".
 func TestInitialProbeSharingAcrossKeys(t *testing.T) {
 	nameSort := sym.Uninterpreted("Name")
-	mk := func(c *Context, tag string) Value {
+	mk := func(c *Context, tag string) *Struct {
 		return NewStruct("v", c.Var(tag+".v", sym.IntSort, KindState))
 	}
 	var s sym.Solver
@@ -34,7 +34,7 @@ func TestInitialProbeSharingAcrossKeys(t *testing.T) {
 		if !e1.Present {
 			return sym.True
 		}
-		return sym.Eq(e1.Val.(*Struct).Get("v"), e2.Val.(*Struct).Get("v"))
+		return sym.Eq(e1.Val.Get("v"), e2.Val.Get("v"))
 	}, Options{})
 	for _, p := range paths {
 		eq := p.Result.(*sym.Expr)
@@ -46,7 +46,7 @@ func TestInitialProbeSharingAcrossKeys(t *testing.T) {
 
 // Same property for total-function dictionaries (GetFunc).
 func TestGetFuncSharingAcrossKeys(t *testing.T) {
-	mk := func(c *Context, tag string) Value {
+	mk := func(c *Context, tag string) *Struct {
 		return NewStruct("n", c.Var(tag+".n", sym.IntSort, KindState))
 	}
 	var s sym.Solver
@@ -56,8 +56,8 @@ func TestGetFuncSharingAcrossKeys(t *testing.T) {
 		c.Assume(sym.Eq(x, y))
 		d1 := NewDict("ino", mk)
 		d2 := NewDict("ino", mk)
-		v1 := d1.GetFunc(c, K(x)).(*Struct).Get("n")
-		v2 := d2.GetFunc(c, K(y)).(*Struct).Get("n")
+		v1 := d1.GetFunc(c, K(x)).Get("n")
+		v2 := d2.GetFunc(c, K(y)).Get("n")
 		return sym.Eq(v1, v2)
 	}, Options{})
 	for _, p := range paths {
@@ -70,7 +70,7 @@ func TestGetFuncSharingAcrossKeys(t *testing.T) {
 // Distinct keys must stay independent: no spurious sharing.
 func TestInitialProbesDistinctKeysIndependent(t *testing.T) {
 	nameSort := sym.Uninterpreted("Name")
-	mk := func(c *Context, tag string) Value {
+	mk := func(c *Context, tag string) *Struct {
 		return NewStruct("v", c.Var(tag+".v", sym.IntSort, KindState))
 	}
 	var s sym.Solver
@@ -84,7 +84,7 @@ func TestInitialProbesDistinctKeysIndependent(t *testing.T) {
 		if !ex.Present || !ey.Present {
 			return sym.True // nothing to compare
 		}
-		return sym.Ne(ex.Val.(*Struct).Get("v"), ey.Val.(*Struct).Get("v"))
+		return sym.Ne(ex.Val.Get("v"), ey.Val.Get("v"))
 	}, Options{})
 	someIndependent := false
 	for _, p := range paths {
@@ -103,7 +103,7 @@ func TestInitialProbesDistinctKeysIndependent(t *testing.T) {
 // value probed under a different key name.
 func TestEquivalenceUsesRegistryDefaults(t *testing.T) {
 	nameSort := sym.Uninterpreted("Name")
-	mk := func(c *Context, tag string) Value {
+	mk := func(c *Context, tag string) *Struct {
 		return NewStruct("v", c.Var(tag+".v", sym.IntSort, KindState))
 	}
 	var s sym.Solver

@@ -170,7 +170,7 @@ func TestReplayDeterminismSharedNames(t *testing.T) {
 	// Two identically-named dictionaries must materialize identical
 	// initial-content variables, making untouched state trivially equal.
 	paths := explore(func(c *Context) any {
-		mk := func(c *Context, tag string) Value {
+		mk := func(c *Context, tag string) *Struct {
 			return NewStruct("v", c.Var(tag+".v", sym.IntSort, KindState))
 		}
 		d1 := NewDict("fs", mk)

@@ -8,28 +8,16 @@ import (
 	"repro/internal/sym"
 )
 
-// Value is the interface of symbolic values stored in model state: either a
-// plain expression (*sym.Expr) or a Struct of named expression fields.
-// Keeping values flat (no nested dictionaries) keeps equivalence formulas
-// quantifier-free; models flatten nesting with tuple dictionary keys
-// instead (e.g. file pages live in a Dict keyed by (inode, offset)).
-type Value interface {
-	valueMarker()
-}
-
-// ExprValue wraps a plain expression as a Value.
-type ExprValue struct{ E *sym.Expr }
-
-func (ExprValue) valueMarker() {}
-
-// Struct is an ordered collection of named expression fields.
+// Struct is the one shape of symbolic value stored in model state: an
+// ordered collection of named expression fields. Keeping values flat (no
+// nested dictionaries) keeps equivalence formulas quantifier-free; models
+// flatten nesting with tuple dictionary keys instead (e.g. file pages live
+// in a Dict keyed by (inode, offset)).
 type Struct struct {
 	// Fields maps field name to expression; FieldOrder fixes iteration.
 	Fields     map[string]*sym.Expr
 	FieldOrder []string
 }
-
-func (*Struct) valueMarker() {}
 
 // NewStruct builds a struct from alternating name, expr pairs.
 func NewStruct(pairs ...any) *Struct {
@@ -104,7 +92,7 @@ type DictEntry struct {
 	// Present is this path's concrete knowledge of membership.
 	Present bool
 	// Val is the stored value when Present.
-	Val Value
+	Val *Struct
 	// InitialProbe is true when the entry was created by probing
 	// unconstrained initial state (as opposed to an explicit Set/Del);
 	// TESTGEN uses these entries to materialize concrete initial states.
@@ -114,7 +102,7 @@ type DictEntry struct {
 	InitPresentVar *sym.Expr
 	// InitVal snapshots the unconstrained initial value materialized at
 	// probe time; unlike Val it is never overwritten by Set.
-	InitVal Value
+	InitVal *Struct
 }
 
 // Dict is a symbolic dictionary over tuple keys with unconstrained initial
@@ -127,14 +115,14 @@ type Dict struct {
 	Name string
 	// MakeVal builds an unconstrained value for initial content at the
 	// key with the given tag.
-	MakeVal func(c *Context, tag string) Value
+	MakeVal func(c *Context, tag string) *Struct
 
 	entries []*DictEntry
 }
 
 // NewDict returns an empty-overlay dictionary with unconstrained initial
 // content.
-func NewDict(name string, makeVal func(c *Context, tag string) Value) *Dict {
+func NewDict(name string, makeVal func(c *Context, tag string) *Struct) *Dict {
 	return &Dict{Name: name, MakeVal: makeVal}
 }
 
@@ -145,7 +133,7 @@ type initProbe struct {
 	key Key
 	// presentVar is nil for total-function probes (always present).
 	presentVar *sym.Expr
-	val        Value
+	val        *Struct
 }
 
 // lookup finds or creates the entry governing key k on this path. A miss in
@@ -196,7 +184,7 @@ func (d *Dict) lookup(c *Context, k Key) *DictEntry {
 // forking on membership. Use this for tables indexed by identifiers that
 // always resolve (inode metadata, pipe cursors). Initial content is shared
 // through the Context registry like lookup's.
-func (d *Dict) GetFunc(c *Context, k Key) Value {
+func (d *Dict) GetFunc(c *Context, k Key) *Struct {
 	for _, e := range d.entries {
 		if c.Branch(k.eq(e.Key)) {
 			if !e.Present {
@@ -227,7 +215,7 @@ func (d *Dict) GetFunc(c *Context, k Key) Value {
 func (d *Dict) Contains(c *Context, k Key) bool { return d.lookup(c, k).Present }
 
 // Get returns the value at k; the caller must have established presence.
-func (d *Dict) Get(c *Context, k Key) Value {
+func (d *Dict) Get(c *Context, k Key) *Struct {
 	e := d.lookup(c, k)
 	if !e.Present {
 		panic("symx: Get of absent key in " + d.Name)
@@ -250,7 +238,7 @@ func (d *Dict) lookupWrite(c *Context, k Key) *DictEntry {
 }
 
 // Set stores v at k.
-func (d *Dict) Set(c *Context, k Key, v Value) {
+func (d *Dict) Set(c *Context, k Key, v *Struct) {
 	e := d.lookupWrite(c, k)
 	e.Present = true
 	e.Val = v
@@ -265,31 +253,6 @@ func (d *Dict) Del(c *Context, k Key) {
 
 // Entries exposes the per-path entry overlay (for TESTGEN and equivalence).
 func (d *Dict) Entries() []*DictEntry { return d.entries }
-
-func fieldOf(v Value, f string) *sym.Expr {
-	switch x := v.(type) {
-	case ExprValue:
-		if f != "" {
-			panic("symx: field access on plain expression value")
-		}
-		return x.E
-	case *Struct:
-		return x.Get(f)
-	}
-	panic(fmt.Sprintf("symx: bad value %T", v))
-}
-
-func valueFields(v Value) []string {
-	switch x := v.(type) {
-	case ExprValue:
-		return []string{""}
-	case *Struct:
-		out := append([]string(nil), x.FieldOrder...)
-		sort.Strings(out)
-		return out
-	}
-	panic(fmt.Sprintf("symx: bad value %T", v))
-}
 
 // DictsEquivalent builds the formula stating that dictionaries a and b hold
 // equal content at every key either path touched. Untouched keys share the
@@ -333,22 +296,22 @@ func DictsEquivalent(c *Context, a, b *Dict) *sym.Expr {
 
 		// Fields, each guarded by presence and defaulting to the initial
 		// content's.
-		var def Value
+		var def *Struct
 		if len(fields) > 0 {
 			def = a.MakeVal(c, name)
 		}
 		for _, f := range fields {
-			init := fieldOf(def, f)
+			init := def.Get(f)
 			for i, ip := range probes {
 				if ip.val != nil {
-					init = sym.Ite(probeEq[i], fieldOf(ip.val, f), init)
+					init = sym.Ite(probeEq[i], ip.val.Get(f), init)
 				}
 			}
 			entryField := func(e *DictEntry) *sym.Expr {
 				if !e.Present {
 					return nil // masked by the presence guard
 				}
-				return fieldOf(e.Val, f)
+				return e.Val.Get(f)
 			}
 			fa, fb := a.overlay(aEq, init, entryField), b.overlay(bEq, init, entryField)
 			clause = sym.And(clause, sym.Implies(pa, sym.Eq(fa, fb)))
@@ -411,13 +374,15 @@ func unionKeys(a, b *Dict) []taggedKey {
 	return keys
 }
 
-// fieldSet finds the field names of the values the dictionaries store.
-// All values in one dictionary share a shape.
+// fieldSet finds the field names, sorted, of the values the dictionaries
+// store. All values in one dictionary share a shape.
 func fieldSet(a, b *Dict) []string {
 	for _, d := range []*Dict{a, b} {
 		for _, e := range d.entries {
 			if e.Present && e.Val != nil {
-				return valueFields(e.Val)
+				out := append([]string(nil), e.Val.FieldOrder...)
+				sort.Strings(out)
+				return out
 			}
 		}
 	}

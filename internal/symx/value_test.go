@@ -8,7 +8,7 @@ import (
 
 var nameSort = sym.Uninterpreted("Name")
 
-func mkVal(c *Context, tag string) Value {
+func mkVal(c *Context, tag string) *Struct {
 	return NewStruct("inum", c.Var(tag+".inum", sym.IntSort, KindState))
 }
 
@@ -31,7 +31,7 @@ func TestDictSetGetDel(t *testing.T) {
 		if !d.Contains(c, k) {
 			t.Error("Set then Contains must be true")
 		}
-		v := d.Get(c, k).(*Struct)
+		v := d.Get(c, k)
 		if v.Get("inum").Int != 7 {
 			t.Errorf("Get after Set: %v", v.Get("inum"))
 		}
@@ -67,7 +67,7 @@ func TestDictAliasedKeysShareEntry(t *testing.T) {
 		d.Set(c, K(a), NewStruct("inum", sym.Int(3)))
 		equal := c.Branch(sym.Eq(a, b))
 		if equal {
-			got := d.Get(c, K(b)).(*Struct)
+			got := d.Get(c, K(b))
 			if got.Get("inum").Int != 3 {
 				t.Errorf("aliased key saw %v", got.Get("inum"))
 			}
@@ -154,8 +154,8 @@ func TestTupleKeys(t *testing.T) {
 		ino := c.Var("ino", sym.IntSort, KindArg)
 		d.Set(c, K(ino, sym.Int(0)), NewStruct("inum", sym.Int(10)))
 		d.Set(c, K(ino, sym.Int(1)), NewStruct("inum", sym.Int(11)))
-		v0 := d.Get(c, K(ino, sym.Int(0))).(*Struct)
-		v1 := d.Get(c, K(ino, sym.Int(1))).(*Struct)
+		v0 := d.Get(c, K(ino, sym.Int(0)))
+		v1 := d.Get(c, K(ino, sym.Int(1)))
 		if v0.Get("inum").Int != 10 || v1.Get("inum").Int != 11 {
 			t.Errorf("tuple keys collided: %v %v", v0.Get("inum"), v1.Get("inum"))
 		}

@@ -74,10 +74,10 @@ func (s *State) Dicts() []*symx.Dict { return []*symx.Dict{s.VMA, s.Mem} }
 // arbitrary content and permissions.
 func NewState(c *symx.Context) *State {
 	return &State{
-		VMA: symx.NewDict("vmap", func(c *symx.Context, tag string) symx.Value {
+		VMA: symx.NewDict("vmap", func(c *symx.Context, tag string) *symx.Struct {
 			return symx.NewStruct("wr", c.Var(tag+".wr", sym.BoolSort, symx.KindState))
 		}),
-		Mem: symx.NewDict("vmem", func(c *symx.Context, tag string) symx.Value {
+		Mem: symx.NewDict("vmem", func(c *symx.Context, tag string) *symx.Struct {
 			return symx.NewStruct("val", c.Var(tag+".val", DataSort, symx.KindState))
 		}),
 	}
@@ -162,7 +162,7 @@ func opMprotect() *spec.Op {
 			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
 				return errRet(ENOMEM)
 			}
-			v := s.VMA.Get(x.C, symx.K(proc, page)).(*symx.Struct)
+			v := s.VMA.Get(x.C, symx.K(proc, page))
 			s.VMA.Set(x.C, symx.K(proc, page), v.With("wr", wr))
 			return okRet(sym.Int(0), sym.Int(0), DataZero)
 		},
@@ -178,7 +178,7 @@ func opMemread() *spec.Op {
 			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
 				return errRet(ESIGSEGV)
 			}
-			v := s.Mem.GetFunc(x.C, symx.K(proc, page)).(*symx.Struct)
+			v := s.Mem.GetFunc(x.C, symx.K(proc, page))
 			return okRet(sym.Int(0), sym.Int(0), v.Get("val"))
 		},
 	}
@@ -193,7 +193,7 @@ func opMemwrite() *spec.Op {
 			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
 				return errRet(ESIGSEGV)
 			}
-			v := s.VMA.Get(x.C, symx.K(proc, page)).(*symx.Struct)
+			v := s.VMA.Get(x.C, symx.K(proc, page))
 			if !x.C.Branch(v.Get("wr")) {
 				return errRet(ESIGSEGV) // write to a read-only mapping
 			}
