@@ -503,3 +503,51 @@ func TestCheckReportsCommuted(t *testing.T) {
 			res.Res, res.ResSwapped)
 	}
 }
+
+// Conflict reports are sorted and shown by cell name, so the slots of two
+// pipes must not share names: one traced region that hands a page through
+// each of two pipes reports both pipes' slot 0.
+func TestConflictReportsTellPipesApart(t *testing.T) {
+	setup := kernel.Setup{
+		Pipes: []kernel.SetupPipe{{ID: 1}, {ID: 2}},
+		FDs: []kernel.SetupFD{
+			{Proc: 0, FD: 0, Pipe: true, PipeID: 1, WriteEnd: true},
+			{Proc: 0, FD: 1, Pipe: true, PipeID: 2, WriteEnd: true},
+			{Proc: 1, FD: 0, Pipe: true, PipeID: 1},
+			{Proc: 1, FD: 1, Pipe: true, PipeID: 2},
+		},
+	}
+	want := map[string][]string{
+		"linux": {"pipe[1].item[0]", "pipe[2].item[0]"},
+		"sv6":   {"pipe[1].item[0]", "pipe[1].full[0]", "pipe[2].item[0]", "pipe[2].full[0]"},
+	}
+	for name, fresh := range kernels() {
+		k := fresh()
+		if err := k.Apply(setup); err != nil {
+			t.Fatal(err)
+		}
+		mem := k.Memory()
+		mem.Start()
+		for fd := int64(0); fd < 2; fd++ {
+			if r := k.Exec(0, call("write", 0, map[string]int64{"fd": fd, "val": 7 + fd})); r.Code != 1 {
+				t.Fatalf("%s: write to pipe %d = %v", name, fd+1, r)
+			}
+			if r := k.Exec(1, call("read", 1, map[string]int64{"fd": fd})); r.Code != 1 || r.Data != 7+fd {
+				t.Fatalf("%s: read from pipe %d = %v", name, fd+1, r)
+			}
+		}
+		mem.Stop()
+		seen := map[string]bool{}
+		for _, c := range mem.Conflicts() {
+			if seen[c.CellName] {
+				t.Errorf("%s: two conflicting cells are both named %s", name, c.CellName)
+			}
+			seen[c.CellName] = true
+		}
+		for _, cell := range want[name] {
+			if !seen[cell] {
+				t.Errorf("%s: no conflict reported on %s: %v", name, cell, mem.Conflicts())
+			}
+		}
+	}
+}

@@ -51,6 +51,7 @@ type fdslot struct {
 }
 
 type pipe struct {
+	id    int64 // names the slot cells, so reports tell two pipes apart
 	lock  *scale.SpinLock
 	head  *mtrace.Cell
 	tail  *mtrace.Cell
@@ -163,6 +164,7 @@ func (ino *inode) page(mem *mtrace.Memory, inum, idx int64) *mtrace.Cell {
 
 func (k *Kern) newPipe(id int64) *pipe {
 	p := &pipe{
+		id:    id,
 		lock:  scale.NewSpinLock(k.mem, fmt.Sprintf("pipe[%d].lock", id)),
 		head:  k.mem.NewCellf(0, "pipe[%d].head", id),
 		tail:  k.mem.NewCellf(0, "pipe[%d].tail", id),
@@ -183,7 +185,7 @@ func (k *Kern) newPipe(id int64) *pipe {
 func (p *pipe) item(mem *mtrace.Memory, seq int64) *mtrace.Cell {
 	c, ok := p.items[seq]
 	if !ok {
-		c = mem.NewCellf(0, "pipe.item[%d]", seq)
+		c = mem.NewCellf(0, "pipe[%d].item[%d]", p.id, seq)
 		p.items[seq] = c
 	}
 	return c

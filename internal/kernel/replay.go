@@ -16,7 +16,7 @@ import (
 // The engine builds one Replayer per pair per kernel, so construction is
 // paid a few hundred times a sweep: kernels keep it to what no test can
 // avoid and build the rest when a test first touches it (sv6's directory
-// buckets and per-core counters; see BenchmarkNewKernel).
+// buckets, per-core counters and link-count deltas; see BenchmarkNewKernel).
 //
 // A Replayer is not safe for concurrent use; each CHECK stage (one pair on
 // one kernel) and each Client.Check call builds its own.
@@ -31,35 +31,26 @@ func NewReplayer(fresh func() Kernel) *Replayer {
 	return &Replayer{k: k}
 }
 
-// setupGroup is a run of test cases sharing one initial state, as
-// CheckGroup wants them.
-type setupGroup struct {
-	setup Setup
-	tests []TestCase
-	// indices holds each test's position in the ungrouped input.
-	indices []int
-}
-
-// groupBySetup buckets tests by setup fingerprint, preserving first-
-// appearance order. Tests generated by testgen carry a precomputed
-// SetupID; tests from other sources (hand-built, decoded from the wire or
-// a cache) are fingerprinted here.
-func groupBySetup(tests []TestCase) []setupGroup {
-	var groups []setupGroup
+// groupBySetup buckets the indices of tests by setup fingerprint,
+// preserving first-appearance order: each group is a run of tests sharing
+// one initial state, its first member's Setup. Tests generated by testgen
+// carry a precomputed SetupID; tests from other sources (hand-built,
+// decoded from the wire or a cache) are fingerprinted here.
+func groupBySetup(tests []TestCase) [][]int {
+	var groups [][]int
 	index := map[string]int{}
-	for i, tc := range tests {
-		id := tc.SetupID
+	for i := range tests {
+		id := tests[i].SetupID
 		if id == "" {
-			id = tc.Setup.Fingerprint()
+			id = tests[i].Setup.Fingerprint()
 		}
 		gi, ok := index[id]
 		if !ok {
 			gi = len(groups)
 			index[id] = gi
-			groups = append(groups, setupGroup{setup: tc.Setup})
+			groups = append(groups, nil)
 		}
-		groups[gi].tests = append(groups[gi].tests, tc)
-		groups[gi].indices = append(groups[gi].indices, i)
+		groups[gi] = append(groups[gi], i)
 	}
 	return groups
 }
@@ -77,10 +68,8 @@ func (r *Replayer) CheckTests(ctx context.Context, tests []TestCase, fn func(i i
 		if err := ctx.Err(); err != nil {
 			return len(grouped), err
 		}
-		next := 0
-		err := r.CheckGroup(g.setup, g.tests, func(res CheckResult) bool {
-			fn(g.indices[next], res)
-			next++
+		err := r.checkGroup(tests[g[0]].Setup, tests, g, func(i int, res CheckResult) bool {
+			fn(i, res)
 			return ctx.Err() == nil
 		})
 		if err != nil {
@@ -98,19 +87,29 @@ func (r *Replayer) CheckTests(ctx context.Context, tests []TestCase, fn func(i i
 // state, so groups with different setups run back to back on the same
 // instance.
 func (r *Replayer) CheckGroup(setup Setup, tests []TestCase, fn func(CheckResult) bool) error {
+	all := make([]int, len(tests))
+	for i := range all {
+		all[i] = i
+	}
+	return r.checkGroup(setup, tests, all, func(_ int, res CheckResult) bool { return fn(res) })
+}
+
+// checkGroup is CheckGroup over the tests at indices, which fn is told.
+func (r *Replayer) checkGroup(setup Setup, tests []TestCase, indices []int, fn func(i int, res CheckResult) bool) error {
 	k := r.k
 	mem := k.Memory()
 	if err := k.Apply(setup); err != nil {
 		// Undo the partial setup so the instance stays reusable.
 		mem.Reset()
 		id := ""
-		if len(tests) > 0 {
-			id = tests[0].ID
+		if len(indices) > 0 {
+			id = tests[indices[0]].ID
 		}
 		return fmt.Errorf("%s: setup %s: %w", k.Name(), id, err)
 	}
 	mem.Snapshot()
-	for _, tc := range tests {
+	for _, i := range indices {
+		tc := &tests[i]
 		mem.Start()
 		r0 := k.Exec(0, tc.Calls[0])
 		r1 := k.Exec(1, tc.Calls[1])
@@ -139,8 +138,8 @@ func (r *Replayer) CheckGroup(setup Setup, tests []TestCase, fn func(CheckResult
 			mem.Reset()
 		}
 
-		ok := fn(CheckResult{
-			Test:         tc,
+		ok := fn(i, CheckResult{
+			Test:         *tc,
 			ConflictFree: free,
 			Conflicts:    conflicts,
 			Res:          [2]Result{r0, r1},

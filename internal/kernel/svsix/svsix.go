@@ -103,6 +103,7 @@ type file struct {
 }
 
 type pipe struct {
+	id int64 // names the slot cells, so reports tell two pipes apart
 	// head and tail live on separate cache lines; readers write only
 	// head, writers only tail, so read||write of a non-empty pipe is
 	// conflict-free (§4's weak-ordering discussion). Readers detect
@@ -229,6 +230,7 @@ func (k *Kern) inode(inum int64) *inode {
 
 func (k *Kern) newPipe(id int64) *pipe {
 	p := &pipe{
+		id:    id,
 		head:  k.mem.NewCellf(0, "pipe[%d].head", id),
 		tail:  k.mem.NewCellf(0, "pipe[%d].tail", id),
 		items: map[int64]*mtrace.Cell{},
@@ -250,7 +252,7 @@ func (k *Kern) newPipe(id int64) *pipe {
 func (p *pipe) item(mem *mtrace.Memory, seq int64) *mtrace.Cell {
 	c, ok := p.items[seq]
 	if !ok {
-		c = mem.NewCellf(0, "pipe.item[%d]", seq)
+		c = mem.NewCellf(0, "pipe[%d].item[%d]", p.id, seq)
 		p.items[seq] = c
 	}
 	return c
@@ -259,7 +261,7 @@ func (p *pipe) item(mem *mtrace.Memory, seq int64) *mtrace.Cell {
 func (p *pipe) slotFull(mem *mtrace.Memory, seq int64) *mtrace.Cell {
 	c, ok := p.full[seq]
 	if !ok {
-		c = mem.NewCellf(0, "pipe.full[%d]", seq)
+		c = mem.NewCellf(0, "pipe[%d].full[%d]", p.id, seq)
 		p.full[seq] = c
 	}
 	return c

@@ -151,3 +151,90 @@ func TestNewAllocatesLittle(t *testing.T) {
 		t.Errorf("svsix.New performs %.0f allocations, want < 2000", n)
 	}
 }
+
+// oneInode is the smallest file setup: one name, one inode, one page.
+var oneInode = kernel.Setup{
+	Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
+	Inodes: []kernel.SetupInode{{Inum: 1, Len: 1}},
+}
+
+// applyAndReset returns what a Replayer does with a setup between tests:
+// apply it inside the baseline region, then reset, which drops the inode so
+// that the next call builds it again.
+func applyAndReset(tb testing.TB) func() {
+	k := New()
+	k.Memory().Snapshot()
+	return func() {
+		if err := k.Apply(oneInode); err != nil {
+			tb.Fatal(err)
+		}
+		k.Memory().Reset()
+	}
+}
+
+// TestSetupAllocatesPerTouch pins applying a one-inode setup the way
+// TestNewAllocatesLittle pins construction: the engine applies one setup per
+// group of tests, and an inode whose link count built every core's delta
+// cell up front cost 323 mallocs (15.6 KB) where this costs 35 (1.7 KB).
+func TestSetupAllocatesPerTouch(t *testing.T) {
+	if n := testing.AllocsPerRun(10, applyAndReset(t)); n >= 100 {
+		t.Errorf("applying a one-inode setup performs %.0f allocations, want < 100", n)
+	}
+}
+
+// BenchmarkApplyOneInode is the same in bytes: B/op is the number to watch.
+func BenchmarkApplyOneInode(b *testing.B) {
+	run := applyAndReset(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// fstat reconciles the link count and link/unlink change it, so the two
+// conflict whichever runs first — also when the updater's delta cell is
+// born before the reader bears the rest, and on a kernel replaying from a
+// snapshot, where cells born by one test outlive its reset.
+func TestFstatConflictsWithLinkCountUpdateEitherOrder(t *testing.T) {
+	k := New()
+	mem := k.Memory()
+	apply(t, k, kernel.Setup{
+		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}, {Name: "f1", Inum: 1}},
+		Inodes: []kernel.SetupInode{{Inum: 1}},
+		FDs:    []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
+	})
+	mem.Snapshot()
+	fstat := kernel.Call{Op: "fstat", Args: map[string]int64{"fd": 0}}
+	updates := []kernel.Call{
+		{Op: "link", Proc: 1, Args: map[string]int64{"old": 0, "new": 2}},
+		{Op: "unlink", Proc: 1, Args: map[string]int64{"fname": 1}},
+	}
+	for round := 0; round < 2; round++ {
+		for _, update := range updates {
+			for _, fstatFirst := range []bool{true, false} {
+				mem.Start()
+				var st, up kernel.Result
+				if fstatFirst {
+					st = k.Exec(0, fstat)
+					up = k.Exec(1, update)
+				} else {
+					up = k.Exec(1, update)
+					st = k.Exec(0, fstat)
+				}
+				mem.Stop()
+				if st.Code != 0 || up.Code != 0 {
+					t.Fatalf("round %d %s fstatFirst=%v: fstat %v, %s %v", round, update.Op, fstatFirst, st, update.Op, up)
+				}
+				onDelta := false
+				for _, c := range mem.Conflicts() {
+					onDelta = onDelta || c.CellName == "inode[1].nlink.delta[1]"
+				}
+				if !onDelta {
+					t.Errorf("round %d: fstat || %s (fstat first: %v) must conflict on core 1's delta, got %v",
+						round, update.Op, fstatFirst, mem.Conflicts())
+				}
+				mem.Reset()
+			}
+		}
+	}
+}

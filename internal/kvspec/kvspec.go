@@ -205,24 +205,27 @@ type concretizer struct{}
 // FixupCall is a no-op: the kv interface has no per-call spec flags.
 func (concretizer) FixupCall(cfg spec.Config, call *kernel.Call) {}
 
-// Setup rebuilds the concrete store: every key the witness probed as
+// PlanSetup plans the store dictionary's probes of one path. The function
+// it returns rebuilds the concrete store: every key the witness probed as
 // present becomes a seeded binding with the probed value.
-func (concretizer) Setup(a, b spec.State, m sym.Model) (kernel.Setup, error) {
-	var s kernel.Setup
-	sa, sb := a.(*State), b.(*State)
-	seen := map[int64]bool{}
-	for _, p := range spec.CollectProbes(m, sa.KV, sb.KV) {
-		if !p.Bools["present"] {
-			continue
+func (concretizer) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
+	kv := spec.PlanProbes(a.(*State).KV, b.(*State).KV)
+	return func(m sym.Model) kernel.Setup {
+		var s kernel.Setup
+		seen := map[int64]bool{}
+		for _, p := range kv.Eval(m) {
+			if !p.Bool("present") {
+				continue
+			}
+			key := spec.Clamp(p.Key[0], 0, NKeys-1)
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			s.KVs = append(s.KVs, kernel.SetupKV{
+				Key: key, Val: spec.Clamp(p.Field("val"), 0, MaxVal)})
 		}
-		key := spec.Clamp(p.Key[0], 0, NKeys-1)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		s.KVs = append(s.KVs, kernel.SetupKV{
-			Key: key, Val: spec.Clamp(p.Fields["val"], 0, MaxVal)})
+		sort.Slice(s.KVs, func(i, j int) bool { return s.KVs[i].Key < s.KVs[j].Key })
+		return s
 	}
-	sort.Slice(s.KVs, func(i, j int) bool { return s.KVs[i].Key < s.KVs[j].Key })
-	return s, nil
 }

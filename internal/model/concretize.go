@@ -22,28 +22,48 @@ func (concretizer) FixupCall(cfg spec.Config, call *kernel.Call) {
 	}
 }
 
-// Setup reconstructs a concrete, realizable initial kernel state from the
+// setupPlan holds one path's probe plans, one per dictionary of State.
+type setupPlan struct {
+	inode, fname, data, fd, pipe, piped, anon, vma *spec.ProbePlan
+}
+
+// PlanSetup plans the eight dictionaries' probes of one path.
+func (concretizer) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
+	sa, sb := a.(*State), b.(*State)
+	pl := &setupPlan{
+		inode: spec.PlanProbes(sa.Inode, sb.Inode),
+		fname: spec.PlanProbes(sa.Fname, sb.Fname),
+		data:  spec.PlanProbes(sa.Data, sb.Data),
+		fd:    spec.PlanProbes(sa.FD, sb.FD),
+		pipe:  spec.PlanProbes(sa.Pipe, sb.Pipe),
+		piped: spec.PlanProbes(sa.PipeD, sb.PipeD),
+		anon:  spec.PlanProbes(sa.Anon, sb.Anon),
+		vma:   spec.PlanProbes(sa.VMA, sb.VMA),
+	}
+	return pl.setup
+}
+
+// setup reconstructs a concrete, realizable initial kernel state from the
 // model assignment. Link counts are realized with hidden extra links (the
 // paper's Figure 5 "__i0" trick) when the probed count exceeds the
 // visible names.
-func (concretizer) Setup(a, b spec.State, m sym.Model) (kernel.Setup, error) {
+func (pl *setupPlan) setup(m sym.Model) kernel.Setup {
 	var s kernel.Setup
-	sa, sb := a.(*State), b.(*State)
 
 	inodeLen := map[int64]int64{}
 	inodeNlink := map[int64]int64{}
-	for _, p := range spec.CollectProbes(m, sa.Inode, sb.Inode) {
+	for _, p := range pl.inode.Eval(m) {
 		inum := p.Key[0]
 		if inum < 1 {
 			continue // allocated during the calls, not initial state
 		}
-		inodeLen[inum] = spec.Clamp(p.Fields["len"], 0, MaxLen)
-		inodeNlink[inum] = spec.Clamp(p.Fields["nlink"], 0, MaxInum)
+		inodeLen[inum] = spec.Clamp(p.Field("len"), 0, MaxLen)
+		inodeNlink[inum] = spec.Clamp(p.Field("nlink"), 0, MaxInum)
 	}
 
 	visibleLinks := map[int64]int{}
-	for _, p := range spec.CollectProbes(m, sa.Fname, sb.Fname) {
-		name, inum := p.Key[0], p.Fields["inum"]
+	for _, p := range pl.fname.Eval(m) {
+		name, inum := p.Key[0], p.Field("inum")
 		if inum < 1 {
 			continue
 		}
@@ -55,7 +75,7 @@ func (concretizer) Setup(a, b spec.State, m sym.Model) (kernel.Setup, error) {
 	}
 
 	pages := map[int64]map[int64]int64{}
-	for _, p := range spec.CollectProbes(m, sa.Data, sb.Data) {
+	for _, p := range pl.data.Eval(m) {
 		inum, pg := p.Key[0], p.Key[1]
 		if inum < 1 || pg < 0 {
 			continue
@@ -69,26 +89,26 @@ func (concretizer) Setup(a, b spec.State, m sym.Model) (kernel.Setup, error) {
 		if pages[inum] == nil {
 			pages[inum] = map[int64]int64{}
 		}
-		pages[inum][pg] = p.Fields["val"]
+		pages[inum][pg] = p.Field("val")
 	}
 
 	pipesNeeded := map[int64]bool{}
-	for _, p := range spec.CollectProbes(m, sa.FD, sb.FD) {
+	for _, p := range pl.fd.Eval(m) {
 		proc, fd := int(p.Key[0]), p.Key[1]
 		if fd < 0 {
 			continue
 		}
 		sd := kernel.SetupFD{Proc: proc, FD: fd}
-		if p.Bools["ispipe"] {
+		if p.Bool("ispipe") {
 			sd.Pipe = true
-			sd.PipeID = p.Fields["pipe"]
-			sd.WriteEnd = p.Bools["wend"]
+			sd.PipeID = p.Field("pipe")
+			sd.WriteEnd = p.Bool("wend")
 			if sd.PipeID >= 1 {
 				pipesNeeded[sd.PipeID] = true
 			}
 		} else {
-			sd.Inum = p.Fields["inum"]
-			sd.Off = spec.Clamp(p.Fields["off"], 0, MaxLen)
+			sd.Inum = p.Field("inum")
+			sd.Off = spec.Clamp(p.Field("off"), 0, MaxLen)
 			if sd.Inum >= 1 {
 				if _, ok := inodeLen[sd.Inum]; !ok {
 					inodeLen[sd.Inum] = 0
@@ -98,17 +118,17 @@ func (concretizer) Setup(a, b spec.State, m sym.Model) (kernel.Setup, error) {
 		s.FDs = append(s.FDs, sd)
 	}
 
-	pipeFields := map[int64]map[string]int64{}
-	for _, p := range spec.CollectProbes(m, sa.Pipe, sb.Pipe) {
+	pipeCursors := map[int64]spec.Probe{}
+	for _, p := range pl.pipe.Eval(m) {
 		id := p.Key[0]
 		if id < 1 {
 			continue
 		}
-		pipeFields[id] = p.Fields
+		pipeCursors[id] = p
 		pipesNeeded[id] = true
 	}
 	pipeVals := map[int64]map[int64]int64{}
-	for _, p := range spec.CollectProbes(m, sa.PipeD, sb.PipeD) {
+	for _, p := range pl.piped.Eval(m) {
 		id, seq := p.Key[0], p.Key[1]
 		if id < 1 {
 			continue
@@ -116,32 +136,32 @@ func (concretizer) Setup(a, b spec.State, m sym.Model) (kernel.Setup, error) {
 		if pipeVals[id] == nil {
 			pipeVals[id] = map[int64]int64{}
 		}
-		pipeVals[id][seq] = p.Fields["val"]
+		pipeVals[id][seq] = p.Field("val")
 	}
 	for id := range pipesNeeded {
 		s.Pipes = append(s.Pipes, kernel.SetupPipe{
-			ID: id, Items: spec.BacklogItems(pipeFields[id], pipeVals[id], MaxLen)})
+			ID: id, Items: spec.BacklogItems(pipeCursors[id], pipeVals[id], MaxLen)})
 	}
 
 	anonVals := map[[2]int64]int64{}
-	for _, p := range spec.CollectProbes(m, sa.Anon, sb.Anon) {
-		anonVals[[2]int64{p.Key[0], p.Key[1]}] = p.Fields["val"]
+	for _, p := range pl.anon.Eval(m) {
+		anonVals[[2]int64{p.Key[0], p.Key[1]}] = p.Field("val")
 	}
-	for _, p := range spec.CollectProbes(m, sa.VMA, sb.VMA) {
+	for _, p := range pl.vma.Eval(m) {
 		proc, page := p.Key[0], p.Key[1]
 		if page < 0 {
 			continue
 		}
 		sv := kernel.SetupVMA{
 			Proc: int(proc), Page: page,
-			Anon:     p.Bools["anon"],
-			Writable: p.Bools["wr"],
+			Anon:     p.Bool("anon"),
+			Writable: p.Bool("wr"),
 		}
 		if sv.Anon {
 			sv.Val = anonVals[[2]int64{proc, page}]
 		} else {
-			sv.Inum = p.Fields["inum"]
-			sv.Foff = spec.Clamp(p.Fields["foff"], 0, MaxLen)
+			sv.Inum = p.Field("inum")
+			sv.Foff = spec.Clamp(p.Field("foff"), 0, MaxLen)
 			if sv.Inum >= 1 {
 				if _, ok := inodeLen[sv.Inum]; !ok {
 					inodeLen[sv.Inum] = 0
@@ -171,7 +191,7 @@ func (concretizer) Setup(a, b spec.State, m sym.Model) (kernel.Setup, error) {
 		})
 	}
 	sortSetup(&s)
-	return s, nil
+	return s
 }
 
 // sortSetup fixes deterministic ordering for reproducible output.

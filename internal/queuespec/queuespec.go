@@ -242,50 +242,55 @@ type concretizer struct{}
 // FixupCall is a no-op: the queue interface has no per-call spec flags.
 func (concretizer) FixupCall(cfg spec.Config, call *kernel.Call) {}
 
-// Setup rebuilds concrete queue backlogs: for each probed queue, the
-// messages between head and tail become the seeded items (the
+// PlanSetup plans the four queue dictionaries' probes of one path. The
+// function it returns rebuilds concrete queue backlogs: for each probed
+// queue, the messages between head and tail become the seeded items (the
 // implementation renumbers from zero; sequence numbers are relative, so
 // only the backlog's content and order matter).
-func (concretizer) Setup(a, b spec.State, m sym.Model) (kernel.Setup, error) {
-	var s kernel.Setup
+func (concretizer) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
 	sa, sb := a.(*State), b.(*State)
+	ord, ordD := spec.PlanProbes(sa.Ord, sb.Ord), spec.PlanProbes(sa.OrdD, sb.OrdD)
+	anyQ, anyD := spec.PlanProbes(sa.AnyQ, sb.AnyQ), spec.PlanProbes(sa.AnyD, sb.AnyD)
+	return func(m sym.Model) kernel.Setup {
+		var s kernel.Setup
 
-	// Shared ordered queue.
-	var ordFields map[string]int64
-	for _, p := range spec.CollectProbes(m, sa.Ord, sb.Ord) {
-		if p.Key[0] == 0 {
-			ordFields = p.Fields
+		// Shared ordered queue.
+		var ordCursors spec.Probe
+		for _, p := range ord.Eval(m) {
+			if p.Key[0] == 0 {
+				ordCursors = p
+			}
 		}
-	}
-	ordVals := map[int64]int64{}
-	for _, p := range spec.CollectProbes(m, sa.OrdD, sb.OrdD) {
-		ordVals[p.Key[0]] = p.Fields["val"]
-	}
-	if items := spec.BacklogItems(ordFields, ordVals, MaxQLen); len(items) > 0 {
-		s.Queues = append(s.Queues, kernel.SetupQueue{Core: -1, Items: items})
-	}
+		ordVals := map[int64]int64{}
+		for _, p := range ordD.Eval(m) {
+			ordVals[p.Key[0]] = p.Field("val")
+		}
+		if items := spec.BacklogItems(ordCursors, ordVals, MaxQLen); len(items) > 0 {
+			s.Queues = append(s.Queues, kernel.SetupQueue{Core: -1, Items: items})
+		}
 
-	// Per-core unordered queues, in queue-id order.
-	anyFields := map[int64]map[string]int64{}
-	for _, p := range spec.CollectProbes(m, sa.AnyQ, sb.AnyQ) {
-		qi := p.Key[0]
-		if qi < 0 || qi >= NQueues {
-			continue
+		// Per-core unordered queues, in queue-id order.
+		anyCursors := map[int64]spec.Probe{}
+		for _, p := range anyQ.Eval(m) {
+			qi := p.Key[0]
+			if qi < 0 || qi >= NQueues {
+				continue
+			}
+			anyCursors[qi] = p
 		}
-		anyFields[qi] = p.Fields
-	}
-	anyVals := map[int64]map[int64]int64{}
-	for _, p := range spec.CollectProbes(m, sa.AnyD, sb.AnyD) {
-		qi, seq := p.Key[0], p.Key[1]
-		if anyVals[qi] == nil {
-			anyVals[qi] = map[int64]int64{}
+		anyVals := map[int64]map[int64]int64{}
+		for _, p := range anyD.Eval(m) {
+			qi, seq := p.Key[0], p.Key[1]
+			if anyVals[qi] == nil {
+				anyVals[qi] = map[int64]int64{}
+			}
+			anyVals[qi][seq] = p.Field("val")
 		}
-		anyVals[qi][seq] = p.Fields["val"]
-	}
-	for qi := int64(0); qi < NQueues; qi++ {
-		if items := spec.BacklogItems(anyFields[qi], anyVals[qi], MaxQLen); len(items) > 0 {
-			s.Queues = append(s.Queues, kernel.SetupQueue{Core: qi, Items: items})
+		for qi := int64(0); qi < NQueues; qi++ {
+			if items := spec.BacklogItems(anyCursors[qi], anyVals[qi], MaxQLen); len(items) > 0 {
+				s.Queues = append(s.Queues, kernel.SetupQueue{Core: qi, Items: items})
+			}
 		}
+		return s
 	}
-	return s, nil
 }

@@ -54,28 +54,54 @@ func (c *SharedCounter) Poke(v int64) { c.cell.Poke(v) }
 // reconcile every per-core delta, which conflicts with concurrent updates —
 // the cost statbench's fstat-with-Refcache configuration pays, and the cost
 // fstatx avoids by not asking for the link count.
+//
+// A core's delta cell is born at its first touch, like IDAlloc's counters:
+// an unborn delta is a zero one, so construction builds the base cell only
+// and a counter nobody reconciles costs the cells of the cores that changed
+// it. Read is not lazy: a reader must leave its mark on every core's line
+// for a later Inc there to conflict with it, so it bears whatever is missing
+// first.
 type Refcache struct {
-	base   *mtrace.Cell
-	deltas [NCores]*mtrace.Cell
+	mem  *mtrace.Memory
+	name string
+	base *mtrace.Cell
+	// deltas[core] is nil until core's first Inc or anyone's first Read; the
+	// slice reaches only as far as the highest core born so far.
+	deltas []*mtrace.Cell
 }
 
 // NewRefcache allocates a Refcache counter.
 func NewRefcache(mem *mtrace.Memory, name string, init int64) *Refcache {
-	r := &Refcache{base: mem.NewCell(name+".base", init)}
-	for i := range r.deltas {
-		r.deltas[i] = mem.NewCellf(0, "%s.delta[%d]", name, i)
+	return &Refcache{mem: mem, name: name, base: mem.NewCell(name+".base", init)}
+}
+
+// delta returns core's delta cell, bearing it on first touch. A cell born
+// inside a snapshot region survives Reset holding the journal-restored 0,
+// which is the state it would have been built in.
+func (r *Refcache) delta(core int) *mtrace.Cell {
+	if core >= len(r.deltas) {
+		r.deltas = append(r.deltas, make([]*mtrace.Cell, core+1-len(r.deltas))...)
 	}
-	return r
+	c := r.deltas[core]
+	if c == nil {
+		c = r.mem.NewCellf(0, "%s.delta[%d]", r.name, core)
+		r.deltas[core] = c
+	}
+	return c
 }
 
 // Inc adds delta using only the invoking core's cache line.
-func (r *Refcache) Inc(core int, delta int64) { r.deltas[core].Add(core, delta) }
+func (r *Refcache) Inc(core int, delta int64) { r.delta(core).Add(core, delta) }
 
 // Read reconciles and returns the true count; it reads every core's delta
 // cell, so it is conflict-free only against other readers.
 func (r *Refcache) Read(core int) int64 {
 	v := r.base.Load(core)
-	for _, d := range r.deltas {
+	r.delta(NCores - 1) // reach every core
+	for i, d := range r.deltas {
+		if d == nil {
+			d = r.delta(i)
+		}
 		v += d.Load(core)
 	}
 	return v
@@ -85,7 +111,9 @@ func (r *Refcache) Read(core int) int64 {
 func (r *Refcache) Peek() int64 {
 	v := r.base.Peek()
 	for _, d := range r.deltas {
-		v += d.Peek()
+		if d != nil {
+			v += d.Peek()
+		}
 	}
 	return v
 }
@@ -94,7 +122,9 @@ func (r *Refcache) Peek() int64 {
 func (r *Refcache) Poke(v int64) {
 	r.base.Poke(v)
 	for _, d := range r.deltas {
-		d.Poke(0)
+		if d != nil {
+			d.Poke(0)
+		}
 	}
 }
 

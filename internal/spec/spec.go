@@ -92,10 +92,13 @@ type Impl struct {
 // Concretizer turns one satisfying assignment of a commutativity condition
 // into the concrete parts of a test case that are specific to the spec.
 type Concretizer interface {
-	// Setup mines a concrete, realizable initial state from model
-	// assignment m over the two permutations' final symbolic states
-	// (their dictionaries' initial-probe entries).
-	Setup(a, b State, m sym.Model) (kernel.Setup, error)
+	// PlanSetup resolves, once per path, what mining a setup from the two
+	// permutations' final symbolic states does not need a model for (their
+	// dictionaries' initial-probe entries: PlanProbes), and returns the
+	// function TESTGEN then calls once per model assignment m to mine a
+	// concrete, realizable initial state. The function may reuse storage
+	// between calls; the Setup it returns is the caller's to keep.
+	PlanSetup(a, b State) func(m sym.Model) kernel.Setup
 	// FixupCall post-processes one materialized call — e.g. the POSIX
 	// spec attaches the O_ANYFD flag to open/pipe calls unless cfg
 	// selects the lowest-FD rule.

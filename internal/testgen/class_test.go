@@ -47,6 +47,12 @@ func classFormula(m sym.Model, vars []*sym.Expr) *sym.Expr {
 	return sym.And(conj...)
 }
 
+// signatureOf is classSignature on scratch of its own, as a value that
+// outlives the next call.
+func signatureOf(m sym.Model, vars []*sym.Expr) string {
+	return string(new(sigScratch).classSignature(m, vars))
+}
+
 // TestQuickClassSignatureMatchesFormula pins the signature to the formula
 // it replaced: over random mixed-sort variable lists and random total
 // models, two models share a signature exactly when the second satisfies
@@ -75,15 +81,38 @@ func TestQuickClassSignatureMatchesFormula(t *testing.T) {
 			t.Logf("distinguishes=%v but class formula is %v (vars %v)", distinguishes(vars), cf, vars)
 			return false
 		}
-		same := classSignature(m1, vars) == classSignature(m2, vars)
+		sig1, sig2 := signatureOf(m1, vars), signatureOf(m2, vars)
+		same := sig1 == sig2
 		if covered := m2.EvalBool(cf); same != covered {
 			t.Logf("vars %v\nm1 %v -> %q\nm2 %v -> %q\nformula %v holds in m2: %v",
-				vars, m1, classSignature(m1, vars), m2, classSignature(m2, vars), cf, covered)
+				vars, m1, sig1, m2, sig2, cf, covered)
 			return false
 		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSeenClassCostsNoAllocation pins the leaf's commonest outcome — a
+// model of a class its path already kept — to no allocation: the signature
+// is built in reused scratch and looked up without becoming a string.
+func TestSeenClassCostsNoAllocation(t *testing.T) {
+	s := sym.Uninterpreted("ClsA")
+	vars := []*sym.Expr{sym.Var("cls.a", s), sym.Var("cls.b", s), sym.Var("cls.c", sym.BoolSort), sym.Var("cls.d", sym.IntSort)}
+	m := sym.Model{
+		"cls.a": {Sort: s, Int: 2}, "cls.b": {Sort: s, Int: 2},
+		"cls.c": {Sort: sym.BoolSort, Bool: true}, "cls.d": {Sort: sym.IntSort, Int: 7},
+	}
+	var sc sigScratch
+	classes := map[string]bool{string(sc.classSignature(m, vars)): true}
+	n := testing.AllocsPerRun(100, func() {
+		if !classes[string(sc.classSignature(m, vars))] {
+			t.Fatal("a model must be in its own class")
+		}
+	})
+	if n != 0 {
+		t.Errorf("a model of a seen class costs %.0f allocations, want 0", n)
 	}
 }

@@ -13,6 +13,8 @@ package testgen
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 
 	"repro/internal/analyzer"
@@ -38,6 +40,17 @@ type Options struct {
 // dropped. Callers that report coverage treat such pairs as
 // under-approximated, like the analyzer's Unknown paths.
 func GenerateChecked(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kernel.TestCase, int) {
+	tests, truncated, _ := generate(sp, pr, opt)
+	return tests, truncated
+}
+
+// leafCounts tallies what the enumeration's leaf did: models the search
+// reached, and those of a class not seen on their path, which are
+// materialised (the tests kept are the ones whose content is new as well).
+type leafCounts struct{ visited, materialized int }
+
+func generate(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kernel.TestCase, int, leafCounts) {
+	var n leafCounts
 	maxPer := opt.MaxTestsPerPath
 	if maxPer == 0 {
 		maxPer = 4
@@ -46,8 +59,9 @@ func GenerateChecked(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kerne
 	if solver == nil {
 		solver = &sym.Solver{}
 	}
-	// The pair's ops and concretizer are invariant across paths and
-	// tests; resolve them once, not per materialized test.
+	// The pair's ops, their argument variables and the concretizer are
+	// invariant across paths and tests; resolve them once, not per
+	// materialized test.
 	opA, errA := spec.OpByName(sp, pr.OpA)
 	opB, errB := spec.OpByName(sp, pr.OpB)
 	if errA != nil || errB != nil {
@@ -58,16 +72,30 @@ func GenerateChecked(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kerne
 			pr.OpA, pr.OpB, pr.Spec, sp.Name()))
 	}
 	ops := [2]*spec.Op{opA, opB}
+	var argVars [2][]*sym.Expr
+	for slot, op := range ops {
+		for _, as := range op.Args {
+			argVars[slot] = append(argVars[slot], sym.Var(op.Name+"."+strconv.Itoa(slot)+"."+as.Name, as.Sort))
+		}
+	}
 	conc := sp.Concretizer()
 	var tests []kernel.TestCase
 	truncated := 0
-	seen := map[string]bool{}
+	// The leaf's scratch, reused across models and paths: the class
+	// signature and the two calls (cloned when a test is kept).
+	var sig sigScratch
+	calls := [2]kernel.Call{{Op: opA.Name, Args: map[string]int64{}}, {Op: opB.Name, Args: map[string]int64{}}}
+	seen := map[string][]int{} // SetupID -> the kept tests starting from it
+	classes := map[string]bool{}
 	for pi, path := range pr.Paths {
 		if !path.Commutes {
 			continue
 		}
 		vars := classVars(path.CommuteCond, path.VarKinds)
 		manyClasses := distinguishes(vars)
+		// What mining a setup needs of the path's two states is resolved
+		// here, once, and evaluated per model below.
+		setupOf := conc.PlanSetup(path.StateA, path.StateB)
 		// One enumeration pass collects a representative per isomorphism
 		// class: each model is kept if no previously kept model has its
 		// class signature. This keeps the same representatives, in the
@@ -82,26 +110,48 @@ func GenerateChecked(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kerne
 		// exhaust the (single, shared) step budget is reported through
 		// the truncation count instead of failing silently.
 		ti := 0
-		classes := map[string]bool{}
+		clear(classes)
 		solver.Enumerate(path.CommuteCond, func(m sym.Model) bool {
-			sig := classSignature(m, vars)
-			if classes[sig] {
+			n.visited++
+			cls := sig.classSignature(m, vars)
+			if classes[string(cls)] {
 				return true // same class as a kept model; keep searching
 			}
-			classes[sig] = true
-			id := fmt.Sprintf("%s_%s_path%d_test%d", pr.OpA, pr.OpB, pi, ti)
-			tc, err := materialize(ops, conc, pr.Config, id, path, m)
+			classes[string(cls)] = true
+			n.materialized++
+			// The calls, fixed up under the configuration the pair was
+			// analysed under: the posix spec marks open/pipe O_ANYFD exactly
+			// when the model allocated descriptors nondeterministically.
+			for slot := range calls {
+				fillCall(&calls[slot], ops[slot], argVars[slot], m)
+				conc.FixupCall(pr.Config, &calls[slot])
+			}
+			// The initial state, mined by the spec's Concretizer from the
+			// union of initial-state probes of both permutations' symbolic
+			// states, and its content address, so the checker can batch
+			// tests that share an initial state without recomputing the
+			// fingerprint per test.
+			setup := setupOf(m)
+			setupID := setup.Fingerprint()
 			// Distinct isomorphism classes can materialize identically
 			// when the distinguishing variables don't reach the concrete
 			// state (e.g. content values on error paths); emit one copy.
-			// SetupID is an exact rendering of the setup, so the key is
-			// the test's whole content but its ID.
-			if err == nil {
-				key := tc.Calls[0].String() + "|" + tc.Calls[1].String() + "|" + tc.SetupID
-				if !seen[key] {
-					seen[key] = true
-					tests = append(tests, tc)
+			// SetupID is an exact rendering of the setup, so a kept test
+			// with this setup and these calls has the whole content but
+			// the ID.
+			dup := slices.ContainsFunc(seen[setupID], func(i int) bool {
+				return sameCall(tests[i].Calls[0], calls[0]) && sameCall(tests[i].Calls[1], calls[1])
+			})
+			if !dup {
+				seen[setupID] = append(seen[setupID], len(tests))
+				tc := kernel.TestCase{
+					ID:    fmt.Sprintf("%s_%s_path%d_test%d", pr.OpA, pr.OpB, pi, ti),
+					Setup: setup, SetupID: setupID, Calls: calls,
 				}
+				for slot := range tc.Calls {
+					tc.Calls[slot].Args = maps.Clone(calls[slot].Args)
+				}
+				tests = append(tests, tc)
 			}
 			ti++
 			// With nothing to tell two models apart every model is in
@@ -114,7 +164,7 @@ func GenerateChecked(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kerne
 			truncated++
 		}
 	}
-	return tests, truncated
+	return tests, truncated, n
 }
 
 // classVars selects the variables whose equality pattern defines a test's
@@ -130,20 +180,26 @@ func classVars(cond *sym.Expr, kinds map[string]symx.VarKind) []*sym.Expr {
 	return out
 }
 
+// sigScratch is classSignature's storage, reused from model to model.
+type sigScratch struct {
+	vals []int64
+	sig  []byte
+}
+
 // classSignature renders the isomorphism class of model m over vars, which
 // m must bind: boolean variables by their values, and every other variable
 // by the position of the first variable of its sort holding the same value
 // — which fixes the equal/distinct relation of every same-sort pair and
 // nothing else. Two models are in one class exactly when their signatures
 // are equal; skipping models of a kept signature is the paper's "negates
-// any equivalent assignment" step.
-func classSignature(m sym.Model, vars []*sym.Expr) string {
-	vals := make([]sym.Value, len(vars))
-	sig := make([]byte, 0, 3*len(vars))
+// any equivalent assignment" step. The result is valid until the next call.
+func (s *sigScratch) classSignature(m sym.Model, vars []*sym.Expr) []byte {
+	vals, sig := s.vals[:0], s.sig[:0]
 	for i, x := range vars {
-		vals[i] = m[x.Name]
+		v := m[x.Name]
+		vals = append(vals, v.Int)
 		if x.Sort.Kind == sym.KindBool {
-			if vals[i].Bool {
+			if v.Bool {
 				sig = append(sig, 't')
 			} else {
 				sig = append(sig, 'f')
@@ -152,14 +208,15 @@ func classSignature(m sym.Model, vars []*sym.Expr) string {
 		}
 		first := i
 		for j, y := range vars[:i] {
-			if y.Sort == x.Sort && vals[j].Int == vals[i].Int {
+			if y.Sort == x.Sort && vals[j] == v.Int {
 				first = j
 				break
 			}
 		}
 		sig = strconv.AppendInt(append(sig, ','), int64(first), 10)
 	}
-	return string(sig)
+	s.vals, s.sig = vals, sig
+	return sig
 }
 
 // distinguishes reports whether two models over vars can differ in class:
@@ -178,53 +235,31 @@ func distinguishes(vars []*sym.Expr) bool {
 	return false
 }
 
-// materialize renders one satisfying assignment as a concrete test case:
-// concrete arguments for the two calls (an argument named "proc" selects
-// the calling process by convention), fixed up by the spec's Concretizer
-// under cfg — the configuration the pair was analysed under, so e.g. the
-// posix spec marks open/pipe calls O_ANYFD exactly when the model allocated
-// descriptors nondeterministically — plus the initial state mined by the
-// spec's Concretizer from the union of initial-state probes of both
-// permutations' symbolic states.
-func materialize(ops [2]*spec.Op, conc spec.Concretizer, cfg spec.Config, id string, path analyzer.PairPath, m sym.Model) (kernel.TestCase, error) {
-	tc := kernel.TestCase{ID: id}
-	for slot, op := range ops {
-		call := kernel.Call{Op: op.Name, Args: map[string]int64{}}
-		for _, as := range op.Args {
-			name := fmt.Sprintf("%s.%d.%s", op.Name, slot, as.Name)
-			v := sym.Var(name, as.Sort)
-			switch {
-			case as.Name == "proc":
-				if spec.EvalBool(m, v, false) {
-					call.Proc = 1
-				}
-			case as.Sort.Kind == sym.KindBool:
-				if spec.EvalBool(m, v, false) {
-					call.Args[as.Name] = 1
-				} else {
-					call.Args[as.Name] = 0
-				}
-			default:
-				call.Args[as.Name] = spec.EvalInt(m, v, max64(as.Min, 0))
+// fillCall renders one satisfying assignment's concrete arguments for one
+// call into c, whose Args map it reuses (an argument named "proc" selects
+// the calling process by convention). vars are op's argument variables,
+// "<op>.<slot>.<name>", in op.Args order.
+func fillCall(c *kernel.Call, op *spec.Op, vars []*sym.Expr, m sym.Model) {
+	c.Proc = 0
+	clear(c.Args)
+	for i, as := range op.Args {
+		switch v := vars[i]; {
+		case as.Name == "proc":
+			if spec.EvalBool(m, v, false) {
+				c.Proc = 1
 			}
+		case as.Sort.Kind == sym.KindBool:
+			if spec.EvalBool(m, v, false) {
+				c.Args[as.Name] = 1
+			} else {
+				c.Args[as.Name] = 0
+			}
+		default:
+			c.Args[as.Name] = spec.EvalInt(m, v, max(as.Min, 0))
 		}
-		conc.FixupCall(cfg, &call)
-		tc.Calls[slot] = call
 	}
-	setup, err := conc.Setup(path.StateA, path.StateB, m)
-	if err != nil {
-		return tc, err
-	}
-	tc.Setup = setup
-	// Content-address the setup so the checker can batch tests that share
-	// an initial state without recomputing the fingerprint per test.
-	tc.SetupID = setup.Fingerprint()
-	return tc, nil
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
+// sameCall reports whether two calls of one op are the same call: what
+// comparing their Call.String would, unrendered.
+func sameCall(a, b kernel.Call) bool { return a.Proc == b.Proc && maps.Equal(a.Args, b.Args) }

@@ -207,7 +207,7 @@ func TestClassFormula(t *testing.T) {
 		"y": {Sort: fn, Int: 2},
 		"b": {Sort: sym.BoolSort, Bool: true},
 	}
-	if !renamed.EvalBool(f) || classSignature(renamed, vars) != classSignature(m, vars) {
+	if !renamed.EvalBool(f) || signatureOf(renamed, vars) != signatureOf(m, vars) {
 		t.Error("renaming values must stay in the class")
 	}
 	m2 := sym.Model{
@@ -218,7 +218,7 @@ func TestClassFormula(t *testing.T) {
 	if m2.EvalBool(f) {
 		t.Error("different equality pattern must violate the class formula")
 	}
-	if classSignature(m2, vars) == classSignature(m, vars) {
+	if signatureOf(m2, vars) == signatureOf(m, vars) {
 		t.Error("different equality pattern must give a different class signature")
 	}
 }

@@ -241,36 +241,39 @@ type concretizer struct{}
 // FixupCall is a no-op: the VM interface has no per-call spec flags.
 func (concretizer) FixupCall(cfg spec.Config, call *kernel.Call) {}
 
-// Setup rebuilds the concrete address spaces: every (proc, page) the
-// witness probed as mapped becomes an anonymous SetupVMA carrying the
-// probed permission and content.
-func (concretizer) Setup(a, b spec.State, m sym.Model) (kernel.Setup, error) {
-	var s kernel.Setup
+// PlanSetup plans the two address-space dictionaries' probes of one path.
+// The function it returns rebuilds the concrete address spaces: every
+// (proc, page) the witness probed as mapped becomes an anonymous SetupVMA
+// carrying the probed permission and content.
+func (concretizer) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
 	sa, sb := a.(*State), b.(*State)
-
-	vals := map[[2]int64]int64{}
-	for _, p := range spec.CollectProbes(m, sa.Mem, sb.Mem) {
-		vals[[2]int64{p.Key[0], p.Key[1]}] = p.Fields["val"]
-	}
-	seen := map[[2]int64]bool{}
-	for _, p := range spec.CollectProbes(m, sa.VMA, sb.VMA) {
-		proc := spec.Clamp(p.Key[0], 0, 1)
-		page := spec.Clamp(p.Key[1], 0, MaxPage-1)
-		at := [2]int64{proc, page}
-		if seen[at] {
-			continue
+	mem, vma := spec.PlanProbes(sa.Mem, sb.Mem), spec.PlanProbes(sa.VMA, sb.VMA)
+	return func(m sym.Model) kernel.Setup {
+		var s kernel.Setup
+		vals := map[[2]int64]int64{}
+		for _, p := range mem.Eval(m) {
+			vals[[2]int64{p.Key[0], p.Key[1]}] = p.Field("val")
 		}
-		seen[at] = true
-		s.VMAs = append(s.VMAs, kernel.SetupVMA{
-			Proc: int(proc), Page: page, Anon: true,
-			Val: vals[[2]int64{p.Key[0], p.Key[1]}], Writable: p.Bools["wr"],
+		seen := map[[2]int64]bool{}
+		for _, p := range vma.Eval(m) {
+			proc := spec.Clamp(p.Key[0], 0, 1)
+			page := spec.Clamp(p.Key[1], 0, MaxPage-1)
+			at := [2]int64{proc, page}
+			if seen[at] {
+				continue
+			}
+			seen[at] = true
+			s.VMAs = append(s.VMAs, kernel.SetupVMA{
+				Proc: int(proc), Page: page, Anon: true,
+				Val: vals[[2]int64{p.Key[0], p.Key[1]}], Writable: p.Bool("wr"),
+			})
+		}
+		sort.Slice(s.VMAs, func(i, j int) bool {
+			if s.VMAs[i].Proc != s.VMAs[j].Proc {
+				return s.VMAs[i].Proc < s.VMAs[j].Proc
+			}
+			return s.VMAs[i].Page < s.VMAs[j].Page
 		})
+		return s
 	}
-	sort.Slice(s.VMAs, func(i, j int) bool {
-		if s.VMAs[i].Proc != s.VMAs[j].Proc {
-			return s.VMAs[i].Proc < s.VMAs[j].Proc
-		}
-		return s.VMAs[i].Page < s.VMAs[j].Page
-	})
-	return s, nil
 }
