@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/commuter"
-	"repro/internal/eval"
 )
 
 // checkMatrixGolden pins one `commuter matrix` rendering byte-for-byte
@@ -43,8 +42,8 @@ func checkMatrixGolden(t *testing.T, name string, opts ...commuter.Option) {
 			t.Fatal(err)
 		}
 		got := ""
-		for _, m := range eval.MatricesFromSweep(res) {
-			got += eval.FormatMatrix(m) + "\n"
+		for _, m := range commuter.MatricesFromSweep(res) {
+			got += commuter.FormatMatrix(m) + "\n"
 		}
 		return got
 	}

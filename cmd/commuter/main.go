@@ -43,13 +43,10 @@
 // instead of the O_ANYFD variant, reproducing the lowest-FD column of
 // Figure 6.
 //
-// The full 18-op matrix is dominated by the VM pairs; sweep fans the pairs
-// across a worker pool (-j, default all CPUs) and can persist per-pair
-// results in an on-disk cache (-cache locally, `serve -cache` remotely),
-// so a warm rerun finishes in well under a second and a cold run takes
-// minutes of wall-clock rather than the tens of minutes the sequential
-// path needs. Cache keys fold in the spec name, so every spec can share
-// one cache directory.
+// Sweep fans the pairs across a worker pool (-j, default all CPUs) and can
+// persist per-pair results in a cache (-cache locally, `serve -cache`
+// remotely), so a rerun recomputes only what changed. Cache keys fold in
+// the spec name, so every spec can share one cache directory.
 package main
 
 import (

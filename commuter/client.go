@@ -115,11 +115,12 @@ func WithSpec(name string) Option { return func(o *callOptions) { o.Spec = name 
 // O_ANYFD specification nondeterminism (§4 of the paper).
 func WithLowestFD(on bool) Option { return func(o *callOptions) { o.LowestFD = on } }
 
-// WithMaxPaths caps joint path exploration per pair (default 4096).
+// WithMaxPaths caps joint path exploration per pair (zero means
+// symx.DefaultMaxPaths).
 func WithMaxPaths(n int) Option { return func(o *callOptions) { o.MaxPaths = n } }
 
 // WithTestsPerPath caps the isomorphism classes enumerated per
-// commutative path (default 4).
+// commutative path (zero means testgen.DefaultMaxTestsPerPath).
 func WithTestsPerPath(n int) Option { return func(o *callOptions) { o.MaxTestsPerPath = n } }
 
 // WithWorkers sizes the sweep worker pool (default: one per CPU of the

@@ -22,8 +22,9 @@
 //		...
 //	}
 //
-// Package commuter also exposes the evaluation drivers that regenerate the
-// paper's Figure 6 matrices and Figure 7 throughput curves.
+// Package commuter also renders a sweep as the paper's Figure 6 matrices
+// (MatricesFromSweep, FormatMatrix) and exposes the drivers that
+// regenerate its Figure 7 throughput curves (package eval).
 package commuter
 
 import (
@@ -45,8 +46,6 @@ type (
 	TestCase = kernel.TestCase
 	// Curve is a Figure 7 throughput series.
 	Curve = eval.Curve
-	// Matrix is a Figure 6 conflict matrix.
-	Matrix = eval.Matrix
 
 	// SweepResult is a completed sweep.
 	SweepResult = sweep.Result
@@ -88,10 +87,6 @@ func OpenSweepBackend(spec string) (SweepBackend, error) { return sweep.OpenBack
 // inside, packed onto lanes that reconstruct the worker schedule.
 func WriteSweepTrace(w io.Writer, res *SweepResult) error { return sweep.WriteTrace(w, res) }
 
-// MatricesFromSweep converts a sweep result into Figure 6 matrices, one per
-// swept kernel.
-func MatricesFromSweep(res *SweepResult) []Matrix { return eval.MatricesFromSweep(res) }
-
 // Statbench, Openbench and Mailbench regenerate the Figure 7 curves on the
 // coherence simulator. See package eval for the modes.
 var (
@@ -99,7 +94,6 @@ var (
 	Openbench    = eval.Openbench
 	Mailbench    = eval.Mailbench
 	FormatCurves = eval.FormatCurves
-	FormatMatrix = eval.FormatMatrix
 	DefaultCores = eval.DefaultCores
 )
 

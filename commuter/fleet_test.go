@@ -13,7 +13,6 @@ import (
 
 	"repro/commuter"
 	"repro/internal/api"
-	"repro/internal/eval"
 	"repro/internal/sweep"
 )
 
@@ -62,12 +61,12 @@ func TestFleetSweepAcrossServers(t *testing.T) {
 		}
 	}
 
-	want := eval.FormatMatrix(eval.MatricesFromSweep(ref)[0])
+	want := commuter.FormatMatrix(commuter.MatricesFromSweep(ref)[0])
 	for i, res := range results {
 		if len(res.Pairs) != pairs {
 			t.Errorf("fleet member %d returned %d pairs, want %d (truncated matrix)", i, len(res.Pairs), pairs)
 		}
-		if got := eval.FormatMatrix(eval.MatricesFromSweep(res)[0]); got != want {
+		if got := commuter.FormatMatrix(commuter.MatricesFromSweep(res)[0]); got != want {
 			t.Errorf("fleet member %d matrix diverges from single-server run\ngot:\n%s\nwant:\n%s", i, got, want)
 		}
 	}

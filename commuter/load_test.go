@@ -14,15 +14,14 @@ import (
 
 	"repro/commuter"
 	"repro/internal/api"
-	"repro/internal/eval"
 )
 
 // renderMatrices is the rendering `commuter sweep` prints, the form in
 // which two sweeps are compared whatever their timings and cache luck.
 func renderMatrices(res *commuter.SweepResult) string {
 	var b bytes.Buffer
-	for _, m := range eval.MatricesFromSweep(res) {
-		b.WriteString(eval.FormatMatrix(m))
+	for _, m := range commuter.MatricesFromSweep(res) {
+		b.WriteString(commuter.FormatMatrix(m))
 	}
 	return b.String()
 }

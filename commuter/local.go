@@ -5,7 +5,6 @@ import (
 	"iter"
 
 	"repro/internal/analyzer"
-	"repro/internal/eval"
 	"repro/internal/kernel"
 	"repro/internal/spec"
 	"repro/internal/sweep"
@@ -150,7 +149,7 @@ func (localClient) Check(ctx context.Context, kernelName string, tests []TestCas
 	if err != nil {
 		return CheckSummary{}, badRequest(err)
 	}
-	impls, err := eval.ImplSpecs(sp, kernelName)
+	impls, err := spec.ImplSet(sp, kernelName)
 	if err != nil {
 		return CheckSummary{}, badRequest(err)
 	}
@@ -190,7 +189,7 @@ func (o *callOptions) sweepConfig() (sweep.Config, error) {
 	if err != nil {
 		return sweep.Config{}, badRequest(err)
 	}
-	kernels, err := eval.ImplSpecs(sp, o.Kernels...)
+	kernels, err := spec.ImplSet(sp, o.Kernels...)
 	if err != nil {
 		return sweep.Config{}, badRequest(err)
 	}

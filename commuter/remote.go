@@ -1,7 +1,6 @@
 package commuter
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,10 +8,10 @@ import (
 	"io"
 	"iter"
 	"net/http"
-	"net/url"
 	"strings"
 
 	"repro/internal/api"
+	"repro/internal/transport"
 )
 
 // Dial returns the remote binding of the Client interface: every call is
@@ -27,26 +26,18 @@ import (
 // would. Errors come back as the same "unknown X (known: ...)" messages
 // the local binding produces.
 func Dial(baseURL string) (Client, error) {
-	u, err := url.Parse(baseURL)
+	// No timeout: a sweep streams for as long as it runs.
+	t, err := transport.New(baseURL, 0)
 	if err != nil {
 		return nil, fmt.Errorf("commuter: dial %q: %w", baseURL, err)
 	}
-	if u.Scheme != "http" && u.Scheme != "https" {
-		return nil, fmt.Errorf("commuter: dial %q: URL must be http:// or https://", baseURL)
-	}
-	if u.Host == "" {
-		return nil, fmt.Errorf("commuter: dial %q: URL has no host", baseURL)
-	}
-	return &remoteClient{base: u, hc: &http.Client{}}, nil
+	return &remoteClient{t: t}, nil
 }
 
-type remoteClient struct {
-	base *url.URL
-	hc   *http.Client
-}
+type remoteClient struct{ t *transport.Client }
 
 func (c *remoteClient) Close() error {
-	c.hc.CloseIdleConnections()
+	c.t.CloseIdle()
 	return nil
 }
 
@@ -67,72 +58,41 @@ func remoteOptions(opts []Option) (callOptions, error) {
 // do issues one request (POST with a JSON body, or GET when req is nil)
 // and decodes one JSON response.
 func (c *remoteClient) do(ctx context.Context, path string, req, resp any) error {
-	var body []byte
+	method, body := http.MethodGet, []byte(nil)
 	if req != nil {
 		var err error
 		if body, err = json.Marshal(req); err != nil {
 			return fmt.Errorf("commuter: encode %s request: %w", path, err)
 		}
+		method = http.MethodPost
 	}
-	hres, err := c.send(ctx, path, body)
+	data, err := c.t.Bytes(ctx, method, path, body)
 	if err != nil {
-		return err
+		return remoteError(ctx, path, err)
 	}
-	defer hres.Body.Close()
-	if err := json.NewDecoder(hres.Body).Decode(resp); err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
+	if err := json.Unmarshal(data, resp); err != nil {
 		return fmt.Errorf("commuter: decode %s response: %w", path, err)
 	}
-	// Drain the encoder's trailing newline: closing a body with unread
-	// bytes discards the connection instead of returning it to the
-	// keep-alive pool, costing a TCP (and TLS) handshake per call.
-	io.Copy(io.Discard, hres.Body)
 	return nil
 }
 
-// send issues the HTTP exchange (POST with body, GET without) and
-// normalizes transport and server errors; a non-nil response is an OK
-// whose body the caller must close.
-func (c *remoteClient) send(ctx context.Context, path string, body []byte) (*http.Response, error) {
-	method, reader := http.MethodGet, io.Reader(nil)
-	if body != nil {
-		method, reader = http.MethodPost, bytes.NewReader(body)
+// remoteError words a failed exchange: the caller's cancellation stays
+// the bare context error, a non-2xx answer is the wire error it carries
+// (with a generic message for non-conforming bodies), anything else names
+// the route.
+func remoteError(ctx context.Context, path string, err error) error {
+	if ctx.Err() != nil {
+		return ctx.Err()
 	}
-	hreq, err := http.NewRequestWithContext(ctx, method, c.base.JoinPath(path).String(), reader)
-	if err != nil {
-		return nil, fmt.Errorf("commuter: %s: %w", path, err)
+	var se *transport.StatusError
+	if !errors.As(err, &se) {
+		return fmt.Errorf("commuter: %s: %w", path, err)
 	}
-	if body != nil {
-		hreq.Header.Set("Content-Type", "application/json")
-	}
-	hres, err := c.hc.Do(hreq)
-	if err != nil {
-		// Surface the caller's cancellation as the bare context error —
-		// the contract callers select on — rather than net/http's
-		// wrapping of it.
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, fmt.Errorf("commuter: %s: %w", path, err)
-	}
-	if hres.StatusCode != http.StatusOK {
-		defer hres.Body.Close()
-		return nil, decodeError(hres)
-	}
-	return hres, nil
-}
-
-// decodeError turns a non-200 response into the wire error it carries,
-// falling back to a generic message for non-conforming bodies.
-func decodeError(hres *http.Response) error {
-	data, _ := io.ReadAll(io.LimitReader(hres.Body, 1<<16))
 	var ae api.Error
-	if err := json.Unmarshal(data, &ae); err == nil && ae.Message != "" {
+	if json.Unmarshal(se.Body, &ae) == nil && ae.Message != "" {
 		return &ae
 	}
-	return fmt.Errorf("commuter: server returned %s: %s", hres.Status, strings.TrimSpace(string(data)))
+	return fmt.Errorf("commuter: server returned %s: %s", se.Status, strings.TrimSpace(string(se.Body)))
 }
 
 func (c *remoteClient) Specs(ctx context.Context) ([]SpecInfo, error) {
@@ -208,9 +168,9 @@ func (c *remoteClient) SweepStream(ctx context.Context, opts ...Option) iter.Seq
 			yield(SweepUpdate{}, fmt.Errorf("commuter: encode sweep request: %w", err))
 			return
 		}
-		hres, err := c.send(ctx, api.PathSweep, body)
+		hres, err := c.t.Do(ctx, http.MethodPost, api.PathSweep, body)
 		if err != nil {
-			yield(SweepUpdate{}, err)
+			yield(SweepUpdate{}, remoteError(ctx, api.PathSweep, err))
 			return
 		}
 		// Closing the body on early exit aborts the server-side sweep:

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/commuter"
-	"repro/internal/eval"
 )
 
 // newLoopback starts a wire-format server over Local() on a loopback
@@ -82,12 +81,12 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 	}
 
 	// The rendering the CLI prints must be byte-identical too.
-	lm, rm := eval.MatricesFromSweep(local), eval.MatricesFromSweep(remote)
+	lm, rm := commuter.MatricesFromSweep(local), commuter.MatricesFromSweep(remote)
 	if len(lm) != len(rm) {
 		t.Fatalf("matrix count: %d vs %d", len(lm), len(rm))
 	}
 	for i := range lm {
-		if got, want := eval.FormatMatrix(rm[i]), eval.FormatMatrix(lm[i]); got != want {
+		if got, want := commuter.FormatMatrix(rm[i]), commuter.FormatMatrix(lm[i]); got != want {
 			t.Errorf("matrix %d rendering diverged:\nremote:\n%s\nlocal:\n%s", i, got, want)
 		}
 	}

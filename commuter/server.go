@@ -96,10 +96,12 @@ func ServeWithFleet(coordinatorURL string) ServerOption {
 // speaks (analyze/testgen/check as request-response, sweeps as NDJSON
 // streams, plus spec discovery and a health endpoint).
 //
-// The backend is any Client — normally Local(), but a Dial client works
-// too, making the handler a transparent proxy. Request contexts are
-// passed straight through, so a client hangup cancels the backend work it
-// started.
+// The backend is any Client, normally Local(). A Dial client makes the
+// handler a proxy only while no cache or fleet is configured here: with
+// ServeWithCache, ServeWithBackend or ServeWithFleet the handler passes
+// its sweeps options a Dial client rejects (those belong to the server it
+// dials). Request contexts are passed straight through, so a client
+// hangup cancels the backend work it started.
 func NewServerHandler(backend Client, opts ...ServerOption) (http.Handler, error) {
 	var so serverOptions
 	for _, f := range opts {
@@ -463,9 +465,9 @@ func (s *server) fleetResult(w http.ResponseWriter, r *http.Request) {
 // JSON FleetSweepSpec and ?results=1 asks for the merged PairResults
 // once the sweep is done.
 func (s *server) fleetStatus(w http.ResponseWriter, r *http.Request) {
-	sw, err := sweep.DecodeSweepParam(r.URL.Query().Get("sweep"))
-	if err != nil {
-		writeError(w, api.Errorf(api.CodeBadRequest, "%v", err))
+	var sw api.FleetSweepSpec
+	if err := json.Unmarshal([]byte(r.URL.Query().Get("sweep")), &sw); err != nil {
+		writeError(w, api.Errorf(api.CodeBadRequest, "fleet: malformed sweep parameter: %v", err))
 		return
 	}
 	resp, err := s.hub.Status(sw, r.URL.Query().Get("results") == "1")

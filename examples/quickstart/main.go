@@ -10,7 +10,7 @@ import (
 	"log"
 
 	"repro/commuter"
-	"repro/scalerule"
+	"repro/internal/history"
 )
 
 func main() {
@@ -19,32 +19,32 @@ func main() {
 	// The history H = [put(2)] || [put(1), put(1), max()=2]: after put(2),
 	// the two puts and the max all commute (max already returns 2 in any
 	// order of the region).
-	x := scalerule.History{{Thread: 0, Class: "put", Args: []int64{2}, Ret: []int64{0}}}
-	y := scalerule.History{
+	x := history.History{{Thread: 0, Class: "put", Args: []int64{2}, Ret: []int64{0}}}
+	y := history.History{
 		{Thread: 0, Class: "put", Args: []int64{1}, Ret: []int64{0}},
 		{Thread: 1, Class: "put", Args: []int64{1}, Ret: []int64{0}},
 		{Thread: 2, Class: "max", Ret: []int64{2}},
 	}
 
 	// Observers: max() with any plausible return distinguishes states.
-	var maxes []scalerule.Op
+	var maxes []history.Op
 	for v := int64(0); v <= 3; v++ {
-		maxes = append(maxes, scalerule.Op{Thread: 9, Class: "max", Ret: []int64{v}})
+		maxes = append(maxes, history.Op{Thread: 9, Class: "max", Ret: []int64{v}})
 	}
-	obs := scalerule.ObserverUniverse(maxes, 1)
-	spec := scalerule.RefSpec{New: scalerule.NewPutMax}
+	obs := history.ObserverUniverse(maxes, 1)
+	spec := history.RefSpec{New: history.NewPutMax}
 
 	fmt.Printf("region SIM-commutes after put(2): %v\n",
-		scalerule.SIMCommutes(spec, x, y, obs))
+		history.SIMCommutes(spec, x, y, obs))
 
 	// The rule says a conflict-free implementation of the region exists.
 	// Build the paper's Figure 2 construction and verify.
-	m := scalerule.NewScalable(x, y, scalerule.NewPutMax)
+	m := history.NewScalable(x, y, history.NewPutMax)
 	for _, o := range x.Concat(y) {
 		ret := m.Invoke(o.Thread, o.Class, o.Args)
 		fmt.Printf("  %v -> %v\n", o, ret)
 	}
-	conflicts := scalerule.Conflicts(m.Log(), len(x), len(x)+len(y))
+	conflicts := history.Conflicts(m.Log(), len(x), len(x)+len(y))
 	fmt.Printf("conflicts inside the commutative region: %v (empty = scales)\n\n", conflicts)
 
 	fmt.Println("== COMMUTER on a POSIX pair: open x open ==")

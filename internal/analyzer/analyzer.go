@@ -145,7 +145,7 @@ func (r *result[P]) Summary() string {
 type Options struct {
 	// Config selects spec variants (e.g. the POSIX lowest-FD rule).
 	Config spec.Config
-	// MaxPaths caps joint path exploration (default 4096).
+	// MaxPaths caps joint path exploration (default symx.DefaultMaxPaths).
 	MaxPaths int
 	// Solver overrides the default solver.
 	Solver *sym.Solver

@@ -296,13 +296,9 @@ func (p *Progress) Event() sweep.Event {
 	}
 }
 
-// CacheStats is the wire form of the two-tier cache counters.
-type CacheStats struct {
-	TestgenHits   int `json:"testgen_hits"`
-	TestgenMisses int `json:"testgen_misses"`
-	CheckHits     int `json:"check_hits"`
-	CheckMisses   int `json:"check_misses"`
-}
+// CacheStats is the two-tier cache counters; the engine's type carries
+// the wire tags.
+type CacheStats = sweep.CacheStats
 
 // SweepResult is the wire form of a completed sweep. Pairs reuses
 // sweep.PairResult's artifact encoding (op_a/op_b/tests/cells/...), so a
@@ -330,12 +326,8 @@ func ResultFromSweep(res *sweep.Result, hasCache bool) *SweepResult {
 		CacheWriteErrors: res.CacheWriteErrors,
 	}
 	if hasCache {
-		out.Cache = &CacheStats{
-			TestgenHits:   res.Cache.TestgenHits,
-			TestgenMisses: res.Cache.TestgenMisses,
-			CheckHits:     res.Cache.CheckHits,
-			CheckMisses:   res.Cache.CheckMisses,
-		}
+		stats := res.Cache
+		out.Cache = &stats
 	}
 	return out
 }
@@ -350,12 +342,7 @@ func (r *SweepResult) ToSweep() *sweep.Result {
 		CacheWriteErrors: r.CacheWriteErrors,
 	}
 	if r.Cache != nil {
-		out.Cache = sweep.CacheStats{
-			TestgenHits:   r.Cache.TestgenHits,
-			TestgenMisses: r.Cache.TestgenMisses,
-			CheckHits:     r.Cache.CheckHits,
-			CheckMisses:   r.Cache.CheckMisses,
-		}
+		out.Cache = *r.Cache
 	}
 	return out
 }

@@ -1,22 +1,18 @@
-// Package eval regenerates the paper's evaluation: the Figure 6
-// conflict-freedom matrices (COMMUTER tests run against both kernels) and
-// the Figure 7 throughput curves (statbench, openbench, mail server) via
-// the MESI coherence simulator.
+// Package eval regenerates the paper's Figure 7 throughput curves
+// (statbench, openbench, mail server) on the MESI coherence simulator. The
+// Figure 6 conflict-freedom matrices are package commuter's: a rendering
+// of a sweep result, beside the sweep.
 package eval
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/coherence"
 	"repro/internal/kernel"
 	"repro/internal/kernel/svsix"
 	"repro/internal/mail"
-	_ "repro/internal/model" // registers the "posix" spec
 	"repro/internal/mtrace"
-	"repro/internal/spec"
-	"repro/internal/sweep"
 )
 
 // CaptureOps records the cache-line access sequences of a series of
@@ -239,199 +235,4 @@ func FormatCurves(title string, curves []Curve) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// MatrixCell is one Figure 6 cell: results of all generated tests for one
-// operation pair on one kernel.
-type MatrixCell struct {
-	OpA, OpB  string
-	Total     int
-	Conflicts int
-	// Unknown counts analyzer paths of the pair whose classification hit
-	// the solver budget: the cell's counts are then lower bounds, and
-	// FormatMatrix renders a pair with no tests and a nonzero Unknown as
-	// "?" rather than the "-" that reads as "never commutes".
-	Unknown int
-}
-
-// Matrix is a Figure 6 half-matrix for one kernel.
-type Matrix struct {
-	Kernel string
-	// Spec names the interface specification the matrix covers; it fixes
-	// the row/column order ("" falls back to posix for pre-spec callers).
-	Spec  string
-	Cells []MatrixCell
-}
-
-// Totals sums tests and non-conflict-free tests.
-func (m Matrix) Totals() (total, conflicted int) {
-	for _, c := range m.Cells {
-		total += c.Total
-		conflicted += c.Conflicts
-	}
-	return
-}
-
-// ImplSpecs resolves implementation names against one spec's bindings,
-// returning them as sweep kernel specs; with no names it returns all of
-// the spec's implementations in their default order. Names are
-// deduplicated preserving first-appearance order (a repeated name must
-// not double-count every matrix cell); unknown names error with the
-// spec's known implementations.
-func ImplSpecs(sp spec.Spec, names ...string) ([]sweep.KernelSpec, error) {
-	impls := sp.Impls()
-	byName := make(map[string]spec.Impl, len(impls))
-	known := make([]string, len(impls))
-	for i, im := range impls {
-		byName[im.Name] = im
-		known[i] = im.Name
-	}
-	if len(names) == 0 {
-		names = known
-	}
-	out := make([]sweep.KernelSpec, 0, len(names))
-	seen := map[string]bool{}
-	for _, n := range names {
-		im, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("spec %s has no implementation %q (known: %s)",
-				sp.Name(), n, strings.Join(known, ", "))
-		}
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		out = append(out, sweep.KernelSpec{Name: im.Name, New: im.New})
-	}
-	return out, nil
-}
-
-// MatricesFromSweep converts a sweep result into one Figure 6 matrix per
-// kernel, in the kernel order the sweep ran them.
-func MatricesFromSweep(res *sweep.Result) []Matrix {
-	var order []string
-	idx := map[string]int{}
-	for _, p := range res.Pairs {
-		for _, c := range p.Cells {
-			if _, ok := idx[c.Kernel]; !ok {
-				idx[c.Kernel] = len(order)
-				order = append(order, c.Kernel)
-			}
-		}
-	}
-	ms := make([]Matrix, len(order))
-	for i, n := range order {
-		ms[i].Kernel = n
-		ms[i].Spec = res.Spec
-	}
-	for _, p := range res.Pairs {
-		for _, c := range p.Cells {
-			i := idx[c.Kernel]
-			ms[i].Cells = append(ms[i].Cells, MatrixCell{
-				OpA: p.OpA, OpB: p.OpB, Total: c.Total, Conflicts: c.Conflicts,
-				Unknown: p.Unknown,
-			})
-		}
-	}
-	return ms
-}
-
-// FormatMatrix renders a Figure 6-style half-matrix: the number of
-// non-conflict-free tests per pair ("." for all-scalable cells). A pair
-// with no tests renders as "-" — unless its analysis hit the solver
-// budget, which renders as "?": such a pair is unclassified, not proven
-// non-commutative, and a footer calls the truncation out.
-func FormatMatrix(m Matrix) string {
-	names := opOrder(m)
-	idx := map[string]int{}
-	for i, n := range names {
-		idx[n] = i
-	}
-	grid := make([][]string, len(names))
-	for i := range grid {
-		grid[i] = make([]string, len(names))
-	}
-	unknownPairs := 0
-	for _, c := range m.Cells {
-		i, j := idx[c.OpA], idx[c.OpB]
-		if i < j {
-			i, j = j, i
-		}
-		s := "."
-		if c.Conflicts > 0 {
-			s = fmt.Sprint(c.Conflicts)
-		}
-		if c.Total == 0 {
-			s = "-"
-			if c.Unknown > 0 {
-				s = "?"
-			}
-		}
-		if c.Unknown > 0 {
-			unknownPairs++
-		}
-		grid[i][j] = s
-	}
-	total, conf := m.Totals()
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (%d of %d tests conflict-free)\n", m.Kernel, total-conf, total)
-	for i, row := range grid {
-		fmt.Fprintf(&b, "%-10s", names[i])
-		for j := 0; j <= i; j++ {
-			fmt.Fprintf(&b, "%6s", row[j])
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString(strings.Repeat(" ", 10))
-	for j := range names {
-		fmt.Fprintf(&b, "%6s", abbrev(names[j]))
-	}
-	b.WriteByte('\n')
-	if unknownPairs > 0 {
-		fmt.Fprintf(&b, "%d pair(s) hit the solver budget: their counts are lower bounds (\"?\" = unclassified)\n", unknownPairs)
-	}
-	return b.String()
-}
-
-func opOrder(m Matrix) []string {
-	specName := m.Spec
-	if specName == "" {
-		specName = "posix"
-	}
-	var want []string
-	if sp, err := spec.Lookup(specName); err == nil {
-		want = spec.OpNames(sp)
-	} else {
-		// Unknown spec: fall back to the cells' own (sorted) op names so
-		// the matrix still renders.
-		seen := map[string]bool{}
-		for _, c := range m.Cells {
-			for _, n := range []string{c.OpA, c.OpB} {
-				if !seen[n] {
-					seen[n] = true
-					want = append(want, n)
-				}
-			}
-		}
-		sort.Strings(want)
-	}
-	present := map[string]bool{}
-	for _, c := range m.Cells {
-		present[c.OpA] = true
-		present[c.OpB] = true
-	}
-	var out []string
-	for _, n := range want {
-		if present[n] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func abbrev(s string) string {
-	if len(s) > 5 {
-		return s[:5]
-	}
-	return s
 }

@@ -108,37 +108,3 @@ func TestFormatCurves(t *testing.T) {
 		t.Errorf("FormatCurves output:\n%s", out)
 	}
 }
-
-func TestFormatMatrix(t *testing.T) {
-	m := Matrix{Kernel: "linux", Cells: []MatrixCell{
-		{OpA: "open", OpB: "open", Total: 5, Conflicts: 2},
-		{OpA: "open", OpB: "link", Total: 3, Conflicts: 0},
-	}}
-	out := FormatMatrix(m)
-	if !strings.Contains(out, "linux (6 of 8 tests conflict-free)") {
-		t.Errorf("matrix header wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "2") || !strings.Contains(out, ".") {
-		t.Errorf("matrix body wrong:\n%s", out)
-	}
-	if strings.Contains(out, "?") || strings.Contains(out, "solver budget") {
-		t.Errorf("clean matrix mentions solver budget:\n%s", out)
-	}
-}
-
-// TestFormatMatrixUnknown pins the solver-budget surface: a pair with no
-// tests whose analysis hit the budget renders "?" (unclassified) rather
-// than "-" (proven test-free), with a footer calling out the truncation.
-func TestFormatMatrixUnknown(t *testing.T) {
-	m := Matrix{Kernel: "linux", Cells: []MatrixCell{
-		{OpA: "open", OpB: "open", Total: 5, Conflicts: 2},
-		{OpA: "open", OpB: "link", Total: 0, Unknown: 3},
-	}}
-	out := FormatMatrix(m)
-	if !strings.Contains(out, "?") {
-		t.Errorf("unknown cell not rendered as ?:\n%s", out)
-	}
-	if !strings.Contains(out, "1 pair(s) hit the solver budget") {
-		t.Errorf("missing solver-budget footer:\n%s", out)
-	}
-}

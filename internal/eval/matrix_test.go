@@ -1,33 +1,24 @@
-package eval
+// The paper's evaluation has two halves. This package reproduces Figure 7;
+// the Figure 6 half is a sweep rendered by package commuter, and what §6
+// claims about it is pinned here, beside the Figure 7 claims, through that
+// façade — the way any program reaches the pipeline.
+package eval_test
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/model"
-	"repro/internal/spec"
-	"repro/internal/sweep"
-	"repro/internal/testgen"
+	"repro/commuter"
 )
 
 // fsSweep sweeps the fast file-system operation universe on both POSIX
 // kernels, once for all the tests below; the full 18-op matrix runs via
 // cmd/commuter.
-var fsSweep = sync.OnceValues(func() (*sweep.Result, error) {
-	ops, err := spec.OpSet(model.Spec, "fs")
-	if err != nil {
-		return nil, err
-	}
-	kernels, err := ImplSpecs(model.Spec)
-	if err != nil {
-		return nil, err
-	}
-	return sweep.RunContext(context.Background(), sweep.Config{
-		Ops:     ops,
-		Kernels: kernels,
-		Testgen: testgen.Options{MaxTestsPerPath: 4},
-	})
+var fsSweep = sync.OnceValues(func() (*commuter.SweepResult, error) {
+	return commuter.Local().Sweep(context.Background(),
+		commuter.WithOpSet("fs"), commuter.WithTestsPerPath(4))
 })
 
 // TestGenerationCounts pins §6.1's headline: COMMUTER generates thousands
@@ -65,8 +56,8 @@ func TestFigure6Headline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKernel := map[string]Matrix{}
-	for _, m := range MatricesFromSweep(res) {
+	byKernel := map[string]commuter.Matrix{}
+	for _, m := range commuter.MatricesFromSweep(res) {
 		byKernel[m.Kernel] = m
 	}
 	linux, sv6 := byKernel["linux"], byKernel["sv6"]
@@ -86,7 +77,7 @@ func TestFigure6Headline(t *testing.T) {
 
 	// Per-pair dominance: Linux must never beat sv6 on any cell by more
 	// than noise, and the paper's marquee cells must show the gap.
-	sv6Cells := map[[2]string]MatrixCell{}
+	sv6Cells := map[[2]string]commuter.MatrixCell{}
 	for _, c := range sv6.Cells {
 		sv6Cells[[2]string{c.OpA, c.OpB}] = c
 	}
@@ -109,5 +100,39 @@ func TestFigure6Headline(t *testing.T) {
 				t.Errorf("sv6 open x open (%d) should beat linux (%d)", s.Conflicts, lcell.Conflicts)
 			}
 		}
+	}
+}
+
+func TestFormatMatrix(t *testing.T) {
+	m := commuter.Matrix{Kernel: "linux", Cells: []commuter.MatrixCell{
+		{OpA: "open", OpB: "open", Total: 5, Conflicts: 2},
+		{OpA: "open", OpB: "link", Total: 3, Conflicts: 0},
+	}}
+	out := commuter.FormatMatrix(m)
+	if !strings.Contains(out, "linux (6 of 8 tests conflict-free)") {
+		t.Errorf("matrix header wrong:\n%s", out)
+	}
+	if !strings.Contains(out, "2") || !strings.Contains(out, ".") {
+		t.Errorf("matrix body wrong:\n%s", out)
+	}
+	if strings.Contains(out, "?") || strings.Contains(out, "solver budget") {
+		t.Errorf("clean matrix mentions solver budget:\n%s", out)
+	}
+}
+
+// TestFormatMatrixUnknown pins the solver-budget surface: a pair with no
+// tests whose analysis hit the budget renders "?" (unclassified) rather
+// than "-" (proven test-free), with a footer calling out the truncation.
+func TestFormatMatrixUnknown(t *testing.T) {
+	m := commuter.Matrix{Kernel: "linux", Cells: []commuter.MatrixCell{
+		{OpA: "open", OpB: "open", Total: 5, Conflicts: 2},
+		{OpA: "open", OpB: "link", Total: 0, Unknown: 3},
+	}}
+	out := commuter.FormatMatrix(m)
+	if !strings.Contains(out, "?") {
+		t.Errorf("unknown cell not rendered as ?:\n%s", out)
+	}
+	if !strings.Contains(out, "1 pair(s) hit the solver budget") {
+		t.Errorf("missing solver-budget footer:\n%s", out)
 	}
 }

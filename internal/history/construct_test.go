@@ -64,6 +64,18 @@ func TestConstructedScalableImplConflictFree(t *testing.T) {
 	}
 }
 
+// The construction is generic in the reference machine: two increments
+// SIM-commute (TestIncsSIMCommute), so Figure 2's m over the counter answers
+// them conflict-free as well.
+func TestConstructedScalableImplCounter(t *testing.T) {
+	y := History{op(0, "inc", nil, 0), op(1, "inc", nil, 0)}
+	m := NewScalable(nil, y, NewCounter)
+	runMachine(t, m, y)
+	if cs := Conflicts(m.Log(), 0, len(y)); len(cs) != 0 {
+		t.Errorf("commutative region conflicts: %v", cs)
+	}
+}
+
 // The commutative region may arrive in any reordering; m still answers
 // correctly and conflict-free (per-thread queues are order-independent).
 func TestConstructedScalableImplReorderedRegion(t *testing.T) {

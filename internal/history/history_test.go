@@ -203,3 +203,10 @@ func TestObserverUniverseSize(t *testing.T) {
 		t.Errorf("universe size = %d, want 7", got)
 	}
 }
+
+func TestCompletedOps(t *testing.T) {
+	ops := CompletedOps(3, "get", [][]int64{nil}, [][]int64{{0}, {1}})
+	if len(ops) != 2 || ops[0].Thread != 3 {
+		t.Errorf("CompletedOps = %v", ops)
+	}
+}

@@ -175,20 +175,10 @@ func (k *Kern) fstat(core int, c kernel.Call) kernel.Result {
 		f.pipe.lock.Acquire(core)
 		n := f.pipe.tail.Load(core) - f.pipe.head.Load(core)
 		f.pipe.lock.Release(core)
-		return kernel.Result{V1: -pipeID(f), V2: 1, V3: n}
+		return kernel.Result{V1: -f.pipe.id, V2: 1, V3: n}
 	}
 	ino := k.inode(f.inum)
 	return kernel.Result{V1: f.inum, V2: ino.nlink.Load(core), V3: ino.len.Load(core)}
-}
-
-// pipeID recovers a stable identifier for a pipe (its head cell name is
-// unique); monokernel stores pipes keyed by id, so search.
-func pipeID(f *file) int64 {
-	// The id is immaterial to conflict analysis; derive it from the
-	// pointer-independent head cell name, parsed lazily.
-	var id int64
-	fmt.Sscanf(f.pipe.head.Name(), "pipe[%d].head", &id)
-	return id
 }
 
 func (k *Kern) lseek(core int, c kernel.Call) kernel.Result {

@@ -183,15 +183,9 @@ func (k *Kern) fstat(core int, c kernel.Call) kernel.Result {
 	}
 	if f.pipe != nil {
 		n := f.pipe.tail.Load(core) - f.pipe.head.Load(core)
-		return kernel.Result{V1: -pipeID(f), V2: 1, V3: n}
+		return kernel.Result{V1: -f.pipe.id, V2: 1, V3: n}
 	}
 	return k.statResult(core, f.inum, c.ArgBool("nolink"))
-}
-
-func pipeID(f *file) int64 {
-	var id int64
-	fmt.Sscanf(f.pipe.head.Name(), "pipe[%d].head", &id)
-	return id
 }
 
 func (k *Kern) lseek(core int, c kernel.Call) kernel.Result {

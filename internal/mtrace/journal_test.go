@@ -29,8 +29,8 @@ func TestSnapshotResetRestoresValues(t *testing.T) {
 		}
 	}
 	m.Pop()
-	if m.Journaling() {
-		t.Fatal("Journaling() true after final Pop")
+	if len(m.marks) != 0 {
+		t.Fatal("a snapshot region is still open after the final Pop")
 	}
 }
 

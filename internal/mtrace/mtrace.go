@@ -361,9 +361,6 @@ func (m *Memory) Pop() {
 	m.marks = m.marks[:len(m.marks)-1]
 }
 
-// Journaling reports whether a snapshot region is open.
-func (m *Memory) Journaling() bool { return len(m.marks) > 0 }
-
 // OnReset registers a structural undo closure on the innermost snapshot
 // region — for state the journal cannot see (map entries, plain struct
 // fields). Reset runs hooks newest-first after restoring cell values. A

@@ -1,9 +1,9 @@
 // Package scale implements the scalable-implementation substrates that
 // ScaleFS and RadixVM build on (§6.3 of the paper): Refcache-style scalable
-// reference counters, per-core identifier allocation, radix arrays, hash
-// directories with per-bucket locks, and seqlocks — plus their conventional
-// non-scalable counterparts (shared counters, coarse locks) used by the
-// Linux-like baseline kernel.
+// reference counters, per-core identifier allocation, radix arrays and hash
+// directories with per-bucket locks — plus their conventional non-scalable
+// counterparts (shared counters, coarse locks) used by the Linux-like
+// baseline kernel.
 //
 // Everything here operates on mtrace cells so the MTRACE checker can decide
 // conflict-freedom; package scale also has real concurrent counterparts
@@ -186,32 +186,6 @@ func (l *SpinLock) Release(core int) {
 		panic("scale: lock " + l.cell.Name() + " not held")
 	}
 }
-
-// Seqlock lets writers version a record so lock-free readers can detect
-// concurrent updates. Readers read only the version cell (shared-mode
-// cacheable); writers bump it twice around the update.
-type Seqlock struct {
-	version *mtrace.Cell
-}
-
-// NewSeqlock allocates a seqlock.
-func NewSeqlock(mem *mtrace.Memory, name string) *Seqlock {
-	return &Seqlock{version: mem.NewCell(name, 0)}
-}
-
-// ReadBegin returns the version for a read-side critical section.
-func (s *Seqlock) ReadBegin(core int) int64 { return s.version.Load(core) }
-
-// ReadRetry reports whether the section observed a concurrent write.
-func (s *Seqlock) ReadRetry(core int, v int64) bool {
-	return s.version.Load(core) != v || v%2 != 0
-}
-
-// WriteBegin enters a write-side critical section.
-func (s *Seqlock) WriteBegin(core int) { s.version.Add(core, 1) }
-
-// WriteEnd leaves a write-side critical section.
-func (s *Seqlock) WriteEnd(core int) { s.version.Add(core, 1) }
 
 // HashDir is a directory represented as a fixed-size hash table with an
 // independent lock and entry list per bucket (§1's file-creation example):

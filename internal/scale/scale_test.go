@@ -83,20 +83,6 @@ func TestSpinLockTracksHolder(t *testing.T) {
 	l.Release(0)
 }
 
-func TestSeqlockProtocol(t *testing.T) {
-	mem := mtrace.NewMemory()
-	s := NewSeqlock(mem, "s")
-	v := s.ReadBegin(0)
-	if s.ReadRetry(0, v) {
-		t.Error("no concurrent writer: read should not retry")
-	}
-	s.WriteBegin(1)
-	if !s.ReadRetry(0, v) {
-		t.Error("concurrent writer: read must retry")
-	}
-	s.WriteEnd(1)
-}
-
 func TestHashDirBasics(t *testing.T) {
 	mem := mtrace.NewMemory()
 	d := NewHashDir(mem, "dir", 64)

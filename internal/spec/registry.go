@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -104,6 +105,34 @@ func OpSet(s Spec, sel string) ([]*Op, error) {
 		}
 		seen[op.Name] = true
 		out = append(out, op)
+	}
+	return out, nil
+}
+
+// ImplSet resolves implementation names against s's bindings; with no
+// names it returns all of them in their default order. Names are
+// deduplicated preserving first-appearance order (a repeated name must
+// not double-count every matrix cell); unknown names error with the
+// spec's known implementations.
+func ImplSet(s Spec, names ...string) ([]Impl, error) {
+	impls := s.Impls()
+	if len(names) == 0 {
+		return impls, nil
+	}
+	known := make([]string, len(impls))
+	for i, im := range impls {
+		known[i] = im.Name
+	}
+	out := make([]Impl, 0, len(names))
+	for k, n := range names {
+		i := slices.Index(known, n)
+		if i < 0 {
+			return nil, fmt.Errorf("spec %s has no implementation %q (known: %s)",
+				s.Name(), n, strings.Join(known, ", "))
+		}
+		if !slices.Contains(names[:k], n) {
+			out = append(out, impls[i])
+		}
 	}
 	return out, nil
 }

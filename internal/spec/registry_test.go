@@ -161,3 +161,32 @@ func TestOpTablesBuiltOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestImplSet pins the implementation selector: no names means every
+// binding in default order, a repeated name counts once (a matrix cell must
+// not double), and an unknown name errors with the ones the spec has.
+func TestImplSet(t *testing.T) {
+	names := func(impls []spec.Impl) string {
+		var out []string
+		for _, im := range impls {
+			out = append(out, im.Name)
+		}
+		return strings.Join(out, ",")
+	}
+	for _, tc := range []struct {
+		sel  []string
+		want string
+	}{
+		{nil, "linux,sv6"},
+		{[]string{"sv6"}, "sv6"},
+		{[]string{"sv6", "linux", "sv6"}, "sv6,linux"},
+	} {
+		impls, err := spec.ImplSet(model.Spec, tc.sel...)
+		if err != nil || names(impls) != tc.want {
+			t.Errorf("ImplSet(%v) = %s, %v; want %s", tc.sel, names(impls), err, tc.want)
+		}
+	}
+	if _, err := spec.ImplSet(model.Spec, "sv7"); err == nil || !strings.Contains(err.Error(), "(known: linux, sv6)") {
+		t.Errorf("ImplSet(sv7) = %v, want an error listing linux and sv6", err)
+	}
+}

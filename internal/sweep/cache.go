@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/analyzer"
 	"repro/internal/kernel"
+	"repro/internal/symx"
 	"repro/internal/testgen"
 )
 
@@ -50,19 +51,12 @@ const CacheVersion = 4
 // reordering; solvers are deliberately excluded because complete results
 // don't depend on them, and incomplete (budget-truncated) results are
 // never stored (see runPair). Zero-value options are normalized to the
-// defaults the pipeline applies (MaxPaths 4096, MaxTestsPerPath 4), so
-// semantically identical configurations share cache entries. The lowest-FD
-// setting is rendered twice, under the names of the two knobs it used to
-// be, so the addresses of existing entries do not move.
+// defaults the pipeline applies (keyCaps), so semantically identical
+// configurations share cache entries. The lowest-FD setting is rendered
+// twice, under the names of the two knobs it used to be, so the addresses
+// of existing entries do not move.
 func TestgenKey(specName, opA, opB string, aOpt analyzer.Options, gOpt testgen.Options) string {
-	maxPaths := aOpt.MaxPaths
-	if maxPaths == 0 {
-		maxPaths = 4096
-	}
-	perPath := gOpt.MaxTestsPerPath
-	if perPath == 0 {
-		perPath = 4
-	}
+	maxPaths, perPath := keyCaps(aOpt.MaxPaths, gOpt.MaxTestsPerPath)
 	var b strings.Builder
 	fmt.Fprintf(&b, "v%d|tier=testgen|spec=%s|pair=%s,%s", CacheVersion, specName, opA, opB)
 	fmt.Fprintf(&b, "|model.lowestfd=%v", aOpt.Config.LowestFD)
@@ -71,6 +65,18 @@ func TestgenKey(specName, opA, opB string, aOpt analyzer.Options, gOpt testgen.O
 	fmt.Fprintf(&b, "|testgen.lowestfd=%v", aOpt.Config.LowestFD)
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:])
+}
+
+// keyCaps resolves the two test-shaping caps as the pipeline does — zero
+// means the default — for the content addresses that fold them in.
+func keyCaps(maxPaths, perPath int) (int, int) {
+	if maxPaths == 0 {
+		maxPaths = symx.DefaultMaxPaths
+	}
+	if perPath == 0 {
+		perPath = testgen.DefaultMaxTestsPerPath
+	}
+	return maxPaths, perPath
 }
 
 // CheckKey derives the content address of one kernel's CHECK cell from the
@@ -84,9 +90,12 @@ func CheckKey(testgenKey, kernelName string) string {
 }
 
 // CacheStats counts one sweep's hit/miss outcomes per tier (Result.Cache).
+// The tags are its wire form (api.CacheStats).
 type CacheStats struct {
-	TestgenHits, TestgenMisses int
-	CheckHits, CheckMisses     int
+	TestgenHits   int `json:"testgen_hits"`
+	TestgenMisses int `json:"testgen_misses"`
+	CheckHits     int `json:"check_hits"`
+	CheckMisses   int `json:"check_misses"`
 }
 
 // Hits sums hits across both tiers.
@@ -99,6 +108,7 @@ func (s CacheStats) Misses() int { return s.TestgenMisses + s.CheckMisses }
 // use by the sweep workers; distinct keys never contend on the filesystem
 // because each lives in its own file, written atomically.
 type Cache struct {
+	entryCodec
 	dir string
 }
 
@@ -159,64 +169,51 @@ func OpenCache(dir string) (*Cache, error) {
 		slog.Warn("sweep: stale cache temp files could not be removed",
 			"dir", dir, "files", failed, "err", firstErr)
 	}
-	return &Cache{dir: dir}, nil
+	c := &Cache{dir: dir}
+	c.entryCodec = entryCodec{c}
+	return c, nil
 }
 
 // Dir returns the cache's root directory.
 func (c *Cache) Dir() string { return c.dir }
 
-// testsPath and cellPath give the tiers distinct filename suffixes so a
-// cache directory is inspectable by eye; the keys alone would already be
-// distinct (each tier hashes its tier name).
-func (c *Cache) testsPath(key string) string {
-	return filepath.Join(c.dir, key+".tests.json")
-}
-
-func (c *Cache) cellPath(key string) string {
+// path gives the tiers distinct filename suffixes so a cache directory is
+// inspectable by eye; the keys alone would already be distinct (each tier
+// hashes its tier name).
+func (c *Cache) path(tier, key string) string {
+	if tier == TierTestgen {
+		return filepath.Join(c.dir, key+".tests.json")
+	}
 	return filepath.Join(c.dir, key+".cell.json")
 }
 
-// GetTests returns the TESTGEN tier entry for key. Stored entries are
-// complete by construction — budget-truncated results are never written
-// (see runPair) — so a hit always carries a definitive test set. Any
-// defect — missing file, unparsable JSON, version or key mismatch — is a
-// miss: the sweep recomputes and overwrites, never fails.
-func (c *Cache) GetTests(key string) ([]kernel.TestCase, bool) {
-	data, err := os.ReadFile(c.testsPath(key))
-	if err != nil {
-		return nil, false
-	}
-	return DecodeTestsEntry(key, data)
+// get reads one entry file; a missing or unreadable file is a miss.
+func (c *Cache) get(tier, key string) ([]byte, bool) {
+	data, err := os.ReadFile(c.path(tier, key))
+	return data, err == nil
 }
 
-// PutTests stores a pair's generated tests under key. The write goes
-// through a temp file and rename so a crashed or concurrent sweep can
-// never leave a half-written entry that parses.
-func (c *Cache) PutTests(key string, tests []kernel.TestCase) error {
-	data, err := EncodeTestsEntry(key, tests)
+// put writes one entry file through a temp file and rename, so a crashed
+// or concurrent sweep can never leave a half-written entry that parses.
+func (c *Cache) put(tier, key string, data []byte) error {
+	tmp, err := os.CreateTemp(c.dir, key+".tmp*")
 	if err != nil {
 		return err
 	}
-	return c.writeEntry(c.testsPath(key), key, data)
-}
-
-// GetCell returns the CHECK tier entry for key, with the same
-// miss-on-any-defect contract as GetTests.
-func (c *Cache) GetCell(key string) (*KernelCell, bool) {
-	data, err := os.ReadFile(c.cellPath(key))
-	if err != nil {
-		return nil, false
-	}
-	return DecodeCellEntry(key, data)
-}
-
-// PutCell stores one kernel's cell under key, atomically like PutTests.
-func (c *Cache) PutCell(key string, cell KernelCell) error {
-	data, err := EncodeCellEntry(key, cell)
-	if err != nil {
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
 		return err
 	}
-	return c.writeEntry(c.cellPath(key), key, data)
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Rename(tmp.Name(), c.path(tier, key)); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return nil
 }
 
 // The entry codecs are the single source of the on-disk (and cache-route
@@ -257,25 +254,51 @@ func DecodeCellEntry(key string, data []byte) (*KernelCell, bool) {
 	return &e.Cell, true
 }
 
-func (c *Cache) writeEntry(path, key string, data []byte) error {
-	tmp, err := os.CreateTemp(c.dir, key+".tmp*")
+// byteStore is a backend that keeps entries as their encoded bytes: a
+// directory of files, a peer's cache routes.
+type byteStore interface {
+	get(tier, key string) ([]byte, bool)
+	put(tier, key string, data []byte) error
+}
+
+// entryCodec gives a byteStore the typed tier methods of Backend, so the
+// pairing of a tier with its codec is written once. Stored entries are
+// complete by construction — budget-truncated results are never written
+// (see runPair) — so a hit always carries a definitive value. Any defect
+// — absent entry, unparsable JSON, version or key mismatch — is a miss: the
+// sweep recomputes and overwrites, never fails.
+type entryCodec struct{ byteStore }
+
+func (e entryCodec) GetTests(key string) ([]kernel.TestCase, bool) {
+	data, fetched := e.get(TierTestgen, key)
+	if !fetched {
+		return nil, false
+	}
+	return DecodeTestsEntry(key, data)
+}
+
+func (e entryCodec) PutTests(key string, tests []kernel.TestCase) error {
+	data, err := EncodeTestsEntry(key, tests)
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	return e.put(TierTestgen, key, data)
+}
+
+func (e entryCodec) GetCell(key string) (*KernelCell, bool) {
+	data, fetched := e.get(TierCheck, key)
+	if !fetched {
+		return nil, false
+	}
+	return DecodeCellEntry(key, data)
+}
+
+func (e entryCodec) PutCell(key string, cell KernelCell) error {
+	data, err := EncodeCellEntry(key, cell)
+	if err != nil {
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+	return e.put(TierCheck, key, data)
 }
 
 // Ready probes whether the cache directory is still writable — the

@@ -200,17 +200,20 @@ func TestCoalescedWaitersShareLeader(t *testing.T) {
 		if n := len(results[i].Pairs); n != 1 {
 			t.Fatalf("sweep %d: %d pairs, want 1", i, n)
 		}
+		// The TESTGEN leader is the sweep that ran the analysis, whoever
+		// went on to lead the CHECK flight: the three race for that one
+		// once the gate opens, and the loser is marked Coalesced too.
 		p := results[i].Pairs[0]
 		switch {
+		case p.Phases.AnalyzeMS > 0:
+			led++
+			if p.Tests == 0 {
+				t.Errorf("sweep %d: leader generated no tests", i)
+			}
 		case p.Coalesced:
 			coalesced++
 			if p.Cached {
 				t.Errorf("sweep %d: pair both coalesced and cached", i)
-			}
-		default:
-			led++
-			if p.Tests == 0 {
-				t.Errorf("sweep %d: leader generated no tests", i)
 			}
 		}
 	}

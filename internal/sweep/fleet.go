@@ -33,7 +33,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -84,14 +83,7 @@ type FleetSweepSpec struct {
 // identical configurations join one session, and CacheVersion is folded
 // in so servers running different pipeline semantics never share a table.
 func (s FleetSweepSpec) Key() string {
-	maxPaths := s.MaxPaths
-	if maxPaths == 0 {
-		maxPaths = 4096
-	}
-	perPath := s.MaxTestsPerPath
-	if perPath == 0 {
-		perPath = 4
-	}
+	maxPaths, perPath := keyCaps(s.MaxPaths, s.MaxTestsPerPath)
 	var b strings.Builder
 	fmt.Fprintf(&b, "fleetv%d|cache=v%d|spec=%s|ops=%s|kernels=%s",
 		FleetAPIVersion, CacheVersion, s.Spec, strings.Join(s.Ops, ","), strings.Join(s.Kernels, ","))
@@ -106,11 +98,10 @@ func (s FleetSweepSpec) Key() string {
 // to validate a new session — and every worker agree on pair naming and
 // ordering.
 func (s FleetSweepSpec) PairNames() []string {
-	var out []string
-	for i, a := range s.Ops {
-		for _, b := range s.Ops[:i+1] {
-			out = append(out, b+"/"+a)
-		}
+	pairs := pairsOf(s.Ops)
+	out := make([]string, len(pairs))
+	for i, p := range pairs {
+		out[i] = p[0] + "/" + p[1]
 	}
 	return out
 }
@@ -458,12 +449,7 @@ func (t *FleetTable) Status(withResults bool) FleetStatusResponse {
 		for _, name := range t.order {
 			resp.Results = append(resp.Results, t.pairs[name].result)
 		}
-		sort.Slice(resp.Results, func(i, j int) bool {
-			if resp.Results[i].OpA != resp.Results[j].OpA {
-				return resp.Results[i].OpA < resp.Results[j].OpA
-			}
-			return resp.Results[i].OpB < resp.Results[j].OpB
-		})
+		sortPairs(resp.Results)
 	}
 	return resp
 }

@@ -1,15 +1,13 @@
 package sweep
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
-	"strings"
-	"time"
+
+	"repro/internal/transport"
 )
 
 // FleetClient is the worker's side of the fleet coordination protocol:
@@ -51,114 +49,62 @@ func (c hubFleetClient) Status(ctx context.Context, sw FleetSweepSpec, withResul
 }
 
 // httpFleetClient speaks the fleet routes of a coordinator `commuter
-// serve` instance, mirroring HTTPBackend's transport conventions.
-type httpFleetClient struct {
-	base   string
-	client *http.Client
-}
+// serve` instance.
+type httpFleetClient struct{ coord *transport.Client }
 
 // NewHTTPFleetClient returns a FleetClient for the coordinator at
 // baseURL (scheme://host[:port]).
 func NewHTTPFleetClient(baseURL string) (FleetClient, error) {
-	u, err := url.Parse(baseURL)
-	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+	coord, err := transport.New(baseURL, peerTimeout)
+	if err != nil {
 		return nil, fmt.Errorf("sweep: fleet coordinator %q is not an http(s) URL", baseURL)
 	}
-	return &httpFleetClient{
-		base: strings.TrimSuffix(baseURL, "/"),
-		// Coordination bodies are small and answered from memory; the
-		// timeout only bounds how long a dead coordinator stalls a worker
-		// on one round trip.
-		client: &http.Client{Timeout: 15 * time.Second},
-	}, nil
+	return &httpFleetClient{coord: coord}, nil
 }
 
-// post sends one JSON request and decodes the JSON response; non-2xx
-// answers surface the body (the coordinator's wire error) in the error.
-func (c *httpFleetClient) post(ctx context.Context, path string, req, resp any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
+// call sends one request (POST with req as its JSON body, GET when req is
+// nil) and decodes the JSON response; a non-2xx answer surfaces the body
+// (the coordinator's wire error) in the error.
+func (c *httpFleetClient) call(ctx context.Context, path string, req, resp any) error {
+	method, body := http.MethodGet, []byte(nil)
+	if req != nil {
+		var err error
+		if body, err = json.Marshal(req); err != nil {
+			return err
+		}
+		method = http.MethodPost
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := c.client.Do(hreq)
+	data, err := c.coord.Bytes(ctx, method, path, body)
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		return fmt.Errorf("fleet coordinator %s: %w", c.base, err)
-	}
-	defer hresp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(hresp.Body, maxEntryBytes))
-	if err != nil {
-		return fmt.Errorf("fleet coordinator %s: %w", c.base, err)
-	}
-	if hresp.StatusCode < 200 || hresp.StatusCode >= 300 {
-		return fmt.Errorf("fleet coordinator %s: POST %s: %s: %s",
-			c.base, path, hresp.Status, strings.TrimSpace(string(data)))
+		return fmt.Errorf("fleet coordinator %s: %w", c.coord, err)
 	}
 	return json.Unmarshal(data, resp)
 }
 
 func (c *httpFleetClient) Claim(ctx context.Context, req FleetClaimRequest) (FleetClaimResponse, error) {
 	var resp FleetClaimResponse
-	err := c.post(ctx, FleetClaimPath, req, &resp)
+	err := c.call(ctx, FleetClaimPath, req, &resp)
 	return resp, err
 }
 
 func (c *httpFleetClient) Report(ctx context.Context, req FleetResultRequest) (FleetResultResponse, error) {
 	var resp FleetResultResponse
-	err := c.post(ctx, FleetResultPath, req, &resp)
+	err := c.call(ctx, FleetResultPath, req, &resp)
 	return resp, err
 }
 
 func (c *httpFleetClient) Status(ctx context.Context, sw FleetSweepSpec, withResults bool) (FleetStatusResponse, error) {
-	q := url.Values{"sweep": {encodeSweepParam(sw)}}
+	// The sweep identity travels as the JSON it is everywhere else
+	// (strings, bools and ints: Marshal cannot fail); url.Values escapes it.
+	data, _ := json.Marshal(sw)
+	q := url.Values{"sweep": {string(data)}}
 	if withResults {
 		q.Set("results", "1")
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+FleetStatusPath+"?"+q.Encode(), nil)
-	if err != nil {
-		return FleetStatusResponse{}, err
-	}
-	hresp, err := c.client.Do(hreq)
-	if err != nil {
-		if ctx.Err() != nil {
-			return FleetStatusResponse{}, ctx.Err()
-		}
-		return FleetStatusResponse{}, fmt.Errorf("fleet coordinator %s: %w", c.base, err)
-	}
-	defer hresp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(hresp.Body, maxEntryBytes))
-	if err != nil {
-		return FleetStatusResponse{}, fmt.Errorf("fleet coordinator %s: %w", c.base, err)
-	}
-	if hresp.StatusCode < 200 || hresp.StatusCode >= 300 {
-		return FleetStatusResponse{}, fmt.Errorf("fleet coordinator %s: GET %s: %s: %s",
-			c.base, FleetStatusPath, hresp.Status, strings.TrimSpace(string(data)))
-	}
 	var resp FleetStatusResponse
-	err = json.Unmarshal(data, &resp)
+	err := c.call(ctx, FleetStatusPath+"?"+q.Encode(), nil, &resp)
 	return resp, err
-}
-
-// encodeSweepParam renders the sweep identity as the status route's query
-// parameter (base64-free: JSON is URL-encoded by url.Values).
-func encodeSweepParam(sw FleetSweepSpec) string {
-	data, _ := json.Marshal(sw)
-	return string(data)
-}
-
-// DecodeSweepParam parses the status route's sweep parameter; the serve
-// handler uses it.
-func DecodeSweepParam(s string) (FleetSweepSpec, error) {
-	var sw FleetSweepSpec
-	if err := json.Unmarshal([]byte(s), &sw); err != nil {
-		return FleetSweepSpec{}, fmt.Errorf("fleet: malformed sweep parameter: %w", err)
-	}
-	return sw, nil
 }

@@ -3,7 +3,6 @@ package sweep
 import (
 	"testing"
 
-	"repro/internal/kernel"
 	"repro/internal/kvspec"
 	"repro/internal/model"
 	"repro/internal/queuespec"
@@ -113,5 +112,5 @@ func implSpec(sp spec.Spec, t *testing.T) KernelSpec {
 	if len(impls) == 0 {
 		t.Fatalf("%s: no implementations", sp.Name())
 	}
-	return KernelSpec{Name: impls[0].Name, New: func() kernel.Kernel { return impls[0].New() }}
+	return impls[0]
 }

@@ -30,15 +30,12 @@ import (
 	"repro/internal/testgen"
 )
 
-// KernelSpec names one kernel implementation under test and how to build a
-// fresh instance of it. The cache identifies kernels by Name alone, so a
+// KernelSpec is a spec's implementation binding under the name this
+// package had for it. The cache identifies kernels by Name alone, so a
 // caller supplying a custom New must give it a name distinct from the stock
 // implementations (or use a separate cache directory) — otherwise cached
 // results computed with the stock kernel are served for the custom one.
-type KernelSpec struct {
-	Name string
-	New  func() kernel.Kernel
-}
+type KernelSpec = spec.Impl
 
 // Event is one streaming progress report, emitted after a pair finishes.
 // Progress callbacks are serialized by the engine.
@@ -217,6 +214,17 @@ func (r *Result) TotalTests() int {
 	return n
 }
 
+// sortPairs puts pair results in the order every completed sweep reports
+// them: by (OpA, OpB).
+func sortPairs(pairs []PairResult) {
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i].OpA != pairs[j].OpA {
+			return pairs[i].OpA < pairs[j].OpA
+		}
+		return pairs[i].OpB < pairs[j].OpB
+	})
+}
+
 // run is the state one sweep shares across its pairs, whichever driver
 // feeds it: RunContext walks the whole pair list, RunFleet pulls leases.
 type run struct {
@@ -274,12 +282,7 @@ func (r *run) progress(pr *PairResult, done, total int) {
 // result assembles the completed sweep from its pairs, sorting them in
 // place by (OpA, OpB).
 func (r *run) result(pairs []PairResult) *Result {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].OpA != pairs[j].OpA {
-			return pairs[i].OpA < pairs[j].OpA
-		}
-		return pairs[i].OpB < pairs[j].OpB
-	})
+	sortPairs(pairs)
 	res := &Result{Spec: r.sp.Name(), Pairs: pairs, Workers: r.workers, Elapsed: time.Since(r.start)}
 	if r.cfg.Cache != nil {
 		res.Cache = r.counters.stats()
@@ -679,11 +682,15 @@ func runCheck(ctx context.Context, ks KernelSpec, tests []kernel.TestCase, out *
 // pipeline depends on — earlier op first, matching the original sequential
 // evaluation loop — so cache keys and matrix cells agree across every path
 // that fans out over pairs.
-func Pairs(ops []*spec.Op) [][2]*spec.Op {
-	var out [][2]*spec.Op
+func Pairs(ops []*spec.Op) [][2]*spec.Op { return pairsOf(ops) }
+
+// pairsOf is that enumeration for ops in any form; a fleet's work list
+// (FleetSweepSpec.PairNames) walks the op names through it.
+func pairsOf[T any](ops []T) [][2]T {
+	out := make([][2]T, 0, len(ops)*(len(ops)+1)/2)
 	for i, a := range ops {
 		for _, b := range ops[:i+1] {
-			out = append(out, [2]*spec.Op{b, a})
+			out = append(out, [2]T{b, a})
 		}
 	}
 	return out

@@ -296,9 +296,13 @@ func (p *Path) Sat(extra *sym.Expr) (sat, unknown bool) {
 	return sat, !sat && p.ctx.infeas[extra]
 }
 
+// DefaultMaxPaths is the path cap a zero Options.MaxPaths means, here and
+// wherever the cap is folded into a content address.
+const DefaultMaxPaths = 4096
+
 // Options tunes path exploration.
 type Options struct {
-	// MaxPaths caps exploration (default 4096).
+	// MaxPaths caps exploration (default DefaultMaxPaths).
 	MaxPaths int
 	// Solver is used for feasibility checks; nil means a fresh default.
 	Solver *sym.Solver
@@ -323,7 +327,7 @@ type Options struct {
 func RunCtx(ctx context.Context, fn func(*Context) any, opt Options) ([]Path, bool, error) {
 	maxPaths := opt.MaxPaths
 	if maxPaths == 0 {
-		maxPaths = 4096
+		maxPaths = DefaultMaxPaths
 	}
 	solver := opt.Solver
 	if solver == nil {

@@ -24,10 +24,14 @@ import (
 	"repro/internal/symx"
 )
 
+// DefaultMaxTestsPerPath is the per-path cap a zero Options.MaxTestsPerPath
+// means, here and wherever the cap is folded into a content address.
+const DefaultMaxTestsPerPath = 4
+
 // Options tunes generation.
 type Options struct {
 	// MaxTestsPerPath caps the isomorphism classes enumerated per
-	// commutative path (default 4).
+	// commutative path (default DefaultMaxTestsPerPath).
 	MaxTestsPerPath int
 	// Solver overrides the default solver.
 	Solver *sym.Solver
@@ -53,7 +57,7 @@ func generate(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kernel.TestC
 	var n leafCounts
 	maxPer := opt.MaxTestsPerPath
 	if maxPer == 0 {
-		maxPer = 4
+		maxPer = DefaultMaxTestsPerPath
 	}
 	solver := opt.Solver
 	if solver == nil {
