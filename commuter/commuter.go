@@ -59,8 +59,8 @@ type (
 	SweepEvent = sweep.Event
 	// SweepBackend is the pluggable two-tier sweep cache interface
 	// (generated tests in a kernel-independent TESTGEN tier, per-kernel
-	// cells in a CHECK tier); open one with OpenSweepBackend or compose
-	// the sweep package's constructors directly.
+	// cells in a CHECK tier) WithCacheBackend and ServeWithBackend take;
+	// WithCache and ServeWithCache open one from its string form.
 	SweepBackend = sweep.Backend
 	// SweepCacheStats counts per-tier cache hits and misses.
 	SweepCacheStats = sweep.CacheStats
@@ -72,14 +72,6 @@ func Specs() []string { return spec.Names() }
 
 // OpNames returns the 18 modeled POSIX operations in Figure 6 order.
 func OpNames() []string { return spec.OpNames(model.Spec) }
-
-// OpenSweepBackend opens a sweep cache backend from its string spec: a
-// directory path (or "dir:PATH"), "mem[:N]" for a bounded in-memory LRU,
-// an http(s) URL naming a peer `commuter serve` instance's shared cache,
-// or a comma list layering tiers fastest-first ("mem:,http://peer").
-// Pass the result to Client.Sweep via WithCacheBackend, or to
-// NewServerHandler via ServeWithBackend.
-func OpenSweepBackend(spec string) (SweepBackend, error) { return sweep.OpenBackend(spec) }
 
 // WriteSweepTrace renders a finished sweep as a Chrome trace-event file
 // (loadable in chrome://tracing or ui.perfetto.dev): one span per pair at

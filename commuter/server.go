@@ -121,7 +121,6 @@ func NewServerHandler(backend Client, opts ...ServerOption) (http.Handler, error
 	// a worker claims — so which instance coordinates a given sweep is
 	// purely the fleet's choice of URL, not a deployment-time role.
 	s.hub = sweep.NewFleetHub(0, nil)
-	s.hub.SetCache(s.cache)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET "+api.PathHealth, s.health)
 	mux.HandleFunc("GET "+api.PathSpecs, s.specs)
@@ -214,8 +213,10 @@ func (s *server) instrument(mux *http.ServeMux) http.Handler {
 		w.Header().Set("X-Request-Id", id)
 		sw := &statusWriter{ResponseWriter: w}
 		metricHTTPInflight.Inc()
+		// Deferred: net/http recovers a handler's panic and the process
+		// lives on, so a Dec that ServeHTTP must reach would leak the gauge.
+		defer metricHTTPInflight.Dec()
 		mux.ServeHTTP(sw, r)
-		metricHTTPInflight.Dec()
 
 		// The mux stamped the matched pattern onto the request; an empty
 		// pattern is a 404/405, bucketed together so unmatched paths

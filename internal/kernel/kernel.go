@@ -8,12 +8,13 @@ package kernel
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/mtrace"
 )
 
-// Errno values mirrored from the model.
+// Errno values, shared by the specs' models and their implementations.
 const (
 	ENOENT = 2
 	EBADF  = 9
@@ -44,6 +45,9 @@ func (r Result) String() string {
 	return fmt.Sprintf("(%d,%d,%d,%d,%d)", r.Code, r.V1, r.V2, r.V3, r.Data)
 }
 
+// Errno is the result of a call that failed with errno.
+func Errno(errno int64) Result { return Result{Code: -errno} }
+
 // Call is one concrete system call. Args hold the per-operation argument
 // values under the same names the model uses ("fname", "fd", "off", ...).
 // Filename arguments hold small ids; implementations render them as "fN".
@@ -63,6 +67,16 @@ func (c Call) ArgBool(name string) bool { return c.Args[name] != 0 }
 
 // Fname renders a filename id as a path component.
 func Fname(id int64) string { return fmt.Sprintf("f%d", id) }
+
+// ParseFname inverts Fname: ok reports whether name is exactly Fname(id).
+func ParseFname(name string) (id int64, ok bool) {
+	if !strings.HasPrefix(name, "f") {
+		return 0, false
+	}
+	id, err := strconv.ParseInt(name[1:], 10, 64)
+	var canon [20]byte
+	return id, err == nil && string(strconv.AppendInt(canon[:0], id, 10)) == name[1:]
+}
 
 func (c Call) String() string {
 	keys := make([]string, 0, len(c.Args))
@@ -223,21 +237,24 @@ type TestCase struct {
 	SetupID string `json:"-"`
 }
 
-// Kernel is the interface every implementation under test provides. Exec
-// runs a call on a simulated core; all state accesses must go through the
-// kernel's traced memory.
+// Kernel is the interface every implementation under test provides, and
+// the whole of what one owes the checker: keep every piece of state either
+// in cells of its traced memory or in maps and variables set through
+// mtrace.SetKey and mtrace.SetVar, so that the memory's Reset alone returns
+// the kernel to an earlier state. (A structure built on demand and left in
+// place is fine when a reset one is indistinguishable from an unbuilt one.)
+// Apply and Exec may assume the test was admitted (Admit) and came from
+// their spec, and may panic otherwise: the Replayer reports that as the
+// test's error.
 type Kernel interface {
 	// Name identifies the implementation, as its spec registers it
 	// ("linux", "sv6", "memvm", ...).
 	Name() string
-	// Memory returns the kernel's traced memory. The Replayer rolls the
-	// kernel back through this memory's snapshot journal, so an
-	// implementation whose state is not held entirely in traced cells
-	// registers mtrace.Memory.OnReset hooks at its structural mutation
-	// sites (map inserts, plain struct fields).
+	// Memory returns the kernel's traced memory, through whose snapshot
+	// journal the Replayer rolls the kernel back.
 	Memory() *mtrace.Memory
 	// Apply initializes kernel state from a setup (untraced).
-	Apply(s Setup) error
+	Apply(s Setup)
 	// Exec performs one system call on the given simulated core.
 	Exec(core int, c Call) Result
 }

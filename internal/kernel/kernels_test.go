@@ -34,9 +34,7 @@ func oneFile() kernel.Setup {
 func TestStatSemantics(t *testing.T) {
 	for name, fresh := range kernels() {
 		k := fresh()
-		if err := k.Apply(oneFile()); err != nil {
-			t.Fatal(err)
-		}
+		k.Apply(oneFile())
 		r := k.Exec(0, call("stat", 0, map[string]int64{"fname": 0}))
 		if r.Code != 0 || r.V1 != 1 || r.V2 != 1 || r.V3 != 2 {
 			t.Errorf("%s: stat(f0) = %v, want ino=1 nlink=1 len=2", name, r)
@@ -51,9 +49,7 @@ func TestStatSemantics(t *testing.T) {
 func TestOpenReadWriteSemantics(t *testing.T) {
 	for name, fresh := range kernels() {
 		k := fresh()
-		if err := k.Apply(oneFile()); err != nil {
-			t.Fatal(err)
-		}
+		k.Apply(oneFile())
 		r := k.Exec(0, call("open", 0, map[string]int64{"fname": 0}))
 		if r.Code < 0 {
 			t.Fatalf("%s: open = %v", name, r)
@@ -83,9 +79,7 @@ func TestOpenReadWriteSemantics(t *testing.T) {
 func TestOpenCreatExclTrunc(t *testing.T) {
 	for name, fresh := range kernels() {
 		k := fresh()
-		if err := k.Apply(oneFile()); err != nil {
-			t.Fatal(err)
-		}
+		k.Apply(oneFile())
 		r := k.Exec(0, call("open", 0, map[string]int64{"fname": 0, "creat": 1, "excl": 1}))
 		if r.Code != -kernel.EEXIST {
 			t.Errorf("%s: O_CREAT|O_EXCL on existing = %v", name, r)
@@ -114,9 +108,7 @@ func TestOpenCreatExclTrunc(t *testing.T) {
 func TestLinkUnlinkRename(t *testing.T) {
 	for name, fresh := range kernels() {
 		k := fresh()
-		if err := k.Apply(oneFile()); err != nil {
-			t.Fatal(err)
-		}
+		k.Apply(oneFile())
 		if r := k.Exec(0, call("link", 0, map[string]int64{"old": 0, "new": 1})); r.Code != 0 {
 			t.Fatalf("%s: link = %v", name, r)
 		}
@@ -158,9 +150,7 @@ func TestFDSemantics(t *testing.T) {
 	}
 	for name, fresh := range kernels() {
 		k := fresh()
-		if err := k.Apply(setup); err != nil {
-			t.Fatal(err)
-		}
+		k.Apply(setup)
 		if r := k.Exec(0, call("fstat", 0, map[string]int64{"fd": 0})); r.V1 != 1 || r.V3 != 2 {
 			t.Errorf("%s: fstat = %v", name, r)
 		}
@@ -198,9 +188,7 @@ func TestPipeSemantics(t *testing.T) {
 	}
 	for name, fresh := range kernels() {
 		k := fresh()
-		if err := k.Apply(setup); err != nil {
-			t.Fatal(err)
-		}
+		k.Apply(setup)
 		if r := k.Exec(0, call("fstat", 0, map[string]int64{"fd": 0})); r.V3 != 1 {
 			t.Errorf("%s: pipe fstat queued = %v, want 1", name, r)
 		}
@@ -236,9 +224,7 @@ func TestVMSemantics(t *testing.T) {
 	}
 	for name, fresh := range kernels() {
 		k := fresh()
-		if err := k.Apply(setup); err != nil {
-			t.Fatal(err)
-		}
+		k.Apply(setup)
 		if r := k.Exec(0, call("memread", 0, map[string]int64{"page": 0})); r.Code != -kernel.ESIGSEGV {
 			t.Errorf("%s: unmapped memread = %v", name, r)
 		}
@@ -302,10 +288,7 @@ func checkConflicts(t *testing.T, setup kernel.Setup, c0, c1 kernel.Call) map[st
 	t.Helper()
 	out := map[string]bool{}
 	for name, fresh := range kernels() {
-		res, err := kerneltest.Check(fresh, kernel.TestCase{ID: "t", Setup: setup, Calls: [2]kernel.Call{c0, c1}})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		res := kerneltest.Check(fresh, kernel.TestCase{ID: "t", Setup: setup, Calls: [2]kernel.Call{c0, c1}})
 		out[name] = res.ConflictFree
 	}
 	return out
@@ -453,10 +436,7 @@ func TestIdempotentLseekDifficultCase(t *testing.T) {
 	}
 	c := call("lseek", 0, map[string]int64{"fd": 0, "delta": 2, "wset": 1})
 	for name, fresh := range kernels() {
-		res, err := kerneltest.Check(fresh, kernel.TestCase{ID: "lseek2", Setup: setup, Calls: [2]kernel.Call{c, c}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := kerneltest.Check(fresh, kernel.TestCase{ID: "lseek2", Setup: setup, Calls: [2]kernel.Call{c, c}})
 		if res.ConflictFree {
 			t.Errorf("%s: idempotent lseek pair unexpectedly conflict-free", name)
 		}
@@ -494,10 +474,7 @@ func TestCheckReportsCommuted(t *testing.T) {
 			call("open", 1, map[string]int64{"fname": 2, "creat": 1, "anyfd": 1}),
 		},
 	}
-	res, err := kerneltest.Check(func() kernel.Kernel { return svsix.New() }, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := kerneltest.Check(func() kernel.Kernel { return svsix.New() }, tc)
 	if !res.Commuted {
 		t.Errorf("sv6 per-core allocation should make results order-independent: %v vs %v",
 			res.Res, res.ResSwapped)
@@ -523,9 +500,7 @@ func TestConflictReportsTellPipesApart(t *testing.T) {
 	}
 	for name, fresh := range kernels() {
 		k := fresh()
-		if err := k.Apply(setup); err != nil {
-			t.Fatal(err)
-		}
+		k.Apply(setup)
 		mem := k.Memory()
 		mem.Start()
 		for fd := int64(0); fd < 2; fd++ {

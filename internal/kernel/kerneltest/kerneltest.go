@@ -7,6 +7,7 @@
 package kerneltest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -21,11 +22,9 @@ import (
 // accesses for the two calls and analyzing conflicts, like MTRACE's
 // qemu hypercall + log analysis. It is the reference the setup-batched
 // kernel.Replayer must reproduce exactly.
-func Check(fresh func() kernel.Kernel, tc kernel.TestCase) (kernel.CheckResult, error) {
+func Check(fresh func() kernel.Kernel, tc kernel.TestCase) kernel.CheckResult {
 	k := fresh()
-	if err := k.Apply(tc.Setup); err != nil {
-		return kernel.CheckResult{}, fmt.Errorf("%s: setup %s: %w", k.Name(), tc.ID, err)
-	}
+	k.Apply(tc.Setup)
 	mem := k.Memory()
 	mem.Start()
 	r0 := k.Exec(0, tc.Calls[0])
@@ -35,9 +34,7 @@ func Check(fresh func() kernel.Kernel, tc kernel.TestCase) (kernel.CheckResult, 
 
 	// Opposite order on a fresh kernel for the commutativity check.
 	k2 := fresh()
-	if err := k2.Apply(tc.Setup); err != nil {
-		return kernel.CheckResult{}, fmt.Errorf("%s: setup2 %s: %w", k2.Name(), tc.ID, err)
-	}
+	k2.Apply(tc.Setup)
 	s1 := k2.Exec(1, tc.Calls[1])
 	s0 := k2.Exec(0, tc.Calls[0])
 
@@ -48,7 +45,7 @@ func Check(fresh func() kernel.Kernel, tc kernel.TestCase) (kernel.CheckResult, 
 		Res:          [2]kernel.Result{r0, r1},
 		Commuted:     r0 == s0 && r1 == s1,
 		ResSwapped:   [2]kernel.Result{s0, s1},
-	}, nil
+	}
 }
 
 // OracleConflicts is the pre-epoch conflict algorithm, kept as the oracle
@@ -152,7 +149,7 @@ func accessLog(m *mtrace.Memory) []string {
 // long-lived Replayer runs many randomized setup groups, and every
 // CheckResult must exactly match Check, which builds two fresh kernels per
 // test — and so must the ordered access log of the traced replay, cell by
-// cell. Any state the journal or a reset hook fails to restore — a cell
+// cell. Any state the memory's Reset fails to restore — a cell
 // value, a stale or lost map entry, a counter — surfaces as a result,
 // commuted, or conflict-report mismatch in a later test or group; the log
 // additionally catches what conflict reports are blind to: an extra or
@@ -173,19 +170,15 @@ func ReplayMatchesFresh(t *testing.T, fresh func() kernel.Kernel, gen Gen) {
 				Calls: [2]kernel.Call{gen.Call(r), gen.Call(r)},
 			})
 		}
-		i := 0
-		err := rep.CheckGroup(setup, tests, func(got kernel.CheckResult) bool {
+		groups, err := rep.CheckTests(context.Background(), tests, func(i int, got kernel.CheckResult) {
 			// Check traces on the first kernel it builds; the second only
 			// re-executes in the opposite order.
 			var freshMem *mtrace.Memory
-			want, err := Check(logged(fresh, func(m *mtrace.Memory) {
+			want := Check(logged(fresh, func(m *mtrace.Memory) {
 				if freshMem == nil {
 					freshMem = m
 				}
 			}), tests[i])
-			if err != nil {
-				t.Fatalf("group %d test %d: fresh check: %v", group, i, err)
-			}
 			if got.ConflictFree != want.ConflictFree ||
 				got.Res != want.Res ||
 				got.Commuted != want.Commuted ||
@@ -198,11 +191,9 @@ func ReplayMatchesFresh(t *testing.T, fresh func() kernel.Kernel, gen Gen) {
 				t.Fatalf("group %d test %d (%v || %v): replayed access log\n %v\n!= fresh\n %v",
 					group, i, tests[i].Calls[0], tests[i].Calls[1], gotLog, wantLog)
 			}
-			i++
-			return true
 		})
-		if err != nil {
-			t.Fatalf("group %d: %v", group, err)
+		if err != nil || groups != 1 {
+			t.Fatalf("group %d: one setup replayed as %d groups, err %v", group, groups, err)
 		}
 	}
 }
@@ -218,9 +209,7 @@ func OnlineMatchesOracle(t *testing.T, fresh func() kernel.Kernel, gen Gen) {
 		k := fresh()
 		m := k.Memory()
 		m.LogAccesses(true)
-		if err := k.Apply(gen.Setup(r)); err != nil {
-			t.Fatalf("seed %d: apply: %v", seed, err)
-		}
+		k.Apply(gen.Setup(r))
 		for region := 0; region < 3; region++ {
 			m.Start()
 			for i := 0; i < r.Intn(12); i++ {

@@ -48,16 +48,12 @@ func New() *Kern {
 // Name identifies the implementation.
 func (k *Kern) Name() string { return "memkv" }
 
-// Memory returns the traced memory. Cell values are journaled by the
-// memory itself; binding creation registers an OnReset hook at the
-// mutation site, so a reset leaves the key map structurally identical to
-// the snapshot point — a replayed run re-creates bindings exactly like a
-// fresh kernel would.
+// Memory returns the traced memory.
 func (k *Kern) Memory() *mtrace.Memory { return k.mem }
 
 // binding returns (creating on first use) one key's cells. Creation
-// allocates cells but records no accesses; the OnReset hook undoes the
-// map insert so replayed state matches fresh state.
+// allocates cells but records no accesses, and goes through the memory so
+// that a replayed run re-creates bindings exactly like a fresh kernel would.
 func (k *Kern) binding(key int64) *binding {
 	b, ok := k.keys[key]
 	if !ok {
@@ -65,25 +61,20 @@ func (k *Kern) binding(key int64) *binding {
 			present: k.mem.NewCellf(0, "kv[%d].present", key),
 			val:     k.mem.NewCellf(0, "kv[%d].val", key),
 		}
-		key := key
-		k.mem.OnReset(func() { delete(k.keys, key) })
-		k.keys[key] = b
+		mtrace.SetKey(k.mem, k.keys, key, b)
 	}
 	return b
 }
 
 // Apply seeds the store bindings from the setup (untraced); fields of
 // other interfaces are ignored.
-func (k *Kern) Apply(s kernel.Setup) error {
+func (k *Kern) Apply(s kernel.Setup) {
 	for _, kv := range s.KVs {
 		b := k.binding(kv.Key)
 		b.present.Poke(1)
 		b.val.Poke(kv.Val)
 	}
-	return nil
 }
-
-func errR(errno int64) kernel.Result { return kernel.Result{Code: -errno} }
 
 // Exec performs one store operation on the given simulated core.
 func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
@@ -91,7 +82,7 @@ func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
 	case "get":
 		b := k.binding(c.Arg("key"))
 		if b.present.Load(core) == 0 {
-			return errR(kernel.ENOENT)
+			return kernel.Errno(kernel.ENOENT)
 		}
 		return kernel.Result{Code: 0, Data: b.val.Load(core)}
 	case "put":
@@ -102,7 +93,7 @@ func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
 	case "delete":
 		b := k.binding(c.Arg("key"))
 		if b.present.Load(core) == 0 {
-			return errR(kernel.ENOENT)
+			return kernel.Errno(kernel.ENOENT)
 		}
 		b.present.Store(core, 0)
 		b.val.Store(core, 0)

@@ -113,7 +113,7 @@ func (k *Kern) Name() string { return "memq" }
 // Memory returns the traced memory. All of memq's state lives in traced
 // cells (lazily created fifos persist across a reset with their cells
 // value-restored, which is indistinguishable from fresh creation), so the
-// journal alone suffices for batched replay — no OnReset hooks.
+// journal alone suffices for batched replay.
 func (k *Kern) Memory() *mtrace.Memory { return k.mem }
 
 // coreQ returns (creating on first use) the per-core unordered queue.
@@ -130,7 +130,7 @@ func (k *Kern) coreQ(core int) *fifo {
 
 // Apply seeds queue backlogs from the setup (untraced); the fs/VM setup
 // fields belong to the POSIX kernels and are ignored.
-func (k *Kern) Apply(s kernel.Setup) error {
+func (k *Kern) Apply(s kernel.Setup) {
 	for _, sq := range s.Queues {
 		if sq.Core < 0 {
 			k.ord.seed(sq.Items)
@@ -138,10 +138,7 @@ func (k *Kern) Apply(s kernel.Setup) error {
 		}
 		k.coreQ(int(sq.Core)).seed(sq.Items)
 	}
-	return nil
 }
-
-func errR(errno int64) kernel.Result { return kernel.Result{Code: -errno} }
 
 // Exec performs one queue operation on the given simulated core.
 func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
@@ -152,7 +149,7 @@ func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
 	case "recv":
 		seq, val, ok := k.ord.recv(core)
 		if !ok {
-			return errR(kernel.EAGAIN)
+			return kernel.Errno(kernel.EAGAIN)
 		}
 		return kernel.Result{Code: 0, V1: seq, Data: val}
 	case "send_any":
@@ -161,7 +158,7 @@ func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
 	case "recv_any":
 		_, val, ok := k.coreQ(core).recv(core)
 		if !ok {
-			return errR(kernel.EAGAIN)
+			return kernel.Errno(kernel.EAGAIN)
 		}
 		return kernel.Result{Code: 0, Data: val}
 	case "status":

@@ -60,13 +60,10 @@ func TestPerCoreQueues(t *testing.T) {
 // TestApplySeedsBacklogs pins setup application for both queue kinds.
 func TestApplySeedsBacklogs(t *testing.T) {
 	k := New()
-	err := k.Apply(kernel.Setup{Queues: []kernel.SetupQueue{
+	k.Apply(kernel.Setup{Queues: []kernel.SetupQueue{
 		{Core: -1, Items: []int64{4, 5}},
 		{Core: 1, Items: []int64{6}},
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if r := k.Exec(0, call("recv", nil)); r.Data != 4 {
 		t.Fatalf("seeded ordered head = %v, want 4", r)
 	}
@@ -89,10 +86,7 @@ func TestSendRecvNonEmptyConflictFree(t *testing.T) {
 			call("recv", nil),
 		},
 	}
-	res, err := kerneltest.Check(func() kernel.Kernel { return New() }, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := kerneltest.Check(func() kernel.Kernel { return New() }, tc)
 	if !res.ConflictFree {
 		t.Errorf("non-empty send||recv conflicts: %v", res.Conflicts)
 	}
@@ -104,10 +98,7 @@ func TestSendRecvNonEmptyConflictFree(t *testing.T) {
 		ID:    "send_recv_empty",
 		Calls: tc.Calls,
 	}
-	res, err = kerneltest.Check(func() kernel.Kernel { return New() }, empty)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = kerneltest.Check(func() kernel.Kernel { return New() }, empty)
 	if res.ConflictFree {
 		t.Error("empty-queue send||recv reported conflict-free; the slot handoff must collide")
 	}

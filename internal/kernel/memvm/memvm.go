@@ -59,16 +59,13 @@ func New() *Kern {
 // Name identifies the implementation.
 func (k *Kern) Name() string { return "memvm" }
 
-// Memory returns the traced memory. Cell values are journaled by the
-// memory itself; page (cell-pair) creation registers an OnReset hook at
-// the mutation site, so a reset leaves the address-space maps structurally
-// identical to the snapshot point — a replayed run re-creates pages
-// exactly like a fresh kernel would.
+// Memory returns the traced memory.
 func (k *Kern) Memory() *mtrace.Memory { return k.mem }
 
 // page returns (creating on first use) the cells of one (proc, page).
-// Creation allocates cells but records no accesses; the OnReset hook
-// undoes the map insert so replayed state matches fresh state.
+// Creation allocates cells but records no accesses, and goes through the
+// memory so that a replayed run re-creates pages exactly like a fresh
+// kernel would.
 func (k *Kern) page(proc int, page int64) *pageCells {
 	p, ok := k.pages[proc][page]
 	if !ok {
@@ -76,16 +73,14 @@ func (k *Kern) page(proc int, page int64) *pageCells {
 			m: k.mem.NewCellf(unmapped, "proc%d.vmap[%d]", proc, page),
 			v: k.mem.NewCellf(0, "proc%d.vmem[%d]", proc, page),
 		}
-		page := page
-		k.mem.OnReset(func() { delete(k.pages[proc], page) })
-		k.pages[proc][page] = p
+		mtrace.SetKey(k.mem, k.pages[proc], page, p)
 	}
 	return p
 }
 
 // Apply seeds the address spaces from the setup (untraced); fields of
 // other interfaces are ignored.
-func (k *Kern) Apply(s kernel.Setup) error {
+func (k *Kern) Apply(s kernel.Setup) {
 	for _, sv := range s.VMAs {
 		p := k.page(sv.Proc, sv.Page)
 		if sv.Writable {
@@ -95,10 +90,7 @@ func (k *Kern) Apply(s kernel.Setup) error {
 		}
 		p.v.Poke(sv.Val)
 	}
-	return nil
 }
-
-func errR(errno int64) kernel.Result { return kernel.Result{Code: -errno} }
 
 func mapVal(wr bool) int64 {
 	if wr {
@@ -125,7 +117,7 @@ func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
 				}
 			}
 			if addr < 0 {
-				return errR(kernel.ENOMEM)
+				return kernel.Errno(kernel.ENOMEM)
 			}
 		}
 		p := k.page(proc, addr)
@@ -138,20 +130,20 @@ func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
 	case "mprotect":
 		p := k.page(proc, c.Arg("page"))
 		if p.m.Load(core) == unmapped {
-			return errR(kernel.ENOMEM)
+			return kernel.Errno(kernel.ENOMEM)
 		}
 		p.m.Store(core, mapVal(c.ArgBool("wr")))
 		return kernel.Result{Code: 0}
 	case "memread":
 		p := k.page(proc, c.Arg("page"))
 		if p.m.Load(core) == unmapped {
-			return errR(kernel.ESIGSEGV)
+			return kernel.Errno(kernel.ESIGSEGV)
 		}
 		return kernel.Result{Code: 0, Data: p.v.Load(core)}
 	case "memwrite":
 		p := k.page(proc, c.Arg("page"))
 		if p.m.Load(core) != mappedRW {
-			return errR(kernel.ESIGSEGV)
+			return kernel.Errno(kernel.ESIGSEGV)
 		}
 		p.v.Store(core, c.Arg("val"))
 		return kernel.Result{Code: 0}

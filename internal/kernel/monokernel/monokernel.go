@@ -117,14 +117,10 @@ func New() *Kern {
 // Name implements kernel.Kernel.
 func (k *Kern) Name() string { return "linux" }
 
-// Memory implements kernel.Kernel. Cell values are journaled by the
-// memory itself; the mutation sites below register OnReset hooks for the
-// structural state the journal cannot see (map entries, the plain fields
-// of vma and fdslot, the pipe id counter), so a reset restores a state
-// observationally identical to a fresh kernel with the same setup —
-// including which map entries exist, because a stale entry would change
-// the traced access pattern of lookups that are gated on entry presence
-// (fget, the mmap address scan).
+// Memory implements kernel.Kernel. The maps whose entries gate a traced
+// access (fget's slot lookup, the mmap address scan) are set through the
+// memory, as are the plain fields of vma and fdslot and the pipe id counter:
+// a stale entry would change the access pattern of the next replay.
 func (k *Kern) Memory() *mtrace.Memory { return k.mem }
 
 func (k *Kern) dentry(name int64) *dentry {
@@ -170,15 +166,7 @@ func (k *Kern) newPipe(id int64) *pipe {
 		tail:  k.mem.NewCellf(0, "pipe[%d].tail", id),
 		items: map[int64]*mtrace.Cell{},
 	}
-	prev, had := k.pipes[id]
-	k.mem.OnReset(func() {
-		if had {
-			k.pipes[id] = prev
-		} else {
-			delete(k.pipes, id)
-		}
-	})
-	k.pipes[id] = p
+	mtrace.SetKey(k.mem, k.pipes, id, p)
 	return p
 }
 
@@ -228,14 +216,10 @@ func (k *Kern) allocFD(core int, pr int, f *file) int64 {
 		s, ok := p.slots[fd]
 		if !ok {
 			s = &fdslot{cell: k.mem.NewCellf(0, "proc%d.fd[%d]", pr, fd)}
-			fd := fd
-			k.mem.OnReset(func() { delete(p.slots, fd) })
-			p.slots[fd] = s
+			mtrace.SetKey(k.mem, p.slots, fd, s)
 		}
 		if s.cell.Load(core) == 0 {
-			old := s.f
-			k.mem.OnReset(func() { s.f = old })
-			s.f = f
+			mtrace.SetVar(k.mem, &s.f, f)
 			s.cell.Store(core, 1)
 			return fd
 		}
@@ -243,7 +227,7 @@ func (k *Kern) allocFD(core int, pr int, f *file) int64 {
 }
 
 // Apply implements kernel.Kernel; it builds initial state untraced.
-func (k *Kern) Apply(s kernel.Setup) error {
+func (k *Kern) Apply(s kernel.Setup) {
 	for _, si := range s.Inodes {
 		ino := k.inode(si.Inum)
 		ino.nlink.Poke(int64(si.ExtraLinks))
@@ -253,15 +237,8 @@ func (k *Kern) Apply(s kernel.Setup) error {
 		}
 	}
 	for _, sf := range s.Files {
-		nameID, err := parseName(sf.Name)
-		if err != nil {
-			return err
-		}
-		d := k.dentry(nameID)
-		if d.inum.Peek() != 0 {
-			return fmt.Errorf("monokernel: duplicate setup name %s", sf.Name)
-		}
-		d.inum.Poke(sf.Inum)
+		nameID, _ := kernel.ParseFname(sf.Name)
+		k.dentry(nameID).inum.Poke(sf.Inum)
 		ino := k.inode(sf.Inum)
 		ino.nlink.Poke(ino.nlink.Peek() + 1)
 	}
@@ -290,12 +267,10 @@ func (k *Kern) Apply(s kernel.Setup) error {
 			f.inum = sd.Inum
 			k.inode(sd.Inum) // ensure the inode exists
 		}
-		slot := &fdslot{cell: k.mem.NewCellf(1, "proc%d.fd[%d]", sd.Proc, sd.FD), f: f}
 		// The live slot cell is born at 1 and never journaled, so a reset
-		// cannot revive its old value; drop the entry instead.
-		fd := sd.FD
-		k.mem.OnReset(func() { delete(p.slots, fd) })
-		p.slots[fd] = slot
+		// cannot revive its old value; it drops the entry instead.
+		slot := &fdslot{cell: k.mem.NewCellf(1, "proc%d.fd[%d]", sd.Proc, sd.FD), f: f}
+		mtrace.SetKey(k.mem, p.slots, sd.FD, slot)
 	}
 	for _, sv := range s.VMAs {
 		p := k.procs[sv.Proc]
@@ -303,27 +278,13 @@ func (k *Kern) Apply(s kernel.Setup) error {
 			cell: k.mem.NewCellf(1, "proc%d.vma[%d]", sv.Proc, sv.Page),
 			anon: sv.Anon, inum: sv.Inum, foff: sv.Foff, wr: sv.Writable,
 		}
-		page := sv.Page
-		k.mem.OnReset(func() { delete(p.vmas, page) })
-		p.vmas[page] = v
+		mtrace.SetKey(k.mem, p.vmas, sv.Page, v)
 		if sv.Anon {
 			c := k.mem.NewCellf(sv.Val, "proc%d.anonpage[%d]", sv.Proc, sv.Page)
-			k.mem.OnReset(func() { delete(p.anon, page) })
-			p.anon[page] = c
+			mtrace.SetKey(k.mem, p.anon, sv.Page, c)
 		} else {
 			k.inode(sv.Inum)
 		}
 		p.vmaTree.Poke(p.vmaTree.Peek() + 1)
 	}
-	return nil
 }
-
-func parseName(s string) (int64, error) {
-	var id int64
-	if _, err := fmt.Sscanf(s, "f%d", &id); err != nil {
-		return 0, fmt.Errorf("monokernel: bad setup name %q", s)
-	}
-	return id, nil
-}
-
-func errR(errno int64) kernel.Result { return kernel.Result{Code: -errno} }

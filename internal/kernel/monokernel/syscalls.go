@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/kernel"
+	"repro/internal/mtrace"
 )
 
 // Exec implements kernel.Kernel.
@@ -55,7 +56,7 @@ func (k *Kern) open(core int, c kernel.Call) kernel.Result {
 	inum := k.dget(core, name)
 	if inum != 0 {
 		if creat && excl {
-			return errR(kernel.EEXIST)
+			return kernel.Errno(kernel.EEXIST)
 		}
 		if trunc {
 			ino := k.inode(inum)
@@ -70,7 +71,7 @@ func (k *Kern) open(core int, c kernel.Call) kernel.Result {
 		}
 	} else {
 		if !creat {
-			return errR(kernel.ENOENT)
+			return kernel.Errno(kernel.ENOENT)
 		}
 		// Name creation takes the directory lock; the inode comes from
 		// the global allocator. Both are conflict sources §6.2 reports.
@@ -100,13 +101,13 @@ func (k *Kern) link(core int, c kernel.Call) kernel.Result {
 	old, nw := c.Arg("old"), c.Arg("new")
 	inum := k.dget(core, old)
 	if inum == 0 {
-		return errR(kernel.ENOENT)
+		return kernel.Errno(kernel.ENOENT)
 	}
 	k.dirLock.Acquire(core)
 	defer k.dirLock.Release(core)
 	d := k.dentry(nw)
 	if d.inum.Load(core) != 0 {
-		return errR(kernel.EEXIST)
+		return kernel.Errno(kernel.EEXIST)
 	}
 	k.inode(inum).nlink.Add(core, 1)
 	d.inum.Store(core, inum)
@@ -122,7 +123,7 @@ func (k *Kern) unlink(core int, c kernel.Call) kernel.Result {
 	inum := d.inum.Load(core)
 	if inum == 0 {
 		d.refcnt.Add(core, -1)
-		return errR(kernel.ENOENT)
+		return kernel.Errno(kernel.ENOENT)
 	}
 	k.inode(inum).nlink.Add(core, -1)
 	d.inum.Store(core, 0)
@@ -140,7 +141,7 @@ func (k *Kern) rename(core int, c kernel.Call) kernel.Result {
 	si := sd.inum.Load(core)
 	sd.refcnt.Add(core, -1)
 	if si == 0 {
-		return errR(kernel.ENOENT)
+		return kernel.Errno(kernel.ENOENT)
 	}
 	if src == dst {
 		return kernel.Result{}
@@ -159,7 +160,7 @@ func (k *Kern) rename(core int, c kernel.Call) kernel.Result {
 func (k *Kern) stat(core int, c kernel.Call) kernel.Result {
 	inum := k.dget(core, c.Arg("fname"))
 	if inum == 0 {
-		return errR(kernel.ENOENT)
+		return kernel.Errno(kernel.ENOENT)
 	}
 	ino := k.inode(inum)
 	return kernel.Result{V1: inum, V2: ino.nlink.Load(core), V3: ino.len.Load(core)}
@@ -168,7 +169,7 @@ func (k *Kern) stat(core int, c kernel.Call) kernel.Result {
 func (k *Kern) fstat(core int, c kernel.Call) kernel.Result {
 	f := k.fget(core, c.Proc, c.Arg("fd"))
 	if f == nil {
-		return errR(kernel.EBADF)
+		return kernel.Errno(kernel.EBADF)
 	}
 	defer k.fput(core, f)
 	if f.pipe != nil {
@@ -184,11 +185,11 @@ func (k *Kern) fstat(core int, c kernel.Call) kernel.Result {
 func (k *Kern) lseek(core int, c kernel.Call) kernel.Result {
 	f := k.fget(core, c.Proc, c.Arg("fd"))
 	if f == nil {
-		return errR(kernel.EBADF)
+		return kernel.Errno(kernel.EBADF)
 	}
 	defer k.fput(core, f)
 	if f.pipe != nil {
-		return errR(kernel.ESPIPE)
+		return kernel.Errno(kernel.ESPIPE)
 	}
 	delta := c.Arg("delta")
 	var n int64
@@ -201,7 +202,7 @@ func (k *Kern) lseek(core int, c kernel.Call) kernel.Result {
 		n = f.off.Load(core) + delta
 	}
 	if n < 0 {
-		return errR(kernel.EINVAL)
+		return kernel.Errno(kernel.EINVAL)
 	}
 	f.off.Store(core, n)
 	return kernel.Result{V1: n}
@@ -214,7 +215,7 @@ func (k *Kern) close(core int, c kernel.Call) kernel.Result {
 	defer p.fdLock.Release(core)
 	s, ok := p.slots[fd]
 	if !ok || s.cell.Load(core) == 0 {
-		return errR(kernel.EBADF)
+		return kernel.Errno(kernel.EBADF)
 	}
 	s.cell.Store(core, 0)
 	s.f.refcnt.Add(core, -1)
@@ -222,9 +223,7 @@ func (k *Kern) close(core int, c kernel.Call) kernel.Result {
 }
 
 func (k *Kern) pipe(core int, c kernel.Call) kernel.Result {
-	old := k.nextPipe
-	k.mem.OnReset(func() { k.nextPipe = old })
-	k.nextPipe++
+	mtrace.SetVar(k.mem, &k.nextPipe, k.nextPipe+1)
 	p := k.newPipe(k.nextPipe)
 	rf := &file{refcnt: k.mem.NewCellf(1, "file[piper].refcnt"), off: k.mem.NewCellf(0, "file[piper].off"), pipe: p}
 	wf := &file{refcnt: k.mem.NewCellf(1, "file[pipew].refcnt"), off: k.mem.NewCellf(0, "file[pipew].off"), pipe: p, wend: true}
@@ -236,19 +235,19 @@ func (k *Kern) pipe(core int, c kernel.Call) kernel.Result {
 func (k *Kern) read(core int, c kernel.Call) kernel.Result {
 	f := k.fget(core, c.Proc, c.Arg("fd"))
 	if f == nil {
-		return errR(kernel.EBADF)
+		return kernel.Errno(kernel.EBADF)
 	}
 	defer k.fput(core, f)
 	if f.pipe != nil {
 		if f.wend {
-			return errR(kernel.EBADF)
+			return kernel.Errno(kernel.EBADF)
 		}
 		p := f.pipe
 		p.lock.Acquire(core)
 		defer p.lock.Release(core)
 		h, t := p.head.Load(core), p.tail.Load(core)
 		if h == t {
-			return errR(kernel.EAGAIN)
+			return kernel.Errno(kernel.EAGAIN)
 		}
 		v := p.item(k.mem, h).Load(core)
 		p.head.Store(core, h+1)
@@ -267,13 +266,13 @@ func (k *Kern) read(core int, c kernel.Call) kernel.Result {
 func (k *Kern) write(core int, c kernel.Call) kernel.Result {
 	f := k.fget(core, c.Proc, c.Arg("fd"))
 	if f == nil {
-		return errR(kernel.EBADF)
+		return kernel.Errno(kernel.EBADF)
 	}
 	defer k.fput(core, f)
 	val := c.Arg("val")
 	if f.pipe != nil {
 		if !f.wend {
-			return errR(kernel.EBADF)
+			return kernel.Errno(kernel.EBADF)
 		}
 		p := f.pipe
 		p.lock.Acquire(core)
@@ -298,11 +297,11 @@ func (k *Kern) write(core int, c kernel.Call) kernel.Result {
 func (k *Kern) pread(core int, c kernel.Call) kernel.Result {
 	f := k.fget(core, c.Proc, c.Arg("fd"))
 	if f == nil {
-		return errR(kernel.EBADF)
+		return kernel.Errno(kernel.EBADF)
 	}
 	defer k.fput(core, f)
 	if f.pipe != nil {
-		return errR(kernel.ESPIPE)
+		return kernel.Errno(kernel.ESPIPE)
 	}
 	ino := k.inode(f.inum)
 	off := c.Arg("off")
@@ -315,11 +314,11 @@ func (k *Kern) pread(core int, c kernel.Call) kernel.Result {
 func (k *Kern) pwrite(core int, c kernel.Call) kernel.Result {
 	f := k.fget(core, c.Proc, c.Arg("fd"))
 	if f == nil {
-		return errR(kernel.EBADF)
+		return kernel.Errno(kernel.EBADF)
 	}
 	defer k.fput(core, f)
 	if f.pipe != nil {
-		return errR(kernel.ESPIPE)
+		return kernel.Errno(kernel.ESPIPE)
 	}
 	ino := k.inode(f.inum)
 	ino.mutex.Acquire(core)
@@ -359,11 +358,11 @@ func (k *Kern) mmap(core int, c kernel.Call) kernel.Result {
 	} else {
 		f := k.fget(core, c.Proc, c.Arg("fd"))
 		if f == nil {
-			return errR(kernel.EBADF)
+			return kernel.Errno(kernel.EBADF)
 		}
 		if f.pipe != nil {
 			k.fput(core, f)
-			return errR(kernel.ENODEV)
+			return kernel.Errno(kernel.ENODEV)
 		}
 		nv = &vma{inum: f.inum, foff: c.Arg("foff"), wr: c.ArgBool("wr")}
 		k.fput(core, f)
@@ -374,17 +373,10 @@ func (k *Kern) mmap(core int, c kernel.Call) kernel.Result {
 	if ok {
 		old.cell.Store(core, 0)
 	}
+	// The new descriptor cell is born live (1) and never journaled; a
+	// reset puts the previous map state back.
 	nv.cell = k.mem.NewCellf(1, "proc%d.vma[%d]", c.Proc, addr)
-	// The new descriptor cell is born live (1) and never journaled; put
-	// the previous map state back on reset.
-	k.mem.OnReset(func() {
-		if ok {
-			p.vmas[addr] = old
-		} else {
-			delete(p.vmas, addr)
-		}
-	})
-	p.vmas[addr] = nv
+	mtrace.SetKey(k.mem, p.vmas, addr, nv)
 	p.vmaTree.Add(core, 1)
 	if nv.anon {
 		cell, ok := p.anon[addr]
@@ -414,11 +406,9 @@ func (k *Kern) mprotect(core int, c kernel.Call) kernel.Result {
 	defer p.vmDone(core)
 	v, ok := p.vmas[c.Arg("page")]
 	if !ok || v.cell.Load(core) == 0 {
-		return errR(kernel.ENOMEM)
+		return kernel.Errno(kernel.ENOMEM)
 	}
-	oldWr := v.wr
-	k.mem.OnReset(func() { v.wr = oldWr })
-	v.wr = c.ArgBool("wr")
+	mtrace.SetVar(k.mem, &v.wr, c.ArgBool("wr"))
 	v.cell.Add(core, 1)
 	return kernel.Result{}
 }
@@ -441,14 +431,14 @@ func (k *Kern) memread(core int, c kernel.Call) kernel.Result {
 	page := c.Arg("page")
 	v := k.fault(core, c.Proc, page)
 	if v == nil {
-		return errR(kernel.ESIGSEGV)
+		return kernel.Errno(kernel.ESIGSEGV)
 	}
 	if v.anon {
 		return kernel.Result{Data: k.procs[c.Proc].anon[page].Load(core)}
 	}
 	ino := k.inode(v.inum)
 	if v.foff >= ino.len.Load(core) {
-		return errR(kernel.ESIGBUS)
+		return kernel.Errno(kernel.ESIGBUS)
 	}
 	return kernel.Result{Data: ino.page(k.mem, v.inum, v.foff).Load(core)}
 }
@@ -457,10 +447,10 @@ func (k *Kern) memwrite(core int, c kernel.Call) kernel.Result {
 	page := c.Arg("page")
 	v := k.fault(core, c.Proc, page)
 	if v == nil {
-		return errR(kernel.ESIGSEGV)
+		return kernel.Errno(kernel.ESIGSEGV)
 	}
 	if !v.wr {
-		return errR(kernel.ESIGSEGV)
+		return kernel.Errno(kernel.ESIGSEGV)
 	}
 	val := c.Arg("val")
 	if v.anon {
@@ -469,7 +459,7 @@ func (k *Kern) memwrite(core int, c kernel.Call) kernel.Result {
 	}
 	ino := k.inode(v.inum)
 	if v.foff >= ino.len.Load(core) {
-		return errR(kernel.ESIGBUS)
+		return kernel.Errno(kernel.ESIGBUS)
 	}
 	ino.page(k.mem, v.inum, v.foff).Store(core, val)
 	return kernel.Result{}

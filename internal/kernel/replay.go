@@ -55,14 +55,97 @@ func groupBySetup(tests []TestCase) [][]int {
 	return groups
 }
 
-// CheckTests is the CHECK replay loop: it groups tests by setup and replays
-// every group in order, handing fn each result with the test's index in
-// tests, and reports how many setup groups there were. Cancellation is
-// polled before each group and after each test (individual checks are
-// short, so the poll granularity is the single test case); a cancelled
-// loop returns the context's error, and whatever fn saw up to then is a
-// truncation the caller must not present as a verdict.
+// maxExtent bounds every length, page index and item count a setup can make
+// a kernel build state for, the magnitude of a call's arguments (an offset
+// written is a length to truncate), and the number of names Admit compares
+// pairwise. No generated test comes near it (files are a few pages, queues
+// a few items, and sv6 reconciles lengths over 8 pages); a request body or
+// a cache entry can say 1<<40, and sv6 keeps one presence cell per page of
+// a file's length.
+const maxExtent = 64
+
+// Admit reports whether a Replayer may hand tc to a kernel: it validates
+// what this package can know about a test without its spec. Processes are 0
+// or 1 wherever one is named, setup names are exactly what Fname renders and
+// name one file each, and every extent and call argument is within
+// maxExtent. What only the spec knows — the op table, the arguments an op
+// reads — is not checked here; CheckTests turns a kernel's panic over those
+// into the test's error.
+func Admit(tc *TestCase) error {
+	why := ""
+	proc := func(what string, p int) {
+		if why == "" && p != 0 && p != 1 {
+			why = fmt.Sprintf("%s names process %d, not 0 or 1", what, p)
+		}
+	}
+	within := func(what string, lo, v int64) {
+		if why == "" && (v < lo || v > maxExtent) {
+			why = fmt.Sprintf("%s %d outside [%d, %d]", what, v, lo, maxExtent)
+		}
+	}
+	s := &tc.Setup
+	within("setup file count", 0, int64(len(s.Files)))
+	for i, f := range s.Files {
+		if why != "" {
+			break // too many names to compare pairwise, or one already bad
+		}
+		if _, ok := ParseFname(f.Name); !ok {
+			why = fmt.Sprintf("setup file name %q is not of the form %s", f.Name, Fname(0))
+		}
+		for _, g := range s.Files[:i] {
+			if g.Name == f.Name {
+				why = fmt.Sprintf("setup names file %s twice", f.Name)
+			}
+		}
+	}
+	for _, in := range s.Inodes {
+		within("inode length", 0, in.Len)
+		for pg := range in.Pages {
+			within("inode page", 0, pg)
+		}
+	}
+	for _, fd := range s.FDs {
+		proc("a setup descriptor", fd.Proc)
+	}
+	for _, v := range s.VMAs {
+		proc("a setup mapping", v.Proc)
+		within("mapped page", 0, v.Page)
+		within("mapped file offset", 0, v.Foff)
+	}
+	for _, p := range s.Pipes {
+		within("pipe backlog", 0, int64(len(p.Items)))
+	}
+	for _, q := range s.Queues {
+		within("queue backlog", 0, int64(len(q.Items)))
+	}
+	for _, c := range tc.Calls {
+		proc("a call", c.Proc)
+		for _, v := range c.Args {
+			within("call argument", -maxExtent, v)
+		}
+	}
+	if why != "" {
+		return fmt.Errorf("test %s: %s", tc.ID, why)
+	}
+	return nil
+}
+
+// CheckTests is the CHECK replay loop, and the one place a test crosses
+// into a kernel: it admits every test (Admit) before it applies or executes
+// anything, groups them by setup and replays every group in order, handing
+// fn each result with the test's index in tests, and reports how many setup
+// groups there were. A test no kernel call survives — an op its spec does
+// not have — is an error naming the kernel and the test, and the Replayer
+// stays usable. Cancellation is polled before each group and after each test
+// (individual checks are short, so the poll granularity is the single test
+// case); a cancelled loop returns the context's error, and whatever fn saw
+// up to then is a truncation the caller must not present as a verdict.
 func (r *Replayer) CheckTests(ctx context.Context, tests []TestCase, fn func(i int, res CheckResult)) (groups int, err error) {
+	for i := range tests {
+		if err := Admit(&tests[i]); err != nil {
+			return 0, err
+		}
+	}
 	grouped := groupBySetup(tests)
 	for _, g := range grouped {
 		if err := ctx.Err(); err != nil {
@@ -79,13 +162,12 @@ func (r *Replayer) CheckTests(ctx context.Context, tests []TestCase, fn func(i i
 	return len(grouped), ctx.Err()
 }
 
-// CheckGroup applies setup once, then replays each test against it, both
-// orders, resetting between replays. Every test in tests must share the
-// setup (same Setup.Fingerprint); the per-test Setup field is not
-// consulted. fn receives each result in order and returns false to stop
-// early. After the group the kernel is reset to its baseline (pristine)
-// state, so groups with different setups run back to back on the same
-// instance.
+// CheckGroup is CheckTests' inner step for a caller that has grouped its
+// tests already and trusts them: it admits nothing. It applies setup once,
+// then replays each test against it, both orders, resetting between
+// replays; the per-test Setup field is not consulted. fn receives each
+// result in order and returns false to stop early. It stays exported for
+// bench/, whose kernel probe times groups one by one.
 func (r *Replayer) CheckGroup(setup Setup, tests []TestCase, fn func(CheckResult) bool) error {
 	all := make([]int, len(tests))
 	for i := range all {
@@ -94,67 +176,84 @@ func (r *Replayer) CheckGroup(setup Setup, tests []TestCase, fn func(CheckResult
 	return r.checkGroup(setup, tests, all, func(_ int, res CheckResult) bool { return fn(res) })
 }
 
-// checkGroup is CheckGroup over the tests at indices, which fn is told.
+// guard runs f, a call into the kernel on tc's behalf, and turns a panic out
+// of it into tc's error: kernels validate nothing (see Kernel), so this is
+// where an op or an argument outside the spec surfaces.
+func (r *Replayer) guard(tc *TestCase, f func()) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			r.k.Memory().Stop()
+			err = fmt.Errorf("%s: test %s: %v", r.k.Name(), tc.ID, p)
+		}
+	}()
+	f()
+	return nil
+}
+
+// checkGroup applies setup once, then replays the tests at indices, which
+// fn is told, against it. After the group — finished, stopped by fn or
+// failed — the kernel is reset to its baseline (pristine) state, so groups
+// with different setups run back to back on the same instance.
 func (r *Replayer) checkGroup(setup Setup, tests []TestCase, indices []int, fn func(i int, res CheckResult) bool) error {
-	k := r.k
-	mem := k.Memory()
-	if err := k.Apply(setup); err != nil {
-		// Undo the partial setup so the instance stays reusable.
-		mem.Reset()
-		id := ""
-		if len(indices) > 0 {
-			id = tests[indices[0]].ID
-		}
-		return fmt.Errorf("%s: setup %s: %w", k.Name(), id, err)
+	if len(indices) == 0 {
+		return nil
 	}
+	mem := r.k.Memory()
+	err := r.guard(&tests[indices[0]], func() { r.k.Apply(setup) })
 	mem.Snapshot()
-	for _, i := range indices {
-		tc := &tests[i]
-		mem.Start()
-		r0 := k.Exec(0, tc.Calls[0])
-		r1 := k.Exec(1, tc.Calls[1])
-		mem.Stop()
-		free := mem.ConflictFree()
-		conflicts := mem.Conflicts()
-		mem.Reset()
-
-		// Opposite order for the commutativity check. When the traced run
-		// was conflict-free the re-execution is provably redundant: every
-		// piece of kernel state lives in traced cells, the journal reset
-		// restores the exact post-setup state, and conflict-freedom means
-		// the two calls touched disjoint cells (read-read sharing aside) —
-		// so running them in the opposite order from the same state cannot
-		// change either result. Reuse the traced results and skip the
-		// second pass; it was ~half of all replay work, and the vast
-		// majority of generated tests are conflict-free.
-		var s0, s1 Result
-		if free {
-			s0, s1 = r0, r1
-		} else {
-			// Untraced (no Start), but still journaled, so the next test
-			// replays from the same post-setup state.
-			s1 = k.Exec(1, tc.Calls[1])
-			s0 = k.Exec(0, tc.Calls[0])
-			mem.Reset()
-		}
-
-		ok := fn(i, CheckResult{
-			Test:         *tc,
-			ConflictFree: free,
-			Conflicts:    conflicts,
-			Res:          [2]Result{r0, r1},
-			Commuted:     resultsCommute(r0, s0) && resultsCommute(r1, s1),
-			ResSwapped:   [2]Result{s0, s1},
-		})
-		if !ok {
+	for n := 0; err == nil && n < len(indices); n++ {
+		i := indices[n]
+		var res CheckResult
+		if err = r.guard(&tests[i], func() { res = r.replay(&tests[i]) }); err == nil && !fn(i, res) {
 			break
 		}
 	}
 	// Merge the group region into the baseline and roll everything —
-	// setup included — back to the pristine kernel.
+	// setup included, partial or not — back to the pristine kernel.
 	mem.Pop()
 	mem.Reset()
-	return nil
+	return err
+}
+
+// replay runs tc from the current (post-setup) state and returns to it.
+func (r *Replayer) replay(tc *TestCase) CheckResult {
+	k := r.k
+	mem := k.Memory()
+	mem.Start()
+	r0 := k.Exec(0, tc.Calls[0])
+	r1 := k.Exec(1, tc.Calls[1])
+	mem.Stop()
+	free := mem.ConflictFree()
+	conflicts := mem.Conflicts()
+	mem.Reset()
+
+	// Opposite order for the commutativity check. When the traced run
+	// was conflict-free the re-execution is provably redundant: every
+	// piece of kernel state lives in traced cells, the journal reset
+	// restores the exact post-setup state, and conflict-freedom means
+	// the two calls touched disjoint cells (read-read sharing aside) —
+	// so running them in the opposite order from the same state cannot
+	// change either result. Reuse the traced results and skip the
+	// second pass; it was ~half of all replay work, and the vast
+	// majority of generated tests are conflict-free.
+	var s0, s1 Result
+	if free {
+		s0, s1 = r0, r1
+	} else {
+		// Untraced (no Start), but still journaled, so the next test
+		// replays from the same post-setup state.
+		s1 = k.Exec(1, tc.Calls[1])
+		s0 = k.Exec(0, tc.Calls[0])
+		mem.Reset()
+	}
+	return CheckResult{
+		Test:         *tc,
+		ConflictFree: free,
+		Conflicts:    conflicts,
+		Res:          [2]Result{r0, r1},
+		Commuted:     resultsCommute(r0, s0) && resultsCommute(r1, s1),
+		ResSwapped:   [2]Result{s0, s1},
+	}
 }
 
 // resultsCommute compares one call's results across the two execution

@@ -1,6 +1,8 @@
 package kernel_test
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/kernel"
@@ -24,6 +26,14 @@ func TestReplayerMatchesFreshKernels(t *testing.T) {
 	}
 }
 
+// within stamps setup on every test, making them one CheckTests group.
+func within(setup kernel.Setup, tests ...kernel.TestCase) []kernel.TestCase {
+	for i := range tests {
+		tests[i].Setup = setup
+	}
+	return tests
+}
+
 // TestReplayerGroupIsolation pins the group protocol itself: a test that
 // mutates heavily must not leak into the next test of the same group, and
 // a whole group must not leak into the next group's differently-shaped
@@ -31,7 +41,6 @@ func TestReplayerMatchesFreshKernels(t *testing.T) {
 func TestReplayerGroupIsolation(t *testing.T) {
 	for name, fresh := range kernels() {
 		rep := kernel.NewReplayer(fresh)
-		setup := oneFile()
 		destroy := kernel.TestCase{ID: "destroy", Calls: [2]kernel.Call{
 			call("unlink", 0, map[string]int64{"fname": 0}),
 			call("open", 1, map[string]int64{"fname": 1, "creat": 1}),
@@ -40,13 +49,13 @@ func TestReplayerGroupIsolation(t *testing.T) {
 			call("stat", 0, map[string]int64{"fname": 0}),
 			call("stat", 1, map[string]int64{"fname": 1}),
 		}}
-		var got []kernel.CheckResult
-		err := rep.CheckGroup(setup, []kernel.TestCase{destroy, probe, destroy, probe}, func(res kernel.CheckResult) bool {
-			got = append(got, res)
-			return true
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		// One Replayer, two groups: the file group, then an empty setup —
+		// the file from the first group's setup must be gone.
+		tests := append(within(oneFile(), destroy, probe, destroy, probe), probe)
+		got := make([]kernel.CheckResult, len(tests))
+		groups, err := rep.CheckTests(context.Background(), tests, func(i int, res kernel.CheckResult) { got[i] = res })
+		if err != nil || groups != 2 {
+			t.Fatalf("%s: %d groups, err %v", name, groups, err)
 		}
 		// Both probes see f0 intact (ino 1, 1 link, 2 pages) and f1 absent.
 		for _, i := range []int{1, 3} {
@@ -63,23 +72,14 @@ func TestReplayerGroupIsolation(t *testing.T) {
 		if got[0].Res != got[2].Res || got[0].ConflictFree != got[2].ConflictFree {
 			t.Errorf("%s: destroy runs diverged: %+v vs %+v", name, got[0], got[2])
 		}
-
-		// Next group: empty setup on the same Replayer — the file from the
-		// previous group's setup must be gone.
-		err = rep.CheckGroup(kernel.Setup{}, []kernel.TestCase{probe}, func(res kernel.CheckResult) bool {
-			if res.Res[0].Code != -kernel.ENOENT || res.Res[1].Code != -kernel.ENOENT {
-				t.Errorf("%s: empty-setup probe = %v, want ENOENT/ENOENT", name, res.Res)
-			}
-			return true
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if res := got[4]; res.Res[0].Code != -kernel.ENOENT || res.Res[1].Code != -kernel.ENOENT {
+			t.Errorf("%s: empty-setup probe = %v, want ENOENT/ENOENT", name, res.Res)
 		}
 	}
 }
 
-// TestReplayerEarlyStop checks the fn-returns-false path leaves the
-// replayer reusable.
+// TestReplayerEarlyStop checks that a loop cancelled after its first test
+// stops there and leaves the replayer reusable.
 func TestReplayerEarlyStop(t *testing.T) {
 	for name, fresh := range kernels() {
 		rep := kernel.NewReplayer(fresh)
@@ -87,19 +87,19 @@ func TestReplayerEarlyStop(t *testing.T) {
 			call("stat", 0, map[string]int64{"fname": 0}),
 			call("stat", 1, map[string]int64{"fname": 0}),
 		}}
+		ctx, cancel := context.WithCancel(context.Background())
 		n := 0
-		err := rep.CheckGroup(oneFile(), []kernel.TestCase{probe, probe, probe}, func(kernel.CheckResult) bool {
+		_, err := rep.CheckTests(ctx, within(oneFile(), probe, probe, probe), func(int, kernel.CheckResult) {
 			n++
-			return false
+			cancel()
 		})
-		if err != nil || n != 1 {
-			t.Fatalf("%s: early stop ran %d tests (err %v), want 1", name, n, err)
+		if !errors.Is(err, context.Canceled) || n != 1 {
+			t.Fatalf("%s: early stop ran %d tests (err %v), want 1 and context.Canceled", name, n, err)
 		}
-		err = rep.CheckGroup(oneFile(), []kernel.TestCase{probe}, func(res kernel.CheckResult) bool {
+		_, err = rep.CheckTests(context.Background(), within(oneFile(), probe), func(_ int, res kernel.CheckResult) {
 			if res.Res[0].Code != 0 {
 				t.Errorf("%s: post-stop probe = %v", name, res.Res[0])
 			}
-			return true
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

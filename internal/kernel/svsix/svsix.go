@@ -39,33 +39,25 @@ import (
 	"repro/internal/scale"
 )
 
+// linkCount is what the kernel asks of an inode's link count;
+// scale.Refcache (the default) and scale.SharedCounter
+// (Opts.SharedLinkCount) both provide it.
+type linkCount interface {
+	Inc(core int, delta int64)
+	Read(core int) int64
+	Peek() int64
+	Poke(v int64)
+}
+
 type inode struct {
-	nlink *scale.Refcache
-	// nlinkShared replaces nlink when the kernel is built with
-	// Opts.SharedLinkCount (statbench's "shared st_nlink" configuration).
-	nlinkShared *scale.SharedCounter
-	pages       *scale.Radix
+	nlink linkCount
+	pages *scale.Radix
 	// pagePresent tracks which pages are within bounds. ScaleFS keeps no
 	// shared length cell at all: readers probe per-page presence, and
 	// length-returning operations reconcile it by scanning the radix
 	// ("layer scalability", §6.3), so concurrent writes extending the
 	// file stay conflict-free with reads of other pages.
 	pagePresent *scale.Radix
-}
-
-func (ino *inode) linkInc(core int, delta int64) {
-	if ino.nlinkShared != nil {
-		ino.nlinkShared.Inc(core, delta)
-		return
-	}
-	ino.nlink.Inc(core, delta)
-}
-
-func (ino *inode) linkRead(core int) int64 {
-	if ino.nlinkShared != nil {
-		return ino.nlinkShared.Read(core)
-	}
-	return ino.nlink.Read(core)
 }
 
 // length reconciles the file length from the per-page presence radix.
@@ -77,21 +69,6 @@ func (ino *inode) length(core int, maxScan int64) int64 {
 		}
 	}
 	return n
-}
-
-func (ino *inode) linkPoke(v int64) {
-	if ino.nlinkShared != nil {
-		ino.nlinkShared.Poke(v)
-		return
-	}
-	ino.nlink.Poke(v)
-}
-
-func (ino *inode) linkPeek() int64 {
-	if ino.nlinkShared != nil {
-		return ino.nlinkShared.Peek()
-	}
-	return ino.nlink.Peek()
 }
 
 type file struct {
@@ -193,11 +170,9 @@ func NewOpts(opts Opts) *Kern {
 // Name implements kernel.Kernel.
 func (k *Kern) Name() string { return "sv6" }
 
-// Memory implements kernel.Kernel. Cell values are journaled by the
-// memory; the mutation sites below register OnReset hooks for state the
-// journal cannot see — map entries, the vmaCell fields, the pipe id
-// counter — so a reset leaves the kernel observationally identical to a
-// fresh instance with the same setup.
+// Memory implements kernel.Kernel. What is not a cell — map entries a
+// lookup is gated on, the vmaCell fields, the pipe id counter — is set
+// through the memory.
 func (k *Kern) Memory() *mtrace.Memory { return k.mem }
 
 func (k *Kern) inode(inum int64) *inode {
@@ -212,7 +187,7 @@ func (k *Kern) inode(inum int64) *inode {
 		ino.pages.Materialize(maxScan)
 		ino.pagePresent.Materialize(maxScan)
 		if k.opts.SharedLinkCount {
-			ino.nlinkShared = scale.NewSharedCounter(k.mem, fmt.Sprintf("inode[%d].nlink", inum), 0)
+			ino.nlink = scale.NewSharedCounter(k.mem, fmt.Sprintf("inode[%d].nlink", inum), 0)
 		} else {
 			ino.nlink = scale.NewRefcache(k.mem, fmt.Sprintf("inode[%d].nlink", inum), 0)
 		}
@@ -222,8 +197,7 @@ func (k *Kern) inode(inum int64) *inode {
 		// writes a fresh kernel (which Pokes them in Materialize here)
 		// never performs, changing conflict verdicts. Recreating the inode
 		// reruns this constructor and is exactly fresh.
-		k.mem.OnReset(func() { delete(k.inodes, inum) })
-		k.inodes[inum] = ino
+		mtrace.SetKey(k.mem, k.inodes, inum, ino)
 	}
 	return ino
 }
@@ -237,15 +211,7 @@ func (k *Kern) newPipe(id int64) *pipe {
 		full:  map[int64]*mtrace.Cell{},
 		refs:  k.mem.NewCellf(0, "pipe[%d].refs", id),
 	}
-	prev, had := k.pipes[id]
-	k.mem.OnReset(func() {
-		if had {
-			k.pipes[id] = prev
-		} else {
-			delete(k.pipes, id)
-		}
-	})
-	k.pipes[id] = p
+	mtrace.SetKey(k.mem, k.pipes, id, p)
 	return p
 }
 
@@ -282,24 +248,14 @@ func (k *Kern) fget(core int, pr int, fd int64) *file {
 // otherwise a faithful lowest-FD scan maintains the shared hint.
 func (k *Kern) allocFD(core int, pr int, f *file, anyfd bool) int64 {
 	p := k.procs[pr]
-	install := func(fd int64) {
-		// A stale slot entry would redirect a later fget to the wrong file
-		// (and change its traced access pattern); restore the map on reset.
-		prev, had := p.slots[fd]
-		k.mem.OnReset(func() {
-			if had {
-				p.slots[fd] = prev
-			} else {
-				delete(p.slots, fd)
-			}
-		})
-		p.slots[fd] = f
-	}
+	// A stale slot entry would redirect a later fget to the wrong file (and
+	// change its traced access pattern), so the slots are set through the
+	// memory.
 	if anyfd {
 		fd := 1000 + p.nextFD.Alloc(core)
 		f.slot = k.mem.NewCellf(0, "proc%d.fd[%d]", pr, fd)
 		f.slot.Store(core, 1)
-		install(fd)
+		mtrace.SetKey(k.mem, p.slots, fd, f)
 		return fd
 	}
 	_ = p.lowHint.Add(core, 0) // shared lowest-FD cursor: read-modify-write
@@ -314,17 +270,17 @@ func (k *Kern) allocFD(core int, pr int, f *file, anyfd bool) int64 {
 			f.slot = g.slot
 		}
 		f.slot.Store(core, 1)
-		install(fd)
+		mtrace.SetKey(k.mem, p.slots, fd, f)
 		p.lowHint.Add(core, 1)
 		return fd
 	}
 }
 
 // Apply implements kernel.Kernel; it builds initial state untraced.
-func (k *Kern) Apply(s kernel.Setup) error {
+func (k *Kern) Apply(s kernel.Setup) {
 	for _, si := range s.Inodes {
 		ino := k.inode(si.Inum)
-		ino.linkPoke(int64(si.ExtraLinks))
+		ino.nlink.Poke(int64(si.ExtraLinks))
 		for pg := int64(0); pg < si.Len; pg++ {
 			ino.pagePresent.Poke(pg, 1)
 		}
@@ -334,13 +290,10 @@ func (k *Kern) Apply(s kernel.Setup) error {
 		}
 	}
 	for _, sf := range s.Files {
-		var id int64
-		if _, err := fmt.Sscanf(sf.Name, "f%d", &id); err != nil {
-			return fmt.Errorf("svsix: bad setup name %q", sf.Name)
-		}
+		id, _ := kernel.ParseFname(sf.Name)
 		k.dir.PokeInsert(id, sf.Inum)
 		ino := k.inode(sf.Inum)
-		ino.linkPoke(ino.linkPeek() + 1)
+		ino.nlink.Poke(ino.nlink.Peek() + 1)
 	}
 	for _, sp := range s.Pipes {
 		p := k.newPipe(sp.ID)
@@ -368,11 +321,9 @@ func (k *Kern) Apply(s kernel.Setup) error {
 			f.inum = sd.Inum
 			k.inode(sd.Inum)
 		}
-		// The slot cell is born live (1) and never journaled; a reset must
-		// drop the entry rather than revive it.
-		fd := sd.FD
-		k.mem.OnReset(func() { delete(p.slots, fd) })
-		p.slots[fd] = f
+		// The slot cell is born live (1) and never journaled; a reset drops
+		// the entry rather than revive it.
+		mtrace.SetKey(k.mem, p.slots, sd.FD, f)
 	}
 	for _, sv := range s.VMAs {
 		p := k.procs[sv.Proc]
@@ -380,18 +331,12 @@ func (k *Kern) Apply(s kernel.Setup) error {
 			cell: k.mem.NewCellf(1, "proc%d.vma[%d]", sv.Proc, sv.Page),
 			anon: sv.Anon, inum: sv.Inum, foff: sv.Foff, wr: sv.Writable,
 		}
-		page := sv.Page
-		k.mem.OnReset(func() { delete(p.vmas, page) })
-		p.vmas[page] = v
+		mtrace.SetKey(k.mem, p.vmas, sv.Page, v)
 		if sv.Anon {
 			c := k.mem.NewCellf(sv.Val, "proc%d.anonpage[%d]", sv.Proc, sv.Page)
-			k.mem.OnReset(func() { delete(p.anon, page) })
-			p.anon[page] = c
+			mtrace.SetKey(k.mem, p.anon, sv.Page, c)
 		} else {
 			k.inode(sv.Inum)
 		}
 	}
-	return nil
 }
-
-func errR(errno int64) kernel.Result { return kernel.Result{Code: -errno} }

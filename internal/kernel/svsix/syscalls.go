@@ -64,7 +64,7 @@ func (k *Kern) open(core int, c kernel.Call) kernel.Result {
 	inum, exists := k.dir.Lookup(core, name)
 	switch {
 	case exists && creat && excl:
-		return errR(kernel.EEXIST)
+		return kernel.Errno(kernel.EEXIST)
 	case exists:
 		if trunc {
 			ino := k.inode(inum)
@@ -75,16 +75,16 @@ func (k *Kern) open(core int, c kernel.Call) kernel.Result {
 			}
 		}
 	case !creat:
-		return errR(kernel.ENOENT)
+		return kernel.Errno(kernel.ENOENT)
 	default:
 		// Pessimistic update stage: allocate from the per-core pool and
 		// publish under the bucket lock, re-verifying existence.
 		inum = k.inoAlloc.Alloc(core)
 		ino := k.inode(inum)
-		ino.linkInc(core, 1)
+		ino.nlink.Inc(core, 1)
 		if !k.dir.Insert(core, name, inum) {
 			// Raced with another creator (unreachable single-threaded).
-			ino.linkInc(core, -1)
+			ino.nlink.Inc(core, -1)
 			inum, _ = k.dir.Lookup(core, name)
 		}
 	}
@@ -100,18 +100,18 @@ func (k *Kern) link(core int, c kernel.Call) kernel.Result {
 	old, nw := c.Arg("old"), c.Arg("new")
 	inum, ok := k.dir.Lookup(core, old)
 	if !ok {
-		return errR(kernel.ENOENT)
+		return kernel.Errno(kernel.ENOENT)
 	}
 	// Optimistic check stage (§6.3): an existing target fails with no
 	// writes and no lock, so identical failing links commute conflict-
 	// free; Insert re-verifies under the bucket lock.
 	if k.dir.Exists(core, nw) {
-		return errR(kernel.EEXIST)
+		return kernel.Errno(kernel.EEXIST)
 	}
 	if !k.dir.Insert(core, nw, inum) {
-		return errR(kernel.EEXIST)
+		return kernel.Errno(kernel.EEXIST)
 	}
-	k.inode(inum).linkInc(core, 1)
+	k.inode(inum).nlink.Inc(core, 1)
 	return kernel.Result{}
 }
 
@@ -119,15 +119,15 @@ func (k *Kern) unlink(core int, c kernel.Call) kernel.Result {
 	name := c.Arg("fname")
 	// Optimistic check stage: a missing name fails lock-free.
 	if !k.dir.Exists(core, name) {
-		return errR(kernel.ENOENT)
+		return kernel.Errno(kernel.ENOENT)
 	}
 	inum, ok := k.dir.Remove(core, name)
 	if !ok {
-		return errR(kernel.ENOENT)
+		return kernel.Errno(kernel.ENOENT)
 	}
 	// Defer work (§6.3): the link count drops via per-core deltas and
 	// the inode is garbage-collected later; numbers are never reused.
-	k.inode(inum).linkInc(core, -1)
+	k.inode(inum).nlink.Inc(core, -1)
 	return kernel.Result{}
 }
 
@@ -138,7 +138,7 @@ func (k *Kern) rename(core int, c kernel.Call) kernel.Result {
 	src, dst := c.Arg("src"), c.Arg("dst")
 	si, ok := k.dir.Lookup(core, src)
 	if !ok {
-		return errR(kernel.ENOENT)
+		return kernel.Errno(kernel.ENOENT)
 	}
 	if src == dst {
 		return kernel.Result{}
@@ -148,12 +148,12 @@ func (k *Kern) rename(core int, c kernel.Call) kernel.Result {
 		// the right inode, so only the source entry changes. Figure 4's
 		// model still drops one link (two names collapsed to one).
 		k.dir.Remove(core, src)
-		k.inode(si).linkInc(core, -1)
+		k.inode(si).nlink.Inc(core, -1)
 		return kernel.Result{}
 	}
 	old := k.dir.Replace(core, dst, si)
 	if old != 0 {
-		k.inode(old).linkInc(core, -1)
+		k.inode(old).nlink.Inc(core, -1)
 	}
 	k.dir.Remove(core, src)
 	return kernel.Result{}
@@ -163,7 +163,7 @@ func (k *Kern) statResult(core int, inum int64, nolink bool) kernel.Result {
 	ino := k.inode(inum)
 	var nlink int64
 	if !nolink {
-		nlink = ino.linkRead(core)
+		nlink = ino.nlink.Read(core)
 	}
 	return kernel.Result{V1: inum, V2: nlink, V3: ino.length(core, maxScan)}
 }
@@ -171,7 +171,7 @@ func (k *Kern) statResult(core int, inum int64, nolink bool) kernel.Result {
 func (k *Kern) stat(core int, c kernel.Call) kernel.Result {
 	inum, ok := k.dir.Lookup(core, c.Arg("fname"))
 	if !ok {
-		return errR(kernel.ENOENT)
+		return kernel.Errno(kernel.ENOENT)
 	}
 	return k.statResult(core, inum, c.ArgBool("nolink"))
 }
@@ -179,7 +179,7 @@ func (k *Kern) stat(core int, c kernel.Call) kernel.Result {
 func (k *Kern) fstat(core int, c kernel.Call) kernel.Result {
 	f := k.fget(core, c.Proc, c.Arg("fd"))
 	if f == nil {
-		return errR(kernel.EBADF)
+		return kernel.Errno(kernel.EBADF)
 	}
 	if f.pipe != nil {
 		n := f.pipe.tail.Load(core) - f.pipe.head.Load(core)
@@ -191,10 +191,10 @@ func (k *Kern) fstat(core int, c kernel.Call) kernel.Result {
 func (k *Kern) lseek(core int, c kernel.Call) kernel.Result {
 	f := k.fget(core, c.Proc, c.Arg("fd"))
 	if f == nil {
-		return errR(kernel.EBADF)
+		return kernel.Errno(kernel.EBADF)
 	}
 	if f.pipe != nil {
-		return errR(kernel.ESPIPE)
+		return kernel.Errno(kernel.ESPIPE)
 	}
 	delta := c.Arg("delta")
 	cur := f.off.Load(core)
@@ -208,7 +208,7 @@ func (k *Kern) lseek(core int, c kernel.Call) kernel.Result {
 		n = cur + delta
 	}
 	if n < 0 {
-		return errR(kernel.EINVAL)
+		return kernel.Errno(kernel.EINVAL)
 	}
 	// Precede pessimism with optimism (§6.3): seeking to the current
 	// offset needs no write. Two lseeks to the same target still share
@@ -222,7 +222,7 @@ func (k *Kern) lseek(core int, c kernel.Call) kernel.Result {
 func (k *Kern) close(core int, c kernel.Call) kernel.Result {
 	f := k.fget(core, c.Proc, c.Arg("fd"))
 	if f == nil {
-		return errR(kernel.EBADF)
+		return kernel.Errno(kernel.EBADF)
 	}
 	f.slot.Store(core, 0)
 	if f.pipe != nil {
@@ -234,9 +234,7 @@ func (k *Kern) close(core int, c kernel.Call) kernel.Result {
 }
 
 func (k *Kern) pipe(core int, c kernel.Call) kernel.Result {
-	old := k.nextPipe
-	k.mem.OnReset(func() { k.nextPipe = old })
-	k.nextPipe++
+	mtrace.SetVar(k.mem, &k.nextPipe, k.nextPipe+1)
 	p := k.newPipe(k.nextPipe + int64(core)*1000000)
 	p.refs.Store(core, 2)
 	anyfd := c.ArgBool("anyfd")
@@ -250,11 +248,11 @@ func (k *Kern) pipe(core int, c kernel.Call) kernel.Result {
 func (k *Kern) read(core int, c kernel.Call) kernel.Result {
 	f := k.fget(core, c.Proc, c.Arg("fd"))
 	if f == nil {
-		return errR(kernel.EBADF)
+		return kernel.Errno(kernel.EBADF)
 	}
 	if f.pipe != nil {
 		if f.wend {
-			return errR(kernel.EBADF)
+			return kernel.Errno(kernel.EBADF)
 		}
 		p := f.pipe
 		// Readers own head, writers own tail; emptiness is detected
@@ -263,7 +261,7 @@ func (k *Kern) read(core int, c kernel.Call) kernel.Result {
 		h := p.head.Load(core)
 		fullCell := p.slotFull(k.mem, h)
 		if fullCell.Load(core) == 0 {
-			return errR(kernel.EAGAIN)
+			return kernel.Errno(kernel.EAGAIN)
 		}
 		v := p.item(k.mem, h).Load(core)
 		fullCell.Store(core, 0)
@@ -292,12 +290,12 @@ func (k *Kern) read(core int, c kernel.Call) kernel.Result {
 func (k *Kern) write(core int, c kernel.Call) kernel.Result {
 	f := k.fget(core, c.Proc, c.Arg("fd"))
 	if f == nil {
-		return errR(kernel.EBADF)
+		return kernel.Errno(kernel.EBADF)
 	}
 	val := c.Arg("val")
 	if f.pipe != nil {
 		if !f.wend {
-			return errR(kernel.EBADF)
+			return kernel.Errno(kernel.EBADF)
 		}
 		p := f.pipe
 		t := p.tail.Load(core)
@@ -322,10 +320,10 @@ func (k *Kern) write(core int, c kernel.Call) kernel.Result {
 func (k *Kern) pread(core int, c kernel.Call) kernel.Result {
 	f := k.fget(core, c.Proc, c.Arg("fd"))
 	if f == nil {
-		return errR(kernel.EBADF)
+		return kernel.Errno(kernel.EBADF)
 	}
 	if f.pipe != nil {
-		return errR(kernel.ESPIPE)
+		return kernel.Errno(kernel.ESPIPE)
 	}
 	ino := k.inode(f.inum)
 	off := c.Arg("off")
@@ -341,10 +339,10 @@ func (k *Kern) pread(core int, c kernel.Call) kernel.Result {
 func (k *Kern) pwrite(core int, c kernel.Call) kernel.Result {
 	f := k.fget(core, c.Proc, c.Arg("fd"))
 	if f == nil {
-		return errR(kernel.EBADF)
+		return kernel.Errno(kernel.EBADF)
 	}
 	if f.pipe != nil {
-		return errR(kernel.ESPIPE)
+		return kernel.Errno(kernel.ESPIPE)
 	}
 	ino := k.inode(f.inum)
 	off := c.Arg("off")
@@ -385,22 +383,20 @@ func (k *Kern) mmap(core int, c kernel.Call) kernel.Result {
 		addr = 1000 + p.nextAddr.Alloc(core)
 	}
 	v := k.vma(pr, addr)
-	var nv vmaCell
+	nv := vmaCell{cell: v.cell, wr: c.ArgBool("wr")}
 	if c.ArgBool("anon") {
-		nv = vmaCell{anon: true, wr: c.ArgBool("wr")}
+		nv.anon = true
 	} else {
 		f := k.fget(core, pr, c.Arg("fd"))
 		if f == nil {
-			return errR(kernel.EBADF)
+			return kernel.Errno(kernel.EBADF)
 		}
 		if f.pipe != nil {
-			return errR(kernel.ENODEV)
+			return kernel.Errno(kernel.ENODEV)
 		}
-		nv = vmaCell{inum: f.inum, foff: c.Arg("foff"), wr: c.ArgBool("wr")}
+		nv.inum, nv.foff = f.inum, c.Arg("foff")
 	}
-	prev := *v
-	k.mem.OnReset(func() { v.anon, v.inum, v.foff, v.wr = prev.anon, prev.inum, prev.foff, prev.wr })
-	v.anon, v.inum, v.foff, v.wr = nv.anon, nv.inum, nv.foff, nv.wr
+	mtrace.SetVar(k.mem, v, nv)
 	v.cell.Store(core, 1)
 	if v.anon {
 		k.anonPage(pr, addr).Store(core, 0)
@@ -421,11 +417,9 @@ func (k *Kern) munmap(core int, c kernel.Call) kernel.Result {
 func (k *Kern) mprotect(core int, c kernel.Call) kernel.Result {
 	v := k.vma(c.Proc, c.Arg("page"))
 	if v.cell.Load(core) == 0 {
-		return errR(kernel.ENOMEM)
+		return kernel.Errno(kernel.ENOMEM)
 	}
-	oldWr := v.wr
-	k.mem.OnReset(func() { v.wr = oldWr })
-	v.wr = c.ArgBool("wr")
+	mtrace.SetVar(k.mem, &v.wr, c.ArgBool("wr"))
 	v.cell.Add(core, 1)
 	return kernel.Result{}
 }
@@ -434,7 +428,7 @@ func (k *Kern) memread(core int, c kernel.Call) kernel.Result {
 	page := c.Arg("page")
 	v := k.vma(c.Proc, page)
 	if v.cell.Load(core) == 0 {
-		return errR(kernel.ESIGSEGV)
+		return kernel.Errno(kernel.ESIGSEGV)
 	}
 	if v.anon {
 		return kernel.Result{Data: k.anonPage(c.Proc, page).Load(core)}
@@ -442,7 +436,7 @@ func (k *Kern) memread(core int, c kernel.Call) kernel.Result {
 	ino := k.inode(v.inum)
 	if ino.pagePresent.Get(core, v.foff) == 0 {
 		if v.foff >= ino.length(core, maxScan) {
-			return errR(kernel.ESIGBUS)
+			return kernel.Errno(kernel.ESIGBUS)
 		}
 		return kernel.Result{Data: 0} // hole
 	}
@@ -453,10 +447,10 @@ func (k *Kern) memwrite(core int, c kernel.Call) kernel.Result {
 	page := c.Arg("page")
 	v := k.vma(c.Proc, page)
 	if v.cell.Load(core) == 0 {
-		return errR(kernel.ESIGSEGV)
+		return kernel.Errno(kernel.ESIGSEGV)
 	}
 	if !v.wr {
-		return errR(kernel.ESIGSEGV)
+		return kernel.Errno(kernel.ESIGSEGV)
 	}
 	if v.anon {
 		k.anonPage(c.Proc, page).Store(core, c.Arg("val"))
@@ -465,7 +459,7 @@ func (k *Kern) memwrite(core int, c kernel.Call) kernel.Result {
 	ino := k.inode(v.inum)
 	if ino.pagePresent.Get(core, v.foff) == 0 {
 		if v.foff >= ino.length(core, maxScan) {
-			return errR(kernel.ESIGBUS)
+			return kernel.Errno(kernel.ESIGBUS)
 		}
 		ino.pagePresent.Set(core, v.foff, 1) // materialize the hole
 	}

@@ -201,10 +201,7 @@ func TestDisjointKeyTestsConflictFree(t *testing.T) {
 
 func checkFree(t *testing.T, tc kernel.TestCase) {
 	t.Helper()
-	res, err := kerneltest.Check(Spec.Impls()[0].New, tc)
-	if err != nil {
-		t.Fatalf("%s: %v", tc.ID, err)
-	}
+	res := kerneltest.Check(Spec.Impls()[0].New, tc)
 	if !res.ConflictFree {
 		names := make([]string, len(res.Conflicts))
 		for i, c := range res.Conflicts {

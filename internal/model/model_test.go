@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/spec"
 	"repro/internal/sym"
 	"repro/internal/symx"
@@ -74,19 +75,19 @@ func TestUniformReturnWidth(t *testing.T) {
 // Each op must have both error and success paths where the spec has them.
 func TestErrorPathsExist(t *testing.T) {
 	wantErr := map[string]int64{
-		"stat":     ENOENT,
-		"link":     ENOENT,
-		"unlink":   ENOENT,
-		"rename":   ENOENT,
-		"fstat":    EBADF,
-		"close":    EBADF,
-		"read":     EBADF,
-		"lseek":    ESPIPE,
-		"pread":    ESPIPE,
-		"pwrite":   ESPIPE,
-		"mprotect": ENOMEM,
-		"memread":  ESIGSEGV,
-		"memwrite": ESIGSEGV,
+		"stat":     kernel.ENOENT,
+		"link":     kernel.ENOENT,
+		"unlink":   kernel.ENOENT,
+		"rename":   kernel.ENOENT,
+		"fstat":    kernel.EBADF,
+		"close":    kernel.EBADF,
+		"read":     kernel.EBADF,
+		"lseek":    kernel.ESPIPE,
+		"pread":    kernel.ESPIPE,
+		"pwrite":   kernel.ESPIPE,
+		"mprotect": kernel.ENOMEM,
+		"memread":  kernel.ESIGSEGV,
+		"memwrite": kernel.ESIGSEGV,
 	}
 	var s sym.Solver
 	for name, errno := range wantErr {

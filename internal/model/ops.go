@@ -1,6 +1,7 @@
 package model
 
 import (
+	"repro/internal/kernel"
 	"repro/internal/spec"
 	"repro/internal/sym"
 	"repro/internal/symx"
@@ -90,7 +91,7 @@ func opOpen() *spec.Op {
 			var inum *sym.Expr
 			if s.Fname.Contains(x.C, symx.K(fname)) {
 				if x.C.Branch(sym.And(creat, excl)) {
-					return errRet(EEXIST)
+					return errRet(kernel.EEXIST)
 				}
 				inum = s.Fname.Get(x.C, symx.K(fname)).Get("inum")
 				if x.C.Branch(trunc) {
@@ -99,7 +100,7 @@ func opOpen() *spec.Op {
 				}
 			} else {
 				if !x.C.Branch(creat) {
-					return errRet(ENOENT)
+					return errRet(kernel.ENOENT)
 				}
 				inum = s.AllocInum(x.C, slot)
 				s.Inode.Set(x.C, symx.K(inum),
@@ -108,7 +109,7 @@ func opOpen() *spec.Op {
 			}
 			fd := allocFD(x, slot, proc)
 			if fd == nil {
-				return errRet(EMFILE)
+				return errRet(kernel.EMFILE)
 			}
 			s.FD.Set(x.C, symx.K(proc, fd), fileFD(inum, sym.Int(0)))
 			return okRet(fd)
@@ -127,10 +128,10 @@ func opLink() *spec.Op {
 			s := st(x)
 			old, nw := a[0], a[1]
 			if !s.Fname.Contains(x.C, symx.K(old)) {
-				return errRet(ENOENT)
+				return errRet(kernel.ENOENT)
 			}
 			if s.Fname.Contains(x.C, symx.K(nw)) {
-				return errRet(EEXIST)
+				return errRet(kernel.EEXIST)
 			}
 			inum := s.Fname.Get(x.C, symx.K(old)).Get("inum")
 			ino := s.Inode.GetFunc(x.C, symx.K(inum))
@@ -150,7 +151,7 @@ func opUnlink() *spec.Op {
 			s := st(x)
 			fname := a[0]
 			if !s.Fname.Contains(x.C, symx.K(fname)) {
-				return errRet(ENOENT)
+				return errRet(kernel.ENOENT)
 			}
 			inum := s.Fname.Get(x.C, symx.K(fname)).Get("inum")
 			ino := s.Inode.GetFunc(x.C, symx.K(inum))
@@ -174,7 +175,7 @@ func opRename() *spec.Op {
 			s := st(x)
 			src, dst := a[0], a[1]
 			if !s.Fname.Contains(x.C, symx.K(src)) {
-				return errRet(ENOENT)
+				return errRet(kernel.ENOENT)
 			}
 			if x.C.Branch(sym.Eq(src, dst)) {
 				return okRet(sym.Int(0))
@@ -201,7 +202,7 @@ func opStat() *spec.Op {
 			s := st(x)
 			fname := a[0]
 			if !s.Fname.Contains(x.C, symx.K(fname)) {
-				return errRet(ENOENT)
+				return errRet(kernel.ENOENT)
 			}
 			inum := s.Fname.Get(x.C, symx.K(fname)).Get("inum")
 			ino := s.Inode.GetFunc(x.C, symx.K(inum))
@@ -218,7 +219,7 @@ func opFstat() *spec.Op {
 			s := st(x)
 			proc, fd := a[0], a[1]
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
-				return errRet(EBADF)
+				return errRet(kernel.EBADF)
 			}
 			f := s.FD.Get(x.C, symx.K(proc, fd))
 			if x.C.Branch(f.Get("ispipe")) {
@@ -248,11 +249,11 @@ func opLseek() *spec.Op {
 			s := st(x)
 			proc, fd, delta, wset, wend := a[0], a[1], a[2], a[3], a[4]
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
-				return errRet(EBADF)
+				return errRet(kernel.EBADF)
 			}
 			f := s.FD.Get(x.C, symx.K(proc, fd))
 			if x.C.Branch(f.Get("ispipe")) {
-				return errRet(ESPIPE)
+				return errRet(kernel.ESPIPE)
 			}
 			var n *sym.Expr
 			switch {
@@ -265,7 +266,7 @@ func opLseek() *spec.Op {
 				n = sym.Add(f.Get("off"), delta)
 			}
 			if x.C.Branch(sym.Lt(n, sym.Int(0))) {
-				return errRet(EINVAL)
+				return errRet(kernel.EINVAL)
 			}
 			s.FD.Set(x.C, symx.K(proc, fd), f.With("off", n))
 			return okRet(sym.Int(0), n)
@@ -281,7 +282,7 @@ func opClose() *spec.Op {
 			s := st(x)
 			proc, fd := a[0], a[1]
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
-				return errRet(EBADF)
+				return errRet(kernel.EBADF)
 			}
 			s.FD.Del(x.C, symx.K(proc, fd))
 			return okRet(sym.Int(0))
@@ -301,13 +302,13 @@ func opPipe() *spec.Op {
 				symx.NewStruct("head", sym.Int(0), "tail", sym.Int(0)))
 			rfd := allocFD(x, slot+".r", proc)
 			if rfd == nil {
-				return errRet(EMFILE)
+				return errRet(kernel.EMFILE)
 			}
 			s.FD.Set(x.C, symx.K(proc, rfd), pipeFD(pid, false))
 			wfd := allocFD(x, slot+".w", proc)
 			if wfd == nil {
 				s.FD.Del(x.C, symx.K(proc, rfd))
-				return errRet(EMFILE)
+				return errRet(kernel.EMFILE)
 			}
 			s.FD.Set(x.C, symx.K(proc, wfd), pipeFD(pid, true))
 			return okRet(sym.Int(0), rfd, wfd)
@@ -323,17 +324,17 @@ func opRead() *spec.Op {
 			s := st(x)
 			proc, fd := a[0], a[1]
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
-				return errRet(EBADF)
+				return errRet(kernel.EBADF)
 			}
 			f := s.FD.Get(x.C, symx.K(proc, fd))
 			if x.C.Branch(f.Get("ispipe")) {
 				if x.C.Branch(f.Get("wend")) {
-					return errRet(EBADF)
+					return errRet(kernel.EBADF)
 				}
 				pid := f.Get("pipe")
 				p := s.Pipe.GetFunc(x.C, symx.K(pid))
 				if x.C.Branch(sym.Eq(p.Get("head"), p.Get("tail"))) {
-					return errRet(EAGAIN) // modeled as non-blocking
+					return errRet(kernel.EAGAIN) // modeled as non-blocking
 				}
 				v := s.PipeD.GetFunc(x.C, symx.K(pid, p.Get("head")))
 				s.Pipe.Set(x.C, symx.K(pid),
@@ -360,12 +361,12 @@ func opWrite() *spec.Op {
 			s := st(x)
 			proc, fd, val := a[0], a[1], a[2]
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
-				return errRet(EBADF)
+				return errRet(kernel.EBADF)
 			}
 			f := s.FD.Get(x.C, symx.K(proc, fd))
 			if x.C.Branch(f.Get("ispipe")) {
 				if !x.C.Branch(f.Get("wend")) {
-					return errRet(EBADF)
+					return errRet(kernel.EBADF)
 				}
 				pid := f.Get("pipe")
 				p := s.Pipe.GetFunc(x.C, symx.K(pid))
@@ -397,11 +398,11 @@ func opPread() *spec.Op {
 			s := st(x)
 			proc, fd, off := a[0], a[1], a[2]
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
-				return errRet(EBADF)
+				return errRet(kernel.EBADF)
 			}
 			f := s.FD.Get(x.C, symx.K(proc, fd))
 			if x.C.Branch(f.Get("ispipe")) {
-				return errRet(ESPIPE)
+				return errRet(kernel.ESPIPE)
 			}
 			ino := s.Inode.GetFunc(x.C, symx.K(f.Get("inum")))
 			if x.C.Branch(sym.Ge(off, ino.Get("len"))) {
@@ -421,11 +422,11 @@ func opPwrite() *spec.Op {
 			s := st(x)
 			proc, fd, off, val := a[0], a[1], a[2], a[3]
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
-				return errRet(EBADF)
+				return errRet(kernel.EBADF)
 			}
 			f := s.FD.Get(x.C, symx.K(proc, fd))
 			if x.C.Branch(f.Get("ispipe")) {
-				return errRet(ESPIPE)
+				return errRet(kernel.ESPIPE)
 			}
 			inum := f.Get("inum")
 			s.Data.Set(x.C, symx.K(inum, off), symx.NewStruct("val", val))
@@ -469,11 +470,11 @@ func opMmap() *spec.Op {
 				return okRet(sym.Int(0), addr)
 			}
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
-				return errRet(EBADF)
+				return errRet(kernel.EBADF)
 			}
 			f := s.FD.Get(x.C, symx.K(proc, fd))
 			if x.C.Branch(f.Get("ispipe")) {
-				return errRet(ENODEV)
+				return errRet(kernel.ENODEV)
 			}
 			s.VMA.Set(x.C, symx.K(proc, addr), symx.NewStruct(
 				"anon", sym.False, "inum", f.Get("inum"), "foff", foff, "wr", wr))
@@ -504,7 +505,7 @@ func opMprotect() *spec.Op {
 			s := st(x)
 			proc, page, wr := a[0], a[1], a[2]
 			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
-				return errRet(ENOMEM)
+				return errRet(kernel.ENOMEM)
 			}
 			v := s.VMA.Get(x.C, symx.K(proc, page))
 			s.VMA.Set(x.C, symx.K(proc, page), v.With("wr", wr))
@@ -521,7 +522,7 @@ func opMemread() *spec.Op {
 			s := st(x)
 			proc, page := a[0], a[1]
 			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
-				return errRet(ESIGSEGV)
+				return errRet(kernel.ESIGSEGV)
 			}
 			v := s.VMA.Get(x.C, symx.K(proc, page))
 			if x.C.Branch(v.Get("anon")) {
@@ -530,7 +531,7 @@ func opMemread() *spec.Op {
 			}
 			ino := s.Inode.GetFunc(x.C, symx.K(v.Get("inum")))
 			if x.C.Branch(sym.Ge(v.Get("foff"), ino.Get("len"))) {
-				return errRet(ESIGBUS)
+				return errRet(kernel.ESIGBUS)
 			}
 			dv := s.Data.GetFunc(x.C, symx.K(v.Get("inum"), v.Get("foff")))
 			return dataRet(0, dv.Get("val"))
@@ -546,11 +547,11 @@ func opMemwrite() *spec.Op {
 			s := st(x)
 			proc, page, val := a[0], a[1], a[2]
 			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
-				return errRet(ESIGSEGV)
+				return errRet(kernel.ESIGSEGV)
 			}
 			v := s.VMA.Get(x.C, symx.K(proc, page))
 			if !x.C.Branch(v.Get("wr")) {
-				return errRet(ESIGSEGV)
+				return errRet(kernel.ESIGSEGV)
 			}
 			if x.C.Branch(v.Get("anon")) {
 				s.Anon.Set(x.C, symx.K(proc, page), symx.NewStruct("val", val))
@@ -558,7 +559,7 @@ func opMemwrite() *spec.Op {
 			}
 			ino := s.Inode.GetFunc(x.C, symx.K(v.Get("inum")))
 			if x.C.Branch(sym.Ge(v.Get("foff"), ino.Get("len"))) {
-				return errRet(ESIGBUS)
+				return errRet(kernel.ESIGBUS)
 			}
 			s.Data.Set(x.C, symx.K(v.Get("inum"), v.Get("foff")), symx.NewStruct("val", val))
 			return okRet(sym.Int(0))

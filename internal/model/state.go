@@ -29,23 +29,6 @@ var (
 // as zero).
 var DataZero = sym.Const(DataSort, 0)
 
-// Errno values used by the model (negated in return slot 0).
-const (
-	ENOENT   = 2
-	EBADF    = 9
-	EFAULT   = 14
-	EEXIST   = 17
-	EINVAL   = 22
-	EMFILE   = 24
-	ESPIPE   = 29
-	ENOMEM   = 12
-	ENODEV   = 19
-	EAGAIN   = 11
-	EISDIR   = 21
-	ESIGSEGV = 1001 // pseudo-errno: the access faulted with SIGSEGV
-	ESIGBUS  = 1002 // pseudo-errno: the access faulted with SIGBUS
-)
-
 // Bounds keep the symbolic integer domains small enough for the finite
 // solver while leaving room for every distinct object a pair of calls can
 // mention (two calls touch at most four names, so four inodes; at most

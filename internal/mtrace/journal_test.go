@@ -59,24 +59,24 @@ func TestNestedSnapshotRegions(t *testing.T) {
 	m.Pop()
 }
 
-// TestOnResetHooks checks hook ordering (newest first, after value
-// restore) and region scoping.
+// TestOnResetHooks checks the primitive under SetKey and SetVar: hook
+// ordering (newest first, after value restore) and region scoping.
 func TestOnResetHooks(t *testing.T) {
 	m := NewMemory()
 	v := m.NewCell("v", 0)
 	var trace []string
 
-	m.OnReset(func() { t.Fatal("hook registered outside any region ran") })
+	m.onReset(func() { t.Fatal("hook registered outside any region ran") })
 
 	m.Snapshot()
 	v.Poke(9)
-	m.OnReset(func() {
+	m.onReset(func() {
 		if v.Peek() != 0 {
 			t.Errorf("hook ran before value restore: v = %d", v.Peek())
 		}
 		trace = append(trace, "first")
 	})
-	m.OnReset(func() { trace = append(trace, "second") })
+	m.onReset(func() { trace = append(trace, "second") })
 	m.Reset()
 	if len(trace) != 2 || trace[0] != "second" || trace[1] != "first" {
 		t.Fatalf("hook order = %v, want [second first]", trace)
@@ -87,6 +87,95 @@ func TestOnResetHooks(t *testing.T) {
 	m.Reset()
 	if len(trace) != 2 {
 		t.Fatalf("hooks reran on second Reset: %v", trace)
+	}
+	m.Pop()
+}
+
+// TestSetKeyRollsBack covers the map idiom: Reset returns a key to the
+// state the region found it in, absence included, whatever happened to it
+// in between, and outside a region nothing is recorded.
+func TestSetKeyRollsBack(t *testing.T) {
+	m := NewMemory()
+	mp := map[string]int{"kept": 1}
+	SetKey(m, mp, "early", 5)
+	if len(m.hooks) != 0 || mp["early"] != 5 {
+		t.Fatalf("outside a region: %d hooks recorded, map %v", len(m.hooks), mp)
+	}
+
+	m.Snapshot()
+	for round := 0; round < 2; round++ {
+		SetKey(m, mp, "new", 7)  // absent -> present
+		SetKey(m, mp, "kept", 2) // overwrite
+		SetKey(m, mp, "kept", 3) // second set of one key in one region
+		SetKey(m, mp, "new", 8)
+		if mp["new"] != 8 || mp["kept"] != 3 {
+			t.Fatalf("round %d: sets not applied: %v", round, mp)
+		}
+		m.Reset()
+		if _, ok := mp["new"]; ok || mp["kept"] != 1 || mp["early"] != 5 || len(mp) != 2 {
+			t.Fatalf("round %d: Reset left %v, want kept=1 early=5 and no new", round, mp)
+		}
+	}
+	m.Pop()
+}
+
+// TestSetVarRollsBack covers the variable idiom the same way, on a struct
+// as well as a scalar.
+func TestSetVarRollsBack(t *testing.T) {
+	type pair struct{ a, b int }
+	m := NewMemory()
+	n, p := 1, pair{1, 2}
+	SetVar(m, &n, 2)
+	if len(m.hooks) != 0 || n != 2 {
+		t.Fatalf("outside a region: %d hooks recorded, n = %d", len(m.hooks), n)
+	}
+
+	m.Snapshot()
+	SetVar(m, &n, 3)
+	SetVar(m, &n, 4)
+	SetVar(m, &p, pair{3, 4})
+	m.Reset()
+	if n != 2 || p != (pair{1, 2}) {
+		t.Fatalf("Reset left n = %d, p = %v, want 2 and {1 2}", n, p)
+	}
+	// The records are consumed: a second Reset must not replay them over a
+	// value set since.
+	m.Pop()
+	n = 9
+	m.Snapshot()
+	m.Reset()
+	if n != 9 {
+		t.Fatalf("an empty region's Reset moved n to %d", n)
+	}
+	m.Pop()
+}
+
+// TestSettersNestedRegions is TestNestedSnapshotRegions for the setters:
+// an inner Reset rolls back the inner region only, and after Pop the outer
+// Reset undoes both generations newest first, so the oldest value wins.
+func TestSettersNestedRegions(t *testing.T) {
+	m := NewMemory()
+	mp := map[int]int{}
+	x := 1
+
+	m.Snapshot() // outer
+	SetVar(m, &x, 2)
+	SetKey(m, mp, 0, 10)
+	m.Snapshot() // inner
+	SetVar(m, &x, 3)
+	SetKey(m, mp, 0, 11)
+	SetKey(m, mp, 1, 20)
+	m.Reset() // inner reset: back to the outer region's state
+	if _, ok := mp[1]; ok || x != 2 || mp[0] != 10 {
+		t.Fatalf("inner Reset: x = %d, map %v, want 2 and {0:10}", x, mp)
+	}
+	SetVar(m, &x, 4)
+	SetKey(m, mp, 0, 12)
+	m.Pop() // merge the inner records into the outer region
+	SetVar(m, &x, 5)
+	m.Reset() // outer reset: through both generations
+	if x != 1 || len(mp) != 0 {
+		t.Fatalf("outer Reset: x = %d, map %v, want 1 and empty", x, mp)
 	}
 	m.Pop()
 }

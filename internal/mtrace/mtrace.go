@@ -23,10 +23,13 @@
 // Pop): inside a region every first write to a cell journals its old value,
 // and Reset undoes the region's writes, which is how the checker replays
 // many tests against one kernel instance instead of rebuilding it per test.
+// State an implementation keeps outside cells — a map entry, a plain field —
+// is set through SetKey and SetVar, which roll back the same way.
 package mtrace
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -60,24 +63,12 @@ func (s coreset) minus(o coreset) coreset {
 // cores lists the set bits in ascending order.
 func (s coreset) cores() []int {
 	var out []int
-	for w, bits := range s {
-		for bits != 0 {
-			b := bits & (-bits)
-			out = append(out, w*64+popLow(b))
-			bits &^= b
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w*64+bits.TrailingZeros64(word))
 		}
 	}
 	return out
-}
-
-// popLow returns the index of the (single) set bit in b.
-func popLow(b uint64) int {
-	n := 0
-	for b > 1 {
-		b >>= 1
-		n++
-	}
-	return n
 }
 
 // Memory is an allocator of traced cells plus the access recorder.
@@ -98,8 +89,8 @@ type Memory struct {
 	nconf   int
 
 	// Snapshot/reset journal: marks delimit nested regions; undo holds
-	// journaled old cell values; hooks holds structural undo closures
-	// registered via OnReset. jepoch dedups journaling to one entry per
+	// journaled old cell values; hooks holds the structural undo closures
+	// SetKey and SetVar record. jepoch dedups journaling to one entry per
 	// cell per region.
 	jepoch uint64
 	undo   []undoEntry
@@ -318,8 +309,8 @@ func (c Conflict) String() string {
 }
 
 // Snapshot opens a nested snapshot region: every subsequent write (Store,
-// Add, Poke) journals the cell's prior value once, and structural changes
-// can register undo closures via OnReset. Reset restores the state at the
+// Add, Poke) journals the cell's prior value once, and every SetKey and
+// SetVar records what it replaced. Reset restores the state at the
 // matching Snapshot. Regions nest; Pop merges the innermost region into
 // its parent without restoring.
 func (m *Memory) Snapshot() {
@@ -327,7 +318,7 @@ func (m *Memory) Snapshot() {
 	m.jepoch++
 }
 
-// Reset undoes every journaled write and runs every OnReset hook of the
+// Reset undoes every journaled write, then every SetKey and SetVar, of the
 // innermost snapshot region, newest first, leaving the region open so the
 // next test can run from the same state. It must not be called inside a
 // traced region (Reset itself is untraced by design).
@@ -361,14 +352,36 @@ func (m *Memory) Pop() {
 	m.marks = m.marks[:len(m.marks)-1]
 }
 
-// OnReset registers a structural undo closure on the innermost snapshot
-// region — for state the journal cannot see (map entries, plain struct
-// fields). Reset runs hooks newest-first after restoring cell values. A
-// no-op outside snapshot regions, so implementation code can register
-// hooks unconditionally at mutation sites.
-func (m *Memory) OnReset(fn func()) {
+// onReset registers a structural undo closure on the innermost snapshot
+// region — for state the journal cannot see. Reset runs hooks newest-first
+// after restoring cell values. A no-op outside snapshot regions.
+func (m *Memory) onReset(fn func()) {
 	if len(m.marks) == 0 {
 		return
 	}
 	m.hooks = append(m.hooks, fn)
+}
+
+// SetKey sets mp[k] = v for a map an implementation keeps beside its cells.
+// Inside a snapshot region Reset puts the key's previous state back — its
+// old value, or its absence; outside one this is a plain assignment.
+func SetKey[K comparable, V any](m *Memory, mp map[K]V, k K, v V) {
+	old, had := mp[k]
+	m.onReset(func() {
+		if had {
+			mp[k] = old
+		} else {
+			delete(mp, k)
+		}
+	})
+	mp[k] = v
+}
+
+// SetVar sets *p = v for a variable or field an implementation keeps beside
+// its cells. Inside a snapshot region Reset puts the previous value back;
+// outside one this is a plain assignment.
+func SetVar[T any](m *Memory, p *T, v T) {
+	old := *p
+	m.onReset(func() { *p = old })
+	*p = v
 }

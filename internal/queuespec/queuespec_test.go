@@ -190,10 +190,7 @@ func TestGenerateQueueTests(t *testing.T) {
 		t.Error("no generated test seeds a non-empty ordered queue")
 	}
 	for _, tc := range tests {
-		res, err := kerneltest.Check(Spec.Impls()[0].New, tc)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.ID, err)
-		}
+		res := kerneltest.Check(Spec.Impls()[0].New, tc)
 		if !res.ConflictFree {
 			names := make([]string, len(res.Conflicts))
 			for i, c := range res.Conflicts {

@@ -39,9 +39,6 @@ func (c *SharedCounter) Inc(core int, delta int64) { c.cell.Add(core, delta) }
 // Read returns the value from core.
 func (c *SharedCounter) Read(core int) int64 { return c.cell.Load(core) }
 
-// Set stores the value from core.
-func (c *SharedCounter) Set(core int, v int64) { c.cell.Store(core, v) }
-
 // Peek reads without tracing (setup/verification only).
 func (c *SharedCounter) Peek() int64 { return c.cell.Peek() }
 
@@ -208,7 +205,11 @@ type dirBucket struct {
 	// entries maps name id -> entry cell holding the inode number; a
 	// nil/absent entry means the name is unbound. Each entry is its own
 	// cell so lookups of different names in one bucket stay conflict-
-	// free (only bucket membership changes touch the list cell).
+	// free (only bucket membership changes touch the list cell). Entries
+	// are added through the memory, so a snapshot reset removes them: a
+	// stale one would skip the bucket-list write a fresh directory's Insert
+	// performs (and add an entry read to lookups of an unbound name),
+	// changing the traced access pattern between replays.
 	list    *mtrace.Cell // version of the bucket's entry list
 	entries map[int64]*mtrace.Cell
 }
@@ -221,7 +222,7 @@ func NewHashDir(mem *mtrace.Memory, name string, nbuckets int) *HashDir {
 
 // bucket selects name's bucket, creating it on first selection. A bucket
 // born inside a snapshot region survives Reset: the journal returns its
-// cells to zero and the entry hooks empty it, which is the state it would
+// cells to zero and its entries leave with it, which is the state it would
 // have been built in.
 func (d *HashDir) bucket(name int64) *dirBucket {
 	// SplitMix64-style finalizer: high bits feed back into the low bits
@@ -275,20 +276,11 @@ func (d *HashDir) Insert(core int, name, inum int64) bool {
 	}
 	if !ok {
 		e = d.mem.NewCellf(0, "%s.entry[%d]", d.name, name)
-		d.installEntry(b, name, e)
+		mtrace.SetKey(d.mem, b.entries, name, e)
 		b.list.Add(core, 1)
 	}
 	e.Store(core, inum)
 	return true
-}
-
-// installEntry adds an entry with a snapshot-reset hook removing it again:
-// a stale entry would skip the bucket-list write a fresh directory's
-// Insert performs (and add an entry read to lookups of an unbound name),
-// changing the traced access pattern between replays.
-func (d *HashDir) installEntry(b *dirBucket, name int64, e *mtrace.Cell) {
-	d.mem.OnReset(func() { delete(b.entries, name) })
-	b.entries[name] = e
 }
 
 // Remove unbinds name; it reports whether the name was bound.
@@ -314,7 +306,7 @@ func (d *HashDir) Replace(core int, name, inum int64) int64 {
 	e, ok := b.entries[name]
 	if !ok {
 		e = d.mem.NewCellf(0, "%s.entry[%d]", d.name, name)
-		d.installEntry(b, name, e)
+		mtrace.SetKey(d.mem, b.entries, name, e)
 		b.list.Add(core, 1)
 	}
 	old := e.Load(core)
@@ -328,7 +320,7 @@ func (d *HashDir) PokeInsert(name, inum int64) {
 	e, ok := b.entries[name]
 	if !ok {
 		e = d.mem.NewCellf(0, "%s.entry[%d]", d.name, name)
-		d.installEntry(b, name, e)
+		mtrace.SetKey(d.mem, b.entries, name, e)
 	}
 	e.Poke(inum)
 }

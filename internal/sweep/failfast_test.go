@@ -11,22 +11,25 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/kernel/monokernel"
+	"repro/internal/spec"
 )
 
 // errSetup is the injected mid-sweep failure.
 var errSetup = errors.New("injected setup failure")
 
-// flakyKernel delegates to a real kernel but fails Apply once armed.
+// flakyKernel delegates to a real kernel but fails Apply once armed — by
+// panicking, the one way a kernel can fail; the Replayer makes it the
+// test's error.
 type flakyKernel struct {
 	kernel.Kernel
 	fail bool
 }
 
-func (f *flakyKernel) Apply(s kernel.Setup) error {
+func (f *flakyKernel) Apply(s kernel.Setup) {
 	if f.fail {
-		return errSetup
+		panic(errSetup)
 	}
-	return f.Kernel.Apply(s)
+	f.Kernel.Apply(s)
 }
 
 // TestSweepFailFastCleanShutdown pins the engine's error path, best run
@@ -67,7 +70,7 @@ func TestSweepFailFastCleanShutdown(t *testing.T) {
 	if err == nil {
 		t.Fatal("sweep with failing pair returned nil error")
 	}
-	if !errors.Is(err, errSetup) {
+	if !strings.Contains(err.Error(), errSetup.Error()) {
 		t.Errorf("error lost the cause: %v", err)
 	}
 	if !strings.Contains(err.Error(), "flaky") {
@@ -100,5 +103,33 @@ func TestSweepFailFastCleanShutdown(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("goroutine leak: %d before sweep, %d after", before, after)
+	}
+}
+
+// TestSweepSurvivesPoisonedTestgenEntry pins the other way a pair fails:
+// the TESTGEN tier serves whatever entry carries the right version and key
+// (a disk or a cache peer wrote it), so a test in it can name an op the
+// spec does not have. The kernel's panic over it must come back as the
+// sweep's error, naming pair and kernel — not kill the process from an
+// executor goroutine.
+func TestSweepSurvivesPoisonedTestgenEntry(t *testing.T) {
+	cfg := Config{Ops: []*spec.Op{testOp(t, "stat"), testOp(t, "close")}, Kernels: testKernels(),
+		Cache: NewMemBackend(0), Workers: 2}
+	key := TestgenKey("posix", "stat", "close", cfg.Analyzer, cfg.Testgen)
+	poisoned := []kernel.TestCase{{ID: "stat-close-poisoned", Calls: [2]kernel.Call{
+		{Op: "stat", Args: map[string]int64{"fname": 0}},
+		{Op: "frob", Proc: 1},
+	}}}
+	if err := cfg.Cache.PutTests(key, poisoned); err != nil {
+		t.Fatal(err)
+	}
+	res, err := runSweep(cfg)
+	if err == nil || res != nil {
+		t.Fatalf("sweep over a poisoned entry: result %+v, err %v", res, err)
+	}
+	for _, want := range []string{"stat/close", "linux", "stat-close-poisoned", "frob"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }

@@ -22,8 +22,7 @@
 //     list, in the exact orientation Pairs() uses.
 //   - FleetTable: one sweep's lease table (pending → leased → done, TTL
 //     expiry, idempotent completion). Time is injected for tests.
-//   - FleetHub: the coordinator — a keyed collection of tables, plus the
-//     optional write-through of posted cells into the shared cache.
+//   - FleetHub: the coordinator — a keyed collection of tables.
 //   - FleetClient: the worker side of the protocol, implemented in
 //     process (LocalFleet) and over HTTP (NewHTTPFleetClient).
 //   - RunFleet (fleet_run.go): the worker pull loop.
@@ -166,9 +165,9 @@ type FleetClaimResponse struct {
 }
 
 // FleetPairDone is one completed pair: the lease it was executed under
-// and the full result. TestgenKey (when set) lets the coordinator write
-// the cells through its shared cache backend, so a fleet-computed pair
-// warms the coordinator's CHECK tier exactly like a locally-computed one.
+// and the full result. TestgenKey is ignored — the coordinator stores
+// nothing a worker posts; members share a cache and the worker's own run
+// already wrote both tiers — and leaves the wire at the next api.Version.
 type FleetPairDone struct {
 	Lease      string     `json:"lease"`
 	Pair       PairResult `json:"pair"`
@@ -463,7 +462,6 @@ type FleetHub struct {
 	ttl      time.Duration
 	retain   time.Duration
 	now      func() time.Time
-	cache    Backend
 	sessions map[string]*fleetSession
 }
 
@@ -487,14 +485,6 @@ func NewFleetHub(ttl time.Duration, now func() time.Time) *FleetHub {
 		now = time.Now
 	}
 	return &FleetHub{ttl: ttl, retain: fleetRetain, now: now, sessions: map[string]*fleetSession{}}
-}
-
-// SetCache wires the shared cache backend posted cells are written
-// through (best-effort; nil disables the write-through).
-func (h *FleetHub) SetCache(b Backend) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.cache = b
 }
 
 // session returns (creating if create) the table for the sweep, evicting
@@ -542,10 +532,8 @@ func (h *FleetHub) Claim(req FleetClaimRequest) (FleetClaimResponse, error) {
 // Report serves one result post. The session must already exist — a
 // worker cannot post into a sweep nobody claimed from (after a
 // coordinator restart the worker's next claim rebuilds the session and
-// the pairs re-run). Accepted cells are written through the shared cache
-// backend when one is configured, so the fleet's work warms it exactly
-// like local work; truncated (Unknown > 0) pairs are never written, the
-// same completeness rule runPair applies.
+// the pairs re-run). A posted result reaches the session's table and
+// nothing else: what it says about keys or cells is never stored.
 func (h *FleetHub) Report(req FleetResultRequest) (FleetResultResponse, error) {
 	if req.Worker == "" {
 		return FleetResultResponse{}, fmt.Errorf("fleet: result post names no worker")
@@ -554,23 +542,7 @@ func (h *FleetHub) Report(req FleetResultRequest) (FleetResultResponse, error) {
 	if err != nil {
 		return FleetResultResponse{}, err
 	}
-	resp := t.Complete(req.Worker, req.Results)
-	h.mu.Lock()
-	cache := h.cache
-	h.mu.Unlock()
-	if cache != nil {
-		for _, item := range req.Results {
-			if item.TestgenKey == "" || item.Pair.Unknown > 0 {
-				continue
-			}
-			for _, cell := range item.Pair.Cells {
-				if err := cache.PutCell(CheckKey(item.TestgenKey, cell.Kernel), cell); err != nil {
-					reportPutError(cache, err)
-				}
-			}
-		}
-	}
-	return resp, nil
+	return t.Complete(req.Worker, req.Results), nil
 }
 
 // Status serves one status request.

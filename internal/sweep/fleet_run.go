@@ -99,11 +99,7 @@ func RunFleet(ctx context.Context, cfg Config, fc FleetClient) (*Result, error) 
 			Version: FleetAPIVersion,
 			Worker:  wid,
 			Sweep:   fspec,
-			Results: []FleetPairDone{{
-				Lease:      j.id,
-				Pair:       pr,
-				TestgenKey: TestgenKey(r.sp.Name(), j.a.Name, j.b.Name, cfg.Analyzer, cfg.Testgen),
-			}},
+			Results: []FleetPairDone{{Lease: j.id, Pair: pr}},
 		})
 		if err != nil {
 			return fmt.Errorf("sweep fleet: report %s: %w", pr.Pair(), err)

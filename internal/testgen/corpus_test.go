@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/analyzer"
+	"repro/internal/kernel"
 	_ "repro/internal/kvspec"
 	_ "repro/internal/queuespec"
 	"repro/internal/spec"
@@ -24,7 +25,8 @@ var updateCorpus = flag.Bool("update", false, "rewrite testdata/corpus.digest")
 // fingerprint, for every pair of all four specs plus posix "fs" under the
 // lowest-FD rule. A refactor of the symbolic core or of TESTGEN must leave
 // the file untouched; regenerate with -update only when a change of test
-// content is the point.
+// content is the point. Every test of the walk must also pass the
+// Replayer's admission: what it refuses, TESTGEN must never produce.
 func TestCorpusDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full ANALYZE+TESTGEN of every spec")
@@ -61,6 +63,9 @@ func TestCorpusDigest(t *testing.T) {
 				}
 				tests, _ := GenerateChecked(sp, pr, Options{})
 				for _, tc := range tests {
+					if err := kernel.Admit(&tc); err != nil {
+						t.Errorf("a generated test is not admitted: %v", err)
+					}
 					if fp := tc.Setup.Fingerprint(); fp != tc.SetupID {
 						t.Errorf("%s: SetupID %q is not the setup's fingerprint %q", tc.ID, tc.SetupID, fp)
 					}
