@@ -42,7 +42,8 @@ type Client interface {
 
 	// Check runs concrete tests against one named implementation of the
 	// selected spec and reports per-test conflict-freedom verdicts plus
-	// the aggregate Figure 6 cell counts.
+	// the aggregate Figure 6 cell counts. A test naming an op the spec
+	// does not have, or one kernel.Admit refuses, is a bad request.
 	Check(ctx context.Context, kernel string, tests []TestCase, opts ...Option) (CheckSummary, error)
 
 	// Sweep fans ANALYZE → TESTGEN → CHECK across every unordered pair
@@ -189,15 +190,16 @@ func (o *callOptions) specName() string {
 func withWire(w api.Options) Option { return func(o *callOptions) { o.Options = w } }
 
 // IsBadRequest reports whether err is a caller mistake — an unknown spec,
-// op or kernel name, a malformed request — rather than a pipeline failure.
+// op or kernel name, a malformed request, a test to Check that no kernel
+// may be handed — rather than a pipeline failure.
 func IsBadRequest(err error) bool {
 	var ae *api.Error
 	return errors.As(err, &ae) && ae.Code == api.CodeBadRequest
 }
 
-// badRequest tags a name-resolution error as a caller mistake, so the
-// serve endpoint can map it to a 400 and a remote caller sees the same
-// "unknown X (known: ...)" message a local caller would.
+// badRequest tags an error — a name that does not resolve, a test refused
+// admission — as a caller mistake, so the serve endpoint can map it to a
+// 400 and a remote caller sees the same message a local caller would.
 func badRequest(err error) error {
 	var ae *api.Error
 	if errors.As(err, &ae) {

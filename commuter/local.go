@@ -2,6 +2,8 @@ package commuter
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"iter"
 
 	"repro/internal/analyzer"
@@ -153,6 +155,17 @@ func (localClient) Check(ctx context.Context, kernelName string, tests []TestCas
 	if err != nil {
 		return CheckSummary{}, badRequest(err)
 	}
+	// The op table is the spec's, and this is where the spec is at hand: a
+	// test naming an op outside it is the caller's mistake, like a test
+	// kernel.Admit refuses below; what a kernel panics over beyond those is
+	// not.
+	for i := range tests {
+		for _, c := range tests[i].Calls {
+			if _, err := spec.OpByName(sp, c.Op); err != nil {
+				return CheckSummary{}, badRequest(fmt.Errorf("test %s: %w", tests[i].ID, err))
+			}
+		}
+	}
 	out := CheckSummary{Kernel: impls[0].Name, Verdicts: make([]TestVerdict, len(tests))}
 	// The replay loop groups tests by initial state, which reorders
 	// execution; verdicts are stored by original index to keep the response
@@ -168,6 +181,9 @@ func (localClient) Check(ctx context.Context, kernelName string, tests []TestCas
 		}
 		out.Verdicts[i] = v
 	})
+	if errors.Is(err, kernel.ErrInadmissible) {
+		return CheckSummary{}, badRequest(err)
+	}
 	if err != nil {
 		return CheckSummary{}, err
 	}

@@ -180,6 +180,46 @@ func TestRemoteErrorsMatchLocal(t *testing.T) {
 	}
 }
 
+// TestCheckCallerMistakeIsBadRequest: a test kernel.Admit refuses, or one
+// naming an op the selected spec does not have, is the caller's mistake —
+// IsBadRequest locally and through the wire (a 400), naming the test — not
+// an internal error.
+func TestCheckCallerMistakeIsBadRequest(t *testing.T) {
+	ctx := context.Background()
+	cli, _ := newLoopback(t)
+	local := commuter.Local()
+	ts, err := local.GenerateTests(ctx, "stat", "stat", commuter.WithTestsPerPath(1))
+	if err != nil || len(ts.Tests) == 0 {
+		t.Fatalf("no stat/stat tests: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		edit   func(*commuter.TestCase)
+		kernel string
+		opts   []commuter.Option
+		want   string
+	}{
+		{"proc", func(tc *commuter.TestCase) { tc.Calls[0].Proc = 7 }, "sv6", nil, "process 7"},
+		{"op", func(tc *commuter.TestCase) { tc.Calls[1].Op = "frob" }, "linux", nil, "known ops:"},
+		{"op-of-another-spec", func(*commuter.TestCase) {}, "memq", []commuter.Option{commuter.WithSpec("queue")}, "known ops:"},
+	} {
+		bad := ts.Tests[0]
+		bad.ID = "mistaken-" + tc.name
+		tc.edit(&bad)
+		_, lerr := local.Check(ctx, tc.kernel, []commuter.TestCase{ts.Tests[0], bad}, tc.opts...)
+		_, rerr := cli.Check(ctx, tc.kernel, []commuter.TestCase{ts.Tests[0], bad}, tc.opts...)
+		for binding, err := range map[string]error{"local": lerr, "remote": rerr} {
+			if !commuter.IsBadRequest(err) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %s: err = %v (bad request: %v), want a bad request saying %q",
+					tc.name, binding, err, commuter.IsBadRequest(err), tc.want)
+			}
+		}
+		if lerr != nil && rerr != nil && lerr.Error() != rerr.Error() {
+			t.Errorf("%s: error text diverged:\nlocal:  %s\nremote: %s", tc.name, lerr, rerr)
+		}
+	}
+}
+
 // TestRemoteSweepServerCache pins the serve-side shared cache: a cold
 // sweep misses, a warm rerun of the same request hits both tiers and
 // recomputes nothing.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"os"
 	"reflect"
@@ -79,6 +80,9 @@ func TestReplayerAdmission(t *testing.T) {
 					})
 					if err == nil || !strings.Contains(err.Error(), tc.ID) {
 						t.Errorf("%s: err = %v, want one naming the test", tc.ID, err)
+					}
+					if admitted := h.name == "unknown-op"; errors.Is(err, kernel.ErrInadmissible) == admitted {
+						t.Errorf("%s: err = %v; only what Admit refuses is kernel.ErrInadmissible", tc.ID, err)
 					}
 					if d := time.Since(start); d > time.Second {
 						t.Errorf("%s: refused after %v", tc.ID, d)

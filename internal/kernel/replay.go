@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"context"
+	"errors"
 	"fmt"
 )
 
@@ -64,6 +65,10 @@ func groupBySetup(tests []TestCase) [][]int {
 // a file's length.
 const maxExtent = 64
 
+// ErrInadmissible is what errors.Is finds in every error Admit returns: the
+// test itself is at fault — whoever wrote it, not the pipeline.
+var ErrInadmissible = errors.New("inadmissible test")
+
 // Admit reports whether a Replayer may hand tc to a kernel: it validates
 // what this package can know about a test without its spec. Processes are 0
 // or 1 wherever one is named, setup names are exactly what Fname renders and
@@ -125,7 +130,7 @@ func Admit(tc *TestCase) error {
 		}
 	}
 	if why != "" {
-		return fmt.Errorf("test %s: %s", tc.ID, why)
+		return fmt.Errorf("%w %s: %s", ErrInadmissible, tc.ID, why)
 	}
 	return nil
 }

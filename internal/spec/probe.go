@@ -70,16 +70,17 @@ func PlanProbes(dicts ...*symx.Dict) *ProbePlan {
 	return pl
 }
 
-// Eval evaluates the plan's probes under m, deduplicating by concrete key
-// and dropping absent locations (only present initial content needs
-// materializing). The result is valid until the next Eval.
+// Eval evaluates the plan's probes under m — booleans as 0/1, what m leaves
+// undetermined as zero — deduplicating by concrete key and dropping absent
+// locations (only present initial content needs materializing). The result
+// is valid until the next Eval.
 func (pl *ProbePlan) Eval(m sym.Model) []Probe {
 	pl.keys, pl.ints, pl.out = pl.keys[:0], pl.ints[:0], pl.out[:0]
 entries:
 	for _, e := range pl.entries {
 		at := len(pl.ints)
 		for _, ke := range e.Key {
-			pl.ints = append(pl.ints, evalInt64(m, ke))
+			pl.ints = append(pl.ints, m.Int(ke, 0))
 		}
 		key := pl.ints[at:]
 		for _, k := range pl.keys {
@@ -89,7 +90,7 @@ entries:
 			}
 		}
 		pl.keys = append(pl.keys, key)
-		if e.InitPresentVar != nil && !EvalBool(m, e.InitPresentVar, false) {
+		if e.InitPresentVar != nil && !m.Bool(e.InitPresentVar, false) {
 			continue
 		}
 		p := Probe{Key: key}
@@ -97,42 +98,13 @@ entries:
 			at = len(pl.ints)
 			p.names = e.InitVal.FieldOrder
 			for _, name := range p.names {
-				pl.ints = append(pl.ints, evalInt64(m, e.InitVal.Fields[name]))
+				pl.ints = append(pl.ints, m.Int(e.InitVal.Fields[name], 0))
 			}
 			p.vals = pl.ints[at:]
 		}
 		pl.out = append(pl.out, p)
 	}
 	return pl.out
-}
-
-// evalInt64 evaluates e under m as a probe stores it: booleans as 0/1,
-// undetermined expressions as zero.
-func evalInt64(m sym.Model, e *sym.Expr) int64 {
-	if e.Sort.Kind != sym.KindBool {
-		return EvalInt(m, e, 0)
-	}
-	if EvalBool(m, e, false) {
-		return 1
-	}
-	return 0
-}
-
-// EvalInt evaluates e under m, defaulting to def when m leaves it
-// undetermined (the variable was irrelevant to the condition).
-func EvalInt(m sym.Model, e *sym.Expr, def int64) int64 {
-	if v, ok := m.TryEval(e); ok {
-		return v.Int
-	}
-	return def
-}
-
-// EvalBool is EvalInt for boolean expressions.
-func EvalBool(m sym.Model, e *sym.Expr, def bool) bool {
-	if v, ok := m.TryEval(e); ok {
-		return v.Bool
-	}
-	return def
 }
 
 // BacklogItems mines one FIFO's concrete backlog from a probed cursor

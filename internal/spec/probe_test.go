@@ -22,7 +22,11 @@ type mapProbe struct {
 }
 
 // collectProbes is the reference ProbePlan.Eval must agree with: the
-// per-model walk it replaced, filtering and deduplicating as it goes.
+// per-model walk it replaced, filtering and deduplicating as it goes. Both
+// sides read the model through sym's one evaluator, so what this pins is the
+// walk — which entries are probes, that a location's first entry decides it,
+// the order — not the evaluation (internal/sym's fuzz targets hold that to
+// a reference of its own).
 func collectProbes(m sym.Model, dicts ...*symx.Dict) []mapProbe {
 	var out []mapProbe
 	seen := map[string]bool{}
@@ -34,13 +38,7 @@ func collectProbes(m sym.Model, dicts ...*symx.Dict) []mapProbe {
 			key := make([]int64, len(e.Key))
 			ks := ""
 			for i, ke := range e.Key {
-				if ke.Sort.Kind == sym.KindBool {
-					if spec.EvalBool(m, ke, false) {
-						key[i] = 1
-					}
-				} else {
-					key[i] = spec.EvalInt(m, ke, 0)
-				}
+				key[i] = m.Int(ke, 0)
 				ks += fmt.Sprintf(",%d", key[i])
 			}
 			if seen[ks] {
@@ -50,14 +48,14 @@ func collectProbes(m sym.Model, dicts ...*symx.Dict) []mapProbe {
 			p := mapProbe{Key: key, Fields: map[string]int64{}, Bools: map[string]bool{}}
 			present := true
 			if e.InitPresentVar != nil {
-				present = spec.EvalBool(m, e.InitPresentVar, false)
+				present = m.Bool(e.InitPresentVar, false)
 			}
 			if present && e.InitVal != nil {
 				for name, fe := range e.InitVal.Fields {
 					if fe.Sort.Kind == sym.KindBool {
-						p.Bools[name] = spec.EvalBool(m, fe, false)
+						p.Bools[name] = m.Bool(fe, false)
 					} else {
-						p.Fields[name] = spec.EvalInt(m, fe, 0)
+						p.Fields[name] = m.Int(fe, 0)
 					}
 				}
 			}
@@ -145,15 +143,24 @@ func TestProbePlanMatchesPerModelWalk(t *testing.T) {
 			// Models no path condition allows: every key undetermined, so
 			// all of a dictionary's locations collide, under alternating
 			// membership — the first entry of a location decides it, also
-			// when it is absent and a later one present.
+			// when it is absent and a later one present. The solver builds
+			// them, from one literal per presence variable.
 			for parity := 0; parity < 2; parity++ {
-				m := sym.Model{}
+				present := map[*sym.Expr]bool{}
 				for i := range da {
 					for j, e := range slices.Concat(da[i].Entries(), db[i].Entries()) {
 						if e.InitPresentVar != nil {
-							m[e.InitPresentVar.Name] = sym.Value{Sort: sym.BoolSort, Bool: j%2 == parity}
+							present[e.InitPresentVar] = j%2 == parity
 						}
 					}
+				}
+				var lits []*sym.Expr
+				for v, is := range present {
+					lits = append(lits, sym.Eq(v, sym.Bool(is)))
+				}
+				m, ok := (&sym.Solver{}).Solve(sym.And(lits...))
+				if !ok {
+					t.Fatal("no model of a conjunction of literals over distinct variables")
 				}
 				check(m)
 			}

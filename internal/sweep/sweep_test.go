@@ -317,9 +317,13 @@ func TestSweepProgressAndArtifact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fromArtifact, err := ReadArtifact(&artifact)
-	if err != nil {
-		t.Fatal(err)
+	var fromArtifact []PairResult
+	for dec := json.NewDecoder(&artifact); dec.More(); {
+		var pr PairResult
+		if err := dec.Decode(&pr); err != nil {
+			t.Fatal(err)
+		}
+		fromArtifact = append(fromArtifact, pr)
 	}
 	sort.Slice(fromArtifact, func(i, j int) bool {
 		if fromArtifact[i].OpA != fromArtifact[j].OpA {

@@ -7,7 +7,7 @@ import (
 
 // The benchmarks below cover the layers the hash-consed engine
 // accelerates: constructing path-condition-shaped formulas (interning),
-// evaluating shared DAGs under a model (partialEval), and the
+// evaluating shared DAGs under a model (Model.Bool), and the
 // solver's cone-of-influence queries, searched and remembered. Run them
 // with
 //
@@ -44,24 +44,23 @@ func BenchmarkConstructPathCondition(b *testing.B) {
 	}
 }
 
-// BenchmarkTryEvalSharedDAG measures evaluation under a total model of a
+// BenchmarkModelEvalSharedDAG measures evaluation under a total model of a
 // deep Ite-chain DAG with heavy subterm sharing — the shape
 // DictsEquivalent produces, and what TESTGEN's concretizers evaluate per
 // test. Every guard is decided, so the walk follows one branch per level.
-func BenchmarkTryEvalSharedDAG(b *testing.B) {
+func BenchmarkModelEvalSharedDAG(b *testing.B) {
 	fn := Uninterpreted("BenchName")
 	k := Var("dagk", fn)
 	chain := Var("dagv", IntSort)
-	m := Model{"dagk": {Sort: fn, Int: 1}, "dagv": {Sort: IntSort, Int: 0}}
+	m := modelOf([]*Expr{k, chain}, 1, 0)
 	for i := 0; i < 64; i++ {
 		guard := Eq(k, Const(fn, int64(i%8)))
 		chain = Ite(guard, Add(chain, Int(1)), chain)
-		m[fmt.Sprintf("dagc%d", i)] = Value{Sort: IntSort, Int: int64(i)}
 	}
 	cond := And(Le(chain, Int(64)), Ge(chain, Int(0)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if v, ok := m.TryEval(cond); !ok || !v.Bool {
+		if !m.Bool(cond, false) {
 			b.Fatal("expected decided-true")
 		}
 	}

@@ -83,32 +83,31 @@ func (g *exprGen) boolTerm(depth int) *Expr {
 // range without changing any predicate).
 func bruteSat(e *Expr) bool {
 	vars := Vars(e)
-	m := Model{}
+	m := refModel{}
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == len(vars) {
-			v, ok := m.TryEval(e)
-			return ok && v.Bool
+			return m.holds(e)
 		}
 		v := vars[i]
 		switch v.Sort.Kind {
 		case KindBool:
 			for _, b := range []bool{false, true} {
-				m[v.Name] = Value{Sort: BoolSort, Bool: b}
+				m[v.Name] = refValue{Sort: BoolSort, Bool: b}
 				if rec(i + 1) {
 					return true
 				}
 			}
 		case KindInt:
 			for x := int64(-2); x <= 5; x++ {
-				m[v.Name] = Value{Sort: IntSort, Int: x}
+				m[v.Name] = refValue{Sort: IntSort, Int: x}
 				if rec(i + 1) {
 					return true
 				}
 			}
 		case KindUnint:
 			for x := int64(0); x <= 3; x++ {
-				m[v.Name] = Value{Sort: v.Sort, Int: x}
+				m[v.Name] = refValue{Sort: v.Sort, Int: x}
 				if rec(i + 1) {
 					return true
 				}
@@ -131,14 +130,15 @@ func TestSolverAgainstBruteForce(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d: solver=%v brute=%v for %v", trial, got, want, e)
 		}
-		// Models returned must actually satisfy the formula.
+		// Models returned must actually satisfy the formula, under the
+		// reference evaluator and under the model's own.
 		if got {
 			m, ok := s.Solve(e)
 			if !ok {
 				t.Fatalf("trial %d: Sat true but Solve failed", trial)
 			}
-			if v, k := m.TryEval(e); !k || !v.Bool {
-				t.Fatalf("trial %d: model does not satisfy %v: %v", trial, e, m)
+			if ref := byName(m, e.vars); !ref.holds(e) || !m.Bool(e, false) {
+				t.Fatalf("trial %d: model does not satisfy %v: %v", trial, e, ref)
 			}
 		}
 	}
@@ -212,13 +212,13 @@ func TestSharedSolverMatchesFreshPerQuery(t *testing.T) {
 			switch q.entry {
 			case 0:
 				m, ok := s.Solve(q.e)
-				return fmt.Sprint(ok, m), s.Budget()
+				return fmt.Sprint(ok, byName(m, q.e.vars)), s.Budget()
 			case 1:
 				return fmt.Sprint(s.SatAssuming(q.e, q.extra)), s.Budget()
 			default:
 				var models []string
 				s.Enumerate(q.e, func(m Model) bool {
-					models = append(models, fmt.Sprint(m))
+					models = append(models, fmt.Sprint(byName(m, q.e.vars)))
 					return len(models) < 4
 				})
 				return fmt.Sprint(models), s.Budget()

@@ -135,7 +135,7 @@ func TestVarsSorted(t *testing.T) {
 func TestQuickSimplifyPreservesEval(t *testing.T) {
 	x, y := Var("x", IntSort), Var("y", IntSort)
 	f := func(xv, yv int8, pick uint8) bool {
-		m := Model{"x": {Sort: IntSort, Int: int64(xv)}, "y": {Sort: IntSort, Int: int64(yv)}}
+		m := modelOf([]*Expr{x, y}, int64(xv), int64(yv))
 		var e, ref *Expr
 		switch pick % 5 {
 		case 0:
@@ -149,8 +149,7 @@ func TestQuickSimplifyPreservesEval(t *testing.T) {
 		default:
 			e, ref = Le(x, y), &Expr{Op: OpLe, Sort: BoolSort, Args: []*Expr{x, y}}
 		}
-		a, b := m.Eval(e), m.Eval(ref)
-		return a.Int == b.Int && a.Bool == b.Bool
+		return m.Int(e, -1) == m.Int(ref, -2)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

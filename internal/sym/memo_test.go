@@ -64,7 +64,7 @@ func refCone(conjs []*Expr, extra *Expr) []*Expr {
 }
 
 // bruteOver decides conjs by trying every combination of the candidate
-// values a search over conjs would draw from, evaluating through Model
+// values a search over conjs would draw from, evaluating through refModel
 // and partialEval: the oracle of the search itself — its backtracking,
 // its conflict sets, its evaluator — whatever the domains are worth.
 func bruteOver(conjs []*Expr) bool {
@@ -75,15 +75,14 @@ func bruteOver(conjs []*Expr) bool {
 	}
 	doms := (&Solver{}).domains(conjs)
 	e := And(conjs...)
-	m := Model{}
+	m := refModel{}
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == len(doms) {
-			v, ok := m.TryEval(e)
-			return ok && v.Bool
+			return m.holds(e)
 		}
 		for _, val := range doms[i].vals {
-			m[doms[i].v.Name] = val
+			m[doms[i].v.Name] = refValueOf(doms[i].v.Sort, val)
 			if rec(i + 1) {
 				return true
 			}
@@ -225,8 +224,8 @@ func TestBackjumpingEscapesThrash(t *testing.T) {
 
 	var s Solver
 	m, ok := s.Solve(And(conjs...))
-	if !ok || m["thrash.x"].Int != 3 || m["thrash.z"].Int != 2 {
-		t.Fatalf("Solve = %v, %v; want x = 3, z = 2", m, ok)
+	if !ok || m.Int(x, 0) != 3 || m.Int(z, 0) != 2 {
+		t.Fatalf("Solve = %v, %v; want x = 3, z = 2", byName(m, []*Expr{x, z}), ok)
 	}
 	chronological := 1
 	for _, d := range s.doms {
@@ -243,7 +242,7 @@ func TestBackjumpingEscapesThrash(t *testing.T) {
 		wide = append(wide, Var("thrash.b"+string(rune('0'+i)), BoolSort))
 	}
 	wide = append(wide, Lt(z, x), Ge(z, Int(2)))
-	if m, ok := s.Solve(And(wide...)); !ok || m["thrash.x"].Int != 3 || len(s.doms) != 72 || s.steps > 1000 {
-		t.Errorf("72 variables: ok=%v x=%v after %d steps; want x = 3 within 1000", ok, m["thrash.x"], s.steps)
+	if m, ok := s.Solve(And(wide...)); !ok || m.Int(x, 0) != 3 || len(s.doms) != 72 || s.steps > 1000 {
+		t.Errorf("72 variables: ok=%v x=%v after %d steps; want x = 3 within 1000", ok, m.Int(x, 0), s.steps)
 	}
 }

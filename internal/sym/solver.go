@@ -2,181 +2,59 @@ package sym
 
 import (
 	"encoding/binary"
-	"fmt"
 	"slices"
 	"time"
 )
 
-// Value is a concrete value assigned to a variable by a model.
-type Value struct {
-	Sort Sort
-	Int  int64 // integer value, or uninterpreted element id
-	Bool bool
-}
-
-func (v Value) String() string {
-	switch v.Sort.Kind {
-	case KindBool:
-		return fmt.Sprintf("%v", v.Bool)
-	case KindInt:
-		return fmt.Sprintf("%d", v.Int)
-	default:
-		return fmt.Sprintf("%s!%d", v.Sort.Name, v.Int)
-	}
-}
-
-// Model maps variable names to concrete values.
-type Model map[string]Value
-
-// Eval evaluates e under m; it panics if e contains variables not bound by m.
-func (m Model) Eval(e *Expr) Value {
-	v, ok := partialEval(e, m)
-	if !ok {
-		panic("sym: Eval with incomplete model for " + e.String())
-	}
-	return v
-}
-
-// EvalBool evaluates a boolean expression under m.
-func (m Model) EvalBool(e *Expr) bool { return m.Eval(e).Bool }
-
-// TryEval evaluates e as far as m determines it; ok reports whether the
-// value is decided.
-func (m Model) TryEval(e *Expr) (Value, bool) { return partialEval(e, m) }
-
-// EvalInt evaluates an integer or uninterpreted expression under m.
-func (m Model) EvalInt(e *Expr) int64 { return m.Eval(e).Int }
-
-// Clone returns a copy of the model.
-func (m Model) Clone() Model {
-	out := make(Model, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// partialEval evaluates e as far as the (possibly partial) assignment
-// allows. The second result reports whether the value is determined. Boolean
-// connectives short-circuit so that, e.g., a conjunction with one known-false
-// conjunct is known false even when other conjuncts mention unassigned
-// variables.
-func partialEval(e *Expr, m Model) (Value, bool) {
-	switch e.Op {
-	case OpConst:
-		return Value{Sort: e.Sort, Int: e.Int, Bool: e.Bool}, true
-	case OpVar:
-		v, ok := m[e.Name]
-		return v, ok
-	case OpNot:
-		v, ok := partialEval(e.Args[0], m)
-		if !ok {
-			return Value{}, false
-		}
-		return Value{Sort: BoolSort, Bool: !v.Bool}, true
-	case OpAnd:
-		all := true
-		for _, a := range e.Args {
-			v, ok := partialEval(a, m)
-			if !ok {
-				all = false
-				continue
-			}
-			if !v.Bool {
-				return Value{Sort: BoolSort, Bool: false}, true
-			}
-		}
-		return Value{Sort: BoolSort, Bool: true}, all
-	case OpOr:
-		all := true
-		for _, a := range e.Args {
-			v, ok := partialEval(a, m)
-			if !ok {
-				all = false
-				continue
-			}
-			if v.Bool {
-				return Value{Sort: BoolSort, Bool: true}, true
-			}
-		}
-		return Value{Sort: BoolSort, Bool: false}, all
-	case OpEq:
-		a, aok := partialEval(e.Args[0], m)
-		b, bok := partialEval(e.Args[1], m)
-		if !aok || !bok {
-			return Value{}, false
-		}
-		var eq bool
-		if a.Sort.Kind == KindBool {
-			eq = a.Bool == b.Bool
-		} else {
-			eq = a.Int == b.Int
-		}
-		return Value{Sort: BoolSort, Bool: eq}, true
-	case OpLt, OpLe:
-		a, aok := partialEval(e.Args[0], m)
-		b, bok := partialEval(e.Args[1], m)
-		if !aok || !bok {
-			return Value{}, false
-		}
-		if e.Op == OpLt {
-			return Value{Sort: BoolSort, Bool: a.Int < b.Int}, true
-		}
-		return Value{Sort: BoolSort, Bool: a.Int <= b.Int}, true
-	case OpAdd, OpSub, OpMul:
-		a, aok := partialEval(e.Args[0], m)
-		b, bok := partialEval(e.Args[1], m)
-		if !aok || !bok {
-			return Value{}, false
-		}
-		var r int64
-		switch e.Op {
-		case OpAdd:
-			r = a.Int + b.Int
-		case OpSub:
-			r = a.Int - b.Int
-		default:
-			r = a.Int * b.Int
-		}
-		return Value{Sort: IntSort, Int: r}, true
-	case OpIte:
-		c, cok := partialEval(e.Args[0], m)
-		if !cok {
-			// Both branches agreeing would still determine the value.
-			a, aok := partialEval(e.Args[1], m)
-			b, bok := partialEval(e.Args[2], m)
-			if aok && bok && a.Sort == b.Sort && a.Int == b.Int && a.Bool == b.Bool {
-				return a, true
-			}
-			return Value{}, false
-		}
-		if c.Bool {
-			return partialEval(e.Args[1], m)
-		}
-		return partialEval(e.Args[2], m)
-	}
-	panic("sym: unknown op")
-}
-
-// asn is the solver's internal assignment: dense arrays indexed by the
-// interned variable id, avoiding string hashing on the search hot path.
-type asn struct {
-	vals []Value
+// Model is an assignment of variables: one int64 word per interned
+// variable id — a boolean as 0 or 1, an element of an uninterpreted sort as
+// its id, an integer as itself — and a flag per id saying whether the
+// variable is bound. It is the assignment the search itself fills, not a
+// copy of it: the Model an Enumerate leaf receives binds exactly the
+// formula's variables and is valid until the leaf returns, after which the
+// search rebinds it. Solve returns a detached copy. The zero Model binds
+// nothing.
+type Model struct {
+	vals []int64
 	set  []bool
 }
 
-// evalBoolIdx and evalIntIdx mirror partialEval over an array-indexed
-// assignment, specialized by result kind so the hot search loop moves
-// (bool, bool) and (int64, bool) pairs instead of fat Value structs. They
-// must stay in sync with partialEval; they exist because assignment
-// lookups dominate the solver's profile.
-func evalBoolIdx(e *Expr, a *asn) (res, known bool) {
+// Int evaluates e under m, a boolean expression as 0 or 1, and returns def
+// where m leaves it undetermined (a variable the formula never mentioned).
+func (m Model) Int(e *Expr, def int64) int64 {
+	if e.Sort.Kind == KindBool {
+		if m.Bool(e, def != 0) {
+			return 1
+		}
+		return 0
+	}
+	if v, ok := evalIntIdx(e, &m); ok {
+		return v
+	}
+	return def
+}
+
+// Bool is Int for a boolean expression.
+func (m Model) Bool(e *Expr, def bool) bool {
+	if v, ok := evalBoolIdx(e, &m); ok {
+		return v
+	}
+	return def
+}
+
+// evalBoolIdx and evalIntIdx are the one evaluator: the search prunes with
+// them and a Model answers through them. They evaluate e as far as the
+// (possibly partial) assignment allows, specialized by result kind; known
+// reports whether the value is determined. Boolean connectives
+// short-circuit so that, e.g., a conjunction with one known-false conjunct
+// is known false even when other conjuncts mention unbound variables.
+func evalBoolIdx(e *Expr, a *Model) (res, known bool) {
 	switch e.Op {
 	case OpConst:
 		return e.Bool, true
 	case OpVar:
 		if e.VarID < len(a.set) && a.set[e.VarID] {
-			return a.vals[e.VarID].Bool, true
+			return a.vals[e.VarID] != 0, true
 		}
 		return false, false
 	case OpNot:
@@ -239,13 +117,13 @@ func evalBoolIdx(e *Expr, a *asn) (res, known bool) {
 
 // evalIntIdx evaluates integer and uninterpreted-sort expressions (both
 // carry their value in Int) over an array-indexed assignment.
-func evalIntIdx(e *Expr, a *asn) (res int64, known bool) {
+func evalIntIdx(e *Expr, a *Model) (res int64, known bool) {
 	switch e.Op {
 	case OpConst:
 		return e.Int, true
 	case OpVar:
 		if e.VarID < len(a.set) && a.set[e.VarID] {
-			return a.vals[e.VarID].Int, true
+			return a.vals[e.VarID], true
 		}
 		return 0, false
 	case OpAdd, OpSub, OpMul:
@@ -285,7 +163,12 @@ func evalIntIdx(e *Expr, a *asn) (res int64, known bool) {
 // candidate domains and enumerates their models. The zero value is ready
 // to use.
 //
-// A Solver owns the scratch its searches work in — the assignment arrays,
+// There is one evaluator (evalBoolIdx, evalIntIdx) and one value word: the
+// search binds int64s in a Model, prunes by evaluating conjuncts under it,
+// and hands that same Model to an Enumerate leaf, which reads it through
+// the same evaluator.
+//
+// A Solver owns the scratch its searches work in — the assignment,
 // the variable positions, the candidate domains, the constant walk's
 // visited set, the per-depth conjunct lists — and clears and reuses it
 // from one search to the next instead of reallocating it, so the ~140
@@ -324,14 +207,13 @@ type Solver struct {
 	memo map[string]bool
 
 	// Scratch indexed by interned variable id (see growVars for its size).
-	// Backtracking always unsets what it set, so the assignment arrays are
-	// clean between searches; varPos (1 + the variable's position in doms,
+	// Backtracking always unsets what it set, so the assignment binds
+	// nothing between searches; varPos (1 + the variable's position in doms,
 	// 0 for a variable not in the search) is zeroed from the previous
 	// search's doms when the next one starts.
-	asnVals []Value
-	asnSet  []bool
-	varPos  []int
-	inCone  []bool // all false between cone computations
+	asn    Model
+	varPos []int
+	inCone []bool // all false between cone computations
 
 	// Scratch of the query in progress (see SatAssumingConjs, domains and
 	// search).
@@ -344,7 +226,6 @@ type Solver struct {
 	conf        []uint64
 	visited     map[*Expr]struct{}
 	ints        []int64
-	intVals     []Value
 	sorts       []sortDomain
 }
 
@@ -386,7 +267,7 @@ const stopCheckMask = 1<<10 - 1
 
 type domain struct {
 	v    *Expr
-	vals []Value
+	vals []int64
 }
 
 // sortDomain is what one search knows about one uninterpreted sort. A
@@ -396,7 +277,6 @@ type sortDomain struct {
 	sort  Sort
 	nvars int     // variables of the sort in the search
 	ids   []int64 // element ids: the formula's constants, then the domain
-	vals  []Value // candidate domain, built for the sort's first variable
 }
 
 // sortDom returns the record of sort so, adding it on first sight. The
@@ -420,8 +300,7 @@ func (s *Solver) growVars() {
 	varMu.Unlock()
 	s.varPos = append(s.varPos, make([]int, n-len(s.varPos))...)
 	s.inCone = append(s.inCone, make([]bool, n-len(s.inCone))...)
-	s.asnVals = make([]Value, n)
-	s.asnSet = make([]bool, n)
+	s.asn = Model{vals: make([]int64, n), set: make([]bool, n)}
 }
 
 // collectConsts records the integer and uninterpreted constants under x.
@@ -450,7 +329,7 @@ func (s *Solver) collectConsts(x *Expr) {
 // the conjunct list, in first-occurrence order, into the Solver's scratch:
 // the result and every vals slice in it are valid until the next search.
 //
-// Booleans get {false, true}. Each uninterpreted sort gets n element ids
+// Booleans get {0, 1}. Each uninterpreted sort gets n element ids
 // besides its constants in the formula, the smallest ones that are not
 // among those, where n is the number of variables of that sort: by the
 // small-model property of equality logic this is sufficient.
@@ -462,7 +341,7 @@ func (s *Solver) domains(conjs []*Expr) []domain {
 	}
 	for i := range s.sorts {
 		sd := &s.sorts[i]
-		sd.nvars, sd.ids, sd.vals = 0, sd.ids[:0], sd.vals[:0]
+		sd.nvars, sd.ids = 0, sd.ids[:0]
 	}
 	doms := s.doms[:0]
 	for _, c := range conjs {
@@ -492,88 +371,66 @@ func (s *Solver) domains(conjs []*Expr) []domain {
 	}
 	slices.Sort(s.ints)
 	s.ints = slices.Compact(s.ints)
-	s.intVals = s.intVals[:0]
+	for i := range s.sorts {
+		sd := &s.sorts[i]
+		slices.Sort(sd.ids)
+		sd.ids = slices.Compact(sd.ids)
+		consts := sd.ids
+		for next := int64(0); len(sd.ids) < len(consts)+sd.nvars; next++ {
+			if _, isConst := slices.BinarySearch(consts, next); !isConst {
+				sd.ids = append(sd.ids, next)
+			}
+		}
+		slices.Sort(sd.ids)
+	}
 
-	// Candidate value slices are shared between same-sort variables (and
-	// never mutated by the search), so each is built once per call.
+	// Candidate value slices are shared between same-sort variables and
+	// never mutated by the search.
 	for i := range doms {
 		d := &doms[i]
 		switch d.v.Sort.Kind {
 		case KindBool:
 			d.vals = boolVals
 		case KindInt:
-			if len(s.intVals) == 0 {
-				for _, iv := range s.ints {
-					s.intVals = append(s.intVals, Value{Sort: IntSort, Int: iv})
-				}
-			}
-			d.vals = s.intVals
+			d.vals = s.ints
 		case KindUnint:
-			sd := s.sortDom(d.v.Sort)
-			if len(sd.vals) == 0 {
-				slices.Sort(sd.ids)
-				sd.ids = slices.Compact(sd.ids)
-				consts := sd.ids
-				for next := int64(0); len(sd.ids) < len(consts)+sd.nvars; next++ {
-					if _, isConst := slices.BinarySearch(consts, next); !isConst {
-						sd.ids = append(sd.ids, next)
-					}
-				}
-				slices.Sort(sd.ids)
-				for _, id := range sd.ids {
-					sd.vals = append(sd.vals, Value{Sort: sd.sort, Int: id})
-				}
-			}
-			d.vals = sd.vals
+			d.vals = s.sortDom(d.v.Sort).ids
 		}
 	}
 	return doms
 }
 
 // boolVals is the shared candidate domain of every boolean variable.
-var boolVals = []Value{{Sort: BoolSort, Bool: false}, {Sort: BoolSort, Bool: true}}
+var boolVals = []int64{0, 1}
 
-// Solve returns a model of e, or ok=false if e is unsatisfiable over the
-// finite candidate domains (or the step budget was exceeded; see Budget).
-func (s *Solver) Solve(e *Expr) (Model, bool) {
-	var found Model
+// Solve returns a model of e, detached from the search that found it, or
+// ok=false if e is unsatisfiable over the finite candidate domains (or the
+// step budget was exceeded; see Budget).
+func (s *Solver) Solve(e *Expr) (found Model, ok bool) {
 	s.Enumerate(e, func(m Model) bool {
-		found = m.Clone() // the emitted map is reused by the enumerator
-		return false      // stop at first model
+		found, ok = Model{vals: slices.Clone(m.vals), set: slices.Clone(m.set)}, true
+		return false // stop at first model
 	})
-	return found, found != nil
+	return found, ok
 }
 
 // Sat reports whether e is satisfiable over the finite candidate domains.
-func (s *Solver) Sat(e *Expr) bool {
-	_, ok := s.Solve(e)
-	return ok
-}
+func (s *Solver) Sat(e *Expr) bool { return s.search(Conjuncts(e), nil) }
 
-// Enumerate invokes cb for each model of e until cb returns false or the
-// space is exhausted. The Model passed to cb is reused; clone it to keep it.
-func (s *Solver) Enumerate(e *Expr, cb func(Model) bool) {
-	// One map, cleared and refilled per model: dense enumerations with
-	// filtering callbacks would otherwise allocate a map per model.
-	var reused Model
-	s.search(Conjuncts(e), func(doms []domain, a *asn) bool {
-		if reused == nil {
-			reused = make(Model, len(doms))
-		}
-		clear(reused)
-		for _, d := range doms {
-			reused[d.v.Name] = a.vals[d.v.VarID]
-		}
-		return cb(reused)
-	})
-}
+// Enumerate invokes cb for each model of e, in the order chronological
+// enumeration of the candidate domains gives, until cb returns false or
+// the space is exhausted. The Model is the search's assignment itself, so
+// a model costs nothing to hand over: it is valid until cb returns, and
+// what cb wants to keep it reads out (Int, Bool) before then.
+func (s *Solver) Enumerate(e *Expr, cb func(Model) bool) { s.search(Conjuncts(e), cb) }
 
 // search is the one backtracking search behind every entry point. It
 // walks the total assignments satisfying the implicit conjunction conjs —
 // callers pass conjunct lists so that cone-of-influence queries need not
 // intern a transient And node — and reports whether it reached one. At
 // each it calls leaf, when non-nil, and goes on while leaf returns true;
-// a nil leaf stops at the first, so a yes/no question builds no Model.
+// a nil leaf stops at the first. The leaf's Model is the assignment being
+// searched, bound at every variable of conjs.
 //
 // The search evaluates each conjunct exactly once per candidate — at the
 // depth where its last free variable gets assigned — so pruning costs are
@@ -589,7 +446,7 @@ func (s *Solver) Enumerate(e *Expr, cb func(Model) bool) {
 // them. A leaf that asks to go on reports that it depends on every level,
 // so only subtrees holding no model are ever skipped: models come in the
 // order chronological backtracking visits them, and all of them come.
-func (s *Solver) search(conjs []*Expr, leaf func([]domain, *asn) bool) (found bool) {
+func (s *Solver) search(conjs []*Expr, leaf func(Model) bool) (found bool) {
 	if s.searching {
 		panic("sym: Solver used re-entrantly (a search is in progress on it)")
 	}
@@ -633,7 +490,7 @@ func (s *Solver) search(conjs []*Expr, leaf func([]domain, *asn) bool) (found bo
 		}
 		if last < 0 {
 			// Ground conjunct: constructors fold these, but guard anyway.
-			if v, ok := partialEval(conj, nil); ok && !v.Bool {
+			if v, ok := evalBoolIdx(conj, &Model{}); ok && !v {
 				return false
 			}
 			continue
@@ -655,14 +512,14 @@ func (s *Solver) search(conjs []*Expr, leaf func([]domain, *asn) bool) (found bo
 	if maxSteps == 0 {
 		maxSteps = 5_000_000
 	}
-	a := &asn{vals: s.asnVals, set: s.asnSet}
+	a := &s.asn
 	// rec reports whether the search goes on; when it does, level i's
 	// conflict set is what the subtree's failure depended on.
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == n {
 			found = true
-			return leaf != nil && leaf(doms, a)
+			return leaf != nil && leaf(*a)
 		}
 		d := doms[i]
 		id := d.v.VarID

@@ -14,16 +14,16 @@ func TestSolveSimpleEquality(t *testing.T) {
 	if !ok {
 		t.Fatal("a==b should be satisfiable")
 	}
-	if m["a"].Int != m["b"].Int {
-		t.Errorf("model does not satisfy a==b: %v", m)
+	if m.Int(a, -1) != m.Int(b, -2) {
+		t.Errorf("model does not satisfy a==b: %v", byName(m, []*Expr{a, b}))
 	}
 
 	m, ok = s.Solve(Ne(a, b))
 	if !ok {
 		t.Fatal("a!=b should be satisfiable")
 	}
-	if m["a"].Int == m["b"].Int {
-		t.Errorf("model does not satisfy a!=b: %v", m)
+	if m.Int(a, -1) == m.Int(b, -1) {
+		t.Errorf("model does not satisfy a!=b: %v", byName(m, []*Expr{a, b}))
 	}
 
 	if s.Sat(And(Eq(a, b), Ne(a, b))) {
@@ -39,8 +39,8 @@ func TestSolveIntArithmetic(t *testing.T) {
 	if !ok {
 		t.Fatal("x+y=3, x<y, x>=0 should be satisfiable")
 	}
-	if m["x"].Int+m["y"].Int != 3 || m["x"].Int >= m["y"].Int || m["x"].Int < 0 {
-		t.Errorf("bad model %v", m)
+	if xv, yv := m.Int(x, -1), m.Int(y, -1); xv+yv != 3 || xv >= yv || xv < 0 {
+		t.Errorf("bad model %v", byName(m, e.vars))
 	}
 }
 
@@ -94,8 +94,8 @@ func TestSmallModelPropertyDomains(t *testing.T) {
 	if !ok {
 		t.Fatal("three distinct names should be satisfiable")
 	}
-	if m["a"].Int == m["b"].Int || m["b"].Int == m["c"].Int || m["a"].Int == m["c"].Int {
-		t.Errorf("bad model %v", m)
+	if av, bv, cv := m.Int(a, -1), m.Int(b, -1), m.Int(c, -1); av == bv || bv == cv || av == cv {
+		t.Errorf("bad model %v", byName(m, e.vars))
 	}
 }
 
@@ -108,8 +108,8 @@ func TestSolveWithUninterpretedConstants(t *testing.T) {
 	if !ok {
 		t.Fatal("a distinct from two constants should be satisfiable")
 	}
-	if m["a"].Int == 0 || m["a"].Int == 1 {
-		t.Errorf("bad model %v", m)
+	if av := m.Int(a, 0); av == 0 || av == 1 {
+		t.Errorf("bad model %v", byName(m, e.vars))
 	}
 }
 
@@ -123,8 +123,8 @@ func TestIteSolving(t *testing.T) {
 	if !ok {
 		t.Fatal("should be satisfiable")
 	}
-	if m["x"].Int != 1 || !m["p"].Bool {
-		t.Errorf("bad model %v", m)
+	if m.Int(x, 0) != 1 || !m.Bool(p, false) {
+		t.Errorf("bad model %v", byName(m, e.vars))
 	}
 }
 
@@ -172,7 +172,7 @@ func TestQuickSolveModelsSatisfy(t *testing.T) {
 		if !ok {
 			return true // unsat is acceptable for some combinations
 		}
-		return m.EvalBool(e)
+		return byName(m, e.vars).holds(e) && m.Bool(e, false)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -16,7 +16,7 @@ import (
 func TestClassFormulaDegenerate(t *testing.T) {
 	x := sym.Var("cfd.x", sym.IntSort)
 	k := sym.Var("cfd.k", model.FilenameSort)
-	m := sym.Model{"cfd.x": {Sort: sym.IntSort, Int: 1}, "cfd.k": {Sort: model.FilenameSort, Int: 0}}
+	m := modelOf([]*sym.Expr{x, k}, 1, 0)
 	for _, vars := range [][]*sym.Expr{nil, {x}, {x, k}} {
 		if distinguishes(vars) {
 			t.Errorf("%v: no two models can differ in class, yet distinguishes is true", vars)

@@ -9,20 +9,37 @@ import (
 	"repro/internal/sym"
 )
 
+// modelOf asks the solver for the model binding each variable to its value
+// (a boolean as 0 or 1): a conjunction of equalities has one.
+func modelOf(vars []*sym.Expr, vals ...int64) sym.Model {
+	conj := make([]*sym.Expr, len(vars))
+	for i, v := range vars {
+		switch v.Sort.Kind {
+		case sym.KindBool:
+			conj[i] = sym.Eq(v, sym.Bool(vals[i] != 0))
+		case sym.KindInt:
+			conj[i] = sym.Eq(v, sym.Int(vals[i]))
+		default:
+			conj[i] = sym.Eq(v, sym.Const(v.Sort, vals[i]))
+		}
+	}
+	m, ok := (&sym.Solver{}).Solve(sym.And(conj...))
+	if !ok {
+		panic("no model of a conjunction of bindings")
+	}
+	return m
+}
+
 // classFormula is the oracle for classSignature, and what TESTGEN used
 // before it: the isomorphism class of model m over vars as a formula.
 // Boolean variables keep their values, and every same-sort pair of
 // non-boolean variables keeps its equal/distinct relation, so a model is in
-// m's class exactly when it satisfies the formula.
+// m's class exactly when it satisfies the formula. m binds every variable.
 func classFormula(m sym.Model, vars []*sym.Expr) *sym.Expr {
 	var conj []*sym.Expr
 	for i, x := range vars {
-		xv, ok := m[x.Name]
-		if !ok {
-			continue
-		}
 		if x.Sort.Kind == sym.KindBool {
-			if xv.Bool {
+			if m.Bool(x, false) {
 				conj = append(conj, x)
 			} else {
 				conj = append(conj, sym.Not(x))
@@ -33,11 +50,7 @@ func classFormula(m sym.Model, vars []*sym.Expr) *sym.Expr {
 			if y.Sort != x.Sort {
 				continue
 			}
-			yv, ok := m[y.Name]
-			if !ok {
-				continue
-			}
-			if xv.Int == yv.Int {
+			if m.Int(x, 0) == m.Int(y, 0) {
 				conj = append(conj, sym.Eq(x, y))
 			} else {
 				conj = append(conj, sym.Ne(x, y))
@@ -61,13 +74,16 @@ func signatureOf(m sym.Model, vars []*sym.Expr) string {
 func TestQuickClassSignatureMatchesFormula(t *testing.T) {
 	sorts := []sym.Sort{sym.BoolSort, sym.IntSort, sym.Uninterpreted("ClsA"), sym.Uninterpreted("ClsB")}
 	randomModel := func(r *rand.Rand, vars []*sym.Expr) sym.Model {
-		m := sym.Model{}
-		for _, v := range vars {
+		vals := make([]int64, len(vars))
+		for i, v := range vars {
 			// Three values per sort: collisions are common, and so are
 			// all-distinct triples.
-			m[v.Name] = sym.Value{Sort: v.Sort, Int: int64(r.Intn(3)), Bool: r.Intn(2) == 0}
+			vals[i] = int64(r.Intn(3))
+			if v.Sort.Kind == sym.KindBool {
+				vals[i] = int64(r.Intn(2))
+			}
 		}
-		return m
+		return modelOf(vars, vals...)
 	}
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -83,9 +99,9 @@ func TestQuickClassSignatureMatchesFormula(t *testing.T) {
 		}
 		sig1, sig2 := signatureOf(m1, vars), signatureOf(m2, vars)
 		same := sig1 == sig2
-		if covered := m2.EvalBool(cf); same != covered {
-			t.Logf("vars %v\nm1 %v -> %q\nm2 %v -> %q\nformula %v holds in m2: %v",
-				vars, m1, sig1, m2, sig2, cf, covered)
+		if covered := m2.Bool(cf, false); same != covered {
+			t.Logf("vars %v\nm1 -> %q\nm2 -> %q\nformula %v holds in m2: %v",
+				vars, sig1, sig2, cf, covered)
 			return false
 		}
 		return true
@@ -101,10 +117,7 @@ func TestQuickClassSignatureMatchesFormula(t *testing.T) {
 func TestSeenClassCostsNoAllocation(t *testing.T) {
 	s := sym.Uninterpreted("ClsA")
 	vars := []*sym.Expr{sym.Var("cls.a", s), sym.Var("cls.b", s), sym.Var("cls.c", sym.BoolSort), sym.Var("cls.d", sym.IntSort)}
-	m := sym.Model{
-		"cls.a": {Sort: s, Int: 2}, "cls.b": {Sort: s, Int: 2},
-		"cls.c": {Sort: sym.BoolSort, Bool: true}, "cls.d": {Sort: sym.IntSort, Int: 7},
-	}
+	m := modelOf(vars, 2, 2, 1, 7)
 	var sc sigScratch
 	classes := map[string]bool{string(sc.classSignature(m, vars)): true}
 	n := testing.AllocsPerRun(100, func() {

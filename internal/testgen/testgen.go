@@ -200,19 +200,15 @@ type sigScratch struct {
 func (s *sigScratch) classSignature(m sym.Model, vars []*sym.Expr) []byte {
 	vals, sig := s.vals[:0], s.sig[:0]
 	for i, x := range vars {
-		v := m[x.Name]
-		vals = append(vals, v.Int)
+		v := m.Int(x, 0)
+		vals = append(vals, v)
 		if x.Sort.Kind == sym.KindBool {
-			if v.Bool {
-				sig = append(sig, 't')
-			} else {
-				sig = append(sig, 'f')
-			}
+			sig = append(sig, "ft"[v])
 			continue
 		}
 		first := i
 		for j, y := range vars[:i] {
-			if y.Sort == x.Sort && vals[j] == v.Int {
+			if y.Sort == x.Sort && vals[j] == v {
 				first = j
 				break
 			}
@@ -249,17 +245,11 @@ func fillCall(c *kernel.Call, op *spec.Op, vars []*sym.Expr, m sym.Model) {
 	for i, as := range op.Args {
 		switch v := vars[i]; {
 		case as.Name == "proc":
-			if spec.EvalBool(m, v, false) {
-				c.Proc = 1
-			}
+			c.Proc = int(m.Int(v, 0))
 		case as.Sort.Kind == sym.KindBool:
-			if spec.EvalBool(m, v, false) {
-				c.Args[as.Name] = 1
-			} else {
-				c.Args[as.Name] = 0
-			}
+			c.Args[as.Name] = m.Int(v, 0)
 		default:
-			c.Args[as.Name] = spec.EvalInt(m, v, max(as.Min, 0))
+			c.Args[as.Name] = m.Int(v, max(as.Min, 0))
 		}
 	}
 }

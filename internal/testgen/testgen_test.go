@@ -182,29 +182,17 @@ func TestClassFormula(t *testing.T) {
 	x, y := sym.Var("x", fn), sym.Var("y", fn)
 	b := sym.Var("b", sym.BoolSort)
 	vars := []*sym.Expr{x, y, b}
-	m := sym.Model{
-		"x": {Sort: fn, Int: 1},
-		"y": {Sort: fn, Int: 1},
-		"b": {Sort: sym.BoolSort, Bool: true},
-	}
+	m := modelOf(vars, 1, 1, 1)
 	f := classFormula(m, vars)
-	if !m.EvalBool(f) {
+	if !m.Bool(f, false) {
 		t.Error("class formula must hold in its defining model")
 	}
-	renamed := sym.Model{
-		"x": {Sort: fn, Int: 2},
-		"y": {Sort: fn, Int: 2},
-		"b": {Sort: sym.BoolSort, Bool: true},
-	}
-	if !renamed.EvalBool(f) || signatureOf(renamed, vars) != signatureOf(m, vars) {
+	renamed := modelOf(vars, 2, 2, 1)
+	if !renamed.Bool(f, false) || signatureOf(renamed, vars) != signatureOf(m, vars) {
 		t.Error("renaming values must stay in the class")
 	}
-	m2 := sym.Model{
-		"x": {Sort: fn, Int: 1},
-		"y": {Sort: fn, Int: 2},
-		"b": {Sort: sym.BoolSort, Bool: true},
-	}
-	if m2.EvalBool(f) {
+	m2 := modelOf(vars, 1, 2, 1)
+	if m2.Bool(f, true) {
 		t.Error("different equality pattern must violate the class formula")
 	}
 	if signatureOf(m2, vars) == signatureOf(m, vars) {

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -16,10 +17,12 @@ import (
 	"time"
 )
 
-// MaxBody bounds a buffered response body, mirroring the serve side's
+// maxBody bounds a buffered response body, mirroring the serve side's
 // request bound: a TESTGEN entry for the heaviest pair is well under a
-// megabyte, so 64 MiB is a defect detector, not a real limit.
-const MaxBody = 64 << 20
+// megabyte, so 64 MiB is a defect detector, not a real limit — and a longer
+// answer is an error saying so, never its first 64 MiB. A variable so that
+// a test can lower it.
+var maxBody int64 = 64 << 20
 
 // Client issues requests against one server.
 type Client struct {
@@ -83,17 +86,22 @@ func (c *Client) Do(ctx context.Context, method, path string, body []byte) (*htt
 	return resp, nil
 }
 
-// Bytes is Do for a buffered answer: the whole body, up to MaxBody. Reading
-// to the end is also what returns the connection to the keep-alive pool.
+// Bytes is Do for a buffered answer: the whole body, which is an error when
+// it is longer than maxBody. Reading to the end is also what returns the
+// connection to the keep-alive pool.
 func (c *Client) Bytes(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	resp, err := c.Do(ctx, method, path, body)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, MaxBody))
+	// One byte past the bound tells a body that ends there from a longer one.
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBody+1))
 	if err != nil && ctx.Err() != nil {
 		err = ctx.Err()
+	}
+	if err == nil && int64(len(data)) > maxBody {
+		return nil, fmt.Errorf("%s %s: answer is longer than the %d-byte bound on a buffered body", method, path, maxBody)
 	}
 	return data, err
 }

@@ -79,3 +79,34 @@ func TestExchange(t *testing.T) {
 		t.Errorf("cancelled call = %v, want the bare context.Canceled", err)
 	}
 }
+
+// TestBytesRefusesAnAnswerPastTheBound: a body that ends at the bound comes
+// back whole; one byte more is an error naming the bound and the route, not
+// the first maxBody bytes with a nil error.
+func TestBytesRefusesAnAnswerPastTheBound(t *testing.T) {
+	defer func(old int64) { maxBody = old }(maxBody)
+	maxBody = 1 << 10
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := int(maxBody)
+		if r.URL.Path == "/over" {
+			n++
+		}
+		for ; n > 0; n -= 256 {
+			w.Write([]byte(strings.Repeat("x", min(n, 256))))
+			w.(http.Flusher).Flush()
+		}
+	}))
+	defer srv.Close()
+	c, err := New(srv.URL, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.CloseIdle()
+	if data, err := c.Bytes(context.Background(), http.MethodGet, "/at", nil); err != nil || int64(len(data)) != maxBody {
+		t.Errorf("a body of exactly the bound = %d bytes, %v", len(data), err)
+	}
+	data, err := c.Bytes(context.Background(), http.MethodGet, "/over", nil)
+	if err == nil || data != nil || !strings.Contains(err.Error(), "GET /over") || !strings.Contains(err.Error(), "1024-byte bound") {
+		t.Errorf("a body one byte past the bound = %d bytes, %v; want an error naming the route and the bound", len(data), err)
+	}
+}
