@@ -86,7 +86,7 @@ type (
 // (Progress).
 type SweepUpdate struct {
 	// Progress is the per-pair progress report (Done/Total counters and
-	// timings), nil on the terminal update.
+	// timings; its Result is Pair), nil on the terminal update.
 	Progress *SweepEvent
 	// Pair is the finished pair's full result, nil on the terminal
 	// update.

@@ -259,9 +259,7 @@ func (localClient) SweepStream(ctx context.Context, opts ...Option) iter.Seq2[Sw
 			runErr error
 		)
 		cfg.Progress = func(ev sweep.Event) {
-			upd := SweepUpdate{Pair: ev.Result}
-			ev.Result = nil
-			upd.Progress = &ev
+			upd := SweepUpdate{Pair: ev.Result, Progress: &ev}
 			select {
 			case updates <- upd:
 			case <-sctx.Done():

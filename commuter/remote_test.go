@@ -92,6 +92,31 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestSweepStreamProgressCarriesPair pins what the sweep.Event doc
+// promises through either binding: every non-terminal update's
+// Progress.Result points at the finished pair, the update's Pair.
+func TestSweepStreamProgressCarriesPair(t *testing.T) {
+	remote, _ := newLoopback(t)
+	for name, cli := range map[string]commuter.Client{"Local": commuter.Local(), "Dial": remote} {
+		updates := 0
+		for upd, err := range cli.SweepStream(context.Background(), commuter.WithSpec("queue"), commuter.WithOps("send", "recv")) {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if upd.Result != nil {
+				continue
+			}
+			updates++
+			if upd.Progress == nil || upd.Progress.Result == nil || !reflect.DeepEqual(upd.Progress.Result, upd.Pair) {
+				t.Errorf("%s: update %d has Progress %+v beside Pair %+v", name, updates, upd.Progress, upd.Pair)
+			}
+		}
+		if updates != 3 {
+			t.Errorf("%s: %d updates for 3 pairs", name, updates)
+		}
+	}
+}
+
 // TestRemotePipelineMatchesLocal pins the request-response endpoints:
 // specs, analysis and testgen+check must agree across the wire.
 func TestRemotePipelineMatchesLocal(t *testing.T) {

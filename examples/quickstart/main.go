@@ -38,14 +38,18 @@ func main() {
 		history.SIMCommutes(spec, x, y, obs))
 
 	// The rule says a conflict-free implementation of the region exists.
-	// Build the paper's Figure 2 construction and verify.
+	// Build the paper's Figure 2 construction and trace the region on the
+	// mtrace memory its components live on, as CHECK traces a test.
 	m := history.NewScalable(x, y, history.NewPutMax)
-	for _, o := range x.Concat(y) {
+	for i, o := range x.Concat(y) {
+		if i == len(x) {
+			m.Memory().Start()
+		}
 		ret := m.Invoke(o.Thread, o.Class, o.Args)
 		fmt.Printf("  %v -> %v\n", o, ret)
 	}
-	conflicts := history.Conflicts(m.Log(), len(x), len(x)+len(y))
-	fmt.Printf("conflicts inside the commutative region: %v (empty = scales)\n\n", conflicts)
+	m.Memory().Stop()
+	fmt.Printf("conflicts inside the commutative region: %v (empty = scales)\n\n", m.Memory().Conflicts())
 
 	fmt.Println("== COMMUTER on a POSIX pair: open x open ==")
 	ctx := context.Background()

@@ -3,92 +3,54 @@ package history
 import (
 	"fmt"
 	"sort"
-)
 
-// CompAccess records one component access by a machine step.
-type CompAccess struct {
-	// Step is the index of the invocation being executed.
-	Step int
-	// Thread is the invoking thread.
-	Thread int
-	// Comp names the state component.
-	Comp string
-	// Write distinguishes writes from reads.
-	Write bool
-}
+	"repro/internal/mtrace"
+)
 
 // store is a component store with access tracking, the executable analog of
 // §3.3's state tuples: a machine step "writes component i" when it changes
-// it and "reads component i" when the component may affect the step.
+// it and "reads component i" when the component may affect the step. Each
+// component is one cell of a traced memory, so two steps conflict exactly
+// when mtrace says their cells do; the values stay in comps.
 type store struct {
+	mem   *mtrace.Memory
 	comps map[string]any
-	log   []CompAccess
-	step  int
+	cells map[string]*mtrace.Cell
 	th    int
 }
 
-func newStore() *store { return &store{comps: map[string]any{}} }
+func newStore() *store {
+	return &store{mem: mtrace.NewMemory(), comps: map[string]any{}, cells: map[string]*mtrace.Cell{}}
+}
+
+// cell returns the component's cell, allocating it at first touch.
+func (s *store) cell(name string) *mtrace.Cell {
+	c, ok := s.cells[name]
+	if !ok {
+		c = s.mem.NewCell(name, 0)
+		s.cells[name] = c
+	}
+	return c
+}
 
 func (s *store) read(name string) any {
-	s.log = append(s.log, CompAccess{Step: s.step, Thread: s.th, Comp: name})
+	s.cell(name).Load(s.th)
 	return s.comps[name]
 }
 
 func (s *store) write(name string, v any) {
-	s.log = append(s.log, CompAccess{Step: s.step, Thread: s.th, Comp: name, Write: true})
+	s.cell(name).Store(s.th, 0)
 	s.comps[name] = v
-}
-
-// Conflicts analyzes a machine's access log within the step index range
-// [from, to): two accesses conflict when they are from different threads,
-// touch the same component, and at least one is a write.
-func Conflicts(log []CompAccess, from, to int) []string {
-	type compStat struct {
-		writers map[int]bool
-		readers map[int]bool
-	}
-	stats := map[string]*compStat{}
-	for _, a := range log {
-		if a.Step < from || a.Step >= to {
-			continue
-		}
-		st := stats[a.Comp]
-		if st == nil {
-			st = &compStat{writers: map[int]bool{}, readers: map[int]bool{}}
-			stats[a.Comp] = st
-		}
-		if a.Write {
-			st.writers[a.Thread] = true
-		} else {
-			st.readers[a.Thread] = true
-		}
-	}
-	var out []string
-	for comp, st := range stats {
-		conflicted := len(st.writers) > 1
-		if !conflicted && len(st.writers) == 1 {
-			for r := range st.readers {
-				for w := range st.writers {
-					if r != w {
-						conflicted = true
-					}
-				}
-			}
-		}
-		if conflicted {
-			out = append(out, comp)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Machine executes invocations serially, producing responses.
 type Machine interface {
 	// Invoke runs one operation on the given thread.
 	Invoke(thread int, class string, args []int64) []int64
-	// Log returns the access log so far.
-	Log() []CompAccess
+	// Memory is the traced memory the machine's components live on, thread
+	// t's steps accessing it as core t: wrap a region in Start and Stop and
+	// read its Conflicts.
+	Memory() *mtrace.Memory
 }
 
 // NonScalable is Figure 1's constructed implementation mns: it replays the
@@ -108,12 +70,11 @@ func NewNonScalable(h History, ref func() RefState) *NonScalable {
 	return m
 }
 
-// Log implements Machine.
-func (m *NonScalable) Log() []CompAccess { return m.st.log }
+// Memory implements Machine.
+func (m *NonScalable) Memory() *mtrace.Memory { return m.st.mem }
 
 // Invoke implements Machine.
 func (m *NonScalable) Invoke(thread int, class string, args []int64) []int64 {
-	defer func() { m.st.step++ }()
 	m.st.th = thread
 
 	hv := m.st.read("h")
@@ -192,12 +153,11 @@ func cComp(t int) string { return fmt.Sprintf("commute[%d]", t) }
 // a t-local component, so it adds no conflicts.
 func dComp(t int) string { return fmt.Sprintf("donecommute[%d]", t) }
 
-// Log implements Machine.
-func (m *Scalable) Log() []CompAccess { return m.st.log }
+// Memory implements Machine.
+func (m *Scalable) Memory() *mtrace.Memory { return m.st.mem }
 
 // Invoke implements Machine.
 func (m *Scalable) Invoke(thread int, class string, args []int64) []int64 {
-	defer func() { m.st.step++ }()
 	m.st.th = thread
 	t := thread
 

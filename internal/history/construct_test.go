@@ -31,8 +31,11 @@ var putMaxY = History{
 func TestNonScalableReplaysAndConflicts(t *testing.T) {
 	h := putMaxX.Concat(putMaxY)
 	m := NewNonScalable(h, NewPutMax)
-	runMachine(t, m, h)
-	cs := Conflicts(m.Log(), len(putMaxX), len(h))
+	runMachine(t, m, putMaxX)
+	m.Memory().Start()
+	runMachine(t, m, putMaxY)
+	m.Memory().Stop()
+	cs := m.Memory().Conflicts()
 	if len(cs) == 0 {
 		t.Error("mns must conflict on its shared history component")
 	}
@@ -56,9 +59,11 @@ func TestNonScalableDivergenceEmulates(t *testing.T) {
 // steps are conflict-free — the constructive heart of the rule's proof.
 func TestConstructedScalableImplConflictFree(t *testing.T) {
 	m := NewScalable(putMaxX, putMaxY, NewPutMax)
-	h := putMaxX.Concat(putMaxY)
-	runMachine(t, m, h)
-	cs := Conflicts(m.Log(), len(putMaxX), len(h))
+	runMachine(t, m, putMaxX)
+	m.Memory().Start()
+	runMachine(t, m, putMaxY)
+	m.Memory().Stop()
+	cs := m.Memory().Conflicts()
 	if len(cs) != 0 {
 		t.Errorf("commutative region must be conflict-free, got conflicts on %v", cs)
 	}
@@ -70,8 +75,10 @@ func TestConstructedScalableImplConflictFree(t *testing.T) {
 func TestConstructedScalableImplCounter(t *testing.T) {
 	y := History{op(0, "inc", nil, 0), op(1, "inc", nil, 0)}
 	m := NewScalable(nil, y, NewCounter)
+	m.Memory().Start()
 	runMachine(t, m, y)
-	if cs := Conflicts(m.Log(), 0, len(y)); len(cs) != 0 {
+	m.Memory().Stop()
+	if cs := m.Memory().Conflicts(); len(cs) != 0 {
 		t.Errorf("commutative region conflicts: %v", cs)
 	}
 }
@@ -81,9 +88,11 @@ func TestConstructedScalableImplCounter(t *testing.T) {
 func TestConstructedScalableImplReorderedRegion(t *testing.T) {
 	for _, y2 := range Reorderings(putMaxY) {
 		m := NewScalable(putMaxX, putMaxY, NewPutMax)
-		h := putMaxX.Concat(y2)
-		runMachine(t, m, h)
-		cs := Conflicts(m.Log(), len(putMaxX), len(h))
+		runMachine(t, m, putMaxX)
+		m.Memory().Start()
+		runMachine(t, m, y2)
+		m.Memory().Stop()
+		cs := m.Memory().Conflicts()
 		if len(cs) != 0 {
 			t.Errorf("reordering %v: conflicts on %v", y2, cs)
 		}
@@ -123,14 +132,19 @@ func TestPutMaxAlternativeRegions(t *testing.T) {
 	}
 	// Strategy 1: scale the two puts (per-thread maxima); max reconciles.
 	m1 := NewScalable(nil, h[:2], NewPutMax)
+	m1.Memory().Start()
 	runMachine(t, m1, h[:2])
-	if cs := Conflicts(m1.Log(), 0, 2); len(cs) != 0 {
+	m1.Memory().Stop()
+	if cs := m1.Memory().Conflicts(); len(cs) != 0 {
 		t.Errorf("puts region should be conflict-free, got %v", cs)
 	}
 	// Strategy 2: scale put||max after the first put (global max already 1).
 	m2 := NewScalable(h[:1], h[1:], NewPutMax)
-	runMachine(t, m2, h)
-	if cs := Conflicts(m2.Log(), 1, 3); len(cs) != 0 {
+	runMachine(t, m2, h[:1])
+	m2.Memory().Start()
+	runMachine(t, m2, h[1:])
+	m2.Memory().Stop()
+	if cs := m2.Memory().Conflicts(); len(cs) != 0 {
 		t.Errorf("put||max region should be conflict-free, got %v", cs)
 	}
 	// The full H is not SIM-commutative, so no region covers all of it:
@@ -143,21 +157,5 @@ func TestPutMaxAlternativeRegions(t *testing.T) {
 	zs := ObserverUniverse(maxes, 1)
 	if SIMCommutes(s, nil, h, zs) {
 		t.Error("all of H must not SIM-commute")
-	}
-}
-
-// The conflict analyzer itself: cross-thread write/read on one component.
-func TestConflictsAnalyzer(t *testing.T) {
-	log := []CompAccess{
-		{Step: 0, Thread: 0, Comp: "x", Write: true},
-		{Step: 1, Thread: 1, Comp: "x"},
-		{Step: 2, Thread: 1, Comp: "y", Write: true},
-	}
-	if cs := Conflicts(log, 0, 3); len(cs) != 1 || cs[0] != "x" {
-		t.Errorf("Conflicts = %v", cs)
-	}
-	// Restricting the window to the last step hides the x conflict.
-	if cs := Conflicts(log, 2, 3); len(cs) != 0 {
-		t.Errorf("windowed Conflicts = %v", cs)
 	}
 }

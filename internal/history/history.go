@@ -1,8 +1,9 @@
 // Package history implements the paper's §3 formalism: histories of
 // actions, specifications, SI and SIM commutativity, implementations as
-// step functions with component-level access tracking, and the constructed
-// implementations of Figures 1 and 2 whose conflict-freedom inside
-// SIM-commutative regions proves the scalable commutativity rule.
+// step functions whose state components are mtrace cells, and the
+// constructed implementations of Figures 1 and 2 whose conflict-freedom
+// inside SIM-commutative regions proves the scalable commutativity rule —
+// judged by mtrace, the conflict rule CHECK applies to the kernels.
 //
 // Histories here are serial: each invocation is immediately followed by its
 // response, so a history is a sequence of completed operations. This is the

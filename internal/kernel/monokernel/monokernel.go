@@ -50,6 +50,10 @@ type fdslot struct {
 	f    *file
 }
 
+// pipe is Linux's: one lock around both cursors, and readers compare head
+// with tail, so any read conflicts with any write. It stays beside
+// scale.FIFO, sv6's pipe, as the non-scalable baseline, the way
+// scale.SharedCounter stays beside scale.Refcache.
 type pipe struct {
 	id    int64 // names the slot cells, so reports tell two pipes apart
 	lock  *scale.SpinLock

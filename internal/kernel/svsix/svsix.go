@@ -21,8 +21,8 @@
 //     source's inode and checks name existence without reading inodes,
 //   - pages live in radix arrays; reads probe per-page presence instead of
 //     the shared length where possible,
-//   - pipes keep head and tail on separate cache lines so reads and
-//     writes of a non-empty pipe are conflict-free,
+//   - a pipe is a scale.FIFO: head and tail on separate cache lines, so
+//     reads and writes of a non-empty pipe are conflict-free,
 //   - the address space is a RadixVM-style radix array: operations on
 //     different pages touch disjoint cells, with no process-wide lock.
 //
@@ -79,19 +79,13 @@ type file struct {
 	inum int64
 }
 
+// pipe is a scale.FIFO labeled pipe[<id>] — readers own head, writers own
+// tail, so read||write of a non-empty pipe is conflict-free (§4's
+// weak-ordering discussion) — plus refs, the deliberately shared pipe-FD
+// reference count that §6.4 reports as a difficult-to-scale case.
 type pipe struct {
-	id int64 // names the slot cells, so reports tell two pipes apart
-	// head and tail live on separate cache lines; readers write only
-	// head, writers only tail, so read||write of a non-empty pipe is
-	// conflict-free (§4's weak-ordering discussion). Readers detect
-	// emptiness from per-slot full flags rather than reading the
-	// writer-owned tail.
-	head  *mtrace.Cell
-	tail  *mtrace.Cell
-	items map[int64]*mtrace.Cell
-	full  map[int64]*mtrace.Cell
-	// refs is the deliberately shared pipe-FD reference count that §6.4
-	// reports as a difficult-to-scale case.
+	*scale.FIFO
+	id   int64 // names the cells, so reports tell two pipes apart
 	refs *mtrace.Cell
 }
 
@@ -203,34 +197,10 @@ func (k *Kern) inode(inum int64) *inode {
 }
 
 func (k *Kern) newPipe(id int64) *pipe {
-	p := &pipe{
-		id:    id,
-		head:  k.mem.NewCellf(0, "pipe[%d].head", id),
-		tail:  k.mem.NewCellf(0, "pipe[%d].tail", id),
-		items: map[int64]*mtrace.Cell{},
-		full:  map[int64]*mtrace.Cell{},
-		refs:  k.mem.NewCellf(0, "pipe[%d].refs", id),
-	}
+	p := &pipe{FIFO: scale.NewFIFO(k.mem, fmt.Sprintf("pipe[%d]", id)), id: id}
+	p.refs = k.mem.NewCellf(0, "pipe[%d].refs", id)
 	mtrace.SetKey(k.mem, k.pipes, id, p)
 	return p
-}
-
-func (p *pipe) item(mem *mtrace.Memory, seq int64) *mtrace.Cell {
-	c, ok := p.items[seq]
-	if !ok {
-		c = mem.NewCellf(0, "pipe[%d].item[%d]", p.id, seq)
-		p.items[seq] = c
-	}
-	return c
-}
-
-func (p *pipe) slotFull(mem *mtrace.Memory, seq int64) *mtrace.Cell {
-	c, ok := p.full[seq]
-	if !ok {
-		c = mem.NewCellf(0, "pipe[%d].full[%d]", p.id, seq)
-		p.full[seq] = c
-	}
-	return c
 }
 
 // fget resolves a descriptor by reading only the slot cell — no reference
@@ -296,12 +266,7 @@ func (k *Kern) Apply(s kernel.Setup) {
 		ino.nlink.Poke(ino.nlink.Peek() + 1)
 	}
 	for _, sp := range s.Pipes {
-		p := k.newPipe(sp.ID)
-		for i, v := range sp.Items {
-			p.item(k.mem, int64(i)).Poke(v)
-			p.slotFull(k.mem, int64(i)).Poke(1)
-		}
-		p.tail.Poke(int64(len(sp.Items)))
+		k.newPipe(sp.ID).Seed(sp.Items)
 	}
 	for _, sd := range s.FDs {
 		p := k.procs[sd.Proc]

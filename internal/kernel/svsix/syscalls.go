@@ -182,8 +182,7 @@ func (k *Kern) fstat(core int, c kernel.Call) kernel.Result {
 		return kernel.Errno(kernel.EBADF)
 	}
 	if f.pipe != nil {
-		n := f.pipe.tail.Load(core) - f.pipe.head.Load(core)
-		return kernel.Result{V1: -f.pipe.id, V2: 1, V3: n}
+		return kernel.Result{V1: -f.pipe.id, V2: 1, V3: f.pipe.Len(core)}
 	}
 	return k.statResult(core, f.inum, c.ArgBool("nolink"))
 }
@@ -254,18 +253,10 @@ func (k *Kern) read(core int, c kernel.Call) kernel.Result {
 		if f.wend {
 			return kernel.Errno(kernel.EBADF)
 		}
-		p := f.pipe
-		// Readers own head, writers own tail; emptiness is detected
-		// from the head slot's full flag, so read||write of a non-empty
-		// pipe is conflict-free (§4 weak ordering).
-		h := p.head.Load(core)
-		fullCell := p.slotFull(k.mem, h)
-		if fullCell.Load(core) == 0 {
+		_, v, ok := f.pipe.Recv(core)
+		if !ok {
 			return kernel.Errno(kernel.EAGAIN)
 		}
-		v := p.item(k.mem, h).Load(core)
-		fullCell.Store(core, 0)
-		p.head.Store(core, h+1)
 		return kernel.Result{Code: 1, Data: v}
 	}
 	ino := k.inode(f.inum)
@@ -297,11 +288,7 @@ func (k *Kern) write(core int, c kernel.Call) kernel.Result {
 		if !f.wend {
 			return kernel.Errno(kernel.EBADF)
 		}
-		p := f.pipe
-		t := p.tail.Load(core)
-		p.item(k.mem, t).Store(core, val)
-		p.slotFull(k.mem, t).Store(core, 1)
-		p.tail.Store(core, t+1)
+		f.pipe.Send(core, val)
 		return kernel.Result{Code: 1}
 	}
 	ino := k.inode(f.inum)

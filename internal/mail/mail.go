@@ -17,7 +17,9 @@
 // The server drives the sv6 kernel for file system calls and models the
 // socket and spawn paths with traced cells on the same memory, so MTRACE
 // conflict analysis and coherence-simulator replay cover the whole
-// pipeline.
+// pipeline. Its sockets are the queue spec's: scale.FIFOs, the queues
+// memq implements `-spec queue` with — one shared for send/recv, one per
+// core for send_any/recv_any.
 package mail
 
 import (
@@ -39,18 +41,13 @@ type Config struct {
 type Server struct {
 	cfg Config
 	k   *svsix.Kern
-	mem *mtrace.Memory
 
-	// Ordered-socket state: one shared queue.
-	sockLock *scale.SpinLock
-	sockHead *mtrace.Cell
-	sockTail *mtrace.Cell
-	sockMsgs map[int64]*mtrace.Cell
-
-	// Unordered-socket state: per-core queues.
-	coreQHead [scale.NCores]*mtrace.Cell
-	coreQTail [scale.NCores]*mtrace.Cell
-	coreQMsgs map[int64]*mtrace.Cell
+	// sock[core] is the queue core's notifications go through: the one
+	// order-preserving socket every core shares, or under commutative APIs
+	// the core's own queue of the unordered socket (§4 "permit weak
+	// ordering"; scalable load balancing drains the local queue first, and
+	// the benchmark's pipeline always finds its own message there).
+	sock [scale.NCores]*scale.FIFO
 
 	// Process table: fork serializes on it; posix_spawn builds the child
 	// image from per-core state.
@@ -71,18 +68,18 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		k:         k,
-		mem:       mem,
-		sockLock:  scale.NewSpinLock(mem, "sock.lock"),
-		sockHead:  mem.NewCell("sock.head", 0),
-		sockTail:  mem.NewCell("sock.tail", 0),
-		sockMsgs:  map[int64]*mtrace.Cell{},
 		procLock:  scale.NewSpinLock(mem, "proctable.lock"),
 		procTable: mem.NewCell("proctable", 0),
-		coreQMsgs: map[int64]*mtrace.Cell{},
 	}
-	for i := range s.coreQHead {
-		s.coreQHead[i] = mem.NewCellf(0, "sock.q[%d].head", i)
-		s.coreQTail[i] = mem.NewCellf(0, "sock.q[%d].tail", i)
+	var shared *scale.FIFO
+	if !cfg.Commutative {
+		shared = scale.NewFIFO(mem, "sock")
+	}
+	for i := range s.coreProc {
+		s.sock[i] = shared
+		if cfg.Commutative {
+			s.sock[i] = scale.NewFIFO(mem, fmt.Sprintf("sock.q[%d]", i))
+		}
 		s.coreProc[i] = mem.NewCellf(0, "proc.slot[%d]", i)
 	}
 	for i := 0; i < 16; i++ {
@@ -95,67 +92,15 @@ func NewServer(cfg Config) *Server {
 func (s *Server) Kernel() kernel.Kernel { return s.k }
 
 // Memory exposes the traced memory.
-func (s *Server) Memory() *mtrace.Memory { return s.mem }
-
-func (s *Server) sockMsg(seq int64) *mtrace.Cell {
-	c, ok := s.sockMsgs[seq]
-	if !ok {
-		c = s.mem.NewCellf(0, "sock.msg[%d]", seq)
-		s.sockMsgs[seq] = c
-	}
-	return c
-}
-
-func (s *Server) coreQMsg(core int, seq int64) *mtrace.Cell {
-	key := int64(core)*1_000_000 + seq
-	c, ok := s.coreQMsgs[key]
-	if !ok {
-		c = s.mem.NewCellf(0, "sock.q[%d].msg[%d]", core, seq)
-		s.coreQMsgs[key] = c
-	}
-	return c
-}
+func (s *Server) Memory() *mtrace.Memory { return s.k.Memory() }
 
 // notify sends a queue notification carrying the envelope name id.
-func (s *Server) notify(core int, env int64) {
-	if s.cfg.Commutative {
-		// Unordered datagram socket: enqueue on the sender's core-local
-		// queue (§4 "permit weak ordering").
-		t := s.coreQTail[core].Load(core)
-		s.coreQMsg(core, t).Store(core, env)
-		s.coreQTail[core].Store(core, t+1)
-		return
-	}
-	// Order-preserving socket: one shared queue under a lock.
-	s.sockLock.Acquire(core)
-	t := s.sockTail.Load(core)
-	s.sockMsg(t).Store(core, env)
-	s.sockTail.Store(core, t+1)
-	s.sockLock.Release(core)
-}
+func (s *Server) notify(core int, env int64) { s.sock[core].Send(core, env) }
 
 // fetchNotification receives one queue notification.
 func (s *Server) fetchNotification(core int) (int64, bool) {
-	if s.cfg.Commutative {
-		// Scalable load balancing: drain the local queue first; the
-		// benchmark's pipeline always finds its own message there.
-		h := s.coreQHead[core].Load(core)
-		if h == s.coreQTail[core].Load(core) {
-			return 0, false
-		}
-		env := s.coreQMsg(core, h).Load(core)
-		s.coreQHead[core].Store(core, h+1)
-		return env, true
-	}
-	s.sockLock.Acquire(core)
-	defer s.sockLock.Release(core)
-	h := s.sockHead.Load(core)
-	if h == s.sockTail.Load(core) {
-		return 0, false
-	}
-	env := s.sockMsg(h).Load(core)
-	s.sockHead.Store(core, h+1)
-	return env, true
+	_, env, ok := s.sock[core].Recv(core)
+	return env, ok
 }
 
 // spawn models starting the delivery helper. fork snapshots the parent

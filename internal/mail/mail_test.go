@@ -1,9 +1,14 @@
 package mail
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/kernel"
+	"repro/internal/kernel/kerneltest"
+	"repro/internal/kernel/memq"
+	"repro/internal/mtrace"
 )
 
 func TestPipelineRunsBothConfigs(t *testing.T) {
@@ -109,4 +114,48 @@ func TestNameUniqueness(t *testing.T) {
 func call(t *testing.T, op string, args map[string]int64) kernel.Call {
 	t.Helper()
 	return kernel.Call{Op: op, Args: args}
+}
+
+// The Figure 7(c) server's sockets are what `-spec queue` certifies: from
+// empty queues, two cores' notifications conflict on exactly the cells
+// memq's send||send conflicts on, label aside, and in the commutative
+// configuration on none, like send_any||send_any.
+func TestSocketsAreTheQueueSpecs(t *testing.T) {
+	for _, tc := range []struct {
+		commutative bool
+		op          string
+	}{{false, "send"}, {true, "send_any"}} {
+		want := kerneltest.Check(func() kernel.Kernel { return memq.New() }, kernel.TestCase{ID: tc.op, Calls: [2]kernel.Call{
+			call(t, tc.op, map[string]int64{"val": 1}), call(t, tc.op, map[string]int64{"val": 2}),
+		}}).Conflicts
+		s := NewServer(Config{Commutative: tc.commutative})
+		s.Memory().Start()
+		s.notify(0, 1)
+		s.notify(1, 2)
+		s.Memory().Stop()
+		got := s.Memory().Conflicts()
+		if tc.commutative {
+			if len(got) != 0 || len(want) != 0 {
+				t.Errorf("commutative notify||notify conflicts on %v, memq send_any||send_any on %v", got, want)
+			}
+			continue
+		}
+		if len(want) == 0 || !reflect.DeepEqual(unlabeled(t, got, "sock"), unlabeled(t, want, "mq")) {
+			t.Errorf("regular notify||notify conflicts on %v, memq send||send on %v", got, want)
+		}
+	}
+}
+
+// unlabeled strips the queue label from every conflicting cell's name.
+func unlabeled(t *testing.T, cs []mtrace.Conflict, label string) []mtrace.Conflict {
+	t.Helper()
+	out := make([]mtrace.Conflict, len(cs))
+	for i, c := range cs {
+		if !strings.HasPrefix(c.CellName, label+".") {
+			t.Errorf("conflict on %s, outside the queue %s", c.CellName, label)
+		}
+		out[i] = c
+		out[i].CellName = strings.TrimPrefix(c.CellName, label)
+	}
+	return out
 }

@@ -1,7 +1,8 @@
 // Package scale implements the scalable-implementation substrates that
 // ScaleFS and RadixVM build on (§6.3 of the paper): Refcache-style scalable
-// reference counters, per-core identifier allocation, radix arrays and hash
-// directories with per-bucket locks — plus their conventional non-scalable
+// reference counters, per-core identifier allocation, radix arrays, hash
+// directories with per-bucket locks and the sv6 pipe's split-cursor FIFO
+// (fifo.go) — plus their conventional non-scalable
 // counterparts (shared counters, coarse locks) used by the Linux-like
 // baseline kernel.
 //

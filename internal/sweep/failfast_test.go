@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -9,9 +11,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analyzer"
 	"repro/internal/kernel"
 	"repro/internal/kernel/monokernel"
+	"repro/internal/model"
 	"repro/internal/spec"
+	"repro/internal/testgen"
 )
 
 // errSetup is the injected mid-sweep failure.
@@ -106,16 +111,20 @@ func TestSweepFailFastCleanShutdown(t *testing.T) {
 	}
 }
 
-// TestSweepSurvivesPoisonedTestgenEntry pins the other way a pair fails:
-// the TESTGEN tier serves whatever entry carries the right version and key
-// (a disk or a cache peer wrote it), so a test in it can name an op the
-// spec does not have. The kernel's panic over it must come back as the
-// sweep's error, naming pair and kernel — not kill the process from an
-// executor goroutine.
+// TestSweepSurvivesPoisonedTestgenEntry pins the other way a cached pair
+// can go wrong: the TESTGEN tier serves whatever entry carries the right
+// version and key (a disk or a cache peer wrote it), so a test in it can
+// name an op outside the pair. Such a hit is a miss: the sweep recomputes
+// the pair, renders the clean run's matrix and overwrites the entry.
 func TestSweepSurvivesPoisonedTestgenEntry(t *testing.T) {
 	cfg := Config{Ops: []*spec.Op{testOp(t, "stat"), testOp(t, "close")}, Kernels: testKernels(),
 		Cache: NewMemBackend(0), Workers: 2}
+	clean, err := runSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	key := TestgenKey("posix", "stat", "close", cfg.Analyzer, cfg.Testgen)
+	want, _ := cfg.Cache.GetTests(key)
 	poisoned := []kernel.TestCase{{ID: "stat-close-poisoned", Calls: [2]kernel.Call{
 		{Op: "stat", Args: map[string]int64{"fname": 0}},
 		{Op: "frob", Proc: 1},
@@ -124,12 +133,32 @@ func TestSweepSurvivesPoisonedTestgenEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := runSweep(cfg)
-	if err == nil || res != nil {
-		t.Fatalf("sweep over a poisoned entry: result %+v, err %v", res, err)
+	if err != nil {
+		t.Fatalf("sweep over a poisoned entry: %v", err)
 	}
-	for _, want := range []string{"stat/close", "linux", "stat-close-poisoned", "frob"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not name %q", err, want)
-		}
+	if got, want := stripTiming(res.Pairs), stripTiming(clean.Pairs); !reflect.DeepEqual(got, want) {
+		t.Errorf("sweep over a poisoned entry computed\n%+v\nnot the clean run's\n%+v", got, want)
+	}
+	if res.Cache.TestgenMisses != 1 || res.Cache.TestgenHits != 2 {
+		t.Errorf("cache %+v, want the poisoned entry as the one TESTGEN miss", res.Cache)
+	}
+	if got, _ := cfg.Cache.GetTests(key); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("the backend holds %d tests for stat/close, not the %d regenerated ones", len(got), len(want))
+	}
+}
+
+// TestPairTestsAllocatesNothing pins the cost of the check a warm sweep asks
+// of every TESTGEN hit, and that it accepts a pair's own tests only.
+func TestPairTestsAllocatesNothing(t *testing.T) {
+	a := testOp(t, "rename")
+	tests, _, err := PairTests(context.Background(), model.Spec, a, a, analyzer.Options{}, testgen.Options{}, &PairResult{})
+	if err != nil || len(tests) == 0 {
+		t.Fatalf("rename/rename: %d tests, %v", len(tests), err)
+	}
+	if !pairTests(tests, "rename", "rename") || pairTests(tests, "rename", "stat") {
+		t.Fatal("pairTests misjudges rename/rename's own tests")
+	}
+	if n := testing.AllocsPerRun(100, func() { pairTests(tests, "rename", "rename") }); n != 0 {
+		t.Errorf("pairTests allocates %v times per call", n)
 	}
 }

@@ -99,7 +99,7 @@ func TestReplayCancelDoesNotCacheTruncatedCell(t *testing.T) {
 	r := &run{cfg: Config{Cache: cache}}
 	out := PairResult{OpA: "stat", OpB: "stat"}
 	check := func(ctx context.Context) (stageOutcome[KernelCell], error) {
-		return checkStage.run(ctx, r, "ck-cancel-key", &out, func() (KernelCell, int, error) {
+		return checkStage.run(ctx, r, "ck-cancel-key", &out, nil, func() (KernelCell, int, error) {
 			cell, err := runCheck(ctx, ks, tests, &out)
 			return cell, 0, err
 		})

@@ -516,15 +516,17 @@ var (
 )
 
 // run returns the stage's outcome for key, computing only on a cache miss.
-// compute reports its value plus the unknown count behind it. out is
+// A cached value usable rejects (nil accepts every one) counts as a miss,
+// and the computed value overwrites it. compute reports its value plus the
+// unknown count behind it. out is
 // marked when the outcome was shared from a concurrent identical
 // execution; compute and the cache accounting always belong to the sweep
 // that executes, so phase times, solver work and hit/miss counts land on
 // the one that actually did the work. A sweep running alone is always its
 // own leader.
-func (s *stage[T]) run(ctx context.Context, r *run, key string, out *PairResult, compute func() (T, int, error)) (stageOutcome[T], error) {
+func (s *stage[T]) run(ctx context.Context, r *run, key string, out *PairResult, usable func(T) bool, compute func() (T, int, error)) (stageOutcome[T], error) {
 	o, st, err := s.flights.Do(ctx, flightID(r.cfg.Cache, key), func() (stageOutcome[T], error) {
-		return s.exec(r, key, compute)
+		return s.exec(r, key, usable, compute)
 	})
 	if st.Shared {
 		out.Coalesced = true
@@ -537,12 +539,13 @@ func (s *stage[T]) run(ctx context.Context, r *run, key string, out *PairResult,
 }
 
 // exec is the body of one stage execution: probe, compute, store.
-func (s *stage[T]) exec(r *run, key string, compute func() (T, int, error)) (stageOutcome[T], error) {
+func (s *stage[T]) exec(r *run, key string, usable func(T) bool, compute func() (T, int, error)) (stageOutcome[T], error) {
 	cache := r.cfg.Cache
 	if cache != nil {
 		// A hit is complete by construction (truncated results are never
 		// stored below), so unknown stays 0.
 		val, hit := s.get(cache, key)
+		hit = hit && (usable == nil || usable(val))
 		c := s.counts(&r.counters)
 		if hit {
 			c.hits.Add(1)
@@ -593,7 +596,9 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op) (PairResult, error) {
 	internHits0, _ := sym.InternStats()
 
 	tgKey := TestgenKey(r.sp.Name(), a.Name, b.Name, r.cfg.Analyzer, r.cfg.Testgen)
-	tg, err := testgenStage.run(ctx, r, tgKey, &out, func() ([]kernel.TestCase, int, error) {
+	tg, err := testgenStage.run(ctx, r, tgKey, &out, func(tests []kernel.TestCase) bool {
+		return pairTests(tests, a.Name, b.Name)
+	}, func() ([]kernel.TestCase, int, error) {
 		return PairTests(ctx, r.sp, a, b, r.cfg.Analyzer, r.cfg.Testgen, &out)
 	})
 	if err != nil {
@@ -604,7 +609,7 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op) (PairResult, error) {
 
 	out.Cached = tg.fromCache
 	for _, ks := range r.cfg.Kernels {
-		ck, err := checkStage.run(ctx, r, CheckKey(tgKey, ks.Name), &out, func() (KernelCell, int, error) {
+		ck, err := checkStage.run(ctx, r, CheckKey(tgKey, ks.Name), &out, nil, func() (KernelCell, int, error) {
 			cell, err := runCheck(ctx, ks, tg.val, &out)
 			return cell, tg.unknown, err
 		})
@@ -621,6 +626,21 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op) (PairResult, error) {
 	out.Solver.InternHits = int64(internHits1 - internHits0)
 	observePair(&out)
 	return out, nil
+}
+
+// pairTests reports whether tests can be the pair (a, b)'s: every test
+// calls a then b, and kernel.Admit accepts it. The TESTGEN tier serves
+// whatever entry carries the right version and key — a disk or a cache
+// peer wrote it — so a hit that fails this is recomputed, not replayed. It
+// allocates nothing: a warm sweep asks it of every pair.
+func pairTests(tests []kernel.TestCase, a, b string) bool {
+	for i := range tests {
+		tc := &tests[i]
+		if tc.Calls[0].Op != a || tc.Calls[1].Op != b || kernel.Admit(tc) != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // PairTests is the pipeline's one ANALYZE → TESTGEN sequence: it analyses
