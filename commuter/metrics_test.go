@@ -3,10 +3,13 @@ package commuter_test
 import (
 	"context"
 	"io"
+	"log/slog"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -72,6 +75,9 @@ func TestMetricsExpositionNames(t *testing.T) {
 		"# TYPE commuter_sym_intern_hits_total counter",
 		"# TYPE commuter_sym_intern_misses_total counter",
 		"# TYPE commuter_sym_intern_entries gauge",
+		"# TYPE commuter_go_heap_live_bytes gauge",
+		"# TYPE commuter_go_heap_allocs_bytes_total counter",
+		"# TYPE commuter_go_gc_cycles_total counter",
 	} {
 		if !strings.Contains(body, want+"\n") {
 			t.Errorf("exposition is missing %q", want)
@@ -148,6 +154,28 @@ func TestMetricsMoveWithTraffic(t *testing.T) {
 	}
 }
 
+// TestMetricsCountAllocations pins the runtime gauges to the process: a
+// sweep allocates, the heap holds something live, and a cycle count never
+// runs backwards.
+func TestMetricsCountAllocations(t *testing.T) {
+	cli, srv := newLoopback(t)
+	_, before := scrape(t, srv.URL)
+	if _, err := cli.Sweep(context.Background(), commuter.WithSpec("queue"), commuter.WithOpSet("all")); err != nil {
+		t.Fatal(err)
+	}
+	_, after := scrape(t, srv.URL)
+	if d := after["commuter_go_heap_allocs_bytes_total"] - before["commuter_go_heap_allocs_bytes_total"]; d <= 0 {
+		t.Errorf("a sweep moved commuter_go_heap_allocs_bytes_total by %g, want > 0", d)
+	}
+	if v := after["commuter_go_heap_live_bytes"]; v <= 0 {
+		t.Errorf("commuter_go_heap_live_bytes = %g, want > 0", v)
+	}
+	if after["commuter_go_gc_cycles_total"] < before["commuter_go_gc_cycles_total"] {
+		t.Errorf("commuter_go_gc_cycles_total ran backwards: %g then %g",
+			before["commuter_go_gc_cycles_total"], after["commuter_go_gc_cycles_total"])
+	}
+}
+
 // TestRequestIDHeader pins the log-correlation handle clients get back.
 func TestRequestIDHeader(t *testing.T) {
 	_, srv := newLoopback(t)
@@ -159,6 +187,97 @@ func TestRequestIDHeader(t *testing.T) {
 	if id := resp.Header.Get("X-Request-Id"); len(id) != 16 {
 		t.Errorf("X-Request-Id = %q, want a 16-hex-digit id", id)
 	}
+}
+
+// lockedBuffer is a log sink the serving goroutines write while the test
+// reads it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestRequestIDReachesCachePeer pins log correlation across servers: a
+// server keeps a sweep request's well-formed X-Request-Id, and its cache
+// peer logs every read and write made for that sweep under the same id; a
+// malformed id is replaced by a minted one, which the peer then logs.
+func TestRequestIDReachesCachePeer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("pipeline in -short mode")
+	}
+	var peerLog lockedBuffer
+	_, peer := newLoopback(t, commuter.ServeWithCache(t.TempDir()),
+		commuter.ServeWithLogger(slog.New(slog.NewTextHandler(&peerLog, nil))))
+	_, front := newLoopback(t, commuter.ServeWithCache(peer.URL),
+		commuter.ServeWithLogger(slog.New(slog.NewTextHandler(io.Discard, nil))))
+
+	sweep := func(id string) string {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, front.URL+"/v1/sweep",
+			strings.NewReader(`{"version":1,"options":{"ops":"stat,lseek"}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Request-Id", id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if body, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"type":"result"`) {
+			t.Fatalf("sweep: %s\n%s", resp.Status, body)
+		}
+		return resp.Header.Get("X-Request-Id")
+	}
+	// The peer logs a request once its handler has returned, which the
+	// front server's sweep does not wait for.
+	awaitPeer := func(id string, methods ...string) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			missing := methods
+			for _, l := range strings.Split(peerLog.String(), "\n") {
+				if strings.Contains(l, "id="+id) && strings.Contains(l, "path=/v1/cache/") {
+					missing = slices.DeleteFunc(slices.Clone(missing), func(m string) bool {
+						return strings.Contains(l, "method="+m+" ")
+					})
+				}
+			}
+			if len(missing) == 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("the cache peer logged no %v request with id %s:\n%s", missing, id, peerLog.String())
+			}
+		}
+	}
+
+	const id = "0123456789abcdef"
+	if got := sweep(id); got != id {
+		t.Errorf("X-Request-Id %q came back as %q", id, got)
+	}
+	awaitPeer(id, "GET", "PUT")
+	for _, l := range strings.Split(peerLog.String(), "\n") {
+		if strings.Contains(l, "path=/v1/cache/") && !strings.Contains(l, "id="+id) {
+			t.Errorf("the cold sweep's cache traffic reached the peer under another id: %s", l)
+		}
+	}
+
+	minted := sweep("0123456789abcdeg")
+	if minted == "0123456789abcdeg" || len(minted) != 16 {
+		t.Fatalf("a malformed X-Request-Id came back as %q, want a minted 16-hex-digit id", minted)
+	}
+	awaitPeer(minted, "GET")
 }
 
 // TestHealthzUnwritableCache pins the readiness semantics: healthz flips

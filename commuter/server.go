@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"strings"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/obs"
 	"repro/internal/sweep"
+	"repro/internal/transport"
 )
 
 // ServerOption configures NewServerHandler.
@@ -171,6 +173,29 @@ var (
 		"HTTP requests currently being served.")
 )
 
+// The Go runtime's own allocation record, read from runtime/metrics at
+// scrape time.
+func init() {
+	obs.Default.GaugeFunc("commuter_go_heap_live_bytes",
+		"Heap bytes the last garbage collection found live.", runtimeMetric("/gc/heap/live:bytes"))
+	obs.Default.CounterFunc("commuter_go_heap_allocs_bytes_total",
+		"Bytes allocated on the heap since the process started.", runtimeMetric("/gc/heap/allocs:bytes"))
+	obs.Default.CounterFunc("commuter_go_gc_cycles_total",
+		"Completed garbage-collection cycles.", runtimeMetric("/gc/cycles/total:gc-cycles"))
+}
+
+// runtimeMetric reads one unsigned runtime/metrics sample.
+func runtimeMetric(name string) func() float64 {
+	return func() float64 {
+		s := []metrics.Sample{{Name: name}}
+		metrics.Read(s)
+		if s[0].Value.Kind() != metrics.KindUint64 {
+			return 0 // a name this Go release does not know
+		}
+		return float64(s[0].Value.Uint64())
+	}
+}
+
 // statusWriter records the response status for logs and metrics. Unwrap
 // keeps http.NewResponseController working through the wrapper — the
 // sweep handler's per-frame Flush depends on it.
@@ -195,22 +220,31 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// requestID mints a 16-hex-digit random id for log correlation.
-func requestID() string {
+// requestID is r's id for log correlation: the caller's own X-Request-Id
+// when it is 16 hex digits (a peer server relaying its request's id), else
+// a freshly minted random one.
+func requestID(r *http.Request) string {
+	id := r.Header.Get(transport.RequestIDHeader)
+	if _, err := hex.DecodeString(id); err == nil && len(id) == 16 {
+		return id
+	}
 	var b [8]byte
 	rand.Read(b[:]) // never fails post-Go 1.24; worst case is a zero id
 	return hex.EncodeToString(b[:])
 }
 
 // instrument wraps the routed mux with the observability envelope: the
-// API version header, a per-request id (echoed in X-Request-Id), request
-// metrics labeled by mux route, and one structured log line per request.
+// API version header, a per-request id (echoed in X-Request-Id and carried
+// on the request context, so the outbound calls made for the request send
+// it too), request metrics labeled by mux route, and one structured log
+// line per request.
 func (s *server) instrument(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		id := requestID()
+		id := requestID(r)
+		r = r.WithContext(transport.WithRequestID(r.Context(), id))
 		w.Header().Set(api.VersionHeader, fmt.Sprint(api.Version))
-		w.Header().Set("X-Request-Id", id)
+		w.Header().Set(transport.RequestIDHeader, id)
 		sw := &statusWriter{ResponseWriter: w}
 		metricHTTPInflight.Inc()
 		// Deferred: net/http recovers a handler's panic and the process

@@ -247,7 +247,8 @@ func analyzeOps[P classified](ctx context.Context, sp spec.Spec, ops []*spec.Op,
 			return permRun{state: st, rets: rets}
 		}
 
-		// Full-set permutations: returns and final states must agree.
+		// Full-set permutations: returns and final states must agree. Every
+		// requirement lands in one flat conjunct list, conjoined once.
 		var conj []*sym.Expr
 		full := make([]permRun, len(fullPerms))
 		for pi, perm := range fullPerms {
@@ -258,7 +259,7 @@ func analyzeOps[P classified](ctx context.Context, sp spec.Spec, ops []*spec.Op,
 			for i := range ops {
 				conj = append(conj, spec.RetEq(full[0].rets[i], full[pi].rets[i]))
 			}
-			conj = append(conj, spec.Equivalent(c, full[0].state, full[pi].state))
+			conj = spec.Equivalent(conj, c, full[0].state, full[pi].state)
 		}
 		// Proper subsets: intermediate states must agree across each
 		// subset's permutations (the paper's extra condition for sets
@@ -266,7 +267,7 @@ func analyzeOps[P classified](ctx context.Context, sp spec.Spec, ops []*spec.Op,
 		for _, perms := range subPermGroups {
 			base := run(perms[0])
 			for _, perm := range perms[1:] {
-				conj = append(conj, spec.Equivalent(c, base.state, run(perm).state))
+				conj = spec.Equivalent(conj, c, base.state, run(perm).state)
 			}
 		}
 		return pathData{eq: sym.And(conj...), full: full}

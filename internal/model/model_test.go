@@ -228,7 +228,7 @@ func TestEquivalentDetectsWrites(t *testing.T) {
 		name := c.Var("n", FilenameSort, symx.KindArg)
 		s1.Fname.Set(c, symx.K(name), symx.NewStruct("inum", sym.Int(1)))
 		s2.Fname.Set(c, symx.K(name), symx.NewStruct("inum", sym.Int(2)))
-		return spec.Equivalent(c, s1, s2)
+		return sym.And(spec.Equivalent(nil, c, s1, s2)...)
 	}, symx.Options{})
 	for _, p := range paths {
 		if s.Sat(sym.And(p.PC, p.Result.(*sym.Expr))) {
@@ -239,7 +239,7 @@ func TestEquivalentDetectsWrites(t *testing.T) {
 	paths = explore(func(c *symx.Context) any {
 		s1 := NewState(c)
 		s2 := NewState(c)
-		return spec.Equivalent(c, s1, s2)
+		return sym.And(spec.Equivalent(nil, c, s1, s2)...)
 	}, symx.Options{})
 	for _, p := range paths {
 		if s.Sat(sym.Not(sym.Implies(p.PC, p.Result.(*sym.Expr)))) {

@@ -98,7 +98,7 @@ entries:
 			at = len(pl.ints)
 			p.names = e.InitVal.FieldOrder
 			for _, name := range p.names {
-				pl.ints = append(pl.ints, m.Int(e.InitVal.Fields[name], 0))
+				pl.ints = append(pl.ints, m.Int(e.InitVal.Get(name), 0))
 			}
 			p.vals = pl.ints[at:]
 		}

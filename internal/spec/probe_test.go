@@ -51,8 +51,8 @@ func collectProbes(m sym.Model, dicts ...*symx.Dict) []mapProbe {
 				present = m.Bool(e.InitPresentVar, false)
 			}
 			if present && e.InitVal != nil {
-				for name, fe := range e.InitVal.Fields {
-					if fe.Sort.Kind == sym.KindBool {
+				for _, name := range e.InitVal.FieldOrder {
+					if fe := e.InitVal.Get(name); fe.Sort.Kind == sym.KindBool {
 						p.Bools[name] = m.Bool(fe, false)
 					} else {
 						p.Fields[name] = m.Int(fe, 0)

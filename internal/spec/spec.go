@@ -149,24 +149,25 @@ func RetEq(a, b []*sym.Expr) *sym.Expr {
 	if len(a) != len(b) {
 		panic("spec: return width mismatch")
 	}
-	conj := make([]*sym.Expr, len(a))
+	var buf [RetWidth]*sym.Expr
+	conj := buf[:0]
 	for i := range a {
-		conj[i] = sym.Eq(a[i], b[i])
+		conj = append(conj, sym.Eq(a[i], b[i]))
 	}
 	return sym.And(conj...)
 }
 
-// Equivalent builds the formula stating that two final states of the same
-// spec are indistinguishable through the interface: every dictionary holds
-// equal content at every key either execution touched.
-func Equivalent(c *symx.Context, a, b State) *sym.Expr {
+// Equivalent appends to dst the conjuncts stating that two final states of
+// the same spec are indistinguishable through the interface: every
+// dictionary holds equal content at every key either execution touched
+// (symx.DictsEquivalent, one dictionary after another).
+func Equivalent(dst []*sym.Expr, c *symx.Context, a, b State) []*sym.Expr {
 	da, db := a.Dicts(), b.Dicts()
 	if len(da) != len(db) {
 		panic("spec: comparing states with different dictionary layouts")
 	}
-	conj := make([]*sym.Expr, len(da))
 	for i := range da {
-		conj[i] = symx.DictsEquivalent(c, da[i], db[i])
+		dst = symx.DictsEquivalent(dst, c, da[i], db[i])
 	}
-	return sym.And(conj...)
+	return dst
 }

@@ -33,6 +33,10 @@ const peerTimeout = 15 * time.Second
 type HTTPBackend struct {
 	entryCodec
 	peer *transport.Client
+	// ctx is what entry requests run under: never cancelled (peerTimeout
+	// bounds them), but carrying the values — the request id — of the
+	// sweep a bound copy serves (boundTo).
+	ctx context.Context
 }
 
 // NewHTTPBackend returns a backend speaking to the peer at baseURL.
@@ -41,22 +45,40 @@ func NewHTTPBackend(baseURL string) (*HTTPBackend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweep: cache peer %q is not an http(s) URL", baseURL)
 	}
-	h := &HTTPBackend{peer: peer}
+	return newHTTPBackend(context.Background(), peer), nil
+}
+
+func newHTTPBackend(ctx context.Context, peer *transport.Client) *HTTPBackend {
+	h := &HTTPBackend{peer: peer, ctx: ctx}
 	h.entryCodec = entryCodec{h}
-	return h, nil
+	return h
+}
+
+// boundTo returns b as one sweep under ctx uses it: a cache peer's entry
+// requests then carry ctx's request id (but not its cancellation — a store
+// outlives a cancelled sweep as it always did). Backends that send no
+// requests come back as they are.
+func boundTo(ctx context.Context, b Backend) Backend {
+	switch b := b.(type) {
+	case *HTTPBackend:
+		return newHTTPBackend(context.WithoutCancel(ctx), b.peer)
+	case *TieredBackend:
+		return Tiered(boundTo(ctx, b.fast), boundTo(ctx, b.slow))
+	}
+	return b
 }
 
 func entryPath(tier, key string) string { return CacheRoutePrefix + "/" + tier + "/" + key }
 
 // get fetches one entry's bytes; any transport or status defect is a miss.
 func (h *HTTPBackend) get(tier, key string) ([]byte, bool) {
-	data, err := h.peer.Bytes(context.Background(), http.MethodGet, entryPath(tier, key), nil)
+	data, err := h.peer.Bytes(h.ctx, http.MethodGet, entryPath(tier, key), nil)
 	return data, err == nil
 }
 
 // put stores one entry's bytes on the peer.
 func (h *HTTPBackend) put(tier, key string, data []byte) error {
-	if _, err := h.peer.Bytes(context.Background(), http.MethodPut, entryPath(tier, key), data); err != nil {
+	if _, err := h.peer.Bytes(h.ctx, http.MethodPut, entryPath(tier, key), data); err != nil {
 		return fmt.Errorf("cache peer %s: %w", h.peer, err)
 	}
 	return nil

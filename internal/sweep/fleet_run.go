@@ -69,7 +69,7 @@ const fleetPoll = 100 * time.Millisecond
 // back to the pending queue on a short background context — a killed
 // worker's share is re-issued immediately instead of after TTL expiry.
 func RunFleet(ctx context.Context, cfg Config, fc FleetClient) (*Result, error) {
-	r, err := newRun(cfg)
+	r, err := newRun(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}

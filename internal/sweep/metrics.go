@@ -105,16 +105,17 @@ func init() {
 		func() float64 { return float64(sym.InternSize()) })
 }
 
-// putErrWarned dedups the write-degradation warning per backend handle,
-// so a full disk (or dead cache peer) logs one warning, not one line per
-// failed entry; the per-entry record is the write_errors counter.
-var putErrWarned sync.Map // Backend -> *sync.Once
+// putErrWarned dedups the write-degradation warning per store (flightScope:
+// the directory, the peer, or the handle), so a full disk (or dead cache
+// peer) logs one warning, not one line per failed entry or per sweep; the
+// per-entry record is the write_errors counter.
+var putErrWarned sync.Map // flightScope -> *sync.Once
 
 // reportPutError counts one failed best-effort store against its backend
-// and logs the degradation once per backend handle at warn level.
+// and logs the degradation once per store at warn level.
 func reportPutError(b Backend, err error) {
 	metricCacheWriteErrors.With(backendKind(b)).Inc()
-	once, _ := putErrWarned.LoadOrStore(b, new(sync.Once))
+	once, _ := putErrWarned.LoadOrStore(flightScope(b), new(sync.Once))
 	once.(*sync.Once).Do(func() {
 		slog.Warn("sweep: cache writes failing; sweeps continue but stay cold",
 			"backend", b.String(), "err", err)

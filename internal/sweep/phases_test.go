@@ -3,9 +3,12 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/spec"
+	"repro/internal/sym"
 )
 
 // tinyConfig is the smallest real pipeline run: one pair (stat/stat), one
@@ -66,6 +69,60 @@ func TestPhaseBreakdown(t *testing.T) {
 	}
 	if w.Solver.SatCalls != 0 || w.Solver.BudgetHits != 0 {
 		t.Errorf("cached pair reports solver work: %+v", w.Solver)
+	}
+}
+
+// TestCachedPairsReportNoInternHits: a pair served from the cache interned
+// nothing, and says so — even while something else in the process (in a
+// server, a concurrent cold sweep) hits the process-wide intern table.
+func TestCachedPairsReportNoInternHits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep pipeline in -short mode")
+	}
+	cfg := Config{Ops: testOps(t), Kernels: testKernels()[:1], Workers: 1}
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cache = cache
+	if _, err := runSweep(cfg); err != nil {
+		t.Fatal(err)
+	}
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v := sym.Var(fmt.Sprintf("neighbour%d", i), sym.IntSort)
+			sym.Lt(v, sym.Int(1)) // a miss, then
+			sym.Lt(v, sym.Int(1)) // a hit
+		}
+	}()
+	// The neighbour is interning before the warm sweep starts.
+	for h0, _ := sym.InternStats(); ; {
+		if h, _ := sym.InternStats(); h > h0+1000 {
+			break
+		}
+		runtime.Gosched()
+	}
+	warm, err := runSweep(cfg)
+	close(stop)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range warm.Pairs {
+		if !p.Cached {
+			t.Fatalf("warm pair %s was recomputed", p.Pair())
+		}
+		if p.Solver.InternHits != 0 {
+			t.Errorf("cached pair %s reports %d intern hits", p.Pair(), p.Solver.InternHits)
+		}
 	}
 }
 

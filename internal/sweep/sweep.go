@@ -175,10 +175,12 @@ type SolverCounters struct {
 	// BudgetHits counts searches that exhausted the step budget (each
 	// one is an "unknown", not a proof; see PairResult.Unknown).
 	BudgetHits int64 `json:"budget_exhaustions,omitempty"`
-	// InternHits counts intern-table hits observed while the pair ran.
-	// The table is process-wide, so under a parallel sweep concurrent
-	// pairs' hits land in whichever pair observes them — per-pair
-	// attribution is approximate, but the sum across pairs is exact.
+	// InternHits counts intern-table hits observed while the pair's
+	// ANALYZE and TESTGEN ran; a pair served from the cache or by a
+	// concurrent identical execution ran neither and reports 0. The table
+	// is process-wide, so every pair running at the same time observes the
+	// same hits: under -j > 1 the figure is approximate and the sum across
+	// pairs over-counts. commuter_sym_intern_hits_total is the exact total.
 	InternHits int64 `json:"intern_hits,omitempty"`
 }
 
@@ -236,11 +238,12 @@ type run struct {
 }
 
 // newRun resolves cfg's defaults and marks the sweep in flight; the caller
-// defers close.
-func newRun(cfg Config) (*run, error) {
+// defers close. The cache's outbound requests carry ctx's request id.
+func newRun(ctx context.Context, cfg Config) (*run, error) {
 	if cfg.Analyzer.Solver != nil || cfg.Testgen.Solver != nil {
 		return nil, fmt.Errorf("sweep: a sweep cannot share caller-provided solvers across pairs and servers")
 	}
+	cfg.Cache = boundTo(ctx, cfg.Cache)
 	r := &run{cfg: cfg, sp: cfg.Spec, workers: cfg.Workers, start: time.Now()}
 	if r.workers <= 0 {
 		r.workers = runtime.NumCPU()
@@ -378,7 +381,7 @@ func (e *executor) wait() error {
 // atomic rename, and a pair that did not complete stores nothing — so a
 // cancelled sweep leaves only complete cache entries behind.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	r, err := newRun(cfg)
+	r, err := newRun(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -593,7 +596,6 @@ func (s *stage[T]) exec(r *run, key string, usable func(T) bool, compute func() 
 func (r *run) runPair(ctx context.Context, a, b *spec.Op) (PairResult, error) {
 	start := time.Now()
 	out := PairResult{OpA: a.Name, OpB: b.Name, StartMS: msBetween(r.start, start)}
-	internHits0, _ := sym.InternStats()
 
 	tgKey := TestgenKey(r.sp.Name(), a.Name, b.Name, r.cfg.Analyzer, r.cfg.Testgen)
 	tg, err := testgenStage.run(ctx, r, tgKey, &out, func(tests []kernel.TestCase) bool {
@@ -622,8 +624,6 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op) (PairResult, error) {
 		out.Cells = append(out.Cells, ck.val)
 	}
 	out.ElapsedMS = msSince(start)
-	internHits1, _ := sym.InternStats()
-	out.Solver.InternHits = int64(internHits1 - internHits0)
 	observePair(&out)
 	return out, nil
 }
@@ -648,11 +648,12 @@ func pairTests(tests []kernel.TestCase, a, b string) bool {
 // with the number of budget-truncated paths behind them (nonzero means
 // the test set is a lower bound). Each phase runs on a fresh solver wired
 // to ctx, replacing any in the options, so cancellation lands inside the
-// searches and nothing carries over from another pair. Phase times and
-// solver work are recorded on out.
+// searches and nothing carries over from another pair. Phase times, solver
+// work and intern-table hits are recorded on out.
 func PairTests(ctx context.Context, sp spec.Spec, a, b *spec.Op, aOpt analyzer.Options, gOpt testgen.Options, out *PairResult) ([]kernel.TestCase, int, error) {
 	stop := func() bool { return ctx.Err() != nil }
 	aOpt.Solver, gOpt.Solver = &sym.Solver{Stop: stop}, &sym.Solver{Stop: stop}
+	internHits0, _ := sym.InternStats()
 	phaseStart := time.Now()
 	pr, err := analyzer.AnalyzePairCtx(ctx, sp, a, b, aOpt)
 	out.Phases.AnalyzeMS = msSince(phaseStart)
@@ -673,6 +674,8 @@ func PairTests(ctx context.Context, sp spec.Spec, a, b *spec.Op, aOpt analyzer.O
 		out.Solver.BudgetHits += st.BudgetHits
 		out.Phases.SolverMS += float64(st.SearchTime) / float64(time.Millisecond)
 	}
+	internHits1, _ := sym.InternStats()
+	out.Solver.InternHits = int64(internHits1 - internHits0)
 	return tests, pr.Unknown() + truncated, nil
 }
 

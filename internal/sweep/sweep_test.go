@@ -350,7 +350,7 @@ func TestParallel(t *testing.T) {
 		{0, 4, 0, -1}, {1, 4, 0, -1}, {7, 1, 0, -1}, {7, 3, 0, -1}, {3, 100, 0, -1}, {16, 0, 0, -1},
 		{7, 3, 6, -1}, {16, 1, 0, 3}, {16, 1, 4, 3}, {16, 3, 0, 3},
 	} {
-		r, err := newRun(Config{Spec: kvspec.Spec, Workers: tc.workers})
+		r, err := newRun(context.Background(), Config{Spec: kvspec.Spec, Workers: tc.workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -201,47 +201,33 @@ func Not(a *Expr) *Expr {
 // simplified. Argument order is preserved (first occurrence wins): the
 // solver's variable-ordering heuristic depends on conjuncts appearing in
 // the chronological order path conditions accumulated them.
-func And(args ...*Expr) *Expr {
-	var flat []*Expr
-	for _, a := range args {
-		if a.Sort.Kind != KindBool {
-			panic("sym: And on non-boolean")
-		}
-		switch {
-		case a.IsFalse():
-			return False
-		case a.IsTrue():
-			continue
-		case a.Op == OpAnd:
-			flat = append(flat, a.Args...)
-		default:
-			flat = append(flat, a)
-		}
-	}
-	flat = dedup(flat)
-	switch len(flat) {
-	case 0:
-		return True
-	case 1:
-		return flat[0]
-	}
-	return intern(OpAnd, BoolSort, 0, false, "", flat)
-}
+//
+// One level of flattening suffices — an And node's arguments are never And
+// nodes — so And(And(xs...), And(ys...)) is the very node And(xs..., ys...)
+// is: callers may collect conjuncts flat and conjoin them once.
+func And(args ...*Expr) *Expr { return junction(OpAnd, True, args) }
 
 // Or returns the disjunction of args, flattened, deduplicated and
 // simplified, preserving first-occurrence order like And.
-func Or(args ...*Expr) *Expr {
-	var flat []*Expr
+func Or(args ...*Expr) *Expr { return junction(OpOr, False, args) }
+
+// junction builds the connective op over args: nested op nodes spliced in,
+// unit (the identity) dropped, its negation absorbing everything. Up to 16
+// flattened arguments live in a stack buffer, so a junction that finds its
+// node allocates nothing.
+func junction(op Op, unit *Expr, args []*Expr) *Expr {
+	var buf [16]*Expr
+	flat := buf[:0]
 	for _, a := range args {
 		if a.Sort.Kind != KindBool {
-			panic("sym: Or on non-boolean")
+			panic("sym: " + opName(op) + " on non-boolean")
 		}
 		switch {
-		case a.IsTrue():
-			return True
-		case a.IsFalse():
+		case a.Op == OpConst && a.Bool == unit.Bool:
 			continue
-		case a.Op == OpOr:
+		case a.Op == OpConst:
+			return Not(unit)
+		case a.Op == op:
 			flat = append(flat, a.Args...)
 		default:
 			flat = append(flat, a)
@@ -250,18 +236,18 @@ func Or(args ...*Expr) *Expr {
 	flat = dedup(flat)
 	switch len(flat) {
 	case 0:
-		return False
+		return unit
 	case 1:
 		return flat[0]
 	}
-	return intern(OpOr, BoolSort, 0, false, "", flat)
+	return intern(op, BoolSort, 0, false, "", flat)
 }
 
-// dedup removes duplicate conjuncts/disjuncts, keeping first occurrences.
-// Nodes are interned, so duplicates are pointer-equal; a hash set takes
-// over past the sizes where a linear scan is cheaper.
+// dedup removes duplicate conjuncts/disjuncts in place, keeping first
+// occurrences. Nodes are interned, so duplicates are pointer-equal; a hash
+// set takes over past the sizes where a linear scan is cheaper.
 func dedup(args []*Expr) []*Expr {
-	out := make([]*Expr, 0, len(args))
+	out := args[:0]
 	if len(args) <= 16 {
 	outer:
 		for _, a := range args {

@@ -167,8 +167,9 @@ func matches(e *Expr, op Op, sort Sort, i64 int64, b bool, name string, args []*
 }
 
 // intern returns the canonical node for the given components, creating and
-// publishing it on first use. args must already be interned and must not be
-// mutated by the caller afterwards.
+// publishing it on first use. args must already be interned; intern keeps
+// none of the caller's slice — a new node gets its own copy — so a hit
+// allocates nothing and callers may build args on their stack.
 func intern(op Op, sort Sort, i64 int64, b bool, name string, args []*Expr) *Expr {
 	it := defaultInterner
 	h := hashNode(op, sort, i64, b, name, args)
@@ -191,12 +192,15 @@ func intern(op Op, sort Sort, i64 int64, b bool, name string, args []*Expr) *Exp
 			return e
 		}
 	}
-	e := &Expr{Op: op, Sort: sort, Int: i64, Bool: b, Name: name, Args: args}
+	// A variable of its own: were the copy written back to args, escape
+	// analysis would move every caller's literal to the heap.
+	own := append([]*Expr(nil), args...)
+	e := &Expr{Op: op, Sort: sort, Int: i64, Bool: b, Name: name, Args: own}
 	if op == OpVar {
 		e.VarID = internVar(name)
 	}
 	e.id = it.nextID.Add(1)
-	e.vars = mergeVars(e, args)
+	e.vars = mergeVars(e, own)
 	if compact {
 		bucket = sh.compactBucket(bucket)
 	}

@@ -106,8 +106,9 @@ func refFieldSetAt(a, b *Dict, k Key) []string {
 // of GetFunc/Set on a total-function one — two instances of
 // each, as the two permutations of a pair hold them, probing a handful of
 // keys that the explored paths make equal or distinct in every combination,
-// so one location is reached under different tuples — DictsEquivalent
-// returns, on every path, the very node the per-field reference builds.
+// so one location is reached under different tuples — the conjunction of
+// the flat list DictsEquivalent appends is, on every path, the very node
+// the per-field reference builds by nesting one And per field and per key.
 func TestQuickDictsEquivalentMatchesPerField(t *testing.T) {
 	type kind struct {
 		name  string
@@ -163,9 +164,9 @@ func TestQuickDictsEquivalentMatchesPerField(t *testing.T) {
 			}
 			var got, want *sym.Expr
 			if seed%2 == 0 {
-				got, want = DictsEquivalent(c, ds[0], ds[1]), refDictsEquivalent(c, ds[0], ds[1])
+				got, want = sym.And(DictsEquivalent(nil, c, ds[0], ds[1])...), refDictsEquivalent(c, ds[0], ds[1])
 			} else {
-				want, got = refDictsEquivalent(c, ds[0], ds[1]), DictsEquivalent(c, ds[0], ds[1])
+				want, got = refDictsEquivalent(c, ds[0], ds[1]), sym.And(DictsEquivalent(nil, c, ds[0], ds[1])...)
 			}
 			compared++
 			if got != want {

@@ -19,7 +19,7 @@ func TestLadderAnswersWithoutSearch(t *testing.T) {
 	}
 
 	solver := &sym.Solver{}
-	c := newContext(nil, solver)
+	c := newContext(nil, solver, &Context{})
 	neg := sym.Lt(x, sym.Int(0))
 	c.Assume(neg)
 	before := solver.Stats().SatCalls

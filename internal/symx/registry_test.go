@@ -124,7 +124,7 @@ func TestEquivalenceUsesRegistryDefaults(t *testing.T) {
 		d2 := NewDict("fs", mk)
 		_ = d2.Contains(c, K(y)) // probe via y (reuses the registry entry)
 
-		return DictsEquivalent(c, d1, d2)
+		return sym.And(DictsEquivalent(nil, c, d1, d2)...)
 	}, Options{})
 	for _, p := range paths {
 		eq := p.Result.(*sym.Expr)

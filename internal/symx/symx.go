@@ -80,14 +80,19 @@ type Context struct {
 	initProbes map[string][]*initProbe
 }
 
-func newContext(trace []bool, solver *sym.Solver) *Context {
+// newContext starts one replay along trace. The replays of one model make
+// much the same calls, so its variable maps and path condition start at the
+// size the previous replay, prev (the zero Context before the first), left
+// them.
+func newContext(trace []bool, solver *sym.Solver, prev *Context) *Context {
 	return &Context{
 		solver:     solver,
-		pcSet:      map[*sym.Expr]struct{}{},
+		pcConjs:    make([]*sym.Expr, 0, len(prev.pcConjs)),
+		pcSet:      make(map[*sym.Expr]struct{}, len(prev.pcConjs)),
 		infeas:     map[*sym.Expr]bool{},
 		trace:      trace,
-		varKinds:   map[string]VarKind{},
-		vars:       map[string]*sym.Expr{},
+		varKinds:   make(map[string]VarKind, len(prev.vars)),
+		vars:       make(map[string]*sym.Expr, len(prev.vars)),
 		initProbes: map[string][]*initProbe{},
 	}
 }
@@ -339,6 +344,7 @@ func RunCtx(ctx context.Context, fn func(*Context) any, opt Options) ([]Path, bo
 	}
 
 	var paths []Path
+	c := &Context{}
 	budgeted := false
 	queue := [][]bool{nil}
 	for len(queue) > 0 && len(paths) < maxPaths {
@@ -347,7 +353,7 @@ func RunCtx(ctx context.Context, fn func(*Context) any, opt Options) ([]Path, bo
 		}
 		prefix := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		c := newContext(prefix, solver)
+		c = newContext(prefix, solver, c)
 		res, aborted := runOne(c, fn)
 		queue = append(queue, c.pending...)
 		// Aggregate across replays, aborted ones included: a replay that

@@ -179,7 +179,7 @@ func TestReplayDeterminismSharedNames(t *testing.T) {
 		if d1.Contains(c, k) != d2.Contains(c, k) {
 			t.Error("same initial content must agree on membership")
 		}
-		return DictsEquivalent(c, d1, d2)
+		return sym.And(DictsEquivalent(nil, c, d1, d2)...)
 	}, Options{})
 	var s sym.Solver
 	for _, p := range paths {

@@ -2,6 +2,7 @@ package symx
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -14,9 +15,11 @@ import (
 // flatten nesting with tuple dictionary keys instead (e.g. file pages live
 // in a Dict keyed by (inode, offset)).
 type Struct struct {
-	// Fields maps field name to expression; FieldOrder fixes iteration.
-	Fields     map[string]*sym.Expr
+	// FieldOrder names the fields; vals holds their expressions in the same
+	// order. A model's structs have at most five fields, so a name is found
+	// by a scan.
 	FieldOrder []string
+	vals       []*sym.Expr
 }
 
 // NewStruct builds a struct from alternating name, expr pairs.
@@ -24,39 +27,34 @@ func NewStruct(pairs ...any) *Struct {
 	if len(pairs)%2 != 0 {
 		panic("symx: NewStruct requires name/expr pairs")
 	}
-	s := &Struct{Fields: map[string]*sym.Expr{}}
+	n := len(pairs) / 2
+	s := &Struct{FieldOrder: make([]string, 0, n), vals: make([]*sym.Expr, 0, n)}
 	for i := 0; i < len(pairs); i += 2 {
 		name := pairs[i].(string)
-		e := pairs[i+1].(*sym.Expr)
-		if _, dup := s.Fields[name]; dup {
+		if slices.Contains(s.FieldOrder, name) {
 			panic("symx: duplicate struct field " + name)
 		}
-		s.Fields[name] = e
 		s.FieldOrder = append(s.FieldOrder, name)
+		s.vals = append(s.vals, pairs[i+1].(*sym.Expr))
 	}
 	return s
 }
 
 // Get returns the named field.
-func (s *Struct) Get(name string) *sym.Expr {
-	e, ok := s.Fields[name]
-	if !ok {
-		panic("symx: no struct field " + name)
-	}
-	return e
-}
+func (s *Struct) Get(name string) *sym.Expr { return s.vals[s.index(name)] }
 
 // With returns a copy of s with the named field replaced.
 func (s *Struct) With(name string, e *sym.Expr) *Struct {
-	if _, ok := s.Fields[name]; !ok {
-		panic("symx: no struct field " + name)
-	}
-	ns := &Struct{Fields: make(map[string]*sym.Expr, len(s.Fields)), FieldOrder: s.FieldOrder}
-	for k, v := range s.Fields {
-		ns.Fields[k] = v
-	}
-	ns.Fields[name] = e
+	ns := &Struct{FieldOrder: s.FieldOrder, vals: slices.Clone(s.vals)}
+	ns.vals[s.index(name)] = e
 	return ns
+}
+
+func (s *Struct) index(name string) int {
+	if i := slices.Index(s.FieldOrder, name); i >= 0 {
+		return i
+	}
+	panic("symx: no struct field " + name)
 }
 
 // Key is a tuple of expressions indexing a Dict. Equality of keys is the
@@ -70,9 +68,10 @@ func (k Key) eq(o Key) *sym.Expr {
 	if len(k) != len(o) {
 		panic("symx: key arity mismatch")
 	}
-	conj := make([]*sym.Expr, len(k))
+	var buf [4]*sym.Expr
+	conj := buf[:0]
 	for i := range k {
-		conj[i] = sym.Eq(k[i], o[i])
+		conj = append(conj, sym.Eq(k[i], o[i]))
 	}
 	return sym.And(conj...)
 }
@@ -254,23 +253,25 @@ func (d *Dict) Del(c *Context, k Key) {
 // Entries exposes the per-path entry overlay (for TESTGEN and equivalence).
 func (d *Dict) Entries() []*DictEntry { return d.entries }
 
-// DictsEquivalent builds the formula stating that dictionaries a and b hold
-// equal content at every key either path touched. Untouched keys share the
-// same initial-content variables by construction (content-derived naming),
-// so they are equal by definition and need no clauses.
+// DictsEquivalent appends to dst the conjuncts stating that dictionaries a
+// and b hold equal content at every key either path touched: per key, that
+// membership agrees and, for each field, that present values agree.
+// Untouched keys share the same initial-content variables by construction
+// (content-derived naming), so they are equal by definition and need no
+// clauses. sym.And of the result is the formula; conjoining the conjuncts
+// once is what conjoining them per key and per dictionary would give.
 //
 // What the two sides and all fields of one key share is built once per
 // key: the initial-content name, the MakeVal default (one name, so the
 // same memoised variables whichever dictionary asks), and the guards
 // comparing the key with every registered probe and every overlay entry.
-func DictsEquivalent(c *Context, a, b *Dict) *sym.Expr {
+func DictsEquivalent(dst []*sym.Expr, c *Context, a, b *Dict) []*sym.Expr {
 	if a.Name != b.Name {
 		panic("symx: comparing dictionaries with different identities")
 	}
 	keys := unionKeys(a, b)
 	fields := fieldSet(a, b)
 	probes := c.initProbes[a.Name]
-	conj := make([]*sym.Expr, 0, len(keys))
 	var probeEq, aEq, bEq []*sym.Expr
 	for _, k := range keys {
 		name := fmt.Sprintf("%s[%s]", a.Name, k.tag)
@@ -292,7 +293,7 @@ func DictsEquivalent(c *Context, a, b *Dict) *sym.Expr {
 			}
 		}
 		pa, pb := a.overlay(aEq, init, entryPresent), b.overlay(bEq, init, entryPresent)
-		clause := sym.Eq(pa, pb)
+		dst = append(dst, sym.Eq(pa, pb))
 
 		// Fields, each guarded by presence and defaulting to the initial
 		// content's.
@@ -314,11 +315,10 @@ func DictsEquivalent(c *Context, a, b *Dict) *sym.Expr {
 				return e.Val.Get(f)
 			}
 			fa, fb := a.overlay(aEq, init, entryField), b.overlay(bEq, init, entryField)
-			clause = sym.And(clause, sym.Implies(pa, sym.Eq(fa, fb)))
+			dst = append(dst, sym.Implies(pa, sym.Eq(fa, fb)))
 		}
-		conj = append(conj, clause)
 	}
-	return sym.And(conj...)
+	return dst
 }
 
 // entryGuards appends, for each overlay entry in order, the formula that

@@ -92,7 +92,7 @@ func TestDictsEquivalentDetectsDifference(t *testing.T) {
 		k := K(c.Var("a", nameSort, KindArg))
 		d1.Set(c, k, NewStruct("inum", sym.Int(1)))
 		d2.Set(c, k, NewStruct("inum", sym.Int(2)))
-		return DictsEquivalent(c, d1, d2)
+		return sym.And(DictsEquivalent(nil, c, d1, d2)...)
 	}, Options{})
 	var s sym.Solver
 	for _, p := range paths {
@@ -109,7 +109,7 @@ func TestDictsEquivalentPresenceMismatch(t *testing.T) {
 		k := K(c.Var("a", nameSort, KindArg))
 		d1.Set(c, k, NewStruct("inum", sym.Int(1)))
 		d2.Del(c, k)
-		return DictsEquivalent(c, d1, d2)
+		return sym.And(DictsEquivalent(nil, c, d1, d2)...)
 	}, Options{})
 	var s sym.Solver
 	for _, p := range paths {
@@ -130,7 +130,7 @@ func TestDictsEquivalentSameWrites(t *testing.T) {
 		d1.Set(c, K(b), NewStruct("inum", sym.Int(2)))
 		d2.Set(c, K(b), NewStruct("inum", sym.Int(2)))
 		d2.Set(c, K(a), NewStruct("inum", sym.Int(1)))
-		return DictsEquivalent(c, d1, d2)
+		return sym.And(DictsEquivalent(nil, c, d1, d2)...)
 	}, Options{})
 	var s sym.Solver
 	for _, p := range paths {

@@ -60,6 +60,19 @@ func (e *StatusError) Error() string {
 	return e.Method + " " + e.Path + ": " + e.Status + ": " + string(bytes.TrimSpace(e.Body))
 }
 
+// RequestIDHeader carries a request's log-correlation id, in both
+// directions: a server echoes it, and Do sends the one its context holds.
+const RequestIDHeader = "X-Request-Id"
+
+type requestIDKey struct{}
+
+// WithRequestID returns ctx carrying the request id that every request Do
+// makes under it sends, so a server's outbound calls on behalf of a request
+// show up in the peers' logs under that request's id.
+func WithRequestID(ctx context.Context, id string) context.Context {
+	return context.WithValue(ctx, requestIDKey{}, id)
+}
+
 // Do issues one request, a non-empty body as JSON, and returns the 2xx
 // response, whose body the caller reads (it may be a stream) and closes.
 // The caller's own cancellation surfaces as the bare context error.
@@ -70,6 +83,9 @@ func (c *Client) Do(ctx context.Context, method, path string, body []byte) (*htt
 	}
 	if len(body) > 0 {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	if id, _ := ctx.Value(requestIDKey{}).(string); id != "" {
+		req.Header.Set(RequestIDHeader, id)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
