@@ -24,7 +24,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/eval"
 	"repro/internal/kernel"
-	"repro/internal/kernel/svsix"
+	"repro/internal/kernel/unix"
 	"repro/internal/mtrace"
 	"repro/internal/scale"
 )
@@ -79,7 +79,11 @@ func BenchmarkFigure7cMailRegular(b *testing.B) {
 // expensive than with a shared count (the paper measures 3.9x at 80 cores'
 // worth of Refcache caches).
 func sequentialFstat(b *testing.B, shared bool) {
-	k := svsix.NewOpts(svsix.Opts{SharedLinkCount: shared})
+	d := unix.SV6
+	if shared {
+		d = unix.SV6SharedLinkCount
+	}
+	k := unix.New(d)
 	setup := kernel.Setup{
 		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
 		Inodes: []kernel.SetupInode{{Inum: 1, Len: 1}},

@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/coherence"
 	"repro/internal/kernel"
-	"repro/internal/kernel/svsix"
+	"repro/internal/kernel/unix"
 	"repro/internal/mail"
 	"repro/internal/mtrace"
 )
@@ -81,7 +81,11 @@ func Statbench(mode StatbenchMode, cores []int) Curve {
 }
 
 func statbenchAt(mode StatbenchMode, n int) float64 {
-	k := svsix.NewOpts(svsix.Opts{SharedLinkCount: mode == StatShared})
+	d := unix.SV6
+	if mode == StatShared {
+		d = unix.SV6SharedLinkCount
+	}
+	k := unix.New(d)
 	setup := kernel.Setup{
 		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
 		Inodes: []kernel.SetupInode{{Inum: 1, Len: 1, Pages: map[int64]int64{0: 1}}},
@@ -142,7 +146,7 @@ func Openbench(anyFD bool, cores []int) Curve {
 }
 
 func openbenchAt(anyFD bool, n int) float64 {
-	k := svsix.New()
+	k := unix.New(unix.SV6)
 	var setup kernel.Setup
 	for c := 0; c < n; c++ {
 		setup.Files = append(setup.Files, kernel.SetupFile{Name: kernel.Fname(int64(c)), Inum: int64(c + 1)})

@@ -23,8 +23,9 @@ import (
 
 // hostile lists the tests no TESTGEN run produces and a request body or a
 // cache entry can: each edit makes a valid test one the Replayer must
-// refuse. All but the first are Admit's; the op table is the spec's, so an
-// unknown op gets as far as the kernel's panic.
+// refuse. All but the first and the last are Admit's; the op table is the
+// spec's, so an unknown op gets as far as the kernel's panic, as does a
+// write past the file bound.
 var hostile = []struct {
 	name string
 	edit func(*kernel.TestCase)
@@ -52,6 +53,20 @@ var hostile = []struct {
 	}},
 	{"items", func(tc *kernel.TestCase) {
 		tc.Setup.Queues = append(tc.Setup.Queues, kernel.SetupQueue{Core: -1, Items: make([]int64, 1<<12)})
+	}},
+	// A file past kernel.MaxFilePages, which sv6 reconciled to length 8
+	// where Linux said 10.
+	{"extent", func(tc *kernel.TestCase) {
+		tc.Setup = kernel.Setup{
+			Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
+			Inodes: []kernel.SetupInode{{Inum: 1, Len: 10, Pages: map[int64]int64{9: 5}}},
+			FDs:    []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
+		}
+	}},
+	// Admitted, but the write would make the file one: the kernel panics.
+	{"write-past-bound", func(tc *kernel.TestCase) {
+		tc.Setup = kernel.Setup{Inodes: []kernel.SetupInode{{Inum: 1}}, FDs: []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1}}}
+		tc.Calls[0] = kernel.Call{Op: "pwrite", Args: map[string]int64{"fd": 0, "off": 20, "val": 1}}
 	}},
 }
 
@@ -81,7 +96,7 @@ func TestReplayerAdmission(t *testing.T) {
 					if err == nil || !strings.Contains(err.Error(), tc.ID) {
 						t.Errorf("%s: err = %v, want one naming the test", tc.ID, err)
 					}
-					if admitted := h.name == "unknown-op"; errors.Is(err, kernel.ErrInadmissible) == admitted {
+					if admitted := h.name == "unknown-op" || h.name == "write-past-bound"; errors.Is(err, kernel.ErrInadmissible) == admitted {
 						t.Errorf("%s: err = %v; only what Admit refuses is kernel.ErrInadmissible", tc.ID, err)
 					}
 					if d := time.Since(start); d > time.Second {

@@ -1,6 +1,6 @@
 // Package kernel defines the call surface shared by the implementations
-// under test (the Linux-like monokernel and the sv6-like svsix for the POSIX
-// spec, memvm, memkv and memq for the vm, kv and queue specs), the concrete
+// under test (package unix's two designs, Linux and SV6, for the POSIX spec;
+// memvm, memkv and memq for the vm, kv and queue specs), the concrete
 // test-case format TESTGEN emits, and the MTRACE-style Replayer that checks
 // an implementation's conflict-freedom on test cases.
 package kernel

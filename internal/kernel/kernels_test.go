@@ -5,14 +5,13 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/kernel/kerneltest"
-	"repro/internal/kernel/monokernel"
-	"repro/internal/kernel/svsix"
+	"repro/internal/kernel/unix"
 )
 
 func kernels() map[string]func() kernel.Kernel {
 	return map[string]func() kernel.Kernel{
-		"linux": func() kernel.Kernel { return monokernel.New() },
-		"sv6":   func() kernel.Kernel { return svsix.New() },
+		"linux": func() kernel.Kernel { return unix.New(unix.Linux) },
+		"sv6":   func() kernel.Kernel { return unix.New(unix.SV6) },
 	}
 }
 
@@ -474,7 +473,7 @@ func TestCheckReportsCommuted(t *testing.T) {
 			call("open", 1, map[string]int64{"fname": 2, "creat": 1, "anyfd": 1}),
 		},
 	}
-	res := kerneltest.Check(func() kernel.Kernel { return svsix.New() }, tc)
+	res := kerneltest.Check(func() kernel.Kernel { return unix.New(unix.SV6) }, tc)
 	if !res.Commuted {
 		t.Errorf("sv6 per-core allocation should make results order-independent: %v vs %v",
 			res.Res, res.ResSwapped)

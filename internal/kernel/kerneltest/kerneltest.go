@@ -123,9 +123,9 @@ func CheckOnline(m *mtrace.Memory) string {
 	return ""
 }
 
-// logged wraps fresh so that every kernel it builds logs its accesses, and
+// Logged wraps fresh so that every kernel it builds logs its accesses, and
 // hands each kernel's memory to seen.
-func logged(fresh func() kernel.Kernel, seen func(*mtrace.Memory)) func() kernel.Kernel {
+func Logged(fresh func() kernel.Kernel, seen func(*mtrace.Memory)) func() kernel.Kernel {
 	return func() kernel.Kernel {
 		k := fresh()
 		k.Memory().LogAccesses(true)
@@ -134,10 +134,10 @@ func logged(fresh func() kernel.Kernel, seen func(*mtrace.Memory)) func() kernel
 	}
 }
 
-// accessLog renders m's last traced region access by access. Cells are
+// AccessLog renders m's last traced region access by access. Cells are
 // named, not compared by identity: the two kernels being compared allocate
 // theirs independently, and on demand.
-func accessLog(m *mtrace.Memory) []string {
+func AccessLog(m *mtrace.Memory) []string {
 	var out []string
 	for _, a := range m.Accesses() {
 		out = append(out, fmt.Sprintf("%s core=%d write=%v", a.Cell.Name(), a.Core, a.Write))
@@ -159,7 +159,7 @@ func ReplayMatchesFresh(t *testing.T, fresh func() kernel.Kernel, gen Gen) {
 	t.Helper()
 	r := rand.New(rand.NewSource(1))
 	var repMem *mtrace.Memory
-	rep := kernel.NewReplayer(logged(fresh, func(m *mtrace.Memory) { repMem = m }))
+	rep := kernel.NewReplayer(Logged(fresh, func(m *mtrace.Memory) { repMem = m }))
 	for group := 0; group < 60; group++ {
 		setup := gen.Setup(r)
 		var tests []kernel.TestCase
@@ -174,7 +174,7 @@ func ReplayMatchesFresh(t *testing.T, fresh func() kernel.Kernel, gen Gen) {
 			// Check traces on the first kernel it builds; the second only
 			// re-executes in the opposite order.
 			var freshMem *mtrace.Memory
-			want := Check(logged(fresh, func(m *mtrace.Memory) {
+			want := Check(Logged(fresh, func(m *mtrace.Memory) {
 				if freshMem == nil {
 					freshMem = m
 				}
@@ -187,7 +187,7 @@ func ReplayMatchesFresh(t *testing.T, fresh func() kernel.Kernel, gen Gen) {
 				t.Fatalf("group %d test %d (%v || %v): replayed %+v != fresh %+v",
 					group, i, tests[i].Calls[0], tests[i].Calls[1], got, want)
 			}
-			if gotLog, wantLog := accessLog(repMem), accessLog(freshMem); !reflect.DeepEqual(gotLog, wantLog) {
+			if gotLog, wantLog := AccessLog(repMem), AccessLog(freshMem); !reflect.DeepEqual(gotLog, wantLog) {
 				t.Fatalf("group %d test %d (%v || %v): replayed access log\n %v\n!= fresh\n %v",
 					group, i, tests[i].Calls[0], tests[i].Calls[1], gotLog, wantLog)
 			}

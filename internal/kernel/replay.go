@@ -56,14 +56,19 @@ func groupBySetup(tests []TestCase) [][]int {
 	return groups
 }
 
-// maxExtent bounds every length, page index and item count a setup can make
-// a kernel build state for, the magnitude of a call's arguments (an offset
-// written is a length to truncate), and the number of names Admit compares
-// pairwise. No generated test comes near it (files are a few pages, queues
-// a few items, and sv6 reconciles lengths over 8 pages); a request body or
-// a cache entry can say 1<<40, and sv6 keeps one presence cell per page of
-// a file's length.
+// maxExtent bounds every item count a setup can make a kernel build state
+// for, the magnitude of a call's arguments, and the number of names Admit
+// compares pairwise. No generated test comes near it (queues hold a few
+// items); a request body or a cache entry can say 1<<40.
 const maxExtent = 64
+
+// MaxFilePages bounds a POSIX file: its length is at most MaxFilePages
+// pages, and its pages are indexed below it. sv6 reconciles a file's length
+// by scanning that many presence cells, so the bound is the file-data
+// layer's on every design: Admit refuses a setup past it, and a write that
+// would create a page past it panics, which the Replayer reports as the
+// test's error. Generated files are a few pages long.
+const MaxFilePages = 8
 
 // ErrInadmissible is what errors.Is finds in every error Admit returns: the
 // test itself is at fault — whoever wrote it, not the pipeline.
@@ -72,7 +77,8 @@ var ErrInadmissible = errors.New("inadmissible test")
 // Admit reports whether a Replayer may hand tc to a kernel: it validates
 // what this package can know about a test without its spec. Processes are 0
 // or 1 wherever one is named, setup names are exactly what Fname renders and
-// name one file each, and every extent and call argument is within
+// name one file each, file lengths, pages and mapped offsets are within
+// MaxFilePages, and every other extent and call argument is within
 // maxExtent. What only the spec knows — the op table, the arguments an op
 // reads — is not checked here; CheckTests turns a kernel's panic over those
 // into the test's error.
@@ -83,13 +89,13 @@ func Admit(tc *TestCase) error {
 			why = fmt.Sprintf("%s names process %d, not 0 or 1", what, p)
 		}
 	}
-	within := func(what string, lo, v int64) {
-		if why == "" && (v < lo || v > maxExtent) {
-			why = fmt.Sprintf("%s %d outside [%d, %d]", what, v, lo, maxExtent)
+	within := func(what string, lo, v, hi int64) {
+		if why == "" && (v < lo || v > hi) {
+			why = fmt.Sprintf("%s %d outside [%d, %d]", what, v, lo, hi)
 		}
 	}
 	s := &tc.Setup
-	within("setup file count", 0, int64(len(s.Files)))
+	within("setup file count", 0, int64(len(s.Files)), maxExtent)
 	for i, f := range s.Files {
 		if why != "" {
 			break // too many names to compare pairwise, or one already bad
@@ -104,9 +110,9 @@ func Admit(tc *TestCase) error {
 		}
 	}
 	for _, in := range s.Inodes {
-		within("inode length", 0, in.Len)
+		within("inode length", 0, in.Len, MaxFilePages)
 		for pg := range in.Pages {
-			within("inode page", 0, pg)
+			within("inode page", 0, pg, MaxFilePages-1)
 		}
 	}
 	for _, fd := range s.FDs {
@@ -114,19 +120,19 @@ func Admit(tc *TestCase) error {
 	}
 	for _, v := range s.VMAs {
 		proc("a setup mapping", v.Proc)
-		within("mapped page", 0, v.Page)
-		within("mapped file offset", 0, v.Foff)
+		within("mapped page", 0, v.Page, maxExtent)
+		within("mapped file offset", 0, v.Foff, MaxFilePages-1)
 	}
 	for _, p := range s.Pipes {
-		within("pipe backlog", 0, int64(len(p.Items)))
+		within("pipe backlog", 0, int64(len(p.Items)), maxExtent)
 	}
 	for _, q := range s.Queues {
-		within("queue backlog", 0, int64(len(q.Items)))
+		within("queue backlog", 0, int64(len(q.Items)), maxExtent)
 	}
 	for _, c := range tc.Calls {
 		proc("a call", c.Proc)
 		for _, v := range c.Args {
-			within("call argument", -maxExtent, v)
+			within("call argument", -maxExtent, v, maxExtent)
 		}
 	}
 	if why != "" {
@@ -264,7 +270,7 @@ func (r *Replayer) replay(tc *TestCase) CheckResult {
 // resultsCommute compares one call's results across the two execution
 // orders. The specification permits nondeterministic outputs to differ, but
 // both implementations here make order-independent choices (per-core
-// allocation in sv6; the monokernel's order-dependent lowest-FD rule is
+// allocation in sv6; Linux's order-dependent lowest-FD rule is
 // precisely one of the non-commutative behaviors the evaluation surfaces),
 // so plain equality is the right check.
 func resultsCommute(a, b Result) bool { return a == b }

@@ -1,4 +1,4 @@
-package svsix
+package unix
 
 import (
 	"testing"
@@ -11,11 +11,118 @@ func apply(t *testing.T, k *Kern, s kernel.Setup) {
 	k.Apply(s)
 }
 
+// Linux
+// The lowest-FD rule across open, pipe and close.
+func TestLowestFDRule(t *testing.T) {
+	k := New(Linux)
+	apply(t, k, kernel.Setup{
+		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
+		Inodes: []kernel.SetupInode{{Inum: 1}},
+	})
+	open := func() int64 {
+		r := k.Exec(0, kernel.Call{Op: "open", Args: map[string]int64{"fname": 0}})
+		if r.Code < 0 {
+			t.Fatalf("open: %v", r)
+		}
+		return r.Code
+	}
+	if fd := open(); fd != 0 {
+		t.Errorf("first open = %d", fd)
+	}
+	if fd := open(); fd != 1 {
+		t.Errorf("second open = %d", fd)
+	}
+	k.Exec(0, kernel.Call{Op: "close", Args: map[string]int64{"fd": 0}})
+	if fd := open(); fd != 0 {
+		t.Errorf("open after close = %d, want lowest (0)", fd)
+	}
+	r := k.Exec(0, kernel.Call{Op: "pipe", Args: map[string]int64{}})
+	if r.V1 != 2 || r.V2 != 3 {
+		t.Errorf("pipe fds = %d,%d, want 2,3", r.V1, r.V2)
+	}
+}
+
+// O_TRUNC must zero dropped pages so later extension exposes holes, not
+// stale data.
+func TestTruncDropsPages(t *testing.T) {
+	k := New(Linux)
+	apply(t, k, kernel.Setup{
+		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
+		Inodes: []kernel.SetupInode{{Inum: 1, Len: 2, Pages: map[int64]int64{0: 21, 1: 22}}},
+		FDs:    []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
+	})
+	if r := k.Exec(0, kernel.Call{Op: "open", Args: map[string]int64{"fname": 0, "trunc": 1}}); r.Code < 0 {
+		t.Fatal(r)
+	}
+	// Extend past the old pages: they must read back as zero.
+	if r := k.Exec(0, kernel.Call{Op: "pwrite", Args: map[string]int64{"fd": 0, "off": 2, "val": 9}}); r.Code != 1 {
+		t.Fatal(r)
+	}
+	if r := k.Exec(0, kernel.Call{Op: "pread", Args: map[string]int64{"fd": 0, "off": 0}}); r.Data != 0 {
+		t.Errorf("stale page after trunc: %v", r)
+	}
+}
+
+// Deliberate Linux-like sharing: the fault path writes mmap_sem even for
+// reads, so two faults in one process conflict.
+func TestMmapSemSharedOnFaults(t *testing.T) {
+	k := New(Linux)
+	apply(t, k, kernel.Setup{VMAs: []kernel.SetupVMA{
+		{Proc: 0, Page: 0, Anon: true, Writable: true},
+		{Proc: 0, Page: 1, Anon: true, Writable: true},
+	}})
+	mem := k.Memory()
+	mem.Start()
+	k.Exec(0, kernel.Call{Op: "memread", Args: map[string]int64{"page": 0}})
+	k.Exec(1, kernel.Call{Op: "memread", Args: map[string]int64{"page": 1}})
+	mem.Stop()
+	if mem.ConflictFree() {
+		t.Error("page faults should conflict on mmap_sem in the Linux-like kernel")
+	}
+}
+
+// Every name lookup bumps the dentry refcount — even failing lookups of
+// negative dentries, as in Linux's dcache.
+func TestNegativeDentryRefcount(t *testing.T) {
+	k := New(Linux)
+	apply(t, k, kernel.Setup{})
+	mem := k.Memory()
+	mem.Start()
+	k.Exec(0, kernel.Call{Op: "stat", Args: map[string]int64{"fname": 3}})
+	k.Exec(1, kernel.Call{Op: "stat", Args: map[string]int64{"fname": 3}})
+	mem.Stop()
+	if mem.ConflictFree() {
+		t.Error("same-name lookups should conflict on the (negative) dentry refcount")
+	}
+}
+
+// The global inode allocator serializes file creation.
+func TestGlobalInodeAllocator(t *testing.T) {
+	k := New(Linux)
+	apply(t, k, kernel.Setup{})
+	mem := k.Memory()
+	mem.Start()
+	k.Exec(0, kernel.Call{Op: "open", Args: map[string]int64{"fname": 0, "creat": 1}})
+	k.Exec(1, kernel.Call{Op: "open", Proc: 1, Args: map[string]int64{"fname": 1, "creat": 1}})
+	mem.Stop()
+	found := false
+	for _, c := range mem.Conflicts() {
+		if c.CellName == "inode_table.next_ino" || c.CellName == "dir.lock" {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("creates in different processes should share the allocator or dir lock: %v", mem.Conflicts())
+	}
+}
+
+// sv6
+
 // Length reconciliation: with no shared length cell, the maximum present
 // page defines the file length, including after truncation and sparse
 // extension.
 func TestLengthReconciliation(t *testing.T) {
-	k := New()
+	k := New(SV6)
 	apply(t, k, kernel.Setup{
 		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
 		Inodes: []kernel.SetupInode{{Inum: 1, Len: 2}},
@@ -47,7 +154,7 @@ func TestLengthReconciliation(t *testing.T) {
 // Per-core O_ANYFD descriptors never collide across cores, and the
 // lowest-FD mode matches POSIX.
 func TestFDAllocationModes(t *testing.T) {
-	k := New()
+	k := New(SV6)
 	apply(t, k, kernel.Setup{
 		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
 		Inodes: []kernel.SetupInode{{Inum: 1}},
@@ -66,7 +173,7 @@ func TestFDAllocationModes(t *testing.T) {
 		}
 	}
 	// Lowest mode: fresh kernel, sequential opens get 0,1,2.
-	k2 := New()
+	k2 := New(SV6)
 	apply(t, k2, kernel.Setup{
 		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
 		Inodes: []kernel.SetupInode{{Inum: 1}},
@@ -81,7 +188,7 @@ func TestFDAllocationModes(t *testing.T) {
 
 // Inode numbers are never reused (ScaleFS's defer-work design).
 func TestInodeNumbersNeverReused(t *testing.T) {
-	k := New()
+	k := New(SV6)
 	apply(t, k, kernel.Setup{})
 	seen := map[int64]bool{}
 	for i := int64(0); i < 5; i++ {
@@ -98,10 +205,11 @@ func TestInodeNumbersNeverReused(t *testing.T) {
 	}
 }
 
-// SharedLinkCount swaps the nlink representation without changing results.
+// SV6SharedLinkCount swaps the nlink representation without changing
+// results.
 func TestSharedLinkCountOption(t *testing.T) {
-	for _, shared := range []bool{false, true} {
-		k := NewOpts(Opts{SharedLinkCount: shared})
+	for _, d := range []Design{SV6, SV6SharedLinkCount} {
+		k := New(d)
 		apply(t, k, kernel.Setup{
 			Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
 			Inodes: []kernel.SetupInode{{Inum: 1}},
@@ -109,14 +217,15 @@ func TestSharedLinkCountOption(t *testing.T) {
 		k.Exec(0, kernel.Call{Op: "link", Args: map[string]int64{"old": 0, "new": 1}})
 		r := k.Exec(1, kernel.Call{Op: "stat", Args: map[string]int64{"fname": 0}})
 		if r.V2 != 2 {
-			t.Errorf("shared=%v: nlink = %v, want 2", shared, r)
+			t.Errorf("refcache=%v: nlink = %v, want 2", d.refcache, r)
 		}
 	}
 }
 
-// fstatx's nolink selection must not read the link count's cache lines.
+// fstat's nolink selection (fstatx) must not read the link count's cache
+// lines.
 func TestFstatxSkipsLinkCount(t *testing.T) {
-	k := New()
+	k := New(SV6)
 	apply(t, k, kernel.Setup{
 		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
 		Inodes: []kernel.SetupInode{{Inum: 1}},
@@ -124,11 +233,11 @@ func TestFstatxSkipsLinkCount(t *testing.T) {
 	})
 	mem := k.Memory()
 	mem.Start()
-	k.Exec(0, kernel.Call{Op: "fstatx", Args: map[string]int64{"fd": 0, "nolink": 1}})
+	k.Exec(0, kernel.Call{Op: "fstat", Args: map[string]int64{"fd": 0, "nolink": 1}})
 	k.Exec(1, kernel.Call{Op: "link", Args: map[string]int64{"old": 0, "new": 1}})
 	mem.Stop()
 	if !mem.ConflictFree() {
-		t.Errorf("fstatx must not conflict with link: %v", mem.Conflicts())
+		t.Errorf("fstat without st_nlink must not conflict with link: %v", mem.Conflicts())
 	}
 	// Plain fstat does conflict (it reconciles the Refcache count).
 	mem.Start()
@@ -145,8 +254,8 @@ func TestFstatxSkipsLinkCount(t *testing.T) {
 // without a clock: the engine builds one sv6 kernel per pair, and the
 // eager 8192-bucket table cost 90,694 mallocs (3.3 MB) each.
 func TestNewAllocatesLittle(t *testing.T) {
-	if n := testing.AllocsPerRun(10, func() { _ = New() }); n >= 2000 {
-		t.Errorf("svsix.New performs %.0f allocations, want < 2000", n)
+	if n := testing.AllocsPerRun(10, func() { _ = New(SV6) }); n >= 2000 {
+		t.Errorf("New(SV6) performs %.0f allocations, want < 2000", n)
 	}
 }
 
@@ -160,7 +269,7 @@ var oneInode = kernel.Setup{
 // apply it inside the baseline region, then reset, which drops the inode so
 // that the next call builds it again.
 func applyAndReset(tb testing.TB) func() {
-	k := New()
+	k := New(SV6)
 	k.Memory().Snapshot()
 	return func() {
 		k.Apply(oneInode)
@@ -192,7 +301,7 @@ func BenchmarkApplyOneInode(b *testing.B) {
 // born before the reader bears the rest, and on a kernel replaying from a
 // snapshot, where cells born by one test outlive its reset.
 func TestFstatConflictsWithLinkCountUpdateEitherOrder(t *testing.T) {
-	k := New()
+	k := New(SV6)
 	mem := k.Memory()
 	apply(t, k, kernel.Setup{
 		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}, {Name: "f1", Inum: 1}},

@@ -26,7 +26,7 @@ import (
 	"fmt"
 
 	"repro/internal/kernel"
-	"repro/internal/kernel/svsix"
+	"repro/internal/kernel/unix"
 	"repro/internal/mtrace"
 	"repro/internal/scale"
 )
@@ -40,7 +40,7 @@ type Config struct {
 // Server is one mail-server instance over an sv6 kernel.
 type Server struct {
 	cfg Config
-	k   *svsix.Kern
+	k   *unix.Kern
 
 	// sock[core] is the queue core's notifications go through: the one
 	// order-preserving socket every core shares, or under commutative APIs
@@ -63,7 +63,7 @@ type Server struct {
 
 // NewServer builds a server over a fresh sv6 kernel.
 func NewServer(cfg Config) *Server {
-	k := svsix.New()
+	k := unix.New(unix.SV6)
 	mem := k.Memory()
 	s := &Server{
 		cfg:       cfg,

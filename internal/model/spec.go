@@ -2,8 +2,7 @@ package model
 
 import (
 	"repro/internal/kernel"
-	"repro/internal/kernel/monokernel"
-	"repro/internal/kernel/svsix"
+	"repro/internal/kernel/unix"
 	"repro/internal/spec"
 	"repro/internal/symx"
 )
@@ -43,11 +42,11 @@ func (posixSpec) NewState(c *symx.Context, cfg spec.Config) spec.State {
 func (posixSpec) Concretizer() spec.Concretizer { return concretizer{} }
 
 // Impls binds the spec to the two kernel implementations the paper
-// evaluates: the Linux-3.8-like monokernel baseline and the sv6-like
-// scalable rebuild.
+// evaluates: two designs of one kernel, the Linux-3.8-like baseline and
+// the sv6-like scalable rebuild.
 func (posixSpec) Impls() []spec.Impl {
 	return []spec.Impl{
-		{Name: "linux", New: func() kernel.Kernel { return monokernel.New() }},
-		{Name: "sv6", New: func() kernel.Kernel { return svsix.New() }},
+		{Name: "linux", New: func() kernel.Kernel { return unix.New(unix.Linux) }},
+		{Name: "sv6", New: func() kernel.Kernel { return unix.New(unix.SV6) }},
 	}
 }

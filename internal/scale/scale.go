@@ -37,6 +37,10 @@ func NewSharedCounter(mem *mtrace.Memory, name string, init int64) *SharedCounte
 // Inc adds delta from core.
 func (c *SharedCounter) Inc(core int, delta int64) { c.cell.Add(core, delta) }
 
+// Set stores v from core, a write that reads nothing: how Linux's create
+// sets a new inode's link count.
+func (c *SharedCounter) Set(core int, v int64) { c.cell.Store(core, v) }
+
 // Read returns the value from core.
 func (c *SharedCounter) Read(core int) int64 { return c.cell.Load(core) }
 

@@ -13,7 +13,7 @@ import (
 
 	"repro/internal/analyzer"
 	"repro/internal/kernel"
-	"repro/internal/kernel/monokernel"
+	"repro/internal/kernel/unix"
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/testgen"
@@ -53,7 +53,7 @@ func TestSweepFailFastCleanShutdown(t *testing.T) {
 		Name: "flaky",
 		New: func() kernel.Kernel {
 			return &flakyKernel{
-				Kernel: monokernel.New(),
+				Kernel: unix.New(unix.Linux),
 				fail:   built.Add(1) > failAfter,
 			}
 		},

@@ -17,8 +17,7 @@ import (
 	"repro/internal/analyzer"
 	"repro/internal/kernel"
 	"repro/internal/kernel/kerneltest"
-	"repro/internal/kernel/monokernel"
-	"repro/internal/kernel/svsix"
+	"repro/internal/kernel/unix"
 	"repro/internal/kvspec"
 	"repro/internal/model"
 	"repro/internal/queuespec"
@@ -46,8 +45,8 @@ func testOp(t testing.TB, name string) *spec.Op {
 
 func testKernels() []KernelSpec {
 	return []KernelSpec{
-		{Name: "linux", New: func() kernel.Kernel { return monokernel.New() }},
-		{Name: "sv6", New: func() kernel.Kernel { return svsix.New() }},
+		{Name: "linux", New: func() kernel.Kernel { return unix.New(unix.Linux) }},
+		{Name: "sv6", New: func() kernel.Kernel { return unix.New(unix.SV6) }},
 	}
 }
 
@@ -457,7 +456,7 @@ func TestWorkersBoundExecutingKernels(t *testing.T) {
 				// A kernel name of its own keeps the CHECK tier cold.
 				ks := KernelSpec{
 					Name: fmt.Sprintf("gauged-%s-%d", name, workers),
-					New:  func() kernel.Kernel { return gaugedKernel{monokernel.New(), &g} },
+					New:  func() kernel.Kernel { return gaugedKernel{unix.New(unix.Linux), &g} },
 				}
 				res, err := drive(Config{Ops: ops, Kernels: []KernelSpec{ks}, Workers: workers, Cache: cache})
 				if err != nil {

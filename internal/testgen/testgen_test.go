@@ -7,8 +7,7 @@ import (
 	"repro/internal/analyzer"
 	"repro/internal/kernel"
 	"repro/internal/kernel/kerneltest"
-	"repro/internal/kernel/monokernel"
-	"repro/internal/kernel/svsix"
+	"repro/internal/kernel/unix"
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/sym"
@@ -111,8 +110,8 @@ func TestSetupsApply(t *testing.T) {
 	for _, pair := range [][2]string{{"stat", "unlink"}, {"close", "pipe"}, {"mprotect", "munmap"}} {
 		for _, tc := range gen(t, pair[0], pair[1], Options{}) {
 			for _, fresh := range []func() kernel.Kernel{
-				func() kernel.Kernel { return monokernel.New() },
-				func() kernel.Kernel { return svsix.New() },
+				func() kernel.Kernel { return unix.New(unix.Linux) },
+				func() kernel.Kernel { return unix.New(unix.SV6) },
 			} {
 				k := fresh()
 				k.Apply(tc.Setup)
@@ -128,7 +127,7 @@ func TestGeneratedTestsCommuteOnSv6(t *testing.T) {
 	pairs := [][2]string{{"stat", "stat"}, {"link", "link"}, {"unlink", "unlink"}, {"close", "close"}}
 	for _, pair := range pairs {
 		for _, tc := range gen(t, pair[0], pair[1], Options{}) {
-			res := kerneltest.Check(func() kernel.Kernel { return svsix.New() }, tc)
+			res := kerneltest.Check(func() kernel.Kernel { return unix.New(unix.SV6) }, tc)
 			if !res.Commuted {
 				t.Errorf("%s: results differ across orders: %v vs %v (calls %v, setup %+v)",
 					tc.ID, res.Res, res.ResSwapped, tc.Calls, tc.Setup)
@@ -146,8 +145,8 @@ func TestKernelsOnGeneratedCreateTests(t *testing.T) {
 	}
 	linuxConf, sv6Conf := 0, 0
 	for _, tc := range tests {
-		rl := kerneltest.Check(func() kernel.Kernel { return monokernel.New() }, tc)
-		rs := kerneltest.Check(func() kernel.Kernel { return svsix.New() }, tc)
+		rl := kerneltest.Check(func() kernel.Kernel { return unix.New(unix.Linux) }, tc)
+		rs := kerneltest.Check(func() kernel.Kernel { return unix.New(unix.SV6) }, tc)
 		if !rl.ConflictFree {
 			linuxConf++
 		}
