@@ -21,10 +21,15 @@ import (
 // Both numbers are read after sym.SweepInternTable. A shard sweeps when it
 // has taken as many insertions as its last sweep left entries, so what the
 // table holds when a round ends — all of it collected by then — is a point
-// on 64 sawtooths that moves between rounds by more than the band (2.0k-3.0k
-// entries); swept, it is the live expressions alone. That the shards sweep
-// themselves is held apart: a round leaves under half of what it inserted
-// (a quarter here), where a table that never sweeps keeps all of it.
+// on 64 sawtooths that moves between rounds by more than the band (2.0k-4.0k
+// entries); swept, it is the live expressions alone.
+//
+// That the shards sweep themselves is held apart, over three more rounds
+// that nothing sweeps between: a table that never sweeps keeps every entry
+// all three inserted, where the sawtooths' height does not grow with the
+// rounds, so the table holds under half of it (an eighth here). A single
+// round cannot tell the two apart once it inserts under twice what the
+// sawtooths reach.
 //
 // COMMUTER_LEAK_FULL=1 runs ten rounds of the benchmark's cold_sweep
 // universe instead (every spec in full, ~1.5 s a round), for the drill in
@@ -45,10 +50,7 @@ func TestRepeatedSweepsKeepHeapFlat(t *testing.T) {
 			universe = append(universe, []commuter.Option{commuter.WithSpec(name), commuter.WithOpSet("all")})
 		}
 	}
-	const slack = 1.15
-	var objects2, intern2 float64
-	for round := 1; round <= rounds; round++ {
-		_, inserted := sym.InternStats()
+	sweepAll := func() {
 		for _, opts := range universe {
 			if _, err := commuter.Local().Sweep(context.Background(), opts...); err != nil {
 				t.Fatal(err)
@@ -58,10 +60,11 @@ func TestRepeatedSweepsKeepHeapFlat(t *testing.T) {
 		// what they guarded, the second frees it.
 		runtime.GC()
 		runtime.GC()
-		_, total := sym.InternStats()
-		if left := uint64(sym.InternSize()); 2*left > total-inserted {
-			t.Errorf("round %d: the intern table still holds %d of the %d entries the round inserted: its shards do not sweep themselves", round, left, total-inserted)
-		}
+	}
+	const slack = 1.15
+	var objects2, intern2 float64
+	for round := 1; round <= rounds; round++ {
+		sweepAll()
 		sym.SweepInternTable()
 		runtime.GC() // the swept entries' handles and buckets
 		var ms runtime.MemStats
@@ -77,5 +80,16 @@ func TestRepeatedSweepsKeepHeapFlat(t *testing.T) {
 		case round > 2 && intern > slack*intern2:
 			t.Errorf("round %d: %.0f intern-table entries, round 2 had %.0f: the process keeps expressions of every sweep", round, intern, intern2)
 		}
+	}
+
+	_, before := sym.InternStats()
+	for range 3 {
+		sweepAll()
+	}
+	_, after := sym.InternStats()
+	left := uint64(sym.InternSize())
+	t.Logf("three unswept rounds: %d intern-table entries of the %d inserted", left, after-before)
+	if 2*left > after-before {
+		t.Errorf("the intern table holds %d of the %d entries three rounds inserted: its shards do not sweep themselves", left, after-before)
 	}
 }

@@ -121,7 +121,7 @@ func analysisFrom(ctx context.Context, r analyzer.PairResult) Analysis {
 			a.Unknown++
 		}
 		a.PathDetails = append(a.PathDetails, AnalysisPath{
-			Condition:  p.CommuteCond.String(),
+			Condition:  p.CommuteCond().String(),
 			Commutes:   p.Commutes,
 			CanDiverge: diverges[i],
 			Unknown:    p.Unknown || unknown[i],

@@ -34,6 +34,11 @@ import (
 
 // SetPath is one feasible joint path of an analysis: what ANALYZE
 // establishes about it, whatever the size of the operation set.
+//
+// The path's commutativity condition, PC ∧ Eq, is not kept built: its one
+// reader in a sweep, TESTGEN, enumerates the two conjunct lists as they
+// are (sym.Solver.EnumerateConjs), and CommuteCond builds the conjunction
+// for the readers that print or describe it.
 type SetPath struct {
 	// PC is the joint path condition across every executed permutation.
 	PC *sym.Expr
@@ -42,19 +47,21 @@ type SetPath struct {
 	// sets larger than pairs (§5.1) — intermediate states equivalent for
 	// every permutation of every subset.
 	Eq *sym.Expr
-	// CommuteCond is PC ∧ Eq: the commutativity condition of this path.
-	CommuteCond *sym.Expr
-	// Commutes reports whether CommuteCond is satisfiable: some initial
-	// state and arguments on this path make the set commute.
+	// Commutes reports whether PC ∧ Eq is satisfiable: some initial state
+	// and arguments on this path make the set commute.
 	Commutes bool
 	// Unknown reports that path exploration was truncated or the commute
 	// search exhausted the solver's step budget: a false Commutes is then
 	// an under-approximation — "not proven", not "proven not" — and the
 	// tests generated from the set are a lower bound.
 	Unknown bool
-	// VarKinds classifies the path's symbolic variables.
+	// VarKinds classifies the symbolic variables of the path's exploration
+	// (symx.Path.VarKinds): every variable of the path, and its siblings'.
 	VarKinds map[string]symx.VarKind
 }
+
+// CommuteCond builds PC ∧ Eq: the commutativity condition of this path.
+func (p SetPath) CommuteCond() *sym.Expr { return sym.And(p.PC, p.Eq) }
 
 // classified is what the two path types share: PairPath satisfies it
 // through its embedded SetPath.
@@ -288,12 +295,11 @@ func analyzeOps[P classified](ctx context.Context, sp spec.Spec, ops []*spec.Op,
 		d := p.Result.(pathData)
 		commutes, unknown := p.Sat(d.eq)
 		res.Paths = append(res.Paths, project(SetPath{
-			PC:          p.PC,
-			Eq:          d.eq,
-			CommuteCond: sym.And(p.PC, d.eq),
-			Commutes:    commutes,
-			Unknown:     p.Budgeted || unknown,
-			VarKinds:    p.VarKinds,
+			PC:       p.PC,
+			Eq:       d.eq,
+			Commutes: commutes,
+			Unknown:  p.Budgeted || unknown,
+			VarKinds: p.VarKinds,
 		}, d.full))
 	}
 	// Cancellation during the last path's classification would otherwise

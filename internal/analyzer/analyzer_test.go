@@ -25,7 +25,7 @@ func assertCommuteUnder(t *testing.T, r PairResult, extra *sym.Expr, why string)
 	t.Helper()
 	var s sym.Solver
 	for _, p := range r.CommutativePaths() {
-		if s.Sat(sym.And(p.CommuteCond, extra)) {
+		if s.Sat(sym.And(p.CommuteCond(), extra)) {
 			return
 		}
 	}
@@ -37,7 +37,7 @@ func assertNeverCommutesUnder(t *testing.T, r PairResult, extra *sym.Expr, why s
 	t.Helper()
 	var s sym.Solver
 	for _, p := range r.CommutativePaths() {
-		if s.Sat(sym.And(p.CommuteCond, extra)) {
+		if s.Sat(sym.And(p.CommuteCond(), extra)) {
 			t.Errorf("%s x %s: unexpectedly commutes under %v (%s)", r.OpA, r.OpB, extra, why)
 			return
 		}
@@ -243,7 +243,7 @@ func TestPathClassificationSanity(t *testing.T) {
 		if !p.Commutes && !diverges[i] {
 			t.Errorf("path %d neither commutes nor diverges", i)
 		}
-		if p.Commutes && !s.Sat(p.CommuteCond) {
+		if p.Commutes && !s.Sat(p.CommuteCond()) {
 			t.Errorf("path %d: Commutes set but condition unsat", i)
 		}
 	}

@@ -69,14 +69,16 @@ func canDiverge(solver *sym.Solver, p SetPath) (diverges, unknown bool) {
 }
 
 func describePath(solver *sym.Solver, p PairPath) string {
+	cond := p.CommuteCond()
 	argVars := map[string]*sym.Expr{}
 	for name, kind := range p.VarKinds {
 		if kind == symx.KindArg {
 			argVars[name] = nil
 		}
 	}
-	// Recover sorts from the condition's variable set.
-	for _, v := range sym.Vars(p.CommuteCond) {
+	// Recover sorts from the condition's variable set, which also keeps
+	// only the arguments the condition mentions.
+	for _, v := range sym.Vars(cond) {
 		if _, ok := argVars[v.Name]; ok {
 			argVars[v.Name] = v
 		}
@@ -93,7 +95,7 @@ func describePath(solver *sym.Solver, p PairPath) string {
 	// A search the budget (or cancellation) cut short refutes nothing: only
 	// a complete search that found no model is a proof.
 	refuted := func(e *sym.Expr) bool {
-		return !solver.SatAssuming(p.CommuteCond, e) && !solver.Budget()
+		return !solver.SatAssuming(cond, e) && !solver.Budget()
 	}
 	implied := func(pred *sym.Expr) int {
 		// 1: implied, -1: negation implied, 0: free (or unknown).

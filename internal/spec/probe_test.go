@@ -165,7 +165,7 @@ func TestProbePlanMatchesPerModelWalk(t *testing.T) {
 				check(m)
 			}
 			n := 0
-			(&sym.Solver{}).Enumerate(path.CommuteCond, func(m sym.Model) bool {
+			(&sym.Solver{}).Enumerate(path.CommuteCond(), func(m sym.Model) bool {
 				check(m)
 				n++
 				return n < 16

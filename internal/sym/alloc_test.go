@@ -11,19 +11,23 @@ import (
 
 // TestConstructorHitAllocatesNothing: a constructor that finds its node
 // already interned allocates nothing — its argument literal stays on the
-// caller's stack, and And/Or flatten and deduplicate up to 16 arguments in a
-// stack buffer. Only a miss copies the arguments into the new node.
+// caller's stack, and And/Or flatten and deduplicate up to junctionStack
+// (128) arguments on the stack: a scan up to 16, a hash table past that.
+// Only a miss copies the arguments into the new node.
 func TestConstructorHitAllocatesNothing(t *testing.T) {
 	x, y := Var("hitx", IntSort), Var("hity", IntSort)
 	p, q := Var("hitp", BoolSort), Var("hitq", BoolSort)
-	var wide [16]*Expr
+	var wide [junctionStack]*Expr
 	for i := range wide {
 		wide[i] = Lt(x, Int(int64(i)))
 	}
 	// Held here: a node nothing references may be collected, and building
 	// it again is a miss. And(lo, True, hi, wide[3]) flattens to 8+7+1 = 16
-	// arguments before its duplicate goes.
+	// arguments before its duplicate goes, And(loW, True, hiW, wide[3]) to
+	// 64+63+1 = 128, and dups is 100 arguments and 28 repeats of them.
 	lo, hi := And(wide[:8]...), And(wide[8:15]...)
+	loW, hiW := And(wide[:64]...), And(wide[64:127]...)
+	dups := slices.Concat(wide[:100], wide[:28])
 	cases := []struct {
 		name  string
 		build func() *Expr
@@ -41,9 +45,14 @@ func TestConstructorHitAllocatesNothing(t *testing.T) {
 		{"Implies", func() *Expr { return Implies(p, q) }},
 		{"And/2", func() *Expr { return And(p, q) }},
 		{"Or/2", func() *Expr { return Or(p, q) }},
-		{"And/16", func() *Expr { return And(wide[:]...) }},
-		{"Or/16", func() *Expr { return Or(wide[:]...) }},
+		{"And/16", func() *Expr { return And(wide[:16]...) }},
+		{"Or/16", func() *Expr { return Or(wide[:16]...) }},
 		{"And/nested", func() *Expr { return And(lo, True, hi, wide[3]) }},
+		{"And/17", func() *Expr { return And(wide[:17]...) }},
+		{"And/128", func() *Expr { return And(wide[:]...) }},
+		{"Or/128", func() *Expr { return Or(wide[:]...) }},
+		{"And/nested128", func() *Expr { return And(loW, True, hiW, wide[3]) }},
+		{"And/duplicates", func() *Expr { return And(dups...) }},
 	}
 	for _, c := range cases {
 		node := c.build()
@@ -58,6 +67,82 @@ func TestConstructorHitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestConstructorMissAllocatesTheNodeAlone is the other half: a junction
+// that makes its node, over up to junctionStack arguments with more than 16
+// variables among them, allocates what the node keeps — the node, its
+// argument copy, its variable list, the weak handle and the bucket entry
+// holding it — and no scratch: dedup's table and mergeVars' bitset are on
+// the stack.
+func TestConstructorMissAllocatesTheNodeAlone(t *testing.T) {
+	const runs = 100
+	run := fuzzFresh.Add(1)
+	for _, n := range []int{2, 17, 64, junctionStack} {
+		// Conjunct i is v_i < v_i+1: n arguments over n+1 variables. Every
+		// window of the pool is a node not built before.
+		v := func(j int) *Expr { return Var(fmt.Sprintf("miss%d.%d.%d", run, n, j), IntSort) }
+		pool := make([]*Expr, runs+1+n)
+		for i := range pool {
+			pool[i] = Lt(v(i), v(i+1))
+		}
+		k, made := 0, map[*Expr]bool{}
+		allocs := testing.AllocsPerRun(runs, func() {
+			made[And(pool[k:k+n]...)] = true
+			k++
+		})
+		if len(made) != runs+1 {
+			t.Fatalf("n=%d: %d distinct nodes from %d windows", n, len(made), runs+1)
+		}
+		// The map's own growth is amortized below one per run.
+		if allocs != 5 {
+			t.Errorf("a junction of %d arguments making its node: %v allocations, want 5", n, allocs)
+		}
+	}
+}
+
+// TestUnionVarsPastTheBitset holds unionVars to a first-occurrence merge by
+// pointer where ids run past its bitset and a map takes them over. The
+// variables past it are made by hand, not interned: a process that interned
+// that many names would size every later Solver's scratch for them.
+func TestUnionVarsPastTheBitset(t *testing.T) {
+	var vars []*Expr
+	for i := 0; i < 12; i++ {
+		vars = append(vars, Var(fmt.Sprintf("past.small%d", i), BoolSort))
+		big := &Expr{Op: OpVar, Sort: BoolSort, Name: fmt.Sprintf("past.big%d", i), VarID: varBitset + i}
+		big.vars = []*Expr{big}
+		vars = append(vars, big)
+	}
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		args := make([]*Expr, 1+r.Intn(20))
+		for i := range args {
+			a := &Expr{Op: OpNot, Sort: BoolSort}
+			for range r.Intn(5) {
+				if v := vars[r.Intn(len(vars))]; !slices.Contains(a.vars, v) {
+					a.vars = append(a.vars, v)
+				}
+			}
+			args[i] = a
+		}
+		if got, want := unionVars(nil, args), refUnionVars(args); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: unionVars = %v, want %v", trial, got, want)
+		}
+	}
+}
+
+// refUnionVars is the variables of args' lists, in order, each once, by
+// pointer.
+func refUnionVars(args []*Expr) []*Expr {
+	var out []*Expr
+	for _, a := range args {
+		for _, v := range a.vars {
+			if !slices.Contains(out, v) {
+				out = append(out, v)
+			}
+		}
+	}
+	return out
+}
+
 // uncachedString renders e from its fields alone, not from the string
 // cached on it.
 func uncachedString(e *Expr) string {
@@ -68,7 +153,7 @@ func uncachedString(e *Expr) string {
 // input meets nodes that are certainly not interned yet.
 var fuzzFresh atomic.Int64
 
-// FuzzAndFlattensLikeNesting holds And and Or to the two contracts their
+// FuzzAndFlattensLikeNesting holds And and Or to the contracts their
 // callers rely on, over lists of conjuncts the fuzz bytes pick: variables
 // (some never seen before), negations, equalities, the constants,
 // duplicates, and nested Ands and Ors.
@@ -77,17 +162,29 @@ var fuzzFresh atomic.Int64
 //     And(And(xs...), And(ys...)) is the very node And(xs..., ys...) is, and
 //     likewise for Or. Collecting a formula's conjuncts in one flat list and
 //     conjoining once (symx.DictsEquivalent, spec.Equivalent) depends on it.
+//   - Its variables are its arguments', in first-occurrence order, once.
 //   - A node keeps none of its caller's slice: overwriting the slice passed
 //     to a constructor, after it returns, leaves the node's Args and its
 //     rendering as they were, whether the call found the node or made it.
+//
+// long, when not zero, is the length of the first list, so that the
+// constructors' scratch is exercised in every regime: past 16 arguments
+// dedup's stack table, past junctionStack its map, and past 16 variables
+// mergeVars' bitset. The seeds hold such lists, duplicates among them; no
+// list this long holds a constant, which would absorb it.
 func FuzzAndFlattensLikeNesting(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		data := make([]byte, 256)
 		rand.New(rand.NewSource(seed)).Read(data)
-		f.Add(data)
+		f.Add(uint8(0), data)
 	}
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(uint8(0), []byte{})
+	for i, long := range []uint8{17, 64, junctionStack, junctionStack + 1, 255} {
+		data := make([]byte, 2048)
+		rand.New(rand.NewSource(int64(100 + i))).Read(data)
+		f.Add(long, data)
+	}
+	f.Fuzz(func(t *testing.T, long uint8, data []byte) {
 		r := rand.New(&byteSource{data})
 		sortU := Uninterpreted("U")
 		fresh := fmt.Sprintf("fz%d", fuzzFresh.Add(1))
@@ -95,7 +192,7 @@ func FuzzAndFlattensLikeNesting(f *testing.F) {
 		var elem func(depth int) *Expr
 		elem = func(depth int) *Expr {
 			var e *Expr
-			switch k := r.Intn(8); {
+			switch k := r.Intn(9); {
 			case k == 0:
 				e = Var(fmt.Sprintf("fzp%d", r.Intn(4)), BoolSort)
 			case k == 1:
@@ -103,8 +200,12 @@ func FuzzAndFlattensLikeNesting(f *testing.F) {
 			case k == 2:
 				e = Not(Var(fmt.Sprintf("fzp%d", r.Intn(4)), BoolSort))
 			case k == 3:
-				e = Eq(Var(fmt.Sprintf("fzu%d", r.Intn(3)), sortU), Var(fmt.Sprintf("fzu%d", r.Intn(3)), sortU))
-			case k == 4:
+				i, j := r.Intn(3), r.Intn(3)
+				if long > 0 {
+					j = (i + 1 + r.Intn(2)) % 3 // u = u is the constant true
+				}
+				e = Eq(Var(fmt.Sprintf("fzu%d", i), sortU), Var(fmt.Sprintf("fzu%d", j), sortU))
+			case k == 4 && long == 0: // a constant would absorb a long list early
 				e = Bool(r.Intn(4) == 0) // mostly the unit of And
 			case k == 5 && len(picked) > 0:
 				e = picked[r.Intn(len(picked))]
@@ -112,28 +213,39 @@ func FuzzAndFlattensLikeNesting(f *testing.F) {
 				e = And(elem(depth-1), elem(depth-1), elem(depth-1))
 			case k == 7 && depth > 0:
 				e = Or(elem(depth-1), elem(depth-1))
+			case k == 8:
+				e = Var(fmt.Sprintf("fzw%d", r.Intn(192)), BoolSort) // many variables
 			default:
 				e = Var(fmt.Sprintf("fzp%d", r.Intn(4)), BoolSort)
 			}
 			picked = append(picked, e)
 			return e
 		}
-		list := func() []*Expr {
-			out := make([]*Expr, r.Intn(20))
+		list := func(n int) []*Expr {
+			out := make([]*Expr, n)
 			for i := range out {
 				out[i] = elem(2)
 			}
 			return out
 		}
-		xs, ys := list(), list()
+		n := r.Intn(20)
+		if long > 0 {
+			n = int(long)
+		}
+		xs, ys := list(n), list(r.Intn(20))
 
 		for _, c := range []struct {
 			name string
 			op   func(...*Expr) *Expr
-		}{{"And", And}, {"Or", Or}} {
+			code Op
+		}{{"And", And, OpAnd}, {"Or", Or, OpOr}} {
 			nested := c.op(c.op(xs...), c.op(ys...))
-			if flat := c.op(slices.Concat(xs, ys)...); nested != flat {
+			flat := c.op(slices.Concat(xs, ys)...)
+			if nested != flat {
 				t.Fatalf("%s of the two %ss is %v, of the concatenation %v\nxs: %v\nys: %v", c.name, c.name, nested, flat, xs, ys)
+			}
+			if want := refUnionVars(flat.Args); flat.Op == c.code && !slices.Equal(flat.vars, want) {
+				t.Fatalf("%s over %d arguments: variables %v, want %v", c.name, len(flat.Args), flat.vars, want)
 			}
 		}
 

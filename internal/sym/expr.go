@@ -12,7 +12,7 @@ package sym
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -94,7 +94,8 @@ type Expr struct {
 	Int  int64
 	Bool bool
 	// Name is the variable name for OpVar nodes; VarID is its interned
-	// id, used by the solver for array-indexed assignments.
+	// id, one per name and sort, used by the solver for array-indexed
+	// assignments. Two live variables with one VarID are one node.
 	Name  string
 	VarID int
 	Args  []*Expr
@@ -114,20 +115,27 @@ type Expr struct {
 	str atomic.Pointer[string]
 }
 
-// Variable names are interned process-wide so solver assignments can be
-// dense arrays instead of string-keyed maps (the solver's hot path).
+// Variables are interned process-wide, by name and sort, so solver
+// assignments can be dense arrays instead of string-keyed maps (the
+// solver's hot path). A variable collected and rebuilt gets its old id back.
+type varKey struct {
+	name string
+	sort Sort
+}
+
 var (
 	varMu  sync.Mutex
-	varIDs = map[string]int{}
+	varIDs = map[varKey]int{}
 )
 
-func internVar(name string) int {
+func internVar(name string, s Sort) int {
 	varMu.Lock()
 	defer varMu.Unlock()
-	id, ok := varIDs[name]
+	k := varKey{name, s}
+	id, ok := varIDs[k]
 	if !ok {
 		id = len(varIDs)
-		varIDs[name] = id
+		varIDs[k] = id
 	}
 	return id
 }
@@ -212,11 +220,12 @@ func And(args ...*Expr) *Expr { return junction(OpAnd, True, args) }
 func Or(args ...*Expr) *Expr { return junction(OpOr, False, args) }
 
 // junction builds the connective op over args: nested op nodes spliced in,
-// unit (the identity) dropped, its negation absorbing everything. Up to 16
-// flattened arguments live in a stack buffer, so a junction that finds its
-// node allocates nothing.
+// unit (the identity) dropped, its negation absorbing everything. Up to
+// junctionStack flattened arguments live in a stack buffer, and dedup's
+// table is on the stack as well, so a junction that finds its node
+// allocates nothing.
 func junction(op Op, unit *Expr, args []*Expr) *Expr {
-	var buf [16]*Expr
+	var buf [junctionStack]*Expr
 	flat := buf[:0]
 	for _, a := range args {
 		if a.Sort.Kind != KindBool {
@@ -243,12 +252,25 @@ func junction(op Op, unit *Expr, args []*Expr) *Expr {
 	return intern(op, BoolSort, 0, false, "", flat)
 }
 
+// junctionStack bounds the flattened arguments junction and dedup keep on
+// the stack; past it they fall back to the heap.
+const junctionStack = 128
+
+// dedup's open-addressing table has 1<<dedupBits slots, twice
+// junctionStack, so probes stay short.
+const (
+	dedupBits  = 8
+	dedupTable = 1 << dedupBits
+)
+
 // dedup removes duplicate conjuncts/disjuncts in place, keeping first
-// occurrences. Nodes are interned, so duplicates are pointer-equal; a hash
-// set takes over past the sizes where a linear scan is cheaper.
+// occurrences. Nodes are interned, so duplicates are pointer-equal. A
+// linear scan serves short lists, an open-addressing table on the stack,
+// keyed by interning id, lists up to junctionStack, and a map longer ones.
 func dedup(args []*Expr) []*Expr {
 	out := args[:0]
-	if len(args) <= 16 {
+	switch {
+	case len(args) <= 16:
 	outer:
 		for _, a := range args {
 			for _, b := range out {
@@ -257,6 +279,20 @@ func dedup(args []*Expr) []*Expr {
 				}
 			}
 			out = append(out, a)
+		}
+		return out
+	case len(args) <= junctionStack:
+		var table [dedupTable]*Expr
+		for _, a := range args {
+			// Fibonacci hashing spreads the sequential ids over the table.
+			i := a.id * 0x9E3779B97F4A7C15 >> (64 - dedupBits)
+			for table[i] != nil && table[i] != a {
+				i = (i + 1) % dedupTable
+			}
+			if table[i] == nil {
+				table[i] = a
+				out = append(out, a)
+			}
 		}
 		return out
 	}
@@ -417,10 +453,15 @@ func Ite(cond, a, b *Expr) *Expr {
 }
 
 // Vars returns the free variables of e, sorted by name.
-func Vars(e *Expr) []*Expr {
-	out := append([]*Expr(nil), e.vars...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+func Vars(e *Expr) []*Expr { return sortByName(slices.Clone(e.vars)) }
+
+// VarsConjs is Vars of the conjunction of conjs, without building it: the
+// free variables of every conjunct, once each, sorted by name.
+func VarsConjs(conjs []*Expr) []*Expr { return sortByName(unionVars(nil, conjs)) }
+
+func sortByName(vars []*Expr) []*Expr {
+	slices.SortFunc(vars, func(a, b *Expr) int { return strings.Compare(a.Name, b.Name) })
+	return vars
 }
 
 // String renders the expression in a Lisp-like prefix form. The rendering

@@ -3,6 +3,7 @@ package sym
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 	"weak"
 )
 
@@ -51,6 +52,15 @@ import (
 const internShardCount = 64
 
 type internShard struct {
+	internShardState
+	// Filling the shard to a cache line keeps neighbouring shards'
+	// mutexes and counters off each other's lines.
+	_ [cacheLine - unsafe.Sizeof(internShardState{})%cacheLine]byte
+}
+
+const cacheLine = 64
+
+type internShardState struct {
 	mu sync.Mutex
 	m  map[uint64][]weak.Pointer[Expr]
 	// n counts the entries in m, cleared ones included.
@@ -59,6 +69,10 @@ type internShard struct {
 	// when they reach sweepAt, the number of entries the last one left (or
 	// the floor).
 	inserts, sweepAt int
+	// hits and misses count the constructor calls that found their node
+	// in this shard and those that added it, under mu: a process-wide
+	// counter would be one line every worker writes on every call.
+	hits, misses uint64
 }
 
 // internSweepFloor keeps a nearly empty shard from sweeping on every
@@ -82,16 +96,20 @@ func newInterner() *interner {
 
 var defaultInterner = newInterner()
 
-// Process-wide intern-table traffic counters. A hit means a constructor
-// returned an already-live node (structure sharing paid off); a miss
-// means a new node was interned. They are monotonically increasing for
-// the process lifetime, so observers (the obs metrics layer, per-pair
-// sweep deltas) read them as totals and difference snapshots themselves.
-var internHitCount, internMissCount atomic.Uint64
-
-// InternStats returns the process-wide intern-table hit and miss totals.
+// InternStats returns the process-wide intern-table hit and miss totals,
+// summed over the shards. A hit means a constructor returned an
+// already-live node (structure sharing paid off); a miss means a new node
+// was interned. Both only grow for the process lifetime, so observers (the
+// obs metrics layer, per-pair sweep deltas) read them as totals and
+// difference snapshots themselves.
 func InternStats() (hits, misses uint64) {
-	return internHitCount.Load(), internMissCount.Load()
+	for i := range defaultInterner.shards {
+		sh := &defaultInterner.shards[i]
+		sh.mu.Lock()
+		hits, misses = hits+sh.hits, misses+sh.misses
+		sh.mu.Unlock()
+	}
+	return hits, misses
 }
 
 // InternSize returns the number of entries the intern table holds, whether
@@ -187,8 +205,8 @@ func intern(op Op, sort Sort, i64 int64, b bool, name string, args []*Expr) *Exp
 			if compact {
 				sh.m[h] = sh.compactBucket(bucket)
 			}
+			sh.hits++
 			sh.mu.Unlock()
-			internHitCount.Add(1)
 			return e
 		}
 	}
@@ -197,7 +215,7 @@ func intern(op Op, sort Sort, i64 int64, b bool, name string, args []*Expr) *Exp
 	own := append([]*Expr(nil), args...)
 	e := &Expr{Op: op, Sort: sort, Int: i64, Bool: b, Name: name, Args: own}
 	if op == OpVar {
-		e.VarID = internVar(name)
+		e.VarID = internVar(name, sort)
 	}
 	e.id = it.nextID.Add(1)
 	e.vars = mergeVars(e, own)
@@ -209,11 +227,11 @@ func intern(op Op, sort Sort, i64 int64, b bool, name string, args []*Expr) *Exp
 	sh.m[h] = append(bucket, weak.Make(e))
 	sh.n++
 	sh.inserts++
+	sh.misses++
 	if sh.inserts >= sh.sweepAt {
 		sh.sweep()
 	}
 	sh.mu.Unlock()
-	internMissCount.Add(1)
 	return e
 }
 
@@ -267,30 +285,57 @@ func mergeVars(e *Expr, args []*Expr) []*Expr {
 	case 1:
 		return last
 	}
-	out := make([]*Expr, 0, total)
+	return unionVars(make([]*Expr, 0, total), args)
+}
+
+// varBitset bounds the variable ids unionVars tracks in a bitset on its
+// stack; an id past it goes to a map.
+const varBitset = 1 << 15
+
+// unionVars appends to dst the variables of args' lists, in order, each
+// once. A variable's VarID is its identity (one per name and sort), so past
+// the lengths a linear scan serves, a bitset over ids does.
+func unionVars(dst, args []*Expr) []*Expr {
+	total := 0
+	for _, a := range args {
+		total += len(a.vars)
+	}
 	if total <= 16 {
+		base := len(dst)
 		for _, a := range args {
 		vloop:
 			for _, v := range a.vars {
-				for _, o := range out {
+				for _, o := range dst[base:] {
 					if o == v {
 						continue vloop
 					}
 				}
-				out = append(out, v)
+				dst = append(dst, v)
 			}
 		}
-		return out
+		return dst
 	}
-	seen := make(map[*Expr]struct{}, total)
+	var seen [varBitset / 64]uint64
+	var past map[int]struct{}
 	for _, a := range args {
 		for _, v := range a.vars {
-			if _, ok := seen[v]; ok {
-				continue
+			if id := v.VarID; id < varBitset {
+				w, bit := id/64, uint64(1)<<(id%64)
+				if seen[w]&bit != 0 {
+					continue
+				}
+				seen[w] |= bit
+			} else {
+				if _, dup := past[id]; dup {
+					continue
+				}
+				if past == nil {
+					past = map[int]struct{}{}
+				}
+				past[id] = struct{}{}
 			}
-			seen[v] = struct{}{}
-			out = append(out, v)
+			dst = append(dst, v)
 		}
 	}
-	return out
+	return dst
 }

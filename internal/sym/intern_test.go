@@ -1,8 +1,11 @@
 package sym
 
 import (
+	"fmt"
 	"runtime"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestInterningPointerEquality pins the hash-consing contract: equal
@@ -79,6 +82,47 @@ func TestInternedStringCached(t *testing.T) {
 	ref := &Expr{Op: OpAnd, Sort: BoolSort, Args: e.Args}
 	if ref.String() != first {
 		t.Errorf("cached render %q differs from uncached reference %q", first, ref.String())
+	}
+}
+
+// TestInternStatsCountsEveryCall pins what sym.intern_hit_share is read
+// from, now that each shard counts its own traffic under its lock: every
+// constructor call that reaches the table counts once in InternStats, a
+// hit when it finds its node and a miss when it adds it, however many
+// goroutines call.
+func TestInternStatsCountsEveryCall(t *testing.T) {
+	const workers, calls = 4, 500
+	run := fuzzFresh.Add(1)
+	hits0, misses0 := InternStats()
+	made := make([][]*Expr, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range calls {
+				v := Var(fmt.Sprintf("istat%d.%d.%d", run, w, i), BoolSort)
+				made[w] = append(made[w], v)
+				if Var(v.Name, BoolSort) != v {
+					t.Errorf("%s: asked again, another node", v.Name)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	hits, misses := InternStats()
+	if hits-hits0 != workers*calls || misses-misses0 != workers*calls {
+		t.Errorf("%d new variables, each asked for twice: %d hits and %d misses, want %d of each",
+			workers*calls, hits-hits0, misses-misses0, workers*calls)
+	}
+	runtime.KeepAlive(made)
+}
+
+// TestInternShardFillsACacheLine pins the padding that keeps one shard's
+// mutex and counters off its neighbours' cache lines.
+func TestInternShardFillsACacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(internShard{}); size%cacheLine != 0 {
+		t.Errorf("an intern shard is %d bytes, not a whole number of %d-byte lines", size, cacheLine)
 	}
 }
 

@@ -424,6 +424,14 @@ func (s *Solver) Sat(e *Expr) bool { return s.search(Conjuncts(e), nil) }
 // what cb wants to keep it reads out (Int, Bool) before then.
 func (s *Solver) Enumerate(e *Expr, cb func(Model) bool) { s.search(Conjuncts(e), cb) }
 
+// EnumerateConjs is Enumerate over the conjunction of conjs, without
+// building it. The list may repeat a conjunct: a copy is decided at the
+// same level as its first occurrence and prunes what that one pruned, and
+// variable order and candidate domains come from first occurrences, so the
+// models and their order are Enumerate's of the conjunction. conjs is only
+// read, and only during the call.
+func (s *Solver) EnumerateConjs(conjs []*Expr, cb func(Model) bool) { s.search(conjs, cb) }
+
 // search is the one backtracking search behind every entry point. It
 // walks the total assignments satisfying the implicit conjunction conjs —
 // callers pass conjunct lists so that cone-of-influence queries need not

@@ -143,6 +143,42 @@ func FuzzEnumerateWitnesses(f *testing.F) {
 	})
 }
 
+// TestEnumerateConjsIgnoresRepeats pins what enumerating a conjunction as
+// the concatenation of two conjunct lists (TESTGEN's PC ∧ Eq) relies on: a
+// copy of any conjunct, placed anywhere after it, leaves the models
+// Enumerate hands its leaf as they were, in the same order, and the search
+// takes the same steps — a step budget cuts it off at the same model.
+func TestEnumerateConjsIgnoresRepeats(t *testing.T) {
+	g := newGen(rand.New(rand.NewSource(17)))
+	r := rand.New(rand.NewSource(19))
+	var s Solver
+	for trial := 0; trial < 200; trial++ {
+		e := And(g.boolTerm(2), g.boolTerm(2), g.boolTerm(2), g.boolTerm(2))
+		conjs := Conjuncts(e)
+		s.MaxSteps = 0
+		if trial%2 == 1 {
+			s.MaxSteps = 1 + r.Intn(60)
+		}
+		models := func(enumerate func(func(Model) bool)) string {
+			var out []string
+			enumerate(func(m Model) bool {
+				out = append(out, fmt.Sprint(byName(m, e.vars)))
+				return true
+			})
+			return fmt.Sprint(out, " budget ", s.Budget())
+		}
+		want := models(func(leaf func(Model) bool) { s.Enumerate(e, leaf) })
+		for i, c := range conjs {
+			j := i + 1 + r.Intn(len(conjs)-i)
+			repeated := slices.Insert(slices.Clone(conjs), j, c)
+			if got := models(func(leaf func(Model) bool) { s.EnumerateConjs(repeated, leaf) }); got != want {
+				t.Fatalf("trial %d, conjunct %d repeated at %d (MaxSteps %d):\n got %s\nwant %s\nformula: %v",
+					trial, i, j, s.MaxSteps, got, want, e)
+			}
+		}
+	}
+}
+
 // TestEnumerateLeafCostsNothingPerModel pins what handing the leaf the
 // search's own assignment buys: Enumerate over a formula with 2N models
 // allocates what it does over one with N, reads of the Model included.

@@ -8,6 +8,13 @@
 // perform the same Context calls in the same order. All state reachable by a
 // model must be rebuilt inside the model function (replay re-executes it
 // from scratch for each path).
+//
+// Variable names must be content-derived: a name denotes one variable, of
+// one sort and one kind, wherever the exploration meets it. An exploration
+// therefore keeps one variable table for all its replays (Context.Var
+// panics on a name met at another sort), and each Path's VarKinds is that
+// table's kinds — every variable of the exploration, a superset of the
+// path's own.
 package symx
 
 import (
@@ -54,9 +61,12 @@ type Context struct {
 	trace []bool // prerecorded decisions for replay
 	pos   int    // next decision index
 
-	pending  [][]bool // alternative decision prefixes discovered this run
+	pending [][]bool // alternative decision prefixes discovered this run
+
+	// The exploration's variable table, shared by all its replays: the
+	// memoized named variables and their kinds.
 	varKinds map[string]VarKind
-	vars     map[string]*sym.Expr // memoized named variables
+	vars     map[string]*sym.Expr
 
 	// infeas caches conditions found unsatisfiable with the path
 	// condition. The path condition only grows, so infeasibility is
@@ -80,19 +90,23 @@ type Context struct {
 	initProbes map[string][]*initProbe
 }
 
-// newContext starts one replay along trace. The replays of one model make
-// much the same calls, so its variable maps and path condition start at the
-// size the previous replay, prev (the zero Context before the first), left
-// them.
+// newContext starts one replay along trace. prev is the exploration's
+// previous replay (the zero Context before the first): the new one shares
+// its variable table, and its path condition starts at the size prev's
+// reached, since the replays of one model make much the same calls.
 func newContext(trace []bool, solver *sym.Solver, prev *Context) *Context {
+	vars, kinds := prev.vars, prev.varKinds
+	if vars == nil {
+		vars, kinds = map[string]*sym.Expr{}, map[string]VarKind{}
+	}
 	return &Context{
 		solver:     solver,
 		pcConjs:    make([]*sym.Expr, 0, len(prev.pcConjs)),
 		pcSet:      make(map[*sym.Expr]struct{}, len(prev.pcConjs)),
 		infeas:     map[*sym.Expr]bool{},
 		trace:      trace,
-		varKinds:   make(map[string]VarKind, len(prev.vars)),
-		vars:       make(map[string]*sym.Expr, len(prev.vars)),
+		varKinds:   kinds,
+		vars:       vars,
 		initProbes: map[string][]*initProbe{},
 	}
 }
@@ -103,7 +117,8 @@ func (c *Context) PC() *sym.Expr { return sym.And(c.pcConjs...) }
 // Var returns the memoized named variable, creating it with the given sort
 // and kind on first use. Names are content-derived by callers (for example
 // "fs[a].present"), which keeps variable identities stable across the
-// replays of different paths and permutations.
+// replays of different paths and permutations; the memo is the
+// exploration's, so a name met at another sort in any replay panics.
 func (c *Context) Var(name string, s sym.Sort, kind VarKind) *sym.Expr {
 	if v, ok := c.vars[name]; ok {
 		if v.Sort != s {
@@ -273,8 +288,9 @@ type Path struct {
 	PC *sym.Expr
 	// Result is whatever the model function returned.
 	Result any
-	// VarKinds classifies every symbolic variable the path created. It is
-	// the finished context's own map: read-only.
+	// VarKinds classifies every symbolic variable the exploration created,
+	// on this path or any other. It is the exploration's own map, shared by
+	// all its paths: read-only.
 	VarKinds map[string]VarKind
 	// Budgeted reports that a feasibility check during the exploration
 	// exhausted the solver's step budget, or that the exploration stopped

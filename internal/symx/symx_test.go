@@ -138,6 +138,46 @@ func TestVarSortConflictPanics(t *testing.T) {
 	}, Options{})
 }
 
+// An exploration keeps one variable table: a name redeclared at another
+// sort panics even when the two declarations are on different paths.
+func TestVarSortConflictAcrossReplaysPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic on a sort conflict between two paths")
+		}
+	}()
+	explore(func(c *Context) any {
+		if c.Branch(c.Var("p", sym.BoolSort, KindArg)) {
+			c.Var("x", sym.IntSort, KindArg)
+		} else {
+			c.Var("x", sym.BoolSort, KindArg)
+		}
+		return nil
+	}, Options{})
+}
+
+// Every path's VarKinds is the exploration's: it holds the variables a
+// sibling path made too.
+func TestVarKindsCoverTheExploration(t *testing.T) {
+	paths := explore(func(c *Context) any {
+		if c.Branch(c.Var("p", sym.BoolSort, KindArg)) {
+			c.Var("only.true", sym.IntSort, KindState)
+			return true
+		}
+		c.Var("only.false", sym.IntSort, KindNondet)
+		return false
+	}, Options{})
+	if len(paths) != 2 {
+		t.Fatalf("want 2 paths, got %d", len(paths))
+	}
+	for _, p := range paths {
+		k := p.VarKinds
+		if len(k) != 3 || k["p"] != KindArg || k["only.true"] != KindState || k["only.false"] != KindNondet {
+			t.Errorf("path %v: kinds = %v", p.Result, k)
+		}
+	}
+}
+
 func TestVarKindsReported(t *testing.T) {
 	paths := explore(func(c *Context) any {
 		c.Var("arg", sym.IntSort, KindArg)

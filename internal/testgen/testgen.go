@@ -91,11 +91,13 @@ func generate(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kernel.TestC
 	calls := [2]kernel.Call{{Op: opA.Name, Args: map[string]int64{}}, {Op: opB.Name, Args: map[string]int64{}}}
 	seen := map[string][]int{} // SetupID -> the kept tests starting from it
 	classes := map[string]bool{}
+	var cond []*sym.Expr
 	for pi, path := range pr.Paths {
 		if !path.Commutes {
 			continue
 		}
-		vars := classVars(path.CommuteCond, path.VarKinds)
+		cond = condConjs(cond[:0], path.SetPath)
+		vars := classVars(cond, path.VarKinds)
 		manyClasses := distinguishes(vars)
 		// What mining a setup needs of the path's two states is resolved
 		// here, once, and evaluated per model below.
@@ -115,7 +117,7 @@ func generate(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kernel.TestC
 		// the truncation count instead of failing silently.
 		ti := 0
 		clear(classes)
-		solver.Enumerate(path.CommuteCond, func(m sym.Model) bool {
+		solver.EnumerateConjs(cond, func(m sym.Model) bool {
 			n.visited++
 			cls := sig.classSignature(m, vars)
 			if classes[string(cls)] {
@@ -171,17 +173,21 @@ func generate(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kernel.TestC
 	return tests, truncated, n
 }
 
-// classVars selects the variables whose equality pattern defines a test's
-// isomorphism class: arguments and initial state, but not nondeterministic
-// outputs.
-func classVars(cond *sym.Expr, kinds map[string]symx.VarKind) []*sym.Expr {
-	var out []*sym.Expr
-	for _, v := range sym.Vars(cond) {
-		if kinds[v.Name] != symx.KindNondet {
-			out = append(out, v)
-		}
-	}
-	return out
+// condConjs appends to dst the path's commutativity condition PC ∧ Eq as
+// the concatenation of its two conjunct lists: enumerating that is
+// enumerating the conjunction (sym.Solver.EnumerateConjs), which is never
+// built.
+func condConjs(dst []*sym.Expr, p analyzer.SetPath) []*sym.Expr {
+	return append(append(dst, sym.Conjuncts(p.PC)...), sym.Conjuncts(p.Eq)...)
+}
+
+// classVars selects, among the variables of the conjunction of conjs, sorted
+// by name, those whose equality pattern defines a test's isomorphism class:
+// arguments and initial state, but not nondeterministic outputs.
+func classVars(conjs []*sym.Expr, kinds map[string]symx.VarKind) []*sym.Expr {
+	return slices.DeleteFunc(sym.VarsConjs(conjs), func(v *sym.Expr) bool {
+		return kinds[v.Name] == symx.KindNondet
+	})
 }
 
 // sigScratch is classSignature's storage, reused from model to model.
