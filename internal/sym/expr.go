@@ -332,8 +332,9 @@ func Eq(a, b *Expr) *Expr {
 			return Not(a)
 		}
 	}
-	// Canonical argument order keeps dedup effective.
-	if exprKey(b) < exprKey(a) {
+	// Canonical argument order keeps dedup effective: the operands in the
+	// order of their renderings, compared without building them.
+	if compareRendered(b, a) < 0 {
 		a, b = b, a
 	}
 	return intern(OpEq, BoolSort, 0, false, "", []*Expr{a, b})
@@ -464,9 +465,13 @@ func sortByName(vars []*Expr) []*Expr {
 	return vars
 }
 
+// ID returns the node's interning identity: no two nodes the constructors
+// made share one, and an id is never reused.
+func (e *Expr) ID() uint64 { return e.id }
+
 // String renders the expression in a Lisp-like prefix form. The rendering
-// is cached on the node, so ordering keys and content-derived tags
-// amortize across repeated calls.
+// is cached on the node, so content-derived tags amortize across repeated
+// calls.
 func (e *Expr) String() string {
 	if s := e.str.Load(); s != nil {
 		return *s
@@ -532,6 +537,3 @@ func opName(op Op) string {
 		return "?"
 	}
 }
-
-// exprKey returns a total-order key used only for canonicalization.
-func exprKey(e *Expr) string { return e.String() }

@@ -101,67 +101,79 @@ func refFieldSetAt(a, b *Dict, k Key) []string {
 	return nil
 }
 
-// TestQuickDictsEquivalentMatchesPerField: over random histories of
-// Set/Del/Get/Contains on a two-field and a single-field dictionary and
-// of GetFunc/Set on a total-function one — two instances of
-// each, as the two permutations of a pair hold them, probing a handful of
-// keys that the explored paths make equal or distinct in every combination,
-// so one location is reached under different tuples — the conjunction of
-// the flat list DictsEquivalent appends is, on every path, the very node
-// the per-field reference builds by nesting one And per field and per key.
+// dictKind is one shape of dictionary the random histories run on.
+type dictKind struct {
+	name  string
+	total bool
+	mk    func(c *Context, tag string) *Struct
+	val   func(r *rand.Rand, pool []*sym.Expr) *Struct
+}
+
+func pick(r *rand.Rand, pool []*sym.Expr) *sym.Expr { return pool[r.Intn(len(pool))] }
+
+// dictKinds: a two-field dictionary whose MakeVal Assumes an invariant, a
+// single-field one, and a total-function one.
+var dictKinds = []dictKind{
+	{name: "qs", mk: func(c *Context, tag string) *Struct {
+		x := c.Var(tag+".x", sym.IntSort, KindState)
+		c.Assume(sym.Ge(x, sym.Int(0)))
+		return NewStruct("x", x, "w", c.Var(tag+".w", sym.BoolSort, KindState))
+	}, val: func(r *rand.Rand, pool []*sym.Expr) *Struct {
+		return NewStruct("x", pick(r, pool), "w", sym.Bool(r.Intn(2) == 0))
+	}},
+	{name: "qe", mk: func(c *Context, tag string) *Struct {
+		return NewStruct("val", c.Var(tag+".val", sym.IntSort, KindState))
+	}, val: func(r *rand.Rand, pool []*sym.Expr) *Struct { return NewStruct("val", pick(r, pool)) }},
+	{name: "qt", total: true, mk: func(c *Context, tag string) *Struct {
+		return NewStruct("n", c.Var(tag+".n", sym.IntSort, KindState))
+	}, val: func(r *rand.Rand, pool []*sym.Expr) *Struct { return NewStruct("n", pick(r, pool)) }},
+}
+
+// dictHistory runs on c the random history r draws: Set/Del/Get/Contains
+// on a dictionary of one of dictKinds, or GetFunc/Set on a total-function
+// one — two instances of it, as the two permutations of a pair hold them,
+// probing a handful of keys that the explored paths make equal or distinct
+// in every combination, so one location is reached under different tuples.
+// writeOnly keeps to Set and Del (Set alone on a total-function one), so
+// no key is probed. The history depends on r alone, never on a decision,
+// so every replay performs the same calls.
+func dictHistory(c *Context, r *rand.Rand, writeOnly bool) [2]*Dict {
+	k := dictKinds[r.Intn(len(dictKinds))]
+	a, b := c.Var("qa", nameSort, KindArg), c.Var("qb", nameSort, KindArg)
+	i, j := c.Var("qi", sym.IntSort, KindArg), c.Var("qj", sym.IntSort, KindArg)
+	keys := []Key{K(a, i), K(b, i), K(a, j), K(b, sym.Int(1)), K(sym.Const(nameSort, 0), j)}
+	ints := []*sym.Expr{i, j, sym.Int(0), sym.Add(i, sym.Int(1))}
+	ds := [2]*Dict{NewDict(k.name, k.mk), NewDict(k.name, k.mk)}
+	for n := 2 + r.Intn(5); n > 0; n-- {
+		d, key := ds[r.Intn(2)], keys[r.Intn(len(keys))]
+		switch op := r.Intn(4); {
+		case op == 0 || writeOnly && k.total:
+			d.Set(c, key, k.val(r, ints))
+		case k.total:
+			d.GetFunc(c, key)
+		case op == 1 || writeOnly:
+			d.Del(c, key)
+		case op == 2:
+			d.Contains(c, key)
+		default:
+			if d.Contains(c, key) {
+				d.Get(c, key)
+			}
+		}
+	}
+	return ds
+}
+
+// TestQuickDictsEquivalentMatchesPerField: over random histories
+// (dictHistory), the conjunction of the flat list DictsEquivalent appends
+// is, on every path, the very node the per-field reference builds by
+// nesting one And per field and per key.
 func TestQuickDictsEquivalentMatchesPerField(t *testing.T) {
-	type kind struct {
-		name  string
-		total bool
-		mk    func(c *Context, tag string) *Struct
-		val   func(r *rand.Rand, pool []*sym.Expr) *Struct
-	}
-	pick := func(r *rand.Rand, pool []*sym.Expr) *sym.Expr { return pool[r.Intn(len(pool))] }
-	kinds := []kind{
-		{name: "qs", mk: func(c *Context, tag string) *Struct {
-			x := c.Var(tag+".x", sym.IntSort, KindState)
-			c.Assume(sym.Ge(x, sym.Int(0)))
-			return NewStruct("x", x, "w", c.Var(tag+".w", sym.BoolSort, KindState))
-		}, val: func(r *rand.Rand, pool []*sym.Expr) *Struct {
-			return NewStruct("x", pick(r, pool), "w", sym.Bool(r.Intn(2) == 0))
-		}},
-		{name: "qe", mk: func(c *Context, tag string) *Struct {
-			return NewStruct("val", c.Var(tag+".val", sym.IntSort, KindState))
-		}, val: func(r *rand.Rand, pool []*sym.Expr) *Struct { return NewStruct("val", pick(r, pool)) }},
-		{name: "qt", total: true, mk: func(c *Context, tag string) *Struct {
-			return NewStruct("n", c.Var(tag+".n", sym.IntSort, KindState))
-		}, val: func(r *rand.Rand, pool []*sym.Expr) *Struct { return NewStruct("n", pick(r, pool)) }},
-	}
 	compared := 0
 	check := func(seed int64) bool {
 		ok := true
 		paths := explore(func(c *Context) any {
-			// The history depends on the seed alone, never on a decision,
-			// so every replay performs the same calls.
-			r := rand.New(rand.NewSource(seed))
-			k := kinds[r.Intn(len(kinds))]
-			a, b := c.Var("qa", nameSort, KindArg), c.Var("qb", nameSort, KindArg)
-			i, j := c.Var("qi", sym.IntSort, KindArg), c.Var("qj", sym.IntSort, KindArg)
-			keys := []Key{K(a, i), K(b, i), K(a, j), K(b, sym.Int(1)), K(sym.Const(nameSort, 0), j)}
-			ints := []*sym.Expr{i, j, sym.Int(0), sym.Add(i, sym.Int(1))}
-			ds := [2]*Dict{NewDict(k.name, k.mk), NewDict(k.name, k.mk)}
-			for n := 2 + r.Intn(5); n > 0; n-- {
-				d, key := ds[r.Intn(2)], keys[r.Intn(len(keys))]
-				switch op := r.Intn(4); {
-				case op == 0:
-					d.Set(c, key, k.val(r, ints))
-				case k.total:
-					d.GetFunc(c, key)
-				case op == 1:
-					d.Del(c, key)
-				case op == 2:
-					d.Contains(c, key)
-				default:
-					if d.Contains(c, key) {
-						d.Get(c, key)
-					}
-				}
-			}
+			ds := dictHistory(c, rand.New(rand.NewSource(seed)), false)
 			var got, want *sym.Expr
 			if seed%2 == 0 {
 				got, want = sym.And(DictsEquivalent(nil, c, ds[0], ds[1])...), refDictsEquivalent(c, ds[0], ds[1])

@@ -15,11 +15,22 @@
 // panics on a name met at another sort), and each Path's VarKinds is that
 // table's kinds — every variable of the exploration, a superset of the
 // path's own.
+//
+// A Dict's MakeVal must be a function of its tag: it may call Context.Var
+// and Context.Assume and nothing else (Context.Branch inside it panics),
+// and dictionaries that share a name share it. An exploration therefore
+// derives what a dictionary location's tag determines — its membership
+// variable, its initial value and the invariants MakeVal Assumes — once
+// for all its replays, and memoizes DictsEquivalent by the identity of its
+// inputs; a later use Assumes the recorded invariants again, so the path
+// condition grows, or the replay aborts, exactly as re-deriving would
+// have made it.
 package symx
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/sym"
 )
@@ -54,19 +65,24 @@ type Context struct {
 	// position for the life of the path, and the conjunction node itself
 	// is materialized once per completed path instead of once per
 	// branch. The list is kept exactly equal to
-	// sym.Conjuncts(sym.And(pcConjs...)).
+	// sym.Conjuncts(sym.And(pcConjs...)). pcSet marks each conjunct inPC
+	// and the operand of each negated conjunct negInPC, so that whether a
+	// node's negation is a conjunct is a lookup that builds no Not.
 	pcConjs []*sym.Expr
-	pcSet   map[*sym.Expr]struct{}
+	pcSet   map[*sym.Expr]uint8
 
 	trace []bool // prerecorded decisions for replay
 	pos   int    // next decision index
 
 	pending [][]bool // alternative decision prefixes discovered this run
 
-	// The exploration's variable table, shared by all its replays: the
-	// memoized named variables and their kinds.
-	varKinds map[string]VarKind
-	vars     map[string]*sym.Expr
+	// x is what the exploration's replays share.
+	x *exploration
+
+	// making is the dictionary whose MakeVal is running, at makingTag, or
+	// nil.
+	making    *Dict
+	makingTag string
 
 	// infeas caches conditions found unsatisfiable with the path
 	// condition. The path condition only grows, so infeasibility is
@@ -90,23 +106,56 @@ type Context struct {
 	initProbes map[string][]*initProbe
 }
 
+// The marks pcSet holds for a node.
+const (
+	inPC    uint8 = 1 << iota // the node is a path-condition conjunct
+	negInPC                   // the node's negation is a conjunct
+)
+
+// exploration is what the replays of one RunCtx share: tables of what is a
+// function of content-derived names and interned nodes, which a replay
+// looks up instead of deriving again. They die with the exploration.
+type exploration struct {
+	// The variable table: the memoized named variables and their kinds.
+	varKinds map[string]VarKind
+	vars     map[string]*sym.Expr
+
+	// probes holds what each dictionary location's tag determines (see
+	// probe); equivs memoizes DictsEquivalent by its signature's hash, sig
+	// is the scratch a call builds its signature in, and shapes the field
+	// orders signatures name by index.
+	probes map[probeKey]*probe
+	equivs map[uint64][]*equivMemo
+	sig    []sigWord
+	shapes [][]string
+
+	// heard lists the conditions the current replay has Assumed, in order
+	// (see heardSince).
+	heard []*sym.Expr
+}
+
 // newContext starts one replay along trace. prev is the exploration's
 // previous replay (the zero Context before the first): the new one shares
-// its variable table, and its path condition starts at the size prev's
+// its exploration, and its path condition starts at the size prev's
 // reached, since the replays of one model make much the same calls.
 func newContext(trace []bool, solver *sym.Solver, prev *Context) *Context {
-	vars, kinds := prev.vars, prev.varKinds
-	if vars == nil {
-		vars, kinds = map[string]*sym.Expr{}, map[string]VarKind{}
+	x := prev.x
+	if x == nil {
+		x = &exploration{
+			varKinds: map[string]VarKind{},
+			vars:     map[string]*sym.Expr{},
+			probes:   map[probeKey]*probe{},
+			equivs:   map[uint64][]*equivMemo{},
+		}
 	}
+	x.heard = x.heard[:0]
 	return &Context{
 		solver:     solver,
 		pcConjs:    make([]*sym.Expr, 0, len(prev.pcConjs)),
-		pcSet:      make(map[*sym.Expr]struct{}, len(prev.pcConjs)),
+		pcSet:      make(map[*sym.Expr]uint8, len(prev.pcSet)),
 		infeas:     map[*sym.Expr]bool{},
 		trace:      trace,
-		varKinds:   kinds,
-		vars:       vars,
+		x:          x,
 		initProbes: map[string][]*initProbe{},
 	}
 }
@@ -120,16 +169,22 @@ func (c *Context) PC() *sym.Expr { return sym.And(c.pcConjs...) }
 // replays of different paths and permutations; the memo is the
 // exploration's, so a name met at another sort in any replay panics.
 func (c *Context) Var(name string, s sym.Sort, kind VarKind) *sym.Expr {
-	if v, ok := c.vars[name]; ok {
+	if v, ok := c.x.vars[name]; ok {
 		if v.Sort != s {
 			panic(fmt.Sprintf("symx: variable %q redeclared at sort %v (was %v)", name, s, v.Sort))
 		}
 		return v
 	}
 	v := sym.Var(name, s)
-	c.vars[name] = v
-	c.varKinds[name] = kind
+	c.x.vars[name] = v
+	c.x.varKinds[name] = kind
 	return v
+}
+
+// heardSince returns the conditions Assumed since the replay had Assumed
+// start of them, in order.
+func (c *Context) heardSince(start int) []*sym.Expr {
+	return slices.Clone(c.x.heard[start:])
 }
 
 // Abort abandons the current path unconditionally. Models use it to prune
@@ -145,11 +200,14 @@ func (c *Context) Abort() {
 // callers abort or return before reaching here).
 func (c *Context) addPC(cond *sym.Expr) {
 	for _, cj := range sym.Conjuncts(cond) {
-		if _, dup := c.pcSet[cj]; dup {
+		if c.pcSet[cj]&inPC != 0 {
 			continue
 		}
-		c.pcSet[cj] = struct{}{}
+		c.pcSet[cj] |= inPC
 		c.pcConjs = append(c.pcConjs, cj)
+		if cj.Op == sym.OpNot {
+			c.pcSet[cj.Args[0]] |= negInPC
+		}
 	}
 }
 
@@ -157,14 +215,14 @@ func (c *Context) addPC(cond *sym.Expr) {
 // path-condition conjunct, so pc ∧ cond ≡ pc — satisfiable by invariant.
 // Hash-consing makes this a pointer lookup.
 func (c *Context) pcImplies(cond *sym.Expr) bool {
-	if _, ok := c.pcSet[cond]; ok {
+	if c.pcSet[cond]&inPC != 0 {
 		return true
 	}
 	if cond.Op != sym.OpAnd {
 		return false
 	}
 	for _, cj := range cond.Args {
-		if _, ok := c.pcSet[cj]; !ok {
+		if c.pcSet[cj]&inPC == 0 {
 			return false
 		}
 	}
@@ -173,21 +231,29 @@ func (c *Context) pcImplies(cond *sym.Expr) bool {
 
 // pcRefutes reports that the path condition syntactically contains cond's
 // negation (or the negation of one of cond's conjuncts), so pc ∧ cond is
-// unsatisfiable without a search. sym.Not canonicalizes — for an OpNot
-// argument it returns the inner node — so one lookup covers both
-// polarities.
+// unsatisfiable without a search.
 func (c *Context) pcRefutes(cond *sym.Expr) bool {
-	if _, ok := c.pcSet[sym.Not(cond)]; ok {
+	if c.negated(cond) {
 		return true
 	}
 	if cond.Op == sym.OpAnd {
 		for _, cj := range cond.Args {
-			if _, ok := c.pcSet[sym.Not(cj)]; ok {
+			if c.negated(cj) {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// negated reports that sym.Not(e) is a conjunct, without building it:
+// sym.Not of a negation is its operand, and of anything else the node
+// whose operand addPC marked negInPC.
+func (c *Context) negated(e *sym.Expr) bool {
+	if e.Op == sym.OpNot {
+		return c.pcSet[e.Args[0]]&inPC != 0
+	}
+	return c.pcSet[e]&negInPC != 0
 }
 
 // Assume conjoins cond onto the path condition, abandoning the path if it
@@ -196,6 +262,7 @@ func (c *Context) Assume(cond *sym.Expr) {
 	if cond.IsTrue() {
 		return
 	}
+	c.x.heard = append(c.x.heard, cond)
 	if !c.feasible(cond) {
 		panic(abort{reason: "assumption unsatisfiable"})
 	}
@@ -236,8 +303,11 @@ func (c *Context) feasible(cond *sym.Expr) bool {
 // Branch explores both sides of cond. It returns the concrete decision for
 // this path and adds the corresponding constraint to the path condition.
 // When both sides are feasible, the unexplored side is queued for a later
-// replay.
+// replay. A MakeVal may not branch: Branch inside one panics.
 func (c *Context) Branch(cond *sym.Expr) bool {
+	if c.making != nil {
+		panic(fmt.Sprintf("symx: MakeVal of %s branched at %s", c.making.Name, c.makingTag))
+	}
 	if cond.IsTrue() {
 		return true
 	}
@@ -381,7 +451,7 @@ func RunCtx(ctx context.Context, fn func(*Context) any, opt Options) ([]Path, bo
 			continue
 		}
 		paths = append(paths, Path{
-			PC: c.PC(), Result: res, VarKinds: c.varKinds, ctx: c,
+			PC: c.PC(), Result: res, VarKinds: c.x.varKinds, ctx: c,
 		})
 	}
 	// Stopping at the cap with prefixes still queued leaves branches

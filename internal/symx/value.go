@@ -113,16 +113,83 @@ type Dict struct {
 	// Name prefixes the content-derived variable names.
 	Name string
 	// MakeVal builds an unconstrained value for initial content at the
-	// key with the given tag.
+	// key with the given tag (see NewDict).
 	MakeVal func(c *Context, tag string) *Struct
 
 	entries []*DictEntry
 }
 
 // NewDict returns an empty-overlay dictionary with unconstrained initial
-// content.
+// content. makeVal must be a function of its tag: it may name variables
+// after the tag with c.Var and constrain them with c.Assume, and call
+// nothing else on c — a Branch inside it panics. Dictionaries that share a
+// name must share makeVal. The exploration calls it once per location and
+// tag and hands its value, and the conditions it Assumed, to every later
+// use (see probe).
 func NewDict(name string, makeVal func(c *Context, tag string) *Struct) *Dict {
 	return &Dict{Name: name, MakeVal: makeVal}
+}
+
+// probeArity bounds the key components the probe table keys on; a longer
+// key's probe is derived again at every use.
+const probeArity = 2
+
+// probeKey is one dictionary location: the name and the interned key.
+type probeKey struct {
+	dict string
+	key  [probeArity]*sym.Expr
+}
+
+// probe is what one dictionary location's tag determines, derived once per
+// exploration: the tag, the membership variable, and the value the first
+// MakeVal returned together with the conditions it Assumed, in order.
+type probe struct {
+	tag     string
+	present *sym.Expr
+	val     *Struct
+	assumed []*sym.Expr
+}
+
+// probe returns the exploration's entry for d's location k.
+func (c *Context) probe(d *Dict, k Key) *probe {
+	if len(k) > probeArity {
+		return &probe{tag: fmt.Sprintf("%s[%s]", d.Name, k.tag())}
+	}
+	pk := probeKey{dict: d.Name}
+	copy(pk.key[:], k)
+	p := c.x.probes[pk]
+	if p == nil {
+		p = &probe{tag: fmt.Sprintf("%s[%s]", d.Name, k.tag())}
+		c.x.probes[pk] = p
+	}
+	return p
+}
+
+// presentVar returns the location's membership variable.
+func (p *probe) presentVar(c *Context) *sym.Expr {
+	if p.present == nil {
+		p.present = c.Var(p.tag+".present", sym.BoolSort, KindState)
+	}
+	return p.present
+}
+
+// value returns d.MakeVal's value at the location. After the first call
+// it Assumes what that call Assumed, in order — the path condition grows,
+// or the replay aborts, as another MakeVal would have made it — and
+// returns the same Struct.
+func (p *probe) value(c *Context, d *Dict) *Struct {
+	if p.val != nil {
+		for _, cond := range p.assumed {
+			c.Assume(cond)
+		}
+		return p.val
+	}
+	start := len(c.x.heard)
+	c.making, c.makingTag = d, p.tag
+	v := d.MakeVal(c, p.tag)
+	c.making = nil
+	p.val, p.assumed = v, c.heardSince(start)
+	return v
 }
 
 // initProbe is one registered initial-content probe, shared across all
@@ -163,13 +230,13 @@ func (d *Dict) lookup(c *Context, k Key) *DictEntry {
 			return e
 		}
 	}
-	tag := fmt.Sprintf("%s[%s]", d.Name, k.tag())
-	pv := c.Var(tag+".present", sym.BoolSort, KindState)
+	p := c.probe(d, k)
+	pv := p.presentVar(c)
 	present := c.Branch(pv)
 	e := &DictEntry{Key: k, Present: present, InitialProbe: true, InitPresentVar: pv}
 	ip := &initProbe{key: k, presentVar: pv}
 	if present {
-		e.Val = d.MakeVal(c, tag)
+		e.Val = p.value(c, d)
 		e.InitVal = e.Val
 		ip.val = e.Val
 	}
@@ -202,8 +269,7 @@ func (d *Dict) GetFunc(c *Context, k Key) *Struct {
 			return e.Val
 		}
 	}
-	tag := fmt.Sprintf("%s[%s]", d.Name, k.tag())
-	v := d.MakeVal(c, tag)
+	v := c.probe(d, k).value(c, d)
 	e := &DictEntry{Key: k, Present: true, Val: v, InitialProbe: true, InitVal: v}
 	d.entries = append(d.entries, e)
 	c.initProbes[d.Name] = append(c.initProbes[d.Name], &initProbe{key: k, val: v})
@@ -261,20 +327,46 @@ func (d *Dict) Entries() []*DictEntry { return d.entries }
 // clauses. sym.And of the result is the formula; conjoining the conjuncts
 // once is what conjoining them per key and per dictionary would give.
 //
-// What the two sides and all fields of one key share is built once per
-// key: the initial-content name, the MakeVal default (one name, so the
-// same memoised variables whichever dictionary asks), and the guards
-// comparing the key with every registered probe and every overlay entry.
+// The conjuncts are a function of the dictionaries' name, the registered
+// probes of that name and both overlays, and the exploration memoizes them
+// by the identity of all three (see equivSig). A call that finds an
+// earlier one's inputs Assumes again what that call Assumed — the
+// invariants of the defaults' MakeVal — and appends its conjuncts.
 func DictsEquivalent(dst []*sym.Expr, c *Context, a, b *Dict) []*sym.Expr {
 	if a.Name != b.Name {
 		panic("symx: comparing dictionaries with different identities")
 	}
-	keys := unionKeys(a, b)
-	fields := fieldSet(a, b)
+	if len(a.entries) == 0 && len(b.entries) == 0 {
+		return dst // no key either path touched
+	}
 	probes := c.initProbes[a.Name]
+	h, sig := c.x.equivSig(a.Name, probes, a, b)
+	for _, m := range c.x.equivs[h] {
+		if m.dict == a.Name && slices.Equal(m.sig, sig) {
+			for _, cond := range m.assumed {
+				c.Assume(cond)
+			}
+			return append(dst, m.conjs...)
+		}
+	}
+	start, n := len(c.x.heard), len(dst)
+	dst = dictsEquivalent(dst, c, probes, a, b)
+	c.x.equivs[h] = append(c.x.equivs[h], &equivMemo{
+		dict: a.Name, sig: slices.Clone(sig), conjs: slices.Clone(dst[n:]), assumed: c.heardSince(start),
+	})
+	return dst
+}
+
+// dictsEquivalent builds what DictsEquivalent appends. What the two sides
+// and all fields of one key share is built once per key: the MakeVal
+// default (one tag, so one probe whichever dictionary asks), and the
+// guards comparing the key with every registered probe and every overlay
+// entry.
+func dictsEquivalent(dst []*sym.Expr, c *Context, probes []*initProbe, a, b *Dict) []*sym.Expr {
+	keys := unionKeys(c, a, b)
+	fields := fieldSet(a, b)
 	var probeEq, aEq, bEq []*sym.Expr
 	for _, k := range keys {
-		name := fmt.Sprintf("%s[%s]", a.Name, k.tag)
 		probeEq = probeEq[:0]
 		for _, ip := range probes {
 			probeEq = append(probeEq, ip.key.eq(k.key))
@@ -284,7 +376,7 @@ func DictsEquivalent(dst []*sym.Expr, c *Context, a, b *Dict) []*sym.Expr {
 		// Membership. The default for keys outside a dictionary's overlay
 		// is the initial content: a registered probe's membership variable
 		// if the location was probed anywhere, else a name-derived one.
-		init := c.Var(name+".present", sym.BoolSort, KindState)
+		init := k.probe.presentVar(c)
 		for i, ip := range probes {
 			if ip.presentVar != nil {
 				init = sym.Ite(probeEq[i], ip.presentVar, init)
@@ -299,7 +391,7 @@ func DictsEquivalent(dst []*sym.Expr, c *Context, a, b *Dict) []*sym.Expr {
 		// content's.
 		var def *Struct
 		if len(fields) > 0 {
-			def = a.MakeVal(c, name)
+			def = k.probe.value(c, a)
 		}
 		for _, f := range fields {
 			init := def.Get(f)
@@ -319,6 +411,95 @@ func DictsEquivalent(dst []*sym.Expr, c *Context, a, b *Dict) []*sym.Expr {
 		}
 	}
 	return dst
+}
+
+// equivMemo is one DictsEquivalent call's outcome: the conjuncts it
+// appended and the conditions it Assumed, under its dictionaries' name and
+// its signature.
+type equivMemo struct {
+	dict           string
+	sig            []sigWord
+	conjs, assumed []*sym.Expr
+}
+
+// sigWord is one word of a DictsEquivalent signature: a node or a number.
+// A stored signature holds its nodes, so none is collected while the memo
+// may still match it.
+type sigWord struct {
+	e *sym.Expr
+	n int
+}
+
+// equivSig writes into the exploration's scratch the signature of what
+// DictsEquivalent reads besides the name — each registered probe's key,
+// membership variable and value; each overlay entry's key, membership and
+// value — and returns it with its hash, which covers the name too. A list
+// is preceded by its length, and a value by its shape, so equal signatures
+// are equal inputs.
+func (x *exploration) equivSig(name string, probes []*initProbe, a, b *Dict) (uint64, []sigWord) {
+	sig := append(x.sig[:0], sigWord{n: len(probes)})
+	for _, ip := range probes {
+		sig = appendKey(sig, ip.key)
+		sig = append(sig, sigWord{e: ip.presentVar})
+		sig = x.appendStruct(sig, ip.val)
+	}
+	for _, d := range [2]*Dict{a, b} {
+		sig = append(sig, sigWord{n: len(d.entries)})
+		for _, e := range d.entries {
+			sig = appendKey(sig, e.Key)
+			if e.Present {
+				sig = x.appendStruct(sig, e.Val)
+			} else {
+				sig = append(sig, sigWord{n: -2})
+			}
+		}
+	}
+	x.sig = sig
+	h := uint64(fnvOffset)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * fnvPrime
+	}
+	for _, w := range sig {
+		if w.e != nil {
+			h = (h ^ w.e.ID()) * fnvPrime
+		}
+		h = (h ^ uint64(w.n)) * fnvPrime
+	}
+	return h, sig
+}
+
+const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
+
+func appendKey(sig []sigWord, k Key) []sigWord {
+	sig = append(sig, sigWord{n: len(k)})
+	for _, e := range k {
+		sig = append(sig, sigWord{e: e})
+	}
+	return sig
+}
+
+// appendStruct appends s's shape (-1 for no value) and its field values.
+func (x *exploration) appendStruct(sig []sigWord, s *Struct) []sigWord {
+	if s == nil {
+		return append(sig, sigWord{n: -1})
+	}
+	sig = append(sig, sigWord{n: x.shape(s.FieldOrder)})
+	for _, e := range s.vals {
+		sig = append(sig, sigWord{e: e})
+	}
+	return sig
+}
+
+// shape numbers a field order: its index among the exploration's shapes,
+// of which a model has a handful.
+func (x *exploration) shape(fields []string) int {
+	for i, s := range x.shapes {
+		if slices.Equal(s, fields) {
+			return i
+		}
+	}
+	x.shapes = append(x.shapes, fields)
+	return len(x.shapes) - 1
 }
 
 // entryGuards appends, for each overlay entry in order, the formula that
@@ -352,22 +533,20 @@ func (d *Dict) overlay(eq []*sym.Expr, init *sym.Expr, val func(*DictEntry) *sym
 	return res
 }
 
-// taggedKey is a key with its rendered tag.
-type taggedKey struct {
-	key Key
-	tag string
+// probedKey is a key with its location's probe.
+type probedKey struct {
+	key   Key
+	probe *probe
 }
 
-// unionKeys returns the syntactically-deduplicated union of overlay keys.
-func unionKeys(a, b *Dict) []taggedKey {
-	var keys []taggedKey
-	seen := map[string]bool{}
-	for _, d := range []*Dict{a, b} {
+// unionKeys returns the union of overlay keys, deduplicated by tag.
+func unionKeys(c *Context, a, b *Dict) []probedKey {
+	var keys []probedKey
+	for _, d := range [2]*Dict{a, b} {
 		for _, e := range d.entries {
-			t := e.Key.tag()
-			if !seen[t] {
-				seen[t] = true
-				keys = append(keys, taggedKey{e.Key, t})
+			p := c.probe(a, e.Key)
+			if !slices.ContainsFunc(keys, func(k probedKey) bool { return k.probe.tag == p.tag }) {
+				keys = append(keys, probedKey{e.Key, p})
 			}
 		}
 	}
