@@ -11,9 +11,9 @@ import (
 )
 
 // BenchmarkNewKernel measures building one kernel of every registered
-// implementation. The engine builds one per pair per kernel (a Replayer
-// each), so whatever a constructor provisions up front is paid a few
-// hundred times a sweep; allocs/op is the number to watch.
+// implementation. The engine builds one per kernel per sweep worker (a
+// Replayer each), and Client.Check and CheckTestsCtx one per call;
+// allocs/op is the number to watch.
 func BenchmarkNewKernel(b *testing.B) {
 	for _, name := range spec.Names() {
 		sp, err := spec.Lookup(name)

@@ -242,7 +242,8 @@ type TestCase struct {
 // in cells of its traced memory or in maps and variables set through
 // mtrace.SetKey and mtrace.SetVar, so that the memory's Reset alone returns
 // the kernel to an earlier state. (A structure built on demand and left in
-// place is fine when a reset one is indistinguishable from an unbuilt one.)
+// place is fine when a reset one is indistinguishable from an unbuilt one:
+// a sweep worker's Replayer keeps it for every later group and pair.)
 // Apply and Exec may assume the test was admitted (Admit) and came from
 // their spec, and may panic otherwise: the Replayer reports that as the
 // test's error.

@@ -14,45 +14,59 @@ import (
 // the test actually wrote. Both execution orders replay on the same
 // instance, so the commutativity comparison is also setup-shared.
 //
-// The engine builds one Replayer per pair per kernel, so construction is
-// paid a few hundred times a sweep: kernels keep it to what no test can
-// avoid and build the rest when a test first touches it (sv6's directory
-// buckets, per-core counters and link-count deltas; see BenchmarkNewKernel).
+// A Replayer outlives its batch: the sweep engine keeps one per kernel per
+// worker and hands it every pair that worker runs, so a kernel is built a
+// few times a sweep, not once per pair. What a group or a pair builds on
+// demand (sv6's directory buckets, per-core counters, inodes with their
+// link-count deltas and radix leaves) stays built, reset to the state it
+// was born in, for every later group and pair. The engine drops a Replayer
+// after any CheckTests error instead of handing it the next pair: a panic
+// that cut a kernel call short may have left state outside the journal.
 //
-// A Replayer is not safe for concurrent use; each CHECK stage (one pair on
-// one kernel) and each Client.Check call builds its own.
+// A Replayer is not safe for concurrent use; each sweep worker and each
+// Client.Check call has its own.
 type Replayer struct {
 	k Kernel
+	// groups and index are CheckTests' grouping scratch, kept across calls.
+	groups [][]int
+	index  map[string]int
 }
 
 // NewReplayer builds the kernel once and opens its baseline snapshot.
 func NewReplayer(fresh func() Kernel) *Replayer {
 	k := fresh()
 	k.Memory().Snapshot()
-	return &Replayer{k: k}
+	return &Replayer{k: k, index: map[string]int{}}
 }
 
 // groupBySetup buckets the indices of tests by setup fingerprint,
 // preserving first-appearance order: each group is a run of tests sharing
 // one initial state, its first member's Setup. Tests generated by testgen
 // carry a precomputed SetupID; tests from other sources (hand-built,
-// decoded from the wire or a cache) are fingerprinted here.
-func groupBySetup(tests []TestCase) [][]int {
-	var groups [][]int
-	index := map[string]int{}
+// decoded from the wire or a cache) are fingerprinted here. The result
+// lives in r's scratch until the next call.
+func (r *Replayer) groupBySetup(tests []TestCase) [][]int {
+	clear(r.index)
+	groups := r.groups[:0]
 	for i := range tests {
 		id := tests[i].SetupID
 		if id == "" {
 			id = tests[i].Setup.Fingerprint()
 		}
-		gi, ok := index[id]
+		gi, ok := r.index[id]
 		if !ok {
 			gi = len(groups)
-			index[id] = gi
-			groups = append(groups, nil)
+			r.index[id] = gi
+			if gi < cap(groups) { // reuse the slice an earlier call left here
+				groups = groups[:gi+1]
+				groups[gi] = groups[gi][:0]
+			} else {
+				groups = append(groups, nil)
+			}
 		}
 		groups[gi] = append(groups[gi], i)
 	}
+	r.groups = groups
 	return groups
 }
 
@@ -157,7 +171,7 @@ func (r *Replayer) CheckTests(ctx context.Context, tests []TestCase, fn func(i i
 			return 0, err
 		}
 	}
-	grouped := groupBySetup(tests)
+	grouped := r.groupBySetup(tests)
 	for _, g := range grouped {
 		if err := ctx.Err(); err != nil {
 			return len(grouped), err

@@ -193,6 +193,13 @@ func (k *Kern) Name() string { return k.d.name }
 // a vma's fields and the pipe id counter are set through it.
 func (k *Kern) Memory() *mtrace.Memory { return k.mem }
 
+// inode returns inum's inode, building it on first touch. An inode built
+// inside a snapshot region survives Reset on both designs: every cell it is
+// built with is born holding its initial value (a radix's interior nodes
+// born present, see scale.Radix.Materialize), and what is born later — a
+// page, a Refcache delta, a radix leaf — holds the journal-restored zero it
+// would be born with, so a surviving inode is a fresh one to every later
+// setup group, and every later pair of a long-lived Replayer.
 func (k *Kern) inode(inum int64) *inode {
 	ino, ok := k.inodes[inum]
 	if ok {
@@ -204,17 +211,13 @@ func (k *Kern) inode(inum int64) *inode {
 	} else {
 		ino.nlink = sharedCount{scale.NewSharedCounter(k.mem, fmt.Sprintf("inode[%d].nlink", inum), 0)}
 	}
-	if !k.d.radixData {
+	if k.d.radixData {
+		ino.radix.init(k.mem, inum)
+		ino.data = &ino.radix
+	} else {
 		ino.data = newPageCells(k.mem, inum)
-		k.inodes[inum] = ino
-		return ino
 	}
-	ino.radix.init(k.mem, inum)
-	ino.data = &ino.radix
-	// A reset drops the inode: its journal-restored interior cells would
-	// read 0, and re-materializing them would trace Sets a fresh kernel,
-	// which Pokes them, never makes.
-	mtrace.SetKey(k.mem, k.inodes, inum, ino)
+	k.inodes[inum] = ino
 	return ino
 }
 

@@ -251,8 +251,8 @@ func TestFstatxSkipsLinkCount(t *testing.T) {
 
 // TestNewAllocatesLittle pins kernel construction to what a kernel holds
 // before any test touches it — no directory bucket, no per-core counter —
-// without a clock: the engine builds one sv6 kernel per pair, and the
-// eager 8192-bucket table cost 90,694 mallocs (3.3 MB) each.
+// without a clock: the eager 8192-bucket table cost 90,694 mallocs (3.3 MB)
+// a kernel, when the engine still built one sv6 kernel per pair.
 func TestNewAllocatesLittle(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { _ = New(SV6) }); n >= 2000 {
 		t.Errorf("New(SV6) performs %.0f allocations, want < 2000", n)
@@ -265,9 +265,10 @@ var oneInode = kernel.Setup{
 	Inodes: []kernel.SetupInode{{Inum: 1, Len: 1}},
 }
 
-// applyAndReset returns what a Replayer does with a setup between tests:
-// apply it inside the baseline region, then reset, which drops the inode so
-// that the next call builds it again.
+// applyAndReset returns what a Replayer does with a setup between groups:
+// apply it inside the baseline region, then reset. The inode survives the
+// reset, so every call after the first applies the setup to the inode the
+// first one built.
 func applyAndReset(tb testing.TB) func() {
 	k := New(SV6)
 	k.Memory().Snapshot()
@@ -279,15 +280,31 @@ func applyAndReset(tb testing.TB) func() {
 
 // TestSetupAllocatesPerTouch pins applying a one-inode setup the way
 // TestNewAllocatesLittle pins construction: the engine applies one setup per
-// group of tests, and an inode whose link count built every core's delta
-// cell up front cost 323 mallocs (15.6 KB) where this costs 35 (1.7 KB).
+// group of tests. Building the inode costs 31 mallocs (1.7 KB), where a link
+// count that built every core's delta cell up front cost 323 (15.6 KB);
+// applying the setup again to the inode a reset kept costs 4 (176 B).
 func TestSetupAllocatesPerTouch(t *testing.T) {
-	if n := testing.AllocsPerRun(10, applyAndReset(t)); n >= 100 {
-		t.Errorf("applying a one-inode setup performs %.0f allocations, want < 100", n)
+	k := New(SV6)
+	k.Memory().Snapshot()
+	inum := int64(1)
+	build := testing.AllocsPerRun(10, func() {
+		inum++ // an inode no earlier run built
+		k.Apply(kernel.Setup{
+			Files:  []kernel.SetupFile{{Name: "f0", Inum: inum}},
+			Inodes: []kernel.SetupInode{{Inum: inum, Len: 1}},
+		})
+		k.Memory().Reset()
+	})
+	if build >= 100 {
+		t.Errorf("applying a one-inode setup builds the inode in %.0f allocations, want < 100", build)
+	}
+	if n := testing.AllocsPerRun(10, applyAndReset(t)); n >= 10 {
+		t.Errorf("applying a one-inode setup to a kept inode performs %.0f allocations, want < 10", n)
 	}
 }
 
-// BenchmarkApplyOneInode is the same in bytes: B/op is the number to watch.
+// BenchmarkApplyOneInode is the second half in bytes: B/op is the number to
+// watch.
 func BenchmarkApplyOneInode(b *testing.B) {
 	run := applyAndReset(b)
 	b.ReportAllocs()

@@ -354,12 +354,18 @@ func (r *Radix) node(key int64) *radixNode {
 	slot := key / r.fan
 	n, ok := r.roots[slot]
 	if !ok {
-		n = &radixNode{
-			present: r.mem.NewCellf(0, "%s.node[%d]", r.name, slot),
-			leaves:  map[int64]*mtrace.Cell{},
-		}
-		r.roots[slot] = n
+		n = r.newNode(slot, 0)
 	}
+	return n
+}
+
+// newNode builds slot's interior node with its slot cell holding present.
+func (r *Radix) newNode(slot, present int64) *radixNode {
+	n := &radixNode{
+		present: r.mem.NewCellf(present, "%s.node[%d]", r.name, slot),
+		leaves:  map[int64]*mtrace.Cell{},
+	}
+	r.roots[slot] = n
 	return n
 }
 
@@ -403,11 +409,18 @@ func (r *Radix) Poke(key int64, v int64) {
 // untraced, so first writes in that range touch only their own leaf cells.
 // RadixVM similarly eagerly allocates interior nodes to keep concurrent
 // first-touch of different slots conflict-free.
+//
+// A node Materialize builds is born present rather than born absent and
+// poked: one built inside a snapshot region then survives Reset present,
+// the state it would have been built in, where a journaled poke would roll
+// it back to absent and a later Set would trace a store a fresh array never
+// makes.
 func (r *Radix) Materialize(n int64) {
-	for k := int64(0); k < n; k += r.fan {
-		r.node(k).present.Poke(1)
-	}
-	if n > 0 {
-		r.node(n - 1).present.Poke(1)
+	for slot := int64(0); slot*r.fan < n; slot++ {
+		if node, ok := r.roots[slot]; ok {
+			node.present.Poke(1)
+		} else {
+			r.newNode(slot, 1)
+		}
 	}
 }

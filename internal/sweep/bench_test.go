@@ -1,8 +1,14 @@
 package sweep
 
 import (
+	"context"
 	"runtime"
 	"testing"
+
+	"repro/internal/analyzer"
+	"repro/internal/kernel"
+	"repro/internal/model"
+	"repro/internal/testgen"
 )
 
 // benchConfig sweeps a 6-pair universe on both kernels with the given
@@ -23,6 +29,38 @@ func benchSweep(b *testing.B, workers int) {
 //	go test -bench Sweep -benchtime 3x ./internal/sweep
 func BenchmarkSweepSerial(b *testing.B)   { benchSweep(b, 1) }
 func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, runtime.NumCPU()) }
+
+// BenchmarkCheckPosix is the CHECK layer alone: every posix pair's tests,
+// generated outside the timer, replayed through runCheck on linux and sv6
+// the way one sweep worker replays them, one Replayer slot per kernel for
+// the whole pass. B/op and allocs/op are the numbers to watch:
+//
+//	go test -run '^$' -bench CheckPosix -benchtime 5x ./internal/sweep
+func BenchmarkCheckPosix(b *testing.B) {
+	ctx := context.Background()
+	var pairs [][]kernel.TestCase
+	for _, p := range Pairs(model.Spec.Ops()) {
+		tests, _, err := PairTests(ctx, model.Spec, p[0], p[1], analyzer.Options{}, testgen.Options{}, new(PairResult))
+		if err != nil {
+			b.Fatal(err)
+		}
+		pairs = append(pairs, tests)
+	}
+	kernels := testKernels()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reps := make([]*kernel.Replayer, len(kernels))
+		for _, tests := range pairs {
+			var out PairResult
+			for k, ks := range kernels {
+				if _, err := runCheck(ctx, ks, &reps[k], tests, &out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+}
 
 // BenchmarkSweepWarmCache measures the incremental path: every pair served
 // from a pre-populated cache.

@@ -1,10 +1,10 @@
 // Package sweep is the parallel orchestration engine for the COMMUTER
 // pipeline. It fans the per-pair ANALYZE → TESTGEN → CHECK work across a
 // configurable worker pool: the mtrace tracer is single-threaded, so
-// isolation is per pair (each pair's CHECK owns a kernel.Replayer whose
-// kernel has its own mtrace.Memory) and parallelism is across the 171
-// unordered pairs of the modeled operations — the pair pool is the engine's
-// only scheduler.
+// isolation is per worker (each worker owns one kernel.Replayer per kernel,
+// whose kernel has its own mtrace.Memory, and replays its pairs on them one
+// at a time) and parallelism is across the 171 unordered pairs of the
+// modeled operations — the pair pool is the engine's only scheduler.
 //
 // The engine optionally consults a content-addressed cache Backend (on
 // disk, in memory, a peer server over HTTP, or a tiered stack of those) so
@@ -305,7 +305,9 @@ type pairJob struct {
 // channel of pair jobs through runPair and hand each finished pair to the
 // driver's callback, on the worker's goroutine. The first error — a pair's
 // or the callback's — cancels ctx, which stops the pairs in flight and
-// turns the jobs still queued into no-ops.
+// turns the jobs still queued into no-ops. A worker keeps one Replayer per
+// cfg.Kernels entry for the pairs it runs (see runCheck); they die with the
+// worker, when the driver's wait returns.
 type executor struct {
 	parent context.Context
 	ctx    context.Context
@@ -324,11 +326,12 @@ func (r *run) startExecutor(ctx context.Context, queue int, done func(context.Co
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
+			reps := make([]*kernel.Replayer, len(r.cfg.Kernels))
 			for j := range e.jobs {
 				if e.ctx.Err() != nil {
 					continue
 				}
-				pr, err := r.runPair(e.ctx, j.a, j.b)
+				pr, err := r.runPair(e.ctx, j.a, j.b, reps)
 				if err == nil {
 					err = done(e.ctx, j, pr)
 				}
@@ -587,13 +590,15 @@ func (s *stage[T]) exec(r *run, key string, usable func(T) bool, compute func() 
 // runPair assembles one pair's result from whichever cache tiers hit,
 // computing only the stages that miss: a TESTGEN miss runs the symbolic
 // analysis and test generation, and each kernel's CHECK miss runs that
-// kernel against the (cached or fresh) tests. It runs entirely on its
-// caller's goroutine: the drivers' worker pools are what bound concurrency.
+// kernel against the (cached or fresh) tests, on the calling worker's
+// Replayer for that kernel, reps[i] for r.cfg.Kernels[i]. It runs entirely
+// on its caller's goroutine: the drivers' worker pools are what bound
+// concurrency.
 //
 // Along the way it records the pair's observability record: per-phase
 // wall times, solver counters and intern-table traffic, both on the
 // PairResult and in the process-wide obs registry.
-func (r *run) runPair(ctx context.Context, a, b *spec.Op) (PairResult, error) {
+func (r *run) runPair(ctx context.Context, a, b *spec.Op, reps []*kernel.Replayer) (PairResult, error) {
 	start := time.Now()
 	out := PairResult{OpA: a.Name, OpB: b.Name, StartMS: msBetween(r.start, start)}
 
@@ -610,9 +615,9 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op) (PairResult, error) {
 	out.Unknown = tg.unknown
 
 	out.Cached = tg.fromCache
-	for _, ks := range r.cfg.Kernels {
+	for i, ks := range r.cfg.Kernels {
 		ck, err := checkStage.run(ctx, r, CheckKey(tgKey, ks.Name), &out, nil, func() (KernelCell, int, error) {
-			cell, err := runCheck(ctx, ks, tg.val, &out)
+			cell, err := runCheck(ctx, ks, &reps[i], tg.val, &out)
 			return cell, tg.unknown, err
 		})
 		if err != nil {
@@ -680,22 +685,30 @@ func PairTests(ctx context.Context, sp spec.Spec, a, b *spec.Op, aOpt analyzer.O
 }
 
 // runCheck computes one kernel's CHECK stage: the mtrace replay of tests
-// on one long-lived ks kernel (kernel.Replayer), recording phase time and
-// replay shape on out. A pair without tests constructs no kernel. On
-// cancellation the counts so far come back with the context's error, and
-// callers must not treat them as a cell.
-func runCheck(ctx context.Context, ks KernelSpec, tests []kernel.TestCase, out *PairResult) (KernelCell, error) {
+// on *rep, a long-lived ks kernel (kernel.Replayer), recording phase time
+// and replay shape on out. A nil *rep is built first, and any error sets it
+// back to nil, so a worker's next stage starts from a fresh kernel. A pair
+// without tests constructs no kernel. On cancellation the counts so far
+// come back with the context's error, and callers must not treat them as a
+// cell.
+func runCheck(ctx context.Context, ks KernelSpec, rep **kernel.Replayer, tests []kernel.TestCase, out *PairResult) (KernelCell, error) {
 	cell := KernelCell{Kernel: ks.Name}
 	if len(tests) == 0 {
 		return cell, ctx.Err()
 	}
 	phaseStart := time.Now()
-	groups, err := kernel.NewReplayer(ks.New).CheckTests(ctx, tests, func(_ int, res kernel.CheckResult) {
+	if *rep == nil {
+		*rep = kernel.NewReplayer(ks.New)
+	}
+	groups, err := (*rep).CheckTests(ctx, tests, func(_ int, res kernel.CheckResult) {
 		cell.Total++
 		if !res.ConflictFree {
 			cell.Conflicts++
 		}
 	})
+	if err != nil {
+		*rep = nil
+	}
 	out.Phases.CheckMS += msSince(phaseStart)
 	out.CheckGroups = groups
 	return cell, err
@@ -721,10 +734,13 @@ func pairsOf[T any](ops []T) [][2]T {
 
 // CheckTestsCtx runs every test on a kernel from the constructor and returns
 // the Figure 6 cell counts (tests run, tests not conflict-free) — one CHECK
-// stage outside a sweep.
+// stage outside a sweep, on a kernel of its own.
 func CheckTestsCtx(ctx context.Context, fresh func() kernel.Kernel, tests []kernel.TestCase) (total, conflicts int, err error) {
-	var shape PairResult // the stage's timing record, which this caller drops
-	cell, err := runCheck(ctx, KernelSpec{New: fresh}, tests, &shape)
+	var (
+		shape PairResult // the stage's timing record, which this caller drops
+		rep   *kernel.Replayer
+	)
+	cell, err := runCheck(ctx, KernelSpec{New: fresh}, &rep, tests, &shape)
 	return cell.Total, cell.Conflicts, err
 }
 
