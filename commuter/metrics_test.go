@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -78,6 +79,8 @@ func TestMetricsExpositionNames(t *testing.T) {
 		"# TYPE commuter_go_heap_live_bytes gauge",
 		"# TYPE commuter_go_heap_allocs_bytes_total counter",
 		"# TYPE commuter_go_gc_cycles_total counter",
+		"# TYPE commuter_build_info gauge",
+		`commuter_build_info{go_version="` + runtime.Version() + `",cache_version="4",api_version="1"} 1`,
 	} {
 		if !strings.Contains(body, want+"\n") {
 			t.Errorf("exposition is missing %q", want)

@@ -174,7 +174,7 @@ var (
 )
 
 // The Go runtime's own allocation record, read from runtime/metrics at
-// scrape time.
+// scrape time, and what the process was built as.
 func init() {
 	obs.Default.GaugeFunc("commuter_go_heap_live_bytes",
 		"Heap bytes the last garbage collection found live.", runtimeMetric("/gc/heap/live:bytes"))
@@ -182,6 +182,10 @@ func init() {
 		"Bytes allocated on the heap since the process started.", runtimeMetric("/gc/heap/allocs:bytes"))
 	obs.Default.CounterFunc("commuter_go_gc_cycles_total",
 		"Completed garbage-collection cycles.", runtimeMetric("/gc/cycles/total:gc-cycles"))
+	obs.Default.GaugeVec("commuter_build_info",
+		"Always 1; the labels name the Go release, the cache entry version and the wire API version this process runs.",
+		"go_version", "cache_version", "api_version").
+		With(runtime.Version(), strconv.Itoa(sweep.CacheVersion), strconv.Itoa(api.Version)).Set(1)
 }
 
 // runtimeMetric reads one unsigned runtime/metrics sample.

@@ -1,9 +1,10 @@
-// Package history implements the paper's §3 formalism: histories of
-// actions, specifications, SI and SIM commutativity, implementations as
-// step functions whose state components are mtrace cells, and the
-// constructed implementations of Figures 1 and 2 whose conflict-freedom
-// inside SIM-commutative regions proves the scalable commutativity rule —
-// judged by mtrace, the conflict rule CHECK applies to the kernels.
+// The paper's §3 formalism, which the first half of the quickstart walks:
+// histories of actions, specifications, SI and SIM commutativity,
+// implementations as step functions whose state components are mtrace
+// cells (construct.go), and the constructed implementations of Figures 1
+// and 2 whose conflict-freedom inside SIM-commutative regions proves the
+// scalable commutativity rule — judged by mtrace, the conflict rule CHECK
+// applies to the kernels.
 //
 // Histories here are serial: each invocation is immediately followed by its
 // response, so a history is a sequence of completed operations. This is the
@@ -11,7 +12,8 @@
 // ANALYZER; reorderings still permute operations across threads while
 // preserving each thread's program order, which is exactly the freedom the
 // SIM-commutativity definitions quantify over.
-package history
+
+package main
 
 import (
 	"fmt"

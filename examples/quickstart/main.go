@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"repro/commuter"
-	"repro/internal/history"
 )
 
 func main() {
@@ -19,28 +18,28 @@ func main() {
 	// The history H = [put(2)] || [put(1), put(1), max()=2]: after put(2),
 	// the two puts and the max all commute (max already returns 2 in any
 	// order of the region).
-	x := history.History{{Thread: 0, Class: "put", Args: []int64{2}, Ret: []int64{0}}}
-	y := history.History{
+	x := History{{Thread: 0, Class: "put", Args: []int64{2}, Ret: []int64{0}}}
+	y := History{
 		{Thread: 0, Class: "put", Args: []int64{1}, Ret: []int64{0}},
 		{Thread: 1, Class: "put", Args: []int64{1}, Ret: []int64{0}},
 		{Thread: 2, Class: "max", Ret: []int64{2}},
 	}
 
 	// Observers: max() with any plausible return distinguishes states.
-	var maxes []history.Op
+	var maxes []Op
 	for v := int64(0); v <= 3; v++ {
-		maxes = append(maxes, history.Op{Thread: 9, Class: "max", Ret: []int64{v}})
+		maxes = append(maxes, Op{Thread: 9, Class: "max", Ret: []int64{v}})
 	}
-	obs := history.ObserverUniverse(maxes, 1)
-	spec := history.RefSpec{New: history.NewPutMax}
+	obs := ObserverUniverse(maxes, 1)
+	spec := RefSpec{New: NewPutMax}
 
 	fmt.Printf("region SIM-commutes after put(2): %v\n",
-		history.SIMCommutes(spec, x, y, obs))
+		SIMCommutes(spec, x, y, obs))
 
 	// The rule says a conflict-free implementation of the region exists.
 	// Build the paper's Figure 2 construction and trace the region on the
 	// mtrace memory its components live on, as CHECK traces a test.
-	m := history.NewScalable(x, y, history.NewPutMax)
+	m := NewScalable(x, y, NewPutMax)
 	for i, o := range x.Concat(y) {
 		if i == len(x) {
 			m.Memory().Start()

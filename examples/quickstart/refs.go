@@ -1,4 +1,4 @@
-package history
+package main
 
 // Register is a get/set cell, the reference for §3.2's monotonicity
 // example.

@@ -166,12 +166,14 @@ type permRun struct {
 	rets  [][]*sym.Expr
 }
 
-// pathData is what one joint path's exploration hands to classification:
+// pathData is what one joint path's exploration hands to classification —
 // the SIM condition and the full-set permutation runs, in permutation
-// order.
+// order — and the classification's answer, PC ∧ Eq satisfiable and whether
+// a "no" is a proof.
 type pathData struct {
-	eq   *sym.Expr
-	full []permRun
+	eq                *sym.Expr
+	full              []permRun
+	commutes, unknown bool
 }
 
 // permutations enumerates the orderings of idx; the first is idx itself.
@@ -211,10 +213,12 @@ func subsets(n int) [][]int {
 // symbolic initial state and — for more than two ops — so does every
 // permutation of every proper subset, so that intermediate-state
 // equivalence can be required (SIM rather than just SI). Each feasible
-// joint path is then classified, and project shapes it for the caller.
+// joint path is classified as the last act of its replay, on the replay's
+// own feasibility ladder (symx.Context.Sat), and project shapes it for the
+// caller.
 //
-// Cancellation is observed between path replays, between per-path
-// classifications, and — via the solver's Stop hook — inside individual
+// Cancellation is observed between path replays, before each path's
+// classification, and — via the solver's Stop hook — inside individual
 // satisfiability searches, so an abandoned analysis stops promptly. On
 // cancellation it returns ctx.Err() and a zero result; nothing partial
 // escapes.
@@ -277,7 +281,14 @@ func analyzeOps[P classified](ctx context.Context, sp spec.Spec, ops []*spec.Op,
 				conj = spec.Equivalent(conj, c, base.state, run(perm).state)
 			}
 		}
-		return pathData{eq: sym.And(conj...), full: full}
+		d := pathData{eq: sym.And(conj...), full: full}
+		// The path is complete: classify it now, since the next replay
+		// reuses c. Once ctx ends, the exploration stops at its next poll,
+		// or at the one below.
+		if ctx.Err() == nil {
+			d.commutes, d.unknown = c.Sat(d.eq)
+		}
+		return d
 	}, symx.Options{MaxPaths: opt.MaxPaths, Solver: solver})
 	if err != nil {
 		return result[P]{}, err
@@ -288,17 +299,13 @@ func analyzeOps[P classified](ctx context.Context, sp spec.Spec, ops []*spec.Op,
 		res.Ops = append(res.Ops, op.Name)
 	}
 	for i := range paths {
-		if err := ctx.Err(); err != nil {
-			return result[P]{}, err
-		}
 		p := &paths[i]
 		d := p.Result.(pathData)
-		commutes, unknown := p.Sat(d.eq)
 		res.Paths = append(res.Paths, project(SetPath{
 			PC:       p.PC,
 			Eq:       d.eq,
-			Commutes: commutes,
-			Unknown:  p.Budgeted || unknown,
+			Commutes: d.commutes,
+			Unknown:  p.Budgeted || d.unknown,
 			VarKinds: p.VarKinds,
 		}, d.full))
 	}

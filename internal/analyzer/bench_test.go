@@ -22,19 +22,19 @@ func pairsOf(sp spec.Spec) [][2]*spec.Op {
 }
 
 // BenchmarkAnalyzePosix is ANALYZE as a cold sweep pays for it: all 171
-// posix pairs, each on a solver of its own (as sweep.PairTests builds
-// them), so what a Solver remembers never outlives its pair. satcalls and
-// memohits are per pass.
+// posix pairs on one solver, forgotten at every pair as a sweep worker's
+// is, so what it remembers never outlives its pair. satcalls and memohits
+// are per pass.
 //
 //	go test -run '^$' -bench AnalyzePosix -benchtime 3x ./internal/analyzer
 func BenchmarkAnalyzePosix(b *testing.B) {
 	pairs := pairsOf(model.Spec)
-	var searches, hits int64
+	solver := &sym.Solver{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pairs {
-			solver := &sym.Solver{}
+			solver.Forget()
 			r, err := AnalyzePairCtx(context.Background(), model.Spec, p[0], p[1], Options{Solver: solver})
 			if err != nil {
 				b.Fatal(err)
@@ -42,11 +42,9 @@ func BenchmarkAnalyzePosix(b *testing.B) {
 			if u := r.Unknown(); u != 0 {
 				b.Fatalf("%s x %s: %d unknown paths", r.OpA, r.OpB, u)
 			}
-			st := solver.Stats()
-			searches += st.SatCalls
-			hits += st.MemoHits
 		}
 	}
-	b.ReportMetric(float64(searches)/float64(b.N), "satcalls")
-	b.ReportMetric(float64(hits)/float64(b.N), "memohits")
+	st := solver.Stats()
+	b.ReportMetric(float64(st.SatCalls)/float64(b.N), "satcalls")
+	b.ReportMetric(float64(st.MemoHits)/float64(b.N), "memohits")
 }

@@ -10,18 +10,21 @@ import (
 	"repro/internal/symx"
 )
 
-// pathOf returns the single path of a model that only assumes pc, explored
-// with s.
-func pathOf(t *testing.T, s *sym.Solver, pc *sym.Expr) symx.Path {
+// askPath explores, with s, a model that only assumes pc and then hands its
+// Context to ask: the single path's question is asked as the replay's last
+// act, as analyzeOps asks it.
+func askPath(t *testing.T, s *sym.Solver, pc *sym.Expr, ask func(c *symx.Context)) {
 	t.Helper()
+	asked := 0
 	paths, _, err := symx.RunCtx(context.Background(), func(c *symx.Context) any {
 		c.Assume(pc)
+		asked++
+		ask(c)
 		return nil
 	}, symx.Options{Solver: s})
-	if err != nil || len(paths) != 1 {
-		t.Fatalf("exploring %v: %d paths, err %v", pc, len(paths), err)
+	if err != nil || len(paths) != 1 || asked != 1 {
+		t.Fatalf("exploring %v: %d paths, %d asked, err %v", pc, len(paths), asked, err)
 	}
-	return paths[0]
 }
 
 // TestCheckerBudgetUnknown pins the solver-budget soundness fix at the
@@ -34,31 +37,32 @@ func TestCheckerBudgetUnknown(t *testing.T) {
 	unsat := sym.And(sym.Lt(x, y), sym.Lt(y, x))
 
 	// Plenty of budget: a real refutation, not unknown.
-	p := pathOf(t, &sym.Solver{}, sym.True)
-	sat, unknown := p.Sat(unsat)
-	if sat || unknown {
-		t.Errorf("full budget: sat=%v unknown=%v, want false/false", sat, unknown)
-	}
+	askPath(t, &sym.Solver{}, sym.True, func(c *symx.Context) {
+		if sat, unknown := c.Sat(unsat); sat || unknown {
+			t.Errorf("full budget: sat=%v unknown=%v, want false/false", sat, unknown)
+		}
+	})
 
 	// One step: the search is truncated before it can prove anything, so
 	// the unsat answer must be flagged unknown, the second time as well.
-	p = pathOf(t, &sym.Solver{MaxSteps: 1}, sym.True)
-	for _, ask := range []string{"searched", "cached"} {
-		sat, unknown = p.Sat(unsat)
-		if sat {
-			t.Fatalf("%s: one-step budget found a model of an unsatisfiable formula", ask)
+	askPath(t, &sym.Solver{MaxSteps: 1}, sym.True, func(c *symx.Context) {
+		for _, ask := range []string{"searched", "cached"} {
+			sat, unknown := c.Sat(unsat)
+			if sat {
+				t.Fatalf("%s: one-step budget found a model of an unsatisfiable formula", ask)
+			}
+			if !unknown {
+				t.Errorf("%s: budget-truncated unsat answer not reported as unknown", ask)
+			}
 		}
-		if !unknown {
-			t.Errorf("%s: budget-truncated unsat answer not reported as unknown", ask)
-		}
-	}
+	})
 
 	// Satisfiable queries that fit the budget are definitive.
-	p = pathOf(t, &sym.Solver{}, sym.True)
-	sat, unknown = p.Sat(sym.Lt(x, y))
-	if !sat || unknown {
-		t.Errorf("satisfiable query: sat=%v unknown=%v, want true/false", sat, unknown)
-	}
+	askPath(t, &sym.Solver{}, sym.True, func(c *symx.Context) {
+		if sat, unknown := c.Sat(sym.Lt(x, y)); !sat || unknown {
+			t.Errorf("satisfiable query: sat=%v unknown=%v, want true/false", sat, unknown)
+		}
+	})
 }
 
 // TestCheckerSyntacticShortCircuits pins the hash-consing fast paths: a
@@ -69,16 +73,17 @@ func TestCheckerSyntacticShortCircuits(t *testing.T) {
 	conj := sym.Lt(x, y)
 	pc := sym.And(conj, sym.Ge(x, sym.Int(0)))
 	s := &sym.Solver{}
-	p := pathOf(t, s, pc)
-	// One step would flag any real search as unknown, so unknown=false
-	// proves the answers came from the syntactic short-circuits.
-	s.MaxSteps = 1
-	if sat, unknown := p.Sat(conj); !sat || unknown {
-		t.Errorf("pc conjunct: sat=%v unknown=%v, want true/false", sat, unknown)
-	}
-	if sat, unknown := p.Sat(sym.Not(conj)); sat || unknown {
-		t.Errorf("negated pc conjunct: sat=%v unknown=%v, want false/false", sat, unknown)
-	}
+	askPath(t, s, pc, func(c *symx.Context) {
+		// One step would flag any real search as unknown, so unknown=false
+		// proves the answers came from the syntactic short-circuits.
+		s.MaxSteps = 1
+		if sat, unknown := c.Sat(conj); !sat || unknown {
+			t.Errorf("pc conjunct: sat=%v unknown=%v, want true/false", sat, unknown)
+		}
+		if sat, unknown := c.Sat(sym.Not(conj)); sat || unknown {
+			t.Errorf("negated pc conjunct: sat=%v unknown=%v, want false/false", sat, unknown)
+		}
+	})
 }
 
 // TestFullyTruncatedPairIsUnknown pins the harshest budget case: when

@@ -22,12 +22,16 @@ func TestExposition(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(5)
 	r.GaugeFunc("test_func_gauge", "Func-backed.", func() float64 { return 7.5 })
+	r.GaugeVec("test_build_info", "Build labels.", "version", "rev").With("v1", "abc").Set(1)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP test_func_gauge Func-backed.
+	want := `# HELP test_build_info Build labels.
+# TYPE test_build_info gauge
+test_build_info{version="v1",rev="abc"} 1
+# HELP test_func_gauge Func-backed.
 # TYPE test_func_gauge gauge
 test_func_gauge 7.5
 # HELP test_hits_total Hits by tier.

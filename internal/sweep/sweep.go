@@ -1,10 +1,11 @@
 // Package sweep is the parallel orchestration engine for the COMMUTER
 // pipeline. It fans the per-pair ANALYZE → TESTGEN → CHECK work across a
-// configurable worker pool: the mtrace tracer is single-threaded, so
-// isolation is per worker (each worker owns one kernel.Replayer per kernel,
-// whose kernel has its own mtrace.Memory, and replays its pairs on them one
-// at a time) and parallelism is across the 171 unordered pairs of the
-// modeled operations — the pair pool is the engine's only scheduler.
+// configurable worker pool: the mtrace tracer and the solver are
+// single-threaded, so isolation is per worker (each worker owns one
+// sym.Solver, and one kernel.Replayer per kernel, whose kernel has its own
+// mtrace.Memory, and runs its pairs on them one at a time) and parallelism
+// is across the 171 unordered pairs of the modeled operations — the pair
+// pool is the engine's only scheduler.
 //
 // The engine optionally consults a content-addressed cache Backend (on
 // disk, in memory, a peer server over HTTP, or a tiered stack of those) so
@@ -76,11 +77,12 @@ type Config struct {
 	Ops []*spec.Op
 	// Kernels are the implementations to check each generated test on.
 	Kernels []KernelSpec
-	// Analyzer tunes ANALYZER. Its Solver must be nil: the engine builds
-	// a fresh one per pair, wired to the sweep's context, and a solver
-	// shared across pairs would carry budget state between them.
+	// Analyzer tunes ANALYZER. Its Solver must be nil: each worker builds
+	// its own, wires it to the sweep's context and forgets its answers at
+	// every pair, and a caller's solver shared across workers would race.
 	Analyzer analyzer.Options
-	// Testgen tunes TESTGEN; its Solver must be nil like Analyzer's.
+	// Testgen tunes TESTGEN; its Solver must be nil like Analyzer's (the
+	// worker's solver serves both phases).
 	Testgen testgen.Options
 	// Workers sizes the pool; <= 0 means runtime.NumCPU().
 	Workers int
@@ -305,33 +307,35 @@ type pairJob struct {
 // channel of pair jobs through runPair and hand each finished pair to the
 // driver's callback, on the worker's goroutine. The first error — a pair's
 // or the callback's — cancels ctx, which stops the pairs in flight and
-// turns the jobs still queued into no-ops. A worker keeps one Replayer per
-// cfg.Kernels entry for the pairs it runs (see runCheck); they die with the
-// worker, when the driver's wait returns.
+// turns the jobs still queued into no-ops. Worker i keeps its engines in
+// workers[i] for the pairs it runs (see worker); they die with the
+// executor, once the driver's wait has returned.
 type executor struct {
-	parent context.Context
-	ctx    context.Context
-	cancel context.CancelCauseFunc
-	jobs   chan pairJob
-	wg     sync.WaitGroup
+	parent  context.Context
+	ctx     context.Context
+	cancel  context.CancelCauseFunc
+	jobs    chan pairJob
+	wg      sync.WaitGroup
+	workers []worker
 }
 
 // startExecutor starts the pool. queue is how many submitted jobs may wait
 // for a worker before submit blocks. The driver submits its jobs and then
 // calls wait, exactly once, even when it gives up early.
 func (r *run) startExecutor(ctx context.Context, queue int, done func(context.Context, pairJob, PairResult) error) *executor {
-	e := &executor{parent: ctx, jobs: make(chan pairJob, queue)}
+	e := &executor{parent: ctx, jobs: make(chan pairJob, queue), workers: make([]worker, r.workers)}
 	e.ctx, e.cancel = context.WithCancelCause(ctx)
-	for w := 0; w < r.workers; w++ {
+	for i := range e.workers {
+		w := &e.workers[i]
+		w.reps = make([]*kernel.Replayer, len(r.cfg.Kernels))
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
-			reps := make([]*kernel.Replayer, len(r.cfg.Kernels))
 			for j := range e.jobs {
 				if e.ctx.Err() != nil {
 					continue
 				}
-				pr, err := r.runPair(e.ctx, j.a, j.b, reps)
+				pr, err := r.runPair(e.ctx, j.a, j.b, w)
 				if err == nil {
 					err = done(e.ctx, j, pr)
 				}
@@ -342,6 +346,18 @@ func (r *run) startExecutor(ctx context.Context, queue int, done func(context.Co
 		}()
 	}
 	return e
+}
+
+// worker is what one executor goroutine keeps across the pairs it runs:
+// the Solver both symbolic phases run on (see runTestgen) and one Replayer
+// per cfg.Kernels entry (see runCheck). A slot is filled at its stage's
+// first miss, so a warm sweep builds nothing, and emptied after any error
+// of that stage. Single-flight never hands a slot to another goroutine: a
+// stage's compute closure runs on the goroutine that asked for it, leader
+// or handed-off waiter.
+type worker struct {
+	solver *sym.Solver
+	reps   []*kernel.Replayer
 }
 
 // submit queues one job; false means the executor has stopped (failure or
@@ -589,16 +605,16 @@ func (s *stage[T]) exec(r *run, key string, usable func(T) bool, compute func() 
 
 // runPair assembles one pair's result from whichever cache tiers hit,
 // computing only the stages that miss: a TESTGEN miss runs the symbolic
-// analysis and test generation, and each kernel's CHECK miss runs that
-// kernel against the (cached or fresh) tests, on the calling worker's
-// Replayer for that kernel, reps[i] for r.cfg.Kernels[i]. It runs entirely
-// on its caller's goroutine: the drivers' worker pools are what bound
-// concurrency.
+// analysis and test generation on the calling worker's Solver, and each
+// kernel's CHECK miss runs that kernel against the (cached or fresh) tests,
+// on the worker's Replayer for that kernel, w.reps[i] for r.cfg.Kernels[i].
+// It runs entirely on its caller's goroutine: the drivers' worker pools are
+// what bound concurrency.
 //
 // Along the way it records the pair's observability record: per-phase
 // wall times, solver counters and intern-table traffic, both on the
 // PairResult and in the process-wide obs registry.
-func (r *run) runPair(ctx context.Context, a, b *spec.Op, reps []*kernel.Replayer) (PairResult, error) {
+func (r *run) runPair(ctx context.Context, a, b *spec.Op, w *worker) (PairResult, error) {
 	start := time.Now()
 	out := PairResult{OpA: a.Name, OpB: b.Name, StartMS: msBetween(r.start, start)}
 
@@ -606,7 +622,7 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op, reps []*kernel.Replaye
 	tg, err := testgenStage.run(ctx, r, tgKey, &out, func(tests []kernel.TestCase) bool {
 		return pairTests(tests, a.Name, b.Name)
 	}, func() ([]kernel.TestCase, int, error) {
-		return PairTests(ctx, r.sp, a, b, r.cfg.Analyzer, r.cfg.Testgen, &out)
+		return runTestgen(ctx, &w.solver, r.sp, a, b, r.cfg.Analyzer, r.cfg.Testgen, &out)
 	})
 	if err != nil {
 		return out, fmt.Errorf("sweep %s: %w", out.Pair(), err)
@@ -617,7 +633,7 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op, reps []*kernel.Replaye
 	out.Cached = tg.fromCache
 	for i, ks := range r.cfg.Kernels {
 		ck, err := checkStage.run(ctx, r, CheckKey(tgKey, ks.Name), &out, nil, func() (KernelCell, int, error) {
-			cell, err := runCheck(ctx, ks, &reps[i], tg.val, &out)
+			cell, err := runCheck(ctx, ks, &w.reps[i], tg.val, &out)
 			return cell, tg.unknown, err
 		})
 		if err != nil {
@@ -648,21 +664,39 @@ func pairTests(tests []kernel.TestCase, a, b string) bool {
 	return true
 }
 
-// PairTests is the pipeline's one ANALYZE → TESTGEN sequence: it analyses
-// the pair (a, b) of sp and generates its concrete tests, returning them
-// with the number of budget-truncated paths behind them (nonzero means
-// the test set is a lower bound). Each phase runs on a fresh solver wired
-// to ctx, replacing any in the options, so cancellation lands inside the
-// searches and nothing carries over from another pair. Phase times, solver
-// work and intern-table hits are recorded on out.
+// PairTests analyses the pair (a, b) of sp and generates its concrete
+// tests, returning them with the number of budget-truncated paths behind
+// them (nonzero means the test set is a lower bound) — one TESTGEN stage
+// outside a sweep, on a solver of its own, replacing any in the options.
+// Phase times, solver work and intern-table hits are recorded on out.
 func PairTests(ctx context.Context, sp spec.Spec, a, b *spec.Op, aOpt analyzer.Options, gOpt testgen.Options, out *PairResult) ([]kernel.TestCase, int, error) {
-	stop := func() bool { return ctx.Err() != nil }
-	aOpt.Solver, gOpt.Solver = &sym.Solver{Stop: stop}, &sym.Solver{Stop: stop}
+	var solver *sym.Solver
+	return runTestgen(ctx, &solver, sp, a, b, aOpt, gOpt, out)
+}
+
+// runTestgen is the pipeline's one ANALYZE → TESTGEN sequence, both phases
+// on *solver: a long-lived solver (a sweep worker's), built first when nil.
+// At the start its Stop hook is wired to ctx, so cancellation lands inside
+// the searches, and its memory is forgotten, so nothing carries over from
+// another pair: the pair's answers and counts are a fresh solver's. Any
+// error, cancellation included, sets *solver back to nil, so a worker's
+// next stage starts from a fresh one. The solver counters and SolverMS
+// recorded on out are the pair's share of the solver's.
+func runTestgen(ctx context.Context, solver **sym.Solver, sp spec.Spec, a, b *spec.Op, aOpt analyzer.Options, gOpt testgen.Options, out *PairResult) ([]kernel.TestCase, int, error) {
+	if *solver == nil {
+		*solver = &sym.Solver{}
+	}
+	s := *solver
+	s.Stop = func() bool { return ctx.Err() != nil }
+	s.Forget()
+	aOpt.Solver, gOpt.Solver = s, s
+	st0 := s.Stats()
 	internHits0, _ := sym.InternStats()
 	phaseStart := time.Now()
 	pr, err := analyzer.AnalyzePairCtx(ctx, sp, a, b, aOpt)
 	out.Phases.AnalyzeMS = msSince(phaseStart)
 	if err != nil {
+		*solver = nil
 		return nil, 0, err
 	}
 	phaseStart = time.Now()
@@ -671,14 +705,14 @@ func PairTests(ctx context.Context, sp spec.Spec, a, b *spec.Op, aOpt analyzer.O
 	if err := ctx.Err(); err != nil {
 		// A cancelled generation pass is truncated, not short: drop it
 		// before its lower-bound test set can reach the cache or a cell.
+		*solver = nil
 		return nil, 0, err
 	}
-	for _, st := range []sym.SolverStats{aOpt.Solver.Stats(), gOpt.Solver.Stats()} {
-		out.Solver.SatCalls += st.SatCalls
-		out.Solver.MemoHits += st.MemoHits
-		out.Solver.BudgetHits += st.BudgetHits
-		out.Phases.SolverMS += float64(st.SearchTime) / float64(time.Millisecond)
-	}
+	st := s.Stats()
+	out.Solver.SatCalls += st.SatCalls - st0.SatCalls
+	out.Solver.MemoHits += st.MemoHits - st0.MemoHits
+	out.Solver.BudgetHits += st.BudgetHits - st0.BudgetHits
+	out.Phases.SolverMS += float64(st.SearchTime-st0.SearchTime) / float64(time.Millisecond)
 	internHits1, _ := sym.InternStats()
 	out.Solver.InternHits = int64(internHits1 - internHits0)
 	return tests, pr.Unknown() + truncated, nil

@@ -1,9 +1,23 @@
 // Package sym implements a small symbolic-expression engine and a
 // finite-model constraint solver. It stands in for the Z3 SMT solver that
-// the COMMUTER prototype used: the POSIX interface model only generates
-// constraints in the quantifier-free theory of equality over uninterpreted
-// sorts plus bounded linear integer arithmetic and booleans, for which
-// bounded model search with constraint propagation is complete.
+// the COMMUTER prototype used: the interface models generate quantifier-free
+// constraints over booleans, equality of uninterpreted sorts, and the
+// integer fragment below.
+//
+// The integer fragment is what the four registered specs build, and
+// analyzer's TestSpecsStayInTheIntegerFragment holds every path condition
+// and SIM condition of every pair to it. An integer atom compares two terms
+// with =, < or ≤, and a term is
+//
+//	t ::= x | c | t + t | t − t | ite(φ, t, t) | t · c
+//
+// for an integer variable x, an integer constant c and a formula φ of the
+// same language. The coefficients are 1 everywhere except in one place: the
+// product by a constant is kvspec's scan fingerprint, Σ (val+1)·weight,
+// and no other spec multiplies. Over booleans and uninterpreted sorts the
+// search's candidate domains are complete; over the integers they are the
+// formula's constants and their neighbours (Solver.domains), so an integer
+// refutation is not yet a proof for every formula of the fragment.
 //
 // Expressions are hash-consed (see intern.go): the constructors intern
 // every node, so structurally equal expressions are pointer-equal and the

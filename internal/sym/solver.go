@@ -171,17 +171,20 @@ func evalIntIdx(e *Expr, a *Model) (res int64, known bool) {
 // A Solver owns the scratch its searches work in — the assignment,
 // the variable positions, the candidate domains, the constant walk's
 // visited set, the per-depth conjunct lists — and clears and reuses it
-// from one search to the next instead of reallocating it, so the ~140
-// searches a pair's solver serves cost one set of buffers. It follows that
+// from one search to the next instead of reallocating it, so every search
+// a sweep worker's solver serves, over all the pairs it runs, costs one set
+// of buffers, sized once to the variables interned so far. It follows that
 // a Solver is not safe for concurrent use, and not for re-entrant use
 // either (starting another search from inside an Enumerate callback): a
 // second search would overwrite the first one's domains, and panics
 // instead. Use separate Solver values for nested or parallel searches.
 //
 // A Solver also remembers every answer a SatAssumingConjs search ran to
-// the end for (see there), for as long as the Solver lives: the pipeline
-// makes one per pair, so the Solver's lifetime is the memory's, and
-// dropping the Solver is how to drop it.
+// the end for (see there), until Forget. The pipeline keeps one Solver per
+// sweep worker for both symbolic phases of every pair the worker runs, and
+// forgets at the start of each pair: the memory lives as long as a pair,
+// so a pair's answers and counts are a fresh Solver's, and the scratch as
+// long as the worker.
 type Solver struct {
 	// MaxSteps bounds the backtracking search (default 5,000,000 node
 	// visits). When the budget is exhausted, Solve/Sat report
@@ -251,6 +254,11 @@ type SolverStats struct {
 
 // Stats returns the cumulative search counters.
 func (s *Solver) Stats() SolverStats { return s.stats }
+
+// Forget drops every remembered answer and keeps the scratch and the
+// counters: from here on the Solver answers, and counts searches and memo
+// hits, as a fresh one would.
+func (s *Solver) Forget() { clear(s.memo) }
 
 // Budget reports whether the previous Solve/Sat/Enumerate/SatAssuming call
 // ran out of steps before exhausting the search space — i.e. whether an

@@ -1,6 +1,8 @@
 package symx
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/sym"
@@ -19,7 +21,7 @@ func TestLadderAnswersWithoutSearch(t *testing.T) {
 	}
 
 	solver := &sym.Solver{}
-	c := newContext(nil, solver, &Context{})
+	c := newContext(nil, solver)
 	neg := sym.Lt(x, sym.Int(0))
 	c.Assume(neg)
 	before := solver.Stats().SatCalls
@@ -59,5 +61,50 @@ func TestLadderAnswersWithoutSearch(t *testing.T) {
 	}
 	if c.budgeted {
 		t.Error("complete refutations marked the context budgeted")
+	}
+}
+
+// TestFinishedPathHoldsNoContext pins the one-Context exploration. Every
+// replay runs on one Context, and Sat asked as a replay's last act answers
+// on that path's condition; since the next replay reuses the Context, a
+// Path has no field that could reach it and answer on another path's
+// condition. A replay that aborts inside a MakeVal leaves nothing behind
+// that the next replay trips over.
+func TestFinishedPathHoldsNoContext(t *testing.T) {
+	nameSort := sym.Uninterpreted("Name")
+	var (
+		seen    []*Context
+		answers = map[bool]bool{}
+	)
+	paths, _, err := RunCtx(context.Background(), func(c *Context) any {
+		seen = append(seen, c)
+		v := c.Var("ncv", sym.IntSort, KindState)
+		c.Branch(sym.Lt(v, sym.Int(0))) // the taken side aborts in MakeVal
+		NewDict("nc", func(c *Context, tag string) *Struct {
+			c.Assume(sym.Le(sym.Int(0), c.Var("ncv", sym.IntSort, KindState)))
+			return NewStruct("w", c.Var(tag+".w", sym.IntSort, KindState))
+		}).GetFunc(c, K(c.Var("nck", nameSort, KindArg)))
+		big := c.Branch(sym.Lt(sym.Int(5), v))
+		sat, unknown := c.Sat(sym.Lt(v, sym.Int(3)))
+		if unknown {
+			t.Errorf("path %v: unknown answer", c.PC())
+		}
+		answers[big] = sat
+		return big
+	}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 2 || len(seen) != 3 || seen[0] != seen[1] || seen[1] != seen[2] {
+		t.Fatalf("%d paths from replays on Contexts %v; want two paths, three replays on one Context", len(paths), seen)
+	}
+	if !answers[false] || answers[true] {
+		t.Errorf("v < 3: %v on 0 ≤ v ≤ 5, %v on v > 5; want true, false", answers[false], answers[true])
+	}
+	path := reflect.TypeFor[Path]()
+	for i := range path.NumField() {
+		if f := path.Field(i); f.Type == reflect.TypeFor[*Context]() {
+			t.Errorf("Path.%s holds a Context the next replay reuses", f.Name)
+		}
 	}
 }

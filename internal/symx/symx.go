@@ -53,9 +53,10 @@ const (
 // abort is the panic sentinel used to abandon an infeasible path.
 type abort struct{ reason string }
 
-// Context carries the path condition and branch-decision trace for one
-// symbolic path. Model code receives a Context and calls Branch/Assume/
-// fresh-variable helpers on it.
+// Context carries the path condition and branch-decision trace of the
+// replay in progress. Model code receives a Context and calls Branch/Assume/
+// fresh-variable helpers on it. One Context serves every replay of an
+// exploration, one after the other (see next).
 type Context struct {
 	solver *sym.Solver
 	// The path condition is maintained as its conjunct list plus a
@@ -112,9 +113,10 @@ const (
 	negInPC                   // the node's negation is a conjunct
 )
 
-// exploration is what the replays of one RunCtx share: tables of what is a
-// function of content-derived names and interned nodes, which a replay
-// looks up instead of deriving again. They die with the exploration.
+// exploration is what the replays of one RunCtx share besides their
+// Context's storage: tables of what is a function of content-derived names
+// and interned nodes, which a replay looks up instead of deriving again.
+// They die with the exploration.
 type exploration struct {
 	// The variable table: the memoized named variables and their kinds.
 	varKinds map[string]VarKind
@@ -134,30 +136,44 @@ type exploration struct {
 	heard []*sym.Expr
 }
 
-// newContext starts one replay along trace. prev is the exploration's
-// previous replay (the zero Context before the first): the new one shares
-// its exploration, and its path condition starts at the size prev's
-// reached, since the replays of one model make much the same calls.
-func newContext(trace []bool, solver *sym.Solver, prev *Context) *Context {
-	x := prev.x
-	if x == nil {
-		x = &exploration{
+// newContext starts an exploration: its tables, and its first replay, along
+// trace.
+func newContext(trace []bool, solver *sym.Solver) *Context {
+	return &Context{
+		solver: solver,
+		pcSet:  map[*sym.Expr]uint8{},
+		trace:  trace,
+		x: &exploration{
 			varKinds: map[string]VarKind{},
 			vars:     map[string]*sym.Expr{},
 			probes:   map[probeKey]*probe{},
 			equivs:   map[uint64][]*equivMemo{},
-		}
-	}
-	x.heard = x.heard[:0]
-	return &Context{
-		solver:     solver,
-		pcConjs:    make([]*sym.Expr, 0, len(prev.pcConjs)),
-		pcSet:      make(map[*sym.Expr]uint8, len(prev.pcSet)),
+		},
 		infeas:     map[*sym.Expr]bool{},
-		trace:      trace,
-		x:          x,
 		initProbes: map[string][]*initProbe{},
 	}
+}
+
+// next starts the exploration's next replay, along trace, on the Context
+// of the replay before: the exploration's tables stay, and what is the
+// replay's own — the path condition and its set, the refutations, the
+// initial probes, the decisions queued — is cleared and its storage kept,
+// since the replays of one model make much the same calls. Nothing of the
+// replay before may be read after this; a Path it finished holds no
+// Context (see Sat).
+func (c *Context) next(trace []bool) {
+	c.pcConjs = c.pcConjs[:0]
+	clear(c.pcSet)
+	clear(c.infeas)
+	for name, ips := range c.initProbes {
+		clear(ips)
+		c.initProbes[name] = ips[:0]
+	}
+	c.trace, c.pos, c.pending = trace, 0, c.pending[:0]
+	// A replay that aborted inside a MakeVal left it marked running.
+	c.making, c.makingTag = nil, ""
+	c.budgeted = false
+	c.x.heard = c.x.heard[:0]
 }
 
 // PC returns the current path condition.
@@ -272,7 +288,7 @@ func (c *Context) Assume(cond *sym.Expr) {
 // feasible reports whether pc ∧ cond is satisfiable (pc is known
 // satisfiable — the invariant every admitted constraint preserves). It is
 // the one ladder every feasibility question of an exploration climbs —
-// Assume, both sides of Branch, and Path.Sat afterwards: a refutation
+// Assume, both sides of Branch, and Sat: a refutation
 // remembered in infeas, cond already among pc's conjuncts, its negation
 // among them, and only then one cone-of-influence search. A "no" is
 // recorded in infeas together with whether the search that gave it was
@@ -347,6 +363,19 @@ func (c *Context) Branch(cond *sym.Expr) bool {
 
 func (c *Context) traceSoFar() []bool { return c.trace[:c.pos] }
 
+// Sat reports whether the path condition so far ∧ extra is satisfiable,
+// without conjoining extra, through the ladder the replay's own branches
+// climb (feasible): its remembered refutations, its conjuncts, then one
+// cone-of-influence search. unknown reports that a false answer came from
+// a budget-truncated search and is therefore not a proof. Asked as a
+// model's last act, it is a question about the finished path, answered on
+// that path's own ladder; it cannot be asked later, because the next
+// replay reuses the Context.
+func (c *Context) Sat(extra *sym.Expr) (sat, unknown bool) {
+	sat = c.feasible(extra)
+	return sat, !sat && c.infeas[extra]
+}
+
 func (c *Context) takeDecision(d bool) {
 	c.trace = append(c.trace[:c.pos], d)
 	c.pos++
@@ -372,19 +401,6 @@ type Path struct {
 	// Downstream classification should treat the pair's negative answers
 	// as unknown rather than definitive.
 	Budgeted bool
-
-	// ctx is the finished exploration context, kept so Sat can pose
-	// further questions against the path condition.
-	ctx *Context
-}
-
-// Sat reports whether PC ∧ extra is satisfiable, through the same ladder
-// exploration used for its branches (Context.feasible). unknown reports
-// that a false answer came from a budget-truncated search and is therefore
-// not a proof.
-func (p *Path) Sat(extra *sym.Expr) (sat, unknown bool) {
-	sat = p.ctx.feasible(extra)
-	return sat, !sat && p.ctx.infeas[extra]
 }
 
 // DefaultMaxPaths is the path cap a zero Options.MaxPaths means, here and
@@ -408,6 +424,11 @@ type Options struct {
 // survives: an empty path list with budgeted=true means "unknown", not "no
 // feasible executions".
 //
+// One Context serves every replay of the exploration (see Context.next), so
+// a question about a path's condition is asked by fn itself, as its last
+// act (Context.Sat), before the next replay clears it; a returned Path
+// holds no Context.
+//
 // Cancellation is observed between path replays, and — when RunCtx owns
 // the solver — inside a replay's feasibility searches through the solver's
 // Stop hook, so even a single long search cannot outlive the caller's
@@ -429,9 +450,11 @@ func RunCtx(ctx context.Context, fn func(*Context) any, opt Options) ([]Path, bo
 		solver = &sym.Solver{Stop: func() bool { return ctx.Err() != nil }}
 	}
 
-	var paths []Path
-	c := &Context{}
-	budgeted := false
+	var (
+		paths    []Path
+		c        *Context
+		budgeted bool
+	)
 	queue := [][]bool{nil}
 	for len(queue) > 0 && len(paths) < maxPaths {
 		if err := ctx.Err(); err != nil {
@@ -439,7 +462,11 @@ func RunCtx(ctx context.Context, fn func(*Context) any, opt Options) ([]Path, bo
 		}
 		prefix := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		c = newContext(prefix, solver, c)
+		if c == nil {
+			c = newContext(prefix, solver)
+		} else {
+			c.next(prefix)
+		}
 		res, aborted := runOne(c, fn)
 		queue = append(queue, c.pending...)
 		// Aggregate across replays, aborted ones included: a replay that
@@ -450,9 +477,7 @@ func RunCtx(ctx context.Context, fn func(*Context) any, opt Options) ([]Path, bo
 		if aborted {
 			continue
 		}
-		paths = append(paths, Path{
-			PC: c.PC(), Result: res, VarKinds: c.x.varKinds, ctx: c,
-		})
+		paths = append(paths, Path{PC: c.PC(), Result: res, VarKinds: c.x.varKinds})
 	}
 	// Stopping at the cap with prefixes still queued leaves branches
 	// unexplored: as much an under-approximation as a truncated search.

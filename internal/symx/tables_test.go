@@ -13,26 +13,30 @@ import (
 )
 
 // exploreUnshared is RunCtx with nothing shared between replays: each one
-// starts from the zero Context, so it makes its own variable table, probe
-// table and equivalence memo. It returns the paths, and the variables of
-// every replay, aborted ones included.
-func exploreUnshared(fn func(*Context) any, maxPaths int) ([]Path, map[string]VarKind) {
+// starts from a new Context, so it makes its own variable table, probe
+// table and equivalence memo. It returns the paths with each one's
+// decisions, and the variables of every replay, aborted ones included.
+func exploreUnshared(fn func(*Context) any, maxPaths int) ([]Path, [][]bool, map[string]VarKind) {
 	solver := &sym.Solver{}
 	kinds := map[string]VarKind{}
-	var paths []Path
+	var (
+		paths  []Path
+		traces [][]bool
+	)
 	queue := [][]bool{nil}
 	for len(queue) > 0 && len(paths) < maxPaths {
 		prefix := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		c := newContext(prefix, solver, &Context{})
+		c := newContext(prefix, solver)
 		res, aborted := runOne(c, fn)
 		queue = append(queue, c.pending...)
 		maps.Copy(kinds, c.x.varKinds)
 		if !aborted {
-			paths = append(paths, Path{PC: c.PC(), Result: res, VarKinds: c.x.varKinds, ctx: c})
+			paths = append(paths, Path{PC: c.PC(), Result: res, VarKinds: c.x.varKinds})
+			traces = append(traces, c.traceSoFar())
 		}
 	}
-	return paths, kinds
+	return paths, traces, kinds
 }
 
 // TestExplorationTablesAreInvisible: an exploration's probe table and
@@ -65,20 +69,28 @@ func TestExplorationTablesAreInvisible(t *testing.T) {
 			}
 			return DictsEquivalent(DictsEquivalent(nil, c, ds[0], ds[1]), c, ds[1], ds[0])
 		}
+		var (
+			traces [][]bool
+			x      *exploration
+		)
 		counting = true
-		shared, _, err := RunCtx(context.Background(), fn, Options{MaxPaths: 64})
+		shared, _, err := RunCtx(context.Background(), func(c *Context) any {
+			res := fn(c) // a replay that aborts records nothing
+			traces, x = append(traces, slices.Clone(c.traceSoFar())), c.x
+			return res
+		}, Options{MaxPaths: 64})
 		counting = false
 		if err != nil {
 			t.Fatal(err)
 		}
-		alone, kinds := exploreUnshared(fn, 64)
+		alone, aloneTraces, kinds := exploreUnshared(fn, 64)
 		if len(shared) != len(alone) {
 			t.Fatalf("seed %d: %d paths with the tables, %d without", seed, len(shared), len(alone))
 		}
 		for i := range shared {
 			p, q := shared[i], alone[i]
-			if !slices.Equal(p.ctx.traceSoFar(), q.ctx.traceSoFar()) {
-				t.Fatalf("seed %d path %d: decisions %v with the tables, %v without", seed, i, p.ctx.traceSoFar(), q.ctx.traceSoFar())
+			if !slices.Equal(traces[i], aloneTraces[i]) {
+				t.Fatalf("seed %d path %d: decisions %v with the tables, %v without", seed, i, traces[i], aloneTraces[i])
 			}
 			if p.PC != q.PC {
 				t.Fatalf("seed %d path %d: path condition\n with the tables %v\n without        %v", seed, i, p.PC, q.PC)
@@ -96,8 +108,8 @@ func TestExplorationTablesAreInvisible(t *testing.T) {
 			t.Fatalf("seed %d: variables %v with the tables, %v without", seed,
 				slices.Sorted(maps.Keys(shared[0].VarKinds)), slices.Sorted(maps.Keys(kinds)))
 		}
-		if len(shared) > 0 {
-			for _, ms := range shared[0].ctx.x.equivs {
+		if x != nil {
+			for _, ms := range x.equivs {
 				memos += len(ms)
 			}
 		}
