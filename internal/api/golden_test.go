@@ -110,8 +110,8 @@ func goldenCases() map[string]any {
 			Renew:   []string{"ab12cd34.7"},
 			Release: []string{"ab12cd34.3"}},
 		"fleet_claim_response": &FleetClaimResponse{SweepID: "ab12cd34ef", TTLMS: 30000,
-			Leases:    []FleetLease{{Pair: "open/rename", ID: "ab12cd34.8"}, {Pair: "rename/rename", ID: "ab12cd34.9", Stolen: true}},
-			Total:     3, Completed: 1, Pending: 0, Leased: 2},
+			Leases: []FleetLease{{Pair: "open/rename", ID: "ab12cd34.8"}, {Pair: "rename/rename", ID: "ab12cd34.9", Stolen: true}},
+			Total:  3, Completed: 1, Pending: 0, Leased: 2},
 		"fleet_result_request": &FleetResultRequest{Version: Version, Worker: "host-a-8372",
 			Sweep:   FleetSweepSpec{Spec: "posix", Ops: []string{"rename"}, Kernels: []string{"sv6"}},
 			Results: []FleetPairDone{{Lease: "ab12cd34.8", Pair: pair, TestgenKey: "0011223344556677"}}},

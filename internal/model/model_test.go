@@ -72,42 +72,74 @@ func TestUniformReturnWidth(t *testing.T) {
 	}
 }
 
-// Each op must have both error and success paths where the spec has them.
+// TestErrorPathsExist pins each op's errno surface: every errno the op can
+// return, run standalone, with the number of paths that return it — under
+// the O_ANYFD default, and under the lowest-FD rule where that differs
+// (only there can a descriptor table be full). No path may return a
+// negative code outside the op's list, and every op has a success path.
 func TestErrorPathsExist(t *testing.T) {
-	wantErr := map[string]int64{
-		"stat":     kernel.ENOENT,
-		"link":     kernel.ENOENT,
-		"unlink":   kernel.ENOENT,
-		"rename":   kernel.ENOENT,
-		"fstat":    kernel.EBADF,
-		"close":    kernel.EBADF,
-		"read":     kernel.EBADF,
-		"lseek":    kernel.ESPIPE,
-		"pread":    kernel.ESPIPE,
-		"pwrite":   kernel.ESPIPE,
-		"mprotect": kernel.ENOMEM,
-		"memread":  kernel.ESIGSEGV,
-		"memwrite": kernel.ESIGSEGV,
+	anyFD, lowest := spec.Config{}, spec.Config{LowestFD: true}
+	surface := []struct {
+		op    string
+		cfg   spec.Config
+		errno map[int64]int
+	}{
+		{"open", anyFD, map[int64]int{kernel.EEXIST: 1, kernel.ENOENT: 1}},
+		{"open", lowest, map[int64]int{kernel.EEXIST: 1, kernel.ENOENT: 1, kernel.EMFILE: 3}},
+		{"link", anyFD, map[int64]int{kernel.ENOENT: 1, kernel.EEXIST: 2}},
+		{"unlink", anyFD, map[int64]int{kernel.ENOENT: 1}},
+		{"rename", anyFD, map[int64]int{kernel.ENOENT: 1}},
+		{"stat", anyFD, map[int64]int{kernel.ENOENT: 1}},
+		{"fstat", anyFD, map[int64]int{kernel.EBADF: 1}},
+		{"lseek", anyFD, map[int64]int{kernel.EBADF: 1, kernel.ESPIPE: 1, kernel.EINVAL: 3}},
+		{"close", anyFD, map[int64]int{kernel.EBADF: 1}},
+		{"pipe", anyFD, map[int64]int{}},
+		{"pipe", lowest, map[int64]int{kernel.EMFILE: 4}},
+		// read's second EBADF is a pipe's write end, write's its read end.
+		{"read", anyFD, map[int64]int{kernel.EBADF: 2, kernel.EAGAIN: 1}},
+		{"write", anyFD, map[int64]int{kernel.EBADF: 2}},
+		{"pread", anyFD, map[int64]int{kernel.EBADF: 1, kernel.ESPIPE: 1}},
+		{"pwrite", anyFD, map[int64]int{kernel.EBADF: 1, kernel.ESPIPE: 1}},
+		{"mmap", anyFD, map[int64]int{kernel.EBADF: 2, kernel.ENODEV: 2}},
+		{"munmap", anyFD, map[int64]int{}},
+		{"mprotect", anyFD, map[int64]int{kernel.ENOMEM: 1}},
+		{"memread", anyFD, map[int64]int{kernel.ESIGSEGV: 1, kernel.ESIGBUS: 1}},
+		{"memwrite", anyFD, map[int64]int{kernel.ESIGSEGV: 2, kernel.ESIGBUS: 1}},
 	}
 	var s sym.Solver
-	for name, errno := range wantErr {
-		found := false
+	covered := map[string]bool{}
+	for _, w := range surface {
+		covered[w.op] = true
+		got := map[int64]int{}
 		hasSuccess := false
-		for _, p := range runOp(t, name, spec.Config{}) {
-			ret := p.Result.([]*sym.Expr)
-			cond := sym.And(p.PC, sym.Eq(ret[0], sym.Int(-errno)))
-			if s.Sat(cond) {
-				found = true
+		for _, p := range runOp(t, w.op, w.cfg) {
+			code := p.Result.([]*sym.Expr)[0]
+			outside := []*sym.Expr{p.PC, sym.Lt(code, sym.Int(0))}
+			for errno := range w.errno {
+				if s.Sat(sym.And(p.PC, sym.Eq(code, sym.Int(-errno)))) {
+					got[errno]++
+				}
+				outside = append(outside, sym.Ne(code, sym.Int(-errno)))
 			}
-			if s.Sat(sym.And(p.PC, sym.Ge(ret[0], sym.Int(0)))) {
+			if s.Sat(sym.And(outside...)) {
+				t.Errorf("%s (%+v): a path returns a negative code outside %v: %v", w.op, w.cfg, w.errno, code)
+			}
+			if s.Sat(sym.And(p.PC, sym.Ge(code, sym.Int(0)))) {
 				hasSuccess = true
 			}
 		}
-		if !found {
-			t.Errorf("%s: no path returns errno %d", name, errno)
+		for errno, n := range w.errno {
+			if got[errno] != n {
+				t.Errorf("%s (%+v): %d paths return errno %d, want %d", w.op, w.cfg, got[errno], errno, n)
+			}
 		}
 		if !hasSuccess {
-			t.Errorf("%s: no success path", name)
+			t.Errorf("%s (%+v): no success path", w.op, w.cfg)
+		}
+	}
+	for _, op := range Spec.Ops() {
+		if !covered[op.Name] {
+			t.Errorf("%s has no errno surface", op.Name)
 		}
 	}
 }

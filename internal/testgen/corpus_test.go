@@ -21,12 +21,18 @@ import (
 	_ "repro/internal/vmspec"
 )
 
-var updateCorpus = flag.Bool("update", false, "rewrite testdata/corpus.digest and testdata/trace.digest")
+var updateCorpus = flag.Bool("update", false, "rewrite testdata/analysis.digest, testdata/corpus.digest and testdata/trace.digest")
 
-// TestCorpusDigest pins the content of every generated test, not just the
-// cell counts the matrix goldens see, and what every implementation does
-// with it. The corpus is generated once: every pair of all four specs plus
-// posix "fs" under the lowest-FD rule.
+// TestCorpusDigest pins every path ANALYZE finds and the content of every
+// generated test, not just the cell counts the matrix goldens see, and
+// what every implementation does with it. The corpus is generated once:
+// every pair of all four specs plus posix "fs" under the lowest-FD rule.
+//
+// testdata/analysis.digest has one line per spec universe with the path
+// count and a SHA-256 over each pair's paths in order: index, Commutes,
+// Unknown and the renderings of PC and Eq. Every Context and Dict call a
+// model makes can decide a path, so a refactor of a spec's model or of the
+// symbolic core must leave it untouched.
 //
 // testdata/corpus.digest has one line per spec universe with the test count
 // and a SHA-256 over each test's ID, both calls and setup fingerprint. A
@@ -40,7 +46,7 @@ var updateCorpus = flag.Bool("update", false, "rewrite testdata/corpus.digest an
 // replays, so a refactor of a kernel or of internal/scale must leave it
 // untouched too.
 //
-// Regenerate either with -update only when changing what it pins is the
+// Regenerate any of them with -update only when changing what it pins is the
 // point. Every test of the walk must also pass the Replayer's admission:
 // what it refuses, TESTGEN must never produce.
 func TestCorpusDigest(t *testing.T) {
@@ -58,7 +64,7 @@ func TestCorpusDigest(t *testing.T) {
 		{"queue", "all", spec.Config{}},
 		{"vm", "all", spec.Config{}},
 	}
-	var corpus, traces strings.Builder
+	var analysis, corpus, traces strings.Builder
 	for _, u := range universes {
 		sp, err := spec.Lookup(u.spec)
 		if err != nil {
@@ -69,12 +75,12 @@ func TestCorpusDigest(t *testing.T) {
 			t.Fatal(err)
 		}
 		impls := sp.Impls()
-		h := sha256.New()
+		h, pathH := sha256.New(), sha256.New()
 		traceH := make([]hash.Hash, len(impls))
 		for j := range traceH {
 			traceH[j] = sha256.New()
 		}
-		n := 0
+		n, paths := 0, 0
 		for i, a := range ops {
 			for _, b := range ops[:i+1] {
 				// Earlier op first: the orientation sweep.Pairs uses.
@@ -82,6 +88,10 @@ func TestCorpusDigest(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				for pi, p := range pr.Paths {
+					fmt.Fprintf(pathH, "%s,%s %d %t %t\n%s\n%s\n", pr.OpA, pr.OpB, pi, p.Commutes, p.Unknown, p.PC, p.Eq)
+				}
+				paths += len(pr.Paths)
 				tests, _ := GenerateChecked(sp, pr, Options{})
 				for _, tc := range tests {
 					if err := kernel.Admit(&tc); err != nil {
@@ -99,11 +109,13 @@ func TestCorpusDigest(t *testing.T) {
 			}
 		}
 		line := fmt.Sprintf("%s/%s lowestfd=%t", u.spec, u.set, u.cfg.LowestFD)
+		fmt.Fprintf(&analysis, "%s paths=%d sha256=%x\n", line, paths, pathH.Sum(nil))
 		fmt.Fprintf(&corpus, "%s tests=%d sha256=%x\n", line, n, h.Sum(nil))
 		for j, im := range impls {
 			fmt.Fprintf(&traces, "%s %s tests=%d sha256=%x\n", line, im.Name, n, traceH[j].Sum(nil))
 		}
 	}
+	checkDigest(t, "testdata/analysis.digest", analysis.String())
 	checkDigest(t, "testdata/corpus.digest", corpus.String())
 	checkDigest(t, "testdata/trace.digest", traces.String())
 }
