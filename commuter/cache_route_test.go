@@ -3,6 +3,7 @@ package commuter_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/commuter"
+	"repro/internal/api"
 	"repro/internal/kernel"
 	"repro/internal/sweep"
 )
@@ -121,6 +123,39 @@ func TestCacheRoutes(t *testing.T) {
 	defer bare.Close()
 	if code, _ := doReq(t, http.MethodGet, bare.URL+sweep.CacheRoutePrefix+"/"+sweep.TierTestgen+"/"+key, nil); code != http.StatusBadRequest {
 		t.Errorf("GET on cacheless server = %d, want 400", code)
+	}
+}
+
+// TestRequestBodyIsOneJSONValue pins that every JSON route reads its body
+// as exactly one value, as the cache route's PUT does: a request its route
+// accepts is a 400 once anything but white space follows it.
+func TestRequestBodyIsOneJSONValue(t *testing.T) {
+	_, srv := newLoopback(t)
+	sw := sweep.FleetSweepSpec{Spec: "queue", Ops: []string{"send"}, Kernels: []string{"memq"}}
+	for _, tc := range []struct {
+		path string
+		req  any
+	}{
+		{api.PathAnalyze, api.AnalyzeRequest{Version: api.Version, OpA: "send", OpB: "send", Options: api.Options{Spec: "queue"}}},
+		{api.PathTestgen, api.TestgenRequest{Version: api.Version, OpA: "send", OpB: "send", Options: api.Options{Spec: "queue"}}},
+		{api.PathCheck, api.CheckRequest{Version: api.Version, Kernel: "memq", Options: api.Options{Spec: "queue"}}},
+		{api.PathSweep, api.SweepRequest{Version: api.Version, Options: api.Options{Spec: "queue", Ops: "send"}}},
+		// The claim opens the session the result post reports into.
+		{api.PathFleetClaim, sweep.FleetClaimRequest{Version: sweep.FleetAPIVersion, Worker: "w", Max: 1, Sweep: sw}},
+		{api.PathFleetResult, sweep.FleetResultRequest{Version: sweep.FleetAPIVersion, Worker: "w", Sweep: sw}},
+	} {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, msg := doReq(t, http.MethodPost, srv.URL+tc.path, append(body, " \n"...)); code != http.StatusOK {
+			t.Fatalf("POST %s = %d (%s), want 200", tc.path, code, msg)
+		}
+		for _, trail := range []string{"{}", " x", `{"version":1}`, "]"} {
+			if code, msg := doReq(t, http.MethodPost, srv.URL+tc.path, append(body, trail...)); code != http.StatusBadRequest {
+				t.Errorf("POST %s followed by %q = %d (%s), want 400", tc.path, trail, code, msg)
+			}
+		}
 	}
 }
 

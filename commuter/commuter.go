@@ -66,8 +66,9 @@ type (
 	SweepCacheStats = sweep.CacheStats
 )
 
-// Specs returns the names of the registered interface specifications
-// ("posix", "queue", plus any the embedding program registered).
+// Specs returns the names of the registered interface specifications,
+// sorted: "kv", "posix", "queue" and "vm", plus any the embedding program
+// registered.
 func Specs() []string { return spec.Names() }
 
 // OpNames returns the 18 modeled POSIX operations in Figure 6 order.

@@ -285,13 +285,18 @@ func (s *server) instrument(mux *http.ServeMux) http.Handler {
 // sets; 64 MiB is two orders of magnitude above the full 18-op corpus).
 const maxRequestBytes = 64 << 20
 
-// decodeRequest parses the body and enforces the wire version; version is
-// the request's own stamp. It writes the error response itself when it
-// returns false.
+// decodeRequest parses the body, which must be exactly one JSON value, and
+// enforces the wire version; version is the request's own stamp. It writes
+// the error response itself when it returns false.
 func decodeRequest(w http.ResponseWriter, r *http.Request, req any, version func() int) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	if err := dec.Decode(req); err != nil {
 		writeError(w, api.Errorf(api.CodeBadRequest, "malformed request: %v", err))
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, api.Errorf(api.CodeBadRequest, "malformed request: data after the request's JSON value"))
 		return false
 	}
 	if err := api.CheckVersion(version()); err != nil {

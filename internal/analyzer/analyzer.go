@@ -73,8 +73,9 @@ func (p SetPath) verdict() SetPath { return p }
 type PairPath struct {
 	SetPath
 	// StateA and StateB are the final symbolic states of the two
-	// permutations (op0;op1 and op1;op0); the spec's Concretizer mines
-	// their initial-probe entries to materialize concrete initial states.
+	// permutations (op0;op1 and op1;op0); TESTGEN hands them to the spec's
+	// PlanSetup, which mines their initial-probe entries to materialize
+	// concrete initial states.
 	StateA, StateB spec.State
 }
 

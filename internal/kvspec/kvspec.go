@@ -193,22 +193,17 @@ func (kvSpec) NewState(c *symx.Context, cfg spec.Config) spec.State {
 	return NewState(c)
 }
 
-func (kvSpec) Concretizer() spec.Concretizer { return concretizer{} }
-
 func (kvSpec) Impls() []spec.Impl {
 	return []spec.Impl{{Name: "memkv", New: func() kernel.Kernel { return memkv.New() }}}
 }
 
-// concretizer mines store bindings from the witness.
-type concretizer struct{}
-
 // FixupCall is a no-op: the kv interface has no per-call spec flags.
-func (concretizer) FixupCall(cfg spec.Config, call *kernel.Call) {}
+func (kvSpec) FixupCall(cfg spec.Config, call *kernel.Call) {}
 
 // PlanSetup plans the store dictionary's probes of one path. The function
 // it returns rebuilds the concrete store: every key the witness probed as
 // present becomes a seeded binding with the probed value.
-func (concretizer) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
+func (kvSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
 	kv := spec.PlanProbes(a.(*State).KV, b.(*State).KV)
 	return func(m sym.Model) kernel.Setup {
 		var s kernel.Setup

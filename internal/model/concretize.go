@@ -8,15 +8,10 @@ import (
 	"repro/internal/sym"
 )
 
-// concretizer is the POSIX spec's witness-to-setup converter: it owns
-// every fs-specific field-name convention (len/nlink/off/head/tail/foff…)
-// that used to be hard-wired into TESTGEN.
-type concretizer struct{}
-
 // FixupCall attaches the O_ANYFD flag to descriptor-allocating calls
 // unless the model ran under the POSIX lowest-FD rule, matching the
 // specification nondeterminism the generated tests assume.
-func (concretizer) FixupCall(cfg spec.Config, call *kernel.Call) {
+func (posixSpec) FixupCall(cfg spec.Config, call *kernel.Call) {
 	if !cfg.LowestFD && (call.Op == "open" || call.Op == "pipe") {
 		call.Args["anyfd"] = 1
 	}
@@ -27,8 +22,10 @@ type setupPlan struct {
 	inode, fname, data, fd, pipe, piped, anon, vma *spec.ProbePlan
 }
 
-// PlanSetup plans the eight dictionaries' probes of one path.
-func (concretizer) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
+// PlanSetup plans the eight dictionaries' probes of one path. The setup it
+// mines owns every fs-specific field-name convention (len, nlink, off,
+// head, tail, foff).
+func (posixSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
 	sa, sb := a.(*State), b.(*State)
 	pl := &setupPlan{
 		inode: spec.PlanProbes(sa.Inode, sb.Inode),
@@ -50,27 +47,31 @@ func (concretizer) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
 func (pl *setupPlan) setup(m sym.Model) kernel.Setup {
 	var s kernel.Setup
 
+	// inPlay puts an initial inode in the setup, with length ln unless it
+	// already is; numbers below 1 were allocated during the calls.
 	inodeLen := map[int64]int64{}
+	inPlay := func(inum, ln int64) bool {
+		if inum < 1 {
+			return false
+		}
+		if _, ok := inodeLen[inum]; !ok {
+			inodeLen[inum] = ln
+		}
+		return true
+	}
 	inodeNlink := map[int64]int64{}
 	for _, p := range pl.inode.Eval(m) {
-		inum := p.Key[0]
-		if inum < 1 {
-			continue // allocated during the calls, not initial state
+		if inum := p.Key[0]; inPlay(inum, spec.Clamp(p.Field("len"), 0, MaxLen)) {
+			inodeNlink[inum] = spec.Clamp(p.Field("nlink"), 0, MaxInum)
 		}
-		inodeLen[inum] = spec.Clamp(p.Field("len"), 0, MaxLen)
-		inodeNlink[inum] = spec.Clamp(p.Field("nlink"), 0, MaxInum)
 	}
 
 	visibleLinks := map[int64]int{}
 	for _, p := range pl.fname.Eval(m) {
 		name, inum := p.Key[0], p.Field("inum")
-		if inum < 1 {
-			continue
-		}
-		s.Files = append(s.Files, kernel.SetupFile{Name: kernel.Fname(name), Inum: inum})
-		visibleLinks[inum]++
-		if _, ok := inodeLen[inum]; !ok {
-			inodeLen[inum] = 0
+		if inPlay(inum, 0) {
+			s.Files = append(s.Files, kernel.SetupFile{Name: kernel.Fname(name), Inum: inum})
+			visibleLinks[inum]++
 		}
 	}
 
@@ -109,11 +110,7 @@ func (pl *setupPlan) setup(m sym.Model) kernel.Setup {
 		} else {
 			sd.Inum = p.Field("inum")
 			sd.Off = spec.Clamp(p.Field("off"), 0, MaxLen)
-			if sd.Inum >= 1 {
-				if _, ok := inodeLen[sd.Inum]; !ok {
-					inodeLen[sd.Inum] = 0
-				}
-			}
+			inPlay(sd.Inum, 0)
 		}
 		s.FDs = append(s.FDs, sd)
 	}
@@ -162,11 +159,7 @@ func (pl *setupPlan) setup(m sym.Model) kernel.Setup {
 		} else {
 			sv.Inum = p.Field("inum")
 			sv.Foff = spec.Clamp(p.Field("foff"), 0, MaxLen)
-			if sv.Inum >= 1 {
-				if _, ok := inodeLen[sv.Inum]; !ok {
-					inodeLen[sv.Inum] = 0
-				}
-			}
+			inPlay(sv.Inum, 0)
 		}
 		s.VMAs = append(s.VMAs, sv)
 	}

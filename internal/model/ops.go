@@ -55,11 +55,18 @@ func pipeFD(pipe *sym.Expr, wend bool) *symx.Struct {
 }
 
 // ops is the op table: the 18 modeled POSIX operations in Figure 6 order,
-// built once per process.
+// built once per process. As in unix, the descriptor calls share fdOp, and
+// read and pread, write and pwrite, and memread and memwrite share a body.
 var ops = []*spec.Op{
-	opOpen(), opLink(), opUnlink(), opRename(), opStat(), opFstat(),
-	opLseek(), opClose(), opPipe(), opRead(), opWrite(), opPread(),
-	opPwrite(), opMmap(), opMunmap(), opMprotect(), opMemread(), opMemwrite(),
+	opOpen(), opLink(), opUnlink(), opRename(), opStat(),
+	fdOp("fstat", false, fstat),
+	fdOp("lseek", true, lseek,
+		spec.ArgSpec{Name: "delta", Sort: sym.IntSort, Min: -MaxLen, Max: MaxLen, Bounded: true},
+		spec.ArgSpec{Name: "wset", Sort: sym.BoolSort}, spec.ArgSpec{Name: "wend", Sort: sym.BoolSort}),
+	opClose(), opPipe(),
+	fdOp("read", false, read), fdOp("write", false, write, valArg()),
+	fdOp("pread", true, read, offArg("off")), fdOp("pwrite", true, write, offArg("off"), valArg()),
+	opMmap(), opMunmap(), opMprotect(), memOp("memread", false), memOp("memwrite", true),
 }
 
 func st(x *spec.Exec) *State { return x.S.(*State) }
@@ -74,6 +81,7 @@ func pageArg(name string) spec.ArgSpec {
 func offArg(name string) spec.ArgSpec {
 	return spec.ArgSpec{Name: name, Sort: sym.IntSort, Min: 0, Max: MaxLen, Bounded: true}
 }
+func valArg() spec.ArgSpec { return spec.ArgSpec{Name: "val", Sort: DataSort} }
 
 func opOpen() *spec.Op {
 	return &spec.Op{
@@ -204,74 +212,75 @@ func opStat() *spec.Op {
 			if !s.Fname.Contains(x.C, symx.K(fname)) {
 				return errRet(kernel.ENOENT)
 			}
-			inum := s.Fname.Get(x.C, symx.K(fname)).Get("inum")
-			ino := s.Inode.GetFunc(x.C, symx.K(inum))
-			return okRet(sym.Int(0), inum, ino.Get("nlink"), ino.Get("len"))
+			return statInode(x, s.Fname.Get(x.C, symx.K(fname)).Get("inum"))
 		},
 	}
 }
 
-func opFstat() *spec.Op {
-	return &spec.Op{
-		Name: "fstat",
-		Args: []spec.ArgSpec{procArg(), fdArg()},
-		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
-			s := st(x)
-			proc, fd := a[0], a[1]
-			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
-				return errRet(kernel.EBADF)
-			}
-			f := s.FD.Get(x.C, symx.K(proc, fd))
-			if x.C.Branch(f.Get("ispipe")) {
-				p := s.Pipe.GetFunc(x.C, symx.K(f.Get("pipe")))
-				// Pipes report a pseudo-inode in a disjoint (negative)
-				// number space, link count 1, and queued length.
-				return okRet(sym.Int(0), sym.Sub(sym.Int(0), f.Get("pipe")),
-					sym.Int(1), sym.Sub(p.Get("tail"), p.Get("head")))
-			}
-			inum := f.Get("inum")
-			ino := s.Inode.GetFunc(x.C, symx.K(inum))
-			return okRet(sym.Int(0), inum, ino.Get("nlink"), ino.Get("len"))
-		},
-	}
+// statInode answers stat and fstat of a file: its number, link count and
+// length.
+func statInode(x *spec.Exec, inum *sym.Expr) []*sym.Expr {
+	ino := st(x).Inode.GetFunc(x.C, symx.K(inum))
+	return okRet(sym.Int(0), inum, ino.Get("nlink"), ino.Get("len"))
 }
 
-func opLseek() *spec.Op {
+// fdBody is the rest of an op on a descriptor once fdOp has resolved it to
+// f: pipe is whether f is a pipe, which it never is for a seek op, and seek
+// is the op's.
+type fdBody func(x *spec.Exec, a []*sym.Expr, f *symx.Struct, pipe, seek bool) []*sym.Expr
+
+// fdOp is an op on the proc's fd argument, as unix's fdCall is: the
+// descriptor must be open (EBADF), and a seek op — lseek, and pread and
+// pwrite at their own offset — refuses a pipe (ESPIPE). args follow proc
+// and fd.
+func fdOp(name string, seek bool, body fdBody, args ...spec.ArgSpec) *spec.Op {
 	return &spec.Op{
-		Name: "lseek",
-		Args: []spec.ArgSpec{
-			procArg(), fdArg(),
-			{Name: "delta", Sort: sym.IntSort, Min: -MaxLen, Max: MaxLen, Bounded: true},
-			{Name: "wset", Sort: sym.BoolSort},
-			{Name: "wend", Sort: sym.BoolSort},
-		},
+		Name: name,
+		Args: append([]spec.ArgSpec{procArg(), fdArg()}, args...),
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s := st(x)
-			proc, fd, delta, wset, wend := a[0], a[1], a[2], a[3], a[4]
-			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
+			if !s.FD.Contains(x.C, symx.K(a[0], a[1])) {
 				return errRet(kernel.EBADF)
 			}
-			f := s.FD.Get(x.C, symx.K(proc, fd))
-			if x.C.Branch(f.Get("ispipe")) {
+			f := s.FD.Get(x.C, symx.K(a[0], a[1]))
+			pipe := x.C.Branch(f.Get("ispipe"))
+			if pipe && seek {
 				return errRet(kernel.ESPIPE)
 			}
-			var n *sym.Expr
-			switch {
-			case x.C.Branch(wset):
-				n = delta
-			case x.C.Branch(wend):
-				ino := s.Inode.GetFunc(x.C, symx.K(f.Get("inum")))
-				n = sym.Add(ino.Get("len"), delta)
-			default:
-				n = sym.Add(f.Get("off"), delta)
-			}
-			if x.C.Branch(sym.Lt(n, sym.Int(0))) {
-				return errRet(kernel.EINVAL)
-			}
-			s.FD.Set(x.C, symx.K(proc, fd), f.With("off", n))
-			return okRet(sym.Int(0), n)
+			return body(x, a, f, pipe, seek)
 		},
 	}
+}
+
+func fstat(x *spec.Exec, a []*sym.Expr, f *symx.Struct, pipe, _ bool) []*sym.Expr {
+	if !pipe {
+		return statInode(x, f.Get("inum"))
+	}
+	p := st(x).Pipe.GetFunc(x.C, symx.K(f.Get("pipe")))
+	// Pipes report a pseudo-inode in a disjoint (negative) number space,
+	// link count 1, and queued length.
+	return okRet(sym.Int(0), sym.Sub(sym.Int(0), f.Get("pipe")),
+		sym.Int(1), sym.Sub(p.Get("tail"), p.Get("head")))
+}
+
+func lseek(x *spec.Exec, a []*sym.Expr, f *symx.Struct, _, _ bool) []*sym.Expr {
+	s := st(x)
+	delta, wset, wend := a[2], a[3], a[4]
+	var n *sym.Expr
+	switch {
+	case x.C.Branch(wset):
+		n = delta
+	case x.C.Branch(wend):
+		ino := s.Inode.GetFunc(x.C, symx.K(f.Get("inum")))
+		n = sym.Add(ino.Get("len"), delta)
+	default:
+		n = sym.Add(f.Get("off"), delta)
+	}
+	if x.C.Branch(sym.Lt(n, sym.Int(0))) {
+		return errRet(kernel.EINVAL)
+	}
+	s.FD.Set(x.C, symx.K(a[0], a[1]), f.With("off", n))
+	return okRet(sym.Int(0), n)
 }
 
 func opClose() *spec.Op {
@@ -316,128 +325,73 @@ func opPipe() *spec.Op {
 	}
 }
 
-func opRead() *spec.Op {
-	return &spec.Op{
-		Name: "read",
-		Args: []spec.ArgSpec{procArg(), fdArg()},
-		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
-			s := st(x)
-			proc, fd := a[0], a[1]
-			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
-				return errRet(kernel.EBADF)
-			}
-			f := s.FD.Get(x.C, symx.K(proc, fd))
-			if x.C.Branch(f.Get("ispipe")) {
-				if x.C.Branch(f.Get("wend")) {
-					return errRet(kernel.EBADF)
-				}
-				pid := f.Get("pipe")
-				p := s.Pipe.GetFunc(x.C, symx.K(pid))
-				if x.C.Branch(sym.Eq(p.Get("head"), p.Get("tail"))) {
-					return errRet(kernel.EAGAIN) // modeled as non-blocking
-				}
-				v := s.PipeD.GetFunc(x.C, symx.K(pid, p.Get("head")))
-				s.Pipe.Set(x.C, symx.K(pid),
-					p.With("head", sym.Add(p.Get("head"), sym.Int(1))))
-				return dataRet(1, v.Get("val"))
-			}
-			ino := s.Inode.GetFunc(x.C, symx.K(f.Get("inum")))
-			if x.C.Branch(sym.Ge(f.Get("off"), ino.Get("len"))) {
-				return okRet(sym.Int(0)) // EOF
-			}
-			v := s.Data.GetFunc(x.C, symx.K(f.Get("inum"), f.Get("off")))
-			s.FD.Set(x.C, symx.K(proc, fd),
-				f.With("off", sym.Add(f.Get("off"), sym.Int(1))))
-			return dataRet(1, v.Get("val"))
-		},
+// fileOff is where read or write works on a file: the descriptor's offset,
+// or a seek op's own (its first argument after proc and fd).
+func fileOff(a []*sym.Expr, f *symx.Struct, seek bool) *sym.Expr {
+	if seek {
+		return a[2]
 	}
+	return f.Get("off")
 }
 
-func opWrite() *spec.Op {
-	return &spec.Op{
-		Name: "write",
-		Args: []spec.ArgSpec{procArg(), fdArg(), {Name: "val", Sort: DataSort}},
-		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
-			s := st(x)
-			proc, fd, val := a[0], a[1], a[2]
-			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
-				return errRet(kernel.EBADF)
-			}
-			f := s.FD.Get(x.C, symx.K(proc, fd))
-			if x.C.Branch(f.Get("ispipe")) {
-				if !x.C.Branch(f.Get("wend")) {
-					return errRet(kernel.EBADF)
-				}
-				pid := f.Get("pipe")
-				p := s.Pipe.GetFunc(x.C, symx.K(pid))
-				s.PipeD.Set(x.C, symx.K(pid, p.Get("tail")),
-					symx.NewStruct("val", val))
-				s.Pipe.Set(x.C, symx.K(pid),
-					p.With("tail", sym.Add(p.Get("tail"), sym.Int(1))))
-				return okRet(sym.Int(1))
-			}
-			off := f.Get("off")
-			inum := f.Get("inum")
-			s.Data.Set(x.C, symx.K(inum, off), symx.NewStruct("val", val))
-			ino := s.Inode.GetFunc(x.C, symx.K(inum))
-			end := sym.Add(off, sym.Int(1))
-			if x.C.Branch(sym.Gt(end, ino.Get("len"))) {
-				s.Inode.Set(x.C, symx.K(inum), ino.With("len", end))
-			}
-			s.FD.Set(x.C, symx.K(proc, fd), f.With("off", end))
-			return okRet(sym.Int(1))
-		},
+// read is read and pread, which reads at its own offset and leaves the
+// descriptor's where it is.
+func read(x *spec.Exec, a []*sym.Expr, f *symx.Struct, pipe, seek bool) []*sym.Expr {
+	s := st(x)
+	if pipe {
+		if x.C.Branch(f.Get("wend")) {
+			return errRet(kernel.EBADF)
+		}
+		pid := f.Get("pipe")
+		p := s.Pipe.GetFunc(x.C, symx.K(pid))
+		if x.C.Branch(sym.Eq(p.Get("head"), p.Get("tail"))) {
+			return errRet(kernel.EAGAIN) // modeled as non-blocking
+		}
+		v := s.PipeD.GetFunc(x.C, symx.K(pid, p.Get("head")))
+		s.Pipe.Set(x.C, symx.K(pid),
+			p.With("head", sym.Add(p.Get("head"), sym.Int(1))))
+		return dataRet(1, v.Get("val"))
 	}
+	off := fileOff(a, f, seek)
+	ino := s.Inode.GetFunc(x.C, symx.K(f.Get("inum")))
+	if x.C.Branch(sym.Ge(off, ino.Get("len"))) {
+		return okRet(sym.Int(0)) // EOF
+	}
+	v := s.Data.GetFunc(x.C, symx.K(f.Get("inum"), off))
+	if !seek {
+		s.FD.Set(x.C, symx.K(a[0], a[1]), f.With("off", sym.Add(off, sym.Int(1))))
+	}
+	return dataRet(1, v.Get("val"))
 }
 
-func opPread() *spec.Op {
-	return &spec.Op{
-		Name: "pread",
-		Args: []spec.ArgSpec{procArg(), fdArg(), offArg("off")},
-		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
-			s := st(x)
-			proc, fd, off := a[0], a[1], a[2]
-			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
-				return errRet(kernel.EBADF)
-			}
-			f := s.FD.Get(x.C, symx.K(proc, fd))
-			if x.C.Branch(f.Get("ispipe")) {
-				return errRet(kernel.ESPIPE)
-			}
-			ino := s.Inode.GetFunc(x.C, symx.K(f.Get("inum")))
-			if x.C.Branch(sym.Ge(off, ino.Get("len"))) {
-				return okRet(sym.Int(0)) // EOF
-			}
-			v := s.Data.GetFunc(x.C, symx.K(f.Get("inum"), off))
-			return dataRet(1, v.Get("val"))
-		},
+// write is write and pwrite, which writes at its own offset; the value is
+// the last argument.
+func write(x *spec.Exec, a []*sym.Expr, f *symx.Struct, pipe, seek bool) []*sym.Expr {
+	s := st(x)
+	val := a[len(a)-1]
+	if pipe {
+		if !x.C.Branch(f.Get("wend")) {
+			return errRet(kernel.EBADF)
+		}
+		pid := f.Get("pipe")
+		p := s.Pipe.GetFunc(x.C, symx.K(pid))
+		s.PipeD.Set(x.C, symx.K(pid, p.Get("tail")),
+			symx.NewStruct("val", val))
+		s.Pipe.Set(x.C, symx.K(pid),
+			p.With("tail", sym.Add(p.Get("tail"), sym.Int(1))))
+		return okRet(sym.Int(1))
 	}
-}
-
-func opPwrite() *spec.Op {
-	return &spec.Op{
-		Name: "pwrite",
-		Args: []spec.ArgSpec{procArg(), fdArg(), offArg("off"), {Name: "val", Sort: DataSort}},
-		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
-			s := st(x)
-			proc, fd, off, val := a[0], a[1], a[2], a[3]
-			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
-				return errRet(kernel.EBADF)
-			}
-			f := s.FD.Get(x.C, symx.K(proc, fd))
-			if x.C.Branch(f.Get("ispipe")) {
-				return errRet(kernel.ESPIPE)
-			}
-			inum := f.Get("inum")
-			s.Data.Set(x.C, symx.K(inum, off), symx.NewStruct("val", val))
-			ino := s.Inode.GetFunc(x.C, symx.K(inum))
-			end := sym.Add(off, sym.Int(1))
-			if x.C.Branch(sym.Gt(end, ino.Get("len"))) {
-				s.Inode.Set(x.C, symx.K(inum), ino.With("len", end))
-			}
-			return okRet(sym.Int(1))
-		},
+	off, inum := fileOff(a, f, seek), f.Get("inum")
+	s.Data.Set(x.C, symx.K(inum, off), symx.NewStruct("val", val))
+	ino := s.Inode.GetFunc(x.C, symx.K(inum))
+	end := sym.Add(off, sym.Int(1))
+	if x.C.Branch(sym.Gt(end, ino.Get("len"))) {
+		s.Inode.Set(x.C, symx.K(inum), ino.With("len", end))
 	}
+	if !seek {
+		s.FD.Set(x.C, symx.K(a[0], a[1]), f.With("off", end))
+	}
+	return okRet(sym.Int(1))
 }
 
 func opMmap() *spec.Op {
@@ -514,10 +468,17 @@ func opMprotect() *spec.Op {
 	}
 }
 
-func opMemread() *spec.Op {
+// memOp is memread and memwrite, as unix's memAccess is: an access to an
+// unmapped page, or a write to a read-only one, faults (SIGSEGV), and one
+// past the end of a mapped file faults too (SIGBUS).
+func memOp(name string, write bool) *spec.Op {
+	args := []spec.ArgSpec{procArg(), pageArg("page")}
+	if write {
+		args = append(args, valArg())
+	}
 	return &spec.Op{
-		Name: "memread",
-		Args: []spec.ArgSpec{procArg(), pageArg("page")},
+		Name: name,
+		Args: args,
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s := st(x)
 			proc, page := a[0], a[1]
@@ -525,44 +486,26 @@ func opMemread() *spec.Op {
 				return errRet(kernel.ESIGSEGV)
 			}
 			v := s.VMA.Get(x.C, symx.K(proc, page))
+			if write && !x.C.Branch(v.Get("wr")) {
+				return errRet(kernel.ESIGSEGV)
+			}
 			if x.C.Branch(v.Get("anon")) {
-				av := s.Anon.GetFunc(x.C, symx.K(proc, page))
-				return dataRet(0, av.Get("val"))
+				if write {
+					s.Anon.Set(x.C, symx.K(proc, page), symx.NewStruct("val", a[2]))
+					return okRet(sym.Int(0))
+				}
+				return dataRet(0, s.Anon.GetFunc(x.C, symx.K(proc, page)).Get("val"))
 			}
 			ino := s.Inode.GetFunc(x.C, symx.K(v.Get("inum")))
 			if x.C.Branch(sym.Ge(v.Get("foff"), ino.Get("len"))) {
 				return errRet(kernel.ESIGBUS)
 			}
-			dv := s.Data.GetFunc(x.C, symx.K(v.Get("inum"), v.Get("foff")))
-			return dataRet(0, dv.Get("val"))
-		},
-	}
-}
-
-func opMemwrite() *spec.Op {
-	return &spec.Op{
-		Name: "memwrite",
-		Args: []spec.ArgSpec{procArg(), pageArg("page"), {Name: "val", Sort: DataSort}},
-		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
-			s := st(x)
-			proc, page, val := a[0], a[1], a[2]
-			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
-				return errRet(kernel.ESIGSEGV)
-			}
-			v := s.VMA.Get(x.C, symx.K(proc, page))
-			if !x.C.Branch(v.Get("wr")) {
-				return errRet(kernel.ESIGSEGV)
-			}
-			if x.C.Branch(v.Get("anon")) {
-				s.Anon.Set(x.C, symx.K(proc, page), symx.NewStruct("val", val))
+			at := symx.K(v.Get("inum"), v.Get("foff"))
+			if write {
+				s.Data.Set(x.C, at, symx.NewStruct("val", a[2]))
 				return okRet(sym.Int(0))
 			}
-			ino := s.Inode.GetFunc(x.C, symx.K(v.Get("inum")))
-			if x.C.Branch(sym.Ge(v.Get("foff"), ino.Get("len"))) {
-				return errRet(kernel.ESIGBUS)
-			}
-			s.Data.Set(x.C, symx.K(v.Get("inum"), v.Get("foff")), symx.NewStruct("val", val))
-			return okRet(sym.Int(0))
+			return dataRet(0, s.Data.GetFunc(x.C, at).Get("val"))
 		},
 	}
 }

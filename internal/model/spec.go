@@ -15,8 +15,8 @@ var FSOpNames = []string{
 
 // posixSpec packages the POSIX model as the registered "posix" spec: the
 // 18 Figure 6 operations, the symbolic file-system/VM state, the
-// fs-specific witness concretizer, and the two kernel implementations
-// under test.
+// fs-specific mining of a setup from a witness (concretize.go), and the
+// two kernel implementations under test.
 type posixSpec struct{}
 
 // Spec is the POSIX model as a pluggable pipeline spec.
@@ -38,8 +38,6 @@ func (posixSpec) DefaultSet() string { return "fs" }
 func (posixSpec) NewState(c *symx.Context, cfg spec.Config) spec.State {
 	return NewState(c)
 }
-
-func (posixSpec) Concretizer() spec.Concretizer { return concretizer{} }
 
 // Impls binds the spec to the two kernel implementations the paper
 // evaluates: two designs of one kernel, the Linux-3.8-like baseline and

@@ -230,24 +230,19 @@ func (queueSpec) NewState(c *symx.Context, cfg spec.Config) spec.State {
 	return NewState(c)
 }
 
-func (queueSpec) Concretizer() spec.Concretizer { return concretizer{} }
-
 func (queueSpec) Impls() []spec.Impl {
 	return []spec.Impl{{Name: "memq", New: func() kernel.Kernel { return memq.New() }}}
 }
 
-// concretizer mines queue backlogs from the witness.
-type concretizer struct{}
-
 // FixupCall is a no-op: the queue interface has no per-call spec flags.
-func (concretizer) FixupCall(cfg spec.Config, call *kernel.Call) {}
+func (queueSpec) FixupCall(cfg spec.Config, call *kernel.Call) {}
 
 // PlanSetup plans the four queue dictionaries' probes of one path. The
 // function it returns rebuilds concrete queue backlogs: for each probed
 // queue, the messages between head and tail become the seeded items (the
 // implementation renumbers from zero; sequence numbers are relative, so
 // only the backlog's content and order matter).
-func (concretizer) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
+func (queueSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
 	sa, sb := a.(*State), b.(*State)
 	ord, ordD := spec.PlanProbes(sa.Ord, sb.Ord), spec.PlanProbes(sa.OrdD, sb.OrdD)
 	anyQ, anyD := spec.PlanProbes(sa.AnyQ, sb.AnyQ), spec.PlanProbes(sa.AnyD, sb.AnyD)

@@ -9,7 +9,7 @@ import (
 
 // Probe is one evaluated initial-state dictionary probe: the concrete key
 // a test setup must populate, plus the probed value's fields evaluated
-// under the model assignment. Concretizers mine these to rebuild a
+// under the model assignment. A spec's PlanSetup mines these to rebuild a
 // realizable initial state. A Probe points into its ProbePlan's storage and
 // is valid until the plan's next Eval.
 type Probe struct {
@@ -37,7 +37,7 @@ func (p Probe) Bool(name string) bool { return p.Field(name) != 0 }
 // ProbePlan is the half of mining one dictionary's initial probes that no
 // model decides: which entries of both permutations' states are initial
 // probes, in walk order, and storage for what they evaluate to. TESTGEN
-// builds one per dictionary per path (a Concretizer's PlanSetup) and
+// builds one per dictionary per path (a spec's PlanSetup) and
 // evaluates it once per model.
 type ProbePlan struct {
 	entries []*symx.DictEntry
@@ -121,7 +121,7 @@ func BacklogItems(cursors Probe, vals map[int64]int64, max int64) []int64 {
 	return items
 }
 
-// Clamp bounds v to [lo, hi]; concretizers use it to keep mined values
+// Clamp bounds v to [lo, hi]; PlanSetup uses it to keep mined values
 // inside the bounds a realizable setup supports.
 func Clamp(v, lo, hi int64) int64 {
 	if v < lo {

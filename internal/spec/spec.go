@@ -8,16 +8,18 @@
 //   - the operation universe (Ops, plus named subsets for the CLI),
 //   - symbolic state construction (NewState) and the state's dictionary
 //     layout (State.Dicts, which equivalence and probe mining walk),
-//   - a Concretizer that turns a solver witness into a concrete
-//     kernel.TestCase setup,
+//   - concretization: PlanSetup turns a solver witness into a concrete
+//     kernel.TestCase setup, and FixupCall adjusts each materialized call,
 //   - implementation bindings (Impls): the runners that can execute the
 //     spec's calls under the MTRACE conflict checker.
 //
 // Specs self-register in the package registry (Register, usually from an
 // init function), and every pipeline layer — analyzer, testgen, sweep,
-// eval, the CLI — is generic over the Spec interface. The POSIX model
-// (internal/model) registers as "posix"; the mail-pipeline message-queue
-// model (internal/queuespec) registers as "queue".
+// eval, the CLI — is generic over the Spec interface. Four specs register:
+// the POSIX model (internal/model) as "posix", the mail-pipeline
+// message-queue model (internal/queuespec) as "queue", the address-space
+// model (internal/vmspec) as "vm" and the ordered key-value store
+// (internal/kvspec) as "kv".
 package spec
 
 import (
@@ -89,22 +91,6 @@ type Impl struct {
 	New  func() kernel.Kernel
 }
 
-// Concretizer turns one satisfying assignment of a commutativity condition
-// into the concrete parts of a test case that are specific to the spec.
-type Concretizer interface {
-	// PlanSetup resolves, once per path, what mining a setup from the two
-	// permutations' final symbolic states does not need a model for (their
-	// dictionaries' initial-probe entries: PlanProbes), and returns the
-	// function TESTGEN then calls once per model assignment m to mine a
-	// concrete, realizable initial state. The function may reuse storage
-	// between calls; the Setup it returns is the caller's to keep.
-	PlanSetup(a, b State) func(m sym.Model) kernel.Setup
-	// FixupCall post-processes one materialized call — e.g. the POSIX
-	// spec attaches the O_ANYFD flag to open/pipe calls unless cfg
-	// selects the lowest-FD rule.
-	FixupCall(cfg Config, call *kernel.Call)
-}
-
 // Spec is one pluggable interface specification. Implementations must be
 // stateless values: the pipeline calls them concurrently from sweep
 // workers.
@@ -124,8 +110,17 @@ type Spec interface {
 	DefaultSet() string
 	// NewState builds the spec's unconstrained symbolic initial state.
 	NewState(c *symx.Context, cfg Config) State
-	// Concretizer returns the spec's witness-to-setup converter.
-	Concretizer() Concretizer
+	// PlanSetup resolves, once per path, what mining a setup from the two
+	// permutations' final symbolic states does not need a model for (their
+	// dictionaries' initial-probe entries: PlanProbes), and returns the
+	// function TESTGEN then calls once per model assignment m to mine a
+	// concrete, realizable initial state. The function may reuse storage
+	// between calls; the Setup it returns is the caller's to keep.
+	PlanSetup(a, b State) func(m sym.Model) kernel.Setup
+	// FixupCall post-processes one materialized call — e.g. the POSIX
+	// spec attaches the O_ANYFD flag to open/pipe calls unless cfg
+	// selects the lowest-FD rule.
+	FixupCall(cfg Config, call *kernel.Call)
 	// Impls returns the implementation bindings, in default check order.
 	Impls() []Impl
 }

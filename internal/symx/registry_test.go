@@ -23,10 +23,10 @@ func TestInitialProbeSharingAcrossKeys(t *testing.T) {
 		c.Assume(sym.Eq(x, y))
 
 		d1 := NewDict("fs", mk)
-		e1 := d1.lookup(c, K(x))
+		e1 := d1.lookup(c, K(x), false)
 
 		d2 := NewDict("fs", mk)
-		e2 := d2.lookup(c, K(y))
+		e2 := d2.lookup(c, K(y), false)
 
 		if e1.Present != e2.Present {
 			t.Error("aliased probes disagree on membership")
@@ -79,8 +79,8 @@ func TestInitialProbesDistinctKeysIndependent(t *testing.T) {
 		y := c.Var("y", nameSort, KindArg)
 		c.Assume(sym.Ne(x, y))
 		d := NewDict("fs", mk)
-		ex := d.lookup(c, K(x))
-		ey := d.lookup(c, K(y))
+		ex := d.lookup(c, K(x), false)
+		ey := d.lookup(c, K(y), false)
 		if !ex.Present || !ey.Present {
 			return sym.True // nothing to compare
 		}
@@ -113,7 +113,7 @@ func TestEquivalenceUsesRegistryDefaults(t *testing.T) {
 		c.Assume(sym.Eq(x, y))
 
 		d1 := NewDict("fs", mk)
-		e := d1.lookup(c, K(x)) // probe via x
+		e := d1.lookup(c, K(x), false) // probe via x
 		if !e.Present {
 			return sym.True
 		}

@@ -202,100 +202,88 @@ type initProbe struct {
 	val        *Struct
 }
 
-// lookup finds or creates the entry governing key k on this path. A miss in
-// this dictionary's overlay first consults the Context's initial-probe
-// registry: if k equals a location some same-named dictionary already
-// probed, the same membership variable and value are observed; otherwise a
-// fresh probe is registered.
-func (d *Dict) lookup(c *Context, k Key) *DictEntry {
-	for _, e := range d.entries {
-		if c.Branch(k.eq(e.Key)) {
-			return e
-		}
+// lookup finds or creates the entry governing key k on this path: the
+// overlay entry whose key equals k, else the initial content. total selects
+// the view — a total function's keys are always present, a partial one's
+// fork on a membership variable — and initial content is shared through
+// the Context's registry of probes of that view: if k equals a location
+// some same-named dictionary already probed, the same membership and value
+// are observed; otherwise a fresh probe is registered.
+func (d *Dict) lookup(c *Context, k Key, total bool) *DictEntry {
+	if e := d.overlayEntry(c, k); e != nil {
+		return e
 	}
+	e := &DictEntry{Key: k, Present: true, InitialProbe: true}
 	for _, ip := range c.initProbes[d.Name] {
-		if ip.presentVar == nil {
-			continue // total-function probe; lookup callers never made it
+		if (ip.presentVar == nil) != total {
+			continue // the other view's probe
 		}
 		if c.Branch(k.eq(ip.key)) {
-			e := &DictEntry{
-				Key: k, Present: c.Branch(ip.presentVar),
-				InitialProbe: true, InitPresentVar: ip.presentVar,
+			if !total {
+				e.InitPresentVar = ip.presentVar
+				e.Present = c.Branch(ip.presentVar)
 			}
 			if e.Present {
-				e.Val = ip.val
-				e.InitVal = ip.val
+				e.Val, e.InitVal = ip.val, ip.val
 			}
 			d.entries = append(d.entries, e)
 			return e
 		}
 	}
 	p := c.probe(d, k)
-	pv := p.presentVar(c)
-	present := c.Branch(pv)
-	e := &DictEntry{Key: k, Present: present, InitialProbe: true, InitPresentVar: pv}
-	ip := &initProbe{key: k, presentVar: pv}
-	if present {
+	if !total {
+		e.InitPresentVar = p.presentVar(c)
+		e.Present = c.Branch(e.InitPresentVar)
+	}
+	if e.Present {
 		e.Val = p.value(c, d)
 		e.InitVal = e.Val
-		ip.val = e.Val
 	}
 	d.entries = append(d.entries, e)
-	c.initProbes[d.Name] = append(c.initProbes[d.Name], ip)
+	c.initProbes[d.Name] = append(c.initProbes[d.Name], &initProbe{key: k, presentVar: e.InitPresentVar, val: e.Val})
 	return e
 }
 
 // GetFunc is a total-function view: the key is considered always present,
 // and a fresh unconstrained value is materialized on first access without
 // forking on membership. Use this for tables indexed by identifiers that
-// always resolve (inode metadata, pipe cursors). Initial content is shared
-// through the Context registry like lookup's.
+// always resolve (inode metadata, pipe cursors).
 func (d *Dict) GetFunc(c *Context, k Key) *Struct {
-	for _, e := range d.entries {
-		if c.Branch(k.eq(e.Key)) {
-			if !e.Present {
-				panic("symx: GetFunc after Del in " + d.Name)
-			}
-			return e.Val
-		}
+	e := d.lookup(c, k, true)
+	if !e.Present {
+		panic("symx: GetFunc after Del in " + d.Name)
 	}
-	for _, ip := range c.initProbes[d.Name] {
-		if ip.presentVar != nil || ip.val == nil {
-			continue
-		}
-		if c.Branch(k.eq(ip.key)) {
-			e := &DictEntry{Key: k, Present: true, Val: ip.val, InitialProbe: true, InitVal: ip.val}
-			d.entries = append(d.entries, e)
-			return e.Val
-		}
-	}
-	v := c.probe(d, k).value(c, d)
-	e := &DictEntry{Key: k, Present: true, Val: v, InitialProbe: true, InitVal: v}
-	d.entries = append(d.entries, e)
-	c.initProbes[d.Name] = append(c.initProbes[d.Name], &initProbe{key: k, val: v})
 	return e.Val
 }
 
 // Contains reports (per-path concretely) whether k is present.
-func (d *Dict) Contains(c *Context, k Key) bool { return d.lookup(c, k).Present }
+func (d *Dict) Contains(c *Context, k Key) bool { return d.lookup(c, k, false).Present }
 
 // Get returns the value at k; the caller must have established presence.
 func (d *Dict) Get(c *Context, k Key) *Struct {
-	e := d.lookup(c, k)
+	e := d.lookup(c, k, false)
 	if !e.Present {
 		panic("symx: Get of absent key in " + d.Name)
 	}
 	return e.Val
 }
 
-// lookupWrite is like lookup but does not probe unconstrained initial
-// membership: a write overwrites whatever was there, so the prior state is
-// irrelevant and forking on it would only multiply paths.
-func (d *Dict) lookupWrite(c *Context, k Key) *DictEntry {
+// overlayEntry is the overlay entry whose key equals k on this path, or nil.
+func (d *Dict) overlayEntry(c *Context, k Key) *DictEntry {
 	for _, e := range d.entries {
 		if c.Branch(k.eq(e.Key)) {
 			return e
 		}
+	}
+	return nil
+}
+
+// lookupWrite is like lookup but does not probe unconstrained initial
+// membership: a write overwrites whatever was there, so the prior state is
+// irrelevant and forking on it would only multiply paths.
+func (d *Dict) lookupWrite(c *Context, k Key) *DictEntry {
+	if e := d.overlayEntry(c, k); e != nil {
+		return e
 	}
 	e := &DictEntry{Key: k}
 	d.entries = append(d.entries, e)

@@ -7,8 +7,9 @@
 // implementation even along one model path.
 //
 // testgen is generic over the interface specification (spec.Spec): the
-// only spec-specific step — turning a solver witness into a concrete
-// initial state — is delegated to the spec's Concretizer.
+// only spec-specific steps — turning a solver witness into a concrete
+// initial state, and adjusting each call — are the spec's PlanSetup and
+// FixupCall.
 package testgen
 
 import (
@@ -63,9 +64,8 @@ func generate(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kernel.TestC
 	if solver == nil {
 		solver = &sym.Solver{}
 	}
-	// The pair's ops, their argument variables and the concretizer are
-	// invariant across paths and tests; resolve them once, not per
-	// materialized test.
+	// The pair's ops and their argument variables are invariant across
+	// paths and tests; resolve them once, not per materialized test.
 	opA, errA := spec.OpByName(sp, pr.OpA)
 	opB, errB := spec.OpByName(sp, pr.OpB)
 	if errA != nil || errB != nil {
@@ -82,7 +82,6 @@ func generate(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kernel.TestC
 			argVars[slot] = append(argVars[slot], sym.Var(op.Name+"."+strconv.Itoa(slot)+"."+as.Name, as.Sort))
 		}
 	}
-	conc := sp.Concretizer()
 	var tests []kernel.TestCase
 	truncated := 0
 	// The leaf's scratch, reused across models and paths: the class
@@ -101,7 +100,7 @@ func generate(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kernel.TestC
 		manyClasses := distinguishes(vars)
 		// What mining a setup needs of the path's two states is resolved
 		// here, once, and evaluated per model below.
-		setupOf := conc.PlanSetup(path.StateA, path.StateB)
+		setupOf := sp.PlanSetup(path.StateA, path.StateB)
 		// One enumeration pass collects a representative per isomorphism
 		// class: each model is kept if no previously kept model has its
 		// class signature. This keeps the same representatives, in the
@@ -130,9 +129,9 @@ func generate(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kernel.TestC
 			// when the model allocated descriptors nondeterministically.
 			for slot := range calls {
 				fillCall(&calls[slot], ops[slot], argVars[slot], m)
-				conc.FixupCall(pr.Config, &calls[slot])
+				sp.FixupCall(pr.Config, &calls[slot])
 			}
-			// The initial state, mined by the spec's Concretizer from the
+			// The initial state, mined by the spec's PlanSetup from the
 			// union of initial-state probes of both permutations' symbolic
 			// states, and its content address, so the checker can batch
 			// tests that share an initial state without recomputing the

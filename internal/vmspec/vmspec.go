@@ -229,23 +229,18 @@ func (vmSpec) NewState(c *symx.Context, cfg spec.Config) spec.State {
 	return NewState(c)
 }
 
-func (vmSpec) Concretizer() spec.Concretizer { return concretizer{} }
-
 func (vmSpec) Impls() []spec.Impl {
 	return []spec.Impl{{Name: "memvm", New: func() kernel.Kernel { return memvm.New() }}}
 }
 
-// concretizer mines address spaces from the witness.
-type concretizer struct{}
-
 // FixupCall is a no-op: the VM interface has no per-call spec flags.
-func (concretizer) FixupCall(cfg spec.Config, call *kernel.Call) {}
+func (vmSpec) FixupCall(cfg spec.Config, call *kernel.Call) {}
 
 // PlanSetup plans the two address-space dictionaries' probes of one path.
 // The function it returns rebuilds the concrete address spaces: every
 // (proc, page) the witness probed as mapped becomes an anonymous SetupVMA
 // carrying the probed permission and content.
-func (concretizer) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
+func (vmSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
 	sa, sb := a.(*State), b.(*State)
 	mem, vma := spec.PlanProbes(sa.Mem, sb.Mem), spec.PlanProbes(sa.VMA, sb.VMA)
 	return func(m sym.Model) kernel.Setup {
