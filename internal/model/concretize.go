@@ -47,9 +47,9 @@ func (posixSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
 func (pl *setupPlan) setup(m sym.Model) kernel.Setup {
 	var s kernel.Setup
 
+	inodeLen := map[int64]int64{}
 	// inPlay puts an initial inode in the setup, with length ln unless it
 	// already is; numbers below 1 were allocated during the calls.
-	inodeLen := map[int64]int64{}
 	inPlay := func(inum, ln int64) bool {
 		if inum < 1 {
 			return false

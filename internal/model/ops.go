@@ -325,17 +325,8 @@ func opPipe() *spec.Op {
 	}
 }
 
-// fileOff is where read or write works on a file: the descriptor's offset,
-// or a seek op's own (its first argument after proc and fd).
-func fileOff(a []*sym.Expr, f *symx.Struct, seek bool) *sym.Expr {
-	if seek {
-		return a[2]
-	}
-	return f.Get("off")
-}
-
-// read is read and pread, which reads at its own offset and leaves the
-// descriptor's where it is.
+// read is read and pread, which reads at its own offset (its first
+// argument after proc and fd) and leaves the descriptor's where it is.
 func read(x *spec.Exec, a []*sym.Expr, f *symx.Struct, pipe, seek bool) []*sym.Expr {
 	s := st(x)
 	if pipe {
@@ -352,7 +343,10 @@ func read(x *spec.Exec, a []*sym.Expr, f *symx.Struct, pipe, seek bool) []*sym.E
 			p.With("head", sym.Add(p.Get("head"), sym.Int(1))))
 		return dataRet(1, v.Get("val"))
 	}
-	off := fileOff(a, f, seek)
+	off := f.Get("off")
+	if seek {
+		off = a[2]
+	}
 	ino := s.Inode.GetFunc(x.C, symx.K(f.Get("inum")))
 	if x.C.Branch(sym.Ge(off, ino.Get("len"))) {
 		return okRet(sym.Int(0)) // EOF
@@ -381,7 +375,10 @@ func write(x *spec.Exec, a []*sym.Expr, f *symx.Struct, pipe, seek bool) []*sym.
 			p.With("tail", sym.Add(p.Get("tail"), sym.Int(1))))
 		return okRet(sym.Int(1))
 	}
-	off, inum := fileOff(a, f, seek), f.Get("inum")
+	off, inum := f.Get("off"), f.Get("inum")
+	if seek {
+		off = a[2]
+	}
 	s.Data.Set(x.C, symx.K(inum, off), symx.NewStruct("val", val))
 	ino := s.Inode.GetFunc(x.C, symx.K(inum))
 	end := sym.Add(off, sym.Int(1))
