@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -155,6 +156,60 @@ func TestRequestBodyIsOneJSONValue(t *testing.T) {
 			if code, msg := doReq(t, http.MethodPost, srv.URL+tc.path, append(body, trail...)); code != http.StatusBadRequest {
 				t.Errorf("POST %s followed by %q = %d (%s), want 400", tc.path, trail, code, msg)
 			}
+		}
+	}
+}
+
+// TestNegativeCapIsABadRequest pins that a cap below zero is refused, not
+// run: a negative per-path cap once cut rename/rename from 38 tests to 24
+// and a negative path cap to none, each reported complete and cached. The
+// local binding, every served route that reads the caps and the fleet
+// coordinator answer a bad request (a 400, or for the streamed sweep its
+// bad_request error frame), and nothing reaches the cache.
+func TestNegativeCapIsABadRequest(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	for _, capOpt := range []commuter.Option{commuter.WithTestsPerPath(-1), commuter.WithMaxPaths(-1)} {
+		if _, err := commuter.Local().GenerateTests(ctx, "rename", "rename", capOpt); !commuter.IsBadRequest(err) {
+			t.Errorf("GenerateTests with a negative cap: %v, want a bad request", err)
+		}
+		if _, err := commuter.Local().Analyze(ctx, "rename", "rename", capOpt); !commuter.IsBadRequest(err) {
+			t.Errorf("Analyze with a negative cap: %v, want a bad request", err)
+		}
+		if _, err := commuter.Local().Sweep(ctx, commuter.WithOps("rename", "unlink"), commuter.WithCache(dir), capOpt); !commuter.IsBadRequest(err) {
+			t.Errorf("Sweep with a negative cap: %v, want a bad request", err)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("refused sweeps left %d cache entries (err %v), want none", len(entries), err)
+	}
+
+	remote, srv := newLoopback(t)
+	if _, err := remote.GenerateTests(ctx, "rename", "rename", commuter.WithTestsPerPath(-1)); !commuter.IsBadRequest(err) {
+		t.Errorf("a Dial client's GenerateTests with a negative cap: %v, want a bad request", err)
+	}
+	for _, tc := range []struct {
+		path string
+		req  any
+	}{
+		{api.PathAnalyze, api.AnalyzeRequest{Version: api.Version, OpA: "rename", OpB: "rename", Options: api.Options{MaxPaths: -1}}},
+		{api.PathTestgen, api.TestgenRequest{Version: api.Version, OpA: "rename", OpB: "rename", Options: api.Options{MaxTestsPerPath: -1}}},
+		{api.PathSweep, api.SweepRequest{Version: api.Version, Options: api.Options{Ops: "rename,unlink", MaxTestsPerPath: -1}}},
+		{api.PathFleetClaim, sweep.FleetClaimRequest{Version: sweep.FleetAPIVersion, Worker: "w", Max: 1,
+			Sweep: sweep.FleetSweepSpec{Spec: "posix", Ops: []string{"rename"}, Kernels: []string{"sv6"}, MaxTestsPerPath: -1}}},
+	} {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := http.StatusBadRequest
+		if tc.path == api.PathSweep {
+			want = http.StatusOK
+		}
+		code, msg := doReq(t, http.MethodPost, srv.URL+tc.path, body)
+		if code != want || !strings.Contains(string(msg), "max_tests_per_path") ||
+			tc.path != api.PathFleetClaim && !strings.Contains(string(msg), `"code":"bad_request"`) {
+			t.Errorf("POST %s with a negative cap = %d (%s), want %d and a bad request naming the caps", tc.path, code, msg, want)
 		}
 	}
 }

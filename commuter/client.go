@@ -177,14 +177,6 @@ func buildOptions(opts []Option) callOptions {
 	return o
 }
 
-// specName resolves the spec selector's default.
-func (o *callOptions) specName() string {
-	if o.Spec == "" {
-		return "posix"
-	}
-	return o.Spec
-}
-
 // withWire sets every wire option at once — the serve endpoint's half of
 // the round trip.
 func withWire(w api.Options) Option { return func(o *callOptions) { o.Options = w } }

@@ -47,12 +47,33 @@ func (localClient) Specs(ctx context.Context) ([]SpecInfo, error) {
 	return out, nil
 }
 
+// spec resolves the selected spec ("posix" when not given), tagging an
+// unknown name as a bad request. Every local call resolves its options
+// here, and so every served one: a cap below zero is a bad request too,
+// since zero means the default and a negative cap would cut a test set
+// short with nothing marking it incomplete.
+func (o *callOptions) spec() (spec.Spec, error) {
+	if o.MaxPaths < 0 || o.MaxTestsPerPath < 0 {
+		return nil, badRequest(fmt.Errorf("a cap below 0: max_paths %d, max_tests_per_path %d (0 means the default)",
+			o.MaxPaths, o.MaxTestsPerPath))
+	}
+	name := o.Spec
+	if name == "" {
+		name = "posix"
+	}
+	sp, err := spec.Lookup(name)
+	if err != nil {
+		return nil, badRequest(err)
+	}
+	return sp, nil
+}
+
 // resolvePair resolves the spec and both operation names, tagging unknown
 // names as bad requests.
 func resolvePair(o *callOptions, opA, opB string) (spec.Spec, *spec.Op, *spec.Op, error) {
-	sp, err := spec.Lookup(o.specName())
+	sp, err := o.spec()
 	if err != nil {
-		return nil, nil, nil, badRequest(err)
+		return nil, nil, nil, err
 	}
 	a, err := spec.OpByName(sp, opA)
 	if err != nil {
@@ -147,9 +168,9 @@ func (localClient) GenerateTests(ctx context.Context, opA, opB string, opts ...O
 
 func (localClient) Check(ctx context.Context, kernelName string, tests []TestCase, opts ...Option) (CheckSummary, error) {
 	o := buildOptions(opts)
-	sp, err := spec.Lookup(o.specName())
+	sp, err := o.spec()
 	if err != nil {
-		return CheckSummary{}, badRequest(err)
+		return CheckSummary{}, err
 	}
 	impls, err := spec.ImplSet(sp, kernelName)
 	if err != nil {
@@ -193,9 +214,9 @@ func (localClient) Check(ctx context.Context, kernelName string, tests []TestCas
 // sweepConfig resolves the options into an engine configuration, opening
 // the cache backend the options name.
 func (o *callOptions) sweepConfig() (sweep.Config, error) {
-	sp, err := spec.Lookup(o.specName())
+	sp, err := o.spec()
 	if err != nil {
-		return sweep.Config{}, badRequest(err)
+		return sweep.Config{}, err
 	}
 	sel := o.Ops
 	if sel == "" {

@@ -11,8 +11,8 @@
 // rejects mismatches outright (CodeVersionMismatch) rather than guessing
 // at field semantics. The encodings of every request, response and stream
 // frame are pinned byte-for-byte by golden files in testdata/ — a change
-// that moves any of them must bump Version deliberately, the same
-// discipline the sweep cache applies with CacheVersion.
+// that moves any of them must bump Version deliberately, as a change to
+// the sweep cache's key shape or entry encoding bumps CacheVersion.
 //
 // Sweeps stream: the response to PathSweep is NDJSON, one Frame per line
 // — progress/pair updates as they complete, then exactly one terminal

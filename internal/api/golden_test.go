@@ -106,7 +106,7 @@ func goldenCases() map[string]any {
 		}},
 		"fleet_claim_request": &FleetClaimRequest{Version: Version, Worker: "host-a-8372", Max: 4,
 			Sweep: FleetSweepSpec{Spec: "posix", Ops: []string{"open", "rename"}, Kernels: []string{"linux", "sv6"},
-				LowestFD: true, TestgenLowestFD: true, MaxPaths: 128, MaxTestsPerPath: 2},
+				LowestFD: true, MaxPaths: 128, MaxTestsPerPath: 2},
 			Renew:   []string{"ab12cd34.7"},
 			Release: []string{"ab12cd34.3"}},
 		"fleet_claim_response": &FleetClaimResponse{SweepID: "ab12cd34ef", TTLMS: 30000,

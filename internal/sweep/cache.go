@@ -2,14 +2,15 @@
 // tiers of content-addressed JSON files:
 //
 //   - The TESTGEN tier stores the generated test cases of one pair, keyed
-//     by the pair and every analyzer/testgen option that shapes them. The
-//     key deliberately excludes the kernel set: ANALYZE and TESTGEN never
-//     look at an implementation, so the (dominant) symbolic work is shared
-//     across every kernel selection.
+//     by the pair, every analyzer/testgen option that shapes them and the
+//     spec's verdict pin. The key deliberately excludes the kernel set:
+//     ANALYZE and TESTGEN never look at an implementation, so the
+//     (dominant) symbolic work is shared across every kernel selection.
 //   - The CHECK tier stores one kernel's aggregate cell for one pair, keyed
-//     by the TESTGEN key plus the kernel name. The testgen key pins the
-//     exact test slice the cell was computed from, so a cell hit never has
-//     to re-read or re-validate the tests it summarizes.
+//     by the TESTGEN key plus the kernel's name and verdict pin. The
+//     testgen key pins the exact test slice the cell was computed from, so
+//     a cell hit never has to re-read or re-validate the tests it
+//     summarizes.
 //
 // A `-kernel sv6` rerun after a `-kernel both` sweep therefore hits both
 // tiers and runs nothing, and adding a new kernel reruns only CHECK against
@@ -24,69 +25,87 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"strings"
+	"strconv"
 	"time"
 
 	"repro/internal/analyzer"
 	"repro/internal/kernel"
+	"repro/internal/pins"
 	"repro/internal/symx"
 	"repro/internal/testgen"
 )
 
-// CacheVersion stamps every key and entry. Bump it whenever the model,
-// analyzer, testgen or checker semantics change, so stale results from an
-// older code version are recomputed instead of trusted. Version 2
-// introduced the two-tier layout; version 3 accompanies the hash-consed
-// symbolic engine (canonicalization changed the shape of generated
-// conditions, and with them the test sets entries store); version 4
-// accompanies the pluggable spec layer — keys now fold in the spec name,
-// so specs sharing one cache directory can never serve each other's
-// entries. Older-version entries are simply never matched again.
-const CacheVersion = 4
+// CacheVersion stamps every key and entry. It changes only with the key
+// shape or the entry encoding: what a key covers of the code is its
+// verdict pins (internal/pins), so a change that moves a verdict re-keys
+// the entries it covers when TestCorpusDigest -update rewrites the pin.
+// Version 5 is the first shape that folds the pins in. Entries of an
+// older version are never matched again.
+const CacheVersion = 5
 
 // TestgenKey derives the content address of the kernel-independent phase:
 // the test cases ANALYZE → TESTGEN produces for one pair of the named
-// spec. The encoding is an explicit field-by-field string (not struct
-// marshaling) so the key is stable across runs and robust to field
-// reordering; solvers are deliberately excluded because complete results
-// don't depend on them, and incomplete (budget-truncated) results are
-// never stored (see runPair). Zero-value options are normalized to the
-// defaults the pipeline applies (keyCaps), so semantically identical
-// configurations share cache entries. The lowest-FD setting is rendered
-// twice, under the names of the two knobs it used to be, so the addresses
-// of existing entries do not move.
+// spec. It folds in the pair, the options that shape the tests
+// (appendShape) and the spec's pin, the hash of its corpus.digest lines.
+// Solvers are deliberately excluded because complete results don't depend
+// on them, and incomplete (budget-truncated) results are never stored (see
+// runPair).
 func TestgenKey(specName, opA, opB string, aOpt analyzer.Options, gOpt testgen.Options) string {
-	maxPaths, perPath := keyCaps(aOpt.MaxPaths, gOpt.MaxTestsPerPath)
-	var b strings.Builder
-	fmt.Fprintf(&b, "v%d|tier=testgen|spec=%s|pair=%s,%s", CacheVersion, specName, opA, opB)
-	fmt.Fprintf(&b, "|model.lowestfd=%v", aOpt.Config.LowestFD)
-	fmt.Fprintf(&b, "|analyzer.maxpaths=%d", maxPaths)
-	fmt.Fprintf(&b, "|testgen.maxtestsperpath=%d", perPath)
-	fmt.Fprintf(&b, "|testgen.lowestfd=%v", aOpt.Config.LowestFD)
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
+	return testgenKey(pins.Current, specName, opA, opB, aOpt, gOpt)
 }
 
-// keyCaps resolves the two test-shaping caps as the pipeline does — zero
-// means the default — for the content addresses that fold them in.
-func keyCaps(maxPaths, perPath int) (int, int) {
+func testgenKey(p pins.Table, specName, opA, opB string, aOpt analyzer.Options, gOpt testgen.Options) string {
+	var buf [160]byte
+	b := renderKey(buf[:0], "|tier=testgen|spec=", specName, "|pair=", opA, ",", opB)
+	b = appendShape(b, aOpt.Config.LowestFD, aOpt.MaxPaths, gOpt.MaxTestsPerPath)
+	return hashKey(append(b, p.Spec(specName)...))
+}
+
+// CheckKey derives the content address of one kernel's CHECK cell from the
+// TESTGEN key of the tests it ran, the kernel's name and the kernel's pin,
+// the hash of its trace.digest lines. Chaining through the testgen key
+// means every input that moves the tests moves the cell key too, without
+// restating them.
+func CheckKey(testgenKey, kernelName string) string {
+	return checkKey(pins.Current, testgenKey, kernelName)
+}
+
+func checkKey(p pins.Table, testgenKey, kernelName string) string {
+	var buf [160]byte
+	return hashKey(renderKey(buf[:0], "|tier=check|testgen=", testgenKey, "|kernel=", kernelName, p.Impl(kernelName)))
+}
+
+// renderKey starts a key's rendering: the cache version, then parts.
+func renderKey(b []byte, parts ...string) []byte {
+	b = strconv.AppendInt(append(b, 'v'), CacheVersion, 10)
+	for _, part := range parts {
+		b = append(b, part...)
+	}
+	return b
+}
+
+// appendShape renders the options that shape a pair's tests, for
+// TestgenKey and the fleet session key alike: the lowest-FD rule and the
+// two caps, zero resolved to the default as the pipeline resolves it, so
+// semantically identical configurations share one address.
+func appendShape(b []byte, lowestFD bool, maxPaths, perPath int) []byte {
 	if maxPaths == 0 {
 		maxPaths = symx.DefaultMaxPaths
 	}
 	if perPath == 0 {
 		perPath = testgen.DefaultMaxTestsPerPath
 	}
-	return maxPaths, perPath
+	b = strconv.AppendBool(append(b, "|lowestfd="...), lowestFD)
+	b = strconv.AppendInt(append(b, "|maxpaths="...), int64(maxPaths), 10)
+	return strconv.AppendInt(append(b, "|perpath="...), int64(perPath), 10)
 }
 
-// CheckKey derives the content address of one kernel's CHECK cell from the
-// TESTGEN key of the tests it ran and the kernel's name. Chaining through
-// the testgen key means every input that moves the tests moves the cell
-// key too, without restating them.
-func CheckKey(testgenKey, kernelName string) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("v%d|tier=check|testgen=%s|kernel=%s",
-		CacheVersion, testgenKey, kernelName)))
-	return hex.EncodeToString(sum[:])
+// hashKey is the address of a key's rendering: its SHA-256, in hex.
+func hashKey(b []byte) string {
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // CacheStats counts one sweep's hit/miss outcomes per tier (Result.Cache).

@@ -1,10 +1,7 @@
 package sweep
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +10,7 @@ import (
 
 	"repro/internal/analyzer"
 	"repro/internal/kernel"
+	"repro/internal/pins"
 	"repro/internal/spec"
 	"repro/internal/testgen"
 )
@@ -44,19 +42,6 @@ func TestTestgenKeyStability(t *testing.T) {
 		}
 	}
 
-	// The one lowest-FD setting is rendered under both names it had while
-	// the analyzer and testgen each carried a copy, so the addresses of
-	// entries written before the merge do not move.
-	for _, lowest := range []bool{false, true} {
-		legacy := sha256.Sum256([]byte(fmt.Sprintf(
-			"v%d|tier=testgen|spec=posix|pair=open,rename|model.lowestfd=%v|analyzer.maxpaths=4096|testgen.maxtestsperpath=4|testgen.lowestfd=%v",
-			CacheVersion, lowest, lowest)))
-		got := TestgenKey("posix", "open", "rename", analyzer.Options{Config: spec.Config{LowestFD: lowest}}, testgen.Options{})
-		if got != hex.EncodeToString(legacy[:]) {
-			t.Errorf("lowestfd=%v: key moved from its pre-merge address", lowest)
-		}
-	}
-
 	// Zero-value options normalize to the pipeline defaults, so explicit
 	// and implicit defaults share cache entries.
 	zero := TestgenKey("posix", "open", "rename", analyzer.Options{}, testgen.Options{})
@@ -76,6 +61,100 @@ func TestTestgenKeyStability(t *testing.T) {
 	}
 	if CheckKey(variants["pair"], "sv6") == ck {
 		t.Error("changing the testgen key did not change the check key")
+	}
+}
+
+// TestCacheKeysFollowPins holds the keys to the verdict pins: given two pin
+// tables that differ in one spec's corpus line, or in one Impl's trace
+// line, exactly that spec's TESTGEN keys (and the CHECK keys chained to
+// them) change, or exactly that Impl's CHECK keys, and so do the fleet
+// session keys that name it; a spec or Impl with no line keys the same
+// under both tables.
+func TestCacheKeysFollowPins(t *testing.T) {
+	read := func(name string) string {
+		data, err := os.ReadFile("../pins/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	corpus, trace := read("corpus.digest"), read("trace.digest")
+	// moved rewrites the first line whose field i starts with prefix, as
+	// -update would after a change that moves it.
+	moved := func(text string, i int, prefix string) string {
+		lines := strings.SplitAfter(text, "\n")
+		for j, l := range lines {
+			if f := strings.Fields(l); len(f) > i && strings.HasPrefix(f[i], prefix) {
+				lines[j] = strings.Replace(l, "sha256=", "sha256=0", 1)
+				return strings.Join(lines, "")
+			}
+		}
+		t.Fatalf("no line with field %d %q", i, prefix)
+		return ""
+	}
+	base := pins.Parse(corpus, trace)
+	if TestgenKey("kv", "put", "scan", analyzer.Options{}, testgen.Options{}) !=
+		testgenKey(base, "kv", "put", "scan", analyzer.Options{}, testgen.Options{}) {
+		t.Fatal("pins.Current is not the table of the committed digests")
+	}
+
+	specs := []string{"posix", "kv", "vm", "queue", "counting"}
+	impls := []string{"linux", "sv6", "memkv", "memvm", "memq", "counting"}
+	shapes := []analyzer.Options{{}, {Config: spec.Config{LowestFD: true}}, {MaxPaths: 7}}
+	tgKeys := func(p pins.Table, sp string) (keys []string) {
+		for _, a := range shapes {
+			keys = append(keys, testgenKey(p, sp, "a", "b", a, testgen.Options{}))
+		}
+		return keys
+	}
+	fleetKey := func(p pins.Table, sp, impl string) string {
+		return FleetSweepSpec{Spec: sp, Ops: []string{"a", "b"}, Kernels: []string{"sv6", impl}}.key(p)
+	}
+	for _, c := range []struct {
+		name        string
+		table       pins.Table
+		spec, impl  string // what the moved line names
+		implsOfSpec bool   // the spec's move reaches every CHECK key of it
+	}{
+		{"kv corpus line", pins.Parse(moved(corpus, 0, "kv/"), trace), "kv", "", true},
+		{"linux trace line", pins.Parse(corpus, moved(trace, 2, "linux")), "", "linux", false},
+	} {
+		for _, sp := range specs {
+			before, after := tgKeys(base, sp), tgKeys(c.table, sp)
+			for i := range before {
+				if (before[i] != after[i]) != (sp == c.spec) {
+					t.Errorf("%s: spec %s shape %d: TESTGEN key moved=%t", c.name, sp, i, before[i] != after[i])
+				}
+				for _, im := range impls {
+					ckMoved := checkKey(base, before[i], im) != checkKey(c.table, after[i], im)
+					if ckMoved != (sp == c.spec || im == c.impl) {
+						t.Errorf("%s: spec %s shape %d impl %s: CHECK key moved=%t", c.name, sp, i, im, ckMoved)
+					}
+				}
+			}
+			for _, im := range impls {
+				fMoved := fleetKey(base, sp, im) != fleetKey(c.table, sp, im)
+				if fMoved != (sp == c.spec || im == c.impl) {
+					t.Errorf("%s: fleet session of spec %s with %s moved=%t", c.name, sp, im, fMoved)
+				}
+			}
+		}
+	}
+}
+
+// TestKeyDerivationAllocs holds a pair's key derivation, which a warm
+// sweep pays for every pair of every request, to the allocations it costs:
+// one for the address string. The CacheVersion 4 keys, rendered through
+// fmt, cost 11 for TestgenKey and 6 for each CheckKey.
+func TestKeyDerivationAllocs(t *testing.T) {
+	var tg string
+	if n := testing.AllocsPerRun(100, func() {
+		tg = TestgenKey("posix", "rename", "unlink", analyzer.Options{}, testgen.Options{})
+	}); n > 1 {
+		t.Errorf("TestgenKey: %v allocations, want at most 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { CheckKey(tg, "sv6") }); n > 1 {
+		t.Errorf("CheckKey: %v allocations, want at most 1", n)
 	}
 }
 
@@ -147,8 +226,8 @@ func TestCacheTierRoundTripAndAccounting(t *testing.T) {
 // TestCacheCorruptionRecovery pins the graceful-degradation contract on
 // both tiers: a corrupted, version-mismatched or key-mismatched entry is a
 // miss (so the sweep recomputes), never an error. The version-mismatch
-// cases double as the CacheVersion-bump discipline: entries stamped by an
-// older code version are never matched again.
+// cases double as the CacheVersion discipline: entries stamped with an
+// older key shape or entry encoding are never matched again.
 func TestCacheCorruptionRecovery(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCache(dir)
@@ -181,8 +260,7 @@ func TestCacheCorruptionRecovery(t *testing.T) {
 		t.Error("corrupted check entry served as a hit")
 	}
 
-	// Valid JSON from a different (older) code version: what a
-	// CacheVersion bump leaves behind.
+	// Valid JSON under an older CacheVersion: what a bump leaves behind.
 	staleT, _ := json.Marshal(testgenEntry{Version: CacheVersion - 1, Key: tgKey, Tests: tests})
 	staleC, _ := json.Marshal(checkEntry{Version: CacheVersion - 1, Key: ckKey, Cell: cell})
 	if err := os.WriteFile(testsFile, staleT, 0o644); err != nil {

@@ -29,13 +29,12 @@
 package sweep
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/pins"
 	"repro/internal/spec"
 )
 
@@ -67,29 +66,28 @@ type FleetSweepSpec struct {
 	Spec    string   `json:"spec"`
 	Ops     []string `json:"ops"`
 	Kernels []string `json:"kernels"`
-	// The test-shaping options, mirroring exactly what TestgenKey folds
-	// into the cache's content address. TestgenLowestFD always equals
-	// LowestFD (FleetSpec sets both from the one setting): it stays on the
-	// wire and in Key for peers and sessions that knew two knobs.
+	// The test-shaping options, exactly what TestgenKey folds into the
+	// cache's content address.
 	LowestFD        bool `json:"lowest_fd,omitempty"`
-	TestgenLowestFD bool `json:"testgen_lowest_fd,omitempty"`
 	MaxPaths        int  `json:"max_paths,omitempty"`
 	MaxTestsPerPath int  `json:"max_tests_per_path,omitempty"`
 }
 
-// Key derives the coordinator session's content address. Zero-value caps
-// normalize to the pipeline defaults (as in TestgenKey) so semantically
-// identical configurations join one session, and CacheVersion is folded
-// in so servers running different pipeline semantics never share a table.
-func (s FleetSweepSpec) Key() string {
-	maxPaths, perPath := keyCaps(s.MaxPaths, s.MaxTestsPerPath)
-	var b strings.Builder
-	fmt.Fprintf(&b, "fleetv%d|cache=v%d|spec=%s|ops=%s|kernels=%s",
+// Key derives the coordinator session's content address. It renders the
+// test-shaping options as TestgenKey does, so semantically identical
+// configurations join one session, and folds in CacheVersion and the pins
+// of the spec and of every kernel, so servers whose verdicts differ never
+// share a table.
+func (s FleetSweepSpec) Key() string { return s.key(pins.Current) }
+
+func (s FleetSweepSpec) key(p pins.Table) string {
+	b := fmt.Appendf(nil, "fleetv%d|cache=v%d|spec=%s|ops=%s|kernels=%s",
 		FleetAPIVersion, CacheVersion, s.Spec, strings.Join(s.Ops, ","), strings.Join(s.Kernels, ","))
-	fmt.Fprintf(&b, "|model.lowestfd=%v|testgen.lowestfd=%v|maxpaths=%d|perpath=%d",
-		s.LowestFD, s.TestgenLowestFD, maxPaths, perPath)
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
+	b = append(appendShape(b, s.LowestFD, s.MaxPaths, s.MaxTestsPerPath), p.Spec(s.Spec)...)
+	for _, k := range s.Kernels {
+		b = append(b, p.Impl(k)...)
+	}
+	return hashKey(b)
 }
 
 // PairNames enumerates the work list in the exact orientation Pairs()
@@ -108,8 +106,12 @@ func (s FleetSweepSpec) PairNames() []string {
 // validate checks a sweep identity that arrived in a request before a
 // table is built from it: the spec must be registered and the ops distinct
 // operations of it, which bounds the table by the spec's own pair count
-// whatever the request names.
+// whatever the request names, and no cap may be below zero.
 func (s FleetSweepSpec) validate() error {
+	if s.MaxPaths < 0 || s.MaxTestsPerPath < 0 {
+		return fmt.Errorf("fleet: a cap below 0: max_paths %d, max_tests_per_path %d (0 means the default)",
+			s.MaxPaths, s.MaxTestsPerPath)
+	}
 	sp, err := spec.Lookup(s.Spec)
 	if err != nil {
 		return fmt.Errorf("fleet: %w", err)

@@ -19,7 +19,6 @@ func FleetSpec(sp spec.Spec, cfg Config) FleetSweepSpec {
 	fs := FleetSweepSpec{
 		Spec:            sp.Name(),
 		LowestFD:        cfg.Analyzer.Config.LowestFD,
-		TestgenLowestFD: cfg.Analyzer.Config.LowestFD,
 		MaxPaths:        cfg.Analyzer.MaxPaths,
 		MaxTestsPerPath: cfg.Testgen.MaxTestsPerPath,
 	}

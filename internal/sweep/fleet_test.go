@@ -64,7 +64,7 @@ func TestFleetSweepSpecKey(t *testing.T) {
 		func(s *FleetSweepSpec) { s.Spec = "queue" },
 		func(s *FleetSweepSpec) { s.Ops = []string{"close", "stat"} },
 		func(s *FleetSweepSpec) { s.Kernels = []string{"sv6"} },
-		func(s *FleetSweepSpec) { s.LowestFD, s.TestgenLowestFD = true, true },
+		func(s *FleetSweepSpec) { s.LowestFD = true },
 		func(s *FleetSweepSpec) { s.MaxPaths = 7 },
 		func(s *FleetSweepSpec) { s.MaxTestsPerPath = 1 },
 	} {
@@ -74,11 +74,9 @@ func TestFleetSweepSpecKey(t *testing.T) {
 			t.Errorf("%+v should not share a session key with %+v", v, base)
 		}
 	}
-	// The one lowest-FD setting fills both of the wire fields it used to
-	// be, so members on either side of the merge join the same session.
 	fs := FleetSpec(mustSpec(t), Config{Analyzer: analyzer.Options{Config: spec.Config{LowestFD: true}}})
-	if !fs.LowestFD || !fs.TestgenLowestFD {
-		t.Errorf("FleetSpec under the lowest-FD rule: %+v, want both legacy fields set", fs)
+	if !fs.LowestFD {
+		t.Errorf("FleetSpec under the lowest-FD rule: %+v, want LowestFD set", fs)
 	}
 }
 

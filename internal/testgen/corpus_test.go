@@ -21,24 +21,28 @@ import (
 	_ "repro/internal/vmspec"
 )
 
-var updateCorpus = flag.Bool("update", false, "rewrite testdata/analysis.digest, testdata/corpus.digest and testdata/trace.digest")
+// pinDir holds the three digests: internal/pins embeds them and derives
+// the sweep cache keys from them.
+const pinDir = "../pins/"
+
+var updateCorpus = flag.Bool("update", false, "rewrite the analysis, corpus and trace digests in internal/pins")
 
 // TestCorpusDigest pins every path ANALYZE finds and the content of every
 // generated test, not just the cell counts the matrix goldens see, and
 // what every implementation does with it. The corpus is generated once:
 // every pair of all four specs plus posix "fs" under the lowest-FD rule.
 //
-// testdata/analysis.digest has one line per spec universe with the path
+// analysis.digest has one line per spec universe with the path
 // count and a SHA-256 over each pair's paths in order: index, Commutes,
 // Unknown and the renderings of PC and Eq. Every Context and Dict call a
 // model makes can decide a path, so a refactor of a spec's model or of the
 // symbolic core must leave it untouched.
 //
-// testdata/corpus.digest has one line per spec universe with the test count
+// corpus.digest has one line per spec universe with the test count
 // and a SHA-256 over each test's ID, both calls and setup fingerprint. A
 // refactor of the symbolic core or of TESTGEN must leave it untouched.
 //
-// testdata/trace.digest has one line per universe and registered Impl with a
+// trace.digest has one line per universe and registered Impl with a
 // SHA-256 over each test's ID, both results, Commuted, the conflict report
 // (cell, writers, readers) and the ordered access log of the traced run, as
 // kerneltest.Check computes them on fresh kernels (no Replayer). It pins
@@ -46,9 +50,11 @@ var updateCorpus = flag.Bool("update", false, "rewrite testdata/analysis.digest,
 // replays, so a refactor of a kernel or of internal/scale must leave it
 // untouched too.
 //
-// Regenerate any of them with -update only when changing what it pins is the
-// point. Every test of the walk must also pass the Replayer's admission:
-// what it refuses, TESTGEN must never produce.
+// The three live in internal/pins. Regenerate any of them with -update only
+// when changing what it pins is the point; the rewrite re-keys the sweep
+// cache entries the moved lines cover. Every test of the walk must also
+// pass the Replayer's admission: what it refuses, TESTGEN must never
+// produce.
 func TestCorpusDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full ANALYZE+TESTGEN of every spec")
@@ -115,9 +121,9 @@ func TestCorpusDigest(t *testing.T) {
 			fmt.Fprintf(&traces, "%s %s tests=%d sha256=%x\n", line, im.Name, n, traceH[j].Sum(nil))
 		}
 	}
-	checkDigest(t, "testdata/analysis.digest", analysis.String())
-	checkDigest(t, "testdata/corpus.digest", corpus.String())
-	checkDigest(t, "testdata/trace.digest", traces.String())
+	checkDigest(t, pinDir+"analysis.digest", analysis.String())
+	checkDigest(t, pinDir+"corpus.digest", corpus.String())
+	checkDigest(t, pinDir+"trace.digest", traces.String())
 }
 
 // hashTrace writes to h what the reference checker reports for tc on fresh
