@@ -49,7 +49,7 @@ func CanDiverge(ctx context.Context, pr PairResult) (diverges, unknown []bool) {
 	solver := &sym.Solver{Stop: func() bool { return ctx.Err() != nil }}
 	diverges, unknown = make([]bool, len(pr.Paths)), make([]bool, len(pr.Paths))
 	for i, p := range pr.Paths {
-		diverges[i], unknown[i] = canDiverge(solver, p.SetPath)
+		diverges[i], unknown[i] = canDiverge(solver, p)
 	}
 	return diverges, unknown
 }
@@ -57,7 +57,7 @@ func CanDiverge(ctx context.Context, pr PairResult) (diverges, unknown []bool) {
 // canDiverge decides one path. Eq is a conjunction, and ¬(c1 ∧ … ∧ cn) is
 // satisfiable with PC iff some PC ∧ ¬ci is, so the question decomposes
 // into per-conjunct searches whose cones of influence stay narrow.
-func canDiverge(solver *sym.Solver, p SetPath) (diverges, unknown bool) {
+func canDiverge(solver *sym.Solver, p Path) (diverges, unknown bool) {
 	pc := sym.Conjuncts(p.PC)
 	for _, c := range sym.Conjuncts(p.Eq) {
 		if solver.SatAssumingConjs(pc, sym.Not(c)) {
@@ -68,7 +68,7 @@ func canDiverge(solver *sym.Solver, p SetPath) (diverges, unknown bool) {
 	return false, unknown
 }
 
-func describePath(solver *sym.Solver, p PairPath) string {
+func describePath(solver *sym.Solver, p Path) string {
 	cond := p.CommuteCond()
 	argVars := map[string]*sym.Expr{}
 	for name, kind := range p.VarKinds {

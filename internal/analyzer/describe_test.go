@@ -112,7 +112,7 @@ func TestCanDivergeTruncatedProvesNothing(t *testing.T) {
 			continue // a model may turn up in one step; no conjunct, no search
 		}
 		proven++
-		if d, u := canDiverge(&sym.Solver{MaxSteps: 1}, p.SetPath); d || !u {
+		if d, u := canDiverge(&sym.Solver{MaxSteps: 1}, p); d || !u {
 			t.Errorf("path %d: one-step searches answered diverges=%v unknown=%v, want false/true", i, d, u)
 		}
 	}

@@ -114,15 +114,15 @@ func TestFullyTruncatedPairIsUnknown(t *testing.T) {
 // TestSummaryReportsUnknown pins the analyze-output surface: a pair with
 // budget-truncated paths says so instead of reading as "never commutes".
 func TestSummaryReportsUnknown(t *testing.T) {
-	unknown, commutes := PairPath{SetPath: SetPath{Unknown: true}}, PairPath{SetPath: SetPath{Commutes: true}}
-	r := PairResult{result: result[PairPath]{Ops: []string{"a", "b"}, Paths: []PairPath{unknown, commutes}}}
+	unknown, commutes := Path{Unknown: true}, Path{Commutes: true}
+	r := PairResult{OpA: "a", OpB: "b", Paths: []Path{unknown, commutes}}
 	if r.Unknown() != 1 {
 		t.Fatalf("Unknown() = %d, want 1", r.Unknown())
 	}
 	if s := r.Summary(); !strings.Contains(s, "1 unknown (solver budget exhausted)") {
 		t.Errorf("summary does not surface the budget flag: %q", s)
 	}
-	clean := PairResult{result: result[PairPath]{Ops: []string{"a", "b"}, Paths: []PairPath{commutes}}}
+	clean := PairResult{OpA: "a", OpB: "b", Paths: []Path{commutes}}
 	if s := clean.Summary(); strings.Contains(s, "unknown") {
 		t.Errorf("clean summary mentions unknown: %q", s)
 	}

@@ -1,18 +1,19 @@
 package symx
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/sym"
 )
 
 // TestPathBudgetedFlag pins the exploration-side budget surface: when a
-// feasibility check exhausts the solver's step budget, the completed path
-// carries Budgeted=true so downstream classification can report unknown
-// instead of trusting an unproven "infeasible".
+// feasibility check exhausts the solver's step budget, RunCtx reports the
+// completed path's exploration budgeted so downstream classification can
+// report unknown instead of trusting an unproven "infeasible".
 func TestPathBudgetedFlag(t *testing.T) {
-	run := func(maxSteps int) []Path {
-		return explore(func(c *Context) any {
+	run := func(maxSteps int) ([]Path, bool) {
+		paths, budgeted, err := RunCtx(context.Background(), func(c *Context) any {
 			x := c.Var("bgx", sym.IntSort, KindArg)
 			c.Assume(sym.Eq(x, sym.Int(0))) // cheap: decided within any budget here
 			y := c.Var("bgy", sym.IntSort, KindArg)
@@ -23,32 +24,36 @@ func TestPathBudgetedFlag(t *testing.T) {
 			c.Branch(sym.And(sym.Lt(y, z), sym.Lt(z, y)))
 			return nil
 		}, Options{Solver: &sym.Solver{MaxSteps: maxSteps}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return paths, budgeted
 	}
 
-	tight := run(8)
+	tight, budgeted := run(8)
 	if len(tight) != 1 {
 		t.Fatalf("tight budget: %d paths, want 1", len(tight))
 	}
-	if !tight[0].Budgeted {
-		t.Error("budget-truncated refutation did not mark the path Budgeted")
+	if !budgeted {
+		t.Error("budget-truncated refutation did not report the exploration budgeted")
 	}
 
-	roomy := run(0) // default budget: the refutation completes for real
+	roomy, budgeted := run(0) // default budget: the refutation completes for real
 	if len(roomy) != 1 {
 		t.Fatalf("roomy budget: %d paths, want 1", len(roomy))
 	}
-	if roomy[0].Budgeted {
-		t.Error("fully proven path marked Budgeted")
+	if budgeted {
+		t.Error("fully proven path reported budgeted")
 	}
 }
 
 // TestBudgetedSurvivesAbortedReplay pins the aggregation across replays:
 // when the budget event aborts the very replay that hit it, the news must
-// still reach the caller through the paths that do survive — otherwise a
+// still reach the caller beside the paths that do survive — otherwise a
 // possibly-wrongly-pruned path leaves no trace and the pair reads as
 // definitively classified.
 func TestBudgetedSurvivesAbortedReplay(t *testing.T) {
-	paths := explore(func(c *Context) any {
+	paths, budgeted, err := RunCtx(context.Background(), func(c *Context) any {
 		p := c.Var("abp", sym.BoolSort, KindArg)
 		if c.Branch(p) {
 			y := c.Var("aby", sym.IntSort, KindArg)
@@ -59,10 +64,10 @@ func TestBudgetedSurvivesAbortedReplay(t *testing.T) {
 		}
 		return nil
 	}, Options{Solver: &sym.Solver{MaxSteps: 8}})
-	if len(paths) != 1 {
-		t.Fatalf("%d paths, want 1 (the !p side)", len(paths))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("%d paths (err %v), want 1 (the !p side)", len(paths), err)
 	}
-	if !paths[0].Budgeted {
-		t.Error("budget truncation on an aborted replay left surviving paths unmarked")
+	if !budgeted {
+		t.Error("budget truncation on an aborted replay was not reported with the surviving paths")
 	}
 }

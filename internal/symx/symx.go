@@ -391,16 +391,6 @@ type Path struct {
 	// on this path or any other. It is the exploration's own map, shared by
 	// all its paths: read-only.
 	VarKinds map[string]VarKind
-	// Budgeted reports that a feasibility check during the exploration
-	// exhausted the solver's step budget, or that the exploration stopped
-	// at its path cap with branches left. The flag is aggregated across
-	// the whole run — including replays that aborted *because* of a
-	// truncated check, whose own paths never surface — so any path of an
-	// affected exploration carries it: some branch somewhere reported
-	// infeasible without proof and may have been wrongly pruned.
-	// Downstream classification should treat the pair's negative answers
-	// as unknown rather than definitive.
-	Budgeted bool
 }
 
 // DefaultMaxPaths is the path cap a zero Options.MaxPaths means, here and
@@ -417,12 +407,15 @@ type Options struct {
 
 // RunCtx symbolically executes fn, exploring every feasible path, and
 // returns one Path per feasible complete execution plus the aggregated
-// budget flag — a feasibility check ran out of solver budget, or MaxPaths
-// was reached with branches left — which it also stamps on every returned
-// path. The separate
-// return matters when exploration is truncated so hard that *no* path
-// survives: an empty path list with budgeted=true means "unknown", not "no
-// feasible executions".
+// budget flag: a feasibility check ran out of solver budget, or MaxPaths
+// was reached with branches left. The flag covers the whole run —
+// including replays that aborted *because* of a truncated check, whose own
+// paths never surface — so when it is set some branch reported infeasible
+// without proof and may have been wrongly pruned, and a caller should read
+// every path's negative answers as unknown rather than definitive. It is a
+// separate return, not a field of each path, because exploration can be
+// truncated so hard that *no* path survives: an empty path list with
+// budgeted=true means "unknown", not "no feasible executions".
 //
 // One Context serves every replay of the exploration (see Context.next), so
 // a question about a path's condition is asked by fn itself, as its last
@@ -482,9 +475,6 @@ func RunCtx(ctx context.Context, fn func(*Context) any, opt Options) ([]Path, bo
 	// Stopping at the cap with prefixes still queued leaves branches
 	// unexplored: as much an under-approximation as a truncated search.
 	budgeted = budgeted || len(queue) > 0
-	for i := range paths {
-		paths[i].Budgeted = budgeted
-	}
 	return paths, budgeted, nil
 }
 

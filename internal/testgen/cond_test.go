@@ -15,7 +15,7 @@ import (
 // being built: the conjunction PC ∧ Eq, its variables by name less the
 // nondeterministic ones, and the class signature of each of its first limit
 // models, in Enumerate's order.
-func refSignatures(p analyzer.SetPath, limit int) (vars []*sym.Expr, sigs []string, budget bool) {
+func refSignatures(p analyzer.Path, limit int) (vars []*sym.Expr, sigs []string, budget bool) {
 	cond := sym.And(p.PC, p.Eq)
 	for _, v := range sym.Vars(cond) {
 		if p.VarKinds[v.Name] != symx.KindNondet {
@@ -60,8 +60,8 @@ func TestConjunctListEnumerationMatchesConjunction(t *testing.T) {
 				}
 				for pi, p := range pr.CommutativePaths() {
 					paths++
-					wantVars, want, wantBudget := refSignatures(p.SetPath, limit)
-					conjs := condConjs(nil, p.SetPath)
+					wantVars, want, wantBudget := refSignatures(p, limit)
+					conjs := condConjs(nil, p)
 					vars := classVars(conjs, p.VarKinds)
 					if !slices.Equal(vars, wantVars) {
 						t.Fatalf("%s %s/%s path %d: class variables %v, want %v", name, b.Name, a.Name, pi, vars, wantVars)

@@ -95,7 +95,7 @@ func generate(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kernel.TestC
 		if !path.Commutes {
 			continue
 		}
-		cond = condConjs(cond[:0], path.SetPath)
+		cond = condConjs(cond[:0], path)
 		vars := classVars(cond, path.VarKinds)
 		manyClasses := distinguishes(vars)
 		// What mining a setup needs of the path's two states is resolved
@@ -176,7 +176,7 @@ func generate(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kernel.TestC
 // the concatenation of its two conjunct lists: enumerating that is
 // enumerating the conjunction (sym.Solver.EnumerateConjs), which is never
 // built.
-func condConjs(dst []*sym.Expr, p analyzer.SetPath) []*sym.Expr {
+func condConjs(dst []*sym.Expr, p analyzer.Path) []*sym.Expr {
 	return append(append(dst, sym.Conjuncts(p.PC)...), sym.Conjuncts(p.Eq)...)
 }
 
