@@ -6,10 +6,8 @@
 //     coherence simulator at 80 cores and report per-core throughput,
 //   - BenchmarkSequentialFstat* measure §7.2's single-core cost of
 //     scalability (Refcache reconciliation vs a shared counter),
-//   - BenchmarkReal* corroborate the simulator's shapes with real atomics
-//     on the host's cores (shared cache line vs per-core lines),
-//   - BenchmarkAblation* quantify the design choices DESIGN.md calls out
-//     (hash-directory bucket counts, coherence transfer costs).
+//   - BenchmarkAblation* quantify two design parameters: the hash
+//     directory's bucket count and the coherence simulator's transfer cost.
 //
 // Reported custom metrics make the regenerated "rows" visible in benchmark
 // output: conflictfree_pct, percore_ops_per_Mcycle, speedup ratios.
@@ -17,8 +15,6 @@ package repro_test
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/coherence"
@@ -101,50 +97,6 @@ func sequentialFstat(b *testing.B, shared bool) {
 
 func BenchmarkSequentialFstatRefcache(b *testing.B)    { sequentialFstat(b, false) }
 func BenchmarkSequentialFstatSharedCount(b *testing.B) { sequentialFstat(b, true) }
-
-// Real-hardware corroboration (§7.1's premise): a single modified shared
-// cache line collapses scalability on actual cores, while per-core lines
-// scale. Run with -cpu 1,2,4,... to see the divergence.
-func BenchmarkRealSharedCounter(b *testing.B) {
-	var c scale.RealSharedCounter
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.Inc(1)
-		}
-	})
-}
-
-func BenchmarkRealRefcacheInc(b *testing.B) {
-	rc := scale.NewRealRefcache(runtime.GOMAXPROCS(0)*2, 0)
-	var slot atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		s := int(slot.Add(1)-1) % (runtime.GOMAXPROCS(0) * 2)
-		for pb.Next() {
-			rc.Inc(s, 1)
-		}
-	})
-}
-
-func BenchmarkRealLowestFD(b *testing.B) {
-	t := scale.NewRealLowestFD(1 << 16)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			fd := t.Alloc()
-			t.Free(fd)
-		}
-	})
-}
-
-func BenchmarkRealAnyFD(b *testing.B) {
-	t := scale.NewRealAnyFD(runtime.GOMAXPROCS(0) * 2)
-	var slot atomic.Int64
-	b.RunParallel(func(pb *testing.PB) {
-		s := int(slot.Add(1)-1) % (runtime.GOMAXPROCS(0) * 2)
-		for pb.Next() {
-			t.Free(t.Alloc(s))
-		}
-	})
-}
 
 // Ablation: the hash directory's bucket count decides how often distinct
 // names collide into one bucket and conflict. It does not cost memory:

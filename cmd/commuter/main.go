@@ -100,6 +100,18 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
+// parseFlags parses a subcommand's arguments, which are all flags: a
+// positional argument (say `analyze stat,unlink` for `-pair stat,unlink`)
+// would otherwise be dropped and the command run on its defaults.
+func parseFlags(fs *flag.FlagSet, args []string) {
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "commuter %s: unexpected arguments %s; %s takes flags only (see -h)\n",
+			fs.Name(), strings.Join(fs.Args(), " "), fs.Name())
+		os.Exit(2)
+	}
+}
+
 // specFlag registers the -spec flag on a subcommand's flag set.
 func specFlag(fs *flag.FlagSet) *string {
 	return fs.String("spec", "posix",
@@ -189,7 +201,7 @@ func cmdAnalyze(args []string) {
 	lowest := lowestFDFlag(fs)
 	verbose := fs.Bool("v", false, "print each path's commutativity condition")
 	logLevel := logFlag(fs)
-	fs.Parse(args)
+	parseFlags(fs, args)
 	setupLogging(*logLevel)
 
 	ctx, stop := runContext()
@@ -235,7 +247,7 @@ func cmdTestgen(args []string) {
 	lowest := lowestFDFlag(fs)
 	check := fs.Bool("check", false, "also run the tests on the spec's implementations")
 	logLevel := logFlag(fs)
-	fs.Parse(args)
+	parseFlags(fs, args)
 	setupLogging(*logLevel)
 
 	ctx, stop := runContext()
@@ -463,7 +475,7 @@ func cmdSweep(args []string) {
 	tracePath := fs.String("trace", "", "write a Chrome trace-event timeline of the sweep to this file")
 	fleet := fs.String("fleet", "", "fleet coordinator: `coordinator=URL` (or a bare URL) of a commuter serve instance; this sweep then executes only the pairs it leases, sharing the work with every other member (server-side fleets are set by `serve -fleet`)")
 	logLevel := logFlag(fs)
-	fs.Parse(args)
+	parseFlags(fs, args)
 	setupLogging(*logLevel)
 
 	ctx, stop := runContext()

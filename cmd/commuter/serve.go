@@ -36,7 +36,7 @@ func cmdServe(args []string) {
 	grace := fs.Duration("grace", 15*time.Second, "shutdown drain bound: how long in-flight requests may run before being cancelled")
 	pprofOn := fs.Bool("pprof", false, "mount the runtime profiler on /debug/pprof/ (exposes stacks; keep the listener trusted)")
 	logLevel := logFlag(fs)
-	fs.Parse(args)
+	parseFlags(fs, args)
 	logger := setupLogging(*logLevel)
 
 	opts := []commuter.ServerOption{

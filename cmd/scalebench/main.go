@@ -21,13 +21,13 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/commuter"
+	"repro/internal/eval"
 )
 
 func main() {
 	coresFlag := flag.String("cores", "", "comma-separated core counts (default 1,10,...,80)")
 	flag.Parse()
-	cores := commuter.DefaultCores
+	cores := eval.DefaultCores
 	if *coresFlag != "" {
 		cores = nil
 		for _, s := range strings.Split(*coresFlag, ",") {
@@ -43,34 +43,8 @@ func main() {
 	if flag.NArg() > 0 {
 		which = flag.Arg(0)
 	}
-	run := func(name string) {
-		switch name {
-		case "stat":
-			fmt.Println(commuter.FormatCurves("Figure 7(a): statbench (fstats/Mcycle/core)", []commuter.Curve{
-				commuter.Statbench(commuter.StatFstatx, cores),
-				commuter.Statbench(commuter.StatShared, cores),
-				commuter.Statbench(commuter.StatRefcache, cores),
-			}))
-		case "open":
-			fmt.Println(commuter.FormatCurves("Figure 7(b): openbench (opens/Mcycle/core)", []commuter.Curve{
-				commuter.Openbench(true, cores),
-				commuter.Openbench(false, cores),
-			}))
-		case "mail":
-			fmt.Println(commuter.FormatCurves("Figure 7(c): mail server (messages/Mcycle/core)", []commuter.Curve{
-				commuter.Mailbench(true, cores),
-				commuter.Mailbench(false, cores),
-			}))
-		default:
-			fmt.Fprintf(os.Stderr, "scalebench: unknown benchmark %q\n", name)
-			os.Exit(2)
-		}
+	if err := eval.Figure7(os.Stdout, which, cores); err != nil {
+		fmt.Fprintf(os.Stderr, "scalebench: %v\n", err)
+		os.Exit(2)
 	}
-	if which == "all" {
-		run("stat")
-		run("open")
-		run("mail")
-		return
-	}
-	run(which)
 }

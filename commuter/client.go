@@ -70,8 +70,6 @@ type (
 	SpecInfo = api.SpecInfo
 	// Analysis summarizes one pair's commutativity analysis.
 	Analysis = api.Analysis
-	// AnalysisPath is one joint path's rendered condition and verdicts.
-	AnalysisPath = api.PathSummary
 	// TestSet is one pair's generated concrete tests.
 	TestSet = api.TestSet
 	// CheckSummary aggregates per-test verdicts on one kernel.
@@ -139,7 +137,7 @@ func WithCache(spec string) Option { return func(o *callOptions) { o.cacheDir = 
 // WithCacheBackend injects an already-open cache backend, sharing one
 // handle across calls; the serve endpoint uses it to put the process-wide
 // cache behind every request.
-func WithCacheBackend(b sweep.Backend) Option { return func(o *callOptions) { o.cache = b } }
+func WithCacheBackend(b SweepBackend) Option { return func(o *callOptions) { o.cache = b } }
 
 // WithFleet makes Sweep a fleet member coordinated by the `commuter
 // serve` instance at coordinatorURL: the sweep claims pair leases from

@@ -23,14 +23,14 @@
 //	}
 //
 // Package commuter also renders a sweep as the paper's Figure 6 matrices
-// (MatricesFromSweep, FormatMatrix) and exposes the drivers that
-// regenerate its Figure 7 throughput curves (package eval).
+// (MatricesFromSweep, FormatMatrix). The Figure 7 throughput curves are not
+// part of this API: they run on the coherence simulator, not the pipeline,
+// and cmd/scalebench prints them.
 package commuter
 
 import (
 	"io"
 
-	"repro/internal/eval"
 	"repro/internal/kernel"
 	_ "repro/internal/kvspec" // registers the "kv" spec
 	"repro/internal/model"
@@ -44,8 +44,6 @@ import (
 type (
 	// TestCase is one concrete commutative test.
 	TestCase = kernel.TestCase
-	// Curve is a Figure 7 throughput series.
-	Curve = eval.Curve
 
 	// SweepResult is a completed sweep.
 	SweepResult = sweep.Result
@@ -79,20 +77,3 @@ func OpNames() []string { return spec.OpNames(model.Spec) }
 // its recorded start offset with the analyze/testgen/check phases nested
 // inside, packed onto lanes that reconstruct the worker schedule.
 func WriteSweepTrace(w io.Writer, res *SweepResult) error { return sweep.WriteTrace(w, res) }
-
-// Statbench, Openbench and Mailbench regenerate the Figure 7 curves on the
-// coherence simulator. See package eval for the modes.
-var (
-	Statbench    = eval.Statbench
-	Openbench    = eval.Openbench
-	Mailbench    = eval.Mailbench
-	FormatCurves = eval.FormatCurves
-	DefaultCores = eval.DefaultCores
-)
-
-// Statbench modes (Figure 7a).
-const (
-	StatFstatx   = eval.StatFstatx
-	StatRefcache = eval.StatRefcache
-	StatShared   = eval.StatShared
-)

@@ -37,15 +37,22 @@ func importsOf(t *testing.T, dir string, visit func(file, path string)) {
 }
 
 // TestProgramsImportOnlyTheFacade pins that package commuter is the one
-// public surface: the CLIs and the remote example are written against it
+// public surface: the CLI and the pipeline examples are written against it
 // alone, so anything they need and cannot reach is a gap in the façade,
-// not a reason to reach around it.
+// not a reason to reach around it. scalebench prints Figure 7, which runs
+// on the coherence simulator and not the pipeline: internal/eval is the one
+// package it imports.
 func TestProgramsImportOnlyTheFacade(t *testing.T) {
-	for _, dir := range []string{"../cmd/commuter", "../cmd/scalebench", "../examples/remote_sweep"} {
+	for _, dir := range []string{"../cmd/commuter", "../examples/remote_sweep", "../examples/renamecommute"} {
 		importsOf(t, dir, func(file, path string) {
 			t.Errorf("%s imports %s; programs reach the pipeline through repro/commuter only", file, path)
 		})
 	}
+	importsOf(t, "../cmd/scalebench", func(file, path string) {
+		if path != "repro/internal/eval" {
+			t.Errorf("%s imports %s; scalebench renders Figure 7 through internal/eval only", file, path)
+		}
+	})
 }
 
 // TestEvalIsFigure7Only pins the split of the evaluation: internal/eval is

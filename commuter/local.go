@@ -7,6 +7,7 @@ import (
 	"iter"
 
 	"repro/internal/analyzer"
+	"repro/internal/api"
 	"repro/internal/kernel"
 	"repro/internal/spec"
 	"repro/internal/sweep"
@@ -141,7 +142,7 @@ func analysisFrom(ctx context.Context, r analyzer.PairResult) Analysis {
 		if unknown[i] && !p.Unknown {
 			a.Unknown++
 		}
-		a.PathDetails = append(a.PathDetails, AnalysisPath{
+		a.PathDetails = append(a.PathDetails, api.PathSummary{
 			Condition:  p.CommuteCond().String(),
 			Commutes:   p.Commutes,
 			CanDiverge: diverges[i],

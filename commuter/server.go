@@ -50,7 +50,7 @@ func ServeWithCache(spec string) ServerOption {
 // the handler serves; it takes precedence over ServeWithCache. Use it to
 // share one handle with the rest of the process, or to inject a backend
 // composition OpenBackend syntax cannot express.
-func ServeWithBackend(b sweep.Backend) ServerOption {
+func ServeWithBackend(b SweepBackend) ServerOption {
 	return func(o *serverOptions) { o.backend = b }
 }
 

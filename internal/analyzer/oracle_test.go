@@ -21,8 +21,8 @@ import (
 // SatAssumingConjs over the path condition's conjuncts, answered from the
 // solver's memory or by a backjumping search over the cone. It must equal
 // Sat of the whole interned conjunction on a fresh Solver, which remembers
-// nothing, takes no cone, and goes through Enumerate to a first model; the
-// verdict the analysis recorded and the one CanDiverge returns must be
+// nothing, takes no cone, and searches the whole conjunct list for a first
+// model; the verdict the analysis recorded and the one CanDiverge returns must be
 // those answers. No side may run out of budget.
 func TestClassificationMatchesFreshEnumerate(t *testing.T) {
 	if testing.Short() {

@@ -348,31 +348,24 @@ func (r *SweepResult) ToSweep() *sweep.Result {
 }
 
 // Fleet wire types, defined in internal/sweep beside the lease table they
-// describe (this package imports sweep, not the other way around) and
-// aliased here so the golden files pin their encodings with the rest of
-// the v1 contract. Fleet requests stamp sweep.FleetAPIVersion, which
+// describe (this package imports sweep, not the other way around). The
+// request and response bodies a server decodes and encodes are aliased
+// here; the golden files pin every fleet encoding with the rest of the v1
+// contract. Fleet requests stamp sweep.FleetAPIVersion, which
 // tracks Version (asserted by test).
 type (
 	// FleetSweepSpec is the fleet-wide identity of one sweep: spec,
 	// resolved op/kernel names, and every test-shaping option.
 	FleetSweepSpec = sweep.FleetSweepSpec
-	// FleetLease is one granted pair lease.
-	FleetLease = sweep.FleetLease
 	// FleetClaimRequest asks for pair leases (POST PathFleetClaim), with
 	// piggybacked lease renewal and release.
 	FleetClaimRequest = sweep.FleetClaimRequest
 	// FleetClaimResponse grants leases and reports sweep-wide state.
 	FleetClaimResponse = sweep.FleetClaimResponse
-	// FleetPairDone is one completed pair under its lease.
-	FleetPairDone = sweep.FleetPairDone
 	// FleetResultRequest posts completed pairs (POST PathFleetResult).
 	FleetResultRequest = sweep.FleetResultRequest
 	// FleetResultResponse acknowledges a result post.
 	FleetResultResponse = sweep.FleetResultResponse
-	// FleetWorkerStatus is one worker's view in the status report.
-	FleetWorkerStatus = sweep.FleetWorkerStatus
-	// FleetStatusResponse answers GET PathFleetStatus.
-	FleetStatusResponse = sweep.FleetStatusResponse
 )
 
 // CheckVersion validates a request's wire version.

@@ -110,16 +110,16 @@ func goldenCases() map[string]any {
 			Renew:   []string{"ab12cd34.7"},
 			Release: []string{"ab12cd34.3"}},
 		"fleet_claim_response": &FleetClaimResponse{SweepID: "ab12cd34ef", TTLMS: 30000,
-			Leases: []FleetLease{{Pair: "open/rename", ID: "ab12cd34.8"}, {Pair: "rename/rename", ID: "ab12cd34.9", Stolen: true}},
+			Leases: []sweep.FleetLease{{Pair: "open/rename", ID: "ab12cd34.8"}, {Pair: "rename/rename", ID: "ab12cd34.9", Stolen: true}},
 			Total:  3, Completed: 1, Pending: 0, Leased: 2},
 		"fleet_result_request": &FleetResultRequest{Version: Version, Worker: "host-a-8372",
 			Sweep:   FleetSweepSpec{Spec: "posix", Ops: []string{"rename"}, Kernels: []string{"sv6"}},
-			Results: []FleetPairDone{{Lease: "ab12cd34.8", Pair: pair, TestgenKey: "0011223344556677"}}},
+			Results: []sweep.FleetPairDone{{Lease: "ab12cd34.8", Pair: pair, TestgenKey: "0011223344556677"}}},
 		"fleet_result_response": &FleetResultResponse{Accepted: 1, Duplicate: 1, Stale: 1,
 			Completed: 3, Total: 3, Done: true},
-		"fleet_status_response": &FleetStatusResponse{SweepID: "ab12cd34ef",
+		"fleet_status_response": &sweep.FleetStatusResponse{SweepID: "ab12cd34ef",
 			Total: 3, Completed: 3, Requeued: 1, Done: true,
-			Workers: map[string]FleetWorkerStatus{"host-a-8372": {Leased: 0, Completed: 2, Stolen: 1}},
+			Workers: map[string]sweep.FleetWorkerStatus{"host-a-8372": {Leased: 0, Completed: 2, Stolen: 1}},
 			Results: []sweep.PairResult{pair}},
 	}
 }

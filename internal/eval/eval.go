@@ -6,6 +6,7 @@ package eval
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"repro/internal/coherence"
@@ -15,10 +16,10 @@ import (
 	"repro/internal/mtrace"
 )
 
-// CaptureOps records the cache-line access sequences of a series of
+// captureOps records the cache-line access sequences of a series of
 // operation thunks executed on the given traced memory, one coherence.Op
 // per thunk.
-func CaptureOps(mem *mtrace.Memory, thunks []func()) coherence.CoreTrace {
+func captureOps(mem *mtrace.Memory, thunks []func()) coherence.CoreTrace {
 	// The per-access log is opt-in (the CHECK path detects conflicts online
 	// and never materializes it); the coherence simulator is the consumer
 	// that genuinely needs the ordered access sequence.
@@ -110,13 +111,13 @@ func statbenchAt(mode StatbenchMode, n int) float64 {
 			if mode == StatFstatx {
 				args["nolink"] = 1
 			}
-			traces[core] = CaptureOps(k.Memory(), []func(){
+			traces[core] = captureOps(k.Memory(), []func(){
 				func() { k.Exec(core, kernel.Call{Op: "fstat", Args: args}) },
 			})
 		} else {
 			// link/unlink loop: link f0 to a core-unique name, unlink it.
 			nm := int64(1000 + core)
-			traces[core] = CaptureOps(k.Memory(), []func(){
+			traces[core] = captureOps(k.Memory(), []func(){
 				func() { k.Exec(core, kernel.Call{Op: "link", Args: map[string]int64{"old": 0, "new": nm}}) },
 				func() { k.Exec(core, kernel.Call{Op: "unlink", Args: map[string]int64{"fname": nm}}) },
 			})
@@ -161,7 +162,7 @@ func openbenchAt(anyFD bool, n int) float64 {
 	for c := 0; c < n; c++ {
 		core := c
 		var lastFD int64
-		traces[core] = CaptureOps(k.Memory(), []func(){
+		traces[core] = captureOps(k.Memory(), []func(){
 			func() {
 				r := k.Exec(core, kernel.Call{Op: "open", Args: map[string]int64{"fname": int64(core), "anyfd": af}})
 				lastFD = r.Code
@@ -202,7 +203,7 @@ func mailbenchAt(commutative bool, n int) float64 {
 	traces := make([]coherence.CoreTrace, n)
 	for c := 0; c < n; c++ {
 		core := c
-		traces[core] = CaptureOps(s.Memory(), []func(){
+		traces[core] = captureOps(s.Memory(), []func(){
 			func() {
 				if err := s.DeliverOne(core); err != nil {
 					panic(err)
@@ -219,8 +220,46 @@ func mailbenchAt(commutative bool, n int) float64 {
 	return float64(res.Total()) / float64(res.Duration) * 1e6 / float64(n)
 }
 
-// FormatCurves renders curves as an aligned table, one row per core count.
-func FormatCurves(title string, curves []Curve) string {
+// Figure7 writes the Figure 7 panel named which — "stat" (7a), "open" (7b)
+// or "mail" (7c), or "all" for the three in turn — at the given core
+// counts. It is what scalebench prints, and testdata/fig7.golden holds it
+// at 1, 2 and 4 cores.
+func Figure7(w io.Writer, which string, cores []int) error {
+	panels := []string{which}
+	if which == "all" {
+		panels = []string{"stat", "open", "mail"}
+	}
+	for _, p := range panels {
+		var out string
+		switch p {
+		case "stat":
+			out = formatCurves("Figure 7(a): statbench (fstats/Mcycle/core)", []Curve{
+				Statbench(StatFstatx, cores),
+				Statbench(StatShared, cores),
+				Statbench(StatRefcache, cores),
+			})
+		case "open":
+			out = formatCurves("Figure 7(b): openbench (opens/Mcycle/core)", []Curve{
+				Openbench(true, cores),
+				Openbench(false, cores),
+			})
+		case "mail":
+			out = formatCurves("Figure 7(c): mail server (messages/Mcycle/core)", []Curve{
+				Mailbench(true, cores),
+				Mailbench(false, cores),
+			})
+		default:
+			return fmt.Errorf("unknown benchmark %q", p)
+		}
+		if _, err := io.WriteString(w, out); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// formatCurves renders curves as an aligned table, one row per core count.
+func formatCurves(title string, curves []Curve) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n%-8s", title, "cores")
 	for _, c := range curves {

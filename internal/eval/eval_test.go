@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -103,8 +104,14 @@ func TestMailPipelineConflicts(t *testing.T) {
 
 func TestFormatCurves(t *testing.T) {
 	c := Curve{Name: "x", Cores: []int{1, 2}, PerSec: []float64{1.5, 1.4}}
-	out := FormatCurves("title", []Curve{c})
+	out := formatCurves("title", []Curve{c})
 	if !strings.Contains(out, "title") || !strings.Contains(out, "1.50") {
-		t.Errorf("FormatCurves output:\n%s", out)
+		t.Errorf("formatCurves output:\n%s", out)
+	}
+	if len(DefaultCores) == 0 || DefaultCores[len(DefaultCores)-1] != 80 {
+		t.Errorf("DefaultCores = %v, want the paper's x-axis, ending at 80", DefaultCores)
+	}
+	if err := Figure7(io.Discard, "fig6", nil); err == nil {
+		t.Error("Figure7 rendered an unknown panel")
 	}
 }

@@ -48,11 +48,11 @@ func Check(fresh func() kernel.Kernel, tc kernel.TestCase) kernel.CheckResult {
 	}
 }
 
-// OracleConflicts is the pre-epoch conflict algorithm, kept as the oracle
+// oracleConflicts is the pre-epoch conflict algorithm, kept as the oracle
 // for mtrace's online detector: scan the full access log, build per-cell
 // writer/reader core sets, and report cells with more than one writer or
 // with a reader besides the single writer, sorted by cell name.
-func OracleConflicts(accesses []mtrace.Access) []mtrace.Conflict {
+func oracleConflicts(accesses []mtrace.Access) []mtrace.Conflict {
 	type cellState struct {
 		cell    *mtrace.Cell
 		writers map[int]bool
@@ -109,11 +109,11 @@ func OracleConflicts(accesses []mtrace.Access) []mtrace.Conflict {
 }
 
 // CheckOnline holds m's online verdict on its last traced region — and the
-// materialized conflict report — to OracleConflicts over the region's
+// materialized conflict report — to oracleConflicts over the region's
 // access log (m must have LogAccesses on). It returns a description of
 // the first disagreement, or "".
 func CheckOnline(m *mtrace.Memory) string {
-	want := OracleConflicts(m.Accesses())
+	want := oracleConflicts(m.Accesses())
 	if m.ConflictFree() != (len(want) == 0) {
 		return fmt.Sprintf("ConflictFree=%v, oracle conflicts=%d", m.ConflictFree(), len(want))
 	}

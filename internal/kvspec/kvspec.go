@@ -36,37 +36,23 @@ import (
 
 // Bounds keep the symbolic domains small, like the other specs'.
 const (
-	// NKeys bounds the ordered key domain: keys are 0..NKeys-1.
-	NKeys = 3
-	// MaxVal bounds stored values: 0..MaxVal.
-	MaxVal = 3
+	// nKeys bounds the ordered key domain: keys are 0..nKeys-1.
+	nKeys = 3
+	// maxVal bounds stored values: 0..maxVal.
+	maxVal = 3
 )
 
-// State is the symbolic store state: one total-function dictionary whose
+// state is the symbolic store state: one total-function dictionary whose
 // per-key binding carries an explicit presence bit, so the range scan can
 // fold membership arithmetically instead of forking per key.
-type State struct {
+type state struct {
 	// KV maps (key) -> {present, val}: the ordered map's bindings.
 	KV *symx.Dict
 }
 
 // Dicts returns the dictionaries in comparison order (the spec layer's
 // State contract).
-func (s *State) Dicts() []*symx.Dict { return []*symx.Dict{s.KV} }
-
-// NewState builds the symbolic state with unconstrained initial content:
-// every key starts arbitrarily present or absent with an arbitrary
-// bounded value.
-func NewState(c *symx.Context) *State {
-	return &State{
-		KV: symx.NewDict("kv", func(c *symx.Context, tag string) *symx.Struct {
-			present := c.Var(tag+".present", sym.BoolSort, symx.KindState)
-			val := c.Var(tag+".val", sym.IntSort, symx.KindState)
-			c.Assume(sym.And(sym.Ge(val, sym.Int(0)), sym.Le(val, sym.Int(MaxVal))))
-			return symx.NewStruct("present", present, "val", val)
-		}),
-	}
-}
+func (s *state) Dicts() []*symx.Dict { return []*symx.Dict{s.KV} }
 
 func errRet(errno int64) []*sym.Expr {
 	return []*sym.Expr{sym.Int(-errno), sym.Int(0), sym.Int(0), sym.Int(0), sym.Int(0)}
@@ -76,10 +62,10 @@ func okRet(code, i1, data *sym.Expr) []*sym.Expr {
 	return []*sym.Expr{code, i1, sym.Int(0), sym.Int(0), data}
 }
 
-func st(x *spec.Exec) *State { return x.S.(*State) }
+func st(x *spec.Exec) *state { return x.S.(*state) }
 
 func keyArg(name string) spec.ArgSpec {
-	return spec.ArgSpec{Name: name, Sort: sym.IntSort, Min: 0, Max: NKeys - 1, Bounded: true}
+	return spec.ArgSpec{Name: name, Sort: sym.IntSort, Min: 0, Max: nKeys - 1, Bounded: true}
 }
 
 // ops is the op table: the four modeled operations in canonical (matrix)
@@ -105,7 +91,7 @@ func opPut() *spec.Op {
 	return &spec.Op{
 		Name: "put",
 		Args: []spec.ArgSpec{keyArg("key"),
-			{Name: "val", Sort: sym.IntSort, Min: 0, Max: MaxVal, Bounded: true}},
+			{Name: "val", Sort: sym.IntSort, Min: 0, Max: maxVal, Bounded: true}},
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s, key, val := st(x), a[0], a[1]
 			s.KV.Set(x.C, symx.K(key), symx.NewStruct("present", sym.True, "val", val))
@@ -134,10 +120,10 @@ func opDelete() *spec.Op {
 }
 
 // scanWeight is the per-key positional weight of the scan fingerprint:
-// strictly larger than MaxVal+1, so the fingerprint is an injective
+// strictly larger than maxVal+1, so the fingerprint is an injective
 // encoding of the scanned window's bindings (which keys are present, and
 // each present key's value).
-const scanWeight = MaxVal + 2
+const scanWeight = maxVal + 2
 
 func opScan() *spec.Op {
 	return &spec.Op{
@@ -153,7 +139,7 @@ func opScan() *spec.Op {
 			// what makes in-range mutations order-observable.
 			count, fp := sym.Int(0), sym.Int(0)
 			weight := int64(1)
-			for k := int64(0); k < NKeys; k++ {
+			for k := int64(0); k < nKeys; k++ {
 				v := s.KV.GetFunc(x.C, symx.K(sym.Int(k)))
 				in := sym.And(
 					sym.Le(lo, sym.Int(k)), sym.Le(sym.Int(k), hi), v.Get("present"))
@@ -189,8 +175,18 @@ func (kvSpec) Sets() map[string][]string {
 // DefaultSet: the kv universe is tiny, so default to all of it.
 func (kvSpec) DefaultSet() string { return "all" }
 
+// NewState builds the symbolic state with unconstrained initial content:
+// every key starts arbitrarily present or absent with an arbitrary
+// bounded value.
 func (kvSpec) NewState(c *symx.Context, cfg spec.Config) spec.State {
-	return NewState(c)
+	return &state{
+		KV: symx.NewDict("kv", func(c *symx.Context, tag string) *symx.Struct {
+			present := c.Var(tag+".present", sym.BoolSort, symx.KindState)
+			val := c.Var(tag+".val", sym.IntSort, symx.KindState)
+			c.Assume(sym.And(sym.Ge(val, sym.Int(0)), sym.Le(val, sym.Int(maxVal))))
+			return symx.NewStruct("present", present, "val", val)
+		}),
+	}
 }
 
 func (kvSpec) Impls() []spec.Impl {
@@ -204,7 +200,7 @@ func (kvSpec) FixupCall(cfg spec.Config, call *kernel.Call) {}
 // it returns rebuilds the concrete store: every key the witness probed as
 // present becomes a seeded binding with the probed value.
 func (kvSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
-	kv := spec.PlanProbes(a.(*State).KV, b.(*State).KV)
+	kv := spec.PlanProbes(a.(*state).KV, b.(*state).KV)
 	return func(m sym.Model) kernel.Setup {
 		var s kernel.Setup
 		seen := map[int64]bool{}
@@ -212,13 +208,13 @@ func (kvSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
 			if !p.Bool("present") {
 				continue
 			}
-			key := spec.Clamp(p.Key[0], 0, NKeys-1)
+			key := spec.Clamp(p.Key[0], 0, nKeys-1)
 			if seen[key] {
 				continue
 			}
 			seen[key] = true
 			s.KVs = append(s.KVs, kernel.SetupKV{
-				Key: key, Val: spec.Clamp(p.Field("val"), 0, MaxVal)})
+				Key: key, Val: spec.Clamp(p.Field("val"), 0, maxVal)})
 		}
 		sort.Slice(s.KVs, func(i, j int) bool { return s.KVs[i].Key < s.KVs[j].Key })
 		return s

@@ -226,7 +226,7 @@ func TestGenerateKVTests(t *testing.T) {
 	seeded := false
 	for _, tc := range tests {
 		for i, kv := range tc.Setup.KVs {
-			if kv.Key < 0 || kv.Key >= NKeys || kv.Val < 0 || kv.Val > MaxVal {
+			if kv.Key < 0 || kv.Key >= nKeys || kv.Val < 0 || kv.Val > maxVal {
 				t.Errorf("%s: setup binding %+v out of bounds", tc.ID, kv)
 			}
 			if i > 0 && tc.Setup.KVs[i-1].Key >= kv.Key {

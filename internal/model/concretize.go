@@ -17,7 +17,7 @@ func (posixSpec) FixupCall(cfg spec.Config, call *kernel.Call) {
 	}
 }
 
-// setupPlan holds one path's probe plans, one per dictionary of State.
+// setupPlan holds one path's probe plans, one per dictionary of state.
 type setupPlan struct {
 	inode, fname, data, fd, pipe, piped, anon, vma *spec.ProbePlan
 }
@@ -26,7 +26,7 @@ type setupPlan struct {
 // mines owns every fs-specific field-name convention (len, nlink, off,
 // head, tail, foff).
 func (posixSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
-	sa, sb := a.(*State), b.(*State)
+	sa, sb := a.(*state), b.(*state)
 	pl := &setupPlan{
 		inode: spec.PlanProbes(sa.Inode, sb.Inode),
 		fname: spec.PlanProbes(sa.Fname, sb.Fname),
@@ -61,8 +61,8 @@ func (pl *setupPlan) setup(m sym.Model) kernel.Setup {
 	}
 	inodeNlink := map[int64]int64{}
 	for _, p := range pl.inode.Eval(m) {
-		if inum := p.Key[0]; inPlay(inum, spec.Clamp(p.Field("len"), 0, MaxLen)) {
-			inodeNlink[inum] = spec.Clamp(p.Field("nlink"), 0, MaxInum)
+		if inum := p.Key[0]; inPlay(inum, spec.Clamp(p.Field("len"), 0, maxLen)) {
+			inodeNlink[inum] = spec.Clamp(p.Field("nlink"), 0, maxInum)
 		}
 	}
 
@@ -109,7 +109,7 @@ func (pl *setupPlan) setup(m sym.Model) kernel.Setup {
 			}
 		} else {
 			sd.Inum = p.Field("inum")
-			sd.Off = spec.Clamp(p.Field("off"), 0, MaxLen)
+			sd.Off = spec.Clamp(p.Field("off"), 0, maxLen)
 			inPlay(sd.Inum, 0)
 		}
 		s.FDs = append(s.FDs, sd)
@@ -137,7 +137,7 @@ func (pl *setupPlan) setup(m sym.Model) kernel.Setup {
 	}
 	for id := range pipesNeeded {
 		s.Pipes = append(s.Pipes, kernel.SetupPipe{
-			ID: id, Items: spec.BacklogItems(pipeCursors[id], pipeVals[id], MaxLen)})
+			ID: id, Items: spec.BacklogItems(pipeCursors[id], pipeVals[id], maxLen)})
 	}
 
 	anonVals := map[[2]int64]int64{}
@@ -158,7 +158,7 @@ func (pl *setupPlan) setup(m sym.Model) kernel.Setup {
 			sv.Val = anonVals[[2]int64{proc, page}]
 		} else {
 			sv.Inum = p.Field("inum")
-			sv.Foff = spec.Clamp(p.Field("foff"), 0, MaxLen)
+			sv.Foff = spec.Clamp(p.Field("foff"), 0, maxLen)
 			inPlay(sv.Inum, 0)
 		}
 		s.VMAs = append(s.VMAs, sv)

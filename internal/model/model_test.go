@@ -54,7 +54,7 @@ func runOp(t *testing.T, name string, cfg spec.Config) []symx.Path {
 	}
 	return explore(func(c *symx.Context) any {
 		args := spec.MakeArgs(c, op, "0")
-		s := NewState(c)
+		s := newState(c)
 		x := &spec.Exec{C: c, S: s, Cfg: cfg}
 		return op.Exec(x, "0", args)
 	}, symx.Options{})
@@ -182,14 +182,14 @@ func TestMakeArgsBounds(t *testing.T) {
 	if s.Sat(sym.And(p.PC, sym.Lt(off, sym.Int(0)))) {
 		t.Error("offset bound (>= 0) not enforced")
 	}
-	if s.Sat(sym.And(p.PC, sym.Gt(off, sym.Int(MaxLen)))) {
-		t.Error("offset bound (<= MaxLen) not enforced")
+	if s.Sat(sym.And(p.PC, sym.Gt(off, sym.Int(maxLen)))) {
+		t.Error("offset bound (<= maxLen) not enforced")
 	}
 }
 
 func TestRetEq(t *testing.T) {
-	a := []*sym.Expr{sym.Int(0), sym.Int(1), sym.Int(2), sym.Int(3), DataZero}
-	b := []*sym.Expr{sym.Int(0), sym.Int(1), sym.Int(2), sym.Int(3), DataZero}
+	a := []*sym.Expr{sym.Int(0), sym.Int(1), sym.Int(2), sym.Int(3), dataZero}
+	b := []*sym.Expr{sym.Int(0), sym.Int(1), sym.Int(2), sym.Int(3), dataZero}
 	if !spec.RetEq(a, b).IsTrue() {
 		t.Error("identical returns must be equal")
 	}
@@ -204,7 +204,7 @@ func TestRetEq(t *testing.T) {
 func TestStateInvariants(t *testing.T) {
 	var s sym.Solver
 	paths := explore(func(c *symx.Context) any {
-		st := NewState(c)
+		st := newState(c)
 		name := c.Var("n", FilenameSort, symx.KindArg)
 		if st.Fname.Contains(c, symx.K(name)) {
 			return st.Fname.Get(c, symx.K(name)).Get("inum")
@@ -221,7 +221,7 @@ func TestStateInvariants(t *testing.T) {
 		if s.Sat(sym.And(p.PC, sym.Lt(inum, sym.Int(1)))) {
 			t.Error("initial inode numbers must be >= 1")
 		}
-		if s.Sat(sym.And(p.PC, sym.Gt(inum, sym.Int(MaxInum)))) {
+		if s.Sat(sym.And(p.PC, sym.Gt(inum, sym.Int(maxInum)))) {
 			t.Error("initial inode numbers must be bounded")
 		}
 	}
@@ -234,9 +234,9 @@ func TestStateInvariants(t *testing.T) {
 func TestAllocDistinctness(t *testing.T) {
 	var s sym.Solver
 	paths := explore(func(c *symx.Context) any {
-		st := NewState(c)
-		a := st.AllocInum(c, "0")
-		b := st.AllocInum(c, "1")
+		st := newState(c)
+		a := st.allocInum(c, "0")
+		b := st.allocInum(c, "1")
 		return [2]*sym.Expr{a, b}
 	}, symx.Options{})
 	for _, p := range paths {
@@ -255,8 +255,8 @@ func TestAllocDistinctness(t *testing.T) {
 func TestEquivalentDetectsWrites(t *testing.T) {
 	var s sym.Solver
 	paths := explore(func(c *symx.Context) any {
-		s1 := NewState(c)
-		s2 := NewState(c)
+		s1 := newState(c)
+		s2 := newState(c)
 		name := c.Var("n", FilenameSort, symx.KindArg)
 		s1.Fname.Set(c, symx.K(name), symx.NewStruct("inum", sym.Int(1)))
 		s2.Fname.Set(c, symx.K(name), symx.NewStruct("inum", sym.Int(2)))
@@ -269,8 +269,8 @@ func TestEquivalentDetectsWrites(t *testing.T) {
 	}
 
 	paths = explore(func(c *symx.Context) any {
-		s1 := NewState(c)
-		s2 := NewState(c)
+		s1 := newState(c)
+		s2 := newState(c)
 		return sym.And(spec.Equivalent(nil, c, s1, s2)...)
 	}, symx.Options{})
 	for _, p := range paths {

@@ -8,11 +8,11 @@ import (
 )
 
 func errRet(errno int64) []*sym.Expr {
-	return []*sym.Expr{sym.Int(-errno), sym.Int(0), sym.Int(0), sym.Int(0), DataZero}
+	return []*sym.Expr{sym.Int(-errno), sym.Int(0), sym.Int(0), sym.Int(0), dataZero}
 }
 
 func okRet(code *sym.Expr, is ...*sym.Expr) []*sym.Expr {
-	out := []*sym.Expr{code, sym.Int(0), sym.Int(0), sym.Int(0), DataZero}
+	out := []*sym.Expr{code, sym.Int(0), sym.Int(0), sym.Int(0), dataZero}
 	for i, e := range is {
 		out[i+1] = e
 	}
@@ -29,7 +29,7 @@ func dataRet(code int64, d *sym.Expr) []*sym.Expr {
 func allocFD(x *spec.Exec, slot string, proc *sym.Expr) *sym.Expr {
 	s := st(x)
 	if x.Cfg.LowestFD {
-		for i := int64(0); i < MaxFD; i++ {
+		for i := int64(0); i < maxFD; i++ {
 			if !s.FD.Contains(x.C, symx.K(proc, sym.Int(i))) {
 				return sym.Int(i)
 			}
@@ -37,7 +37,7 @@ func allocFD(x *spec.Exec, slot string, proc *sym.Expr) *sym.Expr {
 		return nil
 	}
 	v := x.C.Var("alloc.fd."+slot, sym.IntSort, symx.KindNondet)
-	x.C.Assume(sym.And(sym.Ge(v, sym.Int(0)), sym.Le(v, sym.Int(MaxFD-1))))
+	x.C.Assume(sym.And(sym.Ge(v, sym.Int(0)), sym.Le(v, sym.Int(maxFD-1))))
 	if s.FD.Contains(x.C, symx.K(proc, v)) {
 		x.C.Abort() // the kernel picks an unused descriptor
 	}
@@ -61,7 +61,7 @@ var ops = []*spec.Op{
 	opOpen(), opLink(), opUnlink(), opRename(), opStat(),
 	fdOp("fstat", false, fstat),
 	fdOp("lseek", true, lseek,
-		spec.ArgSpec{Name: "delta", Sort: sym.IntSort, Min: -MaxLen, Max: MaxLen, Bounded: true},
+		spec.ArgSpec{Name: "delta", Sort: sym.IntSort, Min: -maxLen, Max: maxLen, Bounded: true},
 		spec.ArgSpec{Name: "wset", Sort: sym.BoolSort}, spec.ArgSpec{Name: "wend", Sort: sym.BoolSort}),
 	opClose(), opPipe(),
 	fdOp("read", false, read), fdOp("write", false, write, valArg()),
@@ -69,17 +69,17 @@ var ops = []*spec.Op{
 	opMmap(), opMunmap(), opMprotect(), memOp("memread", false), memOp("memwrite", true),
 }
 
-func st(x *spec.Exec) *State { return x.S.(*State) }
+func st(x *spec.Exec) *state { return x.S.(*state) }
 
 func procArg() spec.ArgSpec { return spec.ArgSpec{Name: "proc", Sort: sym.BoolSort} }
 func fdArg() spec.ArgSpec {
-	return spec.ArgSpec{Name: "fd", Sort: sym.IntSort, Min: 0, Max: MaxFD - 1, Bounded: true}
+	return spec.ArgSpec{Name: "fd", Sort: sym.IntSort, Min: 0, Max: maxFD - 1, Bounded: true}
 }
 func pageArg(name string) spec.ArgSpec {
-	return spec.ArgSpec{Name: name, Sort: sym.IntSort, Min: 0, Max: MaxPage - 1, Bounded: true}
+	return spec.ArgSpec{Name: name, Sort: sym.IntSort, Min: 0, Max: maxPage - 1, Bounded: true}
 }
 func offArg(name string) spec.ArgSpec {
-	return spec.ArgSpec{Name: name, Sort: sym.IntSort, Min: 0, Max: MaxLen, Bounded: true}
+	return spec.ArgSpec{Name: name, Sort: sym.IntSort, Min: 0, Max: maxLen, Bounded: true}
 }
 func valArg() spec.ArgSpec { return spec.ArgSpec{Name: "val", Sort: DataSort} }
 
@@ -110,7 +110,7 @@ func opOpen() *spec.Op {
 				if !x.C.Branch(creat) {
 					return errRet(kernel.ENOENT)
 				}
-				inum = s.AllocInum(x.C, slot)
+				inum = s.allocInum(x.C, slot)
 				s.Inode.Set(x.C, symx.K(inum),
 					symx.NewStruct("nlink", sym.Int(1), "len", sym.Int(0)))
 				s.Fname.Set(x.C, symx.K(fname), symx.NewStruct("inum", inum))
@@ -306,7 +306,7 @@ func opPipe() *spec.Op {
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s := st(x)
 			proc := a[0]
-			pid := s.AllocPipe(x.C, slot)
+			pid := s.allocPipe(x.C, slot)
 			s.Pipe.Set(x.C, symx.K(pid),
 				symx.NewStruct("head", sym.Int(0), "tail", sym.Int(0)))
 			rfd := allocFD(x, slot+".r", proc)
@@ -409,7 +409,7 @@ func opMmap() *spec.Op {
 				addr = page // MAP_FIXED replaces any existing mapping
 			} else {
 				addr = x.C.Var("alloc.addr."+slot, sym.IntSort, symx.KindNondet)
-				x.C.Assume(sym.And(sym.Ge(addr, sym.Int(0)), sym.Le(addr, sym.Int(MaxPage-1))))
+				x.C.Assume(sym.And(sym.Ge(addr, sym.Int(0)), sym.Le(addr, sym.Int(maxPage-1))))
 				if s.VMA.Contains(x.C, symx.K(proc, addr)) {
 					x.C.Abort() // the kernel picks an unused address
 				}
@@ -417,7 +417,7 @@ func opMmap() *spec.Op {
 			if x.C.Branch(anon) {
 				s.VMA.Set(x.C, symx.K(proc, addr), symx.NewStruct(
 					"anon", sym.True, "inum", sym.Int(1), "foff", sym.Int(0), "wr", wr))
-				s.Anon.Set(x.C, symx.K(proc, addr), symx.NewStruct("val", DataZero))
+				s.Anon.Set(x.C, symx.K(proc, addr), symx.NewStruct("val", dataZero))
 				return okRet(sym.Int(0), addr)
 			}
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {

@@ -7,9 +7,9 @@ import (
 	"repro/internal/symx"
 )
 
-// FSOpNames is the fast file-system subset of the op universe (the 9
+// fsOpNames is the fast file-system subset of the op universe (the 9
 // metadata and descriptor calls), the CLI's "-ops fs" selection.
-var FSOpNames = []string{
+var fsOpNames = []string{
 	"open", "link", "unlink", "rename", "stat", "fstat", "lseek", "close", "pipe",
 }
 
@@ -29,14 +29,14 @@ func (posixSpec) Name() string { return "posix" }
 func (posixSpec) Ops() []*spec.Op { return ops }
 
 func (posixSpec) Sets() map[string][]string {
-	return map[string][]string{"fs": FSOpNames}
+	return map[string][]string{"fs": fsOpNames}
 }
 
 // DefaultSet keeps the CLI's historical fast default: the fs subset.
 func (posixSpec) DefaultSet() string { return "fs" }
 
 func (posixSpec) NewState(c *symx.Context, cfg spec.Config) spec.State {
-	return NewState(c)
+	return newState(c)
 }
 
 // Impls binds the spec to the two kernel implementations the paper

@@ -25,32 +25,32 @@ var (
 	DataSort = sym.Uninterpreted("Data")
 )
 
-// DataZero is the distinguished zero-filled page (anonymous mappings read
+// dataZero is the distinguished zero-filled page (anonymous mappings read
 // as zero).
-var DataZero = sym.Const(DataSort, 0)
+var dataZero = sym.Const(DataSort, 0)
 
 // Bounds keep the symbolic integer domains small enough for the finite
 // solver while leaving room for every distinct object a pair of calls can
 // mention (two calls touch at most four names, so four inodes; at most
 // three FDs; and so on).
 const (
-	// MaxInum bounds initial inode numbers: 1..MaxInum.
-	MaxInum = 4
-	// MaxPipe bounds initial pipe ids: 1..MaxPipe.
-	MaxPipe = 2
-	// MaxLen bounds file lengths (in pages).
-	MaxLen = 3
-	// MaxFD bounds the per-process FD table: fds are 0..MaxFD-1.
-	MaxFD = 3
-	// MaxPage bounds virtual address pages: 0..MaxPage-1.
-	MaxPage = 3
+	// maxInum bounds initial inode numbers: 1..maxInum.
+	maxInum = 4
+	// maxPipe bounds initial pipe ids: 1..maxPipe.
+	maxPipe = 2
+	// maxLen bounds file lengths (in pages).
+	maxLen = 3
+	// maxFD bounds the per-process FD table: fds are 0..maxFD-1.
+	maxFD = 3
+	// maxPage bounds virtual address pages: 0..maxPage-1.
+	maxPage = 3
 )
 
-// State is the symbolic POSIX state. Dictionaries are flat with tuple keys
-// (see symx); both permutations of a pair analysis build a State with
+// state is the symbolic POSIX state. Dictionaries are flat with tuple keys
+// (see symx); both permutations of a pair analysis build a state with
 // identical dictionary names so that unconstrained initial content is
 // shared by construction.
-type State struct {
+type state struct {
 	// Fname maps (name) -> {inum}: the single shared directory.
 	Fname *symx.Dict
 	// Inode maps (inum) -> {nlink, len}: a total-function view.
@@ -76,23 +76,23 @@ type State struct {
 	newPipes []*sym.Expr
 }
 
-// NewState builds the symbolic state with unconstrained initial content.
+// newState builds the symbolic state with unconstrained initial content.
 // The MakeVal closures install the model's state invariants via Assume:
 // object ids referenced by initial state are positive and bounded, link
 // counts of referenced inodes are at least one, cursors are ordered.
-func NewState(c *symx.Context) *State {
-	s := &State{}
+func newState(c *symx.Context) *state {
+	s := &state{}
 	s.Fname = symx.NewDict("fname", func(c *symx.Context, tag string) *symx.Struct {
 		inum := c.Var(tag+".inum", sym.IntSort, symx.KindState)
-		c.Assume(sym.And(sym.Ge(inum, sym.Int(1)), sym.Le(inum, sym.Int(MaxInum))))
+		c.Assume(sym.And(sym.Ge(inum, sym.Int(1)), sym.Le(inum, sym.Int(maxInum))))
 		return symx.NewStruct("inum", inum)
 	})
 	s.Inode = symx.NewDict("inode", func(c *symx.Context, tag string) *symx.Struct {
 		nlink := c.Var(tag+".nlink", sym.IntSort, symx.KindState)
 		ln := c.Var(tag+".len", sym.IntSort, symx.KindState)
 		c.Assume(sym.And(
-			sym.Ge(nlink, sym.Int(1)), sym.Le(nlink, sym.Int(MaxInum)),
-			sym.Ge(ln, sym.Int(0)), sym.Le(ln, sym.Int(MaxLen))))
+			sym.Ge(nlink, sym.Int(1)), sym.Le(nlink, sym.Int(maxInum)),
+			sym.Ge(ln, sym.Int(0)), sym.Le(ln, sym.Int(maxLen))))
 		return symx.NewStruct("nlink", nlink, "len", ln)
 	})
 	s.Data = symx.NewDict("data", func(c *symx.Context, tag string) *symx.Struct {
@@ -105,16 +105,16 @@ func NewState(c *symx.Context) *State {
 		pipe := c.Var(tag+".pipe", sym.IntSort, symx.KindState)
 		wend := c.Var(tag+".wend", sym.BoolSort, symx.KindState)
 		c.Assume(sym.And(
-			sym.Ge(inum, sym.Int(1)), sym.Le(inum, sym.Int(MaxInum)),
-			sym.Ge(off, sym.Int(0)), sym.Le(off, sym.Int(MaxLen)),
-			sym.Ge(pipe, sym.Int(1)), sym.Le(pipe, sym.Int(MaxPipe))))
+			sym.Ge(inum, sym.Int(1)), sym.Le(inum, sym.Int(maxInum)),
+			sym.Ge(off, sym.Int(0)), sym.Le(off, sym.Int(maxLen)),
+			sym.Ge(pipe, sym.Int(1)), sym.Le(pipe, sym.Int(maxPipe))))
 		return symx.NewStruct("ispipe", ispipe, "inum", inum, "off", off, "pipe", pipe, "wend", wend)
 	})
 	s.Pipe = symx.NewDict("pipe", func(c *symx.Context, tag string) *symx.Struct {
 		head := c.Var(tag+".head", sym.IntSort, symx.KindState)
 		tail := c.Var(tag+".tail", sym.IntSort, symx.KindState)
 		c.Assume(sym.And(
-			sym.Ge(head, sym.Int(0)), sym.Le(head, tail), sym.Le(tail, sym.Int(MaxLen))))
+			sym.Ge(head, sym.Int(0)), sym.Le(head, tail), sym.Le(tail, sym.Int(maxLen))))
 		return symx.NewStruct("head", head, "tail", tail)
 	})
 	s.PipeD = symx.NewDict("piped", func(c *symx.Context, tag string) *symx.Struct {
@@ -126,8 +126,8 @@ func NewState(c *symx.Context) *State {
 		foff := c.Var(tag+".foff", sym.IntSort, symx.KindState)
 		wr := c.Var(tag+".wr", sym.BoolSort, symx.KindState)
 		c.Assume(sym.And(
-			sym.Ge(inum, sym.Int(1)), sym.Le(inum, sym.Int(MaxInum)),
-			sym.Ge(foff, sym.Int(0)), sym.Le(foff, sym.Int(MaxLen))))
+			sym.Ge(inum, sym.Int(1)), sym.Le(inum, sym.Int(maxInum)),
+			sym.Ge(foff, sym.Int(0)), sym.Le(foff, sym.Int(maxLen))))
 		return symx.NewStruct("anon", anon, "inum", inum, "foff", foff, "wr", wr)
 	})
 	s.Anon = symx.NewDict("anon", func(c *symx.Context, tag string) *symx.Struct {
@@ -141,14 +141,14 @@ func NewState(c *symx.Context) *State {
 // because their invariant closures may probe the inode table; comparing
 // dependents first keeps late materialization from racing the comparison
 // of the tables they reference.
-func (s *State) Dicts() []*symx.Dict {
+func (s *state) Dicts() []*symx.Dict {
 	return []*symx.Dict{s.Fname, s.FD, s.VMA, s.Pipe, s.PipeD, s.Anon, s.Inode, s.Data}
 }
 
-// AllocInum returns a fresh, nondeterministically chosen inode number for
+// allocInum returns a fresh, nondeterministically chosen inode number for
 // slot (an operation instance tag). Allocated numbers are negative —
 // disjoint from all initial inode numbers — and pairwise distinct.
-func (s *State) AllocInum(c *symx.Context, slot string) *sym.Expr {
+func (s *state) allocInum(c *symx.Context, slot string) *sym.Expr {
 	v := c.Var("alloc.inum."+slot, sym.IntSort, symx.KindNondet)
 	c.Assume(sym.Le(v, sym.Int(-1)))
 	for _, prev := range s.newInums {
@@ -158,8 +158,8 @@ func (s *State) AllocInum(c *symx.Context, slot string) *sym.Expr {
 	return v
 }
 
-// AllocPipe returns a fresh nondeterministic pipe id (negative, distinct).
-func (s *State) AllocPipe(c *symx.Context, slot string) *sym.Expr {
+// allocPipe returns a fresh nondeterministic pipe id (negative, distinct).
+func (s *state) allocPipe(c *symx.Context, slot string) *sym.Expr {
 	v := c.Var("alloc.pipe."+slot, sym.IntSort, symx.KindNondet)
 	c.Assume(sym.Le(v, sym.Int(-1)))
 	for _, prev := range s.newPipes {

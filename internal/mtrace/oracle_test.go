@@ -1,8 +1,8 @@
 package mtrace_test
 
 // Differential oracle for the online epoch/bitset conflict detector: the
-// legacy post-hoc scan of the access log (kerneltest.OracleConflicts) is
-// run on randomized multi-core access sequences and must agree with the
+// legacy post-hoc scan of the access log (kerneltest.CheckOnline runs it)
+// is run on randomized multi-core access sequences and must agree with the
 // online verdict and the lazily materialized []Conflict report.
 
 import (

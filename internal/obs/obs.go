@@ -172,19 +172,19 @@ func (f *family) get(vals []string) *series {
 }
 
 // Registry holds metric families and renders them in the Prometheus text
-// exposition format. The zero value is not usable; use NewRegistry (or the
-// process-wide Default).
+// exposition format. The zero value is not usable; use the process-wide
+// Default.
 type Registry struct {
 	mu   sync.RWMutex
 	fams map[string]*family
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{fams: make(map[string]*family)} }
+// newRegistry returns an empty registry.
+func newRegistry() *Registry { return &Registry{fams: make(map[string]*family)} }
 
 // Default is the process-wide registry every pipeline layer records into
 // and `commuter serve` exposes at /metrics.
-var Default = NewRegistry()
+var Default = newRegistry()
 
 // register returns the family, creating it if absent and panicking on a
 // shape mismatch with an existing registration.
@@ -220,13 +220,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 // Gauge returns the unlabeled gauge with the given name.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.register(name, help, typeGauge, nil, nil, nil).get(nil).g
-}
-
-// Histogram returns the unlabeled histogram with the given name; buckets
-// are upper bounds in increasing order (the implicit +Inf bucket is
-// always appended at exposition).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	return r.register(name, help, typeHistogram, nil, buckets, nil).get(nil).h
 }
 
 // CounterFunc registers a counter whose value is read from fn at scrape
@@ -267,7 +260,10 @@ func (v *GaugeVec) With(values ...string) *Gauge { return v.f.get(values).g }
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
 
-// HistogramVec returns the labeled histogram family with the given name.
+// HistogramVec returns the labeled histogram family with the given name;
+// buckets are upper bounds in increasing order (the implicit +Inf bucket
+// is always appended at exposition). With no labels, its one series is an
+// unlabeled histogram.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
 	return &HistogramVec{r.register(name, help, typeHistogram, labels, buckets, nil)}
 }

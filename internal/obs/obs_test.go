@@ -11,13 +11,13 @@ import (
 // a small fixed registry — names, TYPE lines, label rendering, cumulative
 // histogram buckets.
 func TestExposition(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter("test_requests_total", "Total requests.").Add(3)
 	r.Gauge("test_inflight", "In-flight requests.").Set(2)
 	cv := r.CounterVec("test_hits_total", "Hits by tier.", "tier")
 	cv.With("testgen").Add(5)
 	cv.With("check").Inc()
-	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.1, 1})
+	h := r.HistogramVec("test_latency_seconds", "Latency.", []float64{0.1, 1}).With()
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
@@ -58,7 +58,7 @@ test_requests_total 3
 }
 
 func TestHistogramVecLabels(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	hv := r.HistogramVec("test_route_seconds", "Per-route latency.", []float64{1}, "route")
 	hv.With("/v1/sweep").Observe(0.5)
 	hv.With("/v1/sweep").Observe(2)
@@ -82,7 +82,7 @@ func TestHistogramVecLabels(t *testing.T) {
 // the same metric (package-level declarations must not double-count), and
 // a shape change panics.
 func TestIdempotentRegistration(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	a := r.Counter("test_total", "Help.")
 	b := r.Counter("test_total", "Help.")
 	if a != b {
@@ -101,7 +101,7 @@ func TestIdempotentRegistration(t *testing.T) {
 }
 
 func TestLabelEscaping(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.CounterVec("test_esc_total", "Escapes.", "path").With("a\"b\\c\nd").Inc()
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -114,7 +114,7 @@ func TestLabelEscaping(t *testing.T) {
 }
 
 func TestHandler(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.Counter("test_handler_total", "Help.").Inc()
 	rec := httptest.NewRecorder()
 	Handler(r).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -130,7 +130,7 @@ func TestHandler(t *testing.T) {
 // -race CI job turns any unsynchronized access into a failure — and then
 // checks nothing was lost: counters are exact, histogram count/sum agree.
 func TestConcurrentRegistry(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	const workers, iters = 16, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

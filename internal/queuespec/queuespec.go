@@ -34,24 +34,24 @@ import (
 	"repro/internal/symx"
 )
 
-// MsgSort is the uninterpreted sort of message payloads: like the POSIX
+// msgSort is the uninterpreted sort of message payloads: like the POSIX
 // model's page contents, semantics only ever compare them for equality.
-var MsgSort = sym.Uninterpreted("Msg")
+var msgSort = sym.Uninterpreted("Msg")
 
-// MsgZero is the distinguished empty payload filling unused data slots.
-var MsgZero = sym.Const(MsgSort, 0)
+// msgZero is the distinguished empty payload filling unused data slots.
+var msgZero = sym.Const(msgSort, 0)
 
 // Bounds keep the symbolic domains small, like the POSIX model's.
 const (
-	// MaxQLen bounds initial queue backlogs (in messages).
-	MaxQLen = 3
-	// NQueues is the number of per-core queues behind the unordered
+	// maxQLen bounds initial queue backlogs (in messages).
+	maxQLen = 3
+	// nQueues is the number of per-core queues behind the unordered
 	// operations (two is enough: the calls of a pair run on two cores).
-	NQueues = 2
+	nQueues = 2
 )
 
-// State is the symbolic queue state.
-type State struct {
+// state is the symbolic queue state.
+type state struct {
 	// Ord maps (0) -> {head, tail}: the shared ordered queue's cursors
 	// (a total-function view, like the POSIX pipe cursors).
 	Ord *symx.Dict
@@ -66,7 +66,7 @@ type State struct {
 // Dicts returns the dictionaries in comparison order. The cursor
 // dictionaries' invariant closures probe nothing, so any order works;
 // cursors precede content for readability of equivalence formulas.
-func (s *State) Dicts() []*symx.Dict {
+func (s *state) Dicts() []*symx.Dict {
 	return []*symx.Dict{s.Ord, s.AnyQ, s.OrdD, s.AnyD}
 }
 
@@ -74,28 +74,16 @@ func cursorsVal(c *symx.Context, tag string) *symx.Struct {
 	head := c.Var(tag+".head", sym.IntSort, symx.KindState)
 	tail := c.Var(tag+".tail", sym.IntSort, symx.KindState)
 	c.Assume(sym.And(
-		sym.Ge(head, sym.Int(0)), sym.Le(head, tail), sym.Le(tail, sym.Int(MaxQLen))))
+		sym.Ge(head, sym.Int(0)), sym.Le(head, tail), sym.Le(tail, sym.Int(maxQLen))))
 	return symx.NewStruct("head", head, "tail", tail)
 }
 
 func msgVal(c *symx.Context, tag string) *symx.Struct {
-	return symx.NewStruct("val", c.Var(tag+".val", MsgSort, symx.KindState))
-}
-
-// NewState builds the symbolic state with unconstrained initial content:
-// every queue starts with an arbitrary (bounded) backlog of arbitrary
-// messages.
-func NewState(c *symx.Context) *State {
-	return &State{
-		Ord:  symx.NewDict("mq", cursorsVal),
-		OrdD: symx.NewDict("mqd", msgVal),
-		AnyQ: symx.NewDict("anyq", cursorsVal),
-		AnyD: symx.NewDict("anyqd", msgVal),
-	}
+	return symx.NewStruct("val", c.Var(tag+".val", msgSort, symx.KindState))
 }
 
 func errRet(errno int64) []*sym.Expr {
-	return []*sym.Expr{sym.Int(-errno), sym.Int(0), sym.Int(0), sym.Int(0), MsgZero}
+	return []*sym.Expr{sym.Int(-errno), sym.Int(0), sym.Int(0), sym.Int(0), msgZero}
 }
 
 func okRet(code *sym.Expr, i1 *sym.Expr, data *sym.Expr) []*sym.Expr {
@@ -111,7 +99,7 @@ func ordKey() symx.Key { return symx.K(sym.Int(0)) }
 // different queues).
 func pickQueue(c *symx.Context, slot string) *sym.Expr {
 	q := c.Var("anyq.pick."+slot, sym.IntSort, symx.KindNondet)
-	c.Assume(sym.And(sym.Ge(q, sym.Int(0)), sym.Le(q, sym.Int(NQueues-1))))
+	c.Assume(sym.And(sym.Ge(q, sym.Int(0)), sym.Le(q, sym.Int(nQueues-1))))
 	return q
 }
 
@@ -119,12 +107,12 @@ func pickQueue(c *symx.Context, slot string) *sym.Expr {
 // order, built once per process.
 var ops = []*spec.Op{opSend(), opRecv(), opSendAny(), opRecvAny(), opStatus()}
 
-func st(x *spec.Exec) *State { return x.S.(*State) }
+func st(x *spec.Exec) *state { return x.S.(*state) }
 
 func opSend() *spec.Op {
 	return &spec.Op{
 		Name: "send",
-		Args: []spec.ArgSpec{{Name: "val", Sort: MsgSort}},
+		Args: []spec.ArgSpec{{Name: "val", Sort: msgSort}},
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s, val := st(x), a[0]
 			q := s.Ord.GetFunc(x.C, ordKey())
@@ -133,7 +121,7 @@ func opSend() *spec.Op {
 			s.Ord.Set(x.C, ordKey(), q.With("tail", sym.Add(t, sym.Int(1))))
 			// The assigned sequence number is the send's receipt: making
 			// the order observable is what destroys commutativity (§4).
-			return okRet(t, sym.Int(0), MsgZero)
+			return okRet(t, sym.Int(0), msgZero)
 		},
 	}
 }
@@ -159,7 +147,7 @@ func opRecv() *spec.Op {
 func opSendAny() *spec.Op {
 	return &spec.Op{
 		Name: "send_any",
-		Args: []spec.ArgSpec{{Name: "val", Sort: MsgSort}},
+		Args: []spec.ArgSpec{{Name: "val", Sort: msgSort}},
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s, val := st(x), a[0]
 			qi := pickQueue(x.C, slot)
@@ -168,7 +156,7 @@ func opSendAny() *spec.Op {
 			s.AnyD.Set(x.C, symx.K(qi, t), symx.NewStruct("val", val))
 			s.AnyQ.Set(x.C, symx.K(qi), q.With("tail", sym.Add(t, sym.Int(1))))
 			// No receipt: delivery order is deliberately unobservable.
-			return okRet(sym.Int(0), sym.Int(0), MsgZero)
+			return okRet(sym.Int(0), sym.Int(0), msgZero)
 		},
 	}
 }
@@ -199,7 +187,7 @@ func opStatus() *spec.Op {
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s := st(x)
 			q := s.Ord.GetFunc(x.C, ordKey())
-			return okRet(sym.Sub(q.Get("tail"), q.Get("head")), sym.Int(0), MsgZero)
+			return okRet(sym.Sub(q.Get("tail"), q.Get("head")), sym.Int(0), msgZero)
 		},
 	}
 }
@@ -226,8 +214,16 @@ func (queueSpec) Sets() map[string][]string {
 // DefaultSet: the queue universe is tiny, so default to all of it.
 func (queueSpec) DefaultSet() string { return "all" }
 
+// NewState builds the symbolic state with unconstrained initial content:
+// every queue starts with an arbitrary (bounded) backlog of arbitrary
+// messages.
 func (queueSpec) NewState(c *symx.Context, cfg spec.Config) spec.State {
-	return NewState(c)
+	return &state{
+		Ord:  symx.NewDict("mq", cursorsVal),
+		OrdD: symx.NewDict("mqd", msgVal),
+		AnyQ: symx.NewDict("anyq", cursorsVal),
+		AnyD: symx.NewDict("anyqd", msgVal),
+	}
 }
 
 func (queueSpec) Impls() []spec.Impl {
@@ -243,7 +239,7 @@ func (queueSpec) FixupCall(cfg spec.Config, call *kernel.Call) {}
 // implementation renumbers from zero; sequence numbers are relative, so
 // only the backlog's content and order matter).
 func (queueSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
-	sa, sb := a.(*State), b.(*State)
+	sa, sb := a.(*state), b.(*state)
 	ord, ordD := spec.PlanProbes(sa.Ord, sb.Ord), spec.PlanProbes(sa.OrdD, sb.OrdD)
 	anyQ, anyD := spec.PlanProbes(sa.AnyQ, sb.AnyQ), spec.PlanProbes(sa.AnyD, sb.AnyD)
 	return func(m sym.Model) kernel.Setup {
@@ -260,7 +256,7 @@ func (queueSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
 		for _, p := range ordD.Eval(m) {
 			ordVals[p.Key[0]] = p.Field("val")
 		}
-		if items := spec.BacklogItems(ordCursors, ordVals, MaxQLen); len(items) > 0 {
+		if items := spec.BacklogItems(ordCursors, ordVals, maxQLen); len(items) > 0 {
 			s.Queues = append(s.Queues, kernel.SetupQueue{Core: -1, Items: items})
 		}
 
@@ -268,7 +264,7 @@ func (queueSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
 		anyCursors := map[int64]spec.Probe{}
 		for _, p := range anyQ.Eval(m) {
 			qi := p.Key[0]
-			if qi < 0 || qi >= NQueues {
+			if qi < 0 || qi >= nQueues {
 				continue
 			}
 			anyCursors[qi] = p
@@ -281,8 +277,8 @@ func (queueSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
 			}
 			anyVals[qi][seq] = p.Field("val")
 		}
-		for qi := int64(0); qi < NQueues; qi++ {
-			if items := spec.BacklogItems(anyCursors[qi], anyVals[qi], MaxQLen); len(items) > 0 {
+		for qi := int64(0); qi < nQueues; qi++ {
+			if items := spec.BacklogItems(anyCursors[qi], anyVals[qi], maxQLen); len(items) > 0 {
 				s.Queues = append(s.Queues, kernel.SetupQueue{Core: qi, Items: items})
 			}
 		}

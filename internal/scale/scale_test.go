@@ -3,7 +3,6 @@ package scale
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -135,74 +134,6 @@ func TestRadixDisjointKeysConflictFree(t *testing.T) {
 	}
 	if r.Get(0, 0) != 5 {
 		t.Error("radix lost a value")
-	}
-}
-
-func TestRealSharedVsRefcacheSemantics(t *testing.T) {
-	var sc RealSharedCounter
-	rc := NewRealRefcache(8, 10)
-	var wg sync.WaitGroup
-	for slot := 0; slot < 8; slot++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				sc.Inc(1)
-				rc.Inc(s, 1)
-			}
-		}(slot)
-	}
-	wg.Wait()
-	if sc.Read() != 8000 {
-		t.Errorf("shared = %d", sc.Read())
-	}
-	if rc.Read() != 8010 {
-		t.Errorf("refcache = %d", rc.Read())
-	}
-}
-
-func TestRealIDAllocUniqueUnderConcurrency(t *testing.T) {
-	a := NewRealIDAlloc(8)
-	var mu sync.Mutex
-	seen := map[int64]bool{}
-	var wg sync.WaitGroup
-	for slot := 0; slot < 8; slot++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			local := make([]int64, 0, 500)
-			for i := 0; i < 500; i++ {
-				local = append(local, a.Alloc(s))
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			for _, id := range local {
-				if seen[id] {
-					t.Errorf("duplicate id %d", id)
-				}
-				seen[id] = true
-			}
-		}(slot)
-	}
-	wg.Wait()
-}
-
-func TestRealLowestFDRule(t *testing.T) {
-	tbl := NewRealLowestFD(4)
-	if fd := tbl.Alloc(); fd != 0 {
-		t.Errorf("first = %d", fd)
-	}
-	if fd := tbl.Alloc(); fd != 1 {
-		t.Errorf("second = %d", fd)
-	}
-	tbl.Free(0)
-	if fd := tbl.Alloc(); fd != 0 {
-		t.Errorf("after free = %d, want lowest", fd)
-	}
-	tbl.Alloc()
-	tbl.Alloc()
-	if fd := tbl.Alloc(); fd != -1 {
-		t.Errorf("full table = %d, want -1", fd)
 	}
 }
 

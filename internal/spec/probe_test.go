@@ -158,14 +158,18 @@ func TestProbePlanMatchesPerModelWalk(t *testing.T) {
 				for v, is := range present {
 					lits = append(lits, sym.Eq(v, sym.Bool(is)))
 				}
-				m, ok := (&sym.Solver{}).Solve(sym.And(lits...))
-				if !ok {
+				found := false
+				(&sym.Solver{}).EnumerateConjs(lits, func(m sym.Model) bool {
+					check(m)
+					found = true
+					return false
+				})
+				if !found {
 					t.Fatal("no model of a conjunction of literals over distinct variables")
 				}
-				check(m)
 			}
 			n := 0
-			(&sym.Solver{}).Enumerate(path.CommuteCond(), func(m sym.Model) bool {
+			(&sym.Solver{}).EnumerateConjs(sym.Conjuncts(path.CommuteCond()), func(m sym.Model) bool {
 				check(m)
 				n++
 				return n < 16

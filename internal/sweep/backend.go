@@ -58,7 +58,7 @@ const CacheRoutePrefix = "/v1/cache"
 // OpenBackend opens a cache backend from its URL-ish spec:
 //
 //	dir:/path/to/cache   - the on-disk backend (a bare path means the same)
-//	mem:  or  mem:50000  - a bounded in-memory LRU (default DefaultMemEntries)
+//	mem:  or  mem:50000  - a bounded in-memory LRU (default defaultMemEntries)
 //	http://host:port     - a peer `commuter serve -cache ...` instance
 //	fast,slow            - a Tiered stack, fastest first (e.g. "mem:,http://peer")
 //
@@ -93,7 +93,7 @@ func OpenBackend(spec string) (Backend, error) {
 	case strings.HasPrefix(spec, "dir:"):
 		return OpenCache(strings.TrimPrefix(spec, "dir:"))
 	case spec == "mem" || spec == "mem:":
-		return NewMemBackend(DefaultMemEntries), nil
+		return NewMemBackend(defaultMemEntries), nil
 	case strings.HasPrefix(spec, "mem:"):
 		n, err := strconv.Atoi(strings.TrimPrefix(spec, "mem:"))
 		if err != nil || n <= 0 {

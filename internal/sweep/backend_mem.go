@@ -8,12 +8,12 @@ import (
 	"repro/internal/kernel"
 )
 
-// DefaultMemEntries is the MemBackend capacity OpenBackend("mem:") uses.
+// defaultMemEntries is the MemBackend capacity OpenBackend("mem:") uses.
 // Entries are whole tier values (a pair's test set or one kernel cell);
 // 4096 comfortably holds the full 18-op posix matrix for both tiers and
 // both kernels (171 pairs x 3 entries) with room for several specs and
 // option variants.
-const DefaultMemEntries = 4096
+const defaultMemEntries = 4096
 
 // MemBackend is a bounded in-memory LRU cache backend. It exists for two
 // jobs: hermetic tests (no disk), and the fast tier of a Tiered stack
@@ -36,10 +36,10 @@ type memItem struct {
 }
 
 // NewMemBackend returns an empty LRU backend holding at most max entries
-// (<= 0 means DefaultMemEntries).
+// (<= 0 means defaultMemEntries).
 func NewMemBackend(max int) *MemBackend {
 	if max <= 0 {
-		max = DefaultMemEntries
+		max = defaultMemEntries
 	}
 	return &MemBackend{max: max, order: list.New(), items: make(map[string]*list.Element)}
 }

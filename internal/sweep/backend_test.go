@@ -22,8 +22,8 @@ func TestOpenBackendParsing(t *testing.T) {
 	}{
 		{dir, "dir:" + dir},
 		{"dir:" + dir, "dir:" + dir},
-		{"mem", fmt.Sprintf("mem:%d", DefaultMemEntries)},
-		{"mem:", fmt.Sprintf("mem:%d", DefaultMemEntries)},
+		{"mem", fmt.Sprintf("mem:%d", defaultMemEntries)},
+		{"mem:", fmt.Sprintf("mem:%d", defaultMemEntries)},
 		{"mem:16", "mem:16"},
 		{"http://127.0.0.1:9", "http://127.0.0.1:9"},
 		{"https://cache.example", "https://cache.example"},

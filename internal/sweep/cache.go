@@ -117,9 +117,6 @@ type CacheStats struct {
 	CheckMisses   int `json:"check_misses"`
 }
 
-// Hits sums hits across both tiers.
-func (s CacheStats) Hits() int { return s.TestgenHits + s.CheckHits }
-
 // Misses sums misses across both tiers.
 func (s CacheStats) Misses() int { return s.TestgenMisses + s.CheckMisses }
 

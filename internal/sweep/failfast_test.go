@@ -22,16 +22,19 @@ import (
 // errSetup is the injected mid-sweep failure.
 var errSetup = errors.New("injected setup failure")
 
-// flakyKernel delegates to a real kernel but fails Apply once armed — by
-// panicking, the one way a kernel can fail; the Replayer makes it the
-// test's error.
+// flakyKernel delegates to a real kernel but fails every Apply after the
+// first failAfter that its siblings and it made together — by panicking,
+// the one way a kernel can fail; the Replayer makes it the test's error.
+// The count is shared because how many kernels a sweep builds depends on
+// how many of its workers the scheduler lets reach CHECK.
 type flakyKernel struct {
 	kernel.Kernel
-	fail bool
+	applied   *atomic.Int64
+	failAfter int64
 }
 
 func (f *flakyKernel) Apply(s kernel.Setup) {
-	if f.fail {
+	if f.applied.Add(1) > f.failAfter {
 		panic(errSetup)
 	}
 	f.Kernel.Apply(s)
@@ -47,15 +50,12 @@ func TestSweepFailFastCleanShutdown(t *testing.T) {
 		t.Skip("sweep pipeline in -short mode")
 	}
 	ops := testOps(t)
-	const failAfter = 2 // kernel constructions that succeed before failures begin
-	var built atomic.Int64
+	const failAfter = 2 // setups applied, over every kernel, before failures begin
+	var applied atomic.Int64
 	kernels := []KernelSpec{{
 		Name: "flaky",
 		New: func() kernel.Kernel {
-			return &flakyKernel{
-				Kernel: unix.New(unix.Linux),
-				fail:   built.Add(1) > failAfter,
-			}
+			return &flakyKernel{Kernel: unix.New(unix.Linux), applied: &applied, failAfter: failAfter}
 		},
 	}}
 

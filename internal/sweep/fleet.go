@@ -24,7 +24,7 @@
 //     expiry, idempotent completion). Time is injected for tests.
 //   - FleetHub: the coordinator — a keyed collection of tables.
 //   - FleetClient: the worker side of the protocol, implemented in
-//     process (LocalFleet) and over HTTP (NewHTTPFleetClient).
+//     process (localFleet) and over HTTP (NewHTTPFleetClient).
 //   - RunFleet (fleet_run.go): the worker pull loop.
 package sweep
 
@@ -45,17 +45,17 @@ const FleetAPIVersion = 1
 // Fleet coordination routes, served by `commuter serve` next to the cache
 // routes. Versioned like every other endpoint.
 const (
-	FleetRoutePrefix = "/v1/fleet"
-	FleetClaimPath   = FleetRoutePrefix + "/claim"
-	FleetResultPath  = FleetRoutePrefix + "/result"
-	FleetStatusPath  = FleetRoutePrefix + "/status"
+	fleetRoutePrefix = "/v1/fleet"
+	FleetClaimPath   = fleetRoutePrefix + "/claim"
+	FleetResultPath  = fleetRoutePrefix + "/result"
+	FleetStatusPath  = fleetRoutePrefix + "/status"
 )
 
-// DefaultFleetTTL is the lease time-to-live when the coordinator does not
+// defaultFleetTTL is the lease time-to-live when the coordinator does not
 // override it: long enough that no healthy pair (hundreds of ms) expires
 // under its worker even with renewal hiccups, short enough that a dead
 // peer's share is stolen within one human attention span.
-const DefaultFleetTTL = 30 * time.Second
+const defaultFleetTTL = 30 * time.Second
 
 // FleetSweepSpec is the fleet-wide identity of one sweep: the spec, the
 // resolved operation and kernel names (order preserved — it fixes the
@@ -262,7 +262,7 @@ type FleetTable struct {
 // how long an unrenewed lease shields its pair from stealing.
 func NewFleetTable(id string, pairs []string, ttl time.Duration, now func() time.Time) *FleetTable {
 	if ttl <= 0 {
-		ttl = DefaultFleetTTL
+		ttl = defaultFleetTTL
 	}
 	if now == nil {
 		now = time.Now
@@ -477,11 +477,11 @@ type fleetSession struct {
 // table whose workers are long gone.
 const fleetRetain = 10 * time.Minute
 
-// NewFleetHub builds a coordinator. ttl <= 0 means DefaultFleetTTL; nil
+// NewFleetHub builds a coordinator. ttl <= 0 means defaultFleetTTL; nil
 // now means time.Now.
 func NewFleetHub(ttl time.Duration, now func() time.Time) *FleetHub {
 	if ttl <= 0 {
-		ttl = DefaultFleetTTL
+		ttl = defaultFleetTTL
 	}
 	if now == nil {
 		now = time.Now

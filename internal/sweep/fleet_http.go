@@ -20,34 +20,6 @@ type FleetClient interface {
 	Status(ctx context.Context, sw FleetSweepSpec, withResults bool) (FleetStatusResponse, error)
 }
 
-// LocalFleet binds a FleetClient directly to an in-process hub — the
-// coordinator talking to its own table without a network hop, and the
-// deterministic harness the fleet tests drive.
-func LocalFleet(h *FleetHub) FleetClient { return hubFleetClient{h} }
-
-type hubFleetClient struct{ h *FleetHub }
-
-func (c hubFleetClient) Claim(ctx context.Context, req FleetClaimRequest) (FleetClaimResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return FleetClaimResponse{}, err
-	}
-	return c.h.Claim(req)
-}
-
-func (c hubFleetClient) Report(ctx context.Context, req FleetResultRequest) (FleetResultResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return FleetResultResponse{}, err
-	}
-	return c.h.Report(req)
-}
-
-func (c hubFleetClient) Status(ctx context.Context, sw FleetSweepSpec, withResults bool) (FleetStatusResponse, error) {
-	if err := ctx.Err(); err != nil {
-		return FleetStatusResponse{}, err
-	}
-	return c.h.Status(sw, withResults)
-}
-
 // httpFleetClient speaks the fleet routes of a coordinator `commuter
 // serve` instance.
 type httpFleetClient struct{ coord *transport.Client }

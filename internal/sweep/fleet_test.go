@@ -256,7 +256,7 @@ func TestSweepRejectsCallerSolver(t *testing.T) {
 		if res, err := RunContext(context.Background(), cfg); err == nil || res != nil {
 			t.Errorf("%s solver: RunContext returned %v, %v; want an error", name, res, err)
 		}
-		fc := newCountingFleet(LocalFleet(NewFleetHub(0, nil)))
+		fc := newCountingFleet(localFleet(NewFleetHub(0, nil)))
 		if res, err := RunFleet(context.Background(), cfg, fc); err == nil || res != nil {
 			t.Errorf("%s solver: RunFleet returned %v, %v; want an error", name, res, err)
 		}
@@ -278,7 +278,7 @@ func TestRunFleetMatchesRunContext(t *testing.T) {
 	want := stripTiming(mustRun(t, Config{Ops: ops, Kernels: kernels, Workers: 2}).Pairs)
 
 	hub := NewFleetHub(0, nil)
-	counting := newCountingFleet(LocalFleet(hub))
+	counting := newCountingFleet(localFleet(hub))
 	var wg sync.WaitGroup
 	results := make([]*Result, 2)
 	errs := make([]error, 2)
@@ -354,20 +354,20 @@ func TestRunFleetCancelRequeues(t *testing.T) {
 	hub := NewFleetHub(0, nil)
 	actx, acancel := context.WithCancel(context.Background())
 	defer acancel()
-	fcA := &cancelAfterClaim{FleetClient: LocalFleet(hub), cancel: acancel}
+	fcA := &cancelAfterClaim{FleetClient: localFleet(hub), cancel: acancel}
 	_, errA := RunFleet(actx, Config{Ops: ops, Kernels: kernels, Workers: 2, FleetWorker: "doomed"}, fcA)
 	if errA == nil {
 		t.Fatal("canceled worker returned no error")
 	}
 
-	res, err := RunFleet(context.Background(), Config{Ops: ops, Kernels: kernels, Workers: 2, FleetWorker: "survivor"}, LocalFleet(hub))
+	res, err := RunFleet(context.Background(), Config{Ops: ops, Kernels: kernels, Workers: 2, FleetWorker: "survivor"}, localFleet(hub))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := stripTiming(res.Pairs); !reflect.DeepEqual(got, want) {
 		t.Errorf("matrix after mid-sweep cancellation diverges (truncated?)\ngot  %+v\nwant %+v", got, want)
 	}
-	st, err := LocalFleet(hub).Status(context.Background(), FleetSpec(mustSpec(t), Config{Ops: ops, Kernels: kernels}), false)
+	st, err := localFleet(hub).Status(context.Background(), FleetSpec(mustSpec(t), Config{Ops: ops, Kernels: kernels}), false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,16 +413,16 @@ func TestRunFleetSlowPeerTailFinish(t *testing.T) {
 		t.Fatalf("slow peer claimed %d leases, want 2", len(dead.Leases))
 	}
 	// Its leases expire in fake time before the fast worker ever polls.
-	clk.Advance(DefaultFleetTTL + time.Second)
+	clk.Advance(defaultFleetTTL + time.Second)
 
-	res, err := RunFleet(context.Background(), cfg, LocalFleet(hub))
+	res, err := RunFleet(context.Background(), cfg, localFleet(hub))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := stripTiming(res.Pairs); !reflect.DeepEqual(got, want) {
 		t.Errorf("matrix with a dead peer diverges\ngot  %+v\nwant %+v", got, want)
 	}
-	st, err := LocalFleet(hub).Status(context.Background(), fspec, false)
+	st, err := localFleet(hub).Status(context.Background(), fspec, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,11 +441,11 @@ func TestFleetHubLateJoiner(t *testing.T) {
 	ops, kernels := testOps(t), testKernels()
 	hub := NewFleetHub(0, nil)
 	cfg := Config{Ops: ops, Kernels: kernels, Workers: 2, FleetWorker: "first"}
-	first, err := RunFleet(context.Background(), cfg, LocalFleet(hub))
+	first, err := RunFleet(context.Background(), cfg, localFleet(hub))
 	if err != nil {
 		t.Fatal(err)
 	}
-	counting := newCountingFleet(LocalFleet(hub))
+	counting := newCountingFleet(localFleet(hub))
 	cfg.FleetWorker = "late"
 	late, err := RunFleet(context.Background(), cfg, counting)
 	if err != nil {
@@ -504,7 +504,7 @@ func TestFleetMetricSeriesBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := Config{Spec: kvspec.Spec, Ops: ops, Kernels: []KernelSpec{implSpec(kvspec.Spec, t)}, Workers: 2}
-		res, err := RunFleet(context.Background(), cfg, LocalFleet(hub))
+		res, err := RunFleet(context.Background(), cfg, localFleet(hub))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -559,4 +559,31 @@ func TestFleetHubRefusesUncheckedSweep(t *testing.T) {
 			t.Errorf("%s: status after the refused claim: %v, want unknown sweep", tc.name, err)
 		}
 	}
+}
+
+// localFleet binds a FleetClient directly to an in-process hub: the
+// deterministic harness the fleet tests drive, with no network hop.
+func localFleet(h *FleetHub) FleetClient { return hubFleetClient{h} }
+
+type hubFleetClient struct{ h *FleetHub }
+
+func (c hubFleetClient) Claim(ctx context.Context, req FleetClaimRequest) (FleetClaimResponse, error) {
+	if err := ctx.Err(); err != nil {
+		return FleetClaimResponse{}, err
+	}
+	return c.h.Claim(req)
+}
+
+func (c hubFleetClient) Report(ctx context.Context, req FleetResultRequest) (FleetResultResponse, error) {
+	if err := ctx.Err(); err != nil {
+		return FleetResultResponse{}, err
+	}
+	return c.h.Report(req)
+}
+
+func (c hubFleetClient) Status(ctx context.Context, sw FleetSweepSpec, withResults bool) (FleetStatusResponse, error) {
+	if err := ctx.Err(); err != nil {
+		return FleetStatusResponse{}, err
+	}
+	return c.h.Status(sw, withResults)
 }

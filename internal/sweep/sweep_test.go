@@ -446,7 +446,7 @@ func TestWorkersBoundExecutingKernels(t *testing.T) {
 	drivers := map[string]func(Config) (*Result, error){
 		"RunContext": runSweep,
 		"RunFleet": func(cfg Config) (*Result, error) {
-			return RunFleet(context.Background(), cfg, LocalFleet(NewFleetHub(0, nil)))
+			return RunFleet(context.Background(), cfg, localFleet(NewFleetHub(0, nil)))
 		},
 	}
 	for name, drive := range drivers {

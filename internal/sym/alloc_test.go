@@ -44,13 +44,13 @@ func TestConstructorHitAllocatesNothing(t *testing.T) {
 		{"Ite", func() *Expr { return Ite(p, x, y) }},
 		{"Implies", func() *Expr { return Implies(p, q) }},
 		{"And/2", func() *Expr { return And(p, q) }},
-		{"Or/2", func() *Expr { return Or(p, q) }},
+		{"Or/2", func() *Expr { return or(p, q) }},
 		{"And/16", func() *Expr { return And(wide[:16]...) }},
-		{"Or/16", func() *Expr { return Or(wide[:16]...) }},
+		{"Or/16", func() *Expr { return or(wide[:16]...) }},
 		{"And/nested", func() *Expr { return And(lo, True, hi, wide[3]) }},
 		{"And/17", func() *Expr { return And(wide[:17]...) }},
 		{"And/128", func() *Expr { return And(wide[:]...) }},
-		{"Or/128", func() *Expr { return Or(wide[:]...) }},
+		{"Or/128", func() *Expr { return or(wide[:]...) }},
 		{"And/nested128", func() *Expr { return And(loW, True, hiW, wide[3]) }},
 		{"And/duplicates", func() *Expr { return And(dups...) }},
 	}
@@ -212,7 +212,7 @@ func FuzzAndFlattensLikeNesting(f *testing.F) {
 			case k == 6 && depth > 0:
 				e = And(elem(depth-1), elem(depth-1), elem(depth-1))
 			case k == 7 && depth > 0:
-				e = Or(elem(depth-1), elem(depth-1))
+				e = or(elem(depth-1), elem(depth-1))
 			case k == 8:
 				e = Var(fmt.Sprintf("fzw%d", r.Intn(192)), BoolSort) // many variables
 			default:
@@ -238,7 +238,7 @@ func FuzzAndFlattensLikeNesting(f *testing.F) {
 			name string
 			op   func(...*Expr) *Expr
 			code Op
-		}{{"And", And, OpAnd}, {"Or", Or, OpOr}} {
+		}{{"And", And, OpAnd}, {"Or", or, OpOr}} {
 			nested := c.op(c.op(xs...), c.op(ys...))
 			flat := c.op(slices.Concat(xs, ys)...)
 			if nested != flat {
@@ -262,7 +262,7 @@ func FuzzAndFlattensLikeNesting(f *testing.F) {
 			case e == nil || e.Op == OpAnd:
 				got = And(args...)
 			case e.Op == OpOr:
-				got = Or(args...)
+				got = or(args...)
 			default:
 				continue // a fixed-arity constructor takes no slice of the caller's
 			}

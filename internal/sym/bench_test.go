@@ -28,7 +28,7 @@ func pcLike(n int) *Expr {
 		pc = And(pc,
 			Ne(k, o),
 			Ge(x, Int(0)), Le(x, Int(3)),
-			Or(Eq(k, Const(fn, int64(i%4))), Lt(x, Int(2))))
+			or(Eq(k, Const(fn, int64(i%4))), Lt(x, Int(2))))
 	}
 	return pc
 }

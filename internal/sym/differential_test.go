@@ -66,7 +66,7 @@ func (g *exprGen) boolTerm(depth int) *Expr {
 	case 1:
 		return And(g.boolTerm(depth-1), g.boolTerm(depth-1))
 	case 2:
-		return Or(g.boolTerm(depth-1), g.boolTerm(depth-1))
+		return or(g.boolTerm(depth-1), g.boolTerm(depth-1))
 	case 3:
 		return Le(g.intTerm(1), g.intTerm(1))
 	case 4:
@@ -133,7 +133,7 @@ func TestSolverAgainstBruteForce(t *testing.T) {
 		// Models returned must actually satisfy the formula, under the
 		// reference evaluator and under the model's own.
 		if got {
-			m, ok := s.Solve(e)
+			m, ok := solve(&s, e)
 			if !ok {
 				t.Fatalf("trial %d: Sat true but Solve failed", trial)
 			}
@@ -173,7 +173,7 @@ func TestSatAssumingAgainstDirect(t *testing.T) {
 // queries — over changing sets of variables, sorts and constants, through
 // every entry point, every fifth one a repeat of an earlier query —
 // agrees query by query with a fresh Solver per query, on the answer, on
-// Budget() and, for Enumerate, on the sequence of models.
+// Budget() and, for EnumerateConjs, on the sequence of models.
 func TestSharedSolverMatchesFreshPerQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	g := newGen(r)
@@ -211,13 +211,13 @@ func TestSharedSolverMatchesFreshPerQuery(t *testing.T) {
 			s.MaxSteps, s.Stop = q.maxSteps, q.stop
 			switch q.entry {
 			case 0:
-				m, ok := s.Solve(q.e)
+				m, ok := solve(s, q.e)
 				return fmt.Sprint(ok, byName(m, q.e.vars)), s.Budget()
 			case 1:
 				return fmt.Sprint(s.SatAssuming(q.e, q.extra)), s.Budget()
 			default:
 				var models []string
-				s.Enumerate(q.e, func(m Model) bool {
+				s.EnumerateConjs(Conjuncts(q.e), func(m Model) bool {
 					models = append(models, fmt.Sprint(byName(m, q.e.vars)))
 					return len(models) < 4
 				})

@@ -229,9 +229,9 @@ func Not(a *Expr) *Expr {
 // is: callers may collect conjuncts flat and conjoin them once.
 func And(args ...*Expr) *Expr { return junction(OpAnd, True, args) }
 
-// Or returns the disjunction of args, flattened, deduplicated and
+// or returns the disjunction of args, flattened, deduplicated and
 // simplified, preserving first-occurrence order like And.
-func Or(args ...*Expr) *Expr { return junction(OpOr, False, args) }
+func or(args ...*Expr) *Expr { return junction(OpOr, False, args) }
 
 // junction builds the connective op over args: nested op nodes spliced in,
 // unit (the identity) dropped, its negation absorbing everything. Up to
@@ -321,7 +321,7 @@ func dedup(args []*Expr) []*Expr {
 }
 
 // Implies returns a → b.
-func Implies(a, b *Expr) *Expr { return Or(Not(a), b) }
+func Implies(a, b *Expr) *Expr { return or(Not(a), b) }
 
 // Eq returns a == b; the operands must share a sort.
 func Eq(a, b *Expr) *Expr {
@@ -462,7 +462,7 @@ func Ite(cond, a, b *Expr) *Expr {
 	if a.Sort.Kind == KindBool {
 		// Encode boolean ITE with connectives so the solver's
 		// propagation sees through it.
-		return Or(And(cond, a), And(Not(cond), b))
+		return or(And(cond, a), And(Not(cond), b))
 	}
 	return intern(OpIte, a.Sort, 0, false, "", []*Expr{cond, a, b})
 }

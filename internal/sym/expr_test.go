@@ -38,8 +38,8 @@ func TestConstFolding(t *testing.T) {
 		{Not(Not(Var("p", BoolSort))), Var("p", BoolSort)},
 		{And(True, True), True},
 		{And(True, False), False},
-		{Or(False, False), False},
-		{Or(True, False), True},
+		{or(False, False), False},
+		{or(True, False), True},
 		{Ite(True, Int(1), Int(2)), Int(1)},
 		{Ite(False, Int(1), Int(2)), Int(2)},
 	}
@@ -74,7 +74,7 @@ func TestSimplifyIdentities(t *testing.T) {
 	if got := And(p, p); got != p {
 		t.Errorf("p&&p = %v", got)
 	}
-	if got := Or(p, p); got != p {
+	if got := or(p, p); got != p {
 		t.Errorf("p||p = %v", got)
 	}
 	if got := Ite(p, x, x); got != x {
@@ -88,7 +88,7 @@ func TestAndOrFlatten(t *testing.T) {
 	if e.Op != OpAnd || len(e.Args) != 3 {
 		t.Errorf("nested And not flattened: %v", e)
 	}
-	e = Or(Or(p, q), r)
+	e = or(or(p, q), r)
 	if e.Op != OpOr || len(e.Args) != 3 {
 		t.Errorf("nested Or not flattened: %v", e)
 	}

@@ -21,7 +21,7 @@ func TestInterningPointerEquality(t *testing.T) {
 		{Not(Eq(x, y)), Not(Eq(x, y))},
 		{Eq(x, y), Eq(y, x)}, // canonical argument order
 		{And(Lt(x, y), Le(y, Int(2))), And(Lt(x, y), Le(y, Int(2)))},
-		{Or(Eq(x, y), Lt(x, y)), Or(Eq(x, y), Lt(x, y))},
+		{or(Eq(x, y), Lt(x, y)), or(Eq(x, y), Lt(x, y))},
 		{Add(x, y), Add(x, y)},
 		{Ite(Lt(x, y), x, y), Ite(Lt(x, y), x, y)},
 	}

@@ -162,7 +162,7 @@ func TestMemoKeepsTruncationDistinct(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		vars = append(vars, Var("trunc"+string(rune('a'+i)), BoolSort))
 	}
-	conjs := []*Expr{Or(vars[1], vars[2])}
+	conjs := []*Expr{or(vars[1], vars[2])}
 	extra := And(vars...) // false is tried first: two steps a level
 
 	s := Solver{MaxSteps: 5}
@@ -223,7 +223,7 @@ func TestBackjumpingEscapesThrash(t *testing.T) {
 	conjs = append(conjs, Lt(z, x), Ge(z, Int(2))) // only x = 3, z = 2
 
 	var s Solver
-	m, ok := s.Solve(And(conjs...))
+	m, ok := solve(&s, And(conjs...))
 	if !ok || m.Int(x, 0) != 3 || m.Int(z, 0) != 2 {
 		t.Fatalf("Solve = %v, %v; want x = 3, z = 2", byName(m, []*Expr{x, z}), ok)
 	}
@@ -242,7 +242,7 @@ func TestBackjumpingEscapesThrash(t *testing.T) {
 		wide = append(wide, Var("thrash.b"+string(rune('0'+i)), BoolSort))
 	}
 	wide = append(wide, Lt(z, x), Ge(z, Int(2)))
-	if m, ok := s.Solve(And(wide...)); !ok || m.Int(x, 0) != 3 || len(s.doms) != 72 || s.steps > 1000 {
+	if m, ok := solve(&s, And(wide...)); !ok || m.Int(x, 0) != 3 || len(s.doms) != 72 || s.steps > 1000 {
 		t.Errorf("72 variables: ok=%v x=%v after %d steps; want x = 3 within 1000", ok, m.Int(x, 0), s.steps)
 	}
 }

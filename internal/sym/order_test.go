@@ -101,7 +101,7 @@ func (g *orderGen) bool(depth int) *Expr {
 	case k == 4 && depth > 0:
 		e = And(g.bool(depth-1), g.bool(depth-1))
 	case k == 5 && depth > 0:
-		e = Or(g.bool(depth-1), g.bool(depth-1))
+		e = or(g.bool(depth-1), g.bool(depth-1))
 	case k == 6 && depth > 0:
 		e = Eq(g.int(depth-1), g.int(depth-1))
 	case k == 7 && depth > 0:

@@ -69,7 +69,7 @@ func modelOf(vars []*Expr, vals ...int64) Model {
 			conj[i] = Eq(v, Const(v.Sort, vals[i]))
 		}
 	}
-	m, ok := (&Solver{}).Solve(And(conj...))
+	m, ok := solve(&Solver{}, And(conj...))
 	if !ok {
 		panic("sym: no model of a conjunction of bindings")
 	}

@@ -10,10 +10,9 @@ import (
 // variable id — a boolean as 0 or 1, an element of an uninterpreted sort as
 // its id, an integer as itself — and a flag per id saying whether the
 // variable is bound. It is the assignment the search itself fills, not a
-// copy of it: the Model an Enumerate leaf receives binds exactly the
+// copy of it: the Model an EnumerateConjs leaf receives binds exactly the
 // formula's variables and is valid until the leaf returns, after which the
-// search rebinds it. Solve returns a detached copy. The zero Model binds
-// nothing.
+// search rebinds it. The zero Model binds nothing.
 type Model struct {
 	vals []int64
 	set  []bool
@@ -165,7 +164,7 @@ func evalIntIdx(e *Expr, a *Model) (res int64, known bool) {
 //
 // There is one evaluator (evalBoolIdx, evalIntIdx) and one value word: the
 // search binds int64s in a Model, prunes by evaluating conjuncts under it,
-// and hands that same Model to an Enumerate leaf, which reads it through
+// and hands that same Model to an EnumerateConjs leaf, which reads it through
 // the same evaluator.
 //
 // A Solver owns the scratch its searches work in — the assignment,
@@ -175,7 +174,7 @@ func evalIntIdx(e *Expr, a *Model) (res int64, known bool) {
 // a sweep worker's solver serves, over all the pairs it runs, costs one set
 // of buffers, sized once to the variables interned so far. It follows that
 // a Solver is not safe for concurrent use, and not for re-entrant use
-// either (starting another search from inside an Enumerate callback): a
+// either (starting another search from inside an EnumerateConjs callback): a
 // second search would overwrite the first one's domains, and panics
 // instead. Use separate Solver values for nested or parallel searches.
 //
@@ -187,7 +186,7 @@ func evalIntIdx(e *Expr, a *Model) (res int64, known bool) {
 // long as the worker.
 type Solver struct {
 	// MaxSteps bounds the backtracking search (default 5,000,000 node
-	// visits). When the budget is exhausted, Solve/Sat report
+	// visits). When the budget is exhausted, Sat and its kin report
 	// unsatisfiable and Budget reports true: the result is "unknown", and
 	// callers that treat it as a definite "no" under-approximate.
 	MaxSteps int
@@ -238,7 +237,7 @@ type Solver struct {
 // pair that caused it.
 type SolverStats struct {
 	// SatCalls counts backtracking searches started (every public
-	// entry point — Solve, Sat, Enumerate, SatAssuming — funnels into
+	// entry point — Sat, EnumerateConjs, SatAssuming — funnels into
 	// exactly one search; syntactic short-circuits that avoid the search
 	// entirely are not counted).
 	SatCalls int64
@@ -260,7 +259,7 @@ func (s *Solver) Stats() SolverStats { return s.stats }
 // hits, as a fresh one would.
 func (s *Solver) Forget() { clear(s.memo) }
 
-// Budget reports whether the previous Solve/Sat/Enumerate/SatAssuming call
+// Budget reports whether the previous Sat/EnumerateConjs/SatAssuming call
 // ran out of steps before exhausting the search space — i.e. whether an
 // unsatisfiable answer from that call is actually "unknown". A search
 // interrupted by the Stop hook reports the same way: its negative answer
@@ -411,33 +410,19 @@ func (s *Solver) domains(conjs []*Expr) []domain {
 // boolVals is the shared candidate domain of every boolean variable.
 var boolVals = []int64{0, 1}
 
-// Solve returns a model of e, detached from the search that found it, or
-// ok=false if e is unsatisfiable over the finite candidate domains (or the
-// step budget was exceeded; see Budget).
-func (s *Solver) Solve(e *Expr) (found Model, ok bool) {
-	s.Enumerate(e, func(m Model) bool {
-		found, ok = Model{vals: slices.Clone(m.vals), set: slices.Clone(m.set)}, true
-		return false // stop at first model
-	})
-	return found, ok
-}
-
 // Sat reports whether e is satisfiable over the finite candidate domains.
 func (s *Solver) Sat(e *Expr) bool { return s.search(Conjuncts(e), nil) }
 
-// Enumerate invokes cb for each model of e, in the order chronological
-// enumeration of the candidate domains gives, until cb returns false or
-// the space is exhausted. The Model is the search's assignment itself, so
-// a model costs nothing to hand over: it is valid until cb returns, and
-// what cb wants to keep it reads out (Int, Bool) before then.
-func (s *Solver) Enumerate(e *Expr, cb func(Model) bool) { s.search(Conjuncts(e), cb) }
-
-// EnumerateConjs is Enumerate over the conjunction of conjs, without
-// building it. The list may repeat a conjunct: a copy is decided at the
-// same level as its first occurrence and prunes what that one pruned, and
-// variable order and candidate domains come from first occurrences, so the
-// models and their order are Enumerate's of the conjunction. conjs is only
-// read, and only during the call.
+// EnumerateConjs invokes cb for each model of the conjunction of conjs,
+// without building it, in the order chronological enumeration of the
+// candidate domains gives, until cb returns false or the space is
+// exhausted. The Model is the search's assignment itself, so a model costs
+// nothing to hand over: it is valid until cb returns, and what cb wants to
+// keep it reads out (Int, Bool) before then. The list may repeat a
+// conjunct: a copy is decided at the same level as its first occurrence
+// and prunes what that one pruned, and variable order and candidate
+// domains come from first occurrences, so the models and their order are
+// those of the conjunction. conjs is only read, and only during the call.
 func (s *Solver) EnumerateConjs(conjs []*Expr, cb func(Model) bool) { s.search(conjs, cb) }
 
 // search is the one backtracking search behind every entry point. It

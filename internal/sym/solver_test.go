@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -10,7 +11,7 @@ func TestSolveSimpleEquality(t *testing.T) {
 	a, b := Var("a", fn), Var("b", fn)
 	var s Solver
 
-	m, ok := s.Solve(Eq(a, b))
+	m, ok := solve(&s, Eq(a, b))
 	if !ok {
 		t.Fatal("a==b should be satisfiable")
 	}
@@ -18,7 +19,7 @@ func TestSolveSimpleEquality(t *testing.T) {
 		t.Errorf("model does not satisfy a==b: %v", byName(m, []*Expr{a, b}))
 	}
 
-	m, ok = s.Solve(Ne(a, b))
+	m, ok = solve(&s, Ne(a, b))
 	if !ok {
 		t.Fatal("a!=b should be satisfiable")
 	}
@@ -35,7 +36,7 @@ func TestSolveIntArithmetic(t *testing.T) {
 	x, y := Var("x", IntSort), Var("y", IntSort)
 	var s Solver
 	e := And(Eq(Add(x, y), Int(3)), Lt(x, y), Ge(x, Int(0)))
-	m, ok := s.Solve(e)
+	m, ok := solve(&s, e)
 	if !ok {
 		t.Fatal("x+y=3, x<y, x>=0 should be satisfiable")
 	}
@@ -55,7 +56,7 @@ func TestSolveUnsatArithmetic(t *testing.T) {
 func TestValid(t *testing.T) {
 	p := Var("p", BoolSort)
 	var s Solver
-	if s.Sat(Not(Or(p, Not(p)))) {
+	if s.Sat(Not(or(p, Not(p)))) {
 		t.Error("p || !p should be valid: its negation is unsatisfiable")
 	}
 	if !s.Sat(Not(p)) {
@@ -67,7 +68,7 @@ func TestEnumerateCountsBooleans(t *testing.T) {
 	p, q := Var("p", BoolSort), Var("q", BoolSort)
 	var s Solver
 	n := 0
-	s.Enumerate(Or(p, q), func(Model) bool { n++; return true })
+	s.EnumerateConjs(Conjuncts(or(p, q)), func(Model) bool { n++; return true })
 	if n != 3 {
 		t.Errorf("p||q has 3 models over booleans, enumerated %d", n)
 	}
@@ -77,7 +78,7 @@ func TestEnumerateEarlyStop(t *testing.T) {
 	p, q := Var("p", BoolSort), Var("q", BoolSort)
 	var s Solver
 	n := 0
-	s.Enumerate(Or(p, q), func(Model) bool { n++; return n < 2 })
+	s.EnumerateConjs(Conjuncts(or(p, q)), func(Model) bool { n++; return n < 2 })
 	if n != 2 {
 		t.Errorf("enumeration should stop after 2 callbacks, got %d", n)
 	}
@@ -90,7 +91,7 @@ func TestSmallModelPropertyDomains(t *testing.T) {
 	a, b, c := Var("a", fn), Var("b", fn), Var("c", fn)
 	var s Solver
 	e := And(Ne(a, b), Ne(b, c), Ne(a, c))
-	m, ok := s.Solve(e)
+	m, ok := solve(&s, e)
 	if !ok {
 		t.Fatal("three distinct names should be satisfiable")
 	}
@@ -104,7 +105,7 @@ func TestSolveWithUninterpretedConstants(t *testing.T) {
 	a := Var("a", fn)
 	var s Solver
 	e := And(Ne(a, Const(fn, 0)), Ne(a, Const(fn, 1)))
-	m, ok := s.Solve(e)
+	m, ok := solve(&s, e)
 	if !ok {
 		t.Fatal("a distinct from two constants should be satisfiable")
 	}
@@ -119,7 +120,7 @@ func TestIteSolving(t *testing.T) {
 	var s Solver
 	// ite(p, 1, 2) == x && p  forces x == 1.
 	e := And(Eq(Ite(p, Int(1), Int(2)), x), p)
-	m, ok := s.Solve(e)
+	m, ok := solve(&s, e)
 	if !ok {
 		t.Fatal("should be satisfiable")
 	}
@@ -168,7 +169,7 @@ func TestQuickSolveModelsSatisfy(t *testing.T) {
 		}
 		e := And(conj...)
 		var s Solver
-		m, ok := s.Solve(e)
+		m, ok := solve(&s, e)
 		if !ok {
 			return true // unsat is acceptable for some combinations
 		}
@@ -177,4 +178,14 @@ func TestQuickSolveModelsSatisfy(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// solve returns a model of e detached from the search that found it (a
+// leaf's Model is the search's own assignment), or ok=false if e has none.
+func solve(s *Solver, e *Expr) (found Model, ok bool) {
+	s.EnumerateConjs(Conjuncts(e), func(m Model) bool {
+		found, ok = Model{vals: slices.Clone(m.vals), set: slices.Clone(m.set)}, true
+		return false // stop at the first model
+	})
+	return found, ok
 }

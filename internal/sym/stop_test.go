@@ -34,7 +34,7 @@ func TestSolverStopHook(t *testing.T) {
 	// (else the stopped run below proves nothing) and finish within the
 	// default budget, reporting a definitive unsat.
 	base := Solver{}
-	if _, ok := base.Solve(e); ok {
+	if _, ok := solve(&base, e); ok {
 		t.Fatal("pigeonhole formula is satisfiable; test formula needs adjusting")
 	}
 	if base.Budget() {
@@ -46,7 +46,7 @@ func TestSolverStopHook(t *testing.T) {
 
 	polls := 0
 	s := Solver{Stop: func() bool { polls++; return true }}
-	if _, ok := s.Solve(e); ok {
+	if _, ok := solve(&s, e); ok {
 		t.Error("stopped search returned a model of an unsatisfiable formula")
 	}
 	if !s.Budget() {
@@ -62,7 +62,7 @@ func TestSolverStopHook(t *testing.T) {
 	// A hook that never fires must not perturb the verdict or mark the
 	// result as truncated.
 	s2 := Solver{Stop: func() bool { return false }}
-	if _, ok := s2.Solve(e); ok {
+	if _, ok := solve(&s2, e); ok {
 		t.Error("non-firing Stop hook changed the verdict")
 	}
 	if s2.Budget() {

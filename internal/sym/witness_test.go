@@ -88,7 +88,7 @@ func universePatterns(e *Expr) map[string]bool {
 	return out
 }
 
-// FuzzEnumerateWitnesses holds every Model an Enumerate leaf receives, on
+// FuzzEnumerateWitnesses holds every Model an EnumerateConjs leaf receives, on
 // exprGen's DAGs, to code the search shares nothing with: a by-name copy of
 // it binds exactly the formula's variables and satisfies every conjunct
 // under partialEval (and the Model's own evaluator agrees); the leaf sees
@@ -111,7 +111,7 @@ func FuzzEnumerateWitnesses(f *testing.F) {
 		conjs := Conjuncts(e)
 		var s Solver
 		var got []refModel
-		s.Enumerate(e, func(m Model) bool {
+		s.EnumerateConjs(Conjuncts(e), func(m Model) bool {
 			ref := byName(m, e.vars)
 			if len(ref) != len(e.vars) {
 				t.Fatalf("leaf model binds %v of the variables of %v", ref, e)
@@ -129,7 +129,7 @@ func FuzzEnumerateWitnesses(f *testing.F) {
 			t.Fatalf("budget exhausted on %v", e)
 		}
 		if want, ok := chronological(conjs, 1<<14); ok && !slices.EqualFunc(got, want, maps.Equal[refModel, refModel]) {
-			t.Fatalf("Enumerate's models differ from chronological enumeration's\n got: %v\nwant: %v\nformula: %v", got, want, e)
+			t.Fatalf("EnumerateConjs' models differ from chronological enumeration's\n got: %v\nwant: %v\nformula: %v", got, want, e)
 		}
 		if !hasIntVar(e) {
 			found := map[string]bool{}
@@ -137,7 +137,7 @@ func FuzzEnumerateWitnesses(f *testing.F) {
 				found[pattern(m, e.vars)] = true
 			}
 			if want := universePatterns(e); !maps.Equal(found, want) {
-				t.Fatalf("Enumerate's models, up to renaming: %v\nbrute force over the universe: %v\nformula: %v", found, want, e)
+				t.Fatalf("EnumerateConjs' models, up to renaming: %v\nbrute force over the universe: %v\nformula: %v", found, want, e)
 			}
 		}
 	})
@@ -146,7 +146,7 @@ func FuzzEnumerateWitnesses(f *testing.F) {
 // TestEnumerateConjsIgnoresRepeats pins what enumerating a conjunction as
 // the concatenation of two conjunct lists (TESTGEN's PC ∧ Eq) relies on: a
 // copy of any conjunct, placed anywhere after it, leaves the models
-// Enumerate hands its leaf as they were, in the same order, and the search
+// EnumerateConjs hands its leaf as they were, in the same order, and the search
 // takes the same steps — a step budget cuts it off at the same model.
 func TestEnumerateConjsIgnoresRepeats(t *testing.T) {
 	g := newGen(rand.New(rand.NewSource(17)))
@@ -167,7 +167,7 @@ func TestEnumerateConjsIgnoresRepeats(t *testing.T) {
 			})
 			return fmt.Sprint(out, " budget ", s.Budget())
 		}
-		want := models(func(leaf func(Model) bool) { s.Enumerate(e, leaf) })
+		want := models(func(leaf func(Model) bool) { s.EnumerateConjs(Conjuncts(e), leaf) })
 		for i, c := range conjs {
 			j := i + 1 + r.Intn(len(conjs)-i)
 			repeated := slices.Insert(slices.Clone(conjs), j, c)
@@ -180,7 +180,7 @@ func TestEnumerateConjsIgnoresRepeats(t *testing.T) {
 }
 
 // TestEnumerateLeafCostsNothingPerModel pins what handing the leaf the
-// search's own assignment buys: Enumerate over a formula with 2N models
+// search's own assignment buys: EnumerateConjs over a formula with 2N models
 // allocates what it does over one with N, reads of the Model included.
 func TestEnumerateLeafCostsNothingPerModel(t *testing.T) {
 	c := Var("leafcost.c", BoolSort)
@@ -189,7 +189,7 @@ func TestEnumerateLeafCostsNothingPerModel(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		b := Var(fmt.Sprintf("leafcost.b%d", i), BoolSort)
 		free = append(free, b)
-		conjs = append(conjs, Or(b, c))
+		conjs = append(conjs, or(b, c))
 	}
 	twoN := And(conjs...)   // c, and every b free
 	n := And(twoN, free[0]) // the same variables, one of them bound
@@ -201,11 +201,11 @@ func TestEnumerateLeafCostsNothingPerModel(t *testing.T) {
 			sum += m.Int(free[7], 0)
 			return m.Bool(e, false)
 		}
-		s.Enumerate(e, leaf) // size the scratch
+		s.EnumerateConjs(Conjuncts(e), leaf) // size the scratch
 		if seen != models || sum != int64(models/2) {
 			t.Fatalf("%d models summing %d, want %d", seen, sum, models)
 		}
-		return testing.AllocsPerRun(20, func() { s.Enumerate(e, leaf) })
+		return testing.AllocsPerRun(20, func() { s.EnumerateConjs(Conjuncts(e), leaf) })
 	}
 	if small, large := allocs(n, 128), allocs(twoN, 256); small != large {
 		t.Errorf("128 models cost %.0f allocations, 256 cost %.0f: the leaf costs sym something per model", small, large)

@@ -16,15 +16,16 @@ import (
 func TestClassFormulaDegenerate(t *testing.T) {
 	x := sym.Var("cfd.x", sym.IntSort)
 	k := sym.Var("cfd.k", model.FilenameSort)
-	m := modelOf([]*sym.Expr{x, k}, 1, 0)
-	for _, vars := range [][]*sym.Expr{nil, {x}, {x, k}} {
-		if distinguishes(vars) {
-			t.Errorf("%v: no two models can differ in class, yet distinguishes is true", vars)
+	withModel([]*sym.Expr{x, k}, []int64{1, 0}, func(m sym.Model) {
+		for _, vars := range [][]*sym.Expr{nil, {x}, {x, k}} {
+			if distinguishes(vars) {
+				t.Errorf("%v: no two models can differ in class, yet distinguishes is true", vars)
+			}
+			if cf := classFormula(m, vars); !cf.IsTrue() {
+				t.Errorf("%v: want the degenerate class formula, got %v", vars, cf)
+			}
 		}
-		if cf := classFormula(m, vars); !cf.IsTrue() {
-			t.Errorf("%v: want the degenerate class formula, got %v", vars, cf)
-		}
-	}
+	})
 	if y := sym.Var("cfd.y", sym.IntSort); !distinguishes([]*sym.Expr{x, k, y}) {
 		t.Error("two integers can be equal or distinct: distinguishes must be true")
 	}

@@ -9,9 +9,11 @@ import (
 	"repro/internal/sym"
 )
 
-// modelOf asks the solver for the model binding each variable to its value
-// (a boolean as 0 or 1): a conjunction of equalities has one.
-func modelOf(vars []*sym.Expr, vals ...int64) sym.Model {
+// withModel asks a fresh solver for the model binding each variable to its
+// value (a boolean as 0 or 1), which a conjunction of equalities has, and
+// hands it to f. The model is the search's own assignment, valid while f
+// runs; a nested call searches on a solver of its own.
+func withModel(vars []*sym.Expr, vals []int64, f func(sym.Model)) {
 	conj := make([]*sym.Expr, len(vars))
 	for i, v := range vars {
 		switch v.Sort.Kind {
@@ -23,11 +25,15 @@ func modelOf(vars []*sym.Expr, vals ...int64) sym.Model {
 			conj[i] = sym.Eq(v, sym.Const(v.Sort, vals[i]))
 		}
 	}
-	m, ok := (&sym.Solver{}).Solve(sym.And(conj...))
-	if !ok {
+	found := false
+	(&sym.Solver{}).EnumerateConjs(sym.Conjuncts(sym.And(conj...)), func(m sym.Model) bool {
+		f(m)
+		found = true
+		return false
+	})
+	if !found {
 		panic("no model of a conjunction of bindings")
 	}
-	return m
 }
 
 // classFormula is the oracle for classSignature, and what TESTGEN used
@@ -73,7 +79,7 @@ func signatureOf(m sym.Model, vars []*sym.Expr) string {
 // formula is True (every model is one class).
 func TestQuickClassSignatureMatchesFormula(t *testing.T) {
 	sorts := []sym.Sort{sym.BoolSort, sym.IntSort, sym.Uninterpreted("ClsA"), sym.Uninterpreted("ClsB")}
-	randomModel := func(r *rand.Rand, vars []*sym.Expr) sym.Model {
+	randomVals := func(r *rand.Rand, vars []*sym.Expr) []int64 {
 		vals := make([]int64, len(vars))
 		for i, v := range vars {
 			// Three values per sort: collisions are common, and so are
@@ -83,28 +89,33 @@ func TestQuickClassSignatureMatchesFormula(t *testing.T) {
 				vals[i] = int64(r.Intn(2))
 			}
 		}
-		return modelOf(vars, vals...)
+		return vals
 	}
-	prop := func(seed int64) bool {
+	prop := func(seed int64) (ok bool) {
 		r := rand.New(rand.NewSource(seed))
 		vars := make([]*sym.Expr, r.Intn(7))
 		for i := range vars {
 			vars[i] = sym.Var(fmt.Sprintf("cls.v%d", i), sorts[r.Intn(len(sorts))])
 		}
-		m1, m2 := randomModel(r, vars), randomModel(r, vars)
-		cf := classFormula(m1, vars)
-		if distinguishes(vars) == cf.IsTrue() {
-			t.Logf("distinguishes=%v but class formula is %v (vars %v)", distinguishes(vars), cf, vars)
-			return false
-		}
-		sig1, sig2 := signatureOf(m1, vars), signatureOf(m2, vars)
-		same := sig1 == sig2
-		if covered := m2.Bool(cf, false); same != covered {
-			t.Logf("vars %v\nm1 -> %q\nm2 -> %q\nformula %v holds in m2: %v",
-				vars, sig1, sig2, cf, covered)
-			return false
-		}
-		return true
+		vals1, vals2 := randomVals(r, vars), randomVals(r, vars)
+		withModel(vars, vals1, func(m1 sym.Model) {
+			withModel(vars, vals2, func(m2 sym.Model) {
+				cf := classFormula(m1, vars)
+				if distinguishes(vars) == cf.IsTrue() {
+					t.Logf("distinguishes=%v but class formula is %v (vars %v)", distinguishes(vars), cf, vars)
+					return
+				}
+				sig1, sig2 := signatureOf(m1, vars), signatureOf(m2, vars)
+				same := sig1 == sig2
+				if covered := m2.Bool(cf, false); same != covered {
+					t.Logf("vars %v\nm1 -> %q\nm2 -> %q\nformula %v holds in m2: %v",
+						vars, sig1, sig2, cf, covered)
+					return
+				}
+				ok = true
+			})
+		})
+		return ok
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
@@ -117,15 +128,16 @@ func TestQuickClassSignatureMatchesFormula(t *testing.T) {
 func TestSeenClassCostsNoAllocation(t *testing.T) {
 	s := sym.Uninterpreted("ClsA")
 	vars := []*sym.Expr{sym.Var("cls.a", s), sym.Var("cls.b", s), sym.Var("cls.c", sym.BoolSort), sym.Var("cls.d", sym.IntSort)}
-	m := modelOf(vars, 2, 2, 1, 7)
-	var sc sigScratch
-	classes := map[string]bool{string(sc.classSignature(m, vars)): true}
-	n := testing.AllocsPerRun(100, func() {
-		if !classes[string(sc.classSignature(m, vars))] {
-			t.Fatal("a model must be in its own class")
+	withModel(vars, []int64{2, 2, 1, 7}, func(m sym.Model) {
+		var sc sigScratch
+		classes := map[string]bool{string(sc.classSignature(m, vars)): true}
+		n := testing.AllocsPerRun(100, func() {
+			if !classes[string(sc.classSignature(m, vars))] {
+				t.Fatal("a model must be in its own class")
+			}
+		})
+		if n != 0 {
+			t.Errorf("a model of a seen class costs %.0f allocations, want 0", n)
 		}
 	})
-	if n != 0 {
-		t.Errorf("a model of a seen class costs %.0f allocations, want 0", n)
-	}
 }

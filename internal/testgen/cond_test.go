@@ -14,7 +14,7 @@ import (
 // refSignatures is what TESTGEN enumerated before a path's condition stopped
 // being built: the conjunction PC ∧ Eq, its variables by name less the
 // nondeterministic ones, and the class signature of each of its first limit
-// models, in Enumerate's order.
+// models, in EnumerateConjs' order.
 func refSignatures(p analyzer.Path, limit int) (vars []*sym.Expr, sigs []string, budget bool) {
 	cond := sym.And(p.PC, p.Eq)
 	for _, v := range sym.Vars(cond) {
@@ -24,7 +24,7 @@ func refSignatures(p analyzer.Path, limit int) (vars []*sym.Expr, sigs []string,
 	}
 	var sc sigScratch
 	s := &sym.Solver{}
-	s.Enumerate(cond, func(m sym.Model) bool {
+	s.EnumerateConjs(sym.Conjuncts(cond), func(m sym.Model) bool {
 		sigs = append(sigs, string(sc.classSignature(m, vars)))
 		return len(sigs) < limit
 	})

@@ -104,7 +104,7 @@ func generate(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kernel.TestC
 		// One enumeration pass collects a representative per isomorphism
 		// class: each model is kept if no previously kept model has its
 		// class signature. This keeps the same representatives, in the
-		// same order, as restarting Solve on cond ∧ ¬class(m₁) ∧ … (the
+		// same order, as restarting a first-model search on cond ∧ ¬class(m₁) ∧ … (the
 		// class negations only prune — they add no variables or
 		// constants, so the candidate domains and assignment order are
 		// untouched), without re-enumerating each restart's prefix. The

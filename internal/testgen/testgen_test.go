@@ -181,22 +181,25 @@ func TestClassFormula(t *testing.T) {
 	x, y := sym.Var("x", fn), sym.Var("y", fn)
 	b := sym.Var("b", sym.BoolSort)
 	vars := []*sym.Expr{x, y, b}
-	m := modelOf(vars, 1, 1, 1)
-	f := classFormula(m, vars)
-	if !m.Bool(f, false) {
-		t.Error("class formula must hold in its defining model")
-	}
-	renamed := modelOf(vars, 2, 2, 1)
-	if !renamed.Bool(f, false) || signatureOf(renamed, vars) != signatureOf(m, vars) {
-		t.Error("renaming values must stay in the class")
-	}
-	m2 := modelOf(vars, 1, 2, 1)
-	if m2.Bool(f, true) {
-		t.Error("different equality pattern must violate the class formula")
-	}
-	if signatureOf(m2, vars) == signatureOf(m, vars) {
-		t.Error("different equality pattern must give a different class signature")
-	}
+	withModel(vars, []int64{1, 1, 1}, func(m sym.Model) {
+		f, sig := classFormula(m, vars), signatureOf(m, vars)
+		if !m.Bool(f, false) {
+			t.Error("class formula must hold in its defining model")
+		}
+		withModel(vars, []int64{2, 2, 1}, func(renamed sym.Model) {
+			if !renamed.Bool(f, false) || signatureOf(renamed, vars) != sig {
+				t.Error("renaming values must stay in the class")
+			}
+		})
+		withModel(vars, []int64{1, 2, 1}, func(m2 sym.Model) {
+			if m2.Bool(f, true) {
+				t.Error("different equality pattern must violate the class formula")
+			}
+			if signatureOf(m2, vars) == sig {
+				t.Error("different equality pattern must give a different class signature")
+			}
+		})
+	})
 }
 
 func TestMaxTestsPerPathHonored(t *testing.T) {

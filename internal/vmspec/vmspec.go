@@ -35,27 +35,21 @@ import (
 	"repro/internal/symx"
 )
 
-// DataSort is the uninterpreted sort of one page of memory content:
+// dataSort is the uninterpreted sort of one page of memory content:
 // semantics only ever compare pages for equality.
-var DataSort = sym.Uninterpreted("VMData")
+var dataSort = sym.Uninterpreted("VMData")
 
-// DataZero is the distinguished zero-filled page: fresh anonymous
+// dataZero is the distinguished zero-filled page: fresh anonymous
 // mappings read as zero.
-var DataZero = sym.Const(DataSort, 0)
+var dataZero = sym.Const(dataSort, 0)
 
-// MaxPage bounds virtual address pages: 0..MaxPage-1, like the POSIX
+// maxPage bounds virtual address pages: 0..maxPage-1, like the POSIX
 // model's. Three pages leave room for every distinct region a pair of
 // calls can mention.
-const MaxPage = 3
+const maxPage = 3
 
-// Errno values used by the model (negated in return slot 0).
-const (
-	ENOMEM   = kernel.ENOMEM
-	ESIGSEGV = kernel.ESIGSEGV
-)
-
-// State is the symbolic VM state.
-type State struct {
+// state is the symbolic VM state.
+type state struct {
 	// VMA maps (proc, page) -> {wr}: per-process page mappings; proc is a
 	// boolean expression (two processes), wr the write permission.
 	VMA *symx.Dict
@@ -67,36 +61,22 @@ type State struct {
 // Dicts returns the dictionaries in comparison order (the spec layer's
 // State contract); neither invariant closure probes the other, so any
 // order works — mappings precede contents for readability.
-func (s *State) Dicts() []*symx.Dict { return []*symx.Dict{s.VMA, s.Mem} }
-
-// NewState builds the symbolic state with unconstrained initial content:
-// each process starts with an arbitrary set of mapped pages holding
-// arbitrary content and permissions.
-func NewState(c *symx.Context) *State {
-	return &State{
-		VMA: symx.NewDict("vmap", func(c *symx.Context, tag string) *symx.Struct {
-			return symx.NewStruct("wr", c.Var(tag+".wr", sym.BoolSort, symx.KindState))
-		}),
-		Mem: symx.NewDict("vmem", func(c *symx.Context, tag string) *symx.Struct {
-			return symx.NewStruct("val", c.Var(tag+".val", DataSort, symx.KindState))
-		}),
-	}
-}
+func (s *state) Dicts() []*symx.Dict { return []*symx.Dict{s.VMA, s.Mem} }
 
 func errRet(errno int64) []*sym.Expr {
-	return []*sym.Expr{sym.Int(-errno), sym.Int(0), sym.Int(0), sym.Int(0), DataZero}
+	return []*sym.Expr{sym.Int(-errno), sym.Int(0), sym.Int(0), sym.Int(0), dataZero}
 }
 
 func okRet(code, i1, data *sym.Expr) []*sym.Expr {
 	return []*sym.Expr{code, i1, sym.Int(0), sym.Int(0), data}
 }
 
-func st(x *spec.Exec) *State { return x.S.(*State) }
+func st(x *spec.Exec) *state { return x.S.(*state) }
 
 func procArg() spec.ArgSpec { return spec.ArgSpec{Name: "proc", Sort: sym.BoolSort} }
 
 func pageArg() spec.ArgSpec {
-	return spec.ArgSpec{Name: "page", Sort: sym.IntSort, Min: 0, Max: MaxPage - 1, Bounded: true}
+	return spec.ArgSpec{Name: "page", Sort: sym.IntSort, Min: 0, Max: maxPage - 1, Bounded: true}
 }
 
 // ops is the op table: the five modeled operations in canonical (matrix)
@@ -123,19 +103,19 @@ func opMmap() *spec.Op {
 				// allocation order observable through the returned
 				// address, which is what destroys commutativity (§5.2).
 				addr = nil
-				for p := int64(0); p < MaxPage; p++ {
+				for p := int64(0); p < maxPage; p++ {
 					if !s.VMA.Contains(x.C, symx.K(proc, sym.Int(p))) {
 						addr = sym.Int(p)
 						break
 					}
 				}
 				if addr == nil {
-					return errRet(ENOMEM) // address space exhausted
+					return errRet(kernel.ENOMEM) // address space exhausted
 				}
 			}
 			s.VMA.Set(x.C, symx.K(proc, addr), symx.NewStruct("wr", wr))
-			s.Mem.Set(x.C, symx.K(proc, addr), symx.NewStruct("val", DataZero))
-			return okRet(sym.Int(0), addr, DataZero)
+			s.Mem.Set(x.C, symx.K(proc, addr), symx.NewStruct("val", dataZero))
+			return okRet(sym.Int(0), addr, dataZero)
 		},
 	}
 }
@@ -148,7 +128,7 @@ func opMunmap() *spec.Op {
 			s, proc, page := st(x), a[0], a[1]
 			s.VMA.Del(x.C, symx.K(proc, page))
 			s.Mem.Del(x.C, symx.K(proc, page))
-			return okRet(sym.Int(0), sym.Int(0), DataZero)
+			return okRet(sym.Int(0), sym.Int(0), dataZero)
 		},
 	}
 }
@@ -160,11 +140,11 @@ func opMprotect() *spec.Op {
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s, proc, page, wr := st(x), a[0], a[1], a[2]
 			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
-				return errRet(ENOMEM)
+				return errRet(kernel.ENOMEM)
 			}
 			v := s.VMA.Get(x.C, symx.K(proc, page))
 			s.VMA.Set(x.C, symx.K(proc, page), v.With("wr", wr))
-			return okRet(sym.Int(0), sym.Int(0), DataZero)
+			return okRet(sym.Int(0), sym.Int(0), dataZero)
 		},
 	}
 }
@@ -176,7 +156,7 @@ func opMemread() *spec.Op {
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s, proc, page := st(x), a[0], a[1]
 			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
-				return errRet(ESIGSEGV)
+				return errRet(kernel.ESIGSEGV)
 			}
 			v := s.Mem.GetFunc(x.C, symx.K(proc, page))
 			return okRet(sym.Int(0), sym.Int(0), v.Get("val"))
@@ -187,18 +167,18 @@ func opMemread() *spec.Op {
 func opMemwrite() *spec.Op {
 	return &spec.Op{
 		Name: "memwrite",
-		Args: []spec.ArgSpec{procArg(), pageArg(), {Name: "val", Sort: DataSort}},
+		Args: []spec.ArgSpec{procArg(), pageArg(), {Name: "val", Sort: dataSort}},
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s, proc, page, val := st(x), a[0], a[1], a[2]
 			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
-				return errRet(ESIGSEGV)
+				return errRet(kernel.ESIGSEGV)
 			}
 			v := s.VMA.Get(x.C, symx.K(proc, page))
 			if !x.C.Branch(v.Get("wr")) {
-				return errRet(ESIGSEGV) // write to a read-only mapping
+				return errRet(kernel.ESIGSEGV) // write to a read-only mapping
 			}
 			s.Mem.Set(x.C, symx.K(proc, page), symx.NewStruct("val", val))
-			return okRet(sym.Int(0), sym.Int(0), DataZero)
+			return okRet(sym.Int(0), sym.Int(0), dataZero)
 		},
 	}
 }
@@ -225,8 +205,18 @@ func (vmSpec) Sets() map[string][]string {
 // DefaultSet: the VM universe is small, so default to all of it.
 func (vmSpec) DefaultSet() string { return "all" }
 
+// NewState builds the symbolic state with unconstrained initial content:
+// each process starts with an arbitrary set of mapped pages holding
+// arbitrary content and permissions.
 func (vmSpec) NewState(c *symx.Context, cfg spec.Config) spec.State {
-	return NewState(c)
+	return &state{
+		VMA: symx.NewDict("vmap", func(c *symx.Context, tag string) *symx.Struct {
+			return symx.NewStruct("wr", c.Var(tag+".wr", sym.BoolSort, symx.KindState))
+		}),
+		Mem: symx.NewDict("vmem", func(c *symx.Context, tag string) *symx.Struct {
+			return symx.NewStruct("val", c.Var(tag+".val", dataSort, symx.KindState))
+		}),
+	}
 }
 
 func (vmSpec) Impls() []spec.Impl {
@@ -241,7 +231,7 @@ func (vmSpec) FixupCall(cfg spec.Config, call *kernel.Call) {}
 // (proc, page) the witness probed as mapped becomes an anonymous SetupVMA
 // carrying the probed permission and content.
 func (vmSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
-	sa, sb := a.(*State), b.(*State)
+	sa, sb := a.(*state), b.(*state)
 	mem, vma := spec.PlanProbes(sa.Mem, sb.Mem), spec.PlanProbes(sa.VMA, sb.VMA)
 	return func(m sym.Model) kernel.Setup {
 		var s kernel.Setup
@@ -252,7 +242,7 @@ func (vmSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
 		seen := map[[2]int64]bool{}
 		for _, p := range vma.Eval(m) {
 			proc := spec.Clamp(p.Key[0], 0, 1)
-			page := spec.Clamp(p.Key[1], 0, MaxPage-1)
+			page := spec.Clamp(p.Key[1], 0, maxPage-1)
 			at := [2]int64{proc, page}
 			if seen[at] {
 				continue

@@ -202,7 +202,7 @@ func TestGenerateVMTests(t *testing.T) {
 			if !v.Anon {
 				t.Errorf("%s: non-anonymous setup VMA %+v", tc.ID, v)
 			}
-			if v.Page < 0 || v.Page >= MaxPage {
+			if v.Page < 0 || v.Page >= maxPage {
 				t.Errorf("%s: setup page %d out of range", tc.ID, v.Page)
 			}
 			seeded = true
