@@ -32,7 +32,7 @@ func main() {
 		cores = nil
 		for _, s := range strings.Split(*coresFlag, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 1 || n > 96 {
+			if err != nil {
 				fmt.Fprintf(os.Stderr, "scalebench: bad core count %q\n", s)
 				os.Exit(2)
 			}
@@ -40,6 +40,11 @@ func main() {
 		}
 	}
 	which := "all"
+	if flag.NArg() > 1 {
+		fmt.Fprintf(os.Stderr, "scalebench: unexpected arguments %s; name one benchmark (stat, open, mail or all)\n",
+			strings.Join(flag.Args()[1:], " "))
+		os.Exit(2)
+	}
 	if flag.NArg() > 0 {
 		which = flag.Arg(0)
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/kernel/unix"
 	"repro/internal/mail"
 	"repro/internal/mtrace"
+	"repro/internal/scale"
 )
 
 // captureOps records the cache-line access sequences of a series of
@@ -222,9 +223,14 @@ func mailbenchAt(commutative bool, n int) float64 {
 
 // Figure7 writes the Figure 7 panel named which — "stat" (7a), "open" (7b)
 // or "mail" (7c), or "all" for the three in turn — at the given core
-// counts. It is what scalebench prints, and testdata/fig7.golden holds it
-// at 1, 2 and 4 cores.
+// counts, each in 1..scale.NCores. It is what scalebench prints, and
+// testdata/fig7.golden holds it at 1, 2 and 4 cores.
 func Figure7(w io.Writer, which string, cores []int) error {
+	for _, n := range cores {
+		if n < 1 || n > scale.NCores {
+			return fmt.Errorf("core count %d outside 1..%d", n, scale.NCores)
+		}
+	}
 	panels := []string{which}
 	if which == "all" {
 		panels = []string{"stat", "open", "mail"}

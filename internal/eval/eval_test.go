@@ -1,11 +1,13 @@
 package eval
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
 
 	"repro/internal/mail"
+	"repro/internal/scale"
 )
 
 var testCores = []int{1, 4, 16}
@@ -113,5 +115,11 @@ func TestFormatCurves(t *testing.T) {
 	}
 	if err := Figure7(io.Discard, "fig6", nil); err == nil {
 		t.Error("Figure7 rendered an unknown panel")
+	}
+	for _, n := range []int{0, scale.NCores + 1, -1} {
+		err := Figure7(io.Discard, "stat", []int{1, n})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("count %d ", n)) {
+			t.Errorf("Figure7 at %d cores: err = %v, want one naming the count", n, err)
+		}
 	}
 }

@@ -6,9 +6,9 @@
 // counterparts (shared counters, coarse locks) used by the Linux-like
 // baseline kernel.
 //
-// Everything here operates on mtrace cells so the MTRACE checker can decide
-// conflict-freedom; package scale also has real concurrent counterparts
-// (see real.go) used by the hardware benchmarks.
+// Everything here operates on mtrace cells, so the MTRACE checker can decide
+// conflict-freedom and the coherence simulator can replay the accesses for
+// the Figure 7 curves (internal/eval).
 package scale
 
 import (

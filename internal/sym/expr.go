@@ -479,10 +479,6 @@ func sortByName(vars []*Expr) []*Expr {
 	return vars
 }
 
-// ID returns the node's interning identity: no two nodes the constructors
-// made share one, and an id is never reused.
-func (e *Expr) ID() uint64 { return e.id }
-
 // String renders the expression in a Lisp-like prefix form. The rendering
 // is cached on the node, so content-derived tags amortize across repeated
 // calls.

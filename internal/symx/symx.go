@@ -21,10 +21,9 @@
 // and dictionaries that share a name share it. An exploration therefore
 // derives what a dictionary location's tag determines — its membership
 // variable, its initial value and the invariants MakeVal Assumes — once
-// for all its replays, and memoizes DictsEquivalent by the identity of its
-// inputs; a later use Assumes the recorded invariants again, so the path
-// condition grows, or the replay aborts, exactly as re-deriving would
-// have made it.
+// for all its replays; a later use Assumes the recorded invariants again,
+// so the path condition grows, or the replay aborts, exactly as
+// re-deriving would have made it.
 package symx
 
 import (
@@ -123,13 +122,8 @@ type exploration struct {
 	vars     map[string]*sym.Expr
 
 	// probes holds what each dictionary location's tag determines (see
-	// probe); equivs memoizes DictsEquivalent by its signature's hash, sig
-	// is the scratch a call builds its signature in, and shapes the field
-	// orders signatures name by index.
+	// probe).
 	probes map[probeKey]*probe
-	equivs map[uint64][]*equivMemo
-	sig    []sigWord
-	shapes [][]string
 
 	// heard lists the conditions the current replay has Assumed, in order
 	// (see heardSince).
@@ -147,7 +141,6 @@ func newContext(trace []bool, solver *sym.Solver) *Context {
 			varKinds: map[string]VarKind{},
 			vars:     map[string]*sym.Expr{},
 			probes:   map[probeKey]*probe{},
-			equivs:   map[uint64][]*equivMemo{},
 		},
 		infeas:     map[*sym.Expr]bool{},
 		initProbes: map[string][]*initProbe{},

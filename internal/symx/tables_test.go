@@ -13,9 +13,9 @@ import (
 )
 
 // exploreUnshared is RunCtx with nothing shared between replays: each one
-// starts from a new Context, so it makes its own variable table, probe
-// table and equivalence memo. It returns the paths with each one's
-// decisions, and the variables of every replay, aborted ones included.
+// starts from a new Context, so it makes its own variable table and probe
+// table. It returns the paths with each one's decisions, and the variables
+// of every replay, aborted ones included.
 func exploreUnshared(fn func(*Context) any, maxPaths int) ([]Path, [][]bool, map[string]VarKind) {
 	solver := &sym.Solver{}
 	kinds := map[string]VarKind{}
@@ -39,20 +39,20 @@ func exploreUnshared(fn func(*Context) any, maxPaths int) ([]Path, [][]bool, map
 	return paths, traces, kinds
 }
 
-// TestExplorationTablesAreInvisible: an exploration's probe table and
-// DictsEquivalent memo change nothing a path ends with. Random histories
-// (dictHistory) are explored by RunCtx, and again with nothing shared
-// between replays; path for path, the decision trace, the PC node and the
+// TestExplorationTablesAreInvisible: an exploration's variable and probe
+// tables change nothing a path ends with. Random histories (dictHistory)
+// are explored by RunCtx, and again with nothing shared between replays;
+// path for path, the decision trace, the PC node and the
 // DictsEquivalent conjunct list must be the same, and the variables the
 // two made the same. Half the histories only write, so the invariant the
 // "qs" kind's MakeVal Assumes reaches the path condition through
 // DictsEquivalent's defaults alone; a branch the history never reads,
 // before it or between it and the equivalences, makes the later paths
-// meet the earlier ones' probes and equivalences again, and a replayed
-// probe or equivalence that did not Assume what it Assumed the first time
-// would leave their path conditions short.
+// meet the earlier ones' probes again, and a replayed probe that did not
+// Assume what it Assumed the first time would leave their path conditions
+// short.
 func TestExplorationTablesAreInvisible(t *testing.T) {
-	calls, memos, paths, counting := 0, 0, 0, false
+	calls, paths, counting := 0, 0, false
 	for seed := int64(0); seed < 240; seed++ {
 		writeOnly, at := seed%2 == 0, seed/2%3
 		fn := func(c *Context) any {
@@ -69,14 +69,11 @@ func TestExplorationTablesAreInvisible(t *testing.T) {
 			}
 			return DictsEquivalent(DictsEquivalent(nil, c, ds[0], ds[1]), c, ds[1], ds[0])
 		}
-		var (
-			traces [][]bool
-			x      *exploration
-		)
+		var traces [][]bool
 		counting = true
 		shared, _, err := RunCtx(context.Background(), func(c *Context) any {
 			res := fn(c) // a replay that aborts records nothing
-			traces, x = append(traces, slices.Clone(c.traceSoFar())), c.x
+			traces = append(traces, slices.Clone(c.traceSoFar()))
 			return res
 		}, Options{MaxPaths: 64})
 		counting = false
@@ -108,14 +105,9 @@ func TestExplorationTablesAreInvisible(t *testing.T) {
 			t.Fatalf("seed %d: variables %v with the tables, %v without", seed,
 				slices.Sorted(maps.Keys(shared[0].VarKinds)), slices.Sorted(maps.Keys(kinds)))
 		}
-		if x != nil {
-			for _, ms := range x.equivs {
-				memos += len(ms)
-			}
-		}
 		paths += len(shared)
 	}
-	t.Logf("%d paths; %d DictsEquivalent calls with the tables, %d memoized", paths, calls, memos)
+	t.Logf("%d paths; %d DictsEquivalent calls with the tables", paths, calls)
 }
 
 // TestMakeValMayNotBranch: MakeVal is a function of its tag, so a Branch

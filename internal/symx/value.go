@@ -314,12 +314,6 @@ func (d *Dict) Entries() []*DictEntry { return d.entries }
 // (content-derived naming), so they are equal by definition and need no
 // clauses. sym.And of the result is the formula; conjoining the conjuncts
 // once is what conjoining them per key and per dictionary would give.
-//
-// The conjuncts are a function of the dictionaries' name, the registered
-// probes of that name and both overlays, and the exploration memoizes them
-// by the identity of all three (see equivSig). A call that finds an
-// earlier one's inputs Assumes again what that call Assumed — the
-// invariants of the defaults' MakeVal — and appends its conjuncts.
 func DictsEquivalent(dst []*sym.Expr, c *Context, a, b *Dict) []*sym.Expr {
 	if a.Name != b.Name {
 		panic("symx: comparing dictionaries with different identities")
@@ -327,22 +321,7 @@ func DictsEquivalent(dst []*sym.Expr, c *Context, a, b *Dict) []*sym.Expr {
 	if len(a.entries) == 0 && len(b.entries) == 0 {
 		return dst // no key either path touched
 	}
-	probes := c.initProbes[a.Name]
-	h, sig := c.x.equivSig(a.Name, probes, a, b)
-	for _, m := range c.x.equivs[h] {
-		if m.dict == a.Name && slices.Equal(m.sig, sig) {
-			for _, cond := range m.assumed {
-				c.Assume(cond)
-			}
-			return append(dst, m.conjs...)
-		}
-	}
-	start, n := len(c.x.heard), len(dst)
-	dst = dictsEquivalent(dst, c, probes, a, b)
-	c.x.equivs[h] = append(c.x.equivs[h], &equivMemo{
-		dict: a.Name, sig: slices.Clone(sig), conjs: slices.Clone(dst[n:]), assumed: c.heardSince(start),
-	})
-	return dst
+	return dictsEquivalent(dst, c, a, b)
 }
 
 // dictsEquivalent builds what DictsEquivalent appends. What the two sides
@@ -350,7 +329,8 @@ func DictsEquivalent(dst []*sym.Expr, c *Context, a, b *Dict) []*sym.Expr {
 // default (one tag, so one probe whichever dictionary asks), and the
 // guards comparing the key with every registered probe and every overlay
 // entry.
-func dictsEquivalent(dst []*sym.Expr, c *Context, probes []*initProbe, a, b *Dict) []*sym.Expr {
+func dictsEquivalent(dst []*sym.Expr, c *Context, a, b *Dict) []*sym.Expr {
+	probes := c.initProbes[a.Name]
 	keys := unionKeys(c, a, b)
 	fields := fieldSet(a, b)
 	var probeEq, aEq, bEq []*sym.Expr
@@ -399,95 +379,6 @@ func dictsEquivalent(dst []*sym.Expr, c *Context, probes []*initProbe, a, b *Dic
 		}
 	}
 	return dst
-}
-
-// equivMemo is one DictsEquivalent call's outcome: the conjuncts it
-// appended and the conditions it Assumed, under its dictionaries' name and
-// its signature.
-type equivMemo struct {
-	dict           string
-	sig            []sigWord
-	conjs, assumed []*sym.Expr
-}
-
-// sigWord is one word of a DictsEquivalent signature: a node or a number.
-// A stored signature holds its nodes, so none is collected while the memo
-// may still match it.
-type sigWord struct {
-	e *sym.Expr
-	n int
-}
-
-// equivSig writes into the exploration's scratch the signature of what
-// DictsEquivalent reads besides the name — each registered probe's key,
-// membership variable and value; each overlay entry's key, membership and
-// value — and returns it with its hash, which covers the name too. A list
-// is preceded by its length, and a value by its shape, so equal signatures
-// are equal inputs.
-func (x *exploration) equivSig(name string, probes []*initProbe, a, b *Dict) (uint64, []sigWord) {
-	sig := append(x.sig[:0], sigWord{n: len(probes)})
-	for _, ip := range probes {
-		sig = appendKey(sig, ip.key)
-		sig = append(sig, sigWord{e: ip.presentVar})
-		sig = x.appendStruct(sig, ip.val)
-	}
-	for _, d := range [2]*Dict{a, b} {
-		sig = append(sig, sigWord{n: len(d.entries)})
-		for _, e := range d.entries {
-			sig = appendKey(sig, e.Key)
-			if e.Present {
-				sig = x.appendStruct(sig, e.Val)
-			} else {
-				sig = append(sig, sigWord{n: -2})
-			}
-		}
-	}
-	x.sig = sig
-	h := uint64(fnvOffset)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * fnvPrime
-	}
-	for _, w := range sig {
-		if w.e != nil {
-			h = (h ^ w.e.ID()) * fnvPrime
-		}
-		h = (h ^ uint64(w.n)) * fnvPrime
-	}
-	return h, sig
-}
-
-const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
-
-func appendKey(sig []sigWord, k Key) []sigWord {
-	sig = append(sig, sigWord{n: len(k)})
-	for _, e := range k {
-		sig = append(sig, sigWord{e: e})
-	}
-	return sig
-}
-
-// appendStruct appends s's shape (-1 for no value) and its field values.
-func (x *exploration) appendStruct(sig []sigWord, s *Struct) []sigWord {
-	if s == nil {
-		return append(sig, sigWord{n: -1})
-	}
-	sig = append(sig, sigWord{n: x.shape(s.FieldOrder)})
-	for _, e := range s.vals {
-		sig = append(sig, sigWord{e: e})
-	}
-	return sig
-}
-
-// shape numbers a field order: its index among the exploration's shapes,
-// of which a model has a handful.
-func (x *exploration) shape(fields []string) int {
-	for i, s := range x.shapes {
-		if slices.Equal(s, fields) {
-			return i
-		}
-	}
-	x.shapes = append(x.shapes, fields)
-	return len(x.shapes) - 1
 }
 
 // entryGuards appends, for each overlay entry in order, the formula that
