@@ -260,8 +260,12 @@ func TestTwoServersSharedCache(t *testing.T) {
 	if shared.Cache.TestgenMisses != 0 || shared.Cache.CheckMisses != 0 {
 		t.Errorf("sweep through B recomputed: %+v", shared.Cache)
 	}
-	if shared.Cache.TestgenHits == 0 || shared.Cache.CheckHits == 0 {
-		t.Errorf("sweep through B reported no hits: %+v", shared.Cache)
+	cells := 0
+	for _, p := range shared.Pairs {
+		cells += len(p.Cells)
+	}
+	if want := (commuter.SweepCacheStats{CheckHits: cells}); cells == 0 || shared.Cache != want {
+		t.Errorf("sweep through B: %+v, want every cell A stored as a hit and no test read: %+v", shared.Cache, want)
 	}
 	for _, p := range shared.Pairs {
 		if !p.Cached {

@@ -12,9 +12,12 @@
 //     a cell hit never has to re-read or re-validate the tests it
 //     summarizes.
 //
-// A `-kernel sv6` rerun after a `-kernel both` sweep therefore hits both
-// tiers and runs nothing, and adding a new kernel reruns only CHECK against
-// the cached tests.
+// A sweep reads the CHECK tier first: a pair whose every requested cell
+// hits, and whose cells agree on the number of tests, is served from them
+// and never opens its TESTGEN entry. A `-kernel sv6` rerun after a
+// `-kernel both` sweep therefore reads one cell per pair and runs nothing,
+// and adding a new kernel reads the cached tests and reruns only that
+// kernel's CHECK.
 package sweep
 
 import (
@@ -261,10 +264,13 @@ func EncodeCellEntry(key string, cell KernelCell) ([]byte, error) {
 }
 
 // DecodeCellEntry parses and validates a CHECK tier entry; any defect
-// reports a miss (nil, false).
+// reports a miss (nil, false). A cell counts tests, so one whose counts
+// break 0 ≤ Conflicts ≤ Total is a defect too: a sweep serves a hit
+// straight into the matrix, without the tests it summarizes.
 func DecodeCellEntry(key string, data []byte) (*KernelCell, bool) {
 	var e checkEntry
-	if json.Unmarshal(data, &e) != nil || e.Version != CacheVersion || e.Key != key {
+	if json.Unmarshal(data, &e) != nil || e.Version != CacheVersion || e.Key != key ||
+		e.Cell.Conflicts < 0 || e.Cell.Conflicts > e.Cell.Total {
 		return nil, false
 	}
 	return &e.Cell, true

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -453,16 +454,194 @@ func TestSweepRecoversFromCorruptedCache(t *testing.T) {
 		t.Errorf("corrupted cache: stats %+v, want %+v", second.Cache, wantMiss)
 	}
 
-	// Third run sees the repaired entries.
+	// Third run sees the repaired cells, which serve every pair alone.
 	third, err := runSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantHit := CacheStats{
-		TestgenHits: len(first.Pairs),
-		CheckHits:   len(first.Pairs) * len(kernels),
-	}
+	wantHit := CacheStats{CheckHits: len(first.Pairs) * len(kernels)}
 	if third.Cache != wantHit {
 		t.Errorf("after repair: stats %+v, want %+v", third.Cache, wantHit)
+	}
+
+	// With the cells gone, a fourth run reads the repaired TESTGEN entries.
+	cells, _ := filepath.Glob(filepath.Join(dir, "*.cell.json"))
+	if len(cells) != len(first.Pairs)*len(kernels) {
+		t.Fatalf("cache holds %d cells, want %d", len(cells), len(first.Pairs)*len(kernels))
+	}
+	for _, c := range cells {
+		if err := os.Remove(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fourth, err := runSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTests := CacheStats{
+		TestgenHits: len(first.Pairs),
+		CheckMisses: len(first.Pairs) * len(kernels),
+	}
+	if fourth.Cache != wantTests {
+		t.Errorf("after repair, cells removed: stats %+v, want %+v", fourth.Cache, wantTests)
+	}
+	if got, want := stripTiming(fourth.Pairs), stripTiming(first.Pairs); !reflect.DeepEqual(got, want) {
+		t.Errorf("results from the repaired tests diverge from the first sweep\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// TestWarmPairReadsNoTests pins the read order of the two tiers: a pair
+// whose every requested cell hits, agreeing on the number of tests, is
+// served from its cells and never reads its TESTGEN entry; anything less
+// reads the tests once and each cell at most once more.
+func TestWarmPairReadsNoTests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep pipeline in -short mode")
+	}
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := newCountingBackend(cache)
+	ops, kernels := []*spec.Op{testOp(t, "stat"), testOp(t, "close")}, testKernels()
+	cfg := Config{Ops: ops, Kernels: kernels, Workers: 2, Cache: backend}
+	const pairs = 3
+	cold, err := runSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgKey := TestgenKey("posix", "stat", "close", cfg.Analyzer, cfg.Testgen)
+	cellKey := func(i int) string { return CheckKey(tgKey, kernels[i].Name) }
+	// rerun sweeps cfg from fresh counts and checks its stats and GetTests
+	// calls.
+	rerun := func(what string, cfg Config, want CacheStats, wantGetTests int) *Result {
+		t.Helper()
+		backend.reset()
+		res, err := runSweep(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if res.Cache != want {
+			t.Errorf("%s: stats %+v, want %+v", what, res.Cache, want)
+		}
+		n := 0
+		for _, c := range backend.getTests {
+			n += c
+		}
+		if n != wantGetTests {
+			t.Errorf("%s: %d GetTests calls, want %d", what, n, wantGetTests)
+		}
+		return res
+	}
+
+	warm := rerun("fully warm", cfg, CacheStats{CheckHits: pairs * len(kernels)}, 0)
+	if got, want := stripTiming(warm.Pairs), stripTiming(cold.Pairs); !reflect.DeepEqual(got, want) {
+		t.Errorf("warm results diverge from cold results\ngot  %+v\nwant %+v", got, want)
+	}
+
+	for i := range kernels {
+		other := 1 - i
+		if err := os.Remove(filepath.Join(cache.Dir(), cellKey(i)+".cell.json")); err != nil {
+			t.Fatal(err)
+		}
+		what := kernels[i].Name + " cell of stat/close removed"
+		res := rerun(what, cfg, CacheStats{TestgenHits: 1, CheckHits: pairs*len(kernels) - 1, CheckMisses: 1}, 1)
+		if n := backend.getCells[cellKey(other)]; n != 1 {
+			t.Errorf("%s: the %s cell was read %d times, want 1", what, kernels[other].Name, n)
+		}
+		if got, want := stripTiming(res.Pairs), stripTiming(cold.Pairs); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: results diverge from cold results\ngot  %+v\nwant %+v", what, got, want)
+		}
+	}
+
+	// Cells that disagree on their test count fall back to the tests, and
+	// the pair is assembled as before the read order changed: the tests'
+	// count, the cells as stored.
+	var edited KernelCell
+	for _, p := range cold.Pairs {
+		if p.OpA == "stat" && p.OpB == "close" {
+			edited = p.Cells[1]
+		}
+	}
+	edited.Total++
+	data, err := EncodeCellEntry(cellKey(1), edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(cache.Dir(), cellKey(1)+".cell.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res := rerun("cells disagree on Total", cfg, CacheStats{TestgenHits: 1, CheckHits: pairs * len(kernels)}, 1)
+	want := stripTiming(cold.Pairs)
+	for i := range want {
+		want[i].Cells = slices.Clone(want[i].Cells)
+		if want[i].OpA == "stat" && want[i].OpB == "close" {
+			want[i].Cells[1] = edited
+		}
+	}
+	if got := stripTiming(res.Pairs); !reflect.DeepEqual(got, want) {
+		t.Errorf("cells disagree on Total: got %+v\nwant %+v", got, want)
+	}
+
+	noKernels := cfg
+	noKernels.Kernels = nil
+	res = rerun("no kernels", noKernels, CacheStats{TestgenHits: pairs}, pairs)
+	for i, p := range res.Pairs {
+		if p.Tests != cold.Pairs[i].Tests || len(p.Cells) != 0 {
+			t.Errorf("no kernels: pair %s has %d tests and cells %+v, want %d tests and none",
+				p.Pair(), p.Tests, p.Cells, cold.Pairs[i].Tests)
+		}
+	}
+}
+
+// TestCellEntryDefectsAreMisses pins what a CHECK hit must be, since a hit
+// goes into the matrix without the tests it summarizes: a cell of the
+// requested kernel with 0 ≤ Conflicts ≤ Total. A hand-edited entry that
+// breaks one of those, under the right key and version, is a miss: the
+// sweep recomputes the cell, renders the clean matrix and overwrites it.
+func TestCellEntryDefectsAreMisses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep pipeline in -short mode")
+	}
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops, kernels := []*spec.Op{testOp(t, "stat"), testOp(t, "close")}, testKernels()
+	cfg := Config{Ops: ops, Kernels: kernels, Workers: 2, Cache: cache}
+	clean, err := runSweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := CheckKey(TestgenKey("posix", "stat", "close", cfg.Analyzer, cfg.Testgen), "linux")
+	stored, ok := cache.GetCell(key)
+	if !ok || stored.Total == 0 {
+		t.Fatalf("the linux cell of stat/close is %+v, %v; want a stored cell with tests", stored, ok)
+	}
+	for what, cell := range map[string]KernelCell{
+		"another kernel's name": {Kernel: "sv6", Total: stored.Total, Conflicts: stored.Conflicts},
+		"negative conflicts":    {Kernel: "linux", Total: stored.Total, Conflicts: -1},
+		"conflicts over total":  {Kernel: "linux", Total: stored.Total, Conflicts: stored.Total + 1},
+	} {
+		data, err := EncodeCellEntry(key, cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(cache.Dir(), key+".cell.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := runSweep(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if want := (CacheStats{TestgenHits: 1, CheckHits: 5, CheckMisses: 1}); res.Cache != want {
+			t.Errorf("%s: stats %+v, want %+v (the edited cell as the one miss)", what, res.Cache, want)
+		}
+		if got, want := stripTiming(res.Pairs), stripTiming(clean.Pairs); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: sweep computed\n%+v\nnot the clean run's\n%+v", what, got, want)
+		}
+		if got, ok := cache.GetCell(key); !ok || *got != *stored {
+			t.Errorf("%s: the entry now holds %+v, not the recomputed %+v", what, got, stored)
+		}
 	}
 }

@@ -92,7 +92,7 @@ func TestSweepCancelMidFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored := 0
+	var storedTests, storedCells int
 	for _, de := range entries {
 		name := de.Name()
 		if strings.Contains(name, ".tmp") {
@@ -117,18 +117,34 @@ func TestSweepCancelMidFlight(t *testing.T) {
 		if e.Key == "" {
 			t.Errorf("cache entry %s is missing its key", name)
 		}
-		stored++
+		if strings.HasSuffix(name, ".tests.json") {
+			storedTests++
+		} else {
+			storedCells++
+		}
 	}
 
 	// Every stored entry must be a genuine hit on a fresh warm run: the
-	// survivors are complete, not merely parsable.
+	// survivors are complete, not merely parsable. A kernel no cell was
+	// stored for reads every pair's TESTGEN entry; the sweep's own kernels
+	// then read every cell.
+	linux := testKernels()[0]
+	uncached := []KernelSpec{{Name: "linux-uncached", New: linux.New}}
+	tg, err := runSweep(Config{Ops: ops, Kernels: uncached, Workers: 2, Cache: cache})
+	if err != nil {
+		t.Fatalf("uncached-kernel sweep after cancellation: %v", err)
+	}
+	if tg.Cache.TestgenHits < storedTests {
+		t.Errorf("uncached-kernel run hit %d TESTGEN entries, but the cancelled run stored %d",
+			tg.Cache.TestgenHits, storedTests)
+	}
 	warm, err := runSweep(Config{Ops: ops, Kernels: testKernels(), Workers: 2, Cache: cache})
 	if err != nil {
 		t.Fatalf("warm sweep after cancellation: %v", err)
 	}
-	if warm.Cache.TestgenHits+warm.Cache.CheckHits < stored {
-		t.Errorf("warm run hit %d+%d entries, but the cancelled run stored %d",
-			warm.Cache.TestgenHits, warm.Cache.CheckHits, stored)
+	if warm.Cache.CheckHits < storedCells {
+		t.Errorf("warm run hit %d CHECK entries, but the cancelled run stored %d",
+			warm.Cache.CheckHits, storedCells)
 	}
 }
 

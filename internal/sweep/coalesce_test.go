@@ -13,15 +13,17 @@ import (
 	"repro/internal/spec"
 )
 
-// countingBackend wraps a Backend, counting Put calls per key and letting
-// a test intercept GetTests (to hold a flight leader inside its work
-// function at a known point). All sweeps sharing one countingBackend share
-// its String(), and therefore its flight key space.
+// countingBackend wraps a Backend, counting Get and Put calls per key and
+// letting a test intercept GetTests (to hold a flight leader inside its
+// work function at a known point). All sweeps sharing one countingBackend
+// share its String(), and therefore its flight key space.
 type countingBackend struct {
 	Backend
 	onGetTests func(key string)
 
 	mu       sync.Mutex
+	getTests map[string]int
+	getCells map[string]int
 	putTests map[string]int
 	putCells map[string]int
 }
@@ -29,16 +31,37 @@ type countingBackend struct {
 func newCountingBackend(inner Backend) *countingBackend {
 	return &countingBackend{
 		Backend:  inner,
+		getTests: make(map[string]int),
+		getCells: make(map[string]int),
 		putTests: make(map[string]int),
 		putCells: make(map[string]int),
 	}
 }
 
+// reset forgets every count so far.
+func (c *countingBackend) reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, m := range []map[string]int{c.getTests, c.getCells, c.putTests, c.putCells} {
+		clear(m)
+	}
+}
+
 func (c *countingBackend) GetTests(key string) ([]kernel.TestCase, bool) {
+	c.mu.Lock()
+	c.getTests[key]++
+	c.mu.Unlock()
 	if c.onGetTests != nil {
 		c.onGetTests(key)
 	}
 	return c.Backend.GetTests(key)
+}
+
+func (c *countingBackend) GetCell(key string) (*KernelCell, bool) {
+	c.mu.Lock()
+	c.getCells[key]++
+	c.mu.Unlock()
+	return c.Backend.GetCell(key)
 }
 
 func (c *countingBackend) PutTests(key string, tests []kernel.TestCase) error {
@@ -346,13 +369,23 @@ func TestDistinctBackendsDoNotShareFlights(t *testing.T) {
 				t.Fatalf("sweep A: %v", err)
 			}
 
+			// Each backend holds its own cell, which serves the rerun alone,
+			// and its own tests, which a kernel without a cell there reads.
+			uncached := testKernels()[1]
 			for which, cfg := range map[string]Config{"A": cfgA, "B": cfgB} {
 				res, err := runSweep(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Cache.Misses() != 0 || res.Cache.TestgenHits+res.Cache.CheckHits != 2 {
-					t.Errorf("rerun on backend %s: %+v, want 2 hits and no miss (its own sweep left it cold)", which, res.Cache)
+				if want := (CacheStats{CheckHits: 1}); res.Cache != want {
+					t.Errorf("rerun on backend %s: %+v, want %+v (its own sweep left it cold)", which, res.Cache, want)
+				}
+				cfg.Kernels = []KernelSpec{uncached}
+				if res, err = runSweep(cfg); err != nil {
+					t.Fatal(err)
+				}
+				if want := (CacheStats{TestgenHits: 1, CheckMisses: 1}); res.Cache != want {
+					t.Errorf("%s rerun on backend %s: %+v, want %+v (its own sweep left its tests cold)", uncached.Name, which, res.Cache, want)
 				}
 			}
 		})

@@ -96,11 +96,22 @@ func FuzzDecodeTestsEntry(f *testing.F) {
 	})
 }
 
-// FuzzDecodeCellEntry is FuzzDecodeTestsEntry for the CHECK tier.
+// FuzzDecodeCellEntry is FuzzDecodeTestsEntry for the CHECK tier, plus
+// the counts a hit must keep: 0 ≤ Conflicts ≤ Total. The seeds add entries
+// whose counts break them.
 func FuzzDecodeCellEntry(f *testing.F) {
-	seedEntries(f, queueEntries(f, ".cell.json"))
+	entries := queueEntries(f, ".cell.json")
+	seedEntries(f, entries)
+	for key, data := range entries {
+		f.Add(key, bytes.Replace(data, []byte(`"conflicts": `), []byte(`"conflicts": -`), 1))
+		f.Add(key, bytes.Replace(data, []byte(`"total": `), []byte(`"total": -`), 1))
+		f.Add(key, bytes.Replace(data, []byte(`"conflicts": `), []byte(`"conflicts": 1`), 1))
+	}
 	f.Fuzz(func(t *testing.T, key string, data []byte) {
 		if cell, hit := DecodeCellEntry(key, data); hit {
+			if cell.Conflicts < 0 || cell.Conflicts > cell.Total {
+				t.Fatalf("hit for key %q on a cell counting %d conflicts in %d tests", key, cell.Conflicts, cell.Total)
+			}
 			checkHit(t, key, data, *cell, EncodeCellEntry,
 				func(key string, data []byte) (KernelCell, bool) {
 					c, hit := DecodeCellEntry(key, data)

@@ -14,7 +14,10 @@ import (
 // keys: two specs sharing one cache directory never serve each other's
 // entries. A queue sweep after a warm posix sweep is fully cold (and vice
 // versa), while each spec's own rerun is fully warm — so a shared cache
-// costs nothing in correctness and loses nothing in incrementality.
+// costs nothing in correctness and loses nothing in incrementality. A warm
+// rerun is served by its cells alone, so each spec then sweeps a kernel no
+// cell was stored for, which reads every pair's TESTGEN entry: that tier
+// too kept each spec's own entries.
 func TestCacheIsolatesSpecs(t *testing.T) {
 	cache, err := OpenCache(t.TempDir())
 	if err != nil {
@@ -28,30 +31,6 @@ func TestCacheIsolatesSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	posixCfg := Config{Spec: model.Spec, Ops: posixOps, Cache: cache,
-		Kernels: []KernelSpec{implSpec(model.Spec, t)}}
-	queueCfg := Config{Spec: queuespec.Spec, Ops: queueOps, Cache: cache,
-		Kernels: []KernelSpec{implSpec(queuespec.Spec, t)}}
-
-	run := func(what string, cfg Config, wantHits, wantMisses bool) CacheStats {
-		t.Helper()
-		res, err := runSweep(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		st := res.Cache
-		if wantMisses && st.TestgenMisses == 0 {
-			t.Errorf("%s: expected cold TESTGEN tier, got %+v", what, st)
-		}
-		if !wantMisses && st.TestgenMisses != 0 {
-			t.Errorf("%s: expected warm TESTGEN tier, got %+v", what, st)
-		}
-		if wantHits && st.TestgenHits == 0 {
-			t.Errorf("%s: expected TESTGEN hits, got %+v", what, st)
-		}
-		return st
-	}
-
 	vmOps, err := spec.OpSet(vmspec.Spec, "memread,memwrite")
 	if err != nil {
 		t.Fatal(err)
@@ -60,22 +39,47 @@ func TestCacheIsolatesSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vmCfg := Config{Spec: vmspec.Spec, Ops: vmOps, Cache: cache,
-		Kernels: []KernelSpec{implSpec(vmspec.Spec, t)}}
-	kvCfg := Config{Spec: kvspec.Spec, Ops: kvOps, Cache: cache,
-		Kernels: []KernelSpec{implSpec(kvspec.Spec, t)}}
+	cfgs := map[string]Config{}
+	for name, c := range map[string]Config{
+		"posix": {Spec: model.Spec, Ops: posixOps},
+		"queue": {Spec: queuespec.Spec, Ops: queueOps},
+		"vm":    {Spec: vmspec.Spec, Ops: vmOps},
+		"kv":    {Spec: kvspec.Spec, Ops: kvOps},
+	} {
+		c.Cache, c.Kernels = cache, []KernelSpec{implSpec(c.Spec, t)}
+		cfgs[name] = c
+	}
+	const pairs = 3 // two ops each
 
-	run("cold posix", posixCfg, false, true)
+	run := func(what string, cfg Config, want CacheStats) {
+		t.Helper()
+		res, err := runSweep(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if res.Cache != want {
+			t.Errorf("%s: stats %+v, want %+v", what, res.Cache, want)
+		}
+	}
+	cold := CacheStats{TestgenMisses: pairs, CheckMisses: pairs}
+	order := []string{"posix", "queue", "vm", "kv"}
+
+	run("cold posix", cfgs["posix"], cold)
 	// No other spec may be served posix entries: each one's first sweep
 	// over the shared directory is fully cold.
-	run("cold queue after warm posix", queueCfg, false, true)
-	run("cold vm after warm posix", vmCfg, false, true)
-	run("cold kv after warm posix", kvCfg, false, true)
+	for _, name := range order[1:] {
+		run("cold "+name+" after warm posix", cfgs[name], cold)
+	}
 	// And none of those sweeps may have disturbed another spec's entries.
-	run("warm posix", posixCfg, true, false)
-	run("warm queue", queueCfg, true, false)
-	run("warm vm", vmCfg, true, false)
-	run("warm kv", kvCfg, true, false)
+	for _, name := range order {
+		run("warm "+name, cfgs[name], CacheStats{CheckHits: pairs})
+	}
+	for _, name := range order {
+		cfg := cfgs[name]
+		impl := cfg.Kernels[0]
+		cfg.Kernels = []KernelSpec{{Name: impl.Name + "-uncached", New: impl.New}}
+		run("uncached kernel on warm "+name, cfg, CacheStats{TestgenHits: pairs, CheckMisses: pairs})
+	}
 }
 
 // TestFleetSessionKeyIsolatesSpecs pins the fleet coordinator's session

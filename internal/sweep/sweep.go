@@ -48,7 +48,8 @@ type Event struct {
 	// Tests is the number of generated test cases for the pair.
 	Tests int
 	// Cached reports that the pair was served entirely from the cache
-	// (TESTGEN tier plus every kernel's CHECK tier entry).
+	// (every kernel's CHECK tier entry, and the TESTGEN tier entry when
+	// the cells alone did not settle the pair).
 	Cached bool
 	// Coalesced reports that at least one of the pair's stages was shared
 	// from a concurrent identical execution instead of run here.
@@ -119,8 +120,9 @@ type PairResult struct {
 	// not a proof of non-commutativity; downstream rendering marks such
 	// pairs instead of presenting them as "never commutes".
 	Unknown int `json:"unknown,omitempty"`
-	// Cached reports that nothing was recomputed for the pair: the tests
-	// came from the TESTGEN tier and every cell from the CHECK tier.
+	// Cached reports that nothing was recomputed for the pair: every cell
+	// came from the CHECK tier, and the tests, when they were read at all,
+	// from the TESTGEN tier.
 	Cached bool `json:"cached,omitempty"`
 	// Coalesced reports that at least one stage's result was shared from
 	// a concurrent identical execution (single-flight): this sweep did
@@ -568,15 +570,7 @@ func (s *stage[T]) exec(r *run, key string, usable func(T) bool, compute func() 
 		// stored below), so unknown stays 0.
 		val, hit := s.get(cache, key)
 		hit = hit && (usable == nil || usable(val))
-		c := s.counts(&r.counters)
-		if hit {
-			c.hits.Add(1)
-			s.mHits.Inc()
-		} else {
-			c.misses.Add(1)
-			s.mMisses.Inc()
-		}
-		observeBackendGet(cache, s.tier, hit)
+		s.count(r, hit)
 		if hit {
 			return stageOutcome[T]{val: val, fromCache: true}, nil
 		}
@@ -603,10 +597,28 @@ func (s *stage[T]) exec(r *run, key string, usable func(T) bool, compute func() 
 	return stageOutcome[T]{val: val, unknown: unknown}, nil
 }
 
+// count records one lookup of the tier that decided the stage: on the
+// run's counters, the process-wide tier counters and the per-backend one.
+func (s *stage[T]) count(r *run, hit bool) {
+	c := s.counts(&r.counters)
+	if hit {
+		c.hits.Add(1)
+		s.mHits.Inc()
+	} else {
+		c.misses.Add(1)
+		s.mMisses.Inc()
+	}
+	observeBackendGet(r.cfg.Cache, s.tier, hit)
+}
+
 // runPair assembles one pair's result from whichever cache tiers hit,
-// computing only the stages that miss: a TESTGEN miss runs the symbolic
-// analysis and test generation on the calling worker's Solver, and each
-// kernel's CHECK miss runs that kernel against the (cached or fresh) tests,
+// computing only the stages that miss. It reads the pair's CHECK cells
+// first (probeCells): when every kernel's cell hits and they agree on the
+// number of tests, they are the pair, and the TESTGEN tier is never read —
+// a warm pair costs K small cell reads, not the decode of its whole test
+// corpus. Otherwise a TESTGEN miss runs the symbolic analysis and test
+// generation on the calling worker's Solver, and each kernel whose cell
+// was not served runs its CHECK stage against the (cached or fresh) tests,
 // on the worker's Replayer for that kernel, w.reps[i] for r.cfg.Kernels[i].
 // It runs entirely on its caller's goroutine: the drivers' worker pools are
 // what bound concurrency.
@@ -619,6 +631,18 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op, w *worker) (PairResult
 	out := PairResult{OpA: a.Name, OpB: b.Name, StartMS: msBetween(r.start, start)}
 
 	tgKey := TestgenKey(r.sp.Name(), a.Name, b.Name, r.cfg.Analyzer, r.cfg.Testgen)
+	out.Cells = r.probeCells(tgKey)
+	if len(out.Cells) > 0 && len(out.Cells) == len(r.cfg.Kernels) && sameTotal(out.Cells) {
+		// A stored cell counts one result per test of the tests its key
+		// pins, and is complete by construction, so the cells alone are
+		// the pair.
+		out.Tests = out.Cells[0].Total
+		out.Cached = true
+		out.ElapsedMS = msSince(start)
+		observePair(&out)
+		return out, nil
+	}
+
 	tg, err := testgenStage.run(ctx, r, tgKey, &out, func(tests []kernel.TestCase) bool {
 		return pairTests(tests, a.Name, b.Name)
 	}, func() ([]kernel.TestCase, int, error) {
@@ -631,8 +655,11 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op, w *worker) (PairResult
 	out.Unknown = tg.unknown
 
 	out.Cached = tg.fromCache
-	for i, ks := range r.cfg.Kernels {
-		ck, err := checkStage.run(ctx, r, CheckKey(tgKey, ks.Name), &out, nil, func() (KernelCell, int, error) {
+	for i := len(out.Cells); i < len(r.cfg.Kernels); i++ {
+		ks := r.cfg.Kernels[i]
+		ck, err := checkStage.run(ctx, r, CheckKey(tgKey, ks.Name), &out, func(cell KernelCell) bool {
+			return cell.Kernel == ks.Name
+		}, func() (KernelCell, int, error) {
 			cell, err := runCheck(ctx, ks, &w.reps[i], tg.val, &out)
 			return cell, tg.unknown, err
 		})
@@ -649,11 +676,44 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op, w *worker) (PairResult
 	return out, nil
 }
 
+// probeCells reads the pair's CHECK cells in kernel order, outside any
+// flight, and returns the leading run of hits: each is counted as the hit
+// that serves its kernel, whatever the pair goes on to read. The first
+// miss ends the probe uncounted, since only a miss the CHECK stage takes
+// under single-flight decides anything: a concurrent identical sweep may
+// store the cell in between, and the stage's own probe then serves it.
+func (r *run) probeCells(tgKey string) []KernelCell {
+	if r.cfg.Cache == nil || len(r.cfg.Kernels) == 0 {
+		return nil
+	}
+	cells := make([]KernelCell, 0, len(r.cfg.Kernels))
+	for _, ks := range r.cfg.Kernels {
+		cell, hit := checkStage.get(r.cfg.Cache, CheckKey(tgKey, ks.Name))
+		if !hit || cell.Kernel != ks.Name {
+			observeBackendGet(r.cfg.Cache, TierCheck, false)
+			break
+		}
+		checkStage.count(r, true)
+		cells = append(cells, cell)
+	}
+	return cells
+}
+
+// sameTotal reports whether every cell ran the same number of tests.
+func sameTotal(cells []KernelCell) bool {
+	for _, c := range cells[1:] {
+		if c.Total != cells[0].Total {
+			return false
+		}
+	}
+	return true
+}
+
 // pairTests reports whether tests can be the pair (a, b)'s: every test
 // calls a then b, and kernel.Admit accepts it. The TESTGEN tier serves
 // whatever entry carries the right version and key — a disk or a cache
 // peer wrote it — so a hit that fails this is recomputed, not replayed. It
-// allocates nothing: a warm sweep asks it of every pair.
+// allocates nothing: a sweep asks it of every TESTGEN hit.
 func pairTests(tests []kernel.TestCase, a, b string) bool {
 	for i := range tests {
 		tc := &tests[i]
