@@ -5,10 +5,10 @@
 // The package is deliberately dependency-free (standard library only) and
 // cheap on the hot path: counters and gauges are single atomic operations,
 // histogram observations are one atomic per bucket boundary search plus a
-// CAS for the sum, and labeled lookups that hit an existing series take
-// one RLock. Every layer of the COMMUTER pipeline — the sweep engine, the
-// serve endpoint, the solver — records into the process-wide Default
-// registry, and `commuter serve` exposes it at /metrics.
+// CAS for the sum, and a labeled lookup takes its family's lock once.
+// Every layer of the COMMUTER pipeline — the sweep engine, the serve
+// endpoint, the solver — records into the process-wide Default registry,
+// and `commuter serve` exposes it at /metrics.
 //
 // Registration is idempotent: asking for a metric that already exists
 // with the same shape returns the existing one, so packages can declare
@@ -57,9 +57,6 @@ type Gauge struct {
 
 // Set replaces the value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adds n (negative allowed).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
@@ -147,18 +144,12 @@ func (f *family) get(vals []string) *series {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d", f.name, len(f.labels), len(vals)))
 	}
 	key := strings.Join(vals, "\x00")
-	f.mu.RLock()
-	s := f.series[key]
-	f.mu.RUnlock()
-	if s != nil {
-		return s
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s = f.series[key]; s != nil {
+	if s := f.series[key]; s != nil {
 		return s
 	}
-	s = &series{labelVals: slices.Clone(vals)}
+	s := &series{labelVals: slices.Clone(vals)}
 	switch f.typ {
 	case typeCounter:
 		s.c = &Counter{}

@@ -34,10 +34,9 @@ func FleetSpec(sp spec.Spec, cfg Config) FleetSweepSpec {
 // fleetWorkerSeq distinguishes concurrent RunFleet calls in one process.
 var fleetWorkerSeq atomic.Int64
 
-func fleetWorkerName(cfg Config) string {
-	if cfg.FleetWorker != "" {
-		return cfg.FleetWorker
-	}
+// fleetWorkerName names this process's fleet member: host, pid and a
+// sequence number, unique among the members one process runs.
+func fleetWorkerName() string {
 	host, _ := os.Hostname()
 	if host == "" {
 		host = "worker"
@@ -74,7 +73,7 @@ func RunFleet(ctx context.Context, cfg Config, fc FleetClient) (*Result, error) 
 	}
 	defer r.close()
 	fspec := FleetSpec(r.sp, cfg)
-	wid := fleetWorkerName(cfg)
+	wid := fleetWorkerName()
 
 	// The lease names the pair; resolve it back to ops through the same
 	// enumeration that produced the coordinator's work list.

@@ -216,17 +216,29 @@ func TestFleetTableCompleteIdempotent(t *testing.T) {
 
 // countingFleet wraps a FleetClient and records, per pair, how many
 // result posts it carried — the exactly-once ledger the fleet tests
-// assert against — and how many claims it carried.
+// assert against — how many claims it carried, and the worker name the
+// last claim carried: RunFleet derives its member's name, and a test
+// finds that member in the coordinator's status by it.
 type countingFleet struct {
 	FleetClient
 	mu       sync.Mutex
 	reported map[string]int
 	claims   atomic.Int64
+	lastName atomic.Pointer[string]
 }
 
 func (c *countingFleet) Claim(ctx context.Context, req FleetClaimRequest) (FleetClaimResponse, error) {
 	c.claims.Add(1)
+	c.lastName.Store(&req.Worker)
 	return c.FleetClient.Claim(ctx, req)
+}
+
+// worker is the name the last claim carried, or "" before any claim.
+func (c *countingFleet) worker() string {
+	if p := c.lastName.Load(); p != nil {
+		return *p
+	}
+	return ""
 }
 
 func newCountingFleet(fc FleetClient) *countingFleet {
@@ -286,7 +298,7 @@ func TestRunFleetMatchesRunContext(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cfg := Config{Ops: ops, Kernels: kernels, Workers: 2, FleetWorker: []string{"w1", "w2"}[i]}
+			cfg := Config{Ops: ops, Kernels: kernels, Workers: 2}
 			results[i], errs[i] = RunFleet(context.Background(), cfg, counting)
 		}(i)
 	}
@@ -354,13 +366,14 @@ func TestRunFleetCancelRequeues(t *testing.T) {
 	hub := NewFleetHub(0, nil)
 	actx, acancel := context.WithCancel(context.Background())
 	defer acancel()
-	fcA := &cancelAfterClaim{FleetClient: localFleet(hub), cancel: acancel}
-	_, errA := RunFleet(actx, Config{Ops: ops, Kernels: kernels, Workers: 2, FleetWorker: "doomed"}, fcA)
+	doomed := newCountingFleet(localFleet(hub))
+	fcA := &cancelAfterClaim{FleetClient: doomed, cancel: acancel}
+	_, errA := RunFleet(actx, Config{Ops: ops, Kernels: kernels, Workers: 2}, fcA)
 	if errA == nil {
 		t.Fatal("canceled worker returned no error")
 	}
 
-	res, err := RunFleet(context.Background(), Config{Ops: ops, Kernels: kernels, Workers: 2, FleetWorker: "survivor"}, localFleet(hub))
+	res, err := RunFleet(context.Background(), Config{Ops: ops, Kernels: kernels, Workers: 2}, localFleet(hub))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,8 +387,12 @@ func TestRunFleetCancelRequeues(t *testing.T) {
 	if !st.Done {
 		t.Error("sweep not done after survivor finished")
 	}
-	if st.Workers["doomed"].Leased != 0 {
-		t.Errorf("doomed worker still holds %d leases after cancellation", st.Workers["doomed"].Leased)
+	w, ok := st.Workers[doomed.worker()]
+	if !ok {
+		t.Fatalf("doomed worker %q missing from the status: %+v", doomed.worker(), st.Workers)
+	}
+	if w.Leased != 0 {
+		t.Errorf("doomed worker still holds %d leases after cancellation", w.Leased)
 	}
 }
 
@@ -401,7 +418,7 @@ func TestRunFleetSlowPeerTailFinish(t *testing.T) {
 
 	clk := newFakeClock()
 	hub := NewFleetHub(0, clk.Now)
-	cfg := Config{Ops: ops, Kernels: kernels, Workers: 2, FleetWorker: "fast"}
+	cfg := Config{Ops: ops, Kernels: kernels, Workers: 2}
 	fspec := FleetSpec(mustSpec(t), cfg)
 
 	// The slow peer claims two pairs and is never heard from again.
@@ -415,7 +432,8 @@ func TestRunFleetSlowPeerTailFinish(t *testing.T) {
 	// Its leases expire in fake time before the fast worker ever polls.
 	clk.Advance(defaultFleetTTL + time.Second)
 
-	res, err := RunFleet(context.Background(), cfg, localFleet(hub))
+	fast := newCountingFleet(localFleet(hub))
+	res, err := RunFleet(context.Background(), cfg, fast)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,8 +444,8 @@ func TestRunFleetSlowPeerTailFinish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Workers["fast"].Stolen != 2 {
-		t.Errorf("fast worker stole %d leases, want the dead peer's 2", st.Workers["fast"].Stolen)
+	if n := st.Workers[fast.worker()].Stolen; n != 2 {
+		t.Errorf("fast worker %q stole %d leases, want the dead peer's 2", fast.worker(), n)
 	}
 }
 
@@ -440,13 +458,12 @@ func TestFleetHubLateJoiner(t *testing.T) {
 	}
 	ops, kernels := testOps(t), testKernels()
 	hub := NewFleetHub(0, nil)
-	cfg := Config{Ops: ops, Kernels: kernels, Workers: 2, FleetWorker: "first"}
+	cfg := Config{Ops: ops, Kernels: kernels, Workers: 2}
 	first, err := RunFleet(context.Background(), cfg, localFleet(hub))
 	if err != nil {
 		t.Fatal(err)
 	}
 	counting := newCountingFleet(localFleet(hub))
-	cfg.FleetWorker = "late"
 	late, err := RunFleet(context.Background(), cfg, counting)
 	if err != nil {
 		t.Fatal(err)

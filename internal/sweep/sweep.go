@@ -94,9 +94,6 @@ type Config struct {
 	Cache Backend
 	// Progress, when non-nil, receives one Event per finished pair.
 	Progress func(Event)
-	// FleetWorker names this process to the fleet coordinator (RunFleet
-	// only); empty derives a host-pid-unique name.
-	FleetWorker string
 }
 
 // KernelCell is one kernel's aggregate verdict for one pair: how many of

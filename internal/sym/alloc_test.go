@@ -71,8 +71,8 @@ func TestConstructorHitAllocatesNothing(t *testing.T) {
 // that makes its node, over up to junctionStack arguments with more than 16
 // variables among them, allocates what the node keeps — the node, its
 // argument copy, its variable list, the weak handle and the bucket entry
-// holding it — and no scratch: dedup's table and mergeVars' bitset are on
-// the stack.
+// holding it — and no scratch: dedup's table is on the stack, and
+// mergeVars writes straight into the node's list.
 func TestConstructorMissAllocatesTheNodeAlone(t *testing.T) {
 	const runs = 100
 	run := fuzzFresh.Add(1)
@@ -100,14 +100,15 @@ func TestConstructorMissAllocatesTheNodeAlone(t *testing.T) {
 }
 
 // TestUnionVarsPastTheBitset holds unionVars to a first-occurrence merge by
-// pointer where ids run past its bitset and a map takes them over. The
-// variables past it are made by hand, not interned: a process that interned
-// that many names would size every later Solver's scratch for them.
+// pointer over interned variables mixed with ones whose ids lie past 1<<15:
+// the merge tells variables apart by pointer, whatever their ids. Those
+// past 1<<15 are made by hand, not interned: a process that interned that
+// many names would size every later Solver's scratch for them.
 func TestUnionVarsPastTheBitset(t *testing.T) {
 	var vars []*Expr
 	for i := 0; i < 12; i++ {
 		vars = append(vars, Var(fmt.Sprintf("past.small%d", i), BoolSort))
-		big := &Expr{Op: OpVar, Sort: BoolSort, Name: fmt.Sprintf("past.big%d", i), VarID: varBitset + i}
+		big := &Expr{Op: OpVar, Sort: BoolSort, Name: fmt.Sprintf("past.big%d", i), VarID: 1<<15 + i}
 		big.vars = []*Expr{big}
 		vars = append(vars, big)
 	}
@@ -169,9 +170,9 @@ var fuzzFresh atomic.Int64
 //
 // long, when not zero, is the length of the first list, so that the
 // constructors' scratch is exercised in every regime: past 16 arguments
-// dedup's stack table, past junctionStack its map, and past 16 variables
-// mergeVars' bitset. The seeds hold such lists, duplicates among them; no
-// list this long holds a constant, which would absorb it.
+// dedup's stack table and past junctionStack its map. The seeds hold such
+// lists, duplicates among them; no list this long holds a constant, which
+// would absorb it.
 func FuzzAndFlattensLikeNesting(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		data := make([]byte, 256)

@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -41,12 +42,13 @@ import (
 // from rebuilt parts lands on new keys — and so each shard sweeps them
 // out itself: when the insertions since its last sweep reach the number
 // of entries that sweep left (internSweepFloor at least), it drops every
-// cleared entry and moves the rest to a new map. That bounds a shard by
-// twice what its last sweep found alive, at an amortized cost of two
-// entry visits per insertion; InternSize reports the total, and a process
-// that runs the same sweeps over and over sees it flat. Two structurally
-// equal *live* nodes still cannot coexist: a node is only rebuilt after
-// every strong reference to its predecessor is gone.
+// cleared entry and moves the rest to a new map. A lookup steps over a
+// cleared entry and leaves it there: the sweep is the table's one cleanup.
+// That bounds a shard by twice what its last sweep found alive, at an
+// amortized cost of two entry visits per insertion; InternSize reports the
+// total, and a process that runs the same sweeps over and over sees it
+// flat. Two structurally equal *live* nodes still cannot coexist: a node
+// is only rebuilt after every strong reference to its predecessor is gone.
 
 // internShardCount is a power of two sizing the lock shards.
 const internShardCount = 64
@@ -194,17 +196,8 @@ func intern(op Op, sort Sort, i64 int64, b bool, name string, args []*Expr) *Exp
 	sh := &it.shards[h&(internShardCount-1)]
 	sh.mu.Lock()
 	bucket := sh.m[h]
-	compact := false
 	for _, wp := range bucket {
-		e := wp.Value()
-		if e == nil {
-			compact = true
-			continue
-		}
-		if matches(e, op, sort, i64, b, name, args) {
-			if compact {
-				sh.m[h] = sh.compactBucket(bucket)
-			}
+		if e := wp.Value(); e != nil && matches(e, op, sort, i64, b, name, args) {
 			sh.hits++
 			sh.mu.Unlock()
 			return e
@@ -219,9 +212,6 @@ func intern(op Op, sort Sort, i64 int64, b bool, name string, args []*Expr) *Exp
 	}
 	e.id = it.nextID.Add(1)
 	e.vars = mergeVars(e, own)
-	if compact {
-		bucket = sh.compactBucket(bucket)
-	}
 	// All fields are set before the node becomes reachable; the shard
 	// mutex publishes it to other goroutines.
 	sh.m[h] = append(bucket, weak.Make(e))
@@ -288,53 +278,16 @@ func mergeVars(e *Expr, args []*Expr) []*Expr {
 	return unionVars(make([]*Expr, 0, total), args)
 }
 
-// varBitset bounds the variable ids unionVars tracks in a bitset on its
-// stack; an id past it goes to a map.
-const varBitset = 1 << 15
-
 // unionVars appends to dst the variables of args' lists, in order, each
-// once. A variable's VarID is its identity (one per name and sort), so past
-// the lengths a linear scan serves, a bitset over ids does.
+// once. Variables are interned, so a repeat is pointer-equal to the first
+// occurrence already in dst.
 func unionVars(dst, args []*Expr) []*Expr {
-	total := 0
-	for _, a := range args {
-		total += len(a.vars)
-	}
-	if total <= 16 {
-		base := len(dst)
-		for _, a := range args {
-		vloop:
-			for _, v := range a.vars {
-				for _, o := range dst[base:] {
-					if o == v {
-						continue vloop
-					}
-				}
-				dst = append(dst, v)
-			}
-		}
-		return dst
-	}
-	var seen [varBitset / 64]uint64
-	var past map[int]struct{}
+	base := len(dst)
 	for _, a := range args {
 		for _, v := range a.vars {
-			if id := v.VarID; id < varBitset {
-				w, bit := id/64, uint64(1)<<(id%64)
-				if seen[w]&bit != 0 {
-					continue
-				}
-				seen[w] |= bit
-			} else {
-				if _, dup := past[id]; dup {
-					continue
-				}
-				if past == nil {
-					past = map[int]struct{}{}
-				}
-				past[id] = struct{}{}
+			if !slices.Contains(dst[base:], v) {
+				dst = append(dst, v)
 			}
-			dst = append(dst, v)
 		}
 	}
 	return dst

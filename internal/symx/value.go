@@ -314,22 +314,15 @@ func (d *Dict) Entries() []*DictEntry { return d.entries }
 // (content-derived naming), so they are equal by definition and need no
 // clauses. sym.And of the result is the formula; conjoining the conjuncts
 // once is what conjoining them per key and per dictionary would give.
+//
+// What the two sides and all fields of one key share is built once per
+// key: the MakeVal default (one tag, so one probe whichever dictionary
+// asks), and the guards comparing the key with every registered probe and
+// every overlay entry.
 func DictsEquivalent(dst []*sym.Expr, c *Context, a, b *Dict) []*sym.Expr {
 	if a.Name != b.Name {
 		panic("symx: comparing dictionaries with different identities")
 	}
-	if len(a.entries) == 0 && len(b.entries) == 0 {
-		return dst // no key either path touched
-	}
-	return dictsEquivalent(dst, c, a, b)
-}
-
-// dictsEquivalent builds what DictsEquivalent appends. What the two sides
-// and all fields of one key share is built once per key: the MakeVal
-// default (one tag, so one probe whichever dictionary asks), and the
-// guards comparing the key with every registered probe and every overlay
-// entry.
-func dictsEquivalent(dst []*sym.Expr, c *Context, a, b *Dict) []*sym.Expr {
 	probes := c.initProbes[a.Name]
 	keys := unionKeys(c, a, b)
 	fields := fieldSet(a, b)
