@@ -160,25 +160,58 @@ func TestRequestBodyIsOneJSONValue(t *testing.T) {
 	}
 }
 
+// TestUnknownRequestFieldIsABadRequest pins that a request body carrying a
+// field its type lacks is refused by name instead of decoded without it: a
+// misspelled cap once ran, and cached, a sweep at the default, and a field
+// a past wire version carried would be dropped the same way. Each body is
+// accepted without the field, so the field alone is what is refused.
+func TestUnknownRequestFieldIsABadRequest(t *testing.T) {
+	_, srv := newLoopback(t)
+	sw := `{"spec":"queue","ops":["send"],"kernels":["memq"]}`
+	claim := fmt.Sprintf(`{"version":%d,"worker":"w","max":1,"sweep":%s}`, api.Version, sw)
+	if code, msg := doReq(t, http.MethodPost, srv.URL+api.PathFleetClaim, []byte(claim)); code != http.StatusOK {
+		t.Fatalf("fleet claim = %d (%s), want 200", code, msg)
+	}
+	for _, tc := range []struct {
+		path, body, field string // body's %s is where the field goes
+	}{
+		{api.PathAnalyze, `{"version":%d,"op_a":"send","op_b":"send","options":{%s"spec":"queue"}}`, `"max_paths":8,`},
+		{api.PathSweep, `{"version":%d,"options":{%s"spec":"queue","ops":"send"}}`, `"max_paths":8,`},
+		{api.PathSweep, `{"version":%d,"options":{%s"spec":"queue","ops":"send"}}`, `"max_test_per_path":1,`},
+		{api.PathFleetResult, `{"version":%d,"worker":"w","sweep":` + sw + `,"results":[{"lease":"x",%s"pair":{"op_a":"send","op_b":"send","tests":0}}]}`,
+			`"testgen_key":"0011223344556677",`},
+	} {
+		if code, msg := doReq(t, http.MethodPost, srv.URL+tc.path, fmt.Appendf(nil, tc.body, api.Version, "")); code != http.StatusOK {
+			t.Fatalf("POST %s without %s = %d (%s), want 200", tc.path, tc.field, code, msg)
+		}
+		name, _, _ := strings.Cut(tc.field, ":")
+		code, msg := doReq(t, http.MethodPost, srv.URL+tc.path, fmt.Appendf(nil, tc.body, api.Version, tc.field))
+		var ae api.Error
+		if err := json.Unmarshal(msg, &ae); err != nil || code != http.StatusBadRequest ||
+			ae.Code != api.CodeBadRequest || !strings.Contains(ae.Message, name) {
+			t.Errorf("POST %s with %s = %d (%s), want a 400 bad request naming %s", tc.path, tc.field, code, msg, name)
+		}
+	}
+}
+
 // TestNegativeCapIsABadRequest pins that a cap below zero is refused, not
-// run: a negative per-path cap once cut rename/rename from 38 tests to 24
-// and a negative path cap to none, each reported complete and cached. The
-// local binding, every served route that reads the caps and the fleet
-// coordinator answer a bad request (a 400, or for the streamed sweep its
-// bad_request error frame), and nothing reaches the cache.
+// run: a negative per-path cap once cut rename/rename from 38 tests to 24,
+// reported complete and cached. The local binding, every served route that
+// reads the cap and the fleet coordinator answer a bad request (a 400, or
+// for the streamed sweep its bad_request error frame), and nothing reaches
+// the cache.
 func TestNegativeCapIsABadRequest(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	for _, capOpt := range []commuter.Option{commuter.WithTestsPerPath(-1), commuter.WithMaxPaths(-1)} {
-		if _, err := commuter.Local().GenerateTests(ctx, "rename", "rename", capOpt); !commuter.IsBadRequest(err) {
-			t.Errorf("GenerateTests with a negative cap: %v, want a bad request", err)
-		}
-		if _, err := commuter.Local().Analyze(ctx, "rename", "rename", capOpt); !commuter.IsBadRequest(err) {
-			t.Errorf("Analyze with a negative cap: %v, want a bad request", err)
-		}
-		if _, err := commuter.Local().Sweep(ctx, commuter.WithOps("rename", "unlink"), commuter.WithCache(dir), capOpt); !commuter.IsBadRequest(err) {
-			t.Errorf("Sweep with a negative cap: %v, want a bad request", err)
-		}
+	capOpt := commuter.WithTestsPerPath(-1)
+	if _, err := commuter.Local().GenerateTests(ctx, "rename", "rename", capOpt); !commuter.IsBadRequest(err) {
+		t.Errorf("GenerateTests with a negative cap: %v, want a bad request", err)
+	}
+	if _, err := commuter.Local().Analyze(ctx, "rename", "rename", capOpt); !commuter.IsBadRequest(err) {
+		t.Errorf("Analyze with a negative cap: %v, want a bad request", err)
+	}
+	if _, err := commuter.Local().Sweep(ctx, commuter.WithOps("rename", "unlink"), commuter.WithCache(dir), capOpt); !commuter.IsBadRequest(err) {
+		t.Errorf("Sweep with a negative cap: %v, want a bad request", err)
 	}
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
 		t.Errorf("refused sweeps left %d cache entries (err %v), want none", len(entries), err)
@@ -192,7 +225,7 @@ func TestNegativeCapIsABadRequest(t *testing.T) {
 		path string
 		req  any
 	}{
-		{api.PathAnalyze, api.AnalyzeRequest{Version: api.Version, OpA: "rename", OpB: "rename", Options: api.Options{MaxPaths: -1}}},
+		{api.PathAnalyze, api.AnalyzeRequest{Version: api.Version, OpA: "rename", OpB: "rename", Options: api.Options{MaxTestsPerPath: -1}}},
 		{api.PathTestgen, api.TestgenRequest{Version: api.Version, OpA: "rename", OpB: "rename", Options: api.Options{MaxTestsPerPath: -1}}},
 		{api.PathSweep, api.SweepRequest{Version: api.Version, Options: api.Options{Ops: "rename,unlink", MaxTestsPerPath: -1}}},
 		{api.PathFleetClaim, sweep.FleetClaimRequest{Version: sweep.FleetAPIVersion, Worker: "w", Max: 1,
@@ -209,7 +242,7 @@ func TestNegativeCapIsABadRequest(t *testing.T) {
 		code, msg := doReq(t, http.MethodPost, srv.URL+tc.path, body)
 		if code != want || !strings.Contains(string(msg), "max_tests_per_path") ||
 			tc.path != api.PathFleetClaim && !strings.Contains(string(msg), `"code":"bad_request"`) {
-			t.Errorf("POST %s with a negative cap = %d (%s), want %d and a bad request naming the caps", tc.path, code, msg, want)
+			t.Errorf("POST %s with a negative cap = %d (%s), want %d and a bad request naming the cap", tc.path, code, msg, want)
 		}
 	}
 }

@@ -149,9 +149,9 @@ func TestFleetClaimRouteRefusesUncheckedSweep(t *testing.T) {
 
 // TestFleetForgedReportStoresNothing pins what a result post can reach: the
 // session's lease table and nothing else. A report naming a pair the session
-// does not contain, cells nobody computed and a cache key of its own choosing
-// is counted stale — and the coordinator's cache backend, which later sweeps
-// serve as hits, holds nothing afterwards.
+// does not contain and cells nobody computed is counted stale — and the
+// coordinator's cache backend, which later sweeps serve as hits, holds
+// nothing afterwards.
 func TestFleetForgedReportStoresNothing(t *testing.T) {
 	cache := sweep.NewMemBackend(0)
 	_, coord := newLoopback(t, commuter.ServeWithBackend(cache))
@@ -165,14 +165,12 @@ func TestFleetForgedReportStoresNothing(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	key := strings.Repeat("0", 56) + "deadbeef"
 	resp, err := fc.Report(context.Background(), sweep.FleetResultRequest{
 		Version: sweep.FleetAPIVersion, Worker: "mallory", Sweep: sw,
 		Results: []sweep.FleetPairDone{{
 			Lease: "forged",
 			Pair: sweep.PairResult{OpA: "open", OpB: "open", Tests: 9,
 				Cells: []sweep.KernelCell{{Kernel: "sv6", Total: 9}}},
-			TestgenKey: key,
 		}},
 	})
 	if err != nil {
@@ -181,8 +179,8 @@ func TestFleetForgedReportStoresNothing(t *testing.T) {
 	if resp.Accepted != 0 || resp.Stale != 1 {
 		t.Errorf("forged report: %+v, want 0 accepted and 1 stale", resp)
 	}
-	if cell, hit := cache.GetCell(sweep.CheckKey(key, "sv6")); hit || cache.Len() != 0 {
-		t.Errorf("the coordinator's cache holds %d entries after a forged report (the forged cell: %+v)", cache.Len(), cell)
+	if n := cache.Len(); n != 0 {
+		t.Errorf("the coordinator's cache holds %d entries after a forged report", n)
 	}
 }
 

@@ -38,10 +38,12 @@ func goldenLine(f *testing.F, file string) []byte {
 }
 
 // FuzzDialSweepStream serves the input to a Dial client as a /v1/sweep
-// NDJSON body: the stream yields zero or more updates and then exactly one
-// terminal element, a result or an error — never a panic, never a run longer
+// NDJSON body: the stream yields zero or more updates, each carrying its
+// pair, and then exactly one terminal element, a result or an error — never a panic, never a run longer
 // than a bound per input byte. Seeds are the frame goldens as the server
-// writes them, one per line, concatenated and truncated.
+// writes them, one per line, concatenated and truncated, and an update
+// frame without its pair ahead of a result, which ends the stream in an
+// error.
 func FuzzDialSweepStream(f *testing.F) {
 	update := goldenLine(f, "frame_update.golden.json")
 	for _, terminal := range []string{"frame_result.golden.json", "frame_result_vm.golden.json", "frame_error.golden.json"} {
@@ -50,6 +52,16 @@ func FuzzDialSweepStream(f *testing.F) {
 			f.Add(body[:n])
 		}
 	}
+	var bare api.Frame
+	if err := json.Unmarshal(update, &bare); err != nil {
+		f.Fatal(err)
+	}
+	bare.Pair = nil
+	pairless, err := json.Marshal(bare)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(append(pairless, '\n'), goldenLine(f, "frame_result.golden.json")...))
 	var body atomic.Pointer[[]byte]
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
@@ -73,6 +85,9 @@ func FuzzDialSweepStream(f *testing.F) {
 			if err != nil || upd.Result != nil {
 				terminals++
 				continue
+			}
+			if upd.Pair == nil || upd.Progress != nil && upd.Progress.Result != upd.Pair {
+				t.Fatalf("an update whose progress is not about its pair: %+v", upd)
 			}
 			updates++
 		}

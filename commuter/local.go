@@ -54,9 +54,8 @@ func (localClient) Specs(ctx context.Context) ([]SpecInfo, error) {
 // since zero means the default and a negative cap would cut a test set
 // short with nothing marking it incomplete.
 func (o *callOptions) spec() (spec.Spec, error) {
-	if o.MaxPaths < 0 || o.MaxTestsPerPath < 0 {
-		return nil, badRequest(fmt.Errorf("a cap below 0: max_paths %d, max_tests_per_path %d (0 means the default)",
-			o.MaxPaths, o.MaxTestsPerPath))
+	if o.MaxTestsPerPath < 0 {
+		return nil, badRequest(fmt.Errorf("a cap below 0: max_tests_per_path %d (0 means the default)", o.MaxTestsPerPath))
 	}
 	name := o.Spec
 	if name == "" {
@@ -88,10 +87,7 @@ func resolvePair(o *callOptions, opA, opB string) (spec.Spec, *spec.Op, *spec.Op
 }
 
 func (o *callOptions) analyzerOptions() analyzer.Options {
-	return analyzer.Options{
-		Config:   spec.Config{LowestFD: o.LowestFD},
-		MaxPaths: o.MaxPaths,
-	}
+	return analyzer.Options{Config: spec.Config{LowestFD: o.LowestFD}}
 }
 
 func (o *callOptions) testgenOptions() testgen.Options {

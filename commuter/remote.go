@@ -192,10 +192,13 @@ func (c *remoteClient) SweepStream(ctx context.Context, opts ...Option) iter.Seq
 			}
 			switch fr.Type {
 			case api.FrameUpdate:
+				if fr.Pair == nil {
+					yield(SweepUpdate{}, errors.New("commuter: sweep update frame carried no pair"))
+					return
+				}
 				upd := SweepUpdate{Pair: fr.Pair}
 				if fr.Progress != nil {
-					ev := fr.Progress.Event()
-					ev.Result = fr.Pair
+					ev := fr.Progress.Event(fr.Pair)
 					upd.Progress = &ev
 				}
 				if !yield(upd, nil) {

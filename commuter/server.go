@@ -285,12 +285,15 @@ func (s *server) instrument(mux *http.ServeMux) http.Handler {
 // sets; 64 MiB is two orders of magnitude above the full 18-op corpus).
 const maxRequestBytes = 64 << 20
 
-// decodeRequest parses the body, which must be exactly one JSON value, and
-// enforces the wire version; version is the request's own stamp. It writes
-// the error response itself when it returns false.
+// decodeRequest parses the body, which must be exactly one JSON value with
+// no field the request type lacks, and enforces the wire version; version
+// is the request's own stamp. A misspelled or retired option is refused by
+// name rather than run at its default. It writes the error response itself
+// when it returns false.
 func decodeRequest(w http.ResponseWriter, r *http.Request, req any, version func() int) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
 	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
 		writeError(w, api.Errorf(api.CodeBadRequest, "malformed request: %v", err))
 		return false

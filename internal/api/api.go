@@ -30,10 +30,11 @@ import (
 // Version is the wire-format version. Bump it whenever any encoding in
 // this package (or the JSON shape of the internal types it embeds —
 // kernel.TestCase, sweep.PairResult) changes incompatibly.
-const Version = 1
+const Version = 2
 
-// Endpoint paths. The version lives in the path too, so a future v2
-// server can serve both contracts side by side.
+// Endpoint paths. Their /v1/ prefix names the route family and stays
+// across wire versions: a request's version stamp is what the server
+// checks (CheckVersion).
 const (
 	PathSpecs   = "/v1/specs"
 	PathAnalyze = "/v1/analyze"
@@ -94,8 +95,6 @@ type Options struct {
 	Spec string `json:"spec,omitempty"`
 	// LowestFD selects POSIX's lowest-FD rule over O_ANYFD.
 	LowestFD bool `json:"lowest_fd,omitempty"`
-	// MaxPaths caps joint path exploration per pair.
-	MaxPaths int `json:"max_paths,omitempty"`
 	// MaxTestsPerPath caps isomorphism classes per commutative path.
 	MaxTestsPerPath int `json:"max_tests_per_path,omitempty"`
 	// Workers sizes the sweep worker pool (0 means the server decides).
@@ -230,7 +229,7 @@ type SweepRequest struct {
 
 // Frame types.
 const (
-	// FrameUpdate carries a finished pair: progress and/or its result.
+	// FrameUpdate carries a finished pair and its progress.
 	FrameUpdate = "update"
 	// FrameResult is the terminal success frame.
 	FrameResult = "result"
@@ -254,45 +253,37 @@ type Frame struct {
 	Error    *Error            `json:"error,omitempty"`
 }
 
-// Progress is the wire form of sweep.Event (minus the in-process result
-// pointer), with the duration flattened to milliseconds.
+// Progress is what a sweep.Event adds to its pair: the sweep's counters
+// and its wall time so far, flattened to milliseconds. Everything else an
+// event says is the frame's Pair, which travels beside it.
 type Progress struct {
-	Pair      string  `json:"pair"`
 	Done      int     `json:"done"`
 	Total     int     `json:"total"`
-	Tests     int     `json:"tests"`
-	Cached    bool    `json:"cached,omitempty"`
-	Coalesced bool    `json:"coalesced,omitempty"`
-	PairMS    float64 `json:"pair_ms"`
 	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
 // ProgressFromEvent converts an engine event to its wire form.
 func ProgressFromEvent(ev sweep.Event) *Progress {
 	return &Progress{
-		Pair:      ev.Pair,
 		Done:      ev.Done,
 		Total:     ev.Total,
-		Tests:     ev.Tests,
-		Cached:    ev.Cached,
-		Coalesced: ev.Coalesced,
-		PairMS:    ev.PairMS,
 		ElapsedMS: float64(ev.Elapsed) / float64(time.Millisecond),
 	}
 }
 
-// Event converts a wire progress report back to the engine's event type
-// (Result stays nil; the pair travels in its own frame field).
-func (p *Progress) Event() sweep.Event {
+// Event converts a wire progress report back to the engine's event type,
+// filling the per-pair fields from pr, the frame's pair.
+func (p *Progress) Event(pr *sweep.PairResult) sweep.Event {
 	return sweep.Event{
-		Pair:      p.Pair,
+		Pair:      pr.Pair(),
 		Done:      p.Done,
 		Total:     p.Total,
-		Tests:     p.Tests,
-		Cached:    p.Cached,
-		Coalesced: p.Coalesced,
-		PairMS:    p.PairMS,
+		Tests:     pr.Tests,
+		Cached:    pr.Cached,
+		Coalesced: pr.Coalesced,
+		PairMS:    pr.ElapsedMS,
 		Elapsed:   time.Duration(p.ElapsedMS * float64(time.Millisecond)),
+		Result:    pr,
 	}
 }
 
@@ -350,12 +341,12 @@ func (r *SweepResult) ToSweep() *sweep.Result {
 // Fleet wire types, defined in internal/sweep beside the lease table they
 // describe (this package imports sweep, not the other way around). The
 // request and response bodies a server decodes and encodes are aliased
-// here; the golden files pin every fleet encoding with the rest of the v1
+// here; the golden files pin every fleet encoding with the rest of the
 // contract. Fleet requests stamp sweep.FleetAPIVersion, which
 // tracks Version (asserted by test).
 type (
 	// FleetSweepSpec is the fleet-wide identity of one sweep: spec,
-	// resolved op/kernel names, and every test-shaping option.
+	// resolved op/kernel names, and every settable test-shaping option.
 	FleetSweepSpec = sweep.FleetSweepSpec
 	// FleetClaimRequest asks for pair leases (POST PathFleetClaim), with
 	// piggybacked lease renewal and release.

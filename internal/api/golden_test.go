@@ -38,11 +38,12 @@ func sampleTest() kernel.TestCase {
 }
 
 // goldenCases enumerates one canonical value per wire type. The encodings
-// are the v1 contract: if the encoding of an existing field changes,
-// Version must be bumped and both Client bindings revisited. Purely
-// additive omitempty/omitzero fields (and fixture extensions exercising
-// them) stay within v1: old peers ignore the unknown keys, and absent
-// keys decode to zero values.
+// are the contract of this Version: if the encoding of an existing field
+// changes, Version must be bumped and both Client bindings revisited. A
+// response or frame may gain a purely additive omitempty/omitzero field
+// (and a fixture extension exercising it) within a version: clients
+// ignore unknown keys, and absent keys decode to zero values. A request
+// may not, since the server refuses a body with a field it does not know.
 func goldenCases() map[string]any {
 	pair := sweep.PairResult{
 		OpA: "rename", OpB: "rename", Tests: 6,
@@ -52,7 +53,7 @@ func goldenCases() map[string]any {
 		ElapsedMS: 12.5,
 		StartMS:   2.25,
 		Phases:    sweep.PhaseTimes{AnalyzeMS: 1.5, TestgenMS: 2.25, CheckMS: 8, SolverMS: 0.75},
-		Solver:    sweep.SolverCounters{SatCalls: 37, BudgetHits: 1, InternHits: 1065},
+		Solver:    sweep.SolverCounters{SatCalls: 37, BudgetHits: 1},
 	}
 	vmPair := sweep.PairResult{
 		OpA: "mmap", OpB: "munmap", Tests: 4,
@@ -68,7 +69,7 @@ func goldenCases() map[string]any {
 			DefaultSet: "all", Impls: []string{"memq"},
 		}}},
 		"analyze_request": &AnalyzeRequest{Version: Version, OpA: "stat", OpB: "unlink",
-			Options: Options{Spec: "posix", LowestFD: true, MaxPaths: 128}},
+			Options: Options{Spec: "posix", LowestFD: true}},
 		"analysis": &Analysis{Spec: "posix", OpA: "stat", OpB: "unlink",
 			Paths: 4, Commutative: 2, OrderDependent: 2, Unknown: 1,
 			Clauses: []string{"the names differ", "the file is absent in both orders"},
@@ -90,7 +91,7 @@ func goldenCases() map[string]any {
 		"sweep_request": &SweepRequest{Version: Version,
 			Options: Options{Spec: "posix", Ops: "fs", Kernels: []string{"linux", "sv6"}, Workers: 8}},
 		"frame_update": &Frame{Type: FrameUpdate,
-			Progress: &Progress{Pair: "rename/rename", Done: 3, Total: 45, Tests: 6, Cached: true, PairMS: 12.5, ElapsedMS: 810},
+			Progress: &Progress{Done: 3, Total: 45, ElapsedMS: 810},
 			Pair:     &pair},
 		"frame_result": &Frame{Type: FrameResult, Result: &SweepResult{
 			Spec: "posix", Pairs: []sweep.PairResult{pair}, Workers: 8, ElapsedMS: 910.25,
@@ -100,13 +101,13 @@ func goldenCases() map[string]any {
 		"frame_error": &Frame{Type: FrameError, Error: &Error{Code: CodeCanceled, Message: "context canceled"}},
 		// One non-POSIX spec's result frame: pins that a vm pair result —
 		// an implementation cell naming the memvm reference kernel under
-		// the "vm" spec identity — rides the same v1 encoding.
+		// the "vm" spec identity — rides the same encoding.
 		"frame_result_vm": &Frame{Type: FrameResult, Result: &SweepResult{
 			Spec: "vm", Pairs: []sweep.PairResult{vmPair}, Workers: 2, ElapsedMS: 4.25,
 		}},
 		"fleet_claim_request": &FleetClaimRequest{Version: Version, Worker: "host-a-8372", Max: 4,
 			Sweep: FleetSweepSpec{Spec: "posix", Ops: []string{"open", "rename"}, Kernels: []string{"linux", "sv6"},
-				LowestFD: true, MaxPaths: 128, MaxTestsPerPath: 2},
+				LowestFD: true, MaxTestsPerPath: 2},
 			Renew:   []string{"ab12cd34.7"},
 			Release: []string{"ab12cd34.3"}},
 		"fleet_claim_response": &FleetClaimResponse{SweepID: "ab12cd34ef", TTLMS: 30000,
@@ -114,7 +115,7 @@ func goldenCases() map[string]any {
 			Total:  3, Completed: 1, Pending: 0, Leased: 2},
 		"fleet_result_request": &FleetResultRequest{Version: Version, Worker: "host-a-8372",
 			Sweep:   FleetSweepSpec{Spec: "posix", Ops: []string{"rename"}, Kernels: []string{"sv6"}},
-			Results: []sweep.FleetPairDone{{Lease: "ab12cd34.8", Pair: pair, TestgenKey: "0011223344556677"}}},
+			Results: []sweep.FleetPairDone{{Lease: "ab12cd34.8", Pair: pair}}},
 		"fleet_result_response": &FleetResultResponse{Accepted: 1, Duplicate: 1, Stale: 1,
 			Completed: 3, Total: 3, Done: true},
 		"fleet_status_response": &sweep.FleetStatusResponse{SweepID: "ab12cd34ef",
@@ -172,10 +173,12 @@ func TestWireGolden(t *testing.T) {
 	}
 }
 
-// TestProgressEventRoundTrip pins the Progress <-> sweep.Event conversion.
+// TestProgressEventRoundTrip pins the Progress <-> sweep.Event conversion:
+// what Progress drops, the event's pair gives back.
 func TestProgressEventRoundTrip(t *testing.T) {
-	ev := sweep.Event{Pair: "open/close", Done: 2, Total: 6, Tests: 9, Cached: true, PairMS: 3.25, Elapsed: 42 * time.Millisecond}
-	back := ProgressFromEvent(ev).Event()
+	pr := &sweep.PairResult{OpA: "open", OpB: "close", Tests: 9, Cached: true, Coalesced: true, ElapsedMS: 3.25}
+	ev := sweep.Event{Pair: "open/close", Done: 2, Total: 6, Tests: 9, Cached: true, Coalesced: true, PairMS: 3.25, Elapsed: 42 * time.Millisecond, Result: pr}
+	back := ProgressFromEvent(ev).Event(pr)
 	if !reflect.DeepEqual(ev, back) {
 		t.Errorf("round-trip: %+v vs %+v", ev, back)
 	}

@@ -17,9 +17,9 @@
 // defined next to the scheduler and aliased into api for golden pinning.
 //
 //   - FleetSweepSpec: the deterministic identity of one fleet-wide sweep
-//     (spec, resolved op/kernel names, every test-shaping option). Its
-//     Key() names the coordinator session; its PairNames() is the work
-//     list, in the exact orientation Pairs() uses.
+//     (spec, resolved op/kernel names, every settable test-shaping
+//     option). Its Key() names the coordinator session; its PairNames()
+//     is the work list, in the exact orientation Pairs() uses.
 //   - FleetTable: one sweep's lease table (pending → leased → done, TTL
 //     expiry, idempotent completion). Time is injected for tests.
 //   - FleetHub: the coordinator — a keyed collection of tables.
@@ -40,7 +40,7 @@ import (
 
 // FleetAPIVersion stamps fleet requests; it tracks api.Version (asserted
 // by an api test) so the whole wire surface versions together.
-const FleetAPIVersion = 1
+const FleetAPIVersion = 2
 
 // Fleet coordination routes, served by `commuter serve` next to the cache
 // routes. Versioned like every other endpoint.
@@ -59,17 +59,17 @@ const defaultFleetTTL = 30 * time.Second
 
 // FleetSweepSpec is the fleet-wide identity of one sweep: the spec, the
 // resolved operation and kernel names (order preserved — it fixes the
-// pair orientation and the cell order), and every option that shapes the
-// generated tests. Two clients whose specs hash to the same Key join the
-// same coordinator session and compute one matrix between them.
+// pair orientation and the cell order), and every settable option that
+// shapes the generated tests. Two clients whose specs hash to the same Key
+// join the same coordinator session and compute one matrix between them.
 type FleetSweepSpec struct {
 	Spec    string   `json:"spec"`
 	Ops     []string `json:"ops"`
 	Kernels []string `json:"kernels"`
-	// The test-shaping options, exactly what TestgenKey folds into the
-	// cache's content address.
+	// The settable test-shaping options. The path cap is not one: a
+	// fleet sweep explores up to symx.DefaultMaxPaths, and Key renders
+	// that cap as TestgenKey renders a zero one.
 	LowestFD        bool `json:"lowest_fd,omitempty"`
-	MaxPaths        int  `json:"max_paths,omitempty"`
 	MaxTestsPerPath int  `json:"max_tests_per_path,omitempty"`
 }
 
@@ -83,7 +83,7 @@ func (s FleetSweepSpec) Key() string { return s.key(pins.Current) }
 func (s FleetSweepSpec) key(p pins.Table) string {
 	b := fmt.Appendf(nil, "fleetv%d|cache=v%d|spec=%s|ops=%s|kernels=%s",
 		FleetAPIVersion, CacheVersion, s.Spec, strings.Join(s.Ops, ","), strings.Join(s.Kernels, ","))
-	b = append(appendShape(b, s.LowestFD, s.MaxPaths, s.MaxTestsPerPath), p.Spec(s.Spec)...)
+	b = append(appendShape(b, s.LowestFD, 0, s.MaxTestsPerPath), p.Spec(s.Spec)...)
 	for _, k := range s.Kernels {
 		b = append(b, p.Impl(k)...)
 	}
@@ -108,9 +108,8 @@ func (s FleetSweepSpec) PairNames() []string {
 // operations of it, which bounds the table by the spec's own pair count
 // whatever the request names, and no cap may be below zero.
 func (s FleetSweepSpec) validate() error {
-	if s.MaxPaths < 0 || s.MaxTestsPerPath < 0 {
-		return fmt.Errorf("fleet: a cap below 0: max_paths %d, max_tests_per_path %d (0 means the default)",
-			s.MaxPaths, s.MaxTestsPerPath)
+	if s.MaxTestsPerPath < 0 {
+		return fmt.Errorf("fleet: a cap below 0: max_tests_per_path %d (0 means the default)", s.MaxTestsPerPath)
 	}
 	sp, err := spec.Lookup(s.Spec)
 	if err != nil {
@@ -167,13 +166,12 @@ type FleetClaimResponse struct {
 }
 
 // FleetPairDone is one completed pair: the lease it was executed under
-// and the full result. TestgenKey is ignored — the coordinator stores
-// nothing a worker posts; members share a cache and the worker's own run
-// already wrote both tiers — and leaves the wire at the next api.Version.
+// and the full result. The coordinator stores nothing a worker posts;
+// members share a cache, and the worker's own run already wrote both
+// tiers.
 type FleetPairDone struct {
-	Lease      string     `json:"lease"`
-	Pair       PairResult `json:"pair"`
-	TestgenKey string     `json:"testgen_key,omitempty"`
+	Lease string     `json:"lease"`
+	Pair  PairResult `json:"pair"`
 }
 
 // FleetResultRequest posts completed pairs to the coordinator.

@@ -12,14 +12,15 @@ import (
 )
 
 // FleetSpec derives the fleet-wide sweep identity from an engine
-// configuration: the resolved op and kernel names plus exactly the
-// options TestgenKey folds into the cache address, normalized the same
-// way, so every server resolving the same request computes the same Key.
+// configuration: the resolved op and kernel names plus the options
+// TestgenKey folds into the cache address, normalized the same way, so
+// every server resolving the same request computes the same Key. The
+// identity carries no path cap: cfg.Analyzer.MaxPaths is an in-process
+// seam no wire request sets, and a fleet sweep runs at the default.
 func FleetSpec(sp spec.Spec, cfg Config) FleetSweepSpec {
 	fs := FleetSweepSpec{
 		Spec:            sp.Name(),
 		LowestFD:        cfg.Analyzer.Config.LowestFD,
-		MaxPaths:        cfg.Analyzer.MaxPaths,
 		MaxTestsPerPath: cfg.Testgen.MaxTestsPerPath,
 	}
 	for _, op := range cfg.Ops {

@@ -56,7 +56,7 @@ func TestFleetSweepSpecPairNames(t *testing.T) {
 func TestFleetSweepSpecKey(t *testing.T) {
 	base := FleetSweepSpec{Spec: "posix", Ops: []string{"stat", "close"}, Kernels: []string{"linux"}}
 	norm := base
-	norm.MaxPaths, norm.MaxTestsPerPath = 4096, 4
+	norm.MaxTestsPerPath = 4
 	if base.Key() != norm.Key() {
 		t.Error("zero caps and explicit defaults should share a session key")
 	}
@@ -65,7 +65,6 @@ func TestFleetSweepSpecKey(t *testing.T) {
 		func(s *FleetSweepSpec) { s.Ops = []string{"close", "stat"} },
 		func(s *FleetSweepSpec) { s.Kernels = []string{"sv6"} },
 		func(s *FleetSweepSpec) { s.LowestFD = true },
-		func(s *FleetSweepSpec) { s.MaxPaths = 7 },
 		func(s *FleetSweepSpec) { s.MaxTestsPerPath = 1 },
 	} {
 		v := base

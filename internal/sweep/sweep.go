@@ -166,7 +166,7 @@ type PhaseTimes struct {
 	SolverMS float64 `json:"solver_ms,omitempty"`
 }
 
-// SolverCounters aggregates the pair's solver and intern-table traffic.
+// SolverCounters aggregates the pair's solver traffic.
 type SolverCounters struct {
 	// SatCalls counts backtracking searches run for this pair.
 	SatCalls int64 `json:"sat_calls,omitempty"`
@@ -176,13 +176,6 @@ type SolverCounters struct {
 	// BudgetHits counts searches that exhausted the step budget (each
 	// one is an "unknown", not a proof; see PairResult.Unknown).
 	BudgetHits int64 `json:"budget_exhaustions,omitempty"`
-	// InternHits counts intern-table hits observed while the pair's
-	// ANALYZE and TESTGEN ran; a pair served from the cache or by a
-	// concurrent identical execution ran neither and reports 0. The table
-	// is process-wide, so every pair running at the same time observes the
-	// same hits: under -j > 1 the figure is approximate and the sum across
-	// pairs over-counts. commuter_sym_intern_hits_total is the exact total.
-	InternHits int64 `json:"intern_hits,omitempty"`
 }
 
 // Pair is "opA/opB", the identifier used in progress events.
@@ -621,8 +614,8 @@ func (s *stage[T]) count(r *run, hit bool) {
 // what bound concurrency.
 //
 // Along the way it records the pair's observability record: per-phase
-// wall times, solver counters and intern-table traffic, both on the
-// PairResult and in the process-wide obs registry.
+// wall times and solver counters, both on the PairResult and in the
+// process-wide obs registry.
 func (r *run) runPair(ctx context.Context, a, b *spec.Op, w *worker) (PairResult, error) {
 	start := time.Now()
 	out := PairResult{OpA: a.Name, OpB: b.Name, StartMS: msBetween(r.start, start)}
@@ -748,7 +741,6 @@ func runTestgen(ctx context.Context, solver **sym.Solver, sp spec.Spec, a, b *sp
 	s.Forget()
 	aOpt.Solver, gOpt.Solver = s, s
 	st0 := s.Stats()
-	internHits0, _ := sym.InternStats()
 	phaseStart := time.Now()
 	pr, err := analyzer.AnalyzePairCtx(ctx, sp, a, b, aOpt)
 	out.Phases.AnalyzeMS = msSince(phaseStart)
@@ -770,8 +762,6 @@ func runTestgen(ctx context.Context, solver **sym.Solver, sp spec.Spec, a, b *sp
 	out.Solver.MemoHits += st.MemoHits - st0.MemoHits
 	out.Solver.BudgetHits += st.BudgetHits - st0.BudgetHits
 	out.Phases.SolverMS += float64(st.SearchTime-st0.SearchTime) / float64(time.Millisecond)
-	internHits1, _ := sym.InternStats()
-	out.Solver.InternHits = int64(internHits1 - internHits0)
 	return tests, pr.Unknown() + truncated, nil
 }
 
