@@ -13,23 +13,12 @@ import (
 // TestRepeatedSweepsKeepHeapFlat pins what a long-lived process — `commuter
 // serve` — keeps of a sweep once its result is dropped: nothing that grows.
 // The same sweeps run six times over; from the second round on (the first
-// fills the process-wide tables: variable ids, op tables, metric series)
-// the live heap after a collection and the intern table stay in one band.
-// The intern table used never to sweep its collected entries, and every
-// cold sweep left ~64k objects behind.
-//
-// Both numbers are read after sym.SweepInternTable. A shard sweeps when it
-// has taken as many insertions as its last sweep left entries, so what the
-// table holds when a round ends — all of it collected by then — is a point
-// on 64 sawtooths that moves between rounds by more than the band (2.0k-4.0k
-// entries); swept, it is the live expressions alone.
-//
-// That the shards sweep themselves is held apart, over three more rounds
-// that nothing sweeps between: a table that never sweeps keeps every entry
-// all three inserted, where the sawtooths' height does not grow with the
-// rounds, so the table holds under half of it (an eighth here). A single
-// round cannot tell the two apart once it inserts under twice what the
-// sawtooths reach.
+// fills the process-wide tables: variable ids, base constants, op tables,
+// metric series) the live heap after a collection stays in one band. A
+// pair's expressions live in its worker's scope, which the next pair
+// clears, and the worker and its scope end with the sweep; that the base
+// table, the one intern table a process keeps, stops growing is
+// internal/sym's TestBaseTableHoldsConstantsAndStopsGrowing.
 //
 // COMMUTER_LEAK_FULL=1 runs ten rounds of the benchmark's cold_sweep
 // universe instead (every spec in full, ~1.5 s a round), for the drill in
@@ -56,40 +45,22 @@ func TestRepeatedSweepsKeepHeapFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Twice: the first collection clears the weak pointers and queues
-		// what they guarded, the second frees it.
-		runtime.GC()
 		runtime.GC()
 	}
 	const slack = 1.15
-	var objects2, intern2 float64
+	var objects2 float64
 	for round := 1; round <= rounds; round++ {
 		sweepAll()
-		sym.SweepInternTable()
-		runtime.GC() // the swept entries' handles and buckets
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		objects, intern := float64(ms.HeapObjects), float64(sym.InternSize())
-		t.Logf("round %d: %.0f live heap objects (%.1f MB), %.0f intern-table entries",
-			round, objects, float64(ms.HeapAlloc)/1e6, intern)
+		objects := float64(ms.HeapObjects)
+		t.Logf("round %d: %.0f live heap objects (%.1f MB), %d base constants",
+			round, objects, float64(ms.HeapAlloc)/1e6, sym.InternSize())
 		switch {
 		case round == 2:
-			objects2, intern2 = objects, intern
+			objects2 = objects
 		case round > 2 && objects > slack*objects2:
 			t.Errorf("round %d: %.0f live heap objects, round 2 had %.0f: the process keeps part of every sweep", round, objects, objects2)
-		case round > 2 && intern > slack*intern2:
-			t.Errorf("round %d: %.0f intern-table entries, round 2 had %.0f: the process keeps expressions of every sweep", round, intern, intern2)
 		}
-	}
-
-	_, before := sym.InternStats()
-	for range 3 {
-		sweepAll()
-	}
-	_, after := sym.InternStats()
-	left := uint64(sym.InternSize())
-	t.Logf("three unswept rounds: %d intern-table entries of the %d inserted", left, after-before)
-	if 2*left > after-before {
-		t.Errorf("the intern table holds %d of the %d entries three rounds inserted: its shards do not sweep themselves", left, after-before)
 	}
 }

@@ -10,8 +10,18 @@ import (
 	"repro/internal/symx"
 )
 
+// tsolver is the solver analyze runs the package's analyses on when the
+// options name none, so that a test builds the variables it asks about in
+// their scope (tvar). Nothing forgets it.
+var tsolver sym.Solver
+
+func tvar(name string, s sym.Sort) *sym.Expr { return tsolver.Scope().Var(name, s) }
+
 func analyze(t *testing.T, a, b string, opt Options) PairResult {
 	t.Helper()
+	if opt.Solver == nil {
+		opt.Solver = &tsolver
+	}
 	r, err := AnalyzePairCtx(context.Background(), model.Spec, opOf(t, a), opOf(t, b), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +54,7 @@ func assertNeverCommutesUnder(t *testing.T, r PairResult, extra *sym.Expr, why s
 	}
 }
 
-func fvar(name string) *sym.Expr { return sym.Var(name, model.FilenameSort) }
+func fvar(name string) *sym.Expr { return tvar(name, model.FilenameSort) }
 
 // §5.1's rename×rename commutativity classes from Figure 4's model. The
 // analyzer must find commutative conditions exactly for the classes the
@@ -55,7 +65,7 @@ func TestRenameRenameClasses(t *testing.T) {
 	c, d := fvar("rename.1.src"), fvar("rename.1.dst")
 
 	srcExists := func(src string) *sym.Expr {
-		return sym.Var("fname["+src+"].present", sym.BoolSort)
+		return tvar("fname["+src+"].present", sym.BoolSort)
 	}
 	allDiff := sym.And(sym.Ne(a, b), sym.Ne(a, c), sym.Ne(a, d),
 		sym.Ne(b, c), sym.Ne(b, d), sym.Ne(c, d))
@@ -93,8 +103,8 @@ func TestRenameRenameClasses(t *testing.T) {
 		sym.And(srcExists("rename.0.src"), srcExists("rename.1.src"),
 			sym.Eq(b, d), sym.Ne(a, c), sym.Ne(a, b), sym.Ne(c, d),
 			// exclude the hard-link special case (same inode)
-			sym.Ne(sym.Var("fname[rename.0.src].inum", sym.IntSort),
-				sym.Var("fname[rename.1.src].inum", sym.IntSort))),
+			sym.Ne(tvar("fname[rename.0.src].inum", sym.IntSort),
+				tvar("fname[rename.1.src].inum", sym.IntSort))),
 		"two renames of different inodes to one name are order-dependent")
 
 	// Anti-class: chained renames (b == c) with both sources existing.
@@ -121,9 +131,9 @@ func TestOpenExclusiveStateDependence(t *testing.T) {
 	r := analyze(t, "open", "open", Options{})
 	sameName := sym.Eq(fvar("open.0.fname"), fvar("open.1.fname"))
 	bothExcl := sym.And(
-		sym.Var("open.0.creat", sym.BoolSort), sym.Var("open.0.excl", sym.BoolSort),
-		sym.Var("open.1.creat", sym.BoolSort), sym.Var("open.1.excl", sym.BoolSort))
-	exists := sym.Var("fname[open.0.fname].present", sym.BoolSort)
+		tvar("open.0.creat", sym.BoolSort), tvar("open.0.excl", sym.BoolSort),
+		tvar("open.1.creat", sym.BoolSort), tvar("open.1.excl", sym.BoolSort))
+	exists := tvar("fname[open.0.fname].present", sym.BoolSort)
 
 	assertCommuteUnder(t, r,
 		sym.And(sameName, bothExcl, exists),
@@ -135,7 +145,7 @@ func TestOpenExclusiveStateDependence(t *testing.T) {
 
 func TestCreateDifferentNamesCommutes(t *testing.T) {
 	r := analyze(t, "open", "open", Options{})
-	creat := sym.And(sym.Var("open.0.creat", sym.BoolSort), sym.Var("open.1.creat", sym.BoolSort))
+	creat := sym.And(tvar("open.0.creat", sym.BoolSort), tvar("open.1.creat", sym.BoolSort))
 	diff := sym.Ne(fvar("open.0.fname"), fvar("open.1.fname"))
 	assertCommuteUnder(t, r, sym.And(creat, diff),
 		"creating differently named files commutes (§1)")
@@ -157,18 +167,18 @@ func TestStatStatAlwaysCommutes(t *testing.T) {
 // allocation is deterministic, and commute again in different processes.
 func TestLowestFDDestroysCommutativity(t *testing.T) {
 	r := analyze(t, "open", "open", Options{Config: spec.Config{LowestFD: true}})
-	sameProc := sym.Eq(sym.Var("open.0.proc", sym.BoolSort), sym.Var("open.1.proc", sym.BoolSort))
+	sameProc := sym.Eq(tvar("open.0.proc", sym.BoolSort), tvar("open.1.proc", sym.BoolSort))
 	diffNames := sym.Ne(fvar("open.0.fname"), fvar("open.1.fname"))
 	bothExist := sym.And(
-		sym.Var("fname[open.0.fname].present", sym.BoolSort),
-		sym.Var("fname[open.1.fname].present", sym.BoolSort))
+		tvar("fname[open.0.fname].present", sym.BoolSort),
+		tvar("fname[open.1.fname].present", sym.BoolSort))
 	// Force both opens to succeed: names exist and O_EXCL is off (else
 	// both fail with EEXIST and commute), and descriptor 0 is free (else
 	// both can fail with EMFILE and commute).
-	slot0Free := sym.Not(sym.Var("fd[open.0.proc,0].present", sym.BoolSort))
+	slot0Free := sym.Not(tvar("fd[open.0.proc,0].present", sym.BoolSort))
 	noExcl := sym.And(
-		sym.Not(sym.Var("open.0.excl", sym.BoolSort)),
-		sym.Not(sym.Var("open.1.excl", sym.BoolSort)))
+		sym.Not(tvar("open.0.excl", sym.BoolSort)),
+		sym.Not(tvar("open.1.excl", sym.BoolSort)))
 	assertNeverCommutesUnder(t, r,
 		sym.And(sameProc, diffNames, bothExist, slot0Free, noExcl),
 		"lowest-FD: both opens succeed in one process, FDs depend on order")
@@ -180,11 +190,11 @@ func TestLowestFDDestroysCommutativity(t *testing.T) {
 // With AnyFD (the §4 fix), the same situation commutes.
 func TestAnyFDRestoresCommutativity(t *testing.T) {
 	r := analyze(t, "open", "open", Options{})
-	sameProc := sym.Eq(sym.Var("open.0.proc", sym.BoolSort), sym.Var("open.1.proc", sym.BoolSort))
+	sameProc := sym.Eq(tvar("open.0.proc", sym.BoolSort), tvar("open.1.proc", sym.BoolSort))
 	diffNames := sym.Ne(fvar("open.0.fname"), fvar("open.1.fname"))
 	bothExist := sym.And(
-		sym.Var("fname[open.0.fname].present", sym.BoolSort),
-		sym.Var("fname[open.1.fname].present", sym.BoolSort))
+		tvar("fname[open.0.fname].present", sym.BoolSort),
+		tvar("fname[open.1.fname].present", sym.BoolSort))
 	assertCommuteUnder(t, r,
 		sym.And(sameProc, diffNames, bothExist),
 		"any-FD opens in one process commute")
@@ -196,8 +206,8 @@ func TestLinkUnlinkClasses(t *testing.T) {
 	r := analyze(t, "link", "unlink", Options{})
 	old, nw := fvar("link.0.old"), fvar("link.0.new")
 	victim := fvar("unlink.1.fname")
-	oldExists := sym.Var("fname[link.0.old].present", sym.BoolSort)
-	victimExists := sym.Var("fname[unlink.1.fname].present", sym.BoolSort)
+	oldExists := tvar("fname[link.0.old].present", sym.BoolSort)
+	victimExists := tvar("fname[unlink.1.fname].present", sym.BoolSort)
 
 	assertCommuteUnder(t, r,
 		sym.And(oldExists, victimExists,
@@ -213,19 +223,19 @@ func TestLinkUnlinkClasses(t *testing.T) {
 func TestWriteCommutativity(t *testing.T) {
 	rw := analyze(t, "write", "write", Options{})
 	sameFD := sym.And(
-		sym.Eq(sym.Var("write.0.proc", sym.BoolSort), sym.Var("write.1.proc", sym.BoolSort)),
-		sym.Eq(sym.Var("write.0.fd", sym.IntSort), sym.Var("write.1.fd", sym.IntSort)))
-	fdPresent := sym.Var("fd[write.0.proc,write.0.fd].present", sym.BoolSort)
-	isFile := sym.Not(sym.Var("fd[write.0.proc,write.0.fd].ispipe", sym.BoolSort))
-	diffVals := sym.Ne(sym.Var("write.0.val", model.DataSort), sym.Var("write.1.val", model.DataSort))
+		sym.Eq(tvar("write.0.proc", sym.BoolSort), tvar("write.1.proc", sym.BoolSort)),
+		sym.Eq(tvar("write.0.fd", sym.IntSort), tvar("write.1.fd", sym.IntSort)))
+	fdPresent := tvar("fd[write.0.proc,write.0.fd].present", sym.BoolSort)
+	isFile := sym.Not(tvar("fd[write.0.proc,write.0.fd].ispipe", sym.BoolSort))
+	diffVals := sym.Ne(tvar("write.0.val", model.DataSort), tvar("write.1.val", model.DataSort))
 	assertNeverCommutesUnder(t, rw, sym.And(sameFD, fdPresent, isFile, diffVals),
 		"file writes through one descriptor are order-dependent")
 
 	rp := analyze(t, "pwrite", "pwrite", Options{})
 	samePFD := sym.And(
-		sym.Eq(sym.Var("pwrite.0.proc", sym.BoolSort), sym.Var("pwrite.1.proc", sym.BoolSort)),
-		sym.Eq(sym.Var("pwrite.0.fd", sym.IntSort), sym.Var("pwrite.1.fd", sym.IntSort)))
-	diffOff := sym.Ne(sym.Var("pwrite.0.off", sym.IntSort), sym.Var("pwrite.1.off", sym.IntSort))
+		sym.Eq(tvar("pwrite.0.proc", sym.BoolSort), tvar("pwrite.1.proc", sym.BoolSort)),
+		sym.Eq(tvar("pwrite.0.fd", sym.IntSort), tvar("pwrite.1.fd", sym.IntSort)))
+	diffOff := sym.Ne(tvar("pwrite.0.off", sym.IntSort), tvar("pwrite.1.off", sym.IntSort))
 	assertCommuteUnder(t, rp, sym.And(samePFD, diffOff),
 		"pwrites at different offsets commute")
 }

@@ -150,7 +150,7 @@ func describePath(solver *sym.Solver, p Path) string {
 		if pvName == "" {
 			continue
 		}
-		pv := sym.Var(pvName, sym.BoolSort)
+		pv := solver.Scope().Var(pvName, sym.BoolSort)
 		switch implied(pv) {
 		case 1:
 			clauses = append(clauses, short(a)+" exists")

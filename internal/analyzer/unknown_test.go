@@ -33,7 +33,7 @@ func askPath(t *testing.T, s *sym.Solver, pc *sym.Expr, ask func(c *symx.Context
 // path's infeasibility cache — while real verdicts (sat, or unsat with
 // budget to spare) stay unknown=false.
 func TestCheckerBudgetUnknown(t *testing.T) {
-	x, y := sym.Var("ckx", sym.IntSort), sym.Var("cky", sym.IntSort)
+	x, y := tvar("ckx", sym.IntSort), tvar("cky", sym.IntSort)
 	unsat := sym.And(sym.Lt(x, y), sym.Lt(y, x))
 
 	// Plenty of budget: a real refutation, not unknown.
@@ -69,7 +69,7 @@ func TestCheckerBudgetUnknown(t *testing.T) {
 // pc conjunct is satisfiable with pc, its negation is not, and neither
 // answer needs (or spends) any solver budget.
 func TestCheckerSyntacticShortCircuits(t *testing.T) {
-	x, y := sym.Var("scx", sym.IntSort), sym.Var("scy", sym.IntSort)
+	x, y := tvar("scx", sym.IntSort), tvar("scy", sym.IntSort)
 	conj := sym.Lt(x, y)
 	pc := sym.And(conj, sym.Ge(x, sym.Int(0)))
 	s := &sym.Solver{}

@@ -176,9 +176,9 @@ func TestMakeArgsBounds(t *testing.T) {
 	}
 	paths := explore(func(c *symx.Context) any {
 		return spec.MakeArgs(c, pread, "0")
-	}, symx.Options{})
+	}, symx.Options{Solver: &s})
 	p := paths[0]
-	off := sym.Var("pread.0.off", sym.IntSort)
+	off := s.Scope().Var("pread.0.off", sym.IntSort)
 	if s.Sat(sym.And(p.PC, sym.Lt(off, sym.Int(0)))) {
 		t.Error("offset bound (>= 0) not enforced")
 	}

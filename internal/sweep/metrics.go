@@ -88,12 +88,12 @@ var (
 		"Solver searches that exhausted the step budget (unknown verdicts).")
 )
 
-// The intern table is process-wide and already keeps its own totals and
-// size; expose them at scrape time instead of mirroring every bump.
+// The intern scopes fold into process-wide totals and the base table keeps
+// its size; expose them at scrape time instead of mirroring every bump.
 func init() {
 	obs.Default.CounterFunc(
 		"commuter_sym_intern_hits_total",
-		"Hash-consing intern-table hits (constructors that reused a live node).",
+		"Hash-consing intern-table hits (constructors that reused a node of their scope).",
 		func() float64 { h, _ := sym.InternStats(); return float64(h) })
 	obs.Default.CounterFunc(
 		"commuter_sym_intern_misses_total",
@@ -101,7 +101,7 @@ func init() {
 		func() float64 { _, m := sym.InternStats(); return float64(m) })
 	obs.Default.GaugeFunc(
 		"commuter_sym_intern_entries",
-		"Hash-consing intern-table entries, live or collected and not yet swept.",
+		"Hash-consing base-table entries: the constants every scope shares, kept for the process lifetime.",
 		func() float64 { return float64(sym.InternSize()) })
 }
 

@@ -718,7 +718,7 @@ func pairTests(tests []kernel.TestCase, a, b string) bool {
 // tests, returning them with the number of budget-truncated paths behind
 // them (nonzero means the test set is a lower bound) — one TESTGEN stage
 // outside a sweep, on a solver of its own, replacing any in the options.
-// Phase times, solver work and intern-table hits are recorded on out.
+// Phase times and solver work are recorded on out.
 func PairTests(ctx context.Context, sp spec.Spec, a, b *spec.Op, aOpt analyzer.Options, gOpt testgen.Options, out *PairResult) ([]kernel.TestCase, int, error) {
 	var solver *sym.Solver
 	return runTestgen(ctx, &solver, sp, a, b, aOpt, gOpt, out)

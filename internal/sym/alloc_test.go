@@ -3,7 +3,6 @@ package sym
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -15,16 +14,15 @@ import (
 // (128) arguments on the stack: a scan up to 16, a hash table past that.
 // Only a miss copies the arguments into the new node.
 func TestConstructorHitAllocatesNothing(t *testing.T) {
-	x, y := Var("hitx", IntSort), Var("hity", IntSort)
-	p, q := Var("hitp", BoolSort), Var("hitq", BoolSort)
+	x, y := tscope.Var("hitx", IntSort), tscope.Var("hity", IntSort)
+	p, q := tscope.Var("hitp", BoolSort), tscope.Var("hitq", BoolSort)
 	var wide [junctionStack]*Expr
 	for i := range wide {
 		wide[i] = Lt(x, Int(int64(i)))
 	}
-	// Held here: a node nothing references may be collected, and building
-	// it again is a miss. And(lo, True, hi, wide[3]) flattens to 8+7+1 = 16
-	// arguments before its duplicate goes, And(loW, True, hiW, wide[3]) to
-	// 64+63+1 = 128, and dups is 100 arguments and 28 repeats of them.
+	// And(lo, True, hi, wide[3]) flattens to 8+7+1 = 16 arguments before
+	// its duplicate goes, And(loW, True, hiW, wide[3]) to 64+63+1 = 128,
+	// and dups is 100 arguments and 28 repeats of them.
 	lo, hi := And(wide[:8]...), And(wide[8:15]...)
 	loW, hiW := And(wide[:64]...), And(wide[64:127]...)
 	dups := slices.Concat(wide[:100], wide[:28])
@@ -32,7 +30,7 @@ func TestConstructorHitAllocatesNothing(t *testing.T) {
 		name  string
 		build func() *Expr
 	}{
-		{"Var", func() *Expr { return Var("hitx", IntSort) }},
+		{"Var", func() *Expr { return tscope.Var("hitx", IntSort) }},
 		{"Int", func() *Expr { return Int(7) }},
 		{"Not", func() *Expr { return Not(p) }},
 		{"Eq", func() *Expr { return Eq(y, x) }},
@@ -63,23 +61,23 @@ func TestConstructorHitAllocatesNothing(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%s on an existing node: %v allocations, want 0", c.name, n)
 		}
-		runtime.KeepAlive(node)
 	}
 }
 
 // TestConstructorMissAllocatesTheNodeAlone is the other half: a junction
 // that makes its node, over up to junctionStack arguments with more than 16
 // variables among them, allocates what the node keeps — the node, its
-// argument copy, its variable list, the weak handle and the bucket entry
-// holding it — and no scratch: dedup's table is on the stack, and
-// mergeVars writes straight into the node's list.
+// argument copy and its variable list; the scope's map holds the node
+// itself, and a bucket chains through its nodes — and no scratch: dedup's
+// table is on the stack, and mergeVars writes straight into the node's
+// list.
 func TestConstructorMissAllocatesTheNodeAlone(t *testing.T) {
 	const runs = 100
 	run := fuzzFresh.Add(1)
 	for _, n := range []int{2, 17, 64, junctionStack} {
 		// Conjunct i is v_i < v_i+1: n arguments over n+1 variables. Every
 		// window of the pool is a node not built before.
-		v := func(j int) *Expr { return Var(fmt.Sprintf("miss%d.%d.%d", run, n, j), IntSort) }
+		v := func(j int) *Expr { return tscope.Var(fmt.Sprintf("miss%d.%d.%d", run, n, j), IntSort) }
 		pool := make([]*Expr, runs+1+n)
 		for i := range pool {
 			pool[i] = Lt(v(i), v(i+1))
@@ -93,8 +91,8 @@ func TestConstructorMissAllocatesTheNodeAlone(t *testing.T) {
 			t.Fatalf("n=%d: %d distinct nodes from %d windows", n, len(made), runs+1)
 		}
 		// The map's own growth is amortized below one per run.
-		if allocs != 5 {
-			t.Errorf("a junction of %d arguments making its node: %v allocations, want 5", n, allocs)
+		if allocs != 3 {
+			t.Errorf("a junction of %d arguments making its node: %v allocations, want 3", n, allocs)
 		}
 	}
 }
@@ -107,7 +105,7 @@ func TestConstructorMissAllocatesTheNodeAlone(t *testing.T) {
 func TestUnionVarsPastTheBitset(t *testing.T) {
 	var vars []*Expr
 	for i := 0; i < 12; i++ {
-		vars = append(vars, Var(fmt.Sprintf("past.small%d", i), BoolSort))
+		vars = append(vars, tscope.Var(fmt.Sprintf("past.small%d", i), BoolSort))
 		big := &Expr{Op: OpVar, Sort: BoolSort, Name: fmt.Sprintf("past.big%d", i), VarID: 1<<15 + i}
 		big.vars = []*Expr{big}
 		vars = append(vars, big)
@@ -187,7 +185,7 @@ func FuzzAndFlattensLikeNesting(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, long uint8, data []byte) {
 		r := rand.New(&byteSource{data})
-		sortU := Uninterpreted("U")
+		sc, sortU := newScope(), Uninterpreted("U")
 		fresh := fmt.Sprintf("fz%d", fuzzFresh.Add(1))
 		var picked []*Expr
 		var elem func(depth int) *Expr
@@ -195,17 +193,17 @@ func FuzzAndFlattensLikeNesting(f *testing.F) {
 			var e *Expr
 			switch k := r.Intn(9); {
 			case k == 0:
-				e = Var(fmt.Sprintf("fzp%d", r.Intn(4)), BoolSort)
+				e = sc.Var(fmt.Sprintf("fzp%d", r.Intn(4)), BoolSort)
 			case k == 1:
-				e = Var(fmt.Sprintf("%s.%d", fresh, r.Intn(3)), BoolSort)
+				e = sc.Var(fmt.Sprintf("%s.%d", fresh, r.Intn(3)), BoolSort)
 			case k == 2:
-				e = Not(Var(fmt.Sprintf("fzp%d", r.Intn(4)), BoolSort))
+				e = Not(sc.Var(fmt.Sprintf("fzp%d", r.Intn(4)), BoolSort))
 			case k == 3:
 				i, j := r.Intn(3), r.Intn(3)
 				if long > 0 {
 					j = (i + 1 + r.Intn(2)) % 3 // u = u is the constant true
 				}
-				e = Eq(Var(fmt.Sprintf("fzu%d", i), sortU), Var(fmt.Sprintf("fzu%d", j), sortU))
+				e = Eq(sc.Var(fmt.Sprintf("fzu%d", i), sortU), sc.Var(fmt.Sprintf("fzu%d", j), sortU))
 			case k == 4 && long == 0: // a constant would absorb a long list early
 				e = Bool(r.Intn(4) == 0) // mostly the unit of And
 			case k == 5 && len(picked) > 0:
@@ -215,9 +213,9 @@ func FuzzAndFlattensLikeNesting(f *testing.F) {
 			case k == 7 && depth > 0:
 				e = or(elem(depth-1), elem(depth-1))
 			case k == 8:
-				e = Var(fmt.Sprintf("fzw%d", r.Intn(192)), BoolSort) // many variables
+				e = sc.Var(fmt.Sprintf("fzw%d", r.Intn(192)), BoolSort) // many variables
 			default:
-				e = Var(fmt.Sprintf("fzp%d", r.Intn(4)), BoolSort)
+				e = sc.Var(fmt.Sprintf("fzp%d", r.Intn(4)), BoolSort)
 			}
 			picked = append(picked, e)
 			return e
@@ -254,7 +252,7 @@ func FuzzAndFlattensLikeNesting(f *testing.F) {
 		// each again through a slice of ours, and for one new node.
 		asked := append(slices.Clone(picked), nil)
 		for i, e := range asked {
-			args := []*Expr{Var(fresh+".new", BoolSort), Not(Var(fresh+".0", BoolSort))}
+			args := []*Expr{sc.Var(fresh+".new", BoolSort), Not(sc.Var(fresh+".0", BoolSort))}
 			if e != nil {
 				args = slices.Clone(e.Args)
 			}

@@ -22,9 +22,9 @@ func pcLike(n int) *Expr {
 	fn := Uninterpreted("BenchName")
 	pc := True
 	for i := 0; i < n; i++ {
-		k := Var(fmt.Sprintf("bk%d", i), fn)
-		o := Var(fmt.Sprintf("bk%d", (i+3)%n), fn)
-		x := Var(fmt.Sprintf("bx%d", i), IntSort)
+		k := tscope.Var(fmt.Sprintf("bk%d", i), fn)
+		o := tscope.Var(fmt.Sprintf("bk%d", (i+3)%n), fn)
+		x := tscope.Var(fmt.Sprintf("bx%d", i), IntSort)
 		pc = And(pc,
 			Ne(k, o),
 			Ge(x, Int(0)), Le(x, Int(3)),
@@ -50,8 +50,8 @@ func BenchmarkConstructPathCondition(b *testing.B) {
 // test. Every guard is decided, so the walk follows one branch per level.
 func BenchmarkModelEvalSharedDAG(b *testing.B) {
 	fn := Uninterpreted("BenchName")
-	k := Var("dagk", fn)
-	chain := Var("dagv", IntSort)
+	k := tscope.Var("dagk", fn)
+	chain := tscope.Var("dagv", IntSort)
 	m := modelOf([]*Expr{k, chain}, 1, 0)
 	for i := 0; i < 64; i++ {
 		guard := Eq(k, Const(fn, int64(i%8)))
@@ -74,7 +74,7 @@ func BenchmarkModelEvalSharedDAG(b *testing.B) {
 func BenchmarkSatAssumingFeasible(b *testing.B) {
 	pc := pcLike(24)
 	fn := Uninterpreted("BenchName")
-	extra := Eq(Var("bk0", fn), Var("bk5", fn))
+	extra := Eq(tscope.Var("bk0", fn), tscope.Var("bk5", fn))
 	var s Solver
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -88,7 +88,7 @@ func BenchmarkSatAssumingFeasible(b *testing.B) {
 
 // unsatQuery is a path condition and a question that contradicts it.
 func unsatQuery() (pc, extra *Expr) {
-	x := Var("bx1", IntSort)
+	x := tscope.Var("bx1", IntSort)
 	return pcLike(24), And(Lt(x, Int(0)), Gt(x, Int(0)))
 }
 

@@ -15,18 +15,19 @@ import (
 
 type exprGen struct {
 	r     *rand.Rand
+	sc    *Scope
 	ints  []*Expr
 	names []*Expr
 	bools []*Expr
 }
 
 func newGen(r *rand.Rand) *exprGen {
-	g := &exprGen{r: r}
+	g := &exprGen{r: r, sc: newScope()}
 	sortU := Uninterpreted("U")
 	for i := 0; i < 3; i++ {
-		g.ints = append(g.ints, Var(string(rune('i'+i))+"x", IntSort))
-		g.names = append(g.names, Var(string(rune('u'+i))+"x", sortU))
-		g.bools = append(g.bools, Var(string(rune('p'+i))+"x", BoolSort))
+		g.ints = append(g.ints, g.sc.Var(string(rune('i'+i))+"x", IntSort))
+		g.names = append(g.names, g.sc.Var(string(rune('u'+i))+"x", sortU))
+		g.bools = append(g.bools, g.sc.Var(string(rune('p'+i))+"x", BoolSort))
 	}
 	return g
 }
@@ -179,7 +180,7 @@ func TestSharedSolverMatchesFreshPerQuery(t *testing.T) {
 	g := newGen(r)
 	hard := pigeonhole(8)
 	sortU, sortW := Uninterpreted("U"), Uninterpreted("W")
-	u, w1, w2 := g.names[0], Var("w1x", sortW), Var("w2x", sortW)
+	u, w1, w2 := g.names[0], g.sc.Var("w1x", sortW), g.sc.Var("w2x", sortW)
 	withConsts := []*Expr{
 		And(Ne(u, Const(sortU, 0)), Ne(u, Const(sortU, 1)), Ne(w1, w2)),
 		And(Eq(w1, Const(sortW, 5)), Ne(w2, Const(sortW, 5)), Lt(g.ints[0], Int(40))),

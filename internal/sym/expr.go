@@ -97,9 +97,9 @@ const (
 )
 
 // Expr is an immutable symbolic expression node. Construct expressions with
-// the package-level constructor functions, which canonicalize eagerly and
-// hash-cons the result: two structurally equal constructor-built
-// expressions are the same pointer.
+// Scope.Var and the package-level constructor functions, which canonicalize
+// eagerly and hash-cons the result: two structurally equal
+// constructor-built expressions of one scope are the same pointer.
 type Expr struct {
 	Op   Op
 	Sort Sort
@@ -109,29 +109,33 @@ type Expr struct {
 	Bool bool
 	// Name is the variable name for OpVar nodes; VarID is its interned
 	// id, one per name and sort, used by the solver for array-indexed
-	// assignments. Two live variables with one VarID are one node.
+	// assignments. Two variables of one scope with one VarID are one node.
 	Name  string
 	VarID int
 	Args  []*Expr
 
 	// Interning metadata, set before publication and immutable after
 	// (see intern.go). id is the interning identity a parent's hash is
-	// built from. vars lists the free variables in first-occurrence order;
-	// because conjunctions preserve construction order, that is the
-	// chronological order in which path conditions constrained them, so
-	// the solver assigns in this order and prunes failed prefixes early.
-	// The list is shared between nodes and must not be mutated.
-	id   uint64
-	vars []*Expr
+	// built from, scope the node's table (nil for a constant) and next the
+	// node after it in its hash chain. vars lists the free variables in
+	// first-occurrence order; because conjunctions preserve construction
+	// order, that is the chronological order in which path conditions
+	// constrained them, so the solver assigns in this order and prunes
+	// failed prefixes early. The list is shared and must not be mutated.
+	id    uint64
+	scope *Scope
+	next  *Expr
+	vars  []*Expr
 	// str caches the rendered canonical form; it is written at most a
 	// handful of times with identical content, so racing stores are
 	// harmless and loads never block.
 	str atomic.Pointer[string]
 }
 
-// Variables are interned process-wide, by name and sort, so solver
+// Variable ids are process-wide, one per name and sort, so solver
 // assignments can be dense arrays instead of string-keyed maps (the
-// solver's hot path). A variable collected and rebuilt gets its old id back.
+// solver's hot path). A variable made again, in another scope or after a
+// reset, gets its old id back.
 type varKey struct {
 	name string
 	sort Sort
@@ -156,12 +160,12 @@ func internVar(name string, s Sort) int {
 
 var (
 	// True and False are the boolean constants.
-	True  = intern(OpConst, BoolSort, 0, true, "", nil)
-	False = intern(OpConst, BoolSort, 0, false, "", nil)
+	True  = internConst(BoolSort, 0, true)
+	False = internConst(BoolSort, 0, false)
 )
 
 // Int returns the integer constant v.
-func Int(v int64) *Expr { return intern(OpConst, IntSort, v, false, "", nil) }
+func Int(v int64) *Expr { return internConst(IntSort, v, false) }
 
 // Bool returns the boolean constant v.
 func Bool(v bool) *Expr {
@@ -177,13 +181,7 @@ func Const(s Sort, id int64) *Expr {
 	if s.Kind != KindUnint {
 		panic("sym: Const requires an uninterpreted sort")
 	}
-	return intern(OpConst, s, id, false, "", nil)
-}
-
-// Var returns the free variable with the given name and sort; repeated
-// calls return the same node.
-func Var(name string, s Sort) *Expr {
-	return intern(OpVar, s, 0, false, name, nil)
+	return internConst(s, id, false)
 }
 
 // IsConst reports whether e is a literal constant.
@@ -216,7 +214,7 @@ func Not(a *Expr) *Expr {
 	case a.Op == OpNot:
 		return a.Args[0]
 	}
-	return intern(OpNot, BoolSort, 0, false, "", []*Expr{a})
+	return intern(OpNot, BoolSort, []*Expr{a})
 }
 
 // And returns the conjunction of args, flattened, deduplicated and
@@ -263,7 +261,7 @@ func junction(op Op, unit *Expr, args []*Expr) *Expr {
 	case 1:
 		return flat[0]
 	}
-	return intern(op, BoolSort, 0, false, "", flat)
+	return intern(op, BoolSort, flat)
 }
 
 // junctionStack bounds the flattened arguments junction and dedup keep on
@@ -351,7 +349,7 @@ func Eq(a, b *Expr) *Expr {
 	if compareRendered(b, a) < 0 {
 		a, b = b, a
 	}
-	return intern(OpEq, BoolSort, 0, false, "", []*Expr{a, b})
+	return intern(OpEq, BoolSort, []*Expr{a, b})
 }
 
 // Ne returns a != b.
@@ -366,7 +364,7 @@ func Lt(a, b *Expr) *Expr {
 	if a == b {
 		return False
 	}
-	return intern(OpLt, BoolSort, 0, false, "", []*Expr{a, b})
+	return intern(OpLt, BoolSort, []*Expr{a, b})
 }
 
 // Le returns the integer comparison a <= b.
@@ -378,7 +376,7 @@ func Le(a, b *Expr) *Expr {
 	if a == b {
 		return True
 	}
-	return intern(OpLe, BoolSort, 0, false, "", []*Expr{a, b})
+	return intern(OpLe, BoolSort, []*Expr{a, b})
 }
 
 // Gt and Ge are the flipped comparisons.
@@ -405,7 +403,7 @@ func Add(a, b *Expr) *Expr {
 	if b.IsConst() && b.Int == 0 {
 		return a
 	}
-	return intern(OpAdd, IntSort, 0, false, "", []*Expr{a, b})
+	return intern(OpAdd, IntSort, []*Expr{a, b})
 }
 
 // Sub returns a - b.
@@ -420,7 +418,7 @@ func Sub(a, b *Expr) *Expr {
 	if a == b {
 		return Int(0)
 	}
-	return intern(OpSub, IntSort, 0, false, "", []*Expr{a, b})
+	return intern(OpSub, IntSort, []*Expr{a, b})
 }
 
 // Mul returns a * b.
@@ -440,7 +438,7 @@ func Mul(a, b *Expr) *Expr {
 			return a
 		}
 	}
-	return intern(OpMul, IntSort, 0, false, "", []*Expr{a, b})
+	return intern(OpMul, IntSort, []*Expr{a, b})
 }
 
 // Ite returns if cond then a else b; a and b must share a sort.
@@ -464,7 +462,7 @@ func Ite(cond, a, b *Expr) *Expr {
 		// propagation sees through it.
 		return or(And(cond, a), And(Not(cond), b))
 	}
-	return intern(OpIte, a.Sort, 0, false, "", []*Expr{cond, a, b})
+	return intern(OpIte, a.Sort, []*Expr{cond, a, b})
 }
 
 // Vars returns the free variables of e, sorted by name.

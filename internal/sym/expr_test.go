@@ -35,7 +35,7 @@ func TestConstFolding(t *testing.T) {
 		{Eq(Int(2), Int(2)), True},
 		{Eq(Int(2), Int(3)), False},
 		{Not(True), False},
-		{Not(Not(Var("p", BoolSort))), Var("p", BoolSort)},
+		{Not(Not(tscope.Var("p", BoolSort))), tscope.Var("p", BoolSort)},
 		{And(True, True), True},
 		{And(True, False), False},
 		{or(False, False), False},
@@ -51,7 +51,7 @@ func TestConstFolding(t *testing.T) {
 }
 
 func TestSimplifyIdentities(t *testing.T) {
-	x := Var("x", IntSort)
+	x := tscope.Var("x", IntSort)
 	if got := Add(x, Int(0)); got != x {
 		t.Errorf("x+0 = %v", got)
 	}
@@ -70,7 +70,7 @@ func TestSimplifyIdentities(t *testing.T) {
 	if got := Lt(x, x); !got.IsFalse() {
 		t.Errorf("x<x = %v", got)
 	}
-	p := Var("p", BoolSort)
+	p := tscope.Var("p", BoolSort)
 	if got := And(p, p); got != p {
 		t.Errorf("p&&p = %v", got)
 	}
@@ -83,7 +83,7 @@ func TestSimplifyIdentities(t *testing.T) {
 }
 
 func TestAndOrFlatten(t *testing.T) {
-	p, q, r := Var("p", BoolSort), Var("q", BoolSort), Var("r", BoolSort)
+	p, q, r := tscope.Var("p", BoolSort), tscope.Var("q", BoolSort), tscope.Var("r", BoolSort)
 	e := And(And(p, q), r)
 	if e.Op != OpAnd || len(e.Args) != 3 {
 		t.Errorf("nested And not flattened: %v", e)
@@ -95,15 +95,15 @@ func TestAndOrFlatten(t *testing.T) {
 }
 
 func TestEqCanonicalOrder(t *testing.T) {
-	a := Var("a", IntSort)
-	b := Var("b", IntSort)
+	a := tscope.Var("a", IntSort)
+	b := tscope.Var("b", IntSort)
 	if !deepEq(Eq(a, b), Eq(b, a)) {
 		t.Errorf("Eq not canonicalized: %v vs %v", Eq(a, b), Eq(b, a))
 	}
 }
 
 func TestBoolIteEncoding(t *testing.T) {
-	p, q, r := Var("p", BoolSort), Var("q", BoolSort), Var("r", BoolSort)
+	p, q, r := tscope.Var("p", BoolSort), tscope.Var("q", BoolSort), tscope.Var("r", BoolSort)
 	e := Ite(p, q, r)
 	// Boolean ITE is lowered to connectives, so no OpIte node remains.
 	var hasIte func(x *Expr) bool
@@ -124,7 +124,7 @@ func TestBoolIteEncoding(t *testing.T) {
 }
 
 func TestVarsSorted(t *testing.T) {
-	e := And(Eq(Var("z", IntSort), Var("a", IntSort)), Var("m", BoolSort))
+	e := And(Eq(tscope.Var("z", IntSort), tscope.Var("a", IntSort)), tscope.Var("m", BoolSort))
 	vs := Vars(e)
 	if len(vs) != 3 || vs[0].Name != "a" || vs[1].Name != "m" || vs[2].Name != "z" {
 		t.Errorf("Vars = %v", vs)
@@ -133,7 +133,7 @@ func TestVarsSorted(t *testing.T) {
 
 // Property: simplification preserves semantics under arbitrary small models.
 func TestQuickSimplifyPreservesEval(t *testing.T) {
-	x, y := Var("x", IntSort), Var("y", IntSort)
+	x, y := tscope.Var("x", IntSort), tscope.Var("y", IntSort)
 	f := func(xv, yv int8, pick uint8) bool {
 		m := modelOf([]*Expr{x, y}, int64(xv), int64(yv))
 		var e, ref *Expr

@@ -4,13 +4,11 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"unsafe"
-	"weak"
 )
 
 // This file implements hash-consing for expressions: every node built by
-// the package constructors is interned, so structurally equal live
-// expressions are pointer-equal and expression "trees" are really DAGs
+// the package constructors is interned, so structurally equal expressions
+// of one scope are pointer-equal and expression "trees" are really DAGs
 // that share common subterms. Interning is what makes the rest of the
 // engine cheap:
 //
@@ -22,125 +20,138 @@ import (
 //     repeated O(tree) walks (variable ordering, cone-of-influence
 //     computation, canonical ordering keys) into O(1) lookups.
 //
-// The interner is process-wide and shared by every symx.Context rather
-// than per-context: path conditions for the 171 operation pairs of a cold
-// sweep share most of their structure (the same initial-state invariants
-// and key-equality guards recur in every pair), and a shared table lets
-// concurrent sweep workers reuse each other's nodes while keeping the
-// public constructor API (sym.And, sym.Eq, ...) unchanged. The table is
-// sharded to keep lock contention negligible; nodes are immutable after
-// publication, so readers never lock.
+// Nodes are interned in a Scope, a plain map that one goroutine at a time
+// uses: a lookup takes no lock and a node needs no handle. A variable is
+// made in a scope (Scope.Var) and a compound node lives in the scope of its
+// arguments' variables, so the constructors name no scope. Each sweep
+// worker's Solver owns one (Solver.Scope), and Solver.Forget clears it at
+// every pair: a pair's nodes live as long as the pair, the map's storage
+// as long as the worker. Constants, the only nodes with no variable (a
+// compound over constants folds to one), live in one process-wide base
+// table; a lookup there reads atomic bucket heads, and only an insertion
+// takes its mutex.
 //
-// Entries are weak references: the pipeline builds unbounded transient
-// formulas (every cone-of-influence query, every path condition of every
-// explored path), and a strong table would pin all of them for the
-// process lifetime, growing the live heap — and with it every GC mark
-// phase — without bound. Weak entries let dead expressions be collected.
-// The entries themselves (a weak handle, a bucket slice, a map slot) are
-// rarely found again once their node is gone — a node's hash mixes its
-// children's interning ids, which are never reused, so a formula rebuilt
-// from rebuilt parts lands on new keys — and so each shard sweeps them
-// out itself: when the insertions since its last sweep reach the number
-// of entries that sweep left (internSweepFloor at least), it drops every
-// cleared entry and moves the rest to a new map. A lookup steps over a
-// cleared entry and leaves it there: the sweep is the table's one cleanup.
-// That bounds a shard by twice what its last sweep found alive, at an
-// amortized cost of two entry visits per insertion; InternSize reports the
-// total, and a process that runs the same sweeps over and over sees it
-// flat. Two structurally equal *live* nodes still cannot coexist: a node
-// is only rebuilt after every strong reference to its predecessor is gone.
+// An expression over nodes of two scopes panics, and so does a node made
+// before its scope's reset and used after it: the reset dropped it, so an
+// equal node built later would be another pointer. Ids stay unique across
+// the base table, every scope and every reset — an id's high half is its
+// scope generation (0 for constants) — so the solver memo and hashNode,
+// which key on ids, never meet a reused one.
 
-// internShardCount is a power of two sizing the lock shards.
-const internShardCount = 64
-
-type internShard struct {
-	internShardState
-	// Filling the shard to a cache line keeps neighbouring shards'
-	// mutexes and counters off each other's lines.
-	_ [cacheLine - unsafe.Sizeof(internShardState{})%cacheLine]byte
-}
-
-const cacheLine = 64
-
-type internShardState struct {
-	mu sync.Mutex
-	m  map[uint64][]weak.Pointer[Expr]
-	// n counts the entries in m, cleared ones included.
-	n int
-	// inserts counts insertions since the last sweep; the next one runs
-	// when they reach sweepAt, the number of entries the last one left (or
-	// the floor).
-	inserts, sweepAt int
-	// hits and misses count the constructor calls that found their node
-	// in this shard and those that added it, under mu: a process-wide
-	// counter would be one line every worker writes on every call.
+// Scope is an intern table for the nodes built over its variables. It is
+// not safe for concurrent use. A Solver makes one (Solver.Scope).
+type Scope struct {
+	// m holds the current generation's nodes by structural hash; nodes with
+	// one hash are chained through Expr.next.
+	m map[uint64]*Expr
+	// gen is the high half of this generation's ids, last the last low half.
+	gen, last uint64
+	// varIDs keeps, across resets, the process-wide id of each variable the
+	// scope has made, so a name reads internVar's locked table once.
+	varIDs map[varKey]int
+	// hits and misses count constructor calls since the last Fold.
 	hits, misses uint64
 }
 
-// internSweepFloor keeps a nearly empty shard from sweeping on every
-// handful of insertions.
-const internSweepFloor = 64
+// idShift splits an id into its scope generation and its place in it.
+const idShift = 32
 
-// interner is the process-wide hash-consing table.
-type interner struct {
-	shards [internShardCount]internShard
-	nextID atomic.Uint64
+// scopeGens numbers scope generations; 0 is the base table's.
+var scopeGens atomic.Uint64
+
+// reset drops every node, keeps the map's storage, starts a new generation.
+func (s *Scope) reset() {
+	s.Fold()
+	clear(s.m)
+	s.gen, s.last = scopeGens.Add(1), 0
 }
 
-func newInterner() *interner {
-	it := &interner{}
-	for i := range it.shards {
-		it.shards[i].m = make(map[uint64][]weak.Pointer[Expr])
-		it.shards[i].sweepAt = internSweepFloor
+// Fold adds the scope's counts since its last fold to the process-wide
+// totals InternStats reads. A scope folds at every reset, and the symbolic
+// executor and TESTGEN fold when an exploration or a generation pass
+// returns, so no constructor call writes a shared counter.
+func (s *Scope) Fold() {
+	internHits.Add(s.hits)
+	internMisses.Add(s.misses)
+	s.hits, s.misses = 0, 0
+}
+
+// Var returns the free variable of the scope with the given name and sort;
+// repeated calls return the same node until the scope is reset.
+func (s *Scope) Var(name string, so Sort) *Expr {
+	h := hashNode(OpVar, so, 0, false, name, nil)
+	head := s.m[h]
+	if e := find(head, OpVar, so, 0, false, name, nil); e != nil {
+		s.hits++
+		return e
 	}
-	return it
+	id, ok := s.varIDs[varKey{name, so}]
+	if !ok {
+		id = internVar(name, so)
+		s.varIDs[varKey{name, so}] = id
+	}
+	e := &Expr{Op: OpVar, Sort: so, Name: name, VarID: id}
+	e.vars = []*Expr{e}
+	s.add(h, head, e)
+	return e
 }
 
-var defaultInterner = newInterner()
+// add publishes the new node e, whose hash is h, in front of head.
+func (s *Scope) add(h uint64, head, e *Expr) {
+	s.last++
+	e.id, e.scope, e.next = s.gen<<idShift|s.last, s, head
+	s.m[h] = e
+	s.misses++
+}
 
-// InternStats returns the process-wide intern-table hit and miss totals,
-// summed over the shards. A hit means a constructor returned an
-// already-live node (structure sharing paid off); a miss means a new node
-// was interned. Both only grow for the process lifetime, so observers (the
-// obs metrics layer, per-pair sweep deltas) read them as totals and
+// internHits and internMisses are the totals the scopes fold into; the
+// base table adds its insertions to internMisses.
+var internHits, internMisses atomic.Uint64
+
+// InternStats returns the process-wide intern-table hit and miss totals. A
+// hit means a constructor returned a node its scope held (structure
+// sharing paid off), a miss that a new node was interned. A scope's calls
+// count once it folds them; a constant found in the base table counts
+// nowhere, one added to it as a miss. Both only grow for the process
+// lifetime, so observers (the obs metrics layer, the benchmark's probes)
 // difference snapshots themselves.
 func InternStats() (hits, misses uint64) {
-	for i := range defaultInterner.shards {
-		sh := &defaultInterner.shards[i]
-		sh.mu.Lock()
-		hits, misses = hits+sh.hits, misses+sh.misses
-		sh.mu.Unlock()
-	}
-	return hits, misses
+	return internHits.Load(), internMisses.Load()
 }
 
-// InternSize returns the number of entries the intern table holds, whether
-// their expressions are alive or collected and not yet swept: the table's
-// footprint, which has to follow the live expression population down as
-// well as up.
-func InternSize() int {
-	n := 0
-	for i := range defaultInterner.shards {
-		sh := &defaultInterner.shards[i]
-		sh.mu.Lock()
-		n += sh.n
-		sh.mu.Unlock()
-	}
-	return n
+// InternSize returns the number of constants in the base table, the one
+// intern table a process keeps: flat across repeated sweeps.
+func InternSize() int { return int(base.n.Load()) }
+
+// baseBuckets sizes the base table; all four specs use a few dozen constants.
+const baseBuckets = 1 << 10
+
+// base is the process-wide table of constants. Published chains never
+// change, so a lookup loads a bucket head and takes no lock; mu serializes
+// insertions.
+var base struct {
+	mu    sync.Mutex
+	heads [baseBuckets]atomic.Pointer[Expr]
+	n     atomic.Int64 // the entries, and the last id handed out
 }
 
-// SweepInternTable sweeps every shard now instead of at its next trigger,
-// so that after a collection InternSize reads the live expressions alone
-// rather than a point on each shard's sawtooth. Nothing in the pipeline
-// needs that — a shard's own sweeps bound it; it is the seam through which
-// the retention test in package commuter reads a repeatable number.
-func SweepInternTable() {
-	for i := range defaultInterner.shards {
-		sh := &defaultInterner.shards[i]
-		sh.mu.Lock()
-		sh.sweep()
-		sh.mu.Unlock()
+// internConst returns the constant of the given sort and value, adding it
+// to the base table on first use.
+func internConst(sort Sort, i64 int64, b bool) *Expr {
+	slot := &base.heads[hashNode(OpConst, sort, i64, b, "", nil)&(baseBuckets-1)]
+	if e := find(slot.Load(), OpConst, sort, i64, b, "", nil); e != nil {
+		return e
 	}
+	base.mu.Lock()
+	defer base.mu.Unlock()
+	head := slot.Load()
+	if e := find(head, OpConst, sort, i64, b, "", nil); e != nil {
+		return e // another goroutine added it first
+	}
+	e := &Expr{Op: OpConst, Sort: sort, Int: i64, Bool: b, id: uint64(base.n.Add(1)), next: head}
+	slot.Store(e)
+	internMisses.Add(1)
+	return e
 }
 
 const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
@@ -150,7 +161,7 @@ func hashMix(h, v uint64) uint64 { return (h ^ v) * fnvPrime }
 // hashNode computes the structural hash of a prospective node from its
 // components. Children contribute their interning ids, which is sound
 // because children are always interned before their parents and ids are
-// never reused while the child is reachable.
+// never reused.
 func hashNode(op Op, sort Sort, i64 int64, b bool, name string, args []*Expr) uint64 {
 	h := uint64(fnvOffset)
 	h = hashMix(h, uint64(op))
@@ -186,80 +197,54 @@ func matches(e *Expr, op Op, sort Sort, i64 int64, b bool, name string, args []*
 	return true
 }
 
-// intern returns the canonical node for the given components, creating and
-// publishing it on first use. args must already be interned; intern keeps
-// none of the caller's slice — a new node gets its own copy — so a hit
-// allocates nothing and callers may build args on their stack.
-func intern(op Op, sort Sort, i64 int64, b bool, name string, args []*Expr) *Expr {
-	it := defaultInterner
-	h := hashNode(op, sort, i64, b, name, args)
-	sh := &it.shards[h&(internShardCount-1)]
-	sh.mu.Lock()
-	bucket := sh.m[h]
-	for _, wp := range bucket {
-		if e := wp.Value(); e != nil && matches(e, op, sort, i64, b, name, args) {
-			sh.hits++
-			sh.mu.Unlock()
-			return e
+// find returns the node of the chain from e that matches the components,
+// or nil.
+func find(e *Expr, op Op, sort Sort, i64 int64, b bool, name string, args []*Expr) *Expr {
+	for e != nil && !matches(e, op, sort, i64, b, name, args) {
+		e = e.next
+	}
+	return e
+}
+
+// intern returns the canonical compound node op(args) of the scope its
+// arguments' variables live in, creating it on first use. args must
+// already be interned, and not all constants (the constructors fold
+// those: no scope would hold the node); intern keeps none of the caller's slice — a new node gets
+// its own copy — so a hit allocates nothing and callers may build args on
+// their stack.
+func intern(op Op, sort Sort, args []*Expr) *Expr {
+	var s *Scope
+	for _, a := range args {
+		switch {
+		case a.scope == nil:
+		case a.id>>idShift != a.scope.gen:
+			panic("sym: a node used after its scope was reset")
+		case s == nil:
+			s = a.scope
+		case a.scope != s:
+			panic("sym: one expression over nodes of two scopes")
 		}
+	}
+	h := hashNode(op, sort, 0, false, "", args)
+	head := s.m[h]
+	if e := find(head, op, sort, 0, false, "", args); e != nil {
+		s.hits++
+		return e
 	}
 	// A variable of its own: were the copy written back to args, escape
 	// analysis would move every caller's literal to the heap.
 	own := append([]*Expr(nil), args...)
-	e := &Expr{Op: op, Sort: sort, Int: i64, Bool: b, Name: name, Args: own}
-	if op == OpVar {
-		e.VarID = internVar(name, sort)
-	}
-	e.id = it.nextID.Add(1)
-	e.vars = mergeVars(e, own)
-	// All fields are set before the node becomes reachable; the shard
-	// mutex publishes it to other goroutines.
-	sh.m[h] = append(bucket, weak.Make(e))
-	sh.n++
-	sh.inserts++
-	sh.misses++
-	if sh.inserts >= sh.sweepAt {
-		sh.sweep()
-	}
-	sh.mu.Unlock()
+	e := &Expr{Op: op, Sort: sort, Args: own}
+	e.vars = mergeVars(own)
+	s.add(h, head, e)
 	return e
 }
 
-// compactBucket drops cleared entries from one bucket, and from the
-// shard's count.
-func (sh *internShard) compactBucket(bucket []weak.Pointer[Expr]) []weak.Pointer[Expr] {
-	out := bucket[:0]
-	for _, wp := range bucket {
-		if wp.Value() != nil {
-			out = append(out, wp)
-		}
-	}
-	sh.n -= len(bucket) - len(out)
-	return out
-}
-
-// sweep drops every entry whose expression has been collected, moving the
-// survivors to a new map: a Go map keeps its storage when entries are
-// deleted, and a shard that served one large formula would carry that
-// storage for the life of the process. Called with the shard lock held.
-func (sh *internShard) sweep() {
-	m := make(map[uint64][]weak.Pointer[Expr])
-	for h, bucket := range sh.m {
-		if live := sh.compactBucket(bucket); len(live) > 0 {
-			m[h] = live
-		}
-	}
-	sh.m, sh.inserts, sh.sweepAt = m, 0, max(sh.n, internSweepFloor)
-}
-
-// mergeVars computes the free variables of a node in first-occurrence
-// DFS order — identical to walking the unfolded tree left to right and
-// keeping first appearances — by merging the (already ordered) child
-// lists. The result is shared and must never be mutated.
-func mergeVars(e *Expr, args []*Expr) []*Expr {
-	if e.Op == OpVar {
-		return []*Expr{e}
-	}
+// mergeVars computes the free variables of a compound node in
+// first-occurrence DFS order — identical to walking the unfolded tree left
+// to right and keeping first appearances — by merging the (already
+// ordered) child lists. The result is shared and must never be mutated.
+func mergeVars(args []*Expr) []*Expr {
 	total, nonEmpty := 0, 0
 	var last []*Expr
 	for _, a := range args {
@@ -282,10 +267,10 @@ func mergeVars(e *Expr, args []*Expr) []*Expr {
 // once. Variables are interned, so a repeat is pointer-equal to the first
 // occurrence already in dst.
 func unionVars(dst, args []*Expr) []*Expr {
-	base := len(dst)
+	start := len(dst)
 	for _, a := range args {
 		for _, v := range a.vars {
-			if !slices.Contains(dst[base:], v) {
+			if !slices.Contains(dst[start:], v) {
 				dst = append(dst, v)
 			}
 		}

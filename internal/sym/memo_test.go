@@ -160,7 +160,7 @@ func FuzzSatAssumingAgainstBruteForce(f *testing.F) {
 func TestMemoKeepsTruncationDistinct(t *testing.T) {
 	var vars []*Expr
 	for i := 0; i < 6; i++ {
-		vars = append(vars, Var("trunc"+string(rune('a'+i)), BoolSort))
+		vars = append(vars, tscope.Var("trunc"+string(rune('a'+i)), BoolSort))
 	}
 	conjs := []*Expr{or(vars[1], vars[2])}
 	extra := And(vars...) // false is tried first: two steps a level
@@ -215,10 +215,10 @@ func TestMemoSkipsStopInterrupted(t *testing.T) {
 // every combination of the six; the conflict set names only the first
 // variable, so the search returns straight to it. Pinned by step count.
 func TestBackjumpingEscapesThrash(t *testing.T) {
-	x, z := Var("thrash.x", IntSort), Var("thrash.z", IntSort)
+	x, z := tscope.Var("thrash.x", IntSort), tscope.Var("thrash.z", IntSort)
 	conjs := []*Expr{Le(x, Int(3))}
 	for i := 0; i < 6; i++ {
-		conjs = append(conjs, Ge(Var("thrash.y"+string(rune('0'+i)), IntSort), Int(0)))
+		conjs = append(conjs, Ge(tscope.Var("thrash.y"+string(rune('0'+i)), IntSort), Int(0)))
 	}
 	conjs = append(conjs, Lt(z, x), Ge(z, Int(2))) // only x = 3, z = 2
 
@@ -239,7 +239,7 @@ func TestBackjumpingEscapesThrash(t *testing.T) {
 	// More variables than one conflict-set word holds, same escape.
 	wide := []*Expr{Le(x, Int(3))}
 	for i := 0; i < 70; i++ {
-		wide = append(wide, Var("thrash.b"+string(rune('0'+i)), BoolSort))
+		wide = append(wide, tscope.Var("thrash.b"+string(rune('0'+i)), BoolSort))
 	}
 	wide = append(wide, Lt(z, x), Ge(z, Int(2)))
 	if m, ok := solve(&s, And(wide...)); !ok || m.Int(x, 0) != 3 || len(s.doms) != 72 || s.steps > 1000 {

@@ -45,6 +45,7 @@ var orderNames = []string{"x", "x ", "x y", "(x", "x)", "(+ x", "(ite", ")", "",
 // built one after the other share subterms.
 type orderGen struct {
 	r                *rand.Rand
+	sc               *Scope
 	fresh            string
 	ints, bools, uns []*Expr
 }
@@ -73,7 +74,7 @@ func (g *orderGen) int(depth int) *Expr {
 			e = Int(100 + int64(g.r.Intn(100000)))
 		}
 	case k == 1:
-		e = Var(g.fresh, IntSort)
+		e = g.sc.Var(g.fresh, IntSort)
 	case k == 2:
 		e = g.pick(g.ints, func() *Expr { return Int(7) })
 	case k == 3 && depth > 0:
@@ -83,7 +84,7 @@ func (g *orderGen) int(depth int) *Expr {
 	case k == 5 && depth > 0:
 		e = Ite(g.bool(depth-1), g.int(depth-1), g.int(depth-1))
 	default:
-		e = Var(g.name(), IntSort)
+		e = g.sc.Var(g.name(), IntSort)
 	}
 	g.ints = append(g.ints, e)
 	return e
@@ -109,7 +110,7 @@ func (g *orderGen) bool(depth int) *Expr {
 	case k == 8 && depth > 0:
 		e = Eq(g.un(depth-1), g.un(depth-1))
 	default:
-		e = Var(g.name(), BoolSort)
+		e = g.sc.Var(g.name(), BoolSort)
 	}
 	g.bools = append(g.bools, e)
 	return e
@@ -125,7 +126,7 @@ func (g *orderGen) un(depth int) *Expr {
 	case k == 3 && depth > 0:
 		e = Ite(g.bool(depth-1), g.un(depth-1), g.un(depth-1))
 	default:
-		e = Var(g.name(), orderSort)
+		e = g.sc.Var(g.name(), orderSort)
 	}
 	g.uns = append(g.uns, e)
 	return e
@@ -154,7 +155,7 @@ func FuzzCompareRenderedMatchesStrings(f *testing.F) {
 		f.Add(deep, data)
 	}
 	f.Fuzz(func(t *testing.T, deep uint8, data []byte) {
-		g := &orderGen{r: rand.New(&byteSource{data}), fresh: fmt.Sprintf("ord%d", fuzzFresh.Add(1))}
+		g := &orderGen{r: rand.New(&byteSource{data}), sc: newScope(), fresh: fmt.Sprintf("ord%d", fuzzFresh.Add(1))}
 		var a, b *Expr
 		switch k := g.r.Intn(3); {
 		case k == 0 || deep > 0:
@@ -202,7 +203,7 @@ func FuzzCompareRenderedMatchesStrings(f *testing.F) {
 // nothing.
 func TestEqRendersNothing(t *testing.T) {
 	fresh := fmt.Sprintf("eqr%d", fuzzFresh.Add(1))
-	v := func(s string) *Expr { return Var(fresh+s, IntSort) }
+	v := func(s string) *Expr { return tscope.Var(fresh+s, IntSort) }
 	tail := v(".init")
 	for i := 0; i < 8; i++ {
 		tail = Ite(Eq(v(fmt.Sprint(i)), v(".k")), Int(int64(i)), tail)

@@ -183,7 +183,7 @@ func evalIntIdx(e *Expr, a *Model) (res int64, known bool) {
 // sweep worker for both symbolic phases of every pair the worker runs, and
 // forgets at the start of each pair: the memory lives as long as a pair,
 // so a pair's answers and counts are a fresh Solver's, and the scratch as
-// long as the worker.
+// long as the worker; so do the Solver's Scope and its storage.
 type Solver struct {
 	// MaxSteps bounds the backtracking search (default 5,000,000 node
 	// visits). When the budget is exhausted, Sat and its kin report
@@ -206,7 +206,8 @@ type Solver struct {
 
 	// memo holds the answers of SatAssumingConjs's completed searches,
 	// keyed by the ids of the conjuncts searched, in search order.
-	memo map[string]bool
+	memo  map[string]bool
+	scope *Scope // see Scope
 
 	// Scratch indexed by interned variable id (see growVars for its size).
 	// Backtracking always unsets what it set, so the assignment binds
@@ -254,10 +255,22 @@ type SolverStats struct {
 // Stats returns the cumulative search counters.
 func (s *Solver) Stats() SolverStats { return s.stats }
 
-// Forget drops every remembered answer and keeps the scratch and the
-// counters: from here on the Solver answers, and counts searches and memo
-// hits, as a fresh one would.
-func (s *Solver) Forget() { clear(s.memo) }
+// Forget drops every remembered answer and every node of the Solver's
+// scope, and keeps the scratch and the counters: from here on the Solver
+// answers, and counts searches and memo hits, as a fresh one would.
+func (s *Solver) Forget() {
+	clear(s.memo)
+	s.Scope().reset()
+}
+
+// Scope returns the Solver's intern scope, where the explorations and
+// generation passes run on the Solver make their variables.
+func (s *Solver) Scope() *Scope {
+	if s.scope == nil {
+		s.scope = &Scope{m: map[uint64]*Expr{}, gen: scopeGens.Add(1), varIDs: map[varKey]int{}}
+	}
+	return s.scope
+}
 
 // Budget reports whether the previous Sat/EnumerateConjs/SatAssuming call
 // ran out of steps before exhausting the search space — i.e. whether an
@@ -600,7 +613,7 @@ func (s *Solver) SatAssuming(base, extra *Expr) bool {
 //
 // The Solver remembers each answer under the exact input of the search
 // that gave it — the interning ids of extra's conjuncts and of the cone's,
-// in search order; ids, unlike the addresses of weakly interned nodes, are
+// in search order; ids, unlike the addresses of nodes a scope let go, are
 // never reused — and answers a repeated question without searching:
 // the paths of one exploration share most of their path conditions, so
 // three in four of a pair's questions are repeats. Only a search that ran

@@ -8,7 +8,7 @@ import (
 
 func TestSolveSimpleEquality(t *testing.T) {
 	fn := Uninterpreted("Filename")
-	a, b := Var("a", fn), Var("b", fn)
+	a, b := tscope.Var("a", fn), tscope.Var("b", fn)
 	var s Solver
 
 	m, ok := solve(&s, Eq(a, b))
@@ -33,7 +33,7 @@ func TestSolveSimpleEquality(t *testing.T) {
 }
 
 func TestSolveIntArithmetic(t *testing.T) {
-	x, y := Var("x", IntSort), Var("y", IntSort)
+	x, y := tscope.Var("x", IntSort), tscope.Var("y", IntSort)
 	var s Solver
 	e := And(Eq(Add(x, y), Int(3)), Lt(x, y), Ge(x, Int(0)))
 	m, ok := solve(&s, e)
@@ -46,7 +46,7 @@ func TestSolveIntArithmetic(t *testing.T) {
 }
 
 func TestSolveUnsatArithmetic(t *testing.T) {
-	x := Var("x", IntSort)
+	x := tscope.Var("x", IntSort)
 	var s Solver
 	if s.Sat(And(Lt(x, Int(0)), Gt(x, Int(0)))) {
 		t.Error("x<0 && x>0 should be unsat")
@@ -54,7 +54,7 @@ func TestSolveUnsatArithmetic(t *testing.T) {
 }
 
 func TestValid(t *testing.T) {
-	p := Var("p", BoolSort)
+	p := tscope.Var("p", BoolSort)
 	var s Solver
 	if s.Sat(Not(or(p, Not(p)))) {
 		t.Error("p || !p should be valid: its negation is unsatisfiable")
@@ -65,7 +65,7 @@ func TestValid(t *testing.T) {
 }
 
 func TestEnumerateCountsBooleans(t *testing.T) {
-	p, q := Var("p", BoolSort), Var("q", BoolSort)
+	p, q := tscope.Var("p", BoolSort), tscope.Var("q", BoolSort)
 	var s Solver
 	n := 0
 	s.EnumerateConjs(Conjuncts(or(p, q)), func(Model) bool { n++; return true })
@@ -75,7 +75,7 @@ func TestEnumerateCountsBooleans(t *testing.T) {
 }
 
 func TestEnumerateEarlyStop(t *testing.T) {
-	p, q := Var("p", BoolSort), Var("q", BoolSort)
+	p, q := tscope.Var("p", BoolSort), tscope.Var("q", BoolSort)
 	var s Solver
 	n := 0
 	s.EnumerateConjs(Conjuncts(or(p, q)), func(Model) bool { n++; return n < 2 })
@@ -88,7 +88,7 @@ func TestSmallModelPropertyDomains(t *testing.T) {
 	// Three pairwise-distinct uninterpreted variables require a domain of
 	// at least three elements; the solver must find a model.
 	fn := Uninterpreted("Filename")
-	a, b, c := Var("a", fn), Var("b", fn), Var("c", fn)
+	a, b, c := tscope.Var("a", fn), tscope.Var("b", fn), tscope.Var("c", fn)
 	var s Solver
 	e := And(Ne(a, b), Ne(b, c), Ne(a, c))
 	m, ok := solve(&s, e)
@@ -102,7 +102,7 @@ func TestSmallModelPropertyDomains(t *testing.T) {
 
 func TestSolveWithUninterpretedConstants(t *testing.T) {
 	fn := Uninterpreted("Filename")
-	a := Var("a", fn)
+	a := tscope.Var("a", fn)
 	var s Solver
 	e := And(Ne(a, Const(fn, 0)), Ne(a, Const(fn, 1)))
 	m, ok := solve(&s, e)
@@ -115,8 +115,8 @@ func TestSolveWithUninterpretedConstants(t *testing.T) {
 }
 
 func TestIteSolving(t *testing.T) {
-	x := Var("x", IntSort)
-	p := Var("p", BoolSort)
+	x := tscope.Var("x", IntSort)
+	p := tscope.Var("p", BoolSort)
 	var s Solver
 	// ite(p, 1, 2) == x && p  forces x == 1.
 	e := And(Eq(Ite(p, Int(1), Int(2)), x), p)
@@ -133,7 +133,7 @@ func TestSolverBudget(t *testing.T) {
 	// A formula with many integer variables blows the tiny step budget.
 	var e *Expr = True
 	for i := 0; i < 8; i++ {
-		e = And(e, Ne(Var(string(rune('a'+i)), IntSort), Int(100)))
+		e = And(e, Ne(tscope.Var(string(rune('a'+i)), IntSort), Int(100)))
 	}
 	s := Solver{MaxSteps: 10}
 	if s.Sat(e) {
@@ -148,8 +148,8 @@ func TestSolverBudget(t *testing.T) {
 // Property: any model returned by Solve actually satisfies the formula.
 func TestQuickSolveModelsSatisfy(t *testing.T) {
 	fn := Uninterpreted("T")
-	a, b, c := Var("a", fn), Var("b", fn), Var("c", fn)
-	x := Var("x", IntSort)
+	a, b, c := tscope.Var("a", fn), tscope.Var("b", fn), tscope.Var("c", fn)
+	x := tscope.Var("x", IntSort)
 	f := func(w1, w2, w3 bool, k int8) bool {
 		var conj []*Expr
 		if w1 {

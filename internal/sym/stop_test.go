@@ -12,7 +12,7 @@ func pigeonhole(n int) *Expr {
 	vars := make([]*Expr, n)
 	conjs := []*Expr{}
 	for i := range vars {
-		vars[i] = Var(string(rune('a'+i)), IntSort)
+		vars[i] = tscope.Var(string(rune('a'+i)), IntSort)
 		conjs = append(conjs, Ge(vars[i], Int(0)), Le(vars[i], Int(int64(n-2))))
 	}
 	for i := range vars {

@@ -183,11 +183,11 @@ func TestEnumerateConjsIgnoresRepeats(t *testing.T) {
 // search's own assignment buys: EnumerateConjs over a formula with 2N models
 // allocates what it does over one with N, reads of the Model included.
 func TestEnumerateLeafCostsNothingPerModel(t *testing.T) {
-	c := Var("leafcost.c", BoolSort)
+	c := tscope.Var("leafcost.c", BoolSort)
 	conjs := []*Expr{c}
 	var free []*Expr
 	for i := 0; i < 8; i++ {
-		b := Var(fmt.Sprintf("leafcost.b%d", i), BoolSort)
+		b := tscope.Var(fmt.Sprintf("leafcost.b%d", i), BoolSort)
 		free = append(free, b)
 		conjs = append(conjs, or(b, c))
 	}

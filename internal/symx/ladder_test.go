@@ -14,13 +14,13 @@ import (
 // condition refuted once is answered from infeas the second time it is
 // assumed or branched on.
 func TestLadderAnswersWithoutSearch(t *testing.T) {
-	x, y := sym.Var("ldx", sym.IntSort), sym.Var("ldy", sym.IntSort)
+	solver := &sym.Solver{}
+	x, y := solver.Scope().Var("ldx", sym.IntSort), solver.Scope().Var("ldy", sym.IntSort)
 	assumeAborts := func(c *Context, cond *sym.Expr) bool {
 		_, aborted := runOne(c, func(c *Context) any { c.Assume(cond); return nil })
 		return aborted
 	}
 
-	solver := &sym.Solver{}
 	c := newContext(nil, solver)
 	neg := sym.Lt(x, sym.Int(0))
 	c.Assume(neg)

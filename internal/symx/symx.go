@@ -172,9 +172,9 @@ func (c *Context) next(trace []bool) {
 // PC returns the current path condition.
 func (c *Context) PC() *sym.Expr { return sym.And(c.pcConjs...) }
 
-// Var returns the memoized named variable, creating it with the given sort
-// and kind on first use. Names are content-derived by callers (for example
-// "fs[a].present"), which keeps variable identities stable across the
+// Var returns the memoized named variable, creating it in the solver's
+// scope with the given sort and kind on first use. Names are
+// content-derived by callers (for example "fs[a].present"), which keeps variable identities stable across the
 // replays of different paths and permutations; the memo is the
 // exploration's, so a name met at another sort in any replay panics.
 func (c *Context) Var(name string, s sym.Sort, kind VarKind) *sym.Expr {
@@ -184,7 +184,7 @@ func (c *Context) Var(name string, s sym.Sort, kind VarKind) *sym.Expr {
 		}
 		return v
 	}
-	v := sym.Var(name, s)
+	v := c.solver.Scope().Var(name, s)
 	c.x.vars[name] = v
 	c.x.varKinds[name] = kind
 	return v
@@ -435,6 +435,7 @@ func RunCtx(ctx context.Context, fn func(*Context) any, opt Options) ([]Path, bo
 		// there cancellation lands at replay granularity.
 		solver = &sym.Solver{Stop: func() bool { return ctx.Err() != nil }}
 	}
+	defer solver.Scope().Fold() // where Context.Var made the variables
 
 	var (
 		paths    []Path

@@ -12,12 +12,11 @@ import (
 	"repro/internal/sym"
 )
 
-// exploreUnshared is RunCtx with nothing shared between replays: each one
-// starts from a new Context, so it makes its own variable table and probe
-// table. It returns the paths with each one's decisions, and the variables
-// of every replay, aborted ones included.
-func exploreUnshared(fn func(*Context) any, maxPaths int) ([]Path, [][]bool, map[string]VarKind) {
-	solver := &sym.Solver{}
+// exploreUnshared is RunCtx on solver with nothing shared between replays:
+// each one starts from a new Context, so it makes its own variable table and
+// probe table. It returns the paths with each one's decisions, and the
+// variables of every replay, aborted ones included.
+func exploreUnshared(fn func(*Context) any, maxPaths int, solver *sym.Solver) ([]Path, [][]bool, map[string]VarKind) {
 	kinds := map[string]VarKind{}
 	var (
 		paths  []Path
@@ -44,7 +43,8 @@ func exploreUnshared(fn func(*Context) any, maxPaths int) ([]Path, [][]bool, map
 // are explored by RunCtx, and again with nothing shared between replays;
 // path for path, the decision trace, the PC node and the
 // DictsEquivalent conjunct list must be the same, and the variables the
-// two made the same. Half the histories only write, so the invariant the
+// two made the same. Both explorations run on one solver, and so build in
+// one scope: the same node is the same pointer. Half the histories only write, so the invariant the
 // "qs" kind's MakeVal Assumes reaches the path condition through
 // DictsEquivalent's defaults alone; a branch the history never reads,
 // before it or between it and the equivalences, makes the later paths
@@ -70,17 +70,18 @@ func TestExplorationTablesAreInvisible(t *testing.T) {
 			return DictsEquivalent(DictsEquivalent(nil, c, ds[0], ds[1]), c, ds[1], ds[0])
 		}
 		var traces [][]bool
+		solver := &sym.Solver{}
 		counting = true
 		shared, _, err := RunCtx(context.Background(), func(c *Context) any {
 			res := fn(c) // a replay that aborts records nothing
 			traces = append(traces, slices.Clone(c.traceSoFar()))
 			return res
-		}, Options{MaxPaths: 64})
+		}, Options{MaxPaths: 64, Solver: solver})
 		counting = false
 		if err != nil {
 			t.Fatal(err)
 		}
-		alone, aloneTraces, kinds := exploreUnshared(fn, 64)
+		alone, aloneTraces, kinds := exploreUnshared(fn, 64, solver)
 		if len(shared) != len(alone) {
 			t.Fatalf("seed %d: %d paths with the tables, %d without", seed, len(shared), len(alone))
 		}

@@ -120,6 +120,7 @@ func TestDictsEquivalentPresenceMismatch(t *testing.T) {
 }
 
 func TestDictsEquivalentSameWrites(t *testing.T) {
+	var s sym.Solver
 	paths := explore(func(c *Context) any {
 		d1 := NewDict("fs", mkVal)
 		d2 := NewDict("fs", mkVal)
@@ -131,18 +132,18 @@ func TestDictsEquivalentSameWrites(t *testing.T) {
 		d2.Set(c, K(b), NewStruct("inum", sym.Int(2)))
 		d2.Set(c, K(a), NewStruct("inum", sym.Int(1)))
 		return sym.And(DictsEquivalent(nil, c, d1, d2)...)
-	}, Options{})
-	var s sym.Solver
+	}, Options{Solver: &s})
+	a, b := s.Scope().Var("a", nameSort), s.Scope().Var("b", nameSort)
 	for _, p := range paths {
 		eq := p.Result.(*sym.Expr)
 		// Where a != b the orders are fully equivalent. Where a == b the
 		// last writer differs (1 vs 2 at the shared key), so equivalence
 		// must fail there — exactly the paper's order-dependence signal.
-		aNeB := sym.Ne(sym.Var("a", nameSort), sym.Var("b", nameSort))
+		aNeB := sym.Ne(a, b)
 		if !valid(&s, sym.Implies(sym.And(p.PC, aNeB), eq)) {
 			t.Errorf("distinct-key writes should commute under %v", p.PC)
 		}
-		if s.Sat(sym.And(p.PC, sym.Eq(sym.Var("a", nameSort), sym.Var("b", nameSort)), eq)) {
+		if s.Sat(sym.And(p.PC, sym.Eq(a, b), eq)) {
 			t.Errorf("same-key conflicting writes should not commute under %v", p.PC)
 		}
 	}

@@ -14,8 +14,8 @@ import (
 // Generate must stop after the first instead of walking the whole model
 // space.
 func TestClassFormulaDegenerate(t *testing.T) {
-	x := sym.Var("cfd.x", sym.IntSort)
-	k := sym.Var("cfd.k", model.FilenameSort)
+	x := tscope.Var("cfd.x", sym.IntSort)
+	k := tscope.Var("cfd.k", model.FilenameSort)
 	withModel([]*sym.Expr{x, k}, []int64{1, 0}, func(m sym.Model) {
 		for _, vars := range [][]*sym.Expr{nil, {x}, {x, k}} {
 			if distinguishes(vars) {
@@ -26,7 +26,7 @@ func TestClassFormulaDegenerate(t *testing.T) {
 			}
 		}
 	})
-	if y := sym.Var("cfd.y", sym.IntSort); !distinguishes([]*sym.Expr{x, k, y}) {
+	if y := tscope.Var("cfd.y", sym.IntSort); !distinguishes([]*sym.Expr{x, k, y}) {
 		t.Error("two integers can be equal or distinct: distinguishes must be true")
 	}
 }

@@ -9,6 +9,10 @@ import (
 	"repro/internal/sym"
 )
 
+// tscope is the scope this package's tests build their own variables in;
+// nothing resets it.
+var tscope = new(sym.Solver).Scope()
+
 // withModel asks a fresh solver for the model binding each variable to its
 // value (a boolean as 0 or 1), which a conjunction of equalities has, and
 // hands it to f. The model is the search's own assignment, valid while f
@@ -95,7 +99,7 @@ func TestQuickClassSignatureMatchesFormula(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		vars := make([]*sym.Expr, r.Intn(7))
 		for i := range vars {
-			vars[i] = sym.Var(fmt.Sprintf("cls.v%d", i), sorts[r.Intn(len(sorts))])
+			vars[i] = tscope.Var(fmt.Sprintf("cls.v%d", i), sorts[r.Intn(len(sorts))])
 		}
 		vals1, vals2 := randomVals(r, vars), randomVals(r, vars)
 		withModel(vars, vals1, func(m1 sym.Model) {
@@ -127,7 +131,7 @@ func TestQuickClassSignatureMatchesFormula(t *testing.T) {
 // is built in reused scratch and looked up without becoming a string.
 func TestSeenClassCostsNoAllocation(t *testing.T) {
 	s := sym.Uninterpreted("ClsA")
-	vars := []*sym.Expr{sym.Var("cls.a", s), sym.Var("cls.b", s), sym.Var("cls.c", sym.BoolSort), sym.Var("cls.d", sym.IntSort)}
+	vars := []*sym.Expr{tscope.Var("cls.a", s), tscope.Var("cls.b", s), tscope.Var("cls.c", sym.BoolSort), tscope.Var("cls.d", sym.IntSort)}
 	withModel(vars, []int64{2, 2, 1, 7}, func(m sym.Model) {
 		var sc sigScratch
 		classes := map[string]bool{string(sc.classSignature(m, vars)): true}

@@ -65,7 +65,8 @@ func generate(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kernel.TestC
 		solver = &sym.Solver{}
 	}
 	// The pair's ops and their argument variables are invariant across
-	// paths and tests; resolve them once, not per materialized test.
+	// paths and tests; resolve them once, not per materialized test. A
+	// model reads a variable by its id, whatever scope it was made in.
 	opA, errA := spec.OpByName(sp, pr.OpA)
 	opB, errB := spec.OpByName(sp, pr.OpB)
 	if errA != nil || errB != nil {
@@ -76,10 +77,11 @@ func generate(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kernel.TestC
 			pr.OpA, pr.OpB, pr.Spec, sp.Name()))
 	}
 	ops := [2]*spec.Op{opA, opB}
+	defer solver.Scope().Fold()
 	var argVars [2][]*sym.Expr
 	for slot, op := range ops {
 		for _, as := range op.Args {
-			argVars[slot] = append(argVars[slot], sym.Var(op.Name+"."+strconv.Itoa(slot)+"."+as.Name, as.Sort))
+			argVars[slot] = append(argVars[slot], solver.Scope().Var(op.Name+"."+strconv.Itoa(slot)+"."+as.Name, as.Sort))
 		}
 	}
 	var tests []kernel.TestCase

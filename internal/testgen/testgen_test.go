@@ -178,8 +178,8 @@ func TestNondetVarsExcludedFromSetup(t *testing.T) {
 // formula the signature replaced.
 func TestClassFormula(t *testing.T) {
 	fn := model.FilenameSort
-	x, y := sym.Var("x", fn), sym.Var("y", fn)
-	b := sym.Var("b", sym.BoolSort)
+	x, y := tscope.Var("x", fn), tscope.Var("y", fn)
+	b := tscope.Var("b", sym.BoolSort)
 	vars := []*sym.Expr{x, y, b}
 	withModel(vars, []int64{1, 1, 1}, func(m sym.Model) {
 		f, sig := classFormula(m, vars), signatureOf(m, vars)
