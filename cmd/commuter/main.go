@@ -410,16 +410,17 @@ func runSweep(ctx context.Context, cli commuter.Client, artifactPath string, opt
 				fatal(fmt.Errorf("artifact write: %w", werr))
 			}
 		}
-		if ev := upd.Progress; ev != nil {
+		if pg, pr := upd.Progress, upd.Pair; pg != nil {
 			from := "computed"
 			switch {
-			case ev.Cached:
+			case pr.Cached:
 				from = "cached"
-			case ev.Coalesced:
+			case pr.Coalesced:
 				from = "coalesced"
 			}
+			elapsed := time.Duration(pg.ElapsedMS * float64(time.Millisecond))
 			fmt.Fprintf(os.Stderr, "[%3d/%3d] %-20s %4d tests %-8s in %.0fms (total %v)\n",
-				ev.Done, ev.Total, ev.Pair, ev.Tests, from, ev.PairMS, ev.Elapsed.Round(time.Millisecond))
+				pg.Done, pg.Total, pr.Pair(), pr.Tests, from, pr.ElapsedMS, elapsed.Round(time.Millisecond))
 		}
 		if upd.Result != nil {
 			res = upd.Result

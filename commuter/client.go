@@ -76,16 +76,20 @@ type (
 	CheckSummary = api.CheckSummary
 	// TestVerdict is one test's conflict-freedom verdict.
 	TestVerdict = api.TestVerdict
+	// SweepProgress is where a sweep stands when one of its pairs
+	// finishes: pairs done of the total, and the sweep's wall time so far.
+	SweepProgress = api.Progress
 )
 
 // SweepUpdate is one element of a sweep stream. Exactly one of the
 // terminal fields is set on the last update (Result); every earlier
-// update carries the finished pair (Pair) and its progress report
-// (Progress).
+// update carries the finished pair (Pair) and where the sweep stood when
+// it finished (Progress).
 type SweepUpdate struct {
-	// Progress is the per-pair progress report (Done/Total counters and
-	// timings; its Result is Pair), nil on the terminal update.
-	Progress *SweepEvent
+	// Progress counts the pairs done of the total and the sweep's wall
+	// time so far, nil on the terminal update. Everything about the pair
+	// itself is Pair.
+	Progress *SweepProgress
 	// Pair is the finished pair's full result, nil on the terminal
 	// update.
 	Pair *SweepPair

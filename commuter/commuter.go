@@ -32,11 +32,10 @@ import (
 	"io"
 
 	"repro/internal/kernel"
-	_ "repro/internal/kvspec" // registers the "kv" spec
-	"repro/internal/model"
+	_ "repro/internal/kvspec"    // registers the "kv" spec
 	_ "repro/internal/queuespec" // registers the "queue" spec
 	"repro/internal/spec"
-	"repro/internal/sweep"
+	"repro/internal/sweep"    // imports model, which registers the "posix" spec
 	_ "repro/internal/vmspec" // registers the "vm" spec
 )
 
@@ -49,12 +48,6 @@ type (
 	SweepResult = sweep.Result
 	// SweepPair is the sweep outcome for one operation pair.
 	SweepPair = sweep.PairResult
-	// PhaseTimes is a pair's per-phase wall-time breakdown.
-	PhaseTimes = sweep.PhaseTimes
-	// SolverCounters is a pair's symbolic-solver work counters.
-	SolverCounters = sweep.SolverCounters
-	// SweepEvent is one streaming sweep progress report.
-	SweepEvent = sweep.Event
 	// SweepBackend is the pluggable two-tier sweep cache interface
 	// (generated tests in a kernel-independent TESTGEN tier, per-kernel
 	// cells in a CHECK tier) WithCacheBackend and ServeWithBackend take;
@@ -68,9 +61,6 @@ type (
 // sorted: "kv", "posix", "queue" and "vm", plus any the embedding program
 // registered.
 func Specs() []string { return spec.Names() }
-
-// OpNames returns the 18 modeled POSIX operations in Figure 6 order.
-func OpNames() []string { return spec.OpNames(model.Spec) }
 
 // WriteSweepTrace renders a finished sweep as a Chrome trace-event file
 // (loadable in chrome://tracing or ui.perfetto.dev): one span per pair at

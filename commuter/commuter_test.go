@@ -1,6 +1,8 @@
 package commuter_test
 
 import (
+	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,8 +10,18 @@ import (
 	"repro/internal/eval"
 )
 
+// TestOpNames pins the posix spec's operations as the Client lists them:
+// the 18 modeled POSIX operations in Figure 6 order.
 func TestOpNames(t *testing.T) {
-	names := commuter.OpNames()
+	specs, err := commuter.Local().Specs(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := slices.IndexFunc(specs, func(s commuter.SpecInfo) bool { return s.Name == "posix" })
+	if i < 0 {
+		t.Fatalf("no posix spec in %+v", specs)
+	}
+	names := specs[i].Ops
 	if len(names) != 18 {
 		t.Fatalf("want 18 ops, got %d", len(names))
 	}

@@ -86,8 +86,8 @@ func FuzzDialSweepStream(f *testing.F) {
 				terminals++
 				continue
 			}
-			if upd.Pair == nil || upd.Progress != nil && upd.Progress.Result != upd.Pair {
-				t.Fatalf("an update whose progress is not about its pair: %+v", upd)
+			if upd.Pair == nil {
+				t.Fatalf("an update without its pair: %+v", upd)
 			}
 			updates++
 		}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/spec"
 	"repro/internal/sweep"
-	"repro/internal/testgen"
 )
 
 // Local returns the in-process binding of the Client interface. It is
@@ -86,12 +85,10 @@ func resolvePair(o *callOptions, opA, opB string) (spec.Spec, *spec.Op, *spec.Op
 	return sp, a, b, nil
 }
 
-func (o *callOptions) analyzerOptions() analyzer.Options {
-	return analyzer.Options{Config: spec.Config{LowestFD: o.LowestFD}}
-}
-
-func (o *callOptions) testgenOptions() testgen.Options {
-	return testgen.Options{MaxTestsPerPath: o.MaxTestsPerPath}
+// shape is the options' test shape as the engine reads it; its
+// PhaseOptions are the ANALYZE and TESTGEN options of every binding.
+func (o *callOptions) shape() sweep.Config {
+	return sweep.Config{LowestFD: o.LowestFD, MaxTestsPerPath: o.MaxTestsPerPath}
 }
 
 func (localClient) Analyze(ctx context.Context, opA, opB string, opts ...Option) (Analysis, error) {
@@ -100,7 +97,8 @@ func (localClient) Analyze(ctx context.Context, opA, opB string, opts ...Option)
 	if err != nil {
 		return Analysis{}, err
 	}
-	pr, err := analyzer.AnalyzePairCtx(ctx, sp, a, b, o.analyzerOptions())
+	aOpt, _ := o.shape().PhaseOptions()
+	pr, err := analyzer.AnalyzePairCtx(ctx, sp, a, b, aOpt)
 	if err != nil {
 		return Analysis{}, err
 	}
@@ -156,7 +154,8 @@ func (localClient) GenerateTests(ctx context.Context, opA, opB string, opts ...O
 	}
 	// The engine's own ANALYZE → TESTGEN sequence, outside a sweep: no
 	// cache, no single-flight, and the timing record is dropped.
-	tests, unknown, err := sweep.PairTests(ctx, sp, a, b, o.analyzerOptions(), o.testgenOptions(), new(sweep.PairResult))
+	aOpt, gOpt := o.shape().PhaseOptions()
+	tests, unknown, err := sweep.PairTests(ctx, sp, a, b, aOpt, gOpt, new(sweep.PairResult))
 	if err != nil {
 		return TestSet{}, err
 	}
@@ -227,15 +226,9 @@ func (o *callOptions) sweepConfig() (sweep.Config, error) {
 	if err != nil {
 		return sweep.Config{}, badRequest(err)
 	}
-	cfg := sweep.Config{
-		Spec:     sp,
-		Ops:      ops,
-		Kernels:  kernels,
-		Analyzer: o.analyzerOptions(),
-		Testgen:  o.testgenOptions(),
-		Workers:  o.Workers,
-		Cache:    o.cache,
-	}
+	cfg := o.shape()
+	cfg.Spec, cfg.Ops, cfg.Kernels = sp, ops, kernels
+	cfg.Workers, cfg.Cache = o.Workers, o.cache
 	if cfg.Cache == nil && o.cacheDir != "" {
 		if cfg.Cache, err = sweep.OpenBackend(o.cacheDir); err != nil {
 			return sweep.Config{}, err
@@ -277,7 +270,7 @@ func (localClient) SweepStream(ctx context.Context, opts ...Option) iter.Seq2[Sw
 			runErr error
 		)
 		cfg.Progress = func(ev sweep.Event) {
-			upd := SweepUpdate{Pair: ev.Result, Progress: &ev}
+			upd := SweepUpdate{Pair: ev.Result, Progress: api.ProgressFromEvent(ev)}
 			select {
 			case updates <- upd:
 			case <-sctx.Done():

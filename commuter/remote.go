@@ -196,12 +196,7 @@ func (c *remoteClient) SweepStream(ctx context.Context, opts ...Option) iter.Seq
 					yield(SweepUpdate{}, errors.New("commuter: sweep update frame carried no pair"))
 					return
 				}
-				upd := SweepUpdate{Pair: fr.Pair}
-				if fr.Progress != nil {
-					ev := fr.Progress.Event(fr.Pair)
-					upd.Progress = &ev
-				}
-				if !yield(upd, nil) {
+				if !yield(SweepUpdate{Pair: fr.Pair, Progress: fr.Progress}, nil) {
 					return
 				}
 			case api.FrameResult:

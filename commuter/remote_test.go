@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -42,8 +43,8 @@ func stripTimings(res *commuter.SweepResult) *commuter.SweepResult {
 		out.Pairs[i].ElapsedMS = 0
 		out.Pairs[i].Cached = false // cache state differs run to run, not pair content
 		out.Pairs[i].StartMS = 0
-		out.Pairs[i].Phases = commuter.PhaseTimes{}
-		out.Pairs[i].Solver = commuter.SolverCounters{}
+		out.Pairs[i].Phases = commuter.SweepPair{}.Phases
+		out.Pairs[i].Solver = commuter.SweepPair{}.Solver
 		// CheckGroups is populated only when the CHECK stage actually
 		// replays (cache hits skip it).
 		out.Pairs[i].CheckGroups = 0
@@ -92,27 +93,38 @@ func TestRemoteSweepMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestSweepStreamProgressCarriesPair pins what the sweep.Event doc
-// promises through either binding: every non-terminal update's
-// Progress.Result points at the finished pair, the update's Pair.
+// TestSweepStreamProgressCarriesPair pins the stream's shape through
+// either binding: every non-terminal update carries its finished pair, the
+// one the terminal result reports under that name, and a progress whose
+// Done counts up by one to Total.
 func TestSweepStreamProgressCarriesPair(t *testing.T) {
 	remote, _ := newLoopback(t)
 	for name, cli := range map[string]commuter.Client{"Local": commuter.Local(), "Dial": remote} {
-		updates := 0
+		var (
+			streamed []*commuter.SweepPair
+			final    *commuter.SweepResult
+		)
 		for upd, err := range cli.SweepStream(context.Background(), commuter.WithSpec("queue"), commuter.WithOps("send", "recv")) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			if upd.Result != nil {
+				final = upd.Result
 				continue
 			}
-			updates++
-			if upd.Progress == nil || upd.Progress.Result == nil || !reflect.DeepEqual(upd.Progress.Result, upd.Pair) {
-				t.Errorf("%s: update %d has Progress %+v beside Pair %+v", name, updates, upd.Progress, upd.Pair)
+			streamed = append(streamed, upd.Pair)
+			if upd.Pair == nil || upd.Progress == nil || upd.Progress.Done != len(streamed) || upd.Progress.Total != 3 {
+				t.Errorf("%s: update %d has Progress %+v beside Pair %+v", name, len(streamed), upd.Progress, upd.Pair)
 			}
 		}
-		if updates != 3 {
-			t.Errorf("%s: %d updates for 3 pairs", name, updates)
+		if final == nil || len(streamed) != 3 {
+			t.Fatalf("%s: %d updates for 3 pairs, result %v", name, len(streamed), final)
+		}
+		for _, pr := range streamed {
+			i := slices.IndexFunc(final.Pairs, func(p commuter.SweepPair) bool { return p.Pair() == pr.Pair() })
+			if i < 0 || !reflect.DeepEqual(final.Pairs[i], *pr) {
+				t.Errorf("%s: streamed pair %+v is not in the result %+v", name, pr, final.Pairs)
+			}
 		}
 	}
 }

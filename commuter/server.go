@@ -604,10 +604,7 @@ func (s *server) sweep(w http.ResponseWriter, r *http.Request) {
 		if upd.Result != nil {
 			fr = api.Frame{Type: api.FrameResult, Result: api.ResultFromSweep(upd.Result, s.cache != nil)}
 		} else {
-			fr = api.Frame{Type: api.FrameUpdate, Pair: upd.Pair}
-			if upd.Progress != nil {
-				fr.Progress = api.ProgressFromEvent(*upd.Progress)
-			}
+			fr = api.Frame{Type: api.FrameUpdate, Pair: upd.Pair, Progress: upd.Progress}
 		}
 		if !emit(fr) {
 			return

@@ -58,7 +58,9 @@ func main() {
 	fmt.Println(analysis.Summary())
 
 	// One streamed sweep: per-pair results arrive as NDJSON frames while
-	// the server still computes the rest.
+	// the server still computes the rest. Each update carries the finished
+	// pair (upd.Pair: its tests and timing) and where the sweep stood when
+	// it finished (upd.Progress: pairs done of the total).
 	fmt.Println("\nsweeping stat,lseek,close,open over the wire:")
 	opts := []commuter.Option{commuter.WithOps("stat", "lseek", "close", "open")}
 	var remote *commuter.SweepResult
@@ -66,8 +68,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if ev := upd.Progress; ev != nil {
-			fmt.Printf("  [%2d/%2d] %-12s %3d tests in %.0fms\n", ev.Done, ev.Total, ev.Pair, ev.Tests, ev.PairMS)
+		if pg, pr := upd.Progress, upd.Pair; pg != nil {
+			fmt.Printf("  [%2d/%2d] %-12s %3d tests in %.0fms\n", pg.Done, pg.Total, pr.Pair(), pr.Tests, pr.ElapsedMS)
 		}
 		if upd.Result != nil {
 			remote = upd.Result

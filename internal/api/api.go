@@ -271,22 +271,6 @@ func ProgressFromEvent(ev sweep.Event) *Progress {
 	}
 }
 
-// Event converts a wire progress report back to the engine's event type,
-// filling the per-pair fields from pr, the frame's pair.
-func (p *Progress) Event(pr *sweep.PairResult) sweep.Event {
-	return sweep.Event{
-		Pair:      pr.Pair(),
-		Done:      p.Done,
-		Total:     p.Total,
-		Tests:     pr.Tests,
-		Cached:    pr.Cached,
-		Coalesced: pr.Coalesced,
-		PairMS:    pr.ElapsedMS,
-		Elapsed:   time.Duration(p.ElapsedMS * float64(time.Millisecond)),
-		Result:    pr,
-	}
-}
-
 // CacheStats is the two-tier cache counters; the engine's type carries
 // the wire tags.
 type CacheStats = sweep.CacheStats

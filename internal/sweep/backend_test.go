@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,8 +11,11 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/kernel"
 )
 
 func TestOpenBackendParsing(t *testing.T) {
@@ -147,6 +151,49 @@ func TestTieredBackfillAndWriteThrough(t *testing.T) {
 
 	if _, ok := tb.GetTests(strings.Repeat("c", 64)); ok {
 		t.Fatal("phantom hit")
+	}
+}
+
+// refusingBackend is inner with every store refused: PutTests, PutCell
+// and Ready fail with err, reads go to inner. Its String names the handle
+// alone (kind "refusing"), so its write-error metric and its once-per-store
+// warning are its own.
+type refusingBackend struct {
+	Backend
+	err  error
+	name string
+}
+
+var refusingSeq atomic.Int64
+
+func newRefusingBackend(inner Backend, err error) *refusingBackend {
+	return &refusingBackend{Backend: inner, err: err, name: fmt.Sprintf("refusing:%d", refusingSeq.Add(1))}
+}
+
+func (b *refusingBackend) PutTests(string, []kernel.TestCase) error { return b.err }
+func (b *refusingBackend) PutCell(string, KernelCell) error         { return b.err }
+func (b *refusingBackend) Ready() error                             { return b.err }
+func (b *refusingBackend) String() string                           { return b.name }
+
+// TestTieredBackendReady pins that a stack is ready only when both tiers
+// are, and that a failing tier surfaces its own error: the fast tier's
+// when both fail, since it is probed first.
+func TestTieredBackendReady(t *testing.T) {
+	errFast, errSlow := errors.New("fast tier full"), errors.New("slow tier unreachable")
+	fast, slow := newRefusingBackend(NewMemBackend(8), errFast), newRefusingBackend(NewMemBackend(8), errSlow)
+	for _, tc := range []struct {
+		name       string
+		fast, slow Backend
+		want       error
+	}{
+		{"both ready", NewMemBackend(8), NewMemBackend(8), nil},
+		{"fast tier failing", fast, NewMemBackend(8), errFast},
+		{"slow tier failing", NewMemBackend(8), slow, errSlow},
+		{"both failing", fast, slow, errFast},
+	} {
+		if err := Tiered(tc.fast, tc.slow).Ready(); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Ready() = %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -1,7 +1,11 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"log"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -327,7 +331,7 @@ func TestTruncatedResultsNotCached(t *testing.T) {
 	ops, kernels := testOps(t), testKernels()
 	capped := Config{
 		Ops: ops, Kernels: kernels, Cache: cache,
-		Analyzer: analyzer.Options{MaxPaths: 1},
+		maxPaths: 1,
 	}
 	wantPairs := len(ops) * (len(ops) + 1) / 2
 	// Nothing is stored, so the second sweep is as cold as the first.
@@ -373,38 +377,113 @@ func TestTruncatedResultsNotCached(t *testing.T) {
 }
 
 // TestSweepSurvivesUnwritableCache pins the write-side degradation
-// contract: when results can't be stored (read-only cache directory), the
-// sweep still completes and reports the failed stores instead of erroring.
+// contract: a failed store costs incrementality, never the sweep. Over a
+// backend that refuses every write the sweep completes with the matrix a
+// cacheless sweep computes, counts every failed store in CacheWriteErrors
+// and in commuter_cache_write_errors_total under the backend's kind, warns
+// once for the store however many of its writes fail, and leaves a rerun
+// as cold as the first run.
 func TestSweepSurvivesUnwritableCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep pipeline in -short mode")
 	}
-	dir := t.TempDir()
-	cache, err := OpenCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chmod(dir, 0o555); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chmod(dir, 0o755)
-	if os.Getuid() == 0 {
-		t.Skip("running as root: directory permissions are not enforced")
-	}
+	var logged bytes.Buffer // the handler serializes its writes
+	prevLogger, prevOut, prevFlags := slog.Default(), log.Writer(), log.Flags()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+	t.Cleanup(func() {
+		slog.SetDefault(prevLogger)
+		log.SetOutput(prevOut)
+		log.SetFlags(prevFlags)
+	})
 
 	ops, kernels := testOps(t), testKernels()
-	res, err := runSweep(Config{Ops: ops, Kernels: kernels, Workers: 2, Cache: cache})
+	cacheless, err := runSweep(Config{Ops: ops, Kernels: kernels, Workers: 2})
 	if err != nil {
-		t.Fatalf("sweep failed on unwritable cache: %v", err)
+		t.Fatal(err)
 	}
+	store := newRefusingBackend(NewMemBackend(0), errors.New("store full"))
+	written := metricCacheWriteErrors.With(backendKind(store))
 	wantPairs := len(ops) * (len(ops) + 1) / 2
-	if len(res.Pairs) != wantPairs {
-		t.Errorf("got %d pairs, want %d", len(res.Pairs), wantPairs)
+	for _, round := range []string{"first", "rerun"} {
+		before := written.Value()
+		res, err := runSweep(Config{Ops: ops, Kernels: kernels, Workers: 2, Cache: store})
+		if err != nil {
+			t.Fatalf("%s sweep failed on unwritable cache: %v", round, err)
+		}
+		if len(res.Pairs) != wantPairs {
+			t.Errorf("%s sweep: got %d pairs, want %d", round, len(res.Pairs), wantPairs)
+		}
+		// One failed testgen store plus one failed cell store per kernel,
+		// per pair.
+		if want := wantPairs * (1 + len(kernels)); res.CacheWriteErrors != want {
+			t.Errorf("%s sweep: CacheWriteErrors=%d, want %d", round, res.CacheWriteErrors, want)
+		}
+		if got := written.Value() - before; got != uint64(res.CacheWriteErrors) {
+			t.Errorf("%s sweep: commuter_cache_write_errors_total{backend=%q} rose by %d, want %d",
+				round, backendKind(store), got, res.CacheWriteErrors)
+		}
+		// Nothing was stored, so every round is as cold as the first.
+		if want := (CacheStats{TestgenMisses: wantPairs, CheckMisses: wantPairs * len(kernels)}); res.Cache != want {
+			t.Errorf("%s sweep: cache traffic %+v, want %+v", round, res.Cache, want)
+		}
+		if got, want := stripTiming(res.Pairs), stripTiming(cacheless.Pairs); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s sweep diverges from the cacheless sweep\ngot  %+v\nwant %+v", round, got, want)
+		}
 	}
-	// One failed testgen store plus one failed cell store per kernel, per
-	// pair.
-	if want := wantPairs * (1 + len(kernels)); res.CacheWriteErrors != want {
-		t.Errorf("CacheWriteErrors=%d, want %d", res.CacheWriteErrors, want)
+	if n := strings.Count(logged.String(), "cache writes failing"); n != 1 {
+		t.Errorf("%d write-failure warnings for one store, want 1:\n%s", n, logged.String())
+	}
+}
+
+// TestCachePutFailures pins that a store the directory cache cannot make
+// is an error and leaves no file behind: with a directory squatting an
+// entry's name the rename fails and the temp file is removed, and with the
+// cache directory gone the temp file cannot be created at all.
+func TestCachePutFailures(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cache")
+	c, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := strings.Repeat("a", 64)
+	put := func(what string) {
+		t.Helper()
+		if err := c.PutTests(key, cachedTests()); err == nil {
+			t.Errorf("%s: PutTests succeeded", what)
+		}
+		if err := c.PutCell(key, KernelCell{Kernel: "linux", Total: 1}); err == nil {
+			t.Errorf("%s: PutCell succeeded", what)
+		}
+		if _, ok := c.GetTests(key); ok {
+			t.Errorf("%s: the refused tests entry hits", what)
+		}
+		if _, ok := c.GetCell(key); ok {
+			t.Errorf("%s: the refused cell entry hits", what)
+		}
+	}
+
+	for _, tier := range []string{TierTestgen, TierCheck} {
+		if err := os.Mkdir(c.path(tier, key), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("entry names taken by directories")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.IsDir() {
+			t.Errorf("a failed rename left %s behind", e.Name())
+		}
+	}
+
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	put("cache directory removed")
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("a failed store recreated the cache directory: %v", err)
 	}
 }
 
@@ -510,7 +589,7 @@ func TestWarmPairReadsNoTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgKey := TestgenKey("posix", "stat", "close", cfg.Analyzer, cfg.Testgen)
+	tgKey := TestgenKey("posix", "stat", "close", analyzer.Options{}, testgen.Options{})
 	cellKey := func(i int) string { return CheckKey(tgKey, kernels[i].Name) }
 	// rerun sweeps cfg from fresh counts and checks its stats and GetTests
 	// calls.
@@ -613,7 +692,7 @@ func TestCellEntryDefectsAreMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := CheckKey(TestgenKey("posix", "stat", "close", cfg.Analyzer, cfg.Testgen), "linux")
+	key := CheckKey(TestgenKey("posix", "stat", "close", analyzer.Options{}, testgen.Options{}), "linux")
 	stored, ok := cache.GetCell(key)
 	if !ok || stored.Total == 0 {
 		t.Fatalf("the linux cell of stat/close is %+v, %v; want a stored cell with tests", stored, ok)

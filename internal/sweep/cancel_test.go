@@ -9,8 +9,16 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/analyzer"
+	"repro/internal/kernel"
+	"repro/internal/model"
+	"repro/internal/spec"
+	"repro/internal/sym"
+	"repro/internal/testgen"
 )
 
 // TestSweepCancelMidFlight pins the cancellation contract end to end, best
@@ -167,5 +175,62 @@ func TestSweepCancelBeforeStart(t *testing.T) {
 	}
 	if fired {
 		t.Errorf("pre-cancelled sweep emitted progress events")
+	}
+}
+
+// cancellingSpec is a spec whose PlanSetup cancels the context its cancel
+// belongs to. ANALYZE plans no setup, so it runs to the end; TESTGEN plans
+// one per commutative path, so its first plan cuts generation short.
+type cancellingSpec struct {
+	spec.Spec
+	cancel context.CancelFunc
+	plans  atomic.Int64
+}
+
+func (s *cancellingSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
+	s.plans.Add(1)
+	s.cancel()
+	return s.Spec.PlanSetup(a, b)
+}
+
+// TestCancelledTestgenIsDropped pins what becomes of a generation pass
+// that cancellation cuts short after ANALYZE has finished: it is a
+// truncated lower bound, so runTestgen returns context.Canceled and empties
+// the worker's solver slot, and through a sweep nothing of it reaches the
+// cache or a cell.
+func TestCancelledTestgenIsDropped(t *testing.T) {
+	a, b := testOp(t, "stat"), testOp(t, "lseek")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sp := &cancellingSpec{Spec: model.Spec, cancel: cancel}
+	slot := &sym.Solver{}
+	tests, _, err := runTestgen(ctx, &slot, sp, a, b, analyzer.Options{}, testgen.Options{}, new(PairResult))
+	if sp.plans.Load() == 0 {
+		t.Fatal("TESTGEN planned no setup: the cancellation did not land in it")
+	}
+	if !errors.Is(err, context.Canceled) || tests != nil || slot != nil {
+		t.Errorf("runTestgen cancelled in TESTGEN: %d tests, err %v, solver slot %p; want none, context.Canceled, nil",
+			len(tests), err, slot)
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	sp = &cancellingSpec{Spec: model.Spec, cancel: cancel}
+	backend := newCountingBackend(NewMemBackend(0))
+	res, err := RunContext(ctx, Config{
+		Spec: sp, Ops: []*spec.Op{a, b}, Kernels: testKernels(), Workers: 1, Cache: backend,
+		Progress: func(ev Event) { t.Errorf("cancelled sweep reported pair %s", ev.Pair) },
+	})
+	if sp.plans.Load() == 0 {
+		t.Fatal("the sweep's TESTGEN planned no setup: the cancellation did not land in it")
+	}
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Errorf("sweep cancelled in TESTGEN returned %v, %v; want context.Canceled", res, err)
+	}
+	backend.mu.Lock()
+	defer backend.mu.Unlock()
+	if len(backend.putTests) != 0 || len(backend.putCells) != 0 {
+		t.Errorf("a cancelled generation pass reached the cache: %d tests entries, %d cells",
+			len(backend.putTests), len(backend.putCells))
 	}
 }

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analyzer"
 	"repro/internal/kernel"
 	"repro/internal/spec"
+	"repro/internal/testgen"
 )
 
 // countingBackend wraps a Backend, counting Get and Put calls per key and
@@ -193,7 +195,7 @@ func TestCoalescedWaitersShareLeader(t *testing.T) {
 	const sweeps = 3
 	backend := newCountingBackend(NewMemBackend(0))
 	cfg := Config{Ops: []*spec.Op{op}, Kernels: kernels, Workers: 1, Cache: backend}
-	tgKey := TestgenKey("posix", "stat", "stat", cfg.Analyzer, cfg.Testgen)
+	tgKey := TestgenKey("posix", "stat", "stat", analyzer.Options{}, testgen.Options{})
 	fid := flightID(backend, tgKey)
 
 	// The leader announces itself from inside the flight and then holds
@@ -266,7 +268,7 @@ func TestCanceledLeaderHandsOffToWaiter(t *testing.T) {
 
 	backend := newCountingBackend(NewMemBackend(0))
 	cfg := Config{Ops: []*spec.Op{op}, Kernels: kernels, Workers: 1, Cache: backend}
-	tgKey := TestgenKey("posix", "stat", "stat", cfg.Analyzer, cfg.Testgen)
+	tgKey := TestgenKey("posix", "stat", "stat", analyzer.Options{}, testgen.Options{})
 	fid := flightID(backend, tgKey)
 
 	// The first GetTests call (the original leader, inside the flight)

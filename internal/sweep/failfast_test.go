@@ -125,7 +125,7 @@ func TestSweepSurvivesPoisonedTestgenEntry(t *testing.T) {
 	if _, err := runSweep(cfg); err != nil {
 		t.Fatal(err)
 	}
-	key := TestgenKey("posix", "stat", "close", cfg.Analyzer, cfg.Testgen)
+	key := TestgenKey("posix", "stat", "close", analyzer.Options{}, testgen.Options{})
 	want, _ := cfg.Cache.GetTests(key)
 	poisoned := []kernel.TestCase{{ID: "stat-close-poisoned", Calls: [2]kernel.Call{
 		{Op: "stat", Args: map[string]int64{"fname": 0}},

@@ -15,13 +15,12 @@ import (
 // configuration: the resolved op and kernel names plus the options
 // TestgenKey folds into the cache address, normalized the same way, so
 // every server resolving the same request computes the same Key. The
-// identity carries no path cap: cfg.Analyzer.MaxPaths is an in-process
-// seam no wire request sets, and a fleet sweep runs at the default.
+// identity carries no path cap: a fleet sweep runs at the default.
 func FleetSpec(sp spec.Spec, cfg Config) FleetSweepSpec {
 	fs := FleetSweepSpec{
 		Spec:            sp.Name(),
-		LowestFD:        cfg.Analyzer.Config.LowestFD,
-		MaxTestsPerPath: cfg.Testgen.MaxTestsPerPath,
+		LowestFD:        cfg.LowestFD,
+		MaxTestsPerPath: cfg.MaxTestsPerPath,
 	}
 	for _, op := range cfg.Ops {
 		fs.Ops = append(fs.Ops, op.Name)
@@ -68,10 +67,7 @@ const fleetPoll = 100 * time.Millisecond
 // back to the pending queue on a short background context — a killed
 // worker's share is re-issued immediately instead of after TTL expiry.
 func RunFleet(ctx context.Context, cfg Config, fc FleetClient) (*Result, error) {
-	r, err := newRun(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
+	r := newRun(ctx, cfg)
 	defer r.close()
 	fspec := FleetSpec(r.sp, cfg)
 	wid := fleetWorkerName()
@@ -175,7 +171,7 @@ claim:
 			sleepCtx(ex.ctx, fleetPoll)
 		}
 	}
-	err = ex.wait()
+	err := ex.wait()
 
 	// Requeue-on-cancel: leases still held (never executed, or executed
 	// but unreported) go back to the pending queue now, on a context that

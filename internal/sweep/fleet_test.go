@@ -10,12 +10,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/analyzer"
 	"repro/internal/kvspec"
 	"repro/internal/obs"
 	"repro/internal/spec"
-	"repro/internal/sym"
-	"repro/internal/testgen"
 )
 
 // fakeClock is an injectable clock for lease-expiry tests: time moves
@@ -73,7 +70,7 @@ func TestFleetSweepSpecKey(t *testing.T) {
 			t.Errorf("%+v should not share a session key with %+v", v, base)
 		}
 	}
-	fs := FleetSpec(mustSpec(t), Config{Analyzer: analyzer.Options{Config: spec.Config{LowestFD: true}}})
+	fs := FleetSpec(mustSpec(t), Config{LowestFD: true})
 	if !fs.LowestFD {
 		t.Errorf("FleetSpec under the lowest-FD rule: %+v, want LowestFD set", fs)
 	}
@@ -251,30 +248,6 @@ func (c *countingFleet) Report(ctx context.Context, req FleetResultRequest) (Fle
 	}
 	c.mu.Unlock()
 	return c.FleetClient.Report(ctx, req)
-}
-
-// TestSweepRejectsCallerSolver pins that the engine owns its solvers: a
-// Config carrying one is refused by both drivers before any pair runs (a
-// shared solver would carry budget state across pairs, and cannot cross
-// servers at all), with nothing claimed from the coordinator.
-func TestSweepRejectsCallerSolver(t *testing.T) {
-	ops, kernels := testOps(t), testKernels()
-	for name, cfg := range map[string]Config{
-		"analyzer": {Ops: ops, Kernels: kernels, Analyzer: analyzer.Options{Solver: &sym.Solver{}}},
-		"testgen":  {Ops: ops, Kernels: kernels, Testgen: testgen.Options{Solver: &sym.Solver{}}},
-	} {
-		cfg.Progress = func(Event) { t.Errorf("%s solver: a pair ran", name) }
-		if res, err := RunContext(context.Background(), cfg); err == nil || res != nil {
-			t.Errorf("%s solver: RunContext returned %v, %v; want an error", name, res, err)
-		}
-		fc := newCountingFleet(localFleet(NewFleetHub(0, nil)))
-		if res, err := RunFleet(context.Background(), cfg, fc); err == nil || res != nil {
-			t.Errorf("%s solver: RunFleet returned %v, %v; want an error", name, res, err)
-		}
-		if n := fc.claims.Load(); n != 0 {
-			t.Errorf("%s solver: RunFleet claimed %d times before refusing", name, n)
-		}
-	}
 }
 
 // TestRunFleetMatchesRunContext is the tentpole contract: two workers

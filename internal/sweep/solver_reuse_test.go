@@ -75,10 +75,7 @@ func TestLongLivedSolverIsInvisible(t *testing.T) {
 func sweepWorkers(t *testing.T, cfg Config) ([]PairResult, []worker) {
 	t.Helper()
 	ctx := context.Background()
-	r, err := newRun(ctx, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newRun(ctx, cfg)
 	defer r.close()
 	var (
 		mu  sync.Mutex

@@ -25,6 +25,7 @@ import (
 	"repro/internal/analyzer"
 	"repro/internal/flight"
 	"repro/internal/kernel"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/spec"
 	"repro/internal/sym"
@@ -47,13 +48,6 @@ type Event struct {
 	Done, Total int
 	// Tests is the number of generated test cases for the pair.
 	Tests int
-	// Cached reports that the pair was served entirely from the cache
-	// (every kernel's CHECK tier entry, and the TESTGEN tier entry when
-	// the cells alone did not settle the pair).
-	Cached bool
-	// Coalesced reports that at least one of the pair's stages was shared
-	// from a concurrent identical execution instead of run here.
-	Coalesced bool
 	// PairMS is the wall time this pair took, in milliseconds.
 	PairMS float64
 	// Elapsed is the cumulative wall time since the sweep started.
@@ -68,7 +62,7 @@ type Event struct {
 // Config describes one sweep.
 type Config struct {
 	// Spec is the interface specification the swept ops belong to; nil
-	// selects the registered "posix" spec. The spec's name is folded
+	// selects the POSIX spec, model.Spec. The spec's name is folded
 	// into both cache tiers so different specs can share one cache
 	// directory without ever colliding.
 	Spec spec.Spec
@@ -78,13 +72,12 @@ type Config struct {
 	Ops []*spec.Op
 	// Kernels are the implementations to check each generated test on.
 	Kernels []KernelSpec
-	// Analyzer tunes ANALYZER. Its Solver must be nil: each worker builds
-	// its own, wires it to the sweep's context and forgets its answers at
-	// every pair, and a caller's solver shared across workers would race.
-	Analyzer analyzer.Options
-	// Testgen tunes TESTGEN; its Solver must be nil like Analyzer's (the
-	// worker's solver serves both phases).
-	Testgen testgen.Options
+	// LowestFD models POSIX's lowest-FD allocation rule instead of the
+	// O_ANYFD specification nondeterminism (§4 of the paper).
+	LowestFD bool
+	// MaxTestsPerPath caps the isomorphism classes TESTGEN enumerates per
+	// commutative path; 0 means testgen.DefaultMaxTestsPerPath.
+	MaxTestsPerPath int
 	// Workers sizes the pool; <= 0 means runtime.NumCPU().
 	Workers int
 	// Cache, when non-nil, serves and stores per-pair results. Any
@@ -94,6 +87,17 @@ type Config struct {
 	Cache Backend
 	// Progress, when non-nil, receives one Event per finished pair.
 	Progress func(Event)
+
+	// maxPaths caps ANALYZE's joint path exploration; 0 means
+	// symx.DefaultMaxPaths. Only this package's tests set it.
+	maxPaths int
+}
+
+// PhaseOptions is the one translation of cfg's test shape into the ANALYZE
+// and TESTGEN options; both leave the solver nil.
+func (cfg Config) PhaseOptions() (analyzer.Options, testgen.Options) {
+	return analyzer.Options{Config: spec.Config{LowestFD: cfg.LowestFD}, MaxPaths: cfg.maxPaths},
+		testgen.Options{MaxTestsPerPath: cfg.MaxTestsPerPath}
 }
 
 // KernelCell is one kernel's aggregate verdict for one pair: how many of
@@ -223,9 +227,14 @@ func sortPairs(pairs []PairResult) {
 
 // run is the state one sweep shares across its pairs, whichever driver
 // feeds it: RunContext walks the whole pair list, RunFleet pulls leases.
+// aOpt and gOpt are cfg's test shape as the two symbolic phases take it;
+// their Solver stays nil, since each pair runs on its worker's (see
+// runTestgen).
 type run struct {
 	cfg      Config
 	sp       spec.Spec
+	aOpt     analyzer.Options
+	gOpt     testgen.Options
 	workers  int
 	start    time.Time
 	counters runCounters
@@ -233,23 +242,18 @@ type run struct {
 
 // newRun resolves cfg's defaults and marks the sweep in flight; the caller
 // defers close. The cache's outbound requests carry ctx's request id.
-func newRun(ctx context.Context, cfg Config) (*run, error) {
-	if cfg.Analyzer.Solver != nil || cfg.Testgen.Solver != nil {
-		return nil, fmt.Errorf("sweep: a sweep cannot share caller-provided solvers across pairs and servers")
-	}
+func newRun(ctx context.Context, cfg Config) *run {
 	cfg.Cache = boundTo(ctx, cfg.Cache)
 	r := &run{cfg: cfg, sp: cfg.Spec, workers: cfg.Workers, start: time.Now()}
+	r.aOpt, r.gOpt = cfg.PhaseOptions()
 	if r.workers <= 0 {
 		r.workers = runtime.NumCPU()
 	}
 	if r.sp == nil {
-		var err error
-		if r.sp, err = spec.Lookup("posix"); err != nil {
-			return nil, fmt.Errorf("sweep: no spec configured and %w", err)
-		}
+		r.sp = model.Spec
 	}
 	metricSweepsInflight.Inc()
-	return r, nil
+	return r
 }
 
 func (r *run) close() { metricSweepsInflight.Dec() }
@@ -264,15 +268,13 @@ func (r *run) progress(pr *PairResult, done, total int) {
 		return
 	}
 	r.cfg.Progress(Event{
-		Pair:      pr.Pair(),
-		Done:      done,
-		Total:     total,
-		Tests:     pr.Tests,
-		Cached:    pr.Cached,
-		Coalesced: pr.Coalesced,
-		PairMS:    pr.ElapsedMS,
-		Elapsed:   time.Since(r.start),
-		Result:    pr,
+		Pair:    pr.Pair(),
+		Done:    done,
+		Total:   total,
+		Tests:   pr.Tests,
+		PairMS:  pr.ElapsedMS,
+		Elapsed: time.Since(r.start),
+		Result:  pr,
 	})
 }
 
@@ -392,10 +394,7 @@ func (e *executor) wait() error {
 // atomic rename, and a pair that did not complete stores nothing — so a
 // cancelled sweep leaves only complete cache entries behind.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	r, err := newRun(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
+	r := newRun(ctx, cfg)
 	defer r.close()
 
 	jobs := Pairs(cfg.Ops)
@@ -620,7 +619,7 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op, w *worker) (PairResult
 	start := time.Now()
 	out := PairResult{OpA: a.Name, OpB: b.Name, StartMS: msBetween(r.start, start)}
 
-	tgKey := TestgenKey(r.sp.Name(), a.Name, b.Name, r.cfg.Analyzer, r.cfg.Testgen)
+	tgKey := TestgenKey(r.sp.Name(), a.Name, b.Name, r.aOpt, r.gOpt)
 	out.Cells = r.probeCells(tgKey)
 	if len(out.Cells) > 0 && len(out.Cells) == len(r.cfg.Kernels) && sameTotal(out.Cells) {
 		// A stored cell counts one result per test of the tests its key
@@ -636,7 +635,7 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op, w *worker) (PairResult
 	tg, err := testgenStage.run(ctx, r, tgKey, &out, func(tests []kernel.TestCase) bool {
 		return pairTests(tests, a.Name, b.Name)
 	}, func() ([]kernel.TestCase, int, error) {
-		return runTestgen(ctx, &w.solver, r.sp, a, b, r.cfg.Analyzer, r.cfg.Testgen, &out)
+		return runTestgen(ctx, &w.solver, r.sp, a, b, r.aOpt, r.gOpt, &out)
 	})
 	if err != nil {
 		return out, fmt.Errorf("sweep %s: %w", out.Pair(), err)

@@ -351,10 +351,7 @@ func TestParallel(t *testing.T) {
 		{0, 4, 0, -1}, {1, 4, 0, -1}, {7, 1, 0, -1}, {7, 3, 0, -1}, {3, 100, 0, -1}, {16, 0, 0, -1},
 		{7, 3, 6, -1}, {16, 1, 0, 3}, {16, 1, 4, 3}, {16, 3, 0, 3},
 	} {
-		r, err := newRun(context.Background(), Config{Spec: kvspec.Spec, Workers: tc.workers})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := newRun(context.Background(), Config{Spec: kvspec.Spec, Workers: tc.workers})
 		counts := make([]int, tc.n)
 		var mu sync.Mutex
 		ex := r.startExecutor(context.Background(), tc.queue, func(_ context.Context, j pairJob, pr PairResult) error {
