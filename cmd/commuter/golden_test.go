@@ -67,7 +67,7 @@ func TestMatrixFSGolden(t *testing.T) {
 
 // TestMatrixVMKVGolden pins `commuter matrix -spec vm` and `-spec kv`.
 // Refresh testdata/matrix_{vm,kv}.golden only for a deliberate semantic
-// change to the vm or kv spec, its PlanSetup, or its reference kernel.
+// change to the vm or kv spec, its SetupMiner, or its reference kernel.
 func TestMatrixVMKVGolden(t *testing.T) {
 	for _, specName := range []string{"vm", "kv"} {
 		t.Run(specName, func(t *testing.T) {

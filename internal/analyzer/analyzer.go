@@ -55,7 +55,7 @@ type Path struct {
 	// (symx.Path.VarKinds): every variable of the path, and its siblings'.
 	VarKinds map[string]symx.VarKind
 	// StateA and StateB are the final symbolic states of the two orders
-	// (op0;op1 and op1;op0); TESTGEN hands them to the spec's PlanSetup,
+	// (op0;op1 and op1;op0); TESTGEN hands them to its spec.SetupMiner,
 	// which mines their initial-probe entries to materialize concrete
 	// initial states.
 	StateA, StateB spec.State

@@ -7,6 +7,8 @@ package kernel
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -65,8 +67,22 @@ func (c Call) Arg(name string) int64 { return c.Args[name] }
 // ArgBool returns the named argument as a flag.
 func (c Call) ArgBool(name string) bool { return c.Args[name] != 0 }
 
-// Fname renders a filename id as a path component.
-func Fname(id int64) string { return fmt.Sprintf("f%d", id) }
+// Fname renders a filename id as a path component. The ids a model
+// assigns are small, and their names are rendered once, so mining a setup
+// that names them allocates nothing.
+func Fname(id int64) string {
+	if id >= 0 && id < int64(len(fnames)) {
+		return fnames[id]
+	}
+	return "f" + strconv.FormatInt(id, 10)
+}
+
+var fnames = func() (t [16]string) {
+	for i := range t {
+		t[i] = "f" + strconv.Itoa(i)
+	}
+	return t
+}()
 
 // ParseFname inverts Fname: ok reports whether name is exactly Fname(id).
 func ParseFname(name string) (id int64, ok bool) {
@@ -179,45 +195,103 @@ type Setup struct {
 // checker can apply the setup once and replay every test sharing it
 // against snapshot/reset. The encoding is an exact rendering (not a hash),
 // so equal fingerprints imply equal setups with no collision risk.
-func (s Setup) Fingerprint() string {
-	var b strings.Builder
+func (s Setup) Fingerprint() string { return string(s.AppendFingerprint(nil)) }
+
+// AppendFingerprint appends the setup's Fingerprint to dst and returns the
+// extended buffer, so a caller that fingerprints setup after setup can
+// reuse one buffer and look its maps up without making a string.
+func (s Setup) AppendFingerprint(dst []byte) []byte {
 	for _, f := range s.Files {
-		fmt.Fprintf(&b, "F%s=%d;", f.Name, f.Inum)
+		dst = append(append(dst, 'F'), f.Name...)
+		dst = append(strconv.AppendInt(append(dst, '='), f.Inum, 10), ';')
 	}
 	for _, in := range s.Inodes {
-		fmt.Fprintf(&b, "I%d,x%d,l%d", in.Inum, in.ExtraLinks, in.Len)
+		dst = strconv.AppendInt(append(dst, 'I'), in.Inum, 10)
+		dst = strconv.AppendInt(append(dst, ",x"...), int64(in.ExtraLinks), 10)
+		dst = strconv.AppendInt(append(dst, ",l"...), in.Len, 10)
 		if len(in.Pages) > 0 {
-			idxs := make([]int64, 0, len(in.Pages))
+			var buf [MaxFilePages]int64
+			idxs := buf[:0]
 			for idx := range in.Pages {
 				idxs = append(idxs, idx)
 			}
-			sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+			slices.Sort(idxs)
 			for _, idx := range idxs {
-				fmt.Fprintf(&b, ",p%d=%d", idx, in.Pages[idx])
+				dst = strconv.AppendInt(append(dst, ",p"...), idx, 10)
+				dst = strconv.AppendInt(append(dst, '='), in.Pages[idx], 10)
 			}
 		}
-		b.WriteByte(';')
+		dst = append(dst, ';')
 	}
 	for _, fd := range s.FDs {
+		dst = strconv.AppendInt(append(dst, 'D'), int64(fd.Proc), 10)
+		dst = strconv.AppendInt(append(dst, ','), fd.FD, 10)
 		if fd.Pipe {
-			fmt.Fprintf(&b, "D%d,%d,pipe%d,w%t;", fd.Proc, fd.FD, fd.PipeID, fd.WriteEnd)
+			dst = strconv.AppendInt(append(dst, ",pipe"...), fd.PipeID, 10)
+			dst = strconv.AppendBool(append(dst, ",w"...), fd.WriteEnd)
 		} else {
-			fmt.Fprintf(&b, "D%d,%d,i%d,o%d;", fd.Proc, fd.FD, fd.Inum, fd.Off)
+			dst = strconv.AppendInt(append(dst, ",i"...), fd.Inum, 10)
+			dst = strconv.AppendInt(append(dst, ",o"...), fd.Off, 10)
 		}
+		dst = append(dst, ';')
 	}
 	for _, p := range s.Pipes {
-		fmt.Fprintf(&b, "P%d=%v;", p.ID, p.Items)
+		dst = appendItems(strconv.AppendInt(append(dst, 'P'), p.ID, 10), p.Items)
 	}
 	for _, v := range s.VMAs {
-		fmt.Fprintf(&b, "V%d,%d,a%t,v%d,w%t,i%d,o%d;", v.Proc, v.Page, v.Anon, v.Val, v.Writable, v.Inum, v.Foff)
+		dst = strconv.AppendInt(append(dst, 'V'), int64(v.Proc), 10)
+		dst = strconv.AppendInt(append(dst, ','), v.Page, 10)
+		dst = strconv.AppendBool(append(dst, ",a"...), v.Anon)
+		dst = strconv.AppendInt(append(dst, ",v"...), v.Val, 10)
+		dst = strconv.AppendBool(append(dst, ",w"...), v.Writable)
+		dst = strconv.AppendInt(append(dst, ",i"...), v.Inum, 10)
+		dst = strconv.AppendInt(append(dst, ",o"...), v.Foff, 10)
+		dst = append(dst, ';')
 	}
 	for _, q := range s.Queues {
-		fmt.Fprintf(&b, "Q%d=%v;", q.Core, q.Items)
+		dst = appendItems(strconv.AppendInt(append(dst, 'Q'), q.Core, 10), q.Items)
 	}
 	for _, kv := range s.KVs {
-		fmt.Fprintf(&b, "K%d=%d;", kv.Key, kv.Val)
+		dst = strconv.AppendInt(append(dst, 'K'), kv.Key, 10)
+		dst = append(strconv.AppendInt(append(dst, '='), kv.Val, 10), ';')
 	}
-	return b.String()
+	return dst
+}
+
+// appendItems appends "=[i0 i1 ...];", the rendering of a backlog.
+func appendItems(dst []byte, items []int64) []byte {
+	dst = append(dst, "=["...)
+	for i, it := range items {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendInt(dst, it, 10)
+	}
+	return append(dst, "];"...)
+}
+
+// Clone returns a deep copy of s: the copy shares no slice or map with s,
+// and a field that is nil in s is nil in the copy.
+func (s Setup) Clone() Setup {
+	c := Setup{
+		Files:  slices.Clone(s.Files),
+		Inodes: slices.Clone(s.Inodes),
+		FDs:    slices.Clone(s.FDs),
+		Pipes:  slices.Clone(s.Pipes),
+		VMAs:   slices.Clone(s.VMAs),
+		Queues: slices.Clone(s.Queues),
+		KVs:    slices.Clone(s.KVs),
+	}
+	for i := range c.Inodes {
+		c.Inodes[i].Pages = maps.Clone(c.Inodes[i].Pages)
+	}
+	for i := range c.Pipes {
+		c.Pipes[i].Items = slices.Clone(c.Pipes[i].Items)
+	}
+	for i := range c.Queues {
+		c.Queues[i].Items = slices.Clone(c.Queues[i].Items)
+	}
+	return c
 }
 
 // TestCase is one generated commutative test: after Setup, the two Calls

@@ -25,7 +25,8 @@
 package kvspec
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/kernel/memkv"
@@ -196,27 +197,41 @@ func (kvSpec) Impls() []spec.Impl {
 // FixupCall is a no-op: the kv interface has no per-call spec flags.
 func (kvSpec) FixupCall(cfg spec.Config, call *kernel.Call) {}
 
-// PlanSetup plans the store dictionary's probes of one path. The function
-// it returns rebuilds the concrete store: every key the witness probed as
+// miner is the kv SetupMiner: the store dictionary's probe plan, and the
+// map and slice a setup is mined into, cleared and reused from model to
+// model. It rebuilds the concrete store: every key the witness probed as
 // present becomes a seeded binding with the probed value.
-func (kvSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
-	kv := spec.PlanProbes(a.(*state).KV, b.(*state).KV)
-	return func(m sym.Model) kernel.Setup {
-		var s kernel.Setup
-		seen := map[int64]bool{}
-		for _, p := range kv.Eval(m) {
-			if !p.Bool("present") {
-				continue
-			}
-			key := spec.Clamp(p.Key[0], 0, nKeys-1)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			s.KVs = append(s.KVs, kernel.SetupKV{
-				Key: key, Val: spec.Clamp(p.Field("val"), 0, maxVal)})
+type miner struct {
+	kv   spec.ProbePlan
+	seen map[int64]bool
+	kvs  []kernel.SetupKV
+}
+
+// NewMiner returns a kv miner with its map made.
+func (kvSpec) NewMiner() spec.SetupMiner { return &miner{seen: map[int64]bool{}} }
+
+// Plan plans the store dictionary's probes of one path.
+func (mn *miner) Plan(a, b spec.State) { mn.kv.Plan(a.(*state).KV, b.(*state).KV) }
+
+// Clear empties the plan.
+func (mn *miner) Clear() { mn.kv.Clear() }
+
+// Setup mines the store's bindings under m.
+func (mn *miner) Setup(m sym.Model) kernel.Setup {
+	clear(mn.seen)
+	mn.kvs = mn.kvs[:0]
+	for _, p := range mn.kv.Eval(m) {
+		if !p.Bool("present") {
+			continue
 		}
-		sort.Slice(s.KVs, func(i, j int) bool { return s.KVs[i].Key < s.KVs[j].Key })
-		return s
+		key := spec.Clamp(p.Key[0], 0, nKeys-1)
+		if mn.seen[key] {
+			continue
+		}
+		mn.seen[key] = true
+		mn.kvs = append(mn.kvs, kernel.SetupKV{
+			Key: key, Val: spec.Clamp(p.Field("val"), 0, maxVal)})
 	}
+	slices.SortFunc(mn.kvs, func(a, b kernel.SetupKV) int { return cmp.Compare(a.Key, b.Key) })
+	return kernel.Setup{KVs: spec.OrNil(mn.kvs)}
 }

@@ -214,7 +214,7 @@ func checkFree(t *testing.T, tc kernel.TestCase) {
 	}
 }
 
-// TestGenerateKVTests pins PlanSetup: commutative get/put tests
+// TestGenerateKVTests pins the kv SetupMiner: commutative get/put tests
 // must seed the bindings the witness probed, within bounds and sorted by
 // key.
 func TestGenerateKVTests(t *testing.T) {

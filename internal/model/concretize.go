@@ -1,7 +1,8 @@
 package model
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/spec"
@@ -17,84 +18,126 @@ func (posixSpec) FixupCall(cfg spec.Config, call *kernel.Call) {
 	}
 }
 
-// setupPlan holds one path's probe plans, one per dictionary of state.
-type setupPlan struct {
-	inode, fname, data, fd, pipe, piped, anon, vma *spec.ProbePlan
+// miner is the posix SetupMiner: one probe plan per dictionary of state,
+// and the maps and slices a setup is mined into, cleared and reused from
+// model to model. It owns every fs-specific field-name convention (len,
+// nlink, off, head, tail, foff).
+type miner struct {
+	inode, fname, data, fd, pipe, piped, anon, vma spec.ProbePlan
+
+	// inodeLen holds the length of each initial inode in play, inodeNlink
+	// its probed link count and visibleLinks the names it has.
+	inodeLen, inodeNlink map[int64]int64
+	visibleLinks         map[int64]int
+	// pages and pipeVals keep an inner map for every inode and pipe id
+	// ever mined, emptied at each model: content by page, and by sequence.
+	pages, pipeVals map[int64]map[int64]int64
+	pipesNeeded     map[int64]bool
+	pipeCursors     map[int64]spec.Probe
+	anonVals        map[[2]int64]int64
+	inums           []int64
+	// items[i] backs the backlog of the i-th pipe a setup adds, and s
+	// the setup's slices.
+	items [][]int64
+	s     kernel.Setup
 }
 
-// PlanSetup plans the eight dictionaries' probes of one path. The setup it
-// mines owns every fs-specific field-name convention (len, nlink, off,
-// head, tail, foff).
-func (posixSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
-	sa, sb := a.(*state), b.(*state)
-	pl := &setupPlan{
-		inode: spec.PlanProbes(sa.Inode, sb.Inode),
-		fname: spec.PlanProbes(sa.Fname, sb.Fname),
-		data:  spec.PlanProbes(sa.Data, sb.Data),
-		fd:    spec.PlanProbes(sa.FD, sb.FD),
-		pipe:  spec.PlanProbes(sa.Pipe, sb.Pipe),
-		piped: spec.PlanProbes(sa.PipeD, sb.PipeD),
-		anon:  spec.PlanProbes(sa.Anon, sb.Anon),
-		vma:   spec.PlanProbes(sa.VMA, sb.VMA),
+// NewMiner returns a posix miner with its maps made.
+func (posixSpec) NewMiner() spec.SetupMiner {
+	return &miner{
+		inodeLen: map[int64]int64{}, inodeNlink: map[int64]int64{}, visibleLinks: map[int64]int{},
+		pages: map[int64]map[int64]int64{}, pipeVals: map[int64]map[int64]int64{},
+		pipesNeeded: map[int64]bool{}, pipeCursors: map[int64]spec.Probe{}, anonVals: map[[2]int64]int64{},
 	}
-	return pl.setup
 }
 
-// setup reconstructs a concrete, realizable initial kernel state from the
+// Plan plans the eight dictionaries' probes of one path.
+func (mn *miner) Plan(a, b spec.State) {
+	sa, sb := a.(*state), b.(*state)
+	mn.inode.Plan(sa.Inode, sb.Inode)
+	mn.fname.Plan(sa.Fname, sb.Fname)
+	mn.data.Plan(sa.Data, sb.Data)
+	mn.fd.Plan(sa.FD, sb.FD)
+	mn.pipe.Plan(sa.Pipe, sb.Pipe)
+	mn.piped.Plan(sa.PipeD, sb.PipeD)
+	mn.anon.Plan(sa.Anon, sb.Anon)
+	mn.vma.Plan(sa.VMA, sb.VMA)
+}
+
+// Clear empties the plans and the probes the last setup kept.
+func (mn *miner) Clear() {
+	for _, pl := range [...]*spec.ProbePlan{&mn.inode, &mn.fname, &mn.data, &mn.fd, &mn.pipe, &mn.piped, &mn.anon, &mn.vma} {
+		pl.Clear()
+	}
+	clear(mn.pipeCursors)
+}
+
+// inPlay puts an initial inode in the setup, with length ln unless it
+// already is; numbers below 1 were allocated during the calls.
+func (mn *miner) inPlay(inum, ln int64) bool {
+	if inum < 1 {
+		return false
+	}
+	if _, ok := mn.inodeLen[inum]; !ok {
+		mn.inodeLen[inum] = ln
+	}
+	return true
+}
+
+// Setup reconstructs a concrete, realizable initial kernel state from the
 // model assignment. Link counts are realized with hidden extra links (the
 // paper's Figure 5 "__i0" trick) when the probed count exceeds the
 // visible names.
-func (pl *setupPlan) setup(m sym.Model) kernel.Setup {
-	var s kernel.Setup
-
-	inodeLen := map[int64]int64{}
-	// inPlay puts an initial inode in the setup, with length ln unless it
-	// already is; numbers below 1 were allocated during the calls.
-	inPlay := func(inum, ln int64) bool {
-		if inum < 1 {
-			return false
-		}
-		if _, ok := inodeLen[inum]; !ok {
-			inodeLen[inum] = ln
-		}
-		return true
+func (mn *miner) Setup(m sym.Model) kernel.Setup {
+	clear(mn.inodeLen)
+	clear(mn.inodeNlink)
+	clear(mn.visibleLinks)
+	clear(mn.pipesNeeded)
+	clear(mn.pipeCursors)
+	clear(mn.anonVals)
+	for _, pg := range mn.pages {
+		clear(pg)
 	}
-	inodeNlink := map[int64]int64{}
-	for _, p := range pl.inode.Eval(m) {
-		if inum := p.Key[0]; inPlay(inum, spec.Clamp(p.Field("len"), 0, maxLen)) {
-			inodeNlink[inum] = spec.Clamp(p.Field("nlink"), 0, maxInum)
+	for _, vals := range mn.pipeVals {
+		clear(vals)
+	}
+	s := kernel.Setup{Files: mn.s.Files[:0], Inodes: mn.s.Inodes[:0], FDs: mn.s.FDs[:0], Pipes: mn.s.Pipes[:0], VMAs: mn.s.VMAs[:0]}
+
+	for _, p := range mn.inode.Eval(m) {
+		if inum := p.Key[0]; mn.inPlay(inum, spec.Clamp(p.Field("len"), 0, maxLen)) {
+			mn.inodeNlink[inum] = spec.Clamp(p.Field("nlink"), 0, maxInum)
 		}
 	}
 
-	visibleLinks := map[int64]int{}
-	for _, p := range pl.fname.Eval(m) {
+	for _, p := range mn.fname.Eval(m) {
 		name, inum := p.Key[0], p.Field("inum")
-		if inPlay(inum, 0) {
+		if mn.inPlay(inum, 0) {
 			s.Files = append(s.Files, kernel.SetupFile{Name: kernel.Fname(name), Inum: inum})
-			visibleLinks[inum]++
+			mn.visibleLinks[inum]++
 		}
 	}
 
-	pages := map[int64]map[int64]int64{}
-	for _, p := range pl.data.Eval(m) {
+	for _, p := range mn.data.Eval(m) {
 		inum, pg := p.Key[0], p.Key[1]
 		if inum < 1 || pg < 0 {
 			continue
 		}
-		if _, ok := inodeLen[inum]; !ok {
+		ln, ok := mn.inodeLen[inum]
+		if !ok {
 			continue // content of a file not otherwise in play
 		}
-		if pg >= inodeLen[inum] {
+		if pg >= ln {
 			continue // beyond EOF: invisible through the interface
 		}
-		if pages[inum] == nil {
-			pages[inum] = map[int64]int64{}
+		pages := mn.pages[inum]
+		if pages == nil {
+			pages = map[int64]int64{}
+			mn.pages[inum] = pages
 		}
-		pages[inum][pg] = p.Field("val")
+		pages[pg] = p.Field("val")
 	}
 
-	pipesNeeded := map[int64]bool{}
-	for _, p := range pl.fd.Eval(m) {
+	for _, p := range mn.fd.Eval(m) {
 		proc, fd := int(p.Key[0]), p.Key[1]
 		if fd < 0 {
 			continue
@@ -105,46 +148,49 @@ func (pl *setupPlan) setup(m sym.Model) kernel.Setup {
 			sd.PipeID = p.Field("pipe")
 			sd.WriteEnd = p.Bool("wend")
 			if sd.PipeID >= 1 {
-				pipesNeeded[sd.PipeID] = true
+				mn.pipesNeeded[sd.PipeID] = true
 			}
 		} else {
 			sd.Inum = p.Field("inum")
 			sd.Off = spec.Clamp(p.Field("off"), 0, maxLen)
-			inPlay(sd.Inum, 0)
+			mn.inPlay(sd.Inum, 0)
 		}
 		s.FDs = append(s.FDs, sd)
 	}
 
-	pipeCursors := map[int64]spec.Probe{}
-	for _, p := range pl.pipe.Eval(m) {
+	for _, p := range mn.pipe.Eval(m) {
 		id := p.Key[0]
 		if id < 1 {
 			continue
 		}
-		pipeCursors[id] = p
-		pipesNeeded[id] = true
+		mn.pipeCursors[id] = p
+		mn.pipesNeeded[id] = true
 	}
-	pipeVals := map[int64]map[int64]int64{}
-	for _, p := range pl.piped.Eval(m) {
+	for _, p := range mn.piped.Eval(m) {
 		id, seq := p.Key[0], p.Key[1]
 		if id < 1 {
 			continue
 		}
-		if pipeVals[id] == nil {
-			pipeVals[id] = map[int64]int64{}
+		vals := mn.pipeVals[id]
+		if vals == nil {
+			vals = map[int64]int64{}
+			mn.pipeVals[id] = vals
 		}
-		pipeVals[id][seq] = p.Field("val")
+		vals[seq] = p.Field("val")
 	}
-	for id := range pipesNeeded {
-		s.Pipes = append(s.Pipes, kernel.SetupPipe{
-			ID: id, Items: spec.BacklogItems(pipeCursors[id], pipeVals[id], maxLen)})
+	for id := range mn.pipesNeeded {
+		i := len(s.Pipes)
+		if i == len(mn.items) {
+			mn.items = append(mn.items, nil)
+		}
+		mn.items[i] = spec.AppendBacklog(mn.items[i][:0], mn.pipeCursors[id], mn.pipeVals[id], maxLen)
+		s.Pipes = append(s.Pipes, kernel.SetupPipe{ID: id, Items: spec.OrNil(mn.items[i])})
 	}
 
-	anonVals := map[[2]int64]int64{}
-	for _, p := range pl.anon.Eval(m) {
-		anonVals[[2]int64{p.Key[0], p.Key[1]}] = p.Field("val")
+	for _, p := range mn.anon.Eval(m) {
+		mn.anonVals[[2]int64{p.Key[0], p.Key[1]}] = p.Field("val")
 	}
-	for _, p := range pl.vma.Eval(m) {
+	for _, p := range mn.vma.Eval(m) {
 		proc, page := p.Key[0], p.Key[1]
 		if page < 0 {
 			continue
@@ -155,54 +201,50 @@ func (pl *setupPlan) setup(m sym.Model) kernel.Setup {
 			Writable: p.Bool("wr"),
 		}
 		if sv.Anon {
-			sv.Val = anonVals[[2]int64{proc, page}]
+			sv.Val = mn.anonVals[[2]int64{proc, page}]
 		} else {
 			sv.Inum = p.Field("inum")
 			sv.Foff = spec.Clamp(p.Field("foff"), 0, maxLen)
-			inPlay(sv.Inum, 0)
+			mn.inPlay(sv.Inum, 0)
 		}
 		s.VMAs = append(s.VMAs, sv)
 	}
 
-	inums := make([]int64, 0, len(inodeLen))
-	for inum := range inodeLen {
-		inums = append(inums, inum)
+	mn.inums = mn.inums[:0]
+	for inum := range mn.inodeLen {
+		mn.inums = append(mn.inums, inum)
 	}
-	sort.Slice(inums, func(i, j int) bool { return inums[i] < inums[j] })
-	for _, inum := range inums {
+	slices.Sort(mn.inums)
+	for _, inum := range mn.inums {
 		extra := 0
-		if want, ok := inodeNlink[inum]; ok {
-			if d := int(want) - visibleLinks[inum]; d > 0 {
+		if want, ok := mn.inodeNlink[inum]; ok {
+			if d := int(want) - mn.visibleLinks[inum]; d > 0 {
 				extra = d
 			}
 		}
-		s.Inodes = append(s.Inodes, kernel.SetupInode{
-			Inum:       inum,
-			ExtraLinks: extra,
-			Len:        inodeLen[inum],
-			Pages:      pages[inum],
-		})
+		in := kernel.SetupInode{Inum: inum, ExtraLinks: extra, Len: mn.inodeLen[inum]}
+		if pages := mn.pages[inum]; len(pages) > 0 {
+			in.Pages = pages
+		}
+		s.Inodes = append(s.Inodes, in)
 	}
 	sortSetup(&s)
-	return s
+	mn.s = s
+	return kernel.Setup{
+		Files: spec.OrNil(s.Files), Inodes: spec.OrNil(s.Inodes), FDs: spec.OrNil(s.FDs),
+		Pipes: spec.OrNil(s.Pipes), VMAs: spec.OrNil(s.VMAs),
+	}
 }
 
-// sortSetup fixes deterministic ordering for reproducible output.
+// sortSetup fixes deterministic ordering for reproducible output. Every
+// field's entries have distinct keys, so the order is total.
 func sortSetup(s *kernel.Setup) {
-	sort.Slice(s.Files, func(i, j int) bool { return s.Files[i].Name < s.Files[j].Name })
-	sort.Slice(s.FDs, func(i, j int) bool {
-		a, b := s.FDs[i], s.FDs[j]
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
-		}
-		return a.FD < b.FD
+	slices.SortFunc(s.Files, func(a, b kernel.SetupFile) int { return cmp.Compare(a.Name, b.Name) })
+	slices.SortFunc(s.FDs, func(a, b kernel.SetupFD) int {
+		return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.FD, b.FD))
 	})
-	sort.Slice(s.Pipes, func(i, j int) bool { return s.Pipes[i].ID < s.Pipes[j].ID })
-	sort.Slice(s.VMAs, func(i, j int) bool {
-		a, b := s.VMAs[i], s.VMAs[j]
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
-		}
-		return a.Page < b.Page
+	slices.SortFunc(s.Pipes, func(a, b kernel.SetupPipe) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(s.VMAs, func(a, b kernel.SetupVMA) int {
+		return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Page, b.Page))
 	})
 }

@@ -233,55 +233,101 @@ func (queueSpec) Impls() []spec.Impl {
 // FixupCall is a no-op: the queue interface has no per-call spec flags.
 func (queueSpec) FixupCall(cfg spec.Config, call *kernel.Call) {}
 
-// PlanSetup plans the four queue dictionaries' probes of one path. The
-// function it returns rebuilds concrete queue backlogs: for each probed
-// queue, the messages between head and tail become the seeded items (the
+// miner is the queue SetupMiner: one probe plan per queue dictionary, and
+// the maps and slices a setup is mined into, cleared and reused from model
+// to model. It rebuilds concrete queue backlogs: for each probed queue, the
+// messages between head and tail become the seeded items (the
 // implementation renumbers from zero; sequence numbers are relative, so
 // only the backlog's content and order matter).
-func (queueSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
+type miner struct {
+	ord, ordD, anyQ, anyD spec.ProbePlan
+
+	ordVals    map[int64]int64
+	anyCursors map[int64]spec.Probe
+	// anyVals keeps an inner map per queue id ever mined, emptied at each
+	// model.
+	anyVals map[int64]map[int64]int64
+	// items[i] backs the backlog of the i-th queue a setup adds, and
+	// queues the setup's Queues.
+	items  [][]int64
+	queues []kernel.SetupQueue
+}
+
+// NewMiner returns a queue miner with its maps made.
+func (queueSpec) NewMiner() spec.SetupMiner {
+	return &miner{ordVals: map[int64]int64{}, anyCursors: map[int64]spec.Probe{}, anyVals: map[int64]map[int64]int64{}}
+}
+
+// Plan plans the four queue dictionaries' probes of one path.
+func (mn *miner) Plan(a, b spec.State) {
 	sa, sb := a.(*state), b.(*state)
-	ord, ordD := spec.PlanProbes(sa.Ord, sb.Ord), spec.PlanProbes(sa.OrdD, sb.OrdD)
-	anyQ, anyD := spec.PlanProbes(sa.AnyQ, sb.AnyQ), spec.PlanProbes(sa.AnyD, sb.AnyD)
-	return func(m sym.Model) kernel.Setup {
-		var s kernel.Setup
+	mn.ord.Plan(sa.Ord, sb.Ord)
+	mn.ordD.Plan(sa.OrdD, sb.OrdD)
+	mn.anyQ.Plan(sa.AnyQ, sb.AnyQ)
+	mn.anyD.Plan(sa.AnyD, sb.AnyD)
+}
 
-		// Shared ordered queue.
-		var ordCursors spec.Probe
-		for _, p := range ord.Eval(m) {
-			if p.Key[0] == 0 {
-				ordCursors = p
-			}
-		}
-		ordVals := map[int64]int64{}
-		for _, p := range ordD.Eval(m) {
-			ordVals[p.Key[0]] = p.Field("val")
-		}
-		if items := spec.BacklogItems(ordCursors, ordVals, maxQLen); len(items) > 0 {
-			s.Queues = append(s.Queues, kernel.SetupQueue{Core: -1, Items: items})
-		}
-
-		// Per-core unordered queues, in queue-id order.
-		anyCursors := map[int64]spec.Probe{}
-		for _, p := range anyQ.Eval(m) {
-			qi := p.Key[0]
-			if qi < 0 || qi >= nQueues {
-				continue
-			}
-			anyCursors[qi] = p
-		}
-		anyVals := map[int64]map[int64]int64{}
-		for _, p := range anyD.Eval(m) {
-			qi, seq := p.Key[0], p.Key[1]
-			if anyVals[qi] == nil {
-				anyVals[qi] = map[int64]int64{}
-			}
-			anyVals[qi][seq] = p.Field("val")
-		}
-		for qi := int64(0); qi < nQueues; qi++ {
-			if items := spec.BacklogItems(anyCursors[qi], anyVals[qi], maxQLen); len(items) > 0 {
-				s.Queues = append(s.Queues, kernel.SetupQueue{Core: qi, Items: items})
-			}
-		}
-		return s
+// Clear empties the plans and the probes the last setup kept.
+func (mn *miner) Clear() {
+	for _, pl := range [...]*spec.ProbePlan{&mn.ord, &mn.ordD, &mn.anyQ, &mn.anyD} {
+		pl.Clear()
 	}
+	clear(mn.anyCursors)
+}
+
+// addQueue appends a queue seeded with the backlog cursors and vals
+// describe, unless that backlog is empty.
+func (mn *miner) addQueue(core int64, cursors spec.Probe, vals map[int64]int64) {
+	i := len(mn.queues)
+	if i == len(mn.items) {
+		mn.items = append(mn.items, nil)
+	}
+	mn.items[i] = spec.AppendBacklog(mn.items[i][:0], cursors, vals, maxQLen)
+	if len(mn.items[i]) > 0 {
+		mn.queues = append(mn.queues, kernel.SetupQueue{Core: core, Items: mn.items[i]})
+	}
+}
+
+// Setup mines the queues' backlogs under m.
+func (mn *miner) Setup(m sym.Model) kernel.Setup {
+	clear(mn.ordVals)
+	clear(mn.anyCursors)
+	for _, vals := range mn.anyVals {
+		clear(vals)
+	}
+	mn.queues = mn.queues[:0]
+
+	// Shared ordered queue.
+	var ordCursors spec.Probe
+	for _, p := range mn.ord.Eval(m) {
+		if p.Key[0] == 0 {
+			ordCursors = p
+		}
+	}
+	for _, p := range mn.ordD.Eval(m) {
+		mn.ordVals[p.Key[0]] = p.Field("val")
+	}
+	mn.addQueue(-1, ordCursors, mn.ordVals)
+
+	// Per-core unordered queues, in queue-id order.
+	for _, p := range mn.anyQ.Eval(m) {
+		qi := p.Key[0]
+		if qi < 0 || qi >= nQueues {
+			continue
+		}
+		mn.anyCursors[qi] = p
+	}
+	for _, p := range mn.anyD.Eval(m) {
+		qi, seq := p.Key[0], p.Key[1]
+		vals := mn.anyVals[qi]
+		if vals == nil {
+			vals = map[int64]int64{}
+			mn.anyVals[qi] = vals
+		}
+		vals[seq] = p.Field("val")
+	}
+	for qi := int64(0); qi < nQueues; qi++ {
+		mn.addQueue(qi, mn.anyCursors[qi], mn.anyVals[qi])
+	}
+	return kernel.Setup{Queues: spec.OrNil(mn.queues)}
 }

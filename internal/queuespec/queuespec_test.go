@@ -167,7 +167,7 @@ func TestMemqConflictFree(t *testing.T) {
 	}
 }
 
-// TestGenerateQueueTests pins PlanSetup: a send/recv test on a
+// TestGenerateQueueTests pins the queue SetupMiner: a send/recv test on a
 // non-empty queue must seed the ordered backlog the witness probed.
 func TestGenerateQueueTests(t *testing.T) {
 	r := analyze(t, "send", "recv")

@@ -9,9 +9,9 @@ import (
 
 // Probe is one evaluated initial-state dictionary probe: the concrete key
 // a test setup must populate, plus the probed value's fields evaluated
-// under the model assignment. A spec's PlanSetup mines these to rebuild a
+// under the model assignment. A spec's SetupMiner mines these to rebuild a
 // realizable initial state. A Probe points into its ProbePlan's storage and
-// is valid until the plan's next Eval.
+// is valid until the plan's next Eval, Plan or Clear.
 type Probe struct {
 	Key []int64
 	// names is the probed value's field order; vals holds each field's
@@ -36,9 +36,9 @@ func (p Probe) Bool(name string) bool { return p.Field(name) != 0 }
 
 // ProbePlan is the half of mining one dictionary's initial probes that no
 // model decides: which entries of both permutations' states are initial
-// probes, in walk order, and storage for what they evaluate to. TESTGEN
-// builds one per dictionary per path (a spec's PlanSetup) and
-// evaluates it once per model.
+// probes, in walk order, and storage for what they evaluate to. A spec's
+// SetupMiner keeps one per dictionary, re-plans it in place once per path
+// and evaluates it once per model. The zero ProbePlan plans nothing.
 type ProbePlan struct {
 	entries []*symx.DictEntry
 	// keys[i] is entries[i]'s key under the current model, kept for absent
@@ -49,10 +49,10 @@ type ProbePlan struct {
 	out  []Probe
 }
 
-// PlanProbes collects the initial-probe entries of one dictionary from both
-// permutations' states.
-func PlanProbes(dicts ...*symx.Dict) *ProbePlan {
-	pl := &ProbePlan{}
+// Plan replaces the plan with the initial-probe entries of one dictionary
+// from both permutations' states, keeping the storage the last plan grew.
+func (pl *ProbePlan) Plan(dicts ...*symx.Dict) {
+	pl.Clear()
 	n := 0
 	for _, d := range dicts {
 		for _, e := range d.Entries() {
@@ -66,14 +66,23 @@ func PlanProbes(dicts ...*symx.Dict) *ProbePlan {
 			}
 		}
 	}
-	pl.ints = make([]int64, 0, n)
-	return pl
+	if cap(pl.ints) < n {
+		pl.ints = make([]int64, 0, n)
+	}
+}
+
+// Clear empties the plan, dropping every reference into the last path's
+// states and probes while keeping the storage.
+func (pl *ProbePlan) Clear() {
+	clear(pl.entries)
+	clear(pl.out[:cap(pl.out)])
+	pl.entries, pl.keys, pl.out = pl.entries[:0], pl.keys[:0], pl.out[:0]
 }
 
 // Eval evaluates the plan's probes under m — booleans as 0/1, what m leaves
 // undetermined as zero — deduplicating by concrete key and dropping absent
 // locations (only present initial content needs materializing). The result
-// is valid until the next Eval.
+// is valid until the plan's next Eval, Plan or Clear.
 func (pl *ProbePlan) Eval(m sym.Model) []Probe {
 	pl.keys, pl.ints, pl.out = pl.keys[:0], pl.ints[:0], pl.out[:0]
 entries:
@@ -107,21 +116,31 @@ entries:
 	return pl.out
 }
 
-// BacklogItems mines one FIFO's concrete backlog from a probed cursor
-// pair: head and tail are clamped into [0, max] (tail at least head), and
-// the values queued between them are returned oldest first. The zero
-// Probe and a nil map are fine — an unprobed FIFO yields an empty backlog.
-func BacklogItems(cursors Probe, vals map[int64]int64, max int64) []int64 {
+// AppendBacklog appends to dst one FIFO's concrete backlog, mined from a
+// probed cursor pair: head and tail are clamped into [0, max] (tail at
+// least head), and the values queued between them are appended oldest
+// first. The zero Probe and a nil map are fine — an unprobed FIFO has an
+// empty backlog.
+func AppendBacklog(dst []int64, cursors Probe, vals map[int64]int64, max int64) []int64 {
 	h := Clamp(cursors.Field("head"), 0, max)
 	t := Clamp(cursors.Field("tail"), h, max)
-	var items []int64
 	for seq := h; seq < t; seq++ {
-		items = append(items, vals[seq])
+		dst = append(dst, vals[seq])
 	}
-	return items
+	return dst
 }
 
-// Clamp bounds v to [lo, hi]; PlanSetup uses it to keep mined values
+// OrNil returns s, or nil when s is empty. A miner builds a setup's
+// fields in storage it reuses, so an empty one is not nil; a test's setup
+// has always had nil there, and its JSON reads null.
+func OrNil[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
+}
+
+// Clamp bounds v to [lo, hi]; the miners use it to keep mined values
 // inside the bounds a realizable setup supports.
 func Clamp(v, lo, hi int64) int64 {
 	if v < lo {

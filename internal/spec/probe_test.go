@@ -73,7 +73,7 @@ func collectProbes(m sym.Model, dicts ...*symx.Dict) []mapProbe {
 // whose paths probe several dictionaries, alias keys and leave locations
 // absent. Each Eval must list the probes the per-model walk lists, in its
 // order, with its keys and field values — from storage the next Eval
-// reuses.
+// reuses, in plans re-planned in place from path to path as a miner's are.
 func TestProbePlanMatchesPerModelWalk(t *testing.T) {
 	pairs := []struct{ spec, a, b string }{
 		{"posix", "rename", "rename"},
@@ -100,19 +100,22 @@ func TestProbePlanMatchesPerModelWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 		probes, evals := 0, 0
+		var plans []spec.ProbePlan // re-planned in place at every path
 		for pi, path := range pr.Paths {
 			if !path.Commutes {
 				continue
 			}
 			da, db := path.StateA.Dicts(), path.StateB.Dicts()
-			plans := make([]*spec.ProbePlan, len(da))
+			if len(plans) != len(da) {
+				plans = make([]spec.ProbePlan, len(da))
+			}
 			for i := range da {
-				plans[i] = spec.PlanProbes(da[i], db[i])
+				plans[i].Plan(da[i], db[i])
 			}
 			check := func(m sym.Model) {
-				for i, pl := range plans {
+				for i := range plans {
 					want := collectProbes(m, da[i], db[i])
-					got := pl.Eval(m)
+					got := plans[i].Eval(m)
 					evals++
 					probes += len(got)
 					if len(got) != len(want) {

@@ -8,8 +8,9 @@
 //   - the operation universe (Ops, plus named subsets for the CLI),
 //   - symbolic state construction (NewState) and the state's dictionary
 //     layout (State.Dicts, which equivalence and probe mining walk),
-//   - concretization: PlanSetup turns a solver witness into a concrete
-//     kernel.TestCase setup, and FixupCall adjusts each materialized call,
+//   - concretization: a SetupMiner (NewMiner) turns a solver witness into
+//     a concrete kernel.TestCase setup, and FixupCall adjusts each
+//     materialized call,
 //   - implementation bindings (Impls): the runners that can execute the
 //     spec's calls under the MTRACE conflict checker.
 //
@@ -110,19 +111,37 @@ type Spec interface {
 	DefaultSet() string
 	// NewState builds the spec's unconstrained symbolic initial state.
 	NewState(c *symx.Context, cfg Config) State
-	// PlanSetup resolves, once per path, what mining a setup from the two
-	// permutations' final symbolic states does not need a model for (their
-	// dictionaries' initial-probe entries: PlanProbes), and returns the
-	// function TESTGEN then calls once per model assignment m to mine a
-	// concrete, realizable initial state. The function may reuse storage
-	// between calls; the Setup it returns is the caller's to keep.
-	PlanSetup(a, b State) func(m sym.Model) kernel.Setup
+	// NewMiner returns a SetupMiner of the spec's own, for one goroutine:
+	// TESTGEN keeps one for every pair it generates.
+	NewMiner() SetupMiner
 	// FixupCall post-processes one materialized call — e.g. the POSIX
 	// spec attaches the O_ANYFD flag to open/pipe calls unless cfg
 	// selects the lowest-FD rule.
 	FixupCall(cfg Config, call *kernel.Call)
 	// Impls returns the implementation bindings, in default check order.
 	Impls() []Impl
+}
+
+// SetupMiner turns the solver's models of a commutative path into
+// concrete, realizable initial states: TESTGEN's one spec-specific step
+// besides FixupCall. It is one object reused from path to path and model
+// to model, so what it builds lives in storage it clears and reuses, and
+// one miner serves one goroutine.
+type SetupMiner interface {
+	// Plan resolves, once per path, what mining a setup from the two
+	// permutations' final symbolic states does not need a model for:
+	// their dictionaries' initial-probe entries (ProbePlan.Plan). It
+	// replaces the previous path's plan in place.
+	Plan(a, b State)
+	// Setup mines, once per model m of the planned path, a concrete,
+	// realizable initial state, with a deterministic order in every field
+	// and nil for every empty one. The Setup lives in the miner's storage
+	// until the next Setup, Plan or Clear: a caller that keeps it keeps its
+	// kernel.Setup.Clone.
+	Setup(m sym.Model) kernel.Setup
+	// Clear drops every reference into the last path's states and models,
+	// keeping the storage, so nothing of a pair outlives it.
+	Clear()
 }
 
 // MakeArgs materializes the symbolic arguments of op for an operation

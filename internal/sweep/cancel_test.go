@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/analyzer"
-	"repro/internal/kernel"
 	"repro/internal/model"
 	"repro/internal/spec"
 	"repro/internal/sym"
@@ -178,19 +177,29 @@ func TestSweepCancelBeforeStart(t *testing.T) {
 	}
 }
 
-// cancellingSpec is a spec whose PlanSetup cancels the context its cancel
-// belongs to. ANALYZE plans no setup, so it runs to the end; TESTGEN plans
-// one per commutative path, so its first plan cuts generation short.
+// cancellingSpec is a spec whose miner's Plan cancels the context its
+// cancel belongs to. ANALYZE plans no setup, so it runs to the end;
+// TESTGEN plans one per commutative path, so its first plan cuts
+// generation short.
 type cancellingSpec struct {
 	spec.Spec
 	cancel context.CancelFunc
 	plans  atomic.Int64
 }
 
-func (s *cancellingSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
-	s.plans.Add(1)
-	s.cancel()
-	return s.Spec.PlanSetup(a, b)
+func (s *cancellingSpec) NewMiner() spec.SetupMiner {
+	return cancellingMiner{s.Spec.NewMiner(), s}
+}
+
+type cancellingMiner struct {
+	spec.SetupMiner
+	s *cancellingSpec
+}
+
+func (m cancellingMiner) Plan(a, b spec.State) {
+	m.s.plans.Add(1)
+	m.s.cancel()
+	m.SetupMiner.Plan(a, b)
 }
 
 // TestCancelledTestgenIsDropped pins what becomes of a generation pass
@@ -204,7 +213,7 @@ func TestCancelledTestgenIsDropped(t *testing.T) {
 	defer cancel()
 	sp := &cancellingSpec{Spec: model.Spec, cancel: cancel}
 	slot := &sym.Solver{}
-	tests, _, err := runTestgen(ctx, &slot, sp, a, b, analyzer.Options{}, testgen.Options{}, new(PairResult))
+	tests, _, err := runTestgen(ctx, &slot, testgen.NewGenerator(sp), sp, a, b, analyzer.Options{}, testgen.Options{}, new(PairResult))
 	if sp.plans.Load() == 0 {
 		t.Fatal("TESTGEN planned no setup: the cancellation did not land in it")
 	}

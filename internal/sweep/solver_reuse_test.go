@@ -38,11 +38,12 @@ func TestLongLivedSolverIsInvisible(t *testing.T) {
 	ctx := context.Background()
 	var long *sym.Solver
 	for _, sp := range []spec.Spec{model.Spec, vmspec.Spec, kvspec.Spec, queuespec.Spec} {
+		gen := testgen.NewGenerator(sp)
 		var tests, searches int64
 		for _, p := range Pairs(sp.Ops()) {
 			before := long
 			var gotOut, wantOut PairResult
-			got, gotUnknown, err := runTestgen(ctx, &long, sp, p[0], p[1], analyzer.Options{}, testgen.Options{}, &gotOut)
+			got, gotUnknown, err := runTestgen(ctx, &long, gen, sp, p[0], p[1], analyzer.Options{}, testgen.Options{}, &gotOut)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,6 +150,7 @@ func TestWorkerSolverDroppedAfterError(t *testing.T) {
 	cancelled, stop := context.WithCancel(context.Background())
 	stop()
 	var slot, last *sym.Solver
+	gen := testgen.NewGenerator(model.Spec)
 	for _, step := range []struct {
 		what  string
 		ctx   context.Context
@@ -163,7 +165,7 @@ func TestWorkerSolverDroppedAfterError(t *testing.T) {
 		{"stage after that", context.Background(), false, true},
 	} {
 		var out PairResult
-		tests, _, err := runTestgen(step.ctx, &slot, model.Spec, a, b, analyzer.Options{}, testgen.Options{}, &out)
+		tests, _, err := runTestgen(step.ctx, &slot, gen, model.Spec, a, b, analyzer.Options{}, testgen.Options{}, &out)
 		if (err != nil) != step.fails || (slot == nil) != step.fails {
 			t.Fatalf("%s: err %v, slot emptied %v; want failure %v", step.what, err, slot == nil, step.fails)
 		}

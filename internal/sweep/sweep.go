@@ -343,14 +343,17 @@ func (r *run) startExecutor(ctx context.Context, queue int, done func(context.Co
 }
 
 // worker is what one executor goroutine keeps across the pairs it runs:
-// the Solver both symbolic phases run on (see runTestgen) and one Replayer
-// per cfg.Kernels entry (see runCheck). A slot is filled at its stage's
-// first miss, so a warm sweep builds nothing, and emptied after any error
-// of that stage. Single-flight never hands a slot to another goroutine: a
+// the Solver both symbolic phases run on and the Generator TESTGEN runs on
+// (see runTestgen), and one Replayer per cfg.Kernels entry (see runCheck).
+// A slot is filled at its stage's first miss, so a warm sweep builds
+// nothing; the Solver and Replayer slots are emptied after any error of
+// their stage, while a Generator keeps nothing of a pair past its
+// Generate. Single-flight never hands a slot to another goroutine: a
 // stage's compute closure runs on the goroutine that asked for it, leader
 // or handed-off waiter.
 type worker struct {
 	solver *sym.Solver
+	gen    *testgen.Generator
 	reps   []*kernel.Replayer
 }
 
@@ -635,7 +638,10 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op, w *worker) (PairResult
 	tg, err := testgenStage.run(ctx, r, tgKey, &out, func(tests []kernel.TestCase) bool {
 		return pairTests(tests, a.Name, b.Name)
 	}, func() ([]kernel.TestCase, int, error) {
-		return runTestgen(ctx, &w.solver, r.sp, a, b, r.aOpt, r.gOpt, &out)
+		if w.gen == nil {
+			w.gen = testgen.NewGenerator(r.sp)
+		}
+		return runTestgen(ctx, &w.solver, w.gen, r.sp, a, b, r.aOpt, r.gOpt, &out)
 	})
 	if err != nil {
 		return out, fmt.Errorf("sweep %s: %w", out.Pair(), err)
@@ -716,22 +722,23 @@ func pairTests(tests []kernel.TestCase, a, b string) bool {
 // PairTests analyses the pair (a, b) of sp and generates its concrete
 // tests, returning them with the number of budget-truncated paths behind
 // them (nonzero means the test set is a lower bound) — one TESTGEN stage
-// outside a sweep, on a solver of its own, replacing any in the options.
-// Phase times and solver work are recorded on out.
+// outside a sweep, on a solver and a Generator of its own, replacing any
+// solver in the options. Phase times and solver work are recorded on out.
 func PairTests(ctx context.Context, sp spec.Spec, a, b *spec.Op, aOpt analyzer.Options, gOpt testgen.Options, out *PairResult) ([]kernel.TestCase, int, error) {
 	var solver *sym.Solver
-	return runTestgen(ctx, &solver, sp, a, b, aOpt, gOpt, out)
+	return runTestgen(ctx, &solver, testgen.NewGenerator(sp), sp, a, b, aOpt, gOpt, out)
 }
 
 // runTestgen is the pipeline's one ANALYZE → TESTGEN sequence, both phases
-// on *solver: a long-lived solver (a sweep worker's), built first when nil.
+// on *solver: a long-lived solver (a sweep worker's), built first when nil;
+// TESTGEN runs on gen, sp's Generator, which a worker keeps as long.
 // At the start its Stop hook is wired to ctx, so cancellation lands inside
 // the searches, and its memory is forgotten, so nothing carries over from
 // another pair: the pair's answers and counts are a fresh solver's. Any
 // error, cancellation included, sets *solver back to nil, so a worker's
 // next stage starts from a fresh one. The solver counters and SolverMS
 // recorded on out are the pair's share of the solver's.
-func runTestgen(ctx context.Context, solver **sym.Solver, sp spec.Spec, a, b *spec.Op, aOpt analyzer.Options, gOpt testgen.Options, out *PairResult) ([]kernel.TestCase, int, error) {
+func runTestgen(ctx context.Context, solver **sym.Solver, gen *testgen.Generator, sp spec.Spec, a, b *spec.Op, aOpt analyzer.Options, gOpt testgen.Options, out *PairResult) ([]kernel.TestCase, int, error) {
 	if *solver == nil {
 		*solver = &sym.Solver{}
 	}
@@ -748,7 +755,7 @@ func runTestgen(ctx context.Context, solver **sym.Solver, sp spec.Spec, a, b *sp
 		return nil, 0, err
 	}
 	phaseStart = time.Now()
-	tests, truncated := testgen.GenerateChecked(sp, pr, gOpt)
+	tests, truncated := gen.Generate(pr, gOpt)
 	out.Phases.TestgenMS = msSince(phaseStart)
 	if err := ctx.Err(); err != nil {
 		// A cancelled generation pass is truncated, not short: drop it

@@ -46,7 +46,7 @@ func BenchmarkConstructPathCondition(b *testing.B) {
 
 // BenchmarkModelEvalSharedDAG measures evaluation under a total model of a
 // deep Ite-chain DAG with heavy subterm sharing — the shape
-// DictsEquivalent produces, and what each spec's PlanSetup evaluates per
+// DictsEquivalent produces, and what each spec's SetupMiner evaluates per
 // test. Every guard is decided, so the walk follows one branch per level.
 func BenchmarkModelEvalSharedDAG(b *testing.B) {
 	fn := Uninterpreted("BenchName")

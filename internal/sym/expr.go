@@ -468,9 +468,15 @@ func Ite(cond, a, b *Expr) *Expr {
 // Vars returns the free variables of e, sorted by name.
 func Vars(e *Expr) []*Expr { return sortByName(slices.Clone(e.vars)) }
 
-// VarsConjs is Vars of the conjunction of conjs, without building it: the
-// free variables of every conjunct, once each, sorted by name.
-func VarsConjs(conjs []*Expr) []*Expr { return sortByName(unionVars(nil, conjs)) }
+// AppendVarsConjs appends to dst Vars of the conjunction of conjs, without
+// building it: the free variables of every conjunct, once each, sorted by
+// name.
+func AppendVarsConjs(dst, conjs []*Expr) []*Expr {
+	start := len(dst)
+	dst = unionVars(dst, conjs)
+	sortByName(dst[start:])
+	return dst
+}
 
 func sortByName(vars []*Expr) []*Expr {
 	slices.SortFunc(vars, func(a, b *Expr) int { return strings.Compare(a.Name, b.Name) })

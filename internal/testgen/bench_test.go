@@ -6,17 +6,24 @@ import (
 
 	"repro/internal/analyzer"
 	"repro/internal/model"
+	"repro/internal/spec"
 )
 
 // posixAnalyses runs ANALYZE over the 171 posix pairs, earlier op first as
 // a sweep orients them.
 func posixAnalyses(tb testing.TB) []analyzer.PairResult {
+	return analyses(tb, model.Spec, spec.Config{})
+}
+
+// analyses runs ANALYZE under cfg over every pair of sp's ops, in the
+// order and orientation of sweep.Pairs.
+func analyses(tb testing.TB, sp spec.Spec, cfg spec.Config) []analyzer.PairResult {
 	tb.Helper()
 	var out []analyzer.PairResult
-	ops := model.Spec.Ops()
+	ops := sp.Ops()
 	for i, a := range ops {
 		for _, b := range ops[:i+1] {
-			pr, err := analyzer.AnalyzePairCtx(context.Background(), model.Spec, b, a, analyzer.Options{})
+			pr, err := analyzer.AnalyzePairCtx(context.Background(), sp, b, a, analyzer.Options{Config: cfg})
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -26,10 +33,11 @@ func posixAnalyses(tb testing.TB) []analyzer.PairResult {
 	return out
 }
 
-// generateAll is one TESTGEN pass over analyses, summing the leaf's counts.
-func generateAll(analyses []analyzer.PairResult) (n leafCounts, kept int) {
+// generateAll is one TESTGEN pass over analyses on g, as a sweep worker
+// runs its pairs, summing the leaf's counts.
+func generateAll(g *Generator, analyses []analyzer.PairResult) (n leafCounts, kept int) {
 	for _, pr := range analyses {
-		tests, _, c := generate(model.Spec, pr, Options{})
+		tests, _, c := g.generate(pr, Options{})
 		n.visited += c.visited
 		n.materialized += c.materialized
 		kept += len(tests)
@@ -38,19 +46,21 @@ func generateAll(analyses []analyzer.PairResult) (n leafCounts, kept int) {
 }
 
 // BenchmarkGeneratePosix is TESTGEN as a cold sweep pays for it: every
-// commutative path of all 171 posix pairs, ANALYZE outside the timer. The
-// three counts are per pass: models the enumeration reached, models of a new
-// isomorphism class (materialised), and tests whose content was new (kept).
+// commutative path of all 171 posix pairs, ANALYZE outside the timer, on
+// one Generator, as a sweep worker keeps one. The three counts are per
+// pass: models the enumeration reached, models of a new isomorphism class
+// (materialised), and tests whose content was new (kept).
 //
-//	go test -run '^$' -bench GeneratePosix -benchtime 3x ./internal/testgen
+//	go test -run '^$' -bench GeneratePosix -benchtime 3x -benchmem ./internal/testgen
 func BenchmarkGeneratePosix(b *testing.B) {
 	analyses := posixAnalyses(b)
+	g := NewGenerator(model.Spec)
 	var n leafCounts
 	var kept int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n, kept = generateAll(analyses)
+		n, kept = generateAll(g, analyses)
 	}
 	b.ReportMetric(float64(n.visited), "visited")
 	b.ReportMetric(float64(n.materialized), "materialised")
@@ -66,7 +76,7 @@ func TestGeneratePosixLeafCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full ANALYZE+TESTGEN of posix")
 	}
-	n, kept := generateAll(posixAnalyses(t))
+	n, kept := generateAll(NewGenerator(model.Spec), posixAnalyses(t))
 	if n.visited != 20767 || n.materialized != 12791 || kept != 6413 {
 		t.Errorf("posix leaf counts: visited %d, materialised %d, kept %d; want 20767, 12791, 6413",
 			n.visited, n.materialized, kept)

@@ -128,15 +128,18 @@ func TestQuickClassSignatureMatchesFormula(t *testing.T) {
 
 // TestSeenClassCostsNoAllocation pins the leaf's commonest outcome — a
 // model of a class its path already kept — to no allocation: the signature
-// is built in reused scratch and looked up without becoming a string.
+// is built in reused scratch and found among the path's kept classes
+// without becoming a string.
 func TestSeenClassCostsNoAllocation(t *testing.T) {
 	s := sym.Uninterpreted("ClsA")
 	vars := []*sym.Expr{tscope.Var("cls.a", s), tscope.Var("cls.b", s), tscope.Var("cls.c", sym.BoolSort), tscope.Var("cls.d", sym.IntSort)}
 	withModel(vars, []int64{2, 2, 1, 7}, func(m sym.Model) {
 		var sc sigScratch
-		classes := map[string]bool{string(sc.classSignature(m, vars)): true}
+		var classes classSet
+		classes.add([]byte("another class"))
+		classes.add(sc.classSignature(m, vars))
 		n := testing.AllocsPerRun(100, func() {
-			if !classes[string(sc.classSignature(m, vars))] {
+			if classes.add(sc.classSignature(m, vars)) {
 				t.Fatal("a model must be in its own class")
 			}
 		})
@@ -144,4 +147,30 @@ func TestSeenClassCostsNoAllocation(t *testing.T) {
 			t.Errorf("a model of a seen class costs %.0f allocations, want 0", n)
 		}
 	})
+}
+
+// TestClassSetKeepsCopies pins classSet: a signature is new once per reset,
+// the set keeps a copy rather than the caller's buffer, and a reset
+// forgets every class while keeping the slots.
+func TestClassSetKeepsCopies(t *testing.T) {
+	var c classSet
+	buf := []byte(",0,1")
+	if !c.add(buf) || c.add([]byte(",0,1")) {
+		t.Fatal("a signature must be new exactly once")
+	}
+	copy(buf, ",0,0")
+	if !c.add(buf) || c.add([]byte(",0,1")) {
+		t.Fatal("the set must keep a copy of a signature, not the caller's buffer")
+	}
+	c.reset()
+	if !c.add([]byte(",0,1")) {
+		t.Fatal("a reset set must have no class")
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		c.reset()
+		c.add([]byte(",0,1"))
+		c.add([]byte(",0,0"))
+	}); n != 0 {
+		t.Errorf("refilling grown slots costs %.0f allocations, want 0", n)
+	}
 }

@@ -62,7 +62,7 @@ func TestConjunctListEnumerationMatchesConjunction(t *testing.T) {
 					paths++
 					wantVars, want, wantBudget := refSignatures(p, limit)
 					conjs := condConjs(nil, p)
-					vars := classVars(conjs, p.VarKinds)
+					vars := classVars(nil, conjs, p.VarKinds)
 					if !slices.Equal(vars, wantVars) {
 						t.Fatalf("%s %s/%s path %d: class variables %v, want %v", name, b.Name, a.Name, pi, vars, wantVars)
 					}

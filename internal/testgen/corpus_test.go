@@ -3,6 +3,7 @@ package testgen
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"hash"
@@ -54,7 +55,7 @@ var updateCorpus = flag.Bool("update", false, "rewrite the analysis, corpus and 
 // when changing what it pins is the point; the rewrite re-keys the sweep
 // cache entries the moved lines cover. Every test of the walk must also
 // pass the Replayer's admission: what it refuses, TESTGEN must never
-// produce.
+// produce; and its setup's Clone must encode to the setup's own JSON.
 func TestCorpusDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full ANALYZE+TESTGEN of every spec")
@@ -106,6 +107,9 @@ func TestCorpusDigest(t *testing.T) {
 					if fp := tc.Setup.Fingerprint(); fp != tc.SetupID {
 						t.Errorf("%s: SetupID %q is not the setup's fingerprint %q", tc.ID, tc.SetupID, fp)
 					}
+					if orig, clone := mustJSON(t, tc.Setup), mustJSON(t, tc.Setup.Clone()); orig != clone {
+						t.Errorf("%s: the setup's clone encodes as\n%s\nnot as the setup\n%s", tc.ID, clone, orig)
+					}
 					fmt.Fprintf(h, "%s\n%v\n%v\n%s\n", tc.ID, tc.Calls[0], tc.Calls[1], tc.SetupID)
 					for j, im := range impls {
 						hashTrace(traceH[j], im.New, tc)
@@ -124,6 +128,16 @@ func TestCorpusDigest(t *testing.T) {
 	checkDigest(t, pinDir+"analysis.digest", analysis.String())
 	checkDigest(t, pinDir+"corpus.digest", corpus.String())
 	checkDigest(t, pinDir+"trace.digest", traces.String())
+}
+
+// mustJSON is v's JSON encoding.
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // hashTrace writes to h what the reference checker reports for tc on fresh

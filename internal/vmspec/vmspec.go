@@ -26,7 +26,8 @@
 package vmspec
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/internal/kernel/memvm"
@@ -226,39 +227,59 @@ func (vmSpec) Impls() []spec.Impl {
 // FixupCall is a no-op: the VM interface has no per-call spec flags.
 func (vmSpec) FixupCall(cfg spec.Config, call *kernel.Call) {}
 
-// PlanSetup plans the two address-space dictionaries' probes of one path.
-// The function it returns rebuilds the concrete address spaces: every
-// (proc, page) the witness probed as mapped becomes an anonymous SetupVMA
-// carrying the probed permission and content.
-func (vmSpec) PlanSetup(a, b spec.State) func(sym.Model) kernel.Setup {
+// miner is the vm SetupMiner: one probe plan per address-space
+// dictionary, and the maps and slice a setup is mined into, cleared and
+// reused from model to model. It rebuilds the concrete address spaces:
+// every (proc, page) the witness probed as mapped becomes an anonymous
+// SetupVMA carrying the probed permission and content.
+type miner struct {
+	mem, vma spec.ProbePlan
+	vals     map[[2]int64]int64
+	seen     map[[2]int64]bool
+	vmas     []kernel.SetupVMA
+}
+
+// NewMiner returns a vm miner with its maps made.
+func (vmSpec) NewMiner() spec.SetupMiner {
+	return &miner{vals: map[[2]int64]int64{}, seen: map[[2]int64]bool{}}
+}
+
+// Plan plans the two address-space dictionaries' probes of one path.
+func (mn *miner) Plan(a, b spec.State) {
 	sa, sb := a.(*state), b.(*state)
-	mem, vma := spec.PlanProbes(sa.Mem, sb.Mem), spec.PlanProbes(sa.VMA, sb.VMA)
-	return func(m sym.Model) kernel.Setup {
-		var s kernel.Setup
-		vals := map[[2]int64]int64{}
-		for _, p := range mem.Eval(m) {
-			vals[[2]int64{p.Key[0], p.Key[1]}] = p.Field("val")
-		}
-		seen := map[[2]int64]bool{}
-		for _, p := range vma.Eval(m) {
-			proc := spec.Clamp(p.Key[0], 0, 1)
-			page := spec.Clamp(p.Key[1], 0, maxPage-1)
-			at := [2]int64{proc, page}
-			if seen[at] {
-				continue
-			}
-			seen[at] = true
-			s.VMAs = append(s.VMAs, kernel.SetupVMA{
-				Proc: int(proc), Page: page, Anon: true,
-				Val: vals[[2]int64{p.Key[0], p.Key[1]}], Writable: p.Bool("wr"),
-			})
-		}
-		sort.Slice(s.VMAs, func(i, j int) bool {
-			if s.VMAs[i].Proc != s.VMAs[j].Proc {
-				return s.VMAs[i].Proc < s.VMAs[j].Proc
-			}
-			return s.VMAs[i].Page < s.VMAs[j].Page
-		})
-		return s
+	mn.mem.Plan(sa.Mem, sb.Mem)
+	mn.vma.Plan(sa.VMA, sb.VMA)
+}
+
+// Clear empties the plans.
+func (mn *miner) Clear() {
+	mn.mem.Clear()
+	mn.vma.Clear()
+}
+
+// Setup mines the mapped pages under m.
+func (mn *miner) Setup(m sym.Model) kernel.Setup {
+	clear(mn.vals)
+	clear(mn.seen)
+	mn.vmas = mn.vmas[:0]
+	for _, p := range mn.mem.Eval(m) {
+		mn.vals[[2]int64{p.Key[0], p.Key[1]}] = p.Field("val")
 	}
+	for _, p := range mn.vma.Eval(m) {
+		proc := spec.Clamp(p.Key[0], 0, 1)
+		page := spec.Clamp(p.Key[1], 0, maxPage-1)
+		at := [2]int64{proc, page}
+		if mn.seen[at] {
+			continue
+		}
+		mn.seen[at] = true
+		mn.vmas = append(mn.vmas, kernel.SetupVMA{
+			Proc: int(proc), Page: page, Anon: true,
+			Val: mn.vals[[2]int64{p.Key[0], p.Key[1]}], Writable: p.Bool("wr"),
+		})
+	}
+	slices.SortFunc(mn.vmas, func(a, b kernel.SetupVMA) int {
+		return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Page, b.Page))
+	})
+	return kernel.Setup{VMAs: spec.OrNil(mn.vmas)}
 }

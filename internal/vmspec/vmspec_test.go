@@ -189,7 +189,7 @@ func TestDisjointRegionTestsConflictFree(t *testing.T) {
 	}
 }
 
-// TestGenerateVMTests pins PlanSetup: commutative memread/memwrite
+// TestGenerateVMTests pins the vm SetupMiner: commutative memread/memwrite
 // tests must seed the mapped pages the witness probed (anonymous VMAs
 // with the probed permission), and a successful memread must observe the
 // seeded content.
