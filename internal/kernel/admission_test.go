@@ -45,6 +45,15 @@ var hostile = []struct {
 	{"name-twice", func(tc *kernel.TestCase) {
 		tc.Setup.Files = append(tc.Setup.Files, kernel.SetupFile{Name: "f7", Inum: 1}, kernel.SetupFile{Name: "f7", Inum: 2})
 	}},
+	{"fd-twice", func(tc *kernel.TestCase) {
+		tc.Setup.FDs = append(tc.Setup.FDs, kernel.SetupFD{FD: 9, Inum: 1}, kernel.SetupFD{FD: 9, Inum: 2})
+	}},
+	{"pipe-twice", func(tc *kernel.TestCase) {
+		tc.Setup.Pipes = append(tc.Setup.Pipes, kernel.SetupPipe{ID: 9}, kernel.SetupPipe{ID: 9, Items: []int64{1}})
+	}},
+	{"page-twice", func(tc *kernel.TestCase) {
+		tc.Setup.VMAs = append(tc.Setup.VMAs, kernel.SetupVMA{Page: 9, Anon: true}, kernel.SetupVMA{Page: 9, Anon: true, Val: 1})
+	}},
 	{"length", func(tc *kernel.TestCase) {
 		tc.Setup.Inodes = append(tc.Setup.Inodes, kernel.SetupInode{Inum: 9, Len: 1 << 40})
 	}},
@@ -125,6 +134,32 @@ func TestReplayerAdmission(t *testing.T) {
 					t.Errorf("valid group after the hostile ones: %d of %d results, err %v", seen, len(tests), err)
 				}
 			})
+		}
+	}
+}
+
+// TestCollidingSetupIsRefused holds CheckTests to admitting every test
+// whole before it groups any: a setup fingerprint is exact only for names
+// Admit accepts, so a hostile name can render a valid setup's bytes, and a
+// test that joined a valid test's group on them must still be refused, not
+// checked on the other test's setup.
+func TestCollidingSetupIsRefused(t *testing.T) {
+	valid := kernel.Setup{Files: []kernel.SetupFile{{Name: "f0", Inum: 1}, {Name: "f1", Inum: 2}}}
+	forged := kernel.Setup{Files: []kernel.SetupFile{{Name: "f0=1;Ff1", Inum: 2}}}
+	if valid.Fingerprint() != forged.Fingerprint() {
+		t.Fatalf("the forged setup no longer collides: %q != %q", valid.Fingerprint(), forged.Fingerprint())
+	}
+	stat := kernel.Call{Op: "stat", Args: map[string]int64{"name": 0}}
+	tests := []kernel.TestCase{
+		{ID: "valid", Setup: valid, Calls: [2]kernel.Call{stat, stat}},
+		{ID: "forged", Setup: forged, Calls: [2]kernel.Call{stat, stat}},
+	}
+	for name, fresh := range kernels() {
+		_, err := kernel.NewReplayer(fresh).CheckTests(context.Background(), tests, func(i int, _ kernel.CheckResult) {
+			t.Errorf("%s: test %s was given a result", name, tests[i].ID)
+		})
+		if !errors.Is(err, kernel.ErrInadmissible) || !strings.Contains(err.Error(), "forged") {
+			t.Errorf("%s: err = %v, want the forged test refused", name, err)
 		}
 	}
 }

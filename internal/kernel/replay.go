@@ -18,10 +18,14 @@ import (
 // worker and hands it every pair that worker runs, so a kernel is built a
 // few times a sweep, not once per pair. What a group or a pair builds on
 // demand (sv6's directory buckets, per-core counters, inodes with their
-// link-count deltas and radix leaves) stays built, reset to the state it
-// was born in, for every later group and pair. The engine drops a Replayer
-// after any CheckTests error instead of handing it the next pair: a panic
-// that cut a kernel call short may have left state outside the journal.
+// link-count deltas and radix leaves), and what a setup builds for its
+// descriptors, pipes, mappings, anonymous pages and sv6 directory entries,
+// stays built, reset to the state it was born in, for every later group and
+// pair. A map entry that reaches such an object does not: the kernel sets
+// it through the memory, so the reset drops it, since a stale entry would
+// change what a later test reads. The engine drops a Replayer after any
+// CheckTests error instead of handing it the next pair: a panic that cut a
+// kernel call short may have left state outside the journal.
 //
 // A Replayer is not safe for concurrent use; each sweep worker and each
 // Client.Check call has its own.
@@ -71,8 +75,8 @@ func (r *Replayer) groupBySetup(tests []TestCase) [][]int {
 }
 
 // maxExtent bounds every item count a setup can make a kernel build state
-// for, the magnitude of a call's arguments, and the number of names Admit
-// compares pairwise. No generated test comes near it (queues hold a few
+// for, the magnitude of a call's arguments, and the number of names,
+// descriptors, pipes and mappings Admit compares pairwise. No generated test comes near it (queues hold a few
 // items); a request body or a cache entry can say 1<<40.
 const maxExtent = 64
 
@@ -92,8 +96,9 @@ var ErrInadmissible = errors.New("inadmissible test")
 // what this package can know about a test without its spec. Processes are 0
 // or 1 wherever one is named, setup names are exactly what Fname renders and
 // name one file each, file lengths, pages and mapped offsets are within
-// MaxFilePages, and every other extent and call argument is within
-// maxExtent. What only the spec knows — the op table, the arguments an op
+// MaxFilePages, every other extent and call argument is within maxExtent,
+// and a setup names each descriptor, pipe and mapped page once (a kernel
+// keeps the object it builds for one by that identity). What only the spec knows — the op table, the arguments an op
 // reads — is not checked here; CheckTests turns a kernel's panic over those
 // into the test's error.
 func Admit(tc *TestCase) error {
@@ -147,6 +152,31 @@ func Admit(tc *TestCase) error {
 		proc("a call", c.Proc)
 		for _, v := range c.Args {
 			within("call argument", -maxExtent, v, maxExtent)
+		}
+	}
+	// Last, so that what the checks above refuse keeps its reason.
+	within("setup descriptor count", 0, int64(len(s.FDs)), maxExtent)
+	within("setup pipe count", 0, int64(len(s.Pipes)), maxExtent)
+	within("setup mapping count", 0, int64(len(s.VMAs)), maxExtent)
+	for i := 0; why == "" && i < len(s.FDs); i++ {
+		for _, g := range s.FDs[:i] {
+			if g.Proc == s.FDs[i].Proc && g.FD == s.FDs[i].FD {
+				why = fmt.Sprintf("setup names descriptor %d of process %d twice", g.FD, g.Proc)
+			}
+		}
+	}
+	for i := 0; why == "" && i < len(s.Pipes); i++ {
+		for _, g := range s.Pipes[:i] {
+			if g.ID == s.Pipes[i].ID {
+				why = fmt.Sprintf("setup names pipe %d twice", g.ID)
+			}
+		}
+	}
+	for i := 0; why == "" && i < len(s.VMAs); i++ {
+		for _, g := range s.VMAs[:i] {
+			if g.Proc == s.VMAs[i].Proc && g.Page == s.VMAs[i].Page {
+				why = fmt.Sprintf("setup maps page %d of process %d twice", g.Page, g.Proc)
+			}
 		}
 	}
 	if why != "" {

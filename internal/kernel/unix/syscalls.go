@@ -158,6 +158,7 @@ func (k *Kern) pipe(core int, c kernel.Call) kernel.Result {
 		id += int64(core) * 1000000 // so the id is not an order between cores
 	}
 	p := k.newPipe(id)
+	mtrace.SetKey(k.mem, k.pipes, id, p)
 	if p.refs != nil {
 		p.refs.Store(core, 2)
 	}

@@ -137,6 +137,11 @@ type proc struct {
 	nextAddr *scale.IDAlloc
 	vmas     map[int64]*vma
 	anon     map[int64]*mtrace.Cell
+	// What Apply built for setup descriptors, mappings and anonymous pages,
+	// by descriptor and page, kept for every later Apply (see Apply).
+	setupFiles map[int64]*file
+	setupVMAs  map[int64]*vma
+	setupAnon  map[int64]*mtrace.Cell
 }
 
 // Kern is a kernel instance of one Design.
@@ -150,12 +155,15 @@ type Kern struct {
 	pipes    map[int64]*pipe
 	nextPipe int64
 	procs    [2]*proc
+	// setupPipes is what Apply built for setup pipes, by id (see Apply).
+	setupPipes map[int64]*pipe
 }
 
 // New returns an empty kernel of design d over a fresh traced memory.
 func New(d Design) *Kern {
 	mem := mtrace.NewMemory()
-	k := &Kern{mem: mem, d: d, inodes: map[int64]*inode{}, pipes: map[int64]*pipe{}, nextPipe: 2000}
+	k := &Kern{mem: mem, d: d, inodes: map[int64]*inode{}, pipes: map[int64]*pipe{}, nextPipe: 2000,
+		setupPipes: map[int64]*pipe{}}
 	if d.hashDir {
 		k.dir = hashDir{scale.NewHashDir(mem, "dir", 8192)}
 	} else {
@@ -167,7 +175,8 @@ func New(d Design) *Kern {
 		k.nextIno = mem.NewCell("inode_table.next_ino", 1000)
 	}
 	for i := range k.procs {
-		p := &proc{id: i, slots: map[int64]*file{}, vmas: map[int64]*vma{}, anon: map[int64]*mtrace.Cell{}}
+		p := &proc{id: i, slots: map[int64]*file{}, vmas: map[int64]*vma{}, anon: map[int64]*mtrace.Cell{},
+			setupFiles: map[int64]*file{}, setupVMAs: map[int64]*vma{}, setupAnon: map[int64]*mtrace.Cell{}}
 		p.fdLock, p.mmapSem = noLock{}, noLock{}
 		if d.slotFDs {
 			p.nextFD = scale.NewIDAlloc(mem, fmt.Sprintf("proc%d.fd", i), 0)
@@ -199,7 +208,9 @@ func (k *Kern) Memory() *mtrace.Memory { return k.mem }
 // born present, see scale.Radix.Materialize), and what is born later — a
 // page, a Refcache delta, a radix leaf — holds the journal-restored zero it
 // would be born with, so a surviving inode is a fresh one to every later
-// setup group, and every later pair of a long-lived Replayer.
+// setup group, and every later pair of a long-lived Replayer. A setup's
+// descriptors, pipes, mappings and anonymous pages survive the same way,
+// but not the map entries that reach them (see Apply).
 func (k *Kern) inode(inum int64) *inode {
 	ino, ok := k.inodes[inum]
 	if ok {
@@ -246,6 +257,7 @@ func (k *Kern) newFile(refcnt, offName string, off int64, args ...any) *file {
 	return f
 }
 
+// newPipe builds pipe id, empty and unlinked.
 func (k *Kern) newPipe(id int64) *pipe {
 	p := &pipe{id: id}
 	if k.d.fifoPipes {
@@ -260,7 +272,6 @@ func (k *Kern) newPipe(id int64) *pipe {
 			head: k.mem.NewCellf(0, "pipe[%d].head", id), tail: k.mem.NewCellf(0, "pipe[%d].tail", id),
 		}
 	}
-	mtrace.SetKey(k.mem, k.pipes, id, p)
 	return p
 }
 
@@ -320,6 +331,18 @@ func (p *proc) bind(mem *mtrace.Memory, core int, fd int64, slot *mtrace.Cell, f
 }
 
 // Apply implements kernel.Kernel; it builds initial state untraced.
+//
+// What it builds for a setup's descriptors, pipes, mappings and anonymous
+// pages is kept, by identity — (process, descriptor), pipe id, (process,
+// page) — whose cell names depend on it alone, and the next setup naming
+// the identity links the same object again (kernel.Admit refuses a setup
+// naming one twice). Its map entry is not kept: a stale one would change
+// what later calls read (lowestFD loads a slot only where an entry is), so
+// each is set through the memory and a reset drops it, and an unlinked
+// object is unseen. The reset also returns every cell the object holds to
+// the value it was born with, as it does an inode's (see inode), so linking
+// it again pokes, journaled, only the cells whose born value a setup
+// chooses (an offset, a page's value, a backlog) and sets the plain fields.
 func (k *Kern) Apply(s kernel.Setup) {
 	for _, si := range s.Inodes {
 		ino := k.inode(si.Inum)
@@ -333,38 +356,51 @@ func (k *Kern) Apply(s kernel.Setup) {
 		ino.nlink.Poke(ino.nlink.Peek() + 1)
 	}
 	for _, sp := range s.Pipes {
-		p := k.newPipe(sp.ID)
-		for _, v := range sp.Items {
-			p.Send(0, v) // untraced: Apply runs before the traced region
-		}
+		k.setupPipe(sp.ID, sp.Items)
 	}
 	for _, sd := range s.FDs {
-		f := k.newFile("file[p%d:%d].refcnt", "file[p%d:%d].off", sd.Off, sd.Proc, sd.FD)
+		p := k.procs[sd.Proc]
+		f, ok := p.setupFiles[sd.FD]
+		if ok {
+			f.off.Poke(sd.Off)
+		} else {
+			f = k.newFile("file[p%d:%d].refcnt", "file[p%d:%d].off", sd.Off, sd.Proc, sd.FD)
+			f.slot = k.mem.NewCellf(1, "proc%d.fd[%d]", sd.Proc, sd.FD)
+			p.setupFiles[sd.FD] = f
+		}
 		if sd.Pipe {
-			p, ok := k.pipes[sd.PipeID]
+			pp, ok := k.pipes[sd.PipeID]
 			if !ok {
-				p = k.newPipe(sd.PipeID)
+				pp = k.setupPipe(sd.PipeID, nil)
 			}
-			f.pipe, f.wend = p, sd.WriteEnd
-			if p.refs != nil {
-				p.refs.Poke(p.refs.Peek() + 1)
+			f.pipe, f.wend, f.inum = pp, sd.WriteEnd, 0
+			if pp.refs != nil {
+				pp.refs.Poke(pp.refs.Peek() + 1)
 			}
 		} else {
-			f.inum = sd.Inum
+			f.pipe, f.wend, f.inum = nil, false, sd.Inum
 			k.inode(sd.Inum)
 		}
-		// The slot cell is born live and never journaled; a reset drops the
-		// entry rather than revive it.
-		f.slot = k.mem.NewCellf(1, "proc%d.fd[%d]", sd.Proc, sd.FD)
-		mtrace.SetKey(k.mem, k.procs[sd.Proc].slots, sd.FD, f)
+		mtrace.SetKey(k.mem, p.slots, sd.FD, f)
 	}
 	for _, sv := range s.VMAs {
 		p := k.procs[sv.Proc]
-		v := &vma{anon: sv.Anon, inum: sv.Inum, foff: sv.Foff, wr: sv.Writable}
-		v.cell = k.mem.NewCellf(1, "proc%d.vma[%d]", sv.Proc, sv.Page)
+		v, ok := p.setupVMAs[sv.Page]
+		if !ok {
+			v = &vma{cell: k.mem.NewCellf(1, "proc%d.vma[%d]", sv.Proc, sv.Page)}
+			p.setupVMAs[sv.Page] = v
+		}
+		v.anon, v.inum, v.foff, v.wr = sv.Anon, sv.Inum, sv.Foff, sv.Writable
 		mtrace.SetKey(k.mem, p.vmas, sv.Page, v)
 		if sv.Anon {
-			mtrace.SetKey(k.mem, p.anon, sv.Page, k.mem.NewCellf(sv.Val, "proc%d.anonpage[%d]", sv.Proc, sv.Page))
+			c, ok := p.setupAnon[sv.Page]
+			if ok {
+				c.Poke(sv.Val)
+			} else {
+				c = k.mem.NewCellf(sv.Val, "proc%d.anonpage[%d]", sv.Proc, sv.Page)
+				p.setupAnon[sv.Page] = c
+			}
+			mtrace.SetKey(k.mem, p.anon, sv.Page, c)
 		} else {
 			k.inode(sv.Inum)
 		}
@@ -372,4 +408,19 @@ func (k *Kern) Apply(s kernel.Setup) {
 			p.vmaTree.Poke(p.vmaTree.Peek() + 1)
 		}
 	}
+}
+
+// setupPipe links pipe id for Apply, holding items and no open end: the
+// pipe an earlier setup built for id, born again, or a new one it keeps.
+func (k *Kern) setupPipe(id int64, items []int64) *pipe {
+	p, ok := k.setupPipes[id]
+	if !ok {
+		p = k.newPipe(id)
+		k.setupPipes[id] = p
+	}
+	for _, v := range items {
+		p.Send(0, v) // untraced: Apply runs before the traced region
+	}
+	mtrace.SetKey(k.mem, k.pipes, id, p)
+	return p
 }

@@ -266,14 +266,14 @@ var oneInode = kernel.Setup{
 }
 
 // applyAndReset returns what a Replayer does with a setup between groups:
-// apply it inside the baseline region, then reset. The inode survives the
-// reset, so every call after the first applies the setup to the inode the
-// first one built.
-func applyAndReset(tb testing.TB) func() {
-	k := New(SV6)
+// apply it inside the baseline region, then reset, on a kernel of design d.
+// What Apply builds survives the reset, so every call after the first
+// applies s to what the first one built.
+func applyAndReset(tb testing.TB, d Design, s kernel.Setup) func() {
+	k := New(d)
 	k.Memory().Snapshot()
 	return func() {
-		k.Apply(oneInode)
+		k.Apply(s)
 		k.Memory().Reset()
 	}
 }
@@ -282,7 +282,8 @@ func applyAndReset(tb testing.TB) func() {
 // TestNewAllocatesLittle pins construction: the engine applies one setup per
 // group of tests. Building the inode costs 31 mallocs (1.7 KB), where a link
 // count that built every core's delta cell up front cost 323 (15.6 KB);
-// applying the setup again to the inode a reset kept costs 4 (176 B).
+// applying the setup again to the inode a reset kept costs 1 (48 B), the
+// directory entry's reset hook, where a new entry cell cost 4 (176 B).
 func TestSetupAllocatesPerTouch(t *testing.T) {
 	k := New(SV6)
 	k.Memory().Snapshot()
@@ -298,7 +299,7 @@ func TestSetupAllocatesPerTouch(t *testing.T) {
 	if build >= 100 {
 		t.Errorf("applying a one-inode setup builds the inode in %.0f allocations, want < 100", build)
 	}
-	if n := testing.AllocsPerRun(10, applyAndReset(t)); n >= 10 {
+	if n := testing.AllocsPerRun(10, applyAndReset(t, SV6, oneInode)); n >= 10 {
 		t.Errorf("applying a one-inode setup to a kept inode performs %.0f allocations, want < 10", n)
 	}
 }
@@ -306,10 +307,66 @@ func TestSetupAllocatesPerTouch(t *testing.T) {
 // BenchmarkApplyOneInode is the second half in bytes: B/op is the number to
 // watch.
 func BenchmarkApplyOneInode(b *testing.B) {
-	run := applyAndReset(b)
+	run := applyAndReset(b, SV6, oneInode)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		run()
+	}
+}
+
+// everyKept is a setup with one of each object Apply keeps across resets:
+// two descriptors (one on a pipe), a pipe with a backlog, a file mapping and
+// an anonymous page.
+var everyKept = kernel.Setup{
+	Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
+	Inodes: []kernel.SetupInode{{Inum: 1, Len: 2, Pages: map[int64]int64{1: 5}}},
+	FDs: []kernel.SetupFD{
+		{Proc: 0, FD: 0, Inum: 1, Off: 1},
+		{Proc: 1, FD: 3, Pipe: true, PipeID: 7},
+	},
+	Pipes: []kernel.SetupPipe{{ID: 7, Items: []int64{8, 9}}},
+	VMAs: []kernel.SetupVMA{
+		{Proc: 0, Page: 2, Inum: 1, Foff: 1, Writable: true},
+		{Proc: 1, Page: 4, Anon: true, Val: 6},
+	},
+}
+
+// TestWarmSetupAllocatesOnlyHooks pins what a setup costs a kernel that has
+// applied it before, the case of every setup group after a sweep worker's
+// first few: Apply relinks the descriptors, pipe, mappings and anonymous
+// page it kept, and allocates only the reset hook of each map entry it sets
+// — one per descriptor, pipe, mapping and anonymous page, and on sv6 one per
+// directory name (Linux's dentries are kept whole): 6 (288 B) on Linux and
+// 7 (336 B) on sv6, where rebuilding the objects at every setup cost 43
+// (2.3 KB) and 51 (2.4 KB).
+func TestWarmSetupAllocatesOnlyHooks(t *testing.T) {
+	for _, d := range []Design{Linux, SV6} {
+		hooks := len(everyKept.FDs) + len(everyKept.Pipes) + len(everyKept.VMAs)
+		for _, v := range everyKept.VMAs {
+			if v.Anon {
+				hooks++
+			}
+		}
+		if d.hashDir {
+			hooks += len(everyKept.Files)
+		}
+		if n := testing.AllocsPerRun(10, applyAndReset(t, d, everyKept)); n > float64(hooks) {
+			t.Errorf("%s: applying a setup again performs %.0f allocations, want at most its %d map-entry hooks", d.name, n, hooks)
+		}
+	}
+}
+
+// BenchmarkApply is the same in bytes, on both designs: B/op is the number
+// to watch.
+func BenchmarkApply(b *testing.B) {
+	for _, d := range []Design{Linux, SV6} {
+		b.Run(d.name, func(b *testing.B) {
+			run := applyAndReset(b, d, everyKept)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
 	}
 }
 

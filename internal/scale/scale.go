@@ -203,6 +203,9 @@ type HashDir struct {
 	name     string
 	nbuckets uint64
 	buckets  map[uint64]*dirBucket
+	// poked holds the entry cell PokeInsert built for each name, kept for
+	// the name's next PokeInsert after a reset drops the entry.
+	poked map[int64]*mtrace.Cell
 }
 
 type dirBucket struct {
@@ -222,7 +225,8 @@ type dirBucket struct {
 // NewHashDir allocates a directory with the given bucket count. It
 // allocates no bucket: see HashDir.
 func NewHashDir(mem *mtrace.Memory, name string, nbuckets int) *HashDir {
-	return &HashDir{mem: mem, name: name, nbuckets: uint64(nbuckets), buckets: map[uint64]*dirBucket{}}
+	return &HashDir{mem: mem, name: name, nbuckets: uint64(nbuckets), buckets: map[uint64]*dirBucket{},
+		poked: map[int64]*mtrace.Cell{}}
 }
 
 // bucket selects name's bucket, creating it on first selection. A bucket
@@ -319,12 +323,19 @@ func (d *HashDir) Replace(core int, name, inum int64) int64 {
 	return old
 }
 
-// PokeInsert binds a name without tracing (setup only).
+// PokeInsert binds a name without tracing (setup only). An unbound name's
+// entry is added through the memory like Insert's, but its cell is the one
+// an earlier PokeInsert of the name built, if any: the entry is reachable
+// only through the bucket, so once a reset drops it the cell is unseen until
+// it is added again, poked.
 func (d *HashDir) PokeInsert(name, inum int64) {
 	b := d.bucket(name)
 	e, ok := b.entries[name]
 	if !ok {
-		e = d.mem.NewCellf(0, "%s.entry[%d]", d.name, name)
+		if e, ok = d.poked[name]; !ok {
+			e = d.mem.NewCellf(0, "%s.entry[%d]", d.name, name)
+			d.poked[name] = e
+		}
 		mtrace.SetKey(d.mem, b.entries, name, e)
 	}
 	e.Poke(inum)

@@ -40,32 +40,47 @@ func replayOn(t *testing.T, rep *kernel.Replayer, mem func() *mtrace.Memory, tes
 }
 
 // TestLongLivedReplayerIsInvisible pins what lets a sweep worker keep one
-// Replayer per kernel across every pair it runs: for all four specs, every
-// pair's tests replayed in Pairs order on one Replayer per implementation
-// get exactly the verdicts a fresh Replayer per pair gives — both orders'
-// results, Commuted, ConflictFree and every conflict's cell and cores — and
-// the same ordered access log of the traced run. State a pair leaves behind
-// that a fresh kernel would not have (a stale map entry, a surviving sv6
-// inode whose radix reads absent) shows up in a later pair; the radix only
-// in the log, since its extra loads and stores conflict with nothing.
+// Replayer per kernel across every pair it runs: for all four specs, and
+// posix under the lowest-FD rule too, every pair's tests replayed in Pairs
+// order on one Replayer per implementation get exactly the verdicts a fresh
+// Replayer per pair gives — both orders' results, Commuted, ConflictFree and
+// every conflict's cell and cores — and the same ordered access log of the
+// traced run. State a pair leaves behind that a fresh kernel would not have
+// (a stale map entry, a surviving sv6 inode whose radix reads absent) shows
+// up in a later pair; the radix only in the log, since its extra loads and
+// stores conflict with nothing. The lowest-FD corpus's opens and pipes that
+// land past the setup's descriptors are what make lowestFD build slots
+// beside the slots a setup keeps, and read those on sv6 only while their
+// entries are set.
 func TestLongLivedReplayerIsInvisible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("every spec's tests in -short mode")
 	}
-	for _, sp := range []spec.Spec{model.Spec, vmspec.Spec, kvspec.Spec, queuespec.Spec} {
+	lowestFD := analyzer.Options{Config: spec.Config{LowestFD: true}}
+	for _, c := range []struct {
+		name string
+		sp   spec.Spec
+		opt  analyzer.Options
+	}{
+		{"posix", model.Spec, analyzer.Options{}},
+		{"posix-lowestfd", model.Spec, lowestFD},
+		{"vm", vmspec.Spec, analyzer.Options{}},
+		{"kv", kvspec.Spec, analyzer.Options{}},
+		{"queue", queuespec.Spec, analyzer.Options{}},
+	} {
 		var pairs [][]kernel.TestCase
-		for _, p := range Pairs(sp.Ops()) {
-			tests, _, err := PairTests(context.Background(), sp, p[0], p[1], analyzer.Options{}, testgen.Options{}, new(PairResult))
+		for _, p := range Pairs(c.sp.Ops()) {
+			tests, _, err := PairTests(context.Background(), c.sp, p[0], p[1], c.opt, testgen.Options{}, new(PairResult))
 			if err != nil {
 				t.Fatal(err)
 			}
 			pairs = append(pairs, tests)
 		}
-		for _, im := range sp.Impls() {
-			t.Run(sp.Name()+"/"+im.Name, func(t *testing.T) {
+		for _, im := range c.sp.Impls() {
+			t.Run(c.name+"/"+im.Name, func(t *testing.T) {
 				var longMem, freshMem *mtrace.Memory
 				long := kernel.NewReplayer(kerneltest.Logged(im.New, func(m *mtrace.Memory) { longMem = m }))
-				compared := 0
+				compared, pastThree := 0, 0
 				for _, tests := range pairs {
 					if len(tests) == 0 {
 						continue
@@ -84,15 +99,42 @@ func TestLongLivedReplayerIsInvisible(t *testing.T) {
 							t.Fatalf("test %s (%v || %v): long-lived Replayer's access log\n %v\n!= fresh\n %v",
 								tests[i].ID, tests[i].Calls[0], tests[i].Calls[1], got.logs[i], want.logs[i])
 						}
+						if fdPastThree(tests[i], g.Res) {
+							pastThree++
+						}
 					}
 					compared += len(tests)
 				}
 				if compared == 0 {
 					t.Fatal("no tests replayed")
 				}
+				if c.opt.Config.LowestFD {
+					t.Logf("%d tests, %d with an open or pipe landing at fd >= 3", compared, pastThree)
+					if pastThree == 0 {
+						t.Error("no open or pipe landed at fd >= 3: lowestFD never builds a slot beside the kept ones")
+					}
+				}
 			})
 		}
 	}
+}
+
+// fdPastThree reports whether one of tc's calls is an open or pipe whose
+// result res names a descriptor at 3 or above.
+func fdPastThree(tc kernel.TestCase, res [2]kernel.Result) bool {
+	for i, c := range tc.Calls {
+		switch r := res[i]; c.Op {
+		case "open":
+			if r.Code >= 3 {
+				return true
+			}
+		case "pipe":
+			if r.Code >= 0 && (r.V1 >= 3 || r.V2 >= 3) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // countingPosix returns both POSIX designs under names of their own (so no
