@@ -281,12 +281,6 @@ func cmdTestgen(args []string) {
 			if err != nil {
 				fatal(err)
 			}
-			// The wire response is untrusted input: a short verdict list
-			// (truncated body that still parses, a misbehaving proxy) must
-			// fail cleanly, not index out of range below.
-			if len(sum.Verdicts) != len(ts.Tests) {
-				fatal(fmt.Errorf("%s returned %d verdicts for %d tests", kn, len(sum.Verdicts), len(ts.Tests)))
-			}
 			verdicts[kn] = sum.Verdicts
 		}
 	}

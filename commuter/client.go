@@ -42,8 +42,9 @@ type Client interface {
 
 	// Check runs concrete tests against one named implementation of the
 	// selected spec and reports per-test conflict-freedom verdicts plus
-	// the aggregate Figure 6 cell counts. A test naming an op the spec
-	// does not have, or one kernel.Admit refuses, is a bad request.
+	// the aggregate Figure 6 cell counts; Verdicts[i] is tests[i]'s. A
+	// test naming an op the spec does not have, or one kernel.Admit
+	// refuses, is a bad request.
 	Check(ctx context.Context, kernel string, tests []TestCase, opts ...Option) (CheckSummary, error)
 
 	// Sweep fans ANALYZE → TESTGEN → CHECK across every unordered pair

@@ -188,7 +188,7 @@ func (localClient) Check(ctx context.Context, kernelName string, tests []TestCas
 	// execution; verdicts are stored by original index to keep the response
 	// aligned with the request.
 	_, err = kernel.NewReplayer(impls[0].New).CheckTests(ctx, tests, func(i int, res kernel.CheckResult) {
-		v := TestVerdict{TestID: res.Test.ID, ConflictFree: res.ConflictFree, Commuted: res.Commuted}
+		v := TestVerdict{TestID: tests[i].ID, ConflictFree: res.ConflictFree}
 		for _, c := range res.Conflicts {
 			v.Conflicts = append(v.Conflicts, c.CellName)
 		}

@@ -31,15 +31,6 @@ type Matrix struct {
 	Cells []MatrixCell
 }
 
-// Totals sums tests and non-conflict-free tests.
-func (m Matrix) Totals() (total, conflicted int) {
-	for _, c := range m.Cells {
-		total += c.Total
-		conflicted += c.Conflicts
-	}
-	return
-}
-
 // MatricesFromSweep converts a sweep result into one Figure 6 matrix per
 // kernel, in the kernel order the sweep ran them.
 func MatricesFromSweep(res *SweepResult) []Matrix {
@@ -73,8 +64,10 @@ func FormatMatrix(m Matrix) string {
 	for i := range grid {
 		grid[i] = make([]string, len(names))
 	}
-	unknownPairs := 0
+	unknownPairs, total, conf := 0, 0, 0
 	for _, c := range m.Cells {
+		total += c.Total
+		conf += c.Conflicts
 		// opOrder lists every op a cell names, so both are found.
 		i, j := slices.Index(names, c.OpA), slices.Index(names, c.OpB)
 		if i < j {
@@ -95,7 +88,6 @@ func FormatMatrix(m Matrix) string {
 		}
 		grid[i][j] = s
 	}
-	total, conf := m.Totals()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s (%d of %d tests conflict-free)\n", m.Kernel, total-conf, total)
 	for i, row := range grid {

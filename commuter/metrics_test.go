@@ -80,7 +80,7 @@ func TestMetricsExpositionNames(t *testing.T) {
 		"# TYPE commuter_go_heap_allocs_bytes_total counter",
 		"# TYPE commuter_go_gc_cycles_total counter",
 		"# TYPE commuter_build_info gauge",
-		`commuter_build_info{go_version="` + runtime.Version() + `",cache_version="5",api_version="2"} 1`,
+		`commuter_build_info{go_version="` + runtime.Version() + `",cache_version="5",api_version="3"} 1`,
 	} {
 		if !strings.Contains(body, want+"\n") {
 			t.Errorf("exposition is missing %q", want)
@@ -230,7 +230,7 @@ func TestRequestIDReachesCachePeer(t *testing.T) {
 	sweep := func(id string) string {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, front.URL+"/v1/sweep",
-			strings.NewReader(`{"version":2,"options":{"ops":"stat,lseek"}}`))
+			strings.NewReader(`{"version":3,"options":{"ops":"stat,lseek"}}`))
 		if err != nil {
 			t.Fatal(err)
 		}

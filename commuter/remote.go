@@ -149,6 +149,17 @@ func (c *remoteClient) Check(ctx context.Context, kernelName string, tests []Tes
 	if err := c.do(ctx, api.PathCheck, &req, &out); err != nil {
 		return CheckSummary{}, err
 	}
+	// The response is untrusted input: a short verdict list (a truncated
+	// body that still parses, a misbehaving proxy) or one out of order must
+	// fail here, not index out of range or give a test another's verdict.
+	if len(out.Verdicts) != len(tests) {
+		return CheckSummary{}, fmt.Errorf("commuter: %s: %d verdicts for %d tests", api.PathCheck, len(out.Verdicts), len(tests))
+	}
+	for i, v := range out.Verdicts {
+		if v.TestID != tests[i].ID {
+			return CheckSummary{}, fmt.Errorf("commuter: %s: verdict %d is for test %q, not %q", api.PathCheck, i, v.TestID, tests[i].ID)
+		}
+	}
 	return out, nil
 }
 

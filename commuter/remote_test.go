@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
@@ -377,5 +379,42 @@ func TestServerClampsWorkers(t *testing.T) {
 	}
 	if got := sweepWorkers(cli, commuter.WithWorkers(1)); got != 1 {
 		t.Errorf("default pool: request for 1 worker ran on %d", got)
+	}
+}
+
+// TestDialCheckVerdictsAlign holds a Dial client to its check of a Check
+// response: a server answering with fewer verdicts than tests, or with
+// them out of order, is an error, never a panic or a verdict given to
+// another test. An aligned answer passes.
+func TestDialCheckVerdictsAlign(t *testing.T) {
+	tests := []commuter.TestCase{{ID: "a"}, {ID: "b"}}
+	for _, c := range []struct {
+		name     string
+		verdicts []commuter.TestVerdict
+		bad      bool
+	}{
+		{"short", []commuter.TestVerdict{{TestID: "a"}}, true},
+		{"reordered", []commuter.TestVerdict{{TestID: "b"}, {TestID: "a"}}, true},
+		{"aligned", []commuter.TestVerdict{{TestID: "a"}, {TestID: "b"}}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.Copy(io.Discard, r.Body)
+				json.NewEncoder(w).Encode(commuter.CheckSummary{Kernel: "linux", Total: len(c.verdicts), Verdicts: c.verdicts})
+			}))
+			defer srv.Close()
+			cli, err := commuter.Dial(srv.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			sum, err := cli.Check(context.Background(), "linux", tests)
+			if c.bad && err == nil {
+				t.Fatalf("verdicts %+v for tests a, b were accepted: %+v", c.verdicts, sum)
+			}
+			if !c.bad && (err != nil || !reflect.DeepEqual(sum.Verdicts, c.verdicts)) {
+				t.Fatalf("aligned verdicts: %+v, err %v", sum, err)
+			}
+		})
 	}
 }

@@ -30,7 +30,7 @@ import (
 // Version is the wire-format version. Bump it whenever any encoding in
 // this package (or the JSON shape of the internal types it embeds —
 // kernel.TestCase, sweep.PairResult) changes incompatibly.
-const Version = 2
+const Version = 3
 
 // Endpoint paths. Their /v1/ prefix names the route family and stays
 // across wire versions: a request's version stamp is what the server
@@ -205,8 +205,6 @@ type CheckRequest struct {
 type TestVerdict struct {
 	TestID       string `json:"test_id"`
 	ConflictFree bool   `json:"conflict_free"`
-	// Commuted reports the order-swap sanity check.
-	Commuted bool `json:"commuted"`
 	// Conflicts names the shared cells when not conflict-free.
 	Conflicts []string `json:"conflicts,omitempty"`
 }

@@ -85,8 +85,8 @@ func goldenCases() map[string]any {
 			Tests: []kernel.TestCase{sampleTest()}, Options: Options{Spec: "posix"}},
 		"check_summary": &CheckSummary{Kernel: "sv6", Total: 2, Conflicts: 1,
 			Verdicts: []TestVerdict{
-				{TestID: "a", ConflictFree: true, Commuted: true},
-				{TestID: "b", Commuted: true, Conflicts: []string{"inode[1].nlink"}},
+				{TestID: "a", ConflictFree: true},
+				{TestID: "b", Conflicts: []string{"inode[1].nlink"}},
 			}},
 		"sweep_request": &SweepRequest{Version: Version,
 			Options: Options{Spec: "posix", Ops: "fs", Kernels: []string{"linux", "sv6"}, Workers: 8}},

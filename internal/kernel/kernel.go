@@ -336,18 +336,10 @@ type Kernel interface {
 
 // CheckResult reports one test case's conflict-freedom on a kernel.
 type CheckResult struct {
-	Test TestCase
 	// ConflictFree is the MTRACE verdict.
 	ConflictFree bool
 	// Conflicts lists the shared cells when not conflict-free.
 	Conflicts []mtrace.Conflict
-	// Res holds the results of the two calls (first order).
+	// Res holds the results of the two calls, in the order they ran.
 	Res [2]Result
-	// Commuted reports whether running the calls in the opposite order
-	// (from the same initial state) produced the same pair of results — a
-	// sanity check that the generated test really is commutative on this
-	// implementation.
-	Commuted bool
-	// ResSwapped holds the opposite-order results.
-	ResSwapped [2]Result
 }

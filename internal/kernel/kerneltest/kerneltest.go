@@ -21,8 +21,11 @@ import (
 // Check runs tc on kernels produced by fresh (one per order), recording
 // accesses for the two calls and analyzing conflicts, like MTRACE's
 // qemu hypercall + log analysis. It is the reference the setup-batched
-// kernel.Replayer must reproduce exactly.
-func Check(fresh func() kernel.Kernel, tc kernel.TestCase) kernel.CheckResult {
+// kernel.Replayer must reproduce exactly. It is also the one place that
+// runs the calls in the opposite order, untraced, on a second fresh
+// kernel. swapped holds those results in call order, so the calls
+// commute on this implementation when res.Res == swapped.
+func Check(fresh func() kernel.Kernel, tc kernel.TestCase) (res kernel.CheckResult, swapped [2]kernel.Result) {
 	k := fresh()
 	k.Apply(tc.Setup)
 	mem := k.Memory()
@@ -32,20 +35,16 @@ func Check(fresh func() kernel.Kernel, tc kernel.TestCase) kernel.CheckResult {
 	mem.Stop()
 	conflicts := mem.Conflicts()
 
-	// Opposite order on a fresh kernel for the commutativity check.
 	k2 := fresh()
 	k2.Apply(tc.Setup)
 	s1 := k2.Exec(1, tc.Calls[1])
 	s0 := k2.Exec(0, tc.Calls[0])
 
 	return kernel.CheckResult{
-		Test:         tc,
 		ConflictFree: len(conflicts) == 0,
 		Conflicts:    conflicts,
 		Res:          [2]kernel.Result{r0, r1},
-		Commuted:     r0 == s0 && r1 == s1,
-		ResSwapped:   [2]kernel.Result{s0, s1},
-	}
+	}, [2]kernel.Result{s0, s1}
 }
 
 // oracleConflicts is the pre-epoch conflict algorithm, kept as the oracle
@@ -150,8 +149,8 @@ func AccessLog(m *mtrace.Memory) []string {
 // CheckResult must exactly match Check, which builds two fresh kernels per
 // test — and so must the ordered access log of the traced replay, cell by
 // cell. Any state the memory's Reset fails to restore — a cell
-// value, a stale or lost map entry, a counter — surfaces as a result,
-// commuted, or conflict-report mismatch in a later test or group; the log
+// value, a stale or lost map entry, a counter — surfaces as a result
+// or conflict-report mismatch in a later test or group; the log
 // additionally catches what conflict reports are blind to: an extra or
 // missing read, a different order, a structure built on demand by a traced
 // access where the fresh kernel builds it untraced.
@@ -174,15 +173,13 @@ func ReplayMatchesFresh(t *testing.T, fresh func() kernel.Kernel, gen Gen) {
 			// Check traces on the first kernel it builds; the second only
 			// re-executes in the opposite order.
 			var freshMem *mtrace.Memory
-			want := Check(Logged(fresh, func(m *mtrace.Memory) {
+			want, _ := Check(Logged(fresh, func(m *mtrace.Memory) {
 				if freshMem == nil {
 					freshMem = m
 				}
 			}), tests[i])
 			if got.ConflictFree != want.ConflictFree ||
 				got.Res != want.Res ||
-				got.Commuted != want.Commuted ||
-				got.ResSwapped != want.ResSwapped ||
 				!reflect.DeepEqual(got.Conflicts, want.Conflicts) {
 				t.Fatalf("group %d test %d (%v || %v): replayed %+v != fresh %+v",
 					group, i, tests[i].Calls[0], tests[i].Calls[1], got, want)

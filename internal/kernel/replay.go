@@ -10,9 +10,8 @@ import (
 // long-lived kernel instance, instead of building two fresh kernels per
 // test the way the reference oracle (kerneltest.Check) does. The kernel is
 // built once and each setup applied once per group; every test then runs
-// against mtrace snapshot/reset, which only undoes the handful of cells
-// the test actually wrote. Both execution orders replay on the same
-// instance, so the commutativity comparison is also setup-shared.
+// its two calls once, traced, against mtrace snapshot/reset, which only
+// undoes the handful of cells the test actually wrote.
 //
 // A Replayer outlives its batch: the sweep engine keeps one per kernel per
 // worker and hands it every pair that worker runs, so a kernel is built a
@@ -76,8 +75,9 @@ func (r *Replayer) groupBySetup(tests []TestCase) [][]int {
 
 // maxExtent bounds every item count a setup can make a kernel build state
 // for, the magnitude of a call's arguments, and the number of names,
-// descriptors, pipes and mappings Admit compares pairwise. No generated test comes near it (queues hold a few
-// items); a request body or a cache entry can say 1<<40.
+// descriptors, pipes and mappings Admit compares pairwise. No generated
+// test comes near it (queues hold a few items); a request body or a cache
+// entry can say 1<<40.
 const maxExtent = 64
 
 // MaxFilePages bounds a POSIX file: its length is at most MaxFilePages
@@ -98,9 +98,9 @@ var ErrInadmissible = errors.New("inadmissible test")
 // name one file each, file lengths, pages and mapped offsets are within
 // MaxFilePages, every other extent and call argument is within maxExtent,
 // and a setup names each descriptor, pipe and mapped page once (a kernel
-// keeps the object it builds for one by that identity). What only the spec knows — the op table, the arguments an op
-// reads — is not checked here; CheckTests turns a kernel's panic over those
-// into the test's error.
+// keeps the object it builds for one by that identity). What only the spec
+// knows — the op table, the arguments an op reads — is not checked here;
+// CheckTests turns a kernel's panic over those into the test's error.
 func Admit(tc *TestCase) error {
 	why := ""
 	proc := func(what string, p int) {
@@ -219,10 +219,10 @@ func (r *Replayer) CheckTests(ctx context.Context, tests []TestCase, fn func(i i
 
 // CheckGroup is CheckTests' inner step for a caller that has grouped its
 // tests already and trusts them: it admits nothing. It applies setup once,
-// then replays each test against it, both orders, resetting between
-// replays; the per-test Setup field is not consulted. fn receives each
-// result in order and returns false to stop early. It stays exported for
-// bench/, whose kernel probe times groups one by one.
+// then replays each test against it, resetting between replays; the
+// per-test Setup field is not consulted. fn receives each result in order
+// and returns false to stop early. It stays exported for bench/, whose
+// kernel probe times groups one by one.
 func (r *Replayer) CheckGroup(setup Setup, tests []TestCase, fn func(CheckResult) bool) error {
 	all := make([]int, len(tests))
 	for i := range all {
@@ -270,51 +270,15 @@ func (r *Replayer) checkGroup(setup Setup, tests []TestCase, indices []int, fn f
 	return err
 }
 
-// replay runs tc from the current (post-setup) state and returns to it.
+// replay runs tc's two calls once, traced, from the current (post-setup)
+// state and returns to it.
 func (r *Replayer) replay(tc *TestCase) CheckResult {
-	k := r.k
-	mem := k.Memory()
+	mem := r.k.Memory()
 	mem.Start()
-	r0 := k.Exec(0, tc.Calls[0])
-	r1 := k.Exec(1, tc.Calls[1])
+	r0 := r.k.Exec(0, tc.Calls[0])
+	r1 := r.k.Exec(1, tc.Calls[1])
 	mem.Stop()
-	free := mem.ConflictFree()
-	conflicts := mem.Conflicts()
+	res := CheckResult{ConflictFree: mem.ConflictFree(), Conflicts: mem.Conflicts(), Res: [2]Result{r0, r1}}
 	mem.Reset()
-
-	// Opposite order for the commutativity check. When the traced run
-	// was conflict-free the re-execution is provably redundant: every
-	// piece of kernel state lives in traced cells, the journal reset
-	// restores the exact post-setup state, and conflict-freedom means
-	// the two calls touched disjoint cells (read-read sharing aside) —
-	// so running them in the opposite order from the same state cannot
-	// change either result. Reuse the traced results and skip the
-	// second pass; it was ~half of all replay work, and the vast
-	// majority of generated tests are conflict-free.
-	var s0, s1 Result
-	if free {
-		s0, s1 = r0, r1
-	} else {
-		// Untraced (no Start), but still journaled, so the next test
-		// replays from the same post-setup state.
-		s1 = k.Exec(1, tc.Calls[1])
-		s0 = k.Exec(0, tc.Calls[0])
-		mem.Reset()
-	}
-	return CheckResult{
-		Test:         *tc,
-		ConflictFree: free,
-		Conflicts:    conflicts,
-		Res:          [2]Result{r0, r1},
-		Commuted:     resultsCommute(r0, s0) && resultsCommute(r1, s1),
-		ResSwapped:   [2]Result{s0, s1},
-	}
+	return res
 }
-
-// resultsCommute compares one call's results across the two execution
-// orders. The specification permits nondeterministic outputs to differ, but
-// both implementations here make order-independent choices (per-core
-// allocation in sv6; Linux's order-dependent lowest-FD rule is
-// precisely one of the non-commutative behaviors the evaluation surfaces),
-// so plain equality is the right check.
-func resultsCommute(a, b Result) bool { return a == b }

@@ -3,6 +3,7 @@ package kernel_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/kernel"
@@ -103,6 +104,83 @@ func TestReplayerEarlyStop(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestOrderDependenceWithoutAccess pins a test whose results depend on the
+// order of its calls on both designs: write(fd 1) fails with EBADF before
+// open takes descriptor 1 and succeeds after it. Only kerneltest.Check runs
+// the swapped order, and it must see the results differ; the Replayer runs
+// the calls once and must report what the fresh kernel's traced run
+// reports. Both call the test conflict-free, and that verdict is not
+// asserted here: the failed lookup of an absent descriptor loads no cell,
+// so the write's result depends on the open's store with no traced access
+// between them (ROADMAP item 1).
+func TestOrderDependenceWithoutAccess(t *testing.T) {
+	tc := kernel.TestCase{ID: "write-open", Setup: kernel.Setup{
+		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
+		Inodes: []kernel.SetupInode{{Inum: 1}},
+		FDs:    []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
+	}, Calls: [2]kernel.Call{
+		call("write", 0, map[string]int64{"fd": 1, "val": 5}),
+		call("open", 0, map[string]int64{"fname": 0}),
+	}}
+	for name, fresh := range kernels() {
+		want, swapped := kerneltest.Check(fresh, tc)
+		if want.Res == swapped {
+			t.Errorf("%s: write(fd 1) || open gives %v in both orders, want the order to matter", name, want.Res)
+		}
+		n := 0
+		_, err := kernel.NewReplayer(fresh).CheckTests(context.Background(), []kernel.TestCase{tc}, func(_ int, got kernel.CheckResult) {
+			n++
+			if got.Res != want.Res || got.ConflictFree != want.ConflictFree || !reflect.DeepEqual(got.Conflicts, want.Conflicts) {
+				t.Errorf("%s: replayed %+v != fresh %+v", name, got, want)
+			}
+		})
+		if err != nil || n != 1 {
+			t.Errorf("%s: %d results, err %v", name, n, err)
+		}
+		t.Logf("%s: results %v, swapped %v, conflict-free %t", name, want.Res, swapped, want.ConflictFree)
+	}
+}
+
+// countingKernel counts the calls a Replayer executes on k.
+type countingKernel struct {
+	kernel.Kernel
+	execs *int
+}
+
+func (k countingKernel) Exec(core int, c kernel.Call) kernel.Result {
+	*k.execs++
+	return k.Kernel.Exec(core, c)
+}
+
+// TestReplayExecutesEachCallOnce pins that CHECK runs a test's two calls
+// once, traced, whatever the verdict: a conflicting test is not replayed in
+// the other order.
+func TestReplayExecutesEachCallOnce(t *testing.T) {
+	lseek := call("lseek", 0, map[string]int64{"fd": 0, "delta": 2, "wset": 1})
+	stat := call("stat", 0, map[string]int64{"fname": 0})
+	setup := oneFile()
+	setup.FDs = []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1, Off: 1}}
+	tests := within(setup,
+		kernel.TestCase{ID: "conflicting", Calls: [2]kernel.Call{lseek, lseek}},
+		kernel.TestCase{ID: "read-shared", Calls: [2]kernel.Call{stat, stat}})
+	for name, fresh := range kernels() {
+		execs := 0
+		rep := kernel.NewReplayer(func() kernel.Kernel { return countingKernel{fresh(), &execs} })
+		conflicting := 0
+		_, err := rep.CheckTests(context.Background(), tests, func(_ int, res kernel.CheckResult) {
+			if !res.ConflictFree {
+				conflicting++
+			}
+		})
+		if err != nil || conflicting == 0 {
+			t.Fatalf("%s: %d conflicting tests, err %v; the lseek pair must conflict", name, conflicting, err)
+		}
+		if execs != 2*len(tests) {
+			t.Errorf("%s: %d calls executed for %d tests, want 2 a test", name, execs, len(tests))
 		}
 	}
 }

@@ -125,9 +125,10 @@ func TestSocketsAreTheQueueSpecs(t *testing.T) {
 		commutative bool
 		op          string
 	}{{false, "send"}, {true, "send_any"}} {
-		want := kerneltest.Check(func() kernel.Kernel { return memq.New() }, kernel.TestCase{ID: tc.op, Calls: [2]kernel.Call{
+		res, _ := kerneltest.Check(func() kernel.Kernel { return memq.New() }, kernel.TestCase{ID: tc.op, Calls: [2]kernel.Call{
 			call(t, tc.op, map[string]int64{"val": 1}), call(t, tc.op, map[string]int64{"val": 2}),
-		}}).Conflicts
+		}})
+		want := res.Conflicts
 		s := NewServer(Config{Commutative: tc.commutative})
 		s.Memory().Start()
 		s.notify(0, 1)

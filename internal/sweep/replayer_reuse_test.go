@@ -43,15 +43,14 @@ func replayOn(t *testing.T, rep *kernel.Replayer, mem func() *mtrace.Memory, tes
 // Replayer per kernel across every pair it runs: for all four specs, and
 // posix under the lowest-FD rule too, every pair's tests replayed in Pairs
 // order on one Replayer per implementation get exactly the verdicts a fresh
-// Replayer per pair gives — both orders' results, Commuted, ConflictFree and
-// every conflict's cell and cores — and the same ordered access log of the
-// traced run. State a pair leaves behind that a fresh kernel would not have
-// (a stale map entry, a surviving sv6 inode whose radix reads absent) shows
-// up in a later pair; the radix only in the log, since its extra loads and
-// stores conflict with nothing. The lowest-FD corpus's opens and pipes that
-// land past the setup's descriptors are what make lowestFD build slots
-// beside the slots a setup keeps, and read those on sv6 only while their
-// entries are set.
+// Replayer per pair gives — results, ConflictFree and every conflict's cell
+// and cores — and the same ordered access log of the traced run. State a
+// pair leaves behind that a fresh kernel would not have (a stale map entry,
+// a surviving sv6 inode whose radix reads absent) shows up in a later pair;
+// the radix only in the log, since its extra loads and stores conflict with
+// nothing. The lowest-FD corpus's opens and pipes that land past the setup's
+// descriptors are what make lowestFD build slots beside the slots a setup
+// keeps, and read those on sv6 only while their entries are set.
 func TestLongLivedReplayerIsInvisible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("every spec's tests in -short mode")
@@ -90,8 +89,7 @@ func TestLongLivedReplayerIsInvisible(t *testing.T) {
 					want := replayOn(t, fresh, func() *mtrace.Memory { return freshMem }, tests)
 					for i := range tests {
 						g, w := got.res[i], want.res[i]
-						if g.Res != w.Res || g.ResSwapped != w.ResSwapped || g.Commuted != w.Commuted ||
-							g.ConflictFree != w.ConflictFree || !reflect.DeepEqual(g.Conflicts, w.Conflicts) {
+						if g.Res != w.Res || g.ConflictFree != w.ConflictFree || !reflect.DeepEqual(g.Conflicts, w.Conflicts) {
 							t.Fatalf("test %s (%v || %v): long-lived Replayer %+v\n!= fresh %+v",
 								tests[i].ID, tests[i].Calls[0], tests[i].Calls[1], g, w)
 						}

@@ -67,7 +67,7 @@ func sequentialReference(t testing.TB, ops []*spec.Op, kernels []KernelSpec) []P
 			for _, ks := range kernels {
 				cell := KernelCell{Kernel: ks.Name}
 				for _, tc := range tests {
-					cr := kerneltest.Check(ks.New, tc)
+					cr, _ := kerneltest.Check(ks.New, tc)
 					cell.Total++
 					if !cr.ConflictFree {
 						cell.Conflicts++

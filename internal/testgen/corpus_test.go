@@ -44,9 +44,10 @@ var updateCorpus = flag.Bool("update", false, "rewrite the analysis, corpus and 
 // refactor of the symbolic core or of TESTGEN must leave it untouched.
 //
 // trace.digest has one line per universe and registered Impl with a
-// SHA-256 over each test's ID, both results, Commuted, the conflict report
-// (cell, writers, readers) and the ordered access log of the traced run, as
-// kerneltest.Check computes them on fresh kernels (no Replayer). It pins
+// SHA-256 over each test's ID, both results, whether the swapped order
+// gives the same results, the conflict report (cell, writers, readers) and
+// the ordered access log of the traced run, as kerneltest.Check computes
+// them on fresh kernels (no Replayer). It pins
 // what `testgen -check` prints and the access order Figure 7's simulator
 // replays, so a refactor of a kernel or of internal/scale must leave it
 // untouched too.
@@ -144,12 +145,12 @@ func mustJSON(t *testing.T, v any) string {
 // kernels, followed by the traced run's access log.
 func hashTrace(h io.Writer, fresh func() kernel.Kernel, tc kernel.TestCase) {
 	var traced *mtrace.Memory // Check traces on the first kernel it builds
-	res := kerneltest.Check(kerneltest.Logged(fresh, func(m *mtrace.Memory) {
+	res, swapped := kerneltest.Check(kerneltest.Logged(fresh, func(m *mtrace.Memory) {
 		if traced == nil {
 			traced = m
 		}
 	}), tc)
-	fmt.Fprintf(h, "%s\n%v %v commuted=%t\n", tc.ID, res.Res[0], res.Res[1], res.Commuted)
+	fmt.Fprintf(h, "%s\n%v %v commuted=%t\n", tc.ID, res.Res[0], res.Res[1], res.Res == swapped)
 	for _, c := range res.Conflicts {
 		fmt.Fprintf(h, "conflict %s\n", c)
 	}
