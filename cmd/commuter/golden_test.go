@@ -59,10 +59,12 @@ func checkMatrixGolden(t *testing.T, name string, opts ...commuter.Option) {
 // TestMatrixFSGolden pins `commuter matrix -ops fs` against a golden file
 // captured before the spec-layer refactor: the pluggable spec machinery,
 // and every engine rewrite since, must be a pure re-plumbing of the POSIX
-// pipeline — same tests, same cells, same formatting. Refresh
-// testdata/matrix_fs.golden only for a deliberate semantic change.
+// pipeline — same tests, same cells, same formatting. `-ops fs -lowestfd`
+// is pinned beside it, in testdata/matrix_fs_lowestfd.golden. Refresh
+// either only for a deliberate semantic change.
 func TestMatrixFSGolden(t *testing.T) {
 	checkMatrixGolden(t, "fs", commuter.WithOpSet("fs"))
+	checkMatrixGolden(t, "fs_lowestfd", commuter.WithOpSet("fs"), commuter.WithLowestFD(true))
 }
 
 // TestMatrixVMKVGolden pins `commuter matrix -spec vm` and `-spec kv`.

@@ -24,12 +24,13 @@ type binding struct {
 	val     *mtrace.Cell
 }
 
-// nKeys and maxVal mirror the spec's bounds (kvspec.NKeys/MaxVal;
-// duplicated here because the spec package imports this one).
+// The kv spec's bounds, declared here because the spec package imports
+// this one: keys are 0..NKeys-1, values 0..MaxVal, and a scan's fingerprint
+// weighs each key ScanWeight times the key before it (see kvspec).
 const (
-	nKeys      = 3
-	maxVal     = 3
-	scanWeight = maxVal + 2
+	NKeys      = 3
+	MaxVal     = 3
+	ScanWeight = MaxVal + 2
 )
 
 // Kern is the kv-spec reference implementation.
@@ -101,7 +102,7 @@ func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
 	case "scan":
 		lo, hi := c.Arg("lo"), c.Arg("hi")
 		var count, fp, weight int64 = 0, 0, 1
-		for key := int64(0); key < nKeys; key++ {
+		for key := int64(0); key < NKeys; key++ {
 			if lo <= key && key <= hi {
 				b := k.binding(key)
 				if b.present.Load(core) != 0 {
@@ -109,7 +110,7 @@ func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
 					fp += (b.val.Load(core) + 1) * weight
 				}
 			}
-			weight *= scanWeight
+			weight *= ScanWeight
 		}
 		return kernel.Result{Code: count, V1: fp}
 	}

@@ -31,11 +31,6 @@ const (
 	unmapped = 0
 	mappedRO = 1
 	mappedRW = 2
-
-	// maxPage mirrors the spec's page bound (vmspec.MaxPage; duplicated
-	// here because the spec package imports this one); the allocator
-	// scans this range.
-	maxPage = 3
 )
 
 // Kern is the vm-spec reference implementation.
@@ -110,7 +105,7 @@ func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
 			// the chosen address, the sharing that mirrors the spec's
 			// non-commutative address selection.
 			addr = -1
-			for pg := int64(0); pg < maxPage; pg++ {
+			for pg := int64(0); pg < kernel.MaxPage; pg++ {
 				if k.page(proc, pg).m.Load(core) == unmapped {
 					addr = pg
 					break

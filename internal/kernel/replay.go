@@ -88,6 +88,16 @@ const maxExtent = 64
 // test's error. Generated files are a few pages long.
 const MaxFilePages = 8
 
+// MaxFD and MaxPage are the specs' bounds on a process's descriptor table
+// and address space, declared here, where both a spec and its kernels can
+// read them (a spec package imports its kernels): the posix model's
+// descriptors, and a lowest-FD allocation in package unix, are below MaxFD,
+// and the posix and vm models' pages, and memvm's, below MaxPage.
+const (
+	MaxFD   = 3
+	MaxPage = 3
+)
+
 // ErrInadmissible is what errors.Is finds in every error Admit returns: the
 // test itself is at fault — whoever wrote it, not the pipeline.
 var ErrInadmissible = errors.New("inadmissible test")

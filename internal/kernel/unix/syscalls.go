@@ -69,7 +69,11 @@ func (k *Kern) open(core int, c kernel.Call) kernel.Result {
 	}
 	f := k.newFile("file[new:%d].refcnt", "file[new:%d].off", 0, inum)
 	f.inum = inum
-	return kernel.Result{Code: k.allocFD(core, k.procs[c.Proc], f, c.ArgBool("anyfd"))}
+	fd := k.allocFD(core, k.procs[c.Proc], f, c.ArgBool("anyfd"))
+	if fd < 0 {
+		return kernel.Errno(kernel.EMFILE) // a name it created stays
+	}
+	return kernel.Result{Code: fd}
 }
 
 func (k *Kern) link(core int, c kernel.Call) kernel.Result {
@@ -167,7 +171,16 @@ func (k *Kern) pipe(core int, c kernel.Call) kernel.Result {
 	rf.pipe, wf.pipe, wf.wend = p, p, true
 	pr, anyfd := k.procs[c.Proc], c.ArgBool("anyfd")
 	rfd := k.allocFD(core, pr, rf, anyfd)
-	return kernel.Result{V1: rfd, V2: k.allocFD(core, pr, wf, anyfd)}
+	if rfd < 0 {
+		return kernel.Errno(kernel.EMFILE)
+	}
+	wfd := k.allocFD(core, pr, wf, anyfd)
+	if wfd < 0 {
+		rf.slot.Store(core, 0) // the read end is closed again
+		rf.release(core)
+		return kernel.Errno(kernel.EMFILE)
+	}
+	return kernel.Result{V1: rfd, V2: wfd}
 }
 
 // read is read and pread, which reads at the call's offset and leaves the

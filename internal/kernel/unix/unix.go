@@ -286,6 +286,8 @@ func (p *proc) get(core int, fd int64) *file {
 
 // allocFD installs f: under Linux's table lock at the lowest free
 // descriptor, whatever anyfd says, or in sv6's per-core partition or scan.
+// It returns -1, installing nothing, when a lowest-FD scan finds no free
+// descriptor below kernel.MaxFD: the caller's EMFILE.
 func (k *Kern) allocFD(core int, p *proc, f *file, anyfd bool) int64 {
 	switch {
 	case !k.d.slotFDs:
@@ -305,7 +307,7 @@ func (k *Kern) allocFD(core int, p *proc, f *file, anyfd bool) int64 {
 }
 
 func (k *Kern) lowestFD(core int, p *proc, f *file) int64 {
-	for fd := int64(0); ; fd++ {
+	for fd := int64(0); fd < kernel.MaxFD; fd++ {
 		g, ok := p.slots[fd]
 		var slot *mtrace.Cell
 		if ok {
@@ -320,6 +322,7 @@ func (k *Kern) lowestFD(core int, p *proc, f *file) int64 {
 		p.bind(k.mem, core, fd, slot, f)
 		return fd
 	}
+	return -1
 }
 
 // bind makes slot, fd's cache line, f's; the slots entry is set through the

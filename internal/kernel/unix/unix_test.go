@@ -36,9 +36,10 @@ func TestLowestFDRule(t *testing.T) {
 	if fd := open(); fd != 0 {
 		t.Errorf("open after close = %d, want lowest (0)", fd)
 	}
+	k.Exec(0, kernel.Call{Op: "close", Args: map[string]int64{"fd": 1}})
 	r := k.Exec(0, kernel.Call{Op: "pipe", Args: map[string]int64{}})
-	if r.V1 != 2 || r.V2 != 3 {
-		t.Errorf("pipe fds = %d,%d, want 2,3", r.V1, r.V2)
+	if r.V1 != 1 || r.V2 != 2 {
+		t.Errorf("pipe fds = %d,%d, want 1,2", r.V1, r.V2)
 	}
 }
 

@@ -35,17 +35,11 @@ import (
 	"repro/internal/symx"
 )
 
-// Bounds keep the symbolic domains small, like the other specs'.
-const (
-	// nKeys bounds the ordered key domain: keys are 0..nKeys-1.
-	nKeys = 3
-	// maxVal bounds stored values: 0..maxVal.
-	maxVal = 3
-)
-
 // state is the symbolic store state: one total-function dictionary whose
 // per-key binding carries an explicit presence bit, so the range scan can
-// fold membership arithmetically instead of forking per key.
+// fold membership arithmetically instead of forking per key. Its domains
+// are memkv's bounds, small like the other specs': keys 0..memkv.NKeys-1,
+// in order, and stored values 0..memkv.MaxVal.
 type state struct {
 	// KV maps (key) -> {present, val}: the ordered map's bindings.
 	KV *symx.Dict
@@ -66,7 +60,7 @@ func okRet(code, i1, data *sym.Expr) []*sym.Expr {
 func st(x *spec.Exec) *state { return x.S.(*state) }
 
 func keyArg(name string) spec.ArgSpec {
-	return spec.ArgSpec{Name: name, Sort: sym.IntSort, Min: 0, Max: nKeys - 1, Bounded: true}
+	return spec.ArgSpec{Name: name, Sort: sym.IntSort, Min: 0, Max: memkv.NKeys - 1, Bounded: true}
 }
 
 // ops is the op table: the four modeled operations in canonical (matrix)
@@ -92,7 +86,7 @@ func opPut() *spec.Op {
 	return &spec.Op{
 		Name: "put",
 		Args: []spec.ArgSpec{keyArg("key"),
-			{Name: "val", Sort: sym.IntSort, Min: 0, Max: maxVal, Bounded: true}},
+			{Name: "val", Sort: sym.IntSort, Min: 0, Max: memkv.MaxVal, Bounded: true}},
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s, key, val := st(x), a[0], a[1]
 			s.KV.Set(x.C, symx.K(key), symx.NewStruct("present", sym.True, "val", val))
@@ -120,12 +114,10 @@ func opDelete() *spec.Op {
 	}
 }
 
-// scanWeight is the per-key positional weight of the scan fingerprint:
-// strictly larger than maxVal+1, so the fingerprint is an injective
-// encoding of the scanned window's bindings (which keys are present, and
-// each present key's value).
-const scanWeight = maxVal + 2
-
+// opScan's fingerprint weighs each key memkv.ScanWeight times the key
+// before it: strictly more than memkv.MaxVal+1, so the fingerprint is an
+// injective encoding of the scanned window's bindings (which keys are
+// present, and each present key's value).
 func opScan() *spec.Op {
 	return &spec.Op{
 		Name: "scan",
@@ -135,19 +127,19 @@ func opScan() *spec.Op {
 			// Fold the window arithmetically over the (bounded, ordered)
 			// key domain: no branching, so scans stay cheap to analyze.
 			// count is the number of live bindings in [lo, hi]; fp is the
-			// injective fingerprint Σ in-window (val+1)·scanWeight^key —
+			// injective fingerprint Σ in-window (val+1)·ScanWeight^key —
 			// together they expose exactly the window's content, which is
 			// what makes in-range mutations order-observable.
 			count, fp := sym.Int(0), sym.Int(0)
 			weight := int64(1)
-			for k := int64(0); k < nKeys; k++ {
+			for k := int64(0); k < memkv.NKeys; k++ {
 				v := s.KV.GetFunc(x.C, symx.K(sym.Int(k)))
 				in := sym.And(
 					sym.Le(lo, sym.Int(k)), sym.Le(sym.Int(k), hi), v.Get("present"))
 				count = sym.Add(count, sym.Ite(in, sym.Int(1), sym.Int(0)))
 				fp = sym.Add(fp, sym.Ite(in,
 					sym.Mul(sym.Add(v.Get("val"), sym.Int(1)), sym.Int(weight)), sym.Int(0)))
-				weight *= scanWeight
+				weight *= memkv.ScanWeight
 			}
 			return okRet(count, fp, sym.Int(0))
 		},
@@ -184,7 +176,7 @@ func (kvSpec) NewState(c *symx.Context, cfg spec.Config) spec.State {
 		KV: symx.NewDict("kv", func(c *symx.Context, tag string) *symx.Struct {
 			present := c.Var(tag+".present", sym.BoolSort, symx.KindState)
 			val := c.Var(tag+".val", sym.IntSort, symx.KindState)
-			c.Assume(sym.And(sym.Ge(val, sym.Int(0)), sym.Le(val, sym.Int(maxVal))))
+			c.Assume(sym.And(sym.Ge(val, sym.Int(0)), sym.Le(val, sym.Int(memkv.MaxVal))))
 			return symx.NewStruct("present", present, "val", val)
 		}),
 	}
@@ -224,13 +216,13 @@ func (mn *miner) Setup(m sym.Model) kernel.Setup {
 		if !p.Bool("present") {
 			continue
 		}
-		key := spec.Clamp(p.Key[0], 0, nKeys-1)
+		key := spec.Clamp(p.Key[0], 0, memkv.NKeys-1)
 		if mn.seen[key] {
 			continue
 		}
 		mn.seen[key] = true
 		mn.kvs = append(mn.kvs, kernel.SetupKV{
-			Key: key, Val: spec.Clamp(p.Field("val"), 0, maxVal)})
+			Key: key, Val: spec.Clamp(p.Field("val"), 0, memkv.MaxVal)})
 	}
 	slices.SortFunc(mn.kvs, func(a, b kernel.SetupKV) int { return cmp.Compare(a.Key, b.Key) })
 	return kernel.Setup{KVs: spec.OrNil(mn.kvs)}

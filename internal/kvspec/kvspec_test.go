@@ -7,6 +7,7 @@ import (
 	"repro/internal/analyzer"
 	"repro/internal/kernel"
 	"repro/internal/kernel/kerneltest"
+	"repro/internal/kernel/memkv"
 	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/testgen"
@@ -226,7 +227,7 @@ func TestGenerateKVTests(t *testing.T) {
 	seeded := false
 	for _, tc := range tests {
 		for i, kv := range tc.Setup.KVs {
-			if kv.Key < 0 || kv.Key >= nKeys || kv.Val < 0 || kv.Val > maxVal {
+			if kv.Key < 0 || kv.Key >= memkv.NKeys || kv.Val < 0 || kv.Val > memkv.MaxVal {
 				t.Errorf("%s: setup binding %+v out of bounds", tc.ID, kv)
 			}
 			if i > 0 && tc.Setup.KVs[i-1].Key >= kv.Key {

@@ -29,7 +29,7 @@ func dataRet(code int64, d *sym.Expr) []*sym.Expr {
 func allocFD(x *spec.Exec, slot string, proc *sym.Expr) *sym.Expr {
 	s := st(x)
 	if x.Cfg.LowestFD {
-		for i := int64(0); i < maxFD; i++ {
+		for i := int64(0); i < kernel.MaxFD; i++ {
 			if !s.FD.Contains(x.C, symx.K(proc, sym.Int(i))) {
 				return sym.Int(i)
 			}
@@ -37,7 +37,7 @@ func allocFD(x *spec.Exec, slot string, proc *sym.Expr) *sym.Expr {
 		return nil
 	}
 	v := x.C.Var("alloc.fd."+slot, sym.IntSort, symx.KindNondet)
-	x.C.Assume(sym.And(sym.Ge(v, sym.Int(0)), sym.Le(v, sym.Int(maxFD-1))))
+	x.C.Assume(sym.And(sym.Ge(v, sym.Int(0)), sym.Le(v, sym.Int(kernel.MaxFD-1))))
 	if s.FD.Contains(x.C, symx.K(proc, v)) {
 		x.C.Abort() // the kernel picks an unused descriptor
 	}
@@ -73,10 +73,10 @@ func st(x *spec.Exec) *state { return x.S.(*state) }
 
 func procArg() spec.ArgSpec { return spec.ArgSpec{Name: "proc", Sort: sym.BoolSort} }
 func fdArg() spec.ArgSpec {
-	return spec.ArgSpec{Name: "fd", Sort: sym.IntSort, Min: 0, Max: maxFD - 1, Bounded: true}
+	return spec.ArgSpec{Name: "fd", Sort: sym.IntSort, Min: 0, Max: kernel.MaxFD - 1, Bounded: true}
 }
 func pageArg(name string) spec.ArgSpec {
-	return spec.ArgSpec{Name: name, Sort: sym.IntSort, Min: 0, Max: maxPage - 1, Bounded: true}
+	return spec.ArgSpec{Name: name, Sort: sym.IntSort, Min: 0, Max: kernel.MaxPage - 1, Bounded: true}
 }
 func offArg(name string) spec.ArgSpec {
 	return spec.ArgSpec{Name: name, Sort: sym.IntSort, Min: 0, Max: maxLen, Bounded: true}
@@ -409,7 +409,7 @@ func opMmap() *spec.Op {
 				addr = page // MAP_FIXED replaces any existing mapping
 			} else {
 				addr = x.C.Var("alloc.addr."+slot, sym.IntSort, symx.KindNondet)
-				x.C.Assume(sym.And(sym.Ge(addr, sym.Int(0)), sym.Le(addr, sym.Int(maxPage-1))))
+				x.C.Assume(sym.And(sym.Ge(addr, sym.Int(0)), sym.Le(addr, sym.Int(kernel.MaxPage-1))))
 				if s.VMA.Contains(x.C, symx.K(proc, addr)) {
 					x.C.Abort() // the kernel picks an unused address
 				}

@@ -32,7 +32,9 @@ var dataZero = sym.Const(DataSort, 0)
 // Bounds keep the symbolic integer domains small enough for the finite
 // solver while leaving room for every distinct object a pair of calls can
 // mention (two calls touch at most four names, so four inodes; at most
-// three FDs; and so on).
+// three FDs; and so on). The per-process FD table is fds 0..kernel.MaxFD-1
+// and virtual address pages are 0..kernel.MaxPage-1: the kernels read those
+// two, so a lowest-FD allocation past the table is EMFILE in both.
 const (
 	// maxInum bounds initial inode numbers: 1..maxInum.
 	maxInum = 4
@@ -40,10 +42,6 @@ const (
 	maxPipe = 2
 	// maxLen bounds file lengths (in pages).
 	maxLen = 3
-	// maxFD bounds the per-process FD table: fds are 0..maxFD-1.
-	maxFD = 3
-	// maxPage bounds virtual address pages: 0..maxPage-1.
-	maxPage = 3
 )
 
 // state is the symbolic POSIX state. Dictionaries are flat with tuple keys

@@ -48,9 +48,10 @@ func replayOn(t *testing.T, rep *kernel.Replayer, mem func() *mtrace.Memory, tes
 // pair leaves behind that a fresh kernel would not have (a stale map entry,
 // a surviving sv6 inode whose radix reads absent) shows up in a later pair;
 // the radix only in the log, since its extra loads and stores conflict with
-// nothing. The lowest-FD corpus's opens and pipes that land past the setup's
-// descriptors are what make lowestFD build slots beside the slots a setup
-// keeps, and read those on sv6 only while their entries are set.
+// nothing. The lowest-FD corpus's opens and pipes that land on a descriptor
+// their setup does not name in that process are what make lowestFD build
+// slots beside the slots a setup keeps, and read those on sv6 only while
+// their entries are set.
 func TestLongLivedReplayerIsInvisible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("every spec's tests in -short mode")
@@ -79,7 +80,7 @@ func TestLongLivedReplayerIsInvisible(t *testing.T) {
 			t.Run(c.name+"/"+im.Name, func(t *testing.T) {
 				var longMem, freshMem *mtrace.Memory
 				long := kernel.NewReplayer(kerneltest.Logged(im.New, func(m *mtrace.Memory) { longMem = m }))
-				compared, pastThree := 0, 0
+				compared, beside := 0, 0
 				for _, tests := range pairs {
 					if len(tests) == 0 {
 						continue
@@ -97,8 +98,8 @@ func TestLongLivedReplayerIsInvisible(t *testing.T) {
 							t.Fatalf("test %s (%v || %v): long-lived Replayer's access log\n %v\n!= fresh\n %v",
 								tests[i].ID, tests[i].Calls[0], tests[i].Calls[1], got.logs[i], want.logs[i])
 						}
-						if fdPastThree(tests[i], g.Res) {
-							pastThree++
+						if fdBesideSetup(tests[i], g.Res) {
+							beside++
 						}
 					}
 					compared += len(tests)
@@ -107,9 +108,9 @@ func TestLongLivedReplayerIsInvisible(t *testing.T) {
 					t.Fatal("no tests replayed")
 				}
 				if c.opt.Config.LowestFD {
-					t.Logf("%d tests, %d with an open or pipe landing at fd >= 3", compared, pastThree)
-					if pastThree == 0 {
-						t.Error("no open or pipe landed at fd >= 3: lowestFD never builds a slot beside the kept ones")
+					t.Logf("%d tests, %d with an open or pipe landing on a descriptor its setup does not name", compared, beside)
+					if beside == 0 {
+						t.Error("no open or pipe landed beside its setup's descriptors: lowestFD never builds a slot beside the kept ones")
 					}
 				}
 			})
@@ -117,17 +118,27 @@ func TestLongLivedReplayerIsInvisible(t *testing.T) {
 	}
 }
 
-// fdPastThree reports whether one of tc's calls is an open or pipe whose
-// result res names a descriptor at 3 or above.
-func fdPastThree(tc kernel.TestCase, res [2]kernel.Result) bool {
-	for i, c := range tc.Calls {
-		switch r := res[i]; c.Op {
-		case "open":
-			if r.Code >= 3 {
+// fdBesideSetup reports whether one of tc's calls is an open or pipe whose
+// result res names a descriptor that tc's setup does not name in the call's
+// process.
+func fdBesideSetup(tc kernel.TestCase, res [2]kernel.Result) bool {
+	named := func(proc int, fd int64) bool {
+		for _, sd := range tc.Setup.FDs {
+			if sd.Proc == proc && sd.FD == fd {
 				return true
 			}
-		case "pipe":
-			if r.Code >= 0 && (r.V1 >= 3 || r.V2 >= 3) {
+		}
+		return false
+	}
+	for i, c := range tc.Calls {
+		switch r := res[i]; {
+		case r.Code < 0:
+		case c.Op == "open":
+			if !named(c.Proc, r.Code) {
+				return true
+			}
+		case c.Op == "pipe":
+			if !named(c.Proc, r.V1) || !named(c.Proc, r.V2) {
 				return true
 			}
 		}

@@ -44,12 +44,9 @@ var dataSort = sym.Uninterpreted("VMData")
 // mappings read as zero.
 var dataZero = sym.Const(dataSort, 0)
 
-// maxPage bounds virtual address pages: 0..maxPage-1, like the POSIX
-// model's. Three pages leave room for every distinct region a pair of
-// calls can mention.
-const maxPage = 3
-
-// state is the symbolic VM state.
+// state is the symbolic VM state. Its pages are 0..kernel.MaxPage-1, as
+// in the POSIX model, and memvm scans the same range: three pages leave
+// room for every distinct region a pair of calls can mention.
 type state struct {
 	// VMA maps (proc, page) -> {wr}: per-process page mappings; proc is a
 	// boolean expression (two processes), wr the write permission.
@@ -77,7 +74,7 @@ func st(x *spec.Exec) *state { return x.S.(*state) }
 func procArg() spec.ArgSpec { return spec.ArgSpec{Name: "proc", Sort: sym.BoolSort} }
 
 func pageArg() spec.ArgSpec {
-	return spec.ArgSpec{Name: "page", Sort: sym.IntSort, Min: 0, Max: maxPage - 1, Bounded: true}
+	return spec.ArgSpec{Name: "page", Sort: sym.IntSort, Min: 0, Max: kernel.MaxPage - 1, Bounded: true}
 }
 
 // ops is the op table: the five modeled operations in canonical (matrix)
@@ -104,7 +101,7 @@ func opMmap() *spec.Op {
 				// allocation order observable through the returned
 				// address, which is what destroys commutativity (§5.2).
 				addr = nil
-				for p := int64(0); p < maxPage; p++ {
+				for p := int64(0); p < kernel.MaxPage; p++ {
 					if !s.VMA.Contains(x.C, symx.K(proc, sym.Int(p))) {
 						addr = sym.Int(p)
 						break
@@ -267,7 +264,7 @@ func (mn *miner) Setup(m sym.Model) kernel.Setup {
 	}
 	for _, p := range mn.vma.Eval(m) {
 		proc := spec.Clamp(p.Key[0], 0, 1)
-		page := spec.Clamp(p.Key[1], 0, maxPage-1)
+		page := spec.Clamp(p.Key[1], 0, kernel.MaxPage-1)
 		at := [2]int64{proc, page}
 		if mn.seen[at] {
 			continue
