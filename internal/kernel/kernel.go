@@ -312,10 +312,10 @@ type TestCase struct {
 }
 
 // Kernel is the interface every implementation under test provides, and
-// the whole of what one owes the checker: keep every piece of state either
-// in cells of its traced memory or in maps and variables set through
-// mtrace.SetKey and mtrace.SetVar, so that the memory's Reset alone returns
-// the kernel to an earlier state. (A structure built on demand and left in
+// the whole of what one owes the checker: keep every piece of state in cells
+// of its traced memory, in mtrace.Maps (whose lookups trace absence too) or
+// in variables set through mtrace.SetVar, so that the memory's Reset alone
+// returns the kernel to an earlier state. (A structure built on demand and left in
 // place is fine when a reset one is indistinguishable from an unbuilt one:
 // a sweep worker's Replayer keeps it for every later group and pair.)
 // Apply and Exec may assume the test was admitted (Admit) and came from

@@ -47,6 +47,20 @@ func Check(fresh func() kernel.Kernel, tc kernel.TestCase) (res kernel.CheckResu
 	}, [2]kernel.Result{s0, s1}
 }
 
+// OrderFree is Check held to §3's chain from conflict-free to commutes,
+// which shares no code with the conflict detector: when Check calls tc
+// conflict-free, the calls' results in the other order must equal those in
+// call order. A test that breaks it is state a kernel reads without a
+// traced load. The error names the kernel, both calls and both results.
+func OrderFree(fresh func() kernel.Kernel, tc kernel.TestCase) (res kernel.CheckResult, swapped [2]kernel.Result, err error) {
+	res, swapped = Check(fresh, tc)
+	if res.ConflictFree && res.Res != swapped {
+		err = fmt.Errorf("%s: %s (%v || %v) is conflict-free, but gives %v in call order and %v in the other",
+			fresh().Name(), tc.ID, tc.Calls[0], tc.Calls[1], res.Res, swapped)
+	}
+	return res, swapped, err
+}
+
 // oracleConflicts is the pre-epoch conflict algorithm, kept as the oracle
 // for mtrace's online detector: scan the full access log, build per-cell
 // writer/reader core sets, and report cells with more than one writer or

@@ -52,9 +52,10 @@ func (k *Kern) Name() string { return "memkv" }
 // Memory returns the traced memory.
 func (k *Kern) Memory() *mtrace.Memory { return k.mem }
 
-// binding returns (creating on first use) one key's cells. Creation
-// allocates cells but records no accesses, and goes through the memory so
-// that a replayed run re-creates bindings exactly like a fresh kernel would.
+// binding returns one key's cells, building them, untraced, on first use
+// and keeping them: every access loads the presence cell, and both cells
+// are born 0, the value a reset returns them to, so a kept binding is a
+// fresh one to every later setup.
 func (k *Kern) binding(key int64) *binding {
 	b, ok := k.keys[key]
 	if !ok {
@@ -62,7 +63,7 @@ func (k *Kern) binding(key int64) *binding {
 			present: k.mem.NewCellf(0, "kv[%d].present", key),
 			val:     k.mem.NewCellf(0, "kv[%d].val", key),
 		}
-		mtrace.SetKey(k.mem, k.keys, key, b)
+		k.keys[key] = b
 	}
 	return b
 }

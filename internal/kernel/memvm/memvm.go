@@ -57,10 +57,10 @@ func (k *Kern) Name() string { return "memvm" }
 // Memory returns the traced memory.
 func (k *Kern) Memory() *mtrace.Memory { return k.mem }
 
-// page returns (creating on first use) the cells of one (proc, page).
-// Creation allocates cells but records no accesses, and goes through the
-// memory so that a replayed run re-creates pages exactly like a fresh
-// kernel would.
+// page returns the cells of one (proc, page), building them, untraced, on
+// first use and keeping them: every access loads the mapping cell, and both
+// cells are born 0, the value a reset returns them to, so a kept page is a
+// fresh one to every later setup.
 func (k *Kern) page(proc int, page int64) *pageCells {
 	p, ok := k.pages[proc][page]
 	if !ok {
@@ -68,7 +68,7 @@ func (k *Kern) page(proc int, page int64) *pageCells {
 			m: k.mem.NewCellf(unmapped, "proc%d.vmap[%d]", proc, page),
 			v: k.mem.NewCellf(0, "proc%d.vmem[%d]", proc, page),
 		}
-		mtrace.SetKey(k.mem, k.pages[proc], page, p)
+		k.pages[proc][page] = p
 	}
 	return p
 }

@@ -17,14 +17,13 @@ import (
 // worker and hands it every pair that worker runs, so a kernel is built a
 // few times a sweep, not once per pair. What a group or a pair builds on
 // demand (sv6's directory buckets, per-core counters, inodes with their
-// link-count deltas and radix leaves), and what a setup builds for its
-// descriptors, pipes, mappings, anonymous pages and sv6 directory entries,
-// stays built, reset to the state it was born in, for every later group and
-// pair. A map entry that reaches such an object does not: the kernel sets
-// it through the memory, so the reset drops it, since a stale entry would
-// change what a later test reads. The engine drops a Replayer after any
-// CheckTests error instead of handing it the next pair: a panic that cut a
-// kernel call short may have left state outside the journal.
+// link-count deltas and radix leaves, every key of an mtrace.Map), and what
+// a setup builds for its descriptors, pipes and anonymous pages, stays
+// built, reset to the state it was born in, for every later group and pair:
+// a key the setup bound is absent again, and a cell holds its born value.
+// The engine drops a Replayer after any CheckTests error instead of handing
+// it the next pair: a panic that cut a kernel call short may have left
+// state outside the journal.
 //
 // A Replayer is not safe for concurrent use; each sweep worker and each
 // Client.Check call has its own.

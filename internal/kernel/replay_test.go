@@ -113,10 +113,10 @@ func TestReplayerEarlyStop(t *testing.T) {
 // open takes descriptor 1 and succeeds after it. Only kerneltest.Check runs
 // the swapped order, and it must see the results differ; the Replayer runs
 // the calls once and must report what the fresh kernel's traced run
-// reports. Both call the test conflict-free, and that verdict is not
-// asserted here: the failed lookup of an absent descriptor loads no cell,
-// so the write's result depends on the open's store with no traced access
-// between them (ROADMAP item 1).
+// reports. The write's failed lookup loads descriptor 1's slot, which the
+// open stores, so both designs must call the test conflicting on
+// proc0.fd[1]: when a lookup of an absent descriptor loaded nothing, both
+// called it conflict-free.
 func TestOrderDependenceWithoutAccess(t *testing.T) {
 	tc := kernel.TestCase{ID: "write-open", Setup: kernel.Setup{
 		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
@@ -131,6 +131,13 @@ func TestOrderDependenceWithoutAccess(t *testing.T) {
 		if want.Res == swapped {
 			t.Errorf("%s: write(fd 1) || open gives %v in both orders, want the order to matter", name, want.Res)
 		}
+		slot := false
+		for _, c := range want.Conflicts {
+			slot = slot || c.CellName == "proc0.fd[1]"
+		}
+		if want.ConflictFree || !slot {
+			t.Errorf("%s: write(fd 1) || open conflicts on %v, want proc0.fd[1] among them", name, want.Conflicts)
+		}
 		n := 0
 		_, err := kernel.NewReplayer(fresh).CheckTests(context.Background(), []kernel.TestCase{tc}, func(_ int, got kernel.CheckResult) {
 			n++
@@ -141,7 +148,6 @@ func TestOrderDependenceWithoutAccess(t *testing.T) {
 		if err != nil || n != 1 {
 			t.Errorf("%s: %d results, err %v", name, n, err)
 		}
-		t.Logf("%s: results %v, swapped %v, conflict-free %t", name, want.Res, swapped, want.ConflictFree)
 	}
 }
 

@@ -146,11 +146,12 @@ func (k *Kern) close(core int, c kernel.Call) kernel.Result {
 	p := k.procs[c.Proc]
 	p.fdLock.Acquire(core)
 	defer p.fdLock.Release(core)
-	f := p.get(core, c.Arg("fd"))
+	fd := c.Arg("fd")
+	f := p.get(core, fd)
 	if f == nil {
 		return kernel.Errno(kernel.EBADF)
 	}
-	f.slot.Store(core, 0)
+	p.slots.Delete(core, fd)
 	f.release(core)
 	return kernel.Result{}
 }
@@ -162,7 +163,6 @@ func (k *Kern) pipe(core int, c kernel.Call) kernel.Result {
 		id += int64(core) * 1000000 // so the id is not an order between cores
 	}
 	p := k.newPipe(id)
-	mtrace.SetKey(k.mem, k.pipes, id, p)
 	if p.refs != nil {
 		p.refs.Store(core, 2)
 	}
@@ -176,7 +176,7 @@ func (k *Kern) pipe(core int, c kernel.Call) kernel.Result {
 	}
 	wfd := k.allocFD(core, pr, wf, anyfd)
 	if wfd < 0 {
-		rf.slot.Store(core, 0) // the read end is closed again
+		pr.slots.Delete(core, rfd) // the read end is closed again
 		rf.release(core)
 		return kernel.Errno(kernel.EMFILE)
 	}
@@ -234,25 +234,14 @@ func (k *Kern) write(core int, c kernel.Call, f *file) kernel.Result {
 	return kernel.Result{Code: 1}
 }
 
-// vmaAt is page's entry: RadixVM's, built on first touch, or the VMA tree's
-// (nil where nothing was mapped).
-func (k *Kern) vmaAt(p *proc, page int64) *vma {
-	v, ok := p.vmas[page]
-	if !ok && k.d.radixVM {
-		v = &vma{cell: k.mem.NewCellf(0, "proc%d.vma[%d]", p.id, page)}
-		p.vmas[page] = v
-	}
-	return v
+// mapped reports whether page is mapped, loading its entry.
+func (p *proc) mapped(core int, page int64) bool {
+	_, ok := p.vmas.Get(core, page)
+	return ok
 }
 
-// mapped is the live mapping at page, or nil.
-func (k *Kern) mapped(core int, p *proc, page int64) *vma {
-	if v := k.vmaAt(p, page); v != nil && v.cell.Load(core) != 0 {
-		return v
-	}
-	return nil
-}
-
+// anonPage is page's anonymous memory, built on first touch: whether it is
+// mapped is its vma's business.
 func (k *Kern) anonPage(p *proc, page int64) *mtrace.Cell {
 	c, ok := p.anon[page]
 	if !ok {
@@ -270,7 +259,7 @@ func (k *Kern) mmap(core int, c kernel.Call) kernel.Result {
 		addr = 1000 + p.nextAddr.Alloc(core)
 	default: // Linux: the first hole in the tree, under mmap_sem
 		p.mmapSem.Acquire(core)
-		for addr = 0; k.mapped(core, p, addr) != nil; addr++ {
+		for addr = 0; p.mapped(core, addr); addr++ {
 		}
 		p.mmapSem.Release(core)
 	}
@@ -289,19 +278,8 @@ func (k *Kern) mmap(core int, c kernel.Call) kernel.Result {
 	}
 	p.mmapSem.Acquire(core)
 	defer p.mmapSem.Release(core)
-	v := k.vmaAt(p, addr)
-	if k.d.radixVM {
-		nv.cell = v.cell
-		mtrace.SetVar(k.mem, v, nv)
-		v.cell.Store(core, 1)
-	} else {
-		if v != nil {
-			v.cell.Store(core, 0)
-		}
-		// The new cell is born live, unjournaled; a reset restores the entry.
-		v = &vma{anon: nv.anon, inum: nv.inum, foff: nv.foff, wr: nv.wr}
-		v.cell = k.mem.NewCellf(1, "proc%d.vma[%d]", p.id, addr)
-		mtrace.SetKey(k.mem, p.vmas, addr, v)
+	p.vmas.Set(core, addr, nv)
+	if p.vmaTree != nil {
 		p.vmaTree.Add(core, 1)
 	}
 	if nv.anon {
@@ -316,8 +294,8 @@ func (k *Kern) munmap(core int, c kernel.Call) kernel.Result {
 	defer p.mmapSem.Release(core)
 	// One cell on RadixVM, whose TLB shootdowns reach only the cores that
 	// used the page, never the other call's.
-	if v := k.mapped(core, p, c.Arg("page")); v != nil {
-		v.cell.Store(core, 0)
+	if page := c.Arg("page"); p.mapped(core, page) {
+		p.vmas.Delete(core, page)
 		if p.vmaTree != nil {
 			p.vmaTree.Add(core, 1)
 		}
@@ -329,12 +307,13 @@ func (k *Kern) mprotect(core int, c kernel.Call) kernel.Result {
 	p := k.procs[c.Proc]
 	p.mmapSem.Acquire(core)
 	defer p.mmapSem.Release(core)
-	v := k.mapped(core, p, c.Arg("page"))
-	if v == nil {
+	page := c.Arg("page")
+	v, ok := p.vmas.Get(core, page)
+	if !ok {
 		return kernel.Errno(kernel.ENOMEM)
 	}
-	mtrace.SetVar(k.mem, &v.wr, c.ArgBool("wr"))
-	v.cell.Add(core, 1)
+	v.wr = c.ArgBool("wr")
+	p.vmas.Set(core, page, v)
 	return kernel.Result{}
 }
 
@@ -346,10 +325,10 @@ func (k *Kern) memAccess(core int, c kernel.Call) kernel.Result {
 	if p.vmaTree != nil {
 		_ = p.vmaTree.Load(core)
 	}
-	v := k.mapped(core, p, page)
+	v, ok := p.vmas.Get(core, page)
 	p.mmapSem.Release(core)
 	switch {
-	case v == nil || write && !v.wr:
+	case !ok || write && !v.wr:
 		return kernel.Errno(kernel.ESIGSEGV)
 	case v.anon && write:
 		k.anonPage(p, page).Store(core, c.Arg("val"))

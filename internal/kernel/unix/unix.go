@@ -80,9 +80,8 @@ type inode struct {
 	radix radixPages // data, on sv6: allocated with the inode
 }
 
-// A file is an open file description, bound to its descriptor's slot.
+// A file is an open file description, bound to a descriptor's slot.
 type file struct {
-	slot   *mtrace.Cell // the slot's own cache line: live while nonzero
 	refcnt *mtrace.Cell // Linux's struct-file count; nil on sv6
 	off    *mtrace.Cell
 	pipe   *pipe
@@ -118,8 +117,8 @@ type queue interface {
 	Recv(core int) (seq, v int64, ok bool)
 }
 
+// A vma is a mapping descriptor, the value of its page's entry.
 type vma struct {
-	cell *mtrace.Cell // mapping descriptor: live while nonzero
 	anon bool
 	inum int64
 	foff int64
@@ -128,20 +127,15 @@ type vma struct {
 
 type proc struct {
 	id       int
-	slots    map[int64]*file
+	slots    *mtrace.Map[int64, *file] // procP.fd[N]: the slot's cache line
 	fdLock   lock
 	nextFD   *scale.IDAlloc // sv6's O_ANYFD partitions: fd = 1000 + id
 	lowHint  *mtrace.Cell
 	mmapSem  lock
 	vmaTree  *mtrace.Cell
 	nextAddr *scale.IDAlloc
-	vmas     map[int64]*vma
-	anon     map[int64]*mtrace.Cell
-	// What Apply built for setup descriptors, mappings and anonymous pages,
-	// by descriptor and page, kept for every later Apply (see Apply).
-	setupFiles map[int64]*file
-	setupVMAs  map[int64]*vma
-	setupAnon  map[int64]*mtrace.Cell
+	vmas     *mtrace.Map[int64, vma] // procP.vma[N]
+	anon     map[int64]*mtrace.Cell  // by page, built on first touch
 }
 
 // Kern is a kernel instance of one Design.
@@ -152,18 +146,15 @@ type Kern struct {
 	nextIno  *mtrace.Cell   // Linux's inode allocator
 	inums    *scale.IDAlloc // sv6's
 	inodes   map[int64]*inode
-	pipes    map[int64]*pipe
+	pipes    map[int64]*pipe // setup pipes, by id (see Apply)
 	nextPipe int64
 	procs    [2]*proc
-	// setupPipes is what Apply built for setup pipes, by id (see Apply).
-	setupPipes map[int64]*pipe
 }
 
 // New returns an empty kernel of design d over a fresh traced memory.
 func New(d Design) *Kern {
 	mem := mtrace.NewMemory()
-	k := &Kern{mem: mem, d: d, inodes: map[int64]*inode{}, pipes: map[int64]*pipe{}, nextPipe: 2000,
-		setupPipes: map[int64]*pipe{}}
+	k := &Kern{mem: mem, d: d, inodes: map[int64]*inode{}, pipes: map[int64]*pipe{}, nextPipe: 2000}
 	if d.hashDir {
 		k.dir = hashDir{scale.NewHashDir(mem, "dir", 8192)}
 	} else {
@@ -175,8 +166,8 @@ func New(d Design) *Kern {
 		k.nextIno = mem.NewCell("inode_table.next_ino", 1000)
 	}
 	for i := range k.procs {
-		p := &proc{id: i, slots: map[int64]*file{}, vmas: map[int64]*vma{}, anon: map[int64]*mtrace.Cell{},
-			setupFiles: map[int64]*file{}, setupVMAs: map[int64]*vma{}, setupAnon: map[int64]*mtrace.Cell{}}
+		p := &proc{id: i, slots: mtrace.NewMap[int64, *file](mem, fmt.Sprintf("proc%d.fd", i)),
+			vmas: mtrace.NewMap[int64, vma](mem, fmt.Sprintf("proc%d.vma", i)), anon: map[int64]*mtrace.Cell{}}
 		p.fdLock, p.mmapSem = noLock{}, noLock{}
 		if d.slotFDs {
 			p.nextFD = scale.NewIDAlloc(mem, fmt.Sprintf("proc%d.fd", i), 0)
@@ -198,8 +189,8 @@ func New(d Design) *Kern {
 // Name implements kernel.Kernel.
 func (k *Kern) Name() string { return k.d.name }
 
-// Memory implements kernel.Kernel. Map entries a traced access is gated on,
-// a vma's fields and the pipe id counter are set through it.
+// Memory implements kernel.Kernel. The descriptor and mapping tables are
+// its Maps, and the pipe id counter is set through it.
 func (k *Kern) Memory() *mtrace.Memory { return k.mem }
 
 // inode returns inum's inode, building it on first touch. An inode built
@@ -209,8 +200,7 @@ func (k *Kern) Memory() *mtrace.Memory { return k.mem }
 // page, a Refcache delta, a radix leaf — holds the journal-restored zero it
 // would be born with, so a surviving inode is a fresh one to every later
 // setup group, and every later pair of a long-lived Replayer. A setup's
-// descriptors, pipes, mappings and anonymous pages survive the same way,
-// but not the map entries that reach them (see Apply).
+// descriptors, pipes and anonymous pages survive the same way (see Apply).
 func (k *Kern) inode(inum int64) *inode {
 	ino, ok := k.inodes[inum]
 	if ok {
@@ -275,12 +265,9 @@ func (k *Kern) newPipe(id int64) *pipe {
 	return p
 }
 
-// get resolves a descriptor by reading its slot cell.
+// get resolves a descriptor by loading its slot, bound or not.
 func (p *proc) get(core int, fd int64) *file {
-	f, ok := p.slots[fd]
-	if !ok || f.slot.Load(core) == 0 {
-		return nil
-	}
+	f, _ := p.slots.Get(core, fd)
 	return f
 }
 
@@ -293,59 +280,44 @@ func (k *Kern) allocFD(core int, p *proc, f *file, anyfd bool) int64 {
 	case !k.d.slotFDs:
 		p.fdLock.Acquire(core)
 		defer p.fdLock.Release(core)
-		return k.lowestFD(core, p, f)
+		return p.lowestFD(core, f)
 	case anyfd:
 		fd := 1000 + p.nextFD.Alloc(core)
-		p.bind(k.mem, core, fd, k.mem.NewCellf(0, "proc%d.fd[%d]", p.id, fd), f)
+		p.slots.Set(core, fd, f)
 		return fd
 	default:
 		_ = p.lowHint.Add(core, 0) // read-modify-write of the shared cursor
-		fd := k.lowestFD(core, p, f)
+		fd := p.lowestFD(core, f)
 		p.lowHint.Add(core, 1)
 		return fd
 	}
 }
 
-func (k *Kern) lowestFD(core int, p *proc, f *file) int64 {
+// lowestFD binds f to the first free slot, loading every slot up to it.
+func (p *proc) lowestFD(core int, f *file) int64 {
 	for fd := int64(0); fd < kernel.MaxFD; fd++ {
-		g, ok := p.slots[fd]
-		var slot *mtrace.Cell
-		if ok {
-			slot = g.slot
-		} else {
-			slot = k.mem.NewCellf(0, "proc%d.fd[%d]", p.id, fd)
+		if p.get(core, fd) == nil {
+			p.slots.Set(core, fd, f)
+			return fd
 		}
-		// Linux reads even the slot it just made; sv6 knows it is free.
-		if (ok || !k.d.slotFDs) && slot.Load(core) != 0 {
-			continue
-		}
-		p.bind(k.mem, core, fd, slot, f)
-		return fd
 	}
 	return -1
 }
 
-// bind makes slot, fd's cache line, f's; the slots entry is set through the
-// memory, since a stale one would redirect a later lookup.
-func (p *proc) bind(mem *mtrace.Memory, core int, fd int64, slot *mtrace.Cell, f *file) {
-	f.slot = slot
-	slot.Store(core, 1)
-	mtrace.SetKey(mem, p.slots, fd, f)
-}
-
-// Apply implements kernel.Kernel; it builds initial state untraced.
+// Apply implements kernel.Kernel; it builds initial state untraced, into a
+// kernel that is fresh or reset.
 //
-// What it builds for a setup's descriptors, pipes, mappings and anonymous
-// pages is kept, by identity — (process, descriptor), pipe id, (process,
-// page) — whose cell names depend on it alone, and the next setup naming
-// the identity links the same object again (kernel.Admit refuses a setup
-// naming one twice). Its map entry is not kept: a stale one would change
-// what later calls read (lowestFD loads a slot only where an entry is), so
-// each is set through the memory and a reset drops it, and an unlinked
-// object is unseen. The reset also returns every cell the object holds to
-// the value it was born with, as it does an inode's (see inode), so linking
-// it again pokes, journaled, only the cells whose born value a setup
-// chooses (an offset, a page's value, a backlog) and sets the plain fields.
+// What it builds for a setup's descriptors, pipes and anonymous pages is
+// kept, by identity — (process, descriptor), pipe id, (process, page) —
+// whose cell names depend on it alone, and the next setup naming the
+// identity links the same object again (kernel.Admit refuses a setup naming
+// one twice). A descriptor's file is its slot's value, which a reset makes
+// absent but keeps (mtrace.Map's Poke and Peek); a pipe or an anonymous page
+// is reachable only through a descriptor or a mapping. The reset also
+// returns every cell the object holds to the value it was born with, as it
+// does an inode's (see inode), so linking it again pokes, journaled, only
+// the cells whose born value a setup chooses (an offset, a page's value, a
+// backlog) and sets the plain fields.
 func (k *Kern) Apply(s kernel.Setup) {
 	for _, si := range s.Inodes {
 		ino := k.inode(si.Inum)
@@ -359,23 +331,21 @@ func (k *Kern) Apply(s kernel.Setup) {
 		ino.nlink.Poke(ino.nlink.Peek() + 1)
 	}
 	for _, sp := range s.Pipes {
-		k.setupPipe(sp.ID, sp.Items)
+		p := k.setupPipe(sp.ID)
+		for _, v := range sp.Items {
+			p.Send(0, v) // untraced: Apply runs before the traced region
+		}
 	}
 	for _, sd := range s.FDs {
 		p := k.procs[sd.Proc]
-		f, ok := p.setupFiles[sd.FD]
-		if ok {
+		f := p.slots.Peek(sd.FD)
+		if f != nil {
 			f.off.Poke(sd.Off)
 		} else {
 			f = k.newFile("file[p%d:%d].refcnt", "file[p%d:%d].off", sd.Off, sd.Proc, sd.FD)
-			f.slot = k.mem.NewCellf(1, "proc%d.fd[%d]", sd.Proc, sd.FD)
-			p.setupFiles[sd.FD] = f
 		}
 		if sd.Pipe {
-			pp, ok := k.pipes[sd.PipeID]
-			if !ok {
-				pp = k.setupPipe(sd.PipeID, nil)
-			}
+			pp := k.setupPipe(sd.PipeID)
 			f.pipe, f.wend, f.inum = pp, sd.WriteEnd, 0
 			if pp.refs != nil {
 				pp.refs.Poke(pp.refs.Peek() + 1)
@@ -384,26 +354,13 @@ func (k *Kern) Apply(s kernel.Setup) {
 			f.pipe, f.wend, f.inum = nil, false, sd.Inum
 			k.inode(sd.Inum)
 		}
-		mtrace.SetKey(k.mem, p.slots, sd.FD, f)
+		p.slots.Poke(sd.FD, f)
 	}
 	for _, sv := range s.VMAs {
 		p := k.procs[sv.Proc]
-		v, ok := p.setupVMAs[sv.Page]
-		if !ok {
-			v = &vma{cell: k.mem.NewCellf(1, "proc%d.vma[%d]", sv.Proc, sv.Page)}
-			p.setupVMAs[sv.Page] = v
-		}
-		v.anon, v.inum, v.foff, v.wr = sv.Anon, sv.Inum, sv.Foff, sv.Writable
-		mtrace.SetKey(k.mem, p.vmas, sv.Page, v)
+		p.vmas.Poke(sv.Page, vma{anon: sv.Anon, inum: sv.Inum, foff: sv.Foff, wr: sv.Writable})
 		if sv.Anon {
-			c, ok := p.setupAnon[sv.Page]
-			if ok {
-				c.Poke(sv.Val)
-			} else {
-				c = k.mem.NewCellf(sv.Val, "proc%d.anonpage[%d]", sv.Proc, sv.Page)
-				p.setupAnon[sv.Page] = c
-			}
-			mtrace.SetKey(k.mem, p.anon, sv.Page, c)
+			k.anonPage(p, sv.Page).Poke(sv.Val)
 		} else {
 			k.inode(sv.Inum)
 		}
@@ -413,17 +370,13 @@ func (k *Kern) Apply(s kernel.Setup) {
 	}
 }
 
-// setupPipe links pipe id for Apply, holding items and no open end: the
-// pipe an earlier setup built for id, born again, or a new one it keeps.
-func (k *Kern) setupPipe(id int64, items []int64) *pipe {
-	p, ok := k.setupPipes[id]
+// setupPipe is pipe id as a setup links it, with no item and no open end:
+// the pipe an earlier setup built for id, born again, or a new one it keeps.
+func (k *Kern) setupPipe(id int64) *pipe {
+	p, ok := k.pipes[id]
 	if !ok {
 		p = k.newPipe(id)
-		k.setupPipes[id] = p
+		k.pipes[id] = p
 	}
-	for _, v := range items {
-		p.Send(0, v) // untraced: Apply runs before the traced region
-	}
-	mtrace.SetKey(k.mem, k.pipes, id, p)
 	return p
 }

@@ -283,8 +283,9 @@ func applyAndReset(tb testing.TB, d Design, s kernel.Setup) func() {
 // TestNewAllocatesLittle pins construction: the engine applies one setup per
 // group of tests. Building the inode costs 31 mallocs (1.7 KB), where a link
 // count that built every core's delta cell up front cost 323 (15.6 KB);
-// applying the setup again to the inode a reset kept costs 1 (48 B), the
-// directory entry's reset hook, where a new entry cell cost 4 (176 B).
+// applying the setup again to the inode a reset kept costs nothing, where
+// the directory entry's reset hook cost 1 (48 B) and a new entry cell 4
+// (176 B).
 func TestSetupAllocatesPerTouch(t *testing.T) {
 	k := New(SV6)
 	k.Memory().Snapshot()
@@ -332,27 +333,21 @@ var everyKept = kernel.Setup{
 	},
 }
 
-// TestWarmSetupAllocatesOnlyHooks pins what a setup costs a kernel that has
+// TestWarmSetupAllocatesNothing pins what a setup costs a kernel that has
 // applied it before, the case of every setup group after a sweep worker's
 // first few: Apply relinks the descriptors, pipe, mappings and anonymous
-// page it kept, and allocates only the reset hook of each map entry it sets
-// — one per descriptor, pipe, mapping and anonymous page, and on sv6 one per
-// directory name (Linux's dentries are kept whole): 6 (288 B) on Linux and
-// 7 (336 B) on sv6, where rebuilding the objects at every setup cost 43
+// page it kept and allocates nothing, on both designs. A descriptor's file
+// and a mapping are the values of entries a traced map keeps, and a pipe
+// and an anonymous page are kept by identity. Each map entry's reset
+// closure cost 6 allocations (288 B) on Linux and 7 (336 B) on sv6 before
+// the tables were traced maps, and rebuilding the objects at every setup 43
 // (2.3 KB) and 51 (2.4 KB).
-func TestWarmSetupAllocatesOnlyHooks(t *testing.T) {
+func TestWarmSetupAllocatesNothing(t *testing.T) {
 	for _, d := range []Design{Linux, SV6} {
-		hooks := len(everyKept.FDs) + len(everyKept.Pipes) + len(everyKept.VMAs)
-		for _, v := range everyKept.VMAs {
-			if v.Anon {
-				hooks++
-			}
-		}
-		if d.hashDir {
-			hooks += len(everyKept.Files)
-		}
-		if n := testing.AllocsPerRun(10, applyAndReset(t, d, everyKept)); n > float64(hooks) {
-			t.Errorf("%s: applying a setup again performs %.0f allocations, want at most its %d map-entry hooks", d.name, n, hooks)
+		run := applyAndReset(t, d, everyKept)
+		run()
+		if n := testing.AllocsPerRun(10, run); n != 0 {
+			t.Errorf("%s: applying a setup again performs %.0f allocations, want 0", d.name, n)
 		}
 	}
 }

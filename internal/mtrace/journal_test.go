@@ -59,24 +59,22 @@ func TestNestedSnapshotRegions(t *testing.T) {
 	m.Pop()
 }
 
-// TestOnResetHooks checks the primitive under SetKey and SetVar: hook
-// ordering (newest first, after value restore) and region scoping.
+// TestOnResetHooks checks the primitive under Map and SetVar: records are
+// reverted newest first, after every cell value is restored, and once.
 func TestOnResetHooks(t *testing.T) {
 	m := NewMemory()
 	v := m.NewCell("v", 0)
 	var trace []string
 
-	m.onReset(func() { t.Fatal("hook registered outside any region ran") })
-
 	m.Snapshot()
 	v.Poke(9)
-	m.onReset(func() {
+	m.onReset(undoFunc(func() {
 		if v.Peek() != 0 {
 			t.Errorf("hook ran before value restore: v = %d", v.Peek())
 		}
 		trace = append(trace, "first")
-	})
-	m.onReset(func() { trace = append(trace, "second") })
+	}))
+	m.onReset(undoFunc(func() { trace = append(trace, "second") }))
 	m.Reset()
 	if len(trace) != 2 || trace[0] != "second" || trace[1] != "first" {
 		t.Fatalf("hook order = %v, want [second first]", trace)
@@ -91,32 +89,89 @@ func TestOnResetHooks(t *testing.T) {
 	m.Pop()
 }
 
-// TestSetKeyRollsBack covers the map idiom: Reset returns a key to the
-// state the region found it in, absence included, whatever happened to it
-// in between, and outside a region nothing is recorded.
-func TestSetKeyRollsBack(t *testing.T) {
+// mapState is every key of mp with its value and presence, read untraced.
+func mapState(mp *Map[string, int]) map[string]int {
+	out := map[string]int{}
+	for k, e := range mp.entries {
+		if e.present.Peek() != 0 {
+			out[k] = e.v
+		}
+	}
+	return out
+}
+
+// TestMapRollsBack covers the map: Reset returns a key to the state the
+// region found it in, absence included, whatever Set and Delete did to it
+// in between; outside a region nothing is recorded; and a setup's Poke
+// makes a key absent again at Reset but keeps its value for Peek.
+func TestMapRollsBack(t *testing.T) {
 	m := NewMemory()
-	mp := map[string]int{"kept": 1}
-	SetKey(m, mp, "early", 5)
-	if len(m.hooks) != 0 || mp["early"] != 5 {
-		t.Fatalf("outside a region: %d hooks recorded, map %v", len(m.hooks), mp)
+	mp := NewMap[string, int](m, "mp")
+	mp.Set(0, "kept", 1)
+	if len(m.hooks) != 0 || len(mp.log) != 0 {
+		t.Fatalf("outside a region: %d hooks and %d records", len(m.hooks), len(mp.log))
 	}
 
 	m.Snapshot()
+	mp.Poke("early", 5)
+	m.Snapshot()
 	for round := 0; round < 2; round++ {
-		SetKey(m, mp, "new", 7)  // absent -> present
-		SetKey(m, mp, "kept", 2) // overwrite
-		SetKey(m, mp, "kept", 3) // second set of one key in one region
-		SetKey(m, mp, "new", 8)
-		if mp["new"] != 8 || mp["kept"] != 3 {
-			t.Fatalf("round %d: sets not applied: %v", round, mp)
+		mp.Set(0, "new", 7)  // absent -> present
+		mp.Set(1, "kept", 2) // overwrite
+		mp.Set(0, "kept", 3) // second set of one key in one region
+		mp.Set(1, "new", 8)
+		mp.Delete(0, "early")
+		if got := mapState(mp); len(got) != 2 || got["new"] != 8 || got["kept"] != 3 {
+			t.Fatalf("round %d: sets not applied: %v", round, got)
 		}
 		m.Reset()
-		if _, ok := mp["new"]; ok || mp["kept"] != 1 || mp["early"] != 5 || len(mp) != 2 {
-			t.Fatalf("round %d: Reset left %v, want kept=1 early=5 and no new", round, mp)
+		if got := mapState(mp); len(got) != 2 || got["kept"] != 1 || got["early"] != 5 {
+			t.Fatalf("round %d: Reset left %v, want kept=1 early=5 and no new", round, got)
+		}
+		if v := mp.Peek("new"); v != 0 {
+			t.Fatalf("round %d: Reset left new holding %d, want the zero it held", round, v)
 		}
 	}
 	m.Pop()
+	m.Reset() // the setup's region: early is absent, but keeps its value
+	if got := mapState(mp); len(got) != 1 || got["kept"] != 1 || mp.Peek("early") != 5 {
+		t.Fatalf("after the setup's Reset: %v and early holding %d, want kept=1 and 5", got, mp.Peek("early"))
+	}
+	if len(m.hooks) != 0 || len(mp.log) != 0 {
+		t.Fatalf("after the setup's Reset: %d hooks and %d records left", len(m.hooks), len(mp.log))
+	}
+	m.Pop()
+}
+
+// TestMapMissIsALoad pins what makes absence a read: Get of a key nobody
+// set loads its presence cell, which is named after the key, so a Set of
+// that key on another core conflicts with it; Delete is a store.
+func TestMapMissIsALoad(t *testing.T) {
+	m := NewMemory()
+	mp := NewMap[int64, string](m, "proc0.fd")
+	m.LogAccesses(true)
+	m.Start()
+	if v, ok := mp.Get(0, 1); ok || v != "" {
+		t.Fatalf("Get of a key nobody set = %q, %t", v, ok)
+	}
+	mp.Set(1, 1, "f")
+	m.Stop()
+	want := []Access{{Cell: mp.entries[1].present, Core: 0}, {Cell: mp.entries[1].present, Core: 1, Write: true}}
+	if got := m.Accesses(); len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("accesses = %v, want a load by core 0 and a store by core 1", got)
+	}
+	if c := m.Conflicts(); len(c) != 1 || c[0].CellName != "proc0.fd[1]" {
+		t.Fatalf("conflicts = %v, want proc0.fd[1]", c)
+	}
+	m.Start()
+	mp.Delete(0, 1)
+	m.Stop()
+	if got := m.Accesses(); len(got) != 1 || !got[0].Write {
+		t.Fatalf("Delete made %v, want one store", got)
+	}
+	if mp.entries[1].present.Peek() != 0 {
+		t.Fatal("Delete left the key present")
+	}
 }
 
 // TestSetVarRollsBack covers the variable idiom the same way, on a struct
@@ -155,27 +210,54 @@ func TestSetVarRollsBack(t *testing.T) {
 // Reset undoes both generations newest first, so the oldest value wins.
 func TestSettersNestedRegions(t *testing.T) {
 	m := NewMemory()
-	mp := map[int]int{}
+	mp := NewMap[string, int](m, "mp")
 	x := 1
 
 	m.Snapshot() // outer
 	SetVar(m, &x, 2)
-	SetKey(m, mp, 0, 10)
+	mp.Set(0, "a", 10)
 	m.Snapshot() // inner
 	SetVar(m, &x, 3)
-	SetKey(m, mp, 0, 11)
-	SetKey(m, mp, 1, 20)
+	mp.Set(0, "a", 11)
+	mp.Set(0, "b", 20)
 	m.Reset() // inner reset: back to the outer region's state
-	if _, ok := mp[1]; ok || x != 2 || mp[0] != 10 {
-		t.Fatalf("inner Reset: x = %d, map %v, want 2 and {0:10}", x, mp)
+	if got := mapState(mp); x != 2 || len(got) != 1 || got["a"] != 10 {
+		t.Fatalf("inner Reset: x = %d, map %v, want 2 and {a:10}", x, got)
 	}
 	SetVar(m, &x, 4)
-	SetKey(m, mp, 0, 12)
+	mp.Set(0, "a", 12)
 	m.Pop() // merge the inner records into the outer region
 	SetVar(m, &x, 5)
+	mp.Delete(0, "a")
 	m.Reset() // outer reset: through both generations
-	if x != 1 || len(mp) != 0 {
-		t.Fatalf("outer Reset: x = %d, map %v, want 1 and empty", x, mp)
+	if got := mapState(mp); x != 1 || len(got) != 0 {
+		t.Fatalf("outer Reset: x = %d, map %v, want 1 and empty", x, got)
+	}
+	if v := mp.Peek("a"); v != 0 {
+		t.Fatalf("outer Reset: a holds %d, want the zero it was born with", v)
+	}
+	m.Pop()
+}
+
+// TestWarmSetAllocatesNothing pins the point of the map's own log: once a
+// key has its entry and the logs have grown, Set, Delete and Reset inside a
+// region allocate nothing.
+func TestWarmSetAllocatesNothing(t *testing.T) {
+	m := NewMemory()
+	mp := NewMap[int64, *Cell](m, "mp")
+	c := m.NewCell("c", 0)
+	m.Snapshot()
+	run := func() {
+		m.Start()
+		mp.Set(0, 1, c)
+		mp.Set(1, 2, c)
+		mp.Delete(0, 1)
+		m.Stop()
+		m.Reset()
+	}
+	run()
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Errorf("a warm region of Sets allocates %.0f times, want 0", n)
 	}
 	m.Pop()
 }

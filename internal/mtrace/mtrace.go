@@ -23,8 +23,8 @@
 // Pop): inside a region every first write to a cell journals its old value,
 // and Reset undoes the region's writes, which is how the checker replays
 // many tests against one kernel instance instead of rebuilding it per test.
-// State an implementation keeps outside cells — a map entry, a plain field —
-// is set through SetKey and SetVar, which roll back the same way.
+// A map an implementation keeps is a Map, whose lookups trace absence too,
+// and a plain field is set through SetVar; both roll back the same way.
 package mtrace
 
 import (
@@ -89,14 +89,22 @@ type Memory struct {
 	nconf   int
 
 	// Snapshot/reset journal: marks delimit nested regions; undo holds
-	// journaled old cell values; hooks holds the structural undo closures
-	// SetKey and SetVar record. jepoch dedups journaling to one entry per
-	// cell per region.
+	// journaled old cell values; hooks names, once per record, the owner of
+	// each structural undo record a Map's Set or a SetVar made. jepoch
+	// dedups journaling to one entry per cell per region.
 	jepoch uint64
 	undo   []undoEntry
-	hooks  []func()
+	hooks  []undoer
 	marks  []mark
 }
+
+// An undoer keeps undo records in its own log; undo reverts the newest.
+type undoer interface{ undo() }
+
+// undoFunc is SetVar's record, its own owner.
+type undoFunc func()
+
+func (f undoFunc) undo() { f() }
 
 type undoEntry struct {
 	cell *Cell
@@ -309,7 +317,7 @@ func (c Conflict) String() string {
 }
 
 // Snapshot opens a nested snapshot region: every subsequent write (Store,
-// Add, Poke) journals the cell's prior value once, and every SetKey and
+// Add, Poke) journals the cell's prior value once, and every Map Set and
 // SetVar records what it replaced. Reset restores the state at the
 // matching Snapshot. Regions nest; Pop merges the innermost region into
 // its parent without restoring.
@@ -318,7 +326,7 @@ func (m *Memory) Snapshot() {
 	m.jepoch++
 }
 
-// Reset undoes every journaled write, then every SetKey and SetVar, of the
+// Reset undoes every journaled write, then every Map Set and SetVar, of the
 // innermost snapshot region, newest first, leaving the region open so the
 // next test can run from the same state. It must not be called inside a
 // traced region (Reset itself is untraced by design).
@@ -333,7 +341,7 @@ func (m *Memory) Reset() {
 	}
 	m.undo = m.undo[:mk.undo]
 	for i := len(m.hooks) - 1; i >= mk.hooks; i-- {
-		m.hooks[i]()
+		m.hooks[i].undo()
 	}
 	m.hooks = m.hooks[:mk.hooks]
 	// New journal epoch: cells journaled in the finished generation must
@@ -352,36 +360,18 @@ func (m *Memory) Pop() {
 	m.marks = m.marks[:len(m.marks)-1]
 }
 
-// onReset registers a structural undo closure on the innermost snapshot
-// region — for state the journal cannot see. Reset runs hooks newest-first
-// after restoring cell values. A no-op outside snapshot regions.
-func (m *Memory) onReset(fn func()) {
-	if len(m.marks) == 0 {
-		return
-	}
-	m.hooks = append(m.hooks, fn)
-}
-
-// SetKey sets mp[k] = v for a map an implementation keeps beside its cells.
-// Inside a snapshot region Reset puts the key's previous state back — its
-// old value, or its absence; outside one this is a plain assignment.
-func SetKey[K comparable, V any](m *Memory, mp map[K]V, k K, v V) {
-	old, had := mp[k]
-	m.onReset(func() {
-		if had {
-			mp[k] = old
-		} else {
-			delete(mp, k)
-		}
-	})
-	mp[k] = v
-}
+// onReset registers u as the owner of a structural undo record it has just
+// logged, on the innermost snapshot region. Reset reverts records
+// newest-first after restoring cell values.
+func (m *Memory) onReset(u undoer) { m.hooks = append(m.hooks, u) }
 
 // SetVar sets *p = v for a variable or field an implementation keeps beside
 // its cells. Inside a snapshot region Reset puts the previous value back;
-// outside one this is a plain assignment.
+// outside one this is a plain assignment, and builds no record.
 func SetVar[T any](m *Memory, p *T, v T) {
-	old := *p
-	m.onReset(func() { *p = old })
+	if len(m.marks) != 0 {
+		old := *p
+		m.onReset(undoFunc(func() { *p = old }))
+	}
 	*p = v
 }

@@ -198,41 +198,35 @@ func (l *SpinLock) Release(core int) {
 // zero list version, so it need not exist: the first operation whose name
 // hashes to it creates its cells, untraced, and memory is proportional to
 // the buckets touched, not to the bucket count.
+//
+// Each name is an entry of one traced map, its own cell, so lookups of
+// different names in one bucket stay conflict-free. The entry's value is the
+// inode number (0: unbound), and it is present once the name has joined its
+// bucket's entry list, which is when the list version is bumped: a removed
+// name stays present, and binding it again leaves the list alone.
 type HashDir struct {
 	mem      *mtrace.Memory
 	name     string
 	nbuckets uint64
 	buckets  map[uint64]*dirBucket
-	// poked holds the entry cell PokeInsert built for each name, kept for
-	// the name's next PokeInsert after a reset drops the entry.
-	poked map[int64]*mtrace.Cell
+	entries  *mtrace.Map[int64, int64] // <name>.entry[<name id>]
 }
 
 type dirBucket struct {
 	lock *SpinLock
-	// entries maps name id -> entry cell holding the inode number; a
-	// nil/absent entry means the name is unbound. Each entry is its own
-	// cell so lookups of different names in one bucket stay conflict-
-	// free (only bucket membership changes touch the list cell). Entries
-	// are added through the memory, so a snapshot reset removes them: a
-	// stale one would skip the bucket-list write a fresh directory's Insert
-	// performs (and add an entry read to lookups of an unbound name),
-	// changing the traced access pattern between replays.
-	list    *mtrace.Cell // version of the bucket's entry list
-	entries map[int64]*mtrace.Cell
+	list *mtrace.Cell // version of the bucket's entry list
 }
 
 // NewHashDir allocates a directory with the given bucket count. It
 // allocates no bucket: see HashDir.
 func NewHashDir(mem *mtrace.Memory, name string, nbuckets int) *HashDir {
 	return &HashDir{mem: mem, name: name, nbuckets: uint64(nbuckets), buckets: map[uint64]*dirBucket{},
-		poked: map[int64]*mtrace.Cell{}}
+		entries: mtrace.NewMap[int64, int64](mem, name+".entry")}
 }
 
 // bucket selects name's bucket, creating it on first selection. A bucket
 // born inside a snapshot region survives Reset: the journal returns its
-// cells to zero and its entries leave with it, which is the state it would
-// have been built in.
+// cells to zero, which is the state it would have been built in.
 func (d *HashDir) bucket(name int64) *dirBucket {
 	// SplitMix64-style finalizer: high bits feed back into the low bits
 	// that select the bucket, so structured name spaces spread evenly.
@@ -244,9 +238,8 @@ func (d *HashDir) bucket(name int64) *dirBucket {
 	b := d.buckets[i]
 	if b == nil {
 		b = &dirBucket{
-			lock:    NewSpinLock(d.mem, fmt.Sprintf("%s.bucket[%d].lock", d.name, i)),
-			list:    d.mem.NewCellf(0, "%s.bucket[%d].list", d.name, i),
-			entries: map[int64]*mtrace.Cell{},
+			lock: NewSpinLock(d.mem, fmt.Sprintf("%s.bucket[%d].lock", d.name, i)),
+			list: d.mem.NewCellf(0, "%s.bucket[%d].list", d.name, i),
 		}
 		d.buckets[i] = b
 	}
@@ -254,15 +247,11 @@ func (d *HashDir) bucket(name int64) *dirBucket {
 }
 
 // Lookup returns the inode bound to name, or (0, false). It reads the
-// bucket's list version and the entry cell only.
+// bucket's list version and the name's entry only.
 func (d *HashDir) Lookup(core int, name int64) (int64, bool) {
-	b := d.bucket(name)
-	_ = b.list.Load(core)
-	e, ok := b.entries[name]
-	if !ok || e.Load(core) == 0 {
-		return 0, false
-	}
-	return e.Load(core), true
+	_ = d.bucket(name).list.Load(core)
+	inum, _ := d.entries.Get(core, name)
+	return inum, inum != 0
 }
 
 // Exists reports whether name is bound, reading the same cells as Lookup.
@@ -279,16 +268,14 @@ func (d *HashDir) Insert(core int, name, inum int64) bool {
 	b := d.bucket(name)
 	b.lock.Acquire(core)
 	defer b.lock.Release(core)
-	e, ok := b.entries[name]
-	if ok && e.Load(core) != 0 {
+	old, joined := d.entries.Get(core, name)
+	if old != 0 {
 		return false
 	}
-	if !ok {
-		e = d.mem.NewCellf(0, "%s.entry[%d]", d.name, name)
-		mtrace.SetKey(d.mem, b.entries, name, e)
+	if !joined {
 		b.list.Add(core, 1)
 	}
-	e.Store(core, inum)
+	d.entries.Set(core, name, inum)
 	return true
 }
 
@@ -297,12 +284,11 @@ func (d *HashDir) Remove(core int, name int64) (int64, bool) {
 	b := d.bucket(name)
 	b.lock.Acquire(core)
 	defer b.lock.Release(core)
-	e, ok := b.entries[name]
-	if !ok || e.Load(core) == 0 {
+	old, _ := d.entries.Get(core, name)
+	if old == 0 {
 		return 0, false
 	}
-	old := e.Load(core)
-	e.Store(core, 0)
+	d.entries.Set(core, name, 0)
 	return old, true
 }
 
@@ -312,34 +298,17 @@ func (d *HashDir) Replace(core int, name, inum int64) int64 {
 	b := d.bucket(name)
 	b.lock.Acquire(core)
 	defer b.lock.Release(core)
-	e, ok := b.entries[name]
-	if !ok {
-		e = d.mem.NewCellf(0, "%s.entry[%d]", d.name, name)
-		mtrace.SetKey(d.mem, b.entries, name, e)
+	old, joined := d.entries.Get(core, name)
+	if !joined {
 		b.list.Add(core, 1)
 	}
-	old := e.Load(core)
-	e.Store(core, inum)
+	d.entries.Set(core, name, inum)
 	return old
 }
 
-// PokeInsert binds a name without tracing (setup only). An unbound name's
-// entry is added through the memory like Insert's, but its cell is the one
-// an earlier PokeInsert of the name built, if any: the entry is reachable
-// only through the bucket, so once a reset drops it the cell is unseen until
-// it is added again, poked.
-func (d *HashDir) PokeInsert(name, inum int64) {
-	b := d.bucket(name)
-	e, ok := b.entries[name]
-	if !ok {
-		if e, ok = d.poked[name]; !ok {
-			e = d.mem.NewCellf(0, "%s.entry[%d]", d.name, name)
-			d.poked[name] = e
-		}
-		mtrace.SetKey(d.mem, b.entries, name, e)
-	}
-	e.Poke(inum)
-}
+// PokeInsert binds a name without tracing (setup only): the name joins its
+// bucket's list without a version bump, and a reset takes it out again.
+func (d *HashDir) PokeInsert(name, inum int64) { d.entries.Poke(name, inum) }
 
 // Radix is a two-level radix array (RadixVM's core structure): every slot
 // is its own cell, so reads and writes of different keys are conflict-free,
