@@ -21,9 +21,9 @@ import (
 // a setup builds for its descriptors, pipes and anonymous pages, stays
 // built, reset to the state it was born in, for every later group and pair:
 // a key the setup bound is absent again, and a cell holds its born value.
-// The engine drops a Replayer after any CheckTests error instead of handing
-// it the next pair: a panic that cut a kernel call short may have left
-// state outside the journal.
+// A failed pair retires its sweep worker with all of its engines, this
+// Replayer included, instead of handing it the next pair: a panic that cut
+// a kernel call short may have left state outside the journal.
 //
 // A Replayer is not safe for concurrent use; each sweep worker and each
 // Client.Check call has its own.

@@ -15,43 +15,60 @@ import (
 // TestReusedMinerIsInvisible holds the posix miner, which clears and reuses
 // its maps and slices from model to model, to a fresh NewMiner per model:
 // every model TESTGEN mines, of every commutative path of every posix pair
-// on one Generator, must give the reused miner exactly the
-// Setup a fresh one planned on the same path gives (reflect.DeepEqual, so
-// nil is not empty). A value one model leaves in the miner's storage shows
-// up in a later model's setup, where no test of the corpus need read it.
-// TESTGEN's default per-path cap mines, under both FD rules, models that
-// catch a file page left over; a cap of 32 (what -per-path 32 asks for)
-// also mines a model that maps an anonymous page without probing it after
-// one that probed it nonzero, which catches that value left over (a cap of
-// 24 does not).
+// under both FD rules on one Generator, must give the reused miner exactly
+// the Setup a fresh one planned on the same path gives (reflect.DeepEqual,
+// so nil is not empty). Before each model the reused miner is poisoned
+// (poison), so a value Setup fails to clear shows up in that model's setup
+// instead of coinciding with what a fresh miner reads.
 func TestReusedMinerIsInvisible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("every posix pair in -short mode")
 	}
-	for _, u := range []struct {
-		cfg spec.Config
-		cap int
-	}{
-		{spec.Config{}, 0},
-		{spec.Config{LowestFD: true}, 0},
-		{spec.Config{}, 32},
-	} {
+	for _, cfg := range []spec.Config{{}, {LowestFD: true}} {
 		d := &freshMinerDiff{t: t, Spec: Spec}
 		g := testgen.NewGenerator(d)
 		ops := Spec.Ops()
 		for i, a := range ops {
 			for _, b := range ops[:i+1] {
-				pr, err := analyzer.AnalyzePairCtx(context.Background(), Spec, b, a, analyzer.Options{Config: u.cfg})
+				pr, err := analyzer.AnalyzePairCtx(context.Background(), Spec, b, a, analyzer.Options{Config: cfg})
 				if err != nil {
 					t.Fatal(err)
 				}
-				g.Generate(pr, testgen.Options{MaxTestsPerPath: u.cap})
+				g.Generate(pr, testgen.Options{})
 			}
 		}
-		t.Logf("lowestfd=%t, cap %d: %d models mined, %d setups with a page or an anonymous page",
-			u.cfg.LowestFD, u.cap, d.models, d.withPages)
+		t.Logf("lowestfd=%t: %d models mined, %d setups with a page or an anonymous page", cfg.LowestFD, d.models, d.withPages)
 		if d.models == 0 || d.withPages == 0 {
 			t.Fatal("nothing to compare")
+		}
+	}
+}
+
+// poison fills everything Setup clears on entry with a sentinel, under
+// every key the posix bounds let a setup read: inodes and their pages,
+// pipes and their backlogs, and anonymous pages of procs 0–2. Only a link
+// count's excess over the visible names counts, so the names' sentinel is
+// negative. A pipe's cursors are a Probe, which only a plan makes, so every
+// pipe id gets one the last model left behind.
+func poison(mn *miner) {
+	const bad = 77
+	var stale spec.Probe
+	for _, p := range mn.pipeCursors {
+		stale = p
+	}
+	for k := int64(-1); k <= maxInum+1; k++ {
+		mn.inodeLen[k], mn.inodeNlink[k], mn.visibleLinks[k] = bad, bad, -bad
+		mn.pipesNeeded[k], mn.pipeCursors[k] = true, stale
+		for _, m := range []map[int64]map[int64]int64{mn.pages, mn.pipeVals} {
+			if m[k] == nil {
+				m[k] = map[int64]int64{}
+			}
+			for j := int64(-1); j <= maxLen; j++ {
+				m[k][j] = bad
+			}
+		}
+		for proc := int64(0); proc <= 2; proc++ {
+			mn.anonVals[[2]int64{proc, k}] = bad
 		}
 	}
 }
@@ -78,6 +95,7 @@ func (m *diffMiner) Plan(a, b spec.State) { m.a, m.b = a, b; m.reused.Plan(a, b)
 func (m *diffMiner) Clear()               { m.a, m.b = nil, nil; m.reused.Clear() }
 
 func (m *diffMiner) Setup(model sym.Model) kernel.Setup {
+	poison(m.reused.(*miner))
 	got := m.reused.Setup(model)
 	fresh := m.d.Spec.NewMiner()
 	fresh.Plan(m.a, m.b)

@@ -31,9 +31,9 @@ func BenchmarkSweepSerial(b *testing.B)   { benchSweep(b, 1) }
 func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, runtime.NumCPU()) }
 
 // BenchmarkCheckPosix is the CHECK layer alone: every posix pair's tests,
-// generated outside the timer, replayed through runCheck on linux and sv6
-// the way one sweep worker replays them, one Replayer slot per kernel for
-// the whole pass. B/op and allocs/op are the numbers to watch:
+// generated outside the timer, replayed through worker.check on linux and
+// sv6 the way one sweep worker replays them, on one worker for the whole
+// pass. B/op and allocs/op are the numbers to watch:
 //
 //	go test -run '^$' -bench CheckPosix -benchtime 5x ./internal/sweep
 func BenchmarkCheckPosix(b *testing.B) {
@@ -50,11 +50,11 @@ func BenchmarkCheckPosix(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reps := make([]*kernel.Replayer, len(kernels))
+		w := worker{}
 		for _, tests := range pairs {
 			var out PairResult
 			for k, ks := range kernels {
-				if _, err := runCheck(ctx, ks, &reps[k], tests, &out); err != nil {
+				if _, err := w.check(ctx, k, ks, tests, &out); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -16,7 +16,6 @@ import (
 	"repro/internal/analyzer"
 	"repro/internal/model"
 	"repro/internal/spec"
-	"repro/internal/sym"
 	"repro/internal/testgen"
 )
 
@@ -204,22 +203,19 @@ func (m cancellingMiner) Plan(a, b spec.State) {
 
 // TestCancelledTestgenIsDropped pins what becomes of a generation pass
 // that cancellation cuts short after ANALYZE has finished: it is a
-// truncated lower bound, so runTestgen returns context.Canceled and empties
-// the worker's solver slot, and through a sweep nothing of it reaches the
-// cache or a cell.
+// truncated lower bound, so the stage returns context.Canceled and no
+// tests, and through a sweep nothing of it reaches the cache or a cell.
 func TestCancelledTestgenIsDropped(t *testing.T) {
 	a, b := testOp(t, "stat"), testOp(t, "lseek")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sp := &cancellingSpec{Spec: model.Spec, cancel: cancel}
-	slot := &sym.Solver{}
-	tests, _, err := runTestgen(ctx, &slot, testgen.NewGenerator(sp), sp, a, b, analyzer.Options{}, testgen.Options{}, new(PairResult))
+	tests, _, err := PairTests(ctx, sp, a, b, analyzer.Options{}, testgen.Options{}, new(PairResult))
 	if sp.plans.Load() == 0 {
 		t.Fatal("TESTGEN planned no setup: the cancellation did not land in it")
 	}
-	if !errors.Is(err, context.Canceled) || tests != nil || slot != nil {
-		t.Errorf("runTestgen cancelled in TESTGEN: %d tests, err %v, solver slot %p; want none, context.Canceled, nil",
-			len(tests), err, slot)
+	if !errors.Is(err, context.Canceled) || tests != nil {
+		t.Errorf("TESTGEN cancelled: %d tests, err %v; want none, context.Canceled", len(tests), err)
 	}
 
 	ctx, cancel = context.WithCancel(context.Background())

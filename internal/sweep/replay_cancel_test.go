@@ -98,10 +98,10 @@ func TestReplayCancelDoesNotCacheTruncatedCell(t *testing.T) {
 	ks := testKernels()[0]
 	r := &run{cfg: Config{Cache: cache}}
 	out := PairResult{OpA: "stat", OpB: "stat"}
-	var rep *kernel.Replayer
 	check := func(ctx context.Context) (stageOutcome[KernelCell], error) {
+		var w worker
 		return checkStage.run(ctx, r, "ck-cancel-key", &out, nil, func() (KernelCell, int, error) {
-			cell, err := runCheck(ctx, ks, &rep, tests, &out)
+			cell, err := w.check(ctx, 0, ks, tests, &out)
 			return cell, 0, err
 		})
 	}

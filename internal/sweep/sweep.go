@@ -229,7 +229,7 @@ func sortPairs(pairs []PairResult) {
 // feeds it: RunContext walks the whole pair list, RunFleet pulls leases.
 // aOpt and gOpt are cfg's test shape as the two symbolic phases take it;
 // their Solver stays nil, since each pair runs on its worker's (see
-// runTestgen).
+// worker.generate).
 type run struct {
 	cfg      Config
 	sp       spec.Spec
@@ -302,8 +302,8 @@ type pairJob struct {
 // driver's callback, on the worker's goroutine. The first error — a pair's
 // or the callback's — cancels ctx, which stops the pairs in flight and
 // turns the jobs still queued into no-ops. Worker i keeps its engines in
-// workers[i] for the pairs it runs (see worker); they die with the
-// executor, once the driver's wait has returned.
+// workers[i] (see worker); they die with the executor, once the driver's
+// wait has returned.
 type executor struct {
 	parent  context.Context
 	ctx     context.Context
@@ -321,7 +321,6 @@ func (r *run) startExecutor(ctx context.Context, queue int, done func(context.Co
 	e.ctx, e.cancel = context.WithCancelCause(ctx)
 	for i := range e.workers {
 		w := &e.workers[i]
-		w.reps = make([]*kernel.Replayer, len(r.cfg.Kernels))
 		e.wg.Add(1)
 		go func() {
 			defer e.wg.Done()
@@ -342,19 +341,21 @@ func (r *run) startExecutor(ctx context.Context, queue int, done func(context.Co
 	return e
 }
 
-// worker is what one executor goroutine keeps across the pairs it runs:
-// the Solver both symbolic phases run on and the Generator TESTGEN runs on
-// (see runTestgen), and one Replayer per cfg.Kernels entry (see runCheck).
-// A slot is filled at its stage's first miss, so a warm sweep builds
-// nothing; the Solver and Replayer slots are emptied after any error of
-// their stage, while a Generator keeps nothing of a pair past its
-// Generate. Single-flight never hands a slot to another goroutine: a
-// stage's compute closure runs on the goroutine that asked for it, leader
-// or handed-off waiter.
+// worker is what one executor goroutine keeps across the pairs it runs,
+// and the one owner of their engines: the Solver both symbolic phases run
+// on, the Generator TESTGEN runs on (see generate) and a Replayer per
+// kernel (see check). Each is built at its stage's first miss, so a warm
+// sweep builds nothing, and lives as long as the worker: a pair boundary
+// resets it under its own contract (Solver.Forget, the Generator's
+// release, the Replayer's per-test reset), and a failed pair retires the
+// worker, engines and all, since any error of a pair cancels the executor.
+// PairTests and CheckTestsCtx run as one pair on a fresh worker.
+// Single-flight never hands an engine to another goroutine: a stage's
+// compute closure runs on the goroutine that asked for it.
 type worker struct {
 	solver *sym.Solver
 	gen    *testgen.Generator
-	reps   []*kernel.Replayer
+	reps   []*kernel.Replayer // reps[i] replays on the run's Kernels[i]
 }
 
 // submit queues one job; false means the executor has stopped (failure or
@@ -638,10 +639,7 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op, w *worker) (PairResult
 	tg, err := testgenStage.run(ctx, r, tgKey, &out, func(tests []kernel.TestCase) bool {
 		return pairTests(tests, a.Name, b.Name)
 	}, func() ([]kernel.TestCase, int, error) {
-		if w.gen == nil {
-			w.gen = testgen.NewGenerator(r.sp)
-		}
-		return runTestgen(ctx, &w.solver, w.gen, r.sp, a, b, r.aOpt, r.gOpt, &out)
+		return w.generate(ctx, r.sp, a, b, r.aOpt, r.gOpt, &out)
 	})
 	if err != nil {
 		return out, fmt.Errorf("sweep %s: %w", out.Pair(), err)
@@ -655,7 +653,7 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op, w *worker) (PairResult
 		ck, err := checkStage.run(ctx, r, CheckKey(tgKey, ks.Name), &out, func(cell KernelCell) bool {
 			return cell.Kernel == ks.Name
 		}, func() (KernelCell, int, error) {
-			cell, err := runCheck(ctx, ks, &w.reps[i], tg.val, &out)
+			cell, err := w.check(ctx, i, ks, tg.val, &out)
 			return cell, tg.unknown, err
 		})
 		if err != nil {
@@ -722,27 +720,29 @@ func pairTests(tests []kernel.TestCase, a, b string) bool {
 // PairTests analyses the pair (a, b) of sp and generates its concrete
 // tests, returning them with the number of budget-truncated paths behind
 // them (nonzero means the test set is a lower bound) — one TESTGEN stage
-// outside a sweep, on a solver and a Generator of its own, replacing any
-// solver in the options. Phase times and solver work are recorded on out.
+// outside a sweep, on a fresh worker, whose solver replaces any in the
+// options. Phase times and solver work are recorded on out.
 func PairTests(ctx context.Context, sp spec.Spec, a, b *spec.Op, aOpt analyzer.Options, gOpt testgen.Options, out *PairResult) ([]kernel.TestCase, int, error) {
-	var solver *sym.Solver
-	return runTestgen(ctx, &solver, testgen.NewGenerator(sp), sp, a, b, aOpt, gOpt, out)
+	var w worker
+	return w.generate(ctx, sp, a, b, aOpt, gOpt, out)
 }
 
-// runTestgen is the pipeline's one ANALYZE → TESTGEN sequence, both phases
-// on *solver: a long-lived solver (a sweep worker's), built first when nil;
-// TESTGEN runs on gen, sp's Generator, which a worker keeps as long.
-// At the start its Stop hook is wired to ctx, so cancellation lands inside
-// the searches, and its memory is forgotten, so nothing carries over from
-// another pair: the pair's answers and counts are a fresh solver's. Any
-// error, cancellation included, sets *solver back to nil, so a worker's
-// next stage starts from a fresh one. The solver counters and SolverMS
-// recorded on out are the pair's share of the solver's.
-func runTestgen(ctx context.Context, solver **sym.Solver, gen *testgen.Generator, sp spec.Spec, a, b *spec.Op, aOpt analyzer.Options, gOpt testgen.Options, out *PairResult) ([]kernel.TestCase, int, error) {
-	if *solver == nil {
-		*solver = &sym.Solver{}
+// generate is the pipeline's one ANALYZE → TESTGEN sequence, both phases
+// on w's Solver and TESTGEN on w's Generator for sp, each built at its
+// first use. At the start the Solver's Stop hook is wired to ctx, so
+// cancellation lands inside the searches, and its memory is forgotten, so
+// nothing carries over from another pair: the pair's answers and counts
+// are a fresh solver's. An error, cancellation included, fails the pair
+// and so retires w (see worker). The solver counters and SolverMS recorded
+// on out are the pair's share of the solver's.
+func (w *worker) generate(ctx context.Context, sp spec.Spec, a, b *spec.Op, aOpt analyzer.Options, gOpt testgen.Options, out *PairResult) ([]kernel.TestCase, int, error) {
+	if w.solver == nil {
+		w.solver = &sym.Solver{}
 	}
-	s := *solver
+	if w.gen == nil {
+		w.gen = testgen.NewGenerator(sp)
+	}
+	s := w.solver
 	s.Stop = func() bool { return ctx.Err() != nil }
 	s.Forget()
 	aOpt.Solver, gOpt.Solver = s, s
@@ -751,16 +751,14 @@ func runTestgen(ctx context.Context, solver **sym.Solver, gen *testgen.Generator
 	pr, err := analyzer.AnalyzePairCtx(ctx, sp, a, b, aOpt)
 	out.Phases.AnalyzeMS = msSince(phaseStart)
 	if err != nil {
-		*solver = nil
 		return nil, 0, err
 	}
 	phaseStart = time.Now()
-	tests, truncated := gen.Generate(pr, gOpt)
+	tests, truncated := w.gen.Generate(pr, gOpt)
 	out.Phases.TestgenMS = msSince(phaseStart)
 	if err := ctx.Err(); err != nil {
 		// A cancelled generation pass is truncated, not short: drop it
 		// before its lower-bound test set can reach the cache or a cell.
-		*solver = nil
 		return nil, 0, err
 	}
 	st := s.Stats()
@@ -771,31 +769,30 @@ func runTestgen(ctx context.Context, solver **sym.Solver, gen *testgen.Generator
 	return tests, pr.Unknown() + truncated, nil
 }
 
-// runCheck computes one kernel's CHECK stage: the mtrace replay of tests
-// on *rep, a long-lived ks kernel (kernel.Replayer), recording phase time
-// and replay shape on out. A nil *rep is built first, and any error sets it
-// back to nil, so a worker's next stage starts from a fresh kernel. A pair
-// without tests constructs no kernel. On cancellation the counts so far
-// come back with the context's error, and callers must not treat them as a
-// cell.
-func runCheck(ctx context.Context, ks KernelSpec, rep **kernel.Replayer, tests []kernel.TestCase, out *PairResult) (KernelCell, error) {
+// check computes one kernel's CHECK stage: the mtrace replay of tests on
+// w.reps[i], a long-lived ks kernel (kernel.Replayer) built at its first
+// use, recording phase time and replay shape on out. A pair without tests
+// constructs no kernel. An error — a kernel's panic, or cancellation, with
+// the counts so far, which callers must not treat as a cell — fails the
+// pair and so retires w (see worker).
+func (w *worker) check(ctx context.Context, i int, ks KernelSpec, tests []kernel.TestCase, out *PairResult) (KernelCell, error) {
 	cell := KernelCell{Kernel: ks.Name}
 	if len(tests) == 0 {
 		return cell, ctx.Err()
 	}
 	phaseStart := time.Now()
-	if *rep == nil {
-		*rep = kernel.NewReplayer(ks.New)
+	if i >= len(w.reps) {
+		w.reps = append(w.reps, make([]*kernel.Replayer, i+1-len(w.reps))...)
 	}
-	groups, err := (*rep).CheckTests(ctx, tests, func(_ int, res kernel.CheckResult) {
+	if w.reps[i] == nil {
+		w.reps[i] = kernel.NewReplayer(ks.New)
+	}
+	groups, err := w.reps[i].CheckTests(ctx, tests, func(_ int, res kernel.CheckResult) {
 		cell.Total++
 		if !res.ConflictFree {
 			cell.Conflicts++
 		}
 	})
-	if err != nil {
-		*rep = nil
-	}
 	out.Phases.CheckMS += msSince(phaseStart)
 	out.CheckGroups = groups
 	return cell, err
@@ -821,13 +818,13 @@ func pairsOf[T any](ops []T) [][2]T {
 
 // CheckTestsCtx runs every test on a kernel from the constructor and returns
 // the Figure 6 cell counts (tests run, tests not conflict-free) — one CHECK
-// stage outside a sweep, on a kernel of its own.
+// stage outside a sweep, on a fresh worker.
 func CheckTestsCtx(ctx context.Context, fresh func() kernel.Kernel, tests []kernel.TestCase) (total, conflicts int, err error) {
 	var (
 		shape PairResult // the stage's timing record, which this caller drops
-		rep   *kernel.Replayer
+		w     worker
 	)
-	cell, err := runCheck(ctx, KernelSpec{New: fresh}, &rep, tests, &shape)
+	cell, err := w.check(ctx, 0, KernelSpec{New: fresh}, tests, &shape)
 	return cell.Total, cell.Conflicts, err
 }
 

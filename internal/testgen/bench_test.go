@@ -6,24 +6,17 @@ import (
 
 	"repro/internal/analyzer"
 	"repro/internal/model"
-	"repro/internal/spec"
 )
 
-// posixAnalyses runs ANALYZE over the 171 posix pairs, earlier op first as
-// a sweep orients them.
+// posixAnalyses runs ANALYZE over the 171 posix pairs, in the order and
+// orientation of sweep.Pairs.
 func posixAnalyses(tb testing.TB) []analyzer.PairResult {
-	return analyses(tb, model.Spec, spec.Config{})
-}
-
-// analyses runs ANALYZE under cfg over every pair of sp's ops, in the
-// order and orientation of sweep.Pairs.
-func analyses(tb testing.TB, sp spec.Spec, cfg spec.Config) []analyzer.PairResult {
 	tb.Helper()
 	var out []analyzer.PairResult
-	ops := sp.Ops()
+	ops := model.Spec.Ops()
 	for i, a := range ops {
 		for _, b := range ops[:i+1] {
-			pr, err := analyzer.AnalyzePairCtx(context.Background(), sp, b, a, analyzer.Options{Config: cfg})
+			pr, err := analyzer.AnalyzePairCtx(context.Background(), model.Spec, b, a, analyzer.Options{})
 			if err != nil {
 				tb.Fatal(err)
 			}

@@ -1,7 +1,6 @@
 package testgen
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/analyzer"
@@ -13,47 +12,6 @@ import (
 	"repro/internal/sym"
 	"repro/internal/vmspec"
 )
-
-// TestReusedGeneratorIsInvisible pins what lets a sweep worker keep one
-// Generator for every pair it runs: for all four specs, posix under both
-// descriptor rules, every pair generated in sweep order on one Generator
-// gets exactly the tests and truncation count a fresh Generator per pair
-// gives. reflect.DeepEqual compares every test's ID, SetupID, setup and
-// calls, and tells a nil field or test list from an empty one. A class, a
-// seen setup or a probe a pair left in the Generator's scratch shows up in
-// a later pair as a missing or different test.
-func TestReusedGeneratorIsInvisible(t *testing.T) {
-	if testing.Short() {
-		t.Skip("every spec's pairs in -short mode")
-	}
-	universes := []struct {
-		sp  spec.Spec
-		cfg spec.Config
-	}{
-		{model.Spec, spec.Config{}},
-		{model.Spec, spec.Config{LowestFD: true}},
-		{vmspec.Spec, spec.Config{}},
-		{kvspec.Spec, spec.Config{}},
-		{queuespec.Spec, spec.Config{}},
-	}
-	for _, u := range universes {
-		long := NewGenerator(u.sp)
-		tests, empty := 0, 0
-		for _, pr := range analyses(t, u.sp, u.cfg) {
-			got, gotTrunc := long.Generate(pr, Options{})
-			want, wantTrunc := NewGenerator(u.sp).Generate(pr, Options{})
-			if !reflect.DeepEqual(got, want) || gotTrunc != wantTrunc {
-				t.Fatalf("%s lowestfd=%t %s/%s: the reused Generator gave %d tests (%d truncated), a fresh one %d (%d truncated), or they differ",
-					u.sp.Name(), u.cfg.LowestFD, pr.OpA, pr.OpB, len(got), gotTrunc, len(want), wantTrunc)
-			}
-			tests += len(got)
-			if got == nil {
-				empty++
-			}
-		}
-		t.Logf("%s lowestfd=%t: %d tests, %d pairs without one", u.sp.Name(), u.cfg.LowestFD, tests, empty)
-	}
-}
 
 // leafOf plans path pi of pr on g as generate does, and calls f with the
 // path's class variables and its first model, on a solver of its own.
