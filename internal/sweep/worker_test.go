@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -93,107 +94,210 @@ type pairRun struct {
 	traces [][]traced
 }
 
-// TestReusedWorkerIsInvisible pins what lets a sweep worker keep its
-// engines — a Solver with its scope, a Generator with its miner, a
-// Replayer per kernel — for every pair it runs: for all four specs, posix
-// under both FD rules, one worker runs every pair through runPair in Pairs
-// order, in reverse and in a seeded shuffle, and each pair must give what
-// it gives on a fresh worker: reflect.DeepEqual tests (nil is not empty),
-// no unknown path, the same searches, memo hits and budget hits, and per
-// Impl and test the same results, verdict, conflicts and ordered access
-// log. Whatever a pair leaves in an engine that a fresh one would not have
-// — a remembered answer, a mined value, a stale map entry, an sv6 inode
-// built on demand — shows in some later pair of some order. The lowest-FD
-// corpus must hold an open or pipe landing on a descriptor its setup does
-// not name: those make a kernel build slots beside the ones a setup keeps.
-func TestReusedWorkerIsInvisible(t *testing.T) {
+// reuseUniverse is one spec under one configuration, as a sweep runs it.
+type reuseUniverse struct {
+	name     string
+	sp       spec.Spec
+	lowestFD bool
+	findings func() reuseFindings // reusedWorker's, computed once
+}
+
+var reuseUniverses = []reuseUniverse{
+	{name: "posix", sp: model.Spec},
+	{name: "posix-lowestfd", sp: model.Spec, lowestFD: true},
+	{name: "vm", sp: vmspec.Spec},
+	{name: "kv", sp: kvspec.Spec},
+	{name: "queue", sp: queuespec.Spec},
+}
+
+// reuseFindings is what the reused-worker oracle found in one universe:
+// the first pair whose tests, whose solver counts, or (per Impl) whose
+// traced runs differ between the reused worker and a fresh one, "" where
+// none does.
+type reuseFindings struct {
+	err      error
+	impls    []string
+	tests    string
+	solver   string
+	replayer []string
+	pairs    int
+	nTests   int
+	beside   int // tests with an open or pipe landing beside their setup's descriptors
+}
+
+// reusedWorker runs u's oracle once per test binary and returns its
+// findings. The worker's three engines are one lifecycle, so one run
+// answers for all three; TestReusedWorkerIsInvisible,
+// TestLongLivedSolverIsInvisible and TestLongLivedReplayerIsInvisible each
+// read their engine's part of it.
+//
+// One worker runs every pair of u through runPair in Pairs order, in
+// reverse and in a seeded shuffle, and each pair is compared with what it
+// gives on a fresh worker. Whatever a pair leaves in an engine that a
+// fresh one would not have — a remembered answer, a mined value, a stale
+// map entry, an sv6 inode built on demand — shows in some later pair of
+// some order.
+func reusedWorker(u reuseUniverse) reuseFindings { return u.findings() }
+
+func init() {
+	for i := range reuseUniverses {
+		u := &reuseUniverses[i]
+		u.findings = sync.OnceValue(func() reuseFindings { return findReuse(*u) })
+	}
+}
+
+func findReuse(u reuseUniverse) (f reuseFindings) {
+	ctx := context.Background()
+	impls := u.sp.Impls()
+	sinks := make([][]traced, len(impls))
+	kernels := make([]KernelSpec, len(impls))
+	for i, im := range impls {
+		f.impls = append(f.impls, im.Name)
+		logged := kerneltest.Logged(im.New, func(*mtrace.Memory) {})
+		kernels[i] = KernelSpec{Name: im.Name, New: func() kernel.Kernel {
+			return &tracingKernel{Kernel: logged(), sink: &sinks[i]}
+		}}
+	}
+	f.replayer = make([]string, len(impls))
+	cache := &testsRecorder{}
+	r := newRun(ctx, Config{Spec: u.sp, Ops: u.sp.Ops(), Kernels: kernels, LowestFD: u.lowestFD, Workers: 1, Cache: cache})
+	defer r.close()
+	runOn := func(w *worker, p [2]*spec.Op) (pairRun, error) {
+		*cache = testsRecorder{}
+		clear(sinks)
+		pr, err := r.runPair(ctx, p[0], p[1], w)
+		if err == nil && pr.Unknown != 0 {
+			err = fmt.Errorf("%s: %d unknown paths, whose tests are never stored", pr.Pair(), pr.Unknown)
+		}
+		return pairRun{cache.tests, pr.Solver, slices.Clone(sinks)}, err
+	}
+
+	pairs := Pairs(u.sp.Ops())
+	f.pairs = len(pairs)
+	want := make([]pairRun, len(pairs))
+	for i, p := range pairs {
+		if want[i], f.err = runOn(&worker{}, p); f.err != nil {
+			return f
+		}
+		f.nTests += len(want[i].tests)
+		for _, tr := range want[i].traces[0] {
+			if fdBesideSetup(tr) {
+				f.beside++
+			}
+		}
+	}
+	first := func(found *string, format string, args ...any) {
+		if *found == "" {
+			*found = fmt.Sprintf(format, args...)
+		}
+	}
+	fwd, rev := make([]int, len(pairs)), make([]int, len(pairs))
+	for i := range fwd {
+		fwd[i], rev[i] = i, len(pairs)-1-i
+	}
+	var long worker
+	for oi, order := range [][]int{fwd, rev, rand.New(rand.NewSource(1)).Perm(len(pairs))} {
+		for _, i := range order {
+			var got pairRun
+			if got, f.err = runOn(&long, pairs[i]); f.err != nil {
+				return f
+			}
+			w := want[i]
+			pair := "order " + strconv.Itoa(oi) + ", " + pairs[i][0].Name + "/" + pairs[i][1].Name
+			if got.solver != w.solver {
+				first(&f.solver, "%s: the reused worker's solver counted %+v, a fresh one's %+v", pair, got.solver, w.solver)
+			}
+			if !reflect.DeepEqual(got.tests, w.tests) {
+				first(&f.tests, "%s: %d tests on the reused worker, %d on a fresh one, or they differ", pair, len(got.tests), len(w.tests))
+				continue // the traces of different tests say nothing of the Replayers
+			}
+			for k, g := range got.traces {
+				if fr := w.traces[k]; len(g) != len(fr) {
+					first(&f.replayer[k], "%s: %d tests traced on the reused worker, %d on a fresh one", pair, len(g), len(fr))
+					continue
+				}
+				for n := range g {
+					if fr := w.traces[k][n]; !sameRun(g[n], fr) {
+						first(&f.replayer[k], "%s, test %d:\n reused %+v\n fresh  %+v", pair, n, g[n], fr)
+					}
+				}
+			}
+		}
+	}
+	return f
+}
+
+// forEachUniverse runs check on the reused-worker oracle's findings in
+// every universe, as a subtest named for it.
+func forEachUniverse(t *testing.T, check func(*testing.T, reuseUniverse, reuseFindings)) {
 	if testing.Short() {
 		t.Skip("every spec's pairs in -short mode")
 	}
-	for _, u := range []struct {
-		name     string
-		sp       spec.Spec
-		lowestFD bool
-	}{
-		{"posix", model.Spec, false},
-		{"posix-lowestfd", model.Spec, true},
-		{"vm", vmspec.Spec, false},
-		{"kv", kvspec.Spec, false},
-		{"queue", queuespec.Spec, false},
-	} {
+	for _, u := range reuseUniverses {
 		t.Run(u.name, func(t *testing.T) {
 			t.Parallel()
-			ctx := context.Background()
-			impls := u.sp.Impls()
-			sinks := make([][]traced, len(impls))
-			kernels := make([]KernelSpec, len(impls))
-			for i, im := range impls {
-				logged := kerneltest.Logged(im.New, func(*mtrace.Memory) {})
-				kernels[i] = KernelSpec{Name: im.Name, New: func() kernel.Kernel {
-					return &tracingKernel{Kernel: logged(), sink: &sinks[i]}
-				}}
+			f := reusedWorker(u)
+			if f.err != nil {
+				t.Fatal(f.err)
 			}
-			cache := &testsRecorder{}
-			r := newRun(ctx, Config{Spec: u.sp, Ops: u.sp.Ops(), Kernels: kernels, LowestFD: u.lowestFD, Workers: 1, Cache: cache})
-			defer r.close()
-			runOn := func(w *worker, p [2]*spec.Op) pairRun {
-				*cache = testsRecorder{}
-				clear(sinks)
-				pr, err := r.runPair(ctx, p[0], p[1], w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if pr.Unknown != 0 {
-					t.Fatalf("%s: %d unknown paths, whose tests are never stored", pr.Pair(), pr.Unknown)
-				}
-				return pairRun{cache.tests, pr.Solver, slices.Clone(sinks)}
-			}
-
-			pairs := Pairs(u.sp.Ops())
-			want := make([]pairRun, len(pairs))
-			tests, beside := 0, 0
-			for i, p := range pairs {
-				want[i] = runOn(&worker{}, p)
-				tests += len(want[i].tests)
-				for _, tr := range want[i].traces[0] {
-					if fdBesideSetup(tr) {
-						beside++
-					}
-				}
-			}
-			fwd, rev := make([]int, len(pairs)), make([]int, len(pairs))
-			for i := range fwd {
-				fwd[i], rev[i] = i, len(pairs)-1-i
-			}
-			var long worker
-			for oi, order := range [][]int{fwd, rev, rand.New(rand.NewSource(1)).Perm(len(pairs))} {
-				for _, i := range order {
-					got, w := runOn(&long, pairs[i]), want[i]
-					pair := "order " + strconv.Itoa(oi) + ", " + pairs[i][0].Name + "/" + pairs[i][1].Name
-					if !reflect.DeepEqual(got.tests, w.tests) {
-						t.Fatalf("%s: %d tests on the reused worker, %d on a fresh one, or they differ", pair, len(got.tests), len(w.tests))
-					}
-					if got.solver != w.solver {
-						t.Fatalf("%s: the reused worker's solver counted %+v, a fresh one's %+v", pair, got.solver, w.solver)
-					}
-					for k, g := range got.traces {
-						if f := w.traces[k]; len(g) != len(f) {
-							t.Fatalf("%s on %s: %d tests traced on the reused worker, %d on a fresh one", pair, impls[k].Name, len(g), len(f))
-						}
-						for n := range g {
-							if f := w.traces[k][n]; !sameRun(g[n], f) {
-								t.Fatalf("%s on %s, test %d:\n reused %+v\n fresh  %+v", pair, impls[k].Name, n, g[n], f)
-							}
-						}
-					}
-				}
-			}
-			t.Logf("%d pairs, %d tests; %d with an open or pipe landing beside their setup's descriptors", len(pairs), tests, beside)
-			if u.lowestFD && beside == 0 {
-				t.Error("no open or pipe landed beside its setup's descriptors: no kernel built a slot beside the kept ones")
-			}
+			check(t, u, f)
 		})
 	}
+}
+
+// TestReusedWorkerIsInvisible pins what lets a sweep worker keep its
+// engines — a Solver with its scope, a Generator with its miner, a
+// Replayer per kernel — for every pair it runs, as the reused-worker
+// oracle (reusedWorker) sees it for all four specs, posix under both FD
+// rules: no pair has an unknown path, and each pair's tests on the reused
+// worker are reflect.DeepEqual (nil is not empty) to a fresh worker's, in
+// every order. The lowest-FD corpus must hold an open or pipe landing on a
+// descriptor its setup does not name: those make a kernel build slots
+// beside the ones a setup keeps, which the Replayers' comparison
+// (TestLongLivedReplayerIsInvisible) must see.
+func TestReusedWorkerIsInvisible(t *testing.T) {
+	forEachUniverse(t, func(t *testing.T, u reuseUniverse, f reuseFindings) {
+		if f.tests != "" {
+			t.Error(f.tests)
+		}
+		t.Logf("%d pairs, %d tests; %d with an open or pipe landing beside their setup's descriptors", f.pairs, f.nTests, f.beside)
+		if u.lowestFD && f.beside == 0 {
+			t.Error("no open or pipe landed beside its setup's descriptors: no kernel built a slot beside the kept ones")
+		}
+	})
+}
+
+// TestLongLivedSolverIsInvisible pins the Solver's part of the
+// reused-worker oracle: each pair counts the same searches, memo hits and
+// budget hits on the reused worker's Solver as on a fresh one. A
+// remembered answer that survived its pair shows up as missing searches.
+// The collector stays on: the Solver's scope interns into a plain map.
+func TestLongLivedSolverIsInvisible(t *testing.T) {
+	forEachUniverse(t, func(t *testing.T, _ reuseUniverse, f reuseFindings) {
+		if f.solver != "" {
+			t.Error(f.solver)
+		}
+	})
+}
+
+// TestLongLivedReplayerIsInvisible pins the Replayers' part of the
+// reused-worker oracle, per Impl (kernels built through kerneltest.Logged):
+// each test the reused worker's Replayer runs gives the results, verdict,
+// conflicts and ordered access log a fresh worker's gives. State a pair
+// leaves behind that a fresh kernel would not have (a stale map entry, a
+// surviving sv6 inode whose radix reads absent) shows up in a later pair;
+// the radix only in the log, since its extra loads and stores conflict
+// with nothing.
+func TestLongLivedReplayerIsInvisible(t *testing.T) {
+	forEachUniverse(t, func(t *testing.T, _ reuseUniverse, f reuseFindings) {
+		for k, name := range f.impls {
+			t.Run(name, func(t *testing.T) {
+				if f.replayer[k] != "" {
+					t.Error(f.replayer[k])
+				}
+			})
+		}
+	})
 }
 
 // sameRun reports whether two traced runs of one test agree. Their setups
@@ -340,21 +444,49 @@ func sweepWorkers(ctx context.Context, cfg Config) ([]PairResult, []worker, erro
 	return prs, ex.workers, err
 }
 
-// TestSweepBuildsOneEnginePerWorker pins the engine counts: a worker builds
-// its Solver and its Generator at its first TESTGEN-tier miss and each
-// kernel at its first CHECK, and runs every later pair on them, so a cold
-// sweep builds at most one Solver and one Generator per worker and
-// workers × kernels kernels — the pairs' solver counts add up to what the
-// workers' Solvers counted in all — and a warm sweep builds none.
-func TestSweepBuildsOneEnginePerWorker(t *testing.T) {
+// engineSweeps runs a cold sweep of testOps on the posix designs with
+// workers workers, then a warm one on the same cache, and returns the cold
+// sweep's pairs, the workers each sweep left, and the number of kernels;
+// ev logs every miner (so every Generator) and every kernel the cold sweep
+// built, and the warm sweep must build none.
+func engineSweeps(t *testing.T, workers int, ev *eventLog) (cold []PairResult, coldWs, warmWs []worker, nk int) {
+	t.Helper()
+	cfg := Config{Spec: &loggedSpec{Spec: model.Spec, ev: ev}, Ops: testOps(t), Kernels: loggedKernels(ev, false),
+		Workers: workers, Cache: NewMemBackend(0)}
+	cold, coldWs, err := sweepWorkers(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cold) != 6 {
+		t.Fatalf("workers=%d: %d pairs", workers, len(cold))
+	}
+	coldLog := slices.Clone(ev.log)
+	ev.log = nil
+	warm, warmWs, err := sweepWorkers(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range warm {
+		if !pr.Cached {
+			t.Errorf("workers=%d: warm sweep recomputed %s", workers, pr.Pair())
+		}
+	}
+	if len(ev.log) != 0 {
+		t.Errorf("workers=%d: warm sweep built engines: %v", workers, ev.log)
+	}
+	ev.log = coldLog
+	return cold, coldWs, warmWs, len(cfg.Kernels)
+}
+
+// TestSweepBuildsOneSolverPerWorker pins the symbolic engines' counts: a
+// worker builds its Solver and its Generator at its first TESTGEN-tier miss
+// and runs every later pair on them, so a cold sweep builds at most one
+// Solver and one Generator per worker — the pairs' solver counts add up to
+// what the workers' Solvers counted in all — and a warm sweep builds none.
+func TestSweepBuildsOneSolverPerWorker(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		ev := &eventLog{}
-		cfg := Config{Spec: &loggedSpec{Spec: model.Spec, ev: ev}, Ops: testOps(t), Kernels: loggedKernels(ev, false),
-			Workers: workers, Cache: NewMemBackend(0)}
-		cold, ws, err := sweepWorkers(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cold, ws, warmWs, _ := engineSweeps(t, workers, ev)
 		var pairs, solvers SolverCounters
 		for _, pr := range cold {
 			pairs.SatCalls += pr.Solver.SatCalls
@@ -369,70 +501,89 @@ func TestSweepBuildsOneEnginePerWorker(t *testing.T) {
 				solvers.MemoHits += st.MemoHits
 			}
 		}
-		gens, kernels, nk := ev.count("generator"), ev.count("kernel"), len(cfg.Kernels)
-		if len(cold) != 6 || n == 0 || n > workers || gens == 0 || gens > workers {
-			t.Fatalf("workers=%d: %d pairs, %d solvers kept, %d generators built", workers, len(cold), n, gens)
+		if gens := ev.count("generator"); n == 0 || n > workers || gens == 0 || gens > workers {
+			t.Fatalf("workers=%d: %d solvers kept, %d generators built", workers, n, gens)
 		}
 		if pairs.SatCalls == 0 || pairs != solvers {
 			t.Errorf("workers=%d: pairs counted %+v, the workers' solvers %+v: a pair ran on a solver the worker did not keep",
 				workers, pairs, solvers)
 		}
-		if workers == 1 && kernels != nk || kernels < nk || kernels > workers*nk {
-			t.Errorf("workers=%d: %d kernels built for %d pairs, want at most %d", workers, kernels, len(cold), workers*nk)
-		}
-
-		ev.log = nil
-		warm, ws, err := sweepWorkers(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, w := range ws {
-			if w.solver != nil || w.gen != nil || w.reps != nil {
-				t.Errorf("workers=%d: warm sweep's worker %d built an engine", workers, i)
-			}
-		}
-		if gens, kernels := ev.count("generator"), ev.count("kernel"); gens != 0 || kernels != 0 {
-			t.Errorf("workers=%d: warm sweep built %d generators and %d kernels", workers, gens, kernels)
-		}
-		for _, pr := range warm {
-			if !pr.Cached {
-				t.Errorf("workers=%d: warm sweep recomputed %s", workers, pr.Pair())
+		for i, w := range warmWs {
+			if w.solver != nil || w.gen != nil {
+				t.Errorf("workers=%d: warm sweep's worker %d built a Solver or a Generator", workers, i)
 			}
 		}
 	}
 }
 
-// TestFailedPairRetiresItsWorker pins the one error rule a worker's engines
-// share: a failed pair — a kernel's panic in its CHECK, or a cancellation
-// in the middle of its ANALYZE — fails the sweep with that error, and no
-// pair starts on its worker afterwards, so no engine it may have left
-// half-way is reused; with one worker, nothing at all starts and no kernel
-// is built after the failure. Every job is queued before any runs, as a
-// fleet's leases are, so the jobs left are already waiting on the workers.
-func TestFailedPairRetiresItsWorker(t *testing.T) {
+// TestSweepBuildsOneKernelPerWorker pins the kernel count: a worker builds
+// each kernel at its first CHECK and replays every later pair on it, so a
+// cold sweep builds at most workers × kernels, not one per pair and
+// kernel, and a warm sweep builds none.
+func TestSweepBuildsOneKernelPerWorker(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		for _, failure := range []string{"kernel panic", "cancelled analysis"} {
-			ev := &eventLog{}
-			ctx, cancel := context.WithCancel(context.Background())
-			sp, want := &loggedSpec{Spec: model.Spec, ev: ev}, "a kernel fails in stat/lseek"
-			if failure == "cancelled analysis" {
-				sp.cancel, want = cancel, context.Canceled.Error()
-			}
-			_, _, err := sweepWorkers(ctx, Config{Spec: sp, Ops: testOps(t), Kernels: loggedKernels(ev, failure == "kernel panic"),
-				Workers: workers, Cache: cellReads{NewMemBackend(0), ev}})
-			cancel()
-			if err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("workers=%d, %s: the sweep returned %v, want %q", workers, failure, err, want)
-			}
-			fail := slices.IndexFunc(ev.log, func(e event) bool { return e.what == "fail" })
-			if fail < 0 || !slices.ContainsFunc(ev.log[:fail], func(e event) bool { return e.what == "read" }) {
-				t.Fatalf("workers=%d, %s: no pair ran before the failure: %v", workers, failure, ev.log)
-			}
-			for _, e := range ev.log[fail+1:] {
-				if e.g == ev.log[fail].g || workers == 1 {
-					t.Errorf("workers=%d, %s: after its pair failed, the worker's sweep went on: %s", workers, failure, e.what)
-				}
+		ev := &eventLog{}
+		cold, _, warmWs, nk := engineSweeps(t, workers, ev)
+		if kernels := ev.count("kernel"); workers == 1 && kernels != nk || kernels < nk || kernels > workers*nk {
+			t.Errorf("workers=%d: %d kernels built for %d pairs, want at most %d", workers, kernels, len(cold), workers*nk)
+		}
+		for i, w := range warmWs {
+			if w.reps != nil {
+				t.Errorf("workers=%d: warm sweep's worker %d built a Replayer", workers, i)
 			}
 		}
+	}
+}
+
+// failedPairRetires runs testOps' sweep with workers workers until a pair
+// fails — a kernel's panic in its CHECK, or a cancellation in the middle of
+// its ANALYZE — and pins the one error rule a worker's engines share: the
+// sweep returns that error, and no pair starts on the failed pair's worker
+// afterwards, so no engine it may have left half-way is reused; with one
+// worker, nothing at all starts and no kernel is built after the failure.
+// Every job is queued before any runs, as a fleet's leases are, so the jobs
+// left are already waiting on the workers.
+func failedPairRetires(t *testing.T, workers int, failure string) {
+	t.Helper()
+	ev := &eventLog{}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sp, want := &loggedSpec{Spec: model.Spec, ev: ev}, "a kernel fails in stat/lseek"
+	if failure == "cancelled analysis" {
+		sp.cancel, want = cancel, context.Canceled.Error()
+	}
+	_, _, err := sweepWorkers(ctx, Config{Spec: sp, Ops: testOps(t), Kernels: loggedKernels(ev, failure == "kernel panic"),
+		Workers: workers, Cache: cellReads{NewMemBackend(0), ev}})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("workers=%d, %s: the sweep returned %v, want %q", workers, failure, err, want)
+	}
+	fail := slices.IndexFunc(ev.log, func(e event) bool { return e.what == "fail" })
+	if fail < 0 || !slices.ContainsFunc(ev.log[:fail], func(e event) bool { return e.what == "read" }) {
+		t.Fatalf("workers=%d, %s: no pair ran before the failure: %v", workers, failure, ev.log)
+	}
+	for _, e := range ev.log[fail+1:] {
+		if e.g == ev.log[fail].g || workers == 1 {
+			t.Errorf("workers=%d, %s: after its pair failed, the worker's sweep went on: %s", workers, failure, e.what)
+		}
+	}
+}
+
+// TestWorkerSolverDroppedAfterError pins that a worker's Solver (and its
+// Generator) is dropped with the worker when a pair fails mid-ANALYZE: a
+// cancellation at ANALYZE's 60th state, in the third pair, retires the
+// worker (failedPairRetires), at one worker and at two.
+func TestWorkerSolverDroppedAfterError(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		failedPairRetires(t, workers, "cancelled analysis")
+	}
+}
+
+// TestWorkerReplayerDroppedAfterError pins that a worker's Replayers are
+// dropped with the worker when a pair fails in CHECK: a kernel panicking in
+// stat/lseek's test retires the worker (failedPairRetires), at one worker
+// and at two.
+func TestWorkerReplayerDroppedAfterError(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		failedPairRetires(t, workers, "kernel panic")
 	}
 }
