@@ -1,16 +1,15 @@
-// Package repro's root benchmarks regenerate the paper's Figure 7 and its
-// supporting measurements (the Figure 6 pipeline is measured end to end by
-// the cold_sweep workload under bench/):
+// Package repro's root benchmarks hold the paper's supporting
+// measurements beside Figure 7, whose benchmarks internal/eval holds (the
+// Figure 6 pipeline is measured end to end by the cold_sweep workload
+// under bench/):
 //
-//   - BenchmarkFigure7a/b/c replay traced workloads through the MESI
-//     coherence simulator at 80 cores and report per-core throughput,
 //   - BenchmarkSequentialFstat* measure §7.2's single-core cost of
 //     scalability (Refcache reconciliation vs a shared counter),
 //   - BenchmarkAblation* quantify two design parameters: the hash
 //     directory's bucket count and the coherence simulator's transfer cost.
 //
 // Reported custom metrics make the regenerated "rows" visible in benchmark
-// output: conflictfree_pct, percore_ops_per_Mcycle, speedup ratios.
+// output: conflictfree_pct and the contended/free throughput ratio.
 package repro_test
 
 import (
@@ -18,57 +17,11 @@ import (
 	"testing"
 
 	"repro/internal/coherence"
-	"repro/internal/eval"
 	"repro/internal/kernel"
 	"repro/internal/kernel/unix"
 	"repro/internal/mtrace"
 	"repro/internal/scale"
 )
-
-func benchCurvePoint(b *testing.B, f func() float64) {
-	var v float64
-	for i := 0; i < b.N; i++ {
-		v = f()
-	}
-	b.ReportMetric(v, "percore_ops_per_Mcycle")
-}
-
-// Figure 7(a): statbench at 80 cores, three st_nlink representations.
-func BenchmarkFigure7aStatbenchFstatx(b *testing.B) {
-	benchCurvePoint(b, func() float64 {
-		return eval.Statbench(eval.StatFstatx, []int{80}).PerSec[0]
-	})
-}
-
-func BenchmarkFigure7aStatbenchRefcache(b *testing.B) {
-	benchCurvePoint(b, func() float64 {
-		return eval.Statbench(eval.StatRefcache, []int{80}).PerSec[0]
-	})
-}
-
-func BenchmarkFigure7aStatbenchSharedCount(b *testing.B) {
-	benchCurvePoint(b, func() float64 {
-		return eval.Statbench(eval.StatShared, []int{80}).PerSec[0]
-	})
-}
-
-// Figure 7(b): openbench at 80 cores, any-FD vs lowest-FD.
-func BenchmarkFigure7bOpenbenchAnyFD(b *testing.B) {
-	benchCurvePoint(b, func() float64 { return eval.Openbench(true, []int{80}).PerSec[0] })
-}
-
-func BenchmarkFigure7bOpenbenchLowestFD(b *testing.B) {
-	benchCurvePoint(b, func() float64 { return eval.Openbench(false, []int{80}).PerSec[0] })
-}
-
-// Figure 7(c): the mail server at 80 cores, commutative vs regular APIs.
-func BenchmarkFigure7cMailCommutative(b *testing.B) {
-	benchCurvePoint(b, func() float64 { return eval.Mailbench(true, []int{80}).PerSec[0] })
-}
-
-func BenchmarkFigure7cMailRegular(b *testing.B) {
-	benchCurvePoint(b, func() float64 { return eval.Mailbench(false, []int{80}).PerSec[0] })
-}
 
 // §7.2's sequential-performance observation: with Refcache, a single-core
 // fstat must reconcile per-core deltas and becomes several times more

@@ -32,19 +32,15 @@ func TestOpNames(t *testing.T) {
 
 // TestCurveHelpers checks the Figure 7 helpers this package used to
 // re-export. They run on the coherence simulator, not the pipeline, so they
-// left the façade; internal/eval holds them, and eval.Figure7 is their one
-// renderer.
+// left the façade; internal/eval holds them, and eval.Figure7, their one
+// renderer, and eval.DefaultCores are all it exports.
 func TestCurveHelpers(t *testing.T) {
-	c := eval.Statbench(eval.StatFstatx, []int{1, 2})
-	if len(c.PerSec) != 2 || c.PerSec[0] <= 0 {
-		t.Errorf("statbench curve: %+v", c)
-	}
 	var out strings.Builder
 	if err := eval.Figure7(&out, "stat", []int{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), c.Name) {
-		t.Errorf("Figure7 stat panel lacks the %q curve:\n%s", c.Name, out.String())
+	if !strings.HasPrefix(out.String(), "Figure 7(a)") {
+		t.Errorf("Figure7 stat panel:\n%s", out.String())
 	}
 	if len(eval.DefaultCores) == 0 || eval.DefaultCores[len(eval.DefaultCores)-1] != 80 {
 		t.Errorf("DefaultCores = %v", eval.DefaultCores)

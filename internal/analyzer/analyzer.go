@@ -15,7 +15,7 @@
 //
 // A path carries what TESTGEN reads — the path condition, the SIM
 // condition, whether their conjunction is satisfiable, whether that answer
-// is a proof, and the two orders' final states — and nothing else is
+// is a proof, and the two orders' final dictionaries — and nothing else is
 // decided per path. The converse question (can the pair be
 // order-distinguished on this path?) has one reader, `commuter analyze`,
 // and is asked there, after the fact, through CanDiverge.
@@ -24,6 +24,7 @@ package analyzer
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/spec"
 	"repro/internal/sym"
@@ -54,11 +55,11 @@ type Path struct {
 	// VarKinds classifies the symbolic variables of the path's exploration
 	// (symx.Path.VarKinds): every variable of the path, and its siblings'.
 	VarKinds map[string]symx.VarKind
-	// StateA and StateB are the final symbolic states of the two orders
-	// (op0;op1 and op1;op0); TESTGEN hands them to its spec.SetupMiner,
-	// which mines their initial-probe entries to materialize concrete
-	// initial states.
-	StateA, StateB spec.State
+	// DictsA and DictsB are the dictionaries (State.Dicts) of the final
+	// symbolic states of the two orders (op0;op1 and op1;op0), which Eq
+	// compares; TESTGEN plans their initial-probe entries (spec.Probes) to
+	// materialize concrete initial states.
+	DictsA, DictsB []*symx.Dict
 }
 
 // CommuteCond builds PC ∧ Eq: the commutativity condition of this path.
@@ -164,7 +165,8 @@ func AnalyzePairCtx(ctx context.Context, sp spec.Spec, opA, opB *spec.Op, opt Op
 		// Returns and final states must agree. Every requirement lands in
 		// one flat conjunct list, conjoined once.
 		conj := []*sym.Expr{spec.RetEq(abA, baA), spec.RetEq(abB, baB)}
-		p := Path{Eq: sym.And(spec.Equivalent(conj, c, ab.S, ba.S)...), StateA: ab.S, StateB: ba.S}
+		da, db := ab.S.Dicts(), ba.S.Dicts()
+		p := Path{Eq: sym.And(spec.Equivalent(conj, c, da, db)...), DictsA: da, DictsB: db}
 		// The path is complete: classify it now, since the next replay
 		// reuses c. Once ctx ends, the exploration stops at its next poll,
 		// or at the one below.
@@ -178,6 +180,7 @@ func AnalyzePairCtx(ctx context.Context, sp spec.Spec, opA, opB *spec.Op, opt Op
 	}
 
 	res := PairResult{Spec: sp.Name(), OpA: opA.Name, OpB: opB.Name, Config: opt.Config, Budgeted: budgeted}
+	res.Paths = slices.Grow(res.Paths, len(paths))
 	for _, xp := range paths {
 		p := xp.Result.(Path)
 		p.PC, p.VarKinds = xp.PC, xp.VarKinds

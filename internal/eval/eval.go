@@ -39,8 +39,8 @@ func captureOps(mem *mtrace.Memory, thunks []func()) coherence.CoreTrace {
 	return trace
 }
 
-// Curve is one throughput-vs-cores series.
-type Curve struct {
+// curve is one throughput-vs-cores series.
+type curve struct {
 	Name   string
 	Cores  []int
 	PerSec []float64 // per-core throughput (simulated ops/Mcycle/core)
@@ -49,42 +49,42 @@ type Curve struct {
 // DefaultCores is the x-axis of the Figure 7 plots.
 var DefaultCores = []int{1, 10, 20, 30, 40, 50, 60, 70, 80}
 
-// StatbenchMode selects the statbench variant (Figure 7a).
-type StatbenchMode int
+// statbenchMode selects the statbench variant (Figure 7a).
+type statbenchMode int
 
 const (
-	// StatFstatx omits st_nlink (commutative with link/unlink).
-	StatFstatx StatbenchMode = iota
-	// StatRefcache returns st_nlink from a Refcache counter.
-	StatRefcache
-	// StatShared returns st_nlink from a single shared counter.
-	StatShared
+	// statFstatx omits st_nlink (commutative with link/unlink).
+	statFstatx statbenchMode = iota
+	// statRefcache returns st_nlink from a Refcache counter.
+	statRefcache
+	// statShared returns st_nlink from a single shared counter.
+	statShared
 )
 
-func (m StatbenchMode) String() string {
+func (m statbenchMode) String() string {
 	switch m {
-	case StatFstatx:
+	case statFstatx:
 		return "Without st_nlink"
-	case StatRefcache:
+	case statRefcache:
 		return "With Refcache st_nlink"
 	default:
 		return "With shared st_nlink"
 	}
 }
 
-// Statbench reproduces Figure 7(a): n/2 cores fstat one file while n/2
+// statbench reproduces Figure 7(a): n/2 cores fstat one file while n/2
 // cores link/unlink it. Returns fstats per Mcycle per fstat-core.
-func Statbench(mode StatbenchMode, cores []int) Curve {
-	c := Curve{Name: mode.String(), Cores: cores}
+func statbench(mode statbenchMode, cores []int) curve {
+	c := curve{Name: mode.String(), Cores: cores}
 	for _, n := range cores {
 		c.PerSec = append(c.PerSec, statbenchAt(mode, n))
 	}
 	return c
 }
 
-func statbenchAt(mode StatbenchMode, n int) float64 {
+func statbenchAt(mode statbenchMode, n int) float64 {
 	d := unix.SV6
-	if mode == StatShared {
+	if mode == statShared {
 		d = unix.SV6SharedLinkCount
 	}
 	k := unix.New(d)
@@ -109,7 +109,7 @@ func statbenchAt(mode StatbenchMode, n int) float64 {
 		core := c
 		if core < statCores {
 			args := map[string]int64{"fd": fds[core]}
-			if mode == StatFstatx {
+			if mode == statFstatx {
 				args["nolink"] = 1
 			}
 			traces[core] = captureOps(k.Memory(), []func(){
@@ -133,14 +133,14 @@ func statbenchAt(mode StatbenchMode, n int) float64 {
 	return float64(statOps) / float64(res.Duration) * 1e6 / float64(statCores)
 }
 
-// Openbench reproduces Figure 7(b): n cores open and close per-core files,
+// openbench reproduces Figure 7(b): n cores open and close per-core files,
 // with either any-FD or lowest-FD allocation.
-func Openbench(anyFD bool, cores []int) Curve {
+func openbench(anyFD bool, cores []int) curve {
 	name := "Lowest FD"
 	if anyFD {
 		name = "Any FD"
 	}
-	c := Curve{Name: name, Cores: cores}
+	c := curve{Name: name, Cores: cores}
 	for _, n := range cores {
 		c.PerSec = append(c.PerSec, openbenchAt(anyFD, n))
 	}
@@ -178,14 +178,14 @@ func openbenchAt(anyFD bool, n int) float64 {
 	return float64(res.Total()) / 2 / float64(res.Duration) * 1e6 / float64(n)
 }
 
-// Mailbench reproduces Figure 7(c): n cores run the full mail pipeline with
+// mailbench reproduces Figure 7(c): n cores run the full mail pipeline with
 // regular or commutative APIs; throughput is messages per Mcycle per core.
-func Mailbench(commutative bool, cores []int) Curve {
+func mailbench(commutative bool, cores []int) curve {
 	name := "Regular APIs"
 	if commutative {
 		name = "Commutative APIs"
 	}
-	c := Curve{Name: name, Cores: cores}
+	c := curve{Name: name, Cores: cores}
 	for _, n := range cores {
 		c.PerSec = append(c.PerSec, mailbenchAt(commutative, n))
 	}
@@ -239,20 +239,20 @@ func Figure7(w io.Writer, which string, cores []int) error {
 		var out string
 		switch p {
 		case "stat":
-			out = formatCurves("Figure 7(a): statbench (fstats/Mcycle/core)", []Curve{
-				Statbench(StatFstatx, cores),
-				Statbench(StatShared, cores),
-				Statbench(StatRefcache, cores),
+			out = formatCurves("Figure 7(a): statbench (fstats/Mcycle/core)", []curve{
+				statbench(statFstatx, cores),
+				statbench(statShared, cores),
+				statbench(statRefcache, cores),
 			})
 		case "open":
-			out = formatCurves("Figure 7(b): openbench (opens/Mcycle/core)", []Curve{
-				Openbench(true, cores),
-				Openbench(false, cores),
+			out = formatCurves("Figure 7(b): openbench (opens/Mcycle/core)", []curve{
+				openbench(true, cores),
+				openbench(false, cores),
 			})
 		case "mail":
-			out = formatCurves("Figure 7(c): mail server (messages/Mcycle/core)", []Curve{
-				Mailbench(true, cores),
-				Mailbench(false, cores),
+			out = formatCurves("Figure 7(c): mail server (messages/Mcycle/core)", []curve{
+				mailbench(true, cores),
+				mailbench(false, cores),
 			})
 		default:
 			return fmt.Errorf("unknown benchmark %q", p)
@@ -265,7 +265,7 @@ func Figure7(w io.Writer, which string, cores []int) error {
 }
 
 // formatCurves renders curves as an aligned table, one row per core count.
-func formatCurves(title string, curves []Curve) string {
+func formatCurves(title string, curves []curve) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n%-8s", title, "cores")
 	for _, c := range curves {

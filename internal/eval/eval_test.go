@@ -15,9 +15,9 @@ var testCores = []int{1, 4, 16}
 // Figure 7(a): fstatx scales near-linearly; fstat with any st_nlink
 // representation collapses as link/unlink cores grow.
 func TestStatbenchShape(t *testing.T) {
-	fx := Statbench(StatFstatx, testCores)
-	rc := Statbench(StatRefcache, testCores)
-	sh := Statbench(StatShared, testCores)
+	fx := statbench(statFstatx, testCores)
+	rc := statbench(statRefcache, testCores)
+	sh := statbench(statShared, testCores)
 
 	if fx.PerSec[2] < fx.PerSec[0]*0.5 {
 		t.Errorf("fstatx per-core throughput should stay near flat: %v", fx.PerSec)
@@ -36,12 +36,25 @@ func TestStatbenchShape(t *testing.T) {
 		t.Errorf("shared-count fstat should beat Refcache fstat at 1 core: %v vs %v",
 			sh.PerSec[0], rc.PerSec[0])
 	}
+	// Figure7 renders the panel from these curves, by name.
+	var out strings.Builder
+	if err := Figure7(&out, "stat", testCores); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []curve{fx, rc, sh} {
+		if len(c.PerSec) != len(testCores) || c.PerSec[0] <= 0 {
+			t.Errorf("statbench curve: %+v", c)
+		}
+		if !strings.Contains(out.String(), c.Name) {
+			t.Errorf("Figure7 stat panel lacks the %q curve:\n%s", c.Name, out.String())
+		}
+	}
 }
 
 // Figure 7(b): O_ANYFD scales; lowest-FD collapses.
 func TestOpenbenchShape(t *testing.T) {
-	any := Openbench(true, testCores)
-	low := Openbench(false, testCores)
+	any := openbench(true, testCores)
+	low := openbench(false, testCores)
 	if any.PerSec[2] < any.PerSec[0]*0.5 {
 		t.Errorf("any-FD throughput should stay near flat: %v", any.PerSec)
 	}
@@ -53,8 +66,8 @@ func TestOpenbenchShape(t *testing.T) {
 
 // Figure 7(c): commutative APIs scale; regular APIs collapse.
 func TestMailbenchShape(t *testing.T) {
-	com := Mailbench(true, testCores)
-	reg := Mailbench(false, testCores)
+	com := mailbench(true, testCores)
+	reg := mailbench(false, testCores)
 	if com.PerSec[2] < com.PerSec[0]*0.4 {
 		t.Errorf("commutative-API mail throughput should scale: %v", com.PerSec)
 	}
@@ -105,8 +118,8 @@ func TestMailPipelineConflicts(t *testing.T) {
 }
 
 func TestFormatCurves(t *testing.T) {
-	c := Curve{Name: "x", Cores: []int{1, 2}, PerSec: []float64{1.5, 1.4}}
-	out := formatCurves("title", []Curve{c})
+	c := curve{Name: "x", Cores: []int{1, 2}, PerSec: []float64{1.5, 1.4}}
+	out := formatCurves("title", []curve{c})
 	if !strings.Contains(out, "title") || !strings.Contains(out, "1.50") {
 		t.Errorf("formatCurves output:\n%s", out)
 	}

@@ -8,24 +8,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/kernel/kerneltest"
-	"repro/internal/kernel/memq"
 )
-
-// TestReplayerMatchesFreshKernels holds the Replayer on the POSIX kernels
-// and memq to the fresh-kernel oracle (kerneltest.ReplayMatchesFresh).
-func TestReplayerMatchesFreshKernels(t *testing.T) {
-	impls := kernels()
-	impls["memq"] = func() kernel.Kernel { return memq.New() }
-	for name, fresh := range impls {
-		t.Run(name, func(t *testing.T) {
-			gen := kerneltest.Gens["posix"]
-			if name == "memq" {
-				gen = kerneltest.Gens["queue"]
-			}
-			kerneltest.ReplayMatchesFresh(t, fresh, gen)
-		})
-	}
-}
 
 // within stamps setup on every test, making them one CheckTests group.
 func within(setup kernel.Setup, tests ...kernel.TestCase) []kernel.TestCase {

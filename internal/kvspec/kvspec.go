@@ -189,12 +189,11 @@ func (kvSpec) Impls() []spec.Impl {
 // FixupCall is a no-op: the kv interface has no per-call spec flags.
 func (kvSpec) FixupCall(cfg spec.Config, call *kernel.Call) {}
 
-// miner is the kv SetupMiner: the store dictionary's probe plan, and the
-// map and slice a setup is mined into, cleared and reused from model to
-// model. It rebuilds the concrete store: every key the witness probed as
-// present becomes a seeded binding with the probed value.
+// miner is the kv SetupMiner: the map and slice a setup is mined into,
+// cleared and reused from model to model. It rebuilds the concrete store:
+// every key the witness probed as present becomes a seeded binding with
+// the probed value.
 type miner struct {
-	kv   spec.ProbePlan
 	seen map[int64]bool
 	kvs  []kernel.SetupKV
 }
@@ -202,17 +201,11 @@ type miner struct {
 // NewMiner returns a kv miner with its map made.
 func (kvSpec) NewMiner() spec.SetupMiner { return &miner{seen: map[int64]bool{}} }
 
-// Plan plans the store dictionary's probes of one path.
-func (mn *miner) Plan(a, b spec.State) { mn.kv.Plan(a.(*state).KV, b.(*state).KV) }
-
-// Clear empties the plan.
-func (mn *miner) Clear() { mn.kv.Clear() }
-
 // Setup mines the store's bindings under m.
-func (mn *miner) Setup(m sym.Model) kernel.Setup {
+func (mn *miner) Setup(m sym.Model, probes *spec.Probes) kernel.Setup {
 	clear(mn.seen)
 	mn.kvs = mn.kvs[:0]
-	for _, p := range mn.kv.Eval(m) {
+	for _, p := range probes.Eval("kv", m) {
 		if !p.Bool("present") {
 			continue
 		}

@@ -18,13 +18,10 @@ func (posixSpec) FixupCall(cfg spec.Config, call *kernel.Call) {
 	}
 }
 
-// miner is the posix SetupMiner: one probe plan per dictionary of state,
-// and the maps and slices a setup is mined into, cleared and reused from
-// model to model. It owns every fs-specific field-name convention (len,
-// nlink, off, head, tail, foff).
+// miner is the posix SetupMiner: the maps and slices a setup is mined
+// into, cleared and reused from model to model. It owns every fs-specific
+// field-name convention (len, nlink, off, head, tail, foff).
 type miner struct {
-	inode, fname, data, fd, pipe, piped, anon, vma spec.ProbePlan
-
 	// inodeLen holds the length of each initial inode in play, inodeNlink
 	// its probed link count and visibleLinks the names it has.
 	inodeLen, inodeNlink map[int64]int64
@@ -33,9 +30,11 @@ type miner struct {
 	// ever mined, emptied at each model: content by page, and by sequence.
 	pages, pipeVals map[int64]map[int64]int64
 	pipesNeeded     map[int64]bool
-	pipeCursors     map[int64]spec.Probe
-	anonVals        map[[2]int64]int64
-	inums           []int64
+	// pipeCursors holds each probed pipe's cursors, emptied once the
+	// backlogs are built, so no probe outlives a Setup.
+	pipeCursors map[int64]spec.Probe
+	anonVals    map[[2]int64]int64
+	inums       []int64
 	// items[i] backs the backlog of the i-th pipe a setup adds, and s
 	// the setup's slices.
 	items [][]int64
@@ -49,27 +48,6 @@ func (posixSpec) NewMiner() spec.SetupMiner {
 		pages: map[int64]map[int64]int64{}, pipeVals: map[int64]map[int64]int64{},
 		pipesNeeded: map[int64]bool{}, pipeCursors: map[int64]spec.Probe{}, anonVals: map[[2]int64]int64{},
 	}
-}
-
-// Plan plans the eight dictionaries' probes of one path.
-func (mn *miner) Plan(a, b spec.State) {
-	sa, sb := a.(*state), b.(*state)
-	mn.inode.Plan(sa.Inode, sb.Inode)
-	mn.fname.Plan(sa.Fname, sb.Fname)
-	mn.data.Plan(sa.Data, sb.Data)
-	mn.fd.Plan(sa.FD, sb.FD)
-	mn.pipe.Plan(sa.Pipe, sb.Pipe)
-	mn.piped.Plan(sa.PipeD, sb.PipeD)
-	mn.anon.Plan(sa.Anon, sb.Anon)
-	mn.vma.Plan(sa.VMA, sb.VMA)
-}
-
-// Clear empties the plans and the probes the last setup kept.
-func (mn *miner) Clear() {
-	for _, pl := range [...]*spec.ProbePlan{&mn.inode, &mn.fname, &mn.data, &mn.fd, &mn.pipe, &mn.piped, &mn.anon, &mn.vma} {
-		pl.Clear()
-	}
-	clear(mn.pipeCursors)
 }
 
 // inPlay puts an initial inode in the setup, with length ln unless it
@@ -88,12 +66,11 @@ func (mn *miner) inPlay(inum, ln int64) bool {
 // model assignment. Link counts are realized with hidden extra links (the
 // paper's Figure 5 "__i0" trick) when the probed count exceeds the
 // visible names.
-func (mn *miner) Setup(m sym.Model) kernel.Setup {
+func (mn *miner) Setup(m sym.Model, probes *spec.Probes) kernel.Setup {
 	clear(mn.inodeLen)
 	clear(mn.inodeNlink)
 	clear(mn.visibleLinks)
 	clear(mn.pipesNeeded)
-	clear(mn.pipeCursors)
 	clear(mn.anonVals)
 	for _, pg := range mn.pages {
 		clear(pg)
@@ -103,13 +80,13 @@ func (mn *miner) Setup(m sym.Model) kernel.Setup {
 	}
 	s := kernel.Setup{Files: mn.s.Files[:0], Inodes: mn.s.Inodes[:0], FDs: mn.s.FDs[:0], Pipes: mn.s.Pipes[:0], VMAs: mn.s.VMAs[:0]}
 
-	for _, p := range mn.inode.Eval(m) {
+	for _, p := range probes.Eval("inode", m) {
 		if inum := p.Key[0]; mn.inPlay(inum, spec.Clamp(p.Field("len"), 0, maxLen)) {
 			mn.inodeNlink[inum] = spec.Clamp(p.Field("nlink"), 0, maxInum)
 		}
 	}
 
-	for _, p := range mn.fname.Eval(m) {
+	for _, p := range probes.Eval("fname", m) {
 		name, inum := p.Key[0], p.Field("inum")
 		if mn.inPlay(inum, 0) {
 			s.Files = append(s.Files, kernel.SetupFile{Name: kernel.Fname(name), Inum: inum})
@@ -117,7 +94,7 @@ func (mn *miner) Setup(m sym.Model) kernel.Setup {
 		}
 	}
 
-	for _, p := range mn.data.Eval(m) {
+	for _, p := range probes.Eval("data", m) {
 		inum, pg := p.Key[0], p.Key[1]
 		if inum < 1 || pg < 0 {
 			continue
@@ -137,7 +114,7 @@ func (mn *miner) Setup(m sym.Model) kernel.Setup {
 		pages[pg] = p.Field("val")
 	}
 
-	for _, p := range mn.fd.Eval(m) {
+	for _, p := range probes.Eval("fd", m) {
 		proc, fd := int(p.Key[0]), p.Key[1]
 		if fd < 0 {
 			continue
@@ -158,7 +135,7 @@ func (mn *miner) Setup(m sym.Model) kernel.Setup {
 		s.FDs = append(s.FDs, sd)
 	}
 
-	for _, p := range mn.pipe.Eval(m) {
+	for _, p := range probes.Eval("pipe", m) {
 		id := p.Key[0]
 		if id < 1 {
 			continue
@@ -166,7 +143,7 @@ func (mn *miner) Setup(m sym.Model) kernel.Setup {
 		mn.pipeCursors[id] = p
 		mn.pipesNeeded[id] = true
 	}
-	for _, p := range mn.piped.Eval(m) {
+	for _, p := range probes.Eval("piped", m) {
 		id, seq := p.Key[0], p.Key[1]
 		if id < 1 {
 			continue
@@ -186,11 +163,12 @@ func (mn *miner) Setup(m sym.Model) kernel.Setup {
 		mn.items[i] = spec.AppendBacklog(mn.items[i][:0], mn.pipeCursors[id], mn.pipeVals[id], maxLen)
 		s.Pipes = append(s.Pipes, kernel.SetupPipe{ID: id, Items: spec.OrNil(mn.items[i])})
 	}
+	clear(mn.pipeCursors)
 
-	for _, p := range mn.anon.Eval(m) {
+	for _, p := range probes.Eval("anon", m) {
 		mn.anonVals[[2]int64{p.Key[0], p.Key[1]}] = p.Field("val")
 	}
-	for _, p := range mn.vma.Eval(m) {
+	for _, p := range probes.Eval("vma", m) {
 		proc, page := p.Key[0], p.Key[1]
 		if page < 0 {
 			continue

@@ -16,8 +16,8 @@ import (
 // its maps and slices from model to model, to a fresh NewMiner per model:
 // every model TESTGEN mines, of every commutative path of every posix pair
 // under both FD rules on one Generator, must give the reused miner exactly
-// the Setup a fresh one planned on the same path gives (reflect.DeepEqual,
-// so nil is not empty). Before each model the reused miner is poisoned
+// the Setup a fresh one mining from the same Probes gives
+// (reflect.DeepEqual, so nil is not empty). Before each model the reused miner is poisoned
 // (poison), so a value Setup fails to clear shows up in that model's setup
 // instead of coinciding with what a fresh miner reads.
 func TestReusedMinerIsInvisible(t *testing.T) {
@@ -48,17 +48,14 @@ func TestReusedMinerIsInvisible(t *testing.T) {
 // every key the posix bounds let a setup read: inodes and their pages,
 // pipes and their backlogs, and anonymous pages of procs 0–2. Only a link
 // count's excess over the visible names counts, so the names' sentinel is
-// negative. A pipe's cursors are a Probe, which only a plan makes, so every
-// pipe id gets one the last model left behind.
+// negative. A pipe's cursors are Probes, which Setup empties before it
+// returns, so they are not poisoned: a Setup that kept one would show it
+// in the next model's setup.
 func poison(mn *miner) {
 	const bad = 77
-	var stale spec.Probe
-	for _, p := range mn.pipeCursors {
-		stale = p
-	}
 	for k := int64(-1); k <= maxInum+1; k++ {
 		mn.inodeLen[k], mn.inodeNlink[k], mn.visibleLinks[k] = bad, bad, -bad
-		mn.pipesNeeded[k], mn.pipeCursors[k] = true, stale
+		mn.pipesNeeded[k] = true
 		for _, m := range []map[int64]map[int64]int64{mn.pages, mn.pipeVals} {
 			if m[k] == nil {
 				m[k] = map[int64]int64{}
@@ -73,8 +70,8 @@ func poison(mn *miner) {
 	}
 }
 
-// freshMinerDiff is the posix spec with a miner that mines every model twice:
-// on the reused miner and on a fresh one planned on the same path.
+// freshMinerDiff is the posix spec with a miner that mines every model twice,
+// from the Generator's Probes: on the reused miner and on a fresh one.
 type freshMinerDiff struct {
 	spec.Spec
 	t                 *testing.T
@@ -88,18 +85,12 @@ func (d *freshMinerDiff) NewMiner() spec.SetupMiner {
 type diffMiner struct {
 	d      *freshMinerDiff
 	reused spec.SetupMiner
-	a, b   spec.State
 }
 
-func (m *diffMiner) Plan(a, b spec.State) { m.a, m.b = a, b; m.reused.Plan(a, b) }
-func (m *diffMiner) Clear()               { m.a, m.b = nil, nil; m.reused.Clear() }
-
-func (m *diffMiner) Setup(model sym.Model) kernel.Setup {
+func (m *diffMiner) Setup(model sym.Model, p *spec.Probes) kernel.Setup {
 	poison(m.reused.(*miner))
-	got := m.reused.Setup(model)
-	fresh := m.d.Spec.NewMiner()
-	fresh.Plan(m.a, m.b)
-	if want := fresh.Setup(model); !reflect.DeepEqual(got, want) {
+	got := m.reused.Setup(model, p)
+	if want := m.d.Spec.NewMiner().Setup(model, p); !reflect.DeepEqual(got, want) {
 		m.d.t.Fatalf("model %d: the reused miner mined\n%+v\na fresh one\n%+v", m.d.models, got, want)
 	}
 	m.d.models++

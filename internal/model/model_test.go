@@ -260,7 +260,7 @@ func TestEquivalentDetectsWrites(t *testing.T) {
 		name := c.Var("n", FilenameSort, symx.KindArg)
 		s1.Fname.Set(c, symx.K(name), symx.NewStruct("inum", sym.Int(1)))
 		s2.Fname.Set(c, symx.K(name), symx.NewStruct("inum", sym.Int(2)))
-		return sym.And(spec.Equivalent(nil, c, s1, s2)...)
+		return sym.And(spec.Equivalent(nil, c, s1.Dicts(), s2.Dicts())...)
 	}, symx.Options{})
 	for _, p := range paths {
 		if s.Sat(sym.And(p.PC, p.Result.(*sym.Expr))) {
@@ -271,7 +271,7 @@ func TestEquivalentDetectsWrites(t *testing.T) {
 	paths = explore(func(c *symx.Context) any {
 		s1 := newState(c)
 		s2 := newState(c)
-		return sym.And(spec.Equivalent(nil, c, s1, s2)...)
+		return sym.And(spec.Equivalent(nil, c, s1.Dicts(), s2.Dicts())...)
 	}, symx.Options{})
 	for _, p := range paths {
 		if s.Sat(sym.Not(sym.Implies(p.PC, p.Result.(*sym.Expr)))) {

@@ -233,16 +233,16 @@ func (queueSpec) Impls() []spec.Impl {
 // FixupCall is a no-op: the queue interface has no per-call spec flags.
 func (queueSpec) FixupCall(cfg spec.Config, call *kernel.Call) {}
 
-// miner is the queue SetupMiner: one probe plan per queue dictionary, and
-// the maps and slices a setup is mined into, cleared and reused from model
-// to model. It rebuilds concrete queue backlogs: for each probed queue, the
-// messages between head and tail become the seeded items (the
-// implementation renumbers from zero; sequence numbers are relative, so
-// only the backlog's content and order matter).
+// miner is the queue SetupMiner: the maps and slices a setup is mined
+// into, cleared and reused from model to model. It rebuilds concrete queue
+// backlogs: for each probed queue, the messages between head and tail
+// become the seeded items (the implementation renumbers from zero;
+// sequence numbers are relative, so only the backlog's content and order
+// matter).
 type miner struct {
-	ord, ordD, anyQ, anyD spec.ProbePlan
-
-	ordVals    map[int64]int64
+	ordVals map[int64]int64
+	// anyCursors holds each probed unordered queue's cursors, emptied once
+	// the backlogs are built, so no probe outlives a Setup.
 	anyCursors map[int64]spec.Probe
 	// anyVals keeps an inner map per queue id ever mined, emptied at each
 	// model.
@@ -256,23 +256,6 @@ type miner struct {
 // NewMiner returns a queue miner with its maps made.
 func (queueSpec) NewMiner() spec.SetupMiner {
 	return &miner{ordVals: map[int64]int64{}, anyCursors: map[int64]spec.Probe{}, anyVals: map[int64]map[int64]int64{}}
-}
-
-// Plan plans the four queue dictionaries' probes of one path.
-func (mn *miner) Plan(a, b spec.State) {
-	sa, sb := a.(*state), b.(*state)
-	mn.ord.Plan(sa.Ord, sb.Ord)
-	mn.ordD.Plan(sa.OrdD, sb.OrdD)
-	mn.anyQ.Plan(sa.AnyQ, sb.AnyQ)
-	mn.anyD.Plan(sa.AnyD, sb.AnyD)
-}
-
-// Clear empties the plans and the probes the last setup kept.
-func (mn *miner) Clear() {
-	for _, pl := range [...]*spec.ProbePlan{&mn.ord, &mn.ordD, &mn.anyQ, &mn.anyD} {
-		pl.Clear()
-	}
-	clear(mn.anyCursors)
 }
 
 // addQueue appends a queue seeded with the backlog cursors and vals
@@ -289,9 +272,8 @@ func (mn *miner) addQueue(core int64, cursors spec.Probe, vals map[int64]int64) 
 }
 
 // Setup mines the queues' backlogs under m.
-func (mn *miner) Setup(m sym.Model) kernel.Setup {
+func (mn *miner) Setup(m sym.Model, probes *spec.Probes) kernel.Setup {
 	clear(mn.ordVals)
-	clear(mn.anyCursors)
 	for _, vals := range mn.anyVals {
 		clear(vals)
 	}
@@ -299,25 +281,25 @@ func (mn *miner) Setup(m sym.Model) kernel.Setup {
 
 	// Shared ordered queue.
 	var ordCursors spec.Probe
-	for _, p := range mn.ord.Eval(m) {
+	for _, p := range probes.Eval("mq", m) {
 		if p.Key[0] == 0 {
 			ordCursors = p
 		}
 	}
-	for _, p := range mn.ordD.Eval(m) {
+	for _, p := range probes.Eval("mqd", m) {
 		mn.ordVals[p.Key[0]] = p.Field("val")
 	}
 	mn.addQueue(-1, ordCursors, mn.ordVals)
 
 	// Per-core unordered queues, in queue-id order.
-	for _, p := range mn.anyQ.Eval(m) {
+	for _, p := range probes.Eval("anyq", m) {
 		qi := p.Key[0]
 		if qi < 0 || qi >= nQueues {
 			continue
 		}
 		mn.anyCursors[qi] = p
 	}
-	for _, p := range mn.anyD.Eval(m) {
+	for _, p := range probes.Eval("anyqd", m) {
 		qi, seq := p.Key[0], p.Key[1]
 		vals := mn.anyVals[qi]
 		if vals == nil {
@@ -329,5 +311,6 @@ func (mn *miner) Setup(m sym.Model) kernel.Setup {
 	for qi := int64(0); qi < nQueues; qi++ {
 		mn.addQueue(qi, mn.anyCursors[qi], mn.anyVals[qi])
 	}
+	clear(mn.anyCursors)
 	return kernel.Setup{Queues: spec.OrNil(mn.queues)}
 }

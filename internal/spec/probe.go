@@ -10,8 +10,8 @@ import (
 // Probe is one evaluated initial-state dictionary probe: the concrete key
 // a test setup must populate, plus the probed value's fields evaluated
 // under the model assignment. A spec's SetupMiner mines these to rebuild a
-// realizable initial state. A Probe points into its ProbePlan's storage and
-// is valid until the plan's next Eval, Plan or Clear.
+// realizable initial state. A Probe points into its Probes' storage and is
+// valid until the next Eval of its dictionary, Plan or Clear.
 type Probe struct {
 	Key []int64
 	// names is the probed value's field order; vals holds each field's
@@ -34,12 +34,54 @@ func (p Probe) Field(name string) int64 {
 // Bool returns the named boolean field's value.
 func (p Probe) Bool(name string) bool { return p.Field(name) != 0 }
 
-// ProbePlan is the half of mining one dictionary's initial probes that no
-// model decides: which entries of both permutations' states are initial
-// probes, in walk order, and storage for what they evaluate to. A spec's
-// SetupMiner keeps one per dictionary, re-plans it in place once per path
-// and evaluates it once per model. The zero ProbePlan plans nothing.
-type ProbePlan struct {
+// Probes is the half of mining a setup that no model decides: which
+// entries of a commutative path's two final states are initial probes, one
+// plan per dictionary of State.Dicts, and storage for what they evaluate
+// to. TESTGEN plans it once per path and a SetupMiner evaluates it once per
+// model, by dictionary name. The zero Probes has planned nothing.
+type Probes struct {
+	plans []probePlan
+}
+
+// Plan replaces the plans with those of two final states' dictionaries,
+// da and db (State.Dicts), paired by index as Equivalent pairs them,
+// keeping the storage the last plans grew.
+func (ps *Probes) Plan(da, db []*symx.Dict) {
+	if len(ps.plans) != len(da) {
+		ps.plans = make([]probePlan, len(da))
+	}
+	for i := range da {
+		ps.plans[i].plan(da[i], db[i])
+	}
+}
+
+// Eval evaluates the named dictionary's probes under m — booleans as 0/1,
+// what m leaves undetermined as zero — deduplicating by concrete key and
+// dropping absent locations (only present initial content needs
+// materializing). The result is valid until the dictionary's next Eval, or
+// the next Plan or Clear. A name the planned states have no dictionary of
+// panics.
+func (ps *Probes) Eval(name string, m sym.Model) []Probe {
+	for i := range ps.plans {
+		if ps.plans[i].name == name {
+			return ps.plans[i].eval(m)
+		}
+	}
+	panic("spec: no planned dictionary " + name)
+}
+
+// Clear empties every plan, dropping every reference into the last path's
+// states and probes while keeping the storage.
+func (ps *Probes) Clear() {
+	for i := range ps.plans {
+		ps.plans[i].clear()
+	}
+}
+
+// probePlan is Probes' plan of one dictionary: its initial-probe entries
+// from both permutations' states, in walk order.
+type probePlan struct {
+	name    string
 	entries []*symx.DictEntry
 	// keys[i] is entries[i]'s key under the current model, kept for absent
 	// entries too: a location's first entry decides it. ints backs every
@@ -49,12 +91,13 @@ type ProbePlan struct {
 	out  []Probe
 }
 
-// Plan replaces the plan with the initial-probe entries of one dictionary
-// from both permutations' states, keeping the storage the last plan grew.
-func (pl *ProbePlan) Plan(dicts ...*symx.Dict) {
-	pl.Clear()
+// plan replaces the plan with the initial-probe entries of a and b, one
+// dictionary in both permutations' states.
+func (pl *probePlan) plan(a, b *symx.Dict) {
+	pl.clear()
+	pl.name = a.Name
 	n := 0
-	for _, d := range dicts {
+	for _, d := range [2]*symx.Dict{a, b} {
 		for _, e := range d.Entries() {
 			if !e.InitialProbe {
 				continue
@@ -71,19 +114,13 @@ func (pl *ProbePlan) Plan(dicts ...*symx.Dict) {
 	}
 }
 
-// Clear empties the plan, dropping every reference into the last path's
-// states and probes while keeping the storage.
-func (pl *ProbePlan) Clear() {
+func (pl *probePlan) clear() {
 	clear(pl.entries)
 	clear(pl.out[:cap(pl.out)])
 	pl.entries, pl.keys, pl.out = pl.entries[:0], pl.keys[:0], pl.out[:0]
 }
 
-// Eval evaluates the plan's probes under m — booleans as 0/1, what m leaves
-// undetermined as zero — deduplicating by concrete key and dropping absent
-// locations (only present initial content needs materializing). The result
-// is valid until the plan's next Eval, Plan or Clear.
-func (pl *ProbePlan) Eval(m sym.Model) []Probe {
+func (pl *probePlan) eval(m sym.Model) []Probe {
 	pl.keys, pl.ints, pl.out = pl.keys[:0], pl.ints[:0], pl.out[:0]
 entries:
 	for _, e := range pl.entries {

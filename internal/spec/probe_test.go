@@ -21,7 +21,7 @@ type mapProbe struct {
 	Bools  map[string]bool
 }
 
-// collectProbes is the reference ProbePlan.Eval must agree with: the
+// collectProbes is the reference Probes.Eval must agree with: the
 // per-model walk it replaced, filtering and deduplicating as it goes. Both
 // sides read the model through sym's one evaluator, so what this pins is the
 // walk — which entries are probes, that a location's first entry decides it,
@@ -67,13 +67,14 @@ func collectProbes(m sym.Model, dicts ...*symx.Dict) []mapProbe {
 	return out
 }
 
-// TestProbePlanMatchesPerModelWalk evaluates one plan per dictionary per
-// path under the models TESTGEN would see (and under the empty model,
-// where every expression is undetermined), for pairs of all four specs
-// whose paths probe several dictionaries, alias keys and leave locations
-// absent. Each Eval must list the probes the per-model walk lists, in its
-// order, with its keys and field values — from storage the next Eval
-// reuses, in plans re-planned in place from path to path as a miner's are.
+// TestProbePlanMatchesPerModelWalk plans one Probes per path and evaluates
+// every dictionary's probes, by name, under the models TESTGEN would see
+// (and under the empty model, where every expression is undetermined), for
+// pairs of all four specs whose paths probe several dictionaries, alias
+// keys and leave locations absent. Each Eval must list the probes the
+// per-model walk of that dictionary in both states lists, in its order,
+// with its keys and field values — from storage the next Eval reuses, in
+// a Probes re-planned in place from path to path as TESTGEN's is.
 func TestProbePlanMatchesPerModelWalk(t *testing.T) {
 	pairs := []struct{ spec, a, b string }{
 		{"posix", "rename", "rename"},
@@ -100,22 +101,17 @@ func TestProbePlanMatchesPerModelWalk(t *testing.T) {
 			t.Fatal(err)
 		}
 		probes, evals := 0, 0
-		var plans []spec.ProbePlan // re-planned in place at every path
+		var plan spec.Probes // re-planned in place at every path
 		for pi, path := range pr.Paths {
 			if !path.Commutes {
 				continue
 			}
-			da, db := path.StateA.Dicts(), path.StateB.Dicts()
-			if len(plans) != len(da) {
-				plans = make([]spec.ProbePlan, len(da))
-			}
-			for i := range da {
-				plans[i].Plan(da[i], db[i])
-			}
+			da, db := path.DictsA, path.DictsB
+			plan.Plan(da, db)
 			check := func(m sym.Model) {
-				for i := range plans {
+				for i := range da {
 					want := collectProbes(m, da[i], db[i])
-					got := plans[i].Eval(m)
+					got := plan.Eval(da[i].Name, m)
 					evals++
 					probes += len(got)
 					if len(got) != len(want) {
@@ -181,5 +177,43 @@ func TestProbePlanMatchesPerModelWalk(t *testing.T) {
 		if probes == 0 {
 			t.Errorf("%s %s/%s: no probe in %d evaluations; the pair tests nothing", pair.spec, pair.a, pair.b, evals)
 		}
+	}
+}
+
+// TestProbesPanicOnUnknownDictionary pins Eval's one failure: a name the
+// planned states have no dictionary of is a miner's mistake, not an empty
+// dictionary, before and after a Plan and after a Clear.
+func TestProbesPanicOnUnknownDictionary(t *testing.T) {
+	sp, err := spec.Lookup("kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	put, err := spec.OpByName(sp, "put")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, err := analyzer.AnalyzePairCtx(context.Background(), sp, put, put, analyzer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evalPanics := func(p *spec.Probes, name string) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		p.Eval(name, sym.Model{})
+		return false
+	}
+	var p spec.Probes
+	if !evalPanics(&p, "kv") {
+		t.Error("an unplanned Probes evaluated a dictionary")
+	}
+	p.Plan(pr.Paths[0].DictsA, pr.Paths[0].DictsB)
+	if evalPanics(&p, "kv") || !evalPanics(&p, "fname") {
+		t.Error("a planned kv Probes must evaluate kv and only kv")
+	}
+	p.Clear()
+	if got := p.Eval("kv", sym.Model{}); len(got) != 0 {
+		t.Errorf("a cleared Probes evaluated %d probes", len(got))
+	}
+	if !evalPanics(&p, "fname") {
+		t.Error("a cleared kv Probes evaluated fname")
 	}
 }

@@ -7,10 +7,11 @@
 //
 //   - the operation universe (Ops, plus named subsets for the CLI),
 //   - symbolic state construction (NewState) and the state's dictionary
-//     layout (State.Dicts, which equivalence and probe mining walk),
-//   - concretization: a SetupMiner (NewMiner) turns a solver witness into
-//     a concrete kernel.TestCase setup, and FixupCall adjusts each
-//     materialized call,
+//     layout (State.Dicts, which equivalence and Probes walk),
+//   - concretization: a SetupMiner (NewMiner) reads a solver witness's
+//     initial-state probes, which TESTGEN plans and evaluates through
+//     Probes, into a concrete kernel.TestCase setup, and FixupCall adjusts
+//     each materialized call,
 //   - implementation bindings (Impls): the runners that can execute the
 //     spec's calls under the MTRACE conflict checker.
 //
@@ -78,7 +79,8 @@ type Op struct {
 // State is one permutation's symbolic state, as built by a Spec.
 type State interface {
 	// Dicts returns the state's dictionaries in comparison order:
-	// equivalence checking and TESTGEN's initial-probe mining walk them.
+	// equivalence checking and TESTGEN's Probes walk them, pairing two
+	// states' dictionaries by index.
 	// Dictionaries whose invariant closures probe other dictionaries must
 	// come before the dictionaries they probe (late materialization must
 	// not race the comparison of the tables it references).
@@ -128,20 +130,13 @@ type Spec interface {
 // to model, so what it builds lives in storage it clears and reuses, and
 // one miner serves one goroutine.
 type SetupMiner interface {
-	// Plan resolves, once per path, what mining a setup from the two
-	// permutations' final symbolic states does not need a model for:
-	// their dictionaries' initial-probe entries (ProbePlan.Plan). It
-	// replaces the previous path's plan in place.
-	Plan(a, b State)
-	// Setup mines, once per model m of the planned path, a concrete,
-	// realizable initial state, with a deterministic order in every field
-	// and nil for every empty one. The Setup lives in the miner's storage
-	// until the next Setup, Plan or Clear: a caller that keeps it keeps its
-	// kernel.Setup.Clone.
-	Setup(m sym.Model) kernel.Setup
-	// Clear drops every reference into the last path's states and models,
-	// keeping the storage, so nothing of a pair outlives it.
-	Clear()
+	// Setup mines, once per model m of a path, a concrete, realizable
+	// initial state from p, the path's Probes, with a deterministic order
+	// in every field and nil for every empty one. It reads a dictionary
+	// only through p.Eval, and keeps no Probe past its return. The Setup
+	// lives in the miner's storage until the next Setup: a caller that
+	// keeps it keeps its kernel.Setup.Clone.
+	Setup(m sym.Model, p *Probes) kernel.Setup
 }
 
 // MakeArgs materializes the symbolic arguments of op for an operation
@@ -172,11 +167,10 @@ func RetEq(a, b []*sym.Expr) *sym.Expr {
 }
 
 // Equivalent appends to dst the conjuncts stating that two final states of
-// the same spec are indistinguishable through the interface: every
-// dictionary holds equal content at every key either execution touched
-// (symx.DictsEquivalent, one dictionary after another).
-func Equivalent(dst []*sym.Expr, c *symx.Context, a, b State) []*sym.Expr {
-	da, db := a.Dicts(), b.Dicts()
+// the same spec, given by their Dicts, are indistinguishable through the
+// interface: every dictionary holds equal content at every key either
+// execution touched (symx.DictsEquivalent, one dictionary after another).
+func Equivalent(dst []*sym.Expr, c *symx.Context, da, db []*symx.Dict) []*sym.Expr {
 	if len(da) != len(db) {
 		panic("spec: comparing states with different dictionary layouts")
 	}

@@ -14,8 +14,10 @@ import (
 	"time"
 
 	"repro/internal/analyzer"
+	"repro/internal/kernel"
 	"repro/internal/model"
 	"repro/internal/spec"
+	"repro/internal/sym"
 	"repro/internal/testgen"
 )
 
@@ -176,14 +178,14 @@ func TestSweepCancelBeforeStart(t *testing.T) {
 	}
 }
 
-// cancellingSpec is a spec whose miner's Plan cancels the context its
-// cancel belongs to. ANALYZE plans no setup, so it runs to the end;
-// TESTGEN plans one per commutative path, so its first plan cuts
+// cancellingSpec is a spec whose miner's Setup cancels the context its
+// cancel belongs to. ANALYZE mines no setup, so it runs to the end;
+// TESTGEN mines one per model it materializes, so its first setup cuts
 // generation short.
 type cancellingSpec struct {
 	spec.Spec
 	cancel context.CancelFunc
-	plans  atomic.Int64
+	setups atomic.Int64
 }
 
 func (s *cancellingSpec) NewMiner() spec.SetupMiner {
@@ -195,10 +197,10 @@ type cancellingMiner struct {
 	s *cancellingSpec
 }
 
-func (m cancellingMiner) Plan(a, b spec.State) {
-	m.s.plans.Add(1)
+func (m cancellingMiner) Setup(model sym.Model, p *spec.Probes) kernel.Setup {
+	m.s.setups.Add(1)
 	m.s.cancel()
-	m.SetupMiner.Plan(a, b)
+	return m.SetupMiner.Setup(model, p)
 }
 
 // TestCancelledTestgenIsDropped pins what becomes of a generation pass
@@ -211,8 +213,8 @@ func TestCancelledTestgenIsDropped(t *testing.T) {
 	defer cancel()
 	sp := &cancellingSpec{Spec: model.Spec, cancel: cancel}
 	tests, _, err := PairTests(ctx, sp, a, b, analyzer.Options{}, testgen.Options{}, new(PairResult))
-	if sp.plans.Load() == 0 {
-		t.Fatal("TESTGEN planned no setup: the cancellation did not land in it")
+	if sp.setups.Load() == 0 {
+		t.Fatal("TESTGEN mined no setup: the cancellation did not land in it")
 	}
 	if !errors.Is(err, context.Canceled) || tests != nil {
 		t.Errorf("TESTGEN cancelled: %d tests, err %v; want none, context.Canceled", len(tests), err)
@@ -226,8 +228,8 @@ func TestCancelledTestgenIsDropped(t *testing.T) {
 		Spec: sp, Ops: []*spec.Op{a, b}, Kernels: testKernels(), Workers: 1, Cache: backend,
 		Progress: func(ev Event) { t.Errorf("cancelled sweep reported pair %s", ev.Pair) },
 	})
-	if sp.plans.Load() == 0 {
-		t.Fatal("the sweep's TESTGEN planned no setup: the cancellation did not land in it")
+	if sp.setups.Load() == 0 {
+		t.Fatal("the sweep's TESTGEN mined no setup: the cancellation did not land in it")
 	}
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Errorf("sweep cancelled in TESTGEN returned %v, %v; want context.Canceled", res, err)

@@ -9,7 +9,9 @@ import (
 	"hash"
 	"io"
 	"os"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/analyzer"
@@ -30,8 +32,9 @@ var updateCorpus = flag.Bool("update", false, "rewrite the analysis, corpus and 
 
 // TestCorpusDigest pins every path ANALYZE finds and the content of every
 // generated test, not just the cell counts the matrix goldens see, and
-// what every implementation does with it. The corpus is generated once:
-// every pair of all four specs plus posix "fs" under the lowest-FD rule.
+// what every implementation does with it, over the universes the corpus
+// walk (corpusWalk) pins: every pair of all four specs plus posix "fs"
+// under the lowest-FD rule.
 //
 // analysis.digest has one line per spec universe with the path
 // count and a SHA-256 over each pair's paths in order: index, Commutes,
@@ -61,95 +64,165 @@ func TestCorpusDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full ANALYZE+TESTGEN of every spec")
 	}
-	type universe struct {
-		spec, set string
-		cfg       spec.Config
+	w := corpusWalk()
+	if w.err != nil {
+		t.Fatal(w.err)
 	}
-	universes := []universe{
+	for _, p := range w.malformed {
+		t.Error(p)
+	}
+	checkDigest(t, pinDir+"analysis.digest", w.analysis)
+	checkDigest(t, pinDir+"corpus.digest", w.corpus)
+	checkDigest(t, pinDir+"trace.digest", w.traces)
+}
+
+// walkFindings is what the corpus walk finds: the three digests, the tests
+// TestCorpusDigest refuses (malformed) and those TestConflictFreeIsOrderFree
+// refuses (disordered), and per universe and Impl its test and
+// conflict-free counts.
+type walkFindings struct {
+	analysis, corpus, traces string
+	malformed, disordered    []string
+	counts                   []string
+	err                      error
+}
+
+// corpusWalk runs ANALYZE, TESTGEN and kerneltest.OrderFree on every Impl
+// over every pair of all four specs, posix under both FD rules, once per
+// test binary: one Check per test and Impl feeds both the trace digest and
+// the order-free oracle. A universe's pinned set is a prefix of its ops, so
+// its pairs are the walk's first ones: posix's "fs" under the lowest-FD
+// rule is the first 45 pairs of posix/all under it.
+var corpusWalk = sync.OnceValue(func() (w walkFindings) {
+	var analysis, corpus, traces strings.Builder
+	for _, u := range []struct {
+		spec, pinned string
+		cfg          spec.Config
+	}{
 		{"kv", "all", spec.Config{}},
 		{"posix", "all", spec.Config{}},
 		{"posix", "fs", spec.Config{LowestFD: true}},
 		{"queue", "all", spec.Config{}},
 		{"vm", "all", spec.Config{}},
-	}
-	var analysis, corpus, traces strings.Builder
-	for _, u := range universes {
+	} {
 		sp, err := spec.Lookup(u.spec)
 		if err != nil {
-			t.Fatal(err)
+			w.err = err
+			return w
 		}
-		ops, err := spec.OpSet(sp, u.set)
+		ops, impls := sp.Ops(), sp.Impls()
+		pinned, err := spec.OpSet(sp, u.pinned)
+		if err == nil && !slices.Equal(pinned, ops[:len(pinned)]) {
+			err = fmt.Errorf("%s/%s is not a prefix of the spec's ops", u.spec, u.pinned)
+		}
 		if err != nil {
-			t.Fatal(err)
+			w.err = err
+			return w
 		}
-		impls := sp.Impls()
+		g := NewGenerator(sp)
 		h, pathH := sha256.New(), sha256.New()
 		traceH := make([]hash.Hash, len(impls))
 		for j := range traceH {
 			traceH[j] = sha256.New()
 		}
-		n, paths := 0, 0
+		var traced *mtrace.Memory // Check traces on the first kernel it builds
+		hook := func(m *mtrace.Memory) {
+			if traced == nil {
+				traced = m
+			}
+		}
+		tests, pinnedTests, paths := 0, 0, 0
+		conflictFree := make([]int, len(impls))
 		for i, a := range ops {
 			for _, b := range ops[:i+1] {
 				// Earlier op first: the orientation sweep.Pairs uses.
 				pr, err := analyzer.AnalyzePairCtx(context.Background(), sp, b, a, analyzer.Options{Config: u.cfg})
 				if err != nil {
-					t.Fatal(err)
+					w.err = err
+					return w
 				}
-				for pi, p := range pr.Paths {
-					fmt.Fprintf(pathH, "%s,%s %d %t %t\n%s\n%s\n", pr.OpA, pr.OpB, pi, p.Commutes, p.Unknown, p.PC, p.Eq)
+				pin := i < len(pinned)
+				if pin {
+					for pi, p := range pr.Paths {
+						fmt.Fprintf(pathH, "%s,%s %d %t %t\n%s\n%s\n", pr.OpA, pr.OpB, pi, p.Commutes, p.Unknown, p.PC, p.Eq)
+					}
+					paths += len(pr.Paths)
 				}
-				paths += len(pr.Paths)
-				tests, _ := GenerateChecked(sp, pr, Options{})
-				for _, tc := range tests {
-					if err := kernel.Admit(&tc); err != nil {
-						t.Errorf("a generated test is not admitted: %v", err)
+				generated, _ := g.Generate(pr, Options{})
+				for _, tc := range generated {
+					w.malformed = append(w.malformed, malformed(tc)...)
+					if pin {
+						fmt.Fprintf(h, "%s\n%v\n%v\n%s\n", tc.ID, tc.Calls[0], tc.Calls[1], tc.SetupID)
+						pinnedTests++
 					}
-					if fp := tc.Setup.Fingerprint(); fp != tc.SetupID {
-						t.Errorf("%s: SetupID %q is not the setup's fingerprint %q", tc.ID, tc.SetupID, fp)
-					}
-					if orig, clone := mustJSON(t, tc.Setup), mustJSON(t, tc.Setup.Clone()); orig != clone {
-						t.Errorf("%s: the setup's clone encodes as\n%s\nnot as the setup\n%s", tc.ID, clone, orig)
-					}
-					fmt.Fprintf(h, "%s\n%v\n%v\n%s\n", tc.ID, tc.Calls[0], tc.Calls[1], tc.SetupID)
 					for j, im := range impls {
-						hashTrace(traceH[j], im.New, tc)
+						traced = nil
+						res, swapped, err := kerneltest.OrderFree(kerneltest.Logged(im.New, hook), tc)
+						if pin {
+							hashTrace(traceH[j], tc, res, swapped, traced)
+						}
+						if res.ConflictFree {
+							conflictFree[j]++
+						}
+						if err != nil {
+							w.disordered = append(w.disordered, fmt.Sprintf("%s lowestfd=%t: %v", u.spec, u.cfg.LowestFD, err))
+						}
+						if u.cfg.LowestFD {
+							for ci, c := range tc.Calls {
+								for _, r := range []kernel.Result{res.Res[ci], swapped[ci]} {
+									if fdPastTable(c.Op, r) {
+										w.disordered = append(w.disordered, fmt.Sprintf("%s %s: %s returns %v, past the spec's %d descriptors",
+											im.Name, tc.ID, c, r, kernel.MaxFD))
+									}
+								}
+							}
+						}
 					}
-					n++
 				}
+				tests += len(generated)
 			}
 		}
-		line := fmt.Sprintf("%s/%s lowestfd=%t", u.spec, u.set, u.cfg.LowestFD)
+		line := fmt.Sprintf("%s/%s lowestfd=%t", u.spec, u.pinned, u.cfg.LowestFD)
 		fmt.Fprintf(&analysis, "%s paths=%d sha256=%x\n", line, paths, pathH.Sum(nil))
-		fmt.Fprintf(&corpus, "%s tests=%d sha256=%x\n", line, n, h.Sum(nil))
+		fmt.Fprintf(&corpus, "%s tests=%d sha256=%x\n", line, pinnedTests, h.Sum(nil))
 		for j, im := range impls {
-			fmt.Fprintf(&traces, "%s %s tests=%d sha256=%x\n", line, im.Name, n, traceH[j].Sum(nil))
+			fmt.Fprintf(&traces, "%s %s tests=%d sha256=%x\n", line, im.Name, pinnedTests, traceH[j].Sum(nil))
+			w.counts = append(w.counts, fmt.Sprintf("%s lowestfd=%t %s: %d tests, %d conflict-free", u.spec, u.cfg.LowestFD, im.Name, tests, conflictFree[j]))
 		}
 	}
-	checkDigest(t, pinDir+"analysis.digest", analysis.String())
-	checkDigest(t, pinDir+"corpus.digest", corpus.String())
-	checkDigest(t, pinDir+"trace.digest", traces.String())
+	w.analysis, w.corpus, w.traces = analysis.String(), corpus.String(), traces.String()
+	return w
+})
+
+// malformed lists what is wrong with tc as a test TESTGEN may produce: the
+// Replayer does not admit it, its SetupID is not its setup's fingerprint,
+// or its setup's Clone does not encode as the setup does.
+func malformed(tc kernel.TestCase) []string {
+	var bad []string
+	if err := kernel.Admit(&tc); err != nil {
+		bad = append(bad, fmt.Sprintf("a generated test is not admitted: %v", err))
+	}
+	if fp := tc.Setup.Fingerprint(); fp != tc.SetupID {
+		bad = append(bad, fmt.Sprintf("%s: SetupID %q is not the setup's fingerprint %q", tc.ID, tc.SetupID, fp))
+	}
+	if orig, clone := mustJSON(tc.Setup), mustJSON(tc.Setup.Clone()); orig != clone {
+		bad = append(bad, fmt.Sprintf("%s: the setup's clone encodes as\n%s\nnot as the setup\n%s", tc.ID, clone, orig))
+	}
+	return bad
 }
 
 // mustJSON is v's JSON encoding.
-func mustJSON(t *testing.T, v any) string {
-	t.Helper()
+func mustJSON(v any) string {
 	b, err := json.Marshal(v)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
 	return string(b)
 }
 
-// hashTrace writes to h what the reference checker reports for tc on fresh
-// kernels, followed by the traced run's access log.
-func hashTrace(h io.Writer, fresh func() kernel.Kernel, tc kernel.TestCase) {
-	var traced *mtrace.Memory // Check traces on the first kernel it builds
-	res, swapped := kerneltest.Check(kerneltest.Logged(fresh, func(m *mtrace.Memory) {
-		if traced == nil {
-			traced = m
-		}
-	}), tc)
+// hashTrace writes to h what the reference checker reported for tc on fresh
+// kernels, followed by the access log of traced, the run it traced.
+func hashTrace(h io.Writer, tc kernel.TestCase, res kernel.CheckResult, swapped [2]kernel.Result, traced *mtrace.Memory) {
 	fmt.Fprintf(h, "%s\n%v %v commuted=%t\n", tc.ID, res.Res[0], res.Res[1], res.Res == swapped)
 	for _, c := range res.Conflicts {
 		fmt.Fprintf(h, "conflict %s\n", c)

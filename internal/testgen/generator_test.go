@@ -21,7 +21,7 @@ func leafOf(g *Generator, pr analyzer.PairResult, pi int, f func(ops [2]*spec.Op
 	path := pr.Paths[pi]
 	g.cond = condConjs(g.cond[:0], path)
 	g.vars = classVars(g.vars, g.cond, path.VarKinds)
-	g.miner.Plan(path.StateA, path.StateB)
+	g.probes.Plan(path.DictsA, path.DictsB)
 	solver.EnumerateConjs(g.cond, func(m sym.Model) bool {
 		f(ops, g.vars, m)
 		return false

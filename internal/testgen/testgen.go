@@ -6,10 +6,11 @@
 // patterns exercise different data-structure access patterns in an
 // implementation even along one model path.
 //
-// testgen is generic over the interface specification (spec.Spec): the
-// only spec-specific steps — turning a solver witness into a concrete
-// initial state, and adjusting each call — are the spec's SetupMiner and
-// FixupCall.
+// testgen is generic over the interface specification (spec.Spec): it
+// plans and evaluates every dictionary's initial probes itself
+// (spec.Probes), and the only spec-specific steps — reading those probes
+// into a concrete initial state, and adjusting each call — are the spec's
+// SetupMiner and FixupCall.
 package testgen
 
 import (
@@ -51,13 +52,14 @@ func GenerateChecked(sp spec.Spec, pr analyzer.PairResult, opt Options) ([]kerne
 }
 
 // Generator is TESTGEN for one spec, kept from pair to pair: the spec's
-// SetupMiner and the leaf's scratch, cleared and reused, so that a model
-// the leaf does not keep allocates nothing, and only a kept test is copied
-// out of it. A sweep worker keeps one for every pair it runs. A Generator
-// serves one goroutine.
+// SetupMiner, the path's Probes and the leaf's scratch, cleared and
+// reused, so that a model the leaf does not keep allocates nothing, and
+// only a kept test is copied out of it. A sweep worker keeps one for every
+// pair it runs. A Generator serves one goroutine.
 type Generator struct {
-	sp    spec.Spec
-	miner spec.SetupMiner
+	sp     spec.Spec
+	miner  spec.SetupMiner
+	probes spec.Probes
 	// The leaf's scratch: the class signature, the kept classes of the
 	// path, the two calls (cloned when a test is kept) and the setup's
 	// fingerprint.
@@ -119,7 +121,7 @@ func (g *Generator) generate(pr analyzer.PairResult, opt Options) ([]kernel.Test
 		manyClasses := distinguishes(g.vars)
 		// What mining a setup needs of the path's two states is resolved
 		// here, once, and evaluated per model below.
-		g.miner.Plan(path.StateA, path.StateB)
+		g.probes.Plan(path.DictsA, path.DictsB)
 		// One enumeration pass collects a representative per isomorphism
 		// class: each model is kept if no previously kept model has its
 		// class signature. This keeps the same representatives, in the
@@ -199,7 +201,7 @@ func (g *Generator) materialize(pr analyzer.PairResult, ops [2]*spec.Op, m sym.M
 	// initial-state probes of both permutations' symbolic states, and its
 	// content address, so the checker can batch tests that share an
 	// initial state without recomputing the fingerprint per test.
-	setup := g.miner.Setup(m)
+	setup := g.miner.Setup(m, &g.probes)
 	g.fp = setup.AppendFingerprint(g.fp[:0])
 	// Distinct isomorphism classes can materialize identically when the
 	// distinguishing variables don't reach the concrete state (e.g.
@@ -228,10 +230,10 @@ func (g *Generator) materialize(pr analyzer.PairResult, ops [2]*spec.Op, m sym.M
 }
 
 // release drops every reference the Generator's storage holds into the
-// pair it generated — the plan, the conjuncts and variables, the kept
+// pair it generated — the probes, the conjuncts and variables, the kept
 // tests — keeping the storage for the next pair.
 func (g *Generator) release() {
-	g.miner.Clear()
+	g.probes.Clear()
 	clear(g.cond[:cap(g.cond)])
 	clear(g.vars[:cap(g.vars)])
 	for slot := range g.argVars {

@@ -224,16 +224,14 @@ func (vmSpec) Impls() []spec.Impl {
 // FixupCall is a no-op: the VM interface has no per-call spec flags.
 func (vmSpec) FixupCall(cfg spec.Config, call *kernel.Call) {}
 
-// miner is the vm SetupMiner: one probe plan per address-space
-// dictionary, and the maps and slice a setup is mined into, cleared and
-// reused from model to model. It rebuilds the concrete address spaces:
-// every (proc, page) the witness probed as mapped becomes an anonymous
-// SetupVMA carrying the probed permission and content.
+// miner is the vm SetupMiner: the maps and slice a setup is mined into,
+// cleared and reused from model to model. It rebuilds the concrete address
+// spaces: every (proc, page) the witness probed as mapped becomes an
+// anonymous SetupVMA carrying the probed permission and content.
 type miner struct {
-	mem, vma spec.ProbePlan
-	vals     map[[2]int64]int64
-	seen     map[[2]int64]bool
-	vmas     []kernel.SetupVMA
+	vals map[[2]int64]int64
+	seen map[[2]int64]bool
+	vmas []kernel.SetupVMA
 }
 
 // NewMiner returns a vm miner with its maps made.
@@ -241,28 +239,15 @@ func (vmSpec) NewMiner() spec.SetupMiner {
 	return &miner{vals: map[[2]int64]int64{}, seen: map[[2]int64]bool{}}
 }
 
-// Plan plans the two address-space dictionaries' probes of one path.
-func (mn *miner) Plan(a, b spec.State) {
-	sa, sb := a.(*state), b.(*state)
-	mn.mem.Plan(sa.Mem, sb.Mem)
-	mn.vma.Plan(sa.VMA, sb.VMA)
-}
-
-// Clear empties the plans.
-func (mn *miner) Clear() {
-	mn.mem.Clear()
-	mn.vma.Clear()
-}
-
 // Setup mines the mapped pages under m.
-func (mn *miner) Setup(m sym.Model) kernel.Setup {
+func (mn *miner) Setup(m sym.Model, probes *spec.Probes) kernel.Setup {
 	clear(mn.vals)
 	clear(mn.seen)
 	mn.vmas = mn.vmas[:0]
-	for _, p := range mn.mem.Eval(m) {
+	for _, p := range probes.Eval("vmem", m) {
 		mn.vals[[2]int64{p.Key[0], p.Key[1]}] = p.Field("val")
 	}
-	for _, p := range mn.vma.Eval(m) {
+	for _, p := range probes.Eval("vmap", m) {
 		proc := spec.Clamp(p.Key[0], 0, 1)
 		page := spec.Clamp(p.Key[1], 0, kernel.MaxPage-1)
 		at := [2]int64{proc, page}
