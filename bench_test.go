@@ -33,12 +33,11 @@ func sequentialFstat(b *testing.B, shared bool) {
 		d = unix.SV6SharedLinkCount
 	}
 	k := unix.New(d)
-	setup := kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-		Inodes: []kernel.SetupInode{{Inum: 1, Len: 1}},
-		FDs:    []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
-	}
-	k.Apply(setup)
+	k.Apply(&unix.Setup{
+		Files:  []unix.SetupFile{{Name: 0, Inum: 1}},
+		Inodes: []unix.SetupInode{{Inum: 1, Len: 1}},
+		FDs:    []unix.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
+	})
 	call := kernel.Call{Op: "fstat", Args: map[string]int64{"fd": 0}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

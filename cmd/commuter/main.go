@@ -215,7 +215,9 @@ func cmdAnalyze(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("%s (%v)\n", a.Summary(), time.Since(start).Round(time.Millisecond))
+	// The wall clock goes to stderr, so that stdout is the analysis alone.
+	fmt.Println(a.Summary())
+	fmt.Fprintf(os.Stderr, "(%v)\n", time.Since(start).Round(time.Millisecond))
 	fmt.Println("\ncommutative situations (§5.1-style clauses):")
 	for _, d := range a.Clauses {
 		fmt.Printf("  - %s\n", d)
@@ -317,35 +319,10 @@ func implNames(ctx context.Context, cli commuter.Client, specName string) []stri
 func printTest(tc commuter.TestCase) {
 	fmt.Printf("\ntest %s:\n", tc.ID)
 	fmt.Println("  setup:")
-	for _, ino := range tc.Setup.Inodes {
-		fmt.Printf("    inode %d: len=%d extra_links=%d pages=%v\n", ino.Inum, ino.Len, ino.ExtraLinks, ino.Pages)
-	}
-	for _, f := range tc.Setup.Files {
-		fmt.Printf("    file %s -> inode %d\n", f.Name, f.Inum)
-	}
-	for _, p := range tc.Setup.Pipes {
-		fmt.Printf("    pipe %d: %v\n", p.ID, p.Items)
-	}
-	for _, q := range tc.Setup.Queues {
-		if q.Core < 0 {
-			fmt.Printf("    queue ordered: %v\n", q.Items)
-		} else {
-			fmt.Printf("    queue core %d: %v\n", q.Core, q.Items)
+	if setup := tc.Setup.String(); setup != "" {
+		for line := range strings.SplitSeq(setup, "\n") {
+			fmt.Printf("    %s\n", line)
 		}
-	}
-	for _, fd := range tc.Setup.FDs {
-		if fd.Pipe {
-			fmt.Printf("    fd p%d:%d -> pipe %d (write=%v)\n", fd.Proc, fd.FD, fd.PipeID, fd.WriteEnd)
-		} else {
-			fmt.Printf("    fd p%d:%d -> inode %d off=%d\n", fd.Proc, fd.FD, fd.Inum, fd.Off)
-		}
-	}
-	for _, v := range tc.Setup.VMAs {
-		fmt.Printf("    vma p%d:page%d anon=%v wr=%v inode=%d foff=%d\n",
-			v.Proc, v.Page, v.Anon, v.Writable, v.Inum, v.Foff)
-	}
-	for _, kv := range tc.Setup.KVs {
-		fmt.Printf("    kv %d = %d\n", kv.Key, kv.Val)
 	}
 	fmt.Printf("  op0: %v\n  op1: %v\n", tc.Calls[0], tc.Calls[1])
 }

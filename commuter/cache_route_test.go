@@ -15,6 +15,7 @@ import (
 	"repro/commuter"
 	"repro/internal/api"
 	"repro/internal/kernel"
+	"repro/internal/kernel/unix"
 	"repro/internal/sweep"
 )
 
@@ -53,7 +54,7 @@ func TestCacheRoutes(t *testing.T) {
 	mem := sweep.NewMemBackend(0)
 	srv := newCacheServer(t, mem)
 	key := strings.Repeat("ab", 32)
-	tests := []kernel.TestCase{{ID: "t0"}}
+	tests := []kernel.TestCase{{ID: "t0", Setup: &unix.Setup{}}}
 	entry, err := sweep.EncodeTestsEntry(key, tests)
 	if err != nil {
 		t.Fatal(err)

@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"repro/commuter"
+	"repro/internal/kernel/memq"
+	"repro/internal/kernel/unix"
 )
 
 // newLoopback starts a wire-format server over Local() on a loopback
@@ -219,6 +221,53 @@ func TestRemoteErrorsMatchLocal(t *testing.T) {
 	}
 }
 
+// TestCheckRefusesAnotherSpecsSetup: a test whose setup is not the selected
+// spec's, though its ops are, is the caller's mistake on every registered
+// Impl, locally and through the wire, not a verdict that ignores the setup.
+func TestCheckRefusesAnotherSpecsSetup(t *testing.T) {
+	ctx := context.Background()
+	cli, _ := newLoopback(t)
+	local := commuter.Local()
+	infos, err := local.Specs(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	impls := 0
+	for _, in := range infos {
+		var ts commuter.TestSet
+		for _, op := range in.Ops {
+			if ts, err = local.GenerateTests(ctx, op, op, commuter.WithSpec(in.Name), commuter.WithTestsPerPath(1)); err != nil {
+				t.Fatal(err)
+			}
+			if len(ts.Tests) > 0 {
+				break
+			}
+		}
+		if len(ts.Tests) == 0 {
+			t.Fatalf("%s: no op commutes with itself", in.Name)
+		}
+		foreign := ts.Tests[0]
+		foreign.ID = "foreign-setup"
+		foreign.Setup = &unix.Setup{Files: []unix.SetupFile{{Name: 0, Inum: 1}}, Inodes: []unix.SetupInode{{Inum: 1}}}
+		if in.Name == "posix" {
+			foreign.Setup = &memq.Setup{Queues: []memq.SetupQueue{{Core: -1, Items: []int64{1}}}}
+		}
+		for _, impl := range in.Impls {
+			impls++
+			for binding, c := range map[string]commuter.Client{"local": local, "remote": cli} {
+				_, err := c.Check(ctx, impl, []commuter.TestCase{ts.Tests[0], foreign}, commuter.WithSpec(in.Name))
+				if !commuter.IsBadRequest(err) || !strings.Contains(err.Error(), "foreign-setup: setup of spec") {
+					t.Errorf("%s, %s: err = %v (bad request: %v), want a bad request refusing the setup",
+						impl, binding, err, commuter.IsBadRequest(err))
+				}
+			}
+		}
+	}
+	if impls < 5 {
+		t.Errorf("checked %d Impls, want every registered one", impls)
+	}
+}
+
 // TestCheckCallerMistakeIsBadRequest: a test kernel.Admit refuses, or one
 // naming an op the selected spec does not have, is the caller's mistake —
 // IsBadRequest locally and through the wire (a 400), naming the test — not
@@ -387,7 +436,7 @@ func TestServerClampsWorkers(t *testing.T) {
 // them out of order, is an error, never a panic or a verdict given to
 // another test. An aligned answer passes.
 func TestDialCheckVerdictsAlign(t *testing.T) {
-	tests := []commuter.TestCase{{ID: "a"}, {ID: "b"}}
+	tests := []commuter.TestCase{{ID: "a", Setup: &unix.Setup{}}, {ID: "b", Setup: &unix.Setup{}}}
 	for _, c := range []struct {
 		name     string
 		verdicts []commuter.TestVerdict

@@ -47,8 +47,10 @@ func main() {
 	}
 	for i, tc := range sample {
 		fmt.Printf("%s\n", tc.ID)
-		for _, f := range tc.Setup.Files {
-			fmt.Printf("   setup: %s -> inode %d\n", f.Name, f.Inum)
+		if setup := tc.Setup.String(); setup != "" {
+			for line := range strings.SplitSeq(setup, "\n") {
+				fmt.Printf("   setup: %s\n", line)
+			}
 		}
 		fmt.Printf("   op0: %v\n   op1: %v\n", tc.Calls[0], tc.Calls[1])
 		for _, k := range kernels {

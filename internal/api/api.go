@@ -2,10 +2,10 @@
 // format: the interface contract between a commuter.Client and a
 // `commuter serve` instance. The pipeline itself is model-agnostic, and
 // so is the wire format — every payload speaks in plain names
-// (spec/op/kernel strings) and plain data (kernel.TestCase, per-pair
-// sweep results), never in symbolic expressions or function values, which
-// is exactly what makes the local and remote bindings of the Client
-// interface interchangeable.
+// (spec/op/kernel strings) and plain data (kernel.TestCase, whose setup is
+// keyed by its spec's name, and per-pair sweep results), never in symbolic
+// expressions or function values, which is exactly what makes the local
+// and remote bindings of the Client interface interchangeable.
 //
 // Versioning contract: Version stamps every request, and the server
 // rejects mismatches outright (CodeVersionMismatch) rather than guessing
@@ -29,8 +29,10 @@ import (
 
 // Version is the wire-format version. Bump it whenever any encoding in
 // this package (or the JSON shape of the internal types it embeds —
-// kernel.TestCase, sweep.PairResult) changes incompatibly.
-const Version = 3
+// kernel.TestCase, sweep.PairResult) changes incompatibly. Version 4 is
+// the first whose tests carry their setup under their spec's name
+// ({"posix": {...}}); a version 3 body is refused.
+const Version = 4
 
 // Endpoint paths. Their /v1/ prefix names the route family and stays
 // across wire versions: a request's version stamp is what the server

@@ -11,24 +11,24 @@ import (
 	"time"
 
 	"repro/internal/kernel"
+	"repro/internal/kernel/unix"
 	"repro/internal/sweep"
 )
 
 var update = flag.Bool("update", false, "rewrite the wire-format golden files")
 
-// sampleTest is a representative concrete test case exercising every Setup
-// table the wire must carry (files, inodes, fds, pipes, VMAs, queues).
+// sampleTest is a representative concrete test case exercising every
+// table of the posix spec's setup the wire must carry (files, inodes, fds,
+// pipes, VMAs), under the spec's name.
 func sampleTest() kernel.TestCase {
 	return kernel.TestCase{
 		ID: "rename-rename-p0-t1",
-		Setup: kernel.Setup{
-			Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}, {Name: "f1", Inum: 1}},
-			Inodes: []kernel.SetupInode{{Inum: 1, ExtraLinks: 1, Len: 2, Pages: map[int64]int64{0: 7}}},
-			FDs:    []kernel.SetupFD{{Proc: 0, FD: 3, Inum: 1, Off: 1}, {Proc: 1, FD: 4, Pipe: true, PipeID: 2, WriteEnd: true}},
-			Pipes:  []kernel.SetupPipe{{ID: 2, Items: []int64{5}}},
-			VMAs:   []kernel.SetupVMA{{Proc: 0, Page: 8, Anon: true, Val: 3, Writable: true}},
-			Queues: []kernel.SetupQueue{{Core: -1, Items: []int64{9, 10}}},
-			KVs:    []kernel.SetupKV{{Key: 1, Val: 2}},
+		Setup: &unix.Setup{
+			Files:  []unix.SetupFile{{Name: 0, Inum: 1}, {Name: 1, Inum: 1}},
+			Inodes: []unix.SetupInode{{Inum: 1, ExtraLinks: 1, Len: 2, Pages: map[int64]int64{0: 7}}},
+			FDs:    []unix.SetupFD{{Proc: 0, FD: 3, Inum: 1, Off: 1}, {Proc: 1, FD: 4, Pipe: true, PipeID: 2, WriteEnd: true}},
+			Pipes:  []unix.SetupPipe{{ID: 2, Items: []int64{5}}},
+			VMAs:   []unix.SetupVMA{{Proc: 0, Page: 8, Anon: true, Val: 3, Writable: true}},
 		},
 		Calls: [2]kernel.Call{
 			{Op: "rename", Proc: 0, Args: map[string]int64{"old": 0, "new": 1}},

@@ -88,11 +88,10 @@ func statbenchAt(mode statbenchMode, n int) float64 {
 		d = unix.SV6SharedLinkCount
 	}
 	k := unix.New(d)
-	setup := kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-		Inodes: []kernel.SetupInode{{Inum: 1, Len: 1, Pages: map[int64]int64{0: 1}}},
-	}
-	k.Apply(setup)
+	k.Apply(&unix.Setup{
+		Files:  []unix.SetupFile{{Name: 0, Inum: 1}},
+		Inodes: []unix.SetupInode{{Inum: 1, Len: 1, Pages: map[int64]int64{0: 1}}},
+	})
 	// Each core opens the target file once, untraced.
 	fds := make([]int64, n)
 	for c := 0; c < n; c++ {
@@ -149,12 +148,12 @@ func openbench(anyFD bool, cores []int) curve {
 
 func openbenchAt(anyFD bool, n int) float64 {
 	k := unix.New(unix.SV6)
-	var setup kernel.Setup
+	var setup unix.Setup
 	for c := 0; c < n; c++ {
-		setup.Files = append(setup.Files, kernel.SetupFile{Name: kernel.Fname(int64(c)), Inum: int64(c + 1)})
-		setup.Inodes = append(setup.Inodes, kernel.SetupInode{Inum: int64(c + 1)})
+		setup.Files = append(setup.Files, unix.SetupFile{Name: int64(c), Inum: int64(c + 1)})
+		setup.Inodes = append(setup.Inodes, unix.SetupInode{Inum: int64(c + 1)})
 	}
-	k.Apply(setup)
+	k.Apply(&setup)
 	var af int64
 	if anyFD {
 		af = 1

@@ -14,6 +14,10 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/kernel/kerneltest"
+	"repro/internal/kernel/memkv"
+	"repro/internal/kernel/memq"
+	"repro/internal/kernel/memvm"
+	"repro/internal/kernel/unix"
 	_ "repro/internal/kvspec"    // registers the "kv" spec
 	_ "repro/internal/model"     // registers the "posix" spec
 	_ "repro/internal/queuespec" // registers the "queue" spec
@@ -22,62 +26,115 @@ import (
 )
 
 // hostile lists the tests no TESTGEN run produces and a request body or a
-// cache entry can: each edit makes a valid test one the Replayer must
-// refuse. All but the first and the last are Admit's; the op table is the
-// spec's, so an unknown op gets as far as the kernel's panic, as does a
-// write past the file bound.
+// cache entry can: each edit makes a valid test of its spec ("" for any
+// spec) one the Replayer must refuse. All but unknown-op and
+// write-past-bound are Admit's; the op table is the spec's, so an unknown
+// op gets as far as the kernel's panic, as does a write past the file
+// bound.
 var hostile = []struct {
-	name string
-	edit func(*kernel.TestCase)
+	spec, name string
+	edit       func(*kernel.TestCase)
 }{
-	{"unknown-op", func(tc *kernel.TestCase) { tc.Calls[1].Op = "frob" }},
-	{"call-proc", func(tc *kernel.TestCase) { tc.Calls[0].Proc = 5 }},
-	{"argument", func(tc *kernel.TestCase) { tc.Calls[0].Args = map[string]int64{"off": 1 << 60, "page": 1 << 60} }},
-	{"fd-proc", func(tc *kernel.TestCase) {
-		tc.Setup.FDs = append(tc.Setup.FDs, kernel.SetupFD{Proc: 5, FD: 1, Inum: 1})
+	{"", "unknown-op", func(tc *kernel.TestCase) { tc.Calls[1].Op = "frob" }},
+	{"", "call-proc", func(tc *kernel.TestCase) { tc.Calls[0].Proc = 5 }},
+	{"", "argument", func(tc *kernel.TestCase) { tc.Calls[0].Args = map[string]int64{"off": 1 << 60, "page": 1 << 60} }},
+	{"", "no-setup", func(tc *kernel.TestCase) { tc.Setup = nil }},
+	{"posix", "fd-proc", func(tc *kernel.TestCase) {
+		s := posix(tc)
+		s.FDs = append(s.FDs, unix.SetupFD{Proc: 5, FD: 1, Inum: 1})
 	}},
-	{"vma-proc", func(tc *kernel.TestCase) {
-		tc.Setup.VMAs = append(tc.Setup.VMAs, kernel.SetupVMA{Proc: -1, Anon: true})
+	{"posix", "vma-proc", func(tc *kernel.TestCase) {
+		s := posix(tc)
+		s.VMAs = append(s.VMAs, unix.SetupVMA{Proc: -1, Anon: true})
 	}},
-	{"name", func(tc *kernel.TestCase) {
-		tc.Setup.Files = append(tc.Setup.Files, kernel.SetupFile{Name: "f1zzz", Inum: 1})
+	{"posix", "name-twice", func(tc *kernel.TestCase) {
+		s := posix(tc)
+		s.Files = append(s.Files, unix.SetupFile{Name: 7, Inum: 1}, unix.SetupFile{Name: 7, Inum: 2})
 	}},
-	{"name-twice", func(tc *kernel.TestCase) {
-		tc.Setup.Files = append(tc.Setup.Files, kernel.SetupFile{Name: "f7", Inum: 1}, kernel.SetupFile{Name: "f7", Inum: 2})
+	{"posix", "inode-twice", func(tc *kernel.TestCase) {
+		s := posix(tc)
+		s.Inodes = append(s.Inodes, unix.SetupInode{Inum: 9, Len: 1}, unix.SetupInode{Inum: 9, Len: 2})
 	}},
-	{"fd-twice", func(tc *kernel.TestCase) {
-		tc.Setup.FDs = append(tc.Setup.FDs, kernel.SetupFD{FD: 9, Inum: 1}, kernel.SetupFD{FD: 9, Inum: 2})
+	{"posix", "inodes", func(tc *kernel.TestCase) {
+		s := posix(tc)
+		for i := range kernel.MaxExtent + 1 {
+			s.Inodes = append(s.Inodes, unix.SetupInode{Inum: int64(100 + i)})
+		}
 	}},
-	{"pipe-twice", func(tc *kernel.TestCase) {
-		tc.Setup.Pipes = append(tc.Setup.Pipes, kernel.SetupPipe{ID: 9}, kernel.SetupPipe{ID: 9, Items: []int64{1}})
+	{"posix", "fd-twice", func(tc *kernel.TestCase) {
+		s := posix(tc)
+		s.FDs = append(s.FDs, unix.SetupFD{FD: 9, Inum: 1}, unix.SetupFD{FD: 9, Inum: 2})
 	}},
-	{"page-twice", func(tc *kernel.TestCase) {
-		tc.Setup.VMAs = append(tc.Setup.VMAs, kernel.SetupVMA{Page: 9, Anon: true}, kernel.SetupVMA{Page: 9, Anon: true, Val: 1})
+	{"posix", "pipe-twice", func(tc *kernel.TestCase) {
+		s := posix(tc)
+		s.Pipes = append(s.Pipes, unix.SetupPipe{ID: 9}, unix.SetupPipe{ID: 9, Items: []int64{1}})
 	}},
-	{"length", func(tc *kernel.TestCase) {
-		tc.Setup.Inodes = append(tc.Setup.Inodes, kernel.SetupInode{Inum: 9, Len: 1 << 40})
+	{"posix", "page-twice", func(tc *kernel.TestCase) {
+		s := posix(tc)
+		s.VMAs = append(s.VMAs, unix.SetupVMA{Page: 9, Anon: true}, unix.SetupVMA{Page: 9, Anon: true, Val: 1})
 	}},
-	{"page", func(tc *kernel.TestCase) {
-		tc.Setup.Inodes = append(tc.Setup.Inodes, kernel.SetupInode{Inum: 9, Pages: map[int64]int64{1 << 40: 1}})
+	{"posix", "length", func(tc *kernel.TestCase) {
+		s := posix(tc)
+		s.Inodes = append(s.Inodes, unix.SetupInode{Inum: 9, Len: 1 << 40})
 	}},
-	{"items", func(tc *kernel.TestCase) {
-		tc.Setup.Queues = append(tc.Setup.Queues, kernel.SetupQueue{Core: -1, Items: make([]int64, 1<<12)})
+	{"posix", "page", func(tc *kernel.TestCase) {
+		s := posix(tc)
+		s.Inodes = append(s.Inodes, unix.SetupInode{Inum: 9, Pages: map[int64]int64{1 << 40: 1}})
+	}},
+	{"posix", "backlog", func(tc *kernel.TestCase) {
+		s := posix(tc)
+		s.Pipes = append(s.Pipes, unix.SetupPipe{ID: 9, Items: make([]int64, 1<<12)})
 	}},
 	// A file past kernel.MaxFilePages, which sv6 reconciled to length 8
 	// where Linux said 10.
-	{"extent", func(tc *kernel.TestCase) {
-		tc.Setup = kernel.Setup{
-			Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-			Inodes: []kernel.SetupInode{{Inum: 1, Len: 10, Pages: map[int64]int64{9: 5}}},
-			FDs:    []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
+	{"posix", "extent", func(tc *kernel.TestCase) {
+		tc.Setup = &unix.Setup{
+			Files:  []unix.SetupFile{{Name: 0, Inum: 1}},
+			Inodes: []unix.SetupInode{{Inum: 1, Len: 10, Pages: map[int64]int64{9: 5}}},
+			FDs:    []unix.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
 		}
 	}},
 	// Admitted, but the write would make the file one: the kernel panics.
-	{"write-past-bound", func(tc *kernel.TestCase) {
-		tc.Setup = kernel.Setup{Inodes: []kernel.SetupInode{{Inum: 1}}, FDs: []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1}}}
+	{"posix", "write-past-bound", func(tc *kernel.TestCase) {
+		tc.Setup = &unix.Setup{Inodes: []unix.SetupInode{{Inum: 1}}, FDs: []unix.SetupFD{{Proc: 0, FD: 0, Inum: 1}}}
 		tc.Calls[0] = kernel.Call{Op: "pwrite", Args: map[string]int64{"fd": 0, "off": 20, "val": 1}}
 	}},
+	{"vm", "vm-proc", func(tc *kernel.TestCase) {
+		s := tc.Setup.(*memvm.Setup)
+		s.VMAs = append(s.VMAs, memvm.SetupVMA{Proc: 2, Page: 1})
+	}},
+	{"vm", "vm-page-twice", func(tc *kernel.TestCase) {
+		s := tc.Setup.(*memvm.Setup)
+		s.VMAs = append(s.VMAs, memvm.SetupVMA{Page: 9}, memvm.SetupVMA{Page: 9, Val: 1})
+	}},
+	{"kv", "key-twice", func(tc *kernel.TestCase) {
+		s := tc.Setup.(*memkv.Setup)
+		s.KVs = append(s.KVs, memkv.SetupKV{Key: 9, Val: 1}, memkv.SetupKV{Key: 9, Val: 2})
+	}},
+	{"kv", "bindings", func(tc *kernel.TestCase) {
+		s := tc.Setup.(*memkv.Setup)
+		for i := range kernel.MaxExtent + 1 {
+			s.KVs = append(s.KVs, memkv.SetupKV{Key: int64(100 + i)})
+		}
+	}},
+	{"queue", "core-twice", func(tc *kernel.TestCase) {
+		s := tc.Setup.(*memq.Setup)
+		s.Queues = append(s.Queues, memq.SetupQueue{Core: 9, Items: []int64{1}}, memq.SetupQueue{Core: 9})
+	}},
+	{"queue", "queues", func(tc *kernel.TestCase) {
+		s := tc.Setup.(*memq.Setup)
+		for i := range kernel.MaxExtent + 1 {
+			s.Queues = append(s.Queues, memq.SetupQueue{Core: int64(100 + i)})
+		}
+	}},
+	{"queue", "items", func(tc *kernel.TestCase) {
+		s := tc.Setup.(*memq.Setup)
+		s.Queues = append(s.Queues, memq.SetupQueue{Core: 9, Items: make([]int64, 1<<12)})
+	}},
 }
+
+// posix is tc's posix setup.
+func posix(tc *kernel.TestCase) *unix.Setup { return tc.Setup.(*unix.Setup) }
 
 // TestReplayerAdmission runs the hostile table against every Impl of every
 // registered spec: each test must come back from CheckTests as an error
@@ -96,6 +153,9 @@ func TestReplayerAdmission(t *testing.T) {
 				r := rand.New(rand.NewSource(3))
 				rep := kernel.NewReplayer(im.New)
 				for _, h := range hostile {
+					if h.spec != "" && h.spec != name {
+						continue
+					}
 					tc := kernel.TestCase{ID: "hostile-" + h.name, Setup: gen.Setup(r), Calls: [2]kernel.Call{gen.Call(r), gen.Call(r)}}
 					h.edit(&tc)
 					start := time.Now()
@@ -138,38 +198,46 @@ func TestReplayerAdmission(t *testing.T) {
 	}
 }
 
-// TestCollidingSetupIsRefused holds CheckTests to admitting every test
-// whole before it groups any: a setup fingerprint is exact only for names
-// Admit accepts, so a hostile name can render a valid setup's bytes, and a
-// test that joined a valid test's group on them must still be refused, not
-// checked on the other test's setup.
+// TestCollidingSetupIsRefused holds CheckTests to refusing a batch whose
+// setups are of two specs before it groups any: a setup fingerprint is
+// exact only within one setup type, and a vm mapping renders as the posix
+// spec's anonymous mapping does, so a test of the other spec that joined a
+// valid test's group on equal bytes would be checked on the other test's
+// setup.
 func TestCollidingSetupIsRefused(t *testing.T) {
-	valid := kernel.Setup{Files: []kernel.SetupFile{{Name: "f0", Inum: 1}, {Name: "f1", Inum: 2}}}
-	forged := kernel.Setup{Files: []kernel.SetupFile{{Name: "f0=1;Ff1", Inum: 2}}}
+	valid := &unix.Setup{VMAs: []unix.SetupVMA{{Proc: 0, Page: 1, Anon: true, Val: 5, Writable: true}}}
+	forged := &memvm.Setup{VMAs: []memvm.SetupVMA{{Proc: 0, Page: 1, Val: 5, Writable: true}}}
 	if valid.Fingerprint() != forged.Fingerprint() {
 		t.Fatalf("the forged setup no longer collides: %q != %q", valid.Fingerprint(), forged.Fingerprint())
 	}
-	stat := kernel.Call{Op: "stat", Args: map[string]int64{"name": 0}}
+	read := kernel.Call{Op: "memread", Args: map[string]int64{"page": 1}}
 	tests := []kernel.TestCase{
-		{ID: "valid", Setup: valid, Calls: [2]kernel.Call{stat, stat}},
-		{ID: "forged", Setup: forged, Calls: [2]kernel.Call{stat, stat}},
+		{ID: "valid", Setup: valid, Calls: [2]kernel.Call{read, read}},
+		{ID: "forged", Setup: forged, Calls: [2]kernel.Call{read, read}},
 	}
-	for name, fresh := range kernels() {
-		_, err := kernel.NewReplayer(fresh).CheckTests(context.Background(), tests, func(i int, _ kernel.CheckResult) {
-			t.Errorf("%s: test %s was given a result", name, tests[i].ID)
-		})
-		if !errors.Is(err, kernel.ErrInadmissible) || !strings.Contains(err.Error(), "forged") {
-			t.Errorf("%s: err = %v, want the forged test refused", name, err)
+	for _, name := range []string{"posix", "vm"} {
+		sp, err := spec.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, im := range sp.Impls() {
+			_, err := kernel.NewReplayer(im.New).CheckTests(context.Background(), tests, func(i int, _ kernel.CheckResult) {
+				t.Errorf("%s: test %s was given a result", im.Name, tests[i].ID)
+			})
+			if !errors.Is(err, kernel.ErrInadmissible) || !strings.Contains(err.Error(), "forged") {
+				t.Errorf("%s: err = %v, want the forged test refused", im.Name, err)
+			}
 		}
 	}
 }
 
 // FuzzReplayerAdmits holds the one line every outside test crosses to its
-// contract, on bytes decoded as a kernel.TestCase and checked on both POSIX
-// kernels by Replayers that live across inputs: CheckTests returns an error,
-// or one result and leaves the test re-encoding as the input decoded — never
-// a panic, never a run longer than a bound per input byte. Seeds are the
-// tests of the wire golden and the edits of them the hostile table makes.
+// contract, on bytes decoded as a kernel.TestCase and checked on every
+// registered Impl by Replayers that live across inputs: CheckTests returns
+// an error, or one result and leaves the test re-encoding as the input
+// decoded — never a panic, never a run longer than a bound per input byte.
+// Seeds are the tests of the wire golden, random tests of every spec
+// (kerneltest.Gens) and the edits of them the hostile table makes.
 func FuzzReplayerAdmits(f *testing.F) {
 	golden, err := os.ReadFile("../api/testdata/check_request.golden.json")
 	if err != nil {
@@ -182,6 +250,9 @@ func FuzzReplayerAdmits(f *testing.F) {
 		f.Fatalf("no seed tests in the check request golden: %v", err)
 	}
 	add := func(tc kernel.TestCase) {
+		if tc.Setup == nil {
+			return // no setup does not encode
+		}
 		data, err := json.Marshal(tc)
 		if err != nil {
 			f.Fatal(err)
@@ -189,9 +260,30 @@ func FuzzReplayerAdmits(f *testing.F) {
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 	}
-	for _, tc := range req.Tests {
+	seeds := req.Tests
+	for _, name := range spec.Names() {
+		r := rand.New(rand.NewSource(1))
+		gen := kerneltest.Gens[name]
+		for range 3 {
+			seeds = append(seeds, kernel.TestCase{ID: name, Setup: gen.Setup(r), Calls: [2]kernel.Call{gen.Call(r), gen.Call(r)}})
+		}
+	}
+	var reps []*kernel.Replayer
+	for _, name := range spec.Names() {
+		sp, err := spec.Lookup(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, im := range sp.Impls() {
+			reps = append(reps, kernel.NewReplayer(im.New))
+		}
+	}
+	for _, tc := range seeds {
 		add(tc)
 		for _, h := range hostile {
+			if h.spec != "" && h.spec != kernel.SetupSpec(tc.Setup) {
+				continue
+			}
 			var edited kernel.TestCase // a deep copy: the edits append to shared slices
 			data, _ := json.Marshal(tc)
 			if err := json.Unmarshal(data, &edited); err != nil {
@@ -200,10 +292,6 @@ func FuzzReplayerAdmits(f *testing.F) {
 			h.edit(&edited)
 			add(edited)
 		}
-	}
-	var reps []*kernel.Replayer
-	for _, fresh := range kernels() {
-		reps = append(reps, kernel.NewReplayer(fresh))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var tc kernel.TestCase

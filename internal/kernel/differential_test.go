@@ -32,7 +32,7 @@ func genCall(r *rand.Rand) randomCall {
 }
 
 func genSetup(r *rand.Rand) kernel.Setup {
-	var s kernel.Setup
+	var s unix.Setup
 	nInodes := r.Intn(3) + 1
 	for i := 1; i <= nInodes; i++ {
 		ln := int64(r.Intn(3))
@@ -40,7 +40,7 @@ func genSetup(r *rand.Rand) kernel.Setup {
 		for p := int64(0); p < ln; p++ {
 			pages[p] = int64(r.Intn(5) + 20)
 		}
-		s.Inodes = append(s.Inodes, kernel.SetupInode{Inum: int64(i), Len: ln, Pages: pages})
+		s.Inodes = append(s.Inodes, unix.SetupInode{Inum: int64(i), Len: ln, Pages: pages})
 	}
 	used := map[int64]bool{}
 	for i := 0; i < r.Intn(3)+1; i++ {
@@ -49,18 +49,18 @@ func genSetup(r *rand.Rand) kernel.Setup {
 			continue
 		}
 		used[nm] = true
-		s.Files = append(s.Files, kernel.SetupFile{Name: kernel.Fname(nm), Inum: int64(r.Intn(nInodes) + 1)})
+		s.Files = append(s.Files, unix.SetupFile{Name: nm, Inum: int64(r.Intn(nInodes) + 1)})
 	}
 	for proc := 0; proc < 2; proc++ {
 		for fd := int64(0); fd < int64(r.Intn(3)); fd++ {
-			s.FDs = append(s.FDs, kernel.SetupFD{
+			s.FDs = append(s.FDs, unix.SetupFD{
 				Proc: proc, FD: fd,
 				Inum: int64(r.Intn(nInodes) + 1),
 				Off:  int64(r.Intn(3)),
 			})
 		}
 	}
-	return s
+	return &s
 }
 
 // maskResult hides fields that legitimately differ between implementations
@@ -186,26 +186,26 @@ func TestDifferentialFileOffsets(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		r := rand.New(rand.NewSource(1_000_000 + seed))
 		nInodes := r.Intn(2) + 1
-		var setup kernel.Setup
+		var setup unix.Setup
 		for i := 1; i <= nInodes; i++ {
 			ln := int64(r.Intn(4))
 			pages := map[int64]int64{}
 			for p := int64(0); p < ln; p++ {
 				pages[p] = int64(r.Intn(5) + 20)
 			}
-			setup.Inodes = append(setup.Inodes, kernel.SetupInode{Inum: int64(i), Len: ln, Pages: pages})
+			setup.Inodes = append(setup.Inodes, unix.SetupInode{Inum: int64(i), Len: ln, Pages: pages})
 		}
-		setup.Files = append(setup.Files, kernel.SetupFile{Name: kernel.Fname(0), Inum: 1})
+		setup.Files = append(setup.Files, unix.SetupFile{Name: 0, Inum: 1})
 		for proc := 0; proc < 2; proc++ {
 			for fdn := int64(0); fdn < 3; fdn++ {
-				setup.FDs = append(setup.FDs, kernel.SetupFD{
+				setup.FDs = append(setup.FDs, unix.SetupFD{
 					Proc: proc, FD: fdn,
 					Inum: int64(r.Intn(nInodes) + 1),
 					Off:  int64(r.Intn(5)), // includes offsets at and past EOF
 				})
 			}
 		}
-		ds := newDesigns(setup)
+		ds := newDesigns(&setup)
 		for i := 0; i < callsPerSeed; i++ {
 			rc := genOffsetCall(r)
 			diff, refused := ds.exec(r.Intn(2), rc)
@@ -261,10 +261,10 @@ func (s *byteSource) Seed(int64) {}
 // fuzzSetup draws a setup the way genSetup does, with file lengths, pages
 // and descriptor offsets reaching two past kernel.MaxFilePages.
 func fuzzSetup(r *rand.Rand) kernel.Setup {
-	var s kernel.Setup
+	var s unix.Setup
 	nInodes := r.Intn(3) + 1
 	for i := 1; i <= nInodes; i++ {
-		in := kernel.SetupInode{Inum: int64(i), Len: int64(r.Intn(kernel.MaxFilePages + 3)), Pages: map[int64]int64{}}
+		in := unix.SetupInode{Inum: int64(i), Len: int64(r.Intn(kernel.MaxFilePages + 3)), Pages: map[int64]int64{}}
 		for pg := int64(0); pg < in.Len; pg++ {
 			if r.Intn(2) == 1 {
 				in.Pages[pg] = int64(r.Intn(30))
@@ -274,20 +274,20 @@ func fuzzSetup(r *rand.Rand) kernel.Setup {
 	}
 	for name := int64(0); name < 4; name++ {
 		if r.Intn(2) == 1 {
-			s.Files = append(s.Files, kernel.SetupFile{Name: kernel.Fname(name), Inum: int64(r.Intn(nInodes) + 1)})
+			s.Files = append(s.Files, unix.SetupFile{Name: name, Inum: int64(r.Intn(nInodes) + 1)})
 		}
 	}
 	for proc := 0; proc < 2; proc++ {
 		n := int64(r.Intn(3))
 		for fd := int64(0); fd < n; fd++ {
-			s.FDs = append(s.FDs, kernel.SetupFD{
+			s.FDs = append(s.FDs, unix.SetupFD{
 				Proc: proc, FD: fd,
 				Inum: int64(r.Intn(nInodes) + 1),
 				Off:  int64(r.Intn(kernel.MaxFilePages + 3)),
 			})
 		}
 	}
-	return s
+	return &s
 }
 
 // extentSeed draws f0 -> inode 1 of length 10 whose one page is page 9, fd
@@ -308,10 +308,10 @@ var extentSeed = []byte{
 // once inode numbers are masked, or both refuse — Admit the setup, or a
 // kernel a write past the file bound.
 func FuzzPosixDesignsAgree(f *testing.F) {
-	want := kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-		Inodes: []kernel.SetupInode{{Inum: 1, Len: 10, Pages: map[int64]int64{9: 5}}},
-		FDs:    []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
+	want := &unix.Setup{
+		Files:  []unix.SetupFile{{Name: 0, Inum: 1}},
+		Inodes: []unix.SetupInode{{Inum: 1, Len: 10, Pages: map[int64]int64{9: 5}}},
+		FDs:    []unix.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
 	}
 	if got := fuzzSetup(rand.New(&byteSource{extentSeed})); !reflect.DeepEqual(got, want) {
 		f.Fatalf("the extent seed draws %+v", got)

@@ -5,18 +5,19 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/kernel/kerneltest"
+	"repro/internal/kernel/unix"
 )
 
 // fullTable is f0 -> inode 1 open at every descriptor of process 0's table
 // but skip, the one left free (skip outside the table fills it).
 func fullTable(skip int64) kernel.Setup {
-	s := kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-		Inodes: []kernel.SetupInode{{Inum: 1}},
+	s := &unix.Setup{
+		Files:  []unix.SetupFile{{Name: 0, Inum: 1}},
+		Inodes: []unix.SetupInode{{Inum: 1}},
 	}
 	for fd := int64(0); fd < kernel.MaxFD; fd++ {
 		if fd != skip {
-			s.FDs = append(s.FDs, kernel.SetupFD{Proc: 0, FD: fd, Inum: 1})
+			s.FDs = append(s.FDs, unix.SetupFD{Proc: 0, FD: fd, Inum: 1})
 		}
 	}
 	return s

@@ -6,9 +6,10 @@
 package kernel
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
-	"maps"
-	"slices"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,16 +85,6 @@ var fnames = func() (t [16]string) {
 	return t
 }()
 
-// ParseFname inverts Fname: ok reports whether name is exactly Fname(id).
-func ParseFname(name string) (id int64, ok bool) {
-	if !strings.HasPrefix(name, "f") {
-		return 0, false
-	}
-	id, err := strconv.ParseInt(name[1:], 10, 64)
-	var canon [20]byte
-	return id, err == nil && string(strconv.AppendInt(canon[:0], id, 10)) == name[1:]
-}
-
 func (c Call) String() string {
 	keys := make([]string, 0, len(c.Args))
 	for k := range c.Args {
@@ -107,159 +98,51 @@ func (c Call) String() string {
 	return fmt.Sprintf("%s@p%d(%s)", c.Op, c.Proc, strings.Join(parts, ","))
 }
 
-// SetupFile creates one directory entry in the initial state. Multiple
-// entries may share an Inum to set up hard links.
-type SetupFile struct {
-	Name string
-	Inum int64
+// Setup is the concrete initial state of a test case, in the tables of the
+// spec it was written for: each spec's kernels define their own type
+// beside their Apply, register it (RegisterSetup) and read no other.
+type Setup interface {
+	// AppendFingerprint appends the setup's Fingerprint to dst and returns
+	// the extended buffer, so a caller that fingerprints setup after setup
+	// can reuse one buffer and look its maps up without making a string.
+	AppendFingerprint(dst []byte) []byte
+	// Fingerprint returns a canonical content-address of the setup: two
+	// setups of one type with the same fingerprint describe the same
+	// initial state, so the checker can apply the setup once and replay
+	// every test sharing it against snapshot/reset. The encoding is an
+	// exact rendering (not a hash), so there is no collision risk.
+	Fingerprint() string
+	// Clone returns a deep copy: it shares no slice or map with the
+	// receiver, and a table that is nil in the receiver is nil in the copy.
+	Clone() Setup
+	// Admit reports why the setup's own tables are not fit for its kernels
+	// (see kernel.Admit), or nil.
+	Admit() error
+	// String renders every field of every row, one line a row.
+	String() string
 }
 
-// SetupInode fixes an inode's initial metadata and content.
-type SetupInode struct {
-	Inum int64
-	// ExtraLinks adds hidden hard links (names outside the test's name
-	// space) so the link count can exceed the visible name count, the
-	// trick Figure 5 of the paper uses with "__i0".
-	ExtraLinks int
-	// Len is the file length in pages.
-	Len int64
-	// Pages maps page index -> content token for pages with fixed
-	// initial content.
-	Pages map[int64]int64
+// setupTypes maps a spec's name to a blank of its setup type, and
+// setupNames the types back: a TestCase's JSON carries its setup under that
+// name.
+var (
+	setupTypes = map[string]func() Setup{}
+	setupNames = map[reflect.Type]string{}
+)
+
+// RegisterSetup names blank's type as spec's setup type, for TestCase's
+// JSON; a kernel package calls it from init.
+func RegisterSetup(spec string, blank func() Setup) {
+	setupTypes[spec] = blank
+	setupNames[reflect.TypeOf(blank())] = spec
 }
 
-// SetupFD opens a descriptor in a process's table before the test runs.
-type SetupFD struct {
-	Proc int
-	FD   int64
-	// Pipe selects a pipe descriptor (PipeID, WriteEnd) instead of a
-	// file descriptor (Inum, Off).
-	Pipe     bool
-	PipeID   int64
-	WriteEnd bool
-	Inum     int64
-	Off      int64
-}
+// SetupSpec names the spec whose setup s is: "" for nil or an unregistered
+// type.
+func SetupSpec(s Setup) string { return setupNames[reflect.TypeOf(s)] }
 
-// SetupPipe creates a pipe with queued content.
-type SetupPipe struct {
-	ID int64
-	// Items are the queued page tokens, oldest first.
-	Items []int64
-}
-
-// SetupVMA maps one page of a process's address space.
-type SetupVMA struct {
-	Proc int
-	Page int64
-	Anon bool
-	// Val is the anonymous page's initial content token.
-	Val      int64
-	Writable bool
-	Inum     int64
-	Foff     int64
-}
-
-// SetupQueue seeds one message queue of the queue spec's reference
-// implementation. Core -1 is the shared ordered queue; Core >= 0 seeds
-// one per-core unordered queue. Items are queued page tokens, oldest
-// first.
-type SetupQueue struct {
-	Core  int64
-	Items []int64
-}
-
-// SetupKV seeds one key of the kv spec's reference store with a present
-// binding.
-type SetupKV struct {
-	Key int64
-	Val int64
-}
-
-// Setup is the concrete initial state of a test case. The fs/VM fields
-// are consumed by the POSIX kernels; Queues by the queue spec's reference
-// implementation; KVs by the kv spec's — each implementation ignores the
-// fields of interfaces it does not provide.
-type Setup struct {
-	Files  []SetupFile
-	Inodes []SetupInode
-	FDs    []SetupFD
-	Pipes  []SetupPipe
-	VMAs   []SetupVMA
-	Queues []SetupQueue `json:",omitempty"`
-	KVs    []SetupKV    `json:",omitempty"`
-}
-
-// Fingerprint returns a canonical content-address of the setup: two setups
-// with the same fingerprint describe the same initial state, so the
-// checker can apply the setup once and replay every test sharing it
-// against snapshot/reset. The encoding is an exact rendering (not a hash),
-// so equal fingerprints imply equal setups with no collision risk.
-func (s Setup) Fingerprint() string { return string(s.AppendFingerprint(nil)) }
-
-// AppendFingerprint appends the setup's Fingerprint to dst and returns the
-// extended buffer, so a caller that fingerprints setup after setup can
-// reuse one buffer and look its maps up without making a string.
-func (s Setup) AppendFingerprint(dst []byte) []byte {
-	for _, f := range s.Files {
-		dst = append(append(dst, 'F'), f.Name...)
-		dst = append(strconv.AppendInt(append(dst, '='), f.Inum, 10), ';')
-	}
-	for _, in := range s.Inodes {
-		dst = strconv.AppendInt(append(dst, 'I'), in.Inum, 10)
-		dst = strconv.AppendInt(append(dst, ",x"...), int64(in.ExtraLinks), 10)
-		dst = strconv.AppendInt(append(dst, ",l"...), in.Len, 10)
-		if len(in.Pages) > 0 {
-			var buf [MaxFilePages]int64
-			idxs := buf[:0]
-			for idx := range in.Pages {
-				idxs = append(idxs, idx)
-			}
-			slices.Sort(idxs)
-			for _, idx := range idxs {
-				dst = strconv.AppendInt(append(dst, ",p"...), idx, 10)
-				dst = strconv.AppendInt(append(dst, '='), in.Pages[idx], 10)
-			}
-		}
-		dst = append(dst, ';')
-	}
-	for _, fd := range s.FDs {
-		dst = strconv.AppendInt(append(dst, 'D'), int64(fd.Proc), 10)
-		dst = strconv.AppendInt(append(dst, ','), fd.FD, 10)
-		if fd.Pipe {
-			dst = strconv.AppendInt(append(dst, ",pipe"...), fd.PipeID, 10)
-			dst = strconv.AppendBool(append(dst, ",w"...), fd.WriteEnd)
-		} else {
-			dst = strconv.AppendInt(append(dst, ",i"...), fd.Inum, 10)
-			dst = strconv.AppendInt(append(dst, ",o"...), fd.Off, 10)
-		}
-		dst = append(dst, ';')
-	}
-	for _, p := range s.Pipes {
-		dst = appendItems(strconv.AppendInt(append(dst, 'P'), p.ID, 10), p.Items)
-	}
-	for _, v := range s.VMAs {
-		dst = strconv.AppendInt(append(dst, 'V'), int64(v.Proc), 10)
-		dst = strconv.AppendInt(append(dst, ','), v.Page, 10)
-		dst = strconv.AppendBool(append(dst, ",a"...), v.Anon)
-		dst = strconv.AppendInt(append(dst, ",v"...), v.Val, 10)
-		dst = strconv.AppendBool(append(dst, ",w"...), v.Writable)
-		dst = strconv.AppendInt(append(dst, ",i"...), v.Inum, 10)
-		dst = strconv.AppendInt(append(dst, ",o"...), v.Foff, 10)
-		dst = append(dst, ';')
-	}
-	for _, q := range s.Queues {
-		dst = appendItems(strconv.AppendInt(append(dst, 'Q'), q.Core, 10), q.Items)
-	}
-	for _, kv := range s.KVs {
-		dst = strconv.AppendInt(append(dst, 'K'), kv.Key, 10)
-		dst = append(strconv.AppendInt(append(dst, '='), kv.Val, 10), ';')
-	}
-	return dst
-}
-
-// appendItems appends "=[i0 i1 ...];", the rendering of a backlog.
-func appendItems(dst []byte, items []int64) []byte {
+// AppendItems appends "=[i0 i1 ...];", the fingerprint of a backlog.
+func AppendItems(dst []byte, items []int64) []byte {
 	dst = append(dst, "=["...)
 	for i, it := range items {
 		if i > 0 {
@@ -268,30 +151,6 @@ func appendItems(dst []byte, items []int64) []byte {
 		dst = strconv.AppendInt(dst, it, 10)
 	}
 	return append(dst, "];"...)
-}
-
-// Clone returns a deep copy of s: the copy shares no slice or map with s,
-// and a field that is nil in s is nil in the copy.
-func (s Setup) Clone() Setup {
-	c := Setup{
-		Files:  slices.Clone(s.Files),
-		Inodes: slices.Clone(s.Inodes),
-		FDs:    slices.Clone(s.FDs),
-		Pipes:  slices.Clone(s.Pipes),
-		VMAs:   slices.Clone(s.VMAs),
-		Queues: slices.Clone(s.Queues),
-		KVs:    slices.Clone(s.KVs),
-	}
-	for i := range c.Inodes {
-		c.Inodes[i].Pages = maps.Clone(c.Inodes[i].Pages)
-	}
-	for i := range c.Pipes {
-		c.Pipes[i].Items = slices.Clone(c.Pipes[i].Items)
-	}
-	for i := range c.Queues {
-		c.Queues[i].Items = slices.Clone(c.Queues[i].Items)
-	}
-	return c
 }
 
 // TestCase is one generated commutative test: after Setup, the two Calls
@@ -309,6 +168,67 @@ type TestCase struct {
 	// Excluded from the wire/cache encodings: decoders regroup via
 	// Fingerprint when it is empty.
 	SetupID string `json:"-"`
+}
+
+// testCaseJSON is TestCase's encoding: the setup is one object whose one
+// key is the spec the setup type is registered under, {"posix": {...}}.
+type testCaseJSON struct {
+	ID    string
+	Setup json.RawMessage
+	Calls [2]Call
+}
+
+// MarshalJSON encodes tc with its setup under its spec's name; a test
+// with no setup, or one of an unregistered type, does not encode.
+func (tc TestCase) MarshalJSON() ([]byte, error) {
+	name := SetupSpec(tc.Setup)
+	if name == "" {
+		return nil, fmt.Errorf("test %s: setup %T is no registered spec's", tc.ID, tc.Setup)
+	}
+	body, err := json.Marshal(tc.Setup)
+	if err != nil {
+		return nil, err
+	}
+	setup := append(append(append(strconv.AppendQuote([]byte("{"), name), ':'), body...), '}')
+	return json.Marshal(testCaseJSON{tc.ID, setup, tc.Calls})
+}
+
+// UnmarshalJSON decodes what MarshalJSON encodes, and refuses a field
+// TestCase does not have, a setup naming no registered spec or a second
+// one, and a table the named spec's setup does not have: a body or cache
+// entry in another format is refused, not misread.
+func (tc *TestCase) UnmarshalJSON(data []byte) error {
+	var w testCaseJSON
+	if err := strictDecode(json.NewDecoder(bytes.NewReader(data)), &w); err != nil {
+		return err
+	}
+	dec := json.NewDecoder(bytes.NewReader(w.Setup))
+	if open, err := dec.Token(); err != nil || open != json.Delim('{') {
+		return fmt.Errorf("test %s: a setup is an object naming its spec", w.ID)
+	}
+	var name string
+	if key, err := dec.Token(); err == nil {
+		name, _ = key.(string)
+	}
+	blank, ok := setupTypes[name]
+	if !ok {
+		return fmt.Errorf("test %s: setup names %q, not a registered spec", w.ID, name)
+	}
+	s := blank()
+	if err := strictDecode(dec, s); err != nil {
+		return fmt.Errorf("test %s: %s setup: %w", w.ID, name, err)
+	}
+	if end, err := dec.Token(); err != nil || end != json.Delim('}') {
+		return fmt.Errorf("test %s: setup names a spec besides %s", w.ID, name)
+	}
+	*tc = TestCase{ID: w.ID, Setup: s, Calls: w.Calls}
+	return nil
+}
+
+// strictDecode decodes dec's next value into v, refusing a field v lacks.
+func strictDecode(dec *json.Decoder, v any) error {
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // Kernel is the interface every implementation under test provides, and

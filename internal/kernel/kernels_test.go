@@ -23,10 +23,10 @@ func call(op string, proc int, args map[string]int64) kernel.Call {
 }
 
 // oneFile is a setup with f0 -> inode 1, length 2 pages, contents 11, 12.
-func oneFile() kernel.Setup {
-	return kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-		Inodes: []kernel.SetupInode{{Inum: 1, Len: 2, Pages: map[int64]int64{0: 11, 1: 12}}},
+func oneFile() *unix.Setup {
+	return &unix.Setup{
+		Files:  []unix.SetupFile{{Name: 0, Inum: 1}},
+		Inodes: []unix.SetupInode{{Inum: 1, Len: 2, Pages: map[int64]int64{0: 11, 1: 12}}},
 	}
 }
 
@@ -142,10 +142,10 @@ func TestLinkUnlinkRename(t *testing.T) {
 }
 
 func TestFDSemantics(t *testing.T) {
-	setup := kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-		Inodes: []kernel.SetupInode{{Inum: 1, Len: 2, Pages: map[int64]int64{0: 11, 1: 12}}},
-		FDs:    []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1, Off: 1}},
+	setup := &unix.Setup{
+		Files:  []unix.SetupFile{{Name: 0, Inum: 1}},
+		Inodes: []unix.SetupInode{{Inum: 1, Len: 2, Pages: map[int64]int64{0: 11, 1: 12}}},
+		FDs:    []unix.SetupFD{{Proc: 0, FD: 0, Inum: 1, Off: 1}},
 	}
 	for name, fresh := range kernels() {
 		k := fresh()
@@ -178,9 +178,9 @@ func TestFDSemantics(t *testing.T) {
 }
 
 func TestPipeSemantics(t *testing.T) {
-	setup := kernel.Setup{
-		Pipes: []kernel.SetupPipe{{ID: 1, Items: []int64{41}}},
-		FDs: []kernel.SetupFD{
+	setup := &unix.Setup{
+		Pipes: []unix.SetupPipe{{ID: 1, Items: []int64{41}}},
+		FDs: []unix.SetupFD{
 			{Proc: 0, FD: 0, Pipe: true, PipeID: 1},
 			{Proc: 0, FD: 1, Pipe: true, PipeID: 1, WriteEnd: true},
 		},
@@ -217,10 +217,10 @@ func TestPipeSemantics(t *testing.T) {
 }
 
 func TestVMSemantics(t *testing.T) {
-	setup := kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-		Inodes: []kernel.SetupInode{{Inum: 1, Len: 1, Pages: map[int64]int64{0: 7}}},
-		FDs:    []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
+	setup := &unix.Setup{
+		Files:  []unix.SetupFile{{Name: 0, Inum: 1}},
+		Inodes: []unix.SetupInode{{Inum: 1, Len: 1, Pages: map[int64]int64{0: 7}}},
+		FDs:    []unix.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
 	}
 	for name, fresh := range kernels() {
 		k := fresh()
@@ -298,7 +298,7 @@ func checkConflicts(t *testing.T, setup kernel.Setup, c0, c1 kernel.Call) map[st
 // directory commutes; Linux's directory lock conflicts, sv6's per-bucket
 // hash directory does not.
 func TestCreateDifferentFilesConflictProfile(t *testing.T) {
-	cf := checkConflicts(t, kernel.Setup{},
+	cf := checkConflicts(t, &unix.Setup{},
 		call("open", 0, map[string]int64{"fname": 1, "creat": 1, "anyfd": 1}),
 		call("open", 1, map[string]int64{"fname": 2, "creat": 1, "anyfd": 1}))
 	if cf["linux"] {
@@ -310,9 +310,9 @@ func TestCreateDifferentFilesConflictProfile(t *testing.T) {
 }
 
 func TestStatDifferentFilesBothScale(t *testing.T) {
-	setup := kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}, {Name: "f1", Inum: 2}},
-		Inodes: []kernel.SetupInode{{Inum: 1}, {Inum: 2}},
+	setup := &unix.Setup{
+		Files:  []unix.SetupFile{{Name: 0, Inum: 1}, {Name: 1, Inum: 2}},
+		Inodes: []unix.SetupInode{{Inum: 1}, {Inum: 2}},
 	}
 	cf := checkConflicts(t, setup,
 		call("stat", 0, map[string]int64{"fname": 0}),
@@ -340,10 +340,10 @@ func TestStatSameFileConflictProfile(t *testing.T) {
 // Two fstats of the same descriptor commute; Linux bumps the struct-file
 // refcount (§6.2's example), sv6 reads only.
 func TestFstatSameFDConflictProfile(t *testing.T) {
-	setup := kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-		Inodes: []kernel.SetupInode{{Inum: 1}},
-		FDs:    []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
+	setup := &unix.Setup{
+		Files:  []unix.SetupFile{{Name: 0, Inum: 1}},
+		Inodes: []unix.SetupInode{{Inum: 1}},
+		FDs:    []unix.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
 	}
 	cf := checkConflicts(t, setup,
 		call("fstat", 0, map[string]int64{"fd": 0}),
@@ -359,7 +359,7 @@ func TestFstatSameFDConflictProfile(t *testing.T) {
 // Commutative mmaps in the same process: Linux serializes on mmap_sem,
 // RadixVM's per-page cells do not (§6.2, [15]).
 func TestMmapDifferentPagesConflictProfile(t *testing.T) {
-	cf := checkConflicts(t, kernel.Setup{},
+	cf := checkConflicts(t, &unix.Setup{},
 		call("mmap", 0, map[string]int64{"page": 0, "fixed": 1, "anon": 1, "wr": 1}),
 		call("mmap", 0, map[string]int64{"page": 1, "fixed": 1, "anon": 1, "wr": 1}))
 	if cf["linux"] {
@@ -371,7 +371,7 @@ func TestMmapDifferentPagesConflictProfile(t *testing.T) {
 }
 
 func TestMemAccessDifferentPagesConflictProfile(t *testing.T) {
-	setup := kernel.Setup{VMAs: []kernel.SetupVMA{
+	setup := &unix.Setup{VMAs: []unix.SetupVMA{
 		{Proc: 0, Page: 0, Anon: true, Writable: true, Val: 1},
 		{Proc: 0, Page: 1, Anon: true, Writable: true, Val: 2},
 	}}
@@ -389,9 +389,9 @@ func TestMemAccessDifferentPagesConflictProfile(t *testing.T) {
 // link and unlink of different names pointing at one inode commute; the
 // shared link count conflicts on Linux, Refcache does not (§7.2).
 func TestLinkUnlinkSameInodeConflictProfile(t *testing.T) {
-	setup := kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}, {Name: "f1", Inum: 1}},
-		Inodes: []kernel.SetupInode{{Inum: 1}},
+	setup := &unix.Setup{
+		Files:  []unix.SetupFile{{Name: 0, Inum: 1}, {Name: 1, Inum: 1}},
+		Inodes: []unix.SetupInode{{Inum: 1}},
 	}
 	cf := checkConflicts(t, setup,
 		call("link", 0, map[string]int64{"old": 0, "new": 2}),
@@ -407,9 +407,9 @@ func TestLinkUnlinkSameInodeConflictProfile(t *testing.T) {
 // Reads and writes of a non-empty pipe commute; one pipe lock conflicts,
 // sv6's split head/tail cursors do not (§4).
 func TestPipeReadWriteConflictProfile(t *testing.T) {
-	setup := kernel.Setup{
-		Pipes: []kernel.SetupPipe{{ID: 1, Items: []int64{5}}},
-		FDs: []kernel.SetupFD{
+	setup := &unix.Setup{
+		Pipes: []unix.SetupPipe{{ID: 1, Items: []int64{5}}},
+		FDs: []unix.SetupFD{
 			{Proc: 0, FD: 0, Pipe: true, PipeID: 1},
 			{Proc: 1, FD: 0, Pipe: true, PipeID: 1, WriteEnd: true},
 		},
@@ -429,10 +429,10 @@ func TestPipeReadWriteConflictProfile(t *testing.T) {
 // stays shared. Both kernels conflict — and the runner still reports the
 // calls as commutative (same results both orders).
 func TestIdempotentLseekDifficultCase(t *testing.T) {
-	setup := kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-		Inodes: []kernel.SetupInode{{Inum: 1, Len: 2}},
-		FDs:    []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1, Off: 1}},
+	setup := &unix.Setup{
+		Files:  []unix.SetupFile{{Name: 0, Inum: 1}},
+		Inodes: []unix.SetupInode{{Inum: 1, Len: 2}},
+		FDs:    []unix.SetupFD{{Proc: 0, FD: 0, Inum: 1, Off: 1}},
 	}
 	c := call("lseek", 0, map[string]int64{"fd": 0, "delta": 2, "wset": 1})
 	for name, fresh := range kernels() {
@@ -448,10 +448,10 @@ func TestIdempotentLseekDifficultCase(t *testing.T) {
 
 // Operations in different processes never share FD state.
 func TestCrossProcessFDsConflictFree(t *testing.T) {
-	setup := kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}, {Name: "f1", Inum: 2}},
-		Inodes: []kernel.SetupInode{{Inum: 1, Len: 1}, {Inum: 2, Len: 1}},
-		FDs: []kernel.SetupFD{
+	setup := &unix.Setup{
+		Files:  []unix.SetupFile{{Name: 0, Inum: 1}, {Name: 1, Inum: 2}},
+		Inodes: []unix.SetupInode{{Inum: 1, Len: 1}, {Inum: 2, Len: 1}},
+		FDs: []unix.SetupFD{
 			{Proc: 0, FD: 0, Inum: 1},
 			{Proc: 1, FD: 0, Inum: 2},
 		},
@@ -465,7 +465,7 @@ func TestCrossProcessFDsConflictFree(t *testing.T) {
 }
 
 func TestCheckReportsCommuted(t *testing.T) {
-	setup := kernel.Setup{}
+	setup := &unix.Setup{}
 	tc := kernel.TestCase{
 		ID:    "create2",
 		Setup: setup,
@@ -485,9 +485,9 @@ func TestCheckReportsCommuted(t *testing.T) {
 // pipes must not share names: one traced region that hands a page through
 // each of two pipes reports both pipes' slot 0.
 func TestConflictReportsTellPipesApart(t *testing.T) {
-	setup := kernel.Setup{
-		Pipes: []kernel.SetupPipe{{ID: 1}, {ID: 2}},
-		FDs: []kernel.SetupFD{
+	setup := &unix.Setup{
+		Pipes: []unix.SetupPipe{{ID: 1}, {ID: 2}},
+		FDs: []unix.SetupFD{
 			{Proc: 0, FD: 0, Pipe: true, PipeID: 1, WriteEnd: true},
 			{Proc: 0, FD: 1, Pipe: true, PipeID: 2, WriteEnd: true},
 			{Proc: 1, FD: 0, Pipe: true, PipeID: 1},

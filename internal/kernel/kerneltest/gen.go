@@ -4,10 +4,14 @@ import (
 	"math/rand"
 
 	"repro/internal/kernel"
+	"repro/internal/kernel/memkv"
+	"repro/internal/kernel/memq"
+	"repro/internal/kernel/memvm"
+	"repro/internal/kernel/unix"
 )
 
-// Gen draws the random setups and calls one spec's kernels are exercised
-// with.
+// Gen draws the random setups, of the spec's own setup type, and calls
+// one spec's kernels are exercised with.
 type Gen struct {
 	Setup func(*rand.Rand) kernel.Setup
 	Call  func(*rand.Rand) kernel.Call
@@ -18,7 +22,7 @@ type Gen struct {
 // here and its kernels are covered by registration.
 var Gens = map[string]Gen{
 	"posix": {posixSetup, posixReplayCall},
-	"queue": {posixSetup, queueCall},
+	"queue": {queueSetup, queueCall},
 	"vm":    {vmSetup, vmCall},
 	"kv":    {kvSetup, kvCall},
 }
@@ -108,16 +112,15 @@ func posixReplayCall(r *rand.Rand) kernel.Call {
 
 // posixSetup builds a random but valid setup exercising every setup
 // dimension: files (with shared inodes for hard links), inode contents,
-// file and pipe descriptors, anonymous and file-backed VMAs, and queue
-// backlogs (consumed only by memq). It is broader than the cross-kernel
-// differential's setups, which stay within the dimensions both POSIX
-// kernels render identically.
+// file and pipe descriptors, and anonymous and file-backed VMAs. It is
+// broader than the cross-kernel differential's setups, which stay within
+// the dimensions both POSIX kernels render identically.
 func posixSetup(r *rand.Rand) kernel.Setup {
-	var s kernel.Setup
+	var s unix.Setup
 	inums := []int64{}
 	for i := 0; i < r.Intn(4); i++ {
 		inum := int64(1 + r.Intn(3))
-		s.Files = append(s.Files, kernel.SetupFile{Name: kernel.Fname(int64(i)), Inum: inum})
+		s.Files = append(s.Files, unix.SetupFile{Name: int64(i), Inum: inum})
 		inums = append(inums, inum)
 	}
 	seen := map[int64]bool{}
@@ -126,7 +129,7 @@ func posixSetup(r *rand.Rand) kernel.Setup {
 			continue
 		}
 		seen[inum] = true
-		in := kernel.SetupInode{Inum: inum, ExtraLinks: r.Intn(2), Len: int64(r.Intn(4))}
+		in := unix.SetupInode{Inum: inum, ExtraLinks: r.Intn(2), Len: int64(r.Intn(4))}
 		if r.Intn(2) == 0 {
 			in.Pages = map[int64]int64{}
 			for pg := int64(0); pg < in.Len; pg++ {
@@ -142,11 +145,11 @@ func posixSetup(r *rand.Rand) kernel.Setup {
 		for j := 0; j < r.Intn(3); j++ {
 			items = append(items, int64(30+r.Intn(10)))
 		}
-		s.Pipes = append(s.Pipes, kernel.SetupPipe{ID: int64(i), Items: items})
+		s.Pipes = append(s.Pipes, unix.SetupPipe{ID: int64(i), Items: items})
 	}
 	for proc := 0; proc < 2; proc++ {
 		for fd := int64(0); fd < int64(r.Intn(3)); fd++ {
-			sd := kernel.SetupFD{Proc: proc, FD: fd}
+			sd := unix.SetupFD{Proc: proc, FD: fd}
 			if len(s.Pipes) > 0 && r.Intn(3) == 0 {
 				sd.Pipe = true
 				sd.PipeID = s.Pipes[r.Intn(len(s.Pipes))].ID
@@ -162,7 +165,7 @@ func posixSetup(r *rand.Rand) kernel.Setup {
 	}
 	for proc := 0; proc < 2; proc++ {
 		for page := int64(0); page < int64(r.Intn(3)); page++ {
-			sv := kernel.SetupVMA{Proc: proc, Page: page, Writable: r.Intn(2) == 0}
+			sv := unix.SetupVMA{Proc: proc, Page: page, Writable: r.Intn(2) == 0}
 			if len(inums) == 0 || r.Intn(2) == 0 {
 				sv.Anon = true
 				sv.Val = int64(50 + r.Intn(10))
@@ -173,14 +176,27 @@ func posixSetup(r *rand.Rand) kernel.Setup {
 			s.VMAs = append(s.VMAs, sv)
 		}
 	}
+	return &s
+}
+
+// queueSetup seeds the ordered queue and the unordered queues of cores 0
+// and 1 at random, each at most once.
+func queueSetup(r *rand.Rand) kernel.Setup {
+	var s memq.Setup
+	seen := map[int64]bool{}
 	for i := 0; i < r.Intn(3); i++ {
+		core := int64(r.Intn(3)) - 1
+		if seen[core] {
+			continue
+		}
+		seen[core] = true
 		var items []int64
 		for j := 0; j < r.Intn(3); j++ {
 			items = append(items, int64(70+r.Intn(10)))
 		}
-		s.Queues = append(s.Queues, kernel.SetupQueue{Core: int64(r.Intn(3)) - 1, Items: items})
+		s.Queues = append(s.Queues, memq.SetupQueue{Core: core, Items: items})
 	}
-	return s
+	return &s
 }
 
 func queueCall(r *rand.Rand) kernel.Call {
@@ -199,7 +215,7 @@ func queueCall(r *rand.Rand) kernel.Call {
 }
 
 func vmSetup(r *rand.Rand) kernel.Setup {
-	var s kernel.Setup
+	var s memvm.Setup
 	seen := map[[2]int64]bool{}
 	for i := 0; i < r.Intn(6); i++ {
 		proc, page := r.Intn(2), int64(r.Intn(3))
@@ -208,12 +224,12 @@ func vmSetup(r *rand.Rand) kernel.Setup {
 			continue
 		}
 		seen[at] = true
-		s.VMAs = append(s.VMAs, kernel.SetupVMA{
-			Proc: proc, Page: page, Anon: true,
+		s.VMAs = append(s.VMAs, memvm.SetupVMA{
+			Proc: proc, Page: page,
 			Val: int64(r.Intn(8)), Writable: r.Intn(2) == 0,
 		})
 	}
-	return s
+	return &s
 }
 
 func vmCall(r *rand.Rand) kernel.Call {
@@ -236,7 +252,7 @@ func vmCall(r *rand.Rand) kernel.Call {
 }
 
 func kvSetup(r *rand.Rand) kernel.Setup {
-	var s kernel.Setup
+	var s memkv.Setup
 	seen := map[int64]bool{}
 	for i := 0; i < r.Intn(4); i++ {
 		key := int64(r.Intn(3))
@@ -244,9 +260,9 @@ func kvSetup(r *rand.Rand) kernel.Setup {
 			continue
 		}
 		seen[key] = true
-		s.KVs = append(s.KVs, kernel.SetupKV{Key: key, Val: int64(r.Intn(4))})
+		s.KVs = append(s.KVs, memkv.SetupKV{Key: key, Val: int64(r.Intn(4))})
 	}
-	return s
+	return &s
 }
 
 func kvCall(r *rand.Rand) kernel.Call {

@@ -14,9 +14,60 @@
 package memkv
 
 import (
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+
 	"repro/internal/kernel"
 	"repro/internal/mtrace"
 )
+
+func init() { kernel.RegisterSetup("kv", func() kernel.Setup { return new(Setup) }) }
+
+// Setup is the kv spec's initial state: the keys bound before the test
+// runs.
+type Setup struct {
+	KVs []SetupKV
+}
+
+// SetupKV binds one key.
+type SetupKV struct {
+	Key int64
+	Val int64
+}
+
+// Fingerprint implements kernel.Setup.
+func (s *Setup) Fingerprint() string { return string(s.AppendFingerprint(nil)) }
+
+// AppendFingerprint implements kernel.Setup.
+func (s *Setup) AppendFingerprint(dst []byte) []byte {
+	for _, kv := range s.KVs {
+		dst = strconv.AppendInt(append(dst, 'K'), kv.Key, 10)
+		dst = append(strconv.AppendInt(append(dst, '='), kv.Val, 10), ';')
+	}
+	return dst
+}
+
+// Clone implements kernel.Setup.
+func (s *Setup) Clone() kernel.Setup { return &Setup{KVs: slices.Clone(s.KVs)} }
+
+// Admit implements kernel.Setup: a setup binds at most kernel.MaxExtent
+// keys, each once.
+func (s *Setup) Admit() error {
+	var a kernel.Admission
+	kernel.Rows(&a, "key", s.KVs, func(kv SetupKV) int64 { return kv.Key })
+	return a.Err()
+}
+
+// String implements kernel.Setup.
+func (s *Setup) String() string {
+	var b strings.Builder
+	for _, kv := range s.KVs {
+		fmt.Fprintf(&b, "kv %d = %d\n", kv.Key, kv.Val)
+	}
+	return strings.TrimSuffix(b.String(), "\n")
+}
 
 // binding is one key's cells: presence (0/1) and value.
 type binding struct {
@@ -68,10 +119,9 @@ func (k *Kern) binding(key int64) *binding {
 	return b
 }
 
-// Apply seeds the store bindings from the setup (untraced); fields of
-// other interfaces are ignored.
+// Apply seeds the store bindings from a Setup (untraced).
 func (k *Kern) Apply(s kernel.Setup) {
-	for _, kv := range s.KVs {
+	for _, kv := range s.(*Setup).KVs {
 		b := k.binding(kv.Key)
 		b.present.Poke(1)
 		b.val.Poke(kv.Val)

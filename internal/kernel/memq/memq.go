@@ -10,11 +10,73 @@ package memq
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/kernel"
 	"repro/internal/mtrace"
 	"repro/internal/scale"
 )
+
+func init() { kernel.RegisterSetup("queue", func() kernel.Setup { return new(Setup) }) }
+
+// Setup is the queue spec's initial state: the queues' backlogs.
+type Setup struct {
+	Queues []SetupQueue
+}
+
+// SetupQueue seeds one queue. Core -1 is the shared ordered queue; Core >=
+// 0 seeds that core's unordered queue. Items are queued page tokens,
+// oldest first.
+type SetupQueue struct {
+	Core  int64
+	Items []int64
+}
+
+// Fingerprint implements kernel.Setup.
+func (s *Setup) Fingerprint() string { return string(s.AppendFingerprint(nil)) }
+
+// AppendFingerprint implements kernel.Setup.
+func (s *Setup) AppendFingerprint(dst []byte) []byte {
+	for _, q := range s.Queues {
+		dst = kernel.AppendItems(strconv.AppendInt(append(dst, 'Q'), q.Core, 10), q.Items)
+	}
+	return dst
+}
+
+// Clone implements kernel.Setup.
+func (s *Setup) Clone() kernel.Setup {
+	c := &Setup{Queues: slices.Clone(s.Queues)}
+	for i := range c.Queues {
+		c.Queues[i].Items = slices.Clone(c.Queues[i].Items)
+	}
+	return c
+}
+
+// Admit implements kernel.Setup: a setup seeds at most kernel.MaxExtent
+// queues, each once, with at most kernel.MaxExtent items each.
+func (s *Setup) Admit() error {
+	var a kernel.Admission
+	for _, q := range s.Queues {
+		a.Within("queue backlog", 0, int64(len(q.Items)), kernel.MaxExtent)
+	}
+	kernel.Rows(&a, "queue core", s.Queues, func(q SetupQueue) int64 { return q.Core })
+	return a.Err()
+}
+
+// String implements kernel.Setup.
+func (s *Setup) String() string {
+	var b strings.Builder
+	for _, q := range s.Queues {
+		if q.Core < 0 {
+			fmt.Fprintf(&b, "queue ordered: %v\n", q.Items)
+		} else {
+			fmt.Fprintf(&b, "queue core %d: %v\n", q.Core, q.Items)
+		}
+	}
+	return strings.TrimSuffix(b.String(), "\n")
+}
 
 // Kern is the queue-spec reference implementation.
 type Kern struct {
@@ -50,10 +112,9 @@ func (k *Kern) coreQ(core int) *scale.FIFO {
 	return q
 }
 
-// Apply seeds queue backlogs from the setup (untraced); the fs/VM setup
-// fields belong to the POSIX kernels and are ignored.
+// Apply seeds queue backlogs from a Setup (untraced).
 func (k *Kern) Apply(s kernel.Setup) {
-	for _, sq := range s.Queues {
+	for _, sq := range s.(*Setup).Queues {
 		if sq.Core < 0 {
 			k.ord.Seed(sq.Items)
 			continue

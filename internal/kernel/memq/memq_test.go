@@ -1,10 +1,11 @@
-package memq
+package memq_test
 
 import (
 	"testing"
 
 	"repro/internal/kernel"
 	"repro/internal/kernel/kerneltest"
+	"repro/internal/kernel/memq"
 )
 
 func call(op string, args map[string]int64) kernel.Call {
@@ -17,7 +18,7 @@ func call(op string, args map[string]int64) kernel.Call {
 // TestOrderedFIFO pins send/recv semantics: FIFO order, sequence-number
 // receipts, EAGAIN on empty.
 func TestOrderedFIFO(t *testing.T) {
-	k := New()
+	k := memq.New()
 	if r := k.Exec(0, call("recv", nil)); r.Code != -kernel.EAGAIN {
 		t.Fatalf("recv on empty = %v, want EAGAIN", r)
 	}
@@ -44,7 +45,7 @@ func TestOrderedFIFO(t *testing.T) {
 // TestPerCoreQueues pins the unordered variants' isolation: each core's
 // send_any/recv_any work its own queue.
 func TestPerCoreQueues(t *testing.T) {
-	k := New()
+	k := memq.New()
 	k.Exec(0, call("send_any", map[string]int64{"val": 5}))
 	if r := k.Exec(1, call("recv_any", nil)); r.Code != -kernel.EAGAIN {
 		t.Fatalf("core 1 recv_any saw core 0's message: %v", r)
@@ -59,8 +60,8 @@ func TestPerCoreQueues(t *testing.T) {
 
 // TestApplySeedsBacklogs pins setup application for both queue kinds.
 func TestApplySeedsBacklogs(t *testing.T) {
-	k := New()
-	k.Apply(kernel.Setup{Queues: []kernel.SetupQueue{
+	k := memq.New()
+	k.Apply(&memq.Setup{Queues: []memq.SetupQueue{
 		{Core: -1, Items: []int64{4, 5}},
 		{Core: 1, Items: []int64{6}},
 	}})
@@ -80,13 +81,13 @@ func TestApplySeedsBacklogs(t *testing.T) {
 func TestSendRecvNonEmptyConflictFree(t *testing.T) {
 	tc := kernel.TestCase{
 		ID:    "send_recv_nonempty",
-		Setup: kernel.Setup{Queues: []kernel.SetupQueue{{Core: -1, Items: []int64{1}}}},
+		Setup: &memq.Setup{Queues: []memq.SetupQueue{{Core: -1, Items: []int64{1}}}},
 		Calls: [2]kernel.Call{
 			call("send", map[string]int64{"val": 2}),
 			call("recv", nil),
 		},
 	}
-	res, swapped := kerneltest.Check(func() kernel.Kernel { return New() }, tc)
+	res, swapped := kerneltest.Check(func() kernel.Kernel { return memq.New() }, tc)
 	if !res.ConflictFree {
 		t.Errorf("non-empty send||recv conflicts: %v", res.Conflicts)
 	}
@@ -96,9 +97,10 @@ func TestSendRecvNonEmptyConflictFree(t *testing.T) {
 
 	empty := kernel.TestCase{
 		ID:    "send_recv_empty",
+		Setup: &memq.Setup{},
 		Calls: tc.Calls,
 	}
-	res, _ = kerneltest.Check(func() kernel.Kernel { return New() }, empty)
+	res, _ = kerneltest.Check(func() kernel.Kernel { return memq.New() }, empty)
 	if res.ConflictFree {
 		t.Error("empty-queue send||recv reported conflict-free; the slot handoff must collide")
 	}

@@ -15,9 +15,73 @@
 package memvm
 
 import (
+	"fmt"
+	"slices"
+	"strconv"
+	"strings"
+
 	"repro/internal/kernel"
 	"repro/internal/mtrace"
 )
+
+func init() { kernel.RegisterSetup("vm", func() kernel.Setup { return new(Setup) }) }
+
+// Setup is the vm spec's initial state: the pages mapped before the test
+// runs.
+type Setup struct {
+	VMAs []SetupVMA
+}
+
+// SetupVMA maps one anonymous page of a process's address space.
+type SetupVMA struct {
+	Proc     int
+	Page     int64
+	Writable bool
+	// Val is the page's initial content token.
+	Val int64
+}
+
+// Fingerprint implements kernel.Setup.
+func (s *Setup) Fingerprint() string { return string(s.AppendFingerprint(nil)) }
+
+// AppendFingerprint implements kernel.Setup. A mapping renders as the posix
+// spec's anonymous mapping does, file fields zero.
+func (s *Setup) AppendFingerprint(dst []byte) []byte {
+	for _, v := range s.VMAs {
+		dst = strconv.AppendInt(append(dst, 'V'), int64(v.Proc), 10)
+		dst = strconv.AppendInt(append(dst, ','), v.Page, 10)
+		dst = strconv.AppendInt(append(dst, ",atrue,v"...), v.Val, 10)
+		dst = strconv.AppendBool(append(dst, ",w"...), v.Writable)
+		dst = append(dst, ",i0,o0;"...)
+	}
+	return dst
+}
+
+// Clone implements kernel.Setup.
+func (s *Setup) Clone() kernel.Setup { return &Setup{VMAs: slices.Clone(s.VMAs)} }
+
+// Admit implements kernel.Setup: a mapping names process 0 or 1 and a page
+// within kernel.MaxExtent, and a setup maps at most kernel.MaxExtent pages,
+// each once.
+func (s *Setup) Admit() error {
+	var a kernel.Admission
+	for _, v := range s.VMAs {
+		a.Proc("a setup mapping", v.Proc)
+		a.Within("mapped page", 0, v.Page, kernel.MaxExtent)
+	}
+	kernel.Rows(&a, "mapped page (process, page)", s.VMAs, func(v SetupVMA) [2]int64 { return [2]int64{int64(v.Proc), v.Page} })
+	return a.Err()
+}
+
+// String implements kernel.Setup, in the posix spec's rendering of an
+// anonymous mapping.
+func (s *Setup) String() string {
+	var b strings.Builder
+	for _, v := range s.VMAs {
+		fmt.Fprintf(&b, "vma p%d:page%d anon=true wr=%v inode=0 foff=0 val=%d\n", v.Proc, v.Page, v.Writable, v.Val)
+	}
+	return strings.TrimSuffix(b.String(), "\n")
+}
 
 // pageCells is one (proc, page)'s state: a mapping descriptor (0 =
 // unmapped, 1 = mapped read-only, 2 = mapped writable) and the page's
@@ -73,10 +137,9 @@ func (k *Kern) page(proc int, page int64) *pageCells {
 	return p
 }
 
-// Apply seeds the address spaces from the setup (untraced); fields of
-// other interfaces are ignored.
+// Apply seeds the address spaces from a Setup (untraced).
 func (k *Kern) Apply(s kernel.Setup) {
-	for _, sv := range s.VMAs {
+	for _, sv := range s.(*Setup).VMAs {
 		p := k.page(sv.Proc, sv.Page)
 		if sv.Writable {
 			p.m.Poke(mappedRW)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 )
 
 // Replayer checks batches of tests that share a Setup against one
@@ -72,12 +73,11 @@ func (r *Replayer) groupBySetup(tests []TestCase) [][]int {
 	return groups
 }
 
-// maxExtent bounds every item count a setup can make a kernel build state
-// for, the magnitude of a call's arguments, and the number of names,
-// descriptors, pipes and mappings Admit compares pairwise. No generated
-// test comes near it (queues hold a few items); a request body or a cache
-// entry can say 1<<40.
-const maxExtent = 64
+// MaxExtent bounds the rows of every setup table (whose keys Rows compares
+// pairwise), every item count a setup can make a kernel build state for,
+// and the magnitude of a call's arguments. No generated test comes near it
+// (queues hold a few items); a request body or a cache entry can say 1<<40.
+const MaxExtent = 64
 
 // MaxFilePages bounds a POSIX file: its length is at most MaxFilePages
 // pages, and its pages are indexed below it. sv6 reconciles a file's length
@@ -102,103 +102,88 @@ const (
 var ErrInadmissible = errors.New("inadmissible test")
 
 // Admit reports whether a Replayer may hand tc to a kernel: it validates
-// what this package can know about a test without its spec. Processes are 0
-// or 1 wherever one is named, setup names are exactly what Fname renders and
-// name one file each, file lengths, pages and mapped offsets are within
-// MaxFilePages, every other extent and call argument is within maxExtent,
-// and a setup names each descriptor, pipe and mapped page once (a kernel
-// keeps the object it builds for one by that identity). What only the spec
-// knows — the op table, the arguments an op reads — is not checked here;
-// CheckTests turns a kernel's panic over those into the test's error.
+// what can be known about a test without its spec's op table. The test has
+// a setup, which admits its own tables (Setup.Admit: within their bounds,
+// each keyed row once — a kernel keeps the object it builds for a row by
+// that key), and its calls name process 0 or 1 and arguments within
+// MaxExtent. What only the spec knows — the op table, the arguments an op
+// reads — is not checked here; CheckTests turns a kernel's panic over those
+// into the test's error.
 func Admit(tc *TestCase) error {
-	why := ""
-	proc := func(what string, p int) {
-		if why == "" && p != 0 && p != 1 {
-			why = fmt.Sprintf("%s names process %d, not 0 or 1", what, p)
-		}
-	}
-	within := func(what string, lo, v, hi int64) {
-		if why == "" && (v < lo || v > hi) {
-			why = fmt.Sprintf("%s %d outside [%d, %d]", what, v, lo, hi)
-		}
-	}
-	s := &tc.Setup
-	within("setup file count", 0, int64(len(s.Files)), maxExtent)
-	for i, f := range s.Files {
-		if why != "" {
-			break // too many names to compare pairwise, or one already bad
-		}
-		if _, ok := ParseFname(f.Name); !ok {
-			why = fmt.Sprintf("setup file name %q is not of the form %s", f.Name, Fname(0))
-		}
-		for _, g := range s.Files[:i] {
-			if g.Name == f.Name {
-				why = fmt.Sprintf("setup names file %s twice", f.Name)
-			}
-		}
-	}
-	for _, in := range s.Inodes {
-		within("inode length", 0, in.Len, MaxFilePages)
-		for pg := range in.Pages {
-			within("inode page", 0, pg, MaxFilePages-1)
-		}
-	}
-	for _, fd := range s.FDs {
-		proc("a setup descriptor", fd.Proc)
-	}
-	for _, v := range s.VMAs {
-		proc("a setup mapping", v.Proc)
-		within("mapped page", 0, v.Page, maxExtent)
-		within("mapped file offset", 0, v.Foff, MaxFilePages-1)
-	}
-	for _, p := range s.Pipes {
-		within("pipe backlog", 0, int64(len(p.Items)), maxExtent)
-	}
-	for _, q := range s.Queues {
-		within("queue backlog", 0, int64(len(q.Items)), maxExtent)
+	var a Admission
+	if tc.Setup == nil {
+		a.refuse("no setup")
+	} else if err := tc.Setup.Admit(); err != nil {
+		a.refuse("%v", err)
 	}
 	for _, c := range tc.Calls {
-		proc("a call", c.Proc)
+		a.Proc("a call", c.Proc)
 		for _, v := range c.Args {
-			within("call argument", -maxExtent, v, maxExtent)
+			a.Within("call argument", -MaxExtent, v, MaxExtent)
 		}
 	}
-	// Last, so that what the checks above refuse keeps its reason.
-	within("setup descriptor count", 0, int64(len(s.FDs)), maxExtent)
-	within("setup pipe count", 0, int64(len(s.Pipes)), maxExtent)
-	within("setup mapping count", 0, int64(len(s.VMAs)), maxExtent)
-	for i := 0; why == "" && i < len(s.FDs); i++ {
-		for _, g := range s.FDs[:i] {
-			if g.Proc == s.FDs[i].Proc && g.FD == s.FDs[i].FD {
-				why = fmt.Sprintf("setup names descriptor %d of process %d twice", g.FD, g.Proc)
-			}
-		}
-	}
-	for i := 0; why == "" && i < len(s.Pipes); i++ {
-		for _, g := range s.Pipes[:i] {
-			if g.ID == s.Pipes[i].ID {
-				why = fmt.Sprintf("setup names pipe %d twice", g.ID)
-			}
-		}
-	}
-	for i := 0; why == "" && i < len(s.VMAs); i++ {
-		for _, g := range s.VMAs[:i] {
-			if g.Proc == s.VMAs[i].Proc && g.Page == s.VMAs[i].Page {
-				why = fmt.Sprintf("setup maps page %d of process %d twice", g.Page, g.Proc)
-			}
-		}
-	}
-	if why != "" {
-		return fmt.Errorf("%w %s: %s", ErrInadmissible, tc.ID, why)
+	if a.why != "" {
+		return fmt.Errorf("%w %s: %s", ErrInadmissible, tc.ID, a.why)
 	}
 	return nil
 }
 
+// Admission collects the first reason a test is refused: a check records
+// its reason only while none is recorded. The checks allocate nothing
+// unless they refuse.
+type Admission struct{ why string }
+
+// refuse records a reason.
+func (a *Admission) refuse(format string, args ...any) {
+	if a.why == "" {
+		a.why = fmt.Sprintf(format, args...)
+	}
+}
+
+// Proc refuses a process other than 0 and 1.
+func (a *Admission) Proc(what string, p int) {
+	if p != 0 && p != 1 {
+		a.refuse("%s names process %d, not 0 or 1", what, p)
+	}
+}
+
+// Within refuses v outside [lo, hi].
+func (a *Admission) Within(what string, lo, v, hi int64) {
+	if v < lo || v > hi {
+		a.refuse("%s %d outside [%d, %d]", what, v, lo, hi)
+	}
+}
+
+// Err returns the reason as an error, or nil.
+func (a *Admission) Err() error {
+	if a.why == "" {
+		return nil
+	}
+	return errors.New(a.why)
+}
+
+// Rows refuses a table of more than MaxExtent rows, and then a row whose
+// key an earlier row has. Call it after the rows' own checks, so that what
+// those refuse keeps its reason.
+func Rows[R any, K comparable](a *Admission, what string, rows []R, key func(R) K) {
+	if len(rows) > MaxExtent {
+		a.refuse("setup has %d %s rows, more than %d", len(rows), what, MaxExtent)
+	}
+	for i := 0; a.why == "" && i < len(rows); i++ {
+		for _, r := range rows[:i] {
+			if k := key(r); k == key(rows[i]) {
+				a.refuse("setup names %s %v twice", what, k)
+			}
+		}
+	}
+}
+
 // CheckTests is the CHECK replay loop, and the one place a test crosses
-// into a kernel: it admits every test (Admit) before it applies or executes
-// anything, groups them by setup and replays every group in order, handing
-// fn each result with the test's index in tests, and reports how many setup
-// groups there were. A test no kernel call survives — an op its spec does
+// into a kernel: it admits every test (Admit) and refuses a batch whose
+// setups are of two types (two specs' fingerprints can be equal) before it
+// applies or executes anything, groups the tests by setup and replays every
+// group in order, handing fn each result with the test's index in tests,
+// and reports how many setup groups there were. A test no kernel call survives — an op its spec does
 // not have — is an error naming the kernel and the test, and the Replayer
 // stays usable. Cancellation is polled before each group and after each test
 // (individual checks are short, so the poll granularity is the single test
@@ -208,6 +193,9 @@ func (r *Replayer) CheckTests(ctx context.Context, tests []TestCase, fn func(i i
 	for i := range tests {
 		if err := Admit(&tests[i]); err != nil {
 			return 0, err
+		}
+		if a, b := tests[0].Setup, tests[i].Setup; reflect.TypeOf(a) != reflect.TypeOf(b) {
+			return 0, fmt.Errorf("%w %s: setup %T, not %T like test %s's", ErrInadmissible, tests[i].ID, b, a, tests[0].ID)
 		}
 	}
 	grouped := r.groupBySetup(tests)

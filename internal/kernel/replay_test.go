@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/kernel/kerneltest"
+	"repro/internal/kernel/unix"
 )
 
 // within stamps setup on every test, making them one CheckTests group.
@@ -35,7 +36,7 @@ func TestReplayerGroupIsolation(t *testing.T) {
 		}}
 		// One Replayer, two groups: the file group, then an empty setup —
 		// the file from the first group's setup must be gone.
-		tests := append(within(oneFile(), destroy, probe, destroy, probe), probe)
+		tests := append(within(oneFile(), destroy, probe, destroy, probe), within(&unix.Setup{}, probe)...)
 		got := make([]kernel.CheckResult, len(tests))
 		groups, err := rep.CheckTests(context.Background(), tests, func(i int, res kernel.CheckResult) { got[i] = res })
 		if err != nil || groups != 2 {
@@ -101,10 +102,10 @@ func TestReplayerEarlyStop(t *testing.T) {
 // proc0.fd[1]: when a lookup of an absent descriptor loaded nothing, both
 // called it conflict-free.
 func TestOrderDependenceWithoutAccess(t *testing.T) {
-	tc := kernel.TestCase{ID: "write-open", Setup: kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-		Inodes: []kernel.SetupInode{{Inum: 1}},
-		FDs:    []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
+	tc := kernel.TestCase{ID: "write-open", Setup: &unix.Setup{
+		Files:  []unix.SetupFile{{Name: 0, Inum: 1}},
+		Inodes: []unix.SetupInode{{Inum: 1}},
+		FDs:    []unix.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
 	}, Calls: [2]kernel.Call{
 		call("write", 0, map[string]int64{"fd": 1, "val": 5}),
 		call("open", 0, map[string]int64{"fname": 0}),
@@ -152,7 +153,7 @@ func TestReplayExecutesEachCallOnce(t *testing.T) {
 	lseek := call("lseek", 0, map[string]int64{"fd": 0, "delta": 2, "wset": 1})
 	stat := call("stat", 0, map[string]int64{"fname": 0})
 	setup := oneFile()
-	setup.FDs = []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1, Off: 1}}
+	setup.FDs = []unix.SetupFD{{Proc: 0, FD: 0, Inum: 1, Off: 1}}
 	tests := within(setup,
 		kernel.TestCase{ID: "conflicting", Calls: [2]kernel.Call{lseek, lseek}},
 		kernel.TestCase{ID: "read-shared", Calls: [2]kernel.Call{stat, stat}})

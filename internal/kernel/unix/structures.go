@@ -196,7 +196,7 @@ type fileData interface {
 	write(core int, pg, v int64)
 	writeMapped(core int, pg, v int64) bool
 	truncate(core int)
-	apply(si kernel.SetupInode)
+	apply(si SetupInode)
 }
 
 // writePage is the one way a file grows.
@@ -264,7 +264,7 @@ func (d *pageCells) truncate(core int) {
 	d.len.Store(core, 0)
 }
 
-func (d *pageCells) apply(si kernel.SetupInode) {
+func (d *pageCells) apply(si SetupInode) {
 	d.len.Poke(si.Len)
 	for pg, v := range si.Pages {
 		d.page(pg).Poke(v)
@@ -335,7 +335,7 @@ func (d *radixPages) truncate(core int) {
 	}
 }
 
-func (d *radixPages) apply(si kernel.SetupInode) {
+func (d *radixPages) apply(si SetupInode) {
 	for pg := int64(0); pg < si.Len; pg++ {
 		d.present.Poke(pg, 1)
 	}

@@ -304,13 +304,13 @@ func (p *proc) lowestFD(core int, f *file) int64 {
 	return -1
 }
 
-// Apply implements kernel.Kernel; it builds initial state untraced, into a
-// kernel that is fresh or reset.
+// Apply implements kernel.Kernel; it builds a Setup's initial state
+// untraced, into a kernel that is fresh or reset.
 //
 // What it builds for a setup's descriptors, pipes and anonymous pages is
 // kept, by identity — (process, descriptor), pipe id, (process, page) —
 // whose cell names depend on it alone, and the next setup naming the
-// identity links the same object again (kernel.Admit refuses a setup naming
+// identity links the same object again (Setup.Admit refuses a setup naming
 // one twice). A descriptor's file is its slot's value, which a reset makes
 // absent but keeps (mtrace.Map's Poke and Peek); a pipe or an anonymous page
 // is reachable only through a descriptor or a mapping. The reset also
@@ -318,15 +318,15 @@ func (p *proc) lowestFD(core int, f *file) int64 {
 // does an inode's (see inode), so linking it again pokes, journaled, only
 // the cells whose born value a setup chooses (an offset, a page's value, a
 // backlog) and sets the plain fields.
-func (k *Kern) Apply(s kernel.Setup) {
+func (k *Kern) Apply(setup kernel.Setup) {
+	s := setup.(*Setup)
 	for _, si := range s.Inodes {
 		ino := k.inode(si.Inum)
 		ino.nlink.Poke(int64(si.ExtraLinks))
 		ino.data.apply(si)
 	}
 	for _, sf := range s.Files {
-		name, _ := kernel.ParseFname(sf.Name)
-		k.dir.poke(name, sf.Inum)
+		k.dir.poke(sf.Name, sf.Inum)
 		ino := k.inode(sf.Inum)
 		ino.nlink.Poke(ino.nlink.Peek() + 1)
 	}

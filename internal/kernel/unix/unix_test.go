@@ -15,9 +15,9 @@ func apply(t *testing.T, k *Kern, s kernel.Setup) {
 // The lowest-FD rule across open, pipe and close.
 func TestLowestFDRule(t *testing.T) {
 	k := New(Linux)
-	apply(t, k, kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-		Inodes: []kernel.SetupInode{{Inum: 1}},
+	apply(t, k, &Setup{
+		Files:  []SetupFile{{Name: 0, Inum: 1}},
+		Inodes: []SetupInode{{Inum: 1}},
 	})
 	open := func() int64 {
 		r := k.Exec(0, kernel.Call{Op: "open", Args: map[string]int64{"fname": 0}})
@@ -47,10 +47,10 @@ func TestLowestFDRule(t *testing.T) {
 // stale data.
 func TestTruncDropsPages(t *testing.T) {
 	k := New(Linux)
-	apply(t, k, kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-		Inodes: []kernel.SetupInode{{Inum: 1, Len: 2, Pages: map[int64]int64{0: 21, 1: 22}}},
-		FDs:    []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
+	apply(t, k, &Setup{
+		Files:  []SetupFile{{Name: 0, Inum: 1}},
+		Inodes: []SetupInode{{Inum: 1, Len: 2, Pages: map[int64]int64{0: 21, 1: 22}}},
+		FDs:    []SetupFD{{Proc: 0, FD: 0, Inum: 1}},
 	})
 	if r := k.Exec(0, kernel.Call{Op: "open", Args: map[string]int64{"fname": 0, "trunc": 1}}); r.Code < 0 {
 		t.Fatal(r)
@@ -68,7 +68,7 @@ func TestTruncDropsPages(t *testing.T) {
 // reads, so two faults in one process conflict.
 func TestMmapSemSharedOnFaults(t *testing.T) {
 	k := New(Linux)
-	apply(t, k, kernel.Setup{VMAs: []kernel.SetupVMA{
+	apply(t, k, &Setup{VMAs: []SetupVMA{
 		{Proc: 0, Page: 0, Anon: true, Writable: true},
 		{Proc: 0, Page: 1, Anon: true, Writable: true},
 	}})
@@ -86,7 +86,7 @@ func TestMmapSemSharedOnFaults(t *testing.T) {
 // negative dentries, as in Linux's dcache.
 func TestNegativeDentryRefcount(t *testing.T) {
 	k := New(Linux)
-	apply(t, k, kernel.Setup{})
+	apply(t, k, &Setup{})
 	mem := k.Memory()
 	mem.Start()
 	k.Exec(0, kernel.Call{Op: "stat", Args: map[string]int64{"fname": 3}})
@@ -100,7 +100,7 @@ func TestNegativeDentryRefcount(t *testing.T) {
 // The global inode allocator serializes file creation.
 func TestGlobalInodeAllocator(t *testing.T) {
 	k := New(Linux)
-	apply(t, k, kernel.Setup{})
+	apply(t, k, &Setup{})
 	mem := k.Memory()
 	mem.Start()
 	k.Exec(0, kernel.Call{Op: "open", Args: map[string]int64{"fname": 0, "creat": 1}})
@@ -124,10 +124,10 @@ func TestGlobalInodeAllocator(t *testing.T) {
 // extension.
 func TestLengthReconciliation(t *testing.T) {
 	k := New(SV6)
-	apply(t, k, kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-		Inodes: []kernel.SetupInode{{Inum: 1, Len: 2}},
-		FDs:    []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
+	apply(t, k, &Setup{
+		Files:  []SetupFile{{Name: 0, Inum: 1}},
+		Inodes: []SetupInode{{Inum: 1, Len: 2}},
+		FDs:    []SetupFD{{Proc: 0, FD: 0, Inum: 1}},
 	})
 	if r := k.Exec(0, kernel.Call{Op: "fstat", Args: map[string]int64{"fd": 0}}); r.V3 != 2 {
 		t.Errorf("initial len = %v", r)
@@ -156,9 +156,9 @@ func TestLengthReconciliation(t *testing.T) {
 // lowest-FD mode matches POSIX.
 func TestFDAllocationModes(t *testing.T) {
 	k := New(SV6)
-	apply(t, k, kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-		Inodes: []kernel.SetupInode{{Inum: 1}},
+	apply(t, k, &Setup{
+		Files:  []SetupFile{{Name: 0, Inum: 1}},
+		Inodes: []SetupInode{{Inum: 1}},
 	})
 	seen := map[int64]bool{}
 	for core := 0; core < 4; core++ {
@@ -175,9 +175,9 @@ func TestFDAllocationModes(t *testing.T) {
 	}
 	// Lowest mode: fresh kernel, sequential opens get 0,1,2.
 	k2 := New(SV6)
-	apply(t, k2, kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-		Inodes: []kernel.SetupInode{{Inum: 1}},
+	apply(t, k2, &Setup{
+		Files:  []SetupFile{{Name: 0, Inum: 1}},
+		Inodes: []SetupInode{{Inum: 1}},
 	})
 	for want := int64(0); want < 3; want++ {
 		r := k2.Exec(0, kernel.Call{Op: "open", Args: map[string]int64{"fname": 0}})
@@ -190,7 +190,7 @@ func TestFDAllocationModes(t *testing.T) {
 // Inode numbers are never reused (ScaleFS's defer-work design).
 func TestInodeNumbersNeverReused(t *testing.T) {
 	k := New(SV6)
-	apply(t, k, kernel.Setup{})
+	apply(t, k, &Setup{})
 	seen := map[int64]bool{}
 	for i := int64(0); i < 5; i++ {
 		r := k.Exec(0, kernel.Call{Op: "open", Args: map[string]int64{"fname": i, "creat": 1, "anyfd": 1}})
@@ -211,9 +211,9 @@ func TestInodeNumbersNeverReused(t *testing.T) {
 func TestSharedLinkCountOption(t *testing.T) {
 	for _, d := range []Design{SV6, SV6SharedLinkCount} {
 		k := New(d)
-		apply(t, k, kernel.Setup{
-			Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-			Inodes: []kernel.SetupInode{{Inum: 1}},
+		apply(t, k, &Setup{
+			Files:  []SetupFile{{Name: 0, Inum: 1}},
+			Inodes: []SetupInode{{Inum: 1}},
 		})
 		k.Exec(0, kernel.Call{Op: "link", Args: map[string]int64{"old": 0, "new": 1}})
 		r := k.Exec(1, kernel.Call{Op: "stat", Args: map[string]int64{"fname": 0}})
@@ -227,10 +227,10 @@ func TestSharedLinkCountOption(t *testing.T) {
 // lines.
 func TestFstatxSkipsLinkCount(t *testing.T) {
 	k := New(SV6)
-	apply(t, k, kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-		Inodes: []kernel.SetupInode{{Inum: 1}},
-		FDs:    []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
+	apply(t, k, &Setup{
+		Files:  []SetupFile{{Name: 0, Inum: 1}},
+		Inodes: []SetupInode{{Inum: 1}},
+		FDs:    []SetupFD{{Proc: 0, FD: 0, Inum: 1}},
 	})
 	mem := k.Memory()
 	mem.Start()
@@ -261,9 +261,9 @@ func TestNewAllocatesLittle(t *testing.T) {
 }
 
 // oneInode is the smallest file setup: one name, one inode, one page.
-var oneInode = kernel.Setup{
-	Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-	Inodes: []kernel.SetupInode{{Inum: 1, Len: 1}},
+var oneInode = &Setup{
+	Files:  []SetupFile{{Name: 0, Inum: 1}},
+	Inodes: []SetupInode{{Inum: 1, Len: 1}},
 }
 
 // applyAndReset returns what a Replayer does with a setup between groups:
@@ -292,9 +292,9 @@ func TestSetupAllocatesPerTouch(t *testing.T) {
 	inum := int64(1)
 	build := testing.AllocsPerRun(10, func() {
 		inum++ // an inode no earlier run built
-		k.Apply(kernel.Setup{
-			Files:  []kernel.SetupFile{{Name: "f0", Inum: inum}},
-			Inodes: []kernel.SetupInode{{Inum: inum, Len: 1}},
+		k.Apply(&Setup{
+			Files:  []SetupFile{{Name: 0, Inum: inum}},
+			Inodes: []SetupInode{{Inum: inum, Len: 1}},
 		})
 		k.Memory().Reset()
 	})
@@ -319,15 +319,15 @@ func BenchmarkApplyOneInode(b *testing.B) {
 // everyKept is a setup with one of each object Apply keeps across resets:
 // two descriptors (one on a pipe), a pipe with a backlog, a file mapping and
 // an anonymous page.
-var everyKept = kernel.Setup{
-	Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}},
-	Inodes: []kernel.SetupInode{{Inum: 1, Len: 2, Pages: map[int64]int64{1: 5}}},
-	FDs: []kernel.SetupFD{
+var everyKept = &Setup{
+	Files:  []SetupFile{{Name: 0, Inum: 1}},
+	Inodes: []SetupInode{{Inum: 1, Len: 2, Pages: map[int64]int64{1: 5}}},
+	FDs: []SetupFD{
 		{Proc: 0, FD: 0, Inum: 1, Off: 1},
 		{Proc: 1, FD: 3, Pipe: true, PipeID: 7},
 	},
-	Pipes: []kernel.SetupPipe{{ID: 7, Items: []int64{8, 9}}},
-	VMAs: []kernel.SetupVMA{
+	Pipes: []SetupPipe{{ID: 7, Items: []int64{8, 9}}},
+	VMAs: []SetupVMA{
 		{Proc: 0, Page: 2, Inum: 1, Foff: 1, Writable: true},
 		{Proc: 1, Page: 4, Anon: true, Val: 6},
 	},
@@ -373,10 +373,10 @@ func BenchmarkApply(b *testing.B) {
 func TestFstatConflictsWithLinkCountUpdateEitherOrder(t *testing.T) {
 	k := New(SV6)
 	mem := k.Memory()
-	apply(t, k, kernel.Setup{
-		Files:  []kernel.SetupFile{{Name: "f0", Inum: 1}, {Name: "f1", Inum: 1}},
-		Inodes: []kernel.SetupInode{{Inum: 1}},
-		FDs:    []kernel.SetupFD{{Proc: 0, FD: 0, Inum: 1}},
+	apply(t, k, &Setup{
+		Files:  []SetupFile{{Name: 0, Inum: 1}, {Name: 1, Inum: 1}},
+		Inodes: []SetupInode{{Inum: 1}},
+		FDs:    []SetupFD{{Proc: 0, FD: 0, Inum: 1}},
 	})
 	mem.Snapshot()
 	fstat := kernel.Call{Op: "fstat", Args: map[string]int64{"fd": 0}}

@@ -23,11 +23,11 @@ var vmkvKernels = map[string]func() kernel.Kernel{
 // allocations a page or a key.
 func TestVMKVWarmSetupAllocatesNothing(t *testing.T) {
 	setups := map[string]kernel.Setup{
-		"memvm": {VMAs: []kernel.SetupVMA{
-			{Proc: 0, Page: 1, Anon: true, Val: 3, Writable: true},
-			{Proc: 1, Page: 2, Anon: true, Val: 4},
+		"memvm": &memvm.Setup{VMAs: []memvm.SetupVMA{
+			{Proc: 0, Page: 1, Val: 3, Writable: true},
+			{Proc: 1, Page: 2, Val: 4},
 		}},
-		"memkv": {KVs: []kernel.SetupKV{{Key: 0, Val: 1}, {Key: 2, Val: 3}}},
+		"memkv": &memkv.Setup{KVs: []memkv.SetupKV{{Key: 0, Val: 1}, {Key: 2, Val: 3}}},
 	}
 	for name, fresh := range vmkvKernels {
 		k := fresh()

@@ -192,10 +192,11 @@ func (kvSpec) FixupCall(cfg spec.Config, call *kernel.Call) {}
 // miner is the kv SetupMiner: the map and slice a setup is mined into,
 // cleared and reused from model to model. It rebuilds the concrete store:
 // every key the witness probed as present becomes a seeded binding with
-// the probed value.
+// the probed value. out is the Setup it returns, over kvs.
 type miner struct {
 	seen map[int64]bool
-	kvs  []kernel.SetupKV
+	kvs  []memkv.SetupKV
+	out  memkv.Setup
 }
 
 // NewMiner returns a kv miner with its map made.
@@ -214,9 +215,10 @@ func (mn *miner) Setup(m sym.Model, probes *spec.Probes) kernel.Setup {
 			continue
 		}
 		mn.seen[key] = true
-		mn.kvs = append(mn.kvs, kernel.SetupKV{
+		mn.kvs = append(mn.kvs, memkv.SetupKV{
 			Key: key, Val: spec.Clamp(p.Field("val"), 0, memkv.MaxVal)})
 	}
-	slices.SortFunc(mn.kvs, func(a, b kernel.SetupKV) int { return cmp.Compare(a.Key, b.Key) })
-	return kernel.Setup{KVs: spec.OrNil(mn.kvs)}
+	slices.SortFunc(mn.kvs, func(a, b memkv.SetupKV) int { return cmp.Compare(a.Key, b.Key) })
+	mn.out = memkv.Setup{KVs: spec.OrNil(mn.kvs)}
+	return &mn.out
 }

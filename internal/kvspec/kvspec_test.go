@@ -226,12 +226,13 @@ func TestGenerateKVTests(t *testing.T) {
 	}
 	seeded := false
 	for _, tc := range tests {
-		for i, kv := range tc.Setup.KVs {
+		kvs := tc.Setup.(*memkv.Setup).KVs
+		for i, kv := range kvs {
 			if kv.Key < 0 || kv.Key >= memkv.NKeys || kv.Val < 0 || kv.Val > memkv.MaxVal {
 				t.Errorf("%s: setup binding %+v out of bounds", tc.ID, kv)
 			}
-			if i > 0 && tc.Setup.KVs[i-1].Key >= kv.Key {
-				t.Errorf("%s: setup bindings not sorted: %+v", tc.ID, tc.Setup.KVs)
+			if i > 0 && kvs[i-1].Key >= kv.Key {
+				t.Errorf("%s: setup bindings not sorted: %+v", tc.ID, kvs)
 			}
 			seeded = true
 		}

@@ -125,7 +125,7 @@ func TestSocketsAreTheQueueSpecs(t *testing.T) {
 		commutative bool
 		op          string
 	}{{false, "send"}, {true, "send_any"}} {
-		res, _ := kerneltest.Check(func() kernel.Kernel { return memq.New() }, kernel.TestCase{ID: tc.op, Calls: [2]kernel.Call{
+		res, _ := kerneltest.Check(func() kernel.Kernel { return memq.New() }, kernel.TestCase{ID: tc.op, Setup: &memq.Setup{}, Calls: [2]kernel.Call{
 			call(t, tc.op, map[string]int64{"val": 1}), call(t, tc.op, map[string]int64{"val": 2}),
 		}})
 		want := res.Conflicts

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/kernel"
+	"repro/internal/kernel/unix"
 	"repro/internal/spec"
 	"repro/internal/sym"
 )
@@ -35,10 +36,10 @@ type miner struct {
 	pipeCursors map[int64]spec.Probe
 	anonVals    map[[2]int64]int64
 	inums       []int64
-	// items[i] backs the backlog of the i-th pipe a setup adds, and s
-	// the setup's slices.
-	items [][]int64
-	s     kernel.Setup
+	// items[i] backs the backlog of the i-th pipe a setup adds, s the
+	// setup's slices, and out the Setup it returns, over them.
+	items  [][]int64
+	s, out unix.Setup
 }
 
 // NewMiner returns a posix miner with its maps made.
@@ -78,7 +79,7 @@ func (mn *miner) Setup(m sym.Model, probes *spec.Probes) kernel.Setup {
 	for _, vals := range mn.pipeVals {
 		clear(vals)
 	}
-	s := kernel.Setup{Files: mn.s.Files[:0], Inodes: mn.s.Inodes[:0], FDs: mn.s.FDs[:0], Pipes: mn.s.Pipes[:0], VMAs: mn.s.VMAs[:0]}
+	s := unix.Setup{Files: mn.s.Files[:0], Inodes: mn.s.Inodes[:0], FDs: mn.s.FDs[:0], Pipes: mn.s.Pipes[:0], VMAs: mn.s.VMAs[:0]}
 
 	for _, p := range probes.Eval("inode", m) {
 		if inum := p.Key[0]; mn.inPlay(inum, spec.Clamp(p.Field("len"), 0, maxLen)) {
@@ -89,7 +90,7 @@ func (mn *miner) Setup(m sym.Model, probes *spec.Probes) kernel.Setup {
 	for _, p := range probes.Eval("fname", m) {
 		name, inum := p.Key[0], p.Field("inum")
 		if mn.inPlay(inum, 0) {
-			s.Files = append(s.Files, kernel.SetupFile{Name: kernel.Fname(name), Inum: inum})
+			s.Files = append(s.Files, unix.SetupFile{Name: name, Inum: inum})
 			mn.visibleLinks[inum]++
 		}
 	}
@@ -119,7 +120,7 @@ func (mn *miner) Setup(m sym.Model, probes *spec.Probes) kernel.Setup {
 		if fd < 0 {
 			continue
 		}
-		sd := kernel.SetupFD{Proc: proc, FD: fd}
+		sd := unix.SetupFD{Proc: proc, FD: fd}
 		if p.Bool("ispipe") {
 			sd.Pipe = true
 			sd.PipeID = p.Field("pipe")
@@ -161,7 +162,7 @@ func (mn *miner) Setup(m sym.Model, probes *spec.Probes) kernel.Setup {
 			mn.items = append(mn.items, nil)
 		}
 		mn.items[i] = spec.AppendBacklog(mn.items[i][:0], mn.pipeCursors[id], mn.pipeVals[id], maxLen)
-		s.Pipes = append(s.Pipes, kernel.SetupPipe{ID: id, Items: spec.OrNil(mn.items[i])})
+		s.Pipes = append(s.Pipes, unix.SetupPipe{ID: id, Items: spec.OrNil(mn.items[i])})
 	}
 	clear(mn.pipeCursors)
 
@@ -173,7 +174,7 @@ func (mn *miner) Setup(m sym.Model, probes *spec.Probes) kernel.Setup {
 		if page < 0 {
 			continue
 		}
-		sv := kernel.SetupVMA{
+		sv := unix.SetupVMA{
 			Proc: int(proc), Page: page,
 			Anon:     p.Bool("anon"),
 			Writable: p.Bool("wr"),
@@ -200,7 +201,7 @@ func (mn *miner) Setup(m sym.Model, probes *spec.Probes) kernel.Setup {
 				extra = d
 			}
 		}
-		in := kernel.SetupInode{Inum: inum, ExtraLinks: extra, Len: mn.inodeLen[inum]}
+		in := unix.SetupInode{Inum: inum, ExtraLinks: extra, Len: mn.inodeLen[inum]}
 		if pages := mn.pages[inum]; len(pages) > 0 {
 			in.Pages = pages
 		}
@@ -208,21 +209,22 @@ func (mn *miner) Setup(m sym.Model, probes *spec.Probes) kernel.Setup {
 	}
 	sortSetup(&s)
 	mn.s = s
-	return kernel.Setup{
+	mn.out = unix.Setup{
 		Files: spec.OrNil(s.Files), Inodes: spec.OrNil(s.Inodes), FDs: spec.OrNil(s.FDs),
 		Pipes: spec.OrNil(s.Pipes), VMAs: spec.OrNil(s.VMAs),
 	}
+	return &mn.out
 }
 
 // sortSetup fixes deterministic ordering for reproducible output. Every
 // field's entries have distinct keys, so the order is total.
-func sortSetup(s *kernel.Setup) {
-	slices.SortFunc(s.Files, func(a, b kernel.SetupFile) int { return cmp.Compare(a.Name, b.Name) })
-	slices.SortFunc(s.FDs, func(a, b kernel.SetupFD) int {
+func sortSetup(s *unix.Setup) {
+	slices.SortFunc(s.Files, func(a, b unix.SetupFile) int { return cmp.Compare(a.Name, b.Name) })
+	slices.SortFunc(s.FDs, func(a, b unix.SetupFD) int {
 		return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.FD, b.FD))
 	})
-	slices.SortFunc(s.Pipes, func(a, b kernel.SetupPipe) int { return cmp.Compare(a.ID, b.ID) })
-	slices.SortFunc(s.VMAs, func(a, b kernel.SetupVMA) int {
+	slices.SortFunc(s.Pipes, func(a, b unix.SetupPipe) int { return cmp.Compare(a.ID, b.ID) })
+	slices.SortFunc(s.VMAs, func(a, b unix.SetupVMA) int {
 		return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Page, b.Page))
 	})
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/analyzer"
 	"repro/internal/kernel"
+	"repro/internal/kernel/unix"
 	"repro/internal/spec"
 	"repro/internal/sym"
 	"repro/internal/testgen"
@@ -94,13 +95,14 @@ func (m *diffMiner) Setup(model sym.Model, p *spec.Probes) kernel.Setup {
 		m.d.t.Fatalf("model %d: the reused miner mined\n%+v\na fresh one\n%+v", m.d.models, got, want)
 	}
 	m.d.models++
-	for _, in := range got.Inodes {
+	s := got.(*unix.Setup)
+	for _, in := range s.Inodes {
 		if len(in.Pages) > 0 {
 			m.d.withPages++
 			return got
 		}
 	}
-	for _, v := range got.VMAs {
+	for _, v := range s.VMAs {
 		if v.Anon && v.Val != 0 {
 			m.d.withPages++
 			return got

@@ -247,10 +247,11 @@ type miner struct {
 	// anyVals keeps an inner map per queue id ever mined, emptied at each
 	// model.
 	anyVals map[int64]map[int64]int64
-	// items[i] backs the backlog of the i-th queue a setup adds, and
-	// queues the setup's Queues.
+	// items[i] backs the backlog of the i-th queue a setup adds, queues
+	// the setup's Queues, and out the Setup it returns.
 	items  [][]int64
-	queues []kernel.SetupQueue
+	queues []memq.SetupQueue
+	out    memq.Setup
 }
 
 // NewMiner returns a queue miner with its maps made.
@@ -267,7 +268,7 @@ func (mn *miner) addQueue(core int64, cursors spec.Probe, vals map[int64]int64) 
 	}
 	mn.items[i] = spec.AppendBacklog(mn.items[i][:0], cursors, vals, maxQLen)
 	if len(mn.items[i]) > 0 {
-		mn.queues = append(mn.queues, kernel.SetupQueue{Core: core, Items: mn.items[i]})
+		mn.queues = append(mn.queues, memq.SetupQueue{Core: core, Items: mn.items[i]})
 	}
 }
 
@@ -312,5 +313,6 @@ func (mn *miner) Setup(m sym.Model, probes *spec.Probes) kernel.Setup {
 		mn.addQueue(qi, mn.anyCursors[qi], mn.anyVals[qi])
 	}
 	clear(mn.anyCursors)
-	return kernel.Setup{Queues: spec.OrNil(mn.queues)}
+	mn.out = memq.Setup{Queues: spec.OrNil(mn.queues)}
+	return &mn.out
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/analyzer"
 	"repro/internal/kernel"
 	"repro/internal/kernel/kerneltest"
+	"repro/internal/kernel/memq"
 	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/testgen"
@@ -177,7 +178,7 @@ func TestGenerateQueueTests(t *testing.T) {
 	}
 	seeded := false
 	for _, tc := range tests {
-		for _, q := range tc.Setup.Queues {
+		for _, q := range tc.Setup.(*memq.Setup).Queues {
 			if q.Core == -1 && len(q.Items) > 0 {
 				seeded = true
 			}

@@ -134,8 +134,8 @@ type SetupMiner interface {
 	// initial state from p, the path's Probes, with a deterministic order
 	// in every field and nil for every empty one. It reads a dictionary
 	// only through p.Eval, and keeps no Probe past its return. The Setup
-	// lives in the miner's storage until the next Setup: a caller that
-	// keeps it keeps its kernel.Setup.Clone.
+	// is of the spec's kernels' own type and lives in the miner's storage
+	// until the next Setup: a caller that keeps it keeps its Clone.
 	Setup(m sym.Model, p *Probes) kernel.Setup
 }
 

@@ -42,9 +42,11 @@ import (
 // shape or the entry encoding: what a key covers of the code is its
 // verdict pins (internal/pins), so a change that moves a verdict re-keys
 // the entries it covers when TestCorpusDigest -update rewrites the pin.
-// Version 5 is the first shape that folds the pins in. Entries of an
-// older version are never matched again.
-const CacheVersion = 5
+// Version 5 is the first shape that folds the pins in, and version 6 the
+// first whose TESTGEN entries carry each test's setup under its spec's name
+// (kernel.TestCase's JSON). Entries of an older version are never matched
+// again.
+const CacheVersion = 6
 
 // TestgenKey derives the content address of the kernel-independent phase:
 // the test cases ANALYZE → TESTGEN produces for one pair of the named

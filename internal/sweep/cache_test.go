@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/analyzer"
 	"repro/internal/kernel"
+	"repro/internal/kernel/unix"
 	"repro/internal/pins"
 	"repro/internal/spec"
 	"repro/internal/testgen"
@@ -168,12 +169,12 @@ func TestKeyDerivationAllocs(t *testing.T) {
 func cachedTests() []kernel.TestCase {
 	return []kernel.TestCase{{
 		ID: "open_rename_path0_test0",
-		Setup: kernel.Setup{
-			Files:  []kernel.SetupFile{{Name: "f1", Inum: 1}},
-			Inodes: []kernel.SetupInode{{Inum: 1, ExtraLinks: 2, Len: 1, Pages: map[int64]int64{0: 7}}},
-			FDs:    []kernel.SetupFD{{Proc: 1, FD: 3, Inum: 1, Off: 1}},
-			Pipes:  []kernel.SetupPipe{{ID: 1, Items: []int64{4, 5}}},
-			VMAs:   []kernel.SetupVMA{{Proc: 0, Page: 2, Anon: true, Val: 9, Writable: true}},
+		Setup: &unix.Setup{
+			Files:  []unix.SetupFile{{Name: 1, Inum: 1}},
+			Inodes: []unix.SetupInode{{Inum: 1, ExtraLinks: 2, Len: 1, Pages: map[int64]int64{0: 7}}},
+			FDs:    []unix.SetupFD{{Proc: 1, FD: 3, Inum: 1, Off: 1}},
+			Pipes:  []unix.SetupPipe{{ID: 1, Items: []int64{4, 5}}},
+			VMAs:   []unix.SetupVMA{{Proc: 0, Page: 2, Anon: true, Val: 9, Writable: true}},
 		},
 		Calls: [2]kernel.Call{
 			{Op: "open", Proc: 0, Args: map[string]int64{"fname": 1, "anyfd": 1}},

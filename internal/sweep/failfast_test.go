@@ -155,17 +155,18 @@ func TestSweepSurvivesPoisonedTestgenEntry(t *testing.T) {
 }
 
 // TestPairTestsAllocatesNothing pins the cost of the check a sweep asks of
-// every TESTGEN hit, and that it accepts a pair's own tests only.
+// every TESTGEN hit, and that it accepts a pair's own tests only, of its
+// own spec.
 func TestPairTestsAllocatesNothing(t *testing.T) {
 	a := testOp(t, "rename")
 	tests, _, err := PairTests(context.Background(), model.Spec, a, a, analyzer.Options{}, testgen.Options{}, &PairResult{})
 	if err != nil || len(tests) == 0 {
 		t.Fatalf("rename/rename: %d tests, %v", len(tests), err)
 	}
-	if !pairTests(tests, "rename", "rename") || pairTests(tests, "rename", "stat") {
+	if !pairTests(tests, "posix", "rename", "rename") || pairTests(tests, "posix", "rename", "stat") || pairTests(tests, "vm", "rename", "rename") {
 		t.Fatal("pairTests misjudges rename/rename's own tests")
 	}
-	if n := testing.AllocsPerRun(100, func() { pairTests(tests, "rename", "rename") }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { pairTests(tests, "posix", "rename", "rename") }); n != 0 {
 		t.Errorf("pairTests allocates %v times per call", n)
 	}
 }

@@ -40,7 +40,7 @@ import (
 
 // FleetAPIVersion stamps fleet requests; it tracks api.Version (asserted
 // by an api test) so the whole wire surface versions together.
-const FleetAPIVersion = 3
+const FleetAPIVersion = 4
 
 // Fleet coordination routes, served by `commuter serve` next to the cache
 // routes. Versioned like every other endpoint.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/kernel"
+	"repro/internal/kernel/unix"
 )
 
 // trippingContext reports cancellation after its Err method has been
@@ -37,9 +38,9 @@ func manySetupTests(groups, perGroup int) []kernel.TestCase {
 	var tests []kernel.TestCase
 	for g := 0; g < groups; g++ {
 		inum := int64(1 + g%3)
-		setup := kernel.Setup{
-			Files:  []kernel.SetupFile{{Name: kernel.Fname(int64(g % 4)), Inum: inum}},
-			Inodes: []kernel.SetupInode{{Inum: inum, Len: int64(g % 5)}},
+		setup := &unix.Setup{
+			Files:  []unix.SetupFile{{Name: int64(g % 4), Inum: inum}},
+			Inodes: []unix.SetupInode{{Inum: inum, Len: int64(g % 5)}},
 		}
 		for i := 0; i < perGroup; i++ {
 			tests = append(tests, kernel.TestCase{

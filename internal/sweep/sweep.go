@@ -637,7 +637,7 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op, w *worker) (PairResult
 	}
 
 	tg, err := testgenStage.run(ctx, r, tgKey, &out, func(tests []kernel.TestCase) bool {
-		return pairTests(tests, a.Name, b.Name)
+		return pairTests(tests, r.sp.Name(), a.Name, b.Name)
 	}, func() ([]kernel.TestCase, int, error) {
 		return w.generate(ctx, r.sp, a, b, r.aOpt, r.gOpt, &out)
 	})
@@ -702,15 +702,16 @@ func sameTotal(cells []KernelCell) bool {
 	return true
 }
 
-// pairTests reports whether tests can be the pair (a, b)'s: every test
-// calls a then b, and kernel.Admit accepts it. The TESTGEN tier serves
+// pairTests reports whether tests can be the pair (a, b)'s of the spec
+// named sp: every test calls a then b, carries sp's setup type, and
+// kernel.Admit accepts it. The TESTGEN tier serves
 // whatever entry carries the right version and key — a disk or a cache
 // peer wrote it — so a hit that fails this is recomputed, not replayed. It
 // allocates nothing: a sweep asks it of every TESTGEN hit.
-func pairTests(tests []kernel.TestCase, a, b string) bool {
+func pairTests(tests []kernel.TestCase, sp, a, b string) bool {
 	for i := range tests {
 		tc := &tests[i]
-		if tc.Calls[0].Op != a || tc.Calls[1].Op != b || kernel.Admit(tc) != nil {
+		if tc.Calls[0].Op != a || tc.Calls[1].Op != b || kernel.SetupSpec(tc.Setup) != sp || kernel.Admit(tc) != nil {
 			return false
 		}
 	}

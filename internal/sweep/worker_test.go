@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/kernel/kerneltest"
+	"repro/internal/kernel/unix"
 	"repro/internal/kvspec"
 	"repro/internal/model"
 	"repro/internal/mtrace"
@@ -309,8 +310,9 @@ func sameRun(a, b traced) bool {
 // fdBesideSetup reports whether an open or pipe of tr returned a descriptor
 // that tr's setup does not name in the call's process.
 func fdBesideSetup(tr traced) bool {
+	s, _ := tr.setup.(*unix.Setup) // only posix calls open and pipe
 	named := func(proc int, fd int64) bool {
-		return slices.ContainsFunc(tr.setup.FDs, func(sd kernel.SetupFD) bool { return sd.Proc == proc && sd.FD == fd })
+		return slices.ContainsFunc(s.FDs, func(sd unix.SetupFD) bool { return sd.Proc == proc && sd.FD == fd })
 	}
 	for i, c := range tr.calls {
 		r := tr.res[i]

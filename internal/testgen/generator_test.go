@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/analyzer"
 	"repro/internal/kernel"
+	"repro/internal/kernel/unix"
 	"repro/internal/kvspec"
 	"repro/internal/model"
 	"repro/internal/queuespec"
@@ -88,13 +89,18 @@ func TestDuplicateModelCostsNoAllocation(t *testing.T) {
 	}
 }
 
-// copyOutAllocs bounds what keeping tc costs: its ID, its SetupID, its
-// entry in seen, both calls' Args maps (a map and its table each) and one
-// slice or map per non-nil field of its setup.
-func copyOutAllocs(tc kernel.TestCase) int {
+// copyOutAllocs bounds what keeping tc, a posix test, costs: its ID, its
+// SetupID, its entry in seen and both calls' Args maps (a map and its table
+// each); and, unless it shares the setup of a test kept before it, the
+// setup's clone and one slice or map per non-nil field of it.
+func copyOutAllocs(tc kernel.TestCase, shared bool) int {
 	n := 3 + 2*2
-	s := tc.Setup
-	for _, nonNil := range []bool{s.Files != nil, s.Inodes != nil, s.FDs != nil, s.Pipes != nil, s.VMAs != nil, s.Queues != nil, s.KVs != nil} {
+	if shared {
+		return n
+	}
+	s := tc.Setup.(*unix.Setup)
+	n++
+	for _, nonNil := range []bool{s.Files != nil, s.Inodes != nil, s.FDs != nil, s.Pipes != nil, s.VMAs != nil} {
 		if nonNil {
 			n++
 		}
@@ -106,11 +112,6 @@ func copyOutAllocs(tc kernel.TestCase) int {
 	}
 	for _, p := range s.Pipes {
 		if p.Items != nil {
-			n++
-		}
-	}
-	for _, q := range s.Queues {
-		if q.Items != nil {
 			n++
 		}
 	}
@@ -137,8 +138,10 @@ func TestWarmPassAllocatesPerKeptTest(t *testing.T) {
 			o, _ := spec.OpByName(model.Spec, op)
 			bound += len(o.Args)
 		}
+		kept := map[string]bool{}
 		for _, tc := range tests {
-			bound += copyOutAllocs(tc)
+			bound += copyOutAllocs(tc, kept[tc.SetupID])
+			kept[tc.SetupID] = true
 		}
 		dropped := n.materialized - len(tests)
 		got := testing.AllocsPerRun(5, func() { g.generate(pr, opt) })
@@ -167,4 +170,32 @@ func analyzePair(t *testing.T, sp spec.Spec, a, b string) analyzer.PairResult {
 		t.Fatal(err)
 	}
 	return pr
+}
+
+// TestPrintedSetupsTellFingerprintsApart holds every spec's Setup.String to
+// rendering every field: over one pair per spec, two generated tests whose
+// setups' fingerprints differ print differently.
+func TestPrintedSetupsTellFingerprintsApart(t *testing.T) {
+	for _, p := range []struct {
+		sp   spec.Spec
+		a, b string
+	}{
+		{model.Spec, "memread", "memread"},
+		{vmspec.Spec, "memread", "memread"},
+		{kvspec.Spec, "put", "scan"},
+		{queuespec.Spec, "recv_any", "recv_any"},
+	} {
+		tests, _ := GenerateChecked(p.sp, analyzePair(t, p.sp, p.a, p.b), Options{})
+		printed := map[string]string{}
+		for _, tc := range tests {
+			s := tc.Setup.String()
+			if fp, ok := printed[s]; ok && fp != tc.SetupID {
+				t.Errorf("%s %s: setups %q and %q both print as\n%s", p.sp.Name(), tc.ID, fp, tc.SetupID, s)
+			}
+			printed[s] = tc.SetupID
+		}
+		if len(printed) < 2 {
+			t.Errorf("%s %s/%s: %d distinct setups; the pin shows nothing", p.sp.Name(), p.a, p.b, len(printed))
+		}
+	}
 }

@@ -214,15 +214,17 @@ func (g *Generator) materialize(pr analyzer.PairResult, ops [2]*spec.Op, m sym.M
 			return
 		}
 	}
-	setupID := string(g.fp)
+	// A setup does not change once kept, so a test repeating a kept one's
+	// shares its copy.
+	var tc kernel.TestCase
 	if len(same) > 0 {
-		setupID = g.tests[same[0]].SetupID
+		tc.Setup, tc.SetupID = g.tests[same[0]].Setup, g.tests[same[0]].SetupID
+	} else {
+		tc.Setup, tc.SetupID = setup.Clone(), string(g.fp)
 	}
-	g.seen[setupID] = append(same, len(g.tests))
-	tc := kernel.TestCase{
-		ID:    pr.OpA + "_" + pr.OpB + "_path" + strconv.Itoa(pi) + "_test" + strconv.Itoa(ti),
-		Setup: setup.Clone(), SetupID: setupID, Calls: g.calls,
-	}
+	g.seen[tc.SetupID] = append(same, len(g.tests))
+	tc.ID = pr.OpA + "_" + pr.OpB + "_path" + strconv.Itoa(pi) + "_test" + strconv.Itoa(ti)
+	tc.Calls = g.calls
 	for slot := range tc.Calls {
 		tc.Calls[slot].Args = maps.Clone(g.calls[slot].Args)
 	}

@@ -80,20 +80,21 @@ func TestIsomorphismClassesDiffer(t *testing.T) {
 func TestSetupsConsistent(t *testing.T) {
 	for _, pair := range [][2]string{{"rename", "rename"}, {"link", "unlink"}, {"read", "write"}} {
 		for _, tc := range gen(t, pair[0], pair[1], Options{}) {
+			s := tc.Setup.(*unix.Setup)
 			inodes := map[int64]bool{}
-			for _, si := range tc.Setup.Inodes {
+			for _, si := range s.Inodes {
 				inodes[si.Inum] = true
 			}
-			for _, f := range tc.Setup.Files {
+			for _, f := range s.Files {
 				if !inodes[f.Inum] {
-					t.Errorf("%s: file %s references undeclared inode %d", tc.ID, f.Name, f.Inum)
+					t.Errorf("%s: file %s references undeclared inode %d", tc.ID, kernel.Fname(f.Name), f.Inum)
 				}
 			}
 			pipes := map[int64]bool{}
-			for _, p := range tc.Setup.Pipes {
+			for _, p := range s.Pipes {
 				pipes[p.ID] = true
 			}
-			for _, fd := range tc.Setup.FDs {
+			for _, fd := range s.FDs {
 				if fd.Pipe && !pipes[fd.PipeID] {
 					t.Errorf("%s: fd references undeclared pipe %d", tc.ID, fd.PipeID)
 				}
@@ -165,7 +166,7 @@ func TestKernelsOnGeneratedCreateTests(t *testing.T) {
 // Nondeterministic allocation variables must not leak into setups.
 func TestNondetVarsExcludedFromSetup(t *testing.T) {
 	for _, tc := range gen(t, "open", "open", Options{}) {
-		for _, si := range tc.Setup.Inodes {
+		for _, si := range tc.Setup.(*unix.Setup).Inodes {
 			if si.Inum < 1 {
 				t.Errorf("%s: setup contains allocated (negative) inode %d", tc.ID, si.Inum)
 			}

@@ -227,11 +227,13 @@ func (vmSpec) FixupCall(cfg spec.Config, call *kernel.Call) {}
 // miner is the vm SetupMiner: the maps and slice a setup is mined into,
 // cleared and reused from model to model. It rebuilds the concrete address
 // spaces: every (proc, page) the witness probed as mapped becomes an
-// anonymous SetupVMA carrying the probed permission and content.
+// memvm.SetupVMA carrying the probed permission and content. out is the
+// Setup it returns, over vmas.
 type miner struct {
 	vals map[[2]int64]int64
 	seen map[[2]int64]bool
-	vmas []kernel.SetupVMA
+	vmas []memvm.SetupVMA
+	out  memvm.Setup
 }
 
 // NewMiner returns a vm miner with its maps made.
@@ -255,13 +257,14 @@ func (mn *miner) Setup(m sym.Model, probes *spec.Probes) kernel.Setup {
 			continue
 		}
 		mn.seen[at] = true
-		mn.vmas = append(mn.vmas, kernel.SetupVMA{
-			Proc: int(proc), Page: page, Anon: true,
+		mn.vmas = append(mn.vmas, memvm.SetupVMA{
+			Proc: int(proc), Page: page,
 			Val: mn.vals[[2]int64{p.Key[0], p.Key[1]}], Writable: p.Bool("wr"),
 		})
 	}
-	slices.SortFunc(mn.vmas, func(a, b kernel.SetupVMA) int {
+	slices.SortFunc(mn.vmas, func(a, b memvm.SetupVMA) int {
 		return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Page, b.Page))
 	})
-	return kernel.Setup{VMAs: spec.OrNil(mn.vmas)}
+	mn.out = memvm.Setup{VMAs: spec.OrNil(mn.vmas)}
+	return &mn.out
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/analyzer"
 	"repro/internal/kernel"
 	"repro/internal/kernel/kerneltest"
+	"repro/internal/kernel/memvm"
 	"repro/internal/spec"
 	"repro/internal/sweep"
 	"repro/internal/testgen"
@@ -198,10 +199,7 @@ func TestGenerateVMTests(t *testing.T) {
 	tests := generate(r)
 	seeded := false
 	for _, tc := range tests {
-		for _, v := range tc.Setup.VMAs {
-			if !v.Anon {
-				t.Errorf("%s: non-anonymous setup VMA %+v", tc.ID, v)
-			}
+		for _, v := range tc.Setup.(*memvm.Setup).VMAs {
 			if v.Page < 0 || v.Page >= kernel.MaxPage {
 				t.Errorf("%s: setup page %d out of range", tc.ID, v.Page)
 			}
