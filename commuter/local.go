@@ -172,20 +172,6 @@ func (localClient) Check(ctx context.Context, kernelName string, tests []TestCas
 	if err != nil {
 		return CheckSummary{}, badRequest(err)
 	}
-	// The op table and the setup type are the spec's, and this is where the
-	// spec is at hand: a test naming an op outside it, or carrying another
-	// spec's setup, is the caller's mistake, like a test kernel.Admit
-	// refuses below; what a kernel panics over beyond those is not.
-	for i := range tests {
-		for _, c := range tests[i].Calls {
-			if _, err := spec.OpByName(sp, c.Op); err != nil {
-				return CheckSummary{}, badRequest(fmt.Errorf("test %s: %w", tests[i].ID, err))
-			}
-		}
-		if got := kernel.SetupSpec(tests[i].Setup); got != sp.Name() {
-			return CheckSummary{}, badRequest(fmt.Errorf("test %s: setup of spec %q, not %s", tests[i].ID, got, sp.Name()))
-		}
-	}
 	out := CheckSummary{Kernel: impls[0].Name, Verdicts: make([]TestVerdict, len(tests))}
 	// The replay loop groups tests by initial state, which reorders
 	// execution; verdicts are stored by original index to keep the response

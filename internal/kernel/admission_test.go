@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -22,19 +25,23 @@ import (
 	_ "repro/internal/model"     // registers the "posix" spec
 	_ "repro/internal/queuespec" // registers the "queue" spec
 	"repro/internal/spec"
+	"repro/internal/sweep"
 	_ "repro/internal/vmspec" // registers the "vm" spec
 )
 
-// hostile lists the tests no TESTGEN run produces and a request body or a
-// cache entry can: each edit makes a valid test of its spec ("" for any
-// spec) one the Replayer must refuse. All but unknown-op and
-// write-past-bound are Admit's; the op table is the spec's, so an unknown
-// op gets as far as the kernel's panic, as does a write past the file
-// bound.
-var hostile = []struct {
+// hostileEdit makes a valid test of spec ("" for any spec) one the
+// Replayer must refuse.
+type hostileEdit struct {
 	spec, name string
 	edit       func(*kernel.TestCase)
-}{
+}
+
+// hostile lists the tests no TESTGEN run produces and a request body or a
+// cache entry can. All but write-past-bound are refused before the kernel
+// runs anything, by Admit or by the kernel's Refuse (unknown-op, and the
+// foreign-setup rows that init adds); a write past the file bound gets as
+// far as the kernel's panic.
+var hostile = []hostileEdit{
 	{"", "unknown-op", func(tc *kernel.TestCase) { tc.Calls[1].Op = "frob" }},
 	{"", "call-proc", func(tc *kernel.TestCase) { tc.Calls[0].Proc = 5 }},
 	{"", "argument", func(tc *kernel.TestCase) { tc.Calls[0].Args = map[string]int64{"off": 1 << 60, "page": 1 << 60} }},
@@ -133,6 +140,20 @@ var hostile = []struct {
 	}},
 }
 
+// init adds a foreign-setup row per spec and other spec: the test carries
+// a random setup of the other spec (kerneltest.Gens).
+func init() {
+	for _, name := range slices.Sorted(maps.Keys(kerneltest.Gens)) {
+		for _, other := range slices.Sorted(maps.Keys(kerneltest.Gens)) {
+			if other != name {
+				hostile = append(hostile, hostileEdit{name, "foreign-setup-" + other, func(tc *kernel.TestCase) {
+					tc.Setup = kerneltest.Gens[other].Setup(rand.New(rand.NewSource(1)))
+				}})
+			}
+		}
+	}
+}
+
 // posix is tc's posix setup.
 func posix(tc *kernel.TestCase) *unix.Setup { return tc.Setup.(*unix.Setup) }
 
@@ -140,8 +161,12 @@ func posix(tc *kernel.TestCase) *unix.Setup { return tc.Setup.(*unix.Setup) }
 // registered spec: each test must come back from CheckTests as an error
 // naming it — no panic, no result handed out, in milliseconds (sv6 builds
 // a cell per page of a file's length) — and the same Replayer must then
-// check a valid group exactly as fresh kernels do.
+// check a valid group exactly as fresh kernels do. sweep.CheckTestsCtx,
+// on a fresh worker, must refuse each test the same way. A test the Impl
+// does not run — each other spec's setup (15 cases), an unknown op (5) —
+// is kernel.ErrInadmissible through both, the reason named.
 func TestReplayerAdmission(t *testing.T) {
+	refused, foreign := 0, 0
 	for _, name := range spec.Names() {
 		sp, err := spec.Lookup(name)
 		if err != nil {
@@ -165,11 +190,30 @@ func TestReplayerAdmission(t *testing.T) {
 					if err == nil || !strings.Contains(err.Error(), tc.ID) {
 						t.Errorf("%s: err = %v, want one naming the test", tc.ID, err)
 					}
-					if admitted := h.name == "unknown-op" || h.name == "write-past-bound"; errors.Is(err, kernel.ErrInadmissible) == admitted {
-						t.Errorf("%s: err = %v; only what Admit refuses is kernel.ErrInadmissible", tc.ID, err)
+					if admitted := h.name == "write-past-bound"; errors.Is(err, kernel.ErrInadmissible) == admitted {
+						t.Errorf("%s: err = %v; only what Admit and Refuse refuse is kernel.ErrInadmissible", tc.ID, err)
 					}
 					if d := time.Since(start); d > time.Second {
 						t.Errorf("%s: refused after %v", tc.ID, d)
+					}
+					_, _, serr := sweep.CheckTestsCtx(context.Background(), im.New, []kernel.TestCase{tc})
+					if serr == nil || errors.Is(serr, kernel.ErrInadmissible) != errors.Is(err, kernel.ErrInadmissible) {
+						t.Errorf("%s: sweep.CheckTestsCtx err = %v, CheckTests err = %v", tc.ID, serr, err)
+					}
+					var reason string // what the kernel's refusal says, for a test it does not run
+					if h.name == "unknown-op" {
+						reason = fmt.Sprintf("unknown %s op %q", name, "frob")
+					} else if other, ok := strings.CutPrefix(h.name, "foreign-setup-"); ok {
+						reason = fmt.Sprintf("setup of spec %q, not %s", other, name)
+					}
+					if reason != "" {
+						foreign++
+						if errors.Is(err, kernel.ErrInadmissible) && strings.Contains(err.Error(), tc.ID+": "+reason) &&
+							errors.Is(serr, kernel.ErrInadmissible) && strings.Contains(serr.Error(), tc.ID+": "+reason) {
+							refused++
+						} else {
+							t.Errorf("%s: CheckTests err = %v, sweep.CheckTestsCtx err = %v; want kernel.ErrInadmissible saying %q", tc.ID, err, serr, reason)
+						}
 					}
 				}
 
@@ -178,7 +222,8 @@ func TestReplayerAdmission(t *testing.T) {
 				for i := range tests {
 					tests[i] = kernel.TestCase{ID: "valid", Setup: setup, Calls: [2]kernel.Call{gen.Call(r), gen.Call(r)}}
 				}
-				if n := testing.AllocsPerRun(10, func() { _ = kernel.Admit(&tests[0]) }); n != 0 {
+				k := im.New()
+				if n := testing.AllocsPerRun(10, func() { _, _ = kernel.Admit(&tests[0]), k.Refuse(&tests[0]) }); n != 0 {
 					t.Errorf("admitting a valid test allocates %v times", n)
 				}
 				seen := 0
@@ -196,14 +241,19 @@ func TestReplayerAdmission(t *testing.T) {
 			})
 		}
 	}
+	if foreign != 20 {
+		t.Errorf("%d tests an Impl does not run, want 20: each other spec's setup on every Impl, and an unknown op on each", foreign)
+	}
+	t.Logf("%d of %d tests an Impl does not run refused as kernel.ErrInadmissible", refused, foreign)
 }
 
-// TestCollidingSetupIsRefused holds CheckTests to refusing a batch whose
-// setups are of two specs before it groups any: a setup fingerprint is
+// TestCollidingSetupIsRefused holds each Replayer to refusing a test whose
+// setup is another spec's before it groups any: a setup fingerprint is
 // exact only within one setup type, and a vm mapping renders as the posix
 // spec's anonymous mapping does, so a test of the other spec that joined a
 // valid test's group on equal bytes would be checked on the other test's
-// setup.
+// setup. The vm Replayer refuses the posix test, valid, and the posix
+// Replayers the vm one, forged.
 func TestCollidingSetupIsRefused(t *testing.T) {
 	valid := &unix.Setup{VMAs: []unix.SetupVMA{{Proc: 0, Page: 1, Anon: true, Val: 5, Writable: true}}}
 	forged := &memvm.Setup{VMAs: []memvm.SetupVMA{{Proc: 0, Page: 1, Val: 5, Writable: true}}}
@@ -215,7 +265,7 @@ func TestCollidingSetupIsRefused(t *testing.T) {
 		{ID: "valid", Setup: valid, Calls: [2]kernel.Call{read, read}},
 		{ID: "forged", Setup: forged, Calls: [2]kernel.Call{read, read}},
 	}
-	for _, name := range []string{"posix", "vm"} {
+	for name, foreign := range map[string]string{"posix": "forged", "vm": "valid"} {
 		sp, err := spec.Lookup(name)
 		if err != nil {
 			t.Fatal(err)
@@ -224,8 +274,8 @@ func TestCollidingSetupIsRefused(t *testing.T) {
 			_, err := kernel.NewReplayer(im.New).CheckTests(context.Background(), tests, func(i int, _ kernel.CheckResult) {
 				t.Errorf("%s: test %s was given a result", im.Name, tests[i].ID)
 			})
-			if !errors.Is(err, kernel.ErrInadmissible) || !strings.Contains(err.Error(), "forged") {
-				t.Errorf("%s: err = %v, want the forged test refused", im.Name, err)
+			if !errors.Is(err, kernel.ErrInadmissible) || !strings.Contains(err.Error(), "test "+foreign+": setup of spec") {
+				t.Errorf("%s: err = %v, want the %s test refused for its setup", im.Name, err, foreign)
 			}
 		}
 	}
@@ -236,8 +286,12 @@ func TestCollidingSetupIsRefused(t *testing.T) {
 // registered Impl by Replayers that live across inputs: CheckTests returns
 // an error, or one result and leaves the test re-encoding as the input
 // decoded — never a panic, never a run longer than a bound per input byte.
-// Seeds are the tests of the wire golden, random tests of every spec
-// (kerneltest.Gens) and the edits of them the hostile table makes.
+// A test whose setup is another spec's, or that names an op outside the
+// Impl's spec (spec.OpNames, not the kernel's own table), is refused as
+// kernel.ErrInadmissible, not as a recovered kernel panic. Seeds are the
+// tests of the wire golden, random tests of every spec (kerneltest.Gens)
+// and the edits of them the hostile table makes; every seed reaches the
+// Replayers of every other spec too.
 func FuzzReplayerAdmits(f *testing.F) {
 	golden, err := os.ReadFile("../api/testdata/check_request.golden.json")
 	if err != nil {
@@ -268,14 +322,19 @@ func FuzzReplayerAdmits(f *testing.F) {
 			seeds = append(seeds, kernel.TestCase{ID: name, Setup: gen.Setup(r), Calls: [2]kernel.Call{gen.Call(r), gen.Call(r)}})
 		}
 	}
-	var reps []*kernel.Replayer
+	type target struct {
+		rep       *kernel.Replayer
+		name, imp string
+		ops       []string
+	}
+	var targets []target
 	for _, name := range spec.Names() {
 		sp, err := spec.Lookup(name)
 		if err != nil {
 			f.Fatal(err)
 		}
 		for _, im := range sp.Impls() {
-			reps = append(reps, kernel.NewReplayer(im.New))
+			targets = append(targets, target{kernel.NewReplayer(im.New), name, im.Name, spec.OpNames(sp)})
 		}
 	}
 	for _, tc := range seeds {
@@ -303,15 +362,20 @@ func FuzzReplayerAdmits(f *testing.F) {
 			t.Fatalf("a decoded test does not encode: %v", err)
 		}
 		limit := 100*time.Millisecond + time.Duration(len(data))*20*time.Microsecond
-		for _, rep := range reps {
+		for _, tg := range targets {
 			var results []kernel.CheckResult
 			tests := []kernel.TestCase{tc}
 			start := time.Now()
-			_, err := rep.CheckTests(context.Background(), tests, func(_ int, res kernel.CheckResult) {
+			_, err := tg.rep.CheckTests(context.Background(), tests, func(_ int, res kernel.CheckResult) {
 				results = append(results, res)
 			})
 			if d := time.Since(start); d > limit {
 				t.Fatalf("%d input bytes took %v (limit %v)", len(data), d, limit)
+			}
+			foreign := kernel.SetupSpec(tc.Setup) != tg.name ||
+				!slices.Contains(tg.ops, tc.Calls[0].Op) || !slices.Contains(tg.ops, tc.Calls[1].Op)
+			if foreign && !errors.Is(err, kernel.ErrInadmissible) {
+				t.Fatalf("%s: a test its kernel does not run came back as %v, not kernel.ErrInadmissible", tg.imp, err)
 			}
 			if err != nil {
 				if len(results) != 0 {

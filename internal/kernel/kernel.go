@@ -9,8 +9,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"reflect"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -86,14 +87,9 @@ var fnames = func() (t [16]string) {
 }()
 
 func (c Call) String() string {
-	keys := make([]string, 0, len(c.Args))
-	for k := range c.Args {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%d", k, c.Args[k])
+	var parts []string
+	for _, k := range slices.Sorted(maps.Keys(c.Args)) {
+		parts = append(parts, fmt.Sprintf("%s=%d", k, c.Args[k]))
 	}
 	return fmt.Sprintf("%s@p%d(%s)", c.Op, c.Proc, strings.Join(parts, ","))
 }
@@ -131,10 +127,24 @@ var (
 )
 
 // RegisterSetup names blank's type as spec's setup type, for TestCase's
-// JSON; a kernel package calls it from init.
-func RegisterSetup(spec string, blank func() Setup) {
+// JSON, and returns the refusal of the kernels that run spec's tests by
+// dispatching on ops: it refuses a call naming an op ops lacks, then a
+// setup of another type. A kernel package calls it once, with the table
+// its Exec dispatches on, and its Kernel.Refuse is the refusal.
+func RegisterSetup[F any](spec string, blank func() Setup, ops map[string]F) func(*TestCase) error {
 	setupTypes[spec] = blank
 	setupNames[reflect.TypeOf(blank())] = spec
+	return func(tc *TestCase) error {
+		for _, c := range tc.Calls {
+			if _, ok := ops[c.Op]; !ok {
+				return fmt.Errorf("unknown %s op %q (known ops: %s)", spec, c.Op, strings.Join(slices.Sorted(maps.Keys(ops)), ", "))
+			}
+		}
+		if got := SetupSpec(tc.Setup); got != spec {
+			return fmt.Errorf("setup of spec %q, not %s", got, spec)
+		}
+		return nil
+	}
 }
 
 // SetupSpec names the spec whose setup s is: "" for nil or an unregistered
@@ -235,12 +245,11 @@ func strictDecode(dec *json.Decoder, v any) error {
 // the whole of what one owes the checker: keep every piece of state in cells
 // of its traced memory, in mtrace.Maps (whose lookups trace absence too) or
 // in variables set through mtrace.SetVar, so that the memory's Reset alone
-// returns the kernel to an earlier state. (A structure built on demand and left in
-// place is fine when a reset one is indistinguishable from an unbuilt one:
-// a sweep worker's Replayer keeps it for every later group and pair.)
-// Apply and Exec may assume the test was admitted (Admit) and came from
-// their spec, and may panic otherwise: the Replayer reports that as the
-// test's error.
+// returns the kernel to an earlier state. (A structure built on demand and
+// left in place is fine when a reset one is indistinguishable from an
+// unbuilt one: a sweep worker's Replayer keeps it for every later group and
+// pair.) A Replayer hands Apply and Exec only tests that Admit and Refuse
+// let through, and reports what they panic over as the test's error.
 type Kernel interface {
 	// Name identifies the implementation, as its spec registers it
 	// ("linux", "sv6", "memvm", ...).
@@ -248,6 +257,10 @@ type Kernel interface {
 	// Memory returns the kernel's traced memory, through whose snapshot
 	// journal the Replayer rolls the kernel back.
 	Memory() *mtrace.Memory
+	// Refuse reports why the kernel does not run tc, or nil: a call names
+	// an op outside the table Exec dispatches on, or the setup is not of
+	// the type Apply reads (see RegisterSetup).
+	Refuse(tc *TestCase) error
 	// Apply initializes kernel state from a setup (untraced).
 	Apply(s Setup)
 	// Exec performs one system call on the given simulated core.

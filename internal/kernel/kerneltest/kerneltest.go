@@ -9,8 +9,10 @@ package kerneltest
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -86,14 +88,7 @@ func oracleConflicts(accesses []mtrace.Access) []mtrace.Conflict {
 			st.readers[a.Core] = true
 		}
 	}
-	cores := func(set map[int]bool) []int {
-		var out []int
-		for c := range set {
-			out = append(out, c)
-		}
-		sort.Ints(out)
-		return out
-	}
+	cores := func(set map[int]bool) []int { return slices.Sorted(maps.Keys(set)) }
 	var out []mtrace.Conflict
 	for _, st := range order {
 		conflict := len(st.writers) > 1

@@ -23,8 +23,6 @@ import (
 	"repro/internal/mtrace"
 )
 
-func init() { kernel.RegisterSetup("kv", func() kernel.Setup { return new(Setup) }) }
-
 // Setup is the kv spec's initial state: the keys bound before the test
 // runs.
 type Setup struct {
@@ -90,8 +88,6 @@ type Kern struct {
 	keys map[int64]*binding
 }
 
-var _ kernel.Kernel = (*Kern)(nil)
-
 // New returns a fresh, empty store instance.
 func New() *Kern {
 	return &Kern{mem: mtrace.NewMemory(), keys: map[int64]*binding{}}
@@ -128,21 +124,22 @@ func (k *Kern) Apply(s kernel.Setup) {
 	}
 }
 
-// Exec performs one store operation on the given simulated core.
-func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
-	switch c.Op {
-	case "get":
+// ops maps each store operation to its body.
+var ops = map[string]func(k *Kern, core int, c kernel.Call) kernel.Result{
+	"get": func(k *Kern, core int, c kernel.Call) kernel.Result {
 		b := k.binding(c.Arg("key"))
 		if b.present.Load(core) == 0 {
 			return kernel.Errno(kernel.ENOENT)
 		}
 		return kernel.Result{Code: 0, Data: b.val.Load(core)}
-	case "put":
+	},
+	"put": func(k *Kern, core int, c kernel.Call) kernel.Result {
 		b := k.binding(c.Arg("key"))
 		b.present.Store(core, 1)
 		b.val.Store(core, c.Arg("val"))
 		return kernel.Result{Code: 0}
-	case "delete":
+	},
+	"delete": func(k *Kern, core int, c kernel.Call) kernel.Result {
 		b := k.binding(c.Arg("key"))
 		if b.present.Load(core) == 0 {
 			return kernel.Errno(kernel.ENOENT)
@@ -150,7 +147,8 @@ func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
 		b.present.Store(core, 0)
 		b.val.Store(core, 0)
 		return kernel.Result{Code: 0}
-	case "scan":
+	},
+	"scan": func(k *Kern, core int, c kernel.Call) kernel.Result {
 		lo, hi := c.Arg("lo"), c.Arg("hi")
 		var count, fp, weight int64 = 0, 0, 1
 		for key := int64(0); key < NKeys; key++ {
@@ -164,6 +162,13 @@ func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
 			weight *= ScanWeight
 		}
 		return kernel.Result{Code: count, V1: fp}
-	}
-	panic("memkv: unknown op " + c.Op)
+	},
 }
+
+var refuse = kernel.RegisterSetup("kv", func() kernel.Setup { return new(Setup) }, ops)
+
+// Refuse implements kernel.Kernel.
+func (k *Kern) Refuse(tc *kernel.TestCase) error { return refuse(tc) }
+
+// Exec performs one store operation on the given simulated core.
+func (k *Kern) Exec(core int, c kernel.Call) kernel.Result { return ops[c.Op](k, core, c) }

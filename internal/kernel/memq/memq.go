@@ -19,8 +19,6 @@ import (
 	"repro/internal/scale"
 )
 
-func init() { kernel.RegisterSetup("queue", func() kernel.Setup { return new(Setup) }) }
-
 // Setup is the queue spec's initial state: the queues' backlogs.
 type Setup struct {
 	Queues []SetupQueue
@@ -123,28 +121,38 @@ func (k *Kern) Apply(s kernel.Setup) {
 	}
 }
 
-// Exec performs one queue operation on the given simulated core.
-func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
-	switch c.Op {
-	case "send":
+// ops maps each queue operation to its body.
+var ops = map[string]func(k *Kern, core int, c kernel.Call) kernel.Result{
+	"send": func(k *Kern, core int, c kernel.Call) kernel.Result {
 		return kernel.Result{Code: k.ord.Send(core, c.Arg("val"))}
-	case "recv":
+	},
+	"recv": func(k *Kern, core int, c kernel.Call) kernel.Result {
 		seq, val, ok := k.ord.Recv(core)
 		if !ok {
 			return kernel.Errno(kernel.EAGAIN)
 		}
 		return kernel.Result{Code: 0, V1: seq, Data: val}
-	case "send_any":
+	},
+	"send_any": func(k *Kern, core int, c kernel.Call) kernel.Result {
 		k.coreQ(core).Send(core, c.Arg("val"))
 		return kernel.Result{Code: 0}
-	case "recv_any":
+	},
+	"recv_any": func(k *Kern, core int, c kernel.Call) kernel.Result {
 		_, val, ok := k.coreQ(core).Recv(core)
 		if !ok {
 			return kernel.Errno(kernel.EAGAIN)
 		}
 		return kernel.Result{Code: 0, Data: val}
-	case "status":
+	},
+	"status": func(k *Kern, core int, c kernel.Call) kernel.Result {
 		return kernel.Result{Code: k.ord.Len(core)}
-	}
-	panic("memq: unknown op " + c.Op)
+	},
 }
+
+var refuse = kernel.RegisterSetup("queue", func() kernel.Setup { return new(Setup) }, ops)
+
+// Refuse implements kernel.Kernel.
+func (k *Kern) Refuse(tc *kernel.TestCase) error { return refuse(tc) }
+
+// Exec performs one queue operation on the given simulated core.
+func (k *Kern) Exec(core int, c kernel.Call) kernel.Result { return ops[c.Op](k, core, c) }

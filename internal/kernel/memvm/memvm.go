@@ -24,8 +24,6 @@ import (
 	"repro/internal/mtrace"
 )
 
-func init() { kernel.RegisterSetup("vm", func() kernel.Setup { return new(Setup) }) }
-
 // Setup is the vm spec's initial state: the pages mapped before the test
 // runs.
 type Setup struct {
@@ -103,8 +101,6 @@ type Kern struct {
 	pages [2]map[int64]*pageCells
 }
 
-var _ kernel.Kernel = (*Kern)(nil)
-
 // New returns a fresh implementation instance with two empty address
 // spaces.
 func New() *Kern {
@@ -141,11 +137,7 @@ func (k *Kern) page(proc int, page int64) *pageCells {
 func (k *Kern) Apply(s kernel.Setup) {
 	for _, sv := range s.(*Setup).VMAs {
 		p := k.page(sv.Proc, sv.Page)
-		if sv.Writable {
-			p.m.Poke(mappedRW)
-		} else {
-			p.m.Poke(mappedRO)
-		}
+		p.m.Poke(mapVal(sv.Writable))
 		p.v.Poke(sv.Val)
 	}
 }
@@ -157,11 +149,9 @@ func mapVal(wr bool) int64 {
 	return mappedRO
 }
 
-// Exec performs one VM operation on the given simulated core.
-func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
-	proc := c.Proc
-	switch c.Op {
-	case "mmap":
+// ops maps each VM operation to its body.
+var ops = map[string]func(k *Kern, core int, c kernel.Call) kernel.Result{
+	"mmap": func(k *Kern, core int, c kernel.Call) kernel.Result {
 		addr := c.Arg("page")
 		if !c.ArgBool("fixed") {
 			// Lowest free page: the scan reads every mapping cell below
@@ -169,7 +159,7 @@ func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
 			// non-commutative address selection.
 			addr = -1
 			for pg := int64(0); pg < kernel.MaxPage; pg++ {
-				if k.page(proc, pg).m.Load(core) == unmapped {
+				if k.page(c.Proc, pg).m.Load(core) == unmapped {
 					addr = pg
 					break
 				}
@@ -178,33 +168,44 @@ func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
 				return kernel.Errno(kernel.ENOMEM)
 			}
 		}
-		p := k.page(proc, addr)
+		p := k.page(c.Proc, addr)
 		p.m.Store(core, mapVal(c.ArgBool("wr")))
 		p.v.Store(core, 0)
 		return kernel.Result{Code: 0, V1: addr}
-	case "munmap":
-		k.page(proc, c.Arg("page")).m.Store(core, unmapped)
+	},
+	"munmap": func(k *Kern, core int, c kernel.Call) kernel.Result {
+		k.page(c.Proc, c.Arg("page")).m.Store(core, unmapped)
 		return kernel.Result{Code: 0}
-	case "mprotect":
-		p := k.page(proc, c.Arg("page"))
+	},
+	"mprotect": func(k *Kern, core int, c kernel.Call) kernel.Result {
+		p := k.page(c.Proc, c.Arg("page"))
 		if p.m.Load(core) == unmapped {
 			return kernel.Errno(kernel.ENOMEM)
 		}
 		p.m.Store(core, mapVal(c.ArgBool("wr")))
 		return kernel.Result{Code: 0}
-	case "memread":
-		p := k.page(proc, c.Arg("page"))
+	},
+	"memread": func(k *Kern, core int, c kernel.Call) kernel.Result {
+		p := k.page(c.Proc, c.Arg("page"))
 		if p.m.Load(core) == unmapped {
 			return kernel.Errno(kernel.ESIGSEGV)
 		}
 		return kernel.Result{Code: 0, Data: p.v.Load(core)}
-	case "memwrite":
-		p := k.page(proc, c.Arg("page"))
+	},
+	"memwrite": func(k *Kern, core int, c kernel.Call) kernel.Result {
+		p := k.page(c.Proc, c.Arg("page"))
 		if p.m.Load(core) != mappedRW {
 			return kernel.Errno(kernel.ESIGSEGV)
 		}
 		p.v.Store(core, c.Arg("val"))
 		return kernel.Result{Code: 0}
-	}
-	panic("memvm: unknown op " + c.Op)
+	},
 }
+
+var refuse = kernel.RegisterSetup("vm", func() kernel.Setup { return new(Setup) }, ops)
+
+// Refuse implements kernel.Kernel.
+func (k *Kern) Refuse(tc *kernel.TestCase) error { return refuse(tc) }
+
+// Exec performs one VM operation on the given simulated core.
+func (k *Kern) Exec(core int, c kernel.Call) kernel.Result { return ops[c.Op](k, core, c) }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 )
 
 // Replayer checks batches of tests that share a Setup against one
@@ -97,18 +96,19 @@ const (
 	MaxPage = 3
 )
 
-// ErrInadmissible is what errors.Is finds in every error Admit returns: the
-// test itself is at fault — whoever wrote it, not the pipeline.
+// ErrInadmissible is what errors.Is finds in every error Admit returns,
+// and in every refusal CheckTests reports: the test itself is at fault —
+// whoever wrote it, not the pipeline.
 var ErrInadmissible = errors.New("inadmissible test")
 
 // Admit reports whether a Replayer may hand tc to a kernel: it validates
-// what can be known about a test without its spec's op table. The test has
-// a setup, which admits its own tables (Setup.Admit: within their bounds,
-// each keyed row once — a kernel keeps the object it builds for a row by
-// that key), and its calls name process 0 or 1 and arguments within
-// MaxExtent. What only the spec knows — the op table, the arguments an op
-// reads — is not checked here; CheckTests turns a kernel's panic over those
-// into the test's error.
+// what can be known about a test without its kernel. The test has a setup,
+// which admits its own tables (Setup.Admit: within their bounds, each
+// keyed row once — a kernel keeps the object it builds for a row by that
+// key), and its calls name process 0 or 1 and arguments within MaxExtent.
+// Whether the kernel runs the test's ops and setup is Kernel.Refuse's to
+// say; the arguments an op reads are not checked, and CheckTests turns a
+// kernel's panic over those into the test's error.
 func Admit(tc *TestCase) error {
 	var a Admission
 	if tc.Setup == nil {
@@ -179,23 +179,23 @@ func Rows[R any, K comparable](a *Admission, what string, rows []R, key func(R) 
 }
 
 // CheckTests is the CHECK replay loop, and the one place a test crosses
-// into a kernel: it admits every test (Admit) and refuses a batch whose
-// setups are of two types (two specs' fingerprints can be equal) before it
-// applies or executes anything, groups the tests by setup and replays every
-// group in order, handing fn each result with the test's index in tests,
-// and reports how many setup groups there were. A test no kernel call survives — an op its spec does
-// not have — is an error naming the kernel and the test, and the Replayer
-// stays usable. Cancellation is polled before each group and after each test
-// (individual checks are short, so the poll granularity is the single test
-// case); a cancelled loop returns the context's error, and whatever fn saw
-// up to then is a truncation the caller must not present as a verdict.
+// into a kernel. Before it applies or executes anything it refuses, as
+// ErrInadmissible, every test that Admit refuses or the kernel does not run
+// (Kernel.Refuse), so a batch's setups are all of the kernel's type, within
+// which fingerprints are exact. It then groups the tests by setup, replays
+// every group in order, handing fn each result with the test's index in
+// tests, and reports how many groups there were. A test no kernel call
+// survives is an error naming the kernel and the test, and the Replayer
+// stays usable. Cancellation is polled before each group and after each
+// test; a cancelled loop returns the context's error, and whatever fn saw up
+// to then is a truncation the caller must not present as a verdict.
 func (r *Replayer) CheckTests(ctx context.Context, tests []TestCase, fn func(i int, res CheckResult)) (groups int, err error) {
 	for i := range tests {
 		if err := Admit(&tests[i]); err != nil {
 			return 0, err
 		}
-		if a, b := tests[0].Setup, tests[i].Setup; reflect.TypeOf(a) != reflect.TypeOf(b) {
-			return 0, fmt.Errorf("%w %s: setup %T, not %T like test %s's", ErrInadmissible, tests[i].ID, b, a, tests[0].ID)
+		if err := r.k.Refuse(&tests[i]); err != nil {
+			return 0, fmt.Errorf("%w %s: %v", ErrInadmissible, tests[i].ID, err)
 		}
 	}
 	grouped := r.groupBySetup(tests)
@@ -229,8 +229,8 @@ func (r *Replayer) CheckGroup(setup Setup, tests []TestCase, fn func(CheckResult
 }
 
 // guard runs f, a call into the kernel on tc's behalf, and turns a panic out
-// of it into tc's error: kernels validate nothing (see Kernel), so this is
-// where an op or an argument outside the spec surfaces.
+// of it into tc's error: kernels validate no argument (see Kernel), so this
+// is where one outside the spec surfaces.
 func (r *Replayer) guard(tc *TestCase, f func()) (err error) {
 	defer func() {
 		if p := recover(); p != nil {

@@ -10,8 +10,6 @@ import (
 	"repro/internal/kernel"
 )
 
-func init() { kernel.RegisterSetup("posix", func() kernel.Setup { return new(Setup) }) }
-
 // Setup is the posix spec's initial state: the tables Apply builds a
 // kernel of either Design from.
 type Setup struct {

@@ -1,8 +1,6 @@
 package unix
 
 import (
-	"fmt"
-
 	"repro/internal/kernel"
 	"repro/internal/mtrace"
 )
@@ -18,13 +16,13 @@ var syscalls = map[string]func(k *Kern, core int, c kernel.Call) kernel.Result{
 	"memread": (*Kern).memAccess, "memwrite": (*Kern).memAccess,
 }
 
+var refuse = kernel.RegisterSetup("posix", func() kernel.Setup { return new(Setup) }, syscalls)
+
+// Refuse implements kernel.Kernel.
+func (k *Kern) Refuse(tc *kernel.TestCase) error { return refuse(tc) }
+
 // Exec implements kernel.Kernel.
-func (k *Kern) Exec(core int, c kernel.Call) kernel.Result {
-	if call, ok := syscalls[c.Op]; ok {
-		return call(k, core, c)
-	}
-	panic(fmt.Sprintf("unix: unknown op %q", c.Op))
-}
+func (k *Kern) Exec(core int, c kernel.Call) kernel.Result { return syscalls[c.Op](k, core, c) }
 
 // fdCall is a system call on the fd argument: it resolves it (EBADF), holds
 // the file until the call returns and refuses a pipe to a seek (ESPIPE).

@@ -2,8 +2,8 @@ package spec
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -29,12 +29,7 @@ func Register(s Spec) {
 func Names() []string {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(registry))
 }
 
 // Lookup resolves a spec by name. Unknown names return an error listing

@@ -30,6 +30,12 @@ import (
 // operand has needs type checking (so a method shares its readers with
 // every method and field of that name). A type named in the signature or
 // the exported fields of a declaration with readers has those readers too.
+// Two readers are calls the selectors do not show:
+//   - the standard library's: a method it calls through its own interfaces
+//     (stdlibCalled) has the readers of its type;
+//   - an interface's: a method of a module interface that a type of another
+//     package implements is read by a non-test call in the interface's own
+//     package, since that call runs the other package's method.
 //
 // Regenerate with `go test -run TestExportedSurface -update .`: the
 // [commuter] section is rewritten, the [unread] section only loses lines.
@@ -50,6 +56,10 @@ const (
 )
 
 var levelNames = [...]string{"none", "tests", "bench", ""}
+
+// stdlibCalled names the methods the standard library calls through its
+// interfaces (json.Marshaler, json.Unmarshaler, fmt.Stringer, error).
+var stdlibCalled = map[string]bool{"MarshalJSON": true, "UnmarshalJSON": true, "String": true, "Error": true}
 
 type surfaceDecl struct {
 	pkg   string // the package's directory, slash-separated: "internal/sweep"
@@ -188,6 +198,8 @@ func scanSurface(root string) ([]*surfaceDecl, error) {
 
 	byKey := map[string]*surfaceDecl{}
 	var decls []*surfaceDecl
+	ifaces := map[string][]string{}            // "pkg Iface" -> its methods, if it embeds no interface
+	methodSets := map[string]map[string]bool{} // "pkg Type" -> the names of its methods
 	add := func(f *surfaceFile, name string, sig ...ast.Expr) {
 		d := &surfaceDecl{pkg: f.pkg, name: name, sig: sig, file: f}
 		byKey[d.pkg+" "+d.name] = d
@@ -200,6 +212,13 @@ func scanSurface(root string) ([]*surfaceDecl, error) {
 		for _, decl := range f.ast.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
+				if decl.Recv != nil {
+					key := f.pkg + " " + receiverName(decl.Recv.List[0].Type)
+					if methodSets[key] == nil {
+						methodSets[key] = map[string]bool{}
+					}
+					methodSets[key][decl.Name.Name] = true
+				}
 				if !decl.Name.IsExported() {
 					continue
 				}
@@ -223,12 +242,21 @@ func scanSurface(root string) ([]*surfaceDecl, error) {
 						case *ast.StructType:
 							sig = append(sig, fieldTypes(typ.Fields)...)
 						case *ast.InterfaceType:
+							var names []string
+							embeds := false
 							for _, m := range typ.Methods.List {
 								if len(m.Names) == 0 {
 									sig = append(sig, m.Type) // an embedded interface
-								} else if m.Names[0].IsExported() {
+									embeds = true
+									continue
+								}
+								names = append(names, m.Names[0].Name)
+								if m.Names[0].IsExported() {
 									add(f, spec.Name.Name+"."+m.Names[0].Name, m.Type)
 								}
+							}
+							if !embeds {
+								ifaces[f.pkg+" "+spec.Name.Name] = names
 							}
 						default:
 							sig = append(sig, typ)
@@ -273,7 +301,7 @@ func scanSurface(root string) ([]*surfaceDecl, error) {
 		})
 	}
 	for _, d := range decls {
-		_, method, ok := strings.Cut(d.name, ".")
+		iface, method, ok := strings.Cut(d.name, ".")
 		if !ok {
 			continue
 		}
@@ -282,12 +310,22 @@ func scanSurface(root string) ([]*surfaceDecl, error) {
 				d.level = max(d.level, lvl)
 			}
 		}
+		if methodReaders[method][d.pkg] == read && implementedElsewhere(d.pkg, ifaces[d.pkg+" "+iface], methodSets) {
+			d.level = read
+		}
 	}
 
-	// Reachability: a type a read declaration names is read as strongly.
+	// Reachability: a type a read declaration names is read as strongly,
+	// and so is a method the standard library calls on a read type.
 	for changed := true; changed; {
 		changed = false
 		for _, d := range decls {
+			if typ, method, ok := strings.Cut(d.name, "."); ok && stdlibCalled[method] {
+				if t := byKey[d.pkg+" "+typ]; t != nil && t.level > d.level {
+					d.level = t.level
+					changed = true
+				}
+			}
 			if d.level == unread {
 				continue
 			}
@@ -313,6 +351,21 @@ func scanSurface(root string) ([]*surfaceDecl, error) {
 		return strings.Compare(a.pkg+" "+a.name, b.pkg+" "+b.name)
 	})
 	return decls, nil
+}
+
+// implementedElsewhere reports whether a type outside pkg has every method
+// an interface of pkg names (nil for a type that is no interface, or one
+// that embeds another).
+func implementedElsewhere(pkg string, iface []string, methodSets map[string]map[string]bool) bool {
+	if iface == nil {
+		return false
+	}
+	for key, methods := range methodSets {
+		if p, _, _ := strings.Cut(key, " "); p != pkg && !slices.ContainsFunc(iface, func(m string) bool { return !methods[m] }) {
+			return true
+		}
+	}
+	return false
 }
 
 // receiverName is the type name of a method receiver: T for T, *T, T[P]
@@ -433,4 +486,78 @@ func lineDiff(want, got []string) string {
 		}
 	}
 	return b.String()
+}
+
+// TestSurfaceReaders pins the readers no selector shows on a module of two
+// packages: k's interface Setup, implemented in q and called in k, and a
+// type the standard library encodes. What nothing calls stays unread — an
+// exported method added to q's Setup, an interface method of k's no code
+// calls, an interface whose only implementation is in its own package and
+// a String of an unread type — so neither reader loosens the ratchet.
+func TestSurfaceReaders(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"k/k.go": `package k
+
+type Setup interface {
+	Admit() error
+	Frob() int
+}
+
+type Local interface{ Run() }
+
+type impl struct{}
+
+func (impl) Run() {}
+
+type Test struct{}
+
+func (Test) MarshalJSON() ([]byte, error) { return nil, nil }
+
+func Check(s Setup) error { run(impl{}); return s.Admit() }
+
+func run(l Local) { l.Run() }
+`,
+		"q/q.go": `package q
+
+import "repro/k"
+
+type Setup struct{}
+
+func (*Setup) Admit() error { return nil }
+func (*Setup) Frob() int    { return 0 }
+func (*Setup) Unread() int  { return 0 }
+
+type Hidden struct{}
+
+func (Hidden) String() string { return "" }
+
+var _ = k.Check(new(Setup))
+
+var _ k.Test
+`,
+	} {
+		if err := os.MkdirAll(filepath.Join(dir, filepath.Dir(name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Chdir(dir)
+	decls, err := scanSurface(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range decls {
+		if d.level != read {
+			got = append(got, d.pkg+" "+d.name+" "+levelNames[d.level])
+		}
+	}
+	want := []string{"k Local none", "k Local.Run none", "k Setup.Frob none",
+		"q Hidden none", "q Hidden.String none", "q Setup none", "q Setup.Frob none", "q Setup.Unread none"}
+	if !slices.Equal(got, want) {
+		t.Errorf("unread:\n%s", lineDiff(want, got))
+	}
 }
