@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"repro/commuter"
@@ -15,10 +16,15 @@ import (
 // The same sweeps run six times over; from the second round on (the first
 // fills the process-wide tables: variable ids, base constants, op tables,
 // metric series) the live heap after a collection stays in one band. A
-// pair's expressions live in its worker's scope, which the next pair
-// clears, and the worker and its scope end with the sweep; that the base
-// table, the one intern table a process keeps, stops growing is
-// internal/sym's TestBaseTableHoldsConstantsAndStopsGrowing.
+// pair's expressions, dictionaries and states live in slabs its worker's
+// Solver reuses from pair to pair, and the worker and its slabs end with
+// the sweep; that the base table, the one intern table a process keeps,
+// stops growing is internal/sym's TestBaseTableHoldsConstantsAndStopsGrowing.
+//
+// The live heap is what the collection marked (/gc/heap/live:bytes), not
+// a count of heap objects read after it, which anything allocated between
+// the collection and the read inflates. A round out of the band reports
+// the goroutines running besides the test's.
 //
 // COMMUTER_LEAK_FULL=1 runs ten rounds of the benchmark's cold_sweep
 // universe instead (every spec in full, ~1.5 s a round), for the drill in
@@ -39,28 +45,30 @@ func TestRepeatedSweepsKeepHeapFlat(t *testing.T) {
 			universe = append(universe, []commuter.Option{commuter.WithSpec(name), commuter.WithOpSet("all")})
 		}
 	}
-	sweepAll := func() {
+	live := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	sweepAll := func() float64 {
 		for _, opts := range universe {
 			if _, err := commuter.Local().Sweep(context.Background(), opts...); err != nil {
 				t.Fatal(err)
 			}
 		}
 		runtime.GC()
+		metrics.Read(live)
+		return float64(live[0].Value.Uint64())
 	}
 	const slack = 1.15
-	var objects2 float64
+	var bytes2 float64
 	for round := 1; round <= rounds; round++ {
-		sweepAll()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		objects := float64(ms.HeapObjects)
-		t.Logf("round %d: %.0f live heap objects (%.1f MB), %d base constants",
-			round, objects, float64(ms.HeapAlloc)/1e6, sym.InternSize())
+		bytes := sweepAll()
+		t.Logf("round %d: %.1f kB live after a collection, %d goroutines, %d base constants",
+			round, bytes/1e3, runtime.NumGoroutine(), sym.InternSize())
 		switch {
 		case round == 2:
-			objects2 = objects
-		case round > 2 && objects > slack*objects2:
-			t.Errorf("round %d: %.0f live heap objects, round 2 had %.0f: the process keeps part of every sweep", round, objects, objects2)
+			bytes2 = bytes
+		case round > 2 && bytes > slack*bytes2:
+			buf := make([]byte, 1<<16)
+			t.Errorf("round %d: %.1f kB live, round 2 had %.1f kB: the process keeps part of every sweep; goroutines:\n%s",
+				round, bytes/1e3, bytes2/1e3, buf[:runtime.Stack(buf, true)])
 		}
 	}
 }

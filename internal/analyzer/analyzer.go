@@ -58,7 +58,9 @@ type Path struct {
 	// DictsA and DictsB are the dictionaries (State.Dicts) of the final
 	// symbolic states of the two orders (op0;op1 and op1;op0), which Eq
 	// compares; TESTGEN plans their initial-probe entries (spec.Probes) to
-	// materialize concrete initial states.
+	// materialize concrete initial states. They alias the states' own
+	// slices: read-only. Like PC and Eq, they live in the Solver that
+	// analysed the pair, until its Forget.
 	DictsA, DictsB []*symx.Dict
 }
 

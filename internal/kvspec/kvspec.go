@@ -43,11 +43,13 @@ import (
 type state struct {
 	// KV maps (key) -> {present, val}: the ordered map's bindings.
 	KV *symx.Dict
+	// dicts is Dicts' slice.
+	dicts [1]*symx.Dict
 }
 
 // Dicts returns the dictionaries in comparison order (the spec layer's
 // State contract).
-func (s *state) Dicts() []*symx.Dict { return []*symx.Dict{s.KV} }
+func (s *state) Dicts() []*symx.Dict { return s.dicts[:] }
 
 func errRet(errno int64) []*sym.Expr {
 	return []*sym.Expr{sym.Int(-errno), sym.Int(0), sym.Int(0), sym.Int(0), sym.Int(0)}
@@ -89,7 +91,7 @@ func opPut() *spec.Op {
 			{Name: "val", Sort: sym.IntSort, Min: 0, Max: memkv.MaxVal, Bounded: true}},
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s, key, val := st(x), a[0], a[1]
-			s.KV.Set(x.C, symx.K(key), symx.NewStruct("present", sym.True, "val", val))
+			s.KV.Set(x.C, symx.K(key), symx.NewStruct(x.C, "present", sym.True, "val", val))
 			// No "was it an insert?" receipt: like O_ANYFD, returning
 			// less is what lets put/put on distinct keys commute even
 			// with scans of disjoint ranges interleaved.
@@ -108,7 +110,7 @@ func opDelete() *spec.Op {
 			if !x.C.Branch(v.Get("present")) {
 				return errRet(kernel.ENOENT) // like unlink of a missing name
 			}
-			s.KV.Set(x.C, symx.K(key), symx.NewStruct("present", sym.False, "val", sym.Int(0)))
+			s.KV.Set(x.C, symx.K(key), symx.NewStruct(x.C, "present", sym.False, "val", sym.Int(0)))
 			return okRet(sym.Int(0), sym.Int(0), sym.Int(0))
 		},
 	}
@@ -170,16 +172,17 @@ func (kvSpec) DefaultSet() string { return "all" }
 
 // NewState builds the symbolic state with unconstrained initial content:
 // every key starts arbitrarily present or absent with an arbitrary
-// bounded value.
+// bounded value. The state lives in the region of c's Solver (symx.New).
 func (kvSpec) NewState(c *symx.Context, cfg spec.Config) spec.State {
-	return &state{
-		KV: symx.NewDict("kv", func(c *symx.Context, tag string) *symx.Struct {
-			present := c.Var(tag+".present", sym.BoolSort, symx.KindState)
-			val := c.Var(tag+".val", sym.IntSort, symx.KindState)
-			c.Assume(sym.And(sym.Ge(val, sym.Int(0)), sym.Le(val, sym.Int(memkv.MaxVal))))
-			return symx.NewStruct("present", present, "val", val)
-		}),
-	}
+	s := symx.New[state](c)
+	s.KV = symx.NewDict(c, "kv", func(c *symx.Context, tag string) *symx.Struct {
+		present := c.Var(tag+".present", sym.BoolSort, symx.KindState)
+		val := c.Var(tag+".val", sym.IntSort, symx.KindState)
+		c.Assume(sym.And(sym.Ge(val, sym.Int(0)), sym.Le(val, sym.Int(memkv.MaxVal))))
+		return symx.NewStruct(c, "present", present, "val", val)
+	})
+	s.dicts = [...]*symx.Dict{s.KV}
+	return s
 }
 
 func (kvSpec) Impls() []spec.Impl {

@@ -258,8 +258,8 @@ func TestEquivalentDetectsWrites(t *testing.T) {
 		s1 := newState(c)
 		s2 := newState(c)
 		name := c.Var("n", FilenameSort, symx.KindArg)
-		s1.Fname.Set(c, symx.K(name), symx.NewStruct("inum", sym.Int(1)))
-		s2.Fname.Set(c, symx.K(name), symx.NewStruct("inum", sym.Int(2)))
+		s1.Fname.Set(c, symx.K(name), symx.NewStruct(c, "inum", sym.Int(1)))
+		s2.Fname.Set(c, symx.K(name), symx.NewStruct(c, "inum", sym.Int(2)))
 		return sym.And(spec.Equivalent(nil, c, s1.Dicts(), s2.Dicts())...)
 	}, symx.Options{})
 	for _, p := range paths {

@@ -44,13 +44,13 @@ func allocFD(x *spec.Exec, slot string, proc *sym.Expr) *sym.Expr {
 	return v
 }
 
-func fileFD(inum, off *sym.Expr) *symx.Struct {
-	return symx.NewStruct("ispipe", sym.False, "inum", inum, "off", off,
+func fileFD(c *symx.Context, inum, off *sym.Expr) *symx.Struct {
+	return symx.NewStruct(c, "ispipe", sym.False, "inum", inum, "off", off,
 		"pipe", sym.Int(1), "wend", sym.False)
 }
 
-func pipeFD(pipe *sym.Expr, wend bool) *symx.Struct {
-	return symx.NewStruct("ispipe", sym.True, "inum", sym.Int(1), "off", sym.Int(0),
+func pipeFD(c *symx.Context, pipe *sym.Expr, wend bool) *symx.Struct {
+	return symx.NewStruct(c, "ispipe", sym.True, "inum", sym.Int(1), "off", sym.Int(0),
 		"pipe", pipe, "wend", sym.Bool(wend))
 }
 
@@ -104,7 +104,7 @@ func opOpen() *spec.Op {
 				inum = s.Fname.Get(x.C, symx.K(fname)).Get("inum")
 				if x.C.Branch(trunc) {
 					ino := s.Inode.GetFunc(x.C, symx.K(inum))
-					s.Inode.Set(x.C, symx.K(inum), ino.With("len", sym.Int(0)))
+					s.Inode.Set(x.C, symx.K(inum), ino.With(x.C, "len", sym.Int(0)))
 				}
 			} else {
 				if !x.C.Branch(creat) {
@@ -112,14 +112,14 @@ func opOpen() *spec.Op {
 				}
 				inum = s.allocInum(x.C, slot)
 				s.Inode.Set(x.C, symx.K(inum),
-					symx.NewStruct("nlink", sym.Int(1), "len", sym.Int(0)))
-				s.Fname.Set(x.C, symx.K(fname), symx.NewStruct("inum", inum))
+					symx.NewStruct(x.C, "nlink", sym.Int(1), "len", sym.Int(0)))
+				s.Fname.Set(x.C, symx.K(fname), symx.NewStruct(x.C, "inum", inum))
 			}
 			fd := allocFD(x, slot, proc)
 			if fd == nil {
 				return errRet(kernel.EMFILE)
 			}
-			s.FD.Set(x.C, symx.K(proc, fd), fileFD(inum, sym.Int(0)))
+			s.FD.Set(x.C, symx.K(proc, fd), fileFD(x.C, inum, sym.Int(0)))
 			return okRet(fd)
 		},
 	}
@@ -144,8 +144,8 @@ func opLink() *spec.Op {
 			inum := s.Fname.Get(x.C, symx.K(old)).Get("inum")
 			ino := s.Inode.GetFunc(x.C, symx.K(inum))
 			s.Inode.Set(x.C, symx.K(inum),
-				ino.With("nlink", sym.Add(ino.Get("nlink"), sym.Int(1))))
-			s.Fname.Set(x.C, symx.K(nw), symx.NewStruct("inum", inum))
+				ino.With(x.C, "nlink", sym.Add(ino.Get("nlink"), sym.Int(1))))
+			s.Fname.Set(x.C, symx.K(nw), symx.NewStruct(x.C, "inum", inum))
 			return okRet(sym.Int(0))
 		},
 	}
@@ -164,7 +164,7 @@ func opUnlink() *spec.Op {
 			inum := s.Fname.Get(x.C, symx.K(fname)).Get("inum")
 			ino := s.Inode.GetFunc(x.C, symx.K(inum))
 			s.Inode.Set(x.C, symx.K(inum),
-				ino.With("nlink", sym.Sub(ino.Get("nlink"), sym.Int(1))))
+				ino.With(x.C, "nlink", sym.Sub(ino.Get("nlink"), sym.Int(1))))
 			s.Fname.Del(x.C, symx.K(fname))
 			return okRet(sym.Int(0))
 		},
@@ -193,9 +193,9 @@ func opRename() *spec.Op {
 				di := s.Fname.Get(x.C, symx.K(dst)).Get("inum")
 				ino := s.Inode.GetFunc(x.C, symx.K(di))
 				s.Inode.Set(x.C, symx.K(di),
-					ino.With("nlink", sym.Sub(ino.Get("nlink"), sym.Int(1))))
+					ino.With(x.C, "nlink", sym.Sub(ino.Get("nlink"), sym.Int(1))))
 			}
-			s.Fname.Set(x.C, symx.K(dst), symx.NewStruct("inum", si))
+			s.Fname.Set(x.C, symx.K(dst), symx.NewStruct(x.C, "inum", si))
 			s.Fname.Del(x.C, symx.K(src))
 			return okRet(sym.Int(0))
 		},
@@ -279,7 +279,7 @@ func lseek(x *spec.Exec, a []*sym.Expr, f *symx.Struct, _, _ bool) []*sym.Expr {
 	if x.C.Branch(sym.Lt(n, sym.Int(0))) {
 		return errRet(kernel.EINVAL)
 	}
-	s.FD.Set(x.C, symx.K(a[0], a[1]), f.With("off", n))
+	s.FD.Set(x.C, symx.K(a[0], a[1]), f.With(x.C, "off", n))
 	return okRet(sym.Int(0), n)
 }
 
@@ -308,18 +308,18 @@ func opPipe() *spec.Op {
 			proc := a[0]
 			pid := s.allocPipe(x.C, slot)
 			s.Pipe.Set(x.C, symx.K(pid),
-				symx.NewStruct("head", sym.Int(0), "tail", sym.Int(0)))
+				symx.NewStruct(x.C, "head", sym.Int(0), "tail", sym.Int(0)))
 			rfd := allocFD(x, slot+".r", proc)
 			if rfd == nil {
 				return errRet(kernel.EMFILE)
 			}
-			s.FD.Set(x.C, symx.K(proc, rfd), pipeFD(pid, false))
+			s.FD.Set(x.C, symx.K(proc, rfd), pipeFD(x.C, pid, false))
 			wfd := allocFD(x, slot+".w", proc)
 			if wfd == nil {
 				s.FD.Del(x.C, symx.K(proc, rfd))
 				return errRet(kernel.EMFILE)
 			}
-			s.FD.Set(x.C, symx.K(proc, wfd), pipeFD(pid, true))
+			s.FD.Set(x.C, symx.K(proc, wfd), pipeFD(x.C, pid, true))
 			return okRet(sym.Int(0), rfd, wfd)
 		},
 	}
@@ -340,7 +340,7 @@ func read(x *spec.Exec, a []*sym.Expr, f *symx.Struct, pipe, seek bool) []*sym.E
 		}
 		v := s.PipeD.GetFunc(x.C, symx.K(pid, p.Get("head")))
 		s.Pipe.Set(x.C, symx.K(pid),
-			p.With("head", sym.Add(p.Get("head"), sym.Int(1))))
+			p.With(x.C, "head", sym.Add(p.Get("head"), sym.Int(1))))
 		return dataRet(1, v.Get("val"))
 	}
 	off := f.Get("off")
@@ -353,7 +353,7 @@ func read(x *spec.Exec, a []*sym.Expr, f *symx.Struct, pipe, seek bool) []*sym.E
 	}
 	v := s.Data.GetFunc(x.C, symx.K(f.Get("inum"), off))
 	if !seek {
-		s.FD.Set(x.C, symx.K(a[0], a[1]), f.With("off", sym.Add(off, sym.Int(1))))
+		s.FD.Set(x.C, symx.K(a[0], a[1]), f.With(x.C, "off", sym.Add(off, sym.Int(1))))
 	}
 	return dataRet(1, v.Get("val"))
 }
@@ -370,23 +370,23 @@ func write(x *spec.Exec, a []*sym.Expr, f *symx.Struct, pipe, seek bool) []*sym.
 		pid := f.Get("pipe")
 		p := s.Pipe.GetFunc(x.C, symx.K(pid))
 		s.PipeD.Set(x.C, symx.K(pid, p.Get("tail")),
-			symx.NewStruct("val", val))
+			symx.NewStruct(x.C, "val", val))
 		s.Pipe.Set(x.C, symx.K(pid),
-			p.With("tail", sym.Add(p.Get("tail"), sym.Int(1))))
+			p.With(x.C, "tail", sym.Add(p.Get("tail"), sym.Int(1))))
 		return okRet(sym.Int(1))
 	}
 	off, inum := f.Get("off"), f.Get("inum")
 	if seek {
 		off = a[2]
 	}
-	s.Data.Set(x.C, symx.K(inum, off), symx.NewStruct("val", val))
+	s.Data.Set(x.C, symx.K(inum, off), symx.NewStruct(x.C, "val", val))
 	ino := s.Inode.GetFunc(x.C, symx.K(inum))
 	end := sym.Add(off, sym.Int(1))
 	if x.C.Branch(sym.Gt(end, ino.Get("len"))) {
-		s.Inode.Set(x.C, symx.K(inum), ino.With("len", end))
+		s.Inode.Set(x.C, symx.K(inum), ino.With(x.C, "len", end))
 	}
 	if !seek {
-		s.FD.Set(x.C, symx.K(a[0], a[1]), f.With("off", end))
+		s.FD.Set(x.C, symx.K(a[0], a[1]), f.With(x.C, "off", end))
 	}
 	return okRet(sym.Int(1))
 }
@@ -415,9 +415,9 @@ func opMmap() *spec.Op {
 				}
 			}
 			if x.C.Branch(anon) {
-				s.VMA.Set(x.C, symx.K(proc, addr), symx.NewStruct(
+				s.VMA.Set(x.C, symx.K(proc, addr), symx.NewStruct(x.C,
 					"anon", sym.True, "inum", sym.Int(1), "foff", sym.Int(0), "wr", wr))
-				s.Anon.Set(x.C, symx.K(proc, addr), symx.NewStruct("val", dataZero))
+				s.Anon.Set(x.C, symx.K(proc, addr), symx.NewStruct(x.C, "val", dataZero))
 				return okRet(sym.Int(0), addr)
 			}
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
@@ -427,7 +427,7 @@ func opMmap() *spec.Op {
 			if x.C.Branch(f.Get("ispipe")) {
 				return errRet(kernel.ENODEV)
 			}
-			s.VMA.Set(x.C, symx.K(proc, addr), symx.NewStruct(
+			s.VMA.Set(x.C, symx.K(proc, addr), symx.NewStruct(x.C,
 				"anon", sym.False, "inum", f.Get("inum"), "foff", foff, "wr", wr))
 			return okRet(sym.Int(0), addr)
 		},
@@ -459,7 +459,7 @@ func opMprotect() *spec.Op {
 				return errRet(kernel.ENOMEM)
 			}
 			v := s.VMA.Get(x.C, symx.K(proc, page))
-			s.VMA.Set(x.C, symx.K(proc, page), v.With("wr", wr))
+			s.VMA.Set(x.C, symx.K(proc, page), v.With(x.C, "wr", wr))
 			return okRet(sym.Int(0))
 		},
 	}
@@ -488,7 +488,7 @@ func memOp(name string, write bool) *spec.Op {
 			}
 			if x.C.Branch(v.Get("anon")) {
 				if write {
-					s.Anon.Set(x.C, symx.K(proc, page), symx.NewStruct("val", a[2]))
+					s.Anon.Set(x.C, symx.K(proc, page), symx.NewStruct(x.C, "val", a[2]))
 					return okRet(sym.Int(0))
 				}
 				return dataRet(0, s.Anon.GetFunc(x.C, symx.K(proc, page)).Get("val"))
@@ -499,7 +499,7 @@ func memOp(name string, write bool) *spec.Op {
 			}
 			at := symx.K(v.Get("inum"), v.Get("foff"))
 			if write {
-				s.Data.Set(x.C, at, symx.NewStruct("val", a[2]))
+				s.Data.Set(x.C, at, symx.NewStruct(x.C, "val", a[2]))
 				return okRet(sym.Int(0))
 			}
 			return dataRet(0, s.Data.GetFunc(x.C, at).Get("val"))

@@ -47,7 +47,8 @@ const (
 // state is the symbolic POSIX state. Dictionaries are flat with tuple keys
 // (see symx); both permutations of a pair analysis build a state with
 // identical dictionary names so that unconstrained initial content is
-// shared by construction.
+// shared by construction. A state lives in the region of the Solver of the
+// Context that built it (symx.New).
 type state struct {
 	// Fname maps (name) -> {inum}: the single shared directory.
 	Fname *symx.Dict
@@ -66,6 +67,8 @@ type state struct {
 	VMA *symx.Dict
 	// Anon maps (proc, page) -> {val}: anonymous memory contents.
 	Anon *symx.Dict
+	// dicts is Dicts' slice: the dictionaries in comparison order.
+	dicts [8]*symx.Dict
 
 	// newInums and newPipes track nondeterministically allocated ids so
 	// later allocations can be constrained distinct. Initial ids are
@@ -79,24 +82,24 @@ type state struct {
 // object ids referenced by initial state are positive and bounded, link
 // counts of referenced inodes are at least one, cursors are ordered.
 func newState(c *symx.Context) *state {
-	s := &state{}
-	s.Fname = symx.NewDict("fname", func(c *symx.Context, tag string) *symx.Struct {
+	s := symx.New[state](c)
+	s.Fname = symx.NewDict(c, "fname", func(c *symx.Context, tag string) *symx.Struct {
 		inum := c.Var(tag+".inum", sym.IntSort, symx.KindState)
 		c.Assume(sym.And(sym.Ge(inum, sym.Int(1)), sym.Le(inum, sym.Int(maxInum))))
-		return symx.NewStruct("inum", inum)
+		return symx.NewStruct(c, "inum", inum)
 	})
-	s.Inode = symx.NewDict("inode", func(c *symx.Context, tag string) *symx.Struct {
+	s.Inode = symx.NewDict(c, "inode", func(c *symx.Context, tag string) *symx.Struct {
 		nlink := c.Var(tag+".nlink", sym.IntSort, symx.KindState)
 		ln := c.Var(tag+".len", sym.IntSort, symx.KindState)
 		c.Assume(sym.And(
 			sym.Ge(nlink, sym.Int(1)), sym.Le(nlink, sym.Int(maxInum)),
 			sym.Ge(ln, sym.Int(0)), sym.Le(ln, sym.Int(maxLen))))
-		return symx.NewStruct("nlink", nlink, "len", ln)
+		return symx.NewStruct(c, "nlink", nlink, "len", ln)
 	})
-	s.Data = symx.NewDict("data", func(c *symx.Context, tag string) *symx.Struct {
-		return symx.NewStruct("val", c.Var(tag+".val", DataSort, symx.KindState))
+	s.Data = symx.NewDict(c, "data", func(c *symx.Context, tag string) *symx.Struct {
+		return symx.NewStruct(c, "val", c.Var(tag+".val", DataSort, symx.KindState))
 	})
-	s.FD = symx.NewDict("fd", func(c *symx.Context, tag string) *symx.Struct {
+	s.FD = symx.NewDict(c, "fd", func(c *symx.Context, tag string) *symx.Struct {
 		ispipe := c.Var(tag+".ispipe", sym.BoolSort, symx.KindState)
 		inum := c.Var(tag+".inum", sym.IntSort, symx.KindState)
 		off := c.Var(tag+".off", sym.IntSort, symx.KindState)
@@ -106,19 +109,19 @@ func newState(c *symx.Context) *state {
 			sym.Ge(inum, sym.Int(1)), sym.Le(inum, sym.Int(maxInum)),
 			sym.Ge(off, sym.Int(0)), sym.Le(off, sym.Int(maxLen)),
 			sym.Ge(pipe, sym.Int(1)), sym.Le(pipe, sym.Int(maxPipe))))
-		return symx.NewStruct("ispipe", ispipe, "inum", inum, "off", off, "pipe", pipe, "wend", wend)
+		return symx.NewStruct(c, "ispipe", ispipe, "inum", inum, "off", off, "pipe", pipe, "wend", wend)
 	})
-	s.Pipe = symx.NewDict("pipe", func(c *symx.Context, tag string) *symx.Struct {
+	s.Pipe = symx.NewDict(c, "pipe", func(c *symx.Context, tag string) *symx.Struct {
 		head := c.Var(tag+".head", sym.IntSort, symx.KindState)
 		tail := c.Var(tag+".tail", sym.IntSort, symx.KindState)
 		c.Assume(sym.And(
 			sym.Ge(head, sym.Int(0)), sym.Le(head, tail), sym.Le(tail, sym.Int(maxLen))))
-		return symx.NewStruct("head", head, "tail", tail)
+		return symx.NewStruct(c, "head", head, "tail", tail)
 	})
-	s.PipeD = symx.NewDict("piped", func(c *symx.Context, tag string) *symx.Struct {
-		return symx.NewStruct("val", c.Var(tag+".val", DataSort, symx.KindState))
+	s.PipeD = symx.NewDict(c, "piped", func(c *symx.Context, tag string) *symx.Struct {
+		return symx.NewStruct(c, "val", c.Var(tag+".val", DataSort, symx.KindState))
 	})
-	s.VMA = symx.NewDict("vma", func(c *symx.Context, tag string) *symx.Struct {
+	s.VMA = symx.NewDict(c, "vma", func(c *symx.Context, tag string) *symx.Struct {
 		anon := c.Var(tag+".anon", sym.BoolSort, symx.KindState)
 		inum := c.Var(tag+".inum", sym.IntSort, symx.KindState)
 		foff := c.Var(tag+".foff", sym.IntSort, symx.KindState)
@@ -126,11 +129,12 @@ func newState(c *symx.Context) *state {
 		c.Assume(sym.And(
 			sym.Ge(inum, sym.Int(1)), sym.Le(inum, sym.Int(maxInum)),
 			sym.Ge(foff, sym.Int(0)), sym.Le(foff, sym.Int(maxLen))))
-		return symx.NewStruct("anon", anon, "inum", inum, "foff", foff, "wr", wr)
+		return symx.NewStruct(c, "anon", anon, "inum", inum, "foff", foff, "wr", wr)
 	})
-	s.Anon = symx.NewDict("anon", func(c *symx.Context, tag string) *symx.Struct {
-		return symx.NewStruct("val", c.Var(tag+".val", DataSort, symx.KindState))
+	s.Anon = symx.NewDict(c, "anon", func(c *symx.Context, tag string) *symx.Struct {
+		return symx.NewStruct(c, "val", c.Var(tag+".val", DataSort, symx.KindState))
 	})
+	s.dicts = [...]*symx.Dict{s.Fname, s.FD, s.VMA, s.Pipe, s.PipeD, s.Anon, s.Inode, s.Data}
 	return s
 }
 
@@ -139,9 +143,7 @@ func newState(c *symx.Context) *state {
 // because their invariant closures may probe the inode table; comparing
 // dependents first keeps late materialization from racing the comparison
 // of the tables they reference.
-func (s *state) Dicts() []*symx.Dict {
-	return []*symx.Dict{s.Fname, s.FD, s.VMA, s.Pipe, s.PipeD, s.Anon, s.Inode, s.Data}
-}
+func (s *state) Dicts() []*symx.Dict { return s.dicts[:] }
 
 // allocInum returns a fresh, nondeterministically chosen inode number for
 // slot (an operation instance tag). Allocated numbers are negative —

@@ -61,25 +61,25 @@ type state struct {
 	AnyQ *symx.Dict
 	// AnyD maps (q, seq) -> {val}: per-core queue content.
 	AnyD *symx.Dict
+	// dicts is Dicts' slice.
+	dicts [4]*symx.Dict
 }
 
 // Dicts returns the dictionaries in comparison order. The cursor
 // dictionaries' invariant closures probe nothing, so any order works;
 // cursors precede content for readability of equivalence formulas.
-func (s *state) Dicts() []*symx.Dict {
-	return []*symx.Dict{s.Ord, s.AnyQ, s.OrdD, s.AnyD}
-}
+func (s *state) Dicts() []*symx.Dict { return s.dicts[:] }
 
 func cursorsVal(c *symx.Context, tag string) *symx.Struct {
 	head := c.Var(tag+".head", sym.IntSort, symx.KindState)
 	tail := c.Var(tag+".tail", sym.IntSort, symx.KindState)
 	c.Assume(sym.And(
 		sym.Ge(head, sym.Int(0)), sym.Le(head, tail), sym.Le(tail, sym.Int(maxQLen))))
-	return symx.NewStruct("head", head, "tail", tail)
+	return symx.NewStruct(c, "head", head, "tail", tail)
 }
 
 func msgVal(c *symx.Context, tag string) *symx.Struct {
-	return symx.NewStruct("val", c.Var(tag+".val", msgSort, symx.KindState))
+	return symx.NewStruct(c, "val", c.Var(tag+".val", msgSort, symx.KindState))
 }
 
 func errRet(errno int64) []*sym.Expr {
@@ -117,8 +117,8 @@ func opSend() *spec.Op {
 			s, val := st(x), a[0]
 			q := s.Ord.GetFunc(x.C, ordKey())
 			t := q.Get("tail")
-			s.OrdD.Set(x.C, symx.K(t), symx.NewStruct("val", val))
-			s.Ord.Set(x.C, ordKey(), q.With("tail", sym.Add(t, sym.Int(1))))
+			s.OrdD.Set(x.C, symx.K(t), symx.NewStruct(x.C, "val", val))
+			s.Ord.Set(x.C, ordKey(), q.With(x.C, "tail", sym.Add(t, sym.Int(1))))
 			// The assigned sequence number is the send's receipt: making
 			// the order observable is what destroys commutativity (§4).
 			return okRet(t, sym.Int(0), msgZero)
@@ -138,7 +138,7 @@ func opRecv() *spec.Op {
 				return errRet(kernel.EAGAIN) // modeled as non-blocking
 			}
 			v := s.OrdD.GetFunc(x.C, symx.K(h))
-			s.Ord.Set(x.C, ordKey(), q.With("head", sym.Add(h, sym.Int(1))))
+			s.Ord.Set(x.C, ordKey(), q.With(x.C, "head", sym.Add(h, sym.Int(1))))
 			return okRet(sym.Int(0), h, v.Get("val"))
 		},
 	}
@@ -153,8 +153,8 @@ func opSendAny() *spec.Op {
 			qi := pickQueue(x.C, slot)
 			q := s.AnyQ.GetFunc(x.C, symx.K(qi))
 			t := q.Get("tail")
-			s.AnyD.Set(x.C, symx.K(qi, t), symx.NewStruct("val", val))
-			s.AnyQ.Set(x.C, symx.K(qi), q.With("tail", sym.Add(t, sym.Int(1))))
+			s.AnyD.Set(x.C, symx.K(qi, t), symx.NewStruct(x.C, "val", val))
+			s.AnyQ.Set(x.C, symx.K(qi), q.With(x.C, "tail", sym.Add(t, sym.Int(1))))
 			// No receipt: delivery order is deliberately unobservable.
 			return okRet(sym.Int(0), sym.Int(0), msgZero)
 		},
@@ -174,7 +174,7 @@ func opRecvAny() *spec.Op {
 				return errRet(kernel.EAGAIN) // the polled queue is empty
 			}
 			v := s.AnyD.GetFunc(x.C, symx.K(qi, h))
-			s.AnyQ.Set(x.C, symx.K(qi), q.With("head", sym.Add(h, sym.Int(1))))
+			s.AnyQ.Set(x.C, symx.K(qi), q.With(x.C, "head", sym.Add(h, sym.Int(1))))
 			return okRet(sym.Int(0), sym.Int(0), v.Get("val"))
 		},
 	}
@@ -216,14 +216,13 @@ func (queueSpec) DefaultSet() string { return "all" }
 
 // NewState builds the symbolic state with unconstrained initial content:
 // every queue starts with an arbitrary (bounded) backlog of arbitrary
-// messages.
+// messages. The state lives in the region of c's Solver (symx.New).
 func (queueSpec) NewState(c *symx.Context, cfg spec.Config) spec.State {
-	return &state{
-		Ord:  symx.NewDict("mq", cursorsVal),
-		OrdD: symx.NewDict("mqd", msgVal),
-		AnyQ: symx.NewDict("anyq", cursorsVal),
-		AnyD: symx.NewDict("anyqd", msgVal),
-	}
+	s := symx.New[state](c)
+	s.Ord, s.OrdD = symx.NewDict(c, "mq", cursorsVal), symx.NewDict(c, "mqd", msgVal)
+	s.AnyQ, s.AnyD = symx.NewDict(c, "anyq", cursorsVal), symx.NewDict(c, "anyqd", msgVal)
+	s.dicts = [...]*symx.Dict{s.Ord, s.AnyQ, s.OrdD, s.AnyD}
+	return s
 }
 
 func (queueSpec) Impls() []spec.Impl {

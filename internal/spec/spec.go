@@ -84,6 +84,9 @@ type State interface {
 	// Dictionaries whose invariant closures probe other dictionaries must
 	// come before the dictionaries they probe (late materialization must
 	// not race the comparison of the tables it references).
+	// The slice is the state's own, built once with it, so a call
+	// allocates nothing; it is read-only, since analyzer.Path's DictsA and
+	// DictsB alias it.
 	Dicts() []*symx.Dict
 }
 

@@ -66,11 +66,12 @@ func TestConstructorHitAllocatesNothing(t *testing.T) {
 
 // TestConstructorMissAllocatesTheNodeAlone is the other half: a junction
 // that makes its node, over up to junctionStack arguments with more than 16
-// variables among them, allocates what the node keeps — the node, its
-// argument copy and its variable list; the scope's map holds the node
-// itself, and a bucket chains through its nodes — and no scratch: dedup's
-// table is on the stack, and mergeVars writes straight into the node's
-// list.
+// variables among them, allocates nothing of its own. The node, its
+// argument copy and its variable list come from the scope's slabs, whose
+// chunks amortize below one allocation a node; the scope's map holds the
+// node itself, and a bucket chains through its nodes. No scratch either:
+// dedup's table is on the stack, and mergeVars writes straight into the
+// node's list.
 func TestConstructorMissAllocatesTheNodeAlone(t *testing.T) {
 	const runs = 100
 	run := fuzzFresh.Add(1)
@@ -90,9 +91,10 @@ func TestConstructorMissAllocatesTheNodeAlone(t *testing.T) {
 		if len(made) != runs+1 {
 			t.Fatalf("n=%d: %d distinct nodes from %d windows", n, len(made), runs+1)
 		}
-		// The map's own growth is amortized below one per run.
-		if allocs != 3 {
-			t.Errorf("a junction of %d arguments making its node: %v allocations, want 3", n, allocs)
+		// The slabs' chunks and the map's own growth are amortized below
+		// one per run.
+		if allocs != 0 {
+			t.Errorf("a junction of %d arguments making its node: %v allocations, want 0", n, allocs)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/region"
 )
 
 // This file implements hash-consing for expressions: every node built by
@@ -24,19 +26,33 @@ import (
 // uses: a lookup takes no lock and a node needs no handle. A variable is
 // made in a scope (Scope.Var) and a compound node lives in the scope of its
 // arguments' variables, so the constructors name no scope. Each sweep
-// worker's Solver owns one (Solver.Scope), and Solver.Forget clears it at
-// every pair: a pair's nodes live as long as the pair, the map's storage
+// worker's Solver owns one (Solver.Scope), and Solver.Forget resets it at
+// every pair: a pair's nodes live as long as the pair, the scope's storage
 // as long as the worker. Constants, the only nodes with no variable (a
 // compound over constants folds to one), live in one process-wide base
 // table; a lookup there reads atomic bucket heads, and only an insertion
 // takes its mutex.
 //
+// A scope's nodes, their argument lists and their variable lists live in
+// slabs (package region) in two banks: a generation allocates from one
+// bank, and a reset switches to the other and rewinds it. The nodes of the
+// generation just ended are left as they were until the reset after, which
+// hands their slots out again with every field rewritten — the hash chain,
+// the lists and the cached rendering included, since a stale rendering
+// would print another node. The scope also carries one Region, a package's
+// storage for what a pair builds beside its nodes (symx's dictionaries,
+// values and spec states), and each reset rewinds it too — at once, with
+// no second bank: Solver.Forget is the one reset point of a pair's
+// symbolic world.
+//
 // An expression over nodes of two scopes panics, and so does a node made
-// before its scope's reset and used after it: the reset dropped it, so an
-// equal node built later would be another pointer. Ids stay unique across
-// the base table, every scope and every reset — an id's high half is its
-// scope generation (0 for constants) — so the solver memo and hashNode,
-// which key on ids, never meet a reused one.
+// before its scope's last reset and used after it: its id still names the
+// generation it was made in. A node two resets old may sit in a slot the
+// scope has handed out again, and reads as that slot's new node, so nothing
+// may keep a node past the next reset. Ids stay unique across the base
+// table, every scope and every reset — an id's high half is its scope
+// generation (0 for constants) — so the solver memo and hashNode, which key
+// on ids, never meet a reused one.
 
 // Scope is an intern table for the nodes built over its variables. It is
 // not safe for concurrent use. A Solver makes one (Solver.Scope).
@@ -51,6 +67,37 @@ type Scope struct {
 	varIDs map[varKey]int
 	// hits and misses count constructor calls since the last Fold.
 	hits, misses uint64
+	// banks hold the nodes and their lists; the generation allocates from
+	// banks[cur].
+	banks [2]bank
+	cur   int
+	// region is what Region returned, or nil.
+	region Region
+}
+
+// bank is one generation's storage: the nodes, and the argument and
+// variable lists they point to.
+type bank struct {
+	nodes region.Slab[Expr]
+	lists region.Slab[*Expr]
+}
+
+// Region is storage for what a pair builds beside its nodes, which a scope
+// carries and rewinds at every reset (see Scope.Region).
+type Region interface {
+	// Rewind frees what the region handed out, for the generation that
+	// starts.
+	Rewind()
+}
+
+// Region returns the region the scope carries, made by newRegion at the
+// first call. One package allocates from it (symx); the scope's resets
+// rewind it.
+func (s *Scope) Region(newRegion func() Region) Region {
+	if s.region == nil {
+		s.region = newRegion()
+	}
+	return s.region
 }
 
 // idShift splits an id into its scope generation and its place in it.
@@ -59,11 +106,18 @@ const idShift = 32
 // scopeGens numbers scope generations; 0 is the base table's.
 var scopeGens atomic.Uint64
 
-// reset drops every node, keeps the map's storage, starts a new generation.
+// reset drops every node, keeps the map's storage, starts a new generation
+// on the other bank, rewound, and rewinds the region.
 func (s *Scope) reset() {
 	s.Fold()
 	clear(s.m)
 	s.gen, s.last = scopeGens.Add(1), 0
+	s.cur ^= 1
+	s.banks[s.cur].nodes.Rewind()
+	s.banks[s.cur].lists.Rewind()
+	if s.region != nil {
+		s.region.Rewind()
+	}
 }
 
 // Fold adds the scope's counts since its last fold to the process-wide
@@ -90,11 +144,19 @@ func (s *Scope) Var(name string, so Sort) *Expr {
 		id = internVar(name, so)
 		s.varIDs[varKey{name, so}] = id
 	}
-	e := &Expr{Op: OpVar, Sort: so, Name: name, VarID: id}
-	e.vars = []*Expr{e}
+	e := s.node()
+	e.Op, e.Sort, e.Name, e.VarID = OpVar, so, name, id
+	e.vars = s.list(1)
+	e.vars[0] = e
 	s.add(h, head, e)
 	return e
 }
+
+// node returns a zero node slot of the generation's bank.
+func (s *Scope) node() *Expr { return s.banks[s.cur].nodes.New() }
+
+// list returns n node pointers of the generation's bank, with capacity n.
+func (s *Scope) list(n int) []*Expr { return s.banks[s.cur].lists.Take(n) }
 
 // add publishes the new node e, whose hash is h, in front of head.
 func (s *Scope) add(h uint64, head, e *Expr) {
@@ -209,9 +271,9 @@ func find(e *Expr, op Op, sort Sort, i64 int64, b bool, name string, args []*Exp
 // intern returns the canonical compound node op(args) of the scope its
 // arguments' variables live in, creating it on first use. args must
 // already be interned, and not all constants (the constructors fold
-// those: no scope would hold the node); intern keeps none of the caller's slice — a new node gets
-// its own copy — so a hit allocates nothing and callers may build args on
-// their stack.
+// those: no scope would hold the node); intern keeps none of the caller's
+// slice — a new node gets its own copy, in the scope's bank — so a hit
+// allocates nothing and callers may build args on their stack.
 func intern(op Op, sort Sort, args []*Expr) *Expr {
 	var s *Scope
 	for _, a := range args {
@@ -231,11 +293,12 @@ func intern(op Op, sort Sort, args []*Expr) *Expr {
 		s.hits++
 		return e
 	}
-	// A variable of its own: were the copy written back to args, escape
+	// A list of its own: were the copy written back to args, escape
 	// analysis would move every caller's literal to the heap.
-	own := append([]*Expr(nil), args...)
-	e := &Expr{Op: op, Sort: sort, Args: own}
-	e.vars = mergeVars(own)
+	e := s.node()
+	e.Op, e.Sort, e.Args = op, sort, s.list(len(args))
+	copy(e.Args, args)
+	e.vars = s.mergeVars(e.Args)
 	s.add(h, head, e)
 	return e
 }
@@ -243,8 +306,9 @@ func intern(op Op, sort Sort, args []*Expr) *Expr {
 // mergeVars computes the free variables of a compound node in
 // first-occurrence DFS order — identical to walking the unfolded tree left
 // to right and keeping first appearances — by merging the (already
-// ordered) child lists. The result is shared and must never be mutated.
-func mergeVars(args []*Expr) []*Expr {
+// ordered) child lists into a list of the scope's bank. The result is
+// shared and must never be mutated.
+func (s *Scope) mergeVars(args []*Expr) []*Expr {
 	total, nonEmpty := 0, 0
 	var last []*Expr
 	for _, a := range args {
@@ -260,7 +324,7 @@ func mergeVars(args []*Expr) []*Expr {
 	case 1:
 		return last
 	}
-	return unionVars(make([]*Expr, 0, total), args)
+	return unionVars(s.list(total)[:0], args)
 }
 
 // unionVars appends to dst the variables of args' lists, in order, each

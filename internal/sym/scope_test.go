@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -51,13 +52,17 @@ func TestTwoScopesInOneExpressionPanic(t *testing.T) {
 
 // TestNodeAfterResetPanics: a node made before its scope's reset panics
 // when a constructor meets it after, alone or beside nodes of the new
-// generation; the same name made again after the reset is another node
-// with the same variable id, and builds as before.
+// generation, and still does once the new generation has built more nodes
+// than the old one had: the new generation allocates from the other bank,
+// so the old node's slot, its lists and its rendering are left as they
+// were. The same name made again after the reset is another node with the
+// same variable id, and builds as before.
 func TestNodeAfterResetPanics(t *testing.T) {
 	var s Solver
 	sc := s.Scope()
 	x := sc.Var("reset.x", IntSort)
 	old := Lt(x, Int(3))
+	rendered := old.String()
 	s.Forget()
 	mustPanic(t, "reset", func() { Not(old) })
 	mustPanic(t, "reset", func() { Add(x, Int(1)) })
@@ -68,6 +73,15 @@ func TestNodeAfterResetPanics(t *testing.T) {
 	mustPanic(t, "reset", func() { And(Lt(x2, Int(3)), old) })
 	if n := Lt(x2, Int(3)); n == old || n.id == old.id || n != Lt(x2, Int(3)) {
 		t.Fatalf("rebuilt after the reset: %p id %#x, before %p id %#x", n, n.id, old, old.id)
+	}
+	for i := range int64(2000) {
+		Add(sc.Var(fmt.Sprintf("reset.y%d", i%50), IntSort), Int(i))
+	}
+	mustPanic(t, "reset", func() { Not(old) })
+	mustPanic(t, "reset", func() { And(Lt(x2, Int(4)), old) })
+	mustPanic(t, "reset", func() { Add(x, x2) })
+	if got := uncachedString(old); got != rendered || old.String() != rendered || old.Args[0] != x {
+		t.Fatalf("the old node reads %q (cached %q) after the new generation's 2,000 nodes, was %q", got, old.String(), rendered)
 	}
 }
 

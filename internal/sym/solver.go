@@ -181,9 +181,11 @@ func evalIntIdx(e *Expr, a *Model) (res int64, known bool) {
 // A Solver also remembers every answer a SatAssumingConjs search ran to
 // the end for (see there), until Forget. The pipeline keeps one Solver per
 // sweep worker for both symbolic phases of every pair the worker runs, and
-// forgets at the start of each pair: the memory lives as long as a pair,
-// so a pair's answers and counts are a fresh Solver's, and the scratch as
-// long as the worker; so do the Solver's Scope and its storage.
+// forgets at the start of each pair: the answers, the nodes of the
+// Solver's Scope and what its Region holds live as long as a pair, so a
+// pair's answers and counts are a fresh Solver's; the scratch, and the
+// storage of the nodes and of the Region, live as long as the worker and
+// are reused from pair to pair. A fresh Solver is one with empty storage.
 type Solver struct {
 	// MaxSteps bounds the backtracking search (default 5,000,000 node
 	// visits). When the budget is exhausted, Sat and its kin report
@@ -255,9 +257,11 @@ type SolverStats struct {
 // Stats returns the cumulative search counters.
 func (s *Solver) Stats() SolverStats { return s.stats }
 
-// Forget drops every remembered answer and every node of the Solver's
-// scope, and keeps the scratch and the counters: from here on the Solver
-// answers, and counts searches and memo hits, as a fresh one would.
+// Forget drops every remembered answer and resets the Solver's scope —
+// its nodes and its Region — and keeps the scratch, the storage and the
+// counters: from here on the Solver answers, and counts searches and memo
+// hits, as a fresh one would. Nothing built before the reset may be used
+// after it (see intern.go).
 func (s *Solver) Forget() {
 	clear(s.memo)
 	s.Scope().reset()

@@ -106,7 +106,7 @@ type dictKind struct {
 	name  string
 	total bool
 	mk    func(c *Context, tag string) *Struct
-	val   func(r *rand.Rand, pool []*sym.Expr) *Struct
+	val   func(c *Context, r *rand.Rand, pool []*sym.Expr) *Struct
 }
 
 func pick(r *rand.Rand, pool []*sym.Expr) *sym.Expr { return pool[r.Intn(len(pool))] }
@@ -117,16 +117,16 @@ var dictKinds = []dictKind{
 	{name: "qs", mk: func(c *Context, tag string) *Struct {
 		x := c.Var(tag+".x", sym.IntSort, KindState)
 		c.Assume(sym.Ge(x, sym.Int(0)))
-		return NewStruct("x", x, "w", c.Var(tag+".w", sym.BoolSort, KindState))
-	}, val: func(r *rand.Rand, pool []*sym.Expr) *Struct {
-		return NewStruct("x", pick(r, pool), "w", sym.Bool(r.Intn(2) == 0))
+		return NewStruct(c, "x", x, "w", c.Var(tag+".w", sym.BoolSort, KindState))
+	}, val: func(c *Context, r *rand.Rand, pool []*sym.Expr) *Struct {
+		return NewStruct(c, "x", pick(r, pool), "w", sym.Bool(r.Intn(2) == 0))
 	}},
 	{name: "qe", mk: func(c *Context, tag string) *Struct {
-		return NewStruct("val", c.Var(tag+".val", sym.IntSort, KindState))
-	}, val: func(r *rand.Rand, pool []*sym.Expr) *Struct { return NewStruct("val", pick(r, pool)) }},
+		return NewStruct(c, "val", c.Var(tag+".val", sym.IntSort, KindState))
+	}, val: func(c *Context, r *rand.Rand, pool []*sym.Expr) *Struct { return NewStruct(c, "val", pick(r, pool)) }},
 	{name: "qt", total: true, mk: func(c *Context, tag string) *Struct {
-		return NewStruct("n", c.Var(tag+".n", sym.IntSort, KindState))
-	}, val: func(r *rand.Rand, pool []*sym.Expr) *Struct { return NewStruct("n", pick(r, pool)) }},
+		return NewStruct(c, "n", c.Var(tag+".n", sym.IntSort, KindState))
+	}, val: func(c *Context, r *rand.Rand, pool []*sym.Expr) *Struct { return NewStruct(c, "n", pick(r, pool)) }},
 }
 
 // dictHistory runs on c the random history r draws: Set/Del/Get/Contains
@@ -143,12 +143,12 @@ func dictHistory(c *Context, r *rand.Rand, writeOnly bool) [2]*Dict {
 	i, j := c.Var("qi", sym.IntSort, KindArg), c.Var("qj", sym.IntSort, KindArg)
 	keys := []Key{K(a, i), K(b, i), K(a, j), K(b, sym.Int(1)), K(sym.Const(nameSort, 0), j)}
 	ints := []*sym.Expr{i, j, sym.Int(0), sym.Add(i, sym.Int(1))}
-	ds := [2]*Dict{NewDict(k.name, k.mk), NewDict(k.name, k.mk)}
+	ds := [2]*Dict{NewDict(c, k.name, k.mk), NewDict(c, k.name, k.mk)}
 	for n := 2 + r.Intn(5); n > 0; n-- {
 		d, key := ds[r.Intn(2)], keys[r.Intn(len(keys))]
 		switch op := r.Intn(4); {
 		case op == 0 || writeOnly && k.total:
-			d.Set(c, key, k.val(r, ints))
+			d.Set(c, key, k.val(c, r, ints))
 		case k.total:
 			d.GetFunc(c, key)
 		case op == 1 || writeOnly:

@@ -80,9 +80,9 @@ func TestFinishedPathHoldsNoContext(t *testing.T) {
 		seen = append(seen, c)
 		v := c.Var("ncv", sym.IntSort, KindState)
 		c.Branch(sym.Lt(v, sym.Int(0))) // the taken side aborts in MakeVal
-		NewDict("nc", func(c *Context, tag string) *Struct {
+		NewDict(c, "nc", func(c *Context, tag string) *Struct {
 			c.Assume(sym.Le(sym.Int(0), c.Var("ncv", sym.IntSort, KindState)))
-			return NewStruct("w", c.Var(tag+".w", sym.IntSort, KindState))
+			return NewStruct(c, "w", c.Var(tag+".w", sym.IntSort, KindState))
 		}).GetFunc(c, K(c.Var("nck", nameSort, KindArg)))
 		big := c.Branch(sym.Lt(sym.Int(5), v))
 		sat, unknown := c.Sat(sym.Lt(v, sym.Int(3)))

@@ -14,7 +14,7 @@ import (
 func TestInitialProbeSharingAcrossKeys(t *testing.T) {
 	nameSort := sym.Uninterpreted("Name")
 	mk := func(c *Context, tag string) *Struct {
-		return NewStruct("v", c.Var(tag+".v", sym.IntSort, KindState))
+		return NewStruct(c, "v", c.Var(tag+".v", sym.IntSort, KindState))
 	}
 	var s sym.Solver
 	paths := explore(func(c *Context) any {
@@ -22,10 +22,10 @@ func TestInitialProbeSharingAcrossKeys(t *testing.T) {
 		y := c.Var("y", nameSort, KindArg)
 		c.Assume(sym.Eq(x, y))
 
-		d1 := NewDict("fs", mk)
+		d1 := NewDict(c, "fs", mk)
 		e1 := d1.lookup(c, K(x), false)
 
-		d2 := NewDict("fs", mk)
+		d2 := NewDict(c, "fs", mk)
 		e2 := d2.lookup(c, K(y), false)
 
 		if e1.Present != e2.Present {
@@ -47,15 +47,15 @@ func TestInitialProbeSharingAcrossKeys(t *testing.T) {
 // Same property for total-function dictionaries (GetFunc).
 func TestGetFuncSharingAcrossKeys(t *testing.T) {
 	mk := func(c *Context, tag string) *Struct {
-		return NewStruct("n", c.Var(tag+".n", sym.IntSort, KindState))
+		return NewStruct(c, "n", c.Var(tag+".n", sym.IntSort, KindState))
 	}
 	var s sym.Solver
 	paths := explore(func(c *Context) any {
 		x := c.Var("x", sym.IntSort, KindArg)
 		y := c.Var("y", sym.IntSort, KindArg)
 		c.Assume(sym.Eq(x, y))
-		d1 := NewDict("ino", mk)
-		d2 := NewDict("ino", mk)
+		d1 := NewDict(c, "ino", mk)
+		d2 := NewDict(c, "ino", mk)
 		v1 := d1.GetFunc(c, K(x)).Get("n")
 		v2 := d2.GetFunc(c, K(y)).Get("n")
 		return sym.Eq(v1, v2)
@@ -71,14 +71,14 @@ func TestGetFuncSharingAcrossKeys(t *testing.T) {
 func TestInitialProbesDistinctKeysIndependent(t *testing.T) {
 	nameSort := sym.Uninterpreted("Name")
 	mk := func(c *Context, tag string) *Struct {
-		return NewStruct("v", c.Var(tag+".v", sym.IntSort, KindState))
+		return NewStruct(c, "v", c.Var(tag+".v", sym.IntSort, KindState))
 	}
 	var s sym.Solver
 	paths := explore(func(c *Context) any {
 		x := c.Var("x", nameSort, KindArg)
 		y := c.Var("y", nameSort, KindArg)
 		c.Assume(sym.Ne(x, y))
-		d := NewDict("fs", mk)
+		d := NewDict(c, "fs", mk)
 		ex := d.lookup(c, K(x), false)
 		ey := d.lookup(c, K(y), false)
 		if !ex.Present || !ey.Present {
@@ -104,7 +104,7 @@ func TestInitialProbesDistinctKeysIndependent(t *testing.T) {
 func TestEquivalenceUsesRegistryDefaults(t *testing.T) {
 	nameSort := sym.Uninterpreted("Name")
 	mk := func(c *Context, tag string) *Struct {
-		return NewStruct("v", c.Var(tag+".v", sym.IntSort, KindState))
+		return NewStruct(c, "v", c.Var(tag+".v", sym.IntSort, KindState))
 	}
 	var s sym.Solver
 	paths := explore(func(c *Context) any {
@@ -112,7 +112,7 @@ func TestEquivalenceUsesRegistryDefaults(t *testing.T) {
 		y := c.Var("y", nameSort, KindArg)
 		c.Assume(sym.Eq(x, y))
 
-		d1 := NewDict("fs", mk)
+		d1 := NewDict(c, "fs", mk)
 		e := d1.lookup(c, K(x), false) // probe via x
 		if !e.Present {
 			return sym.True
@@ -121,7 +121,7 @@ func TestEquivalenceUsesRegistryDefaults(t *testing.T) {
 		d1.Set(c, K(x), e.Val)
 
 		// d2 never touches the location.
-		d2 := NewDict("fs", mk)
+		d2 := NewDict(c, "fs", mk)
 		_ = d2.Contains(c, K(y)) // probe via y (reuses the registry entry)
 
 		return sym.And(DictsEquivalent(nil, c, d1, d2)...)

@@ -24,6 +24,15 @@
 // for all its replays; a later use Assumes the recorded invariants again,
 // so the path condition grows, or the replay aborts, exactly as
 // re-deriving would have made it.
+//
+// What a model builds — dictionaries (NewDict), their entries and initial
+// probes, values (NewStruct, Struct.With) and the spec's state itself
+// (New) — is allocated from a region that the scope of the exploration's
+// Solver carries (sym.Scope.Region): slabs that a sweep worker reuses
+// from pair to pair. The Solver's Forget is their one reset, as it is the
+// nodes': a Path's result may hold them until then, and nothing may hold
+// them after, since the next pair's objects take their storage at once. A
+// fresh Solver starts with an empty region.
 package symx
 
 import (
@@ -58,6 +67,9 @@ type abort struct{ reason string }
 // exploration, one after the other (see next).
 type Context struct {
 	solver *sym.Solver
+	// r is the region of the solver's scope that the dictionaries, values
+	// and states of the replays are allocated from.
+	r *store
 	// The path condition is maintained as its conjunct list plus a
 	// pointer-identity set for deduplication (conjuncts are hash-consed,
 	// so pointer equality is structural equality). It only ever grows by
@@ -135,6 +147,7 @@ type exploration struct {
 func newContext(trace []bool, solver *sym.Solver) *Context {
 	return &Context{
 		solver: solver,
+		r:      solver.Scope().Region(newStore).(*store),
 		pcSet:  map[*sym.Expr]uint8{},
 		trace:  trace,
 		x: &exploration{

@@ -211,10 +211,10 @@ func TestReplayDeterminismSharedNames(t *testing.T) {
 	// initial-content variables, making untouched state trivially equal.
 	paths := explore(func(c *Context) any {
 		mk := func(c *Context, tag string) *Struct {
-			return NewStruct("v", c.Var(tag+".v", sym.IntSort, KindState))
+			return NewStruct(c, "v", c.Var(tag+".v", sym.IntSort, KindState))
 		}
-		d1 := NewDict("fs", mk)
-		d2 := NewDict("fs", mk)
+		d1 := NewDict(c, "fs", mk)
+		d2 := NewDict(c, "fs", mk)
 		k := K(c.Var("a", sym.Uninterpreted("Name"), KindArg))
 		if d1.Contains(c, k) != d2.Contains(c, k) {
 			t.Error("same initial content must agree on membership")

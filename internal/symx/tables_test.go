@@ -121,10 +121,10 @@ func TestMakeValMayNotBranch(t *testing.T) {
 		}
 	}()
 	explore(func(c *Context) any {
-		d := NewDict("brancher", func(c *Context, tag string) *Struct {
+		d := NewDict(c, "brancher", func(c *Context, tag string) *Struct {
 			v := c.Var(tag+".v", sym.IntSort, KindState)
 			c.Branch(sym.Lt(v, sym.Int(0)))
-			return NewStruct("v", v)
+			return NewStruct(c, "v", v)
 		})
 		d.GetFunc(c, K(c.Var("qa", nameSort, KindArg)))
 		return nil

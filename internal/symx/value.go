@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/region"
 	"repro/internal/sym"
 )
 
@@ -22,13 +23,15 @@ type Struct struct {
 	vals       []*sym.Expr
 }
 
-// NewStruct builds a struct from alternating name, expr pairs.
-func NewStruct(pairs ...any) *Struct {
+// NewStruct builds a struct from alternating name, expr pairs, in the
+// region of c's Solver (see New).
+func NewStruct(c *Context, pairs ...any) *Struct {
 	if len(pairs)%2 != 0 {
 		panic("symx: NewStruct requires name/expr pairs")
 	}
 	n := len(pairs) / 2
-	s := &Struct{FieldOrder: make([]string, 0, n), vals: make([]*sym.Expr, 0, n)}
+	s := c.r.structs.New()
+	s.FieldOrder, s.vals = c.r.fields.Take(n)[:0], c.r.exprs.Take(n)[:0]
 	for i := 0; i < len(pairs); i += 2 {
 		name := pairs[i].(string)
 		if slices.Contains(s.FieldOrder, name) {
@@ -43,9 +46,12 @@ func NewStruct(pairs ...any) *Struct {
 // Get returns the named field.
 func (s *Struct) Get(name string) *sym.Expr { return s.vals[s.index(name)] }
 
-// With returns a copy of s with the named field replaced.
-func (s *Struct) With(name string, e *sym.Expr) *Struct {
-	ns := &Struct{FieldOrder: s.FieldOrder, vals: slices.Clone(s.vals)}
+// With returns a copy of s, in the region of c's Solver, with the named
+// field replaced.
+func (s *Struct) With(c *Context, name string, e *sym.Expr) *Struct {
+	ns := c.r.structs.New()
+	ns.FieldOrder, ns.vals = s.FieldOrder, c.r.exprs.Take(len(s.vals))
+	copy(ns.vals, s.vals)
 	ns.vals[s.index(name)] = e
 	return ns
 }
@@ -109,6 +115,8 @@ type DictEntry struct {
 // variable and, when present, materializes an unconstrained value via
 // MakeVal. Within one path, entry keys are pairwise distinct under the path
 // condition (lookup branches on key equality before creating a new entry).
+// A Dict, its entries and its values live in the region of the Solver of
+// the Context that built them (see New).
 type Dict struct {
 	// Name prefixes the content-derived variable names.
 	Name string
@@ -126,8 +134,10 @@ type Dict struct {
 // name must share makeVal. The exploration calls it once per location and
 // tag and hands its value, and the conditions it Assumed, to every later
 // use (see probe).
-func NewDict(name string, makeVal func(c *Context, tag string) *Struct) *Dict {
-	return &Dict{Name: name, MakeVal: makeVal}
+func NewDict(c *Context, name string, makeVal func(c *Context, tag string) *Struct) *Dict {
+	d := c.r.dicts.New()
+	d.Name, d.MakeVal = name, makeVal
+	return d
 }
 
 // probeArity bounds the key components the probe table keys on; a longer
@@ -153,15 +163,22 @@ type probe struct {
 // probe returns the exploration's entry for d's location k.
 func (c *Context) probe(d *Dict, k Key) *probe {
 	if len(k) > probeArity {
-		return &probe{tag: fmt.Sprintf("%s[%s]", d.Name, k.tag())}
+		return c.newProbe(d, k)
 	}
 	pk := probeKey{dict: d.Name}
 	copy(pk.key[:], k)
 	p := c.x.probes[pk]
 	if p == nil {
-		p = &probe{tag: fmt.Sprintf("%s[%s]", d.Name, k.tag())}
+		p = c.newProbe(d, k)
 		c.x.probes[pk] = p
 	}
+	return p
+}
+
+// newProbe returns a probe of d's location k that knows only its tag.
+func (c *Context) newProbe(d *Dict, k Key) *probe {
+	p := c.r.probes.New()
+	p.tag = fmt.Sprintf("%s[%s]", d.Name, k.tag())
 	return p
 }
 
@@ -213,7 +230,8 @@ func (d *Dict) lookup(c *Context, k Key, total bool) *DictEntry {
 	if e := d.overlayEntry(c, k); e != nil {
 		return e
 	}
-	e := &DictEntry{Key: k, Present: true, InitialProbe: true}
+	e := c.r.entries.New()
+	e.Key, e.Present, e.InitialProbe = k, true, true
 	for _, ip := range c.initProbes[d.Name] {
 		if (ip.presentVar == nil) != total {
 			continue // the other view's probe
@@ -226,7 +244,7 @@ func (d *Dict) lookup(c *Context, k Key, total bool) *DictEntry {
 			if e.Present {
 				e.Val, e.InitVal = ip.val, ip.val
 			}
-			d.entries = append(d.entries, e)
+			d.entries = region.Append(&c.r.lists, d.entries, e)
 			return e
 		}
 	}
@@ -239,8 +257,10 @@ func (d *Dict) lookup(c *Context, k Key, total bool) *DictEntry {
 		e.Val = p.value(c, d)
 		e.InitVal = e.Val
 	}
-	d.entries = append(d.entries, e)
-	c.initProbes[d.Name] = append(c.initProbes[d.Name], &initProbe{key: k, presentVar: e.InitPresentVar, val: e.Val})
+	d.entries = region.Append(&c.r.lists, d.entries, e)
+	ip := c.r.inits.New()
+	ip.key, ip.presentVar, ip.val = k, e.InitPresentVar, e.Val
+	c.initProbes[d.Name] = append(c.initProbes[d.Name], ip)
 	return e
 }
 
@@ -285,8 +305,9 @@ func (d *Dict) lookupWrite(c *Context, k Key) *DictEntry {
 	if e := d.overlayEntry(c, k); e != nil {
 		return e
 	}
-	e := &DictEntry{Key: k}
-	d.entries = append(d.entries, e)
+	e := c.r.entries.New()
+	e.Key = k
+	d.entries = region.Append(&c.r.lists, d.entries, e)
 	return e
 }
 

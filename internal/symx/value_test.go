@@ -9,25 +9,28 @@ import (
 var nameSort = sym.Uninterpreted("Name")
 
 func mkVal(c *Context, tag string) *Struct {
-	return NewStruct("inum", c.Var(tag+".inum", sym.IntSort, KindState))
+	return NewStruct(c, "inum", c.Var(tag+".inum", sym.IntSort, KindState))
 }
 
 func TestStructWithReplacesField(t *testing.T) {
-	s := NewStruct("a", sym.Int(1), "b", sym.Int(2))
-	s2 := s.With("a", sym.Int(9))
-	if s2.Get("a").Int != 9 || s2.Get("b").Int != 2 {
-		t.Errorf("With: got a=%v b=%v", s2.Get("a"), s2.Get("b"))
-	}
-	if s.Get("a").Int != 1 {
-		t.Error("With must not mutate the receiver")
-	}
+	explore(func(c *Context) any {
+		s := NewStruct(c, "a", sym.Int(1), "b", sym.Int(2))
+		s2 := s.With(c, "a", sym.Int(9))
+		if s2.Get("a").Int != 9 || s2.Get("b").Int != 2 {
+			t.Errorf("With: got a=%v b=%v", s2.Get("a"), s2.Get("b"))
+		}
+		if s.Get("a").Int != 1 {
+			t.Error("With must not mutate the receiver")
+		}
+		return nil
+	}, Options{})
 }
 
 func TestDictSetGetDel(t *testing.T) {
 	paths := explore(func(c *Context) any {
-		d := NewDict("fs", mkVal)
+		d := NewDict(c, "fs", mkVal)
 		k := K(c.Var("a", nameSort, KindArg))
-		d.Set(c, k, NewStruct("inum", sym.Int(7)))
+		d.Set(c, k, NewStruct(c, "inum", sym.Int(7)))
 		if !d.Contains(c, k) {
 			t.Error("Set then Contains must be true")
 		}
@@ -48,7 +51,7 @@ func TestDictSetGetDel(t *testing.T) {
 
 func TestDictInitialProbeForks(t *testing.T) {
 	paths := explore(func(c *Context) any {
-		d := NewDict("fs", mkVal)
+		d := NewDict(c, "fs", mkVal)
 		k := K(c.Var("a", nameSort, KindArg))
 		return d.Contains(c, k)
 	}, Options{})
@@ -61,10 +64,10 @@ func TestDictAliasedKeysShareEntry(t *testing.T) {
 	// Probing two possibly-equal keys forks; in the equal branch the
 	// second probe must observe the first key's value.
 	paths := explore(func(c *Context) any {
-		d := NewDict("fs", mkVal)
+		d := NewDict(c, "fs", mkVal)
 		a := c.Var("a", nameSort, KindArg)
 		b := c.Var("b", nameSort, KindArg)
-		d.Set(c, K(a), NewStruct("inum", sym.Int(3)))
+		d.Set(c, K(a), NewStruct(c, "inum", sym.Int(3)))
 		equal := c.Branch(sym.Eq(a, b))
 		if equal {
 			got := d.Get(c, K(b))
@@ -87,11 +90,11 @@ func TestDictAliasedKeysShareEntry(t *testing.T) {
 
 func TestDictsEquivalentDetectsDifference(t *testing.T) {
 	paths := explore(func(c *Context) any {
-		d1 := NewDict("fs", mkVal)
-		d2 := NewDict("fs", mkVal)
+		d1 := NewDict(c, "fs", mkVal)
+		d2 := NewDict(c, "fs", mkVal)
 		k := K(c.Var("a", nameSort, KindArg))
-		d1.Set(c, k, NewStruct("inum", sym.Int(1)))
-		d2.Set(c, k, NewStruct("inum", sym.Int(2)))
+		d1.Set(c, k, NewStruct(c, "inum", sym.Int(1)))
+		d2.Set(c, k, NewStruct(c, "inum", sym.Int(2)))
 		return sym.And(DictsEquivalent(nil, c, d1, d2)...)
 	}, Options{})
 	var s sym.Solver
@@ -104,10 +107,10 @@ func TestDictsEquivalentDetectsDifference(t *testing.T) {
 
 func TestDictsEquivalentPresenceMismatch(t *testing.T) {
 	paths := explore(func(c *Context) any {
-		d1 := NewDict("fs", mkVal)
-		d2 := NewDict("fs", mkVal)
+		d1 := NewDict(c, "fs", mkVal)
+		d2 := NewDict(c, "fs", mkVal)
 		k := K(c.Var("a", nameSort, KindArg))
-		d1.Set(c, k, NewStruct("inum", sym.Int(1)))
+		d1.Set(c, k, NewStruct(c, "inum", sym.Int(1)))
 		d2.Del(c, k)
 		return sym.And(DictsEquivalent(nil, c, d1, d2)...)
 	}, Options{})
@@ -122,15 +125,15 @@ func TestDictsEquivalentPresenceMismatch(t *testing.T) {
 func TestDictsEquivalentSameWrites(t *testing.T) {
 	var s sym.Solver
 	paths := explore(func(c *Context) any {
-		d1 := NewDict("fs", mkVal)
-		d2 := NewDict("fs", mkVal)
+		d1 := NewDict(c, "fs", mkVal)
+		d2 := NewDict(c, "fs", mkVal)
 		a := c.Var("a", nameSort, KindArg)
 		b := c.Var("b", nameSort, KindArg)
 		// Write the same values in different orders.
-		d1.Set(c, K(a), NewStruct("inum", sym.Int(1)))
-		d1.Set(c, K(b), NewStruct("inum", sym.Int(2)))
-		d2.Set(c, K(b), NewStruct("inum", sym.Int(2)))
-		d2.Set(c, K(a), NewStruct("inum", sym.Int(1)))
+		d1.Set(c, K(a), NewStruct(c, "inum", sym.Int(1)))
+		d1.Set(c, K(b), NewStruct(c, "inum", sym.Int(2)))
+		d2.Set(c, K(b), NewStruct(c, "inum", sym.Int(2)))
+		d2.Set(c, K(a), NewStruct(c, "inum", sym.Int(1)))
 		return sym.And(DictsEquivalent(nil, c, d1, d2)...)
 	}, Options{Solver: &s})
 	a, b := s.Scope().Var("a", nameSort), s.Scope().Var("b", nameSort)
@@ -151,10 +154,10 @@ func TestDictsEquivalentSameWrites(t *testing.T) {
 
 func TestTupleKeys(t *testing.T) {
 	paths := explore(func(c *Context) any {
-		d := NewDict("pages", mkVal)
+		d := NewDict(c, "pages", mkVal)
 		ino := c.Var("ino", sym.IntSort, KindArg)
-		d.Set(c, K(ino, sym.Int(0)), NewStruct("inum", sym.Int(10)))
-		d.Set(c, K(ino, sym.Int(1)), NewStruct("inum", sym.Int(11)))
+		d.Set(c, K(ino, sym.Int(0)), NewStruct(c, "inum", sym.Int(10)))
+		d.Set(c, K(ino, sym.Int(1)), NewStruct(c, "inum", sym.Int(11)))
 		v0 := d.Get(c, K(ino, sym.Int(0)))
 		v1 := d.Get(c, K(ino, sym.Int(1)))
 		if v0.Get("inum").Int != 10 || v1.Get("inum").Int != 11 {

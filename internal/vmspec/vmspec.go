@@ -54,12 +54,14 @@ type state struct {
 	// Mem maps (proc, page) -> {val}: page contents, a total-function
 	// view (the content of a mapped page always resolves).
 	Mem *symx.Dict
+	// dicts is Dicts' slice.
+	dicts [2]*symx.Dict
 }
 
 // Dicts returns the dictionaries in comparison order (the spec layer's
 // State contract); neither invariant closure probes the other, so any
 // order works — mappings precede contents for readability.
-func (s *state) Dicts() []*symx.Dict { return []*symx.Dict{s.VMA, s.Mem} }
+func (s *state) Dicts() []*symx.Dict { return s.dicts[:] }
 
 func errRet(errno int64) []*sym.Expr {
 	return []*sym.Expr{sym.Int(-errno), sym.Int(0), sym.Int(0), sym.Int(0), dataZero}
@@ -111,8 +113,8 @@ func opMmap() *spec.Op {
 					return errRet(kernel.ENOMEM) // address space exhausted
 				}
 			}
-			s.VMA.Set(x.C, symx.K(proc, addr), symx.NewStruct("wr", wr))
-			s.Mem.Set(x.C, symx.K(proc, addr), symx.NewStruct("val", dataZero))
+			s.VMA.Set(x.C, symx.K(proc, addr), symx.NewStruct(x.C, "wr", wr))
+			s.Mem.Set(x.C, symx.K(proc, addr), symx.NewStruct(x.C, "val", dataZero))
 			return okRet(sym.Int(0), addr, dataZero)
 		},
 	}
@@ -141,7 +143,7 @@ func opMprotect() *spec.Op {
 				return errRet(kernel.ENOMEM)
 			}
 			v := s.VMA.Get(x.C, symx.K(proc, page))
-			s.VMA.Set(x.C, symx.K(proc, page), v.With("wr", wr))
+			s.VMA.Set(x.C, symx.K(proc, page), v.With(x.C, "wr", wr))
 			return okRet(sym.Int(0), sym.Int(0), dataZero)
 		},
 	}
@@ -175,7 +177,7 @@ func opMemwrite() *spec.Op {
 			if !x.C.Branch(v.Get("wr")) {
 				return errRet(kernel.ESIGSEGV) // write to a read-only mapping
 			}
-			s.Mem.Set(x.C, symx.K(proc, page), symx.NewStruct("val", val))
+			s.Mem.Set(x.C, symx.K(proc, page), symx.NewStruct(x.C, "val", val))
 			return okRet(sym.Int(0), sym.Int(0), dataZero)
 		},
 	}
@@ -205,16 +207,18 @@ func (vmSpec) DefaultSet() string { return "all" }
 
 // NewState builds the symbolic state with unconstrained initial content:
 // each process starts with an arbitrary set of mapped pages holding
-// arbitrary content and permissions.
+// arbitrary content and permissions. The state lives in the region of c's
+// Solver (symx.New).
 func (vmSpec) NewState(c *symx.Context, cfg spec.Config) spec.State {
-	return &state{
-		VMA: symx.NewDict("vmap", func(c *symx.Context, tag string) *symx.Struct {
-			return symx.NewStruct("wr", c.Var(tag+".wr", sym.BoolSort, symx.KindState))
-		}),
-		Mem: symx.NewDict("vmem", func(c *symx.Context, tag string) *symx.Struct {
-			return symx.NewStruct("val", c.Var(tag+".val", dataSort, symx.KindState))
-		}),
-	}
+	s := symx.New[state](c)
+	s.VMA = symx.NewDict(c, "vmap", func(c *symx.Context, tag string) *symx.Struct {
+		return symx.NewStruct(c, "wr", c.Var(tag+".wr", sym.BoolSort, symx.KindState))
+	})
+	s.Mem = symx.NewDict(c, "vmem", func(c *symx.Context, tag string) *symx.Struct {
+		return symx.NewStruct(c, "val", c.Var(tag+".val", dataSort, symx.KindState))
+	})
+	s.dicts = [...]*symx.Dict{s.VMA, s.Mem}
+	return s
 }
 
 func (vmSpec) Impls() []spec.Impl {
