@@ -54,6 +54,8 @@ type Path struct {
 	Unknown bool
 	// VarKinds classifies the symbolic variables of the path's exploration
 	// (symx.Path.VarKinds): every variable of the path, and its siblings'.
+	// Like PC, it lives in the Solver that analysed the pair, until its
+	// Forget.
 	VarKinds map[string]symx.VarKind
 	// DictsA and DictsB are the dictionaries (State.Dicts) of the final
 	// symbolic states of the two orders (op0;op1 and op1;op0), which Eq
@@ -165,10 +167,12 @@ func AnalyzePairCtx(ctx context.Context, sp spec.Spec, opA, opB *spec.Op, opt Op
 		baA := opA.Exec(ba, "0", argsA)
 
 		// Returns and final states must agree. Every requirement lands in
-		// one flat conjunct list, conjoined once.
-		conj := []*sym.Expr{spec.RetEq(abA, baA), spec.RetEq(abB, baB)}
+		// one flat conjunct list, the Context's, conjoined once.
 		da, db := ab.S.Dicts(), ba.S.Dicts()
-		p := Path{Eq: sym.And(spec.Equivalent(conj, c, da, db)...), DictsA: da, DictsB: db}
+		eq := c.Conjoin(func(conj []*sym.Expr) []*sym.Expr {
+			return spec.Equivalent(append(conj, spec.RetEq(abA, baA), spec.RetEq(abB, baB)), c, da, db)
+		})
+		p := Path{Eq: eq, DictsA: da, DictsB: db}
 		// The path is complete: classify it now, since the next replay
 		// reuses c. Once ctx ends, the exploration stops at its next poll,
 		// or at the one below.

@@ -165,7 +165,9 @@ func AppendItems(dst []byte, items []int64) []byte {
 
 // TestCase is one generated commutative test: after Setup, the two Calls
 // run on different cores and, per the commutativity rule, admit a
-// conflict-free execution.
+// conflict-free execution. The tests of one testgen Generate share their
+// Setup values and their calls' Args maps wherever these are equal, so a
+// generated test is read-only: a caller that edits one edits a copy.
 type TestCase struct {
 	// ID names the test (pair, path and assignment indices).
 	ID string

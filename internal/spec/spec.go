@@ -25,6 +25,9 @@
 package spec
 
 import (
+	"slices"
+	"sync/atomic"
+
 	"repro/internal/kernel"
 	"repro/internal/sym"
 	"repro/internal/symx"
@@ -74,6 +77,43 @@ type Op struct {
 	Args []ArgSpec
 	// Exec runs the call against x.S, returning a RetWidth vector.
 	Exec func(x *Exec, slot string, args []*sym.Expr) []*sym.Expr
+
+	// names holds the argument-variable names of every slot rendered so
+	// far (see ArgNames).
+	names atomic.Pointer[[]slotNames]
+}
+
+// slotNames is one slot's argument-variable names.
+type slotNames struct {
+	slot  string
+	names []string
+}
+
+// ArgNames returns the names of op's argument variables in slot,
+// "<op>.<slot>.<name>" in Args order: rendered at the slot's first call and
+// shared from then on, so read-only. Every goroutine shares an Op, so the
+// table is replaced, never written.
+func (op *Op) ArgNames(slot string) []string {
+	for {
+		old := op.names.Load()
+		var known []slotNames
+		if old != nil {
+			known = *old
+		}
+		for _, sn := range known {
+			if sn.slot == slot {
+				return sn.names
+			}
+		}
+		names := make([]string, len(op.Args))
+		for i, as := range op.Args {
+			names[i] = op.Name + "." + slot + "." + as.Name
+		}
+		next := append(slices.Clip(known), slotNames{slot, names})
+		if op.names.CompareAndSwap(old, &next) {
+			return names
+		}
+	}
 }
 
 // State is one permutation's symbolic state, as built by a Spec.
@@ -143,11 +183,12 @@ type SetupMiner interface {
 }
 
 // MakeArgs materializes the symbolic arguments of op for an operation
-// slot, applying declared bounds.
+// slot, named by ArgNames, applying declared bounds.
 func MakeArgs(c *symx.Context, op *Op, slot string) []*sym.Expr {
+	names := op.ArgNames(slot)
 	args := make([]*sym.Expr, len(op.Args))
 	for i, spec := range op.Args {
-		v := c.Var(op.Name+"."+slot+"."+spec.Name, spec.Sort, symx.KindArg)
+		v := c.Var(names[i], spec.Sort, symx.KindArg)
 		if spec.Bounded {
 			c.Assume(sym.And(sym.Ge(v, sym.Int(spec.Min)), sym.Le(v, sym.Int(spec.Max))))
 		}

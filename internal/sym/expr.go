@@ -126,6 +126,10 @@ type Expr struct {
 	scope *Scope
 	next  *Expr
 	vars  []*Expr
+	// mark is the walk stamp of its scope at which the solver's constant
+	// walk last visited the node (see Solver.collectConsts), the one field
+	// a search writes; a constant is never marked.
+	mark uint64
 	// str caches the rendered canonical form; it is written at most a
 	// handful of times with identical content, so racing stores are
 	// harmless and loads never block.

@@ -73,6 +73,9 @@ type Scope struct {
 	cur   int
 	// region is what Region returned, or nil.
 	region Region
+	// walk stamps the solver's constant walks over the scope's nodes (see
+	// Solver.collectConsts).
+	walk uint64
 }
 
 // bank is one generation's storage: the nodes, and the argument and

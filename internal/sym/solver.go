@@ -168,11 +168,13 @@ func evalIntIdx(e *Expr, a *Model) (res int64, known bool) {
 // the same evaluator.
 //
 // A Solver owns the scratch its searches work in — the assignment,
-// the variable positions, the candidate domains, the constant walk's
-// visited set, the per-depth conjunct lists — and clears and reuses it
-// from one search to the next instead of reallocating it, so every search
-// a sweep worker's solver serves, over all the pairs it runs, costs one set
-// of buffers, sized once to the variables interned so far. It follows that
+// the variable positions, the candidate domains, the per-depth conjunct
+// lists — and clears and reuses it from one search to the next instead of
+// reallocating it, so every search a sweep worker's solver serves, over all
+// the pairs it runs, costs one set of buffers, sized once to the variables
+// interned so far; the constant walk marks the nodes it visits instead of
+// keeping a set, so a search writes to the scope of its formula, which one
+// goroutine at a time uses. It follows that
 // a Solver is not safe for concurrent use, and not for re-entrant use
 // either (starting another search from inside an EnumerateConjs callback): a
 // second search would overwrite the first one's domains, and panics
@@ -229,7 +231,6 @@ type Solver struct {
 	doms        []domain
 	completedAt [][]*Expr
 	conf        []uint64
-	visited     map[*Expr]struct{}
 	ints        []int64
 	sorts       []sortDomain
 }
@@ -328,13 +329,12 @@ func (s *Solver) growVars() {
 }
 
 // collectConsts records the integer and uninterpreted constants under x.
-// The walk memoizes on node identity: shared subterms of the hash-consed
-// DAG contribute their constants once.
+// The walk visits a node once: it marks the node with its scope's stamp,
+// which domains advances at every walk, so the shared subterms of the
+// hash-consed DAG contribute their constants once. A constant, the one
+// node every goroutine's scopes share, is not marked: a repeat of one is
+// compacted away with the domain.
 func (s *Solver) collectConsts(x *Expr) {
-	if _, ok := s.visited[x]; ok {
-		return
-	}
-	s.visited[x] = struct{}{}
 	if x.Op == OpConst {
 		switch x.Sort.Kind {
 		case KindInt:
@@ -343,7 +343,12 @@ func (s *Solver) collectConsts(x *Expr) {
 			sd := s.sortDom(x.Sort)
 			sd.ids = append(sd.ids, x.Int)
 		}
+		return
 	}
+	if x.mark == x.scope.walk {
+		return
+	}
+	x.mark = x.scope.walk
 	for _, a := range x.Args {
 		s.collectConsts(a)
 	}
@@ -385,10 +390,15 @@ func (s *Solver) domains(conjs []*Expr) []domain {
 	}
 	s.doms = doms
 
-	if s.visited == nil {
-		s.visited = map[*Expr]struct{}{}
+	// A new stamp for each scope the conjuncts belong to (one, in a pair's
+	// searches): every node of the walk is unmarked.
+	var last *Scope
+	for _, c := range conjs {
+		if c.scope != nil && c.scope != last {
+			c.scope.walk++
+			last = c.scope
+		}
 	}
-	clear(s.visited)
 	s.ints = append(s.ints[:0], -1, 0, 1, 2)
 	for _, c := range conjs {
 		s.collectConsts(c)

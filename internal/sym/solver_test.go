@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -188,4 +189,98 @@ func solve(s *Solver, e *Expr) (found Model, ok bool) {
 		return false // stop at the first model
 	})
 	return found, ok
+}
+
+// refDomains is what domains computes, built as it was with a visited set:
+// the candidate values of each free variable of conjs (one per VarID, as
+// the solver binds them), in first-occurrence order, from the constants
+// under the conjuncts, each node walked once.
+func refDomains(conjs []*Expr) [][]int64 {
+	visited := map[*Expr]bool{}
+	ints := []int64{-1, 0, 1, 2}
+	consts := map[Sort][]int64{}
+	var walk func(x *Expr)
+	walk = func(x *Expr) {
+		if visited[x] {
+			return
+		}
+		visited[x] = true
+		if x.Op == OpConst && x.Sort.Kind == KindInt {
+			ints = append(ints, x.Int-1, x.Int, x.Int+1)
+		} else if x.Op == OpConst && x.Sort.Kind == KindUnint {
+			consts[x.Sort] = append(consts[x.Sort], x.Int)
+		}
+		for _, a := range x.Args {
+			walk(a)
+		}
+	}
+	var vars []*Expr
+	nvars := map[Sort]int{}
+	for _, c := range conjs {
+		for _, v := range c.vars {
+			if !slices.ContainsFunc(vars, func(w *Expr) bool { return w.VarID == v.VarID }) {
+				vars = append(vars, v)
+				nvars[v.Sort]++
+			}
+		}
+		walk(c)
+	}
+	slices.Sort(ints)
+	ints = slices.Compact(ints)
+	out := make([][]int64, len(vars))
+	for i, v := range vars {
+		switch v.Sort.Kind {
+		case KindBool:
+			out[i] = []int64{0, 1}
+		case KindInt:
+			out[i] = ints
+		case KindUnint:
+			cs := slices.Compact(slices.Sorted(slices.Values(consts[v.Sort])))
+			ids := slices.Clone(cs)
+			for next := int64(0); len(ids) < len(cs)+nvars[v.Sort]; next++ {
+				if !slices.Contains(cs, next) {
+					ids = append(ids, next)
+				}
+			}
+			slices.Sort(ids)
+			out[i] = ids
+		}
+	}
+	return out
+}
+
+// TestDomainsMatchVisitedSetWalk holds the candidate domains, whose
+// constant walk marks the nodes it visits with their scope's stamp, to
+// those a walk with a visited set builds: random conjunct lists over
+// integer, boolean and uninterpreted terms, with the constants of both
+// sorts, on one reused Solver, from one scope and from two interleaved.
+func TestDomainsMatchVisitedSetWalk(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	gens := [2]*exprGen{newGen(r), newGen(r)}
+	sortU := Uninterpreted("U")
+	var s Solver
+	for trial := 0; trial < 500; trial++ {
+		var conjs []*Expr
+		for i := 0; i < 1+r.Intn(4); i++ {
+			g := gens[0]
+			if trial%2 == 1 {
+				g = gens[i%2]
+			}
+			c := g.boolTerm(3)
+			if r.Intn(2) == 0 {
+				c = And(c, Ne(g.names[r.Intn(len(g.names))], Const(sortU, int64(r.Intn(4)))))
+			}
+			conjs = append(conjs, c)
+		}
+		want := refDomains(conjs)
+		doms := s.domains(conjs)
+		if len(doms) != len(want) {
+			t.Fatalf("trial %d: %d domains, want %d", trial, len(doms), len(want))
+		}
+		for i, d := range doms {
+			if !slices.Equal(d.vals, want[i]) {
+				t.Fatalf("trial %d: %s has candidates %v, want %v (conjuncts %v)", trial, d.v, d.vals, want[i], conjs)
+			}
+		}
+	}
 }

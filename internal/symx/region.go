@@ -7,7 +7,8 @@ import (
 
 // store is the sym.Region symx keeps in a Solver's scope: the storage of
 // every dictionary, entry, probe, value and spec state the pair the Solver
-// serves builds, rewound at the Solver's Forget. Unlike the scope's nodes
+// serves builds, and of its explorations' Contexts and their tables,
+// rewound at the Solver's Forget. Unlike the scope's nodes
 // it has one bank: what a pair built is handed out again at the very next
 // reset, which keeps a sweep worker's high-water mark to one pair's world
 // (a second bank cost ~0.9 MB of a cold sweep's peak RSS).
@@ -22,12 +23,42 @@ type store struct {
 	exprs   region.Slab[*sym.Expr]
 	// states holds a *region.Slab[T] per spec state type T (see New).
 	states []interface{ Rewind() }
+	// contexts are the explorations' Contexts, with their tables; the
+	// first nctx are handed out.
+	contexts []*Context
+	nctx     int
 }
 
 func newStore() sym.Region { return new(store) }
 
-// Rewind frees everything the store handed out.
+// context hands out a Context with empty tables for an exploration: one an
+// earlier pair's exploration used, emptied by Rewind, or a new one. A
+// sweep worker's Solver runs one exploration a pair, so its pairs share
+// one Context.
+func (s *store) context() *Context {
+	if s.nctx == len(s.contexts) {
+		s.contexts = append(s.contexts, &Context{
+			r:      s,
+			pcSet:  map[*sym.Expr]uint8{},
+			infeas: map[*sym.Expr]bool{},
+			x: &exploration{
+				varKinds: map[string]VarKind{},
+				vars:     map[string]*sym.Expr{},
+				probes:   map[probeKey]*probe{},
+			},
+			initProbes: map[string][]*initProbe{},
+		})
+	}
+	s.nctx++
+	return s.contexts[s.nctx-1]
+}
+
+// Rewind frees everything the store handed out, and empties the Contexts.
 func (s *store) Rewind() {
+	for _, c := range s.contexts[:s.nctx] {
+		c.forget()
+	}
+	s.nctx = 0
 	s.dicts.Rewind()
 	s.entries.Rewind()
 	s.lists.Rewind()

@@ -29,10 +29,11 @@
 // probes, values (NewStruct, Struct.With) and the spec's state itself
 // (New) — is allocated from a region that the scope of the exploration's
 // Solver carries (sym.Scope.Region): slabs that a sweep worker reuses
-// from pair to pair. The Solver's Forget is their one reset, as it is the
-// nodes': a Path's result may hold them until then, and nothing may hold
-// them after, since the next pair's objects take their storage at once. A
-// fresh Solver starts with an empty region.
+// from pair to pair. The exploration's Context and its tables come from the
+// same region. The Solver's Forget is their one reset, as it is the
+// nodes': a Path's result and its VarKinds may hold them until then, and
+// nothing may hold them after, since the next pair's objects take their
+// storage at once. A fresh Solver starts with an empty region.
 package symx
 
 import (
@@ -116,6 +117,10 @@ type Context struct {
 	// content even when they first probe a location under semantically
 	// equal but syntactically different keys.
 	initProbes map[string][]*initProbe
+
+	// eq is DictsEquivalent's scratch, and conj Conjoin's list.
+	eq   equivScratch
+	conj []*sym.Expr
 }
 
 // The marks pcSet holds for a node.
@@ -127,7 +132,8 @@ const (
 // exploration is what the replays of one RunCtx share besides their
 // Context's storage: tables of what is a function of content-derived names
 // and interned nodes, which a replay looks up instead of deriving again.
-// They die with the exploration.
+// They live, with their Context, in the store of the Solver's scope, and
+// are emptied at its Forget for the next pair's explorations.
 type exploration struct {
 	// The variable table: the memoized named variables and their kinds.
 	varKinds map[string]VarKind
@@ -142,22 +148,33 @@ type exploration struct {
 	heard []*sym.Expr
 }
 
-// newContext starts an exploration: its tables, and its first replay, along
-// trace.
+// newContext starts an exploration on solver, and its first replay, along
+// trace: a Context with empty tables from the store of solver's scope (see
+// store.context), which the exploration's replays share until the
+// solver's Forget.
 func newContext(trace []bool, solver *sym.Solver) *Context {
-	return &Context{
-		solver: solver,
-		r:      solver.Scope().Region(newStore).(*store),
-		pcSet:  map[*sym.Expr]uint8{},
-		trace:  trace,
-		x: &exploration{
-			varKinds: map[string]VarKind{},
-			vars:     map[string]*sym.Expr{},
-			probes:   map[probeKey]*probe{},
-		},
-		infeas:     map[*sym.Expr]bool{},
-		initProbes: map[string][]*initProbe{},
+	c := solver.Scope().Region(newStore).(*store).context()
+	c.solver = solver
+	c.next(trace)
+	return c
+}
+
+// forget empties the Context for the next pair's exploration, keeping the
+// storage of its tables and lists: nothing of the pair stays.
+func (c *Context) forget() {
+	c.next(nil)
+	clear(c.pcConjs[:cap(c.pcConjs)])
+	clear(c.x.heard[:cap(c.x.heard)])
+	clear(c.pending[:cap(c.pending)])
+	for _, ips := range c.initProbes {
+		clear(ips[:cap(ips)])
 	}
+	clear(c.x.varKinds)
+	clear(c.x.vars)
+	clear(c.x.probes)
+	c.eq.forget()
+	clear(c.conj[:cap(c.conj)])
+	c.solver = nil
 }
 
 // next starts the exploration's next replay, along trace, on the Context
@@ -201,6 +218,15 @@ func (c *Context) Var(name string, s sym.Sort, kind VarKind) *sym.Expr {
 	c.x.vars[name] = v
 	c.x.varKinds[name] = kind
 	return v
+}
+
+// Conjoin returns sym.And of the conjuncts build appends to the list it is
+// handed: c's own, emptied, kept from call to call and pair to pair, so a
+// formula conjoined from many parts (a pair's SIM condition) costs no list
+// of its own. build may not call Conjoin.
+func (c *Context) Conjoin(build func(conjs []*sym.Expr) []*sym.Expr) *sym.Expr {
+	c.conj = build(c.conj[:0])
+	return sym.And(c.conj...)
 }
 
 // heardSince returns the conditions Assumed since the replay had Assumed
@@ -395,7 +421,8 @@ type Path struct {
 	Result any
 	// VarKinds classifies every symbolic variable the exploration created,
 	// on this path or any other. It is the exploration's own map, shared by
-	// all its paths: read-only.
+	// all its paths: read-only, and, like the nodes, valid until the
+	// Solver's Forget.
 	VarKinds map[string]VarKind
 }
 

@@ -3,7 +3,6 @@ package symx
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/region"
@@ -339,21 +338,23 @@ func (d *Dict) Entries() []*DictEntry { return d.entries }
 // What the two sides and all fields of one key share is built once per
 // key: the MakeVal default (one tag, so one probe whichever dictionary
 // asks), and the guards comparing the key with every registered probe and
-// every overlay entry.
+// every overlay entry. The lists it builds them in are c's (equivScratch),
+// kept from call to call.
 func DictsEquivalent(dst []*sym.Expr, c *Context, a, b *Dict) []*sym.Expr {
 	if a.Name != b.Name {
 		panic("symx: comparing dictionaries with different identities")
 	}
 	probes := c.initProbes[a.Name]
-	keys := unionKeys(c, a, b)
-	fields := fieldSet(a, b)
-	var probeEq, aEq, bEq []*sym.Expr
-	for _, k := range keys {
-		probeEq = probeEq[:0]
+	s := &c.eq
+	s.keys = unionKeys(s.keys[:0], c, a, b)
+	s.fields = fieldSet(s.fields[:0], a, b)
+	for _, k := range s.keys {
+		probeEq := s.probeEq[:0]
 		for _, ip := range probes {
 			probeEq = append(probeEq, ip.key.eq(k.key))
 		}
-		aEq, bEq = a.entryGuards(aEq[:0], k.key), b.entryGuards(bEq[:0], k.key)
+		aEq, bEq := a.entryGuards(s.aEq[:0], k.key), b.entryGuards(s.bEq[:0], k.key)
+		s.probeEq, s.aEq, s.bEq = probeEq, aEq, bEq
 
 		// Membership. The default for keys outside a dictionary's overlay
 		// is the initial content: a registered probe's membership variable
@@ -372,10 +373,10 @@ func DictsEquivalent(dst []*sym.Expr, c *Context, a, b *Dict) []*sym.Expr {
 		// Fields, each guarded by presence and defaulting to the initial
 		// content's.
 		var def *Struct
-		if len(fields) > 0 {
+		if len(s.fields) > 0 {
 			def = k.probe.value(c, a)
 		}
-		for _, f := range fields {
+		for _, f := range s.fields {
 			init := def.Get(f)
 			for i, ip := range probes {
 				if ip.val != nil {
@@ -393,6 +394,25 @@ func DictsEquivalent(dst []*sym.Expr, c *Context, a, b *Dict) []*sym.Expr {
 		}
 	}
 	return dst
+}
+
+// equivScratch is DictsEquivalent's storage, which its Context keeps from
+// call to call: the union of the overlays' keys, the sorted field names, and
+// a key's guards against every registered probe and every entry of either
+// overlay.
+type equivScratch struct {
+	keys              []probedKey
+	fields            []string
+	probeEq, aEq, bEq []*sym.Expr
+}
+
+// forget drops what the lists point to, keeping their storage.
+func (s *equivScratch) forget() {
+	clear(s.keys[:cap(s.keys)])
+	clear(s.fields[:cap(s.fields)])
+	clear(s.probeEq[:cap(s.probeEq)])
+	clear(s.aEq[:cap(s.aEq)])
+	clear(s.bEq[:cap(s.bEq)])
 }
 
 // entryGuards appends, for each overlay entry in order, the formula that
@@ -432,9 +452,8 @@ type probedKey struct {
 	probe *probe
 }
 
-// unionKeys returns the union of overlay keys, deduplicated by tag.
-func unionKeys(c *Context, a, b *Dict) []probedKey {
-	var keys []probedKey
+// unionKeys appends to keys the union of overlay keys, deduplicated by tag.
+func unionKeys(keys []probedKey, c *Context, a, b *Dict) []probedKey {
 	for _, d := range [2]*Dict{a, b} {
 		for _, e := range d.entries {
 			p := c.probe(a, e.Key)
@@ -446,18 +465,18 @@ func unionKeys(c *Context, a, b *Dict) []probedKey {
 	return keys
 }
 
-// fieldSet finds the field names, sorted, of the values the dictionaries
-// store. All values in one dictionary share a shape.
-func fieldSet(a, b *Dict) []string {
-	for _, d := range []*Dict{a, b} {
+// fieldSet appends to dst the field names, sorted, of the values the
+// dictionaries store. All values in one dictionary share a shape.
+func fieldSet(dst []string, a, b *Dict) []string {
+	for _, d := range [2]*Dict{a, b} {
 		for _, e := range d.entries {
 			if e.Present && e.Val != nil {
-				out := append([]string(nil), e.Val.FieldOrder...)
-				sort.Strings(out)
-				return out
+				dst = append(dst, e.Val.FieldOrder...)
+				slices.Sort(dst)
+				return dst
 			}
 		}
 	}
 	// No present entry anywhere: only membership matters.
-	return nil
+	return dst
 }

@@ -6,22 +6,41 @@ import (
 
 	"repro/internal/analyzer"
 	"repro/internal/model"
+	"repro/internal/spec"
+	"repro/internal/sym"
 )
 
-// posixAnalyses runs ANALYZE over the 171 posix pairs, in the order and
-// orientation of sweep.Pairs.
-func posixAnalyses(tb testing.TB) []analyzer.PairResult {
-	tb.Helper()
-	var out []analyzer.PairResult
+// posixPairs lists the 171 posix pairs in the order and orientation of
+// sweep.Pairs.
+func posixPairs() [][2]*spec.Op {
+	var out [][2]*spec.Op
 	ops := model.Spec.Ops()
 	for i, a := range ops {
 		for _, b := range ops[:i+1] {
-			pr, err := analyzer.AnalyzePairCtx(context.Background(), model.Spec, b, a, analyzer.Options{})
-			if err != nil {
-				tb.Fatal(err)
-			}
-			out = append(out, pr)
+			out = append(out, [2]*spec.Op{b, a})
 		}
+	}
+	return out
+}
+
+// analyzePosixPair runs ANALYZE on the posix pair p, on solver (nil: a
+// fresh one).
+func analyzePosixPair(tb testing.TB, p [2]*spec.Op, solver *sym.Solver) analyzer.PairResult {
+	tb.Helper()
+	pr, err := analyzer.AnalyzePairCtx(context.Background(), model.Spec, p[0], p[1], analyzer.Options{Solver: solver})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pr
+}
+
+// posixAnalyses runs ANALYZE over the 171 posix pairs, each on a Solver of
+// its own.
+func posixAnalyses(tb testing.TB) []analyzer.PairResult {
+	tb.Helper()
+	var out []analyzer.PairResult
+	for _, p := range posixPairs() {
+		out = append(out, analyzePosixPair(tb, p, nil))
 	}
 	return out
 }
@@ -39,21 +58,34 @@ func generateAll(g *Generator, analyses []analyzer.PairResult) (n leafCounts, ke
 }
 
 // BenchmarkGeneratePosix is TESTGEN as a cold sweep pays for it: every
-// commutative path of all 171 posix pairs, ANALYZE outside the timer, on
-// one Generator, as a sweep worker keeps one. The three counts are per
-// pass: models the enumeration reached, models of a new isomorphism class
-// (materialised), and tests whose content was new (kept).
+// commutative path of all 171 posix pairs on one Generator and one Solver,
+// which it forgets at every pair, as a sweep worker keeps them
+// (sweep's worker.generate), with each pair's ANALYZE outside the timer.
+// The three counts are per pass: models the enumeration reached, models of
+// a new isomorphism class (materialised), and tests whose content was new
+// (kept).
 //
 //	go test -run '^$' -bench GeneratePosix -benchtime 3x -benchmem ./internal/testgen
 func BenchmarkGeneratePosix(b *testing.B) {
-	analyses := posixAnalyses(b)
+	pairs := posixPairs()
 	g := NewGenerator(model.Spec)
+	solver := &sym.Solver{}
 	var n leafCounts
 	var kept int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n, kept = generateAll(g, analyses)
+		n, kept = leafCounts{}, 0
+		for _, p := range pairs {
+			b.StopTimer()
+			solver.Forget()
+			pr := analyzePosixPair(b, p, solver)
+			b.StartTimer()
+			tests, _, c := g.generate(pr, Options{Solver: solver})
+			n.visited += c.visited
+			n.materialized += c.materialized
+			kept += len(tests)
+		}
 	}
 	b.ReportMetric(float64(n.visited), "visited")
 	b.ReportMetric(float64(n.materialized), "materialised")

@@ -1,6 +1,7 @@
 package testgen
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/analyzer"
@@ -90,11 +91,12 @@ func TestDuplicateModelCostsNoAllocation(t *testing.T) {
 }
 
 // copyOutAllocs bounds what keeping tc, a posix test, costs: its ID, its
-// SetupID, its entry in seen and both calls' Args maps (a map and its table
-// each); and, unless it shares the setup of a test kept before it, the
-// setup's clone and one slice or map per non-nil field of it.
-func copyOutAllocs(tc kernel.TestCase, shared bool) int {
-	n := 3 + 2*2
+// SetupID, its entry in seen, and the newArgs of its calls' Args maps that
+// no test kept before it holds in the same slot (a map and its table each);
+// and, unless it shares the setup of a test kept before it, the setup's
+// clone and one slice or map per non-nil field of it.
+func copyOutAllocs(tc kernel.TestCase, shared bool, newArgs int) int {
+	n := 3 + 2*newArgs
 	if shared {
 		return n
 	}
@@ -120,10 +122,9 @@ func copyOutAllocs(tc kernel.TestCase, shared bool) int {
 
 // TestWarmPassAllocatesPerKeptTest pins a warm Generator's pass over one
 // pair, on a warm solver, to allocating only for what it keeps: no more
-// than copyOutAllocs of every kept test, one exact-length result, and a
-// name per argument variable. The pairs visit and materialise many more
-// models than they keep, so a single allocation per dropped model would
-// break the bound.
+// than copyOutAllocs of every kept test and one exact-length result. The
+// pairs visit and materialise many more models than they keep, so a single
+// allocation per dropped model would break the bound.
 func TestWarmPassAllocatesPerKeptTest(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates in the solver's search")
@@ -134,13 +135,20 @@ func TestWarmPassAllocatesPerKeptTest(t *testing.T) {
 		opt := Options{Solver: &sym.Solver{}}
 		tests, _, n := g.generate(pr, opt)
 		bound := 1
-		for _, op := range [2]string{pr.OpA, pr.OpB} {
-			o, _ := spec.OpByName(model.Spec, op)
-			bound += len(o.Args)
-		}
 		kept := map[string]bool{}
+		var keptArgs [2]map[string]bool
 		for _, tc := range tests {
-			bound += copyOutAllocs(tc, kept[tc.SetupID])
+			newArgs := 0
+			for slot, c := range tc.Calls {
+				if keptArgs[slot] == nil {
+					keptArgs[slot] = map[string]bool{}
+				}
+				if args := fmt.Sprint(c.Args); !keptArgs[slot][args] {
+					keptArgs[slot][args] = true
+					newArgs++
+				}
+			}
+			bound += copyOutAllocs(tc, kept[tc.SetupID], newArgs)
 			kept[tc.SetupID] = true
 		}
 		dropped := n.materialized - len(tests)

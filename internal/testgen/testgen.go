@@ -68,13 +68,15 @@ type Generator struct {
 	calls   [2]kernel.Call
 	fp      []byte
 	// Per pair: the ops' argument variables, a path's conjunct list and
-	// class variables, the kept tests, and seen, which maps a kept test's
-	// SetupID to the indices in tests of those starting from it.
+	// class variables, the kept tests, seen, which maps a kept test's
+	// SetupID to the indices in tests of those starting from it, and args,
+	// the distinct Args maps the kept tests' calls in each slot share.
 	argVars [2][]*sym.Expr
 	cond    []*sym.Expr
 	vars    []*sym.Expr
 	tests   []kernel.TestCase
 	seen    map[string][]int
+	args    [2][]map[string]int64
 }
 
 // NewGenerator returns a Generator for sp, with a miner of its own.
@@ -87,7 +89,9 @@ func NewGenerator(sp spec.Spec) *Generator {
 
 // Generate is GenerateChecked on g: the tests of every commutative path of
 // pr, which must have been analysed against g's spec, and the truncation
-// count. The tests are the caller's; nothing of the pair stays in g.
+// count. The tests are the caller's; nothing of the pair stays in g. Tests
+// with equal setups share one Setup value, and calls in one slot with equal
+// arguments one Args map, so the tests are read-only (see kernel.TestCase).
 func (g *Generator) Generate(pr analyzer.PairResult, opt Options) ([]kernel.TestCase, int) {
 	tests, truncated, _ := g.generate(pr, opt)
 	return tests, truncated
@@ -178,8 +182,9 @@ func (g *Generator) resolve(pr analyzer.PairResult, solver *sym.Solver) [2]*spec
 	ops := [2]*spec.Op{opA, opB}
 	for slot, op := range ops {
 		g.argVars[slot] = g.argVars[slot][:0]
-		for _, as := range op.Args {
-			g.argVars[slot] = append(g.argVars[slot], solver.Scope().Var(op.Name+"."+strconv.Itoa(slot)+"."+as.Name, as.Sort))
+		names := op.ArgNames(strconv.Itoa(slot))
+		for i, as := range op.Args {
+			g.argVars[slot] = append(g.argVars[slot], solver.Scope().Var(names[i], as.Sort))
 		}
 		g.calls[slot].Op = op.Name
 	}
@@ -214,8 +219,8 @@ func (g *Generator) materialize(pr analyzer.PairResult, ops [2]*spec.Op, m sym.M
 			return
 		}
 	}
-	// A setup does not change once kept, so a test repeating a kept one's
-	// shares its copy.
+	// A setup or an Args map does not change once kept, so a test repeating
+	// a kept one's shares its copy.
 	var tc kernel.TestCase
 	if len(same) > 0 {
 		tc.Setup, tc.SetupID = g.tests[same[0]].Setup, g.tests[same[0]].SetupID
@@ -226,14 +231,29 @@ func (g *Generator) materialize(pr analyzer.PairResult, ops [2]*spec.Op, m sym.M
 	tc.ID = pr.OpA + "_" + pr.OpB + "_path" + strconv.Itoa(pi) + "_test" + strconv.Itoa(ti)
 	tc.Calls = g.calls
 	for slot := range tc.Calls {
-		tc.Calls[slot].Args = maps.Clone(g.calls[slot].Args)
+		tc.Calls[slot].Args = g.keptArgs(slot)
 	}
 	g.tests = append(g.tests, tc)
 }
 
+// keptArgs returns the kept Args map of the slot equal to the slot's call
+// in progress, keeping a copy of it if there is none: the pair's tests hold
+// only a few distinct argument maps per slot, so a scan finds one.
+func (g *Generator) keptArgs(slot int) map[string]int64 {
+	args := g.calls[slot].Args
+	for _, kept := range g.args[slot] {
+		if maps.Equal(kept, args) {
+			return kept
+		}
+	}
+	kept := maps.Clone(args)
+	g.args[slot] = append(g.args[slot], kept)
+	return kept
+}
+
 // release drops every reference the Generator's storage holds into the
 // pair it generated — the probes, the conjuncts and variables, the kept
-// tests — keeping the storage for the next pair.
+// tests and their Args maps — keeping the storage for the next pair.
 func (g *Generator) release() {
 	g.probes.Clear()
 	clear(g.cond[:cap(g.cond)])
@@ -244,6 +264,10 @@ func (g *Generator) release() {
 	clear(g.tests)
 	g.tests = g.tests[:0]
 	clear(g.seen)
+	for slot := range g.args {
+		clear(g.args[slot])
+		g.args[slot] = g.args[slot][:0]
+	}
 }
 
 // condConjs appends to dst the path's commutativity condition PC ∧ Eq as
