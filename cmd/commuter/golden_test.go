@@ -77,3 +77,10 @@ func TestMatrixVMKVGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestMatrixQueueGolden pins `commuter matrix -spec queue`. Refresh
+// testdata/matrix_queue.golden only for a deliberate semantic change to
+// the queue spec, its SetupMiner, or its reference kernel.
+func TestMatrixQueueGolden(t *testing.T) {
+	checkMatrixGolden(t, "queue", commuter.WithSpec("queue"))
+}

@@ -12,15 +12,24 @@ import (
 )
 
 // scratchSites are the functions that build the equivalence conditions'
-// lists and an exploration's tables, which a warm Solver's region keeps.
+// lists, an exploration's tables and its path list, a call's argument list
+// and return vector, and the solver's remembered answers, all of which a
+// warm Solver keeps in its region or its own storage.
 var scratchSites = map[string]bool{
-	"repro/internal/symx.DictsEquivalent":     true,
-	"repro/internal/symx.unionKeys":           true,
-	"repro/internal/symx.fieldSet":            true,
-	"repro/internal/symx.(*Dict).entryGuards": true,
-	"repro/internal/symx.newContext":          true,
-	"repro/internal/symx.(*store).context":    true,
-	"repro/internal/symx.(*Context).next":     true,
+	"repro/internal/symx.DictsEquivalent":           true,
+	"repro/internal/symx.unionKeys":                 true,
+	"repro/internal/symx.fieldSet":                  true,
+	"repro/internal/symx.(*Dict).entryGuards":       true,
+	"repro/internal/symx.newContext":                true,
+	"repro/internal/symx.(*store).context":          true,
+	"repro/internal/symx.(*Context).next":           true,
+	"repro/internal/symx.RunCtx":                    true,
+	"repro/internal/spec.MakeArgs":                  true,
+	"repro/internal/model.okRet":                    true,
+	"repro/internal/model.errRet":                   true,
+	"repro/internal/model.dataRet":                  true,
+	"repro/internal/sym.(*Solver).SatAssumingConjs": true,
+	"repro/internal/sym.(*Solver).remember":         true,
 }
 
 // allocsAt returns, per function of sites, the objects allocated so far
@@ -59,10 +68,14 @@ func allocsAt(sites map[string]bool) map[string]int64 {
 
 // TestWarmEquivalenceAllocatesNothing: on a warm Solver, forgotten before
 // each pair as a sweep worker's is, a second analysis of a pair allocates
-// nothing in symx.DictsEquivalent (its key, field and guard lists) or in
-// the set-up of the exploration (its Context and tables): both are the
-// storage of a Context the Solver's region hands out again. Allocations are
-// read from a memory profile that samples every one of them.
+// nothing in symx.DictsEquivalent (its key, field and guard lists), in
+// the set-up of the exploration (its Context and tables) or in its path
+// list: all are the storage of a Context the Solver's region hands out
+// again. Nor does it allocate a call's arguments (spec.MakeArgs) or return
+// vector (the posix spec's okRet, errRet and dataRet), which the region
+// holds too, or a remembered answer's key, which the Solver keeps in
+// storage it rewinds at Forget. Allocations are read from a memory
+// profile that samples every one of them.
 func TestWarmEquivalenceAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")

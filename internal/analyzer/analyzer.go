@@ -24,7 +24,6 @@ package analyzer
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"repro/internal/spec"
 	"repro/internal/sym"
@@ -79,7 +78,8 @@ type PairResult struct {
 	// Config is the spec configuration the pair was analysed under;
 	// TESTGEN concretizes calls under the same one.
 	Config spec.Config
-	// Paths holds every feasible joint path.
+	// Paths holds every feasible joint path. The list, like the paths'
+	// nodes, lives in the Solver that analysed the pair, until its Forget.
 	Paths []Path
 	// Budgeted reports that path exploration was truncated: a
 	// feasibility check hit the solver budget, or the MaxPaths cap was
@@ -154,10 +154,16 @@ func AnalyzePairCtx(ctx context.Context, sp spec.Spec, opA, opB *spec.Op, opt Op
 	if solver == nil {
 		solver = &sym.Solver{Stop: func() bool { return ctx.Err() != nil }}
 	}
+	// The paths go to a list in the region of the solver's scope, one per
+	// replay that completes: the exploration's own list (symx.RunCtx) has
+	// them in the same order, with their conditions.
+	var out []Path
 	paths, budgeted, err := symx.RunCtx(ctx, func(c *symx.Context) any {
 		argsA, argsB := spec.MakeArgs(c, opA, "0"), spec.MakeArgs(c, opB, "1")
 		newExec := func() *spec.Exec {
-			return &spec.Exec{C: c, S: sp.NewState(c, opt.Config), Cfg: opt.Config}
+			x := symx.New[spec.Exec](c)
+			x.C, x.S, x.Cfg = c, sp.NewState(c, opt.Config), opt.Config
+			return x
 		}
 		ab := newExec() // op0;op1
 		abA := opA.Exec(ab, "0", argsA)
@@ -179,19 +185,18 @@ func AnalyzePairCtx(ctx context.Context, sp spec.Spec, opA, opB *spec.Op, opt Op
 		if ctx.Err() == nil {
 			p.Commutes, p.Unknown = c.Sat(p.Eq)
 		}
-		return p
+		out = symx.Append(c, out, p)
+		return nil
 	}, symx.Options{MaxPaths: opt.MaxPaths, Solver: solver})
 	if err != nil {
 		return PairResult{}, err
 	}
 
-	res := PairResult{Spec: sp.Name(), OpA: opA.Name, OpB: opB.Name, Config: opt.Config, Budgeted: budgeted}
-	res.Paths = slices.Grow(res.Paths, len(paths))
-	for _, xp := range paths {
-		p := xp.Result.(Path)
+	res := PairResult{Spec: sp.Name(), OpA: opA.Name, OpB: opB.Name, Config: opt.Config, Budgeted: budgeted, Paths: out}
+	for i, xp := range paths {
+		p := &res.Paths[i]
 		p.PC, p.VarKinds = xp.PC, xp.VarKinds
 		p.Unknown = budgeted || p.Unknown
-		res.Paths = append(res.Paths, p)
 	}
 	// Cancellation during the last path's classification would otherwise
 	// escape as a "successful" result whose Stop-hook-aborted searches

@@ -51,12 +51,12 @@ type state struct {
 // State contract).
 func (s *state) Dicts() []*symx.Dict { return s.dicts[:] }
 
-func errRet(errno int64) []*sym.Expr {
-	return []*sym.Expr{sym.Int(-errno), sym.Int(0), sym.Int(0), sym.Int(0), sym.Int(0)}
+func errRet(x *spec.Exec, errno int64) []*sym.Expr {
+	return x.Ret(sym.Int(-errno), sym.Int(0), sym.Int(0), sym.Int(0), sym.Int(0))
 }
 
-func okRet(code, i1, data *sym.Expr) []*sym.Expr {
-	return []*sym.Expr{code, i1, sym.Int(0), sym.Int(0), data}
+func okRet(x *spec.Exec, code, i1, data *sym.Expr) []*sym.Expr {
+	return x.Ret(code, i1, sym.Int(0), sym.Int(0), data)
 }
 
 func st(x *spec.Exec) *state { return x.S.(*state) }
@@ -77,9 +77,9 @@ func opGet() *spec.Op {
 			s, key := st(x), a[0]
 			v := s.KV.GetFunc(x.C, symx.K(key))
 			if !x.C.Branch(v.Get("present")) {
-				return errRet(kernel.ENOENT)
+				return errRet(x, kernel.ENOENT)
 			}
-			return okRet(sym.Int(0), sym.Int(0), v.Get("val"))
+			return okRet(x, sym.Int(0), sym.Int(0), v.Get("val"))
 		},
 	}
 }
@@ -95,7 +95,7 @@ func opPut() *spec.Op {
 			// No "was it an insert?" receipt: like O_ANYFD, returning
 			// less is what lets put/put on distinct keys commute even
 			// with scans of disjoint ranges interleaved.
-			return okRet(sym.Int(0), sym.Int(0), sym.Int(0))
+			return okRet(x, sym.Int(0), sym.Int(0), sym.Int(0))
 		},
 	}
 }
@@ -108,10 +108,10 @@ func opDelete() *spec.Op {
 			s, key := st(x), a[0]
 			v := s.KV.GetFunc(x.C, symx.K(key))
 			if !x.C.Branch(v.Get("present")) {
-				return errRet(kernel.ENOENT) // like unlink of a missing name
+				return errRet(x, kernel.ENOENT) // like unlink of a missing name
 			}
 			s.KV.Set(x.C, symx.K(key), symx.NewStruct(x.C, "present", sym.False, "val", sym.Int(0)))
-			return okRet(sym.Int(0), sym.Int(0), sym.Int(0))
+			return okRet(x, sym.Int(0), sym.Int(0), sym.Int(0))
 		},
 	}
 }
@@ -143,7 +143,7 @@ func opScan() *spec.Op {
 					sym.Mul(sym.Add(v.Get("val"), sym.Int(1)), sym.Int(weight)), sym.Int(0)))
 				weight *= memkv.ScanWeight
 			}
-			return okRet(count, fp, sym.Int(0))
+			return okRet(x, count, fp, sym.Int(0))
 		},
 	}
 }

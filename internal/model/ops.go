@@ -7,20 +7,19 @@ import (
 	"repro/internal/symx"
 )
 
-func errRet(errno int64) []*sym.Expr {
-	return []*sym.Expr{sym.Int(-errno), sym.Int(0), sym.Int(0), sym.Int(0), dataZero}
+// errRet, okRet and dataRet build a call's return vector (spec.Exec.Ret).
+func errRet(x *spec.Exec, errno int64) []*sym.Expr {
+	return x.Ret(sym.Int(-errno), sym.Int(0), sym.Int(0), sym.Int(0), dataZero)
 }
 
-func okRet(code *sym.Expr, is ...*sym.Expr) []*sym.Expr {
-	out := []*sym.Expr{code, sym.Int(0), sym.Int(0), sym.Int(0), dataZero}
-	for i, e := range is {
-		out[i+1] = e
-	}
+func okRet(x *spec.Exec, code *sym.Expr, is ...*sym.Expr) []*sym.Expr {
+	out := x.Ret(code, sym.Int(0), sym.Int(0), sym.Int(0), dataZero)
+	copy(out[1:], is)
 	return out
 }
 
-func dataRet(code int64, d *sym.Expr) []*sym.Expr {
-	return []*sym.Expr{sym.Int(code), sym.Int(0), sym.Int(0), sym.Int(0), d}
+func dataRet(x *spec.Exec, code int64, d *sym.Expr) []*sym.Expr {
+	return x.Ret(sym.Int(code), sym.Int(0), sym.Int(0), sym.Int(0), d)
 }
 
 // allocFD picks a descriptor for a new open file. In LowestFD mode it scans
@@ -99,7 +98,7 @@ func opOpen() *spec.Op {
 			var inum *sym.Expr
 			if s.Fname.Contains(x.C, symx.K(fname)) {
 				if x.C.Branch(sym.And(creat, excl)) {
-					return errRet(kernel.EEXIST)
+					return errRet(x, kernel.EEXIST)
 				}
 				inum = s.Fname.Get(x.C, symx.K(fname)).Get("inum")
 				if x.C.Branch(trunc) {
@@ -108,7 +107,7 @@ func opOpen() *spec.Op {
 				}
 			} else {
 				if !x.C.Branch(creat) {
-					return errRet(kernel.ENOENT)
+					return errRet(x, kernel.ENOENT)
 				}
 				inum = s.allocInum(x.C, slot)
 				s.Inode.Set(x.C, symx.K(inum),
@@ -117,10 +116,10 @@ func opOpen() *spec.Op {
 			}
 			fd := allocFD(x, slot, proc)
 			if fd == nil {
-				return errRet(kernel.EMFILE)
+				return errRet(x, kernel.EMFILE)
 			}
 			s.FD.Set(x.C, symx.K(proc, fd), fileFD(x.C, inum, sym.Int(0)))
-			return okRet(fd)
+			return okRet(x, fd)
 		},
 	}
 }
@@ -136,17 +135,17 @@ func opLink() *spec.Op {
 			s := st(x)
 			old, nw := a[0], a[1]
 			if !s.Fname.Contains(x.C, symx.K(old)) {
-				return errRet(kernel.ENOENT)
+				return errRet(x, kernel.ENOENT)
 			}
 			if s.Fname.Contains(x.C, symx.K(nw)) {
-				return errRet(kernel.EEXIST)
+				return errRet(x, kernel.EEXIST)
 			}
 			inum := s.Fname.Get(x.C, symx.K(old)).Get("inum")
 			ino := s.Inode.GetFunc(x.C, symx.K(inum))
 			s.Inode.Set(x.C, symx.K(inum),
 				ino.With(x.C, "nlink", sym.Add(ino.Get("nlink"), sym.Int(1))))
 			s.Fname.Set(x.C, symx.K(nw), symx.NewStruct(x.C, "inum", inum))
-			return okRet(sym.Int(0))
+			return okRet(x, sym.Int(0))
 		},
 	}
 }
@@ -159,14 +158,14 @@ func opUnlink() *spec.Op {
 			s := st(x)
 			fname := a[0]
 			if !s.Fname.Contains(x.C, symx.K(fname)) {
-				return errRet(kernel.ENOENT)
+				return errRet(x, kernel.ENOENT)
 			}
 			inum := s.Fname.Get(x.C, symx.K(fname)).Get("inum")
 			ino := s.Inode.GetFunc(x.C, symx.K(inum))
 			s.Inode.Set(x.C, symx.K(inum),
 				ino.With(x.C, "nlink", sym.Sub(ino.Get("nlink"), sym.Int(1))))
 			s.Fname.Del(x.C, symx.K(fname))
-			return okRet(sym.Int(0))
+			return okRet(x, sym.Int(0))
 		},
 	}
 }
@@ -183,10 +182,10 @@ func opRename() *spec.Op {
 			s := st(x)
 			src, dst := a[0], a[1]
 			if !s.Fname.Contains(x.C, symx.K(src)) {
-				return errRet(kernel.ENOENT)
+				return errRet(x, kernel.ENOENT)
 			}
 			if x.C.Branch(sym.Eq(src, dst)) {
-				return okRet(sym.Int(0))
+				return okRet(x, sym.Int(0))
 			}
 			si := s.Fname.Get(x.C, symx.K(src)).Get("inum")
 			if s.Fname.Contains(x.C, symx.K(dst)) {
@@ -197,7 +196,7 @@ func opRename() *spec.Op {
 			}
 			s.Fname.Set(x.C, symx.K(dst), symx.NewStruct(x.C, "inum", si))
 			s.Fname.Del(x.C, symx.K(src))
-			return okRet(sym.Int(0))
+			return okRet(x, sym.Int(0))
 		},
 	}
 }
@@ -210,7 +209,7 @@ func opStat() *spec.Op {
 			s := st(x)
 			fname := a[0]
 			if !s.Fname.Contains(x.C, symx.K(fname)) {
-				return errRet(kernel.ENOENT)
+				return errRet(x, kernel.ENOENT)
 			}
 			return statInode(x, s.Fname.Get(x.C, symx.K(fname)).Get("inum"))
 		},
@@ -221,7 +220,7 @@ func opStat() *spec.Op {
 // length.
 func statInode(x *spec.Exec, inum *sym.Expr) []*sym.Expr {
 	ino := st(x).Inode.GetFunc(x.C, symx.K(inum))
-	return okRet(sym.Int(0), inum, ino.Get("nlink"), ino.Get("len"))
+	return okRet(x, sym.Int(0), inum, ino.Get("nlink"), ino.Get("len"))
 }
 
 // fdBody is the rest of an op on a descriptor once fdOp has resolved it to
@@ -240,12 +239,12 @@ func fdOp(name string, seek bool, body fdBody, args ...spec.ArgSpec) *spec.Op {
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s := st(x)
 			if !s.FD.Contains(x.C, symx.K(a[0], a[1])) {
-				return errRet(kernel.EBADF)
+				return errRet(x, kernel.EBADF)
 			}
 			f := s.FD.Get(x.C, symx.K(a[0], a[1]))
 			pipe := x.C.Branch(f.Get("ispipe"))
 			if pipe && seek {
-				return errRet(kernel.ESPIPE)
+				return errRet(x, kernel.ESPIPE)
 			}
 			return body(x, a, f, pipe, seek)
 		},
@@ -259,7 +258,7 @@ func fstat(x *spec.Exec, a []*sym.Expr, f *symx.Struct, pipe, _ bool) []*sym.Exp
 	p := st(x).Pipe.GetFunc(x.C, symx.K(f.Get("pipe")))
 	// Pipes report a pseudo-inode in a disjoint (negative) number space,
 	// link count 1, and queued length.
-	return okRet(sym.Int(0), sym.Sub(sym.Int(0), f.Get("pipe")),
+	return okRet(x, sym.Int(0), sym.Sub(sym.Int(0), f.Get("pipe")),
 		sym.Int(1), sym.Sub(p.Get("tail"), p.Get("head")))
 }
 
@@ -277,10 +276,10 @@ func lseek(x *spec.Exec, a []*sym.Expr, f *symx.Struct, _, _ bool) []*sym.Expr {
 		n = sym.Add(f.Get("off"), delta)
 	}
 	if x.C.Branch(sym.Lt(n, sym.Int(0))) {
-		return errRet(kernel.EINVAL)
+		return errRet(x, kernel.EINVAL)
 	}
 	s.FD.Set(x.C, symx.K(a[0], a[1]), f.With(x.C, "off", n))
-	return okRet(sym.Int(0), n)
+	return okRet(x, sym.Int(0), n)
 }
 
 func opClose() *spec.Op {
@@ -291,10 +290,10 @@ func opClose() *spec.Op {
 			s := st(x)
 			proc, fd := a[0], a[1]
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
-				return errRet(kernel.EBADF)
+				return errRet(x, kernel.EBADF)
 			}
 			s.FD.Del(x.C, symx.K(proc, fd))
-			return okRet(sym.Int(0))
+			return okRet(x, sym.Int(0))
 		},
 	}
 }
@@ -311,16 +310,16 @@ func opPipe() *spec.Op {
 				symx.NewStruct(x.C, "head", sym.Int(0), "tail", sym.Int(0)))
 			rfd := allocFD(x, slot+".r", proc)
 			if rfd == nil {
-				return errRet(kernel.EMFILE)
+				return errRet(x, kernel.EMFILE)
 			}
 			s.FD.Set(x.C, symx.K(proc, rfd), pipeFD(x.C, pid, false))
 			wfd := allocFD(x, slot+".w", proc)
 			if wfd == nil {
 				s.FD.Del(x.C, symx.K(proc, rfd))
-				return errRet(kernel.EMFILE)
+				return errRet(x, kernel.EMFILE)
 			}
 			s.FD.Set(x.C, symx.K(proc, wfd), pipeFD(x.C, pid, true))
-			return okRet(sym.Int(0), rfd, wfd)
+			return okRet(x, sym.Int(0), rfd, wfd)
 		},
 	}
 }
@@ -331,17 +330,17 @@ func read(x *spec.Exec, a []*sym.Expr, f *symx.Struct, pipe, seek bool) []*sym.E
 	s := st(x)
 	if pipe {
 		if x.C.Branch(f.Get("wend")) {
-			return errRet(kernel.EBADF)
+			return errRet(x, kernel.EBADF)
 		}
 		pid := f.Get("pipe")
 		p := s.Pipe.GetFunc(x.C, symx.K(pid))
 		if x.C.Branch(sym.Eq(p.Get("head"), p.Get("tail"))) {
-			return errRet(kernel.EAGAIN) // modeled as non-blocking
+			return errRet(x, kernel.EAGAIN) // modeled as non-blocking
 		}
 		v := s.PipeD.GetFunc(x.C, symx.K(pid, p.Get("head")))
 		s.Pipe.Set(x.C, symx.K(pid),
 			p.With(x.C, "head", sym.Add(p.Get("head"), sym.Int(1))))
-		return dataRet(1, v.Get("val"))
+		return dataRet(x, 1, v.Get("val"))
 	}
 	off := f.Get("off")
 	if seek {
@@ -349,13 +348,13 @@ func read(x *spec.Exec, a []*sym.Expr, f *symx.Struct, pipe, seek bool) []*sym.E
 	}
 	ino := s.Inode.GetFunc(x.C, symx.K(f.Get("inum")))
 	if x.C.Branch(sym.Ge(off, ino.Get("len"))) {
-		return okRet(sym.Int(0)) // EOF
+		return okRet(x, sym.Int(0)) // EOF
 	}
 	v := s.Data.GetFunc(x.C, symx.K(f.Get("inum"), off))
 	if !seek {
 		s.FD.Set(x.C, symx.K(a[0], a[1]), f.With(x.C, "off", sym.Add(off, sym.Int(1))))
 	}
-	return dataRet(1, v.Get("val"))
+	return dataRet(x, 1, v.Get("val"))
 }
 
 // write is write and pwrite, which writes at its own offset; the value is
@@ -365,7 +364,7 @@ func write(x *spec.Exec, a []*sym.Expr, f *symx.Struct, pipe, seek bool) []*sym.
 	val := a[len(a)-1]
 	if pipe {
 		if !x.C.Branch(f.Get("wend")) {
-			return errRet(kernel.EBADF)
+			return errRet(x, kernel.EBADF)
 		}
 		pid := f.Get("pipe")
 		p := s.Pipe.GetFunc(x.C, symx.K(pid))
@@ -373,7 +372,7 @@ func write(x *spec.Exec, a []*sym.Expr, f *symx.Struct, pipe, seek bool) []*sym.
 			symx.NewStruct(x.C, "val", val))
 		s.Pipe.Set(x.C, symx.K(pid),
 			p.With(x.C, "tail", sym.Add(p.Get("tail"), sym.Int(1))))
-		return okRet(sym.Int(1))
+		return okRet(x, sym.Int(1))
 	}
 	off, inum := f.Get("off"), f.Get("inum")
 	if seek {
@@ -388,7 +387,7 @@ func write(x *spec.Exec, a []*sym.Expr, f *symx.Struct, pipe, seek bool) []*sym.
 	if !seek {
 		s.FD.Set(x.C, symx.K(a[0], a[1]), f.With(x.C, "off", end))
 	}
-	return okRet(sym.Int(1))
+	return okRet(x, sym.Int(1))
 }
 
 func opMmap() *spec.Op {
@@ -418,18 +417,18 @@ func opMmap() *spec.Op {
 				s.VMA.Set(x.C, symx.K(proc, addr), symx.NewStruct(x.C,
 					"anon", sym.True, "inum", sym.Int(1), "foff", sym.Int(0), "wr", wr))
 				s.Anon.Set(x.C, symx.K(proc, addr), symx.NewStruct(x.C, "val", dataZero))
-				return okRet(sym.Int(0), addr)
+				return okRet(x, sym.Int(0), addr)
 			}
 			if !s.FD.Contains(x.C, symx.K(proc, fd)) {
-				return errRet(kernel.EBADF)
+				return errRet(x, kernel.EBADF)
 			}
 			f := s.FD.Get(x.C, symx.K(proc, fd))
 			if x.C.Branch(f.Get("ispipe")) {
-				return errRet(kernel.ENODEV)
+				return errRet(x, kernel.ENODEV)
 			}
 			s.VMA.Set(x.C, symx.K(proc, addr), symx.NewStruct(x.C,
 				"anon", sym.False, "inum", f.Get("inum"), "foff", foff, "wr", wr))
-			return okRet(sym.Int(0), addr)
+			return okRet(x, sym.Int(0), addr)
 		},
 	}
 }
@@ -443,7 +442,7 @@ func opMunmap() *spec.Op {
 			proc, page := a[0], a[1]
 			s.VMA.Del(x.C, symx.K(proc, page))
 			s.Anon.Del(x.C, symx.K(proc, page))
-			return okRet(sym.Int(0))
+			return okRet(x, sym.Int(0))
 		},
 	}
 }
@@ -456,11 +455,11 @@ func opMprotect() *spec.Op {
 			s := st(x)
 			proc, page, wr := a[0], a[1], a[2]
 			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
-				return errRet(kernel.ENOMEM)
+				return errRet(x, kernel.ENOMEM)
 			}
 			v := s.VMA.Get(x.C, symx.K(proc, page))
 			s.VMA.Set(x.C, symx.K(proc, page), v.With(x.C, "wr", wr))
-			return okRet(sym.Int(0))
+			return okRet(x, sym.Int(0))
 		},
 	}
 }
@@ -480,29 +479,29 @@ func memOp(name string, write bool) *spec.Op {
 			s := st(x)
 			proc, page := a[0], a[1]
 			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
-				return errRet(kernel.ESIGSEGV)
+				return errRet(x, kernel.ESIGSEGV)
 			}
 			v := s.VMA.Get(x.C, symx.K(proc, page))
 			if write && !x.C.Branch(v.Get("wr")) {
-				return errRet(kernel.ESIGSEGV)
+				return errRet(x, kernel.ESIGSEGV)
 			}
 			if x.C.Branch(v.Get("anon")) {
 				if write {
 					s.Anon.Set(x.C, symx.K(proc, page), symx.NewStruct(x.C, "val", a[2]))
-					return okRet(sym.Int(0))
+					return okRet(x, sym.Int(0))
 				}
-				return dataRet(0, s.Anon.GetFunc(x.C, symx.K(proc, page)).Get("val"))
+				return dataRet(x, 0, s.Anon.GetFunc(x.C, symx.K(proc, page)).Get("val"))
 			}
 			ino := s.Inode.GetFunc(x.C, symx.K(v.Get("inum")))
 			if x.C.Branch(sym.Ge(v.Get("foff"), ino.Get("len"))) {
-				return errRet(kernel.ESIGBUS)
+				return errRet(x, kernel.ESIGBUS)
 			}
 			at := symx.K(v.Get("inum"), v.Get("foff"))
 			if write {
 				s.Data.Set(x.C, at, symx.NewStruct(x.C, "val", a[2]))
-				return okRet(sym.Int(0))
+				return okRet(x, sym.Int(0))
 			}
-			return dataRet(0, s.Data.GetFunc(x.C, at).Get("val"))
+			return dataRet(x, 0, s.Data.GetFunc(x.C, at).Get("val"))
 		},
 	}
 }

@@ -82,12 +82,12 @@ func msgVal(c *symx.Context, tag string) *symx.Struct {
 	return symx.NewStruct(c, "val", c.Var(tag+".val", msgSort, symx.KindState))
 }
 
-func errRet(errno int64) []*sym.Expr {
-	return []*sym.Expr{sym.Int(-errno), sym.Int(0), sym.Int(0), sym.Int(0), msgZero}
+func errRet(x *spec.Exec, errno int64) []*sym.Expr {
+	return x.Ret(sym.Int(-errno), sym.Int(0), sym.Int(0), sym.Int(0), msgZero)
 }
 
-func okRet(code *sym.Expr, i1 *sym.Expr, data *sym.Expr) []*sym.Expr {
-	return []*sym.Expr{code, i1, sym.Int(0), sym.Int(0), data}
+func okRet(x *spec.Exec, code, i1, data *sym.Expr) []*sym.Expr {
+	return x.Ret(code, i1, sym.Int(0), sym.Int(0), data)
 }
 
 // ordKey is the (single) ordered queue's dictionary key.
@@ -121,7 +121,7 @@ func opSend() *spec.Op {
 			s.Ord.Set(x.C, ordKey(), q.With(x.C, "tail", sym.Add(t, sym.Int(1))))
 			// The assigned sequence number is the send's receipt: making
 			// the order observable is what destroys commutativity (§4).
-			return okRet(t, sym.Int(0), msgZero)
+			return okRet(x, t, sym.Int(0), msgZero)
 		},
 	}
 }
@@ -135,11 +135,11 @@ func opRecv() *spec.Op {
 			q := s.Ord.GetFunc(x.C, ordKey())
 			h := q.Get("head")
 			if x.C.Branch(sym.Eq(h, q.Get("tail"))) {
-				return errRet(kernel.EAGAIN) // modeled as non-blocking
+				return errRet(x, kernel.EAGAIN) // modeled as non-blocking
 			}
 			v := s.OrdD.GetFunc(x.C, symx.K(h))
 			s.Ord.Set(x.C, ordKey(), q.With(x.C, "head", sym.Add(h, sym.Int(1))))
-			return okRet(sym.Int(0), h, v.Get("val"))
+			return okRet(x, sym.Int(0), h, v.Get("val"))
 		},
 	}
 }
@@ -156,7 +156,7 @@ func opSendAny() *spec.Op {
 			s.AnyD.Set(x.C, symx.K(qi, t), symx.NewStruct(x.C, "val", val))
 			s.AnyQ.Set(x.C, symx.K(qi), q.With(x.C, "tail", sym.Add(t, sym.Int(1))))
 			// No receipt: delivery order is deliberately unobservable.
-			return okRet(sym.Int(0), sym.Int(0), msgZero)
+			return okRet(x, sym.Int(0), sym.Int(0), msgZero)
 		},
 	}
 }
@@ -171,11 +171,11 @@ func opRecvAny() *spec.Op {
 			q := s.AnyQ.GetFunc(x.C, symx.K(qi))
 			h := q.Get("head")
 			if x.C.Branch(sym.Eq(h, q.Get("tail"))) {
-				return errRet(kernel.EAGAIN) // the polled queue is empty
+				return errRet(x, kernel.EAGAIN) // the polled queue is empty
 			}
 			v := s.AnyD.GetFunc(x.C, symx.K(qi, h))
 			s.AnyQ.Set(x.C, symx.K(qi), q.With(x.C, "head", sym.Add(h, sym.Int(1))))
-			return okRet(sym.Int(0), sym.Int(0), v.Get("val"))
+			return okRet(x, sym.Int(0), sym.Int(0), v.Get("val"))
 		},
 	}
 }
@@ -187,7 +187,7 @@ func opStatus() *spec.Op {
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s := st(x)
 			q := s.Ord.GetFunc(x.C, ordKey())
-			return okRet(sym.Sub(q.Get("tail"), q.Get("head")), sym.Int(0), msgZero)
+			return okRet(x, sym.Sub(q.Get("tail"), q.Get("head")), sym.Int(0), msgZero)
 		},
 	}
 }

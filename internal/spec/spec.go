@@ -67,6 +67,15 @@ type Exec struct {
 	Cfg Config
 }
 
+// Ret returns the return vector [code, i1, i2, i3, data] of a call run
+// under x, from the region of x.C's Solver (symx.Context.Exprs): like the
+// state the call ran on, it lives until the Solver's Forget.
+func (x *Exec) Ret(code, i1, i2, i3, data *sym.Expr) []*sym.Expr {
+	ret := x.C.Exprs(RetWidth)
+	ret[0], ret[1], ret[2], ret[3], ret[4] = code, i1, i2, i3, data
+	return ret
+}
+
 // Op defines one modeled operation of a spec.
 type Op struct {
 	// Name labels matrix rows/columns and concrete kernel.Calls.
@@ -183,10 +192,12 @@ type SetupMiner interface {
 }
 
 // MakeArgs materializes the symbolic arguments of op for an operation
-// slot, named by ArgNames, applying declared bounds.
+// slot, named by ArgNames, applying declared bounds. The list is taken
+// from the region of c's Solver (symx.Context.Exprs) and lives until its
+// Forget.
 func MakeArgs(c *symx.Context, op *Op, slot string) []*sym.Expr {
 	names := op.ArgNames(slot)
-	args := make([]*sym.Expr, len(op.Args))
+	args := c.Exprs(len(op.Args))
 	for i, spec := range op.Args {
 		v := c.Var(names[i], spec.Sort, symx.KindArg)
 		if spec.Bounded {

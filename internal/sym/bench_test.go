@@ -79,7 +79,7 @@ func BenchmarkSatAssumingFeasible(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clear(s.memo)
+		s.forgetAnswers()
 		if !s.SatAssuming(pc, extra) {
 			b.Fatal("expected satisfiable")
 		}
@@ -100,7 +100,7 @@ func BenchmarkSatAssumingUnsat(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clear(s.memo)
+		s.forgetAnswers()
 		if s.SatAssuming(pc, extra) {
 			b.Fatal("expected unsatisfiable")
 		}

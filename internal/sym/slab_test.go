@@ -117,15 +117,33 @@ func touch(sc *Scope, e *Expr) {
 	}
 }
 
+// searchLikeFresh asks reused whether the last few boolean results of a
+// generation's program hold together, and fresh the same of the fresh
+// Solver's results: both must give one answer.
+func searchLikeFresh(t *testing.T, g int, reused, fresh *Solver, got, want []*Expr) {
+	var a, b []*Expr
+	for i := len(got) - 1; i >= 0 && len(a) < 3; i-- {
+		if got[i].Sort.Kind == KindBool {
+			a, b = append(a, got[i]), append(b, want[i])
+		}
+	}
+	reused.MaxSteps, fresh.MaxSteps = 20000, 20000
+	if x, y := reused.Sat(And(a...)), fresh.Sat(And(b...)); x != y || reused.Budget() != fresh.Budget() {
+		t.Fatalf("generation %d: %v satisfiable: %v (budget %v), on a fresh Solver %v (budget %v)", g, a, x, reused.Budget(), y, fresh.Budget())
+	}
+}
+
 // FuzzReusedScopeBuildsLikeFresh runs construction programs (buildProgram)
 // over several generations of one Solver, forgetting between them, and
 // each generation's program again on a fresh Solver. Every generation must
 // render every result as the fresh Solver's does, cached and from its
 // fields, with the same variable lists; two results must be one node
 // exactly when they are on the fresh Solver (hash-consing holds on reused
-// slots); every node must have an id no earlier generation had; and every
+// slots); every node must have an id no earlier generation had; every
 // node of the generation before — whose bank the current one leaves alone
-// — must still render as it did, and panic when it reaches a constructor.
+// — must still render as it did, and panic when it reaches a constructor;
+// and a search, run in some generations, must answer as the fresh
+// Solver's does, also after two resets in a row.
 func FuzzReusedScopeBuildsLikeFresh(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		data := make([]byte, 64<<(seed%5)+int(seed%4)) // 2 to 5 generations
@@ -144,9 +162,16 @@ func FuzzReusedScopeBuildsLikeFresh(f *testing.F) {
 			part := data[g*len(data)/gens : (g+1)*len(data)/gens]
 			if g > 0 {
 				reused.Forget()
+				if len(part) > 0 && part[0]&1 != 0 {
+					// A reset with no search since the last: the nodes
+					// of two generations back are handed out again.
+					reused.Forget()
+					prev = nil
+				}
 			}
+			var fresh Solver
 			got := buildProgram(sc, rand.New(&byteSource{part}))
-			want := buildProgram(new(Solver).Scope(), rand.New(&byteSource{part}))
+			want := buildProgram(fresh.Scope(), rand.New(&byteSource{part}))
 			if len(got) != len(want) {
 				t.Fatalf("generation %d: %d results, %d on a fresh Solver", g, len(got), len(want))
 			}
@@ -181,6 +206,9 @@ func FuzzReusedScopeBuildsLikeFresh(f *testing.F) {
 					t.Fatalf("generation %d: the previous generation's %q reads %q (cached %q)", g, prevStr[i], s, e.String())
 				}
 				mustPanic(t, "reset", func() { touch(sc, e) })
+			}
+			if len(part) > 1 && part[1]&1 != 0 {
+				searchLikeFresh(t, g, &reused, &fresh, got, want)
 			}
 			for id := range ids {
 				seen[id] = true

@@ -1,7 +1,6 @@
 package sym
 
 import (
-	"encoding/binary"
 	"slices"
 	"time"
 )
@@ -186,8 +185,9 @@ func evalIntIdx(e *Expr, a *Model) (res int64, known bool) {
 // forgets at the start of each pair: the answers, the nodes of the
 // Solver's Scope and what its Region holds live as long as a pair, so a
 // pair's answers and counts are a fresh Solver's; the scratch, and the
-// storage of the nodes and of the Region, live as long as the worker and
-// are reused from pair to pair. A fresh Solver is one with empty storage.
+// storage of the answers, the nodes and the Region, live as long as the
+// worker and are reused from pair to pair. A fresh Solver is one with
+// empty storage.
 type Solver struct {
 	// MaxSteps bounds the backtracking search (default 5,000,000 node
 	// visits). When the budget is exhausted, Sat and its kin report
@@ -209,9 +209,14 @@ type Solver struct {
 	stats     SolverStats
 
 	// memo holds the answers of SatAssumingConjs's completed searches,
-	// keyed by the ids of the conjuncts searched, in search order.
-	memo  map[string]bool
-	scope *Scope // see Scope
+	// each under its key: the ids of the conjuncts searched, in search
+	// order, kept back to back in memoKeys. memoAt maps a key's hash to
+	// the newest entry of that hash, and each entry to the one before it.
+	// Forget empties all three and keeps their storage.
+	memo     []memoEntry
+	memoAt   map[uint64]int
+	memoKeys []uint64
+	scope    *Scope // see Scope
 
 	// Scratch indexed by interned variable id (see growVars for its size).
 	// Backtracking always unsets what it set, so the assignment binds
@@ -227,7 +232,7 @@ type Solver struct {
 	coneVars    []int
 	used        []bool
 	ordered     []*Expr
-	key         []byte
+	key         []uint64
 	doms        []domain
 	completedAt [][]*Expr
 	conf        []uint64
@@ -258,14 +263,63 @@ type SolverStats struct {
 // Stats returns the cumulative search counters.
 func (s *Solver) Stats() SolverStats { return s.stats }
 
+// memoEntry is one remembered answer: its key is memoKeys[start:end], and
+// prev is 1 + the index of the entry before it with the same hash, or 0.
+type memoEntry struct {
+	start, end, prev int
+	sat              bool
+}
+
 // Forget drops every remembered answer and resets the Solver's scope —
 // its nodes and its Region — and keeps the scratch, the storage and the
 // counters: from here on the Solver answers, and counts searches and memo
 // hits, as a fresh one would. Nothing built before the reset may be used
-// after it (see intern.go).
+// after it (see intern.go), so the scratch lets go of the last search's
+// nodes here: a second reset hands their slots out again, and a search
+// that read them then would clear the variable positions of other
+// variables.
 func (s *Solver) Forget() {
-	clear(s.memo)
+	s.forgetAnswers()
+	for _, d := range s.doms {
+		s.varPos[d.v.VarID] = 0
+	}
+	clear(s.doms[:cap(s.doms)])
+	s.doms = s.doms[:0]
+	clear(s.ordered[:cap(s.ordered)])
+	for i := range s.completedAt {
+		clear(s.completedAt[i][:cap(s.completedAt[i])])
+	}
 	s.Scope().reset()
+}
+
+// forgetAnswers drops every remembered answer, keeping the memo's storage.
+func (s *Solver) forgetAnswers() {
+	s.memo, s.memoKeys = s.memo[:0], s.memoKeys[:0]
+	clear(s.memoAt)
+}
+
+// recall returns the remembered answer to the search s.key describes,
+// whose hash is h. The keys are compared whole, so two searches whose
+// keys collide in h are told apart.
+func (s *Solver) recall(h uint64) (sat, ok bool) {
+	for i := s.memoAt[h]; i != 0; i = s.memo[i-1].prev {
+		if e := &s.memo[i-1]; slices.Equal(s.memoKeys[e.start:e.end], s.key) {
+			return e.sat, true
+		}
+	}
+	return false, false
+}
+
+// remember records sat as the answer to the search s.key describes, whose
+// hash is h.
+func (s *Solver) remember(h uint64, sat bool) {
+	if s.memoAt == nil {
+		s.memoAt = map[uint64]int{}
+	}
+	start := len(s.memoKeys)
+	s.memoKeys = append(s.memoKeys, s.key...)
+	s.memo = append(s.memo, memoEntry{start: start, end: len(s.memoKeys), prev: s.memoAt[h], sat: sat})
+	s.memoAt[h] = len(s.memo)
 }
 
 // Scope returns the Solver's intern scope, where the explorations and
@@ -689,20 +743,19 @@ func (s *Solver) SatAssumingConjs(conjs []*Expr, extra *Expr) bool {
 	}
 	s.ordered = ordered
 	s.key = s.key[:0]
+	h := uint64(fnvOffset)
 	for _, c := range ordered {
-		s.key = binary.LittleEndian.AppendUint64(s.key, c.id)
+		s.key = append(s.key, c.id)
+		h = hashMix(h, c.id)
 	}
-	if sat, ok := s.memo[string(s.key)]; ok {
+	if sat, ok := s.recall(h); ok {
 		s.stats.MemoHits++
 		s.exceeded = false // the remembered search ran to the end
 		return sat
 	}
 	sat := s.search(ordered, nil)
 	if !s.exceeded {
-		if s.memo == nil {
-			s.memo = map[string]bool{}
-		}
-		s.memo[string(s.key)] = sat
+		s.remember(h, sat)
 	}
 	return sat
 }

@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -281,6 +282,45 @@ func TestDomainsMatchVisitedSetWalk(t *testing.T) {
 			if !slices.Equal(d.vals, want[i]) {
 				t.Fatalf("trial %d: %s has candidates %v, want %v (conjuncts %v)", trial, d.v, d.vals, want[i], conjs)
 			}
+		}
+	}
+}
+
+// TestForgetTwiceThenSearch: two resets with no search between them — a
+// sweep worker's Solver is forgotten at every pair, so a pair that runs no
+// search is one — leave the next search exactly as a fresh Solver's. The
+// second reset hands the last search's node slots out again, here to new
+// variables, so a search that still read them would clear the positions
+// of variables it never placed.
+func TestForgetTwiceThenSearch(t *testing.T) {
+	var s Solver
+	sc := s.Scope()
+	x, y := sc.Var("twice.x", IntSort), sc.Var("twice.y", IntSort)
+	if !s.Sat(And(Lt(x, y), Lt(y, Int(3)))) {
+		t.Fatal("x < y < 3 should be satisfiable")
+	}
+	s.Forget()
+	s.Forget()
+	build := func(sc *Scope) (*Expr, []*Expr) {
+		vars := make([]*Expr, 50)
+		for i := range vars {
+			vars[i] = sc.Var(fmt.Sprintf("twice.%d", i), BoolSort)
+		}
+		e := Not(vars[0])
+		for i := range vars {
+			e = And(e, Implies(Not(vars[i]), Not(vars[(i+1)%len(vars)])))
+		}
+		return e, vars
+	}
+	e, vars := build(sc)
+	fresh, _ := build(newScope())
+	m, ok := solve(&s, e)
+	if _, wantOK := solve(new(Solver), fresh); ok != wantOK || !ok {
+		t.Fatalf("satisfiable: %v, %v on a fresh Solver", ok, wantOK)
+	}
+	for i, v := range vars {
+		if m.Bool(v, true) {
+			t.Fatalf("variable %d is true in the model; the formula makes every one false", i)
 		}
 	}
 }

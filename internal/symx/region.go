@@ -21,7 +21,7 @@ type store struct {
 	structs region.Slab[Struct]
 	fields  region.Slab[string]
 	exprs   region.Slab[*sym.Expr]
-	// states holds a *region.Slab[T] per spec state type T (see New).
+	// states holds a *region.Slab[T] per type T New and Append serve.
 	states []interface{ Rewind() }
 	// contexts are the explorations' Contexts, with their tables; the
 	// first nctx are handed out.
@@ -72,15 +72,29 @@ func (s *store) Rewind() {
 	}
 }
 
-// New returns a zero T from the region of c's Solver: a spec's state,
-// which lives, like the dictionaries it holds, until the Solver's Forget.
-func New[T any](c *Context) *T {
-	for _, st := range c.r.states {
+// New returns a zero T from the region of c's Solver: a spec's state, or
+// a call's spec.Exec, which lives, like the dictionaries it holds, until
+// the Solver's Forget.
+func New[T any](c *Context) *T { return slabIn[T](c.r).New() }
+
+// Append is append(list, v) with list's storage taken from the region of
+// c's Solver (region.Append): a list a replay builds, which lives until
+// the Solver's Forget.
+func Append[T any](c *Context, list []T, v T) []T { return region.Append(slabIn[T](c.r), list, v) }
+
+// slabIn returns r's slab of T, adding it on first use.
+func slabIn[T any](r *store) *region.Slab[T] {
+	for _, st := range r.states {
 		if s, ok := st.(*region.Slab[T]); ok {
-			return s.New()
+			return s
 		}
 	}
 	s := new(region.Slab[T])
-	c.r.states = append(c.r.states, s)
-	return s.New()
+	r.states = append(r.states, s)
+	return s
 }
+
+// Exprs returns n nil expressions, with capacity n, from the region of c's
+// Solver: a call's argument list or return vector, which lives until the
+// Solver's Forget.
+func (c *Context) Exprs(n int) []*sym.Expr { return c.r.exprs.Take(n) }

@@ -146,6 +146,11 @@ type exploration struct {
 	// heard lists the conditions the current replay has Assumed, in order
 	// (see heardSince).
 	heard []*sym.Expr
+
+	// paths are the exploration's complete paths so far, and queue the
+	// decision prefixes still to replay (see RunCtx).
+	paths []Path
+	queue [][]bool
 }
 
 // newContext starts an exploration on solver, and its first replay, along
@@ -169,6 +174,9 @@ func (c *Context) forget() {
 	for _, ips := range c.initProbes {
 		clear(ips[:cap(ips)])
 	}
+	clear(c.x.paths[:cap(c.x.paths)])
+	clear(c.x.queue[:cap(c.x.queue)])
+	c.x.paths, c.x.queue = c.x.paths[:0], c.x.queue[:0]
 	clear(c.x.varKinds)
 	clear(c.x.vars)
 	clear(c.x.probes)
@@ -453,7 +461,10 @@ type Options struct {
 // One Context serves every replay of the exploration (see Context.next), so
 // a question about a path's condition is asked by fn itself, as its last
 // act (Context.Sat), before the next replay clears it; a returned Path
-// holds no Context.
+// holds no Context. The returned list is the exploration's own, kept with
+// its Context in the region of the solver's scope: like the paths' nodes,
+// it is valid until the solver's Forget, and its storage serves the next
+// pair's exploration.
 //
 // Cancellation is observed between path replays, and — when RunCtx owns
 // the solver — inside a replay's feasibility searches through the solver's
@@ -477,25 +488,19 @@ func RunCtx(ctx context.Context, fn func(*Context) any, opt Options) ([]Path, bo
 	}
 	defer solver.Scope().Fold() // where Context.Var made the variables
 
-	var (
-		paths    []Path
-		c        *Context
-		budgeted bool
-	)
-	queue := [][]bool{nil}
-	for len(queue) > 0 && len(paths) < maxPaths {
+	c := newContext(nil, solver)
+	x := c.x
+	budgeted := false
+	x.queue = append(x.queue, nil)
+	for len(x.queue) > 0 && len(x.paths) < maxPaths {
 		if err := ctx.Err(); err != nil {
-			return paths, budgeted, err
+			return x.paths, budgeted, err
 		}
-		prefix := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if c == nil {
-			c = newContext(prefix, solver)
-		} else {
-			c.next(prefix)
-		}
+		prefix := x.queue[len(x.queue)-1]
+		x.queue = x.queue[:len(x.queue)-1]
+		c.next(prefix)
 		res, aborted := runOne(c, fn)
-		queue = append(queue, c.pending...)
+		x.queue = append(x.queue, c.pending...)
 		// Aggregate across replays, aborted ones included: a replay that
 		// aborted because a truncated check said "infeasible" may have
 		// been a real path, and only the surviving paths can carry that
@@ -504,12 +509,12 @@ func RunCtx(ctx context.Context, fn func(*Context) any, opt Options) ([]Path, bo
 		if aborted {
 			continue
 		}
-		paths = append(paths, Path{PC: c.PC(), Result: res, VarKinds: c.x.varKinds})
+		x.paths = append(x.paths, Path{PC: c.PC(), Result: res, VarKinds: x.varKinds})
 	}
 	// Stopping at the cap with prefixes still queued leaves branches
 	// unexplored: as much an under-approximation as a truncated search.
-	budgeted = budgeted || len(queue) > 0
-	return paths, budgeted, nil
+	budgeted = budgeted || len(x.queue) > 0
+	return x.paths, budgeted, nil
 }
 
 // runOne executes fn once under c, converting abort panics into a flag.

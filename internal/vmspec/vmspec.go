@@ -63,12 +63,12 @@ type state struct {
 // order works — mappings precede contents for readability.
 func (s *state) Dicts() []*symx.Dict { return s.dicts[:] }
 
-func errRet(errno int64) []*sym.Expr {
-	return []*sym.Expr{sym.Int(-errno), sym.Int(0), sym.Int(0), sym.Int(0), dataZero}
+func errRet(x *spec.Exec, errno int64) []*sym.Expr {
+	return x.Ret(sym.Int(-errno), sym.Int(0), sym.Int(0), sym.Int(0), dataZero)
 }
 
-func okRet(code, i1, data *sym.Expr) []*sym.Expr {
-	return []*sym.Expr{code, i1, sym.Int(0), sym.Int(0), data}
+func okRet(x *spec.Exec, code, i1, data *sym.Expr) []*sym.Expr {
+	return x.Ret(code, i1, sym.Int(0), sym.Int(0), data)
 }
 
 func st(x *spec.Exec) *state { return x.S.(*state) }
@@ -110,12 +110,12 @@ func opMmap() *spec.Op {
 					}
 				}
 				if addr == nil {
-					return errRet(kernel.ENOMEM) // address space exhausted
+					return errRet(x, kernel.ENOMEM) // address space exhausted
 				}
 			}
 			s.VMA.Set(x.C, symx.K(proc, addr), symx.NewStruct(x.C, "wr", wr))
 			s.Mem.Set(x.C, symx.K(proc, addr), symx.NewStruct(x.C, "val", dataZero))
-			return okRet(sym.Int(0), addr, dataZero)
+			return okRet(x, sym.Int(0), addr, dataZero)
 		},
 	}
 }
@@ -128,7 +128,7 @@ func opMunmap() *spec.Op {
 			s, proc, page := st(x), a[0], a[1]
 			s.VMA.Del(x.C, symx.K(proc, page))
 			s.Mem.Del(x.C, symx.K(proc, page))
-			return okRet(sym.Int(0), sym.Int(0), dataZero)
+			return okRet(x, sym.Int(0), sym.Int(0), dataZero)
 		},
 	}
 }
@@ -140,11 +140,11 @@ func opMprotect() *spec.Op {
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s, proc, page, wr := st(x), a[0], a[1], a[2]
 			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
-				return errRet(kernel.ENOMEM)
+				return errRet(x, kernel.ENOMEM)
 			}
 			v := s.VMA.Get(x.C, symx.K(proc, page))
 			s.VMA.Set(x.C, symx.K(proc, page), v.With(x.C, "wr", wr))
-			return okRet(sym.Int(0), sym.Int(0), dataZero)
+			return okRet(x, sym.Int(0), sym.Int(0), dataZero)
 		},
 	}
 }
@@ -156,10 +156,10 @@ func opMemread() *spec.Op {
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s, proc, page := st(x), a[0], a[1]
 			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
-				return errRet(kernel.ESIGSEGV)
+				return errRet(x, kernel.ESIGSEGV)
 			}
 			v := s.Mem.GetFunc(x.C, symx.K(proc, page))
-			return okRet(sym.Int(0), sym.Int(0), v.Get("val"))
+			return okRet(x, sym.Int(0), sym.Int(0), v.Get("val"))
 		},
 	}
 }
@@ -171,14 +171,14 @@ func opMemwrite() *spec.Op {
 		Exec: func(x *spec.Exec, slot string, a []*sym.Expr) []*sym.Expr {
 			s, proc, page, val := st(x), a[0], a[1], a[2]
 			if !s.VMA.Contains(x.C, symx.K(proc, page)) {
-				return errRet(kernel.ESIGSEGV)
+				return errRet(x, kernel.ESIGSEGV)
 			}
 			v := s.VMA.Get(x.C, symx.K(proc, page))
 			if !x.C.Branch(v.Get("wr")) {
-				return errRet(kernel.ESIGSEGV) // write to a read-only mapping
+				return errRet(x, kernel.ESIGSEGV) // write to a read-only mapping
 			}
 			s.Mem.Set(x.C, symx.K(proc, page), symx.NewStruct(x.C, "val", val))
-			return okRet(sym.Int(0), sym.Int(0), dataZero)
+			return okRet(x, sym.Int(0), sym.Int(0), dataZero)
 		},
 	}
 }
