@@ -149,7 +149,7 @@ func (s *state) Dicts() []*symx.Dict { return s.dicts[:] }
 // slot (an operation instance tag). Allocated numbers are negative —
 // disjoint from all initial inode numbers — and pairwise distinct.
 func (s *state) allocInum(c *symx.Context, slot string) *sym.Expr {
-	v := c.Var("alloc.inum."+slot, sym.IntSort, symx.KindNondet)
+	v := c.Var(allocName("inum", slot), sym.IntSort, symx.KindNondet)
 	c.Assume(sym.Le(v, sym.Int(-1)))
 	for _, prev := range s.newInums {
 		c.Assume(sym.Ne(v, prev))
@@ -158,9 +158,34 @@ func (s *state) allocInum(c *symx.Context, slot string) *sym.Expr {
 	return v
 }
 
+// allocNames are the allocation variables' names, "alloc.<kind>.<slot>",
+// rendered once for each slot a pair's calls run in, "0" and "1", and for
+// a pipe's two descriptors, "<slot>.r" and "<slot>.w": every replay of a
+// call that allocates asks for one.
+var allocNames = func() map[string]string {
+	names := map[string]string{}
+	for _, kind := range []string{"fd", "inum", "pipe"} {
+		for _, slot := range []string{"0", "1"} {
+			for _, end := range []string{"", ".r", ".w"} {
+				key := kind + "." + slot + end
+				names[key] = "alloc." + key
+			}
+		}
+	}
+	return names
+}()
+
+// allocName returns the name of kind's allocation variable in slot.
+func allocName(kind, slot string) string {
+	if name, ok := allocNames[kind+"."+slot]; ok {
+		return name
+	}
+	return "alloc." + kind + "." + slot
+}
+
 // allocPipe returns a fresh nondeterministic pipe id (negative, distinct).
 func (s *state) allocPipe(c *symx.Context, slot string) *sym.Expr {
-	v := c.Var("alloc.pipe."+slot, sym.IntSort, symx.KindNondet)
+	v := c.Var(allocName("pipe", slot), sym.IntSort, symx.KindNondet)
 	c.Assume(sym.Le(v, sym.Int(-1)))
 	for _, prev := range s.newPipes {
 		c.Assume(sym.Ne(v, prev))

@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/region"
 	"repro/internal/sym"
 )
 
@@ -84,7 +85,7 @@ type Context struct {
 	pcConjs []*sym.Expr
 	pcSet   map[*sym.Expr]uint8
 
-	trace []bool // prerecorded decisions for replay
+	trace []bool // the replayed prefix, then the decisions taken; kept storage
 	pos   int    // next decision index
 
 	pending [][]bool // alternative decision prefixes discovered this run
@@ -151,6 +152,8 @@ type exploration struct {
 	// decision prefixes still to replay (see RunCtx).
 	paths []Path
 	queue [][]bool
+	// prefixes holds the queued prefixes' decisions (see Branch).
+	prefixes region.Slab[bool]
 }
 
 // newContext starts an exploration on solver, and its first replay, along
@@ -177,6 +180,7 @@ func (c *Context) forget() {
 	clear(c.x.paths[:cap(c.x.paths)])
 	clear(c.x.queue[:cap(c.x.queue)])
 	c.x.paths, c.x.queue = c.x.paths[:0], c.x.queue[:0]
+	c.x.prefixes.Rewind()
 	clear(c.x.varKinds)
 	clear(c.x.vars)
 	clear(c.x.probes)
@@ -200,7 +204,7 @@ func (c *Context) next(trace []bool) {
 		clear(ips)
 		c.initProbes[name] = ips[:0]
 	}
-	c.trace, c.pos, c.pending = trace, 0, c.pending[:0]
+	c.trace, c.pos, c.pending = append(c.trace[:0], trace...), 0, c.pending[:0]
 	// A replay that aborted inside a MakeVal left it marked running.
 	c.making, c.makingTag = nil, ""
 	c.budgeted = false
@@ -387,7 +391,7 @@ func (c *Context) Branch(cond *sym.Expr) bool {
 	if tSat && fSat {
 		// The trace holds only decided prefixes; c.pos == len(c.trace)
 		// here, so the alternative is "everything so far, then false".
-		alt := make([]bool, c.pos+1)
+		alt := c.x.prefixes.Take(c.pos + 1)
 		copy(alt, c.traceSoFar())
 		alt[c.pos] = false
 		c.pending = append(c.pending, alt)

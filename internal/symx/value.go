@@ -66,8 +66,18 @@ func (s *Struct) index(name string) int {
 // conjunction of componentwise equalities.
 type Key []*sym.Expr
 
-// K builds a key from expressions.
+// K builds a key from expressions. The key is its caller's list: a Dict
+// copies a key into its region only where it keeps one (keep), so the
+// list of a lookup that finds its entry stays on the caller's stack.
 func K(es ...*sym.Expr) Key { return Key(es) }
+
+// keep returns a copy of k in the region of c's Solver, for a Dict to
+// keep.
+func (c *Context) keep(k Key) Key {
+	kept := c.r.exprs.Take(len(k))
+	copy(kept, k)
+	return kept
+}
 
 func (k Key) eq(o Key) *sym.Expr {
 	if len(k) != len(o) {
@@ -230,7 +240,7 @@ func (d *Dict) lookup(c *Context, k Key, total bool) *DictEntry {
 		return e
 	}
 	e := c.r.entries.New()
-	e.Key, e.Present, e.InitialProbe = k, true, true
+	e.Key, e.Present, e.InitialProbe = c.keep(k), true, true
 	for _, ip := range c.initProbes[d.Name] {
 		if (ip.presentVar == nil) != total {
 			continue // the other view's probe
@@ -258,7 +268,7 @@ func (d *Dict) lookup(c *Context, k Key, total bool) *DictEntry {
 	}
 	d.entries = region.Append(&c.r.lists, d.entries, e)
 	ip := c.r.inits.New()
-	ip.key, ip.presentVar, ip.val = k, e.InitPresentVar, e.Val
+	ip.key, ip.presentVar, ip.val = e.Key, e.InitPresentVar, e.Val
 	c.initProbes[d.Name] = append(c.initProbes[d.Name], ip)
 	return e
 }
@@ -305,7 +315,7 @@ func (d *Dict) lookupWrite(c *Context, k Key) *DictEntry {
 		return e
 	}
 	e := c.r.entries.New()
-	e.Key = k
+	e.Key = c.keep(k)
 	d.entries = region.Append(&c.r.lists, d.entries, e)
 	return e
 }
