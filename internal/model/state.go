@@ -11,6 +11,8 @@
 package model
 
 import (
+	"strings"
+
 	"repro/internal/sym"
 	"repro/internal/symx"
 )
@@ -159,21 +161,15 @@ func (s *state) allocInum(c *symx.Context, slot string) *sym.Expr {
 }
 
 // allocNames are the allocation variables' names, "alloc.<kind>.<slot>",
-// rendered once for each slot a pair's calls run in, "0" and "1", and for
-// a pipe's two descriptors, "<slot>.r" and "<slot>.w": every replay of a
-// call that allocates asks for one.
-var allocNames = func() map[string]string {
-	names := map[string]string{}
-	for _, kind := range []string{"fd", "inum", "pipe"} {
-		for _, slot := range []string{"0", "1"} {
-			for _, end := range []string{"", ".r", ".w"} {
-				key := kind + "." + slot + end
-				names[key] = "alloc." + key
-			}
-		}
+// rendered once for the slots a pair's calls run in and a pipe's two
+// descriptors: every replay of a call that allocates asks for one.
+var allocNames = map[string]string{}
+
+func init() {
+	for _, key := range strings.Fields("fd.0 fd.1 fd.0.r fd.0.w fd.1.r fd.1.w inum.0 inum.1 pipe.0 pipe.1") {
+		allocNames[key] = "alloc." + key
 	}
-	return names
-}()
+}
 
 // allocName returns the name of kind's allocation variable in slot.
 func allocName(kind, slot string) string {
