@@ -80,7 +80,7 @@ func TestMetricsExpositionNames(t *testing.T) {
 		"# TYPE commuter_go_heap_allocs_bytes_total counter",
 		"# TYPE commuter_go_gc_cycles_total counter",
 		"# TYPE commuter_build_info gauge",
-		`commuter_build_info{go_version="` + runtime.Version() + `",cache_version="6",api_version="4"} 1`,
+		`commuter_build_info{go_version="` + runtime.Version() + `",cache_version="7",api_version="4"} 1`,
 	} {
 		if !strings.Contains(body, want+"\n") {
 			t.Errorf("exposition is missing %q", want)

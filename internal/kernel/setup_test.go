@@ -19,8 +19,8 @@ import (
 
 // refFingerprint is the fmt rendering Setup.Fingerprint had before
 // AppendFingerprint, kept as its oracle for every spec's setup type: every
-// SetupID in internal/pins/corpus.digest, and so every TESTGEN cache key,
-// is this rendering, byte for byte. A vm mapping renders as an anonymous
+// SetupID a pair line of internal/pins/corpus.digest hashes, and so the
+// TESTGEN cache key of every pinned pair, is this rendering, byte for byte. A vm mapping renders as an anonymous
 // posix one.
 func refFingerprint(setup kernel.Setup) string {
 	var b strings.Builder

@@ -2,16 +2,30 @@
 // TestCorpusDigest checks the pipeline against, and turns two of them into
 // what the sweep cache keys fold in:
 //
-//   - analysis.digest hashes every path ANALYZE finds, per spec universe;
-//   - corpus.digest hashes every generated test, per spec universe;
-//   - trace.digest hashes what every implementation does with those
+//   - analysis.digest hashes the paths ANALYZE finds for each pair of each
+//     spec universe;
+//   - corpus.digest hashes each pair's generated tests, per universe;
+//   - trace.digest hashes what every implementation does with each pair's
 //     tests, per universe and Impl.
 //
-// A change that moves a verdict fails TestCorpusDigest until its -update
-// rewrites the digests, and the rewrite re-keys exactly the entries the
-// moved lines cover: a spec's corpus lines key its TESTGEN entries, an
-// Impl's trace lines its CHECK cells. The analysis pin keys nothing: the
-// cache stores tests, not paths.
+// Each digest has a line per pair, and per universe (and Impl) a summary
+// line whose count totals its pairs and whose hash is the hash of its pair
+// lines. A pair line's hash is the pair's leaf; what a spec's or an
+// Impl's pair lines hash to together is its root.
+//
+// A change that moves a verdict fails TestCorpusDigest, which names the
+// pairs that moved, until its -update rewrites the digests, and the
+// rewrite re-keys exactly the entries the moved lines cover: a pair's
+// corpus line keys its TESTGEN entries, and through them its CHECK cells;
+// an (Impl, pair) trace line keys that one cell. A pair with no line (an
+// op set the walk does not pin, a spec registered only by a test) folds in
+// its spec's root, or its Impl's, and so moves with any line of either.
+// The analysis pin keys nothing: the cache stores tests, not paths.
+//
+// The pins are taken at the default test shape. A pair's leaf also keys its
+// entries at every other shape (path cap, tests per path), so it assumes
+// that a pair's tests at another shape move together with its tests at
+// the pinned one. A root makes the same assumption, one level coarser.
 package pins
 
 import (
@@ -26,45 +40,68 @@ var corpusDigest string
 //go:embed trace.digest
 var traceDigest string
 
-// Table is one set of pins: a SHA-256 per spec over that spec's
-// corpus.digest lines, and one per Impl name over that Impl's
-// trace.digest lines, each in file order. A pin is the 32 bytes of its
-// sum, held as a string so a key can append it as it is.
-type Table struct {
-	specs, impls map[string]string
+// Key names what a pin covers: one pair of a spec's ops, in the order the
+// sweep runs them, under one FD rule, and for a trace pin the Impl that ran
+// its tests. A Key that sets only Spec, or only Impl, names that root.
+type Key struct {
+	Spec     string
+	LowestFD bool
+	OpA, OpB string
+	Impl     string
 }
+
+// Table is one set of pins: a SHA-256 per pair line of corpus.digest and
+// trace.digest, and one per spec and per Impl over its pair lines in file
+// order. A pin is the 32 bytes of its sum, held as a string so a key can
+// append it as it is.
+type Table struct{ pins map[Key]string }
 
 // Current is the table of the digests committed beside this file.
 var Current = Parse(corpusDigest, traceDigest)
 
-// Parse builds a table from the text of corpus.digest and trace.digest.
-// A corpus line starts with "<spec>/<set>"; a trace line's third field
-// is the Impl's name.
+// Parse builds a table from the text of corpus.digest and trace.digest. A
+// pair line reads "<spec>/<set> lowestfd=<bool> [<impl>] <opA>,<opB>
+// <count> sha256=<hex>", the Impl in trace.digest only. A summary line
+// names no pair and adds nothing: the roots are derived from the pair
+// lines, here.
 func Parse(corpus, trace string) Table {
-	return Table{specs: group(corpus, 0), impls: group(trace, 2)}
-}
-
-// group hashes the lines of text by the name in their given field, up to
-// a '/'.
-func group(text string, field int) map[string]string {
-	lines := map[string]string{}
-	for line := range strings.Lines(text) {
-		if f := strings.Fields(line); len(f) > field {
-			name, _, _ := strings.Cut(f[field], "/")
-			lines[name] += strings.TrimSuffix(line, "\n") + "\n"
+	lines := map[Key]string{}
+	for i, text := range []string{corpus, trace} {
+		for line := range strings.Lines(text) {
+			f := strings.Fields(line)
+			if len(f) != 5+i {
+				continue
+			}
+			var k Key
+			k.Spec, _, _ = strings.Cut(f[0], "/")
+			k.LowestFD = f[1] == "lowestfd=true"
+			k.OpA, k.OpB, _ = strings.Cut(f[2+i], ",")
+			root := Key{Spec: k.Spec}
+			if i == 1 {
+				k.Impl = f[2]
+				root = Key{Impl: k.Impl}
+			}
+			line = strings.TrimSuffix(line, "\n") + "\n"
+			lines[k] = line
+			lines[root] += line
 		}
 	}
-	for name, l := range lines {
+	t := Table{pins: map[Key]string{}}
+	for k, l := range lines {
 		sum := sha256.Sum256([]byte(l))
-		lines[name] = string(sum[:])
+		t.pins[k] = string(sum[:])
 	}
-	return lines
+	return t
 }
 
-// Spec returns the named spec's pin, or "" when corpus.digest has no
-// line for it.
-func (t Table) Spec(name string) string { return t.specs[name] }
-
-// Impl returns the named Impl's pin, or "" when trace.digest has no line
-// for it.
-func (t Table) Impl(name string) string { return t.impls[name] }
+// Pin returns k's pin: its pair line's leaf, else the root of k's Impl
+// when k names one, else the root of k's spec; "" when that has no line.
+func (t Table) Pin(k Key) string {
+	if leaf, ok := t.pins[k]; ok {
+		return leaf
+	}
+	if k.Impl != "" {
+		return t.pins[Key{Impl: k.Impl}]
+	}
+	return t.pins[Key{Spec: k.Spec}]
+}

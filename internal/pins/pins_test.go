@@ -1,6 +1,8 @@
 package pins_test
 
 import (
+	"os"
+	"strings"
 	"testing"
 
 	_ "repro/internal/kvspec"
@@ -12,25 +14,67 @@ import (
 )
 
 // TestEveryRegisteredNameIsPinned holds the committed digests to the
-// registry: every spec has a corpus line and every Impl a trace line, so
-// each of their cache entries is keyed by its verdicts. A name with no line
-// keys on its name and options alone.
+// registry: every spec has corpus lines and every Impl trace lines, so
+// each of their cache entries is keyed by its verdicts; and every pair of
+// every universe corpus.digest pins has a corpus line, and a trace line
+// per Impl of its spec, so its entries are keyed by its own. A name with no
+// line keys on its name and options alone.
 func TestEveryRegisteredNameIsPinned(t *testing.T) {
 	for _, name := range spec.Names() {
 		sp, err := spec.Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pins.Current.Spec(name)) != 32 {
+		if len(pins.Current.Pin(pins.Key{Spec: name})) != 32 {
 			t.Errorf("spec %s has no corpus.digest line", name)
 		}
 		for _, im := range sp.Impls() {
-			if len(pins.Current.Impl(im.Name)) != 32 {
+			if len(pins.Current.Pin(pins.Key{Impl: im.Name})) != 32 {
 				t.Errorf("%s implementation %s has no trace.digest line", name, im.Name)
 			}
 		}
 	}
-	if pins.Current.Spec("counting") != "" || pins.Current.Impl("counting") != "" {
+	if pins.Current.Pin(pins.Key{Spec: "counting"}) != "" || pins.Current.Pin(pins.Key{Impl: "counting"}) != "" {
 		t.Error("a name with no line has a pin")
+	}
+
+	corpus, err := os.ReadFile("corpus.digest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	universes := 0
+	for line := range strings.Lines(string(corpus)) {
+		f := strings.Fields(line)
+		if len(f) != 4 {
+			continue // a pair line
+		}
+		universes++
+		name, set, _ := strings.Cut(f[0], "/")
+		sp, err := spec.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops, err := spec.OpSet(sp, set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range ops {
+			for _, b := range ops[:i+1] {
+				// Earlier op first, as the sweep runs a pair.
+				pair := pins.Key{Spec: name, LowestFD: f[1] == "lowestfd=true", OpA: b.Name, OpB: a.Name}
+				if pins.Current.Pin(pair) == pins.Current.Pin(pins.Key{Spec: name}) {
+					t.Errorf("%s %s,%s has no corpus.digest line", f[0], b.Name, a.Name)
+				}
+				for _, im := range sp.Impls() {
+					pair.Impl = im.Name
+					if pins.Current.Pin(pair) == pins.Current.Pin(pins.Key{Impl: im.Name}) {
+						t.Errorf("%s %s %s,%s has no trace.digest line", f[0], im.Name, b.Name, a.Name)
+					}
+				}
+			}
+		}
+	}
+	if universes != 5 {
+		t.Errorf("corpus.digest pins %d universes, want 5", universes)
 	}
 }

@@ -3,11 +3,12 @@
 //
 //   - The TESTGEN tier stores the generated test cases of one pair, keyed
 //     by the pair, every analyzer/testgen option that shapes them and the
-//     spec's verdict pin. The key deliberately excludes the kernel set:
+//     pair's corpus pin. The key deliberately excludes the kernel set:
 //     ANALYZE and TESTGEN never look at an implementation, so the
 //     (dominant) symbolic work is shared across every kernel selection.
 //   - The CHECK tier stores one kernel's aggregate cell for one pair, keyed
-//     by the TESTGEN key plus the kernel's name and verdict pin. The
+//     by the TESTGEN key plus the kernel's name and its trace pin for the
+//     pair. The
 //     testgen key pins the exact test slice the cell was computed from, so
 //     a cell hit never has to re-read or re-validate the tests it
 //     summarizes.
@@ -42,42 +43,46 @@ import (
 // shape or the entry encoding: what a key covers of the code is its
 // verdict pins (internal/pins), so a change that moves a verdict re-keys
 // the entries it covers when TestCorpusDigest -update rewrites the pin.
-// Version 5 is the first shape that folds the pins in, and version 6 the
-// first whose TESTGEN entries carry each test's setup under its spec's name
-// (kernel.TestCase's JSON). Entries of an older version are never matched
-// again.
-const CacheVersion = 6
+// Version 5 is the first shape that folds the pins in, version 6 the first
+// whose TESTGEN entries carry each test's setup under its spec's name
+// (kernel.TestCase's JSON), and version 7 the first that folds in a pair's
+// own pins rather than its spec's and Impl's. Entries of an older version
+// are never matched again.
+const CacheVersion = 7
 
 // TestgenKey derives the content address of the kernel-independent phase:
 // the test cases ANALYZE → TESTGEN produces for one pair of the named
 // spec. It folds in the pair, the options that shape the tests
-// (appendShape) and the spec's pin, the hash of its corpus.digest lines.
-// Solvers are deliberately excluded because complete results don't depend
-// on them, and incomplete (budget-truncated) results are never stored (see
-// runPair).
+// (appendShape) and the pair's corpus pin (pins.Table.Pin). Solvers are
+// deliberately excluded because complete results don't depend on them, and
+// incomplete (budget-truncated) results are never stored (see runPair).
 func TestgenKey(specName, opA, opB string, aOpt analyzer.Options, gOpt testgen.Options) string {
-	return testgenKey(pins.Current, specName, opA, opB, aOpt, gOpt)
+	return testgenKey(pins.Current, pins.Key{Spec: specName, LowestFD: aOpt.Config.LowestFD, OpA: opA, OpB: opB}, aOpt, gOpt)
 }
 
-func testgenKey(p pins.Table, specName, opA, opB string, aOpt analyzer.Options, gOpt testgen.Options) string {
+func testgenKey(p pins.Table, pair pins.Key, aOpt analyzer.Options, gOpt testgen.Options) string {
 	var buf [160]byte
-	b := renderKey(buf[:0], "|tier=testgen|spec=", specName, "|pair=", opA, ",", opB)
+	b := renderKey(buf[:0], "|tier=testgen|spec=", pair.Spec, "|pair=", pair.OpA, ",", pair.OpB)
 	b = appendShape(b, aOpt.Config.LowestFD, aOpt.MaxPaths, gOpt.MaxTestsPerPath)
-	return hashKey(append(b, p.Spec(specName)...))
+	return hashKey(append(b, p.Pin(pair)...))
 }
 
-// CheckKey derives the content address of one kernel's CHECK cell from the
-// TESTGEN key of the tests it ran, the kernel's name and the kernel's pin,
-// the hash of its trace.digest lines. Chaining through the testgen key
-// means every input that moves the tests moves the cell key too, without
-// restating them.
+// CheckKey derives the content address of a kernel's CHECK cell from the
+// TESTGEN key of the tests it ran and the kernel's name, for a pair with no
+// trace pin of its own: it folds in the kernel's root pin, the hash of all
+// its trace.digest lines. Only the benchmark reads it; a sweep keys each
+// cell by its own (Impl, pair) pin (checkKey).
 func CheckKey(testgenKey, kernelName string) string {
-	return checkKey(pins.Current, testgenKey, kernelName)
+	return checkKey(pins.Current, testgenKey, pins.Key{Impl: kernelName})
 }
 
-func checkKey(p pins.Table, testgenKey, kernelName string) string {
+// checkKey derives the address of the cell of the pair and Impl that cell
+// names: the TESTGEN key of its tests, the Impl's name and the cell's trace
+// pin. Chaining through the testgen key means every input that moves the
+// tests moves the cell key too, without restating them.
+func checkKey(p pins.Table, testgenKey string, cell pins.Key) string {
 	var buf [160]byte
-	return hashKey(renderKey(buf[:0], "|tier=check|testgen=", testgenKey, "|kernel=", kernelName, p.Impl(kernelName)))
+	return hashKey(renderKey(buf[:0], "|tier=check|testgen=", testgenKey, "|kernel=", cell.Impl, p.Pin(cell)))
 }
 
 // renderKey starts a key's rendering: the cache version, then parts.

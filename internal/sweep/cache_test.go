@@ -70,12 +70,14 @@ func TestTestgenKeyStability(t *testing.T) {
 	}
 }
 
-// TestCacheKeysFollowPins holds the keys to the verdict pins: given two pin
-// tables that differ in one spec's corpus line, or in one Impl's trace
-// line, exactly that spec's TESTGEN keys (and the CHECK keys chained to
-// them) change, or exactly that Impl's CHECK keys, and so do the fleet
-// session keys that name it; a spec or Impl with no line keys the same
-// under both tables.
+// TestCacheKeysFollowPins holds the keys to the verdict pins, pair by pair.
+// Given two pin tables that differ in one line, exactly the keys that line
+// covers change: a pair's corpus line moves its TESTGEN keys and the CHECK
+// keys chained to them, an (Impl, pair) trace line moves that one CHECK
+// key, and a pair with no line of its own (a lowest-FD posix pair outside
+// "fs") moves with any line of its spec or its Impl. A fleet session moves
+// with any line of its spec or kernels. A spec or Impl with no line at all
+// keys the same under both tables.
 func TestCacheKeysFollowPins(t *testing.T) {
 	read := func(name string) string {
 		data, err := os.ReadFile("../pins/" + name)
@@ -85,83 +87,124 @@ func TestCacheKeysFollowPins(t *testing.T) {
 		return string(data)
 	}
 	corpus, trace := read("corpus.digest"), read("trace.digest")
-	// moved rewrites the first line whose field i starts with prefix, as
-	// -update would after a change that moves it.
-	moved := func(text string, i int, prefix string) string {
+	// moved rewrites the pair line that starts with name, as -update would
+	// after a change that moves it.
+	moved := func(text, name string) string {
 		lines := strings.SplitAfter(text, "\n")
 		for j, l := range lines {
-			if f := strings.Fields(l); len(f) > i && strings.HasPrefix(f[i], prefix) {
+			if f := strings.Fields(l); len(f) > 2 && strings.Join(f[:len(f)-2], " ") == name {
 				lines[j] = strings.Replace(l, "sha256=", "sha256=0", 1)
 				return strings.Join(lines, "")
 			}
 		}
-		t.Fatalf("no line with field %d %q", i, prefix)
+		t.Fatalf("no line %q", name)
 		return ""
 	}
 	base := pins.Parse(corpus, trace)
 	if TestgenKey("kv", "put", "scan", analyzer.Options{}, testgen.Options{}) !=
-		testgenKey(base, "kv", "put", "scan", analyzer.Options{}, testgen.Options{}) {
+		testgenKey(base, pins.Key{Spec: "kv", OpA: "put", OpB: "scan"}, analyzer.Options{}, testgen.Options{}) {
 		t.Fatal("pins.Current is not the table of the committed digests")
 	}
 
-	specs := []string{"posix", "kv", "vm", "queue", "counting"}
-	impls := []string{"linux", "sv6", "memkv", "memvm", "memq", "counting"}
-	shapes := []analyzer.Options{{}, {Config: spec.Config{LowestFD: true}}, {MaxPaths: 7}}
-	tgKeys := func(p pins.Table, sp string) (keys []string) {
-		for _, a := range shapes {
-			keys = append(keys, testgenKey(p, sp, "a", "b", a, testgen.Options{}))
+	kvPut := pins.Key{Spec: "kv", OpA: "put", OpB: "scan"}
+	kvGet := pins.Key{Spec: "kv", OpA: "get", OpB: "get"}
+	openLink := pins.Key{Spec: "posix", OpA: "open", OpB: "link"}
+	openOpen := pins.Key{Spec: "posix", OpA: "open", OpB: "open"}
+	noLeaf := pins.Key{Spec: "posix", LowestFD: true, OpA: "read", OpB: "read"}
+	counting := pins.Key{Spec: "counting", OpA: "a", OpB: "b"}
+	pairs := []pins.Key{kvPut, kvGet, openLink, openOpen, noLeaf, counting}
+	impls := map[string][]string{"kv": {"memkv"}, "posix": {"linux", "sv6"}, "counting": {"counting"}}
+	cell := func(pair pins.Key, impl string) pins.Key {
+		pair.Impl = impl
+		return pair
+	}
+	tgKeys := func(p pins.Table, pair pins.Key) (keys []string) {
+		for _, maxPaths := range []int{0, 7} {
+			a := analyzer.Options{Config: spec.Config{LowestFD: pair.LowestFD}, MaxPaths: maxPaths}
+			keys = append(keys, testgenKey(p, pair, a, testgen.Options{}))
 		}
 		return keys
 	}
-	fleetKey := func(p pins.Table, sp, impl string) string {
-		return FleetSweepSpec{Spec: sp, Ops: []string{"a", "b"}, Kernels: []string{"sv6", impl}}.key(p)
+	fleetKey := func(p pins.Table, sp string) string {
+		return FleetSweepSpec{Spec: sp, Ops: []string{"a", "b"}, Kernels: impls[sp]}.key(p)
 	}
 	for _, c := range []struct {
-		name        string
-		table       pins.Table
-		spec, impl  string // what the moved line names
-		implsOfSpec bool   // the spec's move reaches every CHECK key of it
+		name  string
+		table pins.Table
+		tg    []pins.Key // the pairs whose TESTGEN keys move, and every CHECK key of theirs
+		ck    []pins.Key // the cells whose CHECK key alone moves
+		fleet string     // the spec, or an Impl, whose fleet sessions move
 	}{
-		{"kv corpus line", pins.Parse(moved(corpus, 0, "kv/"), trace), "kv", "", true},
-		{"linux trace line", pins.Parse(corpus, moved(trace, 2, "linux")), "", "linux", false},
+		{"kv corpus leaf", pins.Parse(moved(corpus, "kv/all lowestfd=false put,scan"), trace),
+			[]pins.Key{kvPut}, nil, "kv"},
+		{"posix corpus leaf", pins.Parse(moved(corpus, "posix/all lowestfd=false open,open"), trace),
+			[]pins.Key{openOpen, noLeaf}, nil, "posix"},
+		{"sv6 trace leaf", pins.Parse(corpus, moved(trace, "posix/all lowestfd=false sv6 open,link")),
+			nil, []pins.Key{cell(openLink, "sv6"), cell(noLeaf, "sv6")}, "sv6"},
 	} {
-		for _, sp := range specs {
-			before, after := tgKeys(base, sp), tgKeys(c.table, sp)
+		for _, pair := range pairs {
+			tgMoved := slices.Contains(c.tg, pair)
+			before, after := tgKeys(base, pair), tgKeys(c.table, pair)
 			for i := range before {
-				if (before[i] != after[i]) != (sp == c.spec) {
-					t.Errorf("%s: spec %s shape %d: TESTGEN key moved=%t", c.name, sp, i, before[i] != after[i])
+				if (before[i] != after[i]) != tgMoved {
+					t.Errorf("%s: %+v shape %d: TESTGEN key moved=%t", c.name, pair, i, before[i] != after[i])
 				}
-				for _, im := range impls {
-					ckMoved := checkKey(base, before[i], im) != checkKey(c.table, after[i], im)
-					if ckMoved != (sp == c.spec || im == c.impl) {
-						t.Errorf("%s: spec %s shape %d impl %s: CHECK key moved=%t", c.name, sp, i, im, ckMoved)
+				for _, im := range impls[pair.Spec] {
+					ck := cell(pair, im)
+					ckMoved := checkKey(base, before[i], ck) != checkKey(c.table, after[i], ck)
+					if ckMoved != (tgMoved || slices.Contains(c.ck, ck)) {
+						t.Errorf("%s: %+v shape %d: CHECK key moved=%t", c.name, ck, i, ckMoved)
 					}
 				}
 			}
-			for _, im := range impls {
-				fMoved := fleetKey(base, sp, im) != fleetKey(c.table, sp, im)
-				if fMoved != (sp == c.spec || im == c.impl) {
-					t.Errorf("%s: fleet session of spec %s with %s moved=%t", c.name, sp, im, fMoved)
-				}
+		}
+		for sp, ims := range impls {
+			fMoved := fleetKey(base, sp) != fleetKey(c.table, sp)
+			if fMoved != (sp == c.fleet || slices.Contains(ims, c.fleet)) {
+				t.Errorf("%s: fleet session of spec %s moved=%t", c.name, sp, fMoved)
 			}
 		}
+	}
+
+	// CheckKey is the key of a cell with no trace line of its own.
+	tg := TestgenKey("posix", "read", "read", analyzer.Options{Config: spec.Config{LowestFD: true}}, testgen.Options{})
+	if CheckKey(tg, "sv6") != checkKey(pins.Current, tg, cell(noLeaf, "sv6")) {
+		t.Error("CheckKey is not the key of a pair with no trace line")
+	}
+	if CheckKey(tg, "sv6") == checkKey(pins.Current, tg, cell(openLink, "sv6")) {
+		t.Error("a pair with a trace line keys its cell as CheckKey does")
 	}
 }
 
 // TestKeyDerivationAllocs holds a pair's key derivation, which a warm
 // sweep pays for every pair of every request, to the allocations it costs:
-// one for the address string. The CacheVersion 4 keys, rendered through
-// fmt, cost 11 for TestgenKey and 6 for each CheckKey.
+// one for the address string, whether the pair has pins of its own
+// (unlink, rename) or takes its spec's and Impl's (rename, unlink, an
+// orientation the walk does not pin). The CacheVersion 4 keys, rendered
+// through fmt, cost 11 for TestgenKey and 6 for each CheckKey.
 func TestKeyDerivationAllocs(t *testing.T) {
-	var tg string
-	if n := testing.AllocsPerRun(100, func() {
-		tg = TestgenKey("posix", "rename", "unlink", analyzer.Options{}, testgen.Options{})
-	}); n > 1 {
-		t.Errorf("TestgenKey: %v allocations, want at most 1", n)
+	for _, pair := range []pins.Key{
+		{Spec: "posix", OpA: "unlink", OpB: "rename"},
+		{Spec: "posix", OpA: "rename", OpB: "unlink"},
+	} {
+		var tg string
+		if n := testing.AllocsPerRun(100, func() {
+			tg = testgenKey(pins.Current, pair, analyzer.Options{}, testgen.Options{})
+		}); n > 1 {
+			t.Errorf("%+v: TESTGEN key: %v allocations, want at most 1", pair, n)
+		}
+		pair.Impl = "sv6"
+		if n := testing.AllocsPerRun(100, func() { checkKey(pins.Current, tg, pair) }); n > 1 {
+			t.Errorf("%+v: CHECK key: %v allocations, want at most 1", pair, n)
+		}
 	}
-	if n := testing.AllocsPerRun(100, func() { CheckKey(tg, "sv6") }); n > 1 {
-		t.Errorf("CheckKey: %v allocations, want at most 1", n)
-	}
+}
+
+// sweepCheckKey is the key a sweep stores the sv6 or linux cell of the
+// posix pair (a, b) under, at the default shape.
+func sweepCheckKey(a, b, kernel string) string {
+	tg := TestgenKey("posix", a, b, analyzer.Options{}, testgen.Options{})
+	return checkKey(pins.Current, tg, pins.Key{Spec: "posix", OpA: a, OpB: b, Impl: kernel})
 }
 
 // cachedTests is a nontrivial test-case slice exercising every Setup field
@@ -590,8 +633,7 @@ func TestWarmPairReadsNoTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgKey := TestgenKey("posix", "stat", "close", analyzer.Options{}, testgen.Options{})
-	cellKey := func(i int) string { return CheckKey(tgKey, kernels[i].Name) }
+	cellKey := func(i int) string { return sweepCheckKey("stat", "close", kernels[i].Name) }
 	// rerun sweeps cfg from fresh counts and checks its stats and GetTests
 	// calls.
 	rerun := func(what string, cfg Config, want CacheStats, wantGetTests int) *Result {
@@ -693,7 +735,7 @@ func TestCellEntryDefectsAreMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := CheckKey(TestgenKey("posix", "stat", "close", analyzer.Options{}, testgen.Options{}), "linux")
+	key := sweepCheckKey("stat", "close", "linux")
 	stored, ok := cache.GetCell(key)
 	if !ok || stored.Total == 0 {
 		t.Fatalf("the linux cell of stat/close is %+v, %v; want a stored cell with tests", stored, ok)

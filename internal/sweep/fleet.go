@@ -75,17 +75,17 @@ type FleetSweepSpec struct {
 
 // Key derives the coordinator session's content address. It renders the
 // test-shaping options as TestgenKey does, so semantically identical
-// configurations join one session, and folds in CacheVersion and the pins
-// of the spec and of every kernel, so servers whose verdicts differ never
-// share a table.
+// configurations join one session, and folds in CacheVersion and the root
+// pins of the spec and of every kernel, so servers whose verdicts differ
+// never share a table.
 func (s FleetSweepSpec) Key() string { return s.key(pins.Current) }
 
 func (s FleetSweepSpec) key(p pins.Table) string {
 	b := fmt.Appendf(nil, "fleetv%d|cache=v%d|spec=%s|ops=%s|kernels=%s",
 		FleetAPIVersion, CacheVersion, s.Spec, strings.Join(s.Ops, ","), strings.Join(s.Kernels, ","))
-	b = append(appendShape(b, s.LowestFD, 0, s.MaxTestsPerPath), p.Spec(s.Spec)...)
+	b = append(appendShape(b, s.LowestFD, 0, s.MaxTestsPerPath), p.Pin(pins.Key{Spec: s.Spec})...)
 	for _, k := range s.Kernels {
-		b = append(b, p.Impl(k)...)
+		b = append(b, p.Pin(pins.Key{Impl: k})...)
 	}
 	return hashKey(b)
 }

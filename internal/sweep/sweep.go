@@ -27,6 +27,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/pins"
 	"repro/internal/spec"
 	"repro/internal/sym"
 	"repro/internal/testgen"
@@ -576,7 +577,7 @@ func (s *stage[T]) exec(r *run, key string, usable func(T) bool, compute func() 
 	// deliberately exclude the solver (so tuning it doesn't orphan
 	// entries), which is only sound if every stored result is
 	// budget-independent — i.e. complete. A truncated pair recomputes on
-	// every sweep until some run affords it; and since CheckKey chains the
+	// every sweep until some run affords it; and since checkKey chains the
 	// testgen key, a stored lower-bound cell would shadow the complete one
 	// a full-budget rerun generates.
 	if cache != nil && unknown == 0 {
@@ -623,8 +624,9 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op, w *worker) (PairResult
 	start := time.Now()
 	out := PairResult{OpA: a.Name, OpB: b.Name, StartMS: msBetween(r.start, start)}
 
-	tgKey := TestgenKey(r.sp.Name(), a.Name, b.Name, r.aOpt, r.gOpt)
-	out.Cells = r.probeCells(tgKey)
+	pair := pins.Key{Spec: r.sp.Name(), LowestFD: r.aOpt.Config.LowestFD, OpA: a.Name, OpB: b.Name}
+	tgKey := testgenKey(pins.Current, pair, r.aOpt, r.gOpt)
+	out.Cells = r.probeCells(tgKey, pair)
 	if len(out.Cells) > 0 && len(out.Cells) == len(r.cfg.Kernels) && sameTotal(out.Cells) {
 		// A stored cell counts one result per test of the tests its key
 		// pins, and is complete by construction, so the cells alone are
@@ -650,7 +652,8 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op, w *worker) (PairResult
 	out.Cached = tg.fromCache
 	for i := len(out.Cells); i < len(r.cfg.Kernels); i++ {
 		ks := r.cfg.Kernels[i]
-		ck, err := checkStage.run(ctx, r, CheckKey(tgKey, ks.Name), &out, func(cell KernelCell) bool {
+		pair.Impl = ks.Name
+		ck, err := checkStage.run(ctx, r, checkKey(pins.Current, tgKey, pair), &out, func(cell KernelCell) bool {
 			return cell.Kernel == ks.Name
 		}, func() (KernelCell, int, error) {
 			cell, err := w.check(ctx, i, ks, tg.val, &out)
@@ -675,13 +678,14 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op, w *worker) (PairResult
 // miss ends the probe uncounted, since only a miss the CHECK stage takes
 // under single-flight decides anything: a concurrent identical sweep may
 // store the cell in between, and the stage's own probe then serves it.
-func (r *run) probeCells(tgKey string) []KernelCell {
+func (r *run) probeCells(tgKey string, pair pins.Key) []KernelCell {
 	if r.cfg.Cache == nil || len(r.cfg.Kernels) == 0 {
 		return nil
 	}
 	cells := make([]KernelCell, 0, len(r.cfg.Kernels))
 	for _, ks := range r.cfg.Kernels {
-		cell, hit := checkStage.get(r.cfg.Cache, CheckKey(tgKey, ks.Name))
+		pair.Impl = ks.Name
+		cell, hit := checkStage.get(r.cfg.Cache, checkKey(pins.Current, tgKey, pair))
 		if !hit || cell.Kernel != ks.Name {
 			observeBackendGet(r.cfg.Cache, TierCheck, false)
 			break

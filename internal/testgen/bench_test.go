@@ -96,7 +96,7 @@ func BenchmarkGeneratePosix(b *testing.B) {
 // a change to the enumeration, to the class signature or to the content
 // dedup has to say so here. Half of what is materialised is a duplicate by
 // content; that it still counts toward MaxTestsPerPath is part of the
-// corpus contract (internal/pins/corpus.digest).
+// corpus contract (internal/pins/corpus.digest, a line per pair).
 func TestGeneratePosixLeafCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full ANALYZE+TESTGEN of posix")

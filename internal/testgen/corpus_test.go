@@ -36,17 +36,18 @@ var updateCorpus = flag.Bool("update", false, "rewrite the analysis, corpus and 
 // walk (corpusWalk) pins: every pair of all four specs plus posix "fs"
 // under the lowest-FD rule.
 //
-// analysis.digest has one line per spec universe with the path
-// count and a SHA-256 over each pair's paths in order: index, Commutes,
-// Unknown and the renderings of PC and Eq. Every Context and Dict call a
-// model makes can decide a path, so a refactor of a spec's model or of the
-// symbolic core must leave it untouched.
+// analysis.digest has one line per pair of each spec universe with the
+// path count and a SHA-256 over the pair's paths in order: index,
+// Commutes, Unknown and the renderings of PC and Eq. Every Context and Dict
+// call a model makes can decide a path, so a refactor of a spec's model or
+// of the symbolic core must leave it untouched.
 //
-// corpus.digest has one line per spec universe with the test count
-// and a SHA-256 over each test's ID, both calls and setup fingerprint. A
-// refactor of the symbolic core or of TESTGEN must leave it untouched.
+// corpus.digest has one line per pair of each universe with the test
+// count and a SHA-256 over each test's ID, both calls and setup
+// fingerprint. A refactor of the symbolic core or of TESTGEN must leave it
+// untouched.
 //
-// trace.digest has one line per universe and registered Impl with a
+// trace.digest has one line per universe, registered Impl and pair with a
 // SHA-256 over each test's ID, both results, whether the swapped order
 // gives the same results, the conflict report (cell, writers, readers) and
 // the ordered access log of the traced run, as kerneltest.Check computes
@@ -55,9 +56,12 @@ var updateCorpus = flag.Bool("update", false, "rewrite the analysis, corpus and 
 // replays, so a refactor of a kernel or of internal/scale must leave it
 // untouched too.
 //
+// Each universe (and Impl) also has a summary line: its total, and a
+// SHA-256 over its pair lines (writeDigest).
+//
 // The three live in internal/pins. Regenerate any of them with -update only
-// when changing what it pins is the point; the rewrite re-keys the sweep
-// cache entries the moved lines cover. Every test of the walk must also
+// when changing what it pins is the point; a mismatch names the pairs that
+// moved, and the rewrite re-keys the sweep cache entries their lines cover. Every test of the walk must also
 // pass the Replayer's admission: what it refuses, TESTGEN must never
 // produce; and its setup's Clone must encode to the setup's own JSON.
 func TestCorpusDigest(t *testing.T) {
@@ -120,11 +124,11 @@ var corpusWalk = sync.OnceValue(func() (w walkFindings) {
 			return w
 		}
 		g := NewGenerator(sp)
-		h, pathH := sha256.New(), sha256.New()
-		traceH := make([]hash.Hash, len(impls))
-		for j := range traceH {
-			traceH[j] = sha256.New()
-		}
+		universe := fmt.Sprintf("%s/%s lowestfd=%t", u.spec, u.pinned, u.cfg.LowestFD)
+		// The universe's pair lines: its paths, its tests, and per Impl
+		// its traces.
+		var pathLines, testLines strings.Builder
+		traceLines := make([]strings.Builder, len(impls))
 		var traced *mtrace.Memory // Check traces on the first kernel it builds
 		hook := func(m *mtrace.Memory) {
 			if traced == nil {
@@ -142,18 +146,21 @@ var corpusWalk = sync.OnceValue(func() (w walkFindings) {
 					return w
 				}
 				pin := i < len(pinned)
+				h, pathH := sha256.New(), sha256.New()
+				traceH := make([]hash.Hash, len(impls))
+				for j := range traceH {
+					traceH[j] = sha256.New()
+				}
 				if pin {
 					for pi, p := range pr.Paths {
 						fmt.Fprintf(pathH, "%s,%s %d %t %t\n%s\n%s\n", pr.OpA, pr.OpB, pi, p.Commutes, p.Unknown, p.PC, p.Eq)
 					}
-					paths += len(pr.Paths)
 				}
 				generated, _ := g.Generate(pr, Options{})
 				for _, tc := range generated {
 					w.malformed = append(w.malformed, malformed(tc)...)
 					if pin {
 						fmt.Fprintf(h, "%s\n%v\n%v\n%s\n", tc.ID, tc.Calls[0], tc.Calls[1], tc.SetupID)
-						pinnedTests++
 					}
 					for j, im := range impls {
 						traced = nil
@@ -180,19 +187,35 @@ var corpusWalk = sync.OnceValue(func() (w walkFindings) {
 					}
 				}
 				tests += len(generated)
+				if !pin {
+					continue
+				}
+				pair := pr.OpA + "," + pr.OpB
+				fmt.Fprintf(&pathLines, "%s %s paths=%d sha256=%x\n", universe, pair, len(pr.Paths), pathH.Sum(nil))
+				fmt.Fprintf(&testLines, "%s %s tests=%d sha256=%x\n", universe, pair, len(generated), h.Sum(nil))
+				for j, im := range impls {
+					fmt.Fprintf(&traceLines[j], "%s %s %s tests=%d sha256=%x\n", universe, im.Name, pair, len(generated), traceH[j].Sum(nil))
+				}
+				paths += len(pr.Paths)
+				pinnedTests += len(generated)
 			}
 		}
-		line := fmt.Sprintf("%s/%s lowestfd=%t", u.spec, u.pinned, u.cfg.LowestFD)
-		fmt.Fprintf(&analysis, "%s paths=%d sha256=%x\n", line, paths, pathH.Sum(nil))
-		fmt.Fprintf(&corpus, "%s tests=%d sha256=%x\n", line, pinnedTests, h.Sum(nil))
+		writeDigest(&analysis, universe, fmt.Sprintf("paths=%d", paths), pathLines.String())
+		writeDigest(&corpus, universe, fmt.Sprintf("tests=%d", pinnedTests), testLines.String())
 		for j, im := range impls {
-			fmt.Fprintf(&traces, "%s %s tests=%d sha256=%x\n", line, im.Name, pinnedTests, traceH[j].Sum(nil))
+			writeDigest(&traces, universe+" "+im.Name, fmt.Sprintf("tests=%d", pinnedTests), traceLines[j].String())
 			w.counts = append(w.counts, fmt.Sprintf("%s lowestfd=%t %s: %d tests, %d conflict-free", u.spec, u.cfg.LowestFD, im.Name, tests, conflictFree[j]))
 		}
 	}
 	w.analysis, w.corpus, w.traces = analysis.String(), corpus.String(), traces.String()
 	return w
 })
+
+// writeDigest writes a universe's summary line, with its total and the
+// hash of its pair lines, then the pair lines.
+func writeDigest(w *strings.Builder, universe, total, pairs string) {
+	fmt.Fprintf(w, "%s %s sha256=%x\n%s", universe, total, sha256.Sum256([]byte(pairs)), pairs)
+}
 
 // malformed lists what is wrong with tc as a test TESTGEN may produce: the
 // Replayer does not admit it, its SetupID is not its setup's fingerprint,
@@ -233,7 +256,8 @@ func hashTrace(h io.Writer, tc kernel.TestCase, res kernel.CheckResult, swapped 
 }
 
 // checkDigest compares got with the file at path, or rewrites the file
-// under -update.
+// under -update. A mismatch names the lines that differ (digestDiff), not
+// the files.
 func checkDigest(t *testing.T, path, got string) {
 	t.Helper()
 	if *updateCorpus {
@@ -246,7 +270,61 @@ func checkDigest(t *testing.T, path, got string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != string(want) {
-		t.Errorf("%s changed:\n got:\n%s\nwant:\n%s", path, got, want)
+	if diff := digestDiff(string(want), got); len(diff) > 0 {
+		t.Errorf("%s: %d lines differ (-update rewrites it):\n%s", path, len(diff), strings.Join(diff, "\n"))
+	}
+}
+
+// digestDiff lists the lines of got that moved or are new against want,
+// then the lines of want that got lacks, each by what it pins: its
+// universe, Impl and pair, without its count and hash. A universe's
+// summary line moves with any of its pairs.
+func digestDiff(want, got string) []string {
+	index := func(text string) (names []string, lines map[string]string) {
+		lines = map[string]string{}
+		for line := range strings.Lines(text) {
+			f := strings.Fields(line)
+			name := strings.Join(f[:max(0, len(f)-2)], " ")
+			names, lines[name] = append(names, name), line
+		}
+		return names, lines
+	}
+	wantNames, wantLines := index(want)
+	gotNames, gotLines := index(got)
+	var diff []string
+	for _, name := range gotNames {
+		if old, ok := wantLines[name]; !ok {
+			diff = append(diff, "added   "+name)
+		} else if old != gotLines[name] {
+			diff = append(diff, "moved   "+name)
+		}
+	}
+	for _, name := range wantNames {
+		if _, ok := gotLines[name]; !ok {
+			diff = append(diff, "removed "+name)
+		}
+	}
+	return diff
+}
+
+// TestDigestDiffNamesPairs holds a failing digest to naming what changed,
+// line by line: a moved summary, a new pair and a pair that is gone.
+func TestDigestDiffNamesPairs(t *testing.T) {
+	want := "kv/all lowestfd=false tests=2 sha256=aa\n" +
+		"kv/all lowestfd=false get,get tests=1 sha256=bb\n" +
+		"kv/all lowestfd=false get,put tests=1 sha256=cc\n"
+	got := "kv/all lowestfd=false tests=3 sha256=ad\n" +
+		"kv/all lowestfd=false get,get tests=1 sha256=bb\n" +
+		"kv/all lowestfd=false put,put tests=2 sha256=dd\n"
+	diff := digestDiff(want, got)
+	if w := []string{
+		"moved   kv/all lowestfd=false",
+		"added   kv/all lowestfd=false put,put",
+		"removed kv/all lowestfd=false get,put",
+	}; !slices.Equal(diff, w) {
+		t.Errorf("diff\n%s\nwant\n%s", strings.Join(diff, "\n"), strings.Join(w, "\n"))
+	}
+	if d := digestDiff(want, want); len(d) != 0 {
+		t.Errorf("a digest differs from itself: %v", d)
 	}
 }
