@@ -35,7 +35,7 @@ func allocFD(x *spec.Exec, slot string, proc *sym.Expr) *sym.Expr {
 		}
 		return nil
 	}
-	v := x.C.Var(allocName("fd", slot), sym.IntSort, symx.KindNondet)
+	v := x.C.Var("alloc.fd."+slot, sym.IntSort, symx.KindNondet)
 	x.C.Assume(sym.And(sym.Ge(v, sym.Int(0)), sym.Le(v, sym.Int(kernel.MaxFD-1))))
 	if s.FD.Contains(x.C, symx.K(proc, v)) {
 		x.C.Abort() // the kernel picks an unused descriptor

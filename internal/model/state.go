@@ -11,8 +11,6 @@
 package model
 
 import (
-	"strings"
-
 	"repro/internal/sym"
 	"repro/internal/symx"
 )
@@ -151,7 +149,7 @@ func (s *state) Dicts() []*symx.Dict { return s.dicts[:] }
 // slot (an operation instance tag). Allocated numbers are negative —
 // disjoint from all initial inode numbers — and pairwise distinct.
 func (s *state) allocInum(c *symx.Context, slot string) *sym.Expr {
-	v := c.Var(allocName("inum", slot), sym.IntSort, symx.KindNondet)
+	v := c.Var("alloc.inum."+slot, sym.IntSort, symx.KindNondet)
 	c.Assume(sym.Le(v, sym.Int(-1)))
 	for _, prev := range s.newInums {
 		c.Assume(sym.Ne(v, prev))
@@ -160,28 +158,9 @@ func (s *state) allocInum(c *symx.Context, slot string) *sym.Expr {
 	return v
 }
 
-// allocNames are the allocation variables' names, "alloc.<kind>.<slot>",
-// rendered once for the slots a pair's calls run in and a pipe's two
-// descriptors: every replay of a call that allocates asks for one.
-var allocNames = map[string]string{}
-
-func init() {
-	for _, key := range strings.Fields("fd.0 fd.1 fd.0.r fd.0.w fd.1.r fd.1.w inum.0 inum.1 pipe.0 pipe.1") {
-		allocNames[key] = "alloc." + key
-	}
-}
-
-// allocName returns the name of kind's allocation variable in slot.
-func allocName(kind, slot string) string {
-	if name, ok := allocNames[kind+"."+slot]; ok {
-		return name
-	}
-	return "alloc." + kind + "." + slot
-}
-
 // allocPipe returns a fresh nondeterministic pipe id (negative, distinct).
 func (s *state) allocPipe(c *symx.Context, slot string) *sym.Expr {
-	v := c.Var(allocName("pipe", slot), sym.IntSort, symx.KindNondet)
+	v := c.Var("alloc.pipe."+slot, sym.IntSort, symx.KindNondet)
 	c.Assume(sym.Le(v, sym.Int(-1)))
 	for _, prev := range s.newPipes {
 		c.Assume(sym.Ne(v, prev))

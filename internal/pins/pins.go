@@ -1,31 +1,20 @@
 // Package pins holds the three verdict pins that internal/testgen's
 // TestCorpusDigest checks the pipeline against, and turns two of them into
-// what the sweep cache keys fold in:
+// what the sweep cache keys fold in. analysis.digest hashes the paths
+// ANALYZE finds, corpus.digest the generated tests and trace.digest what
+// every implementation does with them, a line per (universe[, Impl],
+// pair). A universe's summary line hashes its pair lines.
 //
-//   - analysis.digest hashes the paths ANALYZE finds for each pair of each
-//     spec universe;
-//   - corpus.digest hashes each pair's generated tests, per universe;
-//   - trace.digest hashes what every implementation does with each pair's
-//     tests, per universe and Impl.
+// A pair line's hash is the pair's leaf: a pair's corpus leaf keys its
+// TESTGEN entries (and through them its CHECK cells), and an (Impl, pair)
+// trace leaf that one cell, so the -update that rewrites a moved line
+// re-keys exactly those. A pair with no line folds in its spec's or Impl's
+// root, the hash of all their pair lines. The analysis pin keys nothing.
 //
-// Each digest has a line per pair, and per universe (and Impl) a summary
-// line whose count totals its pairs and whose hash is the hash of its pair
-// lines. A pair line's hash is the pair's leaf; what a spec's or an
-// Impl's pair lines hash to together is its root.
-//
-// A change that moves a verdict fails TestCorpusDigest, which names the
-// pairs that moved, until its -update rewrites the digests, and the
-// rewrite re-keys exactly the entries the moved lines cover: a pair's
-// corpus line keys its TESTGEN entries, and through them its CHECK cells;
-// an (Impl, pair) trace line keys that one cell. A pair with no line (an
-// op set the walk does not pin, a spec registered only by a test) folds in
-// its spec's root, or its Impl's, and so moves with any line of either.
-// The analysis pin keys nothing: the cache stores tests, not paths.
-//
-// The pins are taken at the default test shape. A pair's leaf also keys its
-// entries at every other shape (path cap, tests per path), so it assumes
-// that a pair's tests at another shape move together with its tests at
-// the pinned one. A root makes the same assumption, one level coarser.
+// The pins are taken at the default test shape, and a leaf keys its pair
+// at every shape: it assumes that a pair's tests at another path cap or
+// tests-per-path move together with its tests at the pinned one, as a root
+// does one level coarser.
 package pins
 
 import (
@@ -40,68 +29,54 @@ var corpusDigest string
 //go:embed trace.digest
 var traceDigest string
 
-// Key names what a pin covers: one pair of a spec's ops, in the order the
-// sweep runs them, under one FD rule, and for a trace pin the Impl that ran
-// its tests. A Key that sets only Spec, or only Impl, names that root.
+// Key names a pair of a spec's ops, as the sweep orders it, under one FD
+// rule, and for a trace pin its Impl; setting only Spec or Impl names a root.
 type Key struct {
-	Spec     string
-	LowestFD bool
-	OpA, OpB string
-	Impl     string
+	Spec, OpA, OpB, Impl string
+	LowestFD             bool
 }
 
-// Table is one set of pins: a SHA-256 per pair line of corpus.digest and
-// trace.digest, and one per spec and per Impl over its pair lines in file
-// order. A pin is the 32 bytes of its sum, held as a string so a key can
-// append it as it is.
-type Table struct{ pins map[Key]string }
+// Table is one set of pins, each the 32 bytes of a SHA-256, held as a
+// string so a key can append it as it is.
+type Table map[Key]string
 
 // Current is the table of the digests committed beside this file.
 var Current = Parse(corpusDigest, traceDigest)
 
-// Parse builds a table from the text of corpus.digest and trace.digest. A
-// pair line reads "<spec>/<set> lowestfd=<bool> [<impl>] <opA>,<opB>
-// <count> sha256=<hex>", the Impl in trace.digest only. A summary line
-// names no pair and adds nothing: the roots are derived from the pair
-// lines, here.
+// Parse builds a table from corpus.digest and trace.digest. A pair line
+// reads "<spec>/<set> lowestfd=<bool> [<impl>] <opA>,<opB> <count>
+// sha256=<hex>"; the roots are derived from the pair lines, here.
 func Parse(corpus, trace string) Table {
-	lines := map[Key]string{}
+	t := Table{}
 	for i, text := range []string{corpus, trace} {
 		for line := range strings.Lines(text) {
-			f := strings.Fields(line)
-			if len(f) != 5+i {
-				continue
+			if f := strings.Fields(line); len(f) == 5+i {
+				spec, _, _ := strings.Cut(f[0], "/")
+				k, root := Key{Spec: spec, LowestFD: f[1] == "lowestfd=true"}, Key{Spec: spec}
+				if i == 1 {
+					k.Impl, root = f[2], Key{Impl: f[2]}
+				}
+				k.OpA, k.OpB, _ = strings.Cut(f[2+i], ",")
+				t[k] = line
+				t[root] += line
 			}
-			var k Key
-			k.Spec, _, _ = strings.Cut(f[0], "/")
-			k.LowestFD = f[1] == "lowestfd=true"
-			k.OpA, k.OpB, _ = strings.Cut(f[2+i], ",")
-			root := Key{Spec: k.Spec}
-			if i == 1 {
-				k.Impl = f[2]
-				root = Key{Impl: k.Impl}
-			}
-			line = strings.TrimSuffix(line, "\n") + "\n"
-			lines[k] = line
-			lines[root] += line
 		}
 	}
-	t := Table{pins: map[Key]string{}}
-	for k, l := range lines {
-		sum := sha256.Sum256([]byte(l))
-		t.pins[k] = string(sum[:])
+	for k, lines := range t {
+		sum := sha256.Sum256([]byte(lines))
+		t[k] = string(sum[:])
 	}
 	return t
 }
 
-// Pin returns k's pin: its pair line's leaf, else the root of k's Impl
-// when k names one, else the root of k's spec; "" when that has no line.
+// Pin returns k's leaf, else the root of k's Impl when k names one, else
+// the root of k's spec; "" when that has no line.
 func (t Table) Pin(k Key) string {
-	if leaf, ok := t.pins[k]; ok {
+	if leaf, ok := t[k]; ok {
 		return leaf
 	}
 	if k.Impl != "" {
-		return t.pins[Key{Impl: k.Impl}]
+		return t[Key{Impl: k.Impl}]
 	}
-	return t.pins[Key{Spec: k.Spec}]
+	return t[Key{Spec: k.Spec}]
 }

@@ -8,9 +8,8 @@
 //     (dominant) symbolic work is shared across every kernel selection.
 //   - The CHECK tier stores one kernel's aggregate cell for one pair, keyed
 //     by the TESTGEN key plus the kernel's name and its trace pin for the
-//     pair. The
-//     testgen key pins the exact test slice the cell was computed from, so
-//     a cell hit never has to re-read or re-validate the tests it
+//     pair. The testgen key pins the exact test slice the cell was computed
+//     from, so a cell hit never has to re-read or re-validate the tests it
 //     summarizes.
 //
 // A sweep reads the CHECK tier first: a pair whose every requested cell
@@ -43,11 +42,10 @@ import (
 // shape or the entry encoding: what a key covers of the code is its
 // verdict pins (internal/pins), so a change that moves a verdict re-keys
 // the entries it covers when TestCorpusDigest -update rewrites the pin.
-// Version 5 is the first shape that folds the pins in, version 6 the first
-// whose TESTGEN entries carry each test's setup under its spec's name
-// (kernel.TestCase's JSON), and version 7 the first that folds in a pair's
-// own pins rather than its spec's and Impl's. Entries of an older version
-// are never matched again.
+// Version 6 is the first whose TESTGEN entries carry each test's setup
+// under its spec's name (kernel.TestCase's JSON), and version 7 the first
+// that folds in a pair's own pins. Entries of an older version are never
+// matched again.
 const CacheVersion = 7
 
 // TestgenKey derives the content address of the kernel-independent phase:
@@ -67,22 +65,19 @@ func testgenKey(p pins.Table, pair pins.Key, aOpt analyzer.Options, gOpt testgen
 	return hashKey(append(b, p.Pin(pair)...))
 }
 
-// CheckKey derives the content address of a kernel's CHECK cell from the
-// TESTGEN key of the tests it ran and the kernel's name, for a pair with no
-// trace pin of its own: it folds in the kernel's root pin, the hash of all
-// its trace.digest lines. Only the benchmark reads it; a sweep keys each
-// cell by its own (Impl, pair) pin (checkKey).
+// CheckKey is checkKey for a pair with no trace pin of its own: it folds
+// in the kernel's root pin. Only the benchmark reads it.
 func CheckKey(testgenKey, kernelName string) string {
-	return checkKey(pins.Current, testgenKey, pins.Key{Impl: kernelName})
+	return checkKey(pins.Current, testgenKey, pins.Key{}, kernelName)
 }
 
-// checkKey derives the address of the cell of the pair and Impl that cell
-// names: the TESTGEN key of its tests, the Impl's name and the cell's trace
-// pin. Chaining through the testgen key means every input that moves the
-// tests moves the cell key too, without restating them.
-func checkKey(p pins.Table, testgenKey string, cell pins.Key) string {
+// checkKey derives the content address of impl's CHECK cell of pair from
+// the TESTGEN key of its tests, impl and its trace pin. Chaining through the
+// testgen key moves the cell key with every input that moves the tests.
+func checkKey(p pins.Table, testgenKey string, pair pins.Key, impl string) string {
 	var buf [160]byte
-	return hashKey(renderKey(buf[:0], "|tier=check|testgen=", testgenKey, "|kernel=", cell.Impl, p.Pin(cell)))
+	pair.Impl = impl
+	return hashKey(renderKey(buf[:0], "|tier=check|testgen=", testgenKey, "|kernel=", impl, p.Pin(pair)))
 }
 
 // renderKey starts a key's rendering: the cache version, then parts.

@@ -150,10 +150,9 @@ func TestCacheKeysFollowPins(t *testing.T) {
 					t.Errorf("%s: %+v shape %d: TESTGEN key moved=%t", c.name, pair, i, before[i] != after[i])
 				}
 				for _, im := range impls[pair.Spec] {
-					ck := cell(pair, im)
-					ckMoved := checkKey(base, before[i], ck) != checkKey(c.table, after[i], ck)
-					if ckMoved != (tgMoved || slices.Contains(c.ck, ck)) {
-						t.Errorf("%s: %+v shape %d: CHECK key moved=%t", c.name, ck, i, ckMoved)
+					ckMoved := checkKey(base, before[i], pair, im) != checkKey(c.table, after[i], pair, im)
+					if ckMoved != (tgMoved || slices.Contains(c.ck, cell(pair, im))) {
+						t.Errorf("%s: %+v shape %d: %s CHECK key moved=%t", c.name, pair, i, im, ckMoved)
 					}
 				}
 			}
@@ -168,10 +167,10 @@ func TestCacheKeysFollowPins(t *testing.T) {
 
 	// CheckKey is the key of a cell with no trace line of its own.
 	tg := TestgenKey("posix", "read", "read", analyzer.Options{Config: spec.Config{LowestFD: true}}, testgen.Options{})
-	if CheckKey(tg, "sv6") != checkKey(pins.Current, tg, cell(noLeaf, "sv6")) {
+	if CheckKey(tg, "sv6") != checkKey(pins.Current, tg, noLeaf, "sv6") {
 		t.Error("CheckKey is not the key of a pair with no trace line")
 	}
-	if CheckKey(tg, "sv6") == checkKey(pins.Current, tg, cell(openLink, "sv6")) {
+	if CheckKey(tg, "sv6") == checkKey(pins.Current, tg, openLink, "sv6") {
 		t.Error("a pair with a trace line keys its cell as CheckKey does")
 	}
 }
@@ -193,8 +192,7 @@ func TestKeyDerivationAllocs(t *testing.T) {
 		}); n > 1 {
 			t.Errorf("%+v: TESTGEN key: %v allocations, want at most 1", pair, n)
 		}
-		pair.Impl = "sv6"
-		if n := testing.AllocsPerRun(100, func() { checkKey(pins.Current, tg, pair) }); n > 1 {
+		if n := testing.AllocsPerRun(100, func() { checkKey(pins.Current, tg, pair, "sv6") }); n > 1 {
 			t.Errorf("%+v: CHECK key: %v allocations, want at most 1", pair, n)
 		}
 	}
@@ -204,7 +202,7 @@ func TestKeyDerivationAllocs(t *testing.T) {
 // posix pair (a, b) under, at the default shape.
 func sweepCheckKey(a, b, kernel string) string {
 	tg := TestgenKey("posix", a, b, analyzer.Options{}, testgen.Options{})
-	return checkKey(pins.Current, tg, pins.Key{Spec: "posix", OpA: a, OpB: b, Impl: kernel})
+	return checkKey(pins.Current, tg, pins.Key{Spec: "posix", OpA: a, OpB: b}, kernel)
 }
 
 // cachedTests is a nontrivial test-case slice exercising every Setup field

@@ -652,8 +652,7 @@ func (r *run) runPair(ctx context.Context, a, b *spec.Op, w *worker) (PairResult
 	out.Cached = tg.fromCache
 	for i := len(out.Cells); i < len(r.cfg.Kernels); i++ {
 		ks := r.cfg.Kernels[i]
-		pair.Impl = ks.Name
-		ck, err := checkStage.run(ctx, r, checkKey(pins.Current, tgKey, pair), &out, func(cell KernelCell) bool {
+		ck, err := checkStage.run(ctx, r, checkKey(pins.Current, tgKey, pair, ks.Name), &out, func(cell KernelCell) bool {
 			return cell.Kernel == ks.Name
 		}, func() (KernelCell, int, error) {
 			cell, err := w.check(ctx, i, ks, tg.val, &out)
@@ -684,8 +683,7 @@ func (r *run) probeCells(tgKey string, pair pins.Key) []KernelCell {
 	}
 	cells := make([]KernelCell, 0, len(r.cfg.Kernels))
 	for _, ks := range r.cfg.Kernels {
-		pair.Impl = ks.Name
-		cell, hit := checkStage.get(r.cfg.Cache, checkKey(pins.Current, tgKey, pair))
+		cell, hit := checkStage.get(r.cfg.Cache, checkKey(pins.Current, tgKey, pair, ks.Name))
 		if !hit || cell.Kernel != ks.Name {
 			observeBackendGet(r.cfg.Cache, TierCheck, false)
 			break

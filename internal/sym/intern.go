@@ -2,6 +2,7 @@ package sym
 
 import (
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -62,9 +63,10 @@ type Scope struct {
 	m map[uint64]*Expr
 	// gen is the high half of this generation's ids, last the last low half.
 	gen, last uint64
-	// varIDs keeps, across resets, the process-wide id of each variable the
-	// scope has made, so a name reads internVar's locked table once.
-	varIDs map[varKey]int
+	// vars keeps, across resets, the process-wide id and the name of each
+	// variable the scope has made, so a name reads internVar's locked table
+	// and is copied once.
+	vars map[varKey]scopeVar
 	// hits and misses count constructor calls since the last Fold.
 	hits, misses uint64
 	// banks hold the nodes and their lists; the generation allocates from
@@ -142,17 +144,24 @@ func (s *Scope) Var(name string, so Sort) *Expr {
 		s.hits++
 		return e
 	}
-	id, ok := s.varIDs[varKey{name, so}]
+	v, ok := s.vars[varKey{name, so}]
 	if !ok {
-		id = internVar(name, so)
-		s.varIDs[varKey{name, so}] = id
+		v.name = strings.Clone(name) // a caller may render name on its stack
+		v.id = internVar(v.name, so)
+		s.vars[varKey{v.name, so}] = v
 	}
 	e := s.node()
-	e.Op, e.Sort, e.Name, e.VarID = OpVar, so, name, id
+	e.Op, e.Sort, e.Name, e.VarID = OpVar, so, v.name, v.id
 	e.vars = s.list(1)
 	e.vars[0] = e
 	s.add(h, head, e)
 	return e
+}
+
+// scopeVar is a variable a scope has made (Scope.vars).
+type scopeVar struct {
+	id   int
+	name string
 }
 
 // node returns a zero node slot of the generation's bank.

@@ -326,7 +326,7 @@ func (s *Solver) remember(h uint64, sat bool) {
 // generation passes run on the Solver make their variables.
 func (s *Solver) Scope() *Scope {
 	if s.scope == nil {
-		s.scope = &Scope{m: map[uint64]*Expr{}, gen: scopeGens.Add(1), varIDs: map[varKey]int{}}
+		s.scope = &Scope{m: map[uint64]*Expr{}, gen: scopeGens.Add(1), vars: map[varKey]scopeVar{}}
 	}
 	return s.scope
 }

@@ -150,10 +150,9 @@ type exploration struct {
 
 	// paths are the exploration's complete paths so far, and queue the
 	// decision prefixes still to replay (see RunCtx).
-	paths []Path
-	queue [][]bool
-	// prefixes holds the queued prefixes' decisions (see Branch).
-	prefixes region.Slab[bool]
+	paths    []Path
+	queue    [][]bool
+	prefixes region.Slab[bool] // the queued prefixes' decisions (see Branch)
 }
 
 // newContext starts an exploration on solver, and its first replay, along
@@ -222,13 +221,13 @@ func (c *Context) PC() *sym.Expr { return sym.And(c.pcConjs...) }
 func (c *Context) Var(name string, s sym.Sort, kind VarKind) *sym.Expr {
 	if v, ok := c.x.vars[name]; ok {
 		if v.Sort != s {
-			panic(fmt.Sprintf("symx: variable %q redeclared at sort %v (was %v)", name, s, v.Sort))
+			panic(fmt.Sprintf("symx: variable %q redeclared at sort %v (was %v)", v.Name, s, v.Sort))
 		}
 		return v
 	}
 	v := c.solver.Scope().Var(name, s)
-	c.x.vars[name] = v
-	c.x.varKinds[name] = kind
+	c.x.vars[v.Name] = v
+	c.x.varKinds[v.Name] = kind
 	return v
 }
 

@@ -66,18 +66,12 @@ func (s *Struct) index(name string) int {
 // conjunction of componentwise equalities.
 type Key []*sym.Expr
 
-// K builds a key from expressions. The key is its caller's list: a Dict
-// copies a key into its region only where it keeps one (keep), so the
-// list of a lookup that finds its entry stays on the caller's stack.
+// K builds a key from expressions. A Dict copies a key only where it keeps
+// one (keep), so K's list stays on its caller's stack.
 func K(es ...*sym.Expr) Key { return Key(es) }
 
-// keep returns a copy of k in the region of c's Solver, for a Dict to
-// keep.
-func (c *Context) keep(k Key) Key {
-	kept := c.r.exprs.Take(len(k))
-	copy(kept, k)
-	return kept
-}
+// keep copies k into the region of c's Solver, for a Dict to keep.
+func (c *Context) keep(k Key) Key { return append(c.r.exprs.Take(len(k))[:0], k...) }
 
 func (k Key) eq(o Key) *sym.Expr {
 	if len(k) != len(o) {
