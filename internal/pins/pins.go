@@ -1,19 +1,16 @@
 // Package pins holds the three verdict pins that internal/testgen's
-// TestCorpusDigest checks the pipeline against, and turns two of them into
-// what the sweep cache keys fold in. analysis.digest hashes the paths
-// ANALYZE finds, corpus.digest the generated tests and trace.digest what
-// every implementation does with them, a line per (universe[, Impl],
-// pair). A universe's summary line hashes its pair lines.
+// TestCorpusDigest checks the pipeline against, a line per (universe[,
+// Impl], pair) and a summary line per universe hashing its pair lines:
+// analysis.digest hashes the paths ANALYZE finds, corpus.digest the
+// generated tests, trace.digest what every implementation does with them.
 //
-// A pair line's hash is the pair's leaf: a pair's corpus leaf keys its
-// TESTGEN entries (and through them its CHECK cells), and an (Impl, pair)
-// trace leaf that one cell, so the -update that rewrites a moved line
-// re-keys exactly those. A pair with no line folds in its spec's or Impl's
-// root, the hash of all their pair lines. The analysis pin keys nothing.
-//
-// The pins are taken at the default test shape, and a leaf keys its pair
-// at every shape: it assumes that a pair's tests at another path cap or
-// tests-per-path move together with its tests at the pinned one, as a root
+// A pair line's hash is its leaf. A corpus leaf keys the pair's TESTGEN
+// entries (and through them its CHECK cells), an (Impl, pair) trace leaf
+// that one cell, so the -update that rewrites a moved line re-keys exactly
+// those; a pair with no line takes its spec's or Impl's root, the hash of
+// all their pair lines. The analysis pin keys nothing. The pins are taken
+// at the default test shape, so a leaf assumes that a pair's tests at
+// another shape move together with its tests at the pinned one, as a root
 // does one level coarser.
 package pins
 
@@ -37,8 +34,8 @@ type Key struct {
 }
 
 // Table is one set of pins, each the 32 bytes of a SHA-256, held as a
-// string so a key can append it as it is.
-type Table map[Key]string
+// string so a key can append it as it is. Pin is the only way to read one.
+type Table struct{ pins map[Key]string }
 
 // Current is the table of the digests committed beside this file.
 var Current = Parse(corpusDigest, traceDigest)
@@ -47,7 +44,7 @@ var Current = Parse(corpusDigest, traceDigest)
 // reads "<spec>/<set> lowestfd=<bool> [<impl>] <opA>,<opB> <count>
 // sha256=<hex>"; the roots are derived from the pair lines, here.
 func Parse(corpus, trace string) Table {
-	t := Table{}
+	t := map[Key]string{}
 	for i, text := range []string{corpus, trace} {
 		for line := range strings.Lines(text) {
 			if f := strings.Fields(line); len(f) == 5+i {
@@ -66,17 +63,17 @@ func Parse(corpus, trace string) Table {
 		sum := sha256.Sum256([]byte(lines))
 		t[k] = string(sum[:])
 	}
-	return t
+	return Table{t}
 }
 
 // Pin returns k's leaf, else the root of k's Impl when k names one, else
 // the root of k's spec; "" when that has no line.
 func (t Table) Pin(k Key) string {
-	if leaf, ok := t[k]; ok {
+	if leaf, ok := t.pins[k]; ok {
 		return leaf
 	}
 	if k.Impl != "" {
-		return t[Key{Impl: k.Impl}]
+		return t.pins[Key{Impl: k.Impl}]
 	}
-	return t[Key{Spec: k.Spec}]
+	return t.pins[Key{Spec: k.Spec}]
 }

@@ -29,6 +29,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/analyzer"
@@ -42,21 +43,23 @@ import (
 // shape or the entry encoding: what a key covers of the code is its
 // verdict pins (internal/pins), so a change that moves a verdict re-keys
 // the entries it covers when TestCorpusDigest -update rewrites the pin.
-// Version 6 is the first whose TESTGEN entries carry each test's setup
-// under its spec's name (kernel.TestCase's JSON), and version 7 the first
-// that folds in a pair's own pins. Entries of an older version are never
-// matched again.
+// Version 7 is the first that folds in a pair's own pins; entries of an
+// older version are never matched again.
 const CacheVersion = 7
 
 // TestgenKey derives the content address of the kernel-independent phase:
 // the test cases ANALYZE → TESTGEN produces for one pair of the named
 // spec. It folds in the pair, the options that shape the tests
-// (appendShape) and the pair's corpus pin (pins.Table.Pin). Solvers are
-// deliberately excluded because complete results don't depend on them, and
-// incomplete (budget-truncated) results are never stored (see runPair).
+// (appendShape) and the pair's corpus pin (pins.Table.Pin), but no solver:
+// only complete results, which do not depend on one, are stored (runPair).
 func TestgenKey(specName, opA, opB string, aOpt analyzer.Options, gOpt testgen.Options) string {
-	return testgenKey(pins.Current, pins.Key{Spec: specName, LowestFD: aOpt.Config.LowestFD, OpA: opA, OpB: opB}, aOpt, gOpt)
+	pair := pins.Key{Spec: specName, LowestFD: aOpt.Config.LowestFD, OpA: opA, OpB: opB}
+	key := testgenKey(pins.Current, pair, aOpt, gOpt)
+	keyedPairs.Store(key, pair)
+	return key
 }
+
+var keyedPairs sync.Map // each key TestgenKey returned → its pins.Key
 
 func testgenKey(p pins.Table, pair pins.Key, aOpt analyzer.Options, gOpt testgen.Options) string {
 	var buf [160]byte
@@ -65,10 +68,12 @@ func testgenKey(p pins.Table, pair pins.Key, aOpt analyzer.Options, gOpt testgen
 	return hashKey(append(b, p.Pin(pair)...))
 }
 
-// CheckKey is checkKey for a pair with no trace pin of its own: it folds
-// in the kernel's root pin. Only the benchmark reads it.
+// CheckKey is checkKey for the pair TestgenKey returned testgenKey for, so
+// the key a sweep stores the cell under; else it folds in the Impl's root.
 func CheckKey(testgenKey, kernelName string) string {
-	return checkKey(pins.Current, testgenKey, pins.Key{}, kernelName)
+	pair, _ := keyedPairs.Load(testgenKey)
+	k, _ := pair.(pins.Key)
+	return checkKey(pins.Current, testgenKey, k, kernelName)
 }
 
 // checkKey derives the content address of impl's CHECK cell of pair from

@@ -75,9 +75,9 @@ func TestTestgenKeyStability(t *testing.T) {
 // covers change: a pair's corpus line moves its TESTGEN keys and the CHECK
 // keys chained to them, an (Impl, pair) trace line moves that one CHECK
 // key, and a pair with no line of its own (a lowest-FD posix pair outside
-// "fs") moves with any line of its spec or its Impl. A fleet session moves
-// with any line of its spec or kernels. A spec or Impl with no line at all
-// keys the same under both tables.
+// "fs", any lowest-FD kv pair) moves with any line of its spec or its Impl.
+// A fleet session moves with any line of its spec or kernels. A spec or
+// Impl with no line at all keys the same under both tables.
 func TestCacheKeysFollowPins(t *testing.T) {
 	read := func(name string) string {
 		data, err := os.ReadFile("../pins/" + name)
@@ -108,12 +108,18 @@ func TestCacheKeysFollowPins(t *testing.T) {
 
 	kvPut := pins.Key{Spec: "kv", OpA: "put", OpB: "scan"}
 	kvGet := pins.Key{Spec: "kv", OpA: "get", OpB: "get"}
+	kvFD := pins.Key{Spec: "kv", LowestFD: true, OpA: "put", OpB: "scan"}
+	mmapMunmap := pins.Key{Spec: "vm", OpA: "mmap", OpB: "munmap"}
+	mmapMmap := pins.Key{Spec: "vm", OpA: "mmap", OpB: "mmap"}
+	sendRecv := pins.Key{Spec: "queue", OpA: "send", OpB: "recv"}
+	recvRecv := pins.Key{Spec: "queue", OpA: "recv", OpB: "recv"}
 	openLink := pins.Key{Spec: "posix", OpA: "open", OpB: "link"}
 	openOpen := pins.Key{Spec: "posix", OpA: "open", OpB: "open"}
 	noLeaf := pins.Key{Spec: "posix", LowestFD: true, OpA: "read", OpB: "read"}
 	counting := pins.Key{Spec: "counting", OpA: "a", OpB: "b"}
-	pairs := []pins.Key{kvPut, kvGet, openLink, openOpen, noLeaf, counting}
-	impls := map[string][]string{"kv": {"memkv"}, "posix": {"linux", "sv6"}, "counting": {"counting"}}
+	pairs := []pins.Key{kvPut, kvGet, kvFD, mmapMunmap, mmapMmap, sendRecv, recvRecv, openLink, openOpen, noLeaf, counting}
+	impls := map[string][]string{"kv": {"memkv"}, "vm": {"memvm"}, "queue": {"memq"},
+		"posix": {"linux", "sv6"}, "counting": {"counting"}}
 	cell := func(pair pins.Key, impl string) pins.Key {
 		pair.Impl = impl
 		return pair
@@ -136,7 +142,13 @@ func TestCacheKeysFollowPins(t *testing.T) {
 		fleet string     // the spec, or an Impl, whose fleet sessions move
 	}{
 		{"kv corpus leaf", pins.Parse(moved(corpus, "kv/all lowestfd=false put,scan"), trace),
-			[]pins.Key{kvPut}, nil, "kv"},
+			[]pins.Key{kvPut, kvFD}, nil, "kv"},
+		{"memkv trace leaf", pins.Parse(corpus, moved(trace, "kv/all lowestfd=false memkv put,scan")),
+			nil, []pins.Key{cell(kvPut, "memkv"), cell(kvFD, "memkv")}, "memkv"},
+		{"vm corpus leaf", pins.Parse(moved(corpus, "vm/all lowestfd=false mmap,munmap"), trace),
+			[]pins.Key{mmapMunmap}, nil, "vm"},
+		{"memq trace leaf", pins.Parse(corpus, moved(trace, "queue/all lowestfd=false memq send,recv")),
+			nil, []pins.Key{cell(sendRecv, "memq")}, "memq"},
 		{"posix corpus leaf", pins.Parse(moved(corpus, "posix/all lowestfd=false open,open"), trace),
 			[]pins.Key{openOpen, noLeaf}, nil, "posix"},
 		{"sv6 trace leaf", pins.Parse(corpus, moved(trace, "posix/all lowestfd=false sv6 open,link")),
@@ -165,13 +177,18 @@ func TestCacheKeysFollowPins(t *testing.T) {
 		}
 	}
 
-	// CheckKey is the key of a cell with no trace line of its own.
-	tg := TestgenKey("posix", "read", "read", analyzer.Options{Config: spec.Config{LowestFD: true}}, testgen.Options{})
-	if CheckKey(tg, "sv6") != checkKey(pins.Current, tg, noLeaf, "sv6") {
-		t.Error("CheckKey is not the key of a pair with no trace line")
+	// CheckKey addresses a cell as the sweep does, whether its pair has a
+	// trace line or not; a key TestgenKey never returned takes the Impl's
+	// root, as a pair with no line does.
+	for _, pair := range []pins.Key{openLink, noLeaf} {
+		a := analyzer.Options{Config: spec.Config{LowestFD: pair.LowestFD}}
+		tg := TestgenKey(pair.Spec, pair.OpA, pair.OpB, a, testgen.Options{})
+		if CheckKey(tg, "sv6") != checkKey(pins.Current, tg, pair, "sv6") {
+			t.Errorf("%+v: CheckKey is not the key the sweep stores the cell under", pair)
+		}
 	}
-	if CheckKey(tg, "sv6") == checkKey(pins.Current, tg, openLink, "sv6") {
-		t.Error("a pair with a trace line keys its cell as CheckKey does")
+	if CheckKey("unreturned", "sv6") != checkKey(pins.Current, "unreturned", noLeaf, "sv6") {
+		t.Error("a key TestgenKey never returned does not take the Impl's root")
 	}
 }
 
@@ -199,10 +216,11 @@ func TestKeyDerivationAllocs(t *testing.T) {
 }
 
 // sweepCheckKey is the key a sweep stores the sv6 or linux cell of the
-// posix pair (a, b) under, at the default shape.
+// posix pair (a, b) under, at the default shape, as the exported keys
+// derive it: the tests that remove or rewrite the file it names hold
+// CheckKey to the sweep's own derivation.
 func sweepCheckKey(a, b, kernel string) string {
-	tg := TestgenKey("posix", a, b, analyzer.Options{}, testgen.Options{})
-	return checkKey(pins.Current, tg, pins.Key{Spec: "posix", OpA: a, OpB: b}, kernel)
+	return CheckKey(TestgenKey("posix", a, b, analyzer.Options{}, testgen.Options{}), kernel)
 }
 
 // cachedTests is a nontrivial test-case slice exercising every Setup field

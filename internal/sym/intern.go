@@ -63,9 +63,8 @@ type Scope struct {
 	m map[uint64]*Expr
 	// gen is the high half of this generation's ids, last the last low half.
 	gen, last uint64
-	// vars keeps, across resets, the process-wide id and the name of each
-	// variable the scope has made, so a name reads internVar's locked table
-	// and is copied once.
+	// vars keeps, across resets, the id and a copy of the name of each
+	// variable the scope has made, so internVar's locked table is read once.
 	vars map[varKey]scopeVar
 	// hits and misses count constructor calls since the last Fold.
 	hits, misses uint64

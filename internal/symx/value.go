@@ -66,8 +66,7 @@ func (s *Struct) index(name string) int {
 // conjunction of componentwise equalities.
 type Key []*sym.Expr
 
-// K builds a key from expressions. A Dict copies a key only where it keeps
-// one (keep), so K's list stays on its caller's stack.
+// K builds a key from expressions; a Dict copies one only to keep it (keep).
 func K(es ...*sym.Expr) Key { return Key(es) }
 
 // keep copies k into the region of c's Solver, for a Dict to keep.
