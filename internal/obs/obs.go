@@ -139,17 +139,32 @@ func (f *family) sameShape(typ, help string, labels []string, buckets []float64,
 }
 
 // get returns the series for the label values, creating it on first use.
+// Finding an existing series allocates nothing: the values are joined in a
+// stack buffer, and only a new series keeps its key as a string.
 func (f *family) get(vals []string) *series {
 	if len(vals) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d", f.name, len(f.labels), len(vals)))
 	}
-	key := strings.Join(vals, "\x00")
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if s := f.series[key]; s != nil {
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range vals {
+		if i > 0 {
+			key = append(key, 0)
+		}
+		key = append(key, v...)
+	}
+	f.mu.RLock()
+	s := f.series[string(key)]
+	f.mu.RUnlock()
+	if s != nil {
 		return s
 	}
-	s := &series{labelVals: slices.Clone(vals)}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if s = f.series[string(key)]; s != nil {
+		return s
+	}
+	s = &series{labelVals: slices.Clone(vals)}
 	switch f.typ {
 	case typeCounter:
 		s.c = &Counter{}
@@ -158,7 +173,7 @@ func (f *family) get(vals []string) *series {
 	case typeHistogram:
 		s.h = &Histogram{bounds: f.buckets, counts: make([]atomic.Uint64, len(f.buckets))}
 	}
-	f.series[key] = s
+	f.series[string(key)] = s
 	return s
 }
 

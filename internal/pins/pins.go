@@ -17,6 +17,7 @@ package pins
 import (
 	"crypto/sha256"
 	_ "embed"
+	"hash"
 	"strings"
 )
 
@@ -42,9 +43,12 @@ var Current = Parse(corpusDigest, traceDigest)
 
 // Parse builds a table from corpus.digest and trace.digest. A pair line
 // reads "<spec>/<set> lowestfd=<bool> [<impl>] <opA>,<opB> <count>
-// sha256=<hex>"; the roots are derived from the pair lines, here.
+// sha256=<hex>"; the roots are derived from the pair lines, here, each
+// hashing its lines in file order as they are read.
 func Parse(corpus, trace string) Table {
-	t := map[Key]string{}
+	t := make(map[Key]string, strings.Count(corpus, "\n")+strings.Count(trace, "\n"))
+	roots := map[Key]hash.Hash{}
+	var buf []byte
 	for i, text := range []string{corpus, trace} {
 		for line := range strings.Lines(text) {
 			if f := strings.Fields(line); len(f) == 5+i {
@@ -54,14 +58,20 @@ func Parse(corpus, trace string) Table {
 					k.Impl, root = f[2], Key{Impl: f[2]}
 				}
 				k.OpA, k.OpB, _ = strings.Cut(f[2+i], ",")
-				t[k] = line
-				t[root] += line
+				buf = append(buf[:0], line...)
+				leaf := sha256.Sum256(buf)
+				t[k] = string(leaf[:])
+				h := roots[root]
+				if h == nil {
+					h = sha256.New()
+					roots[root] = h
+				}
+				h.Write(buf)
 			}
 		}
 	}
-	for k, lines := range t {
-		sum := sha256.Sum256([]byte(lines))
-		t[k] = string(sum[:])
+	for k, h := range roots {
+		t[k] = string(h.Sum(nil))
 	}
 	return Table{t}
 }

@@ -2,6 +2,7 @@ package pins_test
 
 import (
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -76,5 +77,35 @@ func TestEveryRegisteredNameIsPinned(t *testing.T) {
 	}
 	if universes != 5 {
 		t.Errorf("corpus.digest pins %d universes, want 5", universes)
+	}
+}
+
+// TestParseIsLinear bounds what Parse allocates on the committed digests,
+// which every process that imports the package parses at init: at most
+// three allocations a line and four bytes a byte of input, where a root
+// built by appending its lines to a string costs over a hundred.
+func TestParseIsLinear(t *testing.T) {
+	var text [2]string
+	for i, name := range []string{"corpus.digest", "trace.digest"} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text[i] = string(data)
+	}
+	lines := strings.Count(text[0], "\n") + strings.Count(text[1], "\n")
+	if n := testing.AllocsPerRun(10, func() { pins.Parse(text[0], text[1]) }); n > float64(3*lines) {
+		t.Errorf("Parse: %v allocations for %d lines, want at most 3 a line", n, lines)
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		pins.Parse(text[0], text[1])
+	}
+	runtime.ReadMemStats(&after)
+	size := len(text[0]) + len(text[1])
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > uint64(4*size) {
+		t.Errorf("Parse: %d bytes for %d bytes of digest, want at most 4 a byte", perRun, size)
 	}
 }

@@ -112,3 +112,25 @@ func BenchmarkSweepWarmSubset(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCacheGetCell is one warm dir-backend cell hit, the read a warm
+// sweep makes for every pair and kernel it serves:
+//
+//	go test -run '^$' -bench CacheGetCell -benchmem ./internal/sweep
+func BenchmarkCacheGetCell(b *testing.B) {
+	c, err := OpenCache(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := sweepCheckKey("close", "close", "sv6")
+	if err := c.PutCell(key, KernelCell{Kernel: "sv6", Total: 12, Conflicts: 3}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := c.GetCell(key); !ok {
+			b.Fatal("warm cell missed")
+		}
+	}
+}

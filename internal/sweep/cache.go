@@ -18,9 +18,18 @@
 // `-kernel both` sweep therefore reads one cell per pair and runs nothing,
 // and adding a new kernel reads the cached tests and reruns only that
 // kernel's CHECK.
+//
+// A warm rerun is mostly cell reads, so a cell's read path is short. Its
+// file path is rendered into a pooled buffer, and the file is read into
+// another with one open, one read and one close (readEntry); an entry that
+// does not fit the buffer is read whole, as a TESTGEN entry always is. The
+// bytes EncodeCellEntry writes decode without reflection, and every other
+// input takes the full JSON decode, with the same hit or miss. The disk
+// stays the only copy: nothing read is kept past the call.
 package sweep
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -29,6 +38,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -136,6 +146,9 @@ func (s CacheStats) Misses() int { return s.TestgenMisses + s.CheckMisses }
 type Cache struct {
 	entryCodec
 	dir string
+	// name is String's rendering and prefix entryPrefix's, both rendered
+	// once, at open.
+	name, prefix string
 }
 
 // testgenEntry is the TESTGEN tier's on-disk format: the serialized test
@@ -195,9 +208,17 @@ func OpenCache(dir string) (*Cache, error) {
 		slog.Warn("sweep: stale cache temp files could not be removed",
 			"dir", dir, "files", failed, "err", firstErr)
 	}
-	c := &Cache{dir: dir}
+	c := &Cache{dir: dir, name: "dir:" + dir, prefix: entryPrefix(dir)}
 	c.entryCodec = entryCodec{c}
 	return c, nil
+}
+
+// entryPrefix is what filepath.Join puts before a file name in dir: the
+// directory cleaned, and a separator unless it is the working directory.
+// Join cleans a name with no separator the same whatever it is, so "x"
+// stands for every entry's name.
+func entryPrefix(dir string) string {
+	return strings.TrimSuffix(filepath.Join(dir, "x"), "x")
 }
 
 // Dir returns the cache's root directory.
@@ -207,16 +228,53 @@ func (c *Cache) Dir() string { return c.dir }
 // inspectable by eye; the keys alone would already be distinct (each tier
 // hashes its tier name).
 func (c *Cache) path(tier, key string) string {
+	return string(c.appendPath(nil, tier, key))
+}
+
+// appendPath appends key's entry file in tier to b: filepath.Join of the
+// directory and the file name, concatenated from the prefix OpenCache
+// cleaned when the name holds no separator for Join to clean.
+func (c *Cache) appendPath(b []byte, tier, key string) []byte {
+	suffix := ".cell.json"
 	if tier == TierTestgen {
-		return filepath.Join(c.dir, key+".tests.json")
+		suffix = ".tests.json"
 	}
-	return filepath.Join(c.dir, key+".cell.json")
+	if strings.ContainsRune(key, '/') || strings.ContainsRune(key, filepath.Separator) {
+		return append(b, filepath.Join(c.dir, key+suffix)...)
+	}
+	return append(append(append(b, c.prefix...), key...), suffix...)
 }
 
 // get reads one entry file; a missing or unreadable file is a miss.
 func (c *Cache) get(tier, key string) ([]byte, bool) {
 	data, err := os.ReadFile(c.path(tier, key))
 	return data, err == nil
+}
+
+// entryBuf is a cell read's scratch: the entry file's path and its bytes.
+// A canonical cell entry is at most about 180 bytes with a short kernel
+// name; the path holds the directory, 64 bytes of key and a suffix.
+type entryBuf struct {
+	path [256]byte
+	data [512]byte
+}
+
+var entryBufs = sync.Pool{New: func() any { return new(entryBuf) }}
+
+// GetCell reads key's CHECK entry into a pooled buffer and decodes it
+// there; the buffer goes back to the pool when the call returns, since
+// DecodeCellEntry keeps nothing of the bytes.
+func (c *Cache) GetCell(key string) (*KernelCell, bool) {
+	buf := entryBufs.Get().(*entryBuf)
+	defer entryBufs.Put(buf)
+	n, err := readEntry(c.appendPath(buf.path[:0], TierCheck, key), buf.data[:])
+	switch {
+	case err != nil:
+		return nil, false
+	case n < len(buf.data):
+		return DecodeCellEntry(key, buf.data[:n])
+	}
+	return c.entryCodec.GetCell(key) // does not fit: read the whole file
 }
 
 // put writes one entry file through a temp file and rename, so a crashed
@@ -274,13 +332,115 @@ func EncodeCellEntry(key string, cell KernelCell) ([]byte, error) {
 // reports a miss (nil, false). A cell counts tests, so one whose counts
 // break 0 ≤ Conflicts ≤ Total is a defect too: a sweep serves a hit
 // straight into the matrix, without the tests it summarizes.
+//
+// The bytes EncodeCellEntry writes for key decode without reflection
+// (canonicalCell). Any other input takes json.Unmarshal, so whether it
+// hits, and with what cell, is what the full decode makes of it.
 func DecodeCellEntry(key string, data []byte) (*KernelCell, bool) {
-	var e checkEntry
-	if json.Unmarshal(data, &e) != nil || e.Version != CacheVersion || e.Key != key ||
-		e.Cell.Conflicts < 0 || e.Cell.Conflicts > e.Cell.Total {
+	cell, ok := canonicalCell(key, data)
+	if !ok {
+		var e checkEntry
+		if json.Unmarshal(data, &e) != nil || e.Version != CacheVersion || e.Key != key {
+			return nil, false
+		}
+		cell = e.Cell
+	}
+	if cell.Conflicts < 0 || cell.Conflicts > cell.Total {
 		return nil, false
 	}
-	return &e.Cell, true
+	return &cell, true
+}
+
+// The bytes EncodeCellEntry writes around the key, the kernel name and the
+// two counts.
+var cellHead = `{
+	"version": ` + strconv.Itoa(CacheVersion) + `,
+	"key": "`
+
+const (
+	cellKernel = `",
+	"cell": {
+		"kernel": "`
+	cellTotal = `",
+		"total": `
+	cellConflicts = `,
+		"conflicts": `
+	cellTail = `
+	}
+}`
+)
+
+// canonicalCell reports whether data is exactly what EncodeCellEntry
+// writes for key and some cell, and if so that cell, read without
+// reflection. It takes only what it can read unambiguously: a key and a
+// kernel name of printable ASCII that json.Marshal writes unescaped, and
+// counts of at most nine digits, which fit an int everywhere. Any other
+// input is left to json.Unmarshal.
+func canonicalCell(key string, data []byte) (KernelCell, bool) {
+	var cell KernelCell
+	rest, ok := cutLiteral(data, cellHead)
+	if !ok || !plain(key) {
+		return cell, false
+	}
+	if rest, ok = cutLiteral(rest, key); !ok {
+		return cell, false
+	}
+	if rest, ok = cutLiteral(rest, cellKernel); !ok {
+		return cell, false
+	}
+	n := bytes.IndexByte(rest, '"')
+	if n < 0 || !plain(string(rest[:n])) {
+		return cell, false
+	}
+	name := rest[:n]
+	if rest, ok = cutLiteral(rest[n:], cellTotal); !ok {
+		return cell, false
+	}
+	if cell.Total, rest, ok = cutCount(rest); !ok {
+		return cell, false
+	}
+	if rest, ok = cutLiteral(rest, cellConflicts); !ok {
+		return cell, false
+	}
+	if cell.Conflicts, rest, ok = cutCount(rest); !ok || string(rest) != cellTail {
+		return cell, false
+	}
+	cell.Kernel = string(name)
+	return cell, true
+}
+
+// cutLiteral returns b after its prefix lit, if b starts with lit.
+func cutLiteral(b []byte, lit string) ([]byte, bool) {
+	if len(b) < len(lit) || string(b[:len(lit)]) != lit {
+		return nil, false
+	}
+	return b[len(lit):], true
+}
+
+// plain reports whether json.Marshal writes s as it is: printable ASCII
+// with no quote, backslash or HTML character to escape.
+func plain(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20 || c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
+}
+
+// cutCount reads the count b starts with as json.Marshal writes a
+// non-negative int: "0", or one to nine digits with no leading zero.
+func cutCount(b []byte) (int, []byte, bool) {
+	n, v := 0, 0
+	for n < len(b) && n < 10 && '0' <= b[n] && b[n] <= '9' {
+		v = v*10 + int(b[n]-'0')
+		n++
+	}
+	if n == 0 || n > 9 || (n > 1 && b[0] == '0') {
+		return 0, nil, false
+	}
+	return v, b[n:], true
 }
 
 // byteStore is a backend that keeps entries as their encoded bytes: a
@@ -296,6 +456,12 @@ type byteStore interface {
 // (see runPair) — so a hit always carries a definitive value. Any defect
 // — absent entry, unparsable JSON, version or key mismatch — is a miss: the
 // sweep recomputes and overwrites, never fails.
+//
+// Every cell decodes through DecodeCellEntry: the canonical bytes without
+// reflection, any other input through json.Unmarshal, with the hit or miss
+// that decode gives. Its get reads a whole entry; the directory's own
+// GetCell reads a cell into a pooled buffer first and comes here only for
+// an entry that does not fit it.
 type entryCodec struct{ byteStore }
 
 func (e entryCodec) GetTests(key string) ([]kernel.TestCase, bool) {
@@ -346,4 +512,4 @@ func (c *Cache) Ready() error {
 
 // String identifies the backend in logs, metrics labels and the -cache
 // URL syntax.
-func (c *Cache) String() string { return "dir:" + c.dir }
+func (c *Cache) String() string { return c.name }

@@ -783,3 +783,77 @@ func TestCellEntryDefectsAreMisses(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmCellReadAllocs pins what a warm dir-backend cell hit allocates:
+// the cell and its kernel name. Its path, its read buffer, its decode and
+// the lookup's metric label take nothing.
+func TestWarmCellReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := sweepCheckKey("close", "close", "sv6")
+	want := KernelCell{Kernel: "sv6", Total: 12, Conflicts: 3}
+	if err := c.PutCell(key, want); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if got, ok := c.GetCell(key); !ok || *got != want {
+			t.Fatalf("GetCell = %+v, %v; want %+v", got, ok, want)
+		}
+	}); n > 2 {
+		t.Errorf("a warm cell hit: %v allocations, want at most 2", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { observeBackendGet(c, TierCheck, true) }); n != 0 {
+		t.Errorf("counting a dir-backend lookup: %v allocations, want 0", n)
+	}
+}
+
+// TestCellReadShortcuts holds a cell read's shortcuts to what they stand
+// for: appendPath renders filepath.Join's path for every spelling of the
+// directory and every key, an entry at or past the pooled buffer's length
+// is read whole and hits like any other, and a key holding a NUL byte is a
+// miss, as os.Open refuses its path, even where the path cut at the NUL
+// names an entry for that key.
+func TestCellReadShortcuts(t *testing.T) {
+	for _, dir := range []string{"/tmp/c", "/tmp/c/", "/tmp//c/./", "rel", "./rel/", "rel/..", "/", "."} {
+		c := &Cache{dir: dir, prefix: entryPrefix(dir)}
+		for _, key := range []string{"ab12", "", ".", "..", "a/b", "../x", "a/../../y", `a\b`} {
+			for _, tier := range []string{TierTestgen, TierCheck} {
+				suffix := map[string]string{TierTestgen: ".tests.json", TierCheck: ".cell.json"}[tier]
+				if got, want := c.path(tier, key), filepath.Join(dir, key+suffix); got != want {
+					t.Errorf("dir %q key %q tier %s: path %q, want %q", dir, key, tier, got, want)
+				}
+			}
+		}
+	}
+
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := sweepCheckKey("close", "close", "linux")
+	base, _ := EncodeCellEntry(key, KernelCell{})
+	bufLen := len(entryBuf{}.data)
+	for _, size := range []int{bufLen - 1, bufLen, bufLen + 1, 8 * bufLen} {
+		cell := KernelCell{Kernel: strings.Repeat("k", size-len(base)), Total: 5, Conflicts: 2}
+		if err := c.PutCell(key, cell); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := c.GetCell(key); !ok || *got != cell {
+			t.Errorf("a %d-byte entry reads as %+v, %v", size, got, ok)
+		}
+	}
+
+	nul := "k\x00x"
+	data, _ := EncodeCellEntry(nul, KernelCell{Kernel: "linux", Total: 1})
+	if err := os.WriteFile(filepath.Join(c.Dir(), "k"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.GetCell(nul); ok {
+		t.Errorf("a key holding a NUL byte hits %+v", got)
+	}
+}

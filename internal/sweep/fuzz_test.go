@@ -97,8 +97,14 @@ func FuzzDecodeTestsEntry(f *testing.F) {
 }
 
 // FuzzDecodeCellEntry is FuzzDecodeTestsEntry for the CHECK tier, plus
-// the counts a hit must keep: 0 ≤ Conflicts ≤ Total. The seeds add entries
-// whose counts break them.
+// the counts a hit must keep, 0 ≤ Conflicts ≤ Total, and a differential
+// oracle for the decode without reflection: DecodeCellEntry hits or misses
+// exactly as json.Unmarshal's decode (unmarshalCell) does, and with the same
+// cell; canonicalCell takes nothing but bytes EncodeCellEntry writes; and
+// it takes those whenever the key and kernel name are plain and the counts
+// fit nine digits, so the oracle never passes on a path that never runs.
+// The seeds add entries whose counts break the bounds and canonical
+// entries at the edges of what the fast path takes.
 func FuzzDecodeCellEntry(f *testing.F) {
 	entries := queueEntries(f, ".cell.json")
 	seedEntries(f, entries)
@@ -106,20 +112,88 @@ func FuzzDecodeCellEntry(f *testing.F) {
 		f.Add(key, bytes.Replace(data, []byte(`"conflicts": `), []byte(`"conflicts": -`), 1))
 		f.Add(key, bytes.Replace(data, []byte(`"total": `), []byte(`"total": -`), 1))
 		f.Add(key, bytes.Replace(data, []byte(`"conflicts": `), []byte(`"conflicts": 1`), 1))
+		f.Add(key[:len(key)-1], data)
+		f.Add(key, append(data[:len(data):len(data)], '\n'))
+		f.Add(key, append(data[:len(data):len(data)], '}'))
 	}
+	key := strings.Repeat("0123456789abcdef", 4)
+	for _, c := range [][3]string{
+		{"linux", "0", "0"},
+		{"sv6", "999999999", "999999999"},
+		{"sv6", "1000000000", "0"},
+		{"sv6", "2147483648", "1"},
+		{"sv6", "99999999999999999999", "1"},
+		{"sv6", "01", "0"},
+		{"sv6", "1", "00"},
+		{"sv6", "-1", "0"},
+		{"sv6", "-0", "0"},
+		{"sv6", "1.0", "1"},
+		{"sv6", "1e2", "1"},
+		{"sv6", "", "0"},
+		{"", "3", "1"},
+		{`li\u006eux`, "3", "1"},
+		{`li\"nux`, "3", "1"},
+		{"l\u00ednux", "3", "1"},
+		{"l\xffnux", "3", "1"},
+		{`a\u003cb`, "3", "1"},
+		{"a<b", "3", "1"},
+		{"a\tb", "3", "1"},
+	} {
+		f.Add(key, cellText(key, c[0], c[1], c[2]))
+		f.Add(key[:len(key)-1], cellText(key, c[0], c[1], c[2]))
+		f.Add(key+"0", cellText(key, c[0], c[1], c[2]))
+	}
+	f.Add("a<b", cellText("a<b", "sv6", "3", "1"))
+	f.Add("a<b", cellText(`a\u003cb`, "sv6", "3", "1"))
+	f.Add("a\"b", cellText(`a\"b`, "sv6", "3", "1"))
 	f.Fuzz(func(t *testing.T, key string, data []byte) {
-		if cell, hit := DecodeCellEntry(key, data); hit {
-			if cell.Conflicts < 0 || cell.Conflicts > cell.Total {
-				t.Fatalf("hit for key %q on a cell counting %d conflicts in %d tests", key, cell.Conflicts, cell.Total)
-			}
-			checkHit(t, key, data, *cell, EncodeCellEntry,
-				func(key string, data []byte) (KernelCell, bool) {
-					c, hit := DecodeCellEntry(key, data)
-					if !hit {
-						return KernelCell{}, false
-					}
-					return *c, true
-				})
+		cell, hit := DecodeCellEntry(key, data)
+		full, fullHit := unmarshalCell(key, data)
+		if hit != fullHit || hit && *cell != full {
+			t.Fatalf("key %q: DecodeCellEntry gives %+v, %v; json.Unmarshal's decode %+v, %v\n%s", key, cell, hit, full, fullHit, data)
 		}
+		if fast, ok := canonicalCell(key, data); ok {
+			if enc, err := EncodeCellEntry(key, fast); err != nil || !bytes.Equal(enc, data) {
+				t.Fatalf("key %q: canonicalCell took bytes EncodeCellEntry does not write for %+v (%v):\n%s\nvs\n%s", key, fast, err, data, enc)
+			}
+		}
+		if !hit {
+			return
+		}
+		if cell.Conflicts < 0 || cell.Conflicts > cell.Total {
+			t.Fatalf("hit for key %q on a cell counting %d conflicts in %d tests", key, cell.Conflicts, cell.Total)
+		}
+		if plain(key) && plain(cell.Kernel) && cell.Total < 1e9 {
+			enc, _ := EncodeCellEntry(key, *cell)
+			if fast, ok := canonicalCell(key, enc); !ok || fast != *cell {
+				t.Fatalf("key %q: canonicalCell reads %+v, %v from the canonical entry of %+v:\n%s", key, fast, ok, *cell, enc)
+			}
+		}
+		checkHit(t, key, data, *cell, EncodeCellEntry,
+			func(key string, data []byte) (KernelCell, bool) {
+				c, hit := DecodeCellEntry(key, data)
+				if !hit {
+					return KernelCell{}, false
+				}
+				return *c, true
+			})
 	})
+}
+
+// unmarshalCell is the CHECK entry decode as it stood before the fast
+// path: json.Unmarshal, then the version, the key and the counts.
+func unmarshalCell(key string, data []byte) (KernelCell, bool) {
+	var e checkEntry
+	if json.Unmarshal(data, &e) != nil || e.Version != CacheVersion || e.Key != key ||
+		e.Cell.Conflicts < 0 || e.Cell.Conflicts > e.Cell.Total {
+		return KernelCell{}, false
+	}
+	return e.Cell, true
+}
+
+// cellText is a CHECK entry laid out as EncodeCellEntry lays one out, with
+// the key, the kernel name and the counts written in as given: raw, so a
+// seed can hold what json.Marshal would never write there.
+func cellText(key, kernel, total, conflicts string) []byte {
+	return []byte(cellHead + key + cellKernel + kernel + cellTotal + total + cellConflicts + conflicts + cellTail)
 }
