@@ -23,7 +23,6 @@ package analyzer
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/spec"
 	"repro/internal/sym"
@@ -115,18 +114,6 @@ func (r *PairResult) Unknown() int {
 		return 1
 	}
 	return n
-}
-
-// Summary describes the pair's commutativity in one line. Budget-truncated
-// classifications are called out so an under-approximated pair is never
-// read as "never commutes".
-func (r *PairResult) Summary() string {
-	s := fmt.Sprintf("%s x %s: %d paths, %d commutative",
-		r.OpA, r.OpB, len(r.Paths), len(r.CommutativePaths()))
-	if nu := r.Unknown(); nu > 0 {
-		s += fmt.Sprintf(", %d unknown (solver budget exhausted)", nu)
-	}
-	return s
 }
 
 // Options tunes the analysis.

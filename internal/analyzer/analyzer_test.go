@@ -285,11 +285,3 @@ func TestVarKindsClassification(t *testing.T) {
 		t.Error("no path classified alloc.fd.0 as nondeterministic")
 	}
 }
-
-func TestSummaryFormat(t *testing.T) {
-	r := analyze(t, "close", "close", Options{})
-	s := r.Summary()
-	if s == "" || r.OpA != "close" {
-		t.Errorf("summary = %q", s)
-	}
-}

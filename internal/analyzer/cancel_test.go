@@ -54,8 +54,10 @@ func TestAnalyzePairCtxBackground(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Paths) != len(want.Paths) || got.Summary() != want.Summary() {
-		t.Errorf("ctx variant diverged: %q vs %q", got.Summary(), want.Summary())
+	if len(got.Paths) != len(want.Paths) || len(got.CommutativePaths()) != len(want.CommutativePaths()) || got.Unknown() != want.Unknown() {
+		t.Errorf("ctx variant diverged: %d paths, %d commutative, %d unknown vs %d, %d, %d",
+			len(got.Paths), len(got.CommutativePaths()), got.Unknown(),
+			len(want.Paths), len(want.CommutativePaths()), want.Unknown())
 	}
 }
 

@@ -118,7 +118,9 @@ func TestSwappedPairAgrees(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(ab.Paths) != len(ba.Paths) || len(ab.CommutativePaths()) != len(ba.CommutativePaths()) || ab.Unknown() != ba.Unknown() {
-				t.Errorf("%s: %s vs %s", sp.Name(), ab.Summary(), ba.Summary())
+				t.Errorf("%s: %s x %s has %d paths, %d commutative, %d unknown; %s x %s has %d, %d, %d", sp.Name(),
+					a.Name, b.Name, len(ab.Paths), len(ab.CommutativePaths()), ab.Unknown(),
+					b.Name, a.Name, len(ba.Paths), len(ba.CommutativePaths()), ba.Unknown())
 			}
 		}
 	}

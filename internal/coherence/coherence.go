@@ -93,8 +93,8 @@ type Result struct {
 	Duration int64
 }
 
-// Total sums completed operations.
-func (r Result) Total() int64 {
+// total sums completed operations.
+func (r Result) total() int64 {
 	var t int64
 	for _, n := range r.Ops {
 		t += n
@@ -108,7 +108,7 @@ func (r Result) PerCorePerCycle() float64 {
 	if len(r.Ops) == 0 || r.Duration == 0 {
 		return 0
 	}
-	return float64(r.Total()) / float64(r.Duration) / float64(len(r.Ops))
+	return float64(r.total()) / float64(r.Duration) / float64(len(r.Ops))
 }
 
 // lineState tracks MESI-ish ownership of a line.

@@ -45,8 +45,8 @@ func TestContendedLineCollapses(t *testing.T) {
 	}
 	// Aggregate throughput must not exceed the line's transfer rate.
 	maxTotal := r16.Duration / 100
-	if r16.Total() > maxTotal+int64(len(r16.Ops)) {
-		t.Errorf("total %d exceeds line transfer capacity %d", r16.Total(), maxTotal)
+	if r16.total() > maxTotal+int64(len(r16.Ops)) {
+		t.Errorf("total %d exceeds line transfer capacity %d", r16.total(), maxTotal)
 	}
 }
 
@@ -106,15 +106,15 @@ func TestSingleWriterManyReadersDegradesSome(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	a := Simulate(contendedTraces(4), Opts{})
 	b := Simulate(contendedTraces(4), Opts{})
-	if a.Total() != b.Total() {
-		t.Errorf("simulation not deterministic: %d vs %d", a.Total(), b.Total())
+	if a.total() != b.total() {
+		t.Errorf("simulation not deterministic: %d vs %d", a.total(), b.total())
 	}
 }
 
 func TestResultAccessors(t *testing.T) {
 	r := Result{Ops: []int64{10, 20}, Duration: 100}
-	if r.Total() != 30 {
-		t.Errorf("Total = %d", r.Total())
+	if r.total() != 30 {
+		t.Errorf("total = %d", r.total())
 	}
 	if got := r.PerCorePerCycle(); got != 0.15 {
 		t.Errorf("PerCorePerCycle = %v", got)
@@ -165,9 +165,9 @@ func TestSocketTopology(t *testing.T) {
 		spread[c] = CoreTrace{Op{{Line: 0, Write: true}}}
 	}
 	rSpread := Simulate(spread, opts)
-	if rLocal.Total() <= rSpread.Total() {
+	if rLocal.total() <= rSpread.total() {
 		t.Errorf("socket-local contention (%d ops) should beat cross-socket (%d ops)",
-			rLocal.Total(), rSpread.Total())
+			rLocal.total(), rSpread.total())
 	}
 }
 

@@ -174,7 +174,7 @@ func openbenchAt(anyFD bool, n int) float64 {
 	}
 	res := coherence.Simulate(traces, coherence.Opts{})
 	// Each open+close is two ops in the trace; report opens per Mcycle.
-	return float64(res.Total()) / 2 / float64(res.Duration) * 1e6 / float64(n)
+	return res.PerCorePerCycle() / 2 * 1e6
 }
 
 // mailbench reproduces Figure 7(c): n cores run the full mail pipeline with
@@ -217,7 +217,7 @@ func mailbenchAt(commutative bool, n int) float64 {
 		})
 	}
 	res := coherence.Simulate(traces, coherence.Opts{Duration: 4_000_000})
-	return float64(res.Total()) / float64(res.Duration) * 1e6 / float64(n)
+	return res.PerCorePerCycle() * 1e6
 }
 
 // Figure7 writes the Figure 7 panel named which — "stat" (7a), "open" (7b)

@@ -1,20 +1,17 @@
 // Package kerneltest holds the oracles kernel implementations and the
 // CHECK path are tested against, none of which share code with what they
 // check: the fresh-kernel Check (two new kernels per test, no journal, no
-// replay), the post-hoc conflict scan of the access log, and the
-// randomized harnesses that hold a kernel's Replayer and online conflict
-// detection to those two.
+// replay), the post-hoc conflict scan of the access log, and the random
+// setups and calls of every spec (Gens). The package's own tests hold every
+// registered kernel's Replayer and online conflict detection to those two.
 package kerneltest
 
 import (
-	"context"
 	"fmt"
 	"maps"
-	"math/rand"
 	"reflect"
 	"slices"
 	"sort"
-	"testing"
 
 	"repro/internal/kernel"
 	"repro/internal/mtrace"
@@ -151,80 +148,4 @@ func AccessLog(m *mtrace.Memory) []string {
 		out = append(out, fmt.Sprintf("%s core=%d write=%v", a.Cell.Name(), a.Core, a.Write))
 	}
 	return out
-}
-
-// ReplayMatchesFresh is the setup snapshot/reset oracle: a single
-// long-lived Replayer runs many randomized setup groups, and every
-// CheckResult must exactly match Check, which builds two fresh kernels per
-// test — and so must the ordered access log of the traced replay, cell by
-// cell. Any state the memory's Reset fails to restore — a cell
-// value, a stale or lost map entry, a counter — surfaces as a result
-// or conflict-report mismatch in a later test or group; the log
-// additionally catches what conflict reports are blind to: an extra or
-// missing read, a different order, a structure built on demand by a traced
-// access where the fresh kernel builds it untraced.
-func ReplayMatchesFresh(t *testing.T, fresh func() kernel.Kernel, gen Gen) {
-	t.Helper()
-	r := rand.New(rand.NewSource(1))
-	var repMem *mtrace.Memory
-	rep := kernel.NewReplayer(Logged(fresh, func(m *mtrace.Memory) { repMem = m }))
-	for group := 0; group < 60; group++ {
-		setup := gen.Setup(r)
-		var tests []kernel.TestCase
-		for i := 0; i < 1+r.Intn(6); i++ {
-			tests = append(tests, kernel.TestCase{
-				ID:    "t",
-				Setup: setup,
-				Calls: [2]kernel.Call{gen.Call(r), gen.Call(r)},
-			})
-		}
-		groups, err := rep.CheckTests(context.Background(), tests, func(i int, got kernel.CheckResult) {
-			// Check traces on the first kernel it builds; the second only
-			// re-executes in the opposite order.
-			var freshMem *mtrace.Memory
-			want, _ := Check(Logged(fresh, func(m *mtrace.Memory) {
-				if freshMem == nil {
-					freshMem = m
-				}
-			}), tests[i])
-			if got.ConflictFree != want.ConflictFree ||
-				got.Res != want.Res ||
-				!reflect.DeepEqual(got.Conflicts, want.Conflicts) {
-				t.Fatalf("group %d test %d (%v || %v): replayed %+v != fresh %+v",
-					group, i, tests[i].Calls[0], tests[i].Calls[1], got, want)
-			}
-			if gotLog, wantLog := AccessLog(repMem), AccessLog(freshMem); !reflect.DeepEqual(gotLog, wantLog) {
-				t.Fatalf("group %d test %d (%v || %v): replayed access log\n %v\n!= fresh\n %v",
-					group, i, tests[i].Calls[0], tests[i].Calls[1], gotLog, wantLog)
-			}
-		})
-		if err != nil || groups != 1 {
-			t.Fatalf("group %d: one setup replayed as %d groups, err %v", group, groups, err)
-		}
-	}
-}
-
-// OnlineMatchesOracle runs randomized multi-core call sequences directly
-// on the kernel with the access log enabled and checks the online verdict
-// against the post-hoc oracle, across several traced regions per kernel
-// instance (the epoch bump must isolate regions).
-func OnlineMatchesOracle(t *testing.T, fresh func() kernel.Kernel, gen Gen) {
-	t.Helper()
-	for seed := int64(0); seed < 60; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		k := fresh()
-		m := k.Memory()
-		m.LogAccesses(true)
-		k.Apply(gen.Setup(r))
-		for region := 0; region < 3; region++ {
-			m.Start()
-			for i := 0; i < r.Intn(12); i++ {
-				k.Exec(r.Intn(4), gen.Call(r))
-			}
-			m.Stop()
-			if diff := CheckOnline(m); diff != "" {
-				t.Fatalf("seed %d region %d: %s", seed, region, diff)
-			}
-		}
-	}
 }

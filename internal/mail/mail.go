@@ -88,9 +88,6 @@ func NewServer(cfg Config) *Server {
 	return s
 }
 
-// Kernel exposes the underlying kernel (for inspection in tests).
-func (s *Server) Kernel() kernel.Kernel { return s.k }
-
 // Memory exposes the traced memory.
 func (s *Server) Memory() *mtrace.Memory { return s.k.Memory() }
 

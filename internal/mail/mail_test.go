@@ -32,7 +32,7 @@ func TestMailboxAccumulates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	k := s.Kernel()
+	k := s.k
 	for seq := int64(0); seq < 3; seq++ {
 		box := nameFor(0, seq, roleBox)
 		r := k.Exec(0, call(t, "stat", map[string]int64{"fname": box}))
@@ -47,7 +47,7 @@ func TestSpoolCleanedUp(t *testing.T) {
 	if err := s.DeliverOne(0); err != nil {
 		t.Fatal(err)
 	}
-	k := s.Kernel()
+	k := s.k
 	for _, role := range []int64{roleMsg, roleEnv} {
 		nm := nameFor(0, 0, role)
 		r := k.Exec(0, call(t, "stat", map[string]int64{"fname": nm}))

@@ -12,6 +12,6 @@ const contentType = "text/plain; version=0.0.4; charset=utf-8"
 func Handler(r *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", contentType)
-		r.WritePrometheus(w)
+		r.writePrometheus(w)
 	})
 }

@@ -47,8 +47,8 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Add adds n (n must be non-negative; counters only go up).
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
+// value returns the current count.
+func (c *Counter) value() uint64 { return c.v.Load() }
 
 // Gauge is a value that can go up and down.
 type Gauge struct {
@@ -64,8 +64,8 @@ func (g *Gauge) Inc() { g.v.Add(1) }
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.v.Add(-1) }
 
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
+// value returns the current value.
+func (g *Gauge) value() int64 { return g.v.Load() }
 
 // Histogram counts observations into cumulative buckets. Observations are
 // lock-free; exposition reads may race individual observations (bucket
@@ -97,11 +97,8 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+// sum returns the sum of all observed values.
+func (h *Histogram) sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 // metric kinds (the TYPE line of the exposition format).
 const (
@@ -277,10 +274,10 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 // With returns the histogram for the label values.
 func (v *HistogramVec) With(values ...string) *Histogram { return v.f.get(values).h }
 
-// WritePrometheus renders every family in the text exposition format
+// writePrometheus renders every family in the text exposition format
 // (version 0.0.4): families sorted by name, series sorted by label
 // values, histograms as cumulative _bucket/_sum/_count samples.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+func (r *Registry) writePrometheus(w io.Writer) error {
 	r.mu.RLock()
 	names := make([]string, 0, len(r.fams))
 	for name := range r.fams {
@@ -331,18 +328,18 @@ func (f *family) write(b *strings.Builder) {
 	for _, s := range sers {
 		switch f.typ {
 		case typeCounter:
-			f.sample(b, "", s.labelVals, "", float64(s.c.Value()))
+			f.sample(b, "", s.labelVals, "", float64(s.c.value()))
 		case typeGauge:
-			f.sample(b, "", s.labelVals, "", float64(s.g.Value()))
+			f.sample(b, "", s.labelVals, "", float64(s.g.value()))
 		case typeHistogram:
 			cum := uint64(0)
 			for i, bound := range s.h.bounds {
 				cum += s.h.counts[i].Load()
 				f.sample(b, "_bucket", s.labelVals, formatFloat(bound), float64(cum))
 			}
-			f.sample(b, "_bucket", s.labelVals, "+Inf", float64(s.h.Count()))
-			f.sample(b, "_sum", s.labelVals, "", s.h.Sum())
-			f.sample(b, "_count", s.labelVals, "", float64(s.h.Count()))
+			f.sample(b, "_bucket", s.labelVals, "+Inf", float64(s.h.count.Load()))
+			f.sample(b, "_sum", s.labelVals, "", s.h.sum())
+			f.sample(b, "_count", s.labelVals, "", float64(s.h.count.Load()))
 		}
 	}
 }

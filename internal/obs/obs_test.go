@@ -25,7 +25,7 @@ func TestExposition(t *testing.T) {
 	r.GaugeVec("test_build_info", "Build labels.", "version", "rev").With("v1", "abc").Set(1)
 
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := r.writePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	want := `# HELP test_build_info Build labels.
@@ -63,7 +63,7 @@ func TestHistogramVecLabels(t *testing.T) {
 	hv.With("/v1/sweep").Observe(0.5)
 	hv.With("/v1/sweep").Observe(2)
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := r.writePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
@@ -89,7 +89,7 @@ func TestIdempotentRegistration(t *testing.T) {
 		t.Fatal("same-shape registration returned a different counter")
 	}
 	a.Inc()
-	if b.Value() != 1 {
+	if b.value() != 1 {
 		t.Fatal("re-registered counter does not share state")
 	}
 	defer func() {
@@ -104,7 +104,7 @@ func TestLabelEscaping(t *testing.T) {
 	r := newRegistry()
 	r.CounterVec("test_esc_total", "Escapes.", "path").With("a\"b\\c\nd").Inc()
 	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
+	if err := r.writePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	want := `test_esc_total{path="a\"b\\c\nd"} 1`
@@ -149,26 +149,26 @@ func TestConcurrentRegistry(t *testing.T) {
 				h.With("analyze").Observe(0.01)
 				if i%100 == 0 {
 					var b strings.Builder
-					r.WritePrometheus(&b) // scrape while being written
+					r.writePrometheus(&b) // scrape while being written
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := r.Counter("test_conc_total", "Help.").Value(); got != workers*iters {
+	if got := r.Counter("test_conc_total", "Help.").value(); got != workers*iters {
 		t.Errorf("counter = %d, want %d", got, workers*iters)
 	}
-	if got := r.CounterVec("test_conc_vec_total", "Help.", "worker").With("w").Value(); got != workers*iters {
+	if got := r.CounterVec("test_conc_vec_total", "Help.", "worker").With("w").value(); got != workers*iters {
 		t.Errorf("vec counter = %d, want %d", got, workers*iters)
 	}
-	if got := r.Gauge("test_conc_inflight", "Help.").Value(); got != 0 {
+	if got := r.Gauge("test_conc_inflight", "Help.").value(); got != 0 {
 		t.Errorf("gauge = %d, want 0", got)
 	}
 	h := r.HistogramVec("test_conc_seconds", "Help.", DefBuckets, "phase").With("analyze")
-	if h.Count() != workers*iters {
-		t.Errorf("histogram count = %d, want %d", h.Count(), workers*iters)
+	if h.count.Load() != workers*iters {
+		t.Errorf("histogram count = %d, want %d", h.count.Load(), workers*iters)
 	}
-	if want := float64(workers*iters) * 0.01; h.Sum() < want*0.999 || h.Sum() > want*1.001 {
-		t.Errorf("histogram sum = %g, want ≈%g", h.Sum(), want)
+	if want := float64(workers*iters) * 0.01; h.sum() < want*0.999 || h.sum() > want*1.001 {
+		t.Errorf("histogram sum = %g, want ≈%g", h.sum(), want)
 	}
 }

@@ -111,13 +111,6 @@ func (m *MemBackend) PutCell(key string, cell KernelCell) error {
 	return nil
 }
 
-// Len reports the number of live entries (both tiers).
-func (m *MemBackend) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.order.Len()
-}
-
 // Ready always succeeds: memory is writable as long as the process is.
 func (m *MemBackend) Ready() error { return nil }
 

@@ -73,8 +73,8 @@ func TestMemBackendLRU(t *testing.T) {
 	if err := m.PutTests(keys[2], tests); err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() != 2 {
-		t.Fatalf("Len() = %d after eviction, want 2", m.Len())
+	if n := m.order.Len(); n != 2 {
+		t.Fatalf("%d entries after eviction, want 2", n)
 	}
 	if _, ok := m.GetTests(keys[1]); ok {
 		t.Error("LRU victim survived the eviction")

@@ -221,9 +221,6 @@ func entryPrefix(dir string) string {
 	return strings.TrimSuffix(filepath.Join(dir, "x"), "x")
 }
 
-// Dir returns the cache's root directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // path gives the tiers distinct filename suffixes so a cache directory is
 // inspectable by eye; the keys alone would already be distinct (each tier
 // hashes its tier name).

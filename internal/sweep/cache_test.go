@@ -462,10 +462,10 @@ func TestSweepSurvivesUnwritableCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := newRefusingBackend(NewMemBackend(0), errors.New("store full"))
-	written := metricCacheWriteErrors.With(backendKind(store))
+	written := `commuter_cache_write_errors_total{backend="` + backendKind(store) + `"}`
 	wantPairs := len(ops) * (len(ops) + 1) / 2
 	for _, round := range []string{"first", "rerun"} {
-		before := written.Value()
+		before := metricValue(t, written)
 		res, err := runSweep(Config{Ops: ops, Kernels: kernels, Workers: 2, Cache: store})
 		if err != nil {
 			t.Fatalf("%s sweep failed on unwritable cache: %v", round, err)
@@ -478,9 +478,8 @@ func TestSweepSurvivesUnwritableCache(t *testing.T) {
 		if want := wantPairs * (1 + len(kernels)); res.CacheWriteErrors != want {
 			t.Errorf("%s sweep: CacheWriteErrors=%d, want %d", round, res.CacheWriteErrors, want)
 		}
-		if got := written.Value() - before; got != uint64(res.CacheWriteErrors) {
-			t.Errorf("%s sweep: commuter_cache_write_errors_total{backend=%q} rose by %d, want %d",
-				round, backendKind(store), got, res.CacheWriteErrors)
+		if got := metricValue(t, written) - before; got != float64(res.CacheWriteErrors) {
+			t.Errorf("%s sweep: %s rose by %g, want %d", round, written, got, res.CacheWriteErrors)
 		}
 		// Nothing was stored, so every round is as cold as the first.
 		if want := (CacheStats{TestgenMisses: wantPairs, CheckMisses: wantPairs * len(kernels)}); res.Cache != want {
@@ -679,7 +678,7 @@ func TestWarmPairReadsNoTests(t *testing.T) {
 
 	for i := range kernels {
 		other := 1 - i
-		if err := os.Remove(filepath.Join(cache.Dir(), cellKey(i)+".cell.json")); err != nil {
+		if err := os.Remove(filepath.Join(cache.dir, cellKey(i)+".cell.json")); err != nil {
 			t.Fatal(err)
 		}
 		what := kernels[i].Name + " cell of stat/close removed"
@@ -706,7 +705,7 @@ func TestWarmPairReadsNoTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(cache.Dir(), cellKey(1)+".cell.json"), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(cache.dir, cellKey(1)+".cell.json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	res := rerun("cells disagree on Total", cfg, CacheStats{TestgenHits: 1, CheckHits: pairs * len(kernels)}, 1)
@@ -765,7 +764,7 @@ func TestCellEntryDefectsAreMisses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(cache.Dir(), key+".cell.json"), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(cache.dir, key+".cell.json"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		res, err := runSweep(cfg)
@@ -850,7 +849,7 @@ func TestCellReadShortcuts(t *testing.T) {
 
 	nul := "k\x00x"
 	data, _ := EncodeCellEntry(nul, KernelCell{Kernel: "linux", Total: 1})
-	if err := os.WriteFile(filepath.Join(c.Dir(), "k"), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(c.dir, "k"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := c.GetCell(nul); ok {

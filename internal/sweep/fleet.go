@@ -428,10 +428,10 @@ func (t *FleetTable) fillCounts(total, completed, pending, leased *int, done *bo
 	*done = t.done == len(t.order)
 }
 
-// Status reports the table's state; withResults additionally copies out
+// status reports the table's state; withResults additionally copies out
 // every completed PairResult (sorted like RunContext sorts) once the
 // sweep is done.
-func (t *FleetTable) Status(withResults bool) FleetStatusResponse {
+func (t *FleetTable) status(withResults bool) FleetStatusResponse {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	resp := FleetStatusResponse{
@@ -551,5 +551,5 @@ func (h *FleetHub) Status(sw FleetSweepSpec, withResults bool) (FleetStatusRespo
 	if err != nil {
 		return FleetStatusResponse{}, err
 	}
-	return t.Status(withResults), nil
+	return t.status(withResults), nil
 }

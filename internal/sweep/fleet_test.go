@@ -1,9 +1,11 @@
 package sweep
 
 import (
-	"bytes"
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -143,7 +145,7 @@ func TestFleetTableExpirySteal(t *testing.T) {
 	if r3 := tab.Claim(claimReq("w3", 3)); len(r3.Leases) != 0 {
 		t.Fatalf("renewed lease stolen early: %+v", r3.Leases)
 	}
-	st := tab.Status(false)
+	st := tab.status(false)
 	if st.Workers["w2"].Stolen != 2 {
 		t.Errorf("w2 stolen count = %d, want 2", st.Workers["w2"].Stolen)
 	}
@@ -164,7 +166,7 @@ func TestFleetTableReleaseRequeue(t *testing.T) {
 	if len(r2.Leases) != 2 {
 		t.Fatalf("released leases not immediately claimable: %+v", r2.Leases)
 	}
-	if st := tab.Status(false); st.Requeued != 2 {
+	if st := tab.status(false); st.Requeued != 2 {
 		t.Errorf("requeued = %d, want 2", st.Requeued)
 	}
 
@@ -201,7 +203,7 @@ func TestFleetTableCompleteIdempotent(t *testing.T) {
 	if r = tab.Complete("w2", done("b", "a")); !r.Done || r.Completed != 2 {
 		t.Fatalf("final completion: %+v", r)
 	}
-	st := tab.Status(true)
+	st := tab.status(true)
 	if !st.Done || len(st.Results) != 2 {
 		t.Fatalf("status after done: %+v", st)
 	}
@@ -464,16 +466,41 @@ func TestFleetHubReportUnknownSession(t *testing.T) {
 	}
 }
 
+// scrapeMetrics returns the sample lines a /metrics scrape of the
+// process-wide registry serves.
+func scrapeMetrics(t *testing.T) []string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	obs.Handler(obs.Default).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("scrape: status %d", rec.Code)
+	}
+	return strings.Split(rec.Body.String(), "\n")
+}
+
+// metricValue returns the value a scrape serves for one series, written
+// as in the exposition (`name{label="value"}`); 0 for a series not yet
+// served.
+func metricValue(t *testing.T, series string) float64 {
+	t.Helper()
+	for _, line := range scrapeMetrics(t) {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", series, err)
+			}
+			return f
+		}
+	}
+	return 0
+}
+
 // fleetSeries counts the commuter_fleet_* series the process-wide
 // registry currently exposes.
 func fleetSeries(t *testing.T) int {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := obs.Default.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
 	n := 0
-	for _, line := range strings.Split(buf.String(), "\n") {
+	for _, line := range scrapeMetrics(t) {
 		if strings.HasPrefix(line, "commuter_fleet_") {
 			n++
 		}

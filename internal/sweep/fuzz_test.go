@@ -25,7 +25,7 @@ func queueEntries(f *testing.F, suffix string) map[string][]byte {
 		Kernels: queuespec.Spec.Impls(), Cache: cache}); err != nil {
 		f.Fatal(err)
 	}
-	files, _ := filepath.Glob(filepath.Join(cache.Dir(), "*"+suffix))
+	files, _ := filepath.Glob(filepath.Join(cache.dir, "*"+suffix))
 	if len(files) == 0 {
 		f.Fatalf("the queue sweep stored no %s entries", suffix)
 	}

@@ -183,7 +183,7 @@ func TestQuickDictsEquivalentMatchesPerField(t *testing.T) {
 			compared++
 			if got != want {
 				ok = false
-				t.Errorf("seed %d under %v:\n per key:   %v\n per field: %v", seed, c.PC(), got, want)
+				t.Errorf("seed %d under %v:\n per key:   %v\n per field: %v", seed, c.pc(), got, want)
 			}
 			return nil
 		}, Options{MaxPaths: 64})

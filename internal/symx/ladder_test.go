@@ -87,7 +87,7 @@ func TestFinishedPathHoldsNoContext(t *testing.T) {
 		big := c.Branch(sym.Lt(sym.Int(5), v))
 		sat, unknown := c.Sat(sym.Lt(v, sym.Int(3)))
 		if unknown {
-			t.Errorf("path %v: unknown answer", c.PC())
+			t.Errorf("path %v: unknown answer", c.pc())
 		}
 		answers[big] = sat
 		return big

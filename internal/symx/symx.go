@@ -210,8 +210,8 @@ func (c *Context) next(trace []bool) {
 	c.x.heard = c.x.heard[:0]
 }
 
-// PC returns the current path condition.
-func (c *Context) PC() *sym.Expr { return sym.And(c.pcConjs...) }
+// pc returns the current path condition.
+func (c *Context) pc() *sym.Expr { return sym.And(c.pcConjs...) }
 
 // Var returns the memoized named variable, creating it in the solver's
 // scope with the given sort and kind on first use. Names are
@@ -512,7 +512,7 @@ func RunCtx(ctx context.Context, fn func(*Context) any, opt Options) ([]Path, bo
 		if aborted {
 			continue
 		}
-		x.paths = append(x.paths, Path{PC: c.PC(), Result: res, VarKinds: x.varKinds})
+		x.paths = append(x.paths, Path{PC: c.pc(), Result: res, VarKinds: x.varKinds})
 	}
 	// Stopping at the cap with prefixes still queued leaves branches
 	// unexplored: as much an under-approximation as a truncated search.

@@ -31,7 +31,7 @@ func exploreUnshared(fn func(*Context) any, maxPaths int, solver *sym.Solver) ([
 		queue = append(queue, c.pending...)
 		maps.Copy(kinds, c.x.varKinds)
 		if !aborted {
-			paths = append(paths, Path{PC: c.PC(), Result: res, VarKinds: c.x.varKinds})
+			paths = append(paths, Path{PC: c.pc(), Result: res, VarKinds: c.x.varKinds})
 			traces = append(traces, c.traceSoFar())
 		}
 	}

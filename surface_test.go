@@ -1,13 +1,20 @@
 package repro_test
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -24,21 +31,35 @@ import (
 // [commuter] section lists the whole public API, read or not, so a new
 // public name is a reviewed diff.
 //
-// A reader of a top-level name is a selector x.Name whose x is the file's
-// import of the declaring package. A reader of a method is any .Name
-// selector in a file outside the package, since telling which type the
-// operand has needs type checking (so a method shares its readers with
-// every method and field of that name). A type named in the signature or
-// the exported fields of a declaration with readers has those readers too.
-// Two readers are calls the selectors do not show:
-//   - the standard library's: a method it calls through its own interfaces
-//     (stdlibCalled) has the readers of its type;
-//   - an interface's: a method of a module interface that a type of another
-//     package implements is read by a non-test call in the interface's own
-//     package, since that call runs the other package's method.
+// Readers are resolved with go/types. Every file the build constraints
+// select is type-checked as the go command builds it: each package with its
+// in-package tests, each external test package, and bench/. Any type error
+// fails the test. A top-level name is read by an identifier that resolves
+// to it. A method is read only by
+//   - a selection that resolves to it: a generic type's method through its
+//     origin, a promoted method as its own type's; or
+//   - a call through an interface that may run it: for each module type
+//     implementing the interface, the method its method set holds (a
+//     promoted one too) is read when the call is outside that method's
+//     package. The interface's own method is read when the method run is
+//     declared outside the interface's package. Such a reader is as strong
+//     as the weaker of the call's file and the implementing type's.
+//
+// A selector's name alone reads nothing: strings.Count reads no module
+// method Count. A type named in the signature or the exported fields of a
+// declaration with readers, or in the composite literal a var is declared
+// with, has those readers too. The standard library's calls through its
+// own interfaces (stdlibCalled) give a method the readers of its type and,
+// on a module interface, give the implementations' methods the interface's
+// readers.
 //
 // Regenerate with `go test -run TestExportedSurface -update .`: the
 // [commuter] section is rewritten, the [unread] section only loses lines.
+// A line is added by hand, with its reason in the change that adds it, only
+// for a name kept for a reader it cannot yet do without: bench/ code or the
+// fleet, each waiting on its own change, or other packages' tests that have
+// no other way in (a reference implementation they compare against, a hook
+// that observes without racing).
 
 var updateSurface = flag.Bool("update", false, "drop stale [unread] lines from testdata/surface.golden and rewrite its [commuter] section")
 
@@ -65,16 +86,19 @@ type surfaceDecl struct {
 	pkg   string // the package's directory, slash-separated: "internal/sweep"
 	name  string // "Name", or "Type.Method"
 	level readLevel
-	sig   []ast.Expr // type expressions a reader of the declaration also reads
-	file  *surfaceFile
+	sig   []ast.Expr       // type expressions a reader of the declaration also reads
+	info  *types.Info      // what the identifiers of sig resolve to
+	iface *types.Interface // the interface of an interface method
 }
 
 type surfaceFile struct {
-	pkg     string // directory of the package the file belongs to
-	ast     *ast.File
-	level   readLevel         // what a selector in this file counts as
-	imports map[string]string // local name -> directory of a module package
-	own     bool              // a non-test, non-main file of an importable package
+	pkg   string // directory of the package the file belongs to, "dir#test" for package x_test
+	path  string // import path of the package in its directory
+	ast   *ast.File
+	info  *types.Info // what the file's identifiers and selections resolve to
+	level readLevel   // what a reader in this file counts as
+	test  bool        // a _test.go file
+	own   bool        // a non-test, non-main file of an importable package
 }
 
 func TestExportedSurface(t *testing.T) {
@@ -127,13 +151,15 @@ func TestExportedSurface(t *testing.T) {
 	}
 }
 
-// scanSurface parses every Go file under root and returns the exported
-// declarations of its importable packages outside bench/ with the level of
-// their readers, sorted by package and name. Files under bench/ (its own
-// module, importing this one) are readers only.
+// scanSurface type-checks every Go file under root that the build
+// constraints select: each package with its in-package test files, each
+// external test package, and bench/ (its own module, importing this one,
+// whose files are readers only). It returns the exported declarations of
+// the importable packages outside bench/ with the level of their readers,
+// sorted by package and name. Any type error is its error.
 func scanSurface(root string) ([]*surfaceDecl, error) {
-	var files []*surfaceFile
 	fset := token.NewFileSet()
+	var files []*surfaceFile
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -147,6 +173,9 @@ func scanSurface(root string) ([]*surfaceDecl, error) {
 		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(p), d.Name()); !ok || err != nil {
+			return err
+		}
 		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
@@ -154,7 +183,7 @@ func scanSurface(root string) ([]*surfaceDecl, error) {
 		dir := filepath.ToSlash(filepath.Dir(p))
 		test := strings.HasSuffix(p, "_test.go")
 		inBench := dir == "bench" || strings.HasPrefix(dir, "bench/")
-		sf := &surfaceFile{pkg: dir, ast: f, level: read}
+		sf := &surfaceFile{pkg: dir, ast: f, level: read, test: test}
 		switch {
 		case inBench:
 			sf.level = readByBench
@@ -162,9 +191,13 @@ func scanSurface(root string) ([]*surfaceDecl, error) {
 			sf.level = readByTests
 		}
 		sf.own = !test && !inBench && f.Name.Name != "main"
+		sf.path = "repro/" + dir
+		if dir == "." {
+			sf.path = "repro"
+		}
 		// An external test package (package x_test beside x) is outside x.
 		if strings.HasSuffix(f.Name.Name, "_test") {
-			sf.pkg = dir + "#test"
+			sf.pkg += "#test"
 		}
 		files = append(files, sf)
 		return nil
@@ -172,54 +205,23 @@ func scanSurface(root string) ([]*surfaceDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Package names by directory, to resolve an import without a local name.
-	pkgName := map[string]string{}
-	for _, f := range files {
-		if f.own {
-			pkgName[f.pkg] = f.ast.Name.Name
-		}
-	}
-	for _, f := range files {
-		f.imports = map[string]string{}
-		for _, imp := range f.ast.Imports {
-			ip, _ := strconv.Unquote(imp.Path.Value)
-			dir, ok := strings.CutPrefix(ip, "repro/")
-			if !ok || pkgName[dir] == "" {
-				continue
-			}
-			name := pkgName[dir]
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			f.imports[name] = dir
-		}
+	if err := typeCheck(fset, files); err != nil {
+		return nil, err
 	}
 
-	byKey := map[string]*surfaceDecl{}
+	s := &surfaceScan{byKey: map[string]*surfaceDecl{}, dispatched: map[dispatchKey][]implMethod{}}
 	var decls []*surfaceDecl
-	ifaces := map[string][]string{}            // "pkg Iface" -> its methods, if it embeds no interface
-	methodSets := map[string]map[string]bool{} // "pkg Type" -> the names of its methods
-	add := func(f *surfaceFile, name string, sig ...ast.Expr) {
-		d := &surfaceDecl{pkg: f.pkg, name: name, sig: sig, file: f}
-		byKey[d.pkg+" "+d.name] = d
+	add := func(f *surfaceFile, name string, sig ...ast.Expr) *surfaceDecl {
+		d := &surfaceDecl{pkg: f.pkg, name: name, sig: sig, info: f.info}
+		s.byKey[d.pkg+" "+d.name] = d
 		decls = append(decls, d)
+		return d
 	}
 	for _, f := range files {
-		if !f.own {
-			continue
-		}
 		for _, decl := range f.ast.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
-				if decl.Recv != nil {
-					key := f.pkg + " " + receiverName(decl.Recv.List[0].Type)
-					if methodSets[key] == nil {
-						methodSets[key] = map[string]bool{}
-					}
-					methodSets[key][decl.Name.Name] = true
-				}
-				if !decl.Name.IsExported() {
+				if !f.own || !decl.Name.IsExported() {
 					continue
 				}
 				if decl.Recv == nil {
@@ -231,7 +233,10 @@ func scanSurface(root string) ([]*surfaceDecl, error) {
 				for _, spec := range decl.Specs {
 					switch spec := spec.(type) {
 					case *ast.TypeSpec:
-						if !spec.Name.IsExported() {
+						if t, ok := f.info.Defs[spec.Name].Type().(*types.Named); ok && t.TypeParams() == nil && !types.IsInterface(t) {
+							s.types = append(s.types, concreteType{types.NewPointer(t), f.level})
+						}
+						if !f.own || !spec.Name.IsExported() {
 							continue
 						}
 						var sig []ast.Expr
@@ -242,31 +247,29 @@ func scanSurface(root string) ([]*surfaceDecl, error) {
 						case *ast.StructType:
 							sig = append(sig, fieldTypes(typ.Fields)...)
 						case *ast.InterfaceType:
-							var names []string
-							embeds := false
 							for _, m := range typ.Methods.List {
 								if len(m.Names) == 0 {
 									sig = append(sig, m.Type) // an embedded interface
-									embeds = true
-									continue
+								} else if m.Names[0].IsExported() {
+									add(f, spec.Name.Name+"."+m.Names[0].Name, m.Type).iface = f.info.Defs[spec.Name].Type().Underlying().(*types.Interface)
 								}
-								names = append(names, m.Names[0].Name)
-								if m.Names[0].IsExported() {
-									add(f, spec.Name.Name+"."+m.Names[0].Name, m.Type)
-								}
-							}
-							if !embeds {
-								ifaces[f.pkg+" "+spec.Name.Name] = names
 							}
 						default:
 							sig = append(sig, typ)
 						}
 						add(f, spec.Name.Name, sig...)
 					case *ast.ValueSpec:
-						for _, n := range spec.Names {
-							if n.IsExported() {
-								add(f, n.Name, spec.Type)
+						for i, n := range spec.Names {
+							if !f.own || !n.IsExported() {
+								continue
 							}
+							typ := spec.Type
+							if typ == nil && i < len(spec.Values) {
+								if cl, ok := spec.Values[i].(*ast.CompositeLit); ok {
+									typ = cl.Type // var V = T{...} is written with T
+								}
+							}
+							add(f, n.Name, typ)
 						}
 					}
 				}
@@ -274,74 +277,59 @@ func scanSurface(root string) ([]*surfaceDecl, error) {
 		}
 	}
 
-	// Readers. A top-level name is read through its package's import; a
-	// method by its name alone, in any file outside its package.
-	methodReaders := map[string]map[string]readLevel{} // name -> package -> level
+	// Readers: the package-level objects and methods each file's
+	// identifiers and selections resolve to, and the methods a call
+	// through an interface dispatches to.
 	for _, f := range files {
 		ast.Inspect(f.ast, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || !sel.Sel.IsExported() {
-				return true
-			}
-			if x, ok := sel.X.(*ast.Ident); ok {
-				if dir, ok := f.imports[x.Name]; ok && dir != f.pkg {
-					if d := byKey[dir+" "+sel.Sel.Name]; d != nil {
-						d.level = max(d.level, f.level)
-					}
-					return true
+			switch n := n.(type) {
+			case *ast.Ident:
+				if obj := f.info.Uses[n]; obj != nil && obj.Parent() != nil && obj.Parent() == obj.Pkg().Scope() {
+					s.readBy(s.decl(obj), f.pkg, f.level)
+				}
+			case *ast.SelectorExpr:
+				if sel := f.info.Selections[n]; sel != nil && sel.Kind() != types.FieldVal {
+					s.readMethod(f, sel)
 				}
 			}
-			m := methodReaders[sel.Sel.Name]
-			if m == nil {
-				m = map[string]readLevel{}
-				methodReaders[sel.Sel.Name] = m
-			}
-			m[f.pkg] = max(m[f.pkg], f.level)
 			return true
 		})
 	}
-	for _, d := range decls {
-		iface, method, ok := strings.Cut(d.name, ".")
-		if !ok {
-			continue
-		}
-		for pkg, lvl := range methodReaders[method] {
-			if pkg != d.pkg {
-				d.level = max(d.level, lvl)
-			}
-		}
-		if methodReaders[method][d.pkg] == read && implementedElsewhere(d.pkg, ifaces[d.pkg+" "+iface], methodSets) {
-			d.level = read
-		}
-	}
 
 	// Reachability: a type a read declaration names is read as strongly,
-	// and so is a method the standard library calls on a read type.
+	// and so is a method the standard library calls on a read type, and,
+	// for a module interface, on the values of the types implementing it.
 	for changed := true; changed; {
 		changed = false
+		raise := func(r *surfaceDecl, level readLevel) {
+			if r != nil && r.level < level {
+				r.level = level
+				changed = true
+			}
+		}
 		for _, d := range decls {
 			if typ, method, ok := strings.Cut(d.name, "."); ok && stdlibCalled[method] {
-				if t := byKey[d.pkg+" "+typ]; t != nil && t.level > d.level {
-					d.level = t.level
-					changed = true
+				if t := s.byKey[d.pkg+" "+typ]; t != nil {
+					raise(d, t.level)
+				}
+				if d.iface != nil && d.level > unread {
+					for _, m := range s.implementations(d.iface, method) {
+						raise(s.decl(m.fn), min(d.level, m.level))
+					}
 				}
 			}
 			if d.level == unread {
 				continue
 			}
 			for _, e := range d.sig {
-				typeNames(e, func(x, name string) {
-					dir := d.pkg
-					if x != "" {
-						var ok bool
-						if dir, ok = d.file.imports[x]; !ok {
-							return
-						}
+				if e == nil {
+					continue
+				}
+				ast.Inspect(e, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						raise(s.decl(d.info.Uses[id]), d.level)
 					}
-					if r := byKey[dir+" "+name]; r != nil && r.level < d.level {
-						r.level = d.level
-						changed = true
-					}
+					return true
 				})
 			}
 		}
@@ -353,19 +341,278 @@ func scanSurface(root string) ([]*surfaceDecl, error) {
 	return decls, nil
 }
 
-// implementedElsewhere reports whether a type outside pkg has every method
-// an interface of pkg names (nil for a type that is no interface, or one
-// that embeds another).
-func implementedElsewhere(pkg string, iface []string, methodSets map[string]map[string]bool) bool {
-	if iface == nil {
-		return false
-	}
-	for key, methods := range methodSets {
-		if p, _, _ := strings.Cut(key, " "); p != pkg && !slices.ContainsFunc(iface, func(m string) bool { return !methods[m] }) {
-			return true
+// typeCheck type-checks files as the go command builds them and sets each
+// file's info. Every package's non-test files are checked once; a package
+// with in-package test files again with them, every package importing it
+// rechecked against that variant; an external test package on top of its
+// package's variant. The standard library comes from the export data `go
+// list -export` names. A type error anywhere is an error.
+func typeCheck(fset *token.FileSet, files []*surfaceFile) error {
+	plain := map[string][]*ast.File{} // import path -> the package's non-test files
+	tests := map[string][]*surfaceFile{}
+	for _, f := range files {
+		if f.test {
+			tests[f.path] = append(tests[f.path], f)
+		} else {
+			plain[f.path] = append(plain[f.path], f.ast)
 		}
 	}
-	return false
+	imports := map[string][]string{} // import path -> the module packages its non-test files import
+	std := map[string]bool{}
+	for _, f := range files {
+		for _, imp := range f.ast.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			switch {
+			case plain[p] != nil:
+				if !f.test {
+					imports[f.path] = append(imports[f.path], p)
+				}
+			case p != "unsafe":
+				std[p] = true
+			}
+		}
+	}
+	// reaches reports whether the non-test files of from import to, directly
+	// or not.
+	var reaches func(from, to string, seen map[string]bool) bool
+	reaches = func(from, to string, seen map[string]bool) bool {
+		if seen[from] {
+			return false
+		}
+		seen[from] = true
+		return slices.ContainsFunc(imports[from], func(p string) bool { return p == to || reaches(p, to, seen) })
+	}
+
+	stdlib, err := stdImporter(fset, slices.Sorted(maps.Keys(std)))
+	if err != nil {
+		return err
+	}
+	var errs []error
+	report := func(err error) { errs = append(errs, err) }
+	base := newChecker(fset, plain, stdlib, report)
+	for _, path := range slices.Sorted(maps.Keys(plain)) {
+		if _, err := base.Import(path); err != nil {
+			report(err)
+		}
+	}
+	for _, f := range files {
+		if !f.test {
+			f.info = base.info
+		}
+	}
+	for _, path := range slices.Sorted(maps.Keys(tests)) {
+		var internal, external []*ast.File
+		for _, f := range tests[path] {
+			if strings.HasSuffix(f.ast.Name.Name, "_test") {
+				external = append(external, f.ast)
+			} else {
+				internal = append(internal, f.ast)
+			}
+		}
+		variant := map[string][]*ast.File{}
+		if len(internal) > 0 {
+			variant[path] = append(slices.Clip(plain[path]), internal...)
+			for p := range plain {
+				if reaches(p, path, map[string]bool{}) {
+					variant[p] = plain[p]
+				}
+			}
+		}
+		c := newChecker(fset, variant, base, report)
+		if len(internal) > 0 {
+			if _, err := c.Import(path); err != nil {
+				report(err)
+			}
+		}
+		if len(external) > 0 {
+			c.conf.Check(path+"_test", fset, external, c.info)
+		}
+		for _, f := range tests[path] {
+			f.info = c.info
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// stdImporter imports the standard library packages paths from the export
+// data the go command builds for them.
+func stdImporter(fset *token.FileSet, paths []string) (types.Importer, error) {
+	export := map[string]string{}
+	if len(paths) > 0 {
+		out, err := exec.Command("go", append([]string{"list", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}, paths...)...).Output()
+		if err != nil {
+			if ee, ok := err.(*exec.ExitError); ok {
+				err = fmt.Errorf("%v: %s", err, ee.Stderr)
+			}
+			return nil, fmt.Errorf("go list -export: %v", err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			path, file, _ := strings.Cut(line, "\t")
+			export[path] = file
+		}
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if export[path] == "" {
+			return nil, fmt.Errorf("no export data for %s", path)
+		}
+		return os.Open(export[path])
+	}), nil
+}
+
+// checker is a types.Importer that type-checks a package of files from its
+// files on its first import, recording into info, and imports any other
+// path from next.
+type checker struct {
+	conf  types.Config
+	fset  *token.FileSet
+	files map[string][]*ast.File
+	done  map[string]*types.Package // nil while the package is being checked
+	info  *types.Info
+	next  types.Importer
+}
+
+func newChecker(fset *token.FileSet, files map[string][]*ast.File, next types.Importer, report func(error)) *checker {
+	c := &checker{fset: fset, files: files, done: map[string]*types.Package{}, next: next, info: &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}}
+	c.conf = types.Config{Importer: c, Error: report}
+	return c
+}
+
+func (c *checker) Import(path string) (*types.Package, error) {
+	files, ok := c.files[path]
+	if !ok {
+		return c.next.Import(path)
+	}
+	if pkg, ok := c.done[path]; ok {
+		if pkg == nil {
+			return nil, fmt.Errorf("import cycle through %s", path)
+		}
+		return pkg, nil
+	}
+	c.done[path] = nil
+	pkg, _ := c.conf.Check(path, c.fset, files, c.info) // its errors reach conf.Error
+	c.done[path] = pkg
+	return pkg, nil
+}
+
+// surfaceScan resolves readers to the declarations they read.
+type surfaceScan struct {
+	byKey      map[string]*surfaceDecl // "pkg Name" or "pkg Type.Method"
+	types      []concreteType          // every non-generic, non-interface named type, test and bench ones too
+	dispatched map[dispatchKey][]implMethod
+}
+
+// A concreteType is a pointer to a named type, whose method set holds the
+// methods of both the type and its pointer, with the level of its file.
+type concreteType struct {
+	ptr   types.Type
+	level readLevel
+}
+
+type dispatchKey struct {
+	iface *types.Interface
+	name  string
+}
+
+// An implMethod is a method a call through an interface may run, with the
+// level of the file declaring the type whose method set holds it.
+type implMethod struct {
+	fn    *types.Func
+	level readLevel
+}
+
+// decl returns the declaration obj names: a package-level object or a
+// method of a named type or interface of an importable package, nil for
+// anything else.
+func (s *surfaceScan) decl(obj types.Object) *surfaceDecl {
+	if obj == nil || obj.Pkg() == nil {
+		return nil
+	}
+	dir, ok := strings.CutPrefix(obj.Pkg().Path(), "repro/")
+	if !ok {
+		return nil
+	}
+	name := obj.Name()
+	if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil {
+		recv := fn.Origin().Signature().Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		named, ok := recv.(*types.Named)
+		if !ok {
+			return nil
+		}
+		name = named.Obj().Name() + "." + name
+	} else if obj.Parent() != obj.Pkg().Scope() {
+		return nil
+	}
+	return s.byKey[dir+" "+name]
+}
+
+// readBy raises d to level if pkg, the reader's package, is not d's.
+func (s *surfaceScan) readBy(d *surfaceDecl, pkg string, level readLevel) {
+	if d != nil && d.pkg != pkg {
+		d.level = max(d.level, level)
+	}
+}
+
+// readMethod records what a method selection in f reads: the method it
+// resolves to and, for a call through an interface, every method of a
+// module type implementing the interface that the call may run. The
+// interface's own method is read when one of those is declared outside its
+// package.
+func (s *surfaceScan) readMethod(f *surfaceFile, sel *types.Selection) {
+	fn := sel.Obj().(*types.Func).Origin()
+	id := s.decl(fn)
+	s.readBy(id, f.pkg, f.level)
+	iface := dispatchInterface(sel)
+	if iface == nil || !fn.Exported() {
+		return
+	}
+	for _, m := range s.implementations(iface, fn.Name()) {
+		level := min(f.level, m.level)
+		s.readBy(s.decl(m.fn), f.pkg, level)
+		if id != nil && m.fn.Pkg().Path() != fn.Pkg().Path() {
+			id.level = max(id.level, level)
+		}
+	}
+}
+
+// implementations returns the method name of every type implementing
+// iface.
+func (s *surfaceScan) implementations(iface *types.Interface, name string) []implMethod {
+	k := dispatchKey{iface, name}
+	impls, ok := s.dispatched[k]
+	if !ok {
+		for _, t := range s.types {
+			if types.Implements(t.ptr, iface) {
+				m := types.NewMethodSet(t.ptr).Lookup(nil, name)
+				impls = append(impls, implMethod{m.Obj().(*types.Func).Origin(), t.level})
+			}
+		}
+		s.dispatched[k] = impls
+	}
+	return impls
+}
+
+// dispatchInterface returns the interface a method selection calls
+// through, nil for a concrete method: the operand's type, a type
+// parameter's constraint, or the interface field embedded on the path to
+// the method.
+func dispatchInterface(sel *types.Selection) *types.Interface {
+	t := sel.Recv()
+	path := sel.Index()
+	for _, i := range path[:len(path)-1] {
+		if p, ok := t.Underlying().(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		t = t.Underlying().(*types.Struct).Field(i).Type()
+	}
+	iface, _ := t.Underlying().(*types.Interface)
+	return iface
 }
 
 // receiverName is the type name of a method receiver: T for T, *T, T[P]
@@ -399,30 +646,6 @@ func fieldTypes(fl *ast.FieldList) []ast.Expr {
 	return out
 }
 
-// typeNames calls visit with each type name a type expression mentions:
-// ("", Name) unqualified, (x, Name) for x.Name. Parameter and field names
-// are not types and are skipped.
-func typeNames(e ast.Expr, visit func(x, name string)) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Field:
-			typeNames(n.Type, visit)
-			return false
-		case *ast.SelectorExpr:
-			if x, ok := n.X.(*ast.Ident); ok {
-				visit(x.Name, n.Sel.Name)
-			}
-			return false
-		case *ast.Ident:
-			visit("", n.Name)
-		}
-		return true
-	})
-}
-
 // readSurfaceGolden returns the golden's lines by section, comments and
 // blank lines dropped.
 func readSurfaceGolden(file string) (map[string][]string, error) {
@@ -453,9 +676,16 @@ func writeSurfaceGolden(file string, unreadLines, apiLines []string) error {
 #
 # [unread]: "<package dir> <Name or Type.Method> <level>" for each exported
 # declaration outside package main and bench/ that no non-test file outside
-# its package reads. The level is its strongest reader: bench (bench/, a
-# separate module), tests (a test file outside the package) or none. This
-# section only shrinks: -update drops lines, and a new one is added by hand.
+# its package reads. Readers are resolved with go/types: a method is read by
+# a selection that resolves to it or by a call through an interface that
+# may run it, never by a selector that only shares its name. The level is
+# its strongest reader: bench (bench/, a separate module), tests (a test
+# file outside the package) or none. This section only shrinks: -update
+# drops lines and never adds one. A line is added by hand, with its reason
+# in the change that adds it, only for a name kept for a reader it cannot
+# yet do without: bench/ code or the fleet, each waiting on its own change,
+# or other packages' tests that have no other way in (a reference
+# implementation they compare against, a hook that observes without racing).
 #
 # [commuter]: package commuter's whole exported API, read or not; -update
 # rewrites it, so a new public name shows up as a diff here.
@@ -488,14 +718,33 @@ func lineDiff(want, got []string) string {
 	return b.String()
 }
 
-// TestSurfaceReaders pins the readers no selector shows on a module of two
-// packages: k's interface Setup, implemented in q and called in k, and a
-// type the standard library encodes. What nothing calls stays unread — an
+// TestSurfaceReaders pins the rule on a module of four packages. k's
+// interface Setup is implemented in q and called in k, and k has a type the
+// standard library encodes. m's methods share their names with standard
+// library calls in r, which also reaches m through interface dispatch to a
+// promoted method, a generic type's instantiation and one of two
+// build-constrained twin files. What nothing calls stays unread: an
 // exported method added to q's Setup, an interface method of k's no code
-// calls, an interface whose only implementation is in its own package and
-// a String of an unread type — so neither reader loosens the ratchet.
+// calls, an interface whose only implementation is in its own package, a
+// String of an unread type, and the module methods Count and Sum beside
+// strings.Count and a hash.Hash's Sum. A type error fails the scan.
 func TestSurfaceReaders(t *testing.T) {
 	dir := t.TempDir()
+	write := func(name, src string) {
+		t.Helper()
+		if err := os.MkdirAll(filepath.Join(dir, filepath.Dir(name)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	twin := `package r
+
+import "repro/m"
+
+func twin() int { return m.Tally{}.Twinned() }
+`
 	for name, src := range map[string]string{
 		"k/k.go": `package k
 
@@ -536,13 +785,51 @@ var _ = k.Check(new(Setup))
 
 var _ k.Test
 `,
+		"m/m.go": `package m
+
+type Tally struct{}
+
+func (Tally) Count() int   { return 0 }
+func (Tally) Twinned() int { return 0 }
+
+type Digest struct{}
+
+func (Digest) Sum(b []byte) []byte { return b }
+
+type Base struct{}
+
+func (*Base) Inc() {}
+
+type Box[T any] struct{ v T }
+
+func (b Box[T]) Get() T { return b.v }
+`,
+		"r/r.go": `package r
+
+import (
+	"crypto/sha256"
+	"strings"
+
+	"repro/m"
+)
+
+type incer interface{ Inc() }
+
+type wrap struct{ *m.Base }
+
+func run() {
+	var c incer = wrap{new(m.Base)}
+	c.Inc()
+	_ = strings.Count("ab", "b")
+	_ = sha256.New().Sum(nil)
+	_ = m.Box[int]{}.Get()
+	_, _ = m.Tally{}, m.Digest{}
+}
+`,
+		"r/twin_a.go": "//go:build linux\n\n" + twin,
+		"r/twin_b.go": "//go:build !linux\n\n" + twin,
 	} {
-		if err := os.MkdirAll(filepath.Join(dir, filepath.Dir(name)), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
+		write(name, src)
 	}
 	t.Chdir(dir)
 	decls, err := scanSurface(".")
@@ -556,8 +843,14 @@ var _ k.Test
 		}
 	}
 	want := []string{"k Local none", "k Local.Run none", "k Setup.Frob none",
+		"m Digest.Sum none", "m Tally.Count none",
 		"q Hidden none", "q Hidden.String none", "q Setup none", "q Setup.Frob none", "q Setup.Unread none"}
 	if !slices.Equal(got, want) {
 		t.Errorf("unread:\n%s", lineDiff(want, got))
+	}
+
+	write("r/broken.go", "package r\n\nvar _ int = \"x\"\n")
+	if _, err := scanSurface("."); err == nil || !strings.Contains(err.Error(), "broken.go") {
+		t.Errorf("a type error in r/broken.go: scan error %v", err)
 	}
 }
